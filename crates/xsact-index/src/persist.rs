@@ -51,6 +51,21 @@
 //! typed [`io::ErrorKind::InvalidData`] error, never a panic — and the
 //! validated arrays are then adopted as-is, which keeps a save → load →
 //! save cycle byte-stable.
+//!
+//! **I/O is one buffer per file in each direction.** [`save_index`]
+//! assembles the whole file in a `Vec`, hashes it, and hands it to the
+//! writer in a single `write_all`; [`load_index`] drains the reader once
+//! (`read_to_end`) and parses from the slice, hashing `body` in one pass —
+//! there are no streaming hash adaptors, and the number of `read`/`write`
+//! calls does not depend on how many fields the file holds (an unbuffered
+//! `File` used to pay one syscall per `u32`). The loader **measures before
+//! it allocates**: it walks the dictionary's length fields and the
+//! declared section sizes against the bytes actually present, so a
+//! truncated file — or a header whose counts exceed the file — fails with
+//! a typed [`io::ErrorKind::UnexpectedEof`] having allocated nothing, and
+//! every capacity after that point is exact and bounded by the file's
+//! size. Term strings are borrowed from the buffer until the interner
+//! copies them.
 
 use crate::postings::{is_preorder, InvertedIndex, PackedStore, ABS_WIDTH, FRAME};
 use std::io::{self, Read, Write};
@@ -58,42 +73,8 @@ use xsact_xml::{Document, FnvHasher};
 
 const MAGIC: &[u8; 4] = b"XIDX";
 const VERSION: u32 = 4;
-
-/// Write adapter folding every byte into an FNV-1a checksum on the way
-/// through, so the save path computes its trailer without buffering the
-/// file.
-struct HashingWriter<'a, W: Write> {
-    inner: &'a mut W,
-    hasher: FnvHasher,
-}
-
-impl<W: Write> Write for HashingWriter<'_, W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.hasher.write(&buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Read twin of [`HashingWriter`]: hashes every byte handed to the
-/// parser, so the load path can compare its running checksum against the
-/// trailer once the body is consumed.
-struct HashingReader<'a, R: Read> {
-    inner: &'a mut R,
-    hasher: FnvHasher,
-}
-
-impl<R: Read> Read for HashingReader<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.hasher.write(&buf[..n]);
-        Ok(n)
-    }
-}
+/// Bytes of one frame-table entry: `first` u32, `bit_off` u32, `width` u8.
+const FRAME_ENTRY: usize = 9;
 
 /// FNV-style structural fingerprint of a document: node count, tags,
 /// attributes and text contents in document order (the workspace-shared
@@ -120,14 +101,16 @@ pub fn document_fingerprint(doc: &Document) -> u64 {
     hasher.finish()
 }
 
+fn checksum(body: &[u8]) -> u64 {
+    let mut hasher = FnvHasher::new();
+    hasher.write(body);
+    hasher.finish()
+}
+
 /// Serialises the index (with the document's fingerprint) to `w`,
 /// ending with the FNV-1a checksum trailer over every preceding byte.
+/// The file is assembled in memory and handed to `w` in one `write_all`.
 pub fn save_index(doc: &Document, index: &InvertedIndex, w: &mut impl Write) -> io::Result<()> {
-    let mut w = HashingWriter { inner: w, hasher: FnvHasher::new() };
-    let w = &mut w;
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&document_fingerprint(doc).to_le_bytes())?;
     // The in-memory dictionary already iterates in lexicographic term
     // order, so the output is byte-identical across runs. Frame headers
     // are written in the same order; their bit offsets address the shared
@@ -136,90 +119,138 @@ pub fn save_index(doc: &Document, index: &InvertedIndex, w: &mut impl Write) -> 
     let entries: Vec<_> = index.dictionary().collect();
     let total: usize = entries.iter().map(|(_, l)| l.len()).sum();
     let frames: usize = entries.iter().map(|(_, l)| l.frame_count()).sum();
-    w.write_all(&(entries.len() as u32).to_le_bytes())?;
-    w.write_all(&(total as u32).to_le_bytes())?;
-    w.write_all(&(frames as u32).to_le_bytes())?;
-    w.write_all(&(store.data.len() as u32).to_le_bytes())?;
+    let term_bytes: usize = entries.iter().map(|(t, _)| t.len()).sum();
+    let mut out = Vec::with_capacity(
+        32 + 8 * entries.len() + term_bytes + FRAME_ENTRY * frames + 8 * store.data.len() + 8,
+    );
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&document_fingerprint(doc).to_le_bytes());
+    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(total as u32).to_le_bytes());
+    out.extend_from_slice(&(frames as u32).to_le_bytes());
+    out.extend_from_slice(&(store.data.len() as u32).to_le_bytes());
     for (term, postings) in &entries {
-        let bytes = term.as_bytes();
-        w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-        w.write_all(bytes)?;
-        w.write_all(&(postings.len() as u32).to_le_bytes())?;
+        out.extend_from_slice(&(term.len() as u32).to_le_bytes());
+        out.extend_from_slice(term.as_bytes());
+        out.extend_from_slice(&(postings.len() as u32).to_le_bytes());
     }
     for (_, postings) in &entries {
         for f in 0..postings.frame_count() {
             let g = postings.first_frame as usize + f;
-            w.write_all(&store.frame_first[g].to_le_bytes())?;
-            w.write_all(&store.frame_bit_off[g].to_le_bytes())?;
-            w.write_all(&[store.frame_width[g]])?;
+            out.extend_from_slice(&store.frame_first[g].to_le_bytes());
+            out.extend_from_slice(&store.frame_bit_off[g].to_le_bytes());
+            out.push(store.frame_width[g]);
         }
     }
     for &word in &store.data {
-        w.write_all(&word.to_le_bytes())?;
+        out.extend_from_slice(&word.to_le_bytes());
     }
-    // The trailer itself is written past the hashed span, straight to the
-    // underlying writer.
-    let checksum = w.hasher.finish();
-    w.inner.write_all(&checksum.to_le_bytes())?;
-    Ok(())
+    let trailer = checksum(&out);
+    out.extend_from_slice(&trailer.to_le_bytes());
+    w.write_all(&out)
 }
 
 /// Deserialises an index for `doc`, verifying magic, version, the document
 /// fingerprint, the checksum trailer, and every frame of the payload.
+/// Reads `r` to its end once and parses from that buffer.
 pub fn load_index(doc: &Document, r: &mut impl Read) -> io::Result<InvertedIndex> {
-    let mut r = HashingReader { inner: r, hasher: FnvHasher::new() };
-    let r = &mut r;
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    decode_index(doc, &bytes)
+}
+
+/// Bounds-checked reader over the file's bytes: running past the end is
+/// the typed [`io::ErrorKind::UnexpectedEof`] a short `read_exact` gives.
+#[derive(Clone, Copy)]
+struct Cursor<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+        if n > self.rest.len() {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "index file is shorter than its header declares",
+            ));
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    fn u32(&mut self) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    fn u64(&mut self) -> io::Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+}
+
+fn decode_index(doc: &Document, bytes: &[u8]) -> io::Result<InvertedIndex> {
+    let mut r = Cursor { rest: bytes };
+    if r.take(MAGIC.len())? != MAGIC {
         return Err(bad_data("not an XSACT index file (bad magic)"));
     }
-    let version = read_u32(r)?;
+    let version = r.u32()?;
     if version != VERSION {
         return Err(bad_data(format!(
             "unsupported index version {version} (expected {VERSION}) — rebuild the index"
         )));
     }
-    let fingerprint = read_u64(r)?;
+    let fingerprint = r.u64()?;
     let expected = document_fingerprint(doc);
     if fingerprint != expected {
         return Err(bad_data("index fingerprint does not match the document — rebuild the index"));
     }
-    let term_count = read_u32(r)? as usize;
-    let total = read_u32(r)? as usize;
+    let term_count = r.u32()? as usize;
+    let total = r.u32()? as usize;
     if total > (1 << 28) {
         return Err(bad_data("unreasonable postings arena size"));
     }
-    let frame_count = read_u32(r)? as usize;
+    let frame_count = r.u32()? as usize;
     if frame_count > total {
         return Err(bad_data("more posting frames than postings"));
     }
-    let data_words = read_u32(r)? as usize;
+    let data_words = r.u32()? as usize;
     if data_words > (1 << 25) {
         return Err(bad_data("unreasonable postings payload size"));
     }
-    // Dictionary first: term strings plus their posting counts. Frame
-    // spans are derived, so the dictionary must account for exactly the
-    // declared totals. Capacity hints are clamped so a corrupt header
-    // fails on a read error instead of aborting inside a huge allocation.
-    const PREALLOC_CAP: usize = 1 << 16;
-    let mut dict: Vec<(String, u32)> = Vec::with_capacity(term_count.min(PREALLOC_CAP));
+    // Measure before allocating: walk the dictionary's length fields, then
+    // the fixed-size sections the header declares. A truncated file, or a
+    // header whose counts exceed the file, fails here having allocated
+    // nothing, so every capacity below is exact and bounded by the file.
+    let mut skim = r;
+    for _ in 0..term_count {
+        let len = skim.u32()? as usize;
+        skim.take(len)?;
+        skim.u32()?;
+    }
+    // The caps above keep this sum far inside u64.
+    let fixed = FRAME_ENTRY as u64 * frame_count as u64 + 8 * data_words as u64 + 8;
+    skim.take(usize::try_from(fixed).unwrap_or(usize::MAX))?;
+    // Dictionary: term strings (borrowed from the buffer) plus their
+    // posting counts. Frame spans are derived, so the dictionary must
+    // account for exactly the declared totals.
+    let mut dict: Vec<(&str, u32)> = Vec::with_capacity(term_count);
     let mut sum_postings = 0usize;
     let mut sum_frames = 0usize;
     for _ in 0..term_count {
-        let len = read_u32(r)? as usize;
-        if len > 1 << 20 {
-            return Err(bad_data("unreasonable term length"));
-        }
-        let mut buf = vec![0u8; len];
-        r.read_exact(&mut buf)?;
-        let term = String::from_utf8(buf).map_err(|_| bad_data("term is not valid UTF-8"))?;
-        if let Some((prev, _)) = dict.last() {
-            if *prev >= term {
+        let len = r.u32()? as usize;
+        let term =
+            std::str::from_utf8(r.take(len)?).map_err(|_| bad_data("term is not valid UTF-8"))?;
+        if let Some(&(prev, _)) = dict.last() {
+            if prev >= term {
                 return Err(bad_data("dictionary terms are not sorted and unique"));
             }
         }
-        let n = read_u32(r)?;
+        let n = r.u32()?;
         sum_postings += n as usize;
         sum_frames += (n as usize).div_ceil(FRAME);
         dict.push((term, n));
@@ -232,18 +263,18 @@ pub fn load_index(doc: &Document, r: &mut impl Read) -> io::Result<InvertedIndex
     }
     // Frame table: validate each width and each payload span against the
     // payload arena (entry counts are derived from the dictionary).
-    let mut frame_first = Vec::with_capacity(frame_count.min(PREALLOC_CAP));
-    let mut frame_bit_off = Vec::with_capacity(frame_count.min(PREALLOC_CAP));
-    let mut frame_width = Vec::with_capacity(frame_count.min(PREALLOC_CAP));
+    let mut frame_first = Vec::with_capacity(frame_count);
+    let mut frame_bit_off = Vec::with_capacity(frame_count);
+    let mut frame_width = Vec::with_capacity(frame_count);
     let data_bits = data_words as u64 * 64;
     for &(_, n) in &dict {
         let n = n as usize;
         let frames = n.div_ceil(FRAME);
         for f in 0..frames {
             let count = if (f + 1) * FRAME <= n { FRAME } else { n - f * FRAME };
-            let first = read_u32(r)?;
-            let bit_off = read_u32(r)?;
-            let width = read_u8(r)?;
+            let first = r.u32()?;
+            let bit_off = r.u32()?;
+            let [width] = r.array()?;
             let payload_bits = match width {
                 w if w <= 32 => (count as u64 - 1) * u64::from(w),
                 ABS_WIDTH => (count as u64 - 1) * 32,
@@ -257,17 +288,17 @@ pub fn load_index(doc: &Document, r: &mut impl Read) -> io::Result<InvertedIndex
             frame_width.push(width);
         }
     }
-    let mut data = Vec::with_capacity(data_words.min(PREALLOC_CAP));
-    for _ in 0..data_words {
-        data.push(read_u64(r)?);
-    }
+    let data: Vec<u64> = r
+        .take(8 * data_words)?
+        .chunks_exact(8)
+        .map(|word| u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes")))
+        .collect();
     // Body fully consumed — verify the trailer before the (more
     // expensive) decode-validation pass. A torn or bit-flipped file fails
-    // here with a typed error; the trailer itself is read past the hashed
-    // span.
-    let computed = r.hasher.finish();
-    let stored = read_u64(r.inner)?;
-    if stored != computed {
+    // here with a typed error; the trailer sits past the hashed span.
+    let body = &bytes[..bytes.len() - r.rest.len()];
+    let stored = r.u64()?;
+    if stored != checksum(body) {
         return Err(bad_data("index checksum mismatch — rebuild the index"));
     }
     let store = PackedStore {
@@ -277,7 +308,7 @@ pub fn load_index(doc: &Document, r: &mut impl Read) -> io::Result<InvertedIndex
         data,
         doc_ordered: is_preorder(doc),
     };
-    let index = InvertedIndex::from_packed_parts(dict, store);
+    let index = InvertedIndex::from_packed_parts(&dict, store);
     // Decode-validate every list once: delta accumulation checked for u32
     // overflow, every id checked against the document. After this pass the
     // unchecked frame decoders can never read a value the document does
@@ -291,24 +322,6 @@ pub fn load_index(doc: &Document, r: &mut impl Read) -> io::Result<InvertedIndex
         }
     }
     Ok(index)
-}
-
-fn read_u8(r: &mut impl Read) -> io::Result<u8> {
-    let mut buf = [0u8; 1];
-    r.read_exact(&mut buf)?;
-    Ok(buf[0])
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
 }
 
 fn bad_data(msg: impl Into<String>) -> io::Error {

@@ -289,17 +289,17 @@ impl InvertedIndex {
     /// The persistence loader validates terms (sorted, unique) and frames
     /// before calling this, so the arrays are moved in as-is — which is what
     /// keeps save → load → save byte-stable.
-    pub(crate) fn from_packed_parts(dict: Vec<(String, u32)>, store: PackedStore) -> Self {
+    pub(crate) fn from_packed_parts(dict: &[(&str, u32)], store: PackedStore) -> Self {
         let mut terms = Interner::new();
         let mut spans = Vec::with_capacity(dict.len());
         let mut sorted = Vec::with_capacity(dict.len());
         let mut next_frame = 0u32;
-        for (term, len) in &dict {
+        for &(term, len) in dict {
             let sym = terms.intern(term);
             debug_assert_eq!(sym.index(), spans.len(), "loader guarantees unique terms");
-            spans.push((next_frame, *len));
+            spans.push((next_frame, len));
             sorted.push(sym);
-            next_frame += (*len as usize).div_ceil(FRAME) as u32;
+            next_frame += (len as usize).div_ceil(FRAME) as u32;
         }
         InvertedIndex { terms, spans, store, sorted }
     }

@@ -20,7 +20,9 @@ pub fn parse_document(input: &str) -> XmlResult<Document> {
     // Stack of open elements; `None` sentinel never stored — root handled
     // specially because `Document::new` needs the root tag up front.
     let mut stack = Vec::new();
-    let mut open_tags: Vec<String> = Vec::new();
+    // Names of the open elements, borrowed from `input`: matching a close
+    // tag is a slice compare, and only an error path allocates.
+    let mut open_tags: Vec<&str> = Vec::new();
 
     for token in Tokenizer::new(input) {
         match token? {
@@ -28,7 +30,7 @@ pub fn parse_document(input: &str) -> XmlResult<Document> {
                 match (&mut doc, stack.last().copied()) {
                     (None, _) => {
                         // This is the root element.
-                        let mut d = Document::new(name.clone());
+                        let mut d = Document::new(name);
                         for (k, v) in attrs {
                             d.set_attr(d.root(), k, v);
                         }
@@ -43,7 +45,7 @@ pub fn parse_document(input: &str) -> XmlResult<Document> {
                         return Err(XmlError::MultipleRoots { offset });
                     }
                     (Some(d), Some(parent)) => {
-                        let node = d.add_element_with_attrs(parent, name.clone(), attrs);
+                        let node = d.add_element_with_attrs(parent, name, attrs);
                         if !self_closing {
                             stack.push(node);
                             open_tags.push(name);
@@ -53,13 +55,17 @@ pub fn parse_document(input: &str) -> XmlResult<Document> {
             }
             Token::EndTag { name, offset } => match (&mut doc, stack.pop()) {
                 (_, None) => {
-                    return Err(XmlError::UnmatchedClose { offset, tag: name });
+                    return Err(XmlError::UnmatchedClose { offset, tag: name.to_owned() });
                 }
                 (Some(d), Some(node)) => {
                     let open = open_tags.pop().expect("open_tags tracks stack");
                     debug_assert_eq!(d.tag(node), open);
                     if open != name {
-                        return Err(XmlError::MismatchedTag { offset, open, close: name });
+                        return Err(XmlError::MismatchedTag {
+                            offset,
+                            open: open.to_owned(),
+                            close: name.to_owned(),
+                        });
                     }
                 }
                 (None, Some(_)) => unreachable!("stack non-empty implies document exists"),
@@ -77,7 +83,9 @@ pub fn parse_document(input: &str) -> XmlResult<Document> {
     }
 
     if !open_tags.is_empty() {
-        return Err(XmlError::UnclosedElements { open: open_tags });
+        return Err(XmlError::UnclosedElements {
+            open: open_tags.into_iter().map(str::to_owned).collect(),
+        });
     }
     doc.ok_or(XmlError::EmptyDocument)
 }

@@ -14,13 +14,16 @@
 use crate::error::{XmlError, XmlResult};
 use crate::escape::unescape;
 
-/// A single lexical item of an XML document.
+/// A single lexical item of an XML document. Tag names borrow from the
+/// tokenizer's input (a name is never entity-resolved, so the source
+/// slice is the name); attribute values and text are owned because
+/// entity resolution may rewrite them.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+pub enum Token<'a> {
     /// `<name a="v" ...>` or `<name ... />`.
     StartTag {
         /// Element name.
-        name: String,
+        name: &'a str,
         /// Attributes in source order, values entity-resolved.
         attrs: Vec<(String, String)>,
         /// Whether the tag ended with `/>`.
@@ -31,7 +34,7 @@ pub enum Token {
     /// `</name>`.
     EndTag {
         /// Element name.
-        name: String,
+        name: &'a str,
         /// Byte offset of the `<`.
         offset: usize,
     },
@@ -73,8 +76,15 @@ impl<'a> Tokenizer<'a> {
         &self.input[self.pos..]
     }
 
+    /// The next character. Structured datasets are almost entirely ASCII,
+    /// so a byte below 0x80 is returned as-is; only a lead byte of a
+    /// multi-byte sequence pays for UTF-8 decoding.
     fn peek(&self) -> Option<char> {
-        self.rest().chars().next()
+        match self.input.as_bytes().get(self.pos) {
+            Some(&b) if b.is_ascii() => Some(b as char),
+            Some(_) => self.rest().chars().next(),
+            None => None,
+        }
     }
 
     fn bump(&mut self) -> Option<char> {
@@ -192,13 +202,13 @@ impl<'a> Tokenizer<'a> {
     }
 
     /// Reads the token starting at `<`. `self.pos` is at the `<`.
-    fn read_markup(&mut self) -> XmlResult<Option<Token>> {
+    fn read_markup(&mut self) -> XmlResult<Option<Token<'a>>> {
         let offset = self.pos;
         self.bump(); // consume '<'
         match self.peek() {
             Some('/') => {
                 self.bump();
-                let name = self.read_name()?.to_owned();
+                let name = self.read_name()?;
                 self.skip_whitespace();
                 self.eat('>', "'>' closing an end tag")?;
                 Ok(Some(Token::EndTag { name, offset }))
@@ -249,7 +259,7 @@ impl<'a> Tokenizer<'a> {
                 Ok(None)
             }
             _ => {
-                let name = self.read_name()?.to_owned();
+                let name = self.read_name()?;
                 let attrs = self.read_attrs()?;
                 self.skip_whitespace();
                 let self_closing = if self.peek() == Some('/') {
@@ -264,7 +274,7 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
-    fn read_text(&mut self) -> XmlResult<Option<Token>> {
+    fn read_text(&mut self) -> XmlResult<Option<Token<'a>>> {
         let start = self.pos;
         let end = match self.rest().find('<') {
             Some(i) => start + i,
@@ -272,14 +282,14 @@ impl<'a> Tokenizer<'a> {
         };
         let raw = &self.input[start..end];
         self.pos = end;
-        if raw.chars().all(|c| c.is_ascii_whitespace()) {
+        if raw.bytes().all(|b| b.is_ascii_whitespace()) {
             return Ok(None);
         }
         let content = unescape(raw, start)?.into_owned();
         Ok(Some(Token::Text { content, offset: start }))
     }
 
-    fn next_token(&mut self) -> XmlResult<Option<Token>> {
+    fn next_token(&mut self) -> XmlResult<Option<Token<'a>>> {
         loop {
             if self.pos >= self.input.len() {
                 return Ok(None);
@@ -293,8 +303,8 @@ impl<'a> Tokenizer<'a> {
     }
 }
 
-impl Iterator for Tokenizer<'_> {
-    type Item = XmlResult<Token>;
+impl<'a> Iterator for Tokenizer<'a> {
+    type Item = XmlResult<Token<'a>>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.next_token().transpose()
@@ -313,7 +323,7 @@ fn is_name_continue(c: char) -> bool {
 mod tests {
     use super::*;
 
-    fn tokens(input: &str) -> Vec<Token> {
+    fn tokens(input: &str) -> Vec<Token<'_>> {
         Tokenizer::new(input).collect::<XmlResult<Vec<_>>>().unwrap()
     }
 
@@ -325,9 +335,9 @@ mod tests {
     fn simple_element() {
         let ts = tokens("<a>hello</a>");
         assert_eq!(ts.len(), 3);
-        assert!(matches!(&ts[0], Token::StartTag { name, self_closing: false, .. } if name == "a"));
+        assert!(matches!(&ts[0], Token::StartTag { name: "a", self_closing: false, .. }));
         assert!(matches!(&ts[1], Token::Text { content, .. } if content == "hello"));
-        assert!(matches!(&ts[2], Token::EndTag { name, .. } if name == "a"));
+        assert!(matches!(&ts[2], Token::EndTag { name: "a", .. }));
     }
 
     #[test]
@@ -402,7 +412,7 @@ mod tests {
     #[test]
     fn names_allow_xml_punctuation() {
         let ts = tokens("<ns:a-b.c_d/>");
-        assert!(matches!(&ts[0], Token::StartTag { name, .. } if name == "ns:a-b.c_d"));
+        assert!(matches!(&ts[0], Token::StartTag { name: "ns:a-b.c_d", .. }));
     }
 
     #[test]
@@ -459,5 +469,58 @@ mod tests {
     fn multibyte_text_offsets() {
         let ts = tokens("<a>\u{2603}snow</a>");
         assert!(matches!(&ts[1], Token::Text { content, .. } if content == "\u{2603}snow"));
+    }
+
+    /// Non-ASCII names and text leave `peek`'s byte fast path for the
+    /// `chars()` fallback; tokens and byte offsets must come out as if
+    /// every character had been decoded.
+    #[test]
+    fn non_ascii_names_and_text_take_the_fallback_path() {
+        let ts = tokens("<naïve/>");
+        assert_eq!(
+            ts,
+            vec![Token::StartTag { name: "naïve", attrs: vec![], self_closing: true, offset: 0 }]
+        );
+        // `日本` is 6 bytes, `é` is 2: text at 8, end tag at 10.
+        let ts = tokens("<日本>é</日本>");
+        assert_eq!(
+            ts,
+            vec![
+                Token::StartTag { name: "日本", attrs: vec![], self_closing: false, offset: 0 },
+                Token::Text { content: "é".to_owned(), offset: 8 },
+                Token::EndTag { name: "日本", offset: 10 },
+            ]
+        );
+        let ts = tokens("<a clé=\"ü\"/>");
+        assert!(matches!(&ts[0], Token::StartTag { attrs, .. }
+            if attrs == &vec![("clé".to_owned(), "ü".to_owned())]));
+    }
+
+    /// Error offsets are byte offsets into the input, also past multi-byte
+    /// characters, and a non-ASCII offender is reported as the whole
+    /// character, not its lead byte.
+    #[test]
+    fn error_offsets_count_bytes_past_non_ascii_input() {
+        assert_eq!(
+            err("<日本>é</日本"),
+            XmlError::UnexpectedEof { offset: 18, context: "'>' closing an end tag" }
+        );
+        assert_eq!(
+            err("<naïve =\"1\"/>"),
+            XmlError::UnexpectedChar { offset: 8, found: '=', expected: "a name start character" }
+        );
+        assert_eq!(
+            err("<é>x</é ☃>"),
+            XmlError::UnexpectedChar {
+                offset: 10, found: '☃', expected: "'>' closing an end tag"
+            }
+        );
+        assert_eq!(
+            err("<☃/>"),
+            XmlError::UnexpectedChar {
+                offset: 1, found: '☃', expected: "a name start character"
+            }
+        );
+        assert_eq!(err("<é>&oops;</é>"), XmlError::BadEntity { offset: 4, entity: "oops".into() });
     }
 }

@@ -37,13 +37,16 @@
 use crate::error::{XsactError, XsactResult};
 use crate::workbench::Workbench;
 use std::cmp::Ordering;
+use std::convert::Infallible;
 use std::fs;
-use std::path::Path;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{self, AtomicU64};
 use xsact_core::{Algorithm, Comparison, ComparisonOutcome, DfsConfig};
 use xsact_corpus::{fan_out, k_way_merge};
 use xsact_data::movies::{MovieGenConfig, MoviesGen};
 use xsact_entity::ResultFeatures;
-use xsact_index::{ExecutorStats, Query, ScoredResult, SearchResult};
+use xsact_index::{ExecutorStats, Query, ScoredResult, SearchEngine, SearchResult};
 use xsact_obs::TraceSink;
 use xsact_serve::FaultPlan;
 use xsact_xml::{DeweyId, Document};
@@ -79,18 +82,16 @@ impl Corpus {
     /// available parallelism). Add documents with
     /// [`add_document`](Self::add_document) / [`add_xml`](Self::add_xml).
     pub fn new() -> Corpus {
-        let shards = std::thread::available_parallelism().map_or(1, usize::from);
-        Corpus { docs: Vec::new(), shards, faults: FaultPlan::disarmed() }
+        Corpus { docs: Vec::new(), shards: available_cores(), faults: FaultPlan::disarmed() }
     }
 
     /// Builds a corpus from `(name, document)` pairs; ids follow iteration
-    /// order.
+    /// order. The per-document index builds run on every core.
     pub fn from_documents(docs: impl IntoIterator<Item = (String, Document)>) -> Corpus {
-        let mut corpus = Corpus::new();
-        for (name, doc) in docs {
-            corpus.add_document(name, doc);
-        }
-        corpus
+        let docs: Vec<_> = docs.into_iter().collect();
+        Corpus::from_workbenches(build_in_order(docs, available_cores(), |(name, doc)| {
+            (name, Workbench::from_document(doc))
+        }))
     }
 
     /// Parses and ingests `(name, xml)` pairs. Fails with
@@ -107,10 +108,12 @@ impl Corpus {
 
     /// Ingests every `*.xml` file of `dir` in **sorted filename order**
     /// (so document ids are stable across runs and machines), using the
-    /// file stem as the document name. Fails with
+    /// file stem as the document name. Files are read, parsed and indexed
+    /// on every core; the error reported for a directory with several bad
+    /// files is always the first in filename order. Fails with
     /// [`XsactError::EmptyCorpus`] when the directory holds no XML files.
     pub fn from_dir(dir: impl AsRef<Path>) -> XsactResult<Corpus> {
-        Corpus::from_dir_impl(dir.as_ref(), None)
+        Corpus::from_dir_impl(dir.as_ref(), None, available_cores())
     }
 
     /// Like [`from_dir`](Self::from_dir), but skips the per-document
@@ -120,17 +123,19 @@ impl Corpus {
     /// once, not on every process launch.
     ///
     /// A stale or corrupt index file is never trusted: the fingerprint
-    /// check makes the load fail, and the corpus silently rebuilds and
-    /// overwrites it.
+    /// check makes the load fail, and the corpus rebuilds and overwrites
+    /// it after one warning on stderr.
     pub fn from_dir_cached(
         dir: impl AsRef<Path>,
         index_dir: impl AsRef<Path>,
     ) -> XsactResult<Corpus> {
         fs::create_dir_all(index_dir.as_ref())?;
-        Corpus::from_dir_impl(dir.as_ref(), Some(index_dir.as_ref()))
+        Corpus::from_dir_impl(dir.as_ref(), Some(index_dir.as_ref()), available_cores())
     }
 
-    fn from_dir_impl(dir: &Path, index_dir: Option<&Path>) -> XsactResult<Corpus> {
+    /// `workers` is a parameter (not configuration) so the tests can pin
+    /// that the ingest width never changes ids, names or rankings.
+    fn from_dir_impl(dir: &Path, index_dir: Option<&Path>, workers: usize) -> XsactResult<Corpus> {
         let mut paths: Vec<_> = fs::read_dir(dir)?
             .collect::<Result<Vec<_>, _>>()?
             .into_iter()
@@ -138,53 +143,11 @@ impl Corpus {
             .filter(|p| p.extension().is_some_and(|ext| ext == "xml"))
             .collect();
         paths.sort();
-        let mut corpus = Corpus::new();
-        for path in paths {
-            let name = path
-                .file_stem()
-                .map_or_else(|| path.display().to_string(), |s| s.to_string_lossy().into_owned());
-            let doc = xsact_xml::parse_document(&fs::read_to_string(&path)?)?;
-            let index_path = index_dir.map(|d| d.join(format!("{name}.xidx")));
-            let wb = match &index_path {
-                Some(ip) => match fs::File::open(ip) {
-                    Ok(mut f) => match Workbench::from_persisted_index(doc.clone(), &mut f) {
-                        Ok(wb) => wb,
-                        Err(e) => {
-                            // Degrade loudly but gracefully: one warning
-                            // per unusable file saying *why* (stale
-                            // fingerprint, checksum mismatch, old
-                            // version), then rebuild from the XML and
-                            // resave so the next launch loads cleanly.
-                            eprintln!(
-                                "xsact: index cache {} unusable ({e}); rebuilding from XML",
-                                ip.display()
-                            );
-                            let wb = Workbench::from_document(doc);
-                            // Best-effort cache write: the corpus is
-                            // already built in memory, so an unwritable
-                            // index_dir (read-only, disk full) must not
-                            // fail ingestion — the next load just
-                            // rebuilds again.
-                            let _ = save_index_atomic(&wb, ip);
-                            wb
-                        }
-                    },
-                    // No cache file yet (cold start) — build and write
-                    // it quietly.
-                    Err(_) => {
-                        let wb = Workbench::from_document(doc);
-                        let _ = save_index_atomic(&wb, ip);
-                        wb
-                    }
-                },
-                None => Workbench::from_document(doc),
-            };
-            corpus.push(name, wb);
-        }
-        if corpus.is_empty() {
+        if paths.is_empty() {
             return Err(XsactError::EmptyCorpus);
         }
-        Ok(corpus)
+        let ingested = ingest_in_order(paths, workers, |path| ingest_file(&path, index_dir))?;
+        Ok(Corpus::from_workbenches(ingested))
     }
 
     /// A synthetic fleet of movie datasets — `docs` documents of
@@ -192,14 +155,33 @@ impl Corpus {
     /// document differs but the whole corpus is reproducible. Used by the
     /// scaling bench, the corpus tests, and the CLI's `--docs` mode.
     pub fn synthetic_movies(docs: usize, movies_per_doc: usize, seed: u64) -> Corpus {
-        Corpus::from_documents((0..docs).map(|i| {
+        Corpus::synthetic_movies_impl(docs, movies_per_doc, seed, available_cores())
+    }
+
+    fn synthetic_movies_impl(
+        docs: usize,
+        movies_per_doc: usize,
+        seed: u64,
+        workers: usize,
+    ) -> Corpus {
+        // Generation is per-document work too, so it happens inside the
+        // workers, next to the index build.
+        Corpus::from_workbenches(build_in_order((0..docs).collect(), workers, |i| {
             let cfg = MovieGenConfig {
                 seed: seed + i as u64,
                 movies: movies_per_doc,
                 ..Default::default()
             };
-            (format!("movies-{i:02}"), MoviesGen::new(cfg).generate())
+            (format!("movies-{i:02}"), Workbench::from_document(MoviesGen::new(cfg).generate()))
         }))
+    }
+
+    fn from_workbenches(built: Vec<(String, Workbench)>) -> Corpus {
+        let mut corpus = Corpus::new();
+        for (name, wb) in built {
+            corpus.push(name, wb);
+        }
+        corpus
     }
 
     /// Sets the shard count (builder form). Values are clamped to `1..`;
@@ -422,12 +404,112 @@ impl Default for Corpus {
     }
 }
 
-/// Crash-safe index save: the bytes go to `<path>.tmp`, are fsynced, and
-/// only then atomically renamed over `path`. A crash (or `kill -9`) at
-/// any point leaves either the previous file or no file under the final
-/// name — never a torn one — and the `.xidx` checksum trailer catches
-/// anything the filesystem still manages to mangle. The temp file is
-/// removed on failure.
+/// The default width of both query fan-out (shards) and ingest (workers).
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// Runs `ingest` over `items` on `min(workers, items)` threads and returns
+/// the outputs **in item order**, whatever order they finished in — so
+/// document ids, names and rankings never depend on the ingest width.
+/// Documents are independent at boot, so they spread over the same
+/// round-robin [`ShardPlan`] partition and scoped [`fan_out`] queries use;
+/// one worker runs on the calling thread and is the exact serial loop.
+///
+/// A worker stops at its first failure. Since each worker walks its items
+/// in ascending order, the lowest-indexed failure overall is always
+/// reached, and it is the error returned — not whichever came first on the
+/// clock.
+fn ingest_in_order<T: Send, R: Send, E: Send>(
+    items: Vec<T>,
+    workers: usize,
+    ingest: impl Fn(T) -> Result<R, E> + Sync,
+) -> Result<Vec<R>, E> {
+    let workers = workers.clamp(1, items.len().max(1));
+    let mut parts: Vec<Vec<(usize, T)>> = (0..workers).map(|_| Vec::new()).collect();
+    let plan = ShardPlan::new(workers);
+    for (i, item) in items.into_iter().enumerate() {
+        parts[plan.shard_of(DocId(i as u32))].push((i, item));
+    }
+    let mut done: Vec<(usize, Result<R, E>)> = fan_out(parts, |_, part| {
+        let mut out = Vec::with_capacity(part.len());
+        for (i, item) in part {
+            let result = ingest(item);
+            let failed = result.is_err();
+            out.push((i, result));
+            if failed {
+                break;
+            }
+        }
+        out
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    // In index order a failure precedes every item its worker skipped, so
+    // collecting stops at the error before it could meet a gap.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// [`ingest_in_order`] for sources that cannot fail (documents already
+/// parsed or generated in place).
+fn build_in_order<T: Send, R: Send>(
+    items: Vec<T>,
+    workers: usize,
+    build: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    ingest_in_order(items, workers, |item| Ok::<_, Infallible>(build(item)))
+        .unwrap_or_else(|never| match never {})
+}
+
+/// One document's boot: read → parse → load the cached index or build it
+/// → save what was built. Returns the document's name and workbench.
+fn ingest_file(path: &Path, index_dir: Option<&Path>) -> XsactResult<(String, Workbench)> {
+    let name = path
+        .file_stem()
+        .map_or_else(|| path.display().to_string(), |s| s.to_string_lossy().into_owned());
+    let doc = xsact_xml::parse_document(&fs::read_to_string(path)?)?;
+    let Some(index_dir) = index_dir else {
+        return Ok((name, Workbench::from_document(doc)));
+    };
+    let index_path = index_dir.join(format!("{name}.xidx"));
+    let loaded =
+        fs::File::open(&index_path).and_then(|mut file| xsact_index::load_index(&doc, &mut file));
+    match loaded {
+        // The document moves into the engine; it was only borrowed by the
+        // loader, so the rebuild arm below still owns it.
+        Ok(index) => {
+            return Ok((name, Workbench::from_engine(SearchEngine::from_parts(doc, index))))
+        }
+        // No cache file yet (cold start) — build and write it quietly.
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        // Degrade loudly but gracefully: one warning per unusable file
+        // saying *why* (unreadable, stale fingerprint, checksum mismatch,
+        // old version), then rebuild from the XML and resave so the next
+        // launch loads cleanly.
+        Err(e) => eprintln!(
+            "xsact: index cache {} unusable ({}); rebuilding from XML",
+            index_path.display(),
+            XsactError::from(e)
+        ),
+    }
+    let wb = Workbench::from_document(doc);
+    // Best-effort cache write: the corpus is already built in memory, so
+    // an unwritable index_dir (read-only, disk full) must not fail
+    // ingestion — the next load just rebuilds again.
+    let _ = save_index_atomic(&wb, &index_path);
+    Ok((name, wb))
+}
+
+/// Crash-safe index save: the bytes go to a temp file next to `path`, are
+/// fsynced, and only then atomically renamed over `path`. A crash (or
+/// `kill -9`) at any point leaves either the previous file or no file
+/// under the final name — never a torn one — and the `.xidx` checksum
+/// trailer catches anything the filesystem still manages to mangle. The
+/// temp file is removed on failure; its name carries the process id and a
+/// per-process counter, so concurrent saves of one path (two servers
+/// booting on one `--index-dir`) never write into each other's file.
 pub fn save_index_atomic(wb: &Workbench, path: &Path) -> XsactResult<()> {
     save_index_atomic_faulted(wb, path, &FaultPlan::disarmed())
 }
@@ -436,16 +518,18 @@ pub fn save_index_atomic(wb: &Workbench, path: &Path) -> XsactResult<()> {
 /// the chaos suite to prove a failed save never leaves a temp file or a
 /// loadable-but-wrong index behind.
 fn save_index_atomic_faulted(wb: &Workbench, path: &Path, faults: &FaultPlan) -> XsactResult<()> {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
     let tmp = {
+        let nth = SAVES.fetch_add(1, atomic::Ordering::Relaxed);
         let mut os = path.as_os_str().to_owned();
-        os.push(".tmp");
-        std::path::PathBuf::from(os)
+        os.push(format!(".tmp.{}.{nth}", std::process::id()));
+        PathBuf::from(os)
     };
     let result = (|| -> XsactResult<()> {
         let mut file = fs::File::create(&tmp)?;
         wb.save_index(&mut file)?;
         if faults.should_fire("io_error_on_save", 0).is_some() {
-            return Err(XsactError::Io(std::io::Error::other("injected io_error_on_save fault")));
+            return Err(XsactError::Io(io::Error::other("injected io_error_on_save fault")));
         }
         // fsync before the rename: an atomic rename of unsynced bytes can
         // still surface an empty file after a power loss.
@@ -959,5 +1043,145 @@ mod tests {
             total_shared += stats.postings_shared;
         }
         assert!(total_shared > 0, "\"gps\" repeats across the batch: entries must be shared");
+    }
+
+    /// Scratch directory removed on drop.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> TempDir {
+            let path =
+                std::env::temp_dir().join(format!("xsact-ingest-{tag}-{}", std::process::id()));
+            let _ = fs::remove_dir_all(&path);
+            fs::create_dir_all(&path).expect("create temp dir");
+            TempDir(path)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Everything a ranking or a table can depend on: ids → names, each
+    /// document's bytes, and rendered rankings (at a fixed shard count).
+    fn observable(corpus: &Corpus) -> Vec<String> {
+        let mut out: Vec<String> = (0..corpus.len())
+            .map(|i| {
+                let id = DocId(i as u32);
+                let doc = corpus.workbench(id).document();
+                format!(
+                    "{id} {} {}",
+                    corpus.doc_name(id),
+                    xsact_xml::writer::write_subtree(doc, doc.root())
+                )
+            })
+            .collect();
+        for text in ["drama family", "war soldier", "comedy"] {
+            out.push(corpus.query(text).unwrap().ranking().render(50));
+        }
+        out
+    }
+
+    /// The ingest width is invisible: a directory read on 1, 2 or 8
+    /// workers — uncached, cold-cached and warm-cached — yields the ids,
+    /// names, documents and rankings of the sequential string oracle.
+    #[test]
+    fn ingest_workers_1_2_8_match_the_sequential_oracle() {
+        let tmp = TempDir::new("widths");
+        let xml_dir = tmp.0.join("xml");
+        fs::create_dir_all(&xml_dir).unwrap();
+        let fleet = Corpus::synthetic_movies_impl(9, 25, 11, 1);
+        // Names chosen so creation order differs from filename order.
+        let mut named: Vec<(String, String)> = (0..fleet.len())
+            .map(|i| {
+                let doc = fleet.workbench(DocId(i as u32)).document();
+                (
+                    format!("set-{:02}", (i * 4) % 9),
+                    xsact_xml::writer::write_subtree(doc, doc.root()),
+                )
+            })
+            .collect();
+        for (name, xml) in &named {
+            fs::write(xml_dir.join(format!("{name}.xml")), xml).unwrap();
+        }
+        named.sort();
+        let oracle = Corpus::from_xml_strings(named.iter().map(|(n, x)| (n.as_str(), x.as_str())))
+            .unwrap()
+            .with_shards(2);
+        let want = observable(&oracle);
+
+        for workers in [1, 2, 8] {
+            let plain = Corpus::from_dir_impl(&xml_dir, None, workers).unwrap().with_shards(2);
+            assert_eq!(observable(&plain), want, "{workers} workers, no cache");
+            let cache = tmp.0.join(format!("index-{workers}"));
+            fs::create_dir_all(&cache).unwrap();
+            for pass in ["cold", "warm"] {
+                let cached =
+                    Corpus::from_dir_impl(&xml_dir, Some(&cache), workers).unwrap().with_shards(2);
+                assert_eq!(observable(&cached), want, "{workers} workers, {pass} cache");
+            }
+            assert_eq!(fs::read_dir(&cache).unwrap().count(), named.len(), "one .xidx per doc");
+        }
+        for workers in [2, 8] {
+            let fleet_n = Corpus::synthetic_movies_impl(9, 25, 11, workers).with_shards(2);
+            assert_eq!(
+                observable(&fleet_n),
+                observable(&Corpus::synthetic_movies_impl(9, 25, 11, 1).with_shards(2)),
+                "synthetic fleet on {workers} workers"
+            );
+        }
+    }
+
+    /// Two malformed files: the error is the first one's in filename
+    /// order at every width, every time — although the second fails
+    /// almost instantly and the first only after a long parse.
+    #[test]
+    fn first_malformed_file_in_filename_order_is_the_one_reported() {
+        let tmp = TempDir::new("errors");
+        let good = "<shop><product><name>ok</name></product></shop>";
+        let mut slow_bad = String::from("<shop>");
+        for i in 0..20_000 {
+            slow_bad.push_str(&format!("<product><name>item {i}</name></product>"));
+        }
+        slow_bad.push_str("</oops>");
+        fs::write(tmp.0.join("a.xml"), good).unwrap();
+        fs::write(tmp.0.join("b.xml"), &slow_bad).unwrap();
+        fs::write(tmp.0.join("c.xml"), good).unwrap();
+        fs::write(tmp.0.join("d.xml"), "<unclosed>").unwrap();
+        for workers in [1, 2, 8] {
+            for round in 0..5 {
+                let err = Corpus::from_dir_impl(&tmp.0, None, workers).unwrap_err();
+                assert!(
+                    matches!(
+                        &err,
+                        XsactError::Xml(xsact_xml::XmlError::MismatchedTag { open, close, .. })
+                            if open == "shop" && close == "oops"
+                    ),
+                    "{workers} workers, round {round}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ingest_in_order_keeps_item_order_and_stops_each_worker_at_its_failure() {
+        for workers in [0, 1, 2, 3, 8, 64] {
+            let all: Result<Vec<usize>, usize> =
+                ingest_in_order((0..10).collect(), workers, |i: usize| Ok(i * i));
+            assert_eq!(all, Ok((0..10).map(|i| i * i).collect()), "{workers} workers");
+            let failing: Result<Vec<usize>, usize> =
+                ingest_in_order((0..10).collect(), workers, |i: usize| {
+                    if i == 4 || i == 7 {
+                        Err(i)
+                    } else {
+                        Ok(i)
+                    }
+                });
+            assert_eq!(failing, Err(4), "{workers} workers");
+            let empty: Result<Vec<usize>, usize> = ingest_in_order(Vec::new(), workers, Ok);
+            assert_eq!(empty, Ok(Vec::new()));
+        }
     }
 }

@@ -9,6 +9,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use xsact::prelude::*;
@@ -148,7 +149,7 @@ impl Drop for TempDir {
 
 /// `io_error_on_save` fires after the temp file is written but before it
 /// is durable — exactly where a crash would land. The save must surface
-/// the error, leave no `.tmp` dropping, and leave the previously saved
+/// the error, leave no `*.tmp*` dropping, and leave the previously saved
 /// index byte-identical (the atomic rename never ran).
 #[test]
 fn injected_save_error_never_leaves_a_torn_or_temporary_file() {
@@ -162,12 +163,7 @@ fn injected_save_error_never_leaves_a_torn_or_temporary_file() {
     let err = corpus.save_indexes(&dir).expect_err("injected IO error must surface");
     assert!(err.to_string().contains("injected io_error_on_save fault"), "{err}");
 
-    let leftovers: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "tmp"))
-        .collect();
-    assert!(leftovers.is_empty(), "temp files leaked: {leftovers:?}");
+    assert_eq!(temp_files(&dir), Vec::<PathBuf>::new(), "temp files leaked");
     assert_eq!(
         std::fs::read(dir.join("movies-00.xidx")).unwrap(),
         baseline,
@@ -181,6 +177,46 @@ fn injected_save_error_never_leaves_a_torn_or_temporary_file() {
         MoviesGen::new(MovieGenConfig { seed: 7, movies: 12, ..Default::default() }).generate();
     let mut f = std::fs::File::open(dir.join("movies-00.xidx")).unwrap();
     Workbench::from_persisted_index(doc, &mut f).expect("retried save loads cleanly");
+}
+
+/// Two servers booting on one `--index-dir` save the same paths at the
+/// same time. Each save owns its temp file (pid + counter in the name), so
+/// none truncates or renames away another's: every save succeeds, the
+/// committed file is whole, and no temp file is left.
+#[test]
+fn concurrent_saves_of_one_path_never_collide() {
+    let tmp = TempDir::new("concurrent-save");
+    let path = tmp.0.join("movies.xidx");
+    let doc =
+        || MoviesGen::new(MovieGenConfig { seed: 7, movies: 40, ..Default::default() }).generate();
+    let wb = Workbench::from_document(doc());
+    let mut expected = Vec::new();
+    wb.save_index(&mut expected).unwrap();
+
+    let savers = 4;
+    let start = std::sync::Barrier::new(savers);
+    std::thread::scope(|scope| {
+        for _ in 0..savers {
+            scope.spawn(|| {
+                start.wait();
+                for round in 0..25 {
+                    xsact::save_index_atomic(&wb, &path)
+                        .unwrap_or_else(|e| panic!("save {round} collided: {e}"));
+                }
+            });
+        }
+    });
+    assert_eq!(std::fs::read(&path).unwrap(), expected);
+    assert_eq!(temp_files(&tmp.0), Vec::<PathBuf>::new(), "temp files leaked");
+}
+
+/// Every `*.tmp*` entry of `dir`.
+fn temp_files(dir: &Path) -> Vec<PathBuf> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().contains(".tmp")))
+        .collect()
 }
 
 // --------------------------------------------------- connection resilience

@@ -234,6 +234,21 @@ fn directory_ingestion_is_sorted_and_index_cache_round_trips() {
     std::fs::write(cache.join("alpha.xidx"), b"garbage").unwrap();
     let healed = Corpus::from_dir_cached(&dir, &cache).unwrap();
     assert_eq!(healed.query("gps").unwrap().ranking().render(10), cold);
+
+    // Nor is an entry that cannot be read at all — an I/O error other than
+    // "not found" (here a directory where the file should be): the corpus
+    // still boots from the XML, and the resave that cannot succeed leaves
+    // no temp file behind.
+    std::fs::remove_file(cache.join("midway.xidx")).unwrap();
+    std::fs::create_dir(cache.join("midway.xidx")).unwrap();
+    let degraded = Corpus::from_dir_cached(&dir, &cache).unwrap();
+    assert_eq!(degraded.query("gps").unwrap().ranking().render(10), cold);
+    let mut entries: Vec<_> = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    entries.sort();
+    assert_eq!(entries, ["alpha.xidx", "midway.xidx", "zeta.xidx"]);
 }
 
 #[test]
