@@ -685,6 +685,13 @@ mod tests {
     }
 
     #[test]
+    fn too_many_terms_is_a_typed_error_under_elca() {
+        let query = (0..65).map(|i| format!("t{i}")).collect::<Vec<_>>().join(" ");
+        let a = args_for("figure1", &["--query", &query, "--semantics", "elca"]);
+        assert!(matches!(run(&a), Err(XsactError::TooManyTerms { terms: 65, max: 64 })));
+    }
+
+    #[test]
     fn save_then_load_index_round_trips() {
         let tmp = TempDir::new("roundtrip");
         let path = tmp.path("movies.xidx");

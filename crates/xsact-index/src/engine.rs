@@ -41,6 +41,18 @@ pub struct SearchResult {
     pub label: String,
 }
 
+/// A ranked result that has not been given its display label yet: what the
+/// streaming top-k executor keeps per survivor. Callers that merge several
+/// documents' rankings ([`SearchEngine::search_top_k_roots`]) label only
+/// what survives their merge, via [`SearchEngine::result_for`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RankedRoot {
+    /// The scored result root (`score.root` is the master entity).
+    pub score: ScoredResult,
+    /// The SLCA node the root was promoted from.
+    pub slca: NodeId,
+}
+
 /// The outcome of one streaming top-k run: the best `k` results with
 /// their scores, best-first, plus what the executor did to find them.
 #[derive(Debug, Clone)]
@@ -261,14 +273,10 @@ impl SearchEngine {
         semantics: ResultSemantics,
         trace: Option<&TraceSink>,
     ) -> TopKSearch {
-        let stats = ExecutorStats::default();
-        let span = trace.map(|sink| sink.span("plan"));
-        let plan = QueryPlan::new(&self.index, query);
-        if let Some(mut span) = span {
-            note_plan(&mut span, &plan);
-            span.finish();
-        }
-        self.top_k_planned(&plan, query, k, semantics, trace, stats)
+        let planned = self.plan(query, None, trace);
+        let (hits, stats) =
+            self.top_k_planned(planned, query, k, semantics, trace, |ranked| self.labelled(ranked));
+        TopKSearch { hits, stats }
     }
 
     /// [`search_top_k`](Self::search_top_k), but planning through a shared
@@ -285,38 +293,81 @@ impl SearchEngine {
         semantics: ResultSemantics,
         fragments: &mut PlanFragments<'e>,
     ) -> TopKSearch {
-        let shared_before = fragments.shared_entries();
-        let plan = QueryPlan::new_shared(&self.index, query, fragments);
-        let stats = ExecutorStats {
-            postings_shared: fragments.shared_entries() - shared_before,
-            ..ExecutorStats::default()
-        };
-        self.top_k_planned(&plan, query, k, semantics, None, stats)
+        let (roots, stats) = self.search_top_k_roots(query, k, semantics, Some(fragments));
+        let hits = roots.into_iter().map(|ranked| self.labelled(ranked)).collect();
+        TopKSearch { hits, stats }
     }
 
-    /// The execution half of the top-k search, shared by the independent
-    /// and plan-sharing entry points: score, stream, and keep the best
-    /// `k` in a bounded heap. `stats` carries whatever planning already
-    /// counted (zero, or the shared-entry credit).
-    fn top_k_planned<'e>(
+    /// The streaming top-k executor **without the labelling step**: the
+    /// same survivors in the same order as [`search_top_k`](Self::search_top_k)
+    /// (or, with a `fragments` table, as
+    /// [`search_top_k_shared`](Self::search_top_k_shared)), as bare
+    /// [`RankedRoot`]s. A caller that merges this document's top-k with
+    /// other documents' keeps only some of them, and pays
+    /// [`result_for`](Self::result_for) for those alone.
+    pub fn search_top_k_roots<'e>(
         &'e self,
-        plan: &QueryPlan<'e>,
+        query: &Query,
+        k: usize,
+        semantics: ResultSemantics,
+        fragments: Option<&mut PlanFragments<'e>>,
+    ) -> (Vec<RankedRoot>, ExecutorStats) {
+        let planned = self.plan(query, fragments, None);
+        self.top_k_planned(planned, query, k, semantics, None, |ranked| ranked)
+    }
+
+    /// The planning half of the top-k search: independent, or through a
+    /// per-batch fragment table, in which case the returned counters carry
+    /// the shared-entry credit.
+    fn plan<'e>(
+        &'e self,
+        query: &Query,
+        fragments: Option<&mut PlanFragments<'e>>,
+        trace: Option<&TraceSink>,
+    ) -> (QueryPlan<'e>, ExecutorStats) {
+        let span = trace.map(|sink| sink.span("plan"));
+        let mut stats = ExecutorStats::default();
+        let plan = match fragments {
+            None => QueryPlan::new(&self.index, query),
+            Some(fragments) => {
+                let shared_before = fragments.shared_entries();
+                let plan = QueryPlan::new_shared(&self.index, query, fragments);
+                stats.postings_shared = fragments.shared_entries() - shared_before;
+                plan
+            }
+        };
+        if let Some(mut span) = span {
+            note_plan(&mut span, &plan);
+            span.finish();
+        }
+        (plan, stats)
+    }
+
+    /// The execution half of the top-k search, shared by every entry
+    /// point: score, stream, and keep the best `k` in a bounded heap, then
+    /// hand each survivor to `finish` (which labels it, or does not).
+    /// `planned` is what [`plan`](Self::plan) returned: the plan, and the
+    /// counters planning already charged (zero, or the shared-entry
+    /// credit).
+    fn top_k_planned<'e, T>(
+        &'e self,
+        (plan, mut stats): (QueryPlan<'e>, ExecutorStats),
         query: &Query,
         k: usize,
         semantics: ResultSemantics,
         trace: Option<&TraceSink>,
-        mut stats: ExecutorStats,
-    ) -> TopKSearch {
+        finish: impl FnMut(RankedRoot) -> T,
+    ) -> (Vec<T>, ExecutorStats) {
         if plan.is_empty() {
-            return TopKSearch { hits: Vec::new(), stats };
+            return (Vec::new(), stats);
         }
-        let scorer = Scorer::new(&self.doc, &self.index, query);
+        let mut scorer = Scorer::new(&self.doc, &self.index, query);
         let span = trace.map(|sink| sink.span("slca-stream"));
-        let mut heap: TopK<'_, (ScoredResult, NodeId)> = TopK::new(k);
+        let mut heap: TopK<'_, RankedRoot> = TopK::new(k);
         let mut streamed = 0usize;
-        self.for_each_promoted(plan, semantics, &mut stats, |root, slca| {
-            let scored = scorer.score(root);
-            heap.push(scored.score, self.doc.dewey(root), (scored, slca));
+        self.for_each_promoted(&plan, semantics, &mut stats, |root, slca| {
+            let score = scorer.score(root);
+            heap.push(score.score, self.doc.dewey(root), RankedRoot { score, slca });
             streamed += 1;
         });
         if let Some(mut span) = span {
@@ -326,19 +377,23 @@ impl SearchEngine {
         let span = trace.map(|sink| sink.span("rank"));
         let (kept, evicted) = heap.finish();
         stats.candidates_pruned += evicted;
-        let hits: Vec<_> = kept
-            .into_iter()
-            .map(|(scored, slca)| {
-                let root = scored.root;
-                (SearchResult { root, slca, label: self.label_for(root) }, scored)
-            })
-            .collect();
+        let hits: Vec<T> = kept.into_iter().map(finish).collect();
         if let Some(mut span) = span {
             span.note("kept", hits.len() as u64);
             span.note("heap_evicted", evicted);
             span.finish();
         }
-        TopKSearch { hits, stats }
+        (hits, stats)
+    }
+
+    /// The labelled [`SearchResult`] of a ranked root.
+    pub fn result_for(&self, ranked: &RankedRoot) -> SearchResult {
+        let root = ranked.score.root;
+        SearchResult { root, slca: ranked.slca, label: self.label_for(root) }
+    }
+
+    fn labelled(&self, ranked: RankedRoot) -> (SearchResult, ScoredResult) {
+        (self.result_for(&ranked), ranked.score)
     }
 
     /// The nearest ancestor-or-self of `node` classified as an entity

@@ -67,7 +67,7 @@
 //! size. Term strings are borrowed from the buffer until the interner
 //! copies them.
 
-use crate::postings::{is_preorder, InvertedIndex, PackedStore, ABS_WIDTH, FRAME};
+use crate::postings::{InvertedIndex, PackedStore, ABS_WIDTH, FRAME};
 use std::io::{self, Read, Write};
 use xsact_xml::{Document, FnvHasher};
 
@@ -306,7 +306,7 @@ fn decode_index(doc: &Document, bytes: &[u8]) -> io::Result<InvertedIndex> {
         frame_bit_off,
         frame_width,
         data,
-        doc_ordered: is_preorder(doc),
+        doc_ordered: doc.is_preorder(),
     };
     let index = InvertedIndex::from_packed_parts(&dict, store);
     // Decode-validate every list once: delta accumulation checked for u32

@@ -22,23 +22,59 @@
 //!   scanned, gallop probes, candidates pruned), so "why was this query
 //!   fast/slow" is observable from the facade (`--explain` in the CLI).
 //!
-//! Plans built from an index run directly on the **packed posting frames**:
-//! each cursor answers gallop probes from the per-frame skip headers where
-//! it can (a probe that brackets a whole frame never touches its payload)
-//! and unpacks at most one cached frame when a probe lands inside it. On a
-//! `doc_ordered` document the probes compare raw `u32` node ids instead of
-//! Dewey prefixes. Neither shortcut changes any probe's outcome *or its
-//! count*: one `below(i)` evaluation is one probe in every representation,
-//! which is what keeps `ExecutorStats` byte-identical between the packed
-//! path, the flat-slice path ([`QueryPlan::from_lists`]), and the pinned
-//! serve goldens.
+//! # One loop, two candidate representations
+//!
+//! The stream's loop — walk the driver, gallop each other list to the
+//! candidate's insertion point, replace the candidate by its deepest LCA
+//! with the two neighbours found there, then settle it against the one
+//! pending candidate — is written once, over the private `Candidate` trait.
+//! The trait has two implementations, chosen per stream from the index's
+//! `doc_ordered` flag (no option selects it):
+//!
+//! * **Id intervals** (`NodeId`), when node ids are preorder ranks — every
+//!   parsed and every generated document. The subtree of a node `c` is the
+//!   id interval `[c, end(c))` ([`Document::subtree_end`]), so everything
+//!   the loop asks is a comparison of two integers:
+//!   - a gallop probe orders a list entry against the candidate by id;
+//!   - the deepest LCA with the neighbours `a < x ≤ b` is found by climbing
+//!     the candidate's *own* ancestor chain until the ancestor `c` contains
+//!     one of them — `c ≤ a` for the left neighbour (it sorts before the
+//!     candidate, so it can only be inside `c` by not preceding it),
+//!     `b < end(c)` for the right one;
+//!   - "same node / ancestor / descendant / unrelated" between the pending
+//!     and the new candidate is the same interval test;
+//!   - the node emitted is the candidate itself — nothing is resolved back
+//!     from a path.
+//! * **Dewey prefixes** (`DeweyRef`), when id order is not document order
+//!   (a document built out of order) or the lists are flat oracle slices
+//!   ([`QueryPlan::from_lists`]): probes compare Dewey paths, the LCA is a
+//!   common-prefix length, and the emitted prefix is walked back to its
+//!   node from the root.
+//!
+//! # Why the counters cannot change
+//!
+//! `postings_scanned`, `gallop_probes` and `candidates_pruned` are counted
+//! by the shared loop and by `gallop_insertion_by`, never by a
+//! representation. The gallop's probe sequence is a pure function of
+//! `(list length, cursor anchor, insertion point)`; the insertion point is
+//! the number of entries sorting before the candidate in document order,
+//! and on a preorder document id order *is* document order, so both
+//! representations probe the same indices and leave the same anchors. Both
+//! then compute the same LCA node, so the next list is probed with the
+//! same candidate, and the same pruning arm fires. Likewise one
+//! `ListCursor::below(i)` evaluation is one probe whether it is answered
+//! from a flat slice, a skip header or an unpacked frame. `ExecutorStats`
+//! is therefore identical between the interval path, the Dewey path, the
+//! packed and the flat lists — pinned ×64 seeds by `tests/properties.rs`
+//! and in aggregate by the serve goldens and `ci/executor_counters.golden`.
 //!
 //! The full-scan implementations in [`crate::slca`] remain the correctness
 //! oracles; `tests/properties.rs` pins the stream to them over random
 //! documents and queries.
 
-use crate::postings::{InvertedIndex, PostingsRef, FRAME};
+use crate::postings::{FrameCache, InvertedIndex, PostingsRef, FRAME};
 use crate::query::Query;
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign};
 use xsact_xml::{DeweyRef, Document, NodeId};
@@ -304,9 +340,9 @@ impl<'a> QueryPlan<'a> {
     /// document order. An empty plan yields an immediately-exhausted
     /// stream with zero counters.
     pub fn stream(&self, doc: &'a Document) -> SlcaStream<'a> {
-        // Raw-id comparisons are sound only when id order is document
-        // order, which the index records per store; flat oracle lists
-        // always take the Dewey path.
+        // Id intervals are sound only when id order is document order,
+        // which the index records per store; flat oracle lists always take
+        // the Dewey path.
         let use_ids = !self.lists.is_empty()
             && self.lists.iter().all(|l| matches!(l, ListRef::Packed(p) if p.store.doc_ordered));
         let (driver, others) = match self.lists.split_first() {
@@ -319,9 +355,8 @@ impl<'a> QueryPlan<'a> {
             doc,
             driver,
             others,
-            use_ids,
             next_driver: 0,
-            pending: None,
+            pending: if use_ids { Pending::Interval(None) } else { Pending::Dewey(None) },
             stats: ExecutorStats::default(),
         }
     }
@@ -333,14 +368,12 @@ impl<'a> QueryPlan<'a> {
 struct ListCursor<'a> {
     src: ListRef<'a>,
     pos: usize,
-    buf: [u32; FRAME],
-    buf_frame: usize,
-    buf_len: usize,
+    cache: FrameCache,
 }
 
 impl<'a> ListCursor<'a> {
     fn new(src: ListRef<'a>) -> ListCursor<'a> {
-        ListCursor { src, pos: 0, buf: [0; FRAME], buf_frame: usize::MAX, buf_len: 0 }
+        ListCursor { src, pos: 0, cache: FrameCache::new() }
     }
 
     fn len(&self) -> usize {
@@ -351,80 +384,141 @@ impl<'a> ListCursor<'a> {
     fn node_at(&mut self, i: usize) -> NodeId {
         match self.src {
             ListRef::Flat(list) => list[i],
-            ListRef::Packed(p) => {
-                let f = i / FRAME;
-                if f != self.buf_frame {
-                    self.buf_len = p.decode_frame_into(f, &mut self.buf);
-                    self.buf_frame = f;
-                }
-                debug_assert!(i % FRAME < self.buf_len);
-                NodeId::from_index(self.buf[i % FRAME])
-            }
+            ListRef::Packed(p) => NodeId::from_index(self.cache.frame(&p, i / FRAME)[i % FRAME]),
         }
     }
 
-    /// One gallop probe: whether entry `i` sorts strictly before `x` in
-    /// document order. For packed lists the skip headers of frame `i/128`
-    /// and its successor answer most probes without unpacking: entries
-    /// increase strictly along the list, so the next frame's first entry
-    /// bounds this frame from above and the own frame's first bounds it
-    /// from below. Only a probe neither bound decides unpacks the (cached)
-    /// frame. Every code path returns the same boolean the flat comparison
-    /// would — this function is *why* packed and flat executions count
-    /// identical stats.
-    fn below(
-        &mut self,
-        doc: &Document,
-        x: DeweyRef<'_>,
-        x_id: u32,
-        use_ids: bool,
-        i: usize,
-    ) -> bool {
-        let value_below = |v: u32| {
-            if use_ids {
-                v < x_id
-            } else {
-                doc.dewey(NodeId::from_index(v)) < x
-            }
-        };
+    /// One gallop probe: whether entry `i` sorts strictly before the
+    /// candidate in document order, where `cmp` orders an entry against the
+    /// candidate (`Less` = before it). For packed lists the skip headers
+    /// of frame `i/128` and its successor answer most probes without
+    /// unpacking: entries increase strictly along the list, so the next
+    /// frame's first entry bounds this frame from above and the own
+    /// frame's first bounds it from below. Only a probe neither bound
+    /// decides unpacks the (cached) frame. Every code path returns the same
+    /// boolean the flat comparison would — this function is *why* packed
+    /// and flat executions count identical stats.
+    fn below(&mut self, i: usize, cmp: impl Fn(NodeId) -> Ordering) -> bool {
         match self.src {
-            ListRef::Flat(list) => doc.dewey(list[i]) < x,
+            ListRef::Flat(list) => cmp(list[i]).is_lt(),
             ListRef::Packed(p) => {
+                let cmp = |id: u32| cmp(NodeId::from_index(id));
                 let f = i / FRAME;
                 let r = i % FRAME;
-                if f == self.buf_frame {
+                if let Some(frame) = self.cache.cached(f) {
                     // Frame already decoded: answer straight from the
                     // payload cache, as cheap as a flat-slice read.
-                    return value_below(self.buf[r]);
+                    return cmp(frame[r]).is_lt();
                 }
                 let first = p.frame_first(f);
                 if r == 0 {
-                    return value_below(first);
+                    return cmp(first).is_lt();
                 }
-                if f + 1 < p.frame_count() {
-                    let next_first = p.frame_first(f + 1);
-                    let next_le = if use_ids {
-                        next_first <= x_id
-                    } else {
-                        doc.dewey(NodeId::from_index(next_first)) <= x
-                    };
-                    if next_le {
-                        return true; // entry i < next frame's first <= x
-                    }
+                if f + 1 < p.frame_count() && cmp(p.frame_first(f + 1)).is_le() {
+                    return true; // entry i < next frame's first <= candidate
                 }
-                let first_ge =
-                    if use_ids { first >= x_id } else { doc.dewey(NodeId::from_index(first)) >= x };
-                if first_ge {
-                    return false; // entry i > own frame's first >= x
+                if cmp(first).is_ge() {
+                    return false; // entry i > own frame's first >= candidate
                 }
-                if self.buf_frame != f {
-                    self.buf_len = p.decode_frame_into(f, &mut self.buf);
-                    self.buf_frame = f;
-                }
-                value_below(self.buf[r])
+                cmp(self.cache.frame(&p, f)[r]).is_lt()
             }
         }
     }
+}
+
+/// How the stream represents an SLCA candidate, and what the loop asks of
+/// it. See the module docs for the two implementations and for why they
+/// cannot disagree.
+trait Candidate<'a>: Copy + Eq {
+    /// The candidate a driver posting starts as: the posting itself.
+    fn of(doc: &'a Document, node: NodeId) -> Self;
+
+    /// Orders a list entry against this candidate in document order.
+    fn cmp_entry(self, doc: &Document, entry: NodeId) -> Ordering;
+
+    /// The deepest ancestor-or-self of this candidate whose subtree holds
+    /// `left` (an entry sorting strictly before the candidate) or `right`
+    /// (an entry not sorting before it). At least one is present.
+    fn deepest_lca(self, doc: &Document, left: Option<NodeId>, right: Option<NodeId>) -> Self;
+
+    /// Whether this candidate is a proper ancestor of `other`.
+    fn contains(self, doc: &Document, other: Self) -> bool;
+
+    /// The node this candidate denotes.
+    fn node(self, doc: &Document) -> NodeId;
+}
+
+/// Preorder ids: the subtree of `c` is the id interval `[c, end(c))`.
+impl<'a> Candidate<'a> for NodeId {
+    fn of(_: &'a Document, node: NodeId) -> NodeId {
+        node
+    }
+
+    fn cmp_entry(self, _: &Document, entry: NodeId) -> Ordering {
+        entry.cmp(&self)
+    }
+
+    fn deepest_lca(self, doc: &Document, left: Option<NodeId>, right: Option<NodeId>) -> NodeId {
+        let mut c = self;
+        loop {
+            // `left < self < end(c)` and `c <= self <= right` hold for
+            // every ancestor-or-self `c`, so one comparison per neighbour
+            // decides membership in `[c, end(c))`.
+            let holds_left = left.is_some_and(|a| c <= a);
+            let holds_right = right.is_some_and(|b| (b.index() as u32) < doc.subtree_end(c));
+            if holds_left || holds_right {
+                return c;
+            }
+            c = doc.parent(c).expect("the root's interval holds every node");
+        }
+    }
+
+    fn contains(self, doc: &Document, other: NodeId) -> bool {
+        self < other && (other.index() as u32) < doc.subtree_end(self)
+    }
+
+    fn node(self, _: &Document) -> NodeId {
+        self
+    }
+}
+
+/// Dewey prefixes of the driver posting's path, borrowed from the
+/// document's flat arena.
+impl<'a> Candidate<'a> for DeweyRef<'a> {
+    fn of(doc: &'a Document, node: NodeId) -> DeweyRef<'a> {
+        doc.dewey(node)
+    }
+
+    fn cmp_entry(self, doc: &Document, entry: NodeId) -> Ordering {
+        doc.dewey(entry).cmp(&self)
+    }
+
+    fn deepest_lca(
+        self,
+        doc: &Document,
+        left: Option<NodeId>,
+        right: Option<NodeId>,
+    ) -> DeweyRef<'a> {
+        let shared = |n: NodeId| self.common_prefix_len(doc.dewey(n));
+        // Nodes of one document always share the root component.
+        let depth = left.map_or(0, shared).max(right.map_or(0, shared)).max(1);
+        self.ancestor_at_depth(depth).expect("prefix depth within bounds")
+    }
+
+    fn contains(self, _: &Document, other: DeweyRef<'a>) -> bool {
+        self.is_ancestor_of(other)
+    }
+
+    fn node(self, doc: &Document) -> NodeId {
+        doc.node_at(self).expect("SLCA candidates are prefixes of document nodes")
+    }
+}
+
+/// The one candidate of lookahead, in the stream's representation.
+#[derive(Debug, Clone, Copy)]
+enum Pending<'a> {
+    Interval(Option<NodeId>),
+    Dewey(Option<DeweyRef<'a>>),
 }
 
 /// Lazy SLCA execution: yields each SLCA root exactly once, in document
@@ -441,9 +535,8 @@ pub struct SlcaStream<'a> {
     doc: &'a Document,
     driver: ListCursor<'a>,
     others: Vec<ListCursor<'a>>,
-    use_ids: bool,
     next_driver: usize,
-    pending: Option<DeweyRef<'a>>,
+    pending: Pending<'a>,
     stats: ExecutorStats,
 }
 
@@ -454,96 +547,79 @@ impl<'a> SlcaStream<'a> {
     pub fn stats(&self) -> ExecutorStats {
         self.stats
     }
+
+    /// Runs the loop until the next SLCA is final. Returns it together
+    /// with the candidate left pending.
+    fn advance<C: Candidate<'a>>(&mut self, mut pending: Option<C>) -> (Option<NodeId>, Option<C>) {
+        let doc = self.doc;
+        loop {
+            if self.next_driver >= self.driver.len() {
+                return (pending.take().map(|last| last.node(doc)), None);
+            }
+            let v = self.driver.node_at(self.next_driver);
+            self.next_driver += 1;
+            self.stats.postings_scanned += 1;
+            let mut x = C::of(doc, v);
+            for cursor in &mut self.others {
+                x = anchored_deepest_lca(doc, x, cursor, &mut self.stats.gallop_probes);
+            }
+            match pending {
+                None => pending = Some(x),
+                // Same candidate again: drop the duplicate.
+                Some(p) if p == x => self.stats.candidates_pruned += 1,
+                // The pending candidate contains the new one: it cannot be
+                // a *smallest* LCA, replace it.
+                Some(p) if p.contains(doc, x) => {
+                    self.stats.candidates_pruned += 1;
+                    pending = Some(x);
+                }
+                // The new candidate contains the pending one: drop it.
+                Some(p) if x.contains(doc, p) => self.stats.candidates_pruned += 1,
+                // Unrelated: the pending candidate is final (nothing later
+                // can sort before it without being its ancestor).
+                Some(p) => return (Some(p.node(doc)), Some(x)),
+            }
+        }
+    }
 }
 
 impl Iterator for SlcaStream<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        loop {
-            if self.next_driver >= self.driver.len() {
-                let last = self.pending.take()?;
-                return Some(node_of(self.doc, last));
+        match self.pending {
+            Pending::Interval(pending) => {
+                let (slca, pending) = self.advance(pending);
+                self.pending = Pending::Interval(pending);
+                slca
             }
-            let v = self.driver.node_at(self.next_driver);
-            self.next_driver += 1;
-            self.stats.postings_scanned += 1;
-            let mut x = self.doc.dewey(v);
-            let mut x_node = v;
-            for cursor in &mut self.others {
-                (x, x_node) = anchored_deepest_lca(
-                    self.doc,
-                    x,
-                    x_node,
-                    self.use_ids,
-                    cursor,
-                    &mut self.stats.gallop_probes,
-                );
-            }
-            match self.pending {
-                None => self.pending = Some(x),
-                // Same candidate again: drop the duplicate.
-                Some(p) if p == x => self.stats.candidates_pruned += 1,
-                // The pending candidate contains the new one: it cannot be
-                // a *smallest* LCA, replace it.
-                Some(p) if p.is_ancestor_of(x) => {
-                    self.stats.candidates_pruned += 1;
-                    self.pending = Some(x);
-                }
-                // The new candidate contains the pending one: drop it.
-                Some(p) if x.is_ancestor_of(p) => self.stats.candidates_pruned += 1,
-                // Unrelated: the pending candidate is final (nothing later
-                // can sort before it without being its ancestor).
-                Some(p) => {
-                    self.pending = Some(x);
-                    return Some(node_of(self.doc, p));
-                }
+            Pending::Dewey(pending) => {
+                let (slca, pending) = self.advance(pending);
+                self.pending = Pending::Dewey(pending);
+                slca
             }
         }
     }
-}
-
-fn node_of(doc: &Document, dewey: DeweyRef<'_>) -> NodeId {
-    doc.node_at(dewey).expect("SLCA candidates are prefixes of document nodes")
 }
 
 /// The deepest LCA of `x` with any node of the cursor's list — achieved by
 /// one of the two nodes adjacent to `x` in document order, located by
-/// galloping from the cursor's previous position. Returns the LCA prefix
-/// (borrowed from `x`'s arena) together with its node handle, maintained by
-/// climbing parents so the raw-id fast path never has to resolve a Dewey
-/// path back to a node.
-fn anchored_deepest_lca<'a>(
+/// galloping from the cursor's previous position.
+fn anchored_deepest_lca<'a, C: Candidate<'a>>(
     doc: &Document,
-    x: DeweyRef<'a>,
-    x_node: NodeId,
-    use_ids: bool,
+    x: C,
     cursor: &mut ListCursor<'_>,
     probes: &mut u64,
-) -> (DeweyRef<'a>, NodeId) {
-    let x_id = x_node.index() as u32;
+) -> C {
     let n = cursor.len();
     let i = gallop_insertion_by(n, cursor.pos, |j| {
         *probes += 1;
-        cursor.below(doc, x, x_id, use_ids, j)
+        cursor.below(j, |entry| x.cmp_entry(doc, entry))
     });
     cursor.pos = i;
-    let mut best = 0usize;
-    for j in [i.checked_sub(1), (i < n).then_some(i)].into_iter().flatten() {
-        let neighbour = cursor.node_at(j);
-        best = best.max(x.common_prefix_len(doc.dewey(neighbour)));
-    }
-    // Nodes of one document always share the root component, so `best` ≥ 1
-    // whenever the list is non-empty (guaranteed by the planner).
-    let depth = best.max(1);
-    let lca = x.ancestor_at_depth(depth).expect("prefix depth within bounds");
-    let mut node = x_node;
-    if use_ids {
-        for _ in depth..x.depth() {
-            node = doc.parent(node).expect("climbing within the candidate's own path");
-        }
-    }
-    (lca, node)
+    let left = i.checked_sub(1).map(|j| cursor.node_at(j));
+    let right = (i < n).then(|| cursor.node_at(i));
+    x.deepest_lca(doc, left, right)
 }
 
 /// The first index `i` in `0..n` for which `below(i)` is false — what
@@ -700,12 +776,29 @@ mod tests {
         let packed_plan = QueryPlan::new(&idx, &q);
         let mut flat = flat_plan.stream(&doc);
         let mut packed = packed_plan.stream(&doc);
-        assert!(packed.use_ids, "built index over a parsed doc runs the raw-id path");
-        assert!(!flat.use_ids, "flat oracle lists take the Dewey path");
+        assert!(
+            matches!(packed.pending, Pending::Interval(_)),
+            "built index over a parsed doc runs the id-interval path"
+        );
+        assert!(matches!(flat.pending, Pending::Dewey(_)), "flat oracle lists take the Dewey path");
         let a: Vec<NodeId> = (&mut flat).collect();
         let b: Vec<NodeId> = (&mut packed).collect();
         assert_eq!(a, b);
         assert_eq!(flat.stats(), packed.stats(), "identical counters across representations");
+    }
+
+    #[test]
+    fn a_document_built_out_of_order_streams_on_dewey_prefixes() {
+        let mut doc = parse_document("<r><s><a>k1</a></s><s><a>k1</a><b>k2</b></s></r>").unwrap();
+        let first_s = doc.children(doc.root())[0];
+        doc.add_leaf(first_s, "b", "k2"); // largest id, sorts into the middle
+        assert!(!doc.is_preorder());
+        let idx = InvertedIndex::build(&doc);
+        let plan = QueryPlan::new(&idx, &Query::parse("k1 k2"));
+        let mut stream = plan.stream(&doc);
+        assert!(matches!(stream.pending, Pending::Dewey(_)), "id order is not document order");
+        let streamed: Vec<NodeId> = stream.by_ref().collect();
+        assert_eq!(streamed, doc.children(doc.root()), "both sections are SLCAs");
     }
 
     #[test]
@@ -837,7 +930,6 @@ mod tests {
         let flat = packed.to_vec();
         for p in doc.all_nodes() {
             let x = doc.dewey(p);
-            let x_id = p.index() as u32;
             for anchor in 0..=flat.len() + 2 {
                 for use_ids in [false, true] {
                     let mut flat_probes = 0u64;
@@ -849,7 +941,11 @@ mod tests {
                     let mut packed_probes = 0u64;
                     let packed_i = gallop_insertion_by(packed.len(), anchor, |i| {
                         packed_probes += 1;
-                        cursor.below(&doc, x, x_id, use_ids, i)
+                        if use_ids {
+                            cursor.below(i, |entry| p.cmp_entry(&doc, entry))
+                        } else {
+                            cursor.below(i, |entry| x.cmp_entry(&doc, entry))
+                        }
                     });
                     assert_eq!(packed_i, flat_i, "anchor {anchor} use_ids {use_ids}");
                     assert_eq!(packed_probes, flat_probes, "anchor {anchor} use_ids {use_ids}");

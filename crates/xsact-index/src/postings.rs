@@ -170,21 +170,6 @@ impl PackedBuilder {
     }
 }
 
-/// Whether node ids were assigned in preorder: the `n`-th node of a
-/// document-order traversal has arena index `n`, so id order is document
-/// order and a subtree is the contiguous interval
-/// `[root, root + subtree_size)`.
-pub(crate) fn is_preorder(doc: &Document) -> bool {
-    let mut next = 0usize;
-    for n in doc.all_nodes() {
-        if n.index() != next {
-            return false;
-        }
-        next += 1;
-    }
-    next == doc.len()
-}
-
 /// An inverted index over one [`Document`].
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
@@ -259,7 +244,7 @@ impl InvertedIndex {
             list.sort_by(|&a, &b| doc.dewey(a).cmp(&doc.dewey(b)));
             list.dedup();
         }
-        InvertedIndex::from_lists(terms, lists, is_preorder(doc))
+        InvertedIndex::from_lists(terms, lists, doc.is_preorder())
     }
 
     /// Packs per-term lists into the frame store. Lists must already be
@@ -507,7 +492,7 @@ impl<'a> PostingsRef<'a> {
 
     /// Iterates the list in document order, decoding one frame at a time.
     pub fn iter(&self) -> PostingsIter<'a> {
-        PostingsIter { list: *self, pos: 0, buf: [0; FRAME], buf_frame: usize::MAX, buf_len: 0 }
+        PostingsIter { list: *self, pos: 0, cache: FrameCache::new() }
     }
 
     /// Decodes the whole list into the flat representation the pre-packed
@@ -526,39 +511,12 @@ impl<'a> PostingsRef<'a> {
         NodeId::from_index(buf[i % FRAME])
     }
 
-    /// Counts postings with id in `[lo, hi)`. Requires a `doc_ordered`
-    /// store (ids strictly increasing). Interior frames are counted from
-    /// their skip headers alone; only the two boundary frames are decoded,
-    /// and those are counted with the SIMD range kernel.
-    pub(crate) fn count_in_id_range(&self, lo: u32, hi: u32) -> u32 {
+    /// A subtree range counter over this list, for repeated
+    /// [`RangeCounter::count`] calls that mostly land in nearby frames.
+    /// Requires a `doc_ordered` store (ids strictly increasing).
+    pub(crate) fn range_counter(&self) -> RangeCounter<'a> {
         debug_assert!(self.store.doc_ordered);
-        if lo >= hi || self.len == 0 {
-            return 0;
-        }
-        let nf = self.frame_count();
-        let mut buf = [0u32; FRAME];
-        let mut total = 0u32;
-        for f in 0..nf {
-            let first = self.frame_first(f);
-            if first >= hi {
-                break;
-            }
-            let next_first = if f + 1 < nf { Some(self.frame_first(f + 1)) } else { None };
-            // Ids increase strictly across frames, so `next_first` bounds
-            // this frame's last id from above.
-            if let Some(nx) = next_first {
-                if nx <= lo {
-                    continue; // entire frame below the interval
-                }
-                if first >= lo && nx <= hi {
-                    total += self.count_in_frame(f) as u32; // entirely inside
-                    continue;
-                }
-            }
-            let n = self.decode_frame_into(f, &mut buf);
-            total += xsact_kernel::count_in_range_u32(&buf[..n], lo, hi);
-        }
-        total
+        RangeCounter { list: *self, cache: FrameCache::new() }
     }
 
     /// Decodes the whole list as raw ids, with the delta accumulation
@@ -639,14 +597,49 @@ impl<'a> IntoIterator for PostingsRef<'a> {
     }
 }
 
+/// The last unpacked frame of one posting list. Everything that reads
+/// packed postings in a loop — iteration, the planner's gallop cursors, the
+/// scorer's range counters — keeps one, so a run of reads landing in the
+/// same frame unpacks it once.
+pub(crate) struct FrameCache {
+    buf: [u32; FRAME],
+    /// Which frame `buf` holds; `usize::MAX` before the first unpack.
+    frame: usize,
+    len: usize,
+}
+
+impl FrameCache {
+    pub(crate) fn new() -> FrameCache {
+        FrameCache { buf: [0; FRAME], frame: usize::MAX, len: 0 }
+    }
+
+    /// The entries of frame `f` if it is the cached one.
+    pub(crate) fn cached(&self, f: usize) -> Option<&[u32]> {
+        (f == self.frame).then(|| &self.buf[..self.len])
+    }
+
+    /// The entries of frame `f` of `list`, unpacking it unless cached.
+    pub(crate) fn frame(&mut self, list: &PostingsRef<'_>, f: usize) -> &[u32] {
+        if f != self.frame {
+            self.len = list.decode_frame_into(f, &mut self.buf);
+            self.frame = f;
+        }
+        &self.buf[..self.len]
+    }
+}
+
+impl std::fmt::Debug for FrameCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameCache").field("frame", &self.frame).finish_non_exhaustive()
+    }
+}
+
 /// Iterator over a packed posting list; decodes one frame at a time into an
 /// internal buffer.
 pub struct PostingsIter<'a> {
     list: PostingsRef<'a>,
     pos: usize,
-    buf: [u32; FRAME],
-    buf_frame: usize,
-    buf_len: usize,
+    cache: FrameCache,
 }
 
 impl Iterator for PostingsIter<'_> {
@@ -656,12 +649,7 @@ impl Iterator for PostingsIter<'_> {
         if self.pos >= self.list.len() {
             return None;
         }
-        let f = self.pos / FRAME;
-        if f != self.buf_frame {
-            self.buf_len = self.list.decode_frame_into(f, &mut self.buf);
-            self.buf_frame = f;
-        }
-        let v = self.buf[self.pos % FRAME];
+        let v = self.cache.frame(&self.list, self.pos / FRAME)[self.pos % FRAME];
         self.pos += 1;
         Some(NodeId::from_index(v))
     }
@@ -673,6 +661,57 @@ impl Iterator for PostingsIter<'_> {
 }
 
 impl ExactSizeIterator for PostingsIter<'_> {}
+
+/// Counts the postings of one `doc_ordered` list inside id intervals — the
+/// scorer's term frequency of a result subtree `[root, subtree_end(root))`.
+///
+/// The frames an interval touches are found by bisecting the skip headers;
+/// frames strictly inside the interval are counted from the headers alone,
+/// and only the (at most two) boundary frames are unpacked and counted by
+/// the SIMD range kernel. The last unpacked frame stays cached, so a run of
+/// roots whose subtrees fall into one frame — every run in document order —
+/// unpacks it once. Intervals may come in any order; the cache only ever
+/// saves work.
+#[derive(Debug)]
+pub(crate) struct RangeCounter<'a> {
+    list: PostingsRef<'a>,
+    cache: FrameCache,
+}
+
+impl RangeCounter<'_> {
+    /// Number of postings with id in `[lo, hi)`.
+    pub(crate) fn count(&mut self, lo: u32, hi: u32) -> u32 {
+        if lo >= hi {
+            return 0;
+        }
+        let first_frame = self.list.first_frame as usize;
+        let firsts =
+            &self.list.store.frame_first[first_frame..first_frame + self.list.frame_count()];
+        // Frames `[0, end)` start below `hi`; every later frame lies at or
+        // above it (ids increase strictly along the list).
+        let end = firsts.partition_point(|&first| first < hi);
+        let Some(last) = end.checked_sub(1) else { return 0 };
+        // The last frame starting at or below `lo` is the only one that can
+        // hold ids on both sides of it; earlier frames lie entirely below.
+        let start = firsts[..end].partition_point(|&first| first <= lo).saturating_sub(1);
+        if start == last {
+            return self.count_in_frame(start, lo, hi);
+        }
+        // Frames strictly between the two boundary frames are full (only a
+        // list's last frame is not) and entirely inside the interval.
+        let interior = ((last - start - 1) * FRAME) as u32;
+        self.count_in_frame(start, lo, hi) + interior + self.count_in_frame(last, lo, hi)
+    }
+
+    fn count_in_frame(&mut self, f: usize, lo: u32, hi: u32) -> u32 {
+        // The next frame's first id bounds this frame's last from above.
+        let ends_below_hi = f + 1 < self.list.frame_count() && self.list.frame_first(f + 1) <= hi;
+        if ends_below_hi && self.list.frame_first(f) >= lo {
+            return self.list.count_in_frame(f) as u32;
+        }
+        xsact_kernel::count_in_range_u32(self.cache.frame(&self.list, f), lo, hi)
+    }
+}
 
 /// Aggregate size figures of an [`InvertedIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -885,20 +924,69 @@ mod tests {
         }
     }
 
+    /// Strictly increasing ids packed as one `doc_ordered` list.
+    fn doc_ordered_list(ids: &[u32]) -> InvertedIndex {
+        let nodes: Vec<NodeId> = ids.iter().map(|&v| NodeId::from_index(v)).collect();
+        let mut idx = InvertedIndex::from_term_lists([("t".to_owned(), nodes)]);
+        idx.store.doc_ordered = true;
+        idx
+    }
+
     #[test]
-    fn count_in_id_range_matches_scan() {
+    fn range_counter_matches_scan() {
         let mut ids: Vec<u32> = (0..1000u32).map(|i| i * 7 % 4096).collect();
         ids.sort_unstable();
         ids.dedup();
-        let nodes: Vec<NodeId> = ids.iter().map(|&v| NodeId::from_index(v)).collect();
-        let mut idx = InvertedIndex::from_term_lists([("t".to_owned(), nodes)]);
-        idx.store.doc_ordered = true; // ids are strictly increasing
-        let list = idx.postings("t");
+        let idx = doc_ordered_list(&ids);
+        let mut counter = idx.postings("t").range_counter();
         for (lo, hi) in
             [(0, 4096), (0, 0), (100, 90), (500, 501), (0, 1), (1000, 3000), (4095, 4096)]
         {
             let expect = ids.iter().filter(|&&v| v >= lo && v < hi).count() as u32;
-            assert_eq!(list.count_in_id_range(lo, hi), expect, "range [{lo}, {hi})");
+            assert_eq!(counter.count(lo, hi), expect, "range [{lo}, {hi})");
+        }
+    }
+
+    /// One cached counter, intervals in random order and of every size
+    /// (empty, inside one frame, across many frames, beyond either end),
+    /// over lists of every frame shape: the cache must never leak a stale
+    /// frame into a count.
+    #[test]
+    fn range_counter_matches_scan_for_random_intervals_in_random_order() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (len, universe) in [
+            (1usize, 50u32),
+            (2, 50),
+            (127, 300),
+            (128, 128),
+            (129, 4000),
+            (700, 1000),
+            (3000, 90000),
+        ] {
+            let mut ids: Vec<u32> =
+                (0..len).map(|_| (rng() % u64::from(universe)) as u32).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let idx = doc_ordered_list(&ids);
+            let mut counter = idx.postings("t").range_counter();
+            for _ in 0..400 {
+                let lo = (rng() % u64::from(universe + 10)) as u32;
+                let span = match rng() % 4 {
+                    0 => 0,
+                    1 => (rng() % 8) as u32,
+                    2 => (rng() % 200) as u32,
+                    _ => (rng() % u64::from(universe + 10)) as u32,
+                };
+                let hi = lo + span;
+                let expect = ids.iter().filter(|&&v| v >= lo && v < hi).count() as u32;
+                assert_eq!(counter.count(lo, hi), expect, "len {len}: range [{lo}, {hi})");
+            }
         }
     }
 }

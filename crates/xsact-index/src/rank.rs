@@ -17,8 +17,33 @@
 //! correctness oracle and the full-listing path), and [`rank_top_k`] keeps
 //! only the best `k` in a bounded heap while preserving the exact total
 //! order — the ranking half of the streaming top-k executor.
+//!
+//! # Scoring on id intervals
+//!
+//! All three signals of a root are functions of its subtree, and on a
+//! document whose ids are preorder ranks (`doc_ordered` index) the subtree
+//! of `root` *is* the id interval `[root, subtree_end(root))`. The
+//! [`Scorer`] therefore touches no tree at all on that path:
+//!
+//! * `subtree_size` is `subtree_end(root) − root`, two integers the DOM
+//!   already keeps — not a walk over the subtree;
+//! * each term's `tf` is the number of its postings inside that interval,
+//!   answered by a per-list `RangeCounter`: the frames the interval
+//!   touches are bisected from the skip headers, frames strictly inside it
+//!   are counted from the headers alone, and only the boundary frames are
+//!   unpacked — once, because the counter caches the last unpacked frame
+//!   and the stream offers roots in document order. Roots in any other
+//!   order (`rank_results` takes arbitrary order) merely miss the cache.
+//!
+//! What is compared is unchanged — the same integers `tf` and
+//! `subtree_size` enter the same float pipeline — so scores are
+//! bit-identical to the fallback (`tests/properties.rs` pins both paths
+//! against each other). The fallback remains for indexes that are not
+//! `doc_ordered` (documents built out of order, indexes rebuilt from raw
+//! term lists): the subtree walk for the size, two Dewey
+//! `partition_point`s per term for the frequency.
 
-use crate::postings::{InvertedIndex, PostingsRef};
+use crate::postings::{InvertedIndex, RangeCounter};
 use crate::query::Query;
 use std::collections::BinaryHeap;
 use xsact_xml::{DeweyRef, Document, NodeId};
@@ -50,7 +75,7 @@ pub fn rank_results(
     query: &Query,
     roots: &[NodeId],
 ) -> Vec<ScoredResult> {
-    let scorer = Scorer::new(doc, index, query);
+    let mut scorer = Scorer::new(doc, index, query);
     let mut scored: Vec<ScoredResult> = roots.iter().map(|&root| scorer.score(root)).collect();
     scored.sort_by(|a, b| {
         b.score.total_cmp(&a.score).then_with(|| doc.dewey(a.root).cmp(&doc.dewey(b.root)))
@@ -74,7 +99,7 @@ pub fn rank_top_k(
     roots: impl IntoIterator<Item = NodeId>,
     k: usize,
 ) -> Vec<ScoredResult> {
-    let scorer = Scorer::new(doc, index, query);
+    let mut scorer = Scorer::new(doc, index, query);
     let mut heap = TopK::new(k);
     for root in roots {
         let scored = scorer.score(root);
@@ -83,88 +108,83 @@ pub fn rank_top_k(
     heap.finish().0
 }
 
-/// One resolved posting list inside a [`Scorer`], in whichever shape the
-/// index admits for subtree counting.
+/// The resolved posting lists of a [`Scorer`], each with its precomputed
+/// `ln(1 + N / df)` weight, in query order (terms without postings are
+/// dropped) — in whichever shape the index admits for subtree counting.
 #[derive(Debug)]
-enum ScorerList<'a> {
-    /// `doc_ordered` index: a subtree is the contiguous **id** interval
-    /// `[root, root + subtree_size)`, so `tf` is a range count straight on
-    /// the packed frames — interior frames counted from their skip headers
-    /// alone, boundary frames unpacked and counted by the SIMD kernel.
-    Packed(PostingsRef<'a>),
-    /// Fallback (id order ≠ document order): the list decoded once at
+enum ScorerTerms<'a> {
+    /// `doc_ordered` index: subtrees are id intervals, `tf` is a range
+    /// count straight on the packed frames.
+    Intervals(Vec<(RangeCounter<'a>, f64)>),
+    /// Fallback (id order ≠ document order): each list decoded once at
     /// construction, counted by the seed's two Dewey `partition_point`s.
-    Flat(Vec<NodeId>),
+    Dewey(Vec<(Vec<NodeId>, f64)>),
 }
 
 /// The per-query scoring context: posting lists resolved once, inverse
 /// document frequencies precomputed once. [`Scorer::score`] then counts
 /// in-subtree postings by **range counting** — a result subtree is a
 /// contiguous interval of the document order, resolved once per root (not
-/// re-derived per term) and counted per posting list as `ScorerList`
-/// describes. Produces bit-identical scores to the seed formula: the `tf`
+/// re-derived per term) and counted per posting list as the module docs
+/// describe. Produces bit-identical scores to the seed formula: the `tf`
 /// integers agree on every root, and the float pipeline is unchanged.
 #[derive(Debug)]
 pub struct Scorer<'a> {
     doc: &'a Document,
-    /// Per query term with at least one posting: the list and its
-    /// precomputed `ln(1 + N / df)` weight, in query order.
-    terms: Vec<(ScorerList<'a>, f64)>,
+    terms: ScorerTerms<'a>,
 }
 
 impl<'a> Scorer<'a> {
     /// Resolves `query` against `index` for repeated scoring over `doc`.
     pub fn new(doc: &'a Document, index: &'a InvertedIndex, query: &Query) -> Scorer<'a> {
         let element_count = doc.element_count().max(1) as f64;
-        let terms = query
-            .iter()
-            .filter_map(|term| {
-                let postings = index.postings(term);
-                (!postings.is_empty()).then(|| {
-                    let idf = (1.0 + element_count / postings.len() as f64).ln();
-                    let list = if index.doc_ordered() {
-                        ScorerList::Packed(postings)
-                    } else {
-                        ScorerList::Flat(postings.to_vec())
-                    };
-                    (list, idf)
-                })
-            })
-            .collect();
+        let resolved = query.iter().filter_map(|term| {
+            let postings = index.postings(term);
+            (!postings.is_empty())
+                .then(|| (postings, (1.0 + element_count / postings.len() as f64).ln()))
+        });
+        let terms = if index.doc_ordered() {
+            ScorerTerms::Intervals(resolved.map(|(p, idf)| (p.range_counter(), idf)).collect())
+        } else {
+            ScorerTerms::Dewey(resolved.map(|(p, idf)| (p.to_vec(), idf)).collect())
+        };
         Scorer { doc, terms }
     }
 
     /// Scores one result root (TF·IDF over the subtree, dampened by
-    /// specificity).
-    pub fn score(&self, root: NodeId) -> ScoredResult {
-        let subtree_size = self.doc.descendants(root).count() as u32;
-        let root_dewey = self.doc.dewey(root);
-        // The subtree interval, resolved once per root and shared by every
-        // term's range count ([`descendants`] includes `root`, so on a
-        // preorder document the ids covered are exactly
-        // `[root, root + subtree_size)`).
-        let lo_id = root.index() as u32;
-        let hi_id = lo_id + subtree_size;
+    /// specificity). Takes `&mut self` for the per-list frame caches only;
+    /// the score of a root does not depend on what was scored before.
+    pub fn score(&mut self, root: NodeId) -> ScoredResult {
+        let doc = self.doc;
         let mut term_hits = 0u32;
         let mut score = 0.0;
-        for (list, idf) in &self.terms {
-            let tf = match list {
-                ScorerList::Packed(p) => p.count_in_id_range(lo_id, hi_id),
-                ScorerList::Flat(postings) => {
-                    // The subtree's postings are the contiguous run of
-                    // entries between `root` and the end of its Dewey
-                    // interval.
-                    let lo = postings.partition_point(|&n| self.doc.dewey(n) < root_dewey);
-                    postings[lo..]
-                        .partition_point(|&n| root_dewey.is_ancestor_or_self_of(self.doc.dewey(n)))
-                        as u32
-                }
-            };
+        let mut add = |tf: u32, idf: f64| {
             term_hits += tf;
             if tf > 0 {
                 score += (1.0 + f64::from(tf)).ln() * idf;
             }
-        }
+        };
+        let subtree_size = match &mut self.terms {
+            ScorerTerms::Intervals(terms) => {
+                let (lo, hi) = (root.index() as u32, doc.subtree_end(root));
+                for (counter, idf) in terms {
+                    add(counter.count(lo, hi), *idf);
+                }
+                hi - lo
+            }
+            ScorerTerms::Dewey(terms) => {
+                // The subtree's postings are the contiguous run of entries
+                // between `root` and the end of its Dewey interval.
+                let root_dewey = doc.dewey(root);
+                for (postings, idf) in terms {
+                    let lo = postings.partition_point(|&n| doc.dewey(n) < root_dewey);
+                    let tf = postings[lo..]
+                        .partition_point(|&n| root_dewey.is_ancestor_or_self_of(doc.dewey(n)));
+                    add(tf as u32, *idf);
+                }
+                doc.descendants(root).count() as u32
+            }
+        };
         // Specificity: prefer compact results.
         score /= (std::f64::consts::E + f64::from(subtree_size)).ln();
         ScoredResult { root, score, term_hits, subtree_size }

@@ -21,7 +21,10 @@
 
 use xsact_xml::{Document, NodeId};
 
-/// Maximum number of keyword lists supported by the bitmask algorithms.
+/// Maximum number of keyword lists supported by the bitmask algorithms
+/// ([`slca_full_scan`], [`elca_full_scan`]): one bit per list in a `u64`.
+/// The facade rejects longer queries with a typed error before they can
+/// reach this layer.
 pub const MAX_KEYWORDS: usize = 64;
 
 fn full_mask(k: usize) -> u64 {
@@ -57,6 +60,9 @@ fn keyword_masks(doc: &Document, lists: &[&[NodeId]]) -> (Vec<u64>, Vec<u64>) {
 /// contains all keywords while no child subtree does.
 ///
 /// Empty input or any empty posting list yields no results (AND semantics).
+///
+/// # Panics
+/// Panics if `lists` holds more than [`MAX_KEYWORDS`] lists.
 pub fn slca_full_scan(doc: &Document, lists: &[&[NodeId]]) -> Vec<NodeId> {
     if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
         return Vec::new();
@@ -75,6 +81,9 @@ pub fn slca_full_scan(doc: &Document, lists: &[&[NodeId]]) -> Vec<NodeId> {
 /// only witnesses not inside an already keyword-complete child subtree.
 ///
 /// Every SLCA is an ELCA; the converse does not hold.
+///
+/// # Panics
+/// Panics if `lists` holds more than [`MAX_KEYWORDS`] lists.
 pub fn elca_full_scan(doc: &Document, lists: &[&[NodeId]]) -> Vec<NodeId> {
     if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
         return Vec::new();

@@ -8,12 +8,20 @@
 //! [`DeweyRef`] slice, so document-order comparisons and LCA probes never
 //! clone.
 //!
+//! Every node also carries its **subtree extent** ([`Document::subtree_end`]).
+//! A document built in document order — the parser and every dataset
+//! generator build that way — assigns node ids in preorder
+//! ([`Document::is_preorder`]), and then the subtree of `n` *is* the id
+//! interval `[n, subtree_end(n))`: ancestor tests, subtree sizes and subtree
+//! walks become integer comparisons on two `u32`s per node.
+//!
 //! Documents can be built programmatically (dataset generators do this) or by
 //! the parser in [`crate::parse`].
 
 use crate::dewey::DeweyRef;
 use crate::interner::{Interner, Sym};
 use std::fmt;
+use std::ops::Range;
 
 /// Handle to a node inside a [`Document`]'s arena.
 ///
@@ -48,10 +56,19 @@ enum NodeRepr {
     Text(String),
 }
 
+/// `NodeData::parent` of the root. No real node can have this id: the arena
+/// index of a node is below `u32::MAX` by construction.
+const NO_PARENT: u32 = u32::MAX;
+
 #[derive(Debug, Clone)]
 struct NodeData {
     repr: NodeRepr,
-    parent: Option<NodeId>,
+    /// Arena index of the parent, [`NO_PARENT`] for the root. A bare `u32`
+    /// (not `Option<NodeId>`) so that `end` fits in the bytes the option's
+    /// discriminant and padding used to take.
+    parent: u32,
+    /// One past the largest id in this node's subtree.
+    end: u32,
     children: Vec<NodeId>,
     /// Span of this node's Dewey components inside the document's flat
     /// Dewey arena.
@@ -70,6 +87,10 @@ pub struct Document {
     /// scorer needs it per query, and recounting 10⁴ nodes per search was
     /// a measurable constant cost.
     element_count: usize,
+    /// Whether every node so far was appended in document order, i.e. node
+    /// ids are preorder ranks. Maintained by `add_node`; once lost it never
+    /// comes back.
+    preorder: bool,
 }
 
 /// Heap-size breakdown of a document's interned substrate, plus an estimate
@@ -112,7 +133,8 @@ impl Document {
         let tag = symbols.intern(root_tag.as_ref());
         let root_data = NodeData {
             repr: NodeRepr::Element { tag, attrs: Vec::new() },
-            parent: None,
+            parent: NO_PARENT,
+            end: 1,
             children: Vec::new(),
             dewey_off: 0,
             dewey_len: 1,
@@ -123,6 +145,7 @@ impl Document {
             dewey_arena: vec![0],
             root: NodeId(0),
             element_count: 1,
+            preorder: true,
         }
     }
 
@@ -235,7 +258,25 @@ impl Document {
 
     /// The node's parent, or `None` for the root.
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.data(id).parent
+        let parent = self.data(id).parent;
+        (parent != NO_PARENT).then_some(NodeId(parent))
+    }
+
+    /// Whether node ids were assigned in preorder: the `n`-th node of a
+    /// document-order traversal has arena index `n`. Then id order is
+    /// document order and the subtree of every node `n` is exactly the id
+    /// interval `[n, subtree_end(n))`. `O(1)` — `add_node` keeps the answer.
+    pub fn is_preorder(&self) -> bool {
+        self.preorder
+    }
+
+    /// One past the largest node id in the subtree of `id`. On a
+    /// [preorder](Self::is_preorder) document the subtree is the contiguous
+    /// id interval `[id, subtree_end(id))`, so
+    /// `subtree_end(id) - id == descendants(id).count()`; otherwise it is
+    /// only an upper bound on the subtree's ids.
+    pub fn subtree_end(&self, id: NodeId) -> u32 {
+        self.data(id).end
     }
 
     /// The node's children in document order.
@@ -353,21 +394,43 @@ impl Document {
         self.dewey_arena.extend_from_within(poff..poff + plen);
         self.dewey_arena.push(ordinal);
         let id = NodeId(self.nodes.len() as u32);
+        // Appending keeps ids in preorder iff the new node lands directly
+        // after the parent's current subtree, i.e. the parent is still on
+        // the rightmost path.
+        self.preorder &= self.data(parent).end == id.0;
+        let end = id.0 + 1;
         self.nodes.push(NodeData {
             repr,
-            parent: Some(parent),
+            parent: parent.0,
+            end,
             children: Vec::new(),
             dewey_off,
             dewey_len: (plen + 1) as u32,
         });
         self.nodes[parent.index()].children.push(id);
+        // The new id is the largest so far, so it extends every ancestor's
+        // extent. O(depth), and the ancestors of the node being appended are
+        // the hottest records while a document is built in document order.
+        let mut cur = parent.0;
+        while cur != NO_PARENT {
+            let node = &mut self.nodes[cur as usize];
+            node.end = end;
+            cur = node.parent;
+        }
         id
     }
 
     /// Iterates the subtree rooted at `start` in document (pre)order,
     /// including `start` itself.
+    ///
+    /// On a [preorder](Self::is_preorder) document this walks the id
+    /// interval `[start, subtree_end(start))` and allocates nothing.
     pub fn descendants(&self, start: NodeId) -> Descendants<'_> {
-        Descendants { doc: self, stack: vec![start] }
+        if self.preorder {
+            Descendants { doc: self, ids: start.0..self.data(start).end, stack: Vec::new() }
+        } else {
+            Descendants { doc: self, ids: 0..0, stack: vec![start] }
+        }
     }
 
     /// Iterates every node of the document in document order.
@@ -471,6 +534,9 @@ impl Document {
 /// Pre-order iterator over a subtree. Created by [`Document::descendants`].
 pub struct Descendants<'a> {
     doc: &'a Document,
+    /// Preorder document: the ids still to yield (the stack stays empty).
+    ids: Range<u32>,
+    /// Otherwise: the depth-first stack (the id range stays empty).
     stack: Vec<NodeId>,
 }
 
@@ -478,6 +544,9 @@ impl Iterator for Descendants<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
+        if let Some(id) = self.ids.next() {
+            return Some(NodeId(id));
+        }
         let next = self.stack.pop()?;
         // Push children in reverse so the first child is popped first.
         self.stack.extend(self.doc.children(next).iter().rev());
@@ -611,6 +680,53 @@ mod tests {
             })
             .collect();
         assert_eq!(tags, ["shop", "product", "name", "#TomTom", "rating", "#4.2", "#text"]);
+    }
+
+    /// The extent lives in the bytes `Option<NodeId>` wasted on `parent`;
+    /// a larger record would move resident memory on every workload.
+    #[test]
+    fn node_record_stays_within_its_memory_budget() {
+        assert!(std::mem::size_of::<NodeData>() <= 72, "{}", std::mem::size_of::<NodeData>());
+    }
+
+    #[test]
+    fn subtree_extents_are_the_descendant_counts_in_document_order() {
+        let (doc, root, product, name) = sample();
+        assert!(doc.is_preorder());
+        assert_eq!(doc.subtree_end(root) as usize, doc.len());
+        assert_eq!(doc.subtree_end(product), 6);
+        assert_eq!(doc.subtree_end(name), 4);
+        for n in doc.all_nodes() {
+            assert_eq!(
+                (doc.subtree_end(n) as usize) - n.index(),
+                doc.descendants(n).count(),
+                "node {}",
+                doc.dewey(n)
+            );
+        }
+        assert!(Document::new("r").is_preorder());
+    }
+
+    #[test]
+    fn appending_behind_a_closed_subtree_loses_preorder_but_not_document_order() {
+        let mut doc = Document::new("r");
+        let root = doc.root();
+        let a = doc.add_element(root, "a");
+        let b = doc.add_element(root, "b");
+        assert!(doc.is_preorder());
+        // `a` was closed when `b` was appended: its new child gets the
+        // largest id but sorts before `b` in document order.
+        let late = doc.add_leaf(a, "late", "x");
+        assert!(!doc.is_preorder());
+        doc.add_element(root, "c");
+        assert!(!doc.is_preorder(), "the flag never comes back");
+        let order: Vec<&str> =
+            doc.all_nodes().filter(|&n| doc.is_element(n)).map(|n| doc.tag(n)).collect();
+        assert_eq!(order, ["r", "a", "late", "b", "c"]);
+        assert_eq!(doc.descendants(a).count(), 3);
+        assert!(doc.subtree_end(a) > late.index() as u32, "an upper bound on the subtree's ids");
+        assert_eq!(doc.parent(late), Some(a));
+        assert_eq!(doc.parent(b), Some(root));
     }
 
     #[test]

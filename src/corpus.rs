@@ -46,10 +46,10 @@ use xsact_core::{Algorithm, Comparison, ComparisonOutcome, DfsConfig};
 use xsact_corpus::{fan_out, k_way_merge};
 use xsact_data::movies::{MovieGenConfig, MoviesGen};
 use xsact_entity::ResultFeatures;
-use xsact_index::{ExecutorStats, Query, ScoredResult, SearchEngine, SearchResult};
+use xsact_index::{ExecutorStats, Query, RankedRoot, ScoredResult, SearchEngine, SearchResult};
 use xsact_obs::TraceSink;
 use xsact_serve::FaultPlan;
-use xsact_xml::{DeweyId, Document};
+use xsact_xml::{DeweyId, DeweyRef, Document};
 
 pub use xsact_corpus::{DocId, ShardPlan};
 
@@ -332,9 +332,9 @@ impl Corpus {
     /// persistent shard pool (`crate::serve`): rank each document of the
     /// shard's round-robin slice through the streaming executor bounded by
     /// `k`, then merge the per-document lists under the ranking's total
-    /// order and truncate to `k`. Because both execution paths run *this*
-    /// function over *the same* [`ShardPlan`] partition, pooling can never
-    /// change result bytes.
+    /// order, truncate to `k`, and label what is left. Because both
+    /// execution paths run *this* function over *the same* [`ShardPlan`]
+    /// partition, pooling can never change result bytes.
     ///
     /// Returns the shard's merged list plus the executor work it cost,
     /// summed over the shard's documents (also recorded into each owning
@@ -346,23 +346,22 @@ impl Corpus {
         k: usize,
     ) -> (Vec<CorpusHit>, ExecutorStats) {
         let mut stats = ExecutorStats::default();
-        let per_doc: Vec<Vec<CorpusHit>> = doc_indexes
+        let per_doc = doc_indexes
             .iter()
             .map(|&d| {
-                let (hits, s) = search_one(query, &self.docs[d], k);
+                let doc = &self.docs[d];
+                let (roots, s) = doc.wb.top_k_roots(query, k);
                 stats += s;
-                hits
+                shard_candidates(doc, roots)
             })
             .collect();
-        let mut merged = k_way_merge(per_doc, CorpusHit::ranking_order);
-        merged.truncate(k);
-        (merged, stats)
+        (merge_shard_candidates(per_doc, k), stats)
     }
 
     /// [`execute_shard`](Self::execute_shard) over a whole dispatch
     /// round: every query of the batch runs against every document of the
     /// shard's slice, with one per-document plan-fragment table shared
-    /// across the batch (`Workbench::search_top_k_batch`), so queries
+    /// across the batch (`Workbench::top_k_roots_batch`), so queries
     /// sharing terms resolve each (doc, term) posting list once. The
     /// returned per-query `(merged list, stats)` pairs are byte-identical
     /// to calling `execute_shard` once per query — sharing only memoises
@@ -373,27 +372,23 @@ impl Corpus {
         queries: &[(Query, usize)],
         doc_indexes: &[usize],
     ) -> Vec<(Vec<CorpusHit>, ExecutorStats)> {
-        let mut per_query: Vec<(Vec<Vec<CorpusHit>>, ExecutorStats)> = queries
+        let mut per_query: Vec<(Vec<Vec<ShardCandidate<'_>>>, ExecutorStats)> = queries
             .iter()
             .map(|_| (Vec::with_capacity(doc_indexes.len()), ExecutorStats::default()))
             .collect();
         for &d in doc_indexes {
             let doc = &self.docs[d];
-            for (slot, (hits, stats)) in
-                per_query.iter_mut().zip(doc.wb.search_top_k_batch(queries))
+            for (slot, (roots, stats)) in
+                per_query.iter_mut().zip(doc.wb.top_k_roots_batch(queries))
             {
                 slot.1 += stats;
-                slot.0.push(tag_hits(doc, hits));
+                slot.0.push(shard_candidates(doc, roots));
             }
         }
         per_query
             .into_iter()
             .zip(queries)
-            .map(|((per_doc, stats), (_, k))| {
-                let mut merged = k_way_merge(per_doc, CorpusHit::ranking_order);
-                merged.truncate(*k);
-                (merged, stats)
-            })
+            .map(|((per_doc, stats), (_, k))| (merge_shard_candidates(per_doc, *k), stats))
             .collect()
     }
 }
@@ -567,12 +562,10 @@ impl CorpusHit {
     /// `pub(crate)` so the serving runtime's global merge uses the *same*
     /// comparator as the scoped fan-out.
     pub(crate) fn ranking_order(&self, other: &CorpusHit) -> Ordering {
-        other
-            .score
-            .score
-            .total_cmp(&self.score.score)
-            .then_with(|| self.doc.cmp(&other.doc))
-            .then_with(|| self.dewey.cmp(&other.dewey))
+        ranking_order(
+            (self.score.score, self.doc, &self.dewey),
+            (other.score.score, other.doc, &other.dewey),
+        )
     }
 }
 
@@ -828,30 +821,62 @@ pub(crate) fn merge_shard_lists(
     CorpusRanking { hits, shards }
 }
 
-/// One document's slice of a shard's work: the ranked search through the
-/// streaming executor (bounded by `k`, `usize::MAX` for the full ranking),
-/// tagged with the document's identity for the cross-shard merge, plus the
-/// executor work it cost. Counters also land in the owning workbench's
-/// [`Workbench::executor_stats`].
-fn search_one(query: &Query, doc: &CorpusDoc, k: usize) -> (Vec<CorpusHit>, ExecutorStats) {
-    let (hits, stats) = doc.wb.search_top_k_stats(query, k);
-    (tag_hits(doc, hits), stats)
+/// One ranked root on its way through a shard's merge. A shard ranks every
+/// one of its documents to depth `k` and keeps `k` in total, so most
+/// candidates are dropped by the merge: they carry only what the ranking's
+/// total order reads — score, document id, and the root's Dewey id
+/// *borrowed* from the document — and become a [`CorpusHit`] (owned Dewey
+/// id, display label) only if they survive.
+struct ShardCandidate<'a> {
+    doc: &'a CorpusDoc,
+    dewey: DeweyRef<'a>,
+    ranked: RankedRoot,
 }
 
-/// Tags one document's ranked hits with the document's identity for the
-/// cross-shard merge — shared by the per-query and batch shard paths so
-/// the tagging cannot drift.
-fn tag_hits(doc: &CorpusDoc, hits: Vec<(SearchResult, ScoredResult)>) -> Vec<CorpusHit> {
-    let document = doc.wb.document();
-    hits.into_iter()
-        .map(|(result, score)| CorpusHit {
+impl ShardCandidate<'_> {
+    /// [`CorpusHit::ranking_order`] on the borrowed keys.
+    fn ranking_order(&self, other: &ShardCandidate<'_>) -> Ordering {
+        ranking_order(
+            (self.ranked.score.score, self.doc.id, self.dewey),
+            (other.ranked.score.score, other.doc.id, other.dewey),
+        )
+    }
+
+    fn into_hit(self) -> CorpusHit {
+        let ShardCandidate { doc, dewey, ranked } = self;
+        CorpusHit {
             doc: doc.id,
             doc_name: doc.name.clone(),
-            dewey: document.dewey(result.root).to_owned(),
-            result,
-            score,
-        })
+            result: doc.wb.engine().result_for(&ranked),
+            dewey: dewey.to_owned(),
+            score: ranked.score,
+        }
+    }
+}
+
+/// The merge's total order on its keys: score descending, then document
+/// id, then Dewey id.
+fn ranking_order<D: Ord>(a: (f64, DocId, D), b: (f64, DocId, D)) -> Ordering {
+    b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)).then_with(|| a.2.cmp(&b.2))
+}
+
+/// One document's ranked roots as merge candidates — shared by the
+/// per-query and batch shard paths so the two cannot drift.
+fn shard_candidates(doc: &CorpusDoc, roots: Vec<RankedRoot>) -> Vec<ShardCandidate<'_>> {
+    let document = doc.wb.document();
+    roots
+        .into_iter()
+        .map(|ranked| ShardCandidate { doc, dewey: document.dewey(ranked.score.root), ranked })
         .collect()
+}
+
+/// The shard-local half of the merge pipeline: k-way merge the
+/// per-document lists under the ranking's total order, keep `k`, and
+/// materialise only those.
+fn merge_shard_candidates(per_doc: Vec<Vec<ShardCandidate<'_>>>, k: usize) -> Vec<CorpusHit> {
+    let mut merged = k_way_merge(per_doc, ShardCandidate::ranking_order);
+    merged.truncate(k);
+    merged.into_iter().map(ShardCandidate::into_hit).collect()
 }
 
 #[cfg(test)]

@@ -21,6 +21,16 @@ pub enum XsactError {
     /// The query contained no indexable search terms (empty string,
     /// punctuation only, …).
     EmptyQuery,
+    /// The query holds more distinct terms than a [`crate::Workbench`]
+    /// pipeline accepts. The cap is the ELCA algorithm's — it keeps one
+    /// bit per term in a machine word — and applies to every pipeline,
+    /// because a pipeline may switch to ELCA semantics after it was built.
+    TooManyTerms {
+        /// Distinct terms in the query.
+        terms: usize,
+        /// The most a pipeline accepts.
+        max: usize,
+    },
     /// A corpus operation ran over a corpus holding no documents (empty
     /// ingestion list, or a directory without `.xml` files).
     EmptyCorpus,
@@ -103,6 +113,9 @@ impl fmt::Display for XsactError {
             XsactError::EmptyQuery => {
                 write!(f, "the query contains no search terms")
             }
+            XsactError::TooManyTerms { terms, max } => {
+                write!(f, "the query has {terms} distinct terms; at most {max} are supported")
+            }
             XsactError::EmptyCorpus => {
                 write!(f, "the corpus contains no documents")
             }
@@ -178,6 +191,8 @@ mod tests {
     fn display_is_human_readable() {
         let e = XsactError::NoResults { query: "zeppelin".into() };
         assert!(e.to_string().contains("zeppelin"));
+        let e = XsactError::TooManyTerms { terms: 65, max: 64 };
+        assert_eq!(e.to_string(), "the query has 65 distinct terms; at most 64 are supported");
         let e = XsactError::InvalidSelection { index: 9, available: 2 };
         assert!(e.to_string().contains("out of range"));
         assert!(e.to_string().contains("1..=2"));

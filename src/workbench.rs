@@ -40,8 +40,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 use xsact_core::{Algorithm, Comparison, ComparisonOutcome, DfsConfig, Instance};
 use xsact_entity::ResultFeatures;
+use xsact_index::slca::MAX_KEYWORDS;
 use xsact_index::{
-    ExecutorStats, Query, ResultSemantics, ScoredResult, SearchEngine, SearchResult,
+    ExecutorStats, Query, RankedRoot, ResultSemantics, ScoredResult, SearchEngine, SearchResult,
 };
 use xsact_obs::TraceSink;
 use xsact_xml::{parse_document, Document, NodeId};
@@ -225,7 +226,9 @@ impl Workbench {
     }
 
     /// Starts a query pipeline. Fails with [`XsactError::EmptyQuery`] when
-    /// `text` contains no indexable terms.
+    /// `text` contains no indexable terms, and with
+    /// [`XsactError::TooManyTerms`] when it contains more than 64 distinct
+    /// ones.
     pub fn query(&self, text: &str) -> XsactResult<QueryPipeline<'_>> {
         self.build_pipeline(text, None)
     }
@@ -256,6 +259,12 @@ impl Workbench {
         if query.is_empty() {
             return Err(XsactError::EmptyQuery);
         }
+        // The pipeline may run ELCA, whose full scan keeps one bit per term
+        // in a `u64` and asserts the terms fit: that is a precondition of a
+        // layer function, and query text must not be able to break it.
+        if query.len() > MAX_KEYWORDS {
+            return Err(XsactError::TooManyTerms { terms: query.len(), max: MAX_KEYWORDS });
+        }
         Ok(QueryPipeline {
             wb: self,
             query,
@@ -275,25 +284,13 @@ impl Workbench {
     /// Runs the streaming top-k executor directly: the best `k` results
     /// with scores, best-first, equal to the full ranked search truncated
     /// to `k`. Executor counters are recorded into
-    /// [`executor_stats`](Self::executor_stats). This is the entry point
-    /// the corpus engine's shard workers use for bounded fan-out.
+    /// [`executor_stats`](Self::executor_stats).
     pub fn search_top_k(&self, query: &Query, k: usize) -> Vec<(SearchResult, ScoredResult)> {
-        self.search_top_k_stats(query, k).0
+        self.search_top_k_traced(query, k, None).0
     }
 
     /// [`search_top_k`](Self::search_top_k) plus this run's own counters
-    /// (the workbench totals are updated either way). The serving
-    /// runtime's shard workers use this to charge batch work to session
-    /// budgets.
-    pub(crate) fn search_top_k_stats(
-        &self,
-        query: &Query,
-        k: usize,
-    ) -> (Vec<(SearchResult, ScoredResult)>, ExecutorStats) {
-        self.search_top_k_traced(query, k, None)
-    }
-
-    /// [`search_top_k_stats`](Self::search_top_k_stats) with an optional
+    /// (the workbench totals are updated either way) and an optional
     /// per-stage trace. Tracing only observes the run — the returned hits
     /// are byte-identical with the sink present or absent (pinned by
     /// `tests/obs.rs`), and with `None` no timestamps are taken.
@@ -308,30 +305,40 @@ impl Workbench {
         (top.hits, top.stats)
     }
 
-    /// Runs a whole batch of top-k searches through one per-batch
-    /// plan-fragment table: queries sharing terms resolve each shared
-    /// posting list once (`ExecutorStats::postings_shared` counts the
-    /// reuse). Hits and the legacy counters are byte-identical to calling
-    /// [`search_top_k_stats`](Self::search_top_k_stats) per query — the
-    /// table only memoises index resolutions. Each query's stats are
-    /// recorded into the workbench totals, exactly like the independent
-    /// path.
-    pub(crate) fn search_top_k_batch(
+    /// The top `k` of [`search_top_k`](Self::search_top_k) as unlabelled
+    /// [`RankedRoot`]s, plus this run's counters — the entry point of the
+    /// corpus engine's shard workers, which merge many documents' top-k
+    /// and label only what survives
+    /// ([`SearchEngine::result_for`]).
+    pub(crate) fn top_k_roots(&self, query: &Query, k: usize) -> (Vec<RankedRoot>, ExecutorStats) {
+        let top = self.engine.search_top_k_roots(query, k, ResultSemantics::Slca, None);
+        self.exec.record(top.1);
+        top
+    }
+
+    /// [`top_k_roots`](Self::top_k_roots) for a whole batch through one
+    /// per-batch plan-fragment table: queries sharing terms resolve each
+    /// shared posting list once (`ExecutorStats::postings_shared` counts
+    /// the reuse). Roots and the legacy counters are byte-identical to
+    /// calling `top_k_roots` per query — the table only memoises index
+    /// resolutions. Each query's stats are recorded into the workbench
+    /// totals, exactly like the independent path.
+    pub(crate) fn top_k_roots_batch(
         &self,
         queries: &[(Query, usize)],
-    ) -> Vec<(Vec<(SearchResult, ScoredResult)>, ExecutorStats)> {
+    ) -> Vec<(Vec<RankedRoot>, ExecutorStats)> {
         let mut fragments = xsact_index::PlanFragments::new();
         queries
             .iter()
             .map(|(query, k)| {
-                let top = self.engine.search_top_k_shared(
+                let top = self.engine.search_top_k_roots(
                     query,
                     *k,
                     ResultSemantics::Slca,
-                    &mut fragments,
+                    Some(&mut fragments),
                 );
-                self.exec.record(top.stats);
-                (top.hits, top.stats)
+                self.exec.record(top.1);
+                top
             })
             .collect()
     }

@@ -74,6 +74,28 @@ fn zero_postings_term_surfaces_no_results_under_elca() {
     assert_eq!(wb.executor_stats(), ExecutorStats::default(), "no ELCA full scan may run");
 }
 
+#[test]
+fn a_query_of_65_distinct_terms_is_a_typed_error_and_64_run_under_elca() {
+    // ELCA's full scan keeps one bit per term in a `u64` and asserts the
+    // terms fit. Query text must not be able to reach that assert: every
+    // term below occurs in the document, so no short circuit hides it.
+    let terms: Vec<String> = (0..65).map(|i| format!("t{i}")).collect();
+    let xml = format!(
+        "<shop><product><name>{all}</name></product><product><name>{all}</name></product></shop>",
+        all = terms.join(" ")
+    );
+    let wb = Workbench::from_xml(&xml).unwrap();
+    let at_the_cap = wb.query(&terms[..64].join(" ")).unwrap();
+    for semantics in [ResultSemantics::Slca, ResultSemantics::Elca] {
+        assert_eq!(at_the_cap.clone().semantics(semantics).results().len(), 2, "{semantics:?}");
+    }
+    let err = wb.query(&terms.join(" ")).unwrap_err();
+    assert!(matches!(err, XsactError::TooManyTerms { terms: 65, max: 64 }), "{err}");
+    assert_eq!(err.to_string(), "the query has 65 distinct terms; at most 64 are supported");
+    // Repeats do not count: the cap is on distinct terms.
+    assert!(wb.query(&format!("{0} {0}", terms[..64].join(" "))).is_ok());
+}
+
 fn figure1_like_workbench() -> Workbench {
     Workbench::from_xml(
         "<shop><product><name>TomTom Go</name><kind>GPS</kind></product>\

@@ -15,6 +15,10 @@
 //! * the delta-bit-packed posting frames are observably identical to the
 //!   flat-arena decode — iteration, the frame-skip gallop (down to the
 //!   `ExecutorStats` counters) and the scorer's id-interval fast path;
+//! * the id-interval executor (candidates as preorder ids, subtrees as
+//!   `[id, subtree_end)`) is observably identical to the Dewey executor and
+//!   the full-scan oracle — results *and* `ExecutorStats` — and documents
+//!   built out of document order fall back to the Dewey path;
 //! * the dispatched SIMD kernels agree with their scalar oracles on random
 //!   masks and the all-zero/all-one extremes;
 //! * every algorithm produces valid, size-bounded DFS sets;
@@ -546,6 +550,204 @@ fn scorer_fast_path_matches_flat_fallback_rankings() {
         let fast = rank_results(&doc, &idx, &query, &roots);
         let slow = rank_results(&doc, &flat_idx, &query, &roots);
         assert_eq!(fast, slow, "seed {seed} query {query}: scorer fast path diverges");
+    }
+}
+
+// ------------------------------------------------ id-interval execution
+//
+// On a document whose ids are preorder ranks the executor carries
+// candidates as node ids and treats a subtree as the id interval
+// `[id, subtree_end(id))`. That is a change of representation only: the
+// SLCA stream, its `ExecutorStats` and every score must equal what the
+// Dewey path computes — and a document built out of document order must
+// notice, and take the Dewey path.
+
+/// The subtree of `n` in document order, by an explicit walk over
+/// `children` — independent of `Document::descendants`, which takes the id
+/// interval on a preorder document.
+fn walked_subtree(doc: &Document, n: NodeId, out: &mut Vec<NodeId>) {
+    out.push(n);
+    for &child in doc.children(n) {
+        walked_subtree(doc, child, out);
+    }
+}
+
+#[test]
+fn subtree_extents_equal_descendant_counts_on_parsed_and_generated_documents() {
+    let check = |doc: &Document, what: &str| {
+        assert!(doc.is_preorder(), "{what}: built in document order");
+        let mut all = Vec::new();
+        walked_subtree(doc, doc.root(), &mut all);
+        assert_eq!(doc.all_nodes().collect::<Vec<_>>(), all, "{what}: all_nodes order");
+        for &n in &all {
+            let mut subtree = Vec::new();
+            walked_subtree(doc, n, &mut subtree);
+            assert_eq!(
+                doc.subtree_end(n) as usize - n.index(),
+                subtree.len(),
+                "{what}: extent of node {}",
+                doc.dewey(n)
+            );
+            assert_eq!(doc.descendants(n).count(), subtree.len(), "{what}: node {}", doc.dewey(n));
+        }
+    };
+    for seed in 0..64u64 {
+        let built = random_document(&mut StdRng::seed_from_u64(seed));
+        check(&built, &format!("seed {seed}, builder"));
+        let xml = writer::write_document(&built, &writer::WriteOptions::compact());
+        check(&parse_document(&xml).unwrap(), &format!("seed {seed}, parser"));
+    }
+    use xsact::data::{
+        JobsGen, JobsGenConfig, MovieGenConfig, MoviesGen, OutdoorGen, OutdoorGenConfig,
+        ReviewsGen, ReviewsGenConfig,
+    };
+    check(&xsact::data::fixtures::figure1_document(), "figure1");
+    for seed in 0..4u64 {
+        let movies = MovieGenConfig { seed, movies: 12, ..Default::default() };
+        check(&MoviesGen::new(movies).generate(), "movies");
+        check(
+            &ReviewsGen::new(ReviewsGenConfig { seed, ..Default::default() }).generate(),
+            "reviews",
+        );
+        check(
+            &OutdoorGen::new(OutdoorGenConfig { seed, ..Default::default() }).generate(),
+            "outdoor",
+        );
+        check(&JobsGen::new(JobsGenConfig { seed, ..Default::default() }).generate(), "jobs");
+    }
+}
+
+/// Keyword vocabulary of [`catalog_document`]; small, so every term's
+/// posting list spans several 128-entry frames.
+const KEYWORDS: [&str; 6] = ["k0", "k1", "k2", "k3", "k4", "k5"];
+
+fn random_keywords(rng: &mut StdRng) -> String {
+    let n = rng.random_range(1..=3usize);
+    let words: Vec<&str> = (0..n).map(|_| KEYWORDS[rng.random_range(0..KEYWORDS.len())]).collect();
+    words.join(" ")
+}
+
+/// One `<item>` entity: keyword-bearing leaves plus, sometimes, a `<group>`
+/// of nested `<item>` entities — so SLCAs land at every depth and master
+/// entities nest.
+fn add_item(doc: &mut Document, rng: &mut StdRng, parent: NodeId, depth: usize) -> NodeId {
+    let item = doc.add_element(parent, "item");
+    doc.add_leaf(item, "name", random_keywords(rng));
+    if rng.random_bool(0.6) {
+        doc.add_leaf(item, "note", random_keywords(rng));
+    }
+    if depth > 0 && rng.random_bool(0.35) {
+        let group = doc.add_element(item, "group");
+        for _ in 0..rng.random_range(1..=3usize) {
+            add_item(doc, rng, group, depth - 1);
+        }
+    }
+    item
+}
+
+/// A catalog of a few hundred (nested) items, built in document order.
+/// Returns the items too, so a caller can append behind them.
+fn catalog_document(rng: &mut StdRng) -> (Document, Vec<NodeId>) {
+    let mut doc = Document::new("catalog");
+    let root = doc.root();
+    let items = (0..rng.random_range(150..400usize)).map(|_| add_item(&mut doc, rng, root, 2));
+    let items = items.collect();
+    (doc, items)
+}
+
+/// 1–4 distinct catalog keywords.
+fn catalog_query(rng: &mut StdRng) -> Query {
+    let n = rng.random_range(1..=4usize);
+    let start = rng.random_range(0..KEYWORDS.len());
+    Query::from_terms((0..n).map(|i| KEYWORDS[(start + i) % KEYWORDS.len()]))
+}
+
+/// Runs `query` three ways — the index's own (packed) plan, the flat Dewey
+/// plan over the decoded lists, and the full-scan oracle — and checks that
+/// results and counters agree.
+fn assert_streams_agree(doc: &Document, idx: &InvertedIndex, query: &Query, what: &str) {
+    let decoded: Vec<Vec<NodeId>> = query.iter().map(|t| idx.postings(t).to_vec()).collect();
+    let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
+    let oracle = slca_full_scan(doc, &lists);
+    let planned = QueryPlan::new(idx, query);
+    let flat = QueryPlan::from_lists(lists);
+    let (mut planned, mut flat) = (planned.stream(doc), flat.stream(doc));
+    let planned_out: Vec<NodeId> = planned.by_ref().collect();
+    let flat_out: Vec<NodeId> = flat.by_ref().collect();
+    assert_eq!(planned_out, oracle, "{what}, query {query}: planned stream vs full scan");
+    assert_eq!(flat_out, oracle, "{what}, query {query}: Dewey stream vs full scan");
+    assert_eq!(planned.stats(), flat.stats(), "{what}, query {query}: executor stats diverge");
+}
+
+#[test]
+fn interval_stream_matches_dewey_stream_and_full_scan_with_identical_stats() {
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (doc, _) = catalog_document(&mut rng);
+        assert!(doc.is_preorder(), "seed {seed}");
+        let idx = InvertedIndex::build(&doc);
+        assert!(idx.postings("k0").len() > 128, "seed {seed}: lists must span frames");
+        for _ in 0..4 {
+            assert_streams_agree(&doc, &idx, &catalog_query(&mut rng), &format!("seed {seed}"));
+        }
+        // The small random trees too: tag-name terms, repeated sibling
+        // tags, and the zero-postings short circuit.
+        let small = random_document(&mut rng);
+        assert!(small.is_preorder(), "seed {seed}");
+        let small_idx = InvertedIndex::build(&small);
+        assert_streams_agree(&small, &small_idx, &random_query(&mut rng), &format!("seed {seed}"));
+    }
+}
+
+#[test]
+fn documents_built_out_of_order_fall_back_to_the_dewey_path() {
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut doc, items) = catalog_document(&mut rng);
+        // Append behind closed subtrees: the late nodes get the largest
+        // ids but sort into the middle of the document.
+        for _ in 0..rng.random_range(1..40usize) {
+            let behind = items[rng.random_range(0..items.len())];
+            if rng.random_bool(0.5) {
+                doc.add_leaf(behind, "late", random_keywords(&mut rng));
+            } else {
+                add_item(&mut doc, &mut rng, behind, 1);
+            }
+        }
+        assert!(!doc.is_preorder(), "seed {seed}: appending behind an item breaks preorder");
+        // The engine on top (promotion, scoring, top-k) takes the fallbacks
+        // too and must still equal its sort-everything oracle.
+        let engine = SearchEngine::build(doc);
+        for _ in 0..4 {
+            let query = catalog_query(&mut rng);
+            let what = format!("seed {seed}, out of order");
+            assert_streams_agree(engine.document(), engine.index(), &query, &what);
+            let full = engine.search_ranked(&query);
+            let top = engine.search_top_k(&query, 10, ResultSemantics::Slca);
+            assert_eq!(top.hits, full[..full.len().min(10)], "{what}, query {query}");
+        }
+    }
+}
+
+#[test]
+fn cached_range_counts_rank_like_the_fallback_for_roots_in_any_order() {
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (doc, _) = catalog_document(&mut rng);
+        let idx = InvertedIndex::build(&doc);
+        let entries: Vec<(String, Vec<NodeId>)> =
+            idx.dictionary().map(|(t, p)| (t.to_owned(), p.to_vec())).collect();
+        let flat_idx = InvertedIndex::from_term_lists(entries);
+        let mut roots: Vec<NodeId> = doc.all_nodes().filter(|&n| doc.is_element(n)).collect();
+        // Fisher–Yates: the scorer's one-frame caches must not depend on
+        // roots arriving in document order.
+        for i in (1..roots.len()).rev() {
+            roots.swap(i, rng.random_range(0..=i));
+        }
+        let query = catalog_query(&mut rng);
+        let fast = rank_results(&doc, &idx, &query, &roots);
+        let slow = rank_results(&doc, &flat_idx, &query, &roots);
+        assert_eq!(fast, slow, "seed {seed} query {query}: interval scorer diverges");
     }
 }
 
