@@ -207,12 +207,7 @@ fn run_corpus_inner(
 ) -> Result<(String, ExecutorStats), XsactError> {
     // Validate the cheap knobs before paying for ingestion and fan-out —
     // compare() would reject them anyway, but only after the whole query.
-    if !args.threshold.is_finite() || args.threshold < 0.0 {
-        return Err(XsactError::InvalidConfig(format!(
-            "differentiability threshold must be a non-negative percentage, got {}",
-            args.threshold
-        )));
-    }
+    xsact::validate_config(&DfsConfig { size_bound: args.bound, threshold_pct: args.threshold })?;
     let mut out = String::new();
     let ingest_start = Instant::now();
     let mut corpus = match (&args.dir, &args.index_dir) {
@@ -776,6 +771,18 @@ mod tests {
         // An index cache without a directory corpus would never be read.
         let c = corpus_args_for(&["--docs", "2", "--index-dir", &tmp.path("cache")]);
         assert!(matches!(run_corpus(&c), Err(XsactError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn a_zero_bound_is_a_typed_error_in_both_modes() {
+        for err in [
+            run(&args_for("figure1", &["--bound", "0"])).unwrap_err(),
+            run_corpus(&corpus_args_for(&["--docs", "2", "--movies", "20", "--bound", "0"]))
+                .unwrap_err(),
+        ] {
+            assert!(matches!(err, XsactError::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains("size bound must be at least 1"), "{err}");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::model::{DfsConfig, Instance};
 use crate::single_swap::SwapStats;
 use crate::snippet::snippet_set;
 use crate::table::render_table;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xsact_entity::{FeatureType, ResultFeatures};
 
@@ -127,38 +128,19 @@ impl Comparison {
     /// the `Workbench` facade, which returns a typed error) when the
     /// instance size is not known in advance.
     pub fn run(&self, algorithm: Algorithm) -> ComparisonOutcome {
-        if let Algorithm::Exhaustive { limit } = algorithm {
-            return self
-                .run_exhaustive(limit)
-                .expect("exhaustive enumeration exceeds its combination limit");
-        }
-        // Build the instance fresh and *move* it into the outcome — the
-        // single-run path never pays a clone; multi-run callers go through
-        // `run_on` instead.
-        let instance = self.instance();
-        let start = Instant::now();
-        let (set, swap_stats) = run_algorithm(&instance, algorithm);
-        let elapsed = start.elapsed();
-        let dod = dod_total(&instance, &set);
-        ComparisonOutcome {
-            instance,
-            set,
-            dod,
-            algorithm,
-            stats: RunStats { rounds: swap_stats.rounds, moves: swap_stats.moves, elapsed },
-        }
+        Self::run_on(&Arc::new(self.instance()), algorithm)
     }
 
     /// Runs an algorithm over an already-built instance — the entry point
     /// for callers that compare the *same* result set with several
     /// algorithms (or repeatedly): preprocessing (interning + the
-    /// differentiability bit matrix) is paid once, each run only clones the
-    /// flat arenas into its outcome.
+    /// differentiability bit matrix) is paid once, and every outcome shares
+    /// that one instance by reference.
     ///
     /// Panics like [`Comparison::run`] when an [`Algorithm::Exhaustive`]
     /// run exceeds its combination limit; use
     /// [`Comparison::run_exhaustive_on`] for the fallible form.
-    pub fn run_on(instance: &Instance, algorithm: Algorithm) -> ComparisonOutcome {
+    pub fn run_on(instance: &Arc<Instance>, algorithm: Algorithm) -> ComparisonOutcome {
         if let Algorithm::Exhaustive { limit } = algorithm {
             return Self::run_exhaustive_on(instance, limit)
                 .expect("exhaustive enumeration exceeds its combination limit");
@@ -168,7 +150,7 @@ impl Comparison {
         let elapsed = start.elapsed();
         let dod = dod_total(instance, &set);
         ComparisonOutcome {
-            instance: instance.clone(),
+            instance: Arc::clone(instance),
             set,
             dod,
             algorithm,
@@ -180,16 +162,16 @@ impl Comparison {
     /// `limit` DFS combinations must be enumerated. `None` otherwise. The
     /// outcome is labelled [`Algorithm::Exhaustive`].
     pub fn run_exhaustive(&self, limit: u64) -> Option<ComparisonOutcome> {
-        Self::run_exhaustive_on(&self.instance(), limit)
+        Self::run_exhaustive_on(&Arc::new(self.instance()), limit)
     }
 
     /// [`Comparison::run_exhaustive`] over an already-built instance.
-    pub fn run_exhaustive_on(instance: &Instance, limit: u64) -> Option<ComparisonOutcome> {
+    pub fn run_exhaustive_on(instance: &Arc<Instance>, limit: u64) -> Option<ComparisonOutcome> {
         let start = Instant::now();
         let (set, dod) = exhaustive(instance, limit)?;
         let elapsed = start.elapsed();
         Some(ComparisonOutcome {
-            instance: instance.clone(),
+            instance: Arc::clone(instance),
             set,
             dod,
             algorithm: Algorithm::Exhaustive { limit },
@@ -222,8 +204,10 @@ pub fn run_algorithm(inst: &Instance, algorithm: Algorithm) -> (DfsSet, SwapStat
 /// table.
 #[derive(Debug, Clone)]
 pub struct ComparisonOutcome {
-    /// The preprocessed instance the run operated on.
-    pub instance: Instance,
+    /// The preprocessed instance the run operated on, shared with every
+    /// other outcome over the same results (and with the pipeline that
+    /// memoized it); it stays alive as long as any of them does.
+    pub instance: Arc<Instance>,
     /// The generated DFSs, one per result.
     pub set: DfsSet,
     /// Total degree of differentiation achieved.

@@ -18,6 +18,8 @@
 //!
 //! Entry point: [`Comparison`].
 
+#![forbid(unsafe_code)]
+
 pub mod annealing;
 pub mod bits;
 pub mod comparison;

@@ -16,8 +16,17 @@
 //!   differentiable on the type), precomputed once since it never depends
 //!   on what the DFSs select,
 //! * per result and type, the display cell for the comparison table.
+//!
+//! The feature statistics are only read, through [`Borrow`]: a caller that
+//! caches them behind `Arc`s passes the `Arc`s, and nothing string-typed is
+//! copied on the way in except what the instance itself keeps (labels, the
+//! type table, one dominant value per cell). On the way out an instance is
+//! shared the same way — a [`crate::ComparisonOutcome`] holds an
+//! `Arc<Instance>`, so any number of runs over one result set point at one
+//! type table, one set of cells and one bit matrix.
 
 use crate::bits;
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use xsact_entity::{FeatureStat, FeatureType, ResultFeatures};
 
@@ -149,15 +158,19 @@ impl<'a> PreStat<'a> {
 impl Instance {
     /// Preprocesses a set of results for comparison.
     ///
+    /// The results are only read: a slice of owned [`ResultFeatures`] and a
+    /// slice of `Arc<ResultFeatures>` handed out by a feature cache build
+    /// the same instance, and neither is copied.
+    ///
     /// # Panics
     /// Panics if `results` is empty — there is nothing to compare.
-    pub fn build(results: &[ResultFeatures], config: DfsConfig) -> Self {
+    pub fn build<R: Borrow<ResultFeatures>>(results: &[R], config: DfsConfig) -> Self {
         assert!(!results.is_empty(), "cannot compare zero results");
 
         // Intern entities and types over the union of all results.
         let mut entity_set: BTreeSet<&str> = BTreeSet::new();
         let mut type_set: BTreeSet<&FeatureType> = BTreeSet::new();
-        for rf in results {
+        for rf in results.iter().map(Borrow::borrow) {
             for stat in &rf.stats {
                 entity_set.insert(stat.ty.entity.as_str());
                 type_set.insert(&stat.ty);
@@ -176,6 +189,7 @@ impl Instance {
         let mut pre_stats: Vec<Vec<Option<PreStat<'_>>>> = Vec::with_capacity(results.len());
         let result_data: Vec<ResultData> = results
             .iter()
+            .map(Borrow::borrow)
             .map(|rf| {
                 let mut ranked: Vec<Vec<TypeId>> = vec![Vec::new(); entities.len()];
                 let mut cells: Vec<Option<CellStat>> = vec![None; types.len()];
@@ -639,7 +653,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot compare zero results")]
     fn empty_input_panics() {
-        Instance::build(&[], DfsConfig::default());
+        Instance::build(&[] as &[ResultFeatures], DfsConfig::default());
     }
 
     #[test]

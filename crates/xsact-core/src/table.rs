@@ -8,28 +8,31 @@
 
 use crate::dfs::DfsSet;
 use crate::model::{Instance, TypeId};
+use std::borrow::Cow;
 use xsact_entity::label::{display_label, entity_short_name};
 
 /// Renders the comparison table of a DFS set over its instance.
 pub fn render_table(inst: &Instance, set: &DfsSet) -> String {
     let rows = table_rows(inst, set);
-    let mut header = vec!["feature".to_string()];
-    header.extend(inst.results.iter().map(|r| r.label.clone()));
+    let header: Vec<Cow<'_, str>> = std::iter::once("feature")
+        .chain(inst.results.iter().map(|r| r.label.as_str()))
+        .map(Cow::Borrowed)
+        .collect();
 
-    let mut body: Vec<Vec<String>> = Vec::with_capacity(rows.len());
+    let mut body: Vec<Vec<Cow<'_, str>>> = Vec::with_capacity(rows.len());
     for &t in &rows {
         let mut row = Vec::with_capacity(inst.results.len() + 1);
-        row.push(row_label(inst, t));
+        row.push(Cow::Owned(row_label(inst, t)));
         for (i, result) in inst.results.iter().enumerate() {
             if set.dfs(i).contains(inst, i, t) {
                 let cell = result.cells[t].as_ref().expect("selected type has a cell");
                 if cell.instances > 1 {
-                    row.push(format!("{} ({:.0}%)", cell.value, cell.ratio * 100.0));
+                    row.push(Cow::Owned(format!("{} ({:.0}%)", cell.value, cell.ratio * 100.0)));
                 } else {
-                    row.push(cell.value.clone());
+                    row.push(Cow::Borrowed(cell.value.as_str()));
                 }
             } else {
-                row.push("—".to_string());
+                row.push(Cow::Borrowed("—"));
             }
         }
         body.push(row);
@@ -53,14 +56,17 @@ pub fn table_rows(inst: &Instance, set: &DfsSet) -> Vec<TypeId> {
             .map(|c| c.sig_ratio)
             .fold(0.0, f64::max)
     };
-    let mut rows: Vec<TypeId> = (0..inst.type_count()).filter(|&t| selected[t]).collect();
-    rows.sort_by(|&a, &b| {
+    // A scan over all results per type: paid once per row, not per
+    // comparison of the sort.
+    let mut rows: Vec<(TypeId, f64)> =
+        (0..inst.type_count()).filter(|&t| selected[t]).map(|t| (t, best_sig(t))).collect();
+    rows.sort_by(|&(a, sig_a), &(b, sig_b)| {
         inst.entity_of[a]
             .cmp(&inst.entity_of[b])
-            .then_with(|| best_sig(b).partial_cmp(&best_sig(a)).expect("ratios are finite"))
+            .then_with(|| sig_b.partial_cmp(&sig_a).expect("ratios are finite"))
             .then_with(|| inst.types[a].attribute.cmp(&inst.types[b].attribute))
     });
-    rows
+    rows.into_iter().map(|(t, _)| t).collect()
 }
 
 fn row_label(inst: &Instance, t: TypeId) -> String {
@@ -69,7 +75,7 @@ fn row_label(inst: &Instance, t: TypeId) -> String {
 }
 
 /// Plain ASCII grid with `+---+` borders.
-fn render_grid(header: &[String], body: &[Vec<String>]) -> String {
+fn render_grid(header: &[Cow<'_, str>], body: &[Vec<Cow<'_, str>>]) -> String {
     let columns = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| display_width(h)).collect();
     for row in body {
@@ -85,7 +91,7 @@ fn render_grid(header: &[String], body: &[Vec<String>]) -> String {
         }
         out.push_str("+\n");
     };
-    let line = |out: &mut String, cells: &[String]| {
+    let line = |out: &mut String, cells: &[Cow<'_, str>]| {
         for (c, cell) in cells.iter().enumerate() {
             out.push_str("| ");
             out.push_str(cell);

@@ -2,21 +2,36 @@
 //!
 //! A **feature** is a triplet `(entity, attribute, value)` — e.g.
 //! `(review, pros:compact, yes)` — and a **feature type** is the
-//! `(entity, attribute)` pair (paper §2). For each search result, the
-//! extractor:
+//! `(entity, attribute)` pair (paper §2). Inside a result subtree the
+//! *entity instances* are the result root plus every descendant classified
+//! [`NodeClass::Entity`]; an instance owns the leaf values and XML
+//! attributes reachable from it without crossing into a nested instance
+//! (those belong to the nested entity).
 //!
-//! 1. finds the *entity instances* inside the result subtree (the result
-//!    root plus every descendant classified [`NodeClass::Entity`]),
-//! 2. collects, per instance, the leaf values reachable without crossing
-//!    into a nested entity instance (those belong to the nested entity),
-//! 3. aggregates occurrences per feature type and value, together with the
-//!    number of instances of each entity.
+//! [`extract_features`] finds all of that in **one walk** over
+//! `doc.descendants(root)`:
+//!
+//! 1. every value-carrying node reports one occurrence under the fixed-size
+//!    key `(owner PathId, leaf PathId, Option<attribute Sym>)` — the owner
+//!    being its nearest ancestor-or-self instance, found by climbing
+//!    `parent` — with the value **borrowed** from the document (copied only
+//!    when whitespace normalisation has to rewrite it);
+//! 2. the flat occurrence list is sorted and run-length grouped into one
+//!    [`FeatureStat`] per key and one [`ValueCount`] per distinct value;
+//! 3. the string-typed [`FeatureType`] of a key is rendered once, from the
+//!    summary's interned path strings: the attribute path *is* the leaf's
+//!    tag path below its owner.
+//!
+//! No map is keyed by a path, no path is built per node, and `Sym` /
+//! `PathId` never leave this module: `xsact-core` sees strings only.
 //!
 //! The per-type statistics — e.g. *"pros:compact seen in 8 of 11 reviews
 //! (73%)"* — drive both the validity ranking (Desideratum 2) and the
 //! differentiability test (Desideratum 3) in `xsact-core`.
 
 use crate::classify::{NodeClass, PathId, StructureSummary};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use xsact_xml::{Document, NodeId, Sym};
 
@@ -177,104 +192,120 @@ impl ResultFeatures {
     }
 }
 
-/// One segment of an attribute path during the symbol-keyed walk. Tags and
-/// XML-attribute names are interned in the document, so a segment is one or
-/// two 4-byte symbols — cloning a path is a flat memcpy, and no strings are
-/// built until the stats are finalised at the `xsact-core` boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Seg {
-    /// A child element step (`pros`).
-    Tag(Sym),
-    /// An XML attribute on the instance itself (`@sku`).
-    RootAttr(Sym),
-    /// An XML attribute on a nested element (`best_use@lang`).
-    TagAttr(Sym, Sym),
+/// One value seen during the walk, keyed by fixed-size interned ids: the
+/// path of the instance that owns it, the path of the element that carries
+/// it and — for an XML attribute — the attribute's name. The attribute path
+/// of the feature type is the part of `leaf`'s tag path below `owner`, so
+/// no per-node path is ever built. The value is borrowed from the document
+/// unless whitespace normalisation had to rewrite it.
+struct Occurrence<'a> {
+    owner: PathId,
+    leaf: PathId,
+    attr: Option<Sym>,
+    value: Cow<'a, str>,
 }
 
-impl Seg {
-    fn render(self, doc: &Document, out: &mut String) {
-        let symbols = doc.interner();
-        match self {
-            Seg::Tag(tag) => out.push_str(symbols.resolve(tag)),
-            Seg::RootAttr(name) => {
-                out.push('@');
-                out.push_str(symbols.resolve(name));
-            }
-            Seg::TagAttr(tag, name) => {
-                out.push_str(symbols.resolve(tag));
-                out.push('@');
-                out.push_str(symbols.resolve(name));
-            }
-        }
+impl Occurrence<'_> {
+    fn key(&self) -> (PathId, PathId, Option<Sym>) {
+        (self.owner, self.leaf, self.attr)
     }
 }
-
-/// The symbol-keyed identity of a feature type during aggregation: the
-/// owning entity's interned path plus the attribute path as segments.
-type SymKey = (PathId, Box<[Seg]>);
 
 /// Extracts the aggregated features of the result subtree rooted at `root`.
 ///
 /// `summary` must have been inferred from the same document so entity
 /// classification is consistent across all results.
 ///
-/// Aggregation is keyed entirely by interned symbols ([`PathId`] +
-/// [`Sym`] segments); the string-typed [`FeatureType`]s that `xsact-core`
-/// consumes are resolved **once per distinct feature type** when the stats
-/// are finalised, never per node or per comparison.
+/// One walk over the subtree collects every value as an occurrence keyed by
+/// interned ids ([`PathId`]s + an optional attribute [`Sym`]); sorting that
+/// flat list and grouping equal runs yields the per-type value histograms.
+/// The string-typed [`FeatureType`]s that `xsact-core` consumes are
+/// rendered **once per distinct feature type** from the summary's path
+/// strings, never per node or per comparison. Every vector of the returned
+/// value is exactly sized, so callers can cache it as it is.
 pub fn extract_features(
     doc: &Document,
     summary: &StructureSummary,
     root: NodeId,
     label: impl Into<String>,
 ) -> ResultFeatures {
-    // Pass 1: find entity instances inside the subtree. The result root is
-    // an instance regardless of its class — it is the object being compared.
-    let mut instances: Vec<NodeId> = Vec::new();
+    let mut instances: Vec<PathId> = Vec::new();
+    let mut occurrences: Vec<Occurrence<'_>> = Vec::new();
     for node in doc.descendants(root) {
-        if node == root
-            || (doc.is_element(node) && summary.class_of(doc, node) == NodeClass::Entity)
-        {
-            instances.push(node);
+        // The result root is an instance regardless of its class — it is
+        // the object being compared.
+        let is_instance = node == root
+            || (doc.is_element(node) && summary.class_of(doc, node) == NodeClass::Entity);
+        if is_instance {
+            instances.extend(instance_path(doc, summary, node));
         }
-    }
-
-    let mut instance_counts: HashMap<PathId, u32> = HashMap::new();
-    let mut agg: HashMap<SymKey, HashMap<String, u32>> = HashMap::new();
-
-    for &instance in &instances {
-        // A text-node root (degenerate but allowed by the seed API) takes
-        // its parent element's path, mirroring `Document::tag_path`.
-        let Some(entity) = instance_path(doc, summary, instance) else { continue };
-        *instance_counts.entry(entity).or_insert(0) += 1;
-        collect_instance_features(doc, summary, instance, entity, &mut agg);
-    }
-
-    // Resolve symbols to the string-typed boundary representation. Distinct
-    // symbol keys can render to the same string only if a tag contained the
-    // join characters — XML names cannot — but merge defensively anyway.
-    let mut entity_instances: HashMap<String, u32> = HashMap::with_capacity(instance_counts.len());
-    for (&pid, &n) in &instance_counts {
-        *entity_instances.entry(summary.path_display(pid).to_owned()).or_insert(0) += n;
-    }
-    let mut resolved: HashMap<FeatureType, HashMap<String, u32>> =
-        HashMap::with_capacity(agg.len());
-    for ((entity, segs), values) in agg {
-        let mut attribute = String::new();
-        for (i, seg) in segs.iter().enumerate() {
-            if i > 0 {
-                attribute.push(':');
+        // An instance's own text is not one of its features; the text of a
+        // leaf below it is. Text runs have no features of their own.
+        let valued = !is_instance && doc.is_leaf_element(node);
+        if !valued && doc.attr_count(node) == 0 {
+            continue;
+        }
+        let owner = if is_instance { node } else { owning_instance(doc, summary, root, node) };
+        let (Some(owner), Some(leaf)) = (summary.path_id_of(owner), summary.path_id_of(node))
+        else {
+            continue;
+        };
+        for (name, value) in doc.attrs_syms(node) {
+            let value = Cow::Borrowed(value);
+            occurrences.push(Occurrence { owner, leaf, attr: Some(name), value });
+        }
+        if valued {
+            let value = leaf_value(doc, node);
+            if !value.is_empty() {
+                occurrences.push(Occurrence { owner, leaf, attr: None, value });
             }
-            seg.render(doc, &mut attribute);
-        }
-        let ty = FeatureType::new(summary.path_display(entity), attribute);
-        let merged = resolved.entry(ty).or_default();
-        for (value, count) in values {
-            *merged.entry(value).or_insert(0) += count;
         }
     }
 
-    let stats = finalize(resolved, &entity_instances);
+    instances.sort_unstable();
+    let instance_counts: Vec<(PathId, u32)> =
+        instances.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u32)).collect();
+    let mut entity_instances: HashMap<String, u32> = HashMap::with_capacity(instance_counts.len());
+    for &(path, n) in &instance_counts {
+        *entity_instances.entry(summary.path_display(path).to_owned()).or_insert(0) += n;
+    }
+
+    occurrences.sort_unstable_by(|a, b| {
+        a.key().cmp(&b.key()).then_with(|| a.value.as_ref().cmp(b.value.as_ref()))
+    });
+    let same_type = |a: &Occurrence<'_>, b: &Occurrence<'_>| a.key() == b.key();
+    let same_value = |a: &Occurrence<'_>, b: &Occurrence<'_>| a.value == b.value;
+    let mut stats: Vec<FeatureStat> = Vec::with_capacity(occurrences.chunk_by(same_type).count());
+    for group in occurrences.chunk_by(same_type) {
+        let (owner, leaf, attr) = group[0].key();
+        let mut values: Vec<ValueCount> = Vec::with_capacity(group.chunk_by(same_value).count());
+        values.extend(group.chunk_by(same_value).map(|run| ValueCount {
+            value: run[0].value.as_ref().to_owned(),
+            count: run.len() as u32,
+        }));
+        values.sort_by(value_order);
+        stats.push(FeatureStat {
+            ty: render_type(doc, summary, owner, leaf, attr),
+            values,
+            occurrences: group.len() as u32,
+            entity_instances: instance_counts
+                .iter()
+                .find(|&&(path, _)| path == owner)
+                .map_or(0, |&(_, n)| n),
+        });
+    }
+    stats.sort_by(significance_order);
+
+    // Distinct ids render to one string only when a name holds a join
+    // character (`:` is legal in an XML name, so `<a:b>` and `<a><b>` meet
+    // in `a:b`). Then, and only then, the strings decide — as in `from_raw`.
+    if entity_instances.len() < instance_counts.len() || has_duplicate_types(&stats) {
+        let triplets = stats.into_iter().flat_map(|stat| {
+            let FeatureStat { ty, values, .. } = stat;
+            values.into_iter().map(move |vc| (ty.clone(), vc.value, vc.count))
+        });
+        return ResultFeatures::from_raw(label, entity_instances, triplets);
+    }
     ResultFeatures { label: label.into(), stats, entity_instances }
 }
 
@@ -292,65 +323,99 @@ fn instance_path(doc: &Document, summary: &StructureSummary, node: NodeId) -> Op
     None
 }
 
-/// Collects `(attribute, value)` pairs of one entity instance, stopping at
-/// nested entity instances.
-fn collect_instance_features(
+/// The instance that owns the features of `node`, a non-instance node below
+/// `root`: its nearest ancestor that is the result root or an entity.
+/// Climbing `parent` needs no traversal state, so documents built in and
+/// out of document order take the same code.
+fn owning_instance(
     doc: &Document,
     summary: &StructureSummary,
-    instance: NodeId,
-    entity: PathId,
-    agg: &mut HashMap<SymKey, HashMap<String, u32>>,
-) {
-    // Depth-first walk carrying the attribute path relative to the instance.
-    let mut stack: Vec<(NodeId, Vec<Seg>)> = vec![(instance, Vec::new())];
-    while let Some((node, attr_path)) = stack.pop() {
-        // XML attributes become features at every element we own.
-        for (name, value) in doc.attrs_syms(node) {
-            let mut segs = attr_path.clone();
-            let leaf_seg = match segs.pop() {
-                // Attach to the current element segment: `tag@name`.
-                Some(Seg::Tag(tag)) => Seg::TagAttr(tag, name),
-                Some(other) => unreachable!("attr path ends in a tag segment, got {other:?}"),
-                None => Seg::RootAttr(name),
-            };
-            segs.push(leaf_seg);
-            record(agg, entity, &segs, value);
-        }
-        if doc.is_leaf_element(node) && node != instance {
-            let text = normalize_value(&doc.text_content(node));
-            if !text.is_empty() {
-                record(agg, entity, &attr_path, &text);
-            }
-            continue;
-        }
-        for child in doc.child_elements(node) {
-            // Nested entity instances keep their own features.
-            if summary.class_of(doc, child) == NodeClass::Entity {
-                continue;
-            }
-            let mut child_path = attr_path.clone();
-            child_path.push(Seg::Tag(doc.tag_sym(child).expect("element child")));
-            stack.push((child, child_path));
+    root: NodeId,
+    node: NodeId,
+) -> NodeId {
+    let mut cur = node;
+    while let Some(parent) = doc.parent(cur) {
+        cur = parent;
+        if cur == root || summary.class_of(doc, cur) == NodeClass::Entity {
+            break;
         }
     }
+    cur
 }
 
-fn record(
-    agg: &mut HashMap<SymKey, HashMap<String, u32>>,
-    entity: PathId,
-    attr_segments: &[Seg],
-    value: &str,
-) {
-    if attr_segments.is_empty() {
-        return;
+/// The whitespace-normalised text of a leaf element (`" 4.2\n "` equals
+/// `"4.2"`), borrowed when its one text run is already in that form.
+fn leaf_value(doc: &Document, leaf: NodeId) -> Cow<'_, str> {
+    let runs = doc.children(leaf);
+    if let [run] = runs {
+        if let Some(text) = doc.text(*run).filter(|text| is_normalized(text)) {
+            return Cow::Borrowed(text);
+        }
     }
-    let key = (entity, attr_segments.to_vec().into_boxed_slice());
-    *agg.entry(key).or_default().entry(value.to_owned()).or_insert(0) += 1;
+    let mut out = String::new();
+    for word in runs.iter().filter_map(|&run| doc.text(run)).flat_map(str::split_whitespace) {
+        if !out.is_empty() {
+            out.push(' ');
+        }
+        out.push_str(word);
+    }
+    Cow::Owned(out)
 }
 
-/// Collapses runs of whitespace and trims, so `" 4.2\n "` equals `"4.2"`.
-fn normalize_value(raw: &str) -> String {
-    raw.split_whitespace().collect::<Vec<_>>().join(" ")
+/// Whether collapsing whitespace runs to one space and trimming would leave
+/// `text` as it is.
+fn is_normalized(text: &str) -> bool {
+    let mut after_space = true;
+    for c in text.chars() {
+        if c.is_whitespace() && (c != ' ' || after_space) {
+            return false;
+        }
+        after_space = c == ' ';
+    }
+    !after_space || text.is_empty()
+}
+
+/// Renders the string-typed boundary form of one aggregation key: the
+/// owner's path, and the leaf's path below it joined with `:` (plus
+/// `@name` for an XML attribute; `@name` alone on the instance itself).
+fn render_type(
+    doc: &Document,
+    summary: &StructureSummary,
+    owner: PathId,
+    leaf: PathId,
+    attr: Option<Sym>,
+) -> FeatureType {
+    let entity = summary.path_display(owner);
+    let below = &summary.path_display(leaf)[entity.len()..];
+    let below = below.strip_prefix('/').unwrap_or(below);
+    let name = attr.map(|name| doc.interner().resolve(name));
+    let mut attribute = String::with_capacity(below.len() + name.map_or(0, |n| 1 + n.len()));
+    attribute.extend(below.chars().map(|c| if c == '/' { ':' } else { c }));
+    if let Some(name) = name {
+        attribute.push('@');
+        attribute.push_str(name);
+    }
+    FeatureType { entity: entity.to_owned(), attribute }
+}
+
+fn has_duplicate_types(stats: &[FeatureStat]) -> bool {
+    let mut types: Vec<&FeatureType> = stats.iter().map(|stat| &stat.ty).collect();
+    types.sort_unstable();
+    types.windows(2).any(|pair| pair[0] == pair[1])
+}
+
+/// Descending count, then value — a stat's first value is its dominant one.
+fn value_order(a: &ValueCount, b: &ValueCount) -> Ordering {
+    b.count.cmp(&a.count).then_with(|| a.value.cmp(&b.value))
+}
+
+/// Entity path ascending; within an entity occurrences descending, then
+/// attribute — the significance order required by Desideratum 2.
+fn significance_order(a: &FeatureStat, b: &FeatureStat) -> Ordering {
+    a.ty.entity
+        .cmp(&b.ty.entity)
+        .then_with(|| b.occurrences.cmp(&a.occurrences))
+        .then_with(|| a.ty.attribute.cmp(&b.ty.attribute))
 }
 
 fn finalize(
@@ -362,20 +427,13 @@ fn finalize(
         .map(|(ty, values)| {
             let mut values: Vec<ValueCount> =
                 values.into_iter().map(|(value, count)| ValueCount { value, count }).collect();
-            values.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.value.cmp(&b.value)));
+            values.sort_by(value_order);
             let occurrences = values.iter().map(|v| v.count).sum();
             let entity_instances = entity_instances.get(&ty.entity).copied().unwrap_or(0);
             FeatureStat { ty, values, occurrences, entity_instances }
         })
         .collect();
-    // Entity path asc; within an entity: occurrences desc, attribute asc —
-    // the significance order required by Desideratum 2.
-    stats.sort_by(|a, b| {
-        a.ty.entity
-            .cmp(&b.ty.entity)
-            .then_with(|| b.occurrences.cmp(&a.occurrences))
-            .then_with(|| a.ty.attribute.cmp(&b.ty.attribute))
-    });
+    stats.sort_by(significance_order);
     stats
 }
 
@@ -545,6 +603,46 @@ mod tests {
         let rf = extract_features(&d, &summary, item, "i");
         let name = rf.get(&FeatureType::new("r/item", "name")).unwrap();
         assert_eq!(name.dominant().value, "Tom Tom 630");
+    }
+
+    #[test]
+    fn clean_values_are_taken_as_they_are_and_padded_ones_rewritten() {
+        for clean in ["", "4.2", "Tom Tom 630", "caf\u{e9} \u{2603}"] {
+            assert!(is_normalized(clean), "{clean:?}");
+        }
+        for padded in [" 4.2", "4.2 ", "a  b", "a\tb", "a\nb", " ", "a\u{a0}b"] {
+            assert!(!is_normalized(padded), "{padded:?}");
+        }
+        // Several text runs under one leaf join like words of one run.
+        let mut d = Document::new("r");
+        for runs in [&["Tom", " Tom\n630 "][..], &["b"]] {
+            let item = d.add_element(d.root(), "item");
+            let name = d.add_element(item, "name");
+            for run in runs {
+                d.add_text(name, *run);
+            }
+        }
+        let summary = StructureSummary::infer(&d);
+        let rf = extract_features(&d, &summary, d.children(d.root())[0], "i");
+        assert_eq!(rf.stats[0].dominant().value, "Tom Tom 630");
+    }
+
+    #[test]
+    fn extracted_vectors_are_exactly_sized() {
+        // The workbench caches the extractor's output as it is; slack in
+        // hundreds of cached `values` vectors is resident memory.
+        let d = doc();
+        let summary = StructureSummary::infer(&d);
+        for root in d.all_nodes() {
+            let rf = extract_features(&d, &summary, root, "r");
+            assert_eq!(rf.stats.capacity(), rf.stats.len());
+            for stat in &rf.stats {
+                assert_eq!(stat.values.capacity(), stat.values.len(), "{:?}", stat.ty);
+                for vc in &stat.values {
+                    assert_eq!(vc.value.capacity(), vc.value.len(), "{:?}", stat.ty);
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!   aggregates features with occurrence statistics, e.g. *"pro: compact —
 //!   yes — 8 of 11 reviews (73%)"* as in Figure 1 of the paper.
 
+#![forbid(unsafe_code)]
+
 pub mod classify;
 pub mod features;
 pub mod label;

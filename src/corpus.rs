@@ -35,14 +35,15 @@
 //! ```
 
 use crate::error::{XsactError, XsactResult};
-use crate::workbench::Workbench;
+use crate::workbench::{validate_config, Workbench};
 use std::cmp::Ordering;
 use std::convert::Infallible;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{self, AtomicU64};
-use xsact_core::{Algorithm, Comparison, ComparisonOutcome, DfsConfig};
+use std::sync::Arc;
+use xsact_core::{Algorithm, Comparison, ComparisonOutcome, DfsConfig, Instance};
 use xsact_corpus::{fan_out, k_way_merge};
 use xsact_data::movies::{MovieGenConfig, MoviesGen};
 use xsact_entity::ResultFeatures;
@@ -63,7 +64,7 @@ pub const DEFAULT_TOP: usize = 4;
 #[derive(Debug)]
 struct CorpusDoc {
     id: DocId,
-    name: std::sync::Arc<str>,
+    name: Arc<str>,
     wb: Workbench,
 }
 
@@ -545,7 +546,7 @@ pub struct CorpusHit {
     /// Owning document.
     pub doc: DocId,
     /// The owning document's display name (shared, not per-hit allocated).
-    pub doc_name: std::sync::Arc<str>,
+    pub doc_name: Arc<str>,
     /// The result subtree inside that document.
     pub result: SearchResult,
     /// Dewey id of the result root — part of the merge's total order, and
@@ -742,14 +743,16 @@ impl<'a> CorpusQuery<'a> {
     }
 
     /// The features of the top-k hits, pulled from each hit's owning
-    /// workbench (cached). In a multi-document corpus every label is
-    /// qualified with its document name, so equally-named results from
-    /// different documents stay distinguishable table columns.
+    /// workbench (cached), as owned copies. In a multi-document corpus every
+    /// label is qualified with its document name, so equally-named results
+    /// from different documents stay distinguishable table columns.
     pub fn features(&self) -> XsactResult<Vec<ResultFeatures>> {
-        Ok(self.features_of(&self.top_hits()?))
+        let shared = self.features_of(&self.top_hits()?);
+        Ok(shared.iter().map(|rf| ResultFeatures::clone(rf)).collect())
     }
 
-    fn features_of(&self, hits: &[CorpusHit]) -> Vec<ResultFeatures> {
+    /// The hits' features as their workbenches' caches hold them.
+    fn features_of(&self, hits: &[CorpusHit]) -> Vec<Arc<ResultFeatures>> {
         let qualify = self.corpus.len() > 1;
         hits.iter()
             .map(|h| {
@@ -758,7 +761,7 @@ impl<'a> CorpusQuery<'a> {
                 } else {
                     h.result.label.clone()
                 };
-                self.corpus.docs[h.doc.index()].wb.subtree_features(h.result.root, label)
+                self.corpus.docs[h.doc.index()].wb.shared_features(h.result.root, label)
             })
             .collect()
     }
@@ -781,12 +784,7 @@ impl<'a> CorpusQuery<'a> {
     /// Fans out, merges, and compares the global top-k — which may span
     /// several documents — into one comparison table.
     pub fn compare(&self, algorithm: Algorithm) -> XsactResult<CorpusOutcome> {
-        if !self.config.threshold_pct.is_finite() || self.config.threshold_pct < 0.0 {
-            return Err(XsactError::InvalidConfig(format!(
-                "differentiability threshold must be a non-negative percentage, got {}",
-                self.config.threshold_pct
-            )));
-        }
+        validate_config(&self.config)?;
         let hits = self.top_hits()?;
         if hits.len() < 2 {
             return Err(XsactError::NotEnoughResults {
@@ -794,15 +792,11 @@ impl<'a> CorpusQuery<'a> {
                 found: hits.len(),
             });
         }
-        let features = self.features_of(&hits);
-        let comparison = Comparison::new(&features)
-            .size_bound(self.config.size_bound)
-            .threshold(self.config.threshold_pct);
+        let instance = Arc::new(Instance::build(&self.features_of(&hits), self.config));
         let outcome = match algorithm {
-            Algorithm::Exhaustive { limit } => comparison
-                .run_exhaustive(limit)
+            Algorithm::Exhaustive { limit } => Comparison::run_exhaustive_on(&instance, limit)
                 .ok_or(XsactError::ExhaustiveLimitExceeded { limit })?,
-            _ => comparison.run(algorithm),
+            _ => Comparison::run_on(&instance, algorithm),
         };
         Ok(CorpusOutcome { hits, comparison: outcome })
     }

@@ -68,6 +68,8 @@
 //! in the [`serve`] facade module — a long-lived [`CorpusServer`] whose
 //! batching and pooling never change result bytes.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod error;
 pub mod serve;
@@ -76,7 +78,7 @@ pub mod workbench;
 pub use corpus::{save_index_atomic, Corpus, CorpusHit, CorpusOutcome, CorpusQuery, CorpusRanking};
 pub use error::{XsactError, XsactResult};
 pub use serve::{CorpusServer, QueryAnswer, ServeConfig, ServeSession};
-pub use workbench::{CacheStats, QueryPipeline, Workbench};
+pub use workbench::{validate_config, CacheStats, QueryPipeline, Workbench};
 
 pub use xsact_core as core;
 pub use xsact_data as data;

@@ -37,7 +37,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 use xsact_core::{Algorithm, Comparison, ComparisonOutcome, DfsConfig, Instance};
 use xsact_entity::ResultFeatures;
 use xsact_index::slca::MAX_KEYWORDS;
@@ -75,14 +75,16 @@ type FeatureKey = (NodeId, String);
 /// the lock) so a hit only ever takes the shard's *read* lock.
 #[derive(Debug, Default)]
 struct CacheShard {
-    map: RwLock<HashMap<FeatureKey, ResultFeatures>>,
+    map: RwLock<HashMap<FeatureKey, Arc<ResultFeatures>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// The sharded, thread-safe feature cache. Every lookup increments exactly
-/// one of `hits`/`misses` with an atomic add, so the aggregated counters
-/// never lose updates under concurrency and
+/// The sharded, thread-safe feature cache. An entry is the extractor's
+/// output behind an `Arc`: a lookup hands out the pointer, never a copy, and
+/// whoever holds it keeps the features alive past a `clear`. Every lookup
+/// increments exactly one of `hits`/`misses` with an atomic add, so the
+/// aggregated counters never lose updates under concurrency and
 /// `stats().lookups()` always equals the number of `get_or_extract` calls.
 #[derive(Debug)]
 struct FeatureCache {
@@ -104,21 +106,21 @@ impl FeatureCache {
         &self,
         key: FeatureKey,
         extract: impl FnOnce(&FeatureKey) -> ResultFeatures,
-    ) -> ResultFeatures {
+    ) -> Arc<ResultFeatures> {
         let shard = self.shard_of(&key);
         if let Some(cached) = shard.map.read().expect("cache lock poisoned").get(&key) {
             shard.hits.fetch_add(1, Ordering::Relaxed);
-            return cached.clone();
+            return Arc::clone(cached);
         }
         shard.misses.fetch_add(1, Ordering::Relaxed);
         // Extract outside the lock: extraction walks the whole result
         // subtree, and holding the write lock across it would serialise
         // every concurrent miss. Two racing misses may both extract; the
-        // result is identical (extraction is deterministic), so whichever
-        // insert lands second is a no-op.
-        let rf = extract(&key);
-        shard.map.write().expect("cache lock poisoned").entry(key).or_insert_with(|| rf.clone());
-        rf
+        // result is identical (extraction is deterministic), and both get
+        // whichever allocation reached the map first.
+        let extracted = Arc::new(extract(&key));
+        let mut map = shard.map.write().expect("cache lock poisoned");
+        Arc::clone(map.entry(key).or_insert(extracted))
     }
 
     fn stats(&self) -> CacheStats {
@@ -391,7 +393,14 @@ impl Workbench {
     /// above the engine's master entity (e.g. comparing *brands* while the
     /// engine returns *products*).
     pub fn subtree_features(&self, root: NodeId, label: impl Into<String>) -> ResultFeatures {
-        self.features.get_or_extract((root, label.into()), |key| {
+        ResultFeatures::clone(&self.shared_features(root, label.into()))
+    }
+
+    /// [`subtree_features`](Self::subtree_features) without the copy: the
+    /// cached allocation itself, which is what the comparison terminals
+    /// build their [`Instance`] from.
+    pub(crate) fn shared_features(&self, root: NodeId, label: String) -> Arc<ResultFeatures> {
+        self.features.get_or_extract((root, label), |key| {
             xsact_entity::extract_features(
                 self.engine.document(),
                 self.engine.summary(),
@@ -486,9 +495,10 @@ pub struct QueryPipeline<'a> {
     /// The preprocessed comparison instance (interning + differentiability
     /// bit matrix) over the selected result features, built once per
     /// pipeline configuration so comparing the same result set with
-    /// several algorithms pays preprocessing once. Reset by every builder
-    /// method that changes the selection or the DFS config.
-    instance_memo: OnceCell<Instance>,
+    /// several algorithms pays preprocessing once — and shared by pointer
+    /// with every outcome computed on it. Reset by every builder method
+    /// that changes the selection or the DFS config.
+    instance_memo: OnceCell<Arc<Instance>>,
     /// Executor counters summed over the searches this pipeline has run
     /// (`None` until a terminal executes one).
     exec_stats: Cell<Option<ExecutorStats>>,
@@ -688,38 +698,50 @@ impl<'a> QueryPipeline<'a> {
     }
 
     /// Extracts (or recalls from the workbench cache) the features of the
-    /// selected results. Fails with [`XsactError::NoResults`] when the
-    /// query matched nothing.
+    /// selected results, as owned copies. Fails with
+    /// [`XsactError::NoResults`] when the query matched nothing, and with
+    /// [`XsactError::InvalidConfig`] for a `take(0)` selection.
     pub fn features(&self) -> XsactResult<Vec<ResultFeatures>> {
+        Ok(self.compared()?.iter().map(|r| self.wb.features_for(r)).collect())
+    }
+
+    /// The selection as the comparison terminals take it: never empty.
+    fn compared(&self) -> XsactResult<Vec<SearchResult>> {
+        if self.select.is_empty() && self.take == Some(0) {
+            return Err(XsactError::InvalidConfig(
+                "take(0) selects no results; a comparison needs at least two".into(),
+            ));
+        }
         let selected = self.selection()?;
         if selected.is_empty() {
             return Err(XsactError::NoResults { query: self.query_text() });
         }
-        Ok(selected.iter().map(|r| self.wb.features_for(r)).collect())
+        Ok(selected)
     }
 
     /// The preprocessed comparison instance over the selected results —
     /// interning plus the differentiability bit matrix — built once per
-    /// pipeline configuration and shared by every
-    /// [`compare`](Self::compare) call, so comparing the same result set
-    /// with several algorithms pays preprocessing once.
-    pub fn instance(&self) -> XsactResult<&Instance> {
+    /// pipeline configuration, straight from the cached features, and
+    /// shared by every [`compare`](Self::compare) call, so comparing the
+    /// same result set with several algorithms pays preprocessing once.
+    pub fn instance(&self) -> XsactResult<&Arc<Instance>> {
         if let Some(inst) = self.instance_memo.get() {
             return Ok(inst);
         }
-        self.validate_config()?;
-        let features = self.features()?;
+        validate_config(&self.config)?;
+        // The cache's own allocations: the instance reads them in place.
+        let features: Vec<Arc<ResultFeatures>> = self
+            .compared()?
+            .into_iter()
+            .map(|r| self.wb.shared_features(r.root, r.label))
+            .collect();
         if features.len() < 2 {
             return Err(XsactError::NotEnoughResults {
                 query: self.query_text(),
                 found: features.len(),
             });
         }
-        let comparison = Comparison::new(&features)
-            .size_bound(self.config.size_bound)
-            .threshold(self.config.threshold_pct);
-        let _ = self.instance_memo.set(comparison.instance());
-        Ok(self.instance_memo.get().expect("just set"))
+        Ok(self.instance_memo.get_or_init(|| Arc::new(Instance::build(&features, self.config))))
     }
 
     /// Generates Differentiation Feature Sets for the selected results with
@@ -727,7 +749,8 @@ impl<'a> QueryPipeline<'a> {
     /// (DoD, table, per-result selections, timings). The preprocessed
     /// instance is memoized per pipeline (see [`instance`](Self::instance)),
     /// so only the first `compare` on a pipeline pays interning and the
-    /// differentiability matrix.
+    /// differentiability matrix, and every outcome points at that one
+    /// instance.
     pub fn compare(&self, algorithm: Algorithm) -> XsactResult<ComparisonOutcome> {
         let instance = self.instance()?;
         match algorithm {
@@ -736,16 +759,26 @@ impl<'a> QueryPipeline<'a> {
             _ => Ok(Comparison::run_on(instance, algorithm)),
         }
     }
+}
 
-    fn validate_config(&self) -> XsactResult<()> {
-        if !self.config.threshold_pct.is_finite() || self.config.threshold_pct < 0.0 {
-            return Err(XsactError::InvalidConfig(format!(
-                "differentiability threshold must be a non-negative percentage, got {}",
-                self.config.threshold_pct
-            )));
-        }
-        Ok(())
+/// Checks the DFS parameters of a comparison — the one validation behind
+/// [`QueryPipeline::compare`] and [`crate::CorpusQuery::compare`]: the
+/// threshold `x` must be a finite, non-negative percentage, and the size
+/// bound `L` at least 1 (a bound of 0 admits only empty DFSs, so every
+/// algorithm would "succeed" with a header-only table).
+pub fn validate_config(config: &DfsConfig) -> XsactResult<()> {
+    if !config.threshold_pct.is_finite() || config.threshold_pct < 0.0 {
+        return Err(XsactError::InvalidConfig(format!(
+            "differentiability threshold must be a non-negative percentage, got {}",
+            config.threshold_pct
+        )));
     }
+    if config.size_bound == 0 {
+        return Err(XsactError::InvalidConfig(
+            "size bound must be at least 1 feature per DFS, got 0".into(),
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -877,7 +910,8 @@ mod tests {
         assert_eq!(first, again, "instance rebuilt within one pipeline");
         let multi = pipeline.compare(Algorithm::MultiSwap).unwrap();
         let single = pipeline.compare(Algorithm::SingleSwap).unwrap();
-        assert_eq!(multi.instance.type_count(), single.instance.type_count());
+        assert!(Arc::ptr_eq(&multi.instance, &single.instance), "an outcome copied the instance");
+        assert!(Arc::ptr_eq(&multi.instance, pipeline.instance().unwrap()));
         assert!(multi.dod() >= single.dod());
         // Reconfiguring the DFS parameters resets the memo: the new bound
         // must be visible in the rebuilt instance.
@@ -885,6 +919,36 @@ mod tests {
         assert_eq!(rebound.instance().unwrap().config.size_bound, 3);
         let outcome = rebound.compare(Algorithm::MultiSwap).unwrap();
         assert!(outcome.dfs_size(0) <= 3);
+    }
+
+    #[test]
+    fn a_hit_hands_out_the_cached_allocation() {
+        let wb = wb();
+        let results = wb.query(fixtures::PAPER_QUERY).unwrap().results();
+        let cached = |wb: &Workbench| -> Vec<Arc<ResultFeatures>> {
+            results.iter().map(|r| wb.shared_features(r.root, r.label.clone())).collect()
+        };
+        // Two compare calls on fresh pipelines: the second is all hits, and
+        // what it was handed is what the first one put there.
+        wb.query(fixtures::PAPER_QUERY).unwrap().compare(Algorithm::MultiSwap).unwrap();
+        let after_first = cached(&wb);
+        wb.query(fixtures::PAPER_QUERY).unwrap().compare(Algorithm::Snippet).unwrap();
+        let after_second = cached(&wb);
+        assert_eq!(wb.cache_stats().misses, 2, "one extraction per result, ever");
+        for (a, b) in after_first.iter().zip(&after_second) {
+            assert!(Arc::ptr_eq(a, b), "a hit copied the features of {}", a.label);
+            // The cache, `after_first` and `after_second`: nobody else
+            // kept (or deep-copied into) a reference of their own.
+            assert_eq!(Arc::strong_count(a), 3);
+            assert_eq!(a.stats.capacity(), a.stats.len());
+            assert!(a.stats.iter().all(|s| s.values.capacity() == s.values.len()));
+        }
+        // The public accessors still return owned copies.
+        assert_eq!(wb.features_for(&results[0]), *after_first[0]);
+        // A clear drops the cache's reference, not the one a caller holds.
+        wb.clear_cache();
+        assert_eq!(Arc::strong_count(&after_first[0]), 2);
+        assert!(!Arc::ptr_eq(&cached(&wb)[0], &after_first[0]), "re-extracted after a clear");
     }
 
     #[test]

@@ -147,6 +147,50 @@ fn zero_size_bound_yields_empty_dfss() {
     }
 }
 
+/// The layer function above tolerates `L = 0`; the facade does not: a
+/// bound that admits only empty DFSs, and a `take(0)` that selects nothing,
+/// are configuration mistakes, not comparisons that "succeed" with DoD 0 or
+/// queries that "matched no results".
+#[test]
+fn zero_caps_are_invalid_config_through_facade_and_corpus() {
+    let invalid = |err: XsactError, needle: &str| {
+        assert!(matches!(err, XsactError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains(needle), "{err}");
+    };
+    let wb = figure1_like_workbench();
+    for algo in Algorithm::ALL.into_iter().chain([Algorithm::Exhaustive { limit: 1_000 }]) {
+        let err = wb.query("gps").unwrap().size_bound(0).compare(algo).unwrap_err();
+        invalid(err, "size bound");
+    }
+    invalid(wb.query("gps").unwrap().size_bound(0).instance().unwrap_err(), "size bound");
+    // The query matches two products; saying it matched nothing is false.
+    assert_eq!(wb.query("gps").unwrap().results().len(), 2);
+    for ranked in [false, true] {
+        let zero = wb.query("gps").unwrap().ranked(ranked).take(0);
+        invalid(zero.features().unwrap_err(), "take(0)");
+        invalid(zero.compare(Algorithm::MultiSwap).unwrap_err(), "take(0)");
+        assert!(zero.selection().unwrap().is_empty(), "selecting nothing is not itself an error");
+    }
+    // An explicit selection takes precedence over `take`, as documented.
+    let outcome = wb.query("gps").unwrap().take(0).select([1, 2]).compare(Algorithm::MultiSwap);
+    assert_eq!(outcome.unwrap().labels().len(), 2);
+    // A bound of 1 is the smallest valid one.
+    assert!(wb.query("gps").unwrap().size_bound(1).compare(Algorithm::MultiSwap).is_ok());
+
+    let corpus = Corpus::synthetic_movies(2, 24, 11);
+    let query = corpus.query("drama").unwrap();
+    invalid(query.clone().size_bound(0).compare(Algorithm::MultiSwap).unwrap_err(), "size bound");
+    invalid(
+        query.clone().threshold(f64::NAN).compare(Algorithm::Snippet).unwrap_err(),
+        "threshold",
+    );
+    assert!(query.size_bound(1).compare(Algorithm::MultiSwap).is_ok());
+    // Facade, corpus and CLI share the one check.
+    let zero = DfsConfig { size_bound: 0, ..DfsConfig::default() };
+    invalid(xsact::validate_config(&zero).unwrap_err(), "size bound");
+    assert!(xsact::validate_config(&DfsConfig::default()).is_ok());
+}
+
 #[test]
 fn results_with_disjoint_types_cannot_differentiate() {
     let a = ResultFeatures::from_raw(

@@ -28,16 +28,17 @@
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
+use std::collections::HashMap;
 use xsact_core::{
     dod_total, is_multi_swap_optimal, is_single_swap_optimal, run_algorithm, Algorithm, Comparison,
     DfsConfig, Instance,
 };
-use xsact_entity::{FeatureType, ResultFeatures};
+use xsact_entity::{extract_features, FeatureType, NodeClass, ResultFeatures, StructureSummary};
 use xsact_index::{
     rank_results, rank_top_k, slca_full_scan, slca_indexed_lookup, InvertedIndex, PlanFragments,
     Query, QueryPlan, ResultSemantics, SearchEngine,
 };
-use xsact_xml::{parse_document, writer, Document, NodeId};
+use xsact_xml::{parse_document, writer, Document, NodeId, Sym};
 
 // ---------------------------------------------------------------- XML layer
 
@@ -812,6 +813,262 @@ fn simd_range_count_matches_scalar_on_random_values() {
                 "seed {seed} len {len} range [{l}, {h})"
             );
         }
+    }
+}
+
+// ------------------------------------------ feature extraction vs oracle
+//
+// The library's extractor is one walk keyed by `(owner path, leaf path,
+// attribute name)` with values borrowed from the document. The two-pass
+// extractor it replaced — find the instances, then walk each one carrying
+// its attribute path as a `Vec` of segments, aggregate in nested hash maps
+// — lives on here, as the oracle the whole `ResultFeatures` is pinned to.
+
+/// One segment of an attribute path in the oracle's walk.
+#[derive(Debug, Clone, Copy)]
+enum Seg {
+    /// A child element step (`pros`).
+    Tag(Sym),
+    /// An XML attribute on the instance itself (`@sku`).
+    RootAttr(Sym),
+    /// An XML attribute on a nested element (`best_use@lang`).
+    TagAttr(Sym, Sym),
+}
+
+fn render_segs(doc: &Document, segs: &[Seg]) -> String {
+    let name = |sym: Sym| doc.interner().resolve(sym);
+    let rendered: Vec<String> = segs
+        .iter()
+        .map(|seg| match *seg {
+            Seg::Tag(tag) => name(tag).to_owned(),
+            Seg::RootAttr(attr) => format!("@{}", name(attr)),
+            Seg::TagAttr(tag, attr) => format!("{}@{}", name(tag), name(attr)),
+        })
+        .collect();
+    rendered.join(":")
+}
+
+/// The path string of an instance: its own for elements, the nearest
+/// ancestor element's for text runs.
+fn oracle_instance_entity(doc: &Document, summary: &StructureSummary, node: NodeId) -> String {
+    let mut cur = Some(node);
+    while let Some(n) = cur {
+        if let Some(path) = summary.path_id_of(n) {
+            return summary.path_display(path).to_owned();
+        }
+        cur = doc.parent(n);
+    }
+    unreachable!("every node lies below the root element")
+}
+
+/// The two-pass extractor, as the library had it before the one-walk
+/// rewrite: same instance rule, same stop at nested entities, same
+/// normalisation, aggregation by rendered strings.
+fn oracle_features(
+    doc: &Document,
+    summary: &StructureSummary,
+    root: NodeId,
+    label: &str,
+) -> ResultFeatures {
+    let instances: Vec<NodeId> = doc
+        .descendants(root)
+        .filter(|&node| {
+            node == root
+                || (doc.is_element(node) && summary.class_of(doc, node) == NodeClass::Entity)
+        })
+        .collect();
+    let mut entity_instances: HashMap<String, u32> = HashMap::new();
+    let mut triplets: Vec<(FeatureType, String, u32)> = Vec::new();
+    for &instance in &instances {
+        let entity = oracle_instance_entity(doc, summary, instance);
+        *entity_instances.entry(entity.clone()).or_insert(0) += 1;
+        let mut record = |segs: &[Seg], value: &str| {
+            let ty = FeatureType::new(entity.as_str(), render_segs(doc, segs));
+            triplets.push((ty, value.to_owned(), 1));
+        };
+        let mut stack: Vec<(NodeId, Vec<Seg>)> = vec![(instance, Vec::new())];
+        while let Some((node, attr_path)) = stack.pop() {
+            for (name, value) in doc.attrs_syms(node) {
+                let mut segs = attr_path.clone();
+                let leaf_seg = match segs.pop() {
+                    Some(Seg::Tag(tag)) => Seg::TagAttr(tag, name),
+                    Some(other) => unreachable!("attr path ends in a tag segment, got {other:?}"),
+                    None => Seg::RootAttr(name),
+                };
+                segs.push(leaf_seg);
+                record(&segs, value);
+            }
+            if doc.is_leaf_element(node) && node != instance {
+                let text = doc.text_content(node).split_whitespace().collect::<Vec<_>>().join(" ");
+                if !text.is_empty() {
+                    record(&attr_path, &text);
+                }
+                continue;
+            }
+            for child in doc.child_elements(node) {
+                if summary.class_of(doc, child) == NodeClass::Entity {
+                    continue;
+                }
+                let mut child_path = attr_path.clone();
+                child_path.push(Seg::Tag(doc.tag_sym(child).expect("element child")));
+                stack.push((child, child_path));
+            }
+        }
+    }
+    ResultFeatures::from_raw(label, entity_instances, triplets)
+}
+
+/// Tags of the feature trees. `k:v` is one legal XML name that renders like
+/// the path `k` → `v`, so two distinct paths can meet in one feature type.
+const FEATURE_TAGS: [&str; 8] = ["item", "group", "name", "note", "kind", "k", "v", "k:v"];
+const FEATURE_ATTRS: [&str; 3] = ["id", "lang", "k"];
+/// Clean, padded, multi-space, whitespace-only, empty, tabbed, no-break
+/// space (Unicode whitespace that is not `' '`) and non-ASCII values.
+const FEATURE_VALUES: [&str; 12] = [
+    "yes",
+    "no",
+    "4.2",
+    " 4.2\n ",
+    "a b",
+    "a  b",
+    "   ",
+    "",
+    "tab\tsep",
+    "a\u{a0}b",
+    "caf\u{e9}",
+    "\u{ff59}\u{ff45}\u{ff53}",
+];
+
+fn pick<'a>(rng: &mut StdRng, pool: &[&'a str]) -> &'a str {
+    pool[rng.random_range(0..pool.len())]
+}
+
+/// Adds one element under `parent`: sometimes with XML attributes; a leaf
+/// with zero, one or several text runs, or an internal node whose children
+/// may be interleaved with text (mixed content).
+fn add_feature_element(doc: &mut Document, rng: &mut StdRng, parent: NodeId, depth: usize) {
+    let mut attrs: Vec<(String, String)> = Vec::new();
+    for name in FEATURE_ATTRS {
+        if rng.random_bool(0.2) {
+            attrs.push((name.to_owned(), pick(rng, &FEATURE_VALUES).to_owned()));
+        }
+    }
+    let el = doc.add_element_with_attrs(parent, pick(rng, &FEATURE_TAGS), attrs);
+    if depth == 0 || rng.random_bool(0.45) {
+        for _ in 0..[0, 1, 1, 1, 2, 3][rng.random_range(0..6usize)] {
+            doc.add_text(el, pick(rng, &FEATURE_VALUES));
+        }
+        return;
+    }
+    for _ in 0..rng.random_range(1..5usize) {
+        if rng.random_bool(0.15) {
+            doc.add_text(el, pick(rng, &FEATURE_VALUES));
+        }
+        add_feature_element(doc, rng, el, depth - 1);
+    }
+}
+
+/// A random tree for the extractor; with `late`, subtrees are then appended
+/// behind closed ones — the root's first child for a start — so ids stop
+/// being preorder ranks.
+fn feature_document(rng: &mut StdRng, late: bool) -> Document {
+    let mut doc = Document::new("shop");
+    let root = doc.root();
+    for _ in 0..rng.random_range(2..5usize) {
+        add_feature_element(&mut doc, rng, root, 3);
+    }
+    if late {
+        let first = doc.children(root)[0];
+        add_feature_element(&mut doc, rng, first, 1);
+        for _ in 0..rng.random_range(0..5usize) {
+            let elements: Vec<NodeId> = doc.all_nodes().filter(|&n| doc.is_element(n)).collect();
+            let behind = elements[rng.random_range(0..elements.len())];
+            add_feature_element(&mut doc, rng, behind, 1);
+        }
+    }
+    doc
+}
+
+/// Extractor ≡ oracle on every node of `doc` as a result root — elements of
+/// every class and text runs alike: label, stats order, values order,
+/// counts and `instances_of`.
+fn assert_extractor_matches_oracle(doc: &Document, what: &str) {
+    let summary = StructureSummary::infer(doc);
+    for root in doc.all_nodes() {
+        let got = extract_features(doc, &summary, root, "r");
+        let want = oracle_features(doc, &summary, root, "r");
+        assert_eq!(got, want, "{what}, root {}", doc.dewey(root));
+        for stat in &got.stats {
+            assert_eq!(got.instances_of(&stat.ty.entity), stat.entity_instances, "{what}");
+        }
+    }
+}
+
+#[test]
+fn one_walk_extractor_matches_the_two_pass_oracle_on_random_trees() {
+    let (mut leaf_entities, mut plain_roots, mut text_roots, mut multi_run_leaves) = (0, 0, 0, 0);
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ordered = feature_document(&mut rng, false);
+        assert!(ordered.is_preorder(), "seed {seed}");
+        assert_extractor_matches_oracle(&ordered, &format!("seed {seed}, in order"));
+        let late = feature_document(&mut rng, true);
+        assert!(!late.is_preorder(), "seed {seed}: appending behind a subtree breaks preorder");
+        assert_extractor_matches_oracle(&late, &format!("seed {seed}, out of order"));
+
+        // The generator must keep producing the shapes this test is for.
+        let summary = StructureSummary::infer(&ordered);
+        for node in ordered.all_nodes() {
+            let entity = summary.class_of(&ordered, node) == NodeClass::Entity;
+            text_roots += usize::from(!ordered.is_element(node));
+            plain_roots += usize::from(ordered.is_element(node) && !entity);
+            leaf_entities += usize::from(entity && ordered.is_leaf_element(node));
+            multi_run_leaves +=
+                usize::from(ordered.is_leaf_element(node) && ordered.children(node).len() > 1);
+        }
+    }
+    assert!(leaf_entities > 0 && plain_roots > 0 && text_roots > 0 && multi_run_leaves > 0);
+}
+
+#[test]
+fn one_walk_extractor_matches_the_two_pass_oracle_on_every_dataset_node() {
+    use xsact_data::{fixtures, JobsGen, MoviesGen, OutdoorGen, ReviewsGen};
+    let datasets = [
+        ("figure1", fixtures::figure1_document()),
+        ("movies", MoviesGen::default_gen().generate()),
+        ("reviews", ReviewsGen::default_gen().generate()),
+        ("outdoor", OutdoorGen::default_gen().generate()),
+        ("jobs", JobsGen::default_gen().generate()),
+    ];
+    for (name, doc) in &datasets {
+        assert_extractor_matches_oracle(doc, name);
+    }
+}
+
+/// `<k:v>` is one element, `<k><v>` two, and both render as `k:v`: the two
+/// paths are one feature type, as they were for the oracle, on either side
+/// of a nested entity boundary.
+#[test]
+fn paths_that_render_alike_are_one_feature_type() {
+    let doc = parse_document(
+        "<shop>\
+           <item><k:v>yes</k:v><k><v lang='en'>no</v></k>\
+             <group><k:v>no</k:v><k><v>no</v></k><k:v>yes</k:v><name>g</name></group>\
+             <group><k:v>yes</k:v></group></item>\
+           <item><k:v>no</k:v></item>\
+         </shop>",
+    )
+    .unwrap();
+    assert_extractor_matches_oracle(&doc, "colliding names");
+    let summary = StructureSummary::infer(&doc);
+    let item = doc.child_by_tag(doc.root(), "item").unwrap();
+    let rf = extract_features(&doc, &summary, item, "i");
+    let of_item = rf.get(&FeatureType::new("shop/item", "k:v")).expect("one merged type");
+    assert_eq!((of_item.occurrences, of_item.values.len()), (2, 2));
+    let of_group = rf.get(&FeatureType::new("shop/item/group", "k:v")).expect("one merged type");
+    assert_eq!((of_group.occurrences, of_group.dominant().count), (4, 2));
+    for stat in [of_item, of_group] {
+        assert_eq!(rf.stats.iter().filter(|s| s.ty == stat.ty).count(), 1, "{:?}", stat.ty);
     }
 }
 

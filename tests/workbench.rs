@@ -3,6 +3,7 @@
 //! → feature extraction → DFS generation) with typed errors, and its
 //! feature cache must make repeated queries free of re-extraction.
 
+use std::sync::Arc;
 use xsact::prelude::*;
 use xsact_data::fixtures;
 use xsact_data::movies::{MovieGenConfig, MoviesGen};
@@ -69,6 +70,30 @@ fn feature_cache_returns_identical_features_across_queries() {
     let third = wb.query("TomTom").unwrap().features().unwrap();
     assert!(third.iter().all(|rf| first.contains(rf)));
     assert_eq!(wb.cache_stats().misses, stats_after_first.misses);
+}
+
+#[test]
+fn outcomes_share_one_instance_and_outlive_the_cache() {
+    let wb = figure1_workbench();
+    let pipeline = wb.query(fixtures::PAPER_QUERY).unwrap().size_bound(fixtures::TABLE_BOUND);
+    let multi = pipeline.compare(Algorithm::MultiSwap).unwrap();
+    let snippet = pipeline.compare(Algorithm::Snippet).unwrap();
+    let oracle = pipeline.compare(Algorithm::Exhaustive { limit: 5_000_000 }).unwrap();
+    assert!(Arc::ptr_eq(&multi.instance, &snippet.instance));
+    assert!(Arc::ptr_eq(&multi.instance, &oracle.instance));
+    // A reconfigured pipeline builds its own.
+    let rebound = pipeline.clone().size_bound(3).compare(Algorithm::MultiSwap).unwrap();
+    assert!(!Arc::ptr_eq(&multi.instance, &rebound.instance));
+
+    // Dropping the cache and the pipeline takes nothing from an outcome.
+    let table = multi.table();
+    wb.clear_cache();
+    drop(pipeline);
+    assert_eq!(wb.cached_results(), 0);
+    assert_eq!(multi.table(), table);
+    assert_eq!(multi.dod(), 5);
+    assert_eq!(multi.labels().len(), 2);
+    assert!(multi.dod() <= multi.dod_upper_bound());
 }
 
 #[test]
