@@ -145,12 +145,12 @@ pub fn anneal_from(inst: &Instance, start: DfsSet, config: &AnnealingConfig) -> 
         // Apply the move; DfsSet::shrink/grow keep the selection bitmasks
         // in lock-step with the prefix vectors.
         if let Some(t) = removed {
-            let (e, _) = inst.results[i].rank_of[t].expect("removed type is ranked");
+            let (e, _) = inst.rank_of(i, t).expect("removed type is ranked");
             let ok = current.shrink(inst, i, e);
             debug_assert!(ok);
         }
         if let Some(t) = added {
-            let (e, _) = inst.results[i].rank_of[t].expect("added type is ranked");
+            let (e, _) = inst.rank_of(i, t).expect("added type is ranked");
             let ok = current.grow(inst, i, e);
             debug_assert!(ok);
         }

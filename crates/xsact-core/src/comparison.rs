@@ -236,7 +236,7 @@ impl ComparisonOutcome {
 
     /// Result labels, in column order.
     pub fn labels(&self) -> Vec<&str> {
-        self.instance.results.iter().map(|r| r.label.as_str()).collect()
+        self.instance.labels().collect()
     }
 
     /// The feature types selected for result `i`, grouped by entity in

@@ -34,11 +34,11 @@ impl Dfs {
     /// Builds a DFS from explicit prefix lengths, clamping each to the
     /// number of types the result actually has for that entity.
     pub fn from_prefixes(inst: &Instance, result: usize, prefixes: &[usize]) -> Self {
-        let ranked = &inst.results[result].ranked;
+        let entities = inst.entities.len();
         let prefix = prefixes
             .iter()
             .enumerate()
-            .map(|(e, &p)| p.min(ranked.get(e).map_or(0, Vec::len)))
+            .map(|(e, &p)| p.min(if e < entities { inst.ranked(result, e).len() } else { 0 }))
             .collect();
         Dfs { prefix }
     }
@@ -67,7 +67,7 @@ impl Dfs {
     /// Grows entity `e`'s prefix by one. Returns `false` (and changes
     /// nothing) when the result has no further type for that entity.
     pub fn grow(&mut self, inst: &Instance, result: usize, e: EntityIdx) -> bool {
-        if self.prefix[e] < inst.results[result].ranked[e].len() {
+        if self.prefix[e] < inst.ranked(result, e).len() {
             self.prefix[e] += 1;
             true
         } else {
@@ -87,7 +87,7 @@ impl Dfs {
 
     /// The type that `grow` on `e` would add, if any.
     pub fn next_type(&self, inst: &Instance, result: usize, e: EntityIdx) -> Option<TypeId> {
-        inst.results[result].ranked[e].get(self.prefix[e]).copied()
+        inst.ranked(result, e).get(self.prefix[e]).copied()
     }
 
     /// The type that `shrink` on `e` would remove, if any.
@@ -95,13 +95,13 @@ impl Dfs {
         if self.prefix[e] == 0 {
             None
         } else {
-            Some(inst.results[result].ranked[e][self.prefix[e] - 1])
+            Some(inst.ranked(result, e)[self.prefix[e] - 1])
         }
     }
 
     /// Whether a type is selected.
     pub fn contains(&self, inst: &Instance, result: usize, t: TypeId) -> bool {
-        match inst.results[result].rank_of[t] {
+        match inst.rank_of(result, t) {
             Some((e, pos)) => pos < self.prefix[e],
             None => false,
         }
@@ -110,10 +110,9 @@ impl Dfs {
     /// The selected types, grouped by entity, each group in significance
     /// order.
     pub fn selected_types(&self, inst: &Instance, result: usize) -> Vec<TypeId> {
-        let ranked = &inst.results[result].ranked;
         let mut out = Vec::with_capacity(self.size());
         for (e, &len) in self.prefix.iter().enumerate() {
-            out.extend_from_slice(&ranked[e][..len]);
+            out.extend_from_slice(&inst.ranked(result, e)[..len]);
         }
         out
     }
@@ -122,9 +121,8 @@ impl Dfs {
     /// order — the allocation-free form of
     /// [`selected_types`](Self::selected_types).
     pub fn for_each_selected(&self, inst: &Instance, result: usize, mut f: impl FnMut(TypeId)) {
-        let ranked = &inst.results[result].ranked;
         for (e, &len) in self.prefix.iter().enumerate() {
-            for &t in &ranked[e][..len] {
+            for &t in &inst.ranked(result, e)[..len] {
                 f(t);
             }
         }
@@ -145,11 +143,7 @@ impl Dfs {
     /// prefix length is within the result's ranked list.
     pub fn is_consistent(&self, inst: &Instance, result: usize) -> bool {
         self.prefix.len() == inst.entities.len()
-            && self
-                .prefix
-                .iter()
-                .enumerate()
-                .all(|(e, &p)| p <= inst.results[result].ranked[e].len())
+            && self.prefix.iter().enumerate().all(|(e, &p)| p <= inst.ranked(result, e).len())
     }
 }
 
@@ -251,12 +245,7 @@ impl DfsSet {
     fn rebuild_mask(&mut self, inst: &Instance, i: usize) {
         let row = &mut self.masks[i * self.words..][..self.words];
         row.fill(0);
-        let ranked = &inst.results[i].ranked;
-        for (e, &len) in self.dfss[i].prefixes().iter().enumerate() {
-            for &t in &ranked[e][..len] {
-                bits::set_bit(row, t);
-            }
-        }
+        self.dfss[i].for_each_selected(inst, i, |t| bits::set_bit(row, t));
     }
 
     /// Number of DFSs (= results).

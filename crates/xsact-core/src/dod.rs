@@ -249,7 +249,7 @@ mod tests {
         // Toggling each of r0's selected types off must change the total by
         // exactly toggle_delta.
         let before = dod_total(&inst, &set);
-        for (e, list) in inst.results[0].ranked.clone().iter().enumerate() {
+        for (e, list) in inst.ranked_lists(0).enumerate() {
             if list.is_empty() {
                 continue;
             }

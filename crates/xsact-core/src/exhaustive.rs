@@ -13,7 +13,7 @@ use crate::model::Instance;
 /// Enumerates all valid DFSs (per-entity prefix vectors with size ≤ L) of
 /// one result.
 pub fn enumerate_valid_dfss(inst: &Instance, result: usize) -> Vec<Dfs> {
-    let lens: Vec<usize> = inst.results[result].ranked.iter().map(Vec::len).collect();
+    let lens: Vec<usize> = inst.ranked_lists(result).map(<[_]>::len).collect();
     let bound = inst.config.size_bound;
     let mut out = Vec::new();
     let mut prefixes = vec![0usize; lens.len()];
@@ -46,17 +46,16 @@ fn enumerate_rec(
 
 /// Number of valid DFSs of one result — `enumerate_valid_dfss(..).len()`
 /// without materialising anything: a counting DP over (entity, budget),
-/// with the budget capped by the result's precomputed
-/// [`type_count`](crate::model::ResultData::type_count). `None` on `u64`
+/// with the budget capped by the result's own type count
+/// ([`Instance::type_count_of`]). `None` on `u64`
 /// overflow (the instance is certainly too large for brute force).
 pub fn count_valid_dfss(inst: &Instance, result: usize) -> Option<u64> {
-    let data = &inst.results[result];
-    let cap = inst.config.size_bound.min(data.type_count());
+    let cap = inst.config.size_bound.min(inst.type_count_of(result));
     // ways[c] = number of prefix vectors of total size exactly c over the
     // entities processed so far.
     let mut ways = vec![0u64; cap + 1];
     ways[0] = 1;
-    for list in &data.ranked {
+    for list in inst.ranked_lists(result) {
         let mut next = vec![0u64; cap + 1];
         for (c_prev, &w) in ways.iter().enumerate() {
             if w == 0 {

@@ -41,7 +41,7 @@ fn greedy_dfs_weighted(inst: &Instance, i: usize, weights: &[u32]) -> Dfs {
         let mut best: Option<((u32, u32, f64), usize)> = None;
         for e in 0..inst.entities.len() {
             let Some(t) = dfs.next_type(inst, i, e) else { continue };
-            let sig = inst.results[i].cells[t].as_ref().expect("ranked type has a cell").sig_ratio;
+            let sig = inst.sig_ratio(i, t);
             let key = (weights[t], potentials[t], sig);
             let better = match &best {
                 None => true,

@@ -24,7 +24,7 @@ use crate::model::{Instance, TypeId};
 /// Interestingness of result `i`'s cell for type `t`, in `[0, ~5]`.
 /// Zero when the result lacks the type or no other result carries it.
 pub fn type_interestingness(inst: &Instance, i: usize, t: TypeId) -> f64 {
-    let Some(cell) = inst.results[i].cells[t].as_ref() else {
+    let Some(cell) = inst.cell(i, t) else {
         return 0.0;
     };
     // Scan the other results carrying the type — one pass, no peer list.
@@ -35,7 +35,7 @@ pub fn type_interestingness(inst: &Instance, i: usize, t: TypeId) -> f64 {
         if j == i {
             continue;
         }
-        let Some(peer) = inst.results[j].cells[t].as_ref() else {
+        let Some(peer) = inst.cell(j, t) else {
             continue;
         };
         peers += 1;
@@ -104,8 +104,7 @@ pub fn interesting_set(inst: &Instance, lambda: f64) -> DfsSet {
             let mut best: Option<((u32, f64, f64), usize)> = None;
             for e in 0..inst.entities.len() {
                 let Some(t) = dfs.next_type(inst, i, e) else { continue };
-                let sig =
-                    inst.results[i].cells[t].as_ref().expect("ranked type has a cell").sig_ratio;
+                let sig = inst.sig_ratio(i, t);
                 let key = (weights[t], f64::from(potentials[t]) + lambda * interest[t], sig);
                 let better = match &best {
                     None => true,

@@ -17,18 +17,44 @@
 //!   on what the DFSs select,
 //! * per result and type, the display cell for the comparison table.
 //!
-//! The feature statistics are only read, through [`Borrow`]: a caller that
-//! caches them behind `Arc`s passes the `Arc`s, and nothing string-typed is
-//! copied on the way in except what the instance itself keeps (labels, the
-//! type table, one dominant value per cell). On the way out an instance is
-//! shared the same way — a [`crate::ComparisonOutcome`] holds an
+//! # How it is built
+//!
+//! The features arrive **prepared** (`xsact_entity::features`): every stat
+//! carries a content hash of its type, its single-value numeric parse and
+//! its values in `(hash, string)` order, so a build derives nothing from a
+//! string that depends on one result alone.
+//!
+//! 1. *Types.* One open-addressing probe per stat on the prepared hash
+//!    finds the distinct types; the `m` survivors are sorted by
+//!    `(entity, attribute)` once, and the entities are read off that sorted
+//!    run. A hash only routes the probe — a slot matches when the type
+//!    **strings** are equal — so the interned universe is the one a
+//!    string-keyed set would produce, whatever the hash function.
+//! 2. *Cells.* One flat `n × m` array of fixed-size cells holds, per
+//!    (result, type), what the matrix fill compares (numeric value, value
+//!    hash, ratios, a slice of one shared value arena) and what the table
+//!    shows; a result's ranked lists are runs of one flat array. Labels and
+//!    dominant values are copied into one text arena — the instance borrows
+//!    nothing, and allocates per array, not per result or per stat.
+//! 3. *Matrix.* The `O(n² · m)` fill walks two contiguous cell rows per
+//!    pair. Single-valued stats — nearly all of them — are decided from the
+//!    cells alone: both numeric → magnitude test; value hashes differ → two
+//!    one-sided values; hashes equal → confirm on the strings, compare the
+//!    ratios. Multi-valued stats merge-walk their prepared value lists.
+//!
+//! The feature statistics are only read, through [`Borrow`]: a slice of
+//! owned [`ResultFeatures`] and a slice of the `Arc`s a feature cache hands
+//! out build the same instance through the same code — features extracted
+//! from *different documents* included, which is why the routing key is a
+//! content hash and not a per-document id. On the way out an instance is
+//! shared by pointer: a [`crate::ComparisonOutcome`] holds an
 //! `Arc<Instance>`, so any number of runs over one result set point at one
 //! type table, one set of cells and one bit matrix.
 
 use crate::bits;
 use std::borrow::Borrow;
-use std::collections::BTreeSet;
-use xsact_entity::{FeatureStat, FeatureType, ResultFeatures};
+use std::cmp::Ordering;
+use xsact_entity::{FeatureStat, FeatureType, PreparedStat, ResultFeatures};
 
 /// Index of a feature type in [`Instance::types`].
 pub type TypeId = usize;
@@ -51,11 +77,12 @@ impl Default for DfsConfig {
     }
 }
 
-/// The table cell of one feature type within one result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellStat {
+/// The table cell of one feature type within one result, as
+/// [`Instance::cell`] hands it out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellStat<'a> {
     /// The dominant value of the type in this result.
-    pub value: String,
+    pub value: &'a str,
     /// Occurrence ratio of the dominant value (`count / entity_instances`).
     pub ratio: f64,
     /// Occurrence count of the dominant value.
@@ -67,32 +94,142 @@ pub struct CellStat {
     pub sig_ratio: f64,
 }
 
-/// Preprocessed view of one result.
-#[derive(Debug, Clone)]
-pub struct ResultData {
-    /// Display label.
-    pub label: String,
-    /// Per entity, the result's feature types in significance order.
-    pub ranked: Vec<Vec<TypeId>>,
-    /// Per type, the display cell (`None` when the result lacks the type).
-    pub cells: Vec<Option<CellStat>>,
-    /// Per type, its `(entity, rank)` position within this result.
-    pub rank_of: Vec<Option<(EntityIdx, usize)>>,
-    /// Precomputed number of present types (see [`ResultData::type_count`]).
-    type_count: usize,
+/// A run of the instance's text arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
 }
 
-impl ResultData {
-    /// Whether the result has the feature type at all.
-    pub fn has_type(&self, t: TypeId) -> bool {
-        self.cells[t].is_some()
+impl Span {
+    /// Appends `s` to `text` and returns where it went.
+    fn push(text: &mut String, s: &str) -> Span {
+        let start = u32::try_from(text.len()).expect("text arena below 4 GiB");
+        text.push_str(s);
+        Span { start, len: s.len() as u32 }
     }
 
-    /// Total number of feature types in this result (the paper's `m`).
-    /// Precomputed at [`Instance::build`]; the exhaustive oracle reads it
-    /// inside its combination-count estimate.
-    pub fn type_count(&self) -> usize {
-        self.type_count
+    fn bytes(self, text: &str) -> &[u8] {
+        &text.as_bytes()[self.start as usize..][..self.len as usize]
+    }
+
+    fn of(self, text: &str) -> &str {
+        &text[self.start as usize..][..self.len as usize]
+    }
+}
+
+/// One (result, type) slot of the flat `n × m` cell array: what the matrix
+/// fill compares and what the table shows, in one fixed-size record so a
+/// pair of results is two contiguous rows.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cell {
+    /// Number of distinct values of the stat; 0 marks a type the result
+    /// lacks.
+    value_count: u32,
+    /// Content hash of the stat's first prepared value — *the* value when
+    /// `value_count == 1`, the only case that reads it.
+    hash: u32,
+    /// The single finite numeric value, when there is one.
+    numeric: Option<f64>,
+    /// Instance count of the owning entity.
+    instances: u32,
+    /// Occurrence count of the dominant value.
+    count: u32,
+    /// `count / instances`.
+    ratio: f64,
+    /// `occurrences / instances`.
+    sig_ratio: f64,
+    /// The dominant value, in the text arena.
+    value: Span,
+    /// Where the stat's `value_count` values start in the value arena.
+    values_start: u32,
+    /// Position of the type in its entity's ranked list for this result.
+    rank: u32,
+}
+
+/// One value of one stat in the build's shared value arena; a stat's values
+/// are adjacent and ascend by `(hash, value)`.
+struct ValueRef<'a> {
+    hash: u32,
+    count: u32,
+    value: &'a str,
+}
+
+/// `count / instances`, 0 for an entity without instances (mirrors
+/// `FeatureStat::value_ratio`).
+#[inline]
+fn per_instance(count: u32, instances: u32) -> f64 {
+    if instances == 0 {
+        0.0
+    } else {
+        f64::from(count) / f64::from(instances)
+    }
+}
+
+impl Cell {
+    /// The cell of a prepared stat (rank still unset): its dominant value
+    /// goes to `text`, its values to `arena`.
+    fn of<'a>(stat: &PreparedStat<'a>, text: &mut String, arena: &mut Vec<ValueRef<'a>>) -> Cell {
+        let FeatureStat { values, occurrences, entity_instances: instances, .. } = stat.stat;
+        let dominant = stat.stat.dominant();
+        let values_start = arena.len();
+        arena.extend(stat.values().map(|(hash, vc)| ValueRef {
+            hash,
+            count: vc.count,
+            value: vc.value.as_str(),
+        }));
+        Cell {
+            value_count: values.len() as u32,
+            hash: arena[values_start].hash,
+            numeric: stat.numeric(),
+            instances: *instances,
+            count: dominant.count,
+            ratio: per_instance(dominant.count, *instances),
+            sig_ratio: per_instance(*occurrences, *instances),
+            value: Span::push(text, &dominant.value),
+            values_start: values_start as u32,
+            rank: 0,
+        }
+    }
+
+    fn values<'v, 'a>(&self, arena: &'v [ValueRef<'a>]) -> &'v [ValueRef<'a>] {
+        &arena[self.values_start as usize..][..self.value_count as usize]
+    }
+}
+
+/// The distinct feature types of a build, found by open addressing on the
+/// prepared type hash.
+struct TypeInterner<'a> {
+    /// Index into `found` plus one; 0 is an empty slot. At least twice as
+    /// many slots as stats, so a probe always ends.
+    slots: Vec<u32>,
+    /// The distinct types in first-seen order, with their hashes.
+    found: Vec<(u64, &'a FeatureType)>,
+}
+
+impl<'a> TypeInterner<'a> {
+    fn for_stats(stats: usize) -> Self {
+        TypeInterner { slots: vec![0; (2 * stats).next_power_of_two().max(2)], found: Vec::new() }
+    }
+
+    /// The first-seen index of `ty`. The hash picks where to look; only
+    /// string equality makes a match.
+    fn intern(&mut self, hash: u64, ty: &'a FeatureType) -> u32 {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                self.found.push((hash, ty));
+                self.slots[at] = self.found.len() as u32;
+                return self.found.len() as u32 - 1;
+            }
+            let (seen_hash, seen) = self.found[slot as usize - 1];
+            if seen_hash == hash && seen == ty {
+                return slot - 1;
+            }
+            at = (at + 1) & mask;
+        }
     }
 }
 
@@ -105,10 +242,20 @@ pub struct Instance {
     pub entities: Vec<String>,
     /// Entity of each type.
     pub entity_of: Vec<EntityIdx>,
-    /// The preprocessed results.
-    pub results: Vec<ResultData>,
     /// Configuration used to build the instance.
     pub config: DfsConfig,
+    /// Result labels, then every cell's dominant value.
+    text: String,
+    /// Per result, its label in `text`.
+    labels: Vec<Span>,
+    /// Flat `n × m`: the cell of result `i` and type `t` is `cells[i*m + t]`.
+    cells: Vec<Cell>,
+    /// Every result's types, grouped by entity, each group in significance
+    /// order; result `i`'s entity `e` is the run
+    /// `ranked_off[i*(E+1) + e] .. ranked_off[i*(E+1) + e + 1]`.
+    ranked: Vec<TypeId>,
+    /// Flat `n × (E + 1)` run boundaries into `ranked`.
+    ranked_off: Vec<u32>,
     /// Words per bitset row (`⌈type_count/64⌉`).
     words: usize,
     /// The differentiability matrix as a flat bit arena: row `(i, j)` is
@@ -122,126 +269,111 @@ pub struct Instance {
     pot: Vec<u32>,
 }
 
-/// Per-(result, type) comparison-ready view of a [`FeatureStat`], computed
-/// once per stat at build time so the `O(n² · m)` matrix fill never touches
-/// strings beyond the pre-sorted value lists.
-struct PreStat<'a> {
-    /// The single numeric value, when the type is single-valued numeric.
-    numeric: Option<f64>,
-    /// Instance count of the owning entity.
-    instances: u32,
-    /// `(value, count)` pairs sorted by value — merge-walk ready.
-    values: Vec<(&'a str, u32)>,
-}
-
-impl<'a> PreStat<'a> {
-    fn new(stat: &'a FeatureStat) -> Self {
-        let mut values: Vec<(&'a str, u32)> =
-            stat.values.iter().map(|vc| (vc.value.as_str(), vc.count)).collect();
-        values.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        PreStat { numeric: single_numeric(stat), instances: stat.entity_instances, values }
-    }
-
-    /// Occurrence ratio of a value count (mirrors
-    /// `FeatureStat::value_ratio` exactly, including the zero-instance
-    /// rule).
-    #[inline]
-    fn ratio(&self, count: u32) -> f64 {
-        if self.instances == 0 {
-            0.0
-        } else {
-            f64::from(count) / f64::from(self.instances)
-        }
-    }
-}
-
 impl Instance {
     /// Preprocesses a set of results for comparison.
     ///
     /// The results are only read: a slice of owned [`ResultFeatures`] and a
     /// slice of `Arc<ResultFeatures>` handed out by a feature cache build
-    /// the same instance, and neither is copied.
+    /// the same instance, and neither is retained.
     ///
     /// # Panics
     /// Panics if `results` is empty — there is nothing to compare.
     pub fn build<R: Borrow<ResultFeatures>>(results: &[R], config: DfsConfig) -> Self {
         assert!(!results.is_empty(), "cannot compare zero results");
+        let n = results.len();
+        let stat_count: usize = results.iter().map(|rf| rf.borrow().stats.len()).sum();
 
-        // Intern entities and types over the union of all results.
-        let mut entity_set: BTreeSet<&str> = BTreeSet::new();
-        let mut type_set: BTreeSet<&FeatureType> = BTreeSet::new();
+        // Distinct types, one probe per stat; `stat_types[k]` is the k-th
+        // stat's type — in first-seen numbering until the types are sorted.
+        let mut interner = TypeInterner::for_stats(stat_count);
+        let mut stat_types: Vec<u32> = Vec::with_capacity(stat_count);
         for rf in results.iter().map(Borrow::borrow) {
-            for stat in &rf.stats {
-                entity_set.insert(stat.ty.entity.as_str());
-                type_set.insert(&stat.ty);
+            stat_types
+                .extend(rf.prepared().map(|stat| interner.intern(stat.ty_hash(), &stat.stat.ty)));
+        }
+
+        // Sorted by (entity, attribute): the position is the `TypeId`, and
+        // the entities are the distinct heads of that one sorted run.
+        let mut sorted: Vec<(&FeatureType, usize)> =
+            interner.found.iter().enumerate().map(|(seen, &(_, ty))| (ty, seen)).collect();
+        sorted.sort_unstable();
+        let m = sorted.len();
+        let mut type_of: Vec<u32> = vec![0; m];
+        let mut types: Vec<FeatureType> = Vec::with_capacity(m);
+        let mut entities: Vec<String> = Vec::new();
+        let mut entity_of: Vec<EntityIdx> = Vec::with_capacity(m);
+        for (t, &(ty, seen)) in sorted.iter().enumerate() {
+            type_of[seen] = t as u32;
+            if entities.last() != Some(&ty.entity) {
+                entities.push(ty.entity.clone());
+            }
+            entity_of.push(entities.len() - 1);
+            types.push(ty.clone());
+        }
+        for ty in &mut stat_types {
+            *ty = type_of[*ty as usize];
+        }
+
+        // Run boundaries of the ranked lists: count each result's stats per
+        // entity, then accumulate over the whole array.
+        let stride = entities.len() + 1;
+        let mut ranked_off = vec![0u32; n * stride];
+        let mut types_of_stats = stat_types.iter().map(|&t| t as TypeId);
+        for (i, rf) in results.iter().enumerate() {
+            for t in types_of_stats.by_ref().take(rf.borrow().stats.len()) {
+                ranked_off[i * stride + entity_of[t] + 1] += 1;
             }
         }
-        let entities: Vec<String> = entity_set.into_iter().map(str::to_owned).collect();
-        let types: Vec<FeatureType> = type_set.into_iter().cloned().collect();
-        let entity_idx =
-            |path: &str| entities.binary_search_by(|e| e.as_str().cmp(path)).expect("interned");
-        let entity_of: Vec<EntityIdx> = types.iter().map(|t| entity_idx(&t.entity)).collect();
-        let type_idx = |ty: &FeatureType| types.binary_search(ty).expect("interned");
+        // (A result's first slot counted nothing: it starts where the
+        // previous result ends.)
+        let mut end = 0;
+        for off in &mut ranked_off {
+            end += *off;
+            *off = end;
+        }
 
-        // Per-result views, plus each result's stats indexed by interned
-        // `TypeId` (one binary search per stat here — the matrix fill below
-        // then never looks a type up by string again).
-        let mut pre_stats: Vec<Vec<Option<PreStat<'_>>>> = Vec::with_capacity(results.len());
-        let result_data: Vec<ResultData> = results
-            .iter()
-            .map(Borrow::borrow)
-            .map(|rf| {
-                let mut ranked: Vec<Vec<TypeId>> = vec![Vec::new(); entities.len()];
-                let mut cells: Vec<Option<CellStat>> = vec![None; types.len()];
-                let mut rank_of: Vec<Option<(EntityIdx, usize)>> = vec![None; types.len()];
-                let mut pre: Vec<Option<PreStat<'_>>> = (0..types.len()).map(|_| None).collect();
-                // `rf.stats` is already in significance order per entity.
-                for stat in &rf.stats {
-                    let t = type_idx(&stat.ty);
-                    let e = entity_idx(&stat.ty.entity);
-                    rank_of[t] = Some((e, ranked[e].len()));
-                    ranked[e].push(t);
-                    pre[t] = Some(PreStat::new(stat));
-                    let dom = stat.dominant();
-                    let instances = stat.entity_instances;
-                    let per_instance = |count: u32| {
-                        if instances == 0 {
-                            0.0
-                        } else {
-                            f64::from(count) / f64::from(instances)
-                        }
-                    };
-                    cells[t] = Some(CellStat {
-                        value: dom.value.clone(),
-                        ratio: per_instance(dom.count),
-                        count: dom.count,
-                        instances,
-                        sig_ratio: per_instance(stat.occurrences),
-                    });
-                }
-                let type_count = cells.iter().filter(|c| c.is_some()).count();
-                pre_stats.push(pre);
-                ResultData { label: rf.label.clone(), ranked, cells, rank_of, type_count }
-            })
-            .collect();
+        // Cells and ranked lists. `rf.stats` is in significance order per
+        // entity, so filling each entity's run front to back ranks it.
+        let label_bytes: usize = results.iter().map(|rf| rf.borrow().label.len()).sum();
+        let mut text = String::with_capacity(label_bytes + 12 * stat_count);
+        let mut labels: Vec<Span> = Vec::with_capacity(n);
+        let mut cells = vec![Cell::default(); n * m];
+        let mut ranked: Vec<TypeId> = vec![0; stat_count];
+        let mut arena: Vec<ValueRef<'_>> = Vec::with_capacity(2 * stat_count);
+        let mut next: Vec<u32> = Vec::with_capacity(stride);
+        let mut types_of_stats = stat_types.iter().map(|&t| t as TypeId);
+        for (i, rf) in results.iter().map(Borrow::borrow).enumerate() {
+            labels.push(Span::push(&mut text, &rf.label));
+            let runs = &ranked_off[i * stride..][..stride];
+            next.clear();
+            next.extend_from_slice(runs);
+            for (stat, t) in rf.prepared().zip(types_of_stats.by_ref()) {
+                let e = entity_of[t];
+                let mut cell = Cell::of(&stat, &mut text, &mut arena);
+                cell.rank = next[e] - runs[e];
+                ranked[next[e] as usize] = t;
+                next[e] += 1;
+                debug_assert_eq!(cells[i * m + t].value_count, 0, "a result lists a type once");
+                cells[i * m + t] = cell;
+            }
+        }
 
-        // Differentiability matrix: one flat bit arena, filled by dense
-        // iteration over the indexed stats.
-        let n = results.len();
-        let m = types.len();
+        // Differentiability matrix: per pair, two contiguous cell rows.
         let words = bits::words_for(m);
         let mut diff = vec![0u64; n * n * words];
         for i in 0..n {
             for j in (i + 1)..n {
-                for (t, slot) in pre_stats[i].iter().zip(&pre_stats[j]).enumerate() {
-                    let (Some(si), Some(sj)) = slot else {
-                        continue;
-                    };
-                    if pre_stats_differ(si, sj, config.threshold_pct) {
-                        bits::set_bit(&mut diff[(i * n + j) * words..][..words], t);
-                        bits::set_bit(&mut diff[(j * n + i) * words..][..words], t);
+                let row = (i * n + j) * words;
+                let pair = cells[i * m..][..m].iter().zip(&cells[j * m..][..m]);
+                for (t, (a, b)) in pair.enumerate() {
+                    if a.value_count != 0
+                        && b.value_count != 0
+                        && cells_differ(a, b, &text, &arena, config.threshold_pct)
+                    {
+                        bits::set_bit(&mut diff[row..][..words], t);
                     }
                 }
+                diff.copy_within(row..row + words, (j * n + i) * words);
             }
         }
 
@@ -258,17 +390,86 @@ impl Instance {
             }
         }
 
-        Instance { types, entities, entity_of, results: result_data, config, words, diff, pot }
+        Instance {
+            types,
+            entities,
+            entity_of,
+            config,
+            text,
+            labels,
+            cells,
+            ranked,
+            ranked_off,
+            words,
+            diff,
+            pot,
+        }
     }
 
     /// Number of results.
     pub fn result_count(&self) -> usize {
-        self.results.len()
+        self.labels.len()
     }
 
     /// Number of interned feature types.
     pub fn type_count(&self) -> usize {
         self.types.len()
+    }
+
+    /// The result labels, in column order.
+    pub fn labels(&self) -> impl Iterator<Item = &str> {
+        self.labels.iter().map(|label| label.of(&self.text))
+    }
+
+    /// Result `i`'s feature types of entity `e`, in significance order.
+    pub fn ranked(&self, i: usize, e: EntityIdx) -> &[TypeId] {
+        let runs = &self.ranked_off[i * (self.entities.len() + 1)..];
+        &self.ranked[runs[e] as usize..runs[e + 1] as usize]
+    }
+
+    /// Result `i`'s ranked lists, one per entity in [`Instance::entities`]
+    /// order.
+    pub fn ranked_lists(&self, i: usize) -> impl Iterator<Item = &[TypeId]> {
+        (0..self.entities.len()).map(move |e| self.ranked(i, e))
+    }
+
+    /// Total number of feature types result `i` has (the paper's `m`).
+    pub fn type_count_of(&self, i: usize) -> usize {
+        let runs = &self.ranked_off[i * (self.entities.len() + 1)..];
+        (runs[self.entities.len()] - runs[0]) as usize
+    }
+
+    /// Whether result `i` has the feature type at all.
+    pub fn has_type(&self, i: usize, t: TypeId) -> bool {
+        self.cells[i * self.types.len() + t].value_count != 0
+    }
+
+    /// The display cell of type `t` in result `i`; `None` when the result
+    /// lacks the type.
+    pub fn cell(&self, i: usize, t: TypeId) -> Option<CellStat<'_>> {
+        let cell = &self.cells[i * self.types.len() + t];
+        (cell.value_count != 0).then(|| CellStat {
+            value: cell.value.of(&self.text),
+            ratio: cell.ratio,
+            count: cell.count,
+            instances: cell.instances,
+            sig_ratio: cell.sig_ratio,
+        })
+    }
+
+    /// Significance ratio of type `t` in result `i` (`occurrences /
+    /// entity_instances`, the `sig_ratio` of its [`cell`](Self::cell)) —
+    /// what the greedy constructions rank candidates by, read without
+    /// assembling the cell. 0 when the result lacks the type.
+    pub fn sig_ratio(&self, i: usize, t: TypeId) -> f64 {
+        self.cells[i * self.types.len() + t].sig_ratio
+    }
+
+    /// The `(entity, rank)` position of type `t` within result `i`; `None`
+    /// when the result lacks the type.
+    pub fn rank_of(&self, i: usize, t: TypeId) -> Option<(EntityIdx, usize)> {
+        let cell = &self.cells[i * self.types.len() + t];
+        (cell.value_count != 0).then(|| (self.entity_of[t], cell.rank as usize))
     }
 
     /// Words per bitset row over the type universe (`⌈m/64⌉`) — the row
@@ -280,7 +481,7 @@ impl Instance {
     /// The differentiability row of result pair `(i, j)` as a word slice —
     /// bit `t` set iff the pair is differentiable in type `t`.
     pub fn diff_row(&self, i: usize, j: usize) -> &[u64] {
-        &self.diff[(i * self.results.len() + j) * self.words..][..self.words]
+        &self.diff[(i * self.labels.len() + j) * self.words..][..self.words]
     }
 
     /// Whether results `i` and `j` are differentiable in type `t`
@@ -312,53 +513,65 @@ impl Instance {
 /// A value present on one side and absent on the other always differentiates
 /// (the minimum ratio is 0, so any positive gap exceeds the threshold).
 ///
-/// **Numeric rule**: when both results carry a single numeric value for the
-/// type (ratings, prices, years), the *values themselves* are compared with
-/// the same `x%`-of-the-smaller test instead of the exact-value histograms.
-/// This matches the paper's worked example: the snippets of Figure 1 share
-/// `Product:Rating` with values 4.2 and 4.1, yet their DoD is 2 — only
-/// `Product:Name` and `Pro:Compact` count — so a 2.4% rating gap must *not*
-/// differentiate under the 10% threshold.
+/// **Numeric rule**: when both results carry a single **finite** numeric
+/// value for the type (ratings, prices, years), the *values themselves* are
+/// compared with the same `x%`-of-the-smaller test instead of the
+/// exact-value histograms. This matches the paper's worked example: the
+/// snippets of Figure 1 share `Product:Rating` with values 4.2 and 4.1, yet
+/// their DoD is 2 — only `Product:Name` and `Pro:Compact` count — so a 2.4%
+/// rating gap must *not* differentiate under the 10% threshold. Text that
+/// merely parses as a float — `Nan`, `inf`, `1e400` — is not a magnitude and
+/// stays categorical.
+///
+/// The test itself is the one [`Instance::build`] fills its matrix with;
+/// this wrapper prepares the two stats first.
 pub fn stats_differ(a: &FeatureStat, b: &FeatureStat, threshold_pct: f64) -> bool {
     debug_assert_eq!(a.ty, b.ty);
-    pre_stats_differ(&PreStat::new(a), &PreStat::new(b), threshold_pct)
+    let (mut text, mut arena) = (String::new(), Vec::new());
+    let a = Cell::of(&a.prepared(), &mut text, &mut arena);
+    let b = Cell::of(&b.prepared(), &mut text, &mut arena);
+    cells_differ(&a, &b, &text, &arena, threshold_pct)
 }
 
-/// [`stats_differ`] over prebuilt [`PreStat`]s: the numeric rule, then a
-/// merge-walk over the two value lists (pre-sorted by value) in place of the
-/// seed's per-pair `BTreeSet<&str>` union.
-fn pre_stats_differ(a: &PreStat<'_>, b: &PreStat<'_>, threshold_pct: f64) -> bool {
+/// The differentiability test over two present cells of one type.
+fn cells_differ(
+    a: &Cell,
+    b: &Cell,
+    text: &str,
+    arena: &[ValueRef<'_>],
+    threshold_pct: f64,
+) -> bool {
     if let (Some(na), Some(nb)) = (a.numeric, b.numeric) {
         return (na - nb).abs() > (threshold_pct / 100.0) * na.abs().min(nb.abs());
     }
-    let (mut i, mut j) = (0, 0);
-    while i < a.values.len() || j < b.values.len() {
-        let (pa, pb) = match (a.values.get(i), b.values.get(j)) {
-            (Some(&(va, ca)), Some(&(vb, cb))) => match va.cmp(vb) {
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                    (a.ratio(ca), b.ratio(cb))
-                }
-                std::cmp::Ordering::Less => {
-                    i += 1;
-                    (a.ratio(ca), 0.0)
-                }
-                std::cmp::Ordering::Greater => {
-                    j += 1;
-                    (0.0, b.ratio(cb))
-                }
-            },
-            (Some(&(_, ca)), None) => {
-                i += 1;
-                (a.ratio(ca), 0.0)
-            }
-            (None, Some(&(_, cb))) => {
-                j += 1;
-                (0.0, b.ratio(cb))
-            }
-            (None, None) => unreachable!("loop condition"),
+    if a.value_count == 1 && b.value_count == 1 {
+        // One value each: the same one (hash, then bytes), or two
+        // one-sided ones.
+        return if a.hash == b.hash && a.value.bytes(text) == b.value.bytes(text) {
+            ratios_differ(a.ratio, b.ratio, threshold_pct)
+        } else {
+            ratios_differ(a.ratio, 0.0, threshold_pct) || ratios_differ(0.0, b.ratio, threshold_pct)
         };
+    }
+    // Merge-walk the two value lists, both ascending by (hash, value):
+    // every value of the union is tested once.
+    let (va, vb) = (a.values(arena), b.values(arena));
+    let (mut i, mut j) = (0, 0);
+    while i < va.len() || j < vb.len() {
+        let side = match (va.get(i), vb.get(j)) {
+            (Some(x), Some(y)) => x.hash.cmp(&y.hash).then_with(|| x.value.cmp(y.value)),
+            (Some(_), None) => Ordering::Less,
+            (None, _) => Ordering::Greater,
+        };
+        let (mut pa, mut pb) = (0.0, 0.0);
+        if side != Ordering::Greater {
+            pa = per_instance(va[i].count, a.instances);
+            i += 1;
+        }
+        if side != Ordering::Less {
+            pb = per_instance(vb[j].count, b.instances);
+            j += 1;
+        }
         if ratios_differ(pa, pb, threshold_pct) {
             return true;
         }
@@ -369,15 +582,6 @@ fn pre_stats_differ(a: &PreStat<'_>, b: &PreStat<'_>, threshold_pct: f64) -> boo
 /// Threshold comparison of two occurrence ratios.
 pub fn ratios_differ(pa: f64, pb: f64, threshold_pct: f64) -> bool {
     (pa - pb).abs() > (threshold_pct / 100.0) * pa.min(pb)
-}
-
-/// The stat's value as a number, when the type is single-valued numeric.
-fn single_numeric(stat: &FeatureStat) -> Option<f64> {
-    if stat.values.len() == 1 {
-        stat.values[0].value.trim().parse::<f64>().ok()
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]
@@ -422,6 +626,12 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_is_one_cache_line() {
+        // The matrix fill reads two rows of these per result pair.
+        assert_eq!(std::mem::size_of::<Cell>(), 64);
+    }
+
+    #[test]
     fn interning_covers_union_of_types() {
         let inst = instance();
         assert_eq!(inst.result_count(), 2);
@@ -438,7 +648,7 @@ mod tests {
     fn ranked_lists_follow_significance() {
         let inst = instance();
         let review = inst.entities.iter().position(|e| e == "review").unwrap();
-        let ranked = &inst.results[0].ranked[review];
+        let ranked = inst.ranked(0, review);
         let attrs: Vec<&str> = ranked.iter().map(|&t| inst.types[t].attribute.as_str()).collect();
         assert_eq!(
             attrs,
@@ -449,31 +659,32 @@ mod tests {
     #[test]
     fn rank_of_inverts_ranked() {
         let inst = instance();
-        for r in &inst.results {
-            for (e, list) in r.ranked.iter().enumerate() {
+        for i in 0..inst.result_count() {
+            for (e, list) in inst.ranked_lists(i).enumerate() {
                 for (pos, &t) in list.iter().enumerate() {
-                    assert_eq!(r.rank_of[t], Some((e, pos)));
+                    assert_eq!(inst.rank_of(i, t), Some((e, pos)));
                 }
             }
         }
     }
 
     #[test]
-    fn type_count_is_precomputed_per_result() {
+    fn type_count_of_a_result_counts_its_ranked_types() {
         let inst = instance();
-        for r in &inst.results {
-            assert_eq!(r.type_count(), r.rank_of.iter().filter(|x| x.is_some()).count());
-            assert_eq!(r.type_count(), r.ranked.iter().map(Vec::len).sum::<usize>());
+        for i in 0..inst.result_count() {
+            let present = (0..inst.type_count()).filter(|&t| inst.has_type(i, t)).count();
+            assert_eq!(inst.type_count_of(i), present);
+            assert_eq!(inst.type_count_of(i), inst.ranked_lists(i).map(<[_]>::len).sum::<usize>());
         }
-        assert_eq!(inst.results[0].type_count(), 5);
-        assert_eq!(inst.results[1].type_count(), 5);
+        assert_eq!(inst.type_count_of(0), 5);
+        assert_eq!(inst.type_count_of(1), 5);
     }
 
     #[test]
     fn cells_hold_dominant_value_and_ratio() {
         let inst = instance();
         let compact = inst.types.iter().position(|t| t.attribute == "pros:compact").unwrap();
-        let cell = inst.results[0].cells[compact].as_ref().unwrap();
+        let cell = inst.cell(0, compact).unwrap();
         assert_eq!(cell.value, "yes");
         assert_eq!(cell.count, 8);
         assert_eq!(cell.instances, 11);
@@ -570,6 +781,45 @@ mod tests {
         // Equal numbers never differentiate.
         let inst = Instance::build(&[mk("a", "4.2"), mk("b", "4.2")], DfsConfig::default());
         assert!(!inst.differentiable(0, 1, 0));
+    }
+
+    #[test]
+    fn text_that_parses_as_a_non_finite_float_is_categorical() {
+        // `str::parse::<f64>` accepts `nan`, `inf`, `infinity` (any case,
+        // signed) and turns overflowing literals into infinities. None of
+        // them is a magnitude: under the numeric rule `NaN > x` is false
+        // and `inf − inf` is NaN, so two *different* values would come out
+        // not differentiable.
+        let mk = |label: &str, title: &str| {
+            ResultFeatures::from_raw(
+                label,
+                [("m".to_string(), 1)],
+                [(ty("m", "title"), title.to_string(), 1)],
+            )
+        };
+        let differ = |a: &str, b: &str| {
+            let inst = Instance::build(&[mk("a", a), mk("b", b)], DfsConfig::default());
+            assert_eq!(inst.differentiable(0, 1, 0), inst.differentiable(1, 0, 0));
+            let (fa, fb) = (mk("a", a), mk("b", b));
+            assert_eq!(
+                stats_differ(&fa.stats[0], &fb.stats[0], 10.0),
+                inst.differentiable(0, 1, 0),
+                "{a:?} vs {b:?}: wrapper and matrix disagree"
+            );
+            inst.differentiable(0, 1, 0)
+        };
+        assert!(differ("Nan", "1984"));
+        assert!(differ("Infinity", "inf"));
+        assert!(differ("1e400", "1e500"));
+        assert!(differ("-inf", "7"));
+        assert!(differ("NaN", "nan"));
+        // The same text on both sides is the same value, number or not.
+        assert!(!differ("inf", "inf"));
+        assert!(!differ("Nan", "Nan"));
+        // Finite numbers still compare by magnitude.
+        assert!(!differ("4.2", "4.1"));
+        assert!(!differ("1e3", "1000"));
+        assert!(differ("1e300", "1e-300"));
     }
 
     #[test]

@@ -150,9 +150,8 @@ fn optimal_response_into(
     potentials: &[u32],
     scratch: &mut ResponseScratch,
 ) -> u64 {
-    let ranked = &inst.results[i].ranked;
     let entity_count = inst.entities.len();
-    let cap = inst.config.size_bound.min(inst.results[i].type_count());
+    let cap = inst.config.size_bound.min(inst.type_count_of(i));
 
     let ResponseScratch { dp, next, choice, cum, prefixes } = scratch;
     dp.clear();
@@ -161,7 +160,7 @@ fn optimal_response_into(
     choice.clear();
     choice.resize(entity_count * (cap + 1), 0);
 
-    for (e, list) in ranked.iter().enumerate() {
+    for (e, list) in inst.ranked_lists(i).enumerate() {
         // Prefix sums of the entity's type values in significance order.
         cum.clear();
         cum.push(0u64);
@@ -308,7 +307,7 @@ mod tests {
             let pots = crate::dod::type_potentials(&inst, i);
             let (_, dp_value) = optimal_response(&inst, i, &weights, &pots);
             // Brute force over prefix pairs.
-            let lens: Vec<usize> = inst.results[i].ranked.iter().map(Vec::len).collect();
+            let lens: Vec<usize> = inst.ranked_lists(i).map(<[_]>::len).collect();
             let mut best = 0u64;
             for p0 in 0..=lens[0] {
                 for p1 in 0..=lens[1] {

@@ -18,7 +18,6 @@ use crate::model::Instance;
 /// The snippet DFS of one result: up to `bound` features chosen greedily by
 /// significance ratio across entities, respecting per-entity prefix order.
 pub fn snippet_dfs(inst: &Instance, result: usize, bound: usize) -> Dfs {
-    let data = &inst.results[result];
     let mut dfs = Dfs::empty(inst.entities.len());
     while dfs.size() < bound {
         // The candidate of each entity is its next unselected ranked type;
@@ -26,7 +25,7 @@ pub fn snippet_dfs(inst: &Instance, result: usize, bound: usize) -> Dfs {
         let mut best: Option<(f64, usize)> = None;
         for e in 0..inst.entities.len() {
             let Some(t) = dfs.next_type(inst, result, e) else { continue };
-            let ratio = data.cells[t].as_ref().expect("ranked type has a cell").sig_ratio;
+            let ratio = inst.sig_ratio(result, t);
             // Strict `>` keeps the earliest entity on ties, making snippets
             // deterministic.
             if best.is_none_or(|(r, _)| ratio > r) {

@@ -5,109 +5,157 @@
 //! multi-instance entities, its occurrence percentage — e.g. `yes (73%)`.
 //! A `—` cell means the feature type is *not in that result's DFS*: per the
 //! paper, absence is "unknown", like a NULL value, and never differentiates.
+//!
+//! [`render_table`] makes two passes over the grid and materialises no cell:
+//! the first measures every column (and counts the bytes, so the output is
+//! allocated once, at its final size), the second writes the box straight
+//! into that one `String`. Row labels and `value (pct%)` cells — the only
+//! text that is not a slice of the instance — are composed in one reusable
+//! scratch buffer.
 
+use crate::bits;
 use crate::dfs::DfsSet;
 use crate::model::{Instance, TypeId};
-use std::borrow::Cow;
-use xsact_entity::label::{display_label, entity_short_name};
+use std::fmt::Write;
+use xsact_entity::label::{push_display_label, push_entity_short_name};
+use xsact_entity::FeatureType;
 
 /// Renders the comparison table of a DFS set over its instance.
 pub fn render_table(inst: &Instance, set: &DfsSet) -> String {
-    let rows = table_rows(inst, set);
-    let header: Vec<Cow<'_, str>> = std::iter::once("feature")
-        .chain(inst.results.iter().map(|r| r.label.as_str()))
-        .map(Cow::Borrowed)
-        .collect();
+    const HEADER: &str = "feature";
+    let rows = ranked_rows(inst, set);
+    let n = inst.result_count();
+    let mut scratch = String::new();
 
-    let mut body: Vec<Vec<Cow<'_, str>>> = Vec::with_capacity(rows.len());
-    for &t in &rows {
-        let mut row = Vec::with_capacity(inst.results.len() + 1);
-        row.push(Cow::Owned(row_label(inst, t)));
-        for (i, result) in inst.results.iter().enumerate() {
-            if set.dfs(i).contains(inst, i, t) {
-                let cell = result.cells[t].as_ref().expect("selected type has a cell");
-                if cell.instances > 1 {
-                    row.push(Cow::Owned(format!("{} ({:.0}%)", cell.value, cell.ratio * 100.0)));
-                } else {
-                    row.push(Cow::Borrowed(cell.value.as_str()));
-                }
-            } else {
-                row.push(Cow::Borrowed("—"));
-            }
-        }
-        body.push(row);
+    // Pass 1: column widths in characters, and how many bytes the cells
+    // take beyond one per character.
+    let mut widths: Vec<usize> = vec![0; n + 1];
+    let mut wide_bytes = 0;
+    let mut measure = |column: usize, cell: &str| {
+        let width = display_width(cell);
+        widths[column] = widths[column].max(width);
+        wide_bytes += cell.len() - width;
+    };
+    measure(0, HEADER);
+    for (i, label) in inst.labels().enumerate() {
+        measure(i + 1, label);
     }
-    render_grid(&header, &body)
+    for &(t, _) in &rows {
+        measure(0, row_label(&inst.types[t], &mut scratch));
+        for i in 0..n {
+            measure(i + 1, cell_text(inst, set, i, t, &mut scratch));
+        }
+    }
+
+    // Pass 2: the bytes. Every line is `Σ (width + 3) + 2` characters.
+    let line = widths.iter().map(|w| w + 3).sum::<usize>() + 2;
+    let mut out = String::with_capacity((rows.len() + 4) * line + wide_bytes);
+    let rule = |out: &mut String| {
+        for &w in &widths {
+            out.push('+');
+            fill(out, DASHES, w + 2);
+        }
+        out.push_str("+\n");
+    };
+    let put = |out: &mut String, column: usize, cell: &str| {
+        out.push_str("| ");
+        out.push_str(cell);
+        fill(out, SPACES, widths[column] - display_width(cell) + 1);
+    };
+    rule(&mut out);
+    put(&mut out, 0, HEADER);
+    for (i, label) in inst.labels().enumerate() {
+        put(&mut out, i + 1, label);
+    }
+    out.push_str("|\n");
+    rule(&mut out);
+    for &(t, _) in &rows {
+        put(&mut out, 0, row_label(&inst.types[t], &mut scratch));
+        for i in 0..n {
+            put(&mut out, i + 1, cell_text(inst, set, i, t, &mut scratch));
+        }
+        out.push_str("|\n");
+    }
+    rule(&mut out);
+    out
 }
 
 /// The row order of the comparison table: selected types grouped by entity,
 /// each group sorted by best significance across results (then attribute).
 pub fn table_rows(inst: &Instance, set: &DfsSet) -> Vec<TypeId> {
-    let mut selected: Vec<bool> = vec![false; inst.type_count()];
+    ranked_rows(inst, set).into_iter().map(|(t, _)| t).collect()
+}
+
+/// [`table_rows`] with each row's sort key, the best significance ratio of
+/// the type across the results that have it.
+fn ranked_rows(inst: &Instance, set: &DfsSet) -> Vec<(TypeId, f64)> {
+    // Selected by anyone: the union of the selection masks.
+    let mut selected = vec![0u64; inst.words_per_row()];
     for i in 0..set.len() {
-        for t in set.dfs(i).selected_types(inst, i) {
-            selected[t] = true;
+        for (union, word) in selected.iter_mut().zip(set.mask(i)) {
+            *union |= word;
         }
     }
-    let best_sig = |t: TypeId| -> f64 {
-        inst.results
-            .iter()
-            .filter_map(|r| r.cells[t].as_ref())
-            .map(|c| c.sig_ratio)
-            .fold(0.0, f64::max)
-    };
     // A scan over all results per type: paid once per row, not per
     // comparison of the sort.
-    let mut rows: Vec<(TypeId, f64)> =
-        (0..inst.type_count()).filter(|&t| selected[t]).map(|t| (t, best_sig(t))).collect();
+    let best_sig =
+        |t: TypeId| (0..inst.result_count()).map(|i| inst.sig_ratio(i, t)).fold(0.0, f64::max);
+    let mut rows: Vec<(TypeId, f64)> = Vec::new();
+    bits::for_each_bit(&selected, |t| rows.push((t, best_sig(t))));
     rows.sort_by(|&(a, sig_a), &(b, sig_b)| {
         inst.entity_of[a]
             .cmp(&inst.entity_of[b])
             .then_with(|| sig_b.partial_cmp(&sig_a).expect("ratios are finite"))
             .then_with(|| inst.types[a].attribute.cmp(&inst.types[b].attribute))
     });
-    rows.into_iter().map(|(t, _)| t).collect()
+    rows
 }
 
-fn row_label(inst: &Instance, t: TypeId) -> String {
-    let ty = &inst.types[t];
-    format!("{} · {}", entity_short_name(&ty.entity), display_label(ty))
+/// What the cell of result `i` and type `t` shows: `—` outside the result's
+/// DFS, else the dominant value — bare for a single-instance entity, with
+/// its occurrence percentage (composed in `scratch`) otherwise.
+fn cell_text<'a>(
+    inst: &'a Instance,
+    set: &DfsSet,
+    i: usize,
+    t: TypeId,
+    scratch: &'a mut String,
+) -> &'a str {
+    if !bits::test_bit(set.mask(i), t) {
+        return "—";
+    }
+    let cell = inst.cell(i, t).expect("selected type has a cell");
+    if cell.instances <= 1 {
+        return cell.value;
+    }
+    // `{:.0}` of the percentage, without the float formatter: rounding to
+    // an integer with ties to even is what it does (pinned below), and a
+    // count over an instance count times 100 fits a `u64` many times over.
+    let percent = (cell.ratio * 100.0).round_ties_even() as u64;
+    scratch.clear();
+    write!(scratch, "{} ({percent}%)", cell.value).expect("writing to a String");
+    scratch
 }
 
-/// Plain ASCII grid with `+---+` borders.
-fn render_grid(header: &[Cow<'_, str>], body: &[Vec<Cow<'_, str>>]) -> String {
-    let columns = header.len();
-    let mut widths: Vec<usize> = header.iter().map(|h| display_width(h)).collect();
-    for row in body {
-        for (c, cell) in row.iter().enumerate() {
-            widths[c] = widths[c].max(display_width(cell));
-        }
+/// The row label `<entity> · <attribute path>`, composed in `scratch`.
+fn row_label<'a>(ty: &FeatureType, scratch: &'a mut String) -> &'a str {
+    scratch.clear();
+    push_entity_short_name(scratch, &ty.entity);
+    scratch.push_str(" · ");
+    push_display_label(scratch, ty);
+    scratch
+}
+
+const DASHES: &str = "----------------------------------------------------------------";
+const SPACES: &str = "                                                                ";
+
+/// Appends `count` copies of the one ASCII character `pattern` is made of.
+fn fill(out: &mut String, pattern: &'static str, mut count: usize) {
+    while count > 0 {
+        let chunk = count.min(pattern.len());
+        out.push_str(&pattern[..chunk]);
+        count -= chunk;
     }
-    let mut out = String::new();
-    let rule = |out: &mut String| {
-        for w in &widths {
-            out.push('+');
-            out.extend(std::iter::repeat_n('-', w + 2));
-        }
-        out.push_str("+\n");
-    };
-    let line = |out: &mut String, cells: &[Cow<'_, str>]| {
-        for (c, cell) in cells.iter().enumerate() {
-            out.push_str("| ");
-            out.push_str(cell);
-            out.extend(std::iter::repeat_n(' ', widths[c] - display_width(cell) + 1));
-        }
-        out.push_str("|\n");
-    };
-    rule(&mut out);
-    line(&mut out, header);
-    rule(&mut out);
-    for row in body {
-        debug_assert_eq!(row.len(), columns);
-        line(&mut out, row);
-    }
-    rule(&mut out);
-    out
 }
 
 /// Character count (not bytes) — good enough for the box layout with the
@@ -116,12 +164,248 @@ fn display_width(s: &str) -> usize {
     s.chars().count()
 }
 
+/// The renderer [`render_table`] replaced: every cell materialised as a
+/// `Cow`, every row label and percent cell a `String` of its own, then one
+/// pass over the finished grid. Kept as the oracle the bytes are pinned to.
+#[cfg(test)]
+mod oracle {
+    use crate::dfs::DfsSet;
+    use crate::model::{Instance, TypeId};
+    use std::borrow::Cow;
+    use xsact_entity::label::{display_label, entity_short_name};
+
+    pub fn render_table(inst: &Instance, set: &DfsSet) -> String {
+        let rows = table_rows(inst, set);
+        let header: Vec<Cow<'_, str>> =
+            std::iter::once("feature").chain(inst.labels()).map(Cow::Borrowed).collect();
+        let mut body: Vec<Vec<Cow<'_, str>>> = Vec::with_capacity(rows.len());
+        for &t in &rows {
+            let mut row = Vec::with_capacity(inst.result_count() + 1);
+            let ty = &inst.types[t];
+            row.push(Cow::Owned(format!(
+                "{} · {}",
+                entity_short_name(&ty.entity),
+                display_label(ty)
+            )));
+            for i in 0..inst.result_count() {
+                if set.dfs(i).contains(inst, i, t) {
+                    let cell = inst.cell(i, t).expect("selected type has a cell");
+                    if cell.instances > 1 {
+                        row.push(Cow::Owned(format!(
+                            "{} ({:.0}%)",
+                            cell.value,
+                            cell.ratio * 100.0
+                        )));
+                    } else {
+                        row.push(Cow::Borrowed(cell.value));
+                    }
+                } else {
+                    row.push(Cow::Borrowed("—"));
+                }
+            }
+            body.push(row);
+        }
+        render_grid(&header, &body)
+    }
+
+    pub fn table_rows(inst: &Instance, set: &DfsSet) -> Vec<TypeId> {
+        let mut selected: Vec<bool> = vec![false; inst.type_count()];
+        for i in 0..set.len() {
+            for t in set.dfs(i).selected_types(inst, i) {
+                selected[t] = true;
+            }
+        }
+        let best_sig = |t: TypeId| -> f64 {
+            (0..inst.result_count())
+                .filter_map(|i| inst.cell(i, t))
+                .map(|c| c.sig_ratio)
+                .fold(0.0, f64::max)
+        };
+        let mut rows: Vec<TypeId> = (0..inst.type_count()).filter(|&t| selected[t]).collect();
+        rows.sort_by(|&a, &b| {
+            inst.entity_of[a]
+                .cmp(&inst.entity_of[b])
+                .then_with(|| best_sig(b).partial_cmp(&best_sig(a)).expect("ratios are finite"))
+                .then_with(|| inst.types[a].attribute.cmp(&inst.types[b].attribute))
+        });
+        rows
+    }
+
+    fn render_grid(header: &[Cow<'_, str>], body: &[Vec<Cow<'_, str>>]) -> String {
+        let width = |s: &str| s.chars().count();
+        let mut widths: Vec<usize> = header.iter().map(|h| width(h)).collect();
+        for row in body {
+            for (c, cell) in row.iter().enumerate() {
+                widths[c] = widths[c].max(width(cell));
+            }
+        }
+        let mut out = String::new();
+        let rule = |out: &mut String| {
+            for w in &widths {
+                out.push('+');
+                out.extend(std::iter::repeat_n('-', w + 2));
+            }
+            out.push_str("+\n");
+        };
+        let line = |out: &mut String, cells: &[Cow<'_, str>]| {
+            for (c, cell) in cells.iter().enumerate() {
+                out.push_str("| ");
+                out.push_str(cell);
+                out.extend(std::iter::repeat_n(' ', widths[c] - width(cell) + 1));
+            }
+            out.push_str("|\n");
+        };
+        rule(&mut out);
+        line(&mut out, header);
+        rule(&mut out);
+        for row in body {
+            line(&mut out, row);
+        }
+        rule(&mut out);
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comparison::{run_algorithm, Algorithm};
     use crate::dfs::Dfs;
     use crate::model::DfsConfig;
     use xsact_entity::{FeatureType, ResultFeatures};
+
+    /// Bytes, row order and the allocation promise: the table is written
+    /// into a `String` sized once.
+    fn assert_renders_like_the_oracle(inst: &Instance, set: &DfsSet, what: &str) {
+        let table = render_table(inst, set);
+        assert_eq!(table, oracle::render_table(inst, set), "{what}");
+        assert_eq!(table.capacity(), table.len(), "{what}: the output was not sized exactly");
+        assert_eq!(table_rows(inst, set), oracle::table_rows(inst, set), "{what}: row order");
+    }
+
+    #[test]
+    fn integer_percentages_are_what_the_float_formatter_prints() {
+        for instances in 2..=300u32 {
+            for count in 0..=2 * instances {
+                let pct = f64::from(count) / f64::from(instances) * 100.0;
+                let fast = (pct.round_ties_even() as u64).to_string();
+                assert_eq!(fast, format!("{pct:.0}"), "{count} of {instances}");
+            }
+        }
+        // Halves round to the even neighbour on both paths.
+        assert_eq!(format!("{:.0} {:.0} {:.0}", 0.5, 1.5, 2.5), "0 2 2");
+    }
+
+    #[test]
+    fn renders_like_the_oracle_on_the_movie_pool() {
+        use xsact_data::{vocab, MoviesGen};
+        use xsact_index::{Query, ResultSemantics, SearchEngine};
+        let engine = SearchEngine::build(MoviesGen::default_gen().generate());
+        let config = DfsConfig { size_bound: 8, threshold_pct: 10.0 };
+        let mut pool = 0;
+        let queries = vocab::GENRES
+            .iter()
+            .flat_map(|g| vocab::KEYWORDS.iter().map(move |k| format!("{g} {k}")));
+        for text in queries {
+            let top = engine.search_top_k(&Query::parse(&text), 16, ResultSemantics::Slca);
+            if pool == 64 || top.hits.len() < 2 {
+                continue;
+            }
+            pool += 1;
+            let features: Vec<ResultFeatures> =
+                top.hits.iter().map(|(result, _)| engine.extract_features(result)).collect();
+            let inst = Instance::build(&features, config);
+            for algorithm in Algorithm::ALL {
+                let (set, _) = run_algorithm(&inst, algorithm);
+                assert_renders_like_the_oracle(
+                    &inst,
+                    &set,
+                    &format!("{text}, {}", algorithm.name()),
+                );
+            }
+        }
+        assert_eq!(pool, 64);
+    }
+
+    #[test]
+    fn renders_like_the_oracle_where_width_is_not_byte_length() {
+        // Labels, type names and values with two- and three-byte
+        // characters; percentages that round to one, two and three digits
+        // (and the ties 12.5 % and 0.5 %).
+        let review = "boutique/produit/avis";
+        let mk = |label: &str, name: &str, reviews: u32, counts: [u32; 3]| {
+            ResultFeatures::from_raw(
+                label,
+                [("boutique/produit".to_string(), 1), (review.to_string(), reviews)],
+                [
+                    (FeatureType::new("boutique/produit", "nom"), name.to_string(), 1),
+                    (
+                        FeatureType::new("boutique/produit", "\u{7523}\u{5730}"),
+                        "\u{65e5}\u{672c}".to_string(),
+                        1,
+                    ),
+                    (
+                        FeatureType::new(review, "qualit\u{e9}:tr\u{e8}s_bien"),
+                        "oui \u{2014} s\u{fb}r".to_string(),
+                        counts[0],
+                    ),
+                    (FeatureType::new(review, "prix"), "\u{20ac}\u{20ac}".to_string(), counts[1]),
+                    (FeatureType::new(review, "note"), "\u{2605}".to_string(), counts[2]),
+                ],
+            )
+        };
+        let results = [
+            mk("Am\u{e9}lie \u{2014} caf\u{e9}", "Cafeti\u{e8}re", 8, [1, 8, 3]),
+            mk("\u{4e03}\u{4eba}\u{306e}\u{4f8d}", "\u{6025}\u{9808}", 200, [1, 199, 25]),
+            mk("plain", "kettle", 3, [3, 1, 2]),
+        ];
+        for bound in [1, 3, 5] {
+            let inst =
+                Instance::build(&results, DfsConfig { size_bound: bound, threshold_pct: 10.0 });
+            for algorithm in Algorithm::ALL {
+                let (set, _) = run_algorithm(&inst, algorithm);
+                assert_renders_like_the_oracle(
+                    &inst,
+                    &set,
+                    &format!("L = {bound}, {}", algorithm.name()),
+                );
+                let table = render_table(&inst, &set);
+                assert!(table
+                    .lines()
+                    .all(|l| l.chars().count() == table.lines().next().unwrap().chars().count()));
+            }
+        }
+        let inst = Instance::build(&results, DfsConfig { size_bound: 5, threshold_pct: 10.0 });
+        let full = DfsSet::from_dfss(
+            &inst,
+            (0..3).map(|i| Dfs::from_prefixes(&inst, i, &[9, 9])).collect(),
+        );
+        let table = render_table(&inst, &full);
+        assert_renders_like_the_oracle(&inst, &full, "everything selected");
+        for cell in [
+            "oui \u{2014} s\u{fb}r (12%)",
+            "oui \u{2014} s\u{fb}r (0%)",
+            "oui \u{2014} s\u{fb}r (100%)",
+            "\u{20ac}\u{20ac} (100%)",
+            "avis \u{b7} qualit\u{e9}: tr\u{e8}s bien",
+        ] {
+            assert!(table.contains(cell), "{cell} missing from\n{table}");
+        }
+    }
+
+    #[test]
+    fn renders_like_the_oracle_when_nothing_is_selected() {
+        let (inst, _) = sample();
+        assert_renders_like_the_oracle(&inst, &DfsSet::empty(&inst), "empty DFSs");
+        // Results that have no types at all: a header-only grid as well.
+        let bare = |label: &str| ResultFeatures::from_raw(label, [], []);
+        let inst = Instance::build(&[bare("a"), bare("\u{2014}")], DfsConfig::default());
+        for algorithm in Algorithm::ALL {
+            let (set, _) = run_algorithm(&inst, algorithm);
+            assert_renders_like_the_oracle(&inst, &set, algorithm.name());
+            assert_eq!(render_table(&inst, &set).lines().count(), 4);
+        }
+    }
 
     fn sample() -> (Instance, DfsSet) {
         let a = ResultFeatures::from_raw(

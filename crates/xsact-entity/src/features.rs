@@ -28,6 +28,27 @@
 //! The per-type statistics — e.g. *"pros:compact seen in 8 of 11 reviews
 //! (73%)"* — drive both the validity ranking (Desideratum 2) and the
 //! differentiability test (Desideratum 3) in `xsact-core`.
+//!
+//! # The prepared form
+//!
+//! A comparison reads the same few facts of every stat on every build: is
+//! this the type I saw in another result, is its one value a number, which
+//! of its values does the other side share. All three depend on the stat
+//! alone, so every [`ResultFeatures`] carries them from its one constructor
+//! on (what a feature cache holds is already prepared): per stat a 64-bit
+//! **content hash** of its [`FeatureType`] and the single-value numeric
+//! parse, per value a content hash, with each stat's values listed in
+//! `(hash, string)` order — two exactly sized vectors per result, none per
+//! stat. [`ResultFeatures::prepared`] hands them out next to the stats.
+//!
+//! Content hashes, not `Sym` / `PathId`, because one comparison may read
+//! features extracted from *different documents* (the corpus engine does),
+//! whose interned ids mean nothing to each other. A hash only ever
+//! **routes**: whoever finds two equal hashes confirms the match on the
+//! strings, so no output byte depends on the hash function — pinned by
+//! building the same instances with a constant and a 3-bit hash
+//! (`tests/properties.rs`). The prepared form is a pure function of the
+//! public fields and takes no part in equality.
 
 use crate::classify::{NodeClass, PathId, StructureSummary};
 use std::borrow::Cow;
@@ -116,10 +137,114 @@ impl FeatureStat {
         let top = self.dominant();
         format!("{}: {}: {}", self.ty.attribute, top.value, top.count)
     }
+
+    /// The comparison-ready form of a stat on its own, computed here and
+    /// now — what [`ResultFeatures::prepared`] reads from storage.
+    pub fn prepared(&self) -> PreparedStat<'_> {
+        let mut order = Vec::with_capacity(self.values.len());
+        let facts = prepare_stat(self, content_hash, &mut order);
+        PreparedStat { stat: self, facts, order: Cow::Owned(order) }
+    }
+}
+
+/// What a comparison asks of a stat before it looks at any string.
+#[derive(Debug, Clone, Copy)]
+struct StatFacts {
+    ty_hash: u64,
+    numeric: Option<f64>,
+}
+
+/// One value of a stat in the prepared order: its content hash and its
+/// position in [`FeatureStat::values`].
+#[derive(Debug, Clone, Copy)]
+struct ValueSlot {
+    hash: u32,
+    index: u32,
+}
+
+/// A stat next to its prepared form (see the module docs).
+#[derive(Debug, Clone)]
+pub struct PreparedStat<'a> {
+    /// The stat itself.
+    pub stat: &'a FeatureStat,
+    facts: StatFacts,
+    order: Cow<'a, [ValueSlot]>,
+}
+
+impl<'a> PreparedStat<'a> {
+    /// Content hash of the stat's feature type: equal types hash equally,
+    /// equal hashes must be confirmed on the strings.
+    pub fn ty_hash(&self) -> u64 {
+        self.facts.ty_hash
+    }
+
+    /// The stat's value as a number, when it has exactly one value and that
+    /// value parses as a **finite** `f64` — the precondition of the numeric
+    /// differentiability rule. `nan`, `inf` and overflowing literals such as
+    /// `1e400` are text.
+    pub fn numeric(&self) -> Option<f64> {
+        self.facts.numeric
+    }
+
+    /// The stat's values with their content hashes, ascending by
+    /// `(hash, value)` — two stats of one type walk their shared values in
+    /// step.
+    pub fn values(&self) -> impl Iterator<Item = (u32, &'a ValueCount)> + '_ {
+        let stat = self.stat;
+        self.order.iter().map(move |slot| (slot.hash, &stat.values[slot.index as usize]))
+    }
+}
+
+/// The content hash behind the prepared form: a multiply-rotate over
+/// eight-byte words, folded so the low bits (a table index, a `u32` value
+/// hash) depend on every input byte. Not keyed — it only routes lookups
+/// whose every match is confirmed on the strings.
+fn content_hash(text: &str) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    let mut words = text.as_bytes().chunks_exact(8);
+    let mut h = text.len() as u64;
+    for word in &mut words {
+        h = mix(h, u64::from_le_bytes(word.try_into().expect("eight bytes")));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = mix(h, u64::from_le_bytes(tail));
+    h ^ (h >> 32)
+}
+
+/// Prepares one stat: appends its value slots, sorted by `(hash, value)`,
+/// to `order` and returns the rest.
+fn prepare_stat(
+    stat: &FeatureStat,
+    hash: fn(&str) -> u64,
+    order: &mut Vec<ValueSlot>,
+) -> StatFacts {
+    let start = order.len();
+    order.extend(
+        stat.values
+            .iter()
+            .enumerate()
+            .map(|(index, vc)| ValueSlot { hash: hash(&vc.value) as u32, index: index as u32 }),
+    );
+    let value_of = |slot: &ValueSlot| stat.values[slot.index as usize].value.as_str();
+    order[start..]
+        .sort_unstable_by(|a, b| a.hash.cmp(&b.hash).then_with(|| value_of(a).cmp(value_of(b))));
+    let numeric = match stat.values.as_slice() {
+        [only] => only.value.trim().parse::<f64>().ok().filter(|v| v.is_finite()),
+        _ => None,
+    };
+    let ty_hash = hash(&stat.ty.entity).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32)
+        ^ hash(&stat.ty.attribute);
+    StatFacts { ty_hash, numeric }
 }
 
 /// All feature statistics of one search result.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The public fields are for reading: the prepared form (module docs) is
+/// computed from them once, by the constructors, and a value whose `stats`
+/// were edited afterwards no longer matches it.
+#[derive(Debug, Clone, Default)]
 pub struct ResultFeatures {
     /// Human-readable label of the result (e.g. the product name).
     pub label: String,
@@ -129,9 +254,38 @@ pub struct ResultFeatures {
     pub stats: Vec<FeatureStat>,
     /// Instances per entity path.
     entity_instances: HashMap<String, u32>,
+    /// Prepared form, one entry per stat.
+    facts: Vec<StatFacts>,
+    /// Prepared form, one entry per value: the stats' slots back to back,
+    /// in `stats` order.
+    order: Vec<ValueSlot>,
+}
+
+/// Equality is that of the public content; the prepared form follows from
+/// it.
+impl PartialEq for ResultFeatures {
+    fn eq(&self, other: &Self) -> bool {
+        self.label == other.label
+            && self.stats == other.stats
+            && self.entity_instances == other.entity_instances
+    }
 }
 
 impl ResultFeatures {
+    /// The one constructor: takes the finished public content and prepares
+    /// it for comparison, in two exactly sized vectors.
+    fn assemble(
+        label: String,
+        stats: Vec<FeatureStat>,
+        entity_instances: HashMap<String, u32>,
+        hash: fn(&str) -> u64,
+    ) -> Self {
+        let mut order = Vec::with_capacity(stats.iter().map(|stat| stat.values.len()).sum());
+        let mut facts = Vec::with_capacity(stats.len());
+        facts.extend(stats.iter().map(|stat| prepare_stat(stat, hash, &mut order)));
+        ResultFeatures { label, stats, entity_instances, facts, order }
+    }
+
     /// Builds a `ResultFeatures` directly from `(type, value, count)`
     /// triplets plus entity instance counts. Used by tests, fixtures and
     /// workload generators that bypass XML extraction.
@@ -140,13 +294,40 @@ impl ResultFeatures {
         entity_instances: impl IntoIterator<Item = (String, u32)>,
         triplets: impl IntoIterator<Item = (FeatureType, String, u32)>,
     ) -> Self {
+        Self::from_raw_hashed(label, entity_instances, triplets, content_hash)
+    }
+
+    /// [`from_raw`](Self::from_raw) with the content hash of the prepared
+    /// form swapped out — the seam through which tests show that hashes
+    /// only route (a constant hash must build the same instances).
+    #[doc(hidden)]
+    pub fn from_raw_hashed(
+        label: impl Into<String>,
+        entity_instances: impl IntoIterator<Item = (String, u32)>,
+        triplets: impl IntoIterator<Item = (FeatureType, String, u32)>,
+        hash: fn(&str) -> u64,
+    ) -> Self {
         let entity_instances: HashMap<String, u32> = entity_instances.into_iter().collect();
         let mut agg: HashMap<FeatureType, HashMap<String, u32>> = HashMap::new();
         for (ty, value, count) in triplets {
             *agg.entry(ty).or_default().entry(value).or_insert(0) += count;
         }
         let stats = finalize(agg, &entity_instances);
-        ResultFeatures { label: label.into(), stats, entity_instances }
+        Self::assemble(label.into(), stats, entity_instances, hash)
+    }
+
+    /// The stats, in order, each next to its prepared form.
+    ///
+    /// # Panics
+    /// Panics if `stats` was resized after construction.
+    pub fn prepared(&self) -> impl Iterator<Item = PreparedStat<'_>> {
+        assert_eq!(self.facts.len(), self.stats.len(), "stats edited after construction");
+        let mut start = 0;
+        self.stats.iter().zip(&self.facts).map(move |(stat, &facts)| {
+            let order = &self.order[start..start + stat.values.len()];
+            start += stat.values.len();
+            PreparedStat { stat, facts, order: Cow::Borrowed(order) }
+        })
     }
 
     /// Number of instances of an entity path in this result.
@@ -306,7 +487,7 @@ pub fn extract_features(
         });
         return ResultFeatures::from_raw(label, entity_instances, triplets);
     }
-    ResultFeatures { label: label.into(), stats, entity_instances }
+    ResultFeatures::assemble(label.into(), stats, entity_instances, content_hash)
 }
 
 /// The interned path of an instance node: its own path for elements, the
@@ -636,6 +817,10 @@ mod tests {
         for root in d.all_nodes() {
             let rf = extract_features(&d, &summary, root, "r");
             assert_eq!(rf.stats.capacity(), rf.stats.len());
+            // The prepared form is cached with it: two vectors, no slack.
+            assert_eq!((rf.facts.capacity(), rf.facts.len()), (rf.stats.len(), rf.stats.len()));
+            let values: usize = rf.stats.iter().map(|stat| stat.values.len()).sum();
+            assert_eq!((rf.order.capacity(), rf.order.len()), (values, values));
             for stat in &rf.stats {
                 assert_eq!(stat.values.capacity(), stat.values.len(), "{:?}", stat.ty);
                 for vc in &stat.values {
@@ -643,6 +828,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn prepared_form_is_a_function_of_the_stat() {
+        let rf = ResultFeatures::from_raw(
+            "raw",
+            [("e".to_string(), 4)],
+            [
+                (FeatureType::new("e", "colour"), "red".to_string(), 2),
+                (FeatureType::new("e", "colour"), "green".to_string(), 2),
+                (FeatureType::new("e", "colour"), "blue".to_string(), 1),
+                (FeatureType::new("e", "rating"), " 4.2 ".to_string(), 1),
+                (FeatureType::new("e", "title"), "Nan".to_string(), 1),
+                (FeatureType::new("e", "budget"), "1e400".to_string(), 1),
+                (FeatureType::new("f", "colour"), "red".to_string(), 1),
+            ],
+        );
+        assert_eq!(rf.prepared().count(), rf.stats.len());
+        for (stored, stat) in rf.prepared().zip(&rf.stats) {
+            // What is stored is what the stat alone yields…
+            let fresh = stat.prepared();
+            assert!(std::ptr::eq(stored.stat, stat));
+            assert_eq!(stored.ty_hash(), fresh.ty_hash(), "{:?}", stat.ty);
+            assert_eq!(stored.numeric(), fresh.numeric(), "{:?}", stat.ty);
+            let values: Vec<(u32, &ValueCount)> = stored.values().collect();
+            assert_eq!(values, fresh.values().collect::<Vec<_>>(), "{:?}", stat.ty);
+            // …every value once, ascending by (hash, string), each under
+            // the hash of its own string.
+            assert_eq!(values.len(), stat.values.len());
+            assert!(values.windows(2).all(|w| (w[0].0, &w[0].1.value) < (w[1].0, &w[1].1.value)));
+            assert!(values.iter().all(|(hash, vc)| *hash == content_hash(&vc.value) as u32));
+        }
+        let numeric = |attr: &str| {
+            rf.prepared().find(|p| p.stat.ty == FeatureType::new("e", attr)).unwrap().numeric()
+        };
+        assert_eq!(numeric("rating"), Some(4.2));
+        assert_eq!(numeric("colour"), None, "several values are never one number");
+        assert_eq!(numeric("title"), None, "NaN is not a magnitude");
+        assert_eq!(numeric("budget"), None, "an overflowing literal is not a magnitude");
+        // Equal types hash equally wherever they occur; the entity counts.
+        let hash_of = |entity: &str| {
+            rf.prepared()
+                .find(|p| p.stat.ty == FeatureType::new(entity, "colour"))
+                .unwrap()
+                .ty_hash()
+        };
+        assert_eq!(
+            hash_of("e"),
+            FeatureStat::prepared(rf.get(&FeatureType::new("e", "colour")).unwrap()).ty_hash()
+        );
+        assert_ne!(hash_of("e"), hash_of("f"));
+    }
+
+    #[test]
+    fn equality_and_clones_ignore_how_the_prepared_form_was_hashed() {
+        let raw = || {
+            [
+                (FeatureType::new("e", "a"), "yes".to_string(), 7),
+                (FeatureType::new("e", "a"), "no".to_string(), 2),
+                (FeatureType::new("e", "b"), "x".to_string(), 5),
+            ]
+        };
+        let real = ResultFeatures::from_raw("raw", [("e".to_string(), 10)], raw());
+        let flat = ResultFeatures::from_raw_hashed("raw", [("e".to_string(), 10)], raw(), |_| 0);
+        assert_eq!(real, flat);
+        assert!(flat.prepared().all(|p| p.ty_hash() == 0 && p.values().all(|(hash, _)| hash == 0)));
+        // With one hash for everything the strings alone order the values.
+        let a = flat.prepared().next().unwrap();
+        assert_eq!(a.values().map(|(_, vc)| vc.value.as_str()).collect::<Vec<_>>(), ["no", "yes"]);
+        let copy = flat.clone();
+        assert_eq!((copy.facts.capacity(), copy.order.capacity()), (2, 3));
     }
 
     #[test]

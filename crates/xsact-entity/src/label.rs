@@ -19,13 +19,35 @@ pub fn prettify(tag: &str) -> String {
 /// The entity path is dropped (the comparison table groups rows by entity
 /// already); attribute path segments are joined with `": "`.
 pub fn display_label(ty: &FeatureType) -> String {
-    ty.attribute.split(':').map(prettify).collect::<Vec<_>>().join(": ")
+    let mut label = String::with_capacity(ty.attribute.len() + 2);
+    push_display_label(&mut label, ty);
+    label
+}
+
+/// Appends [`display_label`] to `out` — for callers that compose many labels
+/// in one buffer.
+pub fn push_display_label(out: &mut String, ty: &FeatureType) {
+    for c in ty.attribute.chars() {
+        match c {
+            '_' => out.push(' '),
+            ':' => out.push_str(": "),
+            c => out.push(c),
+        }
+    }
 }
 
 /// The short name of an entity path: its last segment, prettified.
 /// `shop/product/reviews/review` → `review`.
 pub fn entity_short_name(entity_path: &str) -> String {
-    prettify(entity_path.rsplit('/').next().unwrap_or(entity_path))
+    let mut name = String::new();
+    push_entity_short_name(&mut name, entity_path);
+    name
+}
+
+/// Appends [`entity_short_name`] to `out`.
+pub fn push_entity_short_name(out: &mut String, entity_path: &str) {
+    let last = entity_path.rsplit('/').next().unwrap_or(entity_path);
+    out.extend(last.chars().map(|c| if c == '_' { ' ' } else { c }));
 }
 
 #[cfg(test)]

@@ -20,5 +20,7 @@ pub mod features;
 pub mod label;
 
 pub use classify::{NodeClass, PathId, StructureSummary};
-pub use features::{extract_features, FeatureStat, FeatureType, ResultFeatures, ValueCount};
+pub use features::{
+    extract_features, FeatureStat, FeatureType, PreparedStat, ResultFeatures, ValueCount,
+};
 pub use label::{display_label, prettify};

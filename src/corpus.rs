@@ -751,15 +751,20 @@ impl<'a> CorpusQuery<'a> {
         Ok(shared.iter().map(|rf| ResultFeatures::clone(rf)).collect())
     }
 
-    /// The hits' features as their workbenches' caches hold them.
+    /// The hits' features as their workbenches' caches hold them. A cache
+    /// is asked by borrowed label — the hit's own, or its qualified form
+    /// composed in one reused buffer.
     fn features_of(&self, hits: &[CorpusHit]) -> Vec<Arc<ResultFeatures>> {
         let qualify = self.corpus.len() > 1;
+        let mut qualified = String::new();
         hits.iter()
             .map(|h| {
                 let label = if qualify {
-                    format!("{} ({})", h.result.label, h.doc_name)
+                    qualified.clear();
+                    qualified.extend([h.result.label.as_str(), " (", &h.doc_name, ")"]);
+                    qualified.as_str()
                 } else {
-                    h.result.label.clone()
+                    h.result.label.as_str()
                 };
                 self.corpus.docs[h.doc.index()].wb.shared_features(h.result.root, label)
             })

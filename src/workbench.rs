@@ -12,7 +12,9 @@
 //!   [`NodeId`] (plus its display label), so repeated queries over the same
 //!   session never re-extract features for a result they have already seen
 //!   (feature extraction walks the whole result subtree and is the dominant
-//!   per-query cost after the index is built),
+//!   per-query cost after the index is built); what it holds is already
+//!   *prepared* for comparison (`xsact_entity::features`), and a hit hands
+//!   out the cached pointer without allocating,
 //! * it exposes the fluent [`QueryPipeline`] with typed
 //!   [`XsactError`] failures instead of `String`s and
 //!   `unwrap()`s.
@@ -34,7 +36,6 @@
 use crate::error::{XsactError, XsactResult};
 use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -68,16 +69,26 @@ impl CacheStats {
 /// the same lock; a small power of two keeps the modulo cheap.
 const CACHE_SHARDS: usize = 8;
 
-type FeatureKey = (NodeId, String);
-
 /// One lock shard of the feature cache: a map under its own `RwLock` plus
 /// its share of the hit/miss counters. Counters are atomics (not guarded by
 /// the lock) so a hit only ever takes the shard's *read* lock.
+///
+/// The map is keyed by the result root alone; under a root sit the features
+/// extracted for it, one per label it was asked for (nearly always one),
+/// each carrying its label itself. A lookup therefore borrows the label it
+/// is given and owns nothing until it misses.
 #[derive(Debug, Default)]
 struct CacheShard {
-    map: RwLock<HashMap<FeatureKey, Arc<ResultFeatures>>>,
+    map: RwLock<HashMap<NodeId, Vec<Arc<ResultFeatures>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+fn labelled<'a>(
+    entries: &'a [Arc<ResultFeatures>],
+    label: &str,
+) -> Option<&'a Arc<ResultFeatures>> {
+    entries.iter().find(|rf| rf.label == label)
 }
 
 /// The sharded, thread-safe feature cache. An entry is the extractor's
@@ -96,31 +107,45 @@ impl FeatureCache {
         FeatureCache { shards: std::array::from_fn(|_| CacheShard::default()) }
     }
 
-    fn shard_of(&self, key: &FeatureKey) -> &CacheShard {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[hasher.finish() as usize % CACHE_SHARDS]
+    /// The shard of a result root. Roots of one result list are often a
+    /// fixed stride apart, so the id is multiplied out before its top bits
+    /// pick the shard.
+    fn shard_of(&self, root: NodeId) -> &CacheShard {
+        let spread = (root.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        &self.shards[(spread >> 32) as usize % CACHE_SHARDS]
     }
 
-    fn get_or_extract(
+    /// The features of `root` under `label`: the cached ones, or those
+    /// `extract` makes of the label (and labels with it). The label is only
+    /// borrowed until the lookup has missed.
+    fn get_or_extract<L: AsRef<str>>(
         &self,
-        key: FeatureKey,
-        extract: impl FnOnce(&FeatureKey) -> ResultFeatures,
+        root: NodeId,
+        label: L,
+        extract: impl FnOnce(L) -> ResultFeatures,
     ) -> Arc<ResultFeatures> {
-        let shard = self.shard_of(&key);
-        if let Some(cached) = shard.map.read().expect("cache lock poisoned").get(&key) {
+        let shard = self.shard_of(root);
+        let map = shard.map.read().expect("cache lock poisoned");
+        let cached = map.get(&root).and_then(|entries| labelled(entries, label.as_ref()));
+        if let Some(cached) = cached {
             shard.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(cached);
         }
+        drop(map);
         shard.misses.fetch_add(1, Ordering::Relaxed);
         // Extract outside the lock: extraction walks the whole result
         // subtree, and holding the write lock across it would serialise
         // every concurrent miss. Two racing misses may both extract; the
         // result is identical (extraction is deterministic), and both get
         // whichever allocation reached the map first.
-        let extracted = Arc::new(extract(&key));
+        let extracted = Arc::new(extract(label));
         let mut map = shard.map.write().expect("cache lock poisoned");
-        Arc::clone(map.entry(key).or_insert(extracted))
+        let entries = map.entry(root).or_default();
+        if let Some(first) = labelled(entries, &extracted.label) {
+            return Arc::clone(first);
+        }
+        entries.push(Arc::clone(&extracted));
+        extracted
     }
 
     fn stats(&self) -> CacheStats {
@@ -131,7 +156,12 @@ impl FeatureCache {
     }
 
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.map.read().expect("cache lock poisoned").len()).sum()
+        self.shards
+            .iter()
+            .map(|s| {
+                s.map.read().expect("cache lock poisoned").values().map(Vec::len).sum::<usize>()
+            })
+            .sum()
     }
 
     fn clear(&self) {
@@ -385,7 +415,7 @@ impl Workbench {
 
     /// The features of one search result, served from the per-root cache.
     pub fn features_for(&self, result: &SearchResult) -> ResultFeatures {
-        self.subtree_features(result.root, result.label.clone())
+        ResultFeatures::clone(&self.shared_features(result.root, result.label.as_str()))
     }
 
     /// The features of an arbitrary subtree under `label`, served from the
@@ -398,14 +428,19 @@ impl Workbench {
 
     /// [`subtree_features`](Self::subtree_features) without the copy: the
     /// cached allocation itself, which is what the comparison terminals
-    /// build their [`Instance`] from.
-    pub(crate) fn shared_features(&self, root: NodeId, label: String) -> Arc<ResultFeatures> {
-        self.features.get_or_extract((root, label), |key| {
+    /// build their [`Instance`] from. The label is looked up as it is lent
+    /// and becomes a `String` only when the lookup misses.
+    pub(crate) fn shared_features(
+        &self,
+        root: NodeId,
+        label: impl AsRef<str> + Into<String>,
+    ) -> Arc<ResultFeatures> {
+        self.features.get_or_extract(root, label, |label| {
             xsact_entity::extract_features(
                 self.engine.document(),
                 self.engine.summary(),
-                key.0,
-                key.1.clone(),
+                root,
+                label,
             )
         })
     }
@@ -672,29 +707,30 @@ impl<'a> QueryPipeline<'a> {
     /// The results that enter the comparison after applying
     /// [`select`](Self::select) / [`take`](Self::take).
     pub fn selection(&self) -> XsactResult<Vec<SearchResult>> {
+        self.map_selection(SearchResult::clone)
+    }
+
+    /// `f` of every selected result, in selection order. The results are
+    /// lent where the memos hold them; nothing is copied unless `f` does.
+    fn map_selection<T>(&self, mut f: impl FnMut(&SearchResult) -> T) -> XsactResult<Vec<T>> {
         if self.select.is_empty() {
             if let (Some(_), true, None) = (self.take, self.ranked, self.search_memo.get()) {
                 // Ranked take(k) with no full list materialised yet: push
                 // the bound down into the streaming executor instead of
                 // ranking everything and truncating.
-                return Ok(self.bounded_hits().iter().map(|(r, _)| r.clone()).collect());
+                return Ok(self.bounded_hits().iter().map(|(r, _)| f(r)).collect());
             }
         }
         let results = self.raw_results();
         if !self.select.is_empty() {
-            return self
-                .select
-                .iter()
-                .map(|&i| {
-                    i.checked_sub(1)
-                        .and_then(|i| results.get(i))
-                        .cloned()
-                        .ok_or(XsactError::InvalidSelection { index: i, available: results.len() })
-                })
-                .collect();
+            // Every position is checked before `f` sees any result.
+            if let Some(&index) = self.select.iter().find(|&&i| i == 0 || i > results.len()) {
+                return Err(XsactError::InvalidSelection { index, available: results.len() });
+            }
+            return Ok(self.select.iter().map(|&i| f(&results[i - 1])).collect());
         }
         let cap = self.take.unwrap_or(results.len());
-        Ok(results.iter().take(cap).cloned().collect())
+        Ok(results.iter().take(cap).map(f).collect())
     }
 
     /// Extracts (or recalls from the workbench cache) the features of the
@@ -702,21 +738,22 @@ impl<'a> QueryPipeline<'a> {
     /// [`XsactError::NoResults`] when the query matched nothing, and with
     /// [`XsactError::InvalidConfig`] for a `take(0)` selection.
     pub fn features(&self) -> XsactResult<Vec<ResultFeatures>> {
-        Ok(self.compared()?.iter().map(|r| self.wb.features_for(r)).collect())
+        self.map_compared(|r| self.wb.features_for(r))
     }
 
-    /// The selection as the comparison terminals take it: never empty.
-    fn compared(&self) -> XsactResult<Vec<SearchResult>> {
+    /// [`map_selection`](Self::map_selection) as the comparison terminals
+    /// take it: never empty.
+    fn map_compared<T>(&self, f: impl FnMut(&SearchResult) -> T) -> XsactResult<Vec<T>> {
         if self.select.is_empty() && self.take == Some(0) {
             return Err(XsactError::InvalidConfig(
                 "take(0) selects no results; a comparison needs at least two".into(),
             ));
         }
-        let selected = self.selection()?;
-        if selected.is_empty() {
+        let mapped = self.map_selection(f)?;
+        if mapped.is_empty() {
             return Err(XsactError::NoResults { query: self.query_text() });
         }
-        Ok(selected)
+        Ok(mapped)
     }
 
     /// The preprocessed comparison instance over the selected results —
@@ -729,12 +766,10 @@ impl<'a> QueryPipeline<'a> {
             return Ok(inst);
         }
         validate_config(&self.config)?;
-        // The cache's own allocations: the instance reads them in place.
-        let features: Vec<Arc<ResultFeatures>> = self
-            .compared()?
-            .into_iter()
-            .map(|r| self.wb.shared_features(r.root, r.label))
-            .collect();
+        // The cache's own allocations, looked up by the labels the search
+        // memo holds: the instance reads them in place.
+        let features: Vec<Arc<ResultFeatures>> =
+            self.map_compared(|r| self.wb.shared_features(r.root, r.label.as_str()))?;
         if features.len() < 2 {
             return Err(XsactError::NotEnoughResults {
                 query: self.query_text(),

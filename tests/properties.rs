@@ -21,6 +21,10 @@
 //!   built out of document order fall back to the Dewey path;
 //! * the dispatched SIMD kernels agree with their scalar oracles on random
 //!   masks and the all-zero/all-one extremes;
+//! * the comparison instance built from prepared features on content
+//!   hashes is observably identical to the string-keyed build it replaced
+//!   (kept here as `oracle_instance`) — on random, cross-document and real
+//!   feature sets, and with the hash swapped for a constant;
 //! * every algorithm produces valid, size-bounded DFS sets;
 //! * the local searches never fall below their snippet starting point and
 //!   reach their respective optimality criteria;
@@ -28,12 +32,14 @@
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use xsact_core::{
-    dod_total, is_multi_swap_optimal, is_single_swap_optimal, run_algorithm, Algorithm, Comparison,
-    DfsConfig, Instance,
+    dod_total, is_multi_swap_optimal, is_single_swap_optimal, render_table, run_algorithm,
+    Algorithm, Comparison, DfsConfig, Instance,
 };
-use xsact_entity::{extract_features, FeatureType, NodeClass, ResultFeatures, StructureSummary};
+use xsact_entity::{
+    extract_features, FeatureStat, FeatureType, NodeClass, ResultFeatures, StructureSummary,
+};
 use xsact_index::{
     rank_results, rank_top_k, slca_full_scan, slca_indexed_lookup, InvertedIndex, PlanFragments,
     Query, QueryPlan, ResultSemantics, SearchEngine,
@@ -1072,6 +1078,477 @@ fn paths_that_render_alike_are_one_feature_type() {
     }
 }
 
+// ------------------------------------------- comparison instance vs oracle
+//
+// `Instance::build` reads prepared features: it finds the distinct types by
+// probing on a content hash, lays cells out flat and decides most of the
+// differentiability matrix from two fixed-size records. The build it
+// replaced — `BTreeSet`s of strings, a binary search per stat, a value list
+// sorted per stat and per build, one `Vec` per result and field — lives on
+// here as the oracle everything observable is pinned to.
+
+/// One display cell of the oracle (the library's `CellStat`, owned).
+#[derive(Debug, Clone, PartialEq)]
+struct OracleCell {
+    value: String,
+    ratio: f64,
+    count: u32,
+    instances: u32,
+    sig_ratio: f64,
+}
+
+#[derive(Debug)]
+struct OracleResult {
+    label: String,
+    ranked: Vec<Vec<usize>>,
+    cells: Vec<Option<OracleCell>>,
+    rank_of: Vec<Option<(usize, usize)>>,
+}
+
+#[derive(Debug)]
+struct OracleInstance {
+    types: Vec<FeatureType>,
+    entities: Vec<String>,
+    entity_of: Vec<usize>,
+    results: Vec<OracleResult>,
+    /// `diff[i][j][t]`.
+    diff: Vec<Vec<Vec<bool>>>,
+}
+
+/// The single value as a number — finite only: `nan`, `inf` and `1e400`
+/// parse as floats but are text (the one rule the oracle does not take
+/// from the old build, which let them through).
+fn oracle_numeric(stat: &FeatureStat) -> Option<f64> {
+    match stat.values.as_slice() {
+        [only] => only.value.trim().parse::<f64>().ok().filter(|v| v.is_finite()),
+        _ => None,
+    }
+}
+
+fn oracle_ratio(count: u32, instances: u32) -> f64 {
+    if instances == 0 {
+        0.0
+    } else {
+        f64::from(count) / f64::from(instances)
+    }
+}
+
+fn oracle_ratios_differ(pa: f64, pb: f64, threshold_pct: f64) -> bool {
+    (pa - pb).abs() > (threshold_pct / 100.0) * pa.min(pb)
+}
+
+/// The differentiability test as the paper states it: the numeric rule,
+/// else some value of the union whose occurrence ratios differ.
+fn oracle_stats_differ(a: &FeatureStat, b: &FeatureStat, threshold_pct: f64) -> bool {
+    if let (Some(na), Some(nb)) = (oracle_numeric(a), oracle_numeric(b)) {
+        return (na - nb).abs() > (threshold_pct / 100.0) * na.abs().min(nb.abs());
+    }
+    let union: BTreeSet<&str> =
+        a.values.iter().chain(&b.values).map(|vc| vc.value.as_str()).collect();
+    let ratio_in = |stat: &FeatureStat, value: &str| {
+        stat.values
+            .iter()
+            .find(|vc| vc.value == value)
+            .map_or(0.0, |vc| oracle_ratio(vc.count, stat.entity_instances))
+    };
+    union.into_iter().any(|v| oracle_ratios_differ(ratio_in(a, v), ratio_in(b, v), threshold_pct))
+}
+
+/// The string-keyed instance build.
+fn oracle_instance(results: &[ResultFeatures], config: DfsConfig) -> OracleInstance {
+    let mut entity_set: BTreeSet<&str> = BTreeSet::new();
+    let mut type_set: BTreeSet<&FeatureType> = BTreeSet::new();
+    for stat in results.iter().flat_map(|rf| &rf.stats) {
+        entity_set.insert(stat.ty.entity.as_str());
+        type_set.insert(&stat.ty);
+    }
+    let entities: Vec<String> = entity_set.into_iter().map(str::to_owned).collect();
+    let types: Vec<FeatureType> = type_set.into_iter().cloned().collect();
+    let entity_idx = |path: &str| entities.binary_search_by(|e| e.as_str().cmp(path)).unwrap();
+    let entity_of: Vec<usize> = types.iter().map(|t| entity_idx(&t.entity)).collect();
+
+    let mut stats_by_type: Vec<Vec<Option<&FeatureStat>>> = Vec::new();
+    let mut oracle_results = Vec::new();
+    for rf in results {
+        let mut ranked: Vec<Vec<usize>> = vec![Vec::new(); entities.len()];
+        let mut cells: Vec<Option<OracleCell>> = vec![None; types.len()];
+        let mut rank_of: Vec<Option<(usize, usize)>> = vec![None; types.len()];
+        let mut by_type: Vec<Option<&FeatureStat>> = vec![None; types.len()];
+        for stat in &rf.stats {
+            let t = types.binary_search(&stat.ty).unwrap();
+            let e = entity_idx(&stat.ty.entity);
+            rank_of[t] = Some((e, ranked[e].len()));
+            ranked[e].push(t);
+            by_type[t] = Some(stat);
+            let dominant = stat.dominant();
+            cells[t] = Some(OracleCell {
+                value: dominant.value.clone(),
+                ratio: oracle_ratio(dominant.count, stat.entity_instances),
+                count: dominant.count,
+                instances: stat.entity_instances,
+                sig_ratio: oracle_ratio(stat.occurrences, stat.entity_instances),
+            });
+        }
+        stats_by_type.push(by_type);
+        oracle_results.push(OracleResult { label: rf.label.clone(), ranked, cells, rank_of });
+    }
+
+    let n = results.len();
+    let mut diff = vec![vec![vec![false; types.len()]; n]; n];
+    for i in 0..n {
+        for j in 0..n {
+            for t in 0..types.len() {
+                if let (true, Some(a), Some(b)) = (i != j, stats_by_type[i][t], stats_by_type[j][t])
+                {
+                    diff[i][j][t] = oracle_stats_differ(a, b, config.threshold_pct);
+                }
+            }
+        }
+    }
+    OracleInstance { types, entities, entity_of, results: oracle_results, diff }
+}
+
+/// Everything observable of `inst` equals the oracle's.
+fn assert_instance_matches_oracle(inst: &Instance, features: &[ResultFeatures], what: &str) {
+    let want = oracle_instance(features, inst.config);
+    let (n, m) = (features.len(), want.types.len());
+    assert_eq!(inst.types, want.types, "{what}: types");
+    assert_eq!(inst.entities, want.entities, "{what}: entities");
+    assert_eq!(inst.entity_of, want.entity_of, "{what}: entity_of");
+    assert_eq!((inst.result_count(), inst.type_count()), (n, m), "{what}: shape");
+    assert!(inst.labels().eq(want.results.iter().map(|r| r.label.as_str())), "{what}: labels");
+    let words = m.div_ceil(64);
+    assert_eq!(inst.words_per_row(), words, "{what}: words per row");
+    assert_eq!(inst.bitmatrix_bytes(), n * n * words * 8, "{what}: bit matrix bytes");
+    for (i, result) in want.results.iter().enumerate() {
+        let ranked: Vec<Vec<usize>> = inst.ranked_lists(i).map(<[_]>::to_vec).collect();
+        assert_eq!(ranked, result.ranked, "{what}: ranked lists of {i}");
+        for (e, list) in result.ranked.iter().enumerate() {
+            assert_eq!(inst.ranked(i, e), list.as_slice(), "{what}: ranked({i}, {e})");
+        }
+        assert_eq!(
+            inst.type_count_of(i),
+            result.cells.iter().flatten().count(),
+            "{what}: type count of {i}"
+        );
+        for t in 0..m {
+            let cell = inst.cell(i, t).map(|c| OracleCell {
+                value: c.value.to_owned(),
+                ratio: c.ratio,
+                count: c.count,
+                instances: c.instances,
+                sig_ratio: c.sig_ratio,
+            });
+            assert_eq!(cell, result.cells[t], "{what}: cell({i}, {t})");
+            assert_eq!(
+                inst.has_type(i, t),
+                result.cells[t].is_some(),
+                "{what}: has_type({i}, {t})"
+            );
+            assert_eq!(inst.rank_of(i, t), result.rank_of[t], "{what}: rank_of({i}, {t})");
+        }
+        for j in 0..n {
+            let mut row = vec![0u64; words];
+            for t in (0..m).filter(|&t| want.diff[i][j][t]) {
+                row[t / 64] |= 1 << (t % 64);
+            }
+            assert_eq!(inst.diff_row(i, j), row.as_slice(), "{what}: diff_row({i}, {j})");
+        }
+        let potentials: Vec<u32> =
+            (0..m).map(|t| (0..n).filter(|&j| want.diff[i][j][t]).count() as u32).collect();
+        assert_eq!(inst.potentials(i), potentials.as_slice(), "{what}: potentials({i})");
+    }
+}
+
+/// A result before it is a `ResultFeatures`: what `from_raw` takes, kept so
+/// one set can be built under several hash functions.
+#[derive(Debug, Clone)]
+struct RawResult {
+    label: String,
+    entity_instances: Vec<(String, u32)>,
+    triplets: Vec<(FeatureType, String, u32)>,
+}
+
+impl RawResult {
+    fn build(&self, hash: Option<fn(&str) -> u64>) -> ResultFeatures {
+        let (label, instances, triplets) =
+            (self.label.clone(), self.entity_instances.clone(), self.triplets.clone());
+        match hash {
+            None => ResultFeatures::from_raw(label, instances, triplets),
+            Some(hash) => ResultFeatures::from_raw_hashed(label, instances, triplets, hash),
+        }
+    }
+}
+
+/// Entity and attribute names of the raw sets. `k`, `v` and `k:v` collide
+/// once joined (PR 14): type `(k, v)` is not type `(k:v, …)` is not
+/// attribute `k:v` of another entity.
+const RAW_ENTITIES: [&str; 6] = ["shop/item", "shop/item/k", "k", "k:v", "v", "shop/item/k:v"];
+const RAW_ATTRS: [&str; 8] = ["name", "k", "v", "k:v", "v@k", "kind", "rating", "title"];
+/// Text, finite numbers (some within 10 % of each other), and text that
+/// `str::parse::<f64>` takes for a number.
+const RAW_VALUES: [&str; 18] = [
+    "yes",
+    "no",
+    "4.2",
+    "4.1",
+    "2.0",
+    "1984",
+    "1e3",
+    "1000",
+    "Nan",
+    "nan",
+    "inf",
+    "Infinity",
+    "-inf",
+    "1e400",
+    "1e500",
+    "n/a",
+    "caf\u{e9}",
+    "\u{2014}",
+];
+const RAW_LABELS: [&str; 4] =
+    ["plain", "Am\u{e9}lie", "\u{4e03}\u{4eba}\u{306e}\u{4f8d}", "a \u{2014} b"];
+
+/// The shapes a raw set is drawn in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum RawShape {
+    /// A few results over a small shared vocabulary.
+    Mixed,
+    /// Every result has its own entity: no type is shared.
+    Disjoint,
+    /// One result only.
+    Single,
+    /// Well over 64 types: two-word bit rows.
+    Wide,
+}
+
+fn raw_feature_set(rng: &mut StdRng, shape: RawShape) -> Vec<RawResult> {
+    let result_count = match shape {
+        RawShape::Single => 1,
+        RawShape::Wide => rng.random_range(2..5usize),
+        _ => rng.random_range(2..7usize),
+    };
+    let wide_attrs: Vec<String> = (0..30).map(|a| format!("a{a}")).collect();
+    (0..result_count)
+        .map(|r| {
+            let entities: Vec<String> = match shape {
+                RawShape::Disjoint => vec![format!("own/e{r}")],
+                _ => RAW_ENTITIES.iter().map(|e| e.to_string()).collect(),
+            };
+            let mut attrs: Vec<&str> = RAW_ATTRS.to_vec();
+            if shape == RawShape::Wide {
+                attrs.extend(wide_attrs.iter().map(String::as_str));
+            }
+            let present = if shape == RawShape::Wide { 0.8 } else { 0.5 };
+            let mut triplets = Vec::new();
+            for entity in &entities {
+                for attr in &attrs {
+                    if !rng.random_bool(present) {
+                        continue;
+                    }
+                    let ty = FeatureType::new(entity.as_str(), *attr);
+                    // Mostly one value; sometimes several, drawn with
+                    // repeats and from few counts, so values tie.
+                    let values = if rng.random_bool(0.7) { 1 } else { rng.random_range(2..6usize) };
+                    for _ in 0..values {
+                        let count = rng.random_range(1..4u32);
+                        triplets.push((ty.clone(), pick(rng, &RAW_VALUES).to_owned(), count));
+                    }
+                }
+            }
+            // An entity without a count has zero instances: every ratio 0.
+            let entity_instances = entities
+                .iter()
+                .filter_map(|e| {
+                    let instances = [1, 1, 2, 10, 11][rng.random_range(0..5usize)];
+                    rng.random_bool(0.85).then(|| (e.clone(), instances))
+                })
+                .collect();
+            let label = format!("{} {r}", pick(rng, &RAW_LABELS));
+            RawResult { label, entity_instances, triplets }
+        })
+        .collect()
+}
+
+fn raw_shape(seed: u64) -> RawShape {
+    [RawShape::Mixed, RawShape::Disjoint, RawShape::Single, RawShape::Wide][seed as usize % 4]
+}
+
+fn random_config(rng: &mut StdRng) -> DfsConfig {
+    DfsConfig {
+        size_bound: rng.random_range(1..9usize),
+        threshold_pct: [0.0f64, 5.0, 10.0, 25.0][rng.random_range(0..4usize)],
+    }
+}
+
+#[test]
+fn instance_build_matches_the_string_keyed_oracle_on_random_sets() {
+    let (mut wide, mut multi_valued, mut zero_instance, mut non_finite) = (0, 0, 0, 0);
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shape = raw_shape(seed);
+        let features: Vec<ResultFeatures> =
+            raw_feature_set(&mut rng, shape).iter().map(|raw| raw.build(None)).collect();
+        let inst = Instance::build(&features, random_config(&mut rng));
+        assert_instance_matches_oracle(&inst, &features, &format!("seed {seed} {shape:?}"));
+        // Shared by pointer or owned, the features build one instance.
+        let shared: Vec<std::sync::Arc<ResultFeatures>> =
+            features.iter().cloned().map(std::sync::Arc::new).collect();
+        let from_shared = Instance::build(&shared, inst.config);
+        assert_instance_matches_oracle(&from_shared, &features, &format!("seed {seed} shared"));
+
+        // The generator must keep producing the shapes this test is for.
+        wide += usize::from(inst.words_per_row() > 1);
+        for stat in features.iter().flat_map(|rf| &rf.stats) {
+            multi_valued += usize::from(
+                stat.values.len() > 1 && stat.values.windows(2).any(|w| w[0].count == w[1].count),
+            );
+            zero_instance += usize::from(stat.entity_instances == 0);
+            non_finite += usize::from(
+                stat.values.len() == 1
+                    && stat.values[0].value.parse::<f64>().is_ok_and(|v| !v.is_finite()),
+            );
+        }
+        if shape == RawShape::Disjoint {
+            let shared_types = (0..inst.type_count())
+                .filter(|&t| (0..inst.result_count()).filter(|&i| inst.has_type(i, t)).count() > 1)
+                .count();
+            assert_eq!(shared_types, 0, "seed {seed}: disjoint results share a type");
+            assert_eq!(xsact_core::dod_upper_bound(&inst), 0, "seed {seed}");
+        }
+    }
+    assert!(wide > 0 && multi_valued > 0 && zero_instance > 0 && non_finite > 0);
+}
+
+/// `CorpusQuery::compare` builds one instance from features that different
+/// documents' workbenches extracted: no id of one document means anything
+/// in the other, and the instance must not care.
+#[test]
+fn instance_build_matches_the_oracle_on_cross_document_sets() {
+    let mut cross_document_types = 0;
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let benches = [
+            xsact::Workbench::from_document(feature_document(&mut rng, false)),
+            xsact::Workbench::from_document(feature_document(&mut rng, true)),
+        ];
+        let mut features = Vec::new();
+        for (d, wb) in benches.iter().enumerate() {
+            // Roots near the top: subtrees big enough to have types, and
+            // paths short enough to recur in the other document.
+            let doc = wb.document();
+            let mut elements: Vec<NodeId> = vec![doc.root()];
+            elements.extend(doc.child_elements(doc.root()));
+            for k in 0..rng.random_range(1..5usize) {
+                let root = elements[rng.random_range(0..elements.len())];
+                features.push((d, wb.subtree_features(root, format!("d{d} r{k}"))));
+            }
+        }
+        let (origin, features): (Vec<usize>, Vec<ResultFeatures>) = features.into_iter().unzip();
+        let inst = Instance::build(&features, random_config(&mut rng));
+        assert_instance_matches_oracle(&inst, &features, &format!("seed {seed}"));
+        cross_document_types += (0..inst.type_count())
+            .filter(|&t| {
+                let docs: BTreeSet<usize> = (0..features.len())
+                    .filter(|&i| inst.has_type(i, t))
+                    .map(|i| origin[i])
+                    .collect();
+                docs.len() == 2
+            })
+            .count();
+    }
+    assert!(cross_document_types > 0, "no type was ever shared across the two documents");
+}
+
+#[test]
+fn instance_build_matches_the_oracle_on_the_paper_pools() {
+    use xsact_data::{fixtures, vocab, MoviesGen};
+    // Figure 1 / Figure 2: snippets differentiate 2 feature types, XSACT 5.
+    let wb = xsact::Workbench::from_document(fixtures::figure1_document());
+    let pipeline = wb.query(fixtures::PAPER_QUERY).unwrap();
+    let features = pipeline.features().unwrap();
+    for (bound, algorithm, dod) in [
+        (fixtures::SNIPPET_BOUND, Algorithm::Snippet, 2),
+        (fixtures::TABLE_BOUND, Algorithm::MultiSwap, 5),
+    ] {
+        let inst =
+            Instance::build(&features, DfsConfig { size_bound: bound, ..DfsConfig::default() });
+        assert_instance_matches_oracle(&inst, &features, "figure 1");
+        let (set, _) = run_algorithm(&inst, algorithm);
+        assert_eq!(dod_total(&inst, &set), dod, "{}", algorithm.name());
+    }
+
+    // The Figure-4 shape: genre + keyword over the movie dataset, the top
+    // 16 of each of the first 64 queries that have something to compare.
+    let wb = xsact::Workbench::from_document(MoviesGen::default_gen().generate());
+    let config = DfsConfig { size_bound: 8, threshold_pct: 10.0 };
+    let mut pool = 0;
+    let queries =
+        vocab::GENRES.iter().flat_map(|g| vocab::KEYWORDS.iter().map(move |k| format!("{g} {k}")));
+    for query in queries {
+        let pipeline = wb.query(&query).unwrap().ranked(true).take(16).size_bound(8);
+        if pool == 64 || pipeline.selection().unwrap().len() < 2 {
+            continue;
+        }
+        pool += 1;
+        let features = pipeline.features().unwrap();
+        let inst = Instance::build(&features, config);
+        assert_instance_matches_oracle(&inst, &features, &query);
+        // What the facade builds from the cache's `Arc`s is that instance.
+        assert_instance_matches_oracle(pipeline.instance().unwrap(), &features, &query);
+    }
+    assert_eq!(pool, 64);
+}
+
+fn constant_hash(_: &str) -> u64 {
+    0
+}
+
+/// Eight buckets for everything.
+fn three_bit_hash(text: &str) -> u64 {
+    text.bytes().fold(0u64, |h, b| h.wrapping_add(u64::from(b))) & 7
+}
+
+/// A content hash only picks where a lookup starts; what matches is decided
+/// on the strings. So the worst hash there is — one bucket — and a nearly
+/// as bad one must build the same instance and render the same tables.
+#[test]
+fn hashes_only_route_instances_and_tables_never_depend_on_them() {
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shape = raw_shape(seed);
+        let raw = raw_feature_set(&mut rng, shape);
+        let config = random_config(&mut rng);
+        let build = |hash: Option<fn(&str) -> u64>| -> (Vec<ResultFeatures>, Instance) {
+            let features: Vec<ResultFeatures> = raw.iter().map(|r| r.build(hash)).collect();
+            let inst = Instance::build(&features, config);
+            (features, inst)
+        };
+        let (features, inst) = build(None);
+        for (name, hash) in [
+            ("constant", constant_hash as fn(&str) -> u64),
+            ("3-bit", three_bit_hash as fn(&str) -> u64),
+        ] {
+            let what = format!("seed {seed} {shape:?}, {name} hash");
+            let (weak_features, weak) = build(Some(hash));
+            assert_eq!(weak_features, features, "{what}: equality looks at the prepared form");
+            assert_instance_matches_oracle(&weak, &features, &what);
+            for algorithm in Algorithm::ALL {
+                let (set, _) = run_algorithm(&inst, algorithm);
+                let (weak_set, _) = run_algorithm(&weak, algorithm);
+                assert_eq!(weak_set, set, "{what}: {} DFSs", algorithm.name());
+                assert_eq!(
+                    render_table(&weak, &weak_set),
+                    render_table(&inst, &set),
+                    "{what}: {} table",
+                    algorithm.name()
+                );
+            }
+        }
+    }
+}
+
 // ----------------------------------------------------------- DFS algorithms
 
 const ENTITIES: [&str; 3] = ["e0", "e1", "e2"];
@@ -1213,7 +1690,7 @@ fn oracle_weights(inst: &Instance, masks: &[Vec<bool>], i: usize) -> Vec<u32> {
             continue;
         }
         for (t, w) in weights.iter_mut().enumerate() {
-            if mask[t] && inst.results[i].has_type(t) && inst.differentiable(i, j, t) {
+            if mask[t] && inst.has_type(i, t) && inst.differentiable(i, j, t) {
                 *w += 1;
             }
         }
