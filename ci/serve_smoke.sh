@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Serve smoke lane: boot `xsact serve` on a loopback socket, drive it with
-# the scripted client, and golden-diff the responses. Six servers run in
-# sequence:
+# the scripted client, and golden-diff the responses. Five scenarios run
+# in sequence:
 #
 #   1. a normal server — scripted queries, diffed against serve_smoke.golden
 #   2. a --budget 1 server — the second query must be ERR BUDGET_EXCEEDED
@@ -10,10 +10,7 @@
 #      the first query must be ERR SHARD_FAILED, the second byte-identical
 #      to a healthy run (diffed against serve_chaos.golden), with
 #      shard_restarts 1 and cache_hits 0 (a failure is never cached)
-#   5. a --mux server — the phase-1 script again, one poll-driven front-end
-#      thread, diffed against the *same* serve_smoke.golden (multiplexing
-#      never changes bytes)
-#   6. a --cache-entries 0 server vs the default — the same --repeat 3
+#   5. a --cache-entries 0 server vs the default — the same --repeat 3
 #      client script against both; outputs must be byte-identical (the
 #      cache never changes bytes, armed or disarmed)
 #
@@ -22,7 +19,7 @@
 # one branch on the production hot path.
 #
 # The script builds nothing unless target/release/xsact is missing, so the
-# CI step can reuse the workspace build. Exit code 0 = all six passed.
+# CI step can reuse the workspace build. Exit code 0 = all five passed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -84,7 +81,7 @@ normalize() {
         -e 's/^\(\(queue_wait\|execute\|e2e\)_us count:[0-9]*\).*/\1 <quantiles>/'
 }
 
-echo "== serve smoke 1/6: scripted session vs golden =="
+echo "== serve smoke 1/5: scripted session vs golden =="
 start_server
 "$XSACT" client --addr "$ADDR" <<'EOF' >/tmp/serve_smoke.raw
 QUERY drama family
@@ -113,7 +110,7 @@ for metric in xsact_queue_wait_ns xsact_execute_ns xsact_e2e_ns; do
 done
 echo "golden diff clean; latency histogram counts match queries served"
 
-echo "== serve smoke 2/6: session budget rejects the second query =="
+echo "== serve smoke 2/5: session budget rejects the second query =="
 start_server --budget 1
 "$XSACT" client --addr "$ADDR" <<'EOF' >/tmp/serve_budget.out
 QUERY drama family
@@ -133,7 +130,7 @@ grep -q '^ERR BUDGET_EXCEEDED ' /tmp/serve_budget.out || {
 }
 echo "budget rejection surfaced"
 
-echo "== serve smoke 3/6: zero-capacity queue rejects as overloaded =="
+echo "== serve smoke 3/5: zero-capacity queue rejects as overloaded =="
 start_server --queue 0
 "$XSACT" client --addr "$ADDR" <<'EOF' >/tmp/serve_overload.out
 QUERY drama family
@@ -147,7 +144,7 @@ grep -q '^ERR OVERLOADED ' /tmp/serve_overload.out || {
 }
 echo "overload rejection surfaced"
 
-echo "== serve smoke 4/6: injected shard panic is typed and recovered =="
+echo "== serve smoke 4/5: injected shard panic is typed and recovered =="
 # shard_panic@2 fires during the first broadcast (both shards hit the
 # counter once); which shard wins the race varies, so shard numbers in
 # the ERR line are normalized before the diff. Everything after the
@@ -187,30 +184,7 @@ grep -q '^xsact_cache_misses 2$' /tmp/serve_chaos.raw || {
 }
 echo "shard panic surfaced as ERR SHARD_FAILED; recovery matched the golden"
 
-echo "== serve smoke 5/6: mux front end matches the same golden =="
-# The identical phase-1 script against --mux: one poll-driven thread
-# serves the connection, and the bytes must match the thread-per-connection
-# golden exactly — multiplexing never changes bytes.
-start_server --mux
-"$XSACT" client --addr "$ADDR" <<'EOF2' >/tmp/serve_mux.raw
-QUERY drama family
-TOP 2
-QUERY drama family
-STATS
-METRICS
-QUERY ???
-BOGUS verb
-SHUTDOWN
-EOF2
-finish_server >/dev/null
-normalize </tmp/serve_mux.raw >/tmp/serve_mux.out
-if ! diff -u "$GOLDEN" /tmp/serve_mux.out; then
-    echo "FAIL: mux session diverged from $GOLDEN" >&2
-    exit 1
-fi
-echo "mux lane matched the thread-per-connection golden"
-
-echo "== serve smoke 6/6: disarmed cache is byte-identical =="
+echo "== serve smoke 5/5: disarmed cache is byte-identical =="
 # The same --repeat 3 script against the default (cached) server and a
 # --cache-entries 0 server: repeats are hits on one and fresh executions
 # on the other, and the client-visible bytes must not differ.
@@ -248,4 +222,4 @@ if [[ "$FAULT_READERS" != "crates/xsact-serve/src/fault.rs" ]]; then
 fi
 echo "guards held"
 
-echo "serve smoke: all six scenarios passed"
+echo "serve smoke: all five scenarios passed"

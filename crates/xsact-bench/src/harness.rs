@@ -1,17 +1,11 @@
-//! A tiny self-timing bench harness.
-//!
-//! The build environment is offline, so criterion is unavailable; the
-//! `[[bench]]` targets are plain binaries (`harness = false`) built on this
-//! module instead. It keeps the parts that matter for the paper's tables —
-//! warm-up, multiple timed samples, median/min reporting — and drops the
-//! statistics machinery.
+//! What the figure binaries share besides their workloads: a registry of
+//! the numbers they print, flushed as `BENCH_<bin>.json`, and the smoke
+//! mode CI runs them in. Timing lives in the stand-alone `bench/` package.
 
-use std::hint::black_box;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
-/// One machine-readable measurement, accumulated by [`bench_with`] /
-/// [`record`] and flushed to `BENCH_<bin>.json` by [`emit_json`].
+/// One machine-readable measurement, accumulated by [`record`] and flushed
+/// to `BENCH_<bin>.json` by [`emit_json`].
 #[derive(Debug, Clone)]
 struct Record {
     name: String,
@@ -21,9 +15,8 @@ struct Record {
 
 static RECORDS: Mutex<Vec<Record>> = Mutex::new(Vec::new());
 
-/// Registers one numeric measurement for [`emit_json`]. Timing benches do
-/// this automatically; stat-style callers use it for counters and byte
-/// sizes they also print in human form.
+/// Registers one numeric measurement for [`emit_json`] — the counters and
+/// DoD values the figure binaries also print in human form.
 pub fn record(name: &str, metric: &str, value: f64) {
     RECORDS.lock().expect("bench record registry poisoned").push(Record {
         name: name.to_owned(),
@@ -77,53 +70,17 @@ pub fn emit_json(bin: &str) {
     }
 }
 
-/// How long a benchmark warms up and how many samples it takes.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchConfig {
-    /// Warm-up period before sampling starts.
-    pub warm_up: Duration,
-    /// Number of timed samples.
-    pub samples: usize,
-    /// Minimum wall-clock time one sample should cover; iterations per
-    /// sample are scaled up until a sample takes at least this long.
-    pub min_sample_time: Duration,
-}
-
-impl Default for BenchConfig {
-    fn default() -> Self {
-        if quick_mode() {
-            return BenchConfig::quick();
-        }
-        BenchConfig {
-            warm_up: Duration::from_millis(120),
-            samples: 15,
-            min_sample_time: Duration::from_millis(12),
-        }
-    }
-}
-
-impl BenchConfig {
-    /// The smoke-test configuration: one warm-up call, one sample of one
-    /// iteration. The numbers are meaningless as measurements — the point
-    /// is that every bench body still *runs* (so CI catches bit-rot) in a
-    /// fraction of a second.
-    pub fn quick() -> Self {
-        BenchConfig { warm_up: Duration::ZERO, samples: 1, min_sample_time: Duration::ZERO }
-    }
-}
-
-/// Whether this process should run benches in smoke mode: one tiny
-/// iteration per bench, shrunken workloads. Enabled by `XSACT_BENCH_QUICK`
-/// (any value but `0`/empty) or a `--quick` argument; CI sets the
-/// environment variable so every self-timing binary is exercised on every
-/// PR without costing minutes.
+/// Whether this process should run in smoke mode: shrunken workloads, one
+/// timing sample. Enabled by `XSACT_BENCH_QUICK` (any value but
+/// `0`/empty) or a `--quick` argument; CI sets the environment variable so
+/// every figure binary is exercised on every PR without costing minutes.
 pub fn quick_mode() -> bool {
     std::env::var_os("XSACT_BENCH_QUICK").is_some_and(|v| !v.is_empty() && v != "0")
         || std::env::args().any(|a| a == "--quick")
 }
 
 /// `full`, shrunk to `quick` in [smoke mode](quick_mode) — the one-liner
-/// the bench binaries use to scale their workloads.
+/// the figure binaries use to scale their workloads.
 pub fn scaled(full: usize, quick: usize) -> usize {
     if quick_mode() {
         quick
@@ -132,123 +89,9 @@ pub fn scaled(full: usize, quick: usize) -> usize {
     }
 }
 
-/// Timing summary of one benchmark.
-#[derive(Debug, Clone, Copy)]
-pub struct Summary {
-    /// Median time per iteration.
-    pub median: Duration,
-    /// Fastest observed time per iteration.
-    pub min: Duration,
-    /// Iterations per timed sample.
-    pub iters_per_sample: u64,
-}
-
-/// Runs `f` under the default configuration and prints one result line,
-/// mirroring `group/name  median  (min)` of the criterion output.
-pub fn bench<T>(group: &str, name: &str, mut f: impl FnMut() -> T) -> Summary {
-    bench_with(BenchConfig::default(), group, name, &mut f)
-}
-
-/// Runs `f` under an explicit configuration and prints one result line.
-pub fn bench_with<T>(
-    cfg: BenchConfig,
-    group: &str,
-    name: &str,
-    f: &mut impl FnMut() -> T,
-) -> Summary {
-    // Warm up and calibrate the per-sample iteration count.
-    let warm_start = Instant::now();
-    let mut warm_iters: u64 = 0;
-    while warm_start.elapsed() < cfg.warm_up || warm_iters == 0 {
-        black_box(f());
-        warm_iters += 1;
-    }
-    let per_iter = warm_start.elapsed() / warm_iters.max(1) as u32;
-    let iters_per_sample = if per_iter.is_zero() {
-        1024
-    } else {
-        (cfg.min_sample_time.as_nanos() / per_iter.as_nanos().max(1)).clamp(1, 1 << 24) as u64
-    };
-
-    let mut samples: Vec<Duration> = (0..cfg.samples.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..iters_per_sample {
-                black_box(f());
-            }
-            t.elapsed() / iters_per_sample as u32
-        })
-        .collect();
-    samples.sort();
-    let summary = Summary { median: samples[samples.len() / 2], min: samples[0], iters_per_sample };
-    let full = format!("{group}/{name}");
-    record(&full, "median_ns", summary.median.as_nanos() as f64);
-    record(&full, "min_ns", summary.min.as_nanos() as f64);
-    println!(
-        "{group}/{name:<42} {:>12}   (min {:>12}, {} iters/sample)",
-        format_duration(summary.median),
-        format_duration(summary.min),
-        summary.iters_per_sample
-    );
-    summary
-}
-
-/// Prints one non-timing statistic line in the bench output format, so
-/// memory-footprint and counter stats line up with the timing rows.
-pub fn stat(group: &str, name: &str, value: impl std::fmt::Display) {
-    println!("{group}/{name:<42} {value}");
-}
-
-/// Human-friendly byte count with KiB/MiB scaling.
-pub fn format_bytes(bytes: usize) -> String {
-    if bytes < 1024 {
-        format!("{bytes} B")
-    } else if bytes < 1024 * 1024 {
-        format!("{:.1} KiB", bytes as f64 / 1024.0)
-    } else {
-        format!("{:.2} MiB", bytes as f64 / (1024.0 * 1024.0))
-    }
-}
-
-/// Human-friendly duration with µs/ms/s scaling.
-pub fn format_duration(d: Duration) -> String {
-    let nanos = d.as_nanos();
-    if nanos < 1_000 {
-        format!("{nanos} ns")
-    } else if nanos < 1_000_000 {
-        format!("{:.2} µs", nanos as f64 / 1_000.0)
-    } else if nanos < 1_000_000_000 {
-        format!("{:.2} ms", nanos as f64 / 1_000_000.0)
-    } else {
-        format!("{:.2} s", nanos as f64 / 1_000_000_000.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_reports_sane_numbers() {
-        let cfg = BenchConfig {
-            warm_up: Duration::from_millis(2),
-            samples: 3,
-            min_sample_time: Duration::from_micros(200),
-        };
-        let mut work = || (0..100u64).sum::<u64>();
-        let s = bench_with(cfg, "test", "sum", &mut work);
-        assert!(s.min <= s.median);
-        assert!(s.iters_per_sample >= 1);
-    }
-
-    #[test]
-    fn quick_config_runs_one_tiny_iteration() {
-        let mut calls = 0u64;
-        let s = bench_with(BenchConfig::quick(), "test", "quick", &mut || calls += 1);
-        assert_eq!(s.iters_per_sample, 1);
-        // One calibration call plus one sample iteration.
-        assert_eq!(calls, 2);
-    }
 
     #[test]
     fn scaled_only_shrinks_in_quick_mode() {
@@ -259,21 +102,6 @@ mod tests {
         } else {
             assert_eq!(scaled(400, 40), 400);
         }
-    }
-
-    #[test]
-    fn durations_format_with_units() {
-        assert_eq!(format_duration(Duration::from_nanos(12)), "12 ns");
-        assert_eq!(format_duration(Duration::from_micros(3)), "3.00 µs");
-        assert_eq!(format_duration(Duration::from_millis(4)), "4.00 ms");
-        assert_eq!(format_duration(Duration::from_secs(2)), "2.00 s");
-    }
-
-    #[test]
-    fn bytes_format_with_units() {
-        assert_eq!(format_bytes(12), "12 B");
-        assert_eq!(format_bytes(2048), "2.0 KiB");
-        assert_eq!(format_bytes(3 * 1024 * 1024), "3.00 MiB");
     }
 
     #[test]

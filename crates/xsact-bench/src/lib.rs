@@ -1,10 +1,9 @@
-//! Shared workload construction for the XSACT benchmark harness.
+//! Shared workload construction for the paper-figure binaries
+//! (`fig1_stats`, `fig2_table`, `fig4`); performance is measured by the
+//! stand-alone `bench/` package, not here.
 //!
-//! Every table/figure binary and every bench builds its inputs through this
-//! module so that the workloads stay consistent across runs and between the
-//! harness and the benches. The workloads run through the [`Workbench`]
-//! facade: one workbench per dataset, so repeated preparations (e.g. the
-//! scaling sweeps that re-prepare the same queries with different caps)
+//! The Figure 4 workload runs through the [`Workbench`] facade: one
+//! workbench per dataset, so repeated preparations of the same queries
 //! reuse cached features instead of re-extracting them.
 
 use xsact::prelude::*;

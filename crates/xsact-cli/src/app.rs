@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xsact::prelude::*;
-use xsact::serve::{serve_tcp, serve_tcp_mux, FaultPlan, END_MARKER};
+use xsact::serve::{serve_tcp, FaultPlan, END_MARKER};
 use xsact_data::{
     fixtures, JobsGen, JobsGenConfig, MovieGenConfig, MoviesGen, OutdoorGen, OutdoorGenConfig,
     ReviewsGen, ReviewsGenConfig,
@@ -339,12 +339,7 @@ pub fn run_serve(args: &ServeArgs) -> Result<String, XsactError> {
     };
     let server = CorpusServer::start(Arc::clone(&corpus), config);
     let registry = server.metrics_registry();
-    // The two front ends are wire-identical; --mux only changes the
-    // threading model (one poll-driven thread vs one thread per
-    // connection). Deliberately absent from the config print below, so a
-    // mux run diffs clean against a thread-per-connection golden.
-    let handle =
-        if args.mux { serve_tcp_mux(server, &args.addr)? } else { serve_tcp(server, &args.addr)? };
+    let handle = serve_tcp(server, &args.addr)?;
     // The HTTP endpoint scrapes the same registry the METRICS verb reads.
     let metrics = match &args.metrics_addr {
         Some(addr) => Some(xsact::obs::serve_metrics(registry, addr)?),

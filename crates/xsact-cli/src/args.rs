@@ -197,9 +197,6 @@ pub struct ServeArgs {
     /// Approximate byte bound of the result-page cache (0 = entry bound
     /// only).
     pub cache_bytes: usize,
-    /// Serve with the single-thread poll-multiplexed front end instead of
-    /// thread-per-connection (wire behaviour is identical).
-    pub mux: bool,
 }
 
 impl Default for ServeArgs {
@@ -221,7 +218,6 @@ impl Default for ServeArgs {
             deadline_ms: None,
             cache_entries: 1024,
             cache_bytes: 4 << 20,
-            mux: false,
         }
     }
 }
@@ -349,9 +345,6 @@ SERVE OPTIONS (long-lived corpus server, TCP line protocol):
                          cache (hits skip queue and shard pool)   [1024]
     --cache-bytes <n>    result-page cache byte bound; 0 = entry bound
                          only                                  [4194304]
-    --mux                multiplex all connections on one front-end
-                         thread (poll-based readiness loop); bytes are
-                         identical to thread-per-connection
     env XSACT_FAULTS     arm deterministic fault-injection sites (chaos
                          testing; see the fault module docs)
     protocol verbs: QUERY <text> | TOP <k> | STATS | METRICS | QUIT |
@@ -455,7 +448,6 @@ where
                 args.cache_entries = int("--cache-entries", value("--cache-entries")?)?;
             }
             "--cache-bytes" => args.cache_bytes = int("--cache-bytes", value("--cache-bytes")?)?,
-            "--mux" => args.mux = true,
             "--help" | "-h" => return Err(ArgError(USAGE.to_owned())),
             other => return Err(ArgError(format!("unknown serve flag {other:?}\n\n{USAGE}"))),
         }
@@ -815,14 +807,12 @@ mod tests {
         assert_eq!(s.budget, None);
         assert_eq!((s.docs, s.movies, s.shards), (8, 120, 0));
         assert_eq!((s.cache_entries, s.cache_bytes), (1024, 4 << 20));
-        assert!(!s.mux, "thread-per-connection is the default front end");
     }
 
     #[test]
-    fn serve_cache_and_mux_flags() {
-        let s = parse_serve_ok(&["serve", "--cache-entries", "0", "--mux"]);
+    fn serve_cache_flags() {
+        let s = parse_serve_ok(&["serve", "--cache-entries", "0"]);
         assert_eq!(s.cache_entries, 0, "--cache-entries 0 disables the cache");
-        assert!(s.mux);
         let s = parse_serve_ok(&["serve", "--cache-entries", "2", "--cache-bytes", "4096"]);
         assert_eq!((s.cache_entries, s.cache_bytes), (2, 4096));
         let err = |args: &[&str]| parse(args.iter().map(|s| s.to_string())).unwrap_err();

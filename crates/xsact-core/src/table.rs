@@ -307,13 +307,14 @@ mod tests {
             .iter()
             .flat_map(|g| vocab::KEYWORDS.iter().map(move |k| format!("{g} {k}")));
         for text in queries {
-            let top = engine.search_top_k(&Query::parse(&text), 16, ResultSemantics::Slca);
-            if pool == 64 || top.hits.len() < 2 {
+            let (top, _) =
+                engine.search_top_k(&Query::parse(&text), 16, ResultSemantics::Slca, None, None);
+            if pool == 64 || top.len() < 2 {
                 continue;
             }
             pool += 1;
             let features: Vec<ResultFeatures> =
-                top.hits.iter().map(|(result, _)| engine.extract_features(result)).collect();
+                top.iter().map(|root| engine.extract_features(&engine.result_for(root))).collect();
             let inst = Instance::build(&features, config);
             for algorithm in Algorithm::ALL {
                 let (set, _) = run_algorithm(&inst, algorithm);

@@ -7,6 +7,17 @@
 //! rather than an arbitrary grouping node. This is the return-node inference
 //! of reference \[3\] in the form the demo paper describes ("each result will
 //! be a brand selling men's jackets").
+//!
+//! There are two ways to run a query. [`SearchEngine::search_all`] returns
+//! every result in document order under either LCA semantics
+//! ([`SearchEngine::search`] is its SLCA shorthand).
+//! [`SearchEngine::search_top_k`] returns the best `k` by relevance,
+//! streamed through a bounded heap and left unlabelled until
+//! [`SearchEngine::result_for`] — the path every ranked, `take(k)` and
+//! corpus caller runs. Both report the executor's work as
+//! [`ExecutorStats`] and take an optional trace sink.
+//! [`SearchEngine::search_ranked`] sorts the full result list and exists
+//! as the oracle the property suite compares the streaming path against.
 
 use crate::plan::{ExecutorStats, PlanFragments, QueryPlan};
 use crate::postings::InvertedIndex;
@@ -42,25 +53,15 @@ pub struct SearchResult {
 }
 
 /// A ranked result that has not been given its display label yet: what the
-/// streaming top-k executor keeps per survivor. Callers that merge several
-/// documents' rankings ([`SearchEngine::search_top_k_roots`]) label only
-/// what survives their merge, via [`SearchEngine::result_for`].
+/// streaming top-k executor ([`SearchEngine::search_top_k`]) keeps per
+/// survivor. A caller that merges several documents' rankings keeps only
+/// some of them, and labels those alone via [`SearchEngine::result_for`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankedRoot {
     /// The scored result root (`score.root` is the master entity).
     pub score: ScoredResult,
     /// The SLCA node the root was promoted from.
     pub slca: NodeId,
-}
-
-/// The outcome of one streaming top-k run: the best `k` results with
-/// their scores, best-first, plus what the executor did to find them.
-#[derive(Debug, Clone)]
-pub struct TopKSearch {
-    /// Ranked results (score descending, Dewey tie-break), at most `k`.
-    pub hits: Vec<(SearchResult, ScoredResult)>,
-    /// Executor counters for this run.
-    pub stats: ExecutorStats,
 }
 
 /// Annotates a `plan` span with the plan's shape.
@@ -124,31 +125,19 @@ impl SearchEngine {
     /// query, or a query containing a term absent from the document,
     /// returns no results.
     pub fn search(&self, query: &Query) -> Vec<SearchResult> {
-        self.search_with(query, ResultSemantics::Slca)
+        self.search_all(query, ResultSemantics::Slca, None).0
     }
 
-    /// Runs a conjunctive keyword query under the chosen LCA semantics.
-    pub fn search_with(&self, query: &Query, semantics: ResultSemantics) -> Vec<SearchResult> {
-        self.search_with_stats(query, semantics).0
-    }
-
-    /// Like [`search_with`](Self::search_with), additionally reporting
-    /// what the executor did. A query the planner proves empty (no terms,
-    /// or a term with zero postings) returns zeroed counters — no SLCA
-    /// work ran at all.
-    pub fn search_with_stats(
-        &self,
-        query: &Query,
-        semantics: ResultSemantics,
-    ) -> (Vec<SearchResult>, ExecutorStats) {
-        self.search_with_stats_traced(query, semantics, None)
-    }
-
-    /// [`search_with_stats`](Self::search_with_stats) with an optional
-    /// stage trace (`plan` → `slca-stream` → `sort` spans). With `None`
-    /// no timestamps are taken at all, and tracing never changes the
-    /// results — only observes them.
-    pub fn search_with_stats_traced(
+    /// The document-order search: every result of a conjunctive keyword
+    /// query under the chosen LCA semantics, plus what the executor did to
+    /// find them. A query the planner proves empty (no terms, or a term
+    /// with zero postings) returns zeroed counters — no SLCA work ran at
+    /// all.
+    ///
+    /// With a `trace`, the stages record `plan` → `slca-stream` → `sort`
+    /// spans; with `None` no timestamps are taken at all. Tracing never
+    /// changes the results — only observes them.
+    pub fn search_all(
         &self,
         query: &Query,
         semantics: ResultSemantics,
@@ -184,7 +173,7 @@ impl SearchEngine {
     /// Runs the planned match stream under `semantics` and hands every
     /// *distinct* master-entity promotion to `f` as a `(root, slca)` pair,
     /// in match (document) order — the shared front half of
-    /// [`search_with_stats`](Self::search_with_stats) and
+    /// [`search_all`](Self::search_all) and
     /// [`search_top_k`](Self::search_top_k), so promotion, duplicate
     /// accounting and the per-semantics dispatch cannot drift apart.
     fn for_each_promoted(
@@ -250,81 +239,36 @@ impl SearchEngine {
     /// Runs the **streaming top-k executor**: plans the query (rarest-first
     /// term order, zero-postings short-circuit), streams SLCA roots through
     /// entity promotion and the TF-IDF scorer, and keeps only the best `k`
-    /// in a bounded heap — display labels are built for the survivors
-    /// only. `search_top_k(q, k, s).hits` equals the ranked full search
-    /// truncated to `k` for every `k` (the ranking order is total;
-    /// `tests/properties.rs` pins it), with `usize::MAX` producing the
-    /// complete ranking.
+    /// in a bounded heap. The survivors come back best-first as bare
+    /// [`RankedRoot`]s — a display label costs a subtree walk, and a caller
+    /// that merges this document's top-k with other documents' pays
+    /// [`result_for`](Self::result_for) only for what survives its merge.
+    /// The roots equal the ranked full search truncated to `k` for every
+    /// `k` (the ranking order is total; `tests/properties.rs` pins it),
+    /// with `usize::MAX` producing the complete ranking.
+    ///
+    /// With a `fragments` table, planning goes through it: terms already
+    /// resolved by an earlier query of the same batch are served from the
+    /// table, and the reused entry count lands in
+    /// [`ExecutorStats::postings_shared`]. Roots, ranking order and the
+    /// other counters are identical to independent planning
+    /// (`tests/properties.rs` pins it over random batches).
+    ///
+    /// With a `trace`, the stages record `plan` → `slca-stream` → `rank`
+    /// spans with the executor counters attached as span notes; with
+    /// `None` no timestamps are taken at all. Tracing never changes the
+    /// ranked bytes (`tests/obs.rs` pins it).
     ///
     /// [`search_ranked`](Self::search_ranked) stays as the sort-everything
     /// correctness oracle.
-    pub fn search_top_k(&self, query: &Query, k: usize, semantics: ResultSemantics) -> TopKSearch {
-        self.search_top_k_traced(query, k, semantics, None)
-    }
-
-    /// [`search_top_k`](Self::search_top_k) with an optional stage trace
-    /// (`plan` → `slca-stream` → `rank` spans, executor counters attached
-    /// as span notes). With `None` no timestamps are taken at all;
-    /// tracing never changes the ranked bytes (`tests/obs.rs` pins it).
-    pub fn search_top_k_traced(
-        &self,
-        query: &Query,
-        k: usize,
-        semantics: ResultSemantics,
-        trace: Option<&TraceSink>,
-    ) -> TopKSearch {
-        let planned = self.plan(query, None, trace);
-        let (hits, stats) =
-            self.top_k_planned(planned, query, k, semantics, trace, |ranked| self.labelled(ranked));
-        TopKSearch { hits, stats }
-    }
-
-    /// [`search_top_k`](Self::search_top_k), but planning through a shared
-    /// per-batch [`PlanFragments`] table: terms already resolved by an
-    /// earlier query of the same batch are served from the table, and the
-    /// reused entry count lands in [`ExecutorStats::postings_shared`].
-    /// Every other byte — hits, ranking order, the three legacy counters —
-    /// is identical to the independent path (`tests/properties.rs` pins
-    /// it over random batches).
-    pub fn search_top_k_shared<'e>(
-        &'e self,
-        query: &Query,
-        k: usize,
-        semantics: ResultSemantics,
-        fragments: &mut PlanFragments<'e>,
-    ) -> TopKSearch {
-        let (roots, stats) = self.search_top_k_roots(query, k, semantics, Some(fragments));
-        let hits = roots.into_iter().map(|ranked| self.labelled(ranked)).collect();
-        TopKSearch { hits, stats }
-    }
-
-    /// The streaming top-k executor **without the labelling step**: the
-    /// same survivors in the same order as [`search_top_k`](Self::search_top_k)
-    /// (or, with a `fragments` table, as
-    /// [`search_top_k_shared`](Self::search_top_k_shared)), as bare
-    /// [`RankedRoot`]s. A caller that merges this document's top-k with
-    /// other documents' keeps only some of them, and pays
-    /// [`result_for`](Self::result_for) for those alone.
-    pub fn search_top_k_roots<'e>(
+    pub fn search_top_k<'e>(
         &'e self,
         query: &Query,
         k: usize,
         semantics: ResultSemantics,
         fragments: Option<&mut PlanFragments<'e>>,
+        trace: Option<&TraceSink>,
     ) -> (Vec<RankedRoot>, ExecutorStats) {
-        let planned = self.plan(query, fragments, None);
-        self.top_k_planned(planned, query, k, semantics, None, |ranked| ranked)
-    }
-
-    /// The planning half of the top-k search: independent, or through a
-    /// per-batch fragment table, in which case the returned counters carry
-    /// the shared-entry credit.
-    fn plan<'e>(
-        &'e self,
-        query: &Query,
-        fragments: Option<&mut PlanFragments<'e>>,
-        trace: Option<&TraceSink>,
-    ) -> (QueryPlan<'e>, ExecutorStats) {
         let span = trace.map(|sink| sink.span("plan"));
         let mut stats = ExecutorStats::default();
         let plan = match fragments {
@@ -340,24 +284,6 @@ impl SearchEngine {
             note_plan(&mut span, &plan);
             span.finish();
         }
-        (plan, stats)
-    }
-
-    /// The execution half of the top-k search, shared by every entry
-    /// point: score, stream, and keep the best `k` in a bounded heap, then
-    /// hand each survivor to `finish` (which labels it, or does not).
-    /// `planned` is what [`plan`](Self::plan) returned: the plan, and the
-    /// counters planning already charged (zero, or the shared-entry
-    /// credit).
-    fn top_k_planned<'e, T>(
-        &'e self,
-        (plan, mut stats): (QueryPlan<'e>, ExecutorStats),
-        query: &Query,
-        k: usize,
-        semantics: ResultSemantics,
-        trace: Option<&TraceSink>,
-        finish: impl FnMut(RankedRoot) -> T,
-    ) -> (Vec<T>, ExecutorStats) {
         if plan.is_empty() {
             return (Vec::new(), stats);
         }
@@ -375,25 +301,20 @@ impl SearchEngine {
             span.finish();
         }
         let span = trace.map(|sink| sink.span("rank"));
-        let (kept, evicted) = heap.finish();
+        let (roots, evicted) = heap.finish();
         stats.candidates_pruned += evicted;
-        let hits: Vec<T> = kept.into_iter().map(finish).collect();
         if let Some(mut span) = span {
-            span.note("kept", hits.len() as u64);
+            span.note("kept", roots.len() as u64);
             span.note("heap_evicted", evicted);
             span.finish();
         }
-        (hits, stats)
+        (roots, stats)
     }
 
     /// The labelled [`SearchResult`] of a ranked root.
     pub fn result_for(&self, ranked: &RankedRoot) -> SearchResult {
         let root = ranked.score.root;
         SearchResult { root, slca: ranked.slca, label: self.label_for(root) }
-    }
-
-    fn labelled(&self, ranked: RankedRoot) -> (SearchResult, ScoredResult) {
-        (self.result_for(&ranked), ranked.score)
     }
 
     /// The nearest ancestor-or-self of `node` classified as an entity
@@ -462,6 +383,17 @@ mod tests {
         )
         .unwrap();
         SearchEngine::build(doc)
+    }
+
+    /// The streaming top-k under SLCA, labelled — the shape the
+    /// [`SearchEngine::search_ranked`] oracle returns.
+    fn top_k(
+        engine: &SearchEngine,
+        q: &Query,
+        k: usize,
+    ) -> (Vec<(SearchResult, ScoredResult)>, ExecutorStats) {
+        let (roots, stats) = engine.search_top_k(q, k, ResultSemantics::Slca, None, None);
+        (roots.into_iter().map(|r| (engine.result_for(&r), r.score)).collect(), stats)
     }
 
     #[test]
@@ -566,8 +498,8 @@ mod tests {
         let engine = shop_engine();
         for text in ["TomTom GPS", "compact", "camera"] {
             let q = Query::parse(text);
-            let slca = engine.search_with(&q, ResultSemantics::Slca);
-            let elca = engine.search_with(&q, ResultSemantics::Elca);
+            let slca = engine.search_all(&q, ResultSemantics::Slca, None).0;
+            let elca = engine.search_all(&q, ResultSemantics::Elca, None).0;
             for r in &slca {
                 assert!(
                     elca.iter().any(|e| e.root == r.root),
@@ -589,8 +521,8 @@ mod tests {
         .unwrap();
         let engine = SearchEngine::build(doc);
         let q = Query::parse("compact thing");
-        let slca = engine.search_with(&q, ResultSemantics::Slca);
-        let elca = engine.search_with(&q, ResultSemantics::Elca);
+        let slca = engine.search_all(&q, ResultSemantics::Slca, None).0;
+        let elca = engine.search_all(&q, ResultSemantics::Elca, None).0;
         assert!(elca.len() >= slca.len());
     }
 
@@ -600,31 +532,31 @@ mod tests {
         // any SLCA work — observable as all-zero executor counters.
         let engine = shop_engine();
         let q = Query::parse("tomtom zeppelin");
-        let (results, stats) = engine.search_with_stats(&q, ResultSemantics::Slca);
+        let (results, stats) = engine.search_all(&q, ResultSemantics::Slca, None);
         assert!(results.is_empty());
         assert!(stats.is_zero(), "{stats:?}");
-        let top = engine.search_top_k(&q, 4, ResultSemantics::Slca);
-        assert!(top.hits.is_empty());
-        assert!(top.stats.is_zero(), "{:?}", top.stats);
+        let (top, top_stats) = engine.search_top_k(&q, 4, ResultSemantics::Slca, None, None);
+        assert!(top.is_empty());
+        assert!(top_stats.is_zero(), "{top_stats:?}");
     }
 
     #[test]
     fn zero_postings_term_short_circuits_elca_search() {
         let engine = shop_engine();
         let q = Query::parse("tomtom zeppelin");
-        let (results, stats) = engine.search_with_stats(&q, ResultSemantics::Elca);
+        let (results, stats) = engine.search_all(&q, ResultSemantics::Elca, None);
         assert!(results.is_empty());
         assert!(stats.is_zero(), "no full scan may run: {stats:?}");
-        let top = engine.search_top_k(&q, 4, ResultSemantics::Elca);
-        assert!(top.hits.is_empty());
-        assert!(top.stats.is_zero(), "{:?}", top.stats);
+        let (top, top_stats) = engine.search_top_k(&q, 4, ResultSemantics::Elca, None, None);
+        assert!(top.is_empty());
+        assert!(top_stats.is_zero(), "{top_stats:?}");
     }
 
     #[test]
     fn matching_searches_report_executor_work() {
         let engine = shop_engine();
         let q = Query::parse("TomTom GPS");
-        let (results, stats) = engine.search_with_stats(&q, ResultSemantics::Slca);
+        let (results, stats) = engine.search_all(&q, ResultSemantics::Slca, None);
         assert_eq!(results.len(), 2);
         assert!(stats.postings_scanned > 0);
         assert!(stats.gallop_probes > 0);
@@ -637,11 +569,9 @@ mod tests {
             let q = Query::parse(text);
             let full = engine.search_ranked(&q);
             for k in 0..=full.len() + 1 {
-                let top = engine.search_top_k(&q, k, ResultSemantics::Slca);
-                assert_eq!(top.hits, full[..k.min(full.len())], "{text}, k = {k}");
+                assert_eq!(top_k(&engine, &q, k).0, full[..k.min(full.len())], "{text}, k = {k}");
             }
-            let all = engine.search_top_k(&q, usize::MAX, ResultSemantics::Slca);
-            assert_eq!(all.hits, full, "{text}, k = all");
+            assert_eq!(top_k(&engine, &q, usize::MAX).0, full, "{text}, k = all");
         }
     }
 
@@ -649,14 +579,14 @@ mod tests {
     fn search_top_k_counts_heap_evictions() {
         let engine = shop_engine();
         let q = Query::parse("compact");
-        let full = engine.search_top_k(&q, usize::MAX, ResultSemantics::Slca);
-        let n = full.hits.len() as u64;
+        let (full, full_stats) = top_k(&engine, &q, usize::MAX);
+        let n = full.len() as u64;
         assert!(n > 1, "fixture must produce several results");
-        let top1 = engine.search_top_k(&q, 1, ResultSemantics::Slca);
-        assert_eq!(top1.hits.len(), 1);
+        let (top1, top1_stats) = top_k(&engine, &q, 1);
+        assert_eq!(top1.len(), 1);
         assert_eq!(
-            top1.stats.candidates_pruned,
-            full.stats.candidates_pruned + (n - 1),
+            top1_stats.candidates_pruned,
+            full_stats.candidates_pruned + (n - 1),
             "all but one scored candidate evicted by the k = 1 heap"
         );
     }

@@ -29,7 +29,7 @@ pub mod query;
 pub mod rank;
 pub mod slca;
 
-pub use engine::{RankedRoot, ResultSemantics, SearchEngine, SearchResult, TopKSearch};
+pub use engine::{RankedRoot, ResultSemantics, SearchEngine, SearchResult};
 pub use lexer::tokenize;
 pub use persist::{document_fingerprint, load_index, save_index};
 pub use plan::{ExecutorStats, PlanFragments, QueryPlan, SlcaStream};

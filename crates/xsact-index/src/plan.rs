@@ -247,21 +247,7 @@ impl<'a> QueryPlan<'a> {
     /// resulting stream runs directly on the packed frames — no posting
     /// list is decoded up front.
     pub fn new(index: &'a InvertedIndex, query: &Query) -> QueryPlan<'a> {
-        if query.is_empty() {
-            return QueryPlan { lists: Vec::new() };
-        }
-        let mut lists = Vec::with_capacity(query.len());
-        for term in query.iter() {
-            let postings = index.postings(term);
-            if postings.is_empty() {
-                // Conjunctive semantics: one hopeless term sinks the whole
-                // query before any SLCA work happens.
-                return QueryPlan { lists: Vec::new() };
-            }
-            lists.push(ListRef::Packed(postings));
-        }
-        lists.sort_by_key(ListRef::len);
-        QueryPlan { lists }
+        QueryPlan::resolved(query, |term| index.postings(term))
     }
 
     /// [`new`](Self::new), but with every term resolution routed through a
@@ -275,13 +261,18 @@ impl<'a> QueryPlan<'a> {
         query: &Query,
         fragments: &mut PlanFragments<'a>,
     ) -> QueryPlan<'a> {
-        if query.is_empty() {
-            return QueryPlan { lists: Vec::new() };
-        }
+        QueryPlan::resolved(query, |term| fragments.resolve(index, term))
+    }
+
+    /// The one planning routine: resolve each term in query order, stop at
+    /// the first empty list, order the rest rarest-first.
+    fn resolved(query: &Query, mut resolve: impl FnMut(&str) -> PostingsRef<'a>) -> QueryPlan<'a> {
         let mut lists = Vec::with_capacity(query.len());
         for term in query.iter() {
-            let postings = fragments.resolve(index, term);
+            let postings = resolve(term);
             if postings.is_empty() {
+                // Conjunctive semantics: one hopeless term sinks the whole
+                // query before any SLCA work happens.
                 return QueryPlan { lists: Vec::new() };
             }
             lists.push(ListRef::Packed(postings));

@@ -31,12 +31,9 @@
 //!   generation mismatch rejects the insert (the anti-poison guard).
 //! * [`protocol`] — the newline-delimited request/response framing the
 //!   TCP front end speaks (`QUERY …`, `TOP k`, `STATS`, `METRICS`,
-//!   `QUIT`, `SHUTDOWN`; every response ends with a lone `.` line).
-//! * [`mux`] — readiness multiplexing for the TCP front end: a
-//!   dependency-free `poll(2)` wrapper (scalar fallback off Unix) and
-//!   incremental [`LineBuffer`] framing that matches `BufRead::lines`
-//!   byte for byte, so one thread can serve every connection
-//!   wire-identically to thread-per-connection.
+//!   `QUIT`, `SHUTDOWN`; every response ends with a lone `.` line), and
+//!   [`LineBuffer`], the incremental framer that turns whatever chunks
+//!   the kernel delivers into request lines under a 64 KiB line cap.
 //! * [`fault`] — deterministic fault injection: a [`FaultPlan`] arms
 //!   named sites (`shard_panic`, `slow_execute`, `io_error_on_save`,
 //!   `drop_connection`) that fire on exact hit counts, so the chaos suite
@@ -47,10 +44,11 @@
 //! `xsact-corpus`'s persistent `ShardPool` into the actual server; see
 //! `src/serve.rs` in the facade crate.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod cache;
 pub mod fault;
-pub mod mux;
 pub mod protocol;
 pub mod queue;
 pub mod stats;
@@ -58,7 +56,6 @@ pub mod stats;
 pub use batch::coalesce;
 pub use cache::{Inserted, PageCache};
 pub use fault::FaultPlan;
-pub use mux::LineBuffer;
-pub use protocol::{err_line, Request, END_MARKER};
+pub use protocol::{err_line, LineBuffer, Request, END_MARKER};
 pub use queue::{Rejected, SubmissionQueue};
 pub use stats::{ServeCounters, ServeSnapshot};

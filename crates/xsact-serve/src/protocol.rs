@@ -115,6 +115,102 @@ pub fn err_line(code: &str, message: &str) -> String {
     format!("ERR {code} {flat}")
 }
 
+/// Incremental line framing over a byte stream — the one framer of the
+/// TCP front end (and of anything that replays its requests): push the
+/// chunks the kernel delivers, pop complete lines. The line terminator is
+/// `\n`, one trailing `\r` is stripped (CRLF clients), lines must be
+/// UTF-8, and an unterminated line may not outgrow the cap — so how a
+/// client fragments its writes is invisible to the protocol, and a client
+/// that never sends a newline cannot grow the server's memory.
+#[derive(Debug)]
+pub struct LineBuffer {
+    buf: Vec<u8>,
+    /// Bytes already scanned for `\n` (resume point, so a slow-dripping
+    /// client costs one scan per byte, not per chunk).
+    scanned: usize,
+    max_line: usize,
+}
+
+impl LineBuffer {
+    /// Default cap on one line's length (a line-protocol request is tens
+    /// of bytes; a client that streams megabytes without a newline is
+    /// attacking the buffer, not querying).
+    pub const DEFAULT_MAX_LINE: usize = 64 * 1024;
+
+    /// A fresh buffer with the default line cap.
+    pub fn new() -> LineBuffer {
+        LineBuffer::with_max_line(Self::DEFAULT_MAX_LINE)
+    }
+
+    /// A fresh buffer capping lines at `max_line` bytes.
+    pub fn with_max_line(max_line: usize) -> LineBuffer {
+        LineBuffer { buf: Vec::new(), scanned: 0, max_line }
+    }
+
+    /// Appends one received chunk.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Bytes buffered but not yet returned as lines.
+    pub fn pending(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Pops the next complete line, `\n` and one trailing `\r` stripped.
+    ///
+    /// Errors when the line is not UTF-8 or exceeds the cap — both are
+    /// protocol violations: the front end answers `ERR BAD_REQUEST` and
+    /// closes the connection.
+    pub fn next_line(&mut self) -> Result<Option<String>, LineError> {
+        match self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+            Some(offset) if self.scanned + offset > self.max_line => Err(LineError::TooLong),
+            Some(offset) => {
+                let end = self.scanned + offset;
+                let mut line: Vec<u8> = self.buf.drain(..=end).collect();
+                line.pop(); // the \n
+                if line.last() == Some(&b'\r') {
+                    line.pop();
+                }
+                self.scanned = 0;
+                match String::from_utf8(line) {
+                    Ok(line) => Ok(Some(line)),
+                    Err(_) => Err(LineError::NotUtf8),
+                }
+            }
+            None if self.buf.len() > self.max_line => Err(LineError::TooLong),
+            None => {
+                self.scanned = self.buf.len();
+                Ok(None)
+            }
+        }
+    }
+}
+
+impl Default for LineBuffer {
+    fn default() -> Self {
+        LineBuffer::new()
+    }
+}
+
+/// Why [`LineBuffer::next_line`] gave up on the stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineError {
+    /// The line is not valid UTF-8.
+    NotUtf8,
+    /// The unterminated line outgrew the cap.
+    TooLong,
+}
+
+impl std::fmt::Display for LineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LineError::NotUtf8 => f.write_str("request line is not valid UTF-8"),
+            LineError::TooLong => f.write_str("request line exceeds the length cap"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,5 +259,47 @@ mod tests {
         let line = err_line("INTERNAL", "multi\nline\r\nmessage");
         assert_eq!(line.lines().count(), 1);
         assert!(line.starts_with("ERR INTERNAL "));
+    }
+
+    #[test]
+    fn lines_assemble_across_partial_pushes() {
+        let mut lb = LineBuffer::new();
+        lb.push(b"QUERY dra");
+        assert_eq!(lb.next_line().unwrap(), None, "no newline yet");
+        lb.push(b"ma family\nSTA");
+        assert_eq!(lb.next_line().unwrap().as_deref(), Some("QUERY drama family"));
+        assert_eq!(lb.next_line().unwrap(), None);
+        lb.push(b"TS\n\nQUIT\n");
+        assert_eq!(lb.next_line().unwrap().as_deref(), Some("STATS"));
+        assert_eq!(lb.next_line().unwrap().as_deref(), Some(""), "blank lines frame as empty");
+        assert_eq!(lb.next_line().unwrap().as_deref(), Some("QUIT"));
+        assert_eq!(lb.next_line().unwrap(), None);
+        assert_eq!(lb.pending(), 0);
+    }
+
+    #[test]
+    fn crlf_is_stripped() {
+        let mut lb = LineBuffer::new();
+        lb.push(b"STATS\r\nQUERY a\r\n");
+        assert_eq!(lb.next_line().unwrap().as_deref(), Some("STATS"));
+        assert_eq!(lb.next_line().unwrap().as_deref(), Some("QUERY a"));
+    }
+
+    #[test]
+    fn bad_utf8_and_oversized_lines_are_errors() {
+        let mut lb = LineBuffer::new();
+        lb.push(&[0xFF, 0xFE, b'\n']);
+        assert_eq!(lb.next_line(), Err(LineError::NotUtf8));
+
+        let mut lb = LineBuffer::with_max_line(8);
+        lb.push(b"0123456789");
+        assert_eq!(lb.next_line(), Err(LineError::TooLong));
+        // The cap binds a terminated line too, however it was chunked.
+        let mut lb = LineBuffer::with_max_line(8);
+        lb.push(b"012345678\n");
+        assert_eq!(lb.next_line(), Err(LineError::TooLong));
+        let mut lb = LineBuffer::with_max_line(8);
+        lb.push(b"01234567\n");
+        assert_eq!(lb.next_line().unwrap().as_deref(), Some("01234567"));
     }
 }

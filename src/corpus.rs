@@ -328,46 +328,26 @@ impl Corpus {
         self.shards.min(self.docs.len()).max(1)
     }
 
-    /// One shard's unit of work, shared verbatim by the scoped-thread
-    /// fan-out ([`CorpusQuery::ranking`]) and the serving runtime's
-    /// persistent shard pool (`crate::serve`): rank each document of the
-    /// shard's round-robin slice through the streaming executor bounded by
-    /// `k`, then merge the per-document lists under the ranking's total
-    /// order, truncate to `k`, and label what is left. Because both
-    /// execution paths run *this* function over *the same* [`ShardPlan`]
-    /// partition, pooling can never change result bytes.
+    /// One shard's unit of work — the only one, run by the scoped-thread
+    /// fan-out ([`CorpusQuery::ranking`], a batch of one) and by the
+    /// serving runtime's persistent shard pool (`crate::serve`, a whole
+    /// dispatch round): rank each document of the shard's round-robin
+    /// slice through the streaming executor, each query bounded by its own
+    /// `k`, then per query merge the per-document lists under the
+    /// ranking's total order, truncate to `k`, and label what is left.
+    /// Because both execution paths run *this* function over *the same*
+    /// [`ShardPlan`] partition, pooling can never change result bytes.
     ///
-    /// Returns the shard's merged list plus the executor work it cost,
-    /// summed over the shard's documents (also recorded into each owning
-    /// workbench's cumulative counters).
-    pub(crate) fn execute_shard(
-        &self,
-        query: &Query,
-        doc_indexes: &[usize],
-        k: usize,
-    ) -> (Vec<CorpusHit>, ExecutorStats) {
-        let mut stats = ExecutorStats::default();
-        let per_doc = doc_indexes
-            .iter()
-            .map(|&d| {
-                let doc = &self.docs[d];
-                let (roots, s) = doc.wb.top_k_roots(query, k);
-                stats += s;
-                shard_candidates(doc, roots)
-            })
-            .collect();
-        (merge_shard_candidates(per_doc, k), stats)
-    }
-
-    /// [`execute_shard`](Self::execute_shard) over a whole dispatch
-    /// round: every query of the batch runs against every document of the
-    /// shard's slice, with one per-document plan-fragment table shared
-    /// across the batch (`Workbench::top_k_roots_batch`), so queries
-    /// sharing terms resolve each (doc, term) posting list once. The
-    /// returned per-query `(merged list, stats)` pairs are byte-identical
-    /// to calling `execute_shard` once per query — sharing only memoises
-    /// index resolutions — except that `ExecutorStats::postings_shared`
-    /// counts the reused entries.
+    /// Every document plans the batch through one plan-fragment table
+    /// (`Workbench::top_k_roots_batch`), so queries sharing terms resolve
+    /// each (doc, term) posting list once; that only memoises index
+    /// resolutions — hits and counters are those of running each query
+    /// alone, except that `ExecutorStats::postings_shared` counts the
+    /// reused entries.
+    ///
+    /// Returns, per query, the shard's merged list plus the executor work
+    /// it cost, summed over the shard's documents (also recorded into each
+    /// owning workbench's cumulative counters).
     pub(crate) fn execute_shard_batch(
         &self,
         queries: &[(Query, usize)],
@@ -379,11 +359,21 @@ impl Corpus {
             .collect();
         for &d in doc_indexes {
             let doc = &self.docs[d];
+            let document = doc.wb.document();
             for (slot, (roots, stats)) in
                 per_query.iter_mut().zip(doc.wb.top_k_roots_batch(queries))
             {
                 slot.1 += stats;
-                slot.0.push(shard_candidates(doc, roots));
+                slot.0.push(
+                    roots
+                        .into_iter()
+                        .map(|ranked| ShardCandidate {
+                            doc,
+                            dewey: document.dewey(ranked.score.root),
+                            ranked,
+                        })
+                        .collect(),
+                );
             }
         }
         per_query
@@ -715,14 +705,18 @@ impl<'a> CorpusQuery<'a> {
         // The worker closure captures only `Sync` state (the corpus, the
         // parsed query, and the mutex-guarded trace sink) — not `self`,
         // whose memo cells are single-thread.
-        let (corpus, query, trace) = (self.corpus, &self.query, self.trace);
+        let (corpus, trace) = (self.corpus, self.trace);
+        let batch = [(self.query.clone(), k)];
         let shards = corpus.effective_shards();
         // effective_shards() ≤ document count, so round-robin
         // partitioning never produces an empty shard.
         let parts = ShardPlan::new(shards).partition(corpus.docs.len());
         let shard_lists = fan_out(parts, |shard, doc_indexes| {
             let span = trace.map(|sink| sink.span(format!("shard {shard}")));
-            let (hits, stats) = corpus.execute_shard(query, &doc_indexes, k);
+            let (hits, stats) = corpus
+                .execute_shard_batch(&batch, &doc_indexes)
+                .pop()
+                .expect("one answer per query of the batch");
             if let Some(mut span) = span {
                 span.note("docs", doc_indexes.len() as u64);
                 span.note("postings_scanned", stats.postings_scanned);
@@ -857,16 +851,6 @@ impl ShardCandidate<'_> {
 /// id, then Dewey id.
 fn ranking_order<D: Ord>(a: (f64, DocId, D), b: (f64, DocId, D)) -> Ordering {
     b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)).then_with(|| a.2.cmp(&b.2))
-}
-
-/// One document's ranked roots as merge candidates — shared by the
-/// per-query and batch shard paths so the two cannot drift.
-fn shard_candidates(doc: &CorpusDoc, roots: Vec<RankedRoot>) -> Vec<ShardCandidate<'_>> {
-    let document = doc.wb.document();
-    roots
-        .into_iter()
-        .map(|ranked| ShardCandidate { doc, dewey: document.dewey(ranked.score.root), ranked })
-        .collect()
 }
 
 /// The shard-local half of the merge pipeline: k-way merge the
@@ -1011,62 +995,45 @@ mod tests {
         assert_eq!(small_corpus().with_shards(0).effective_shards(), 1);
     }
 
-    /// A singleton batch is the identity: `execute_shard_batch([q])`
-    /// returns exactly what `execute_shard(q)` returns, hits and legacy
-    /// counters alike, over every document slice.
-    #[test]
-    fn singleton_batch_equals_execute_shard() {
-        let corpus = small_corpus();
-        let slices: [&[usize]; 4] = [&[0, 1, 2], &[0], &[1, 2], &[]];
-        for slice in slices {
-            for (text, k) in [("gps", 4), ("gps navigation", 2), ("player", 1), ("gps", 0)] {
-                let query = Query::parse(text);
-                let (hits, stats) = corpus.execute_shard(&query, slice, k);
-                let batch = corpus.execute_shard_batch(&[(query, k)], slice);
-                assert_eq!(batch.len(), 1);
-                assert_eq!(batch[0].0, hits, "{text:?} k={k} slice {slice:?}");
-                assert_eq!(
-                    (
-                        batch[0].1.postings_scanned,
-                        batch[0].1.gallop_probes,
-                        batch[0].1.candidates_pruned,
-                    ),
-                    (stats.postings_scanned, stats.gallop_probes, stats.candidates_pruned),
-                    "{text:?} k={k} slice {slice:?}"
-                );
-                assert_eq!(batch[0].1.postings_shared, 0, "one query shares nothing");
-            }
-        }
-    }
-
     /// A term-overlapping batch shares posting resolutions without
-    /// changing a single hit or legacy counter relative to independent
-    /// execution.
+    /// changing a single hit or work counter relative to running each
+    /// query alone (a batch of one shares nothing).
     #[test]
     fn overlapping_batch_shares_postings_without_changing_results() {
         let corpus = small_corpus();
-        let slice = [0usize, 1, 2];
-        let batch: Vec<(Query, usize)> = [("gps", 4), ("gps navigation", 4), ("gps camera", 4)]
-            .into_iter()
-            .map(|(text, k)| (Query::parse(text), k))
-            .collect();
-        let shared = corpus.execute_shard_batch(&batch, &slice);
-        let mut total_shared = 0;
-        for ((query, k), (hits, stats)) in batch.iter().zip(&shared) {
-            let (independent_hits, independent_stats) = corpus.execute_shard(query, &slice, *k);
-            assert_eq!(hits, &independent_hits, "{query} diverged under sharing");
+        let slices: [&[usize]; 4] = [&[0, 1, 2], &[0], &[1, 2], &[]];
+        let batch: Vec<(Query, usize)> =
+            [("gps", 4), ("gps navigation", 2), ("gps camera", 4), ("player", 1), ("gps", 0)]
+                .into_iter()
+                .map(|(text, k)| (Query::parse(text), k))
+                .collect();
+        for slice in slices {
+            let shared = corpus.execute_shard_batch(&batch, slice);
+            assert_eq!(shared.len(), batch.len());
+            let mut total_shared = 0;
+            for (member, (hits, stats)) in batch.iter().zip(&shared) {
+                let alone = corpus.execute_shard_batch(std::slice::from_ref(member), slice);
+                let (query, k) = member;
+                assert_eq!(alone.len(), 1);
+                assert_eq!(hits, &alone[0].0, "{query} k={k} slice {slice:?}: hits diverged");
+                assert_eq!(
+                    (stats.postings_scanned, stats.gallop_probes, stats.candidates_pruned),
+                    (
+                        alone[0].1.postings_scanned,
+                        alone[0].1.gallop_probes,
+                        alone[0].1.candidates_pruned,
+                    ),
+                    "{query} k={k} slice {slice:?}: sharing changed the work counters"
+                );
+                assert_eq!(alone[0].1.postings_shared, 0, "one query shares nothing");
+                total_shared += stats.postings_shared;
+            }
             assert_eq!(
-                (stats.postings_scanned, stats.gallop_probes, stats.candidates_pruned),
-                (
-                    independent_stats.postings_scanned,
-                    independent_stats.gallop_probes,
-                    independent_stats.candidates_pruned,
-                ),
-                "{query}: sharing changed the work counters"
+                total_shared > 0,
+                !slice.is_empty(),
+                "\"gps\" repeats across the batch: its entries are shared wherever it occurs"
             );
-            total_shared += stats.postings_shared;
         }
-        assert!(total_shared > 0, "\"gps\" repeats across the batch: entries must be shared");
     }
 
     /// Scratch directory removed on drop.

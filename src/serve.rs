@@ -1,8 +1,8 @@
 //! The serving runtime: a long-lived corpus server with query batching,
 //! admission control, session budgets, and a TCP line-protocol front end.
 //!
-//! The corpus engine executes one query at a time, paying scoped-thread
-//! spawn and teardown per query. [`CorpusServer`] amortises that: at
+//! A [`crate::CorpusQuery`] executes one query at a time, paying
+//! scoped-thread spawn and teardown per query. [`CorpusServer`] amortises that: at
 //! startup it builds one persistent [`xsact_corpus::ShardPool`] worker per
 //! effective shard, and a dispatcher thread feeds the pool from a bounded
 //! [`xsact_serve::SubmissionQueue`]. Concurrent submissions that ask the
@@ -12,14 +12,26 @@
 //!
 //! ## The invariant: batching and pooling never change bytes
 //!
-//! The pooled path runs `Corpus::execute_shard` — the *same function*
-//! the scoped-thread fan-out runs — over the *same*
-//! [`xsact_corpus::ShardPlan`] partition, and merges with the same
-//! comparator. A response from the server is therefore byte-identical to
-//! sequential one-query-at-a-time execution, at any shard count and under
-//! any interleaving of concurrent clients (pinned by `tests/serve.rs`).
-//! `k` still travels down: each batch executes bounded by its key's
-//! top-k, so a served query does exactly the work of its sequential twin.
+//! There is one shard unit of work, `Corpus::execute_shard_batch`: the
+//! pool's workers run it over a dispatch round, the scoped-thread fan-out
+//! behind [`crate::CorpusQuery`] runs it over a batch of one, both over
+//! the *same* [`xsact_corpus::ShardPlan`] partition, and both merge with
+//! the same comparator. A response from the server is therefore
+//! byte-identical to sequential one-query-at-a-time execution, at any
+//! shard count and under any interleaving of concurrent clients (pinned by
+//! `tests/serve.rs`). `k` still travels down: each batch member executes
+//! bounded by its key's top-k, so a served query does exactly the work of
+//! its sequential twin.
+//!
+//! ## One front end
+//!
+//! [`serve_tcp`] speaks the line protocol with one thread and one
+//! [`ServeSession`] per connection. Request bytes are framed by
+//! [`xsact_serve::LineBuffer`], so how a client fragments its writes is
+//! invisible, and a line longer than 64 KiB or not UTF-8 is answered
+//! `ERR BAD_REQUEST` and the connection closed. A connection's socket and
+//! bookkeeping are released when its thread exits; shutdown ends the
+//! blocking reads of the ones still alive.
 //!
 //! ## Failure modes are typed
 //!
@@ -60,7 +72,8 @@
 
 use crate::corpus::{merge_shard_lists, Corpus, CorpusHit, CorpusRanking, DEFAULT_TOP};
 use crate::error::{XsactError, XsactResult};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::collections::HashMap;
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -69,8 +82,9 @@ use std::time::{Duration, Instant};
 use xsact_corpus::{ShardPlan, ShardPool};
 use xsact_index::{ExecutorStats, Query};
 use xsact_obs::{format_nanos, Histogram, MetricsRegistry};
-use xsact_serve::mux::{poll, LineBuffer, PollEntry, INTEREST_READ, INTEREST_WRITE};
-use xsact_serve::{coalesce, err_line, Inserted, PageCache, Rejected, Request, SubmissionQueue};
+use xsact_serve::{
+    coalesce, err_line, Inserted, LineBuffer, PageCache, Rejected, Request, SubmissionQueue,
+};
 
 pub use xsact_serve::{FaultPlan, ServeCounters, ServeSnapshot, END_MARKER};
 
@@ -556,104 +570,70 @@ impl ServeSession {
     /// shutting down; nothing executed), and — from the dispatcher —
     /// [`XsactError::DeadlineExceeded`] and [`XsactError::ShardFailed`]
     /// (both retryable; a failed shard is respawned before the error is
-    /// delivered).
+    /// delivered). A failure charges no budget and records no end-to-end
+    /// sample.
     pub fn query(&mut self, text: &str) -> XsactResult<QueryAnswer> {
-        let (start, submitted) = self.submit(text);
-        let result = match submitted {
-            Submitted::Immediate(result) => result,
-            // An admitted submission is always answered
-            // (drain-on-shutdown); a recv error means the dispatcher
-            // died, which only a panic can cause — surface it as such
-            // rather than inventing an error code.
-            Submitted::Queued(pending) => {
-                pending.rx.recv().expect("dispatcher died with admitted work queued")
-            }
-        };
-        self.settle(text, start, result)
-    }
-
-    /// The non-blocking first half of [`query`](Self::query): parse,
-    /// admission checks, the cache lookup, and the queue push. Returns
-    /// either an immediate outcome (a cache hit or an admission error) or
-    /// the pending slot the dispatcher will answer — the mux front end
-    /// polls other connections instead of blocking on it.
-    fn submit(&mut self, text: &str) -> (Instant, Submitted) {
         let start = Instant::now();
         let query = Query::parse(text);
         if query.is_empty() {
-            return (start, Submitted::Immediate(Err(XsactError::EmptyQuery)));
+            return Err(XsactError::EmptyQuery);
         }
         if let Some(budget) = self.inner.config.budget {
             if self.spent >= budget {
                 self.inner.counters.record_budget_rejection();
-                return (
-                    start,
-                    Submitted::Immediate(Err(XsactError::BudgetExceeded {
-                        spent: self.spent,
-                        budget,
-                    })),
-                );
+                return Err(XsactError::BudgetExceeded { spent: self.spent, budget });
             }
         }
         let canonical = query.to_string();
-        let mut cache_gen = 0;
-        if let Some(cache) = &self.inner.cache {
-            let mut cache = cache.lock().expect("cache lock poisoned");
-            if let Some(answer) = cache.lookup(&canonical, self.top) {
-                // A hit skips the queue and the shard pool entirely; the
-                // bytes are identical because the cached answer *is* the
-                // executor's answer. The histogram contract
-                // (`_count == queries_served`) still holds: the hit
-                // records zero queue wait and zero execute, and `settle`
-                // records the real end-to-end latency.
-                self.inner.counters.record_cache_hit();
-                return (
-                    start,
-                    Submitted::Immediate(Ok(QueryAnswer {
+        let answer = 'answer: {
+            let mut cache_gen = 0;
+            if let Some(cache) = &self.inner.cache {
+                let mut cache = cache.lock().expect("cache lock poisoned");
+                if let Some(answer) = cache.lookup(&canonical, self.top) {
+                    // A hit skips the queue and the shard pool entirely; the
+                    // bytes are identical because the cached answer *is* the
+                    // executor's answer. The histogram contract
+                    // (`_count == queries_served`) still holds: the hit
+                    // records zero queue wait and zero execute, and the real
+                    // end-to-end latency is recorded below.
+                    self.inner.counters.record_cache_hit();
+                    break 'answer QueryAnswer {
                         queue_wait: Duration::ZERO,
                         execute: Duration::ZERO,
                         ..answer
-                    })),
-                );
+                    };
+                }
+                cache_gen = cache.generation();
+                self.inner.counters.record_cache_miss();
             }
-            cache_gen = cache.generation();
-            self.inner.counters.record_cache_miss();
-        }
-        let (reply, answer_rx) = mpsc::channel();
-        let submission = Submission {
-            canonical,
-            query,
-            k: self.top,
-            reply,
-            submitted: start,
-            queued: Duration::ZERO,
-            cache_gen,
-        };
-        if let Err(rejection) = self.inner.queue.push(submission) {
-            self.inner.counters.record_overload_rejection();
-            let error = match rejection {
-                Rejected::Full { depth, capacity } => XsactError::Overloaded { depth, capacity },
-                Rejected::Closed => XsactError::Overloaded {
-                    depth: self.inner.queue.depth(),
-                    capacity: self.inner.queue.capacity(),
-                },
+            let (reply, answer_rx) = mpsc::channel();
+            let submission = Submission {
+                canonical,
+                query,
+                k: self.top,
+                reply,
+                submitted: start,
+                queued: Duration::ZERO,
+                cache_gen,
             };
-            return (start, Submitted::Immediate(Err(error)));
-        }
-        (start, Submitted::Queued(PendingAnswer { rx: answer_rx }))
-    }
-
-    /// The second half of [`query`](Self::query): budget charging, the
-    /// end-to-end histogram, and the slow-query log. The `?` surfaces the
-    /// dispatcher's typed failures (deadline, shard panic) without
-    /// charging the session budget or recording an e2e sample.
-    fn settle(
-        &mut self,
-        text: &str,
-        start: Instant,
-        result: XsactResult<QueryAnswer>,
-    ) -> XsactResult<QueryAnswer> {
-        let answer = result?;
+            if let Err(rejection) = self.inner.queue.push(submission) {
+                self.inner.counters.record_overload_rejection();
+                return Err(match rejection {
+                    Rejected::Full { depth, capacity } => {
+                        XsactError::Overloaded { depth, capacity }
+                    }
+                    Rejected::Closed => XsactError::Overloaded {
+                        depth: self.inner.queue.depth(),
+                        capacity: self.inner.queue.capacity(),
+                    },
+                });
+            }
+            // An admitted submission is always answered
+            // (drain-on-shutdown); a recv error means the dispatcher
+            // died, which only a panic can cause — surface it as such
+            // rather than inventing an error code.
+            answer_rx.recv().expect("dispatcher died with admitted work queued")?
+        };
         self.spent = self.spent.saturating_add(answer.stats.postings_scanned);
         let e2e = start.elapsed();
         self.inner.counters.record_e2e(e2e);
@@ -675,19 +655,6 @@ impl ServeSession {
     }
 }
 
-/// What [`ServeSession::submit`] produced: an outcome available right now
-/// (cache hit, admission error) or a slot the dispatcher will fill.
-enum Submitted {
-    Immediate(XsactResult<QueryAnswer>),
-    Queued(PendingAnswer),
-}
-
-/// The receiving end of one queued query. `try_recv` lets the mux front
-/// end check for the answer without blocking its loop.
-struct PendingAnswer {
-    rx: mpsc::Receiver<XsactResult<QueryAnswer>>,
-}
-
 /// The protocol error code of a facade error (`ERR <code> <message>`).
 /// Codes are stable identifiers; messages may evolve.
 pub fn error_code(error: &XsactError) -> &'static str {
@@ -707,22 +674,27 @@ struct TcpShared {
     server: CorpusServer,
     stop: AtomicBool,
     addr: SocketAddr,
-    /// `try_clone`d handles of live connections, so shutdown can end their
+    /// The live connections by accept number, so shutdown can end their
     /// blocking reads (read half only — in-flight responses still go out).
-    conns: Mutex<Vec<TcpStream>>,
+    /// A connection's thread takes its own entry out when it exits: the
+    /// socket closes there and then, and the map holds live sockets only.
+    conns: Mutex<HashMap<u64, Arc<TcpStream>>>,
 }
 
 impl TcpShared {
     /// Starts TCP teardown exactly once: close the submission queue
     /// (drain), wake the accept loop with a self-connect, and end every
-    /// connection's read half so its thread can finish and exit.
+    /// connection's read half so its thread can finish and exit. `stop` is
+    /// set before the map is drained and the accept loop registers under
+    /// the map's lock, so a connection is either drained here or never
+    /// served.
     fn trigger_stop(&self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
         self.server.shutdown();
         let _ = TcpStream::connect(self.addr);
-        for conn in self.conns.lock().expect("conns lock poisoned").drain(..) {
+        for (_, conn) in self.conns.lock().expect("conns lock poisoned").drain() {
             let _ = conn.shutdown(Shutdown::Read);
         }
     }
@@ -764,8 +736,9 @@ impl TcpServeHandle {
 
 /// Binds `addr` (e.g. `127.0.0.1:4141`, port 0 for an ephemeral port) and
 /// serves `server` over the line protocol: one thread per connection, one
-/// [`ServeSession`] per connection, every response terminated by a lone
-/// `.` line. Returns once the listener is bound and accepting.
+/// [`ServeSession`] per connection, request lines framed by
+/// [`LineBuffer`] (at most 64 KiB each), every response terminated by a
+/// lone `.` line. Returns once the listener is bound and accepting.
 pub fn serve_tcp(server: CorpusServer, addr: &str) -> XsactResult<TcpServeHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
@@ -773,25 +746,30 @@ pub fn serve_tcp(server: CorpusServer, addr: &str) -> XsactResult<TcpServeHandle
         server,
         stop: AtomicBool::new(false),
         addr,
-        conns: Mutex::new(Vec::new()),
+        conns: Mutex::new(HashMap::new()),
     });
     let accept = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("xsact-accept".to_owned())
             .spawn(move || {
-                let mut conn_threads = Vec::new();
-                for stream in listener.incoming() {
+                let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
+                for (id, stream) in (0u64..).zip(listener.incoming()) {
+                    let mut conns = shared.conns.lock().expect("conns lock poisoned");
                     if shared.stop.load(Ordering::SeqCst) {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    if let Ok(clone) = stream.try_clone() {
-                        shared.conns.lock().expect("conns lock poisoned").push(clone);
-                    }
+                    let stream = Arc::new(stream);
+                    conns.insert(id, Arc::clone(&stream));
+                    drop(conns);
+                    // Threads that already ran to their end need no join;
+                    // `wait` gets the ones still alive at shutdown.
+                    conn_threads.retain(|thread| !thread.is_finished());
                     let shared = Arc::clone(&shared);
                     conn_threads.push(std::thread::spawn(move || {
-                        serve_connection(&shared, stream);
+                        serve_connection(&shared, &stream);
+                        shared.conns.lock().expect("conns lock poisoned").remove(&id);
                     }));
                 }
                 conn_threads
@@ -802,39 +780,47 @@ pub fn serve_tcp(server: CorpusServer, addr: &str) -> XsactResult<TcpServeHandle
 }
 
 /// One connection's request loop. Exits on `QUIT`, `SHUTDOWN`, EOF, a
-/// broken stream, or an I/O timeout (a slowloris client that stops
-/// mid-line loses its thread after [`ServeConfig::io_timeout`], not
-/// never).
-fn serve_connection(shared: &TcpShared, stream: TcpStream) {
-    let io_timeout = shared.server.inner.config.io_timeout;
-    let _ = stream.set_read_timeout(io_timeout);
-    let _ = stream.set_write_timeout(io_timeout);
-    let faults = shared.server.inner.config.faults.clone();
-    let Ok(read_half) = stream.try_clone() else { return };
-    let reader = BufReader::new(read_half);
-    let mut writer = stream;
+/// broken stream, an I/O timeout (a slowloris client that stops mid-line
+/// loses its thread after [`ServeConfig::io_timeout`], not never), or a
+/// line the framer refuses (longer than the cap, or not UTF-8), which is
+/// answered `ERR BAD_REQUEST` first.
+fn serve_connection(shared: &TcpShared, mut stream: &TcpStream) {
+    let config = &shared.server.inner.config;
+    let _ = stream.set_read_timeout(config.io_timeout);
+    let _ = stream.set_write_timeout(config.io_timeout);
     let mut session = shared.server.session();
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        let (body, done) = match Request::parse(&line) {
-            Ok(None) => continue,
-            Ok(Some(request)) => respond(shared, &mut session, request),
-            Err(message) => (format!("{}\n", err_line("BAD_REQUEST", &message)), false),
+    let mut lines = LineBuffer::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        let (body, done) = match lines.next_line() {
+            Ok(None) => match stream.read(&mut chunk) {
+                Ok(0) => return,
+                Ok(n) => {
+                    lines.push(&chunk[..n]);
+                    continue;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            },
+            Ok(Some(line)) => match Request::parse(&line) {
+                Ok(None) => continue,
+                Ok(Some(request)) => respond(shared, &mut session, request),
+                Err(message) => (format!("{}\n", err_line("BAD_REQUEST", &message)), false),
+            },
+            // The stream cannot be framed any further: answer and close.
+            Err(refused) => (format!("{}\n", err_line("BAD_REQUEST", &refused.to_string())), true),
         };
-        if faults.should_fire("drop_connection", 0).is_some() {
+        if config.faults.should_fire("drop_connection", 0).is_some() {
             // Chaos site: vanish without a reply — the client sees EOF
             // mid-exchange, exactly like a crashed peer.
-            let _ = writer.shutdown(Shutdown::Both);
-            break;
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
         }
         let write_start = Instant::now();
-        let written = writer.write_all(format!("{body}{END_MARKER}\n").as_bytes());
+        let written = stream.write_all(format!("{body}{END_MARKER}\n").as_bytes());
         shared.server.inner.counters.record_reply_write(write_start.elapsed());
-        if written.is_err() {
-            break;
-        }
-        if done {
-            break;
+        if written.is_err() || done {
+            return;
         }
     }
 }
@@ -844,8 +830,15 @@ fn serve_connection(shared: &TcpShared, stream: TcpStream) {
 fn respond(shared: &TcpShared, session: &mut ServeSession, request: Request) -> (String, bool) {
     match request {
         Request::Query { text } => {
-            let result = session.query(&text);
-            (render_answer(result, session.top()), false)
+            let body = match session.query(&text) {
+                Ok(answer) => {
+                    let top = session.top();
+                    let shown = answer.ranking.hits.len().min(top);
+                    format!("OK {shown}\n{}", answer.ranking.render(top))
+                }
+                Err(e) => format!("{}\n", err_line(error_code(&e), &e.to_string())),
+            };
+            (body, false)
         }
         Request::Top { k } => {
             session.set_top(k);
@@ -862,315 +855,6 @@ fn respond(shared: &TcpShared, session: &mut ServeSession, request: Request) -> 
             ("OK shutting down\n".to_owned(), true)
         }
     }
-}
-
-/// Renders one query outcome as its protocol body — the single formatting
-/// path both front ends (thread-per-connection and mux) share, so their
-/// bytes cannot diverge.
-fn render_answer(result: XsactResult<QueryAnswer>, top: usize) -> String {
-    match result {
-        Ok(answer) => {
-            let shown = answer.ranking.hits.len().min(top);
-            format!("OK {shown}\n{}", answer.ranking.render(top))
-        }
-        Err(e) => format!("{}\n", err_line(error_code(&e), &e.to_string())),
-    }
-}
-
-/// One multiplexed connection's state: the socket (nonblocking), the
-/// incremental line framer, the pending outbound bytes, its session, and
-/// at most one in-flight query.
-struct MuxConn {
-    stream: TcpStream,
-    lines: LineBuffer,
-    out: Vec<u8>,
-    session: ServeSession,
-    /// The one in-flight query: its text (for `settle`'s slow-query log),
-    /// its start instant, and the dispatcher's pending slot.
-    pending: Option<(String, Instant, PendingAnswer)>,
-    last_activity: Instant,
-    /// Peer sent EOF — close once the outbound buffer drains.
-    eof: bool,
-    /// `QUIT`/`SHUTDOWN` answered — close once the outbound buffer drains.
-    done: bool,
-}
-
-impl MuxConn {
-    /// Queues one response body (end marker appended) for writing.
-    fn enqueue_response(&mut self, body: &str) {
-        self.out.extend_from_slice(body.as_bytes());
-        self.out.extend_from_slice(END_MARKER.as_bytes());
-        self.out.push(b'\n');
-    }
-}
-
-/// The raw file descriptor `poll(2)` wants; off Unix the fallback ignores
-/// it.
-#[cfg(unix)]
-fn raw_fd<T: std::os::unix::io::AsRawFd>(t: &T) -> i32 {
-    t.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-fn raw_fd<T>(_t: &T) -> i32 {
-    -1
-}
-
-/// Binds `addr` and serves `server` over the line protocol with **one**
-/// front-end thread multiplexing every connection via readiness polling
-/// (`poll(2)`; a timed fallback off Unix). Wire behaviour is identical to
-/// [`serve_tcp`] — same framing, same verbs, same session and budget
-/// semantics, same drain-on-shutdown — the only difference is the
-/// threading model. Each connection has at most one query in flight, as in
-/// the thread-per-connection front end; while one connection waits on the
-/// dispatcher the loop keeps serving the others.
-pub fn serve_tcp_mux(server: CorpusServer, addr: &str) -> XsactResult<TcpServeHandle> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let shared = Arc::new(TcpShared {
-        server,
-        stop: AtomicBool::new(false),
-        addr,
-        // Mux connections are owned by the loop itself; the shutdown
-        // trigger's self-connect wakes the poll, and the loop drains.
-        conns: Mutex::new(Vec::new()),
-    });
-    let accept = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("xsact-mux".to_owned())
-            .spawn(move || {
-                mux_loop(&shared, listener);
-                Vec::new() // no per-connection threads to join
-            })
-            .expect("failed to spawn mux loop")
-    };
-    Ok(TcpServeHandle { shared, accept: Some(accept) })
-}
-
-/// The mux front end's readiness loop; see [`serve_tcp_mux`].
-fn mux_loop(shared: &TcpShared, listener: TcpListener) {
-    let io_timeout = shared.server.inner.config.io_timeout;
-    let faults = shared.server.inner.config.faults.clone();
-    let mut conns: Vec<MuxConn> = Vec::new();
-    loop {
-        let stopping = shared.stop.load(Ordering::SeqCst);
-        if stopping && conns.is_empty() {
-            break;
-        }
-        // Build this round's poll set: the listener (accept readiness)
-        // plus every connection — read interest unless a query is in
-        // flight or the connection is winding down, write interest while
-        // output is buffered.
-        let mut entries = Vec::with_capacity(conns.len() + 1);
-        if !stopping {
-            entries.push(PollEntry::new(raw_fd(&listener), INTEREST_READ));
-        }
-        let listener_slots = entries.len();
-        for conn in &conns {
-            let mut interest = 0;
-            if conn.pending.is_none() && !conn.done && !conn.eof && !stopping {
-                interest |= INTEREST_READ;
-            }
-            if !conn.out.is_empty() {
-                interest |= INTEREST_WRITE;
-            }
-            entries.push(PollEntry::new(raw_fd(&conn.stream), interest));
-        }
-        // Short timeout while answers are pending (mpsc readiness is not
-        // a file descriptor), longer when purely waiting on sockets.
-        let any_pending = conns.iter().any(|c| c.pending.is_some());
-        let timeout = if any_pending || stopping {
-            Duration::from_millis(1)
-        } else {
-            Duration::from_millis(50)
-        };
-        let _ = poll(&mut entries, Some(timeout));
-        // Accept every waiting connection (nonblocking accept loop).
-        if !stopping {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        conns.push(MuxConn {
-                            stream,
-                            lines: LineBuffer::new(),
-                            out: Vec::new(),
-                            session: shared.server.session(),
-                            pending: None,
-                            last_activity: Instant::now(),
-                            eof: false,
-                            done: false,
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
-            }
-        }
-        let mut index = 0;
-        while index < conns.len() {
-            let entry = entries.get(listener_slots + index).copied();
-            let drop_conn =
-                mux_step(shared, &faults, &mut conns[index], entry, stopping, io_timeout);
-            if drop_conn {
-                let conn = conns.swap_remove(index);
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                // `entries` is rebuilt next round; swap_remove only
-                // perturbs this round's already-consumed slots.
-            } else {
-                index += 1;
-            }
-        }
-    }
-}
-
-/// Advances one mux connection by one round: read newly arrived bytes,
-/// frame and serve complete lines, check the in-flight query, flush
-/// buffered output. Returns `true` when the connection should close.
-fn mux_step(
-    shared: &TcpShared,
-    faults: &FaultPlan,
-    conn: &mut MuxConn,
-    entry: Option<PollEntry>,
-    stopping: bool,
-    io_timeout: Option<Duration>,
-) -> bool {
-    // 1. Read whatever arrived, unless a query is in flight (one in
-    //    flight per connection, as in thread-per-connection) or the
-    //    connection is winding down.
-    let may_read = conn.pending.is_none() && !conn.done && !conn.eof && !stopping;
-    let readable = entry.map_or(may_read, |e| e.readable());
-    if may_read && readable {
-        let mut buf = [0u8; 4096];
-        loop {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    conn.eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.lines.push(&buf[..n]);
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return true,
-            }
-        }
-    }
-    // 2. Serve complete lines until one query is in flight or the framer
-    //    runs dry. Partial lines stay buffered — mid-stream fragmentation
-    //    is invisible to the protocol.
-    while conn.pending.is_none() && !conn.done && !stopping {
-        let line = match conn.lines.next_line() {
-            Ok(Some(line)) => line,
-            Ok(None) => break,
-            // Oversized or non-UTF-8 input: drop the connection, exactly
-            // like a broken stream in the thread-per-connection loop.
-            Err(_) => return true,
-        };
-        match Request::parse(&line) {
-            Ok(None) => continue,
-            Ok(Some(Request::Query { text })) => {
-                let (start, submitted) = conn.session.submit(&text);
-                match submitted {
-                    Submitted::Immediate(result) => {
-                        let result = conn.session.settle(&text, start, result);
-                        let body = render_answer(result, conn.session.top());
-                        if mux_deliver(faults, conn, &body) {
-                            return true;
-                        }
-                    }
-                    Submitted::Queued(pending) => {
-                        conn.pending = Some((text, start, pending));
-                    }
-                }
-            }
-            Ok(Some(request)) => {
-                let (body, done) = respond(shared, &mut conn.session, request);
-                conn.done = done;
-                if mux_deliver(faults, conn, &body) {
-                    return true;
-                }
-            }
-            Err(message) => {
-                let body = format!("{}\n", err_line("BAD_REQUEST", &message));
-                if mux_deliver(faults, conn, &body) {
-                    return true;
-                }
-            }
-        }
-    }
-    // 3. Check the in-flight query. On shutdown the dispatcher drains
-    //    admitted work, so a pending answer always arrives — block for it
-    //    only when stopping (the poll timeout otherwise paces retries).
-    if let Some((text, start, pending)) = conn.pending.take() {
-        let outcome = if stopping {
-            Some(pending.rx.recv().expect("dispatcher died with admitted work queued"))
-        } else {
-            match pending.rx.try_recv() {
-                Ok(result) => Some(result),
-                Err(mpsc::TryRecvError::Empty) => {
-                    conn.pending = Some((text.clone(), start, pending));
-                    None
-                }
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    panic!("dispatcher died with admitted work queued")
-                }
-            }
-        };
-        if let Some(result) = outcome {
-            let result = conn.session.settle(&text, start, result);
-            let body = render_answer(result, conn.session.top());
-            conn.last_activity = Instant::now();
-            if mux_deliver(faults, conn, &body) {
-                return true;
-            }
-        }
-    }
-    // 4. Flush buffered output.
-    while !conn.out.is_empty() {
-        let write_start = Instant::now();
-        match conn.stream.write(&conn.out) {
-            Ok(0) => return true,
-            Ok(n) => {
-                shared.server.inner.counters.record_reply_write(write_start.elapsed());
-                conn.out.drain(..n);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return true,
-        }
-    }
-    // 5. Close when done: protocol-complete or EOF with nothing left to
-    //    send, or idle past the I/O timeout (slowloris protection — same
-    //    contract as the read timeout in thread-per-connection).
-    if (conn.done || conn.eof || stopping) && conn.out.is_empty() && conn.pending.is_none() {
-        return true;
-    }
-    if let Some(limit) = io_timeout {
-        if conn.pending.is_none() && conn.out.is_empty() && conn.last_activity.elapsed() >= limit {
-            return true;
-        }
-    }
-    false
-}
-
-/// Queues one response on a mux connection, honouring the
-/// `drop_connection` chaos site: if the site fires, the response is
-/// discarded and the connection closed — the peer sees EOF mid-exchange,
-/// exactly like a crashed peer, while the loop keeps serving every other
-/// connection. Returns `true` when the connection should close.
-fn mux_deliver(faults: &FaultPlan, conn: &mut MuxConn, body: &str) -> bool {
-    if faults.should_fire("drop_connection", 0).is_some() {
-        return true;
-    }
-    conn.enqueue_response(body);
-    false
 }
 
 #[cfg(test)]

@@ -318,43 +318,37 @@ impl Workbench {
     /// to `k`. Executor counters are recorded into
     /// [`executor_stats`](Self::executor_stats).
     pub fn search_top_k(&self, query: &Query, k: usize) -> Vec<(SearchResult, ScoredResult)> {
-        self.search_top_k_traced(query, k, None).0
+        self.top_k(query, k, None).0
     }
 
     /// [`search_top_k`](Self::search_top_k) plus this run's own counters
     /// (the workbench totals are updated either way) and an optional
-    /// per-stage trace. Tracing only observes the run — the returned hits
-    /// are byte-identical with the sink present or absent (pinned by
-    /// `tests/obs.rs`), and with `None` no timestamps are taken.
-    pub(crate) fn search_top_k_traced(
+    /// per-stage trace — what the pipeline terminals run. Tracing only
+    /// observes the run — the returned hits are byte-identical with the
+    /// sink present or absent (pinned by `tests/obs.rs`), and with `None`
+    /// no timestamps are taken.
+    fn top_k(
         &self,
         query: &Query,
         k: usize,
         trace: Option<&TraceSink>,
     ) -> (Vec<(SearchResult, ScoredResult)>, ExecutorStats) {
-        let top = self.engine.search_top_k_traced(query, k, ResultSemantics::Slca, trace);
-        self.exec.record(top.stats);
-        (top.hits, top.stats)
+        let (roots, stats) = self.engine.search_top_k(query, k, ResultSemantics::Slca, None, trace);
+        self.exec.record(stats);
+        let hits = roots.into_iter().map(|r| (self.engine.result_for(&r), r.score)).collect();
+        (hits, stats)
     }
 
-    /// The top `k` of [`search_top_k`](Self::search_top_k) as unlabelled
-    /// [`RankedRoot`]s, plus this run's counters — the entry point of the
-    /// corpus engine's shard workers, which merge many documents' top-k
-    /// and label only what survives
-    /// ([`SearchEngine::result_for`]).
-    pub(crate) fn top_k_roots(&self, query: &Query, k: usize) -> (Vec<RankedRoot>, ExecutorStats) {
-        let top = self.engine.search_top_k_roots(query, k, ResultSemantics::Slca, None);
-        self.exec.record(top.1);
-        top
-    }
-
-    /// [`top_k_roots`](Self::top_k_roots) for a whole batch through one
-    /// per-batch plan-fragment table: queries sharing terms resolve each
-    /// shared posting list once (`ExecutorStats::postings_shared` counts
-    /// the reuse). Roots and the legacy counters are byte-identical to
-    /// calling `top_k_roots` per query — the table only memoises index
-    /// resolutions. Each query's stats are recorded into the workbench
-    /// totals, exactly like the independent path.
+    /// The top `k` of every query of a batch as unlabelled
+    /// [`RankedRoot`]s, plus each run's counters — what the corpus
+    /// engine's shard workers run: they merge many documents' top-k and
+    /// label only what survives ([`SearchEngine::result_for`]). The batch
+    /// plans through one plan-fragment table, so queries sharing terms
+    /// resolve each shared posting list once
+    /// (`ExecutorStats::postings_shared` counts the reuse); roots and the
+    /// other counters are byte-identical to running each query alone —
+    /// the table only memoises index resolutions. Each query's stats are
+    /// recorded into the workbench totals.
     pub(crate) fn top_k_roots_batch(
         &self,
         queries: &[(Query, usize)],
@@ -363,29 +357,17 @@ impl Workbench {
         queries
             .iter()
             .map(|(query, k)| {
-                let top = self.engine.search_top_k_roots(
+                let top = self.engine.search_top_k(
                     query,
                     *k,
                     ResultSemantics::Slca,
                     Some(&mut fragments),
+                    None,
                 );
                 self.exec.record(top.1);
                 top
             })
             .collect()
-    }
-
-    /// Runs the full (unbounded) search under `semantics`, recording
-    /// executor counters.
-    fn search_all_stats(
-        &self,
-        query: &Query,
-        semantics: ResultSemantics,
-        trace: Option<&TraceSink>,
-    ) -> (Vec<SearchResult>, ExecutorStats) {
-        let (results, stats) = self.engine.search_with_stats_traced(query, semantics, trace);
-        self.exec.record(stats);
-        (results, stats)
     }
 
     /// The underlying search engine, for callers that need layer-level
@@ -634,17 +616,23 @@ impl<'a> QueryPipeline<'a> {
     fn raw_results(&self) -> &[SearchResult] {
         self.search_memo.get_or_init(|| {
             if self.ranked {
-                let (hits, stats) =
-                    self.wb.search_top_k_traced(&self.query, usize::MAX, self.trace);
-                self.note_stats(stats);
-                hits.into_iter().map(|(r, _)| r).collect()
+                self.top_k(usize::MAX).into_iter().map(|(r, _)| r).collect()
             } else {
                 let (results, stats) =
-                    self.wb.search_all_stats(&self.query, self.semantics, self.trace);
+                    self.wb.engine.search_all(&self.query, self.semantics, self.trace);
+                self.wb.exec.record(stats);
                 self.note_stats(stats);
                 results
             }
         })
+    }
+
+    /// The streaming top-k of this pipeline's query, counted into the
+    /// pipeline's executor stats.
+    fn top_k(&self, k: usize) -> Vec<(SearchResult, ScoredResult)> {
+        let (hits, stats) = self.wb.top_k(&self.query, k, self.trace);
+        self.note_stats(stats);
+        hits
     }
 
     /// Runs the search and returns results with their relevance scores,
@@ -663,9 +651,7 @@ impl<'a> QueryPipeline<'a> {
             // [`top_results`](Self::top_results) searches once, not twice.
             self.bounded_hits().to_vec()
         } else {
-            let (ranked, stats) = self.wb.search_top_k_traced(&self.query, usize::MAX, self.trace);
-            self.note_stats(stats);
-            ranked
+            self.top_k(usize::MAX)
         };
         if self.ranked {
             let _ = self.search_memo.set(ranked.iter().map(|(r, _)| r.clone()).collect());
@@ -685,12 +671,7 @@ impl<'a> QueryPipeline<'a> {
     }
 
     fn bounded_hits(&self) -> &[(SearchResult, ScoredResult)] {
-        self.topk_memo.get_or_init(|| {
-            let k = self.take.unwrap_or(usize::MAX);
-            let (hits, stats) = self.wb.search_top_k_traced(&self.query, k, self.trace);
-            self.note_stats(stats);
-            hits
-        })
+        self.topk_memo.get_or_init(|| self.top_k(self.take.unwrap_or(usize::MAX)))
     }
 
     fn note_stats(&self, stats: ExecutorStats) {

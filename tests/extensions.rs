@@ -38,8 +38,8 @@ fn elca_results_contain_all_slca_results() {
     let engine = movie_engine();
     for text in ["drama family", "war soldier", "comedy wedding"] {
         let q = Query::parse(text);
-        let slca = engine.search_with(&q, ResultSemantics::Slca);
-        let elca = engine.search_with(&q, ResultSemantics::Elca);
+        let slca = engine.search_all(&q, ResultSemantics::Slca, None).0;
+        let elca = engine.search_all(&q, ResultSemantics::Elca, None).0;
         assert!(elca.len() >= slca.len(), "{text}");
         for r in &slca {
             assert!(elca.iter().any(|e| e.root == r.root), "{text}");
@@ -51,7 +51,7 @@ fn elca_results_contain_all_slca_results() {
 fn elca_comparison_pipeline_works() {
     let engine = movie_engine();
     let q = Query::parse("drama family");
-    let results = engine.search_with(&q, ResultSemantics::Elca);
+    let results = engine.search_all(&q, ResultSemantics::Elca, None).0;
     assert!(results.len() >= 2);
     let features: Vec<ResultFeatures> =
         results.iter().take(4).map(|r| engine.extract_features(r)).collect();

@@ -41,8 +41,8 @@ use xsact_entity::{
     extract_features, FeatureStat, FeatureType, NodeClass, ResultFeatures, StructureSummary,
 };
 use xsact_index::{
-    rank_results, rank_top_k, slca_full_scan, slca_indexed_lookup, InvertedIndex, PlanFragments,
-    Query, QueryPlan, ResultSemantics, SearchEngine,
+    rank_results, rank_top_k, slca_full_scan, slca_indexed_lookup, ExecutorStats, InvertedIndex,
+    PlanFragments, Query, QueryPlan, ResultSemantics, ScoredResult, SearchEngine, SearchResult,
 };
 use xsact_xml::{parse_document, writer, Document, NodeId, Sym};
 
@@ -307,6 +307,20 @@ fn gallop_stream_matches_the_full_scan_oracle() {
     }
 }
 
+/// The streaming top-k, labelled — the shape the `search_ranked` oracle
+/// returns — with this run's counters. `fragments` plans it through a
+/// batch's shared table.
+fn labelled_top_k<'e>(
+    engine: &'e SearchEngine,
+    query: &Query,
+    k: usize,
+    semantics: ResultSemantics,
+    fragments: Option<&mut PlanFragments<'e>>,
+) -> (Vec<(SearchResult, ScoredResult)>, ExecutorStats) {
+    let (roots, stats) = engine.search_top_k(query, k, semantics, fragments, None);
+    (roots.into_iter().map(|r| (engine.result_for(&r), r.score)).collect(), stats)
+}
+
 #[test]
 fn search_top_k_matches_the_ranked_oracle_for_both_semantics() {
     for seed in 0..64u64 {
@@ -317,24 +331,25 @@ fn search_top_k_matches_the_ranked_oracle_for_both_semantics() {
         for semantics in [ResultSemantics::Slca, ResultSemantics::Elca] {
             // Oracle: the unbounded search (full-scan ELCA / batch SLCA),
             // ranked by the sort-everything path.
-            let results = engine.search_with(&query, semantics);
+            let results = engine.search_all(&query, semantics, None).0;
             let roots: Vec<NodeId> = results.iter().map(|r| r.root).collect();
             let scored = rank_results(engine.document(), engine.index(), &query, &roots);
-            let full = engine.search_top_k(&query, usize::MAX, semantics);
+            let (full, _) = labelled_top_k(&engine, &query, usize::MAX, semantics, None);
             assert_eq!(
-                full.hits.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>(),
+                full.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>(),
                 scored,
                 "seed {seed} {semantics:?}: unbounded executor vs full sort"
             );
-            assert_eq!(full.hits.len(), results.len(), "seed {seed} {semantics:?}");
+            // Labelling by `result_for` gives every survivor the result
+            // the document-order search found for its root.
+            for (result, _) in &full {
+                assert!(results.contains(result), "seed {seed} {semantics:?}: {result:?}");
+            }
+            assert_eq!(full.len(), results.len(), "seed {seed} {semantics:?}");
             // Every truncation equals the full run's prefix.
-            for k in 0..=full.hits.len() + 1 {
-                let bounded = engine.search_top_k(&query, k, semantics);
-                assert_eq!(
-                    bounded.hits,
-                    full.hits[..k.min(full.hits.len())],
-                    "seed {seed} {semantics:?} k = {k}"
-                );
+            for k in 0..=full.len() + 1 {
+                let (bounded, _) = labelled_top_k(&engine, &query, k, semantics, None);
+                assert_eq!(bounded, full[..k.min(full.len())], "seed {seed} {semantics:?} k = {k}");
             }
         }
     }
@@ -377,27 +392,29 @@ fn shared_plan_fragments_match_independent_execution() {
                     }
                 }
                 let k = rng.random_range(0..=5usize);
-                let independent = engine.search_top_k(query, k, semantics);
-                let shared = engine.search_top_k_shared(query, k, semantics, &mut fragments);
+                let (independent, independent_stats) =
+                    labelled_top_k(&engine, query, k, semantics, None);
+                let (shared, shared_stats) =
+                    labelled_top_k(&engine, query, k, semantics, Some(&mut fragments));
                 assert_eq!(
-                    shared.hits, independent.hits,
+                    shared, independent,
                     "seed {seed} {semantics:?} query {q}: sharing changed the ranking"
                 );
                 assert_eq!(
                     (
-                        shared.stats.postings_scanned,
-                        shared.stats.gallop_probes,
-                        shared.stats.candidates_pruned,
+                        shared_stats.postings_scanned,
+                        shared_stats.gallop_probes,
+                        shared_stats.candidates_pruned,
                     ),
                     (
-                        independent.stats.postings_scanned,
-                        independent.stats.gallop_probes,
-                        independent.stats.candidates_pruned,
+                        independent_stats.postings_scanned,
+                        independent_stats.gallop_probes,
+                        independent_stats.candidates_pruned,
                     ),
                     "seed {seed} {semantics:?} query {q}: sharing changed the work counters"
                 );
                 assert_eq!(
-                    independent.stats.postings_shared, 0,
+                    independent_stats.postings_shared, 0,
                     "independent execution never reports sharing"
                 );
             }
@@ -730,8 +747,8 @@ fn documents_built_out_of_order_fall_back_to_the_dewey_path() {
             let what = format!("seed {seed}, out of order");
             assert_streams_agree(engine.document(), engine.index(), &query, &what);
             let full = engine.search_ranked(&query);
-            let top = engine.search_top_k(&query, 10, ResultSemantics::Slca);
-            assert_eq!(top.hits, full[..full.len().min(10)], "{what}, query {query}");
+            let (top, _) = labelled_top_k(&engine, &query, 10, ResultSemantics::Slca, None);
+            assert_eq!(top, full[..full.len().min(10)], "{what}, query {query}");
         }
     }
 }

@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use xsact::data::movies::qm_queries;
 use xsact::prelude::*;
-use xsact::serve::{serve_tcp, serve_tcp_mux, END_MARKER};
+use xsact::serve::{serve_tcp, END_MARKER};
 
 /// The synthetic fleet every test serves: six distinct movie documents.
 fn fleet(shards: usize) -> Arc<Corpus> {
@@ -161,6 +161,11 @@ fn roundtrip(
     request: &str,
 ) -> Vec<String> {
     writer.write_all(format!("{request}\n").as_bytes()).expect("request sent");
+    read_response(responses)
+}
+
+/// Collects one response up to (excluding) the `.` terminator.
+fn read_response(responses: &mut impl Iterator<Item = std::io::Result<String>>) -> Vec<String> {
     let mut lines = Vec::new();
     loop {
         match responses.next() {
@@ -393,54 +398,22 @@ fn cache_hits_skip_the_shard_pool() {
     );
 }
 
-// ------------------------------------------------------ multiplexed front end
+// ------------------------------------------------------------ line framing
 
-/// The mux front end speaks the identical wire protocol: the same request
-/// sequence against `serve_tcp` and `serve_tcp_mux` produces identical
-/// bytes, verb by verb.
+/// How a client fragments its writes is invisible to the protocol: 16
+/// concurrent connections, half of them dribbling every request one byte
+/// per write (CRLF line endings, a pause mid-line) and half sending whole
+/// lines, all get the bytes the sequential oracle produced — the framer
+/// reassembles each partial line, and a dribbling neighbour delays nobody.
 #[test]
-fn mux_front_end_is_wire_identical() {
-    let requests = [
-        "QUERY drama family",
-        "TOP 2",
-        "QUERY drama family",
-        "QUERY ???",
-        "EXPLODE now",
-        "QUERY comedy wedding",
-        "QUIT",
-    ];
-    let run = |mux: bool| -> Vec<Vec<String>> {
-        let server = CorpusServer::start(fleet(2), ServeConfig::default());
-        let handle = if mux {
-            serve_tcp_mux(server, "127.0.0.1:0").expect("binds")
-        } else {
-            serve_tcp(server, "127.0.0.1:0").expect("binds")
-        };
-        let stream = TcpStream::connect(handle.addr()).expect("connects");
-        let mut writer = stream.try_clone().expect("clones");
-        let mut responses = BufReader::new(stream).lines();
-        let bodies: Vec<Vec<String>> =
-            requests.iter().map(|r| roundtrip(&mut writer, &mut responses, r)).collect();
-        handle.shutdown();
-        handle.wait();
-        bodies
-    };
-    assert_eq!(run(false), run(true), "one thread or many, the bytes agree");
-}
-
-/// One front-end thread, 32 concurrent connections, every request written
-/// in two fragments with a pause in between: the incremental line framer
-/// must reassemble each mid-stream partial line, and every connection gets
-/// the bytes the sequential oracle produced.
-#[test]
-fn mux_serves_many_connections_with_partial_lines_on_one_thread() {
-    const CONNS: usize = 32;
+fn fragmented_requests_are_framed_like_whole_lines() {
+    const CONNS: usize = 16;
     let corpus = fleet(2);
     let mix = qm_mix();
     let expected: Vec<String> =
         mix.iter().map(|text| corpus.query(text).unwrap().ranking().render(4)).collect();
     let server = CorpusServer::start(Arc::clone(&corpus), ServeConfig::default());
-    let handle = serve_tcp_mux(server, "127.0.0.1:0").expect("binds");
+    let handle = serve_tcp(server, "127.0.0.1:0").expect("binds");
     std::thread::scope(|scope| {
         for conn in 0..CONNS {
             let handle = &handle;
@@ -448,27 +421,25 @@ fn mux_serves_many_connections_with_partial_lines_on_one_thread() {
             let expected = &expected;
             scope.spawn(move || {
                 let stream = TcpStream::connect(handle.addr()).expect("connects");
+                // One segment per write, so the server really sees fragments.
+                stream.set_nodelay(true).expect("nodelay");
                 let mut writer = stream.try_clone().expect("clones");
                 let mut responses = BufReader::new(stream).lines();
                 for pass in 0..2 {
                     let i = (conn + pass) % mix.len();
-                    // Split the request mid-word: the server sees a
-                    // partial line, then the rest, then the newline.
-                    let request = format!("QUERY {}", mix[i]);
-                    let split = request.len() / 2 + conn % 3;
-                    writer.write_all(request.as_bytes()[..split].as_ref()).unwrap();
-                    writer.flush().unwrap();
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                    writer.write_all(request.as_bytes()[split..].as_ref()).unwrap();
-                    writer.write_all(b"\n").unwrap();
-                    let mut body = Vec::new();
-                    loop {
-                        match responses.next() {
-                            Some(Ok(line)) if line == END_MARKER => break,
-                            Some(Ok(line)) => body.push(line),
-                            other => panic!("connection {conn} ended mid-response: {other:?}"),
+                    let request = format!("QUERY {}\r\n", mix[i]);
+                    if conn % 2 == 0 {
+                        let pause_at = request.len() / 2 + conn % 3;
+                        for (at, byte) in request.bytes().enumerate() {
+                            if at == pause_at {
+                                std::thread::sleep(std::time::Duration::from_millis(2));
+                            }
+                            writer.write_all(&[byte]).unwrap();
                         }
+                    } else {
+                        writer.write_all(request.as_bytes()).unwrap();
                     }
+                    let body = read_response(&mut responses);
                     let want = &expected[i];
                     assert_eq!(body[0], format!("OK {}", want.lines().count()));
                     assert_eq!(body[1..].join("\n") + "\n", *want, "connection {conn}");
