@@ -10,6 +10,8 @@
 //! cargo run -p xsact-cli -- corpus --dir datasets/ --query "drama family" --shards 4
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod app;
 mod args;
 

@@ -16,8 +16,9 @@
 //!   build environment is offline: no rayon, no tokio), one worker per
 //!   non-empty shard;
 //! * [`ShardPool`] — the persistent flavour of the same contract: workers
-//!   pinned to shard indexes for the lifetime of a server, broadcast
-//!   requests, responses in shard order. Workers are **supervised**: a
+//!   pinned to shard indexes for the lifetime of a server (the last shard
+//!   runs on the broadcasting thread), broadcast requests, responses in
+//!   shard order. Workers are **supervised**: a
 //!   panic becomes a typed [`ShardPanic`] outcome for the affected
 //!   broadcast and the worker is respawned from the retained work
 //!   closure, so the next request is byte-identical to a fault-free run;
@@ -27,6 +28,8 @@
 //!
 //! The `xsact` facade's `Corpus` composes these with one `Workbench` per
 //! document; see `src/corpus.rs` in the facade crate.
+
+#![forbid(unsafe_code)]
 
 pub mod merge;
 pub mod pool;

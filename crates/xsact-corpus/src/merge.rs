@@ -5,7 +5,7 @@
 //! produced the lists — otherwise the same corpus queried with `shards =
 //! 1` and `shards = 8` would return different rankings. Callers therefore
 //! provide a *total* order (for XSACT: score descending, then document id,
-//! then Dewey id); when the comparator still reports two heads equal, the
+//! then node id); when the comparator still reports two heads equal, the
 //! lower list index wins, so even a sloppy comparator cannot introduce
 //! nondeterminism.
 

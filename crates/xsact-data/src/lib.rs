@@ -19,6 +19,8 @@
 //! * [`jobs`] — a job board (companies → openings → skills/benefits) for
 //!   the paper's "employee hiring / job hunting" motivating domain.
 
+#![forbid(unsafe_code)]
+
 pub mod fixtures;
 pub mod jobs;
 pub mod movies;

@@ -305,7 +305,7 @@ mod tests {
         assert_eq!(s.class_of(&doc, product), NodeClass::Entity);
         let name = doc.child_by_tag(product, "name").unwrap();
         assert_eq!(s.class_of(&doc, name), NodeClass::Attribute);
-        let text = doc.children(name)[0];
+        let text = doc.children(name).next().unwrap();
         assert_eq!(s.class_of(&doc, text), NodeClass::Attribute);
     }
 
@@ -384,7 +384,7 @@ mod tests {
         assert_eq!(s.class_of_id(a), NodeClass::Entity);
         // Text runs have no path id.
         let name = doc.child_by_tag(products[0], "name").unwrap();
-        assert_eq!(s.path_id_of(doc.children(name)[0]), None);
+        assert_eq!(s.path_id_of(doc.children(name).next().unwrap()), None);
     }
 
     #[test]

@@ -506,8 +506,7 @@ fn instance_path(doc: &Document, summary: &StructureSummary, node: NodeId) -> Op
 
 /// The instance that owns the features of `node`, a non-instance node below
 /// `root`: its nearest ancestor that is the result root or an entity.
-/// Climbing `parent` needs no traversal state, so documents built in and
-/// out of document order take the same code.
+/// Climbing `parent` needs no traversal state.
 fn owning_instance(
     doc: &Document,
     summary: &StructureSummary,
@@ -527,14 +526,15 @@ fn owning_instance(
 /// The whitespace-normalised text of a leaf element (`" 4.2\n "` equals
 /// `"4.2"`), borrowed when its one text run is already in that form.
 fn leaf_value(doc: &Document, leaf: NodeId) -> Cow<'_, str> {
-    let runs = doc.children(leaf);
-    if let [run] = runs {
-        if let Some(text) = doc.text(*run).filter(|text| is_normalized(text)) {
+    let runs = || doc.children(leaf).filter_map(|run| doc.text(run));
+    let mut first_two = runs();
+    if let (Some(text), None) = (first_two.next(), first_two.next()) {
+        if is_normalized(text) {
             return Cow::Borrowed(text);
         }
     }
     let mut out = String::new();
-    for word in runs.iter().filter_map(|&run| doc.text(run)).flat_map(str::split_whitespace) {
+    for word in runs().flat_map(str::split_whitespace) {
         if !out.is_empty() {
             out.push(' ');
         }
@@ -804,7 +804,7 @@ mod tests {
             }
         }
         let summary = StructureSummary::infer(&d);
-        let rf = extract_features(&d, &summary, d.children(d.root())[0], "i");
+        let rf = extract_features(&d, &summary, d.children(d.root()).next().unwrap(), "i");
         assert_eq!(rf.stats[0].dominant().value, "Tom Tom 630");
     }
 
@@ -940,7 +940,7 @@ mod tests {
             .unwrap();
         let summary = StructureSummary::infer(&d);
         let name = d.child_by_tag(d.child_by_tag(d.root(), "item").unwrap(), "name").unwrap();
-        let text = d.children(name)[0];
+        let text = d.children(name).next().unwrap();
         let rf = extract_features(&d, &summary, text, "t");
         assert_eq!(rf.type_count(), 0);
         // The instance is counted under the nearest element's path.

@@ -163,7 +163,7 @@ impl SearchEngine {
             span.finish();
         }
         let span = trace.map(|sink| sink.span("sort"));
-        results.sort_by(|a, b| self.doc.dewey(a.root).cmp(&self.doc.dewey(b.root)));
+        results.sort_by_key(|r| r.root);
         if let Some(span) = span {
             span.finish();
         }
@@ -289,11 +289,11 @@ impl SearchEngine {
         }
         let mut scorer = Scorer::new(&self.doc, &self.index, query);
         let span = trace.map(|sink| sink.span("slca-stream"));
-        let mut heap: TopK<'_, RankedRoot> = TopK::new(k);
+        let mut heap: TopK<RankedRoot> = TopK::new(k);
         let mut streamed = 0usize;
         self.for_each_promoted(&plan, semantics, &mut stats, |root, slca| {
             let score = scorer.score(root);
-            heap.push(score.score, self.doc.dewey(root), RankedRoot { score, slca });
+            heap.push(score.score, root, RankedRoot { score, slca });
             streamed += 1;
         });
         if let Some(mut span) = span {
@@ -412,7 +412,7 @@ mod tests {
             assert_eq!(engine.document().tag(r.root), "product");
             // The SLCA sits inside the promoted subtree.
             let d = engine.document();
-            assert!(d.dewey(r.root).is_ancestor_or_self_of(d.dewey(r.slca)));
+            assert!(d.dewey(r.root).is_ancestor_or_self_of(&d.dewey(r.slca)));
         }
     }
 
@@ -480,10 +480,7 @@ mod tests {
     fn results_in_document_order() {
         let engine = shop_engine();
         let results = engine.search(&Query::parse("compact"));
-        let d = engine.document();
-        for pair in results.windows(2) {
-            assert!(d.dewey(pair[0].root) < d.dewey(pair[1].root));
-        }
+        assert!(results.windows(2).all(|pair| pair[0].root < pair[1].root));
     }
 
     #[test]

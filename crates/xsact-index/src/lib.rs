@@ -7,18 +7,21 @@
 //!
 //! * a tokenising [`lexer`] and [`Query`] model,
 //! * an [`InvertedIndex`] mapping terms to XML nodes in document order
-//!   (Dewey-encoded, so lowest-common-ancestor reasoning is cheap),
+//!   (node ids are preorder ranks, so lowest-common-ancestor reasoning is
+//!   integer comparison),
 //! * [`slca`] — Smallest Lowest Common Ancestor computation, the standard
-//!   XML keyword-search semantics, with two implementations (a full-scan
-//!   oracle and the Indexed Lookup Eager algorithm of Xu &
-//!   Papakonstantinou), plus ELCA as an alternative semantics,
+//!   XML keyword-search semantics, as a full-scan reference implementation,
+//!   plus ELCA as an alternative semantics,
 //! * [`plan`] — the streaming executor: a rarest-first [`QueryPlan`] with
-//!   zero-postings short-circuit, the anchored-gallop [`SlcaStream`], and
+//!   zero-postings short-circuit, the anchored-gallop [`SlcaStream`] (the
+//!   Indexed Lookup Eager SLCA algorithm of Xu & Papakonstantinou), and
 //!   [`ExecutorStats`] observability,
 //! * a [`SearchEngine`] that turns SLCAs into *results* by promoting each
 //!   match to its master entity, as XSeek's return-node inference does —
 //!   including the bounded [`SearchEngine::search_top_k`] executor behind
 //!   every `take(k)`-style caller.
+
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod lexer;
@@ -36,4 +39,4 @@ pub use plan::{ExecutorStats, PlanFragments, QueryPlan, SlcaStream};
 pub use postings::{IndexStats, InvertedIndex, PostingsIter, PostingsRef};
 pub use query::Query;
 pub use rank::{rank_results, rank_top_k, ScoredResult, Scorer};
-pub use slca::{elca_full_scan, slca_full_scan, slca_indexed_lookup};
+pub use slca::{elca_full_scan, slca_full_scan};

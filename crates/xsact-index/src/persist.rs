@@ -22,7 +22,8 @@
 //! frame table, dictionary order, 9 bytes per frame:
 //!   first    u32 LE           first node id of the frame
 //!   bit_off  u32 LE           payload bit offset into the data arena
-//!   width    u8               0..=32 delta bit width, 0xFF = absolute
+//!   width    u8               0..=32, the delta bit width (0 = a
+//!                             consecutive run, no payload)
 //! data:
 //!   data_words × u64 LE       payload bits, back to back
 //! trailer:
@@ -47,10 +48,15 @@
 //! rejected, so a stale index can never silently corrupt search results.
 //! Every frame is bounds-checked against the payload arena and fully
 //! decoded once during load (delta accumulation checked for overflow,
-//! every id checked against the document), so a corrupt file fails with a
-//! typed [`io::ErrorKind::InvalidData`] error, never a panic — and the
-//! validated arrays are then adopted as-is, which keeps a save → load →
-//! save cycle byte-stable.
+//! every id checked against the document and against its predecessor —
+//! a list must increase strictly, across frame boundaries too, because
+//! everything that reads it bisects), so a corrupt file fails with a
+//! typed [`io::ErrorKind::InvalidData`] error, never a panic or a wrong
+//! answer — and the validated arrays are then adopted as-is, which keeps a
+//! save → load → save cycle byte-stable. No writer has a use for another
+//! width byte than `0..=32` (format version 4 once reserved `0xFF` for
+//! absolute ids of documents whose id order was not document order; such
+//! documents cannot be built any more), so any other value is corrupt.
 //!
 //! **I/O is one buffer per file in each direction.** [`save_index`]
 //! assembles the whole file in a `Vec`, hashes it, and hands it to the
@@ -67,7 +73,7 @@
 //! size. Term strings are borrowed from the buffer until the interner
 //! copies them.
 
-use crate::postings::{InvertedIndex, PackedStore, ABS_WIDTH, FRAME};
+use crate::postings::{InvertedIndex, PackedStore, FRAME};
 use std::io::{self, Read, Write};
 use xsact_xml::{Document, FnvHasher};
 
@@ -275,11 +281,10 @@ fn decode_index(doc: &Document, bytes: &[u8]) -> io::Result<InvertedIndex> {
             let first = r.u32()?;
             let bit_off = r.u32()?;
             let [width] = r.array()?;
-            let payload_bits = match width {
-                w if w <= 32 => (count as u64 - 1) * u64::from(w),
-                ABS_WIDTH => (count as u64 - 1) * 32,
-                w => return Err(bad_data(format!("corrupt frame bit width {w}"))),
-            };
+            if width > 32 {
+                return Err(bad_data(format!("corrupt frame bit width {width}")));
+            }
+            let payload_bits = (count as u64 - 1) * u64::from(width);
             if u64::from(bit_off) + payload_bits > data_bits {
                 return Err(bad_data("frame payload leaves the data arena"));
             }
@@ -301,24 +306,26 @@ fn decode_index(doc: &Document, bytes: &[u8]) -> io::Result<InvertedIndex> {
     if stored != checksum(body) {
         return Err(bad_data("index checksum mismatch — rebuild the index"));
     }
-    let store = PackedStore {
-        frame_first,
-        frame_bit_off,
-        frame_width,
-        data,
-        doc_ordered: doc.is_preorder(),
-    };
+    let store = PackedStore { frame_first, frame_bit_off, frame_width, data };
     let index = InvertedIndex::from_packed_parts(&dict, store);
     // Decode-validate every list once: delta accumulation checked for u32
-    // overflow, every id checked against the document. After this pass the
-    // unchecked frame decoders can never read a value the document does
-    // not have.
+    // overflow, every id checked against the document and required to
+    // exceed the one before it. After this pass the unchecked frame
+    // decoders can never read a value the document does not have, and the
+    // bisections of the executor and the scorer run on sorted lists.
     for (term, postings) in index.dictionary() {
         let ids = postings
             .decode_all_checked()
             .ok_or_else(|| bad_data(format!("corrupt posting delta for term {term:?}")))?;
+        let mut prev = None;
         for id in ids {
             doc.node_handle(id as usize).ok_or_else(|| bad_data("posting entry out of range"))?;
+            if prev.is_some_and(|prev| prev >= id) {
+                return Err(bad_data(format!(
+                    "postings of term {term:?} are not in document order"
+                )));
+            }
+            prev = Some(id);
         }
     }
     Ok(index)
@@ -550,9 +557,8 @@ mod tests {
         assert!(err.to_string().contains("frame payload leaves the data arena"), "{err}");
     }
 
-    /// A frame with an impossible bit width (not `0..=32`, not the
-    /// absolute marker) must fail with the typed width error, not a panic
-    /// or a garbage decode.
+    /// A frame with an impossible bit width (not `0..=32`) must fail with
+    /// the typed width error, not a panic or a garbage decode.
     #[test]
     fn corrupt_frame_bit_width_rejected() {
         let d = doc();
@@ -564,6 +570,56 @@ mod tests {
         let err = load_index(&d, &mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("corrupt frame bit width 40"), "{err}");
+
+        // `0xFF` once marked a frame of absolute 32-bit ids. Hand-build a
+        // well-formed one — "a" → [1, 2] with the 2 as one payload word —
+        // and it is a corrupt width like any other: no writer emits it.
+        let d = parse_document("<r><a/><a/></r>").unwrap();
+        let mut buf = Vec::new();
+        save_index(&d, &InvertedIndex::build(&d), &mut buf).unwrap();
+        assert_eq!(buf[28..32], 0u32.to_le_bytes(), "two consecutive runs carry no payload");
+        buf[28..32].copy_from_slice(&1u32.to_le_bytes());
+        let width_pos = frame_table_pos(&buf) + 8; // "a" sorts first
+        assert_eq!(buf[width_pos], 0);
+        buf[width_pos] = 0xFF;
+        let trailer = buf.len() - 8;
+        buf.splice(trailer..trailer, 2u64.to_le_bytes());
+        refresh_trailer(&mut buf);
+        let err = load_index(&d, &mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("corrupt frame bit width 255"), "{err}");
+    }
+
+    /// Every id of a list may be a node of the document and the list still
+    /// be wrong: frames decode independently, so a second frame that starts
+    /// below the first one's end yields an unsorted list, and everything
+    /// that bisects it answers wrongly without an error. The loader
+    /// requires each id to exceed the one before it.
+    #[test]
+    fn postings_out_of_document_order_rejected() {
+        let d = parse_document(&format!("<r>{}</r>", "<a>k</a>".repeat(200))).unwrap();
+        let index = InvertedIndex::build(&d);
+        assert_eq!(index.postings("a").len(), 200);
+        let mut saved = Vec::new();
+        save_index(&d, &index, &mut saved).unwrap();
+        // "a" sorts first and spans two frames; restart its second one at
+        // node 2, inside the first frame's range.
+        let second_first = frame_table_pos(&saved) + FRAME_ENTRY;
+        let mut buf = saved.clone();
+        assert!(u32::from_le_bytes(buf[second_first..second_first + 4].try_into().unwrap()) > 2);
+        buf[second_first..second_first + 4].copy_from_slice(&2u32.to_le_bytes());
+        refresh_trailer(&mut buf);
+        let err = load_index(&d, &mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("\"a\" are not in document order"), "{err}");
+        // The untouched file loads, answers in full and saves to the same
+        // bytes.
+        let loaded = load_index(&d, &mut saved.as_slice()).unwrap();
+        let mut resaved = Vec::new();
+        save_index(&d, &loaded, &mut resaved).unwrap();
+        assert_eq!(resaved, saved);
+        let plan = crate::plan::QueryPlan::new(&loaded, &Query::parse("a k"));
+        assert_eq!(plan.stream(&d).count(), 200);
     }
 
     /// Deltas that accumulate past `u32::MAX` (or ids past the document)

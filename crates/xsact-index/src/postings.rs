@@ -21,16 +21,13 @@
 //!   (Single-entry lists are the degenerate case.)
 //! * `1..=32` — strictly increasing ids stored as `delta − 1` values of
 //!   `width` bits each; the first id lives in the header.
-//! * `0xFF` — absolute fallback for non-monotone id sequences (a document
-//!   whose arena order differs from document order): raw 32-bit ids.
 //!
-//! Posting lists are sorted by Dewey ID (document order) and deduplicated.
-//! For documents whose node ids are assigned in preorder (`doc_ordered`),
-//! document order coincides with id order, which makes every frame a
-//! `width ≤ 32` delta frame and unlocks the integer fast paths in the query
-//! planner and the scorer. The flat `Vec<NodeId>` representation survives
-//! only as [`PostingsRef::to_vec`] — the oracle the property suite compares
-//! against.
+//! Posting lists are sorted in document order and deduplicated. Node ids
+//! are preorder ranks, so document order is id order: every list increases
+//! strictly, every frame is a delta frame, and the query planner and the
+//! scorer compare and count plain integers. The flat `Vec<NodeId>`
+//! representation survives only as [`PostingsRef::to_vec`] — what the
+//! full-scan algorithms and the property suite consume.
 
 use crate::lexer::for_each_term;
 use xsact_xml::{Document, Interner, NodeId, Sym};
@@ -38,9 +35,6 @@ use xsact_xml::{Document, Interner, NodeId, Sym};
 /// Entries per posting frame. 128 ids keep the skip headers at ~0.6 bits
 /// per posting while one frame still fits a pair of cache lines unpacked.
 pub(crate) const FRAME: usize = 128;
-
-/// `frame_width` marker for absolute (non-delta) frames.
-pub(crate) const ABS_WIDTH: u8 = 0xFF;
 
 /// The shared frame arena behind every posting list of one index.
 ///
@@ -54,15 +48,10 @@ pub(crate) struct PackedStore {
     pub(crate) frame_first: Vec<u32>,
     /// Bit offset of each frame's payload inside `data`.
     pub(crate) frame_bit_off: Vec<u32>,
-    /// Bits per packed entry: `0..=32` for delta frames, [`ABS_WIDTH`] for
-    /// absolute frames.
+    /// Bits per packed entry, `0..=32`.
     pub(crate) frame_width: Vec<u8>,
     /// The payload bit arena.
     pub(crate) data: Vec<u64>,
-    /// Whether node ids are assigned in preorder, i.e. id order == document
-    /// order and every subtree is one contiguous id interval. Gates the
-    /// integer-compare fast paths; `false` is always safe.
-    pub(crate) doc_ordered: bool,
 }
 
 impl PackedStore {
@@ -98,10 +87,7 @@ fn bits_for(x: u32) -> u32 {
 /// Append-only encoder producing a [`PackedStore`].
 #[derive(Default)]
 struct PackedBuilder {
-    frame_first: Vec<u32>,
-    frame_bit_off: Vec<u32>,
-    frame_width: Vec<u8>,
-    data: Vec<u64>,
+    store: PackedStore,
     bit_len: u64,
 }
 
@@ -110,62 +96,34 @@ impl PackedBuilder {
         if width == 0 {
             return;
         }
+        let data = &mut self.store.data;
         let end_words = (self.bit_len + u64::from(width)).div_ceil(64) as usize;
-        if self.data.len() < end_words {
-            self.data.resize(end_words, 0);
+        if data.len() < end_words {
+            data.resize(end_words, 0);
         }
         let word = (self.bit_len / 64) as usize;
         let shift = (self.bit_len % 64) as u32;
-        self.data[word] |= u64::from(v) << shift;
+        data[word] |= u64::from(v) << shift;
         if shift + width > 64 {
-            self.data[word + 1] |= u64::from(v) >> (64 - shift);
+            data[word + 1] |= u64::from(v) >> (64 - shift);
         }
         self.bit_len += u64::from(width);
     }
 
-    /// Encodes one frame (≤ [`FRAME`] ids, first id always in the header).
+    /// Encodes one frame: ≤ [`FRAME`] strictly increasing ids, the first
+    /// one in the header.
     fn push_frame(&mut self, ids: &[u32]) {
         debug_assert!(!ids.is_empty() && ids.len() <= FRAME);
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "posting lists increase strictly");
         // Bit offsets are persisted as u32 — a ~512 MB payload ceiling the
         // loader also enforces.
         debug_assert!(self.bit_len <= u64::from(u32::MAX));
-        let first = ids[0];
-        let mut monotone = true;
-        let mut max_dm1 = 0u32;
-        let mut prev = first;
-        for &v in &ids[1..] {
-            if v <= prev {
-                monotone = false;
-                break;
-            }
-            max_dm1 = max_dm1.max(v - prev - 1);
-            prev = v;
-        }
-        self.frame_first.push(first);
-        self.frame_bit_off.push(self.bit_len as u32);
-        if monotone {
-            let width = bits_for(max_dm1);
-            self.frame_width.push(width as u8);
-            let mut prev = first;
-            for &v in &ids[1..] {
-                self.push_bits(v - prev - 1, width);
-                prev = v;
-            }
-        } else {
-            self.frame_width.push(ABS_WIDTH);
-            for &v in &ids[1..] {
-                self.push_bits(v, 32);
-            }
-        }
-    }
-
-    fn finish(self, doc_ordered: bool) -> PackedStore {
-        PackedStore {
-            frame_first: self.frame_first,
-            frame_bit_off: self.frame_bit_off,
-            frame_width: self.frame_width,
-            data: self.data,
-            doc_ordered,
+        let width = bits_for(ids.windows(2).map(|w| w[1] - w[0] - 1).max().unwrap_or(0));
+        self.store.frame_first.push(ids[0]);
+        self.store.frame_bit_off.push(self.bit_len as u32);
+        self.store.frame_width.push(width as u8);
+        for w in ids.windows(2) {
+            self.push_bits(w[1] - w[0] - 1, width);
         }
     }
 }
@@ -189,8 +147,8 @@ impl InvertedIndex {
     /// Builds the index in a single pass over the document.
     pub fn build(doc: &Document) -> Self {
         let mut terms = Interner::new();
-        // Per term symbol, the raw posting list (document-order sort and
-        // dedup happen once, in `finish`).
+        // Per term symbol, the raw posting list (sorted and deduplicated
+        // once, below).
         let mut lists: Vec<Vec<NodeId>> = Vec::new();
         let mut scratch = String::new();
         // Terms already recorded for the node under construction — nodes
@@ -238,24 +196,25 @@ impl InvertedIndex {
                 }
             }
         }
-        // Sort each list by document order and deduplicate (an element may
-        // match a term through both its tag and several text children).
+        // Document order is id order. The walk does not produce it — a text
+        // run posts to its parent, behind the elements between the two — and
+        // an element may match a term through its tag and several text
+        // children: sort and deduplicate.
         for list in &mut lists {
-            list.sort_by(|&a, &b| doc.dewey(a).cmp(&doc.dewey(b)));
+            list.sort_unstable();
             list.dedup();
         }
-        InvertedIndex::from_lists(terms, lists, doc.is_preorder())
+        InvertedIndex::pack(terms, lists)
     }
 
-    /// Packs per-term lists into the frame store. Lists must already be
-    /// sorted in document order and deduplicated; `doc_ordered` states
-    /// whether document order is also id order (see [`PackedStore`]).
-    fn from_lists(terms: Interner, lists: Vec<Vec<NodeId>>, doc_ordered: bool) -> Self {
+    /// Packs per-term lists — sorted by id and deduplicated — into the
+    /// frame store.
+    fn pack(terms: Interner, lists: Vec<Vec<NodeId>>) -> Self {
         let mut b = PackedBuilder::default();
         let mut spans = Vec::with_capacity(lists.len());
         let mut ids: Vec<u32> = Vec::new();
         for list in &lists {
-            let first_frame = b.frame_first.len() as u32;
+            let first_frame = b.store.frame_first.len() as u32;
             for chunk in list.chunks(FRAME) {
                 ids.clear();
                 ids.extend(chunk.iter().map(|n| n.index() as u32));
@@ -265,7 +224,7 @@ impl InvertedIndex {
         }
         let mut sorted: Vec<Sym> = terms.iter().map(|(sym, _)| sym).collect();
         sorted.sort_by(|&a, &b| terms.resolve(a).cmp(terms.resolve(b)));
-        InvertedIndex { terms, spans, store: b.finish(doc_ordered), sorted }
+        InvertedIndex { terms, spans, store: b.store, sorted }
     }
 
     /// Adopts a loaded frame store directly: `dict` pairs each term with its
@@ -287,27 +246,6 @@ impl InvertedIndex {
             next_frame += (len as usize).div_ceil(FRAME) as u32;
         }
         InvertedIndex { terms, spans, store, sorted }
-    }
-
-    /// Rebuilds an index from `(term, postings)` pairs. Lists must already
-    /// be sorted in document order — the invariant `build` establishes and
-    /// `save_index` preserves. Without a document to check against, the
-    /// result is conservatively marked not `doc_ordered` (integer fast
-    /// paths stay off; results are identical either way).
-    pub fn from_term_lists(entries: impl IntoIterator<Item = (String, Vec<NodeId>)>) -> Self {
-        let mut terms = Interner::new();
-        let mut lists = Vec::new();
-        for (term, list) in entries {
-            let sym = terms.intern(&term);
-            if sym.index() == lists.len() {
-                lists.push(list);
-            } else {
-                // Duplicate term in the input: keep the last list, like the
-                // seed's HashMap-based loader did.
-                lists[sym.index()] = list;
-            }
-        }
-        InvertedIndex::from_lists(terms, lists, false)
     }
 
     /// The symbol of an (already normalised) term, if it occurs.
@@ -338,12 +276,6 @@ impl InvertedIndex {
     /// Number of distinct terms.
     pub fn term_count(&self) -> usize {
         self.spans.len()
-    }
-
-    /// Whether node id order is document order for the indexed document
-    /// (see [`PackedStore::doc_ordered`]).
-    pub(crate) fn doc_ordered(&self) -> bool {
-        self.store.doc_ordered
     }
 
     /// The shared frame store (persistence serialises its arrays).
@@ -444,13 +376,6 @@ impl<'a> PostingsRef<'a> {
                     *slot = first + i as u32;
                 }
             }
-            ABS_WIDTH => {
-                let mut off = u64::from(self.store.frame_bit_off[g]);
-                for slot in &mut out[1..n] {
-                    *slot = read_bits(&self.store.data, off, 32);
-                    off += 32;
-                }
-            }
             w if n > 1 => {
                 // Rolling bit buffer: one word fetch per 64 payload bits
                 // instead of a div/mod/shift recomputation per delta.
@@ -495,8 +420,8 @@ impl<'a> PostingsRef<'a> {
         PostingsIter { list: *self, pos: 0, cache: FrameCache::new() }
     }
 
-    /// Decodes the whole list into the flat representation the pre-packed
-    /// index stored — the oracle form.
+    /// Decodes the whole list into a flat vector — what the full-scan
+    /// algorithms consume.
     pub fn to_vec(&self) -> Vec<NodeId> {
         self.iter().collect()
     }
@@ -513,9 +438,7 @@ impl<'a> PostingsRef<'a> {
 
     /// A subtree range counter over this list, for repeated
     /// [`RangeCounter::count`] calls that mostly land in nearby frames.
-    /// Requires a `doc_ordered` store (ids strictly increasing).
     pub(crate) fn range_counter(&self) -> RangeCounter<'a> {
-        debug_assert!(self.store.doc_ordered);
         RangeCounter { list: *self, cache: FrameCache::new() }
     }
 
@@ -533,13 +456,6 @@ impl<'a> PostingsRef<'a> {
                 0 => {
                     for i in 1..n {
                         out.push(u32::try_from(u64::from(first) + i as u64).ok()?);
-                    }
-                }
-                ABS_WIDTH => {
-                    let mut off = u64::from(self.store.frame_bit_off[g]);
-                    for _ in 1..n {
-                        out.push(read_bits(&self.store.data, off, 32));
-                        off += 32;
                     }
                 }
                 w => {
@@ -662,8 +578,7 @@ impl Iterator for PostingsIter<'_> {
 
 impl ExactSizeIterator for PostingsIter<'_> {}
 
-/// Counts the postings of one `doc_ordered` list inside id intervals — the
-/// scorer's term frequency of a result subtree `[root, subtree_end(root))`.
+/// Counts the postings of one list inside id intervals — the scorer's term frequency of a result subtree `[root, subtree_end(root))`.
 ///
 /// The frames an interval touches are found by bisecting the skip headers;
 /// frames strictly inside the interval are counted from the headers alone,
@@ -782,7 +697,8 @@ mod tests {
         for term in ["product", "gps", "name"] {
             let list = idx.postings(term).to_vec();
             for pair in list.windows(2) {
-                assert!(d.dewey(pair[0]) < d.dewey(pair[1]), "term {term} out of order");
+                assert!(pair[0] < pair[1], "term {term} out of order");
+                assert!(d.dewey(pair[0]) < d.dewey(pair[1]), "term {term}: id order ≠ path order");
             }
         }
     }
@@ -845,23 +761,16 @@ mod tests {
         assert_eq!(idx.postings_of(sym), idx.postings("gps"));
     }
 
-    #[test]
-    fn from_term_lists_round_trips() {
-        let d = doc();
-        let built = InvertedIndex::build(&d);
-        let rebuilt = InvertedIndex::from_term_lists(
-            built.dictionary().map(|(t, l)| (t.to_owned(), l.to_vec())),
-        );
-        assert_eq!(rebuilt.term_count(), built.term_count());
-        for (term, list) in built.dictionary() {
-            assert_eq!(rebuilt.postings(term), list, "term {term}");
-        }
+    /// Strictly increasing raw ids packed as the one list of term `t`.
+    fn single_list(ids: &[u32]) -> InvertedIndex {
+        let mut terms = Interner::new();
+        terms.intern("t");
+        InvertedIndex::pack(terms, vec![ids.iter().map(|&v| NodeId::from_index(v)).collect()])
     }
 
     /// Packs raw ids as a single-term index and returns the decoded list.
     fn pack_round_trip(ids: &[u32]) -> Vec<u32> {
-        let nodes: Vec<NodeId> = ids.iter().map(|&v| NodeId::from_index(v)).collect();
-        let idx = InvertedIndex::from_term_lists([("t".to_owned(), nodes)]);
+        let idx = single_list(ids);
         let list = idx.postings("t");
         assert_eq!(list.len(), ids.len());
         // Exercise get() alongside iter().
@@ -877,8 +786,7 @@ mod tests {
     fn consecutive_runs_pack_to_zero_width() {
         let ids: Vec<u32> = (500..500 + 300).collect();
         assert_eq!(pack_round_trip(&ids), ids);
-        let nodes: Vec<NodeId> = ids.iter().map(|&v| NodeId::from_index(v)).collect();
-        let idx = InvertedIndex::from_term_lists([("t".to_owned(), nodes)]);
+        let idx = single_list(&ids);
         let st = idx.store();
         // 300 consecutive ids → three frames, all width 0, zero payload.
         assert_eq!(st.frame_width, vec![0, 0, 0]);
@@ -898,16 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn non_monotone_ids_fall_back_to_absolute_frames() {
-        // Document order ≠ id order: the frame must store absolute ids.
-        let ids = vec![90u32, 10, 80, 20, 70, 30];
-        assert_eq!(pack_round_trip(&ids), ids);
-        let nodes: Vec<NodeId> = ids.iter().map(|&v| NodeId::from_index(v)).collect();
-        let idx = InvertedIndex::from_term_lists([("t".to_owned(), nodes)]);
-        assert_eq!(idx.store().frame_width, vec![ABS_WIDTH]);
-    }
-
-    #[test]
     fn random_lists_round_trip() {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut rng = move || {
@@ -924,20 +822,12 @@ mod tests {
         }
     }
 
-    /// Strictly increasing ids packed as one `doc_ordered` list.
-    fn doc_ordered_list(ids: &[u32]) -> InvertedIndex {
-        let nodes: Vec<NodeId> = ids.iter().map(|&v| NodeId::from_index(v)).collect();
-        let mut idx = InvertedIndex::from_term_lists([("t".to_owned(), nodes)]);
-        idx.store.doc_ordered = true;
-        idx
-    }
-
     #[test]
     fn range_counter_matches_scan() {
         let mut ids: Vec<u32> = (0..1000u32).map(|i| i * 7 % 4096).collect();
         ids.sort_unstable();
         ids.dedup();
-        let idx = doc_ordered_list(&ids);
+        let idx = single_list(&ids);
         let mut counter = idx.postings("t").range_counter();
         for (lo, hi) in
             [(0, 4096), (0, 0), (100, 90), (500, 501), (0, 1), (1000, 3000), (4095, 4096)]
@@ -973,7 +863,7 @@ mod tests {
                 (0..len).map(|_| (rng() % u64::from(universe)) as u32).collect();
             ids.sort_unstable();
             ids.dedup();
-            let idx = doc_ordered_list(&ids);
+            let idx = single_list(&ids);
             let mut counter = idx.postings("t").range_counter();
             for _ in 0..400 {
                 let lo = (rng() % u64::from(universe + 10)) as u32;

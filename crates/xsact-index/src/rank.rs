@@ -14,16 +14,16 @@
 //!   snippet proximity.
 //!
 //! Two consumers exist: [`rank_results`] sorts every candidate (the
-//! correctness oracle and the full-listing path), and [`rank_top_k`] keeps
-//! only the best `k` in a bounded heap while preserving the exact total
-//! order — the ranking half of the streaming top-k executor.
+//! correctness reference and the full-listing path), and [`rank_top_k`]
+//! keeps only the best `k` in a bounded heap while preserving the exact
+//! total order — the ranking half of the streaming top-k executor.
 //!
 //! # Scoring on id intervals
 //!
-//! All three signals of a root are functions of its subtree, and on a
-//! document whose ids are preorder ranks (`doc_ordered` index) the subtree
-//! of `root` *is* the id interval `[root, subtree_end(root))`. The
-//! [`Scorer`] therefore touches no tree at all on that path:
+//! All three signals of a root are functions of its subtree, and node ids
+//! are preorder ranks, so the subtree of `root` *is* the id interval
+//! `[root, subtree_end(root))`. The [`Scorer`] therefore touches no tree at
+//! all:
 //!
 //! * `subtree_size` is `subtree_end(root) − root`, two integers the DOM
 //!   already keeps — not a walk over the subtree;
@@ -35,18 +35,13 @@
 //!   and the stream offers roots in document order. Roots in any other
 //!   order (`rank_results` takes arbitrary order) merely miss the cache.
 //!
-//! What is compared is unchanged — the same integers `tf` and
-//! `subtree_size` enter the same float pipeline — so scores are
-//! bit-identical to the fallback (`tests/properties.rs` pins both paths
-//! against each other). The fallback remains for indexes that are not
-//! `doc_ordered` (documents built out of order, indexes rebuilt from raw
-//! term lists): the subtree walk for the size, two Dewey
-//! `partition_point`s per term for the frequency.
+//! `tests/properties.rs` pins the scores bit for bit against a scorer that
+//! counts `tf` and the subtree size by walking the tree.
 
 use crate::postings::{InvertedIndex, RangeCounter};
 use crate::query::Query;
 use std::collections::BinaryHeap;
-use xsact_xml::{DeweyRef, Document, NodeId};
+use xsact_xml::{Document, NodeId};
 
 /// A scored result, produced by [`rank_results`].
 #[derive(Debug, Clone, PartialEq)]
@@ -64,7 +59,7 @@ pub struct ScoredResult {
 /// Scores result roots for a query and returns them best-first.
 ///
 /// The order is **total and shard-count-independent**: equal scores break
-/// ties by Dewey id (document order), never by input order or float quirks
+/// ties by node id (document order), never by input order or float quirks
 /// (`total_cmp`, so even a NaN score cannot destabilise the sort). Rankings
 /// of one document therefore merge deterministically with rankings of
 /// other documents, whatever partition produced them — the property the
@@ -77,9 +72,7 @@ pub fn rank_results(
 ) -> Vec<ScoredResult> {
     let mut scorer = Scorer::new(doc, index, query);
     let mut scored: Vec<ScoredResult> = roots.iter().map(|&root| scorer.score(root)).collect();
-    scored.sort_by(|a, b| {
-        b.score.total_cmp(&a.score).then_with(|| doc.dewey(a.root).cmp(&doc.dewey(b.root)))
-    });
+    scored.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.root.cmp(&b.root)));
     scored
 }
 
@@ -103,51 +96,34 @@ pub fn rank_top_k(
     let mut heap = TopK::new(k);
     for root in roots {
         let scored = scorer.score(root);
-        heap.push(scored.score, doc.dewey(root), scored);
+        heap.push(scored.score, root, scored);
     }
     heap.finish().0
 }
 
-/// The resolved posting lists of a [`Scorer`], each with its precomputed
-/// `ln(1 + N / df)` weight, in query order (terms without postings are
-/// dropped) — in whichever shape the index admits for subtree counting.
-#[derive(Debug)]
-enum ScorerTerms<'a> {
-    /// `doc_ordered` index: subtrees are id intervals, `tf` is a range
-    /// count straight on the packed frames.
-    Intervals(Vec<(RangeCounter<'a>, f64)>),
-    /// Fallback (id order ≠ document order): each list decoded once at
-    /// construction, counted by the seed's two Dewey `partition_point`s.
-    Dewey(Vec<(Vec<NodeId>, f64)>),
-}
-
 /// The per-query scoring context: posting lists resolved once, inverse
 /// document frequencies precomputed once. [`Scorer::score`] then counts
-/// in-subtree postings by **range counting** — a result subtree is a
-/// contiguous interval of the document order, resolved once per root (not
-/// re-derived per term) and counted per posting list as the module docs
-/// describe. Produces bit-identical scores to the seed formula: the `tf`
-/// integers agree on every root, and the float pipeline is unchanged.
+/// in-subtree postings by **range counting** — a result subtree is the id
+/// interval `[root, subtree_end(root))`, counted per posting list as the
+/// module docs describe.
 #[derive(Debug)]
 pub struct Scorer<'a> {
     doc: &'a Document,
-    terms: ScorerTerms<'a>,
+    /// Per query term with postings, in query order: the list's range
+    /// counter and its `ln(1 + N / df)` weight.
+    terms: Vec<(RangeCounter<'a>, f64)>,
 }
 
 impl<'a> Scorer<'a> {
     /// Resolves `query` against `index` for repeated scoring over `doc`.
     pub fn new(doc: &'a Document, index: &'a InvertedIndex, query: &Query) -> Scorer<'a> {
         let element_count = doc.element_count().max(1) as f64;
-        let resolved = query.iter().filter_map(|term| {
-            let postings = index.postings(term);
-            (!postings.is_empty())
-                .then(|| (postings, (1.0 + element_count / postings.len() as f64).ln()))
-        });
-        let terms = if index.doc_ordered() {
-            ScorerTerms::Intervals(resolved.map(|(p, idf)| (p.range_counter(), idf)).collect())
-        } else {
-            ScorerTerms::Dewey(resolved.map(|(p, idf)| (p.to_vec(), idf)).collect())
-        };
+        let terms = query
+            .iter()
+            .map(|term| index.postings(term))
+            .filter(|postings| !postings.is_empty())
+            .map(|p| (p.range_counter(), (1.0 + element_count / p.len() as f64).ln()))
+            .collect();
         Scorer { doc, terms }
     }
 
@@ -155,36 +131,17 @@ impl<'a> Scorer<'a> {
     /// specificity). Takes `&mut self` for the per-list frame caches only;
     /// the score of a root does not depend on what was scored before.
     pub fn score(&mut self, root: NodeId) -> ScoredResult {
-        let doc = self.doc;
+        let (lo, hi) = (root.index() as u32, self.doc.subtree_end(root));
         let mut term_hits = 0u32;
         let mut score = 0.0;
-        let mut add = |tf: u32, idf: f64| {
+        for (counter, idf) in &mut self.terms {
+            let tf = counter.count(lo, hi);
             term_hits += tf;
             if tf > 0 {
-                score += (1.0 + f64::from(tf)).ln() * idf;
+                score += (1.0 + f64::from(tf)).ln() * *idf;
             }
-        };
-        let subtree_size = match &mut self.terms {
-            ScorerTerms::Intervals(terms) => {
-                let (lo, hi) = (root.index() as u32, doc.subtree_end(root));
-                for (counter, idf) in terms {
-                    add(counter.count(lo, hi), *idf);
-                }
-                hi - lo
-            }
-            ScorerTerms::Dewey(terms) => {
-                // The subtree's postings are the contiguous run of entries
-                // between `root` and the end of its Dewey interval.
-                let root_dewey = doc.dewey(root);
-                for (postings, idf) in terms {
-                    let lo = postings.partition_point(|&n| doc.dewey(n) < root_dewey);
-                    let tf = postings[lo..]
-                        .partition_point(|&n| root_dewey.is_ancestor_or_self_of(doc.dewey(n)));
-                    add(tf as u32, *idf);
-                }
-                doc.descendants(root).count() as u32
-            }
-        };
+        }
+        let subtree_size = hi - lo;
         // Specificity: prefer compact results.
         score /= (std::f64::consts::E + f64::from(subtree_size)).ln();
         ScoredResult { root, score, term_hits, subtree_size }
@@ -192,30 +149,30 @@ impl<'a> Scorer<'a> {
 }
 
 /// A bounded top-k collector over the ranking's total order (score
-/// descending, then Dewey ascending). The internal binary heap keeps the
+/// descending, then node id ascending). The internal binary heap keeps the
 /// *worst* kept entry on top, so a stream of `n` candidates costs
 /// `O(n log k)` and `O(k)` memory; [`TopK::finish`] returns the survivors
 /// best-first plus the eviction count (candidates scored but pruned).
 #[derive(Debug)]
-pub(crate) struct TopK<'a, T> {
+pub(crate) struct TopK<T> {
     k: usize,
-    heap: BinaryHeap<TopKEntry<'a, T>>,
+    heap: BinaryHeap<TopKEntry<T>>,
     evicted: u64,
 }
 
-impl<'a, T> TopK<'a, T> {
-    pub(crate) fn new(k: usize) -> TopK<'a, T> {
+impl<T> TopK<T> {
+    pub(crate) fn new(k: usize) -> TopK<T> {
         TopK { k, heap: BinaryHeap::with_capacity(k.min(1024).saturating_add(1)), evicted: 0 }
     }
 
     /// Offers one candidate; the payload survives only if the candidate
     /// ranks among the best `k` seen so far.
-    pub(crate) fn push(&mut self, score: f64, dewey: DeweyRef<'a>, payload: T) {
+    pub(crate) fn push(&mut self, score: f64, root: NodeId, payload: T) {
         if self.k == 0 {
             self.evicted += 1;
             return;
         }
-        let entry = TopKEntry { score, dewey, payload };
+        let entry = TopKEntry { score, root, payload };
         if self.heap.len() < self.k {
             self.heap.push(entry);
             return;
@@ -236,41 +193,41 @@ impl<'a, T> TopK<'a, T> {
     }
 }
 
-struct TopKEntry<'a, T> {
+struct TopKEntry<T> {
     score: f64,
-    dewey: DeweyRef<'a>,
+    root: NodeId,
     payload: T,
 }
 
-impl<T> std::fmt::Debug for TopKEntry<'_, T> {
+impl<T> std::fmt::Debug for TopKEntry<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TopKEntry({}, {})", self.score, self.dewey)
+        write!(f, "TopKEntry({}, {:?})", self.score, self.root)
     }
 }
 
-/// Worse-is-greater order: lower score sorts greater, ties broken by
-/// *larger* Dewey sorting greater — the exact inverse of the ranking
-/// order, so a max-heap exposes the worst kept entry at its top and
+/// Worse-is-greater order: lower score sorts greater, ties broken by the
+/// *later* node sorting greater — the exact inverse of the ranking order,
+/// so a max-heap exposes the worst kept entry at its top and
 /// `into_sorted_vec` yields best-first.
-impl<T> Ord for TopKEntry<'_, T> {
+impl<T> Ord for TopKEntry<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.score.total_cmp(&self.score).then_with(|| self.dewey.cmp(&other.dewey))
+        other.score.total_cmp(&self.score).then_with(|| self.root.cmp(&other.root))
     }
 }
 
-impl<T> PartialOrd for TopKEntry<'_, T> {
+impl<T> PartialOrd for TopKEntry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<T> PartialEq for TopKEntry<'_, T> {
+impl<T> PartialEq for TopKEntry<T> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
 
-impl<T> Eq for TopKEntry<'_, T> {}
+impl<T> Eq for TopKEntry<T> {}
 
 #[cfg(test)]
 mod tests {
@@ -287,7 +244,7 @@ mod tests {
     fn higher_term_frequency_ranks_first() {
         // Two matching elements vs one, at identical subtree size.
         let (doc, idx) = setup("<r><p><t>gps</t><u>gps</u></p><p><t>gps</t><pad>a</pad></p></r>");
-        let roots: Vec<NodeId> = doc.children(doc.root()).to_vec();
+        let roots: Vec<NodeId> = doc.children(doc.root()).collect();
         let q = Query::parse("gps");
         let ranked = rank_results(&doc, &idx, &q, &roots);
         assert_eq!(ranked.len(), 2);
@@ -303,7 +260,7 @@ mod tests {
             "<r><small><t>gps</t></small>\
              <big><t>gps</t><a>x</a><b>y</b><c>z</c><d>w</d></big></r>",
         );
-        let roots: Vec<NodeId> = doc.children(doc.root()).to_vec();
+        let roots: Vec<NodeId> = doc.children(doc.root()).collect();
         let ranked = rank_results(&doc, &idx, &Query::parse("gps"), &roots);
         assert_eq!(doc.tag(ranked[0].root), "small");
         assert!(ranked[0].subtree_size < ranked[1].subtree_size);
@@ -317,7 +274,7 @@ mod tests {
             "<r><a><t>zeta</t></a><b><t>gps</t></b>\
              <x><t>gps</t></x><y><t>gps</t></y><z><t>gps</t></z><w><t>gps</t></w></r>",
         );
-        let roots: Vec<NodeId> = doc.children(doc.root())[..2].to_vec();
+        let roots: Vec<NodeId> = doc.children(doc.root()).take(2).collect();
         let ranked = rank_results(&doc, &idx, &Query::parse("zeta gps"), &roots);
         assert_eq!(doc.tag(ranked[0].root), "a");
     }
@@ -325,7 +282,7 @@ mod tests {
     #[test]
     fn missing_terms_do_not_panic() {
         let (doc, idx) = setup("<r><a><t>gps</t></a></r>");
-        let roots: Vec<NodeId> = doc.children(doc.root()).to_vec();
+        let roots: Vec<NodeId> = doc.children(doc.root()).collect();
         let ranked = rank_results(&doc, &idx, &Query::parse("gps unicorn"), &roots);
         assert_eq!(ranked.len(), 1);
         assert!(ranked[0].score > 0.0);
@@ -335,7 +292,7 @@ mod tests {
     fn empty_inputs() {
         let (doc, idx) = setup("<r><a><t>gps</t></a></r>");
         assert!(rank_results(&doc, &idx, &Query::parse("gps"), &[]).is_empty());
-        let roots: Vec<NodeId> = doc.children(doc.root()).to_vec();
+        let roots: Vec<NodeId> = doc.children(doc.root()).collect();
         let ranked = rank_results(&doc, &idx, &Query::parse(""), &roots);
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].score, 0.0);
@@ -344,7 +301,7 @@ mod tests {
     #[test]
     fn deterministic_tie_break_is_document_order() {
         let (doc, idx) = setup("<r><a><t>gps</t></a><b><t>gps</t></b></r>");
-        let roots: Vec<NodeId> = doc.children(doc.root()).to_vec();
+        let roots: Vec<NodeId> = doc.children(doc.root()).collect();
         let ranked = rank_results(&doc, &idx, &Query::parse("gps"), &roots);
         assert_eq!(ranked[0].root, roots[0]);
         assert_eq!(ranked[1].root, roots[1]);
@@ -359,7 +316,7 @@ mod tests {
              <big><t>gps</t><x>pad</x><y>pad</y></big>\
              <two><t>gps</t><u>gps</u></two></r>",
         );
-        let roots: Vec<NodeId> = doc.children(doc.root()).to_vec();
+        let roots: Vec<NodeId> = doc.children(doc.root()).collect();
         let q = Query::parse("gps");
         let full = rank_results(&doc, &idx, &q, &roots);
         assert!(full.windows(2).any(|w| w[0].score == w[1].score), "fixture must contain a tie");
@@ -373,12 +330,12 @@ mod tests {
     fn rank_top_k_handles_empty_inputs() {
         let (doc, idx) = setup("<r><a><t>gps</t></a></r>");
         assert!(rank_top_k(&doc, &idx, &Query::parse("gps"), [], 4).is_empty());
-        let roots: Vec<NodeId> = doc.children(doc.root()).to_vec();
+        let roots: Vec<NodeId> = doc.children(doc.root()).collect();
         assert!(rank_top_k(&doc, &idx, &Query::parse("gps"), roots, 0).is_empty());
     }
 
     #[test]
-    fn tied_scores_order_by_dewey_regardless_of_input_order() {
+    fn tied_scores_order_by_document_order_regardless_of_input_order() {
         // Four structurally identical siblings → four deliberately tied
         // scores (identical tf, df and subtree size give bitwise-equal
         // f64s). A stable sort without an explicit tie-break would leak
@@ -388,7 +345,7 @@ mod tests {
         // its candidates.
         let (doc, idx) =
             setup("<r><a><t>gps</t></a><b><t>gps</t></b><c><t>gps</t></c><d><t>gps</t></d></r>");
-        let in_order: Vec<NodeId> = doc.children(doc.root()).to_vec();
+        let in_order: Vec<NodeId> = doc.children(doc.root()).collect();
         let q = Query::parse("gps");
         let baseline = rank_results(&doc, &idx, &q, &in_order);
         assert!(
@@ -401,7 +358,7 @@ mod tests {
         for adversarial in [reversed, shuffled] {
             let ranked = rank_results(&doc, &idx, &q, &adversarial);
             let roots: Vec<NodeId> = ranked.iter().map(|s| s.root).collect();
-            assert_eq!(roots, in_order, "tie-break must be Dewey order, not input order");
+            assert_eq!(roots, in_order, "tie-break must be document order, not input order");
         }
     }
 }

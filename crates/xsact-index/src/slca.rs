@@ -8,16 +8,14 @@
 //! implemented here: a node that still contains every keyword after removing
 //! the subtrees of its keyword-complete descendants.
 //!
-//! Two SLCA implementations are provided:
-//!
-//! * [`slca_full_scan`] — one bottom-up pass propagating keyword bitmasks
-//!   over the whole document. Simple, obviously correct, `O(|doc| · k/64)`;
-//!   used as the oracle in property tests and as the baseline in benches.
-//! * [`slca_indexed_lookup`] — the Indexed Lookup Eager algorithm of Xu &
-//!   Papakonstantinou (SIGMOD 2005): iterate the *shortest* posting list and
-//!   locate neighbours in the others by anchored exponential search (see
-//!   [`crate::plan`]), `O(|S₁| · Σ log gapᵢ · d)`. This is what the search
-//!   engine uses, as the batch form of the streaming executor.
+//! This module holds the full-scan algorithms: [`slca_full_scan`] and
+//! [`elca_full_scan`], one bottom-up pass propagating keyword bitmasks over
+//! the whole document. Simple, obviously correct, `O(|doc| · k/64)`. The
+//! search engine answers ELCA queries with the latter; SLCA queries run on
+//! the streaming executor in [`crate::plan`] — the Indexed Lookup Eager
+//! algorithm of Xu & Papakonstantinou (SIGMOD 2005), `O(|S₁| · Σ log gapᵢ ·
+//! d)` — and [`slca_full_scan`] is the reference its tests and the property
+//! suite compare it against.
 
 use xsact_xml::{Document, NodeId};
 
@@ -71,8 +69,7 @@ pub fn slca_full_scan(doc: &Document, lists: &[&[NodeId]]) -> Vec<NodeId> {
     let (_, subtree) = keyword_masks(doc, lists);
     doc.all_nodes()
         .filter(|&n| {
-            subtree[n.index()] == full
-                && doc.children(n).iter().all(|&c| subtree[c.index()] != full)
+            subtree[n.index()] == full && doc.children(n).all(|c| subtree[c.index()] != full)
         })
         .collect()
 }
@@ -93,7 +90,7 @@ pub fn elca_full_scan(doc: &Document, lists: &[&[NodeId]]) -> Vec<NodeId> {
     doc.all_nodes()
         .filter(|&n| {
             let mut exclusive = direct[n.index()];
-            for &c in doc.children(n) {
+            for c in doc.children(n) {
                 let m = subtree[c.index()];
                 if m != full {
                     exclusive |= m;
@@ -104,30 +101,12 @@ pub fn elca_full_scan(doc: &Document, lists: &[&[NodeId]]) -> Vec<NodeId> {
         .collect()
 }
 
-/// Indexed Lookup Eager SLCA (Xu & Papakonstantinou), anchored-gallop
-/// variant.
-///
-/// Iterates the shortest posting list; for each of its nodes `v` computes
-/// the smallest LCA of `v` with the *closest* match from every other list,
-/// located by exponential search from the previous probe's cursor (see
-/// [`crate::plan`]), and eliminates candidates that are ancestors of other
-/// candidates in a single streaming pass. Produces exactly the same set as
-/// [`slca_full_scan`], in document order — the property tests in this
-/// module and in `tests/properties.rs` enforce that.
-///
-/// Every intermediate LCA is a *prefix* of the driving node's Dewey
-/// components, so candidates are borrowed slices into the document's flat
-/// Dewey arena — the whole probe allocates nothing beyond the result
-/// vector itself. Callers that only need a prefix of the results should
-/// use [`crate::plan::QueryPlan::stream`] directly and stop early.
-pub fn slca_indexed_lookup(doc: &Document, lists: &[&[NodeId]]) -> Vec<NodeId> {
-    crate::plan::QueryPlan::from_lists(lists.to_vec()).stream(doc).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::QueryPlan;
     use crate::postings::InvertedIndex;
+    use crate::query::Query;
     use xsact_xml::parse_document;
 
     fn run_both(xml: &str, terms: &[&str]) -> (Vec<String>, Vec<String>) {
@@ -136,7 +115,7 @@ mod tests {
         let decoded: Vec<Vec<NodeId>> = terms.iter().map(|t| idx.postings(t).to_vec()).collect();
         let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
         let a = slca_full_scan(&doc, &lists);
-        let b = slca_indexed_lookup(&doc, &lists);
+        let b = QueryPlan::new(&idx, &Query::from_terms(terms)).stream(&doc).collect();
         let path = |v: Vec<NodeId>| -> Vec<String> {
             v.into_iter().map(|n| doc.dewey(n).to_string()).collect()
         };
@@ -177,7 +156,6 @@ mod tests {
     fn empty_query_gives_no_results() {
         let doc = parse_document("<r><a>k</a></r>").unwrap();
         assert!(slca_full_scan(&doc, &[]).is_empty());
-        assert!(slca_indexed_lookup(&doc, &[]).is_empty());
         assert!(elca_full_scan(&doc, &[]).is_empty());
     }
 
@@ -266,12 +244,9 @@ mod tests {
         let idx = InvertedIndex::build(&doc);
         let (k1, k2) = (idx.postings("k1").to_vec(), idx.postings("k2").to_vec());
         let lists: Vec<&[NodeId]> = vec![&k1, &k2];
-        for algo in [slca_full_scan, slca_indexed_lookup] {
-            let out = algo(&doc, &lists);
-            for pair in out.windows(2) {
-                assert!(doc.dewey(pair[0]) < doc.dewey(pair[1]));
-            }
-        }
+        let out = slca_full_scan(&doc, &lists);
+        assert_eq!(out.len(), 3);
+        assert!(out.windows(2).all(|pair| pair[0] < pair[1]));
     }
 
     #[test]

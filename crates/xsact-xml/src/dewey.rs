@@ -1,137 +1,26 @@
-//! Dewey identifiers — the hierarchical node labels used by the keyword
-//! search layer.
+//! Dewey identifiers — the hierarchical node labels of XML keyword search.
 //!
 //! A Dewey ID encodes a node's path from the document root as a sequence of
 //! sibling ordinals: the root element is `0`, its second child is `0.1`, that
-//! child's first child is `0.1.0`, and so on. Dewey IDs make the two
-//! operations at the heart of SLCA computation cheap:
+//! child's first child is `0.1.0`, and so on. Under this encoding
 //!
 //! * **document order** is plain lexicographic comparison, and
 //! * the **lowest common ancestor** of two nodes is the longest common
 //!   prefix of their IDs.
 //!
-//! This is exactly the encoding assumed by the Indexed Lookup Eager SLCA
-//! algorithm implemented in `xsact-index`.
-//!
-//! Two representations exist:
-//!
-//! * [`DeweyRef`] — a copyable borrowed view over a component slice. This is
-//!   what [`Document::dewey`](crate::Document::dewey) returns: the document
-//!   packs every node's components into one flat arena, so per-node lookups
-//!   borrow instead of allocating, and every comparison/LCA/ancestor
-//!   operation works on slices.
-//! * [`DeweyId`] — the owning form, for data that must outlive its document
-//!   (persisted indexes, cross-document merge keys).
+//! A [`Document`](crate::Document) does not store Dewey IDs: its node ids
+//! are preorder ranks, so id order *is* document order and ancestry is
+//! interval containment, and everything that executes a query compares
+//! integers. [`Document::dewey`](crate::Document::dewey) derives a
+//! [`DeweyId`] on demand — for the `tag [0.3.1]` label of a result that has
+//! no name, for diagnostics, and for tests that check the id order against
+//! the path order it stands for.
 
 use std::cmp::Ordering;
 use std::fmt;
 
-/// A borrowed Dewey identifier: a view over the component slice
-/// `[0, ordinal₁, ordinal₂, …]`. `Copy`, allocation-free; all structural
-/// operations (order, ancestry, LCA) work directly on the borrowed slice.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DeweyRef<'a> {
-    components: &'a [u32],
-}
-
-impl<'a> DeweyRef<'a> {
-    /// Wraps raw components. Returns `None` for an empty slice — the empty
-    /// path identifies nothing.
-    pub fn from_components(components: &'a [u32]) -> Option<DeweyRef<'a>> {
-        if components.is_empty() {
-            None
-        } else {
-            Some(DeweyRef { components })
-        }
-    }
-
-    /// The raw components, outermost first.
-    pub fn components(self) -> &'a [u32] {
-        self.components
-    }
-
-    /// Depth of the node: the root has depth 1.
-    pub fn depth(self) -> usize {
-        self.components.len()
-    }
-
-    /// Whether `self` is a proper ancestor of `other`.
-    pub fn is_ancestor_of(self, other: DeweyRef<'_>) -> bool {
-        self.components.len() < other.components.len()
-            && other.components[..self.components.len()] == self.components[..]
-    }
-
-    /// Whether `self` is `other` or an ancestor of it.
-    pub fn is_ancestor_or_self_of(self, other: DeweyRef<'_>) -> bool {
-        self.components.len() <= other.components.len()
-            && other.components[..self.components.len()] == self.components[..]
-    }
-
-    /// Length of the longest common prefix with `other`.
-    pub fn common_prefix_len(self, other: DeweyRef<'_>) -> usize {
-        self.components.iter().zip(other.components).take_while(|(a, b)| *a == *b).count()
-    }
-
-    /// The lowest common ancestor: the longest common prefix, borrowed from
-    /// `self`. `None` only when the IDs share no components (nodes of
-    /// different documents).
-    pub fn lca(self, other: DeweyRef<'_>) -> Option<DeweyRef<'a>> {
-        DeweyRef::from_components(&self.components[..self.common_prefix_len(other)])
-    }
-
-    /// Truncates to the first `depth` components (an ancestor-or-self ID).
-    /// Returns `None` if `depth` is zero or exceeds this node's depth.
-    pub fn ancestor_at_depth(self, depth: usize) -> Option<DeweyRef<'a>> {
-        if depth == 0 || depth > self.components.len() {
-            None
-        } else {
-            DeweyRef::from_components(&self.components[..depth])
-        }
-    }
-
-    /// Copies the components into an owning [`DeweyId`].
-    pub fn to_owned(self) -> DeweyId {
-        DeweyId { components: self.components.to_vec() }
-    }
-}
-
-impl PartialOrd for DeweyRef<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Lexicographic component order — equal to document (pre)order for nodes of
-/// one document, with the caveat that an ancestor sorts before its
-/// descendants.
-impl Ord for DeweyRef<'_> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.components.cmp(other.components)
-    }
-}
-
-impl fmt::Display for DeweyRef<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, c) in self.components.iter().enumerate() {
-            if i > 0 {
-                f.write_str(".")?;
-            }
-            write!(f, "{c}")?;
-        }
-        Ok(())
-    }
-}
-
-impl fmt::Debug for DeweyRef<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DeweyRef({self})")
-    }
-}
-
-/// An owning Dewey identifier: the root has the one-component ID `[0]`; each
-/// further component is the zero-based ordinal of the node among its
-/// siblings. Use [`DeweyId::as_ref`] to run the slice-based operations of
-/// [`DeweyRef`] without cloning.
+/// A Dewey identifier: the root has the one-component ID `[0]`; each further
+/// component is the zero-based ordinal of the node among its siblings.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct DeweyId {
     components: Vec<u32>,
@@ -153,9 +42,11 @@ impl DeweyId {
         }
     }
 
-    /// The borrowed view of this ID.
-    pub fn as_ref(&self) -> DeweyRef<'_> {
-        DeweyRef { components: &self.components }
+    /// Wraps a path the document derived; it starts at the root, so it is
+    /// never empty.
+    pub(crate) fn from_path(components: Vec<u32>) -> Self {
+        debug_assert!(!components.is_empty());
+        DeweyId { components }
     }
 
     /// The raw components, outermost first.
@@ -178,21 +69,17 @@ impl DeweyId {
 
     /// The parent's ID, or `None` for the root.
     pub fn parent(&self) -> Option<Self> {
-        if self.components.len() <= 1 {
-            None
-        } else {
-            Some(DeweyId { components: self.components[..self.components.len() - 1].to_vec() })
-        }
+        self.ancestor_at_depth(self.components.len().saturating_sub(1))
     }
 
     /// Whether `self` is a proper ancestor of `other`.
     pub fn is_ancestor_of(&self, other: &DeweyId) -> bool {
-        self.as_ref().is_ancestor_of(other.as_ref())
+        self.components.len() < other.components.len() && self.is_ancestor_or_self_of(other)
     }
 
     /// Whether `self` is `other` or an ancestor of it.
     pub fn is_ancestor_or_self_of(&self, other: &DeweyId) -> bool {
-        self.as_ref().is_ancestor_or_self_of(other.as_ref())
+        other.components.starts_with(&self.components)
     }
 
     /// The lowest common ancestor of two IDs: their longest common prefix.
@@ -201,18 +88,18 @@ impl DeweyId {
     /// component, so this returns `None` only when the IDs come from
     /// different documents (differing first components).
     pub fn lca(&self, other: &DeweyId) -> Option<DeweyId> {
-        self.as_ref().lca(other.as_ref()).map(DeweyRef::to_owned)
+        self.ancestor_at_depth(self.common_prefix_len(other))
     }
 
     /// Length of the longest common prefix with `other`.
     pub fn common_prefix_len(&self, other: &DeweyId) -> usize {
-        self.as_ref().common_prefix_len(other.as_ref())
+        self.components.iter().zip(&other.components).take_while(|(a, b)| a == b).count()
     }
 
     /// Truncates the ID to its first `depth` components (an ancestor-or-self
     /// ID). Returns `None` if `depth` is zero or exceeds this node's depth.
     pub fn ancestor_at_depth(&self, depth: usize) -> Option<DeweyId> {
-        self.as_ref().ancestor_at_depth(depth).map(DeweyRef::to_owned)
+        DeweyId::from_components(self.components.get(..depth)?)
     }
 }
 
@@ -233,7 +120,13 @@ impl Ord for DeweyId {
 
 impl fmt::Display for DeweyId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&self.as_ref(), f)
+        for (i, c) in self.components.iter().enumerate() {
+            if i > 0 {
+                f.write_str(".")?;
+            }
+            write!(f, "{c}")?;
+        }
+        Ok(())
     }
 }
 
@@ -265,7 +158,6 @@ mod tests {
     #[test]
     fn empty_components_rejected() {
         assert!(DeweyId::from_components(&[]).is_none());
-        assert!(DeweyRef::from_components(&[]).is_none());
     }
 
     #[test]
@@ -323,32 +215,5 @@ mod tests {
         let a = id(&[0, 10, 3]);
         assert_eq!(a.to_string(), "0.10.3");
         assert_eq!(format!("{a:?}"), "DeweyId(0.10.3)");
-        assert_eq!(a.as_ref().to_string(), "0.10.3");
-        assert_eq!(format!("{:?}", a.as_ref()), "DeweyRef(0.10.3)");
-    }
-
-    #[test]
-    fn borrowed_view_round_trips() {
-        let a = id(&[0, 3, 1]);
-        let r = a.as_ref();
-        assert_eq!(r.components(), &[0, 3, 1]);
-        assert_eq!(r.depth(), 3);
-        assert_eq!(r.to_owned(), a);
-    }
-
-    #[test]
-    fn borrowed_ops_match_owned_ops() {
-        let cases: [&[u32]; 6] = [&[0], &[0, 1], &[0, 1, 2], &[0, 2], &[0, 1, 2, 5], &[1, 0]];
-        for a in cases {
-            for b in cases {
-                let (oa, ob) = (id(a), id(b));
-                let (ra, rb) = (oa.as_ref(), ob.as_ref());
-                assert_eq!(ra.cmp(&rb), oa.cmp(&ob));
-                assert_eq!(ra.is_ancestor_of(rb), oa.is_ancestor_of(&ob));
-                assert_eq!(ra.is_ancestor_or_self_of(rb), oa.is_ancestor_or_self_of(&ob));
-                assert_eq!(ra.lca(rb).map(DeweyRef::to_owned), oa.lca(&ob));
-                assert_eq!(ra.common_prefix_len(rb), oa.common_prefix_len(&ob));
-            }
-        }
     }
 }

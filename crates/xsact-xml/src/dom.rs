@@ -3,22 +3,32 @@
 //! A [`Document`] owns all nodes in a flat arena; nodes are addressed by the
 //! copyable [`NodeId`] handle. Tag and attribute names are interned into the
 //! document's [`Interner`] (one heap copy per *distinct* name, a 4-byte
-//! [`Sym`] per occurrence), and every node's Dewey components live in one
-//! contiguous `Vec<u32>` arena — [`Document::dewey`] returns a borrowed
-//! [`DeweyRef`] slice, so document-order comparisons and LCA probes never
-//! clone.
+//! [`Sym`] per occurrence).
 //!
-//! Every node also carries its **subtree extent** ([`Document::subtree_end`]).
-//! A document built in document order — the parser and every dataset
-//! generator build that way — assigns node ids in preorder
-//! ([`Document::is_preorder`]), and then the subtree of `n` *is* the id
-//! interval `[n, subtree_end(n))`: ancestor tests, subtree sizes and subtree
-//! walks become integer comparisons on two `u32`s per node.
+//! **Node ids are preorder ranks, and that is the only tree order there
+//! is.** A document is built in document order — `add_*` appends a child
+//! only to a node that is still open, i.e. on the path from the root to the
+//! node appended last; the parser and every dataset generator build that
+//! way, and anything else is a programmer error that panics (see
+//! [`Document::add_element`]). Besides its payload a node stores two
+//! integers, its parent and its **subtree extent**
+//! ([`Document::subtree_end`]), and they answer every structural question:
+//!
+//! * document order is id order;
+//! * the subtree of `n` is the id interval `[n, subtree_end(n))`, so
+//!   ancestry is interval containment and a subtree walk is a range;
+//! * the first child of `n` is `n + 1` and the next sibling of a child `c`
+//!   is `subtree_end(c)` — [`Document::children`] hops along those;
+//! * a Dewey path ([`Document::dewey`]) is derived by climbing `parent` and
+//!   counting preceding siblings, for the few places that print one.
+//!
+//! This module is the only one that knows how order is represented;
+//! everything above it compares `NodeId`s.
 //!
 //! Documents can be built programmatically (dataset generators do this) or by
 //! the parser in [`crate::parse`].
 
-use crate::dewey::DeweyRef;
+use crate::dewey::DeweyId;
 use crate::interner::{Interner, Sym};
 use std::fmt;
 use std::ops::Range;
@@ -69,11 +79,6 @@ struct NodeData {
     parent: u32,
     /// One past the largest id in this node's subtree.
     end: u32,
-    children: Vec<NodeId>,
-    /// Span of this node's Dewey components inside the document's flat
-    /// Dewey arena.
-    dewey_off: u32,
-    dewey_len: u32,
 }
 
 /// An XML document: one root element plus its descendants.
@@ -81,23 +86,15 @@ struct NodeData {
 pub struct Document {
     symbols: Interner,
     nodes: Vec<NodeData>,
-    dewey_arena: Vec<u32>,
     root: NodeId,
     /// Number of element nodes, maintained incrementally — the ranking
     /// scorer needs it per query, and recounting 10⁴ nodes per search was
     /// a measurable constant cost.
     element_count: usize,
-    /// Whether every node so far was appended in document order, i.e. node
-    /// ids are preorder ranks. Maintained by `add_node`; once lost it never
-    /// comes back.
-    preorder: bool,
 }
 
-/// Heap-size breakdown of a document's interned substrate, plus an estimate
-/// of what the same tree costs in the pre-interning layout (owned `String`
-/// tag per node, owned `Vec<u32>` Dewey per node). Produced by
-/// [`Document::substrate_stats`]; the bench harness prints it so the
-/// representation win stays visible on every PR.
+/// Heap-size breakdown of a document's interned substrate. Produced by
+/// [`Document::substrate_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubstrateStats {
     /// Total nodes (elements + text runs).
@@ -106,23 +103,17 @@ pub struct SubstrateStats {
     pub distinct_symbols: usize,
     /// Heap bytes of the symbol interner (arena + spans + hash index).
     pub interner_bytes: usize,
-    /// Heap bytes of the flat Dewey component arena.
-    pub dewey_bytes: usize,
     /// Heap bytes of owned text runs and attribute values.
     pub text_bytes: usize,
-    /// Heap bytes of the node table itself (fixed-size records + child and
-    /// attribute vectors).
+    /// Heap bytes of the node table itself (fixed-size records + attribute
+    /// vectors).
     pub node_table_bytes: usize,
-    /// Estimated heap bytes of the seed layout for the same tree: per node
-    /// an owned tag `String` and an owned Dewey `Vec<u32>`, per attribute an
-    /// owned name `String`.
-    pub seed_equivalent_bytes: usize,
 }
 
 impl SubstrateStats {
     /// Total heap bytes of the interned substrate.
     pub fn interned_total(&self) -> usize {
-        self.interner_bytes + self.dewey_bytes + self.text_bytes + self.node_table_bytes
+        self.interner_bytes + self.text_bytes + self.node_table_bytes
     }
 }
 
@@ -135,18 +126,8 @@ impl Document {
             repr: NodeRepr::Element { tag, attrs: Vec::new() },
             parent: NO_PARENT,
             end: 1,
-            children: Vec::new(),
-            dewey_off: 0,
-            dewey_len: 1,
         };
-        Document {
-            symbols,
-            nodes: vec![root_data],
-            dewey_arena: vec![0],
-            root: NodeId(0),
-            element_count: 1,
-            preorder: true,
-        }
+        Document { symbols, nodes: vec![root_data], root: NodeId(0), element_count: 1 }
     }
 
     /// The root element.
@@ -262,31 +243,22 @@ impl Document {
         (parent != NO_PARENT).then_some(NodeId(parent))
     }
 
-    /// Whether node ids were assigned in preorder: the `n`-th node of a
-    /// document-order traversal has arena index `n`. Then id order is
-    /// document order and the subtree of every node `n` is exactly the id
-    /// interval `[n, subtree_end(n))`. `O(1)` — `add_node` keeps the answer.
-    pub fn is_preorder(&self) -> bool {
-        self.preorder
-    }
-
-    /// One past the largest node id in the subtree of `id`. On a
-    /// [preorder](Self::is_preorder) document the subtree is the contiguous
-    /// id interval `[id, subtree_end(id))`, so
-    /// `subtree_end(id) - id == descendants(id).count()`; otherwise it is
-    /// only an upper bound on the subtree's ids.
+    /// One past the largest node id in the subtree of `id`: the subtree is
+    /// the contiguous id interval `[id, subtree_end(id))`, so
+    /// `subtree_end(id) - id == descendants(id).count()`.
     pub fn subtree_end(&self, id: NodeId) -> u32 {
         self.data(id).end
     }
 
-    /// The node's children in document order.
-    pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.data(id).children
+    /// The node's children in document order: the first is `id + 1`, and
+    /// each next one starts where the previous child's subtree ends.
+    pub fn children(&self, id: NodeId) -> Children<'_> {
+        Children { doc: self, ids: id.0 + 1..self.data(id).end }
     }
 
     /// Child *elements* in document order (text runs skipped).
     pub fn child_elements(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.children(id).iter().copied().filter(|&c| self.is_element(c))
+        self.children(id).filter(|&c| self.is_element(c))
     }
 
     /// First child element with the given tag.
@@ -305,38 +277,38 @@ impl Document {
         self.child_elements(id).filter(move |&c| sym.is_some() && self.tag_sym(c) == sym)
     }
 
-    /// The Dewey identifier assigned to this node, borrowed from the
-    /// document's flat component arena.
-    pub fn dewey(&self, id: NodeId) -> DeweyRef<'_> {
-        let data = self.data(id);
-        let off = data.dewey_off as usize;
-        DeweyRef::from_components(&self.dewey_arena[off..off + data.dewey_len as usize])
-            .expect("every node has at least one Dewey component")
-    }
-
-    /// Resolves Dewey components back to a node by walking from the root.
-    ///
-    /// Returns `None` if the path leaves the tree or does not start at the
-    /// root component `0`.
-    pub fn node_at(&self, dewey: DeweyRef<'_>) -> Option<NodeId> {
-        let comps = dewey.components();
-        if comps.first() != Some(&0) {
-            return None;
+    /// The node's Dewey identifier, derived by climbing to the root and
+    /// counting each ancestor-or-self's preceding siblings —
+    /// `O(depth · fan-out)`, meant for labels and diagnostics. Order and
+    /// ancestry questions are answered by the ids themselves.
+    pub fn dewey(&self, id: NodeId) -> DeweyId {
+        let mut components = Vec::new();
+        let mut cur = id;
+        while let Some(parent) = self.parent(cur) {
+            let ordinal = self.children(parent).take_while(|&c| c != cur).count();
+            components.push(ordinal as u32);
+            cur = parent;
         }
-        let mut cur = self.root;
-        for &ordinal in &comps[1..] {
-            cur = *self.data(cur).children.get(ordinal as usize)?;
-        }
-        Some(cur)
+        components.push(0);
+        components.reverse();
+        DeweyId::from_path(components)
     }
 
     /// Appends a child element to `parent`, returning the new node's handle.
+    ///
+    /// # Panics
+    /// Like every `add_*` method, panics unless `parent` is still open —
+    /// the node appended last or one of its ancestors
+    /// (`subtree_end(parent) == len()`). Documents are built in document
+    /// order; once a later sibling subtree has been started, the earlier
+    /// one cannot grow. Build a subtree completely before moving on.
     pub fn add_element(&mut self, parent: NodeId, tag: impl AsRef<str>) -> NodeId {
         let tag = self.symbols.intern(tag.as_ref());
         self.add_node(parent, NodeRepr::Element { tag, attrs: Vec::new() })
     }
 
-    /// Appends a child element carrying attributes.
+    /// Appends a child element carrying attributes. Panics if `parent` is
+    /// closed, see [`add_element`](Self::add_element).
     pub fn add_element_with_attrs(
         &mut self,
         parent: NodeId,
@@ -349,13 +321,15 @@ impl Document {
         self.add_node(parent, NodeRepr::Element { tag, attrs })
     }
 
-    /// Appends a text child to `parent`.
+    /// Appends a text child to `parent`. Panics if `parent` is closed, see
+    /// [`add_element`](Self::add_element).
     pub fn add_text(&mut self, parent: NodeId, text: impl Into<String>) -> NodeId {
         self.add_node(parent, NodeRepr::Text(text.into()))
     }
 
     /// Convenience: appends `<tag>text</tag>` under `parent` and returns the
-    /// element's handle.
+    /// element's handle. Panics if `parent` is closed, see
+    /// [`add_element`](Self::add_element).
     pub fn add_leaf(
         &mut self,
         parent: NodeId,
@@ -380,37 +354,24 @@ impl Document {
     }
 
     fn add_node(&mut self, parent: NodeId, repr: NodeRepr) -> NodeId {
+        let id = NodeId(self.nodes.len() as u32);
+        // The new node lands directly behind the parent's current subtree
+        // iff the parent is still on the rightmost path — what keeps ids
+        // preorder ranks and every subtree one id interval.
+        assert!(
+            self.data(parent).end == id.0,
+            "nodes are appended in document order: node {} is closed (a later sibling \
+             subtree was started after it) and cannot take another child",
+            parent.0
+        );
         if matches!(repr, NodeRepr::Element { .. }) {
             self.element_count += 1;
         }
-        let ordinal = self.data(parent).children.len() as u32;
-        // Child components = parent components + ordinal, appended to the
-        // flat arena (the arena only ever grows, so spans stay valid).
-        let (poff, plen) = {
-            let p = self.data(parent);
-            (p.dewey_off as usize, p.dewey_len as usize)
-        };
-        let dewey_off = self.dewey_arena.len() as u32;
-        self.dewey_arena.extend_from_within(poff..poff + plen);
-        self.dewey_arena.push(ordinal);
-        let id = NodeId(self.nodes.len() as u32);
-        // Appending keeps ids in preorder iff the new node lands directly
-        // after the parent's current subtree, i.e. the parent is still on
-        // the rightmost path.
-        self.preorder &= self.data(parent).end == id.0;
         let end = id.0 + 1;
-        self.nodes.push(NodeData {
-            repr,
-            parent: parent.0,
-            end,
-            children: Vec::new(),
-            dewey_off,
-            dewey_len: (plen + 1) as u32,
-        });
-        self.nodes[parent.index()].children.push(id);
+        self.nodes.push(NodeData { repr, parent: parent.0, end });
         // The new id is the largest so far, so it extends every ancestor's
         // extent. O(depth), and the ancestors of the node being appended are
-        // the hottest records while a document is built in document order.
+        // the hottest records while a document is built.
         let mut cur = parent.0;
         while cur != NO_PARENT {
             let node = &mut self.nodes[cur as usize];
@@ -421,20 +382,14 @@ impl Document {
     }
 
     /// Iterates the subtree rooted at `start` in document (pre)order,
-    /// including `start` itself.
-    ///
-    /// On a [preorder](Self::is_preorder) document this walks the id
-    /// interval `[start, subtree_end(start))` and allocates nothing.
-    pub fn descendants(&self, start: NodeId) -> Descendants<'_> {
-        if self.preorder {
-            Descendants { doc: self, ids: start.0..self.data(start).end, stack: Vec::new() }
-        } else {
-            Descendants { doc: self, ids: 0..0, stack: vec![start] }
-        }
+    /// including `start` itself: the id interval
+    /// `[start, subtree_end(start))`. Allocates nothing.
+    pub fn descendants(&self, start: NodeId) -> Descendants {
+        Descendants { ids: start.0..self.data(start).end }
     }
 
     /// Iterates every node of the document in document order.
-    pub fn all_nodes(&self) -> Descendants<'_> {
+    pub fn all_nodes(&self) -> Descendants {
         self.descendants(self.root)
     }
 
@@ -456,19 +411,19 @@ impl Document {
     /// Whether the element's children are all text nodes (or it has none).
     /// Text nodes themselves are not leaves in this sense.
     pub fn is_leaf_element(&self, id: NodeId) -> bool {
-        self.is_element(id) && self.children(id).iter().all(|&c| !self.is_element(c))
+        self.is_element(id) && self.child_elements(id).next().is_none()
     }
 
-    /// Depth of the node (root = 1).
+    /// Depth of the node (root = 1), found by climbing to the root.
     pub fn depth(&self, id: NodeId) -> usize {
-        self.data(id).dewey_len as usize
+        std::iter::successors(Some(id), |&n| self.parent(n)).count()
     }
 
     /// The path of tags from the root to `id`, e.g. `["products", "product",
     /// "name"]`. Text nodes contribute nothing and return the path to their
     /// parent element.
     pub fn tag_path(&self, id: NodeId) -> Vec<&str> {
-        let mut path = Vec::with_capacity(self.depth(id));
+        let mut path = Vec::new();
         let mut cur = Some(id);
         while let Some(n) = cur {
             if self.is_element(n) {
@@ -480,77 +435,68 @@ impl Document {
         path
     }
 
-    /// Measures the heap footprint of the interned substrate and estimates
-    /// the cost of the pre-interning layout for the same tree.
+    /// Measures the heap footprint of the interned substrate.
     pub fn substrate_stats(&self) -> SubstrateStats {
         use std::mem::size_of;
         let mut text_bytes = 0usize;
         let mut node_table_bytes = self.nodes.capacity() * size_of::<NodeData>();
-        let mut seed_equivalent = 0usize;
-        const STRING_HEADER: usize = size_of::<String>(); // ptr + cap + len
-        const VEC_HEADER: usize = size_of::<Vec<u32>>();
         for node in &self.nodes {
-            node_table_bytes += node.children.capacity() * size_of::<NodeId>();
-            // Seed layout: per-node owned DeweyId (Vec<u32> heap block; the
-            // header lived inline in NodeData, which the flat spans replace).
-            seed_equivalent += node.dewey_len as usize * size_of::<u32>();
-            seed_equivalent += node.children.capacity() * size_of::<NodeId>();
             match &node.repr {
-                NodeRepr::Element { tag, attrs } => {
+                NodeRepr::Element { attrs, .. } => {
                     node_table_bytes += attrs.capacity() * size_of::<(Sym, String)>();
-                    for (name, value) in attrs {
-                        text_bytes += value.capacity();
-                        // Seed: owned name String per attribute occurrence.
-                        seed_equivalent += self.symbols.resolve(*name).len() + STRING_HEADER;
-                        seed_equivalent += value.capacity() + STRING_HEADER;
-                    }
-                    // Seed: owned tag String per element.
-                    seed_equivalent += self.symbols.resolve(*tag).len();
+                    text_bytes += attrs.iter().map(|(_, value)| value.capacity()).sum::<usize>();
                 }
-                NodeRepr::Text(t) => {
-                    text_bytes += t.capacity();
-                    seed_equivalent += t.capacity();
-                }
+                NodeRepr::Text(t) => text_bytes += t.capacity(),
             }
         }
-        // Seed NodeData was larger by one String header (tag) and one Vec
-        // header (DeweyId) than the interned record per node.
-        seed_equivalent += self.nodes.capacity()
-            * (size_of::<NodeData>() + STRING_HEADER + VEC_HEADER
-                - size_of::<Sym>()
-                - 2 * size_of::<u32>());
         SubstrateStats {
             nodes: self.nodes.len(),
             distinct_symbols: self.symbols.len(),
             interner_bytes: self.symbols.heap_bytes(),
-            dewey_bytes: self.dewey_arena.capacity() * size_of::<u32>(),
             text_bytes,
             node_table_bytes,
-            seed_equivalent_bytes: seed_equivalent,
         }
     }
 }
 
-/// Pre-order iterator over a subtree. Created by [`Document::descendants`].
-pub struct Descendants<'a> {
-    doc: &'a Document,
-    /// Preorder document: the ids still to yield (the stack stays empty).
+/// Pre-order iterator over a subtree: its id interval. Created by
+/// [`Document::descendants`].
+#[derive(Debug, Clone)]
+pub struct Descendants {
     ids: Range<u32>,
-    /// Otherwise: the depth-first stack (the id range stays empty).
-    stack: Vec<NodeId>,
 }
 
-impl Iterator for Descendants<'_> {
+impl Iterator for Descendants {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        if let Some(id) = self.ids.next() {
-            return Some(NodeId(id));
+        self.ids.next().map(NodeId)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ids.size_hint()
+    }
+}
+
+/// Iterator over a node's children in document order. Created by
+/// [`Document::children`].
+#[derive(Debug, Clone)]
+pub struct Children<'a> {
+    doc: &'a Document,
+    /// From the next child's id to the end of the parent's subtree.
+    ids: Range<u32>,
+}
+
+impl Iterator for Children<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        if self.ids.is_empty() {
+            return None;
         }
-        let next = self.stack.pop()?;
-        // Push children in reverse so the first child is popped first.
-        self.stack.extend(self.doc.children(next).iter().rev());
-        Some(next)
+        let child = NodeId(self.ids.start);
+        self.ids.start = self.doc.data(child).end;
+        Some(child)
     }
 }
 
@@ -565,7 +511,6 @@ impl fmt::Display for Document {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dewey::DeweyId;
 
     #[test]
     fn element_count_is_maintained_incrementally() {
@@ -593,8 +538,8 @@ mod tests {
         assert_eq!(doc.parent(root), None);
         assert_eq!(doc.parent(product), Some(root));
         assert_eq!(doc.parent(name), Some(product));
-        assert_eq!(doc.children(root).len(), 2);
-        assert_eq!(doc.children(product).len(), 2);
+        assert_eq!(doc.children(root).count(), 2);
+        assert_eq!(doc.children(product).count(), 2);
         assert_eq!(doc.len(), 7);
         assert!(!doc.is_empty());
         assert!(Document::new("x").is_empty());
@@ -608,23 +553,6 @@ mod tests {
         assert_eq!(doc.dewey(name).to_string(), "0.0.0");
         let rating = doc.child_by_tag(product, "rating").unwrap();
         assert_eq!(doc.dewey(rating).to_string(), "0.0.1");
-    }
-
-    #[test]
-    fn node_at_inverts_dewey() {
-        let (doc, _, _, _) = sample();
-        for node in doc.all_nodes() {
-            assert_eq!(doc.node_at(doc.dewey(node)), Some(node));
-        }
-    }
-
-    #[test]
-    fn node_at_rejects_bad_paths() {
-        let (doc, _, _, _) = sample();
-        let at = |cs: &[u32]| doc.node_at(DeweyId::from_components(cs).unwrap().as_ref());
-        assert_eq!(at(&[1]), None);
-        assert_eq!(at(&[0, 9]), None);
-        assert_eq!(at(&[0, 0, 0, 0, 0]), None);
     }
 
     #[test]
@@ -643,7 +571,7 @@ mod tests {
         assert_eq!(doc.attr(product, "lang"), Some("en"));
         assert_eq!(doc.attr_count(product), 2);
         // Text node under `name` cannot take attributes.
-        let text_node = doc.children(name)[0];
+        let text_node = doc.children(name).next().unwrap();
         assert!(!doc.is_element(text_node));
     }
 
@@ -659,7 +587,7 @@ mod tests {
     fn text_accessors() {
         let (doc, root, product, name) = sample();
         assert_eq!(doc.text(name), None);
-        let text_node = doc.children(name)[0];
+        let text_node = doc.children(name).next().unwrap();
         assert_eq!(doc.text(text_node), Some("TomTom"));
         assert_eq!(doc.tag(text_node), "");
         assert_eq!(doc.text_content(product), "TomTom 4.2");
@@ -682,17 +610,16 @@ mod tests {
         assert_eq!(tags, ["shop", "product", "name", "#TomTom", "rating", "#4.2", "#text"]);
     }
 
-    /// The extent lives in the bytes `Option<NodeId>` wasted on `parent`;
-    /// a larger record would move resident memory on every workload.
+    /// Payload, parent, extent — nothing else. A larger record would move
+    /// resident memory on every workload.
     #[test]
     fn node_record_stays_within_its_memory_budget() {
-        assert!(std::mem::size_of::<NodeData>() <= 72, "{}", std::mem::size_of::<NodeData>());
+        assert!(std::mem::size_of::<NodeData>() <= 40, "{}", std::mem::size_of::<NodeData>());
     }
 
     #[test]
     fn subtree_extents_are_the_descendant_counts_in_document_order() {
         let (doc, root, product, name) = sample();
-        assert!(doc.is_preorder());
         assert_eq!(doc.subtree_end(root) as usize, doc.len());
         assert_eq!(doc.subtree_end(product), 6);
         assert_eq!(doc.subtree_end(name), 4);
@@ -704,29 +631,33 @@ mod tests {
                 doc.dewey(n)
             );
         }
-        assert!(Document::new("r").is_preorder());
     }
 
     #[test]
-    fn appending_behind_a_closed_subtree_loses_preorder_but_not_document_order() {
+    fn any_open_node_takes_children() {
         let mut doc = Document::new("r");
         let root = doc.root();
         let a = doc.add_element(root, "a");
+        let deep = doc.add_element(a, "deep");
+        doc.add_text(deep, "x");
+        // `deep`, `a` and the root are all still open; each append closes
+        // what lies below its parent.
+        doc.add_element(a, "second");
         let b = doc.add_element(root, "b");
-        assert!(doc.is_preorder());
-        // `a` was closed when `b` was appended: its new child gets the
-        // largest id but sorts before `b` in document order.
-        let late = doc.add_leaf(a, "late", "x");
-        assert!(!doc.is_preorder());
-        doc.add_element(root, "c");
-        assert!(!doc.is_preorder(), "the flag never comes back");
-        let order: Vec<&str> =
-            doc.all_nodes().filter(|&n| doc.is_element(n)).map(|n| doc.tag(n)).collect();
-        assert_eq!(order, ["r", "a", "late", "b", "c"]);
-        assert_eq!(doc.descendants(a).count(), 3);
-        assert!(doc.subtree_end(a) > late.index() as u32, "an upper bound on the subtree's ids");
-        assert_eq!(doc.parent(late), Some(a));
-        assert_eq!(doc.parent(b), Some(root));
+        doc.add_text(b, "y");
+        assert_eq!(doc.to_string(), "<r><a><deep>x</deep><second/></a><b>y</b></r>");
+    }
+
+    #[test]
+    #[should_panic(expected = "nodes are appended in document order: node 1 is closed")]
+    fn appending_behind_a_closed_subtree_panics() {
+        let mut doc = Document::new("r");
+        let root = doc.root();
+        let a = doc.add_element(root, "a");
+        doc.add_element(root, "b");
+        // `a` was closed when `b` was appended: a child of `a` would get the
+        // largest id but sort before `b` in document order.
+        doc.add_leaf(a, "late", "x");
     }
 
     #[test]
@@ -745,7 +676,7 @@ mod tests {
         assert!(doc.is_leaf_element(name));
         assert!(!doc.is_leaf_element(product));
         assert!(!doc.is_leaf_element(root));
-        let text_node = doc.children(name)[0];
+        let text_node = doc.children(name).next().unwrap();
         assert!(!doc.is_leaf_element(text_node));
         // An empty element is a leaf.
         let mut d2 = Document::new("a");
@@ -757,7 +688,7 @@ mod tests {
     fn tag_path_skips_text() {
         let (doc, _, product, name) = sample();
         assert_eq!(doc.tag_path(name), ["shop", "product", "name"]);
-        let text_node = doc.children(name)[0];
+        let text_node = doc.children(name).next().unwrap();
         assert_eq!(doc.tag_path(text_node), ["shop", "product", "name"]);
         assert_eq!(doc.tag_path(product), ["shop", "product"]);
     }
@@ -793,36 +724,37 @@ mod tests {
     }
 
     #[test]
-    fn dewey_components_live_in_one_arena() {
+    fn derived_dewey_order_and_ancestry_agree_with_the_ids() {
         let (doc, root, product, name) = sample();
         assert_eq!(doc.dewey(root).components(), &[0]);
         assert_eq!(doc.dewey(product).components(), &[0, 0]);
         assert_eq!(doc.dewey(name).components(), &[0, 0, 0]);
-        // Borrowed refs from the same document compare without cloning.
-        assert!(doc.dewey(root) < doc.dewey(product));
-        assert!(doc.dewey(root).is_ancestor_of(doc.dewey(name)));
+        for a in doc.all_nodes() {
+            for b in doc.all_nodes() {
+                assert_eq!(doc.dewey(a).cmp(&doc.dewey(b)), a.cmp(&b));
+                let inside = a < b && (b.index() as u32) < doc.subtree_end(a);
+                assert_eq!(doc.dewey(a).is_ancestor_of(&doc.dewey(b)), inside);
+            }
+        }
     }
 
     #[test]
-    fn substrate_stats_report_a_win_on_repetitive_trees() {
+    fn substrate_stats_count_every_arena() {
         let mut doc = Document::new("shop");
         let root = doc.root();
         for i in 0..200 {
-            let p = doc.add_element(root, "product");
+            let p = doc.add_element_with_attrs(root, "product", vec![("id".into(), i.to_string())]);
             doc.add_leaf(p, "name", format!("Item {i}"));
             doc.add_leaf(p, "rating", "4.2");
         }
         let stats = doc.substrate_stats();
         assert_eq!(stats.nodes, doc.len());
-        assert_eq!(stats.distinct_symbols, 4); // shop, product, name, rating
-        assert!(stats.interned_total() > 0);
-        // The whole point: repeated vocabulary makes the interned layout
-        // strictly smaller than one owned String + Vec per node.
-        assert!(
-            stats.interned_total() < stats.seed_equivalent_bytes,
-            "interned {} vs seed {}",
+        assert_eq!(stats.distinct_symbols, 5); // shop, product, id, name, rating
+        assert!(stats.node_table_bytes >= doc.len() * std::mem::size_of::<NodeData>());
+        assert!(stats.text_bytes >= 200 * ("Item 0".len() + "4.2".len() + 1));
+        assert_eq!(
             stats.interned_total(),
-            stats.seed_equivalent_bytes
+            stats.interner_bytes + stats.text_bytes + stats.node_table_bytes
         );
     }
 }

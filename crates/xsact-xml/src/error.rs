@@ -69,6 +69,14 @@ pub enum XmlError {
         /// The duplicated attribute name.
         name: String,
     },
+    /// Elements nested deeper than the parser's depth cap
+    /// ([`MAX_DEPTH`](crate::parse::MAX_DEPTH)).
+    TooDeep {
+        /// Byte offset of the start tag that exceeded the cap.
+        offset: usize,
+        /// The cap.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for XmlError {
@@ -99,6 +107,9 @@ impl fmt::Display for XmlError {
             }
             XmlError::DuplicateAttribute { offset, name } => {
                 write!(f, "duplicate attribute {name:?} at byte {offset}")
+            }
+            XmlError::TooDeep { offset, limit } => {
+                write!(f, "element at byte {offset} is nested deeper than {limit} levels")
             }
         }
     }

@@ -6,11 +6,11 @@
 //!
 //! * a streaming [`tokenizer`] producing [`Token`]s,
 //! * a parser ([`parse`]) building a [`Document`] — an arena-backed
-//!   DOM whose nodes carry Dewey labels (the node encoding used by the
-//!   SLCA algorithms in `xsact-index`),
+//!   DOM whose node ids are preorder ranks, so document order, ancestry and
+//!   subtrees are integer comparisons (what the SLCA executor in
+//!   `xsact-index` runs on); a [`DeweyId`] path is derived on demand,
 //! * an [`Interner`] of 4-byte [`Sym`] handles — tag and attribute names
-//!   are interned per document, and every node's Dewey components live in
-//!   one flat `u32` arena exposed as borrowed [`DeweyRef`] slices,
+//!   are interned per document,
 //! * entity [`escape`]/unescape helpers,
 //! * a [`writer`] that serialises a document back to text.
 //!
@@ -30,6 +30,8 @@
 //! assert_eq!(doc.tag(root), "products");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dewey;
 pub mod dom;
 pub mod error;
@@ -40,7 +42,7 @@ pub mod path;
 pub mod tokenizer;
 pub mod writer;
 
-pub use dewey::{DeweyId, DeweyRef};
+pub use dewey::DeweyId;
 pub use dom::{Document, NodeId, SubstrateStats};
 pub use error::{XmlError, XmlResult};
 pub use interner::{FnvHasher, Interner, Sym};

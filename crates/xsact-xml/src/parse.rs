@@ -1,11 +1,19 @@
 //! Parser: token stream → [`Document`].
 //!
 //! Enforces well-formedness across tags: matching open/close pairs, exactly
-//! one root element, no character data outside the root.
+//! one root element, no character data outside the root — and caps element
+//! nesting at [`MAX_DEPTH`].
 
 use crate::dom::Document;
 use crate::error::{XmlError, XmlResult};
 use crate::tokenizer::{Token, Tokenizer};
+
+/// Deepest element nesting the parser accepts (the root is level 1) —
+/// libxml2's default. Appending a node updates the subtree extent of each of
+/// its ancestors and the writer recurses per level, so without a cap a few
+/// kilobytes of nothing but open tags would cost time quadratic in their
+/// number. Documents built through the `add_*` API are not limited.
+pub const MAX_DEPTH: usize = 256;
 
 /// Parses a complete XML document.
 ///
@@ -13,7 +21,7 @@ use crate::tokenizer::{Token, Tokenizer};
 /// use xsact_xml::parse_document;
 ///
 /// let doc = parse_document("<a><b>text</b><b/></a>").unwrap();
-/// assert_eq!(doc.children(doc.root()).len(), 2);
+/// assert_eq!(doc.children(doc.root()).count(), 2);
 /// ```
 pub fn parse_document(input: &str) -> XmlResult<Document> {
     let mut doc: Option<Document> = None;
@@ -45,6 +53,9 @@ pub fn parse_document(input: &str) -> XmlResult<Document> {
                         return Err(XmlError::MultipleRoots { offset });
                     }
                     (Some(d), Some(parent)) => {
+                        if stack.len() >= MAX_DEPTH {
+                            return Err(XmlError::TooDeep { offset, limit: MAX_DEPTH });
+                        }
                         let node = d.add_element_with_attrs(parent, name, attrs);
                         if !self_closing {
                             stack.push(node);
@@ -108,7 +119,7 @@ mod tests {
         assert_eq!(doc.attr(products[0], "id"), Some("1"));
         let name = doc.child_by_tag(products[0], "name").unwrap();
         assert_eq!(doc.text_content(name), "TomTom Go 630");
-        assert!(doc.children(products[1]).is_empty());
+        assert_eq!(doc.children(products[1]).count(), 0);
     }
 
     #[test]
@@ -138,7 +149,7 @@ mod tests {
     #[test]
     fn mixed_content_is_ordered() {
         let doc = parse_document("<p>one<b>two</b>three</p>").unwrap();
-        let kids = doc.children(doc.root());
+        let kids: Vec<_> = doc.children(doc.root()).collect();
         assert_eq!(kids.len(), 3);
         assert_eq!(doc.text(kids[0]), Some("one"));
         assert_eq!(doc.tag(kids[1]), "b");
@@ -184,15 +195,7 @@ mod tests {
     #[test]
     fn deep_nesting() {
         let depth = 200;
-        let mut s = String::new();
-        for _ in 0..depth {
-            s.push_str("<d>");
-        }
-        s.push('x');
-        for _ in 0..depth {
-            s.push_str("</d>");
-        }
-        let doc = parse_document(&s).unwrap();
+        let doc = parse_document(&nested(depth)).unwrap();
         assert_eq!(doc.len(), depth + 1);
         // The deepest node is the text.
         let deepest = doc.all_nodes().last().unwrap();
@@ -200,15 +203,34 @@ mod tests {
         assert_eq!(doc.depth(deepest), depth + 1);
     }
 
+    /// `levels` nested `<d>` elements around one text run.
+    fn nested(levels: usize) -> String {
+        format!("{}x{}", "<d>".repeat(levels), "</d>".repeat(levels))
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error_at_the_offending_tag() {
+        let doc = parse_document(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(doc.len(), MAX_DEPTH + 1);
+        assert_eq!(doc.depth(doc.all_nodes().last().unwrap()), MAX_DEPTH + 1);
+        // The 257th open tag starts right after 256 three-byte ones; a
+        // self-closing element at that level is as deep.
+        let too_deep = XmlError::TooDeep { offset: 3 * MAX_DEPTH, limit: MAX_DEPTH };
+        assert_eq!(parse_document(&nested(MAX_DEPTH + 1)).unwrap_err(), too_deep);
+        let leaf = format!("{}<e/>{}", "<d>".repeat(MAX_DEPTH), "</d>".repeat(MAX_DEPTH));
+        assert_eq!(parse_document(&leaf).unwrap_err(), too_deep);
+        assert!(too_deep.to_string().contains("byte 768"), "{too_deep}");
+    }
+
     #[test]
     fn dewey_assignment_matches_sibling_order() {
         let doc = parse_document("<r><a/><b/><c><d/></c></r>").unwrap();
         let root = doc.root();
-        let kids = doc.children(root);
+        let kids: Vec<_> = doc.children(root).collect();
         assert_eq!(doc.dewey(kids[0]).to_string(), "0.0");
         assert_eq!(doc.dewey(kids[1]).to_string(), "0.1");
         assert_eq!(doc.dewey(kids[2]).to_string(), "0.2");
-        let d = doc.children(kids[2])[0];
+        let d = doc.children(kids[2]).next().unwrap();
         assert_eq!(doc.dewey(d).to_string(), "0.2.0");
     }
 }

@@ -36,9 +36,8 @@ pub fn select(doc: &Document, start: NodeId, path: &str) -> Vec<NodeId> {
             }
         }
         // `**` can produce overlapping sets; dedupe while keeping document
-        // order (descendants are emitted preorder, so sort + dedup by Dewey
-        // keeps it stable).
-        next.sort_by(|&a, &b| doc.dewey(a).cmp(&doc.dewey(b)));
+        // order (id order).
+        next.sort_unstable();
         next.dedup();
         current = next;
     }
@@ -113,7 +112,7 @@ mod tests {
         let names = select(&d, d.root(), "**/**/name");
         assert_eq!(names.len(), 3);
         for pair in names.windows(2) {
-            assert!(d.dewey(pair[0]) < d.dewey(pair[1]));
+            assert!(pair[0] < pair[1]);
         }
     }
 

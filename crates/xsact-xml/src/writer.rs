@@ -69,22 +69,22 @@ fn write_node(doc: &Document, node: NodeId, opts: &WriteOptions, level: usize, o
         out.push_str(&escape_attr(value));
         out.push('"');
     }
-    let children = doc.children(node);
-    if children.is_empty() {
+    let mut children = doc.children(node);
+    let Some(first) = children.next() else {
         out.push_str("/>");
         return;
-    }
+    };
     out.push('>');
     // A single text child stays inline even in pretty mode, so leaf
     // values read naturally: <name>TomTom</name>.
-    let single_text = children.len() == 1 && doc.text(children[0]).is_some();
-    if single_text {
-        out.push_str(&escape_text(doc.text(children[0]).expect("checked")));
-    } else {
-        for &child in children {
-            write_node(doc, child, opts, level + 1, out);
+    match doc.text(first) {
+        Some(text) if children.next().is_none() => out.push_str(&escape_text(text)),
+        _ => {
+            for child in doc.children(node) {
+                write_node(doc, child, opts, level + 1, out);
+            }
+            indent(opts, level, out);
         }
-        indent(opts, level, out);
     }
     out.push_str("</");
     out.push_str(tag);

@@ -13,8 +13,8 @@
 //! * each shard worker (a std scoped thread, see [`xsact_corpus::fan_out`])
 //!   runs the ranked search over its documents;
 //! * per-shard lists merge under a *total* order — score descending, then
-//!   document id, then Dewey id — so the merged ranking is byte-identical
-//!   for any shard count.
+//!   document id, then node id (document order) — so the merged ranking is
+//!   byte-identical for any shard count.
 //!
 //! The top of the merged ranking can be compared *across documents*: the
 //! corpus pulls each hit's features from its owning workbench (cached,
@@ -50,7 +50,7 @@ use xsact_entity::ResultFeatures;
 use xsact_index::{ExecutorStats, Query, RankedRoot, ScoredResult, SearchEngine, SearchResult};
 use xsact_obs::TraceSink;
 use xsact_serve::FaultPlan;
-use xsact_xml::{DeweyId, DeweyRef, Document};
+use xsact_xml::Document;
 
 pub use xsact_corpus::{DocId, ShardPlan};
 
@@ -359,21 +359,12 @@ impl Corpus {
             .collect();
         for &d in doc_indexes {
             let doc = &self.docs[d];
-            let document = doc.wb.document();
             for (slot, (roots, stats)) in
                 per_query.iter_mut().zip(doc.wb.top_k_roots_batch(queries))
             {
                 slot.1 += stats;
-                slot.0.push(
-                    roots
-                        .into_iter()
-                        .map(|ranked| ShardCandidate {
-                            doc,
-                            dewey: document.dewey(ranked.score.root),
-                            ranked,
-                        })
-                        .collect(),
-                );
+                slot.0
+                    .push(roots.into_iter().map(|ranked| ShardCandidate { doc, ranked }).collect());
             }
         }
         per_query
@@ -537,26 +528,21 @@ pub struct CorpusHit {
     pub doc: DocId,
     /// The owning document's display name (shared, not per-hit allocated).
     pub doc_name: Arc<str>,
-    /// The result subtree inside that document.
+    /// The result subtree inside that document. Its root is the last key
+    /// of the merge's total order.
     pub result: SearchResult,
-    /// Dewey id of the result root — part of the merge's total order, and
-    /// cheap to render.
-    pub dewey: DeweyId,
     /// Relevance score and its components.
     pub score: ScoredResult,
 }
 
 impl CorpusHit {
     /// The merge's total order: score descending, then document id, then
-    /// Dewey id. Depends only on the hit itself — never on shard count or
-    /// thread timing — which is what makes corpus rankings deterministic.
-    /// `pub(crate)` so the serving runtime's global merge uses the *same*
-    /// comparator as the scoped fan-out.
+    /// the root's node id. Depends only on the hit itself — never on shard
+    /// count or thread timing — which is what makes corpus rankings
+    /// deterministic. `pub(crate)` so the serving runtime's global merge
+    /// uses the *same* comparator as the scoped fan-out.
     pub(crate) fn ranking_order(&self, other: &CorpusHit) -> Ordering {
-        ranking_order(
-            (self.score.score, self.doc, &self.dewey),
-            (other.score.score, other.doc, &other.dewey),
-        )
+        ranking_order(&self.score, self.doc, &other.score, other.doc)
     }
 }
 
@@ -816,41 +802,34 @@ pub(crate) fn merge_shard_lists(
 
 /// One ranked root on its way through a shard's merge. A shard ranks every
 /// one of its documents to depth `k` and keeps `k` in total, so most
-/// candidates are dropped by the merge: they carry only what the ranking's
-/// total order reads — score, document id, and the root's Dewey id
-/// *borrowed* from the document — and become a [`CorpusHit`] (owned Dewey
-/// id, display label) only if they survive.
+/// candidates are dropped by the merge; only a survivor becomes a
+/// [`CorpusHit`] and is given its display label.
 struct ShardCandidate<'a> {
     doc: &'a CorpusDoc,
-    dewey: DeweyRef<'a>,
     ranked: RankedRoot,
 }
 
 impl ShardCandidate<'_> {
-    /// [`CorpusHit::ranking_order`] on the borrowed keys.
+    /// [`CorpusHit::ranking_order`] before labelling.
     fn ranking_order(&self, other: &ShardCandidate<'_>) -> Ordering {
-        ranking_order(
-            (self.ranked.score.score, self.doc.id, self.dewey),
-            (other.ranked.score.score, other.doc.id, other.dewey),
-        )
+        ranking_order(&self.ranked.score, self.doc.id, &other.ranked.score, other.doc.id)
     }
 
     fn into_hit(self) -> CorpusHit {
-        let ShardCandidate { doc, dewey, ranked } = self;
+        let ShardCandidate { doc, ranked } = self;
         CorpusHit {
             doc: doc.id,
             doc_name: doc.name.clone(),
             result: doc.wb.engine().result_for(&ranked),
-            dewey: dewey.to_owned(),
             score: ranked.score,
         }
     }
 }
 
 /// The merge's total order on its keys: score descending, then document
-/// id, then Dewey id.
-fn ranking_order<D: Ord>(a: (f64, DocId, D), b: (f64, DocId, D)) -> Ordering {
-    b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)).then_with(|| a.2.cmp(&b.2))
+/// id, then the root's node id — document order within a document.
+fn ranking_order(a: &ScoredResult, a_doc: DocId, b: &ScoredResult, b_doc: DocId) -> Ordering {
+    b.score.total_cmp(&a.score).then_with(|| a_doc.cmp(&b_doc)).then_with(|| a.root.cmp(&b.root))
 }
 
 /// The shard-local half of the merge pipeline: k-way merge the

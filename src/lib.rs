@@ -49,7 +49,7 @@
 //! The workbench orchestrates the workspace layers, which remain
 //! independently usable (a design decision recorded in `ROADMAP.md`):
 //!
-//! * [`xml`] — XML substrate: parser, DOM with Dewey IDs, writer.
+//! * [`xml`] — XML substrate: parser, preorder-id DOM, writer.
 //! * [`index`] — keyword search engine (XSeek-style): inverted index,
 //!   SLCA/ELCA, result construction, ranking, persistence.
 //! * [`entity`] — result processor: entity identification and feature

@@ -3,9 +3,10 @@
 //!
 //! A [`crate::CorpusQuery`] executes one query at a time, paying
 //! scoped-thread spawn and teardown per query. [`CorpusServer`] amortises that: at
-//! startup it builds one persistent [`xsact_corpus::ShardPool`] worker per
-//! effective shard, and a dispatcher thread feeds the pool from a bounded
-//! [`xsact_serve::SubmissionQueue`]. Concurrent submissions that ask the
+//! startup it builds one persistent [`xsact_corpus::ShardPool`] — a worker
+//! per effective shard but the last — and a dispatcher thread feeds the
+//! pool from a bounded [`xsact_serve::SubmissionQueue`], computing the last
+//! shard itself while the workers compute theirs. Concurrent submissions that ask the
 //! same question (same canonical query text, same top-k) **coalesce** into
 //! one batch: the pool executes once and every waiter receives the same
 //! shared [`CorpusRanking`].

@@ -382,8 +382,7 @@ impl Workbench {
     }
 
     /// Heap-footprint statistics of the document's interned substrate
-    /// (symbol interner, flat Dewey arena, node table) next to an estimate
-    /// of the pre-interning layout — what the bench smoke prints per PR.
+    /// (symbol interner, node table, owned text).
     pub fn substrate_stats(&self) -> xsact_xml::SubstrateStats {
         self.engine.document().substrate_stats()
     }

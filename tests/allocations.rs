@@ -4,7 +4,9 @@
 //!
 //! Timings say whether the warm path got faster; these say why it stays
 //! that way: the prepared form costs two allocations per cached result, a
-//! feature-cache hit costs none.
+//! feature-cache hit costs none. The same counter pins what a parsed
+//! document keeps resident: a fixed-size record per node plus the node's
+//! own text, and no heap block for the tree's structure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -93,4 +95,29 @@ fn a_feature_cache_hit_allocates_nothing_of_its_own() {
     let (_, second) = counted(compare);
     let (_, third) = counted(compare);
     assert_eq!(second, third);
+}
+
+/// Resident memory is, first of all, node records: on the benchmark's
+/// 16 × 1000-movie fixture they are half of peak RSS. A node stores its
+/// payload, its parent and its subtree extent — children, order, ancestry
+/// and Dewey paths are derived from those — so parsing allocates one block
+/// per text run and nothing per element, and a later change that puts a
+/// pointerful field back fails here, not in a benchmark.
+#[test]
+fn a_parsed_node_costs_a_forty_byte_record_and_no_heap_block_for_structure() {
+    use xsact::data::{MovieGenConfig, MoviesGen};
+    use xsact::xml::{parse_document, write_document, WriteOptions};
+    let movies = MoviesGen::new(MovieGenConfig { seed: 42, movies: 500, ..Default::default() });
+    let xml = write_document(&movies.generate(), &WriteOptions::compact());
+    let (doc, blocks) = counted(|| parse_document(&xml).unwrap());
+    // One block per text run (the fixture has no XML attributes); the node
+    // table, the interner and the parser's stacks grow by doubling.
+    let text_runs = doc.all_nodes().filter(|&n| doc.text(n).is_some()).count() as u64;
+    assert!(doc.len() > 30_000 && text_runs > 15_000, "{} nodes", doc.len());
+    assert!(blocks <= text_runs + 128, "{blocks} blocks for {text_runs} text runs");
+    // A table grown by doubling holds at most twice its length in 40-byte
+    // records; text and the interner add ~3 bytes per node here.
+    let stats = doc.substrate_stats();
+    let per_node = stats.interned_total() / stats.nodes;
+    assert!(per_node <= 2 * 40 + 8, "{per_node} bytes per node: {stats:?}");
 }

@@ -63,7 +63,7 @@ fn bounded_compare_path_matches_ranking_then_compare() {
         assert_eq!(bounded.table(), full.table(), "{shards} shards");
         assert_eq!(bounded.dod(), full.dod(), "{shards} shards");
         let hits =
-            |o: &CorpusOutcome| o.hits.iter().map(|h| (h.doc, h.dewey.clone())).collect::<Vec<_>>();
+            |o: &CorpusOutcome| o.hits.iter().map(|h| (h.doc, h.result.root)).collect::<Vec<_>>();
         assert_eq!(hits(&bounded), hits(&full), "{shards} shards");
         // And the bounded hits are exactly the full ranking's head.
         let bounded_render = CorpusRanking { hits: bounded.hits.clone(), shards }.render(4);

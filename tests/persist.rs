@@ -1,5 +1,6 @@
 //! The `.xidx` I/O contract: one buffer per file in each direction,
-//! allocation bounded by the file, and bytes that never change.
+//! allocation bounded by the file, and bytes that never change — and the
+//! same bound for the other file that arrives from outside, the XML.
 //!
 //! This binary installs a counting allocator (per-thread byte counts, so
 //! the harness's parallel test threads do not disturb one another); the
@@ -11,7 +12,7 @@ use std::io::{self, Read, Write};
 use xsact::data::fixtures::figure1_document;
 use xsact::data::{MovieGenConfig, MoviesGen};
 use xsact::index::{document_fingerprint, load_index};
-use xsact::xml::Document;
+use xsact::xml::{parse_document, Document, XmlError};
 use xsact::{Workbench, XsactError};
 
 thread_local! {
@@ -139,8 +140,8 @@ fn saved_bytes_are_what_the_streaming_writer_wrote() {
 }
 
 /// What a failed load may cost that does not come from the file: the
-/// error value itself (a boxed message), and fingerprinting the document
-/// (its traversal stack), which depends on the document alone.
+/// error value itself (a boxed message), and fingerprinting the document,
+/// which depends on the document alone.
 fn fixed_cost(doc: &Document) -> usize {
     256 + allocated_by(|| document_fingerprint(doc)).1
 }
@@ -208,4 +209,30 @@ fn counts_beyond_the_file_length_are_rejected_without_allocating_for_them() {
     let mut long_term = valid.clone();
     long_term[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
     assert_rejected_within(&doc, &long_term, "term longer than the file");
+}
+
+/// Nothing but open tags: 140 KB of them used to parse for four seconds
+/// into 770 MB, every node carrying a copy of its whole path. Nesting is
+/// capped, so the parser stops at the first tag past the cap having
+/// allocated for the levels before it — less than the input's length — and
+/// a document at the cap costs what its nodes cost.
+#[test]
+fn nesting_past_the_cap_is_refused_within_the_input_length() {
+    let nested = |levels: usize| format!("{}x{}", "<d>".repeat(levels), "</d>".repeat(levels));
+    let hostile = nested(20_000);
+    let (result, allocated) = allocated_by(|| parse_document(&hostile));
+    assert_eq!(result.unwrap_err(), XmlError::TooDeep { offset: 3 * 256, limit: 256 });
+    assert!(allocated <= hostile.len(), "{allocated} bytes for {} of input", hostile.len());
+    // Through the facade it is the typed `Xml` variant.
+    assert!(matches!(
+        Workbench::from_xml(&hostile),
+        Err(XsactError::Xml(XmlError::TooDeep { .. }))
+    ));
+
+    let (at_cap, half) = (nested(256), nested(128));
+    let (at_cap, allocated) = allocated_by(|| parse_document(&at_cap));
+    assert_eq!(at_cap.unwrap().len(), 257);
+    let (half, half_allocated) = allocated_by(|| parse_document(&half));
+    assert_eq!(half.unwrap().len(), 129);
+    assert!(allocated <= 3 * half_allocated, "{allocated} vs {half_allocated} at half the depth");
 }

@@ -7,18 +7,18 @@
 //!
 //! The high-value invariants:
 //! * XML writer ∘ parser is the identity on compact output;
-//! * the Indexed Lookup Eager SLCA equals the full-scan oracle on random
-//!   documents and queries;
+//! * everything the substrate derives from preorder ids and subtree
+//!   extents — children, descendants, Dewey paths, order, ancestry — equals
+//!   a tree rebuilt from the `parent` links alone;
+//! * the streaming SLCA executor (candidates as preorder ids, subtrees as
+//!   `[id, subtree_end)`) equals the full-scan oracle on random documents
+//!   and queries, on posting lists of one frame and of many;
 //! * the interned flat-substrate index (term interner + postings arena)
 //!   is observably identical to a string-keyed `HashMap` index built the
 //!   seed way, and SLCA over either produces the same results;
-//! * the delta-bit-packed posting frames are observably identical to the
-//!   flat-arena decode — iteration, the frame-skip gallop (down to the
-//!   `ExecutorStats` counters) and the scorer's id-interval fast path;
-//! * the id-interval executor (candidates as preorder ids, subtrees as
-//!   `[id, subtree_end)`) is observably identical to the Dewey executor and
-//!   the full-scan oracle — results *and* `ExecutorStats` — and documents
-//!   built out of document order fall back to the Dewey path;
+//! * the delta-bit-packed posting frames decode to the flat lists, and the
+//!   scorer's range counts on them rank exactly like a scorer that walks
+//!   the tree;
 //! * the dispatched SIMD kernels agree with their scalar oracles on random
 //!   masks and the all-zero/all-one extremes;
 //! * the comparison instance built from prepared features on content
@@ -41,8 +41,8 @@ use xsact_entity::{
     extract_features, FeatureStat, FeatureType, NodeClass, ResultFeatures, StructureSummary,
 };
 use xsact_index::{
-    rank_results, rank_top_k, slca_full_scan, slca_indexed_lookup, ExecutorStats, InvertedIndex,
-    PlanFragments, Query, QueryPlan, ResultSemantics, ScoredResult, SearchEngine, SearchResult,
+    rank_results, rank_top_k, slca_full_scan, ExecutorStats, InvertedIndex, PlanFragments, Query,
+    QueryPlan, ResultSemantics, ScoredResult, SearchEngine, SearchResult,
 };
 use xsact_xml::{parse_document, writer, Document, NodeId, Sym};
 
@@ -72,7 +72,7 @@ fn build_random_tree(doc: &mut Document, rng: &mut StdRng, parent: NodeId, depth
             // adjacent text runs merge into one on reparse — skip both
             // cases so the round-trip comparison is exact.
             let t = random_text(rng);
-            let last_is_text = doc.children(parent).last().is_some_and(|&c| !doc.is_element(c));
+            let last_is_text = doc.children(parent).last().is_some_and(|c| !doc.is_element(c));
             if !t.trim().is_empty() && !last_is_text {
                 doc.add_text(parent, t.trim().to_owned());
             }
@@ -141,7 +141,8 @@ fn slca_implementations_agree() {
             terms.iter().take(term_count).map(|t| idx.postings(t).to_vec()).collect();
         let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
         let full = slca_full_scan(&doc, &lists);
-        let eager = slca_indexed_lookup(&doc, &lists);
+        let query = Query::from_terms(&terms[..term_count]);
+        let eager: Vec<NodeId> = QueryPlan::new(&idx, &query).stream(&doc).collect();
         assert_eq!(full, eager, "seed {seed}, {term_count} terms");
     }
 }
@@ -169,7 +170,7 @@ fn every_slca_is_an_elca() {
         for e in &elca {
             for s in &slca {
                 assert!(
-                    !doc.dewey(*s).is_ancestor_of(doc.dewey(*e)) || e == s || !slca.contains(e),
+                    !doc.dewey(*s).is_ancestor_of(&doc.dewey(*e)) || e == s || !slca.contains(e),
                     "seed {seed}: ELCA below an SLCA"
                 );
             }
@@ -205,7 +206,7 @@ fn string_keyed_oracle(doc: &Document) -> std::collections::HashMap<String, Vec<
         }
     }
     for list in postings.values_mut() {
-        list.sort_by(|&a, &b| doc.dewey(a).cmp(&doc.dewey(b)));
+        list.sort_by_cached_key(|&n| doc.dewey(n));
         list.dedup();
     }
     postings
@@ -250,14 +251,16 @@ fn slca_over_interned_postings_matches_oracle_lists() {
             .take(term_count)
             .map(|t| oracle.get(*t).unwrap_or(&empty).as_slice())
             .collect();
+        let over_oracle_lists = slca_full_scan(&doc, &string_keyed);
+        let query = Query::from_terms(&terms[..term_count]);
         assert_eq!(
-            slca_indexed_lookup(&doc, &interned),
-            slca_indexed_lookup(&doc, &string_keyed),
+            QueryPlan::new(&idx, &query).stream(&doc).collect::<Vec<_>>(),
+            over_oracle_lists,
             "seed {seed}: SLCA differs between substrates"
         );
         assert_eq!(
             slca_full_scan(&doc, &interned),
-            slca_full_scan(&doc, &string_keyed),
+            over_oracle_lists,
             "seed {seed}: full-scan SLCA differs between substrates"
         );
     }
@@ -457,12 +460,13 @@ fn rank_top_k_equals_the_truncated_full_sort_on_random_documents() {
 #[test]
 fn rank_top_k_breaks_deliberate_ties_like_the_full_sort() {
     // Sixteen structurally identical siblings: sixteen bitwise-equal
-    // scores, so every prefix is decided purely by the Dewey tie-break.
+    // scores, so every prefix is decided purely by the document-order
+    // tie-break.
     let xml = format!("<r>{}</r>", "<s><t>gps</t></s>".repeat(16));
     let doc = parse_document(&xml).unwrap();
     let idx = InvertedIndex::build(&doc);
     let query = Query::parse("gps");
-    let roots: Vec<NodeId> = doc.children(doc.root()).to_vec();
+    let roots: Vec<NodeId> = doc.children(doc.root()).collect();
     let full = rank_results(&doc, &idx, &query, &roots);
     assert!(full.windows(2).all(|w| w[0].score == w[1].score), "fixture must tie every score");
     for k in 0..=full.len() {
@@ -507,14 +511,121 @@ fn index_persistence_round_trips() {
     }
 }
 
-// ------------------------------------------- packed postings vs flat oracle
+// ---------------------------------------------------- the preorder substrate
 //
-// The `.xidx` v3 index stores postings as delta-bit-packed 128-entry
-// frames; the invariant the whole PR rests on is that no observable output
-// changes: frame-decoded iteration equals the flat decode, the frame-skip
-// gallop produces the same SLCA stream with the *same* ExecutorStats, and
-// the scorer's id-interval fast path ranks exactly like the Dewey-interval
-// fallback.
+// A document stores, per node, its parent and its subtree extent; node ids
+// are preorder ranks. Children, descendants, Dewey paths, document order and
+// ancestry are all derived from those. The oracle below rebuilds the tree
+// from `parent` alone — the one stored relation that does not involve the
+// extent — and everything derived must equal it.
+
+/// A document's tree rebuilt from [`Document::parent`] alone. Siblings are
+/// ordered by id: the order they were appended in.
+struct TreeOracle {
+    /// Per node, its children.
+    children: Vec<Vec<NodeId>>,
+    /// Per node, its ordinal path from the root (`[0, 3, 1]`) — its Dewey id.
+    paths: Vec<Vec<u32>>,
+}
+
+impl TreeOracle {
+    fn of(doc: &Document) -> TreeOracle {
+        let mut children = vec![Vec::new(); doc.len()];
+        let mut paths = vec![vec![0]; doc.len()];
+        // A node is appended after its parent, so ids visit parents first.
+        for n in (1..doc.len()).map(|i| doc.node_handle(i).unwrap()) {
+            let parent = doc.parent(n).expect("only node 0 is the root").index();
+            let mut path = paths[parent].clone();
+            path.push(children[parent].len() as u32);
+            paths[n.index()] = path;
+            children[parent].push(n);
+        }
+        TreeOracle { children, paths }
+    }
+
+    /// The subtree of `n` in document order, by an explicit walk.
+    fn subtree(&self, n: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        let mut stack = vec![n];
+        while let Some(n) = stack.pop() {
+            out.push(n);
+            stack.extend(self.children[n.index()].iter().rev());
+        }
+        out
+    }
+}
+
+fn assert_substrate_matches_the_tree(doc: &Document, what: &str) {
+    let tree = TreeOracle::of(doc);
+    let all = tree.subtree(doc.root());
+    assert_eq!(doc.all_nodes().collect::<Vec<_>>(), all, "{what}: all_nodes order");
+    assert!(all.windows(2).all(|w| w[0] < w[1]), "{what}: document order is id order");
+    let deweys: Vec<_> = all.iter().map(|&n| doc.dewey(n)).collect();
+    assert!(deweys.windows(2).all(|w| w[0] < w[1]), "{what}: Dewey order is id order");
+    for &n in &all {
+        let i = n.index();
+        assert_eq!(deweys[i].components(), tree.paths[i], "{what}: Dewey id of node {i}");
+        assert_eq!(doc.depth(n), tree.paths[i].len(), "{what}: depth of node {i}");
+        let children: Vec<NodeId> = doc.children(n).collect();
+        assert_eq!(children, tree.children[i], "{what}: children of {}", deweys[i]);
+        let subtree = tree.subtree(n);
+        assert_eq!(doc.descendants(n).collect::<Vec<_>>(), subtree, "{what}: {}", deweys[i]);
+        assert_eq!(
+            doc.subtree_end(n) as usize - i,
+            subtree.len(),
+            "{what}: extent of node {}",
+            deweys[i]
+        );
+        // Ancestry is interval containment and Dewey prefixing: every
+        // ancestor's interval and path hold `n`'s. Nothing else does — an
+        // interval is its node's subtree and a path is the ordinal path, as
+        // checked above.
+        for a in std::iter::successors(doc.parent(n), |&a| doc.parent(a)) {
+            assert!(a < n && (i as u32) < doc.subtree_end(a), "{what}: {a:?} holds {n:?}");
+            assert!(deweys[a.index()].is_ancestor_of(&deweys[i]), "{what}: {}", deweys[i]);
+        }
+    }
+}
+
+#[test]
+fn subtree_extents_equal_descendant_counts_on_parsed_and_generated_documents() {
+    for seed in 0..64u64 {
+        let built = random_document(&mut StdRng::seed_from_u64(seed));
+        assert_substrate_matches_the_tree(&built, &format!("seed {seed}, builder"));
+        let xml = writer::write_document(&built, &writer::WriteOptions::compact());
+        let parsed = parse_document(&xml).unwrap();
+        assert_substrate_matches_the_tree(&parsed, &format!("seed {seed}, parser"));
+    }
+    use xsact::data::{
+        JobsGen, JobsGenConfig, MovieGenConfig, MoviesGen, OutdoorGen, OutdoorGenConfig,
+        ReviewsGen, ReviewsGenConfig,
+    };
+    assert_substrate_matches_the_tree(&xsact::data::fixtures::figure1_document(), "figure1");
+    for seed in 0..4u64 {
+        let movies = MovieGenConfig { seed, movies: 12, ..Default::default() };
+        assert_substrate_matches_the_tree(&MoviesGen::new(movies).generate(), "movies");
+        assert_substrate_matches_the_tree(
+            &ReviewsGen::new(ReviewsGenConfig { seed, ..Default::default() }).generate(),
+            "reviews",
+        );
+        assert_substrate_matches_the_tree(
+            &OutdoorGen::new(OutdoorGenConfig { seed, ..Default::default() }).generate(),
+            "outdoor",
+        );
+        assert_substrate_matches_the_tree(
+            &JobsGen::new(JobsGenConfig { seed, ..Default::default() }).generate(),
+            "jobs",
+        );
+    }
+}
+
+// -------------------------------------------- packed postings, id intervals
+//
+// Postings are delta-bit-packed 128-entry frames, the SLCA stream carries
+// candidates as node ids, and the scorer counts a subtree's postings as an
+// id range on the frames. None of that may be observable: iteration equals
+// the flat decode, the stream equals the full-scan SLCA, and the scores
+// equal those of a scorer that walks the tree.
 
 #[test]
 fn packed_postings_iteration_matches_flat_decode() {
@@ -533,28 +644,53 @@ fn packed_postings_iteration_matches_flat_decode() {
     }
 }
 
-#[test]
-fn packed_gallop_matches_flat_gallop_with_identical_stats() {
-    for seed in 0..64u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let doc = random_document(&mut rng);
-        let idx = InvertedIndex::build(&doc);
-        let query = random_query(&mut rng);
-        let decoded: Vec<Vec<NodeId>> = query.iter().map(|t| idx.postings(t).to_vec()).collect();
-        let flat_lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
-        let packed_plan = QueryPlan::new(&idx, &query);
-        let flat_plan = QueryPlan::from_lists(flat_lists);
-        let mut packed = packed_plan.stream(&doc);
-        let mut flat = flat_plan.stream(&doc);
-        let packed_out: Vec<NodeId> = packed.by_ref().collect();
-        let flat_out: Vec<NodeId> = flat.by_ref().collect();
-        assert_eq!(packed_out, flat_out, "seed {seed} query {query}: SLCA stream diverges");
-        assert_eq!(
-            packed.stats(),
-            flat.stats(),
-            "seed {seed} query {query}: executor stats diverge between packed and flat"
-        );
-    }
+/// The ranking as its definition reads, on the [`TreeOracle`]: a term's
+/// frequency is the number of its postings found by walking the root's
+/// subtree, the subtree's size is the length of that walk, ties go to the
+/// smaller Dewey path — and the float pipeline is `rank.rs`'s, operation
+/// for operation, so scores must agree bit for bit.
+fn reference_ranking(
+    doc: &Document,
+    idx: &InvertedIndex,
+    query: &Query,
+    roots: &[NodeId],
+) -> Vec<ScoredResult> {
+    let tree = TreeOracle::of(doc);
+    let elements = doc.element_count().max(1) as f64;
+    let terms: Vec<(Vec<bool>, f64)> = query
+        .iter()
+        .map(|term| idx.postings(term))
+        .filter(|postings| !postings.is_empty())
+        .map(|postings| {
+            let mut posted = vec![false; doc.len()];
+            for n in postings {
+                posted[n.index()] = true;
+            }
+            (posted, (1.0 + elements / postings.len() as f64).ln())
+        })
+        .collect();
+    let mut scored: Vec<ScoredResult> = roots
+        .iter()
+        .map(|&root| {
+            let subtree = tree.subtree(root);
+            let (mut term_hits, mut score) = (0u32, 0.0);
+            for (posted, idf) in &terms {
+                let tf = subtree.iter().filter(|n| posted[n.index()]).count() as u32;
+                term_hits += tf;
+                if tf > 0 {
+                    score += (1.0 + f64::from(tf)).ln() * idf;
+                }
+            }
+            let subtree_size = subtree.len() as u32;
+            score /= (std::f64::consts::E + f64::from(subtree_size)).ln();
+            ScoredResult { root, score, term_hits, subtree_size }
+        })
+        .collect();
+    scored.sort_by(|a, b| {
+        let path = |s: &ScoredResult| &tree.paths[s.root.index()];
+        b.score.total_cmp(&a.score).then_with(|| path(a).cmp(path(b)))
+    });
+    scored
 }
 
 #[test]
@@ -563,81 +699,11 @@ fn scorer_fast_path_matches_flat_fallback_rankings() {
         let mut rng = StdRng::seed_from_u64(seed);
         let doc = random_document(&mut rng);
         let idx = InvertedIndex::build(&doc);
-        // The same postings fed through `from_term_lists` lose the
-        // document-order guarantee, so the scorer takes the Dewey-interval
-        // fallback — both paths must produce bitwise-equal scores.
-        let entries: Vec<(String, Vec<NodeId>)> =
-            idx.dictionary().map(|(t, p)| (t.to_owned(), p.to_vec())).collect();
-        let flat_idx = InvertedIndex::from_term_lists(entries);
         let query = random_query(&mut rng);
         let roots: Vec<NodeId> = doc.all_nodes().filter(|&n| doc.is_element(n)).collect();
         let fast = rank_results(&doc, &idx, &query, &roots);
-        let slow = rank_results(&doc, &flat_idx, &query, &roots);
-        assert_eq!(fast, slow, "seed {seed} query {query}: scorer fast path diverges");
-    }
-}
-
-// ------------------------------------------------ id-interval execution
-//
-// On a document whose ids are preorder ranks the executor carries
-// candidates as node ids and treats a subtree as the id interval
-// `[id, subtree_end(id))`. That is a change of representation only: the
-// SLCA stream, its `ExecutorStats` and every score must equal what the
-// Dewey path computes — and a document built out of document order must
-// notice, and take the Dewey path.
-
-/// The subtree of `n` in document order, by an explicit walk over
-/// `children` — independent of `Document::descendants`, which takes the id
-/// interval on a preorder document.
-fn walked_subtree(doc: &Document, n: NodeId, out: &mut Vec<NodeId>) {
-    out.push(n);
-    for &child in doc.children(n) {
-        walked_subtree(doc, child, out);
-    }
-}
-
-#[test]
-fn subtree_extents_equal_descendant_counts_on_parsed_and_generated_documents() {
-    let check = |doc: &Document, what: &str| {
-        assert!(doc.is_preorder(), "{what}: built in document order");
-        let mut all = Vec::new();
-        walked_subtree(doc, doc.root(), &mut all);
-        assert_eq!(doc.all_nodes().collect::<Vec<_>>(), all, "{what}: all_nodes order");
-        for &n in &all {
-            let mut subtree = Vec::new();
-            walked_subtree(doc, n, &mut subtree);
-            assert_eq!(
-                doc.subtree_end(n) as usize - n.index(),
-                subtree.len(),
-                "{what}: extent of node {}",
-                doc.dewey(n)
-            );
-            assert_eq!(doc.descendants(n).count(), subtree.len(), "{what}: node {}", doc.dewey(n));
-        }
-    };
-    for seed in 0..64u64 {
-        let built = random_document(&mut StdRng::seed_from_u64(seed));
-        check(&built, &format!("seed {seed}, builder"));
-        let xml = writer::write_document(&built, &writer::WriteOptions::compact());
-        check(&parse_document(&xml).unwrap(), &format!("seed {seed}, parser"));
-    }
-    use xsact::data::{
-        JobsGen, JobsGenConfig, MovieGenConfig, MoviesGen, OutdoorGen, OutdoorGenConfig,
-        ReviewsGen, ReviewsGenConfig,
-    };
-    check(&xsact::data::fixtures::figure1_document(), "figure1");
-    for seed in 0..4u64 {
-        let movies = MovieGenConfig { seed, movies: 12, ..Default::default() };
-        check(&MoviesGen::new(movies).generate(), "movies");
-        check(
-            &ReviewsGen::new(ReviewsGenConfig { seed, ..Default::default() }).generate(),
-            "reviews",
-        );
-        check(
-            &OutdoorGen::new(OutdoorGenConfig { seed, ..Default::default() }).generate(),
-            "outdoor",
-        );
-        check(&JobsGen::new(JobsGenConfig { seed, ..Default::default() }).generate(), "jobs");
+        let slow = reference_ranking(&doc, &idx, &query, &roots);
+        assert_eq!(fast, slow, "seed {seed} query {query}: range-count scorer diverges");
     }
 }
 
@@ -654,7 +720,7 @@ fn random_keywords(rng: &mut StdRng) -> String {
 /// One `<item>` entity: keyword-bearing leaves plus, sometimes, a `<group>`
 /// of nested `<item>` entities — so SLCAs land at every depth and master
 /// entities nest.
-fn add_item(doc: &mut Document, rng: &mut StdRng, parent: NodeId, depth: usize) -> NodeId {
+fn add_item(doc: &mut Document, rng: &mut StdRng, parent: NodeId, depth: usize) {
     let item = doc.add_element(parent, "item");
     doc.add_leaf(item, "name", random_keywords(rng));
     if rng.random_bool(0.6) {
@@ -666,17 +732,16 @@ fn add_item(doc: &mut Document, rng: &mut StdRng, parent: NodeId, depth: usize) 
             add_item(doc, rng, group, depth - 1);
         }
     }
-    item
 }
 
-/// A catalog of a few hundred (nested) items, built in document order.
-/// Returns the items too, so a caller can append behind them.
-fn catalog_document(rng: &mut StdRng) -> (Document, Vec<NodeId>) {
+/// A catalog of a few hundred (nested) items.
+fn catalog_document(rng: &mut StdRng) -> Document {
     let mut doc = Document::new("catalog");
     let root = doc.root();
-    let items = (0..rng.random_range(150..400usize)).map(|_| add_item(&mut doc, rng, root, 2));
-    let items = items.collect();
-    (doc, items)
+    for _ in 0..rng.random_range(150..400usize) {
+        add_item(&mut doc, rng, root, 2);
+    }
+    doc
 }
 
 /// 1–4 distinct catalog keywords.
@@ -686,29 +751,24 @@ fn catalog_query(rng: &mut StdRng) -> Query {
     Query::from_terms((0..n).map(|i| KEYWORDS[(start + i) % KEYWORDS.len()]))
 }
 
-/// Runs `query` three ways — the index's own (packed) plan, the flat Dewey
-/// plan over the decoded lists, and the full-scan oracle — and checks that
-/// results and counters agree.
+/// Runs `query` through the index's plan and through the full-scan oracle
+/// over the decoded lists, and checks that the streams agree.
 fn assert_streams_agree(doc: &Document, idx: &InvertedIndex, query: &Query, what: &str) {
     let decoded: Vec<Vec<NodeId>> = query.iter().map(|t| idx.postings(t).to_vec()).collect();
     let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
     let oracle = slca_full_scan(doc, &lists);
-    let planned = QueryPlan::new(idx, query);
-    let flat = QueryPlan::from_lists(lists);
-    let (mut planned, mut flat) = (planned.stream(doc), flat.stream(doc));
-    let planned_out: Vec<NodeId> = planned.by_ref().collect();
-    let flat_out: Vec<NodeId> = flat.by_ref().collect();
-    assert_eq!(planned_out, oracle, "{what}, query {query}: planned stream vs full scan");
-    assert_eq!(flat_out, oracle, "{what}, query {query}: Dewey stream vs full scan");
-    assert_eq!(planned.stats(), flat.stats(), "{what}, query {query}: executor stats diverge");
+    let plan = QueryPlan::new(idx, query);
+    let mut stream = plan.stream(doc);
+    let streamed: Vec<NodeId> = stream.by_ref().collect();
+    assert_eq!(streamed, oracle, "{what}, query {query}: planned stream vs full scan");
+    assert_eq!(stream.stats().postings_scanned, plan.driver_len() as u64, "{what}, query {query}");
 }
 
 #[test]
-fn interval_stream_matches_dewey_stream_and_full_scan_with_identical_stats() {
+fn interval_stream_matches_the_full_scan_on_multi_frame_catalogs() {
     for seed in 0..64u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (doc, _) = catalog_document(&mut rng);
-        assert!(doc.is_preorder(), "seed {seed}");
+        let doc = catalog_document(&mut rng);
         let idx = InvertedIndex::build(&doc);
         assert!(idx.postings("k0").len() > 128, "seed {seed}: lists must span frames");
         for _ in 0..4 {
@@ -717,39 +777,8 @@ fn interval_stream_matches_dewey_stream_and_full_scan_with_identical_stats() {
         // The small random trees too: tag-name terms, repeated sibling
         // tags, and the zero-postings short circuit.
         let small = random_document(&mut rng);
-        assert!(small.is_preorder(), "seed {seed}");
         let small_idx = InvertedIndex::build(&small);
         assert_streams_agree(&small, &small_idx, &random_query(&mut rng), &format!("seed {seed}"));
-    }
-}
-
-#[test]
-fn documents_built_out_of_order_fall_back_to_the_dewey_path() {
-    for seed in 0..64u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (mut doc, items) = catalog_document(&mut rng);
-        // Append behind closed subtrees: the late nodes get the largest
-        // ids but sort into the middle of the document.
-        for _ in 0..rng.random_range(1..40usize) {
-            let behind = items[rng.random_range(0..items.len())];
-            if rng.random_bool(0.5) {
-                doc.add_leaf(behind, "late", random_keywords(&mut rng));
-            } else {
-                add_item(&mut doc, &mut rng, behind, 1);
-            }
-        }
-        assert!(!doc.is_preorder(), "seed {seed}: appending behind an item breaks preorder");
-        // The engine on top (promotion, scoring, top-k) takes the fallbacks
-        // too and must still equal its sort-everything oracle.
-        let engine = SearchEngine::build(doc);
-        for _ in 0..4 {
-            let query = catalog_query(&mut rng);
-            let what = format!("seed {seed}, out of order");
-            assert_streams_agree(engine.document(), engine.index(), &query, &what);
-            let full = engine.search_ranked(&query);
-            let (top, _) = labelled_top_k(&engine, &query, 10, ResultSemantics::Slca, None);
-            assert_eq!(top, full[..full.len().min(10)], "{what}, query {query}");
-        }
     }
 }
 
@@ -757,11 +786,8 @@ fn documents_built_out_of_order_fall_back_to_the_dewey_path() {
 fn cached_range_counts_rank_like_the_fallback_for_roots_in_any_order() {
     for seed in 0..64u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (doc, _) = catalog_document(&mut rng);
+        let doc = catalog_document(&mut rng);
         let idx = InvertedIndex::build(&doc);
-        let entries: Vec<(String, Vec<NodeId>)> =
-            idx.dictionary().map(|(t, p)| (t.to_owned(), p.to_vec())).collect();
-        let flat_idx = InvertedIndex::from_term_lists(entries);
         let mut roots: Vec<NodeId> = doc.all_nodes().filter(|&n| doc.is_element(n)).collect();
         // Fisher–Yates: the scorer's one-frame caches must not depend on
         // roots arriving in document order.
@@ -770,7 +796,7 @@ fn cached_range_counts_rank_like_the_fallback_for_roots_in_any_order() {
         }
         let query = catalog_query(&mut rng);
         let fast = rank_results(&doc, &idx, &query, &roots);
-        let slow = rank_results(&doc, &flat_idx, &query, &roots);
+        let slow = reference_ranking(&doc, &idx, &query, &roots);
         assert_eq!(fast, slow, "seed {seed} query {query}: interval scorer diverges");
     }
 }
@@ -991,23 +1017,12 @@ fn add_feature_element(doc: &mut Document, rng: &mut StdRng, parent: NodeId, dep
     }
 }
 
-/// A random tree for the extractor; with `late`, subtrees are then appended
-/// behind closed ones — the root's first child for a start — so ids stop
-/// being preorder ranks.
-fn feature_document(rng: &mut StdRng, late: bool) -> Document {
+/// A random tree for the extractor.
+fn feature_document(rng: &mut StdRng) -> Document {
     let mut doc = Document::new("shop");
     let root = doc.root();
     for _ in 0..rng.random_range(2..5usize) {
         add_feature_element(&mut doc, rng, root, 3);
-    }
-    if late {
-        let first = doc.children(root)[0];
-        add_feature_element(&mut doc, rng, first, 1);
-        for _ in 0..rng.random_range(0..5usize) {
-            let elements: Vec<NodeId> = doc.all_nodes().filter(|&n| doc.is_element(n)).collect();
-            let behind = elements[rng.random_range(0..elements.len())];
-            add_feature_element(&mut doc, rng, behind, 1);
-        }
     }
     doc
 }
@@ -1031,23 +1046,18 @@ fn assert_extractor_matches_oracle(doc: &Document, what: &str) {
 fn one_walk_extractor_matches_the_two_pass_oracle_on_random_trees() {
     let (mut leaf_entities, mut plain_roots, mut text_roots, mut multi_run_leaves) = (0, 0, 0, 0);
     for seed in 0..64u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ordered = feature_document(&mut rng, false);
-        assert!(ordered.is_preorder(), "seed {seed}");
-        assert_extractor_matches_oracle(&ordered, &format!("seed {seed}, in order"));
-        let late = feature_document(&mut rng, true);
-        assert!(!late.is_preorder(), "seed {seed}: appending behind a subtree breaks preorder");
-        assert_extractor_matches_oracle(&late, &format!("seed {seed}, out of order"));
+        let doc = feature_document(&mut StdRng::seed_from_u64(seed));
+        assert_extractor_matches_oracle(&doc, &format!("seed {seed}"));
 
         // The generator must keep producing the shapes this test is for.
-        let summary = StructureSummary::infer(&ordered);
-        for node in ordered.all_nodes() {
-            let entity = summary.class_of(&ordered, node) == NodeClass::Entity;
-            text_roots += usize::from(!ordered.is_element(node));
-            plain_roots += usize::from(ordered.is_element(node) && !entity);
-            leaf_entities += usize::from(entity && ordered.is_leaf_element(node));
+        let summary = StructureSummary::infer(&doc);
+        for node in doc.all_nodes() {
+            let entity = summary.class_of(&doc, node) == NodeClass::Entity;
+            text_roots += usize::from(!doc.is_element(node));
+            plain_roots += usize::from(doc.is_element(node) && !entity);
+            leaf_entities += usize::from(entity && doc.is_leaf_element(node));
             multi_run_leaves +=
-                usize::from(ordered.is_leaf_element(node) && ordered.children(node).len() > 1);
+                usize::from(doc.is_leaf_element(node) && doc.children(node).count() > 1);
         }
     }
     assert!(leaf_entities > 0 && plain_roots > 0 && text_roots > 0 && multi_run_leaves > 0);
@@ -1447,8 +1457,8 @@ fn instance_build_matches_the_oracle_on_cross_document_sets() {
     for seed in 0..64u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let benches = [
-            xsact::Workbench::from_document(feature_document(&mut rng, false)),
-            xsact::Workbench::from_document(feature_document(&mut rng, true)),
+            xsact::Workbench::from_document(feature_document(&mut rng)),
+            xsact::Workbench::from_document(feature_document(&mut rng)),
         ];
         let mut features = Vec::new();
         for (d, wb) in benches.iter().enumerate() {
