@@ -18,11 +18,19 @@
 //! receives the same class — exactly how XSeek's summary-based inference
 //! behaves.
 //!
-//! Paths are interned: the summary builds a **trie keyed by
-//! `(parent path, tag symbol)`** — one [`PathId`] per distinct tag path —
-//! and records each node's path id in a flat per-node table. Classifying a
-//! node is therefore two array lookups, and the `a/b/c` display string of a
-//! path is materialised once per *distinct* path instead of once per node.
+//! Paths are interned: the summary builds a **trie of tag paths** — one
+//! [`PathId`] per distinct path, each holding the short list of its child
+//! paths (a document has tens of distinct tags, so finding a child is a
+//! scan of a few entries, not a hash probe) — and records each node's path
+//! id in a flat per-node table. Classifying a node is therefore two array
+//! lookups, and the `a/b/c` display string of a path is materialised once
+//! per *distinct* path instead of once per node.
+//!
+//! Inference is one preorder pass that hashes nothing. "This tag repeats
+//! under one parent" is detected with a **stamp**: each path remembers the
+//! parent node it was last seen under, and meeting the same path under the
+//! same parent again is the repetition (between two siblings only their
+//! own descendants are visited, and those lie on longer paths).
 
 use std::collections::HashMap;
 use xsact_xml::{Document, NodeId, Sym};
@@ -49,19 +57,18 @@ impl PathId {
     }
 }
 
-#[derive(Debug, Default, Clone)]
-struct PathInfo {
-    /// Did any parent hold two or more children with this tag?
-    repeats: bool,
-    /// Number of instances that have at least one element child.
-    internal_instances: usize,
-}
-
 #[derive(Debug, Clone)]
 struct PathData {
     /// The rendered `a/b/c` path — one `String` per distinct path.
     display: String,
-    info: PathInfo,
+    /// The last tag of the path.
+    tag: Sym,
+    /// The paths one tag longer, in first-seen order.
+    children: Vec<PathId>,
+    /// Did any parent hold two or more children with this tag?
+    repeats: bool,
+    /// Does any instance have an element child?
+    internal: bool,
 }
 
 /// Per-document structural summary mapping interned tag paths to classes.
@@ -71,89 +78,71 @@ struct PathData {
 /// class), with no string construction or hashing on the query path.
 #[derive(Debug, Clone)]
 pub struct StructureSummary {
-    /// One entry per distinct tag path.
+    /// One entry per distinct tag path; the root element's is the first.
     paths: Vec<PathData>,
-    /// Trie edges: `(parent path, child tag)` → child path. The root
-    /// element's path is keyed under `(u32::MAX, root tag)`.
-    edges: HashMap<(u32, Sym), PathId>,
-    /// Per node arena index, the node's path id (`None` for text runs).
-    node_paths: Vec<Option<PathId>>,
+    /// Per node arena index, the node's path id ([`NO_PATH`] for text runs).
+    node_paths: Vec<u32>,
     /// Display string → path id, for the string-typed compatibility API.
     by_display: HashMap<String, PathId>,
 }
 
-const NO_PARENT: u32 = u32::MAX;
+/// `node_paths` entry of a text run, and during inference the stamp of a
+/// path not seen yet. No path id and no node id reaches it: both are below
+/// the document's node count, which stops short of `u32::MAX`.
+const NO_PATH: u32 = u32::MAX;
 
 impl StructureSummary {
-    /// Infers the structural summary of `doc` in a single pass.
+    /// Infers the structural summary of `doc` in a single preorder pass.
     pub fn infer(doc: &Document) -> Self {
-        let mut summary = StructureSummary {
-            paths: Vec::new(),
-            edges: HashMap::new(),
-            node_paths: vec![None; doc.len()],
-            by_display: HashMap::new(),
-        };
-        // Reused per node: how many children share each tag.
-        let mut child_tag_counts: HashMap<Sym, u32> = HashMap::new();
+        let mut paths: Vec<PathData> = Vec::new();
+        let mut node_paths = vec![NO_PATH; doc.len()];
+        // Per path, the parent node it was last seen under.
+        let mut last_parent: Vec<u32> = Vec::new();
         // Preorder guarantees a parent's path id exists before its children
         // are visited.
         for node in doc.all_nodes() {
             let Some(tag) = doc.tag_sym(node) else { continue };
-            let parent_path = match doc.parent(node) {
-                Some(p) => match summary.node_paths[p.index()] {
-                    Some(pid) => pid.0,
-                    // Parent is a text run — impossible for elements.
-                    None => NO_PARENT,
-                },
-                None => NO_PARENT,
-            };
-            let pid = summary.path_for(doc, parent_path, tag);
-            summary.node_paths[node.index()] = Some(pid);
-
-            child_tag_counts.clear();
-            let mut has_element_child = false;
-            for child in doc.child_elements(node) {
-                has_element_child = true;
-                *child_tag_counts
-                    .entry(doc.tag_sym(child).expect("child_elements yields elements"))
-                    .or_insert(0) += 1;
-            }
-            if has_element_child {
-                summary.paths[pid.index()].info.internal_instances += 1;
-            }
-            for (&tag, &count) in &child_tag_counts {
-                if count >= 2 {
-                    let child_pid = summary.path_for(doc, pid.0, tag);
-                    summary.paths[child_pid.index()].info.repeats = true;
+            let tag_str = || doc.interner().resolve(tag);
+            let path = match doc.parent(node) {
+                None => {
+                    paths.push(PathData::new(tag_str().to_owned(), tag));
+                    last_parent.push(NO_PATH);
+                    0
                 }
-            }
+                Some(parent) => {
+                    let above = node_paths[parent.index()] as usize;
+                    paths[above].internal = true;
+                    let known = paths[above].children.iter().find(|c| paths[c.index()].tag == tag);
+                    let path = match known {
+                        Some(child) => child.index(),
+                        None => {
+                            let display = format!("{}/{}", paths[above].display, tag_str());
+                            let child = paths.len();
+                            paths[above].children.push(PathId(child as u32));
+                            paths.push(PathData::new(display, tag));
+                            last_parent.push(NO_PATH);
+                            child
+                        }
+                    };
+                    let parent = parent.index() as u32;
+                    if last_parent[path] == parent {
+                        paths[path].repeats = true;
+                    }
+                    last_parent[path] = parent;
+                    path
+                }
+            };
+            node_paths[node.index()] = path as u32;
         }
-        summary
-    }
-
-    /// The path id of the trie node `(parent, tag)`, creating it on first
-    /// sight.
-    fn path_for(&mut self, doc: &Document, parent: u32, tag: Sym) -> PathId {
-        if let Some(&pid) = self.edges.get(&(parent, tag)) {
-            return pid;
-        }
-        let tag_str = doc.interner().resolve(tag);
-        let display = if parent == NO_PARENT {
-            tag_str.to_owned()
-        } else {
-            format!("{}/{}", self.paths[parent as usize].display, tag_str)
-        };
-        let pid = PathId(self.paths.len() as u32);
-        self.paths.push(PathData { display: display.clone(), info: PathInfo::default() });
-        self.edges.insert((parent, tag), pid);
-        self.by_display.insert(display, pid);
-        pid
+        let by_display =
+            paths.iter().enumerate().map(|(i, p)| (p.display.clone(), PathId(i as u32))).collect();
+        StructureSummary { paths, node_paths, by_display }
     }
 
     /// The path id of an element node, or `None` for text runs (and nodes
     /// outside the summarised document).
     pub fn path_id_of(&self, node: NodeId) -> Option<PathId> {
-        self.node_paths.get(node.index()).copied().flatten()
+        self.node_paths.get(node.index()).filter(|&&path| path != NO_PATH).map(|&path| PathId(path))
     }
 
     /// The `a/b/c` display string of a path.
@@ -181,11 +170,10 @@ impl StructureSummary {
 
     /// Classifies a path by its id.
     pub fn class_of_id(&self, path: PathId) -> NodeClass {
-        let info = &self.paths[path.index()].info;
-        let ever_internal = info.internal_instances > 0;
-        if info.repeats && ever_internal {
+        let info = &self.paths[path.index()];
+        if info.repeats && info.internal {
             NodeClass::Entity
-        } else if !ever_internal {
+        } else if !info.internal {
             NodeClass::Attribute
         } else {
             NodeClass::Connection
@@ -202,7 +190,7 @@ impl StructureSummary {
 
     /// Whether the tag path is known to repeat under a single parent.
     pub fn repeats(&self, path: &str) -> bool {
-        self.by_display.get(path).is_some_and(|&pid| self.paths[pid.index()].info.repeats)
+        self.by_display.get(path).is_some_and(|&pid| self.paths[pid.index()].repeats)
     }
 
     /// Number of distinct tag paths observed.
@@ -215,6 +203,12 @@ impl StructureSummary {
     pub fn classes(&self) -> impl Iterator<Item = (&str, NodeClass)> + '_ {
         (0..self.paths.len())
             .map(move |i| (self.paths[i].display.as_str(), self.class_of_id(PathId(i as u32))))
+    }
+}
+
+impl PathData {
+    fn new(display: String, tag: Sym) -> PathData {
+        PathData { display, tag, children: Vec::new(), repeats: false, internal: false }
     }
 }
 
@@ -396,6 +390,161 @@ mod tests {
                 let pid = s.path_id_of(node).unwrap();
                 assert_eq!(s.path_display(pid), path_key(&doc, node));
             }
+        }
+    }
+
+    /// The inference this module ran before the stamp: a hash-keyed trie
+    /// `(parent path, tag) → path`, and per node a `HashMap` counting its
+    /// element children by tag. Kept as the oracle of [`StructureSummary`].
+    mod oracle {
+        use super::super::NodeClass;
+        use std::collections::HashMap;
+        use xsact_xml::{Document, Sym};
+
+        #[derive(Default)]
+        pub struct PathInfo {
+            pub display: String,
+            pub repeats: bool,
+            pub internal_instances: usize,
+        }
+
+        pub struct Summary {
+            pub paths: Vec<PathInfo>,
+            edges: HashMap<(u32, Sym), u32>,
+            /// Per node, its path (`None` for text runs).
+            pub node_paths: Vec<Option<u32>>,
+        }
+
+        const NO_PARENT: u32 = u32::MAX;
+
+        impl Summary {
+            pub fn infer(doc: &Document) -> Summary {
+                let mut summary = Summary {
+                    paths: Vec::new(),
+                    edges: HashMap::new(),
+                    node_paths: vec![None; doc.len()],
+                };
+                let mut child_tag_counts: HashMap<Sym, u32> = HashMap::new();
+                for node in doc.all_nodes() {
+                    let Some(tag) = doc.tag_sym(node) else { continue };
+                    let parent_path = doc
+                        .parent(node)
+                        .and_then(|p| summary.node_paths[p.index()])
+                        .unwrap_or(NO_PARENT);
+                    let pid = summary.path_for(doc, parent_path, tag);
+                    summary.node_paths[node.index()] = Some(pid);
+
+                    child_tag_counts.clear();
+                    for child in doc.child_elements(node) {
+                        *child_tag_counts.entry(doc.tag_sym(child).unwrap()).or_insert(0) += 1;
+                    }
+                    if !child_tag_counts.is_empty() {
+                        summary.paths[pid as usize].internal_instances += 1;
+                    }
+                    for (&tag, &count) in &child_tag_counts {
+                        if count >= 2 {
+                            let child_pid = summary.path_for(doc, pid, tag);
+                            summary.paths[child_pid as usize].repeats = true;
+                        }
+                    }
+                }
+                summary
+            }
+
+            fn path_for(&mut self, doc: &Document, parent: u32, tag: Sym) -> u32 {
+                if let Some(&pid) = self.edges.get(&(parent, tag)) {
+                    return pid;
+                }
+                let tag_str = doc.interner().resolve(tag);
+                let display = if parent == NO_PARENT {
+                    tag_str.to_owned()
+                } else {
+                    format!("{}/{}", self.paths[parent as usize].display, tag_str)
+                };
+                let pid = self.paths.len() as u32;
+                self.paths.push(PathInfo { display, ..PathInfo::default() });
+                self.edges.insert((parent, tag), pid);
+                pid
+            }
+
+            pub fn class_of(&self, path: u32) -> NodeClass {
+                let info = &self.paths[path as usize];
+                let ever_internal = info.internal_instances > 0;
+                if info.repeats && ever_internal {
+                    NodeClass::Entity
+                } else if !ever_internal {
+                    NodeClass::Attribute
+                } else {
+                    NodeClass::Connection
+                }
+            }
+        }
+    }
+
+    /// Path ids are numbered in another order than the oracle's, so the
+    /// two are matched through each node and through the display strings.
+    fn assert_infers_like_the_oracle(doc: &Document, what: &str) {
+        let (new, old) = (StructureSummary::infer(doc), oracle::Summary::infer(doc));
+        assert_eq!(new.path_count(), old.paths.len(), "{what}: path count");
+        for node in doc.all_nodes() {
+            let (path, old_path) = (new.path_id_of(node), old.node_paths[node.index()]);
+            assert_eq!(path.is_some(), old_path.is_some(), "{what}: {node:?}");
+            let (Some(path), Some(old_path)) = (path, old_path) else { continue };
+            let display = new.path_display(path);
+            assert_eq!(display, old.paths[old_path as usize].display, "{what}: {node:?}");
+            assert_eq!(new.class_of_id(path), old.class_of(old_path), "{what}: {display}");
+        }
+        for info in &old.paths {
+            assert_eq!(new.repeats(&info.display), info.repeats, "{what}: {}", info.display);
+        }
+    }
+
+    /// A random tree over few tags: same-tag siblings, the same tag at
+    /// several depths, mixed content and elements that are a leaf in one
+    /// place and internal in another.
+    fn random_tree(seed: u64) -> Document {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        fn grow(doc: &mut Document, rng: &mut StdRng, parent: NodeId, depth: usize) {
+            for _ in 0..rng.random_range(0..=4usize) {
+                if rng.random_bool(0.25) {
+                    doc.add_text(parent, "t");
+                    continue;
+                }
+                let tag = ["a", "b", "c", "item"][rng.random_range(0..4usize)];
+                let child = doc.add_element(parent, tag);
+                if depth < 5 {
+                    grow(doc, rng, child, depth + 1);
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut doc = Document::new("a");
+        let root = doc.root();
+        grow(&mut doc, &mut rng, root, 0);
+        doc
+    }
+
+    #[test]
+    fn infers_like_the_hashing_oracle_on_generated_and_random_documents() {
+        use xsact_data::{
+            fixtures, JobsGen, JobsGenConfig, MovieGenConfig, MoviesGen, OutdoorGen,
+            OutdoorGenConfig, ReviewsGen, ReviewsGenConfig,
+        };
+        assert_infers_like_the_oracle(&review_doc(), "review_doc");
+        assert_infers_like_the_oracle(&fixtures::figure1_document(), "figure1");
+        for seed in 0..4 {
+            let movies = MovieGenConfig { seed, movies: 40, ..Default::default() };
+            assert_infers_like_the_oracle(&MoviesGen::new(movies).generate(), "movies");
+            let reviews = ReviewsGenConfig { seed, ..Default::default() };
+            assert_infers_like_the_oracle(&ReviewsGen::new(reviews).generate(), "reviews");
+            let outdoor = OutdoorGenConfig { seed, ..Default::default() };
+            assert_infers_like_the_oracle(&OutdoorGen::new(outdoor).generate(), "outdoor");
+            let jobs = JobsGenConfig { seed, ..Default::default() };
+            assert_infers_like_the_oracle(&JobsGen::new(jobs).generate(), "jobs");
+        }
+        for seed in 0..64 {
+            assert_infers_like_the_oracle(&random_tree(seed), &format!("random tree {seed}"));
         }
     }
 }

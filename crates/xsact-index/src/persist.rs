@@ -46,17 +46,19 @@
 //! exact document the index was built from — the **fingerprint** (FNV-1a
 //! over the document structure) is verified on load and mismatches are
 //! rejected, so a stale index can never silently corrupt search results.
-//! Every frame is bounds-checked against the payload arena and fully
-//! decoded once during load (delta accumulation checked for overflow,
-//! every id checked against the document and against its predecessor —
-//! a list must increase strictly, across frame boundaries too, because
-//! everything that reads it bisects), so a corrupt file fails with a
-//! typed [`io::ErrorKind::InvalidData`] error, never a panic or a wrong
-//! answer — and the validated arrays are then adopted as-is, which keeps a
-//! save → load → save cycle byte-stable. No writer has a use for another
-//! width byte than `0..=32` (format version 4 once reserved `0xFF` for
-//! absolute ids of documents whose id order was not document order; such
-//! documents cannot be built any more), so any other value is corrupt.
+//! Every frame is bounds-checked against the payload arena and streamed
+//! once during load — through no buffer: a frame's ids increase by
+//! construction, so the sum of its deltas gives its last id, and the first
+//! and last id of each frame decide the rest (delta accumulation checked
+//! for overflow, every id checked against the document and against its
+//! predecessor — a list must increase strictly, across frame boundaries
+//! too, because everything that reads it bisects), so a corrupt file fails
+//! with a typed [`io::ErrorKind::InvalidData`] error, never a panic or a
+//! wrong answer — and the validated arrays are then adopted as-is, which
+//! keeps a save → load → save cycle byte-stable. No writer has a use for
+//! another width byte than `0..=32` (format version 4 once reserved `0xFF`
+//! for absolute ids of documents whose id order was not document order;
+//! such documents cannot be built any more), so any other value is corrupt.
 //!
 //! **I/O is one buffer per file in each direction.** [`save_index`]
 //! assembles the whole file in a `Vec`, hashes it, and hands it to the
@@ -73,7 +75,7 @@
 //! size. Term strings are borrowed from the buffer until the interner
 //! copies them.
 
-use crate::postings::{InvertedIndex, PackedStore, FRAME};
+use crate::postings::{InvertedIndex, ListFault, PackedStore, FRAME};
 use std::io::{self, Read, Write};
 use xsact_xml::{Document, FnvHasher};
 
@@ -308,25 +310,22 @@ fn decode_index(doc: &Document, bytes: &[u8]) -> io::Result<InvertedIndex> {
     }
     let store = PackedStore { frame_first, frame_bit_off, frame_width, data };
     let index = InvertedIndex::from_packed_parts(&dict, store);
-    // Decode-validate every list once: delta accumulation checked for u32
-    // overflow, every id checked against the document and required to
-    // exceed the one before it. After this pass the unchecked frame
-    // decoders can never read a value the document does not have, and the
-    // bisections of the executor and the scorer run on sorted lists.
+    // Validate every list once, streamed frame by frame with nothing
+    // allocated: delta accumulation checked for u32 overflow, every id
+    // checked against the document and required to exceed the one before
+    // it. After this pass the unchecked frame decoders can never read a
+    // value the document does not have, and the bisections of the executor
+    // and the scorer run on sorted lists.
     for (term, postings) in index.dictionary() {
-        let ids = postings
-            .decode_all_checked()
-            .ok_or_else(|| bad_data(format!("corrupt posting delta for term {term:?}")))?;
-        let mut prev = None;
-        for id in ids {
-            doc.node_handle(id as usize).ok_or_else(|| bad_data("posting entry out of range"))?;
-            if prev.is_some_and(|prev| prev >= id) {
-                return Err(bad_data(format!(
-                    "postings of term {term:?} are not in document order"
-                )));
+        postings.validate(doc.len()).map_err(|fault| match fault {
+            ListFault::DeltaOverflow => {
+                bad_data(format!("corrupt posting delta for term {term:?}"))
             }
-            prev = Some(id);
-        }
+            ListFault::OutOfRange => bad_data("posting entry out of range"),
+            ListFault::OutOfOrder => {
+                bad_data(format!("postings of term {term:?} are not in document order"))
+            }
+        })?;
     }
     Ok(index)
 }

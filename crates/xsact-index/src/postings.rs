@@ -442,37 +442,55 @@ impl<'a> PostingsRef<'a> {
         RangeCounter { list: *self, cache: FrameCache::new() }
     }
 
-    /// Decodes the whole list as raw ids, with the delta accumulation
-    /// checked for `u32` overflow — the persistence loader's validation
-    /// pass. Returns `None` on overflow.
-    pub(crate) fn decode_all_checked(&self) -> Option<Vec<u32>> {
-        let mut out = Vec::with_capacity(self.len());
+    /// The persistence loader's validation pass over a list read from a
+    /// file whose frame headers and payload spans are already bounds-checked:
+    /// every id is a node of a document of `nodes` nodes, the ids increase
+    /// strictly — across frame boundaries too — and no delta accumulates
+    /// past `u32`. Inside a frame ids increase by construction (a delta
+    /// adds at least one), so each frame is streamed once for the sum of its
+    /// deltas and judged by its first and last id; nothing is allocated.
+    pub(crate) fn validate(&self, nodes: usize) -> Result<(), ListFault> {
+        let mut prev_last: Option<u32> = None;
         for f in 0..self.frame_count() {
-            let n = self.count_in_frame(f);
+            let gaps = self.count_in_frame(f) as u64 - 1;
             let g = self.first_frame as usize + f;
             let first = self.store.frame_first[g];
-            out.push(first);
-            match self.store.frame_width[g] {
-                0 => {
-                    for i in 1..n {
-                        out.push(u32::try_from(u64::from(first) + i as u64).ok()?);
-                    }
-                }
+            let span = match u32::from(self.store.frame_width[g]) {
+                0 => gaps,
                 w => {
-                    let w = u32::from(w);
-                    let mut off = u64::from(self.store.frame_bit_off[g]);
-                    let mut prev = u64::from(first);
-                    for _ in 1..n {
-                        let d = read_bits(&self.store.data, off, w);
-                        off += u64::from(w);
-                        prev = prev + u64::from(d) + 1;
-                        out.push(u32::try_from(prev).ok()?);
-                    }
+                    let off = u64::from(self.store.frame_bit_off[g]);
+                    (0..gaps)
+                        .map(|i| u64::from(read_bits(&self.store.data, off + i * u64::from(w), w)))
+                        .sum::<u64>()
+                        + gaps
                 }
+            };
+            let last =
+                u32::try_from(u64::from(first) + span).map_err(|_| ListFault::DeltaOverflow)?;
+            if first as usize >= nodes {
+                return Err(ListFault::OutOfRange);
             }
+            if prev_last.is_some_and(|prev| prev >= first) {
+                return Err(ListFault::OutOfOrder);
+            }
+            if last as usize >= nodes {
+                return Err(ListFault::OutOfRange);
+            }
+            prev_last = Some(last);
         }
-        Some(out)
+        Ok(())
     }
+}
+
+/// What [`PostingsRef::validate`] found wrong with a list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ListFault {
+    /// The deltas of a frame accumulate past `u32::MAX`.
+    DeltaOverflow,
+    /// An id is not a node of the document.
+    OutOfRange,
+    /// A frame starts at or below the id the previous frame ended on.
+    OutOfOrder,
 }
 
 impl std::fmt::Debug for PostingsRef<'_> {
@@ -778,7 +796,11 @@ mod tests {
             assert_eq!(list.get(0).index() as u32, ids[0]);
             assert_eq!(list.get(ids.len() - 1).index() as u32, ids[ids.len() - 1]);
         }
-        assert_eq!(list.decode_all_checked().unwrap(), ids);
+        let nodes = ids.last().map_or(0, |&last| last as usize + 1);
+        assert_eq!(list.validate(nodes), Ok(()));
+        if nodes > 0 {
+            assert_eq!(list.validate(nodes - 1), Err(ListFault::OutOfRange));
+        }
         list.iter().map(|n| n.index() as u32).collect()
     }
 

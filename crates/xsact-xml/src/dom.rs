@@ -1,15 +1,32 @@
-//! Arena-backed document object model over the interned-symbol substrate.
+//! Pointer-free document object model over the interned-symbol substrate.
 //!
-//! A [`Document`] owns all nodes in a flat arena; nodes are addressed by the
-//! copyable [`NodeId`] handle. Tag and attribute names are interned into the
-//! document's [`Interner`] (one heap copy per *distinct* name, a 4-byte
-//! [`Sym`] per occurrence).
+//! A [`Document`] is four parallel `u32` arrays indexed by node id —
+//! `parent`, `end`, `kind`, `mark` — plus one text arena, one append-only
+//! attribute table and the [`Interner`] of tag and attribute names. Nodes
+//! are addressed by the copyable [`NodeId`] handle; no node owns a heap
+//! block:
+//!
+//! * `kind[n]` is the tag's [`Sym`] for an element and a sentinel for a
+//!   text run (one heap copy per *distinct* name, 4 bytes per occurrence);
+//! * `mark[n]` is the length of the text arena when `n` was appended. A
+//!   text run is appended right behind its node, and nothing else is until
+//!   the next node, so the text of `n` is the arena between `mark[n]` and
+//!   `mark[n + 1]`;
+//! * attribute values live in the same arena, between the marks of their
+//!   element and of the node after it; the attribute table holds one
+//!   `(owner, name, span)` record per attribute in document order, so an
+//!   element finds its records by bisection (and a document without
+//!   attributes pays nothing).
+//!
+//! That is 16 bytes per node plus the text itself; the structural fields
+//! the SLCA executor and the scorer read (`parent`, `end`) are contiguous.
 //!
 //! **Node ids are preorder ranks, and that is the only tree order there
 //! is.** A document is built in document order — `add_*` appends a child
 //! only to a node that is still open, i.e. on the path from the root to the
-//! node appended last; the parser and every dataset generator build that
-//! way, and anything else is a programmer error that panics (see
+//! node appended last, and [`Document::set_attr`] writes only to the node
+//! appended last; the parser and every dataset generator build that way,
+//! and anything else is a programmer error that panics (see
 //! [`Document::add_element`]). Besides its payload a node stores two
 //! integers, its parent and its **subtree extent**
 //! ([`Document::subtree_end`]), and they answer every structural question:
@@ -22,13 +39,20 @@
 //! * a Dewey path ([`Document::dewey`]) is derived by climbing `parent` and
 //!   counting preceding siblings, for the few places that print one.
 //!
-//! This module is the only one that knows how order is represented;
-//! everything above it compares `NodeId`s.
+//! This module is the only one that knows how order and payload are
+//! represented; everything above it compares `NodeId`s and calls accessors.
+//!
+//! Ids and arena offsets are 32-bit. The parser rejects input that could
+//! exceed them with a typed error before it starts
+//! ([`XmlError::TooLarge`](crate::XmlError::TooLarge)); the programmatic
+//! builders panic instead of wrapping — like the order contract, a
+//! documented programmer error.
 //!
 //! Documents can be built programmatically (dataset generators do this) or by
 //! the parser in [`crate::parse`].
 
 use crate::dewey::DeweyId;
+use crate::error::XmlResult;
 use crate::interner::{Interner, Sym};
 use std::fmt;
 use std::ops::Range;
@@ -57,36 +81,60 @@ impl NodeId {
     }
 }
 
-/// Interned node payload: an element (tag + attribute names as symbols) or
-/// a text run. Attribute *values* and text stay owned — they are data, not
-/// vocabulary, and rarely repeat.
-#[derive(Debug, Clone)]
-enum NodeRepr {
-    Element { tag: Sym, attrs: Vec<(Sym, String)> },
-    Text(String),
+/// `parent` of the root and `kind` of a text run. No node id and no symbol
+/// reaches this value: [`narrow`] stops a document one short of it.
+const NONE: u32 = u32::MAX;
+
+/// Narrows a node count or an arena length to the 32 bits that ids and text
+/// spans are stored in.
+///
+/// # Panics
+/// Panics at `u32::MAX` and beyond. The parser never gets here — it checks
+/// the input's length once — so this is the programmatic builders'
+/// documented limit.
+#[inline]
+fn narrow(n: usize) -> u32 {
+    match u32::try_from(n) {
+        Ok(n) if n != NONE => n,
+        _ => too_large(),
+    }
 }
 
-/// `NodeData::parent` of the root. No real node can have this id: the arena
-/// index of a node is below `u32::MAX` by construction.
-const NO_PARENT: u32 = u32::MAX;
+#[cold]
+fn too_large() -> ! {
+    panic!(
+        "a document holds fewer than u32::MAX nodes and fewer than u32::MAX bytes of text \
+         and attribute values; split the data into several documents"
+    )
+}
 
-#[derive(Debug, Clone)]
-struct NodeData {
-    repr: NodeRepr,
-    /// Arena index of the parent, [`NO_PARENT`] for the root. A bare `u32`
-    /// (not `Option<NodeId>`) so that `end` fits in the bytes the option's
-    /// discriminant and padding used to take.
-    parent: u32,
-    /// One past the largest id in this node's subtree.
-    end: u32,
+/// One attribute of one element: `name="value"`, the value a span of the
+/// text arena.
+#[derive(Debug, Clone, Copy)]
+struct AttrRecord {
+    /// The element's node id; the table is sorted by it.
+    owner: u32,
+    name: Sym,
+    start: u32,
+    len: u32,
 }
 
 /// An XML document: one root element plus its descendants.
 #[derive(Debug, Clone)]
 pub struct Document {
     symbols: Interner,
-    nodes: Vec<NodeData>,
-    root: NodeId,
+    /// Node id of the parent, [`NONE`] for the root.
+    parent: Vec<u32>,
+    /// One past the largest id in the node's subtree.
+    end: Vec<u32>,
+    /// The tag symbol of an element, [`NONE`] for a text run.
+    kind: Vec<u32>,
+    /// Length of `text` when the node was appended.
+    mark: Vec<u32>,
+    /// Every text run and attribute value, in document order.
+    text: String,
+    /// Every attribute, in document order.
+    attrs: Vec<AttrRecord>,
     /// Number of element nodes, maintained incrementally — the ranking
     /// scorer needs it per query, and recounting 10⁴ nodes per search was
     /// a measurable constant cost.
@@ -101,12 +149,12 @@ pub struct SubstrateStats {
     pub nodes: usize,
     /// Distinct interned tag/attribute-name symbols.
     pub distinct_symbols: usize,
-    /// Heap bytes of the symbol interner (arena + spans + hash index).
+    /// Heap bytes of the symbol interner (arena + spans + probe table).
     pub interner_bytes: usize,
-    /// Heap bytes of owned text runs and attribute values.
+    /// Heap bytes of the text arena (text runs and attribute values).
     pub text_bytes: usize,
-    /// Heap bytes of the node table itself (fixed-size records + attribute
-    /// vectors).
+    /// Heap bytes of the node table itself (the four per-node arrays and
+    /// the attribute table).
     pub node_table_bytes: usize,
 }
 
@@ -120,30 +168,73 @@ impl SubstrateStats {
 impl Document {
     /// Creates a document whose root element has tag `root_tag`.
     pub fn new(root_tag: impl AsRef<str>) -> Self {
-        let mut symbols = Interner::new();
-        let tag = symbols.intern(root_tag.as_ref());
-        let root_data = NodeData {
-            repr: NodeRepr::Element { tag, attrs: Vec::new() },
-            parent: NO_PARENT,
-            end: 1,
+        Document::for_input(root_tag.as_ref(), 0)
+    }
+
+    /// [`new`](Self::new) for the parser, about to read `input_len` bytes of
+    /// XML: a small input is reserved for whole (data-centric XML spends
+    /// eight bytes and more per node, and less than half of itself on
+    /// text); a large one gets its reservation from
+    /// [`reserve_like_sample`](Self::reserve_like_sample).
+    pub(crate) fn for_input(root_tag: &str, input_len: usize) -> Self {
+        let nodes = (input_len / 8).min(256) + 1;
+        let mut doc = Document {
+            symbols: Interner::new(),
+            parent: Vec::with_capacity(nodes),
+            end: Vec::with_capacity(nodes),
+            kind: Vec::with_capacity(nodes),
+            mark: Vec::with_capacity(nodes),
+            text: String::with_capacity((input_len / 2).min(4096)),
+            attrs: Vec::new(),
+            element_count: 0,
         };
-        Document { symbols, nodes: vec![root_data], root: NodeId(0), element_count: 1 }
+        let tag = doc.symbols.intern(root_tag);
+        doc.push(NONE, tag.raw());
+        doc
+    }
+
+    /// The parser's one reservation: `consumed` bytes of an `input_len`-byte
+    /// input produced what the document holds so far, and data-centric XML
+    /// is uniform enough for the rest to need the same per byte. Every
+    /// array is sized for that (plus an eighth), so none doubles on the
+    /// way; [`shrink_to_fit`](Self::shrink_to_fit) returns the slack.
+    pub(crate) fn reserve_like_sample(&mut self, consumed: usize, input_len: usize) {
+        let whole = |part: usize| {
+            let scaled = part as u128 * input_len as u128 / consumed.max(1) as u128;
+            usize::try_from(scaled + scaled / 8).unwrap_or(usize::MAX)
+        };
+        let more_nodes = whole(self.len()).saturating_sub(self.len());
+        for array in [&mut self.parent, &mut self.end, &mut self.kind, &mut self.mark] {
+            array.reserve_exact(more_nodes);
+        }
+        self.text.reserve_exact(whole(self.text.len()).saturating_sub(self.text.len()));
+        self.attrs.reserve_exact(whole(self.attrs.len()).saturating_sub(self.attrs.len()));
+    }
+
+    /// Gives back the capacity the arrays did not use.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.parent.shrink_to_fit();
+        self.end.shrink_to_fit();
+        self.kind.shrink_to_fit();
+        self.mark.shrink_to_fit();
+        self.text.shrink_to_fit();
+        self.attrs.shrink_to_fit();
     }
 
     /// The root element.
     pub fn root(&self) -> NodeId {
-        self.root
+        NodeId(0)
     }
 
     /// The root element, as an `Option` for symmetry with lookups that can
     /// fail. Always `Some` for a constructed document.
     pub fn root_element(&self) -> Option<NodeId> {
-        Some(self.root)
+        Some(self.root())
     }
 
     /// Total number of nodes (elements + text runs) in the document.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.parent.len()
     }
 
     /// Number of element nodes (text runs excluded), maintained
@@ -156,20 +247,12 @@ impl Document {
     /// Reconstructs a [`NodeId`] from its arena index, e.g. when loading a
     /// persisted index. Returns `None` when out of range.
     pub fn node_handle(&self, index: usize) -> Option<NodeId> {
-        if index < self.nodes.len() {
-            Some(NodeId(index as u32))
-        } else {
-            None
-        }
+        (index < self.len()).then(|| NodeId(narrow(index)))
     }
 
     /// Whether the document holds only the root element.
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 1
-    }
-
-    fn data(&self, id: NodeId) -> &NodeData {
-        &self.nodes[id.index()]
+        self.len() == 1
     }
 
     /// The document's symbol interner (tag and attribute names).
@@ -179,31 +262,38 @@ impl Document {
 
     /// The element tag, or `""` for a text node.
     pub fn tag(&self, id: NodeId) -> &str {
-        match &self.data(id).repr {
-            NodeRepr::Element { tag, .. } => self.symbols.resolve(*tag),
-            NodeRepr::Text(_) => "",
-        }
+        self.tag_sym(id).map_or("", |tag| self.symbols.resolve(tag))
     }
 
     /// The element tag's interned symbol, or `None` for a text node.
     pub fn tag_sym(&self, id: NodeId) -> Option<Sym> {
-        match &self.data(id).repr {
-            NodeRepr::Element { tag, .. } => Some(*tag),
-            NodeRepr::Text(_) => None,
-        }
+        let kind = self.kind[id.index()];
+        (kind != NONE).then(|| Sym::from_raw(kind))
     }
 
     /// The text of a text node, or `None` for an element.
     pub fn text(&self, id: NodeId) -> Option<&str> {
-        match &self.data(id).repr {
-            NodeRepr::Text(t) => Some(t),
-            NodeRepr::Element { .. } => None,
+        if self.is_element(id) {
+            return None;
         }
+        let start = self.mark[id.index()] as usize;
+        let end = self.mark.get(id.index() + 1).map_or(self.text.len(), |&next| next as usize);
+        Some(&self.text[start..end])
     }
 
     /// Whether `id` is an element node.
     pub fn is_element(&self, id: NodeId) -> bool {
-        matches!(self.data(id).repr, NodeRepr::Element { .. })
+        self.kind[id.index()] != NONE
+    }
+
+    /// The attribute records of `id`: the run of the table owned by it.
+    fn attr_records(&self, id: NodeId) -> &[AttrRecord] {
+        if self.attrs.is_empty() {
+            return &[];
+        }
+        let first = self.attrs.partition_point(|a| a.owner < id.0);
+        let count = self.attrs[first..].iter().take_while(|a| a.owner == id.0).count();
+        &self.attrs[first..first + count]
     }
 
     /// Attributes of an element in document order, as resolved
@@ -215,19 +305,14 @@ impl Document {
     /// Attributes of an element with interned name symbols (empty for text
     /// nodes).
     pub fn attrs_syms(&self, id: NodeId) -> impl Iterator<Item = (Sym, &str)> + '_ {
-        let attrs: &[(Sym, String)] = match &self.data(id).repr {
-            NodeRepr::Element { attrs, .. } => attrs,
-            NodeRepr::Text(_) => &[],
-        };
-        attrs.iter().map(|(name, value)| (*name, value.as_str()))
+        self.attr_records(id)
+            .iter()
+            .map(|a| (a.name, &self.text[a.start as usize..(a.start + a.len) as usize]))
     }
 
     /// Number of attributes on the node.
     pub fn attr_count(&self, id: NodeId) -> usize {
-        match &self.data(id).repr {
-            NodeRepr::Element { attrs, .. } => attrs.len(),
-            NodeRepr::Text(_) => 0,
-        }
+        self.attr_records(id).len()
     }
 
     /// Looks up an attribute value by name.
@@ -239,21 +324,21 @@ impl Document {
 
     /// The node's parent, or `None` for the root.
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        let parent = self.data(id).parent;
-        (parent != NO_PARENT).then_some(NodeId(parent))
+        let parent = self.parent[id.index()];
+        (parent != NONE).then_some(NodeId(parent))
     }
 
     /// One past the largest node id in the subtree of `id`: the subtree is
     /// the contiguous id interval `[id, subtree_end(id))`, so
     /// `subtree_end(id) - id == descendants(id).count()`.
     pub fn subtree_end(&self, id: NodeId) -> u32 {
-        self.data(id).end
+        self.end[id.index()]
     }
 
     /// The node's children in document order: the first is `id + 1`, and
     /// each next one starts where the previous child's subtree ends.
     pub fn children(&self, id: NodeId) -> Children<'_> {
-        Children { doc: self, ids: id.0 + 1..self.data(id).end }
+        Children { end: &self.end, ids: id.0 + 1..self.end[id.index()] }
     }
 
     /// Child *elements* in document order (text runs skipped).
@@ -286,7 +371,7 @@ impl Document {
         let mut cur = id;
         while let Some(parent) = self.parent(cur) {
             let ordinal = self.children(parent).take_while(|&c| c != cur).count();
-            components.push(ordinal as u32);
+            components.push(narrow(ordinal));
             cur = parent;
         }
         components.push(0);
@@ -302,9 +387,12 @@ impl Document {
     /// (`subtree_end(parent) == len()`). Documents are built in document
     /// order; once a later sibling subtree has been started, the earlier
     /// one cannot grow. Build a subtree completely before moving on.
+    ///
+    /// Also panics, like every builder, when the document would reach
+    /// `u32::MAX` nodes or bytes of text — ids and spans are 32-bit.
     pub fn add_element(&mut self, parent: NodeId, tag: impl AsRef<str>) -> NodeId {
         let tag = self.symbols.intern(tag.as_ref());
-        self.add_node(parent, NodeRepr::Element { tag, attrs: Vec::new() })
+        self.add_node(parent, tag.raw())
     }
 
     /// Appends a child element carrying attributes. Panics if `parent` is
@@ -315,16 +403,20 @@ impl Document {
         tag: impl AsRef<str>,
         attrs: Vec<(String, String)>,
     ) -> NodeId {
-        let tag = self.symbols.intern(tag.as_ref());
-        let attrs =
-            attrs.into_iter().map(|(name, value)| (self.symbols.intern(&name), value)).collect();
-        self.add_node(parent, NodeRepr::Element { tag, attrs })
+        let node = self.add_element(parent, tag);
+        for (name, value) in attrs {
+            self.set_attr(node, name, value);
+        }
+        node
     }
 
-    /// Appends a text child to `parent`. Panics if `parent` is closed, see
+    /// Appends a text child to `parent`, copying `text` into the document's
+    /// arena. Panics if `parent` is closed, see
     /// [`add_element`](Self::add_element).
-    pub fn add_text(&mut self, parent: NodeId, text: impl Into<String>) -> NodeId {
-        self.add_node(parent, NodeRepr::Text(text.into()))
+    pub fn add_text(&mut self, parent: NodeId, text: impl AsRef<str>) -> NodeId {
+        let node = self.add_node(parent, NONE);
+        self.text.push_str(text.as_ref());
+        node
     }
 
     /// Convenience: appends `<tag>text</tag>` under `parent` and returns the
@@ -334,63 +426,131 @@ impl Document {
         &mut self,
         parent: NodeId,
         tag: impl AsRef<str>,
-        text: impl Into<String>,
+        text: impl AsRef<str>,
     ) -> NodeId {
         let el = self.add_element(parent, tag);
         self.add_text(el, text);
         el
     }
 
-    /// Adds an attribute to an existing element.
+    /// Adds an attribute to the element appended last, copying `value` into
+    /// the document's arena.
     ///
     /// # Panics
-    /// Panics if `id` is a text node.
-    pub fn set_attr(&mut self, id: NodeId, name: impl AsRef<str>, value: impl Into<String>) {
+    /// Panics if `id` is a text node, and — attributes are part of the
+    /// document-order contract — unless `id` is the node appended last
+    /// (`id.index() + 1 == len()`): an element takes its attributes before
+    /// it takes children and before anything follows it.
+    pub fn set_attr(&mut self, id: NodeId, name: impl AsRef<str>, value: impl AsRef<str>) {
+        assert!(self.is_element(id), "set_attr on a text node");
+        assert!(
+            id.index() + 1 == self.len(),
+            "attributes are set in document order: node {} is no longer the node appended last",
+            id.0
+        );
         let name = self.symbols.intern(name.as_ref());
-        match &mut self.nodes[id.index()].repr {
-            NodeRepr::Element { attrs, .. } => attrs.push((name, value.into())),
-            NodeRepr::Text(_) => panic!("set_attr on a text node"),
-        }
+        let start = self.text.len();
+        self.text.push_str(value.as_ref());
+        self.record_attr(id, name, start);
     }
 
-    fn add_node(&mut self, parent: NodeId, repr: NodeRepr) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
+    /// The parser's `set_attr`: `id` is the element appended last, and
+    /// `write` appends the value to the arena.
+    pub(crate) fn push_attr(
+        &mut self,
+        id: NodeId,
+        name: &str,
+        write: impl FnOnce(&mut String) -> XmlResult<()>,
+    ) -> XmlResult<()> {
+        let name = self.symbols.intern(name);
+        let start = self.text.len();
+        write(&mut self.text)?;
+        self.record_attr(id, name, start);
+        Ok(())
+    }
+
+    /// Records that the arena from `start` to its end is the value of
+    /// attribute `name` of `id`.
+    fn record_attr(&mut self, id: NodeId, name: Sym, start: usize) {
+        let end = narrow(self.text.len());
+        let start = narrow(start);
+        self.attrs.push(AttrRecord { owner: id.0, name, start, len: end - start });
+    }
+
+    /// Appends a node record; the caller settles the ancestors' extents.
+    fn push(&mut self, parent: u32, kind: u32) -> NodeId {
+        let id = narrow(self.len());
+        self.parent.push(parent);
+        self.end.push(id + 1);
+        self.kind.push(kind);
+        self.mark.push(narrow(self.text.len()));
+        if kind != NONE {
+            self.element_count += 1;
+        }
+        NodeId(id)
+    }
+
+    fn add_node(&mut self, parent: NodeId, kind: u32) -> NodeId {
         // The new node lands directly behind the parent's current subtree
         // iff the parent is still on the rightmost path — what keeps ids
         // preorder ranks and every subtree one id interval.
         assert!(
-            self.data(parent).end == id.0,
+            self.end[parent.index()] as usize == self.len(),
             "nodes are appended in document order: node {} is closed (a later sibling \
              subtree was started after it) and cannot take another child",
             parent.0
         );
-        if matches!(repr, NodeRepr::Element { .. }) {
-            self.element_count += 1;
-        }
-        let end = id.0 + 1;
-        self.nodes.push(NodeData { repr, parent: parent.0, end });
+        let id = self.push(parent.0, kind);
         // The new id is the largest so far, so it extends every ancestor's
         // extent. O(depth), and the ancestors of the node being appended are
-        // the hottest records while a document is built.
+        // the hottest entries while a document is built.
+        let end = id.0 + 1;
         let mut cur = parent.0;
-        while cur != NO_PARENT {
-            let node = &mut self.nodes[cur as usize];
-            node.end = end;
-            cur = node.parent;
+        while cur != NONE {
+            self.end[cur as usize] = end;
+            cur = self.parent[cur as usize];
         }
         id
+    }
+
+    /// The parser's `add_element`: appends a child element that stays open
+    /// until [`close_element`](Self::close_element). Between the two calls
+    /// the extents of the open elements are not settled — the parser hands
+    /// out a document only once every element is closed — which replaces
+    /// the ancestor walk per node by one write per element.
+    pub(crate) fn open_element(&mut self, parent: NodeId, tag: &str) -> NodeId {
+        let tag = self.symbols.intern(tag);
+        self.push(parent.0, tag.raw())
+    }
+
+    /// Settles the extent of an element opened by
+    /// [`open_element`](Self::open_element) (or of the root): everything
+    /// appended since is its subtree.
+    pub(crate) fn close_element(&mut self, node: NodeId) {
+        self.end[node.index()] = narrow(self.len());
+    }
+
+    /// The parser's `add_text`: appends a text child of the open element
+    /// `parent` whose content `write` appends to the arena.
+    pub(crate) fn push_text(
+        &mut self,
+        parent: NodeId,
+        write: impl FnOnce(&mut String) -> XmlResult<()>,
+    ) -> XmlResult<()> {
+        self.push(parent.0, NONE);
+        write(&mut self.text)
     }
 
     /// Iterates the subtree rooted at `start` in document (pre)order,
     /// including `start` itself: the id interval
     /// `[start, subtree_end(start))`. Allocates nothing.
     pub fn descendants(&self, start: NodeId) -> Descendants {
-        Descendants { ids: start.0..self.data(start).end }
+        Descendants { ids: start.0..self.end[start.index()] }
     }
 
     /// Iterates every node of the document in document order.
     pub fn all_nodes(&self) -> Descendants {
-        self.descendants(self.root)
+        self.descendants(self.root())
     }
 
     /// Concatenated text content of the subtree rooted at `id`, with single
@@ -435,26 +595,21 @@ impl Document {
         path
     }
 
-    /// Measures the heap footprint of the interned substrate.
+    /// Measures the heap footprint of the interned substrate, from the
+    /// capacities of its arrays.
     pub fn substrate_stats(&self) -> SubstrateStats {
         use std::mem::size_of;
-        let mut text_bytes = 0usize;
-        let mut node_table_bytes = self.nodes.capacity() * size_of::<NodeData>();
-        for node in &self.nodes {
-            match &node.repr {
-                NodeRepr::Element { attrs, .. } => {
-                    node_table_bytes += attrs.capacity() * size_of::<(Sym, String)>();
-                    text_bytes += attrs.iter().map(|(_, value)| value.capacity()).sum::<usize>();
-                }
-                NodeRepr::Text(t) => text_bytes += t.capacity(),
-            }
-        }
+        let per_node = self.parent.capacity()
+            + self.end.capacity()
+            + self.kind.capacity()
+            + self.mark.capacity();
         SubstrateStats {
-            nodes: self.nodes.len(),
+            nodes: self.len(),
             distinct_symbols: self.symbols.len(),
             interner_bytes: self.symbols.heap_bytes(),
-            text_bytes,
-            node_table_bytes,
+            text_bytes: self.text.capacity(),
+            node_table_bytes: per_node * size_of::<u32>()
+                + self.attrs.capacity() * size_of::<AttrRecord>(),
         }
     }
 }
@@ -482,7 +637,8 @@ impl Iterator for Descendants {
 /// [`Document::children`].
 #[derive(Debug, Clone)]
 pub struct Children<'a> {
-    doc: &'a Document,
+    /// The document's subtree extents.
+    end: &'a [u32],
     /// From the next child's id to the end of the parent's subtree.
     ids: Range<u32>,
 }
@@ -494,9 +650,9 @@ impl Iterator for Children<'_> {
         if self.ids.is_empty() {
             return None;
         }
-        let child = NodeId(self.ids.start);
-        self.ids.start = self.doc.data(child).end;
-        Some(child)
+        let child = self.ids.start;
+        self.ids.start = self.end[child as usize];
+        Some(NodeId(child))
     }
 }
 
@@ -566,13 +722,25 @@ mod tests {
 
     #[test]
     fn set_attr_appends() {
-        let (mut doc, _, product, name) = sample();
+        let mut doc = Document::new("shop");
+        let root = doc.root();
+        let product = doc.add_element_with_attrs(root, "product", vec![("id".into(), "1".into())]);
+        // Still the node appended last: it takes further attributes.
         doc.set_attr(product, "lang", "en");
+        doc.set_attr(product, "note", String::from("a & b"));
         assert_eq!(doc.attr(product, "lang"), Some("en"));
-        assert_eq!(doc.attr_count(product), 2);
-        // Text node under `name` cannot take attributes.
+        assert_eq!(doc.attr_count(product), 3);
+        assert_eq!(
+            doc.attrs(product).collect::<Vec<_>>(),
+            [("id", "1"), ("lang", "en"), ("note", "a & b")]
+        );
+        // The values share the arena with the text that follows them.
+        let name = doc.add_leaf(product, "name", "TomTom");
         let text_node = doc.children(name).next().unwrap();
-        assert!(!doc.is_element(text_node));
+        assert_eq!(doc.text(text_node), Some("TomTom"));
+        assert_eq!(doc.attr_count(name), 0);
+        assert_eq!(doc.attr_count(root), 0);
+        assert_eq!(doc.attr(product, "note"), Some("a & b"));
     }
 
     #[test]
@@ -581,6 +749,15 @@ mod tests {
         let (mut doc, root, _, _) = sample();
         let t = doc.add_text(root, "x");
         doc.set_attr(t, "a", "b");
+    }
+
+    /// Attribute values are appended to the arena behind their element, so
+    /// an element takes them before anything follows it.
+    #[test]
+    #[should_panic(expected = "attributes are set in document order: node 1 is no longer")]
+    fn set_attr_panics_once_the_element_has_a_child() {
+        let (mut doc, _, product, _) = sample();
+        doc.set_attr(product, "lang", "en");
     }
 
     #[test]
@@ -610,11 +787,19 @@ mod tests {
         assert_eq!(tags, ["shop", "product", "name", "#TomTom", "rating", "#4.2", "#text"]);
     }
 
-    /// Payload, parent, extent — nothing else. A larger record would move
-    /// resident memory on every workload.
+    /// Payload, parent, extent — four `u32`s and nothing else. A wider node
+    /// would move resident memory on every workload.
     #[test]
-    fn node_record_stays_within_its_memory_budget() {
-        assert!(std::mem::size_of::<NodeData>() <= 40, "{}", std::mem::size_of::<NodeData>());
+    fn a_node_costs_sixteen_bytes_of_table_and_its_own_text() {
+        let mut doc = Document::new("r");
+        let root = doc.root();
+        for i in 0..1000 {
+            doc.add_leaf(root, "item", format!("{i:04}"));
+        }
+        doc.shrink_to_fit();
+        let stats = doc.substrate_stats();
+        assert_eq!(stats.node_table_bytes, 16 * doc.len());
+        assert_eq!(stats.text_bytes, 4 * 1000);
     }
 
     #[test]
@@ -750,7 +935,7 @@ mod tests {
         let stats = doc.substrate_stats();
         assert_eq!(stats.nodes, doc.len());
         assert_eq!(stats.distinct_symbols, 5); // shop, product, id, name, rating
-        assert!(stats.node_table_bytes >= doc.len() * std::mem::size_of::<NodeData>());
+        assert!(stats.node_table_bytes >= doc.len() * 16 + 200 * std::mem::size_of::<AttrRecord>());
         assert!(stats.text_bytes >= 200 * ("Item 0".len() + "4.2".len() + 1));
         assert_eq!(
             stats.interned_total(),

@@ -7,8 +7,8 @@ pub type XmlResult<T> = Result<T, XmlError>;
 
 /// An error encountered while tokenizing or parsing XML text.
 ///
-/// Every variant carries the byte offset at which the problem was detected so
-/// callers can point at the offending input.
+/// Every variant raised at a position carries the byte offset at which the
+/// problem was detected so callers can point at the offending input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XmlError {
     /// Input ended in the middle of a construct (tag, comment, CDATA, ...).
@@ -77,6 +77,16 @@ pub enum XmlError {
         /// The cap.
         limit: usize,
     },
+    /// The input is longer than the parser accepts
+    /// ([`MAX_INPUT_LEN`](crate::parse::MAX_INPUT_LEN)): node ids and text
+    /// spans are 32-bit, and every node and every byte of text costs at
+    /// least one byte of input.
+    TooLarge {
+        /// Length of the input in bytes.
+        len: usize,
+        /// The longest input accepted.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for XmlError {
@@ -110,6 +120,12 @@ impl fmt::Display for XmlError {
             }
             XmlError::TooDeep { offset, limit } => {
                 write!(f, "element at byte {offset} is nested deeper than {limit} levels")
+            }
+            XmlError::TooLarge { len, limit } => {
+                write!(
+                    f,
+                    "input of {len} bytes is longer than the {limit} bytes a document can hold"
+                )
             }
         }
     }

@@ -80,14 +80,21 @@ pub fn resolve_entity(entity: &str, offset: usize) -> XmlResult<char> {
 /// assert_eq!(unescape("&#x2603;", 0).unwrap(), "\u{2603}");
 /// ```
 pub fn unescape(s: &str, base_offset: usize) -> XmlResult<Cow<'_, str>> {
-    let first = match s.find('&') {
-        Some(i) => i,
-        None => return Ok(Cow::Borrowed(s)),
-    };
+    if !s.contains('&') {
+        return Ok(Cow::Borrowed(s));
+    }
     let mut out = String::with_capacity(s.len());
-    out.push_str(&s[..first]);
-    let mut rest = &s[first..];
-    let mut pos = base_offset + first;
+    unescape_into(s, base_offset, &mut out)?;
+    Ok(Cow::Owned(out))
+}
+
+/// Appends `s` to `out` with its entity references resolved — what the
+/// parser does with a text run or attribute value that holds an `&`, so the
+/// resolved text lands in the document's arena without a `String` of its
+/// own. On an error `out` keeps what was appended before the bad entity.
+pub(crate) fn unescape_into(s: &str, base_offset: usize, out: &mut String) -> XmlResult<()> {
+    let mut rest = s;
+    let mut pos = base_offset;
     while let Some(amp) = rest.find('&') {
         out.push_str(&rest[..amp]);
         pos += amp;
@@ -102,7 +109,7 @@ pub fn unescape(s: &str, base_offset: usize) -> XmlResult<Cow<'_, str>> {
         pos += 1 + semi + 1;
     }
     out.push_str(rest);
-    Ok(Cow::Owned(out))
+    Ok(())
 }
 
 #[cfg(test)]

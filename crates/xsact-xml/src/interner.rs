@@ -18,7 +18,6 @@
 //! symbols across interners is memory-safe but yields nonsense, exactly
 //! like indexing a `Vec` with a stale index.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// A interned string handle: 4 bytes, `Copy`, integer comparisons.
@@ -40,6 +39,16 @@ impl Sym {
     pub fn from_index(index: usize) -> Sym {
         Sym(index as u32)
     }
+
+    /// The symbol as the `u32` a document's node table stores.
+    pub(crate) fn raw(self) -> u32 {
+        self.0
+    }
+
+    /// The symbol stored as `raw`.
+    pub(crate) fn from_raw(raw: u32) -> Sym {
+        Sym(raw)
+    }
 }
 
 impl fmt::Debug for Sym {
@@ -51,19 +60,21 @@ impl fmt::Debug for Sym {
 /// A string interner over one contiguous arena.
 ///
 /// Layout: all distinct strings concatenated in one `String`, a span table
-/// `(offset, len)` per symbol, and an FNV-style multiplicative hash index
-/// mapping string hashes to candidate symbols (collisions resolved by
-/// comparison against the arena, so no owned key duplicates the arena
-/// bytes).
+/// `(offset, len)` per symbol, and one open-addressing table of symbol
+/// numbers probed linearly from the string's hash. A slot holds no key:
+/// a candidate is compared against the arena, so nothing duplicates the
+/// arena bytes and the whole interner is three flat allocations.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
     arena: String,
     spans: Vec<(u32, u32)>,
-    index: HashMap<u64, Vec<Sym>>,
+    /// `0` for an empty slot, else a symbol's index plus one. The length is
+    /// zero or a power of two, and at most half the slots are taken.
+    table: Vec<u32>,
 }
 
-/// The workspace's shared FNV-style incremental hasher, used by the
-/// interner's bucket index and by the index fingerprint in `xsact-index`.
+/// The workspace's shared FNV-style incremental hasher, used by the index
+/// fingerprint and checksum in `xsact-index`.
 ///
 /// The multiplier differs from the canonical 64-bit FNV prime
 /// (`0x100_0000_01b3`) by one digit — it is kept for compatibility with
@@ -99,10 +110,19 @@ impl Default for FnvHasher {
     }
 }
 
-fn fnv1a(s: &str) -> u64 {
-    let mut hasher = FnvHasher::new();
-    hasher.write(s.as_bytes());
-    hasher.finish()
+/// The probe hash: eight bytes per multiply instead of [`FnvHasher`]'s one
+/// — interning a tag name is on the parser's path once per element. Only
+/// ever compared with itself, inside one table.
+fn hash(s: &str) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut words = s.as_bytes().chunks_exact(8);
+    let mut h = s.len() as u64;
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        h = (h.rotate_left(5) ^ word).wrapping_mul(K);
+    }
+    let tail = words.remainder().iter().fold(0, |tail, &b| tail << 8 | u64::from(b));
+    (h.rotate_left(5) ^ tail).wrapping_mul(K)
 }
 
 impl Interner {
@@ -113,26 +133,75 @@ impl Interner {
 
     /// Interns `s`, returning the existing symbol when the string was seen
     /// before.
+    ///
+    /// # Panics
+    /// Panics when the distinct strings would exceed `u32::MAX` bytes —
+    /// symbols and spans are 32-bit.
     pub fn intern(&mut self, s: &str) -> Sym {
-        let hash = fnv1a(s);
-        if let Some(candidates) = self.index.get(&hash) {
-            for &sym in candidates {
-                if self.resolve(sym) == s {
-                    return sym;
-                }
-            }
+        if (self.spans.len() + 1) * 2 > self.table.len() {
+            self.grow();
         }
-        let sym = Sym(self.spans.len() as u32);
-        let offset = self.arena.len() as u32;
+        let slot = match self.probe(s) {
+            Ok(sym) => return sym,
+            Err(slot) => slot,
+        };
         self.arena.push_str(s);
-        self.spans.push((offset, s.len() as u32));
-        self.index.entry(hash).or_default().push(sym);
+        // Spans and symbols are 32-bit. The arena's end bounds every offset
+        // and length, and distinct strings are fewer than their bytes.
+        let end = u32::try_from(self.arena.len())
+            .expect("an interner holds at most u32::MAX bytes of distinct strings");
+        let len = s.len() as u32;
+        self.spans.push((end - len, len));
+        let sym = Sym(self.spans.len() as u32 - 1);
+        self.table[slot] = sym.0 + 1;
         sym
     }
 
     /// The symbol of `s`, if it has been interned.
     pub fn lookup(&self, s: &str) -> Option<Sym> {
-        self.index.get(&fnv1a(s))?.iter().copied().find(|&sym| self.resolve(sym) == s)
+        if self.table.is_empty() {
+            return None;
+        }
+        self.probe(s).ok()
+    }
+
+    /// Walks the probe sequence of `s`: its symbol, or the empty slot it
+    /// would take. The table must not be empty (it is never full).
+    fn probe(&self, s: &str) -> Result<Sym, usize> {
+        let mask = self.table.len() - 1;
+        let mut slot = Self::home(s, self.table.len());
+        loop {
+            match self.table[slot] {
+                0 => return Err(slot),
+                taken => {
+                    let sym = Sym(taken - 1);
+                    if self.resolve(sym) == s {
+                        return Ok(sym);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// First slot of `s` in a table of `len` (a power of two) slots: the
+    /// top bits of the hash, where a multiplication mixes best.
+    fn home(s: &str, len: usize) -> usize {
+        (hash(s) >> (64 - len.trailing_zeros())) as usize
+    }
+
+    /// Doubles the table and re-seats every symbol from the arena.
+    fn grow(&mut self) {
+        let len = (self.table.len() * 2).max(16);
+        let mut table = vec![0u32; len];
+        for (sym, s) in self.iter() {
+            let mut slot = Self::home(s, len);
+            while table[slot] != 0 {
+                slot = (slot + 1) & (len - 1);
+            }
+            table[slot] = sym.0 + 1;
+        }
+        self.table = table;
     }
 
     /// The string behind a symbol.
@@ -159,13 +228,12 @@ impl Interner {
         (0..self.spans.len()).map(|i| (Sym(i as u32), self.resolve(Sym(i as u32))))
     }
 
-    /// Heap bytes held by the interner (arena + span table + hash index),
+    /// Heap bytes held by the interner (arena + span table + probe table),
     /// for the substrate-footprint statistics.
     pub fn heap_bytes(&self) -> usize {
         self.arena.capacity()
             + self.spans.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.index.capacity() * (std::mem::size_of::<u64>() + std::mem::size_of::<Vec<Sym>>())
-            + self.index.values().map(|v| v.capacity() * std::mem::size_of::<Sym>()).sum::<usize>()
+            + self.table.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -227,7 +295,7 @@ mod tests {
 
     #[test]
     fn survives_many_distinct_strings() {
-        // Exercises hash-bucket collision handling paths.
+        // Exercises probe collisions and several table doublings.
         let mut i = Interner::new();
         let syms: Vec<Sym> = (0..2000).map(|n| i.intern(&format!("t{n}"))).collect();
         assert_eq!(i.len(), 2000);

@@ -4,11 +4,13 @@
 //! Product Reviews, Outdoor Retailer and IMDB movie datasets). This crate
 //! provides everything the upper layers need and nothing more:
 //!
-//! * a streaming [`tokenizer`] producing [`Token`]s,
-//! * a parser ([`parse`]) building a [`Document`] — an arena-backed
-//!   DOM whose node ids are preorder ranks, so document order, ancestry and
-//!   subtrees are integer comparisons (what the SLCA executor in
-//!   `xsact-index` runs on); a [`DeweyId`] path is derived on demand,
+//! * one byte-level scanner of borrowed events ([`tokenizer`]), presented
+//!   to the outside as an iterator of [`Token`]s,
+//! * a parser ([`parse`]) driving that scanner into a [`Document`] — a
+//!   pointer-free DOM (parallel `u32` arrays and one text arena) whose node
+//!   ids are preorder ranks, so document order, ancestry and subtrees are
+//!   integer comparisons (what the SLCA executor in `xsact-index` runs on);
+//!   a [`DeweyId`] path is derived on demand,
 //! * an [`Interner`] of 4-byte [`Sym`] handles — tag and attribute names
 //!   are interned per document,
 //! * entity [`escape`]/unescape helpers,
@@ -39,6 +41,8 @@ pub mod escape;
 pub mod interner;
 pub mod parse;
 pub mod path;
+#[cfg(test)]
+mod samples;
 pub mod tokenizer;
 pub mod writer;
 

@@ -446,7 +446,13 @@ fn ingest_file(path: &Path, index_dir: Option<&Path>) -> XsactResult<(String, Wo
     let name = path
         .file_stem()
         .map_or_else(|| path.display().to_string(), |s| s.to_string_lossy().into_owned());
-    let doc = xsact_xml::parse_document(&fs::read_to_string(path)?)?;
+    // The parser copies what it keeps into the document's arena, so the
+    // source text is dropped here — before the index is loaded or built and
+    // the structure summary inferred, not beside them.
+    let doc = {
+        let source = fs::read_to_string(path)?;
+        xsact_xml::parse_document(&source)?
+    };
     let Some(index_dir) = index_dir else {
         return Ok((name, Workbench::from_document(doc)));
     };

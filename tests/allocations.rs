@@ -4,9 +4,11 @@
 //!
 //! Timings say whether the warm path got faster; these say why it stays
 //! that way: the prepared form costs two allocations per cached result, a
-//! feature-cache hit costs none. The same counter pins what a parsed
-//! document keeps resident: a fixed-size record per node plus the node's
-//! own text, and no heap block for the tree's structure.
+//! feature-cache hit costs none. The same counter pins what a warm boot
+//! pays per document: a parse is a fixed number of arrays however many
+//! nodes it reads, sixteen bytes of them per node plus the node's own
+//! text, and loading its index allocates for the dictionary and nothing
+//! per posting list.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -97,27 +99,55 @@ fn a_feature_cache_hit_allocates_nothing_of_its_own() {
     assert_eq!(second, third);
 }
 
-/// Resident memory is, first of all, node records: on the benchmark's
-/// 16 × 1000-movie fixture they are half of peak RSS. A node stores its
-/// payload, its parent and its subtree extent — children, order, ancestry
-/// and Dewey paths are derived from those — so parsing allocates one block
-/// per text run and nothing per element, and a later change that puts a
-/// pointerful field back fails here, not in a benchmark.
-#[test]
-fn a_parsed_node_costs_a_forty_byte_record_and_no_heap_block_for_structure() {
+/// The 500-movie document of the benchmark's fixture, as XML text.
+fn movies_xml() -> String {
     use xsact::data::{MovieGenConfig, MoviesGen};
-    use xsact::xml::{parse_document, write_document, WriteOptions};
+    use xsact::xml::{write_document, WriteOptions};
     let movies = MoviesGen::new(MovieGenConfig { seed: 42, movies: 500, ..Default::default() });
-    let xml = write_document(&movies.generate(), &WriteOptions::compact());
-    let (doc, blocks) = counted(|| parse_document(&xml).unwrap());
-    // One block per text run (the fixture has no XML attributes); the node
-    // table, the interner and the parser's stacks grow by doubling.
-    let text_runs = doc.all_nodes().filter(|&n| doc.text(n).is_some()).count() as u64;
+    write_document(&movies.generate(), &WriteOptions::compact())
+}
+
+/// Resident memory is, first of all, the node table: on the benchmark's
+/// 16 × 1000-movie fixture it used to be half of peak RSS. A document is
+/// four `u32` arrays, one text arena, an attribute table and an interner,
+/// each sized once from a sample of the input — so parsing allocates a
+/// fixed number of blocks, not one per text run, and a later change that
+/// gives a node a heap block or a pointerful field fails here, not in a
+/// benchmark.
+#[test]
+fn parsing_allocates_a_fixed_number_of_arrays_and_at_most_forty_bytes_a_node() {
+    let xml = movies_xml();
+    let (doc, blocks) = counted(|| xsact::xml::parse_document(&xml).unwrap());
+    let text_runs = doc.all_nodes().filter(|&n| doc.text(n).is_some()).count();
     assert!(doc.len() > 30_000 && text_runs > 15_000, "{} nodes", doc.len());
-    assert!(blocks <= text_runs + 128, "{blocks} blocks for {text_runs} text runs");
-    // A table grown by doubling holds at most twice its length in 40-byte
-    // records; text and the interner add ~3 bytes per node here.
+    // First sizes, the one reservation, the final fit — per array — and
+    // the parser's stack; nothing that grows with the document.
+    assert!(blocks <= 64, "{blocks} blocks for {} nodes", doc.len());
+    // Exact fit: 16 bytes of table per node, the text itself (~3 bytes per
+    // node here) and the interner.
     let stats = doc.substrate_stats();
     let per_node = stats.interned_total() / stats.nodes;
-    assert!(per_node <= 2 * 40 + 8, "{per_node} bytes per node: {stats:?}");
+    assert!(per_node <= 40, "{per_node} bytes per node: {stats:?}");
+    assert_eq!(stats.node_table_bytes, 16 * doc.len(), "{stats:?}");
+}
+
+/// A warm boot loads one `.xidx` per document. The loader allocates the
+/// file's buffer, the term dictionary and the frame arrays it adopts;
+/// validating the posting lists streams them and allocates nothing, so
+/// the count does not grow with the lists (it used to be one `Vec` per
+/// term).
+#[test]
+fn loading_an_index_allocates_for_the_dictionary_and_nothing_per_list() {
+    use xsact::index::{load_index, save_index, InvertedIndex};
+    let doc = xsact::xml::parse_document(&movies_xml()).unwrap();
+    let index = InvertedIndex::build(&doc);
+    let mut bytes = Vec::new();
+    save_index(&doc, &index, &mut bytes).unwrap();
+    let (loaded, blocks) = counted(|| load_index(&doc, &mut bytes.as_slice()).unwrap());
+    let terms = loaded.term_count() as u64;
+    assert!(terms > 300, "{terms} terms");
+    assert_eq!(loaded.stats(), index.stats());
+    // Growth steps of the read buffer and of the term interner, and one
+    // block per adopted array: far below one per term.
+    assert!(blocks <= 64 && blocks < terms / 4, "{blocks} blocks for {terms} terms");
 }

@@ -74,7 +74,7 @@ fn build_random_tree(doc: &mut Document, rng: &mut StdRng, parent: NodeId, depth
             let t = random_text(rng);
             let last_is_text = doc.children(parent).last().is_some_and(|c| !doc.is_element(c));
             if !t.trim().is_empty() && !last_is_text {
-                doc.add_text(parent, t.trim().to_owned());
+                doc.add_text(parent, t.trim());
             }
         } else {
             let tag = random_tag(rng);
