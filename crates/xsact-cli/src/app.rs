@@ -15,7 +15,7 @@ use xsact_data::{
 };
 
 /// Loads the chosen dataset.
-pub fn load_dataset(args: &Args) -> Document {
+fn load_dataset(args: &Args) -> Document {
     match args.dataset {
         Dataset::Figure1 => fixtures::figure1_document(),
         Dataset::Reviews => {
@@ -210,22 +210,12 @@ fn run_corpus_inner(
     xsact::validate_config(&DfsConfig { size_bound: args.bound, threshold_pct: args.threshold })?;
     let mut out = String::new();
     let ingest_start = Instant::now();
-    let mut corpus = match (&args.dir, &args.index_dir) {
-        (Some(dir), Some(cache)) => Corpus::from_dir_cached(dir, cache)?,
-        (Some(dir), None) => Corpus::from_dir(dir)?,
-        (None, Some(_)) => {
-            // A synthetic fleet is regenerated from scratch every run, so a
-            // cache it would never read back is a configuration mistake.
-            return Err(XsactError::InvalidConfig(
-                "--index-dir requires --dir (a synthetic fleet never reloads its cache)".into(),
-            ));
-        }
-        (None, None) => Corpus::synthetic_movies(args.docs, args.movies, args.seed),
-    };
+    let corpus = build_corpus(
+        (args.dir.as_deref(), args.index_dir.as_deref()),
+        (args.docs, args.movies, args.seed),
+        args.shards,
+    )?;
     let ingested = ingest_start.elapsed();
-    if args.shards > 0 {
-        corpus.set_shards(args.shards);
-    }
     let total_nodes: usize =
         (0..corpus.len()).map(|i| corpus.workbench(DocId(i as u32)).document().len()).sum();
     out.push_str(&format!(
@@ -293,22 +283,28 @@ fn run_corpus_inner(
     Ok((out, corpus.executor_stats()))
 }
 
-/// Builds the corpus a server will hold, from the same source knobs as
-/// corpus mode (directory with optional index cache, or a synthetic
-/// fleet).
-fn build_serve_corpus(args: &ServeArgs) -> Result<Corpus, XsactError> {
-    let mut corpus = match (&args.dir, &args.index_dir) {
+/// The corpus of corpus and serve mode, from the source flags they share:
+/// a directory with an optional index cache, or a synthetic `(docs, movies,
+/// seed)` fleet; `shards` 0 keeps the machine's available parallelism.
+fn build_corpus(
+    (dir, index_dir): (Option<&str>, Option<&str>),
+    (docs, movies, seed): (usize, usize, u64),
+    shards: usize,
+) -> Result<Corpus, XsactError> {
+    let mut corpus = match (dir, index_dir) {
         (Some(dir), Some(cache)) => Corpus::from_dir_cached(dir, cache)?,
         (Some(dir), None) => Corpus::from_dir(dir)?,
         (None, Some(_)) => {
+            // A synthetic fleet is regenerated from scratch every run, so a
+            // cache it would never read back is a configuration mistake.
             return Err(XsactError::InvalidConfig(
                 "--index-dir requires --dir (a synthetic fleet never reloads its cache)".into(),
             ));
         }
-        (None, None) => Corpus::synthetic_movies(args.docs, args.movies, args.seed),
+        (None, None) => Corpus::synthetic_movies(docs, movies, seed),
     };
-    if args.shards > 0 {
-        corpus.set_shards(args.shards);
+    if shards > 0 {
+        corpus.set_shards(shards);
     }
     Ok(corpus)
 }
@@ -318,7 +314,11 @@ fn build_serve_corpus(args: &ServeArgs) -> Result<Corpus, XsactError> {
 /// immediately so scripts can tell the server is up; the returned string
 /// is the post-shutdown counter summary.
 pub fn run_serve(args: &ServeArgs) -> Result<String, XsactError> {
-    let corpus = Arc::new(build_serve_corpus(args)?);
+    let corpus = Arc::new(build_corpus(
+        (args.dir.as_deref(), args.index_dir.as_deref()),
+        (args.docs, args.movies, args.seed),
+        args.shards,
+    )?);
     // Fault injection is armed from the environment exactly once, at
     // startup — request paths only ever see the parsed plan.
     let faults = FaultPlan::from_env().map_err(XsactError::InvalidConfig)?;

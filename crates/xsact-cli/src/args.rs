@@ -1,5 +1,10 @@
-//! Command-line argument parsing (hand-rolled; the workspace stays
-//! dependency-light).
+//! Command-line arguments: one table of flags per subcommand.
+//!
+//! Each `command!` block below is that table. A row — field, kind (the
+//! field's type), default, flag, value placeholder, help — is written once
+//! and becomes the struct field `app.rs` reads, its `Default`, the arm the
+//! parser takes, the line `--help` prints and the list the unknown-flag
+//! error shows, so the five cannot drift.
 
 use std::fmt;
 use xsact_core::Algorithm;
@@ -20,251 +25,6 @@ pub enum Dataset {
     Jobs,
 }
 
-impl Dataset {
-    fn parse(s: &str) -> Result<Self, ArgError> {
-        match s {
-            "figure1" | "fig1" | "paper" => Ok(Dataset::Figure1),
-            "reviews" | "products" => Ok(Dataset::Reviews),
-            "outdoor" | "rei" => Ok(Dataset::Outdoor),
-            "movies" | "imdb" => Ok(Dataset::Movies),
-            "jobs" | "hiring" => Ok(Dataset::Jobs),
-            other => Err(ArgError(format!(
-                "unknown dataset {other:?}; use figure1 | reviews | outdoor | movies | jobs"
-            ))),
-        }
-    }
-}
-
-/// Parsed command line.
-#[derive(Debug, Clone)]
-pub struct Args {
-    /// Dataset to load.
-    pub dataset: Dataset,
-    /// Keyword query.
-    pub query: String,
-    /// Comparison table size bound `L`.
-    pub bound: usize,
-    /// Differentiability threshold `x` in percent.
-    pub threshold: f64,
-    /// DFS generation algorithm.
-    pub algorithm: Algorithm,
-    /// 1-based result positions to compare (empty = first four).
-    pub select: Vec<usize>,
-    /// Generator seed for the synthetic datasets.
-    pub seed: u64,
-    /// Print each selected result's statistics panel.
-    pub stats: bool,
-    /// Print the full XML of each selected result.
-    pub show_xml: bool,
-    /// LCA semantics used by the search engine.
-    pub semantics: ResultSemantics,
-    /// Order the result list by relevance instead of document order.
-    pub ranked: bool,
-    /// Bounded top-k: in ranked mode, list and compare only the best `k`
-    /// results via the streaming executor. `None` keeps the classic
-    /// full-listing behaviour (compare the first four).
-    pub top: Option<usize>,
-    /// Print the executor's counters (postings scanned, gallop probes,
-    /// candidates pruned) after the run.
-    pub explain: bool,
-    /// Print a per-stage trace table (parse, plan, slca-stream, rank) of
-    /// the query after the run. Purely observational.
-    pub trace: bool,
-    /// Serialise the inverted index to this path after the run.
-    pub save_index: Option<String>,
-    /// Restore the inverted index from this path instead of rebuilding it
-    /// (fingerprint-checked against the dataset).
-    pub load_index: Option<String>,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            dataset: Dataset::Figure1,
-            query: String::new(),
-            bound: 8,
-            threshold: 10.0,
-            algorithm: Algorithm::MultiSwap,
-            select: Vec::new(),
-            seed: 42,
-            stats: false,
-            show_xml: false,
-            semantics: ResultSemantics::Slca,
-            ranked: false,
-            top: None,
-            explain: false,
-            trace: false,
-            save_index: None,
-            load_index: None,
-        }
-    }
-}
-
-/// Arguments of the `corpus` subcommand: query a whole directory (or a
-/// synthetic fleet) of documents through the sharded corpus engine.
-#[derive(Debug, Clone)]
-pub struct CorpusArgs {
-    /// Directory of `*.xml` documents to ingest. When absent, a synthetic
-    /// movie fleet of `docs` documents is generated instead.
-    pub dir: Option<String>,
-    /// Synthetic fleet size (used when `dir` is absent).
-    pub docs: usize,
-    /// Movies per synthetic document.
-    pub movies: usize,
-    /// Generator seed for the synthetic fleet.
-    pub seed: u64,
-    /// Keyword query.
-    pub query: String,
-    /// Shard count; 0 = the machine's available parallelism.
-    pub shards: usize,
-    /// How many merged results enter the comparison.
-    pub top: usize,
-    /// Comparison table size bound `L`.
-    pub bound: usize,
-    /// Differentiability threshold `x` in percent.
-    pub threshold: f64,
-    /// DFS generation algorithm.
-    pub algorithm: Algorithm,
-    /// Per-document index cache directory: indexes found here skip the
-    /// indexing scan, missing ones are built and saved. Only meaningful
-    /// with `dir` (a synthetic fleet never reloads a cache).
-    pub index_dir: Option<String>,
-    /// Print the corpus-wide executor counters after the run.
-    pub explain: bool,
-    /// Print a per-stage trace table (parse, per-shard execution, merge)
-    /// of the corpus query after the run. Purely observational.
-    pub trace: bool,
-}
-
-impl Default for CorpusArgs {
-    fn default() -> Self {
-        CorpusArgs {
-            dir: None,
-            docs: 8,
-            movies: 120,
-            seed: 42,
-            query: "drama family".to_owned(),
-            shards: 0,
-            top: 4,
-            bound: 8,
-            threshold: 10.0,
-            algorithm: Algorithm::MultiSwap,
-            index_dir: None,
-            explain: false,
-            trace: false,
-        }
-    }
-}
-
-/// Arguments of the `serve` subcommand: run the long-lived corpus server
-/// with its TCP line-protocol front end.
-#[derive(Debug, Clone)]
-pub struct ServeArgs {
-    /// Directory of `*.xml` documents to serve. When absent, a synthetic
-    /// movie fleet of `docs` documents is generated instead.
-    pub dir: Option<String>,
-    /// Synthetic fleet size (used when `dir` is absent).
-    pub docs: usize,
-    /// Movies per synthetic document.
-    pub movies: usize,
-    /// Generator seed for the synthetic fleet.
-    pub seed: u64,
-    /// Shard count; 0 = the machine's available parallelism.
-    pub shards: usize,
-    /// Per-document index cache directory (only meaningful with `dir`).
-    pub index_dir: Option<String>,
-    /// Address to listen on; port 0 binds an ephemeral port (printed).
-    pub addr: String,
-    /// Submission-queue capacity; 0 rejects everything (test servers).
-    pub queue: usize,
-    /// Largest batch one dispatch round may form.
-    pub max_batch: usize,
-    /// Default per-session top-k (sessions change it with `TOP`).
-    pub top: usize,
-    /// Per-session executor-work budget in posting entries scanned.
-    pub budget: Option<u64>,
-    /// Address for the plain-HTTP `GET /metrics` endpoint; `None` = no
-    /// HTTP exposition (the `METRICS` verb still works).
-    pub metrics_addr: Option<String>,
-    /// End-to-end latency threshold in milliseconds above which a served
-    /// query is logged to stderr; `None` disables the slow-query log.
-    pub slow_query_ms: Option<u64>,
-    /// Per-query deadline in milliseconds (queue wait + execute); a query
-    /// past it gets `ERR DEADLINE_EXCEEDED`. `None` = unlimited.
-    pub deadline_ms: Option<u64>,
-    /// Entry bound of the result-page cache; 0 disables caching.
-    pub cache_entries: usize,
-    /// Approximate byte bound of the result-page cache (0 = entry bound
-    /// only).
-    pub cache_bytes: usize,
-}
-
-impl Default for ServeArgs {
-    fn default() -> Self {
-        ServeArgs {
-            dir: None,
-            docs: 8,
-            movies: 120,
-            seed: 42,
-            shards: 0,
-            index_dir: None,
-            addr: "127.0.0.1:4141".to_owned(),
-            queue: 64,
-            max_batch: 16,
-            top: 4,
-            budget: None,
-            metrics_addr: None,
-            slow_query_ms: None,
-            deadline_ms: None,
-            cache_entries: 1024,
-            cache_bytes: 4 << 20,
-        }
-    }
-}
-
-/// Arguments of the `client` subcommand: a scriptable line-protocol
-/// client (reads requests from stdin, prints each response body).
-#[derive(Debug, Clone)]
-pub struct ClientArgs {
-    /// Server address to connect to.
-    pub addr: String,
-    /// Total time in milliseconds to keep retrying the connect (covers
-    /// the race between starting the server and the first client).
-    pub retry_ms: u64,
-    /// How many times to retry a request answered `ERR OVERLOADED`
-    /// (exponential backoff with deterministic jitter); 0 = print the
-    /// error like any other.
-    pub retry_overloaded: u32,
-    /// Send each stdin request this many times, printing every response
-    /// (cache warm/hit experiments); clamped to at least 1.
-    pub repeat: u32,
-}
-
-impl Default for ClientArgs {
-    fn default() -> Self {
-        ClientArgs {
-            addr: "127.0.0.1:4141".to_owned(),
-            retry_ms: 2000,
-            retry_overloaded: 0,
-            repeat: 1,
-        }
-    }
-}
-
-/// A parsed invocation: the classic single-document demo, the sharded
-/// corpus mode, or the serving runtime's two ends.
-#[derive(Debug, Clone)]
-pub enum Command {
-    /// `xsact [OPTIONS]` — one dataset, one workbench.
-    Single(Args),
-    /// `xsact corpus [OPTIONS]` — many documents, parallel fan-out.
-    Corpus(CorpusArgs),
-    /// `xsact serve [OPTIONS]` — long-lived corpus server over TCP.
-    Serve(ServeArgs),
-    /// `xsact client [OPTIONS]` — line-protocol client (stdin → server).
-    Client(ClientArgs),
-}
-
 /// A human-readable argument error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArgError(pub String);
@@ -277,334 +37,446 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Usage text printed on `--help` or errors.
-pub const USAGE: &str = "\
-xsact — compare structured search results (VLDB 2010 demo reproduction)
+/// The kind of a flag: how its value is read from the command line and how
+/// its default reads in `--help`.
+trait FlagValue: Sized {
+    /// The value of `flag` from the argument after it (a switch gets `""`).
+    fn parse(flag: &str, text: &str) -> Result<Self, ArgError>;
 
-USAGE:
-    xsact-demo [OPTIONS]
-    xsact-demo corpus [CORPUS OPTIONS]
+    /// The `[default]` `--help` prints; `None` for a flag that is off or
+    /// unset unless given.
+    fn show(&self) -> Option<String>;
+}
 
-OPTIONS:
-    --dataset <name>     figure1 | reviews | outdoor | movies | jobs [figure1]
-    --query <text>       keyword query (default: the dataset's demo query)
-    --bound <L>          max features per DFS                   [8]
-    --threshold <x>      differentiability threshold in percent [10]
-    --algorithm <name>   snippet | greedy | single-swap | multi-swap [multi-swap]
-    --select <list>      1-based result numbers, e.g. 1,3       [first 4]
-    --seed <n>           generator seed                         [42]
-    --semantics <s>      slca | elca result semantics           [slca]
-    --ranked             order results by relevance (TF-IDF)
-    --top <k>            compare the first k results instead of 4; with
-                         --ranked the listing itself is bounded to the
-                         best k (streaming executor)
-    --explain            print executor counters (postings scanned,
-                         gallop probes, candidates pruned)
-    --trace              print a per-stage latency table for the query
-                         (parse, plan, slca-stream, rank)
-    --stats              print per-result statistics panels
-    --xml                print each selected result's XML
-    --save-index <path>  serialise the inverted index after the run
-    --load-index <path>  restore the index instead of rebuilding it
-    --help               this text
+macro_rules! numeric_flag_values {
+    ($($ty:ty: $what:literal),*) => {$(
+        impl FlagValue for $ty {
+            fn parse(flag: &str, text: &str) -> Result<Self, ArgError> {
+                text.parse().map_err(|_| ArgError(format!("{flag} expects {}", $what)))
+            }
 
-CORPUS OPTIONS (sharded multi-document engine):
-    --dir <path>         ingest every *.xml in <path> (sorted order);
-                         the synthetic-fleet flags below are then unused
-    --docs <n>           synthetic movie fleet size when no --dir  [8]
-    --movies <n>         movies per synthetic document (no --dir) [120]
-    --seed <n>           fleet generator seed (no --dir)          [42]
-    --query <text>       keyword query                 [drama family]
-    --shards <n>         shard count (0 = machine parallelism)    [0]
-    --top <k>            merged results entering the comparison   [4]
-    --bound <L>          max features per DFS                     [8]
-    --threshold <x>      differentiability threshold in percent   [10]
-    --algorithm <name>   snippet | greedy | single-swap | multi-swap [multi-swap]
-    --index-dir <path>   per-document index cache for --dir corpora
-                         (skip shard cold starts on reload)
-    --explain            print corpus-wide executor counters
-    --trace              print a per-stage latency table for the query
-                         (parse, per-shard execution, merge)
+            fn show(&self) -> Option<String> {
+                Some(self.to_string())
+            }
+        }
+    )*};
+}
 
-SERVE OPTIONS (long-lived corpus server, TCP line protocol):
-    --dir/--docs/--movies/--seed/--shards/--index-dir
-                         corpus source, as in corpus mode
-    --addr <host:port>   listen address (port 0 = ephemeral) [127.0.0.1:4141]
-    --queue <n>          submission-queue capacity; 0 rejects all   [64]
-    --max-batch <n>      largest batch one dispatch round forms     [16]
-    --top <k>            default per-session top-k (TOP verb resets) [4]
-    --budget <n>         per-session budget in posting entries scanned
-                         (a session past it gets ERR BUDGET_EXCEEDED)
-    --metrics-addr <a>   also serve plain-HTTP GET /metrics on <a>
-                         (Prometheus text exposition; off by default)
-    --slow-query-ms <n>  log queries slower than <n> ms end-to-end
-                         to stderr (off by default)
-    --deadline-ms <n>    per-query deadline (queue wait + execute); a
-                         query past it gets ERR DEADLINE_EXCEEDED
-    --cache-entries <n>  result-page cache entry bound; 0 disables the
-                         cache (hits skip queue and shard pool)   [1024]
-    --cache-bytes <n>    result-page cache byte bound; 0 = entry bound
-                         only                                  [4194304]
-    env XSACT_FAULTS     arm deterministic fault-injection sites (chaos
-                         testing; see the fault module docs)
-    protocol verbs: QUERY <text> | TOP <k> | STATS | METRICS | QUIT |
-    SHUTDOWN; every response ends with a lone '.' line
+numeric_flag_values!(usize: "an integer", u64: "an integer", u32: "an integer", f64: "a number");
 
-CLIENT OPTIONS (scriptable line-protocol client; requests from stdin):
-    --addr <host:port>   server address                 [127.0.0.1:4141]
-    --retry-ms <n>       connect retry window in milliseconds     [2000]
-    --retry-overloaded <n>  retry a request answered ERR OVERLOADED up
-                         to <n> times (exponential backoff, deterministic
-                         jitter)                                     [0]
-    --repeat <n>         send each stdin request <n> times, printing
-                         every response (cache experiments)          [1]
-";
+/// A switch: present or not, no value.
+impl FlagValue for bool {
+    fn parse(_: &str, _: &str) -> Result<Self, ArgError> {
+        Ok(true)
+    }
 
-fn parse_algorithm(s: &str) -> Result<Algorithm, ArgError> {
-    match s {
-        "snippet" => Ok(Algorithm::Snippet),
-        "greedy" => Ok(Algorithm::Greedy),
-        "single-swap" | "single" => Ok(Algorithm::SingleSwap),
-        "multi-swap" | "multi" => Ok(Algorithm::MultiSwap),
-        other => Err(ArgError(format!(
-            "unknown algorithm {other:?}; use snippet | greedy | single-swap | multi-swap"
-        ))),
+    fn show(&self) -> Option<String> {
+        None
     }
 }
 
-/// Parses `argv[1..]`: a leading `corpus` word selects the corpus
+impl FlagValue for String {
+    fn parse(_: &str, text: &str) -> Result<Self, ArgError> {
+        Ok(text.to_owned())
+    }
+
+    fn show(&self) -> Option<String> {
+        (!self.is_empty()).then(|| self.clone())
+    }
+}
+
+impl<T: FlagValue> FlagValue for Option<T> {
+    fn parse(flag: &str, text: &str) -> Result<Self, ArgError> {
+        T::parse(flag, text).map(Some)
+    }
+
+    fn show(&self) -> Option<String> {
+        self.as_ref().and_then(T::show)
+    }
+}
+
+/// 1-based result positions, comma-separated.
+impl FlagValue for Vec<usize> {
+    fn parse(flag: &str, text: &str) -> Result<Self, ArgError> {
+        let positions = text
+            .split(',')
+            .map(|s| {
+                s.trim().parse::<usize>().map_err(|_| ArgError(format!("bad result number {s:?}")))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        if positions.contains(&0) {
+            return Err(ArgError(format!("{flag} positions are 1-based")));
+        }
+        Ok(positions)
+    }
+
+    fn show(&self) -> Option<String> {
+        None
+    }
+}
+
+impl FlagValue for Dataset {
+    fn parse(_: &str, text: &str) -> Result<Self, ArgError> {
+        match text {
+            "figure1" | "fig1" | "paper" => Ok(Dataset::Figure1),
+            "reviews" | "products" => Ok(Dataset::Reviews),
+            "outdoor" | "rei" => Ok(Dataset::Outdoor),
+            "movies" | "imdb" => Ok(Dataset::Movies),
+            "jobs" | "hiring" => Ok(Dataset::Jobs),
+            other => Err(ArgError(format!(
+                "unknown dataset {other:?}; use figure1 | reviews | outdoor | movies | jobs"
+            ))),
+        }
+    }
+
+    fn show(&self) -> Option<String> {
+        Some(format!("{self:?}").to_lowercase())
+    }
+}
+
+impl FlagValue for Algorithm {
+    fn parse(_: &str, text: &str) -> Result<Self, ArgError> {
+        match text {
+            "snippet" => Ok(Algorithm::Snippet),
+            "greedy" => Ok(Algorithm::Greedy),
+            "single-swap" | "single" => Ok(Algorithm::SingleSwap),
+            "multi-swap" | "multi" => Ok(Algorithm::MultiSwap),
+            other => Err(ArgError(format!(
+                "unknown algorithm {other:?}; use snippet | greedy | single-swap | multi-swap"
+            ))),
+        }
+    }
+
+    fn show(&self) -> Option<String> {
+        Some(self.name().to_owned())
+    }
+}
+
+impl FlagValue for ResultSemantics {
+    fn parse(_: &str, text: &str) -> Result<Self, ArgError> {
+        match text {
+            "slca" => Ok(ResultSemantics::Slca),
+            "elca" => Ok(ResultSemantics::Elca),
+            other => Err(ArgError(format!("unknown semantics {other:?}; use slca | elca"))),
+        }
+    }
+
+    fn show(&self) -> Option<String> {
+        Some(format!("{self:?}").to_lowercase())
+    }
+}
+
+/// One row of a subcommand's flag table, as the parser and `--help` read it.
+struct Flag<T> {
+    /// The flag as typed, e.g. `--bound`.
+    name: &'static str,
+    /// Placeholder of its value in `--help`, e.g. `<L>`; empty for a switch,
+    /// which takes none.
+    value: &'static str,
+    /// What `--help` says; a line break continues in the help column.
+    help: &'static str,
+    /// Stores the parsed value in the row's field.
+    set: fn(&mut T, &str) -> Result<(), ArgError>,
+    /// The row's field, as `--help` shows a default.
+    show: fn(&T) -> Option<String>,
+}
+
+/// The arguments of one subcommand: its `Default` and its flag table.
+trait Flags: Default + 'static {
+    /// The word after `xsact` that selects the subcommand; empty for the
+    /// single-document demo.
+    const COMMAND: &'static str;
+    /// One phrase on what the subcommand is, for its `--help` heading.
+    const ABOUT: &'static str;
+    /// The rows, in `--help` order.
+    const FLAGS: &'static [Flag<Self>];
+    /// Lines `--help` prints under the rows: what the subcommand reads
+    /// besides flags.
+    const NOTES: &'static str;
+}
+
+/// Declares a subcommand's argument struct from its flag table: per row
+/// `field: kind = default, "--flag" "<value>", "help";`.
+macro_rules! command {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident: $command:literal, $about:literal, notes $notes:literal {
+            $($field:ident: $kind:ty = $default:expr, $flag:literal $value:literal, $help:literal;)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone)]
+        pub struct $name {
+            $(pub $field: $kind,)*
+        }
+
+        impl Default for $name {
+            fn default() -> Self {
+                $name { $($field: $default,)* }
+            }
+        }
+
+        impl Flags for $name {
+            const COMMAND: &'static str = $command;
+            const ABOUT: &'static str = $about;
+            const NOTES: &'static str = $notes;
+            const FLAGS: &'static [Flag<Self>] = &[$(Flag {
+                name: $flag,
+                value: $value,
+                help: $help,
+                set: |args, text| {
+                    args.$field = FlagValue::parse($flag, text)?;
+                    Ok(())
+                },
+                show: |args| args.$field.show(),
+            },)*];
+        }
+    };
+}
+
+command! {
+    /// `xsact [OPTIONS]`: one dataset, one workbench.
+    pub struct Args: "", "single-document demo", notes "" {
+        dataset: Dataset = Dataset::Figure1, "--dataset" "<name>",
+            "figure1 | reviews | outdoor | movies | jobs";
+        query: String = String::new(), "--query" "<text>",
+            "keyword query (default: the dataset's demo query)";
+        bound: usize = 8, "--bound" "<L>", "max features per DFS";
+        threshold: f64 = 10.0, "--threshold" "<x>", "differentiability threshold in percent";
+        algorithm: Algorithm = Algorithm::MultiSwap, "--algorithm" "<name>",
+            "snippet | greedy | single-swap | multi-swap";
+        select: Vec<usize> = Vec::new(), "--select" "<list>",
+            "1-based result numbers to compare, e.g. 1,3 (default: the first 4)";
+        seed: u64 = 42, "--seed" "<n>", "generator seed of the synthetic datasets";
+        semantics: ResultSemantics = ResultSemantics::Slca, "--semantics" "<s>",
+            "slca | elca result semantics";
+        ranked: bool = false, "--ranked" "", "order results by relevance (TF-IDF)";
+        top: Option<usize> = None, "--top" "<k>",
+            "compare the first k results instead of 4; with\n\
+             --ranked the listing itself is bounded to the\n\
+             best k (streaming executor)";
+        explain: bool = false, "--explain" "",
+            "print executor counters (postings scanned,\n\
+             gallop probes, candidates pruned)";
+        trace: bool = false, "--trace" "",
+            "print a per-stage latency table for the query\n\
+             (parse, plan, slca-stream, rank)";
+        stats: bool = false, "--stats" "", "print per-result statistics panels";
+        show_xml: bool = false, "--xml" "", "print each selected result's XML";
+        save_index: Option<String> = None, "--save-index" "<path>",
+            "serialise the inverted index after the run";
+        load_index: Option<String> = None, "--load-index" "<path>",
+            "restore the index instead of rebuilding it\n\
+             (fingerprint-checked against the dataset)";
+    }
+}
+
+command! {
+    /// `xsact corpus [OPTIONS]`: query a directory (or a synthetic fleet)
+    /// of documents through the sharded corpus engine.
+    pub struct CorpusArgs: "corpus", "sharded multi-document engine", notes "" {
+        dir: Option<String> = None, "--dir" "<path>",
+            "ingest every *.xml in <path> (sorted order);\n\
+             the synthetic-fleet flags below are then unused";
+        docs: usize = 8, "--docs" "<n>", "synthetic movie fleet size when no --dir";
+        movies: usize = 120, "--movies" "<n>", "movies per synthetic document (no --dir)";
+        seed: u64 = 42, "--seed" "<n>", "fleet generator seed (no --dir)";
+        query: String = "drama family".to_owned(), "--query" "<text>", "keyword query";
+        shards: usize = 0, "--shards" "<n>", "shard count (0 = machine parallelism)";
+        top: usize = 4, "--top" "<k>", "merged results entering the comparison";
+        bound: usize = 8, "--bound" "<L>", "max features per DFS";
+        threshold: f64 = 10.0, "--threshold" "<x>", "differentiability threshold in percent";
+        algorithm: Algorithm = Algorithm::MultiSwap, "--algorithm" "<name>",
+            "snippet | greedy | single-swap | multi-swap";
+        index_dir: Option<String> = None, "--index-dir" "<path>",
+            "per-document index cache for --dir corpora: indexes\n\
+             found there skip the indexing scan, missing ones\n\
+             are built and saved";
+        explain: bool = false, "--explain" "", "print corpus-wide executor counters";
+        trace: bool = false, "--trace" "",
+            "print a per-stage latency table for the query\n\
+             (parse, per-shard execution, merge)";
+    }
+}
+
+command! {
+    /// `xsact serve [OPTIONS]`: the long-lived corpus server with its TCP
+    /// line-protocol front end.
+    pub struct ServeArgs: "serve", "long-lived corpus server, TCP line protocol", notes
+        "env XSACT_FAULTS arms deterministic fault-injection sites (chaos\n\
+         testing; see the fault module docs)\n\
+         protocol verbs: QUERY <text> | TOP <k> | STATS | METRICS | QUIT |\n\
+         SHUTDOWN; every response ends with a lone '.' line"
+    {
+        dir: Option<String> = None, "--dir" "<path>",
+            "serve every *.xml in <path>; without it a synthetic\n\
+             movie fleet is generated";
+        docs: usize = 8, "--docs" "<n>", "synthetic movie fleet size when no --dir";
+        movies: usize = 120, "--movies" "<n>", "movies per synthetic document (no --dir)";
+        seed: u64 = 42, "--seed" "<n>", "fleet generator seed (no --dir)";
+        shards: usize = 0, "--shards" "<n>", "shard count (0 = machine parallelism)";
+        index_dir: Option<String> = None, "--index-dir" "<path>",
+            "per-document index cache for --dir corpora";
+        addr: String = "127.0.0.1:4141".to_owned(), "--addr" "<host:port>",
+            "listen address (port 0 = ephemeral, printed)";
+        queue: usize = 64, "--queue" "<n>", "submission-queue capacity; 0 rejects all";
+        max_batch: usize = 16, "--max-batch" "<n>", "largest batch one dispatch round forms";
+        top: usize = 4, "--top" "<k>", "default per-session top-k (TOP verb resets)";
+        budget: Option<u64> = None, "--budget" "<n>",
+            "per-session budget in posting entries scanned\n\
+             (a session past it gets ERR BUDGET_EXCEEDED)";
+        metrics_addr: Option<String> = None, "--metrics-addr" "<a>",
+            "also serve plain-HTTP GET /metrics on <a>\n\
+             (Prometheus text exposition; off by default)";
+        slow_query_ms: Option<u64> = None, "--slow-query-ms" "<n>",
+            "log queries slower than <n> ms end-to-end\n\
+             to stderr (off by default)";
+        deadline_ms: Option<u64> = None, "--deadline-ms" "<n>",
+            "per-query deadline (queue wait + execute); a\n\
+             query past it gets ERR DEADLINE_EXCEEDED";
+        cache_entries: usize = 1024, "--cache-entries" "<n>",
+            "result-page cache entry bound; 0 disables the\n\
+             cache (hits skip queue and shard pool)";
+        cache_bytes: usize = 4 << 20, "--cache-bytes" "<n>",
+            "result-page cache byte bound; 0 = entry bound only";
+    }
+}
+
+command! {
+    /// `xsact client [OPTIONS]`: a scriptable line-protocol client (reads
+    /// requests from stdin, prints each response body).
+    pub struct ClientArgs: "client", "scriptable line-protocol client; requests from stdin",
+        notes ""
+    {
+        addr: String = "127.0.0.1:4141".to_owned(), "--addr" "<host:port>", "server address";
+        retry_ms: u64 = 2000, "--retry-ms" "<n>",
+            "connect retry window in milliseconds (covers the race\n\
+             between starting the server and the first client)";
+        retry_overloaded: u32 = 0, "--retry-overloaded" "<n>",
+            "retry a request answered ERR OVERLOADED up to <n> times\n\
+             (exponential backoff, deterministic jitter)";
+        repeat: u32 = 1, "--repeat" "<n>",
+            "send each stdin request <n> times, printing every\n\
+             response (cache experiments); at least 1";
+    }
+}
+
+/// A parsed invocation: the classic single-document demo, the sharded
+/// corpus mode, the serving runtime's two ends, or a request for the
+/// usage text.
+#[derive(Debug, Clone)]
+pub enum Command {
+    /// `xsact [OPTIONS]` — one dataset, one workbench.
+    Single(Args),
+    /// `xsact corpus [OPTIONS]` — many documents, parallel fan-out.
+    Corpus(CorpusArgs),
+    /// `xsact serve [OPTIONS]` — long-lived corpus server over TCP.
+    Serve(ServeArgs),
+    /// `xsact client [OPTIONS]` — line-protocol client (stdin → server).
+    Client(ClientArgs),
+    /// `--help` / `-h` anywhere: the usage text, for stdout.
+    Help(String),
+}
+
+/// `word` qualified by the subcommand: `corpus flag`, and plain `flag` for
+/// the single-document demo.
+fn qualified<T: Flags>(word: &str) -> String {
+    match T::COMMAND {
+        "" => word.to_owned(),
+        command => format!("{command} {word}"),
+    }
+}
+
+/// The `--help` section of one subcommand, rendered from its table: heading,
+/// a row per flag with its default in brackets, then the notes.
+fn help_section<T: Flags>() -> String {
+    const HELP_COLUMN: usize = 25;
+    let defaults = T::default();
+    let mut out = format!("{} ({}):\n", qualified::<T>("options").to_uppercase(), T::ABOUT);
+    for row in T::FLAGS {
+        let usage = format!("    {} {}", row.name, row.value);
+        let default = (row.show)(&defaults).map(|d| format!(" [{d}]")).unwrap_or_default();
+        let help =
+            format!("{}{default}", row.help).replace('\n', &format!("\n{:HELP_COLUMN$}", ""));
+        out.push_str(&format!("{usage:<width$} {help}\n", width = HELP_COLUMN - 1));
+    }
+    for note in T::NOTES.lines() {
+        out.push_str(&format!("    {note}\n"));
+    }
+    out
+}
+
+/// The full `--help` text: the four invocation forms, then every section.
+fn usage() -> String {
+    fn form<T: Flags>() -> String {
+        let options = format!("[{}]", qualified::<T>("options").to_uppercase());
+        format!("    xsact {}\n", qualified::<T>(&options))
+    }
+    format!(
+        "xsact — compare structured search results (VLDB 2010 demo reproduction)\n\n\
+         USAGE:\n{}{}{}{}\n{}\n{}\n{}\n{}",
+        form::<Args>(),
+        form::<CorpusArgs>(),
+        form::<ServeArgs>(),
+        form::<ClientArgs>(),
+        help_section::<Args>(),
+        help_section::<CorpusArgs>(),
+        help_section::<ServeArgs>(),
+        help_section::<ClientArgs>(),
+    )
+}
+
+/// Reads one subcommand's flags off `argv` into its defaults; `None` when
+/// `--help` is among them.
+fn parse_flags<T: Flags>(mut argv: impl Iterator<Item = String>) -> Result<Option<T>, ArgError> {
+    let mut args = T::default();
+    while let Some(flag) = argv.next() {
+        if flag == "--help" || flag == "-h" {
+            return Ok(None);
+        }
+        let Some(row) = T::FLAGS.iter().find(|row| row.name == flag) else {
+            return Err(ArgError(format!(
+                "unknown {} {flag:?}\n\n{}",
+                qualified::<T>("flag"),
+                help_section::<T>()
+            )));
+        };
+        let text = match row.value {
+            "" => String::new(),
+            _ => argv.next().ok_or_else(|| ArgError(format!("{flag} requires a value")))?,
+        };
+        (row.set)(&mut args, &text)?;
+    }
+    Ok(Some(args))
+}
+
+/// Parses `argv[1..]`: a leading `corpus`, `serve` or `client` selects that
 /// subcommand, anything else is the classic single-document demo.
 pub fn parse<I>(argv: I) -> Result<Command, ArgError>
 where
     I: Iterator<Item = String>,
 {
     let mut argv = argv.peekable();
-    match argv.peek().map(String::as_str) {
-        Some("corpus") => {
-            argv.next();
-            parse_corpus(argv).map(Command::Corpus)
-        }
-        Some("serve") => {
-            argv.next();
-            parse_serve(argv).map(Command::Serve)
-        }
-        Some("client") => {
-            argv.next();
-            parse_client(argv).map(Command::Client)
-        }
-        _ => parse_single(argv).map(Command::Single),
-    }
-}
-
-fn parse_serve<I>(mut argv: I) -> Result<ServeArgs, ArgError>
-where
-    I: Iterator<Item = String>,
-{
-    let mut args = ServeArgs::default();
-    let int = |name: &str, v: String| {
-        v.parse::<usize>().map_err(|_| ArgError(format!("{name} expects an integer")))
+    let subcommand = argv.next_if(|word| ["corpus", "serve", "client"].contains(&word.as_str()));
+    let command = match subcommand.as_deref() {
+        Some("corpus") => parse_flags(argv)?.map(Command::Corpus),
+        Some("serve") => parse_flags(argv)?.map(Command::Serve),
+        Some("client") => parse_flags(argv)?.map(|mut args: ClientArgs| {
+            args.repeat = args.repeat.max(1);
+            Command::Client(args)
+        }),
+        _ => parse_flags(argv)?.map(|mut args: Args| {
+            if args.query.is_empty() {
+                args.query = default_query(args.dataset).to_owned();
+            }
+            Command::Single(args)
+        }),
     };
-    while let Some(flag) = argv.next() {
-        let mut value =
-            |name: &str| argv.next().ok_or_else(|| ArgError(format!("{name} requires a value")));
-        match flag.as_str() {
-            "--dir" => args.dir = Some(value("--dir")?),
-            "--docs" => args.docs = int("--docs", value("--docs")?)?,
-            "--movies" => args.movies = int("--movies", value("--movies")?)?,
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| ArgError("--seed expects an integer".into()))?;
-            }
-            "--shards" => args.shards = int("--shards", value("--shards")?)?,
-            "--index-dir" => args.index_dir = Some(value("--index-dir")?),
-            "--addr" => args.addr = value("--addr")?,
-            "--queue" => args.queue = int("--queue", value("--queue")?)?,
-            "--max-batch" => args.max_batch = int("--max-batch", value("--max-batch")?)?,
-            "--top" => args.top = int("--top", value("--top")?)?,
-            "--budget" => {
-                args.budget = Some(
-                    value("--budget")?
-                        .parse()
-                        .map_err(|_| ArgError("--budget expects an integer".into()))?,
-                );
-            }
-            "--metrics-addr" => args.metrics_addr = Some(value("--metrics-addr")?),
-            "--slow-query-ms" => {
-                args.slow_query_ms = Some(
-                    value("--slow-query-ms")?
-                        .parse()
-                        .map_err(|_| ArgError("--slow-query-ms expects an integer".into()))?,
-                );
-            }
-            "--deadline-ms" => {
-                args.deadline_ms = Some(
-                    value("--deadline-ms")?
-                        .parse()
-                        .map_err(|_| ArgError("--deadline-ms expects an integer".into()))?,
-                );
-            }
-            "--cache-entries" => {
-                args.cache_entries = int("--cache-entries", value("--cache-entries")?)?;
-            }
-            "--cache-bytes" => args.cache_bytes = int("--cache-bytes", value("--cache-bytes")?)?,
-            "--help" | "-h" => return Err(ArgError(USAGE.to_owned())),
-            other => return Err(ArgError(format!("unknown serve flag {other:?}\n\n{USAGE}"))),
-        }
-    }
-    Ok(args)
-}
-
-fn parse_client<I>(mut argv: I) -> Result<ClientArgs, ArgError>
-where
-    I: Iterator<Item = String>,
-{
-    let mut args = ClientArgs::default();
-    while let Some(flag) = argv.next() {
-        let mut value =
-            |name: &str| argv.next().ok_or_else(|| ArgError(format!("{name} requires a value")));
-        match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--retry-ms" => {
-                args.retry_ms = value("--retry-ms")?
-                    .parse()
-                    .map_err(|_| ArgError("--retry-ms expects an integer".into()))?;
-            }
-            "--retry-overloaded" => {
-                args.retry_overloaded = value("--retry-overloaded")?
-                    .parse()
-                    .map_err(|_| ArgError("--retry-overloaded expects an integer".into()))?;
-            }
-            "--repeat" => {
-                args.repeat = value("--repeat")?
-                    .parse::<u32>()
-                    .map_err(|_| ArgError("--repeat expects an integer".into()))?
-                    .max(1);
-            }
-            "--help" | "-h" => return Err(ArgError(USAGE.to_owned())),
-            other => return Err(ArgError(format!("unknown client flag {other:?}\n\n{USAGE}"))),
-        }
-    }
-    Ok(args)
-}
-
-fn parse_corpus<I>(mut argv: I) -> Result<CorpusArgs, ArgError>
-where
-    I: Iterator<Item = String>,
-{
-    let mut args = CorpusArgs::default();
-    let int = |name: &str, v: String| {
-        v.parse::<usize>().map_err(|_| ArgError(format!("{name} expects an integer")))
-    };
-    while let Some(flag) = argv.next() {
-        let mut value =
-            |name: &str| argv.next().ok_or_else(|| ArgError(format!("{name} requires a value")));
-        match flag.as_str() {
-            "--dir" => args.dir = Some(value("--dir")?),
-            "--docs" => args.docs = int("--docs", value("--docs")?)?,
-            "--movies" => args.movies = int("--movies", value("--movies")?)?,
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| ArgError("--seed expects an integer".into()))?;
-            }
-            "--query" => args.query = value("--query")?,
-            "--shards" => args.shards = int("--shards", value("--shards")?)?,
-            "--top" => args.top = int("--top", value("--top")?)?,
-            "--bound" => args.bound = int("--bound", value("--bound")?)?,
-            "--threshold" => {
-                args.threshold = value("--threshold")?
-                    .parse()
-                    .map_err(|_| ArgError("--threshold expects a number".into()))?;
-            }
-            "--algorithm" => args.algorithm = parse_algorithm(&value("--algorithm")?)?,
-            "--index-dir" => args.index_dir = Some(value("--index-dir")?),
-            "--explain" => args.explain = true,
-            "--trace" => args.trace = true,
-            "--help" | "-h" => return Err(ArgError(USAGE.to_owned())),
-            other => return Err(ArgError(format!("unknown corpus flag {other:?}\n\n{USAGE}"))),
-        }
-    }
-    Ok(args)
-}
-
-fn parse_single<I>(mut argv: I) -> Result<Args, ArgError>
-where
-    I: Iterator<Item = String>,
-{
-    let mut args = Args::default();
-    while let Some(flag) = argv.next() {
-        let mut value =
-            |name: &str| argv.next().ok_or_else(|| ArgError(format!("{name} requires a value")));
-        match flag.as_str() {
-            "--dataset" => args.dataset = Dataset::parse(&value("--dataset")?)?,
-            "--query" => args.query = value("--query")?,
-            "--bound" => {
-                args.bound = value("--bound")?
-                    .parse()
-                    .map_err(|_| ArgError("--bound expects an integer".into()))?;
-            }
-            "--threshold" => {
-                args.threshold = value("--threshold")?
-                    .parse()
-                    .map_err(|_| ArgError("--threshold expects a number".into()))?;
-            }
-            "--algorithm" => args.algorithm = parse_algorithm(&value("--algorithm")?)?,
-            "--select" => {
-                args.select = value("--select")?
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .map_err(|_| ArgError(format!("bad result number {s:?}")))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if args.select.contains(&0) {
-                    return Err(ArgError("--select positions are 1-based".into()));
-                }
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| ArgError("--seed expects an integer".into()))?;
-            }
-            "--semantics" => {
-                args.semantics = match value("--semantics")?.as_str() {
-                    "slca" => ResultSemantics::Slca,
-                    "elca" => ResultSemantics::Elca,
-                    other => {
-                        return Err(ArgError(format!(
-                            "unknown semantics {other:?}; use slca | elca"
-                        )))
-                    }
-                };
-            }
-            "--ranked" => args.ranked = true,
-            "--top" => {
-                args.top = Some(
-                    value("--top")?
-                        .parse()
-                        .map_err(|_| ArgError("--top expects an integer".into()))?,
-                );
-            }
-            "--explain" => args.explain = true,
-            "--trace" => args.trace = true,
-            "--stats" => args.stats = true,
-            "--xml" => args.show_xml = true,
-            "--save-index" => args.save_index = Some(value("--save-index")?),
-            "--load-index" => args.load_index = Some(value("--load-index")?),
-            "--help" | "-h" => return Err(ArgError(USAGE.to_owned())),
-            other => return Err(ArgError(format!("unknown flag {other:?}\n\n{USAGE}"))),
-        }
-    }
-    if args.query.is_empty() {
-        args.query = default_query(args.dataset).to_owned();
-    }
-    Ok(args)
+    Ok(command.unwrap_or_else(|| Command::Help(usage())))
 }
 
 /// The demo query shown for each dataset.
-pub fn default_query(dataset: Dataset) -> &'static str {
+fn default_query(dataset: Dataset) -> &'static str {
     match dataset {
         Dataset::Figure1 | Dataset::Reviews => "TomTom GPS",
         Dataset::Outdoor => "men jackets",
@@ -724,8 +596,7 @@ mod tests {
         assert!(err(&["--select", "0"]).0.contains("1-based"));
         assert!(err(&["--select", "1,a"]).0.contains("bad result number"));
         assert!(err(&["--semantics", "xlca"]).0.contains("unknown semantics"));
-        assert!(err(&["--frobnicate"]).0.contains("unknown flag"));
-        assert!(err(&["--help"]).0.contains("USAGE"));
+        assert!(err(&["--frobnicate"]).0.contains("unknown flag \"--frobnicate\""));
     }
 
     #[test]
@@ -789,7 +660,6 @@ mod tests {
         let err = |args: &[&str]| parse(args.iter().map(|s| s.to_string())).unwrap_err();
         assert!(err(&["corpus", "--shards", "x"]).0.contains("integer"));
         assert!(err(&["corpus", "--select", "1"]).0.contains("unknown corpus flag"));
-        assert!(err(&["corpus", "--help"]).0.contains("CORPUS OPTIONS"));
     }
 
     fn parse_serve_ok(args: &[&str]) -> ServeArgs {
@@ -917,9 +787,88 @@ mod tests {
         assert!(err(&["serve", "--queue", "x"]).0.contains("integer"));
         assert!(err(&["serve", "--select", "1"]).0.contains("unknown serve flag"));
         assert!(err(&["serve", "--deadline-ms", "soon"]).0.contains("integer"));
-        assert!(err(&["serve", "--help"]).0.contains("SERVE OPTIONS"));
         assert!(err(&["client", "--queue", "1"]).0.contains("unknown client flag"));
         assert!(err(&["client", "--retry-ms"]).0.contains("requires a value"));
         assert!(err(&["client", "--retry-overloaded", "x"]).0.contains("integer"));
+    }
+
+    /// `--help` is an outcome, not an error: the usage text, for stdout.
+    #[test]
+    fn help_is_the_usage_text_in_every_mode() {
+        for argv in [
+            &["--help"][..],
+            &["-h"],
+            &["--bound", "3", "--help"],
+            &["corpus", "--help"],
+            &["serve", "--top", "2", "-h"],
+            &["client", "--help"],
+        ] {
+            match parse(argv.iter().map(|s| s.to_string())).expect("--help parses") {
+                Command::Help(text) => assert_eq!(text, usage()),
+                other => panic!("{argv:?}: expected help, got {other:?}"),
+            }
+        }
+        let text = usage();
+        assert!(!text.contains("xsact-demo"), "the binary is `xsact`");
+        for form in [
+            "    xsact [OPTIONS]\n",
+            "    xsact corpus [CORPUS OPTIONS]\n",
+            "    xsact serve [SERVE OPTIONS]\n",
+            "    xsact client [CLIENT OPTIONS]\n",
+        ] {
+            assert!(text.contains(form), "{form:?} missing");
+        }
+        for heading in
+            ["\nOPTIONS (", "\nCORPUS OPTIONS (", "\nSERVE OPTIONS (", "\nCLIENT OPTIONS ("]
+        {
+            assert!(text.contains(heading), "{heading:?} missing");
+        }
+    }
+
+    /// Walks one subcommand's table: every row parses, is in the help text
+    /// under its flag, and the default the help shows is the `Default`
+    /// struct's field.
+    fn walk_table<T: Flags + fmt::Debug>() {
+        let (text, defaults) = (usage(), format!("{:?}", T::default()));
+        let section = help_section::<T>();
+        assert!(text.contains(&section));
+        for row in T::FLAGS {
+            let shown = (row.show)(&T::default());
+            let mut argv = vec![row.name.to_owned()];
+            if !row.value.is_empty() {
+                argv.push(shown.clone().unwrap_or_else(|| "1".to_owned()));
+            }
+            let parsed: T = parse_flags(argv.into_iter())
+                .unwrap_or_else(|e| panic!("{}: {e}", row.name))
+                .expect("not a help request");
+            let line = section
+                .lines()
+                .find(|line| line.starts_with(&format!("    {} ", row.name)))
+                .unwrap_or_else(|| panic!("{} is not in the help text", row.name));
+            assert!(line.contains(row.help.lines().next().unwrap()), "{line}");
+            match shown {
+                Some(default) => {
+                    assert!(
+                        section.contains(&format!(" [{default}]\n")),
+                        "{}: {default}",
+                        row.name
+                    );
+                    assert_eq!(format!("{parsed:?}"), defaults, "{} {default}", row.name);
+                }
+                None => assert_ne!(format!("{parsed:?}"), defaults, "{} changes nothing", row.name),
+            }
+        }
+        let mut names: Vec<_> = T::FLAGS.iter().map(|row| row.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), T::FLAGS.len(), "a flag is one row");
+    }
+
+    #[test]
+    fn every_row_parses_is_documented_and_shows_its_real_default() {
+        walk_table::<Args>();
+        walk_table::<CorpusArgs>();
+        walk_table::<ServeArgs>();
+        walk_table::<ClientArgs>();
     }
 }

@@ -25,11 +25,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match &command {
-        args::Command::Single(args) => app::run(args),
-        args::Command::Corpus(args) => app::run_corpus(args),
-        args::Command::Serve(args) => app::run_serve(args),
-        args::Command::Client(args) => app::run_client(args),
+    let result = match command {
+        args::Command::Single(args) => app::run(&args),
+        args::Command::Corpus(args) => app::run_corpus(&args),
+        args::Command::Serve(args) => app::run_serve(&args),
+        args::Command::Client(args) => app::run_client(&args),
+        args::Command::Help(usage) => Ok(usage),
     };
     match result {
         Ok(output) => {

@@ -53,8 +53,8 @@ impl Dfs {
         &self.prefix
     }
 
-    /// Number of selected features (= selected types, since a DFS holds one
-    /// feature per type — see DESIGN.md "Modeling decisions").
+    /// Number of selected features (= selected types: a DFS holds one
+    /// feature per type, the type's dominant value).
     pub fn size(&self) -> usize {
         self.prefix.iter().sum()
     }

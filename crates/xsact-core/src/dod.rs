@@ -14,7 +14,7 @@
 //! loops run allocation-free per move.
 
 use crate::bits;
-use crate::dfs::{Dfs, DfsSet};
+use crate::dfs::DfsSet;
 use crate::model::{Instance, TypeId};
 
 /// Pairwise degree of differentiation of results `i` and `j` under the
@@ -71,15 +71,6 @@ pub fn all_type_weights(inst: &Instance, set: &DfsSet, i: usize) -> Vec<u32> {
     weights
 }
 
-/// DoD contribution of result `i`'s DFS against all the others — the part of
-/// the total that changes when only `Di` changes. Accepts an arbitrary
-/// candidate DFS (not necessarily the one in the set).
-pub fn result_contribution(inst: &Instance, set: &DfsSet, i: usize, di: &Dfs) -> u32 {
-    let mut total = 0;
-    di.for_each_selected(inst, i, |t| total += type_weight(inst, set, i, t));
-    total
-}
-
 /// Marginal DoD change from toggling a single type `t` in result `i`'s
 /// DFS: the number of *other* results that select `t` and are
 /// differentiable from `i` on it, read off the set's incremental selection
@@ -92,20 +83,6 @@ pub fn result_contribution(inst: &Instance, set: &DfsSet, i: usize, di: &Dfs) ->
 /// keeps the annealing call sites self-describing.
 pub fn toggle_delta(inst: &Instance, set: &DfsSet, i: usize, t: TypeId) -> u32 {
     type_weight(inst, set, i, t)
-}
-
-/// The *potential* of each of result `i`'s types: the number of other
-/// results differentiable from `i` on the type — independent of what their
-/// DFSs currently select, so [`Instance::build`] precomputes it and this is
-/// a copy of [`Instance::potentials`].
-///
-/// Potentials are the tie-breaker of both local-search algorithms: a move
-/// that leaves the DoD unchanged but selects a type other results *could*
-/// match is preferred, which lets two DFSs converge on a shared
-/// differentiable type neither had selected yet (pure DoD deltas are 0 on
-/// both sides of such a type, so a DoD-only search could never pick it up).
-pub fn type_potentials(inst: &Instance, i: usize) -> Vec<u32> {
-    inst.potentials(i).to_vec()
 }
 
 /// An upper bound on the total DoD: every differentiable (pair, type) counts
@@ -126,6 +103,7 @@ pub fn dod_upper_bound(inst: &Instance) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dfs::Dfs;
     use crate::model::DfsConfig;
     use xsact_entity::{FeatureType, ResultFeatures};
 
@@ -270,8 +248,7 @@ mod tests {
         let full = full_set(&inst);
         // Potentials are the same whatever the DFSs select.
         for i in 0..inst.result_count() {
-            let p = type_potentials(&inst, i);
-            assert_eq!(p, inst.potentials(i));
+            let p = inst.potentials(i);
             // With everything selected, weights equal potentials.
             assert_eq!(p, all_type_weights(&inst, &full, i));
             // With nothing selected, weights are all zero but potentials
@@ -279,20 +256,9 @@ mod tests {
             assert!(all_type_weights(&inst, &empty, i).iter().all(|&w| w == 0));
         }
         let a = inst.types.iter().position(|t| t.attribute == "a").unwrap();
-        assert_eq!(type_potentials(&inst, 0)[a], 2);
+        assert_eq!(inst.potentials(0)[a], 2);
         // r2 lacks type c → potential 0 even though others have it.
         let c = inst.types.iter().position(|t| t.attribute == "c").unwrap();
-        assert_eq!(type_potentials(&inst, 2)[c], 0);
-    }
-
-    #[test]
-    fn result_contribution_consistent_with_total() {
-        let inst = inst();
-        let set = full_set(&inst);
-        // Moving r0's contribution out and back: total = contribution(0) +
-        // dod among {1,2}.
-        let contrib0 = result_contribution(&inst, &set, 0, set.dfs(0));
-        let pair12 = dod_pair(&inst, &set, 1, 2);
-        assert_eq!(dod_total(&inst, &set), contrib0 + pair12);
+        assert_eq!(inst.potentials(2)[c], 0);
     }
 }

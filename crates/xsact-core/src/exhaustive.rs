@@ -12,7 +12,7 @@ use crate::model::Instance;
 
 /// Enumerates all valid DFSs (per-entity prefix vectors with size ≤ L) of
 /// one result.
-pub fn enumerate_valid_dfss(inst: &Instance, result: usize) -> Vec<Dfs> {
+fn enumerate_valid_dfss(inst: &Instance, result: usize) -> Vec<Dfs> {
     let lens: Vec<usize> = inst.ranked_lists(result).map(<[_]>::len).collect();
     let bound = inst.config.size_bound;
     let mut out = Vec::new();

@@ -7,7 +7,7 @@
 //! guarantee — the ablation harness quantifies the gap.
 
 use crate::dfs::{Dfs, DfsSet};
-use crate::dod::{all_type_weights, all_type_weights_into};
+use crate::dod::all_type_weights_into;
 use crate::model::Instance;
 use crate::snippet::snippet_set;
 
@@ -24,11 +24,6 @@ pub fn greedy_set(inst: &Instance) -> DfsSet {
     }
     debug_assert!(set.all_valid(inst));
     set
-}
-
-/// The greedy best-effort DFS of result `i` against the current set.
-pub fn greedy_dfs(inst: &Instance, set: &DfsSet, i: usize) -> Dfs {
-    greedy_dfs_weighted(inst, i, &all_type_weights(inst, set, i))
 }
 
 /// The greedy construction over precomputed weights (potentials come from

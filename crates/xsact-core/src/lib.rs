@@ -27,23 +27,20 @@ pub mod dfs;
 pub mod dod;
 pub mod exhaustive;
 pub mod greedy;
-pub mod interestingness;
 pub mod model;
 pub mod multi_swap;
 pub mod single_swap;
 pub mod snippet;
 pub mod table;
 
-pub use annealing::{anneal, anneal_from, AnnealingConfig};
 pub use comparison::{run_algorithm, Algorithm, Comparison, ComparisonOutcome, RunStats};
 pub use dfs::{Dfs, DfsSet};
 pub use dod::{
     all_type_weights, all_type_weights_into, dod_pair, dod_total, dod_upper_bound, toggle_delta,
-    type_potentials, type_weight,
+    type_weight,
 };
 pub use exhaustive::{count_valid_dfss, exhaustive};
 pub use greedy::greedy_set;
-pub use interestingness::{interesting_set, total_interestingness, type_interestingness};
 pub use model::{CellStat, DfsConfig, Instance};
 pub use multi_swap::{is_multi_swap_optimal, multi_swap, multi_swap_from};
 pub use single_swap::{is_single_swap_optimal, single_swap, single_swap_from, SwapStats};

@@ -439,11 +439,6 @@ impl Instance {
         (runs[self.entities.len()] - runs[0]) as usize
     }
 
-    /// Whether result `i` has the feature type at all.
-    pub fn has_type(&self, i: usize, t: TypeId) -> bool {
-        self.cells[i * self.types.len() + t].value_count != 0
-    }
-
     /// The display cell of type `t` in result `i`; `None` when the result
     /// lacks the type.
     pub fn cell(&self, i: usize, t: TypeId) -> Option<CellStat<'_>> {
@@ -492,9 +487,14 @@ impl Instance {
     }
 
     /// The precomputed potentials of result `i`, one per type: how many
-    /// other results are differentiable from `i` on the type. See
-    /// [`crate::dod::type_potentials`] for the role potentials play in the
-    /// local searches.
+    /// other results are differentiable from `i` on the type, whatever
+    /// their DFSs currently select.
+    ///
+    /// Potentials are the tie-breaker of both local-search algorithms: a move
+    /// that leaves the DoD unchanged but selects a type other results *could*
+    /// match is preferred, which lets two DFSs converge on a shared
+    /// differentiable type neither had selected yet (pure DoD deltas are 0 on
+    /// both sides of such a type, so a DoD-only search could never pick it up).
     pub fn potentials(&self, i: usize) -> &[u32] {
         &self.pot[i * self.types.len()..][..self.types.len()]
     }
@@ -522,18 +522,6 @@ impl Instance {
 /// rating gap must *not* differentiate under the 10% threshold. Text that
 /// merely parses as a float — `Nan`, `inf`, `1e400` — is not a magnitude and
 /// stays categorical.
-///
-/// The test itself is the one [`Instance::build`] fills its matrix with;
-/// this wrapper prepares the two stats first.
-pub fn stats_differ(a: &FeatureStat, b: &FeatureStat, threshold_pct: f64) -> bool {
-    debug_assert_eq!(a.ty, b.ty);
-    let (mut text, mut arena) = (String::new(), Vec::new());
-    let a = Cell::of(&a.prepared(), &mut text, &mut arena);
-    let b = Cell::of(&b.prepared(), &mut text, &mut arena);
-    cells_differ(&a, &b, &text, &arena, threshold_pct)
-}
-
-/// The differentiability test over two present cells of one type.
 fn cells_differ(
     a: &Cell,
     b: &Cell,
@@ -580,7 +568,7 @@ fn cells_differ(
 }
 
 /// Threshold comparison of two occurrence ratios.
-pub fn ratios_differ(pa: f64, pb: f64, threshold_pct: f64) -> bool {
+fn ratios_differ(pa: f64, pb: f64, threshold_pct: f64) -> bool {
     (pa - pb).abs() > (threshold_pct / 100.0) * pa.min(pb)
 }
 
@@ -672,7 +660,7 @@ mod tests {
     fn type_count_of_a_result_counts_its_ranked_types() {
         let inst = instance();
         for i in 0..inst.result_count() {
-            let present = (0..inst.type_count()).filter(|&t| inst.has_type(i, t)).count();
+            let present = (0..inst.type_count()).filter(|&t| inst.cell(i, t).is_some()).count();
             assert_eq!(inst.type_count_of(i), present);
             assert_eq!(inst.type_count_of(i), inst.ranked_lists(i).map(<[_]>::len).sum::<usize>());
         }
@@ -800,12 +788,6 @@ mod tests {
         let differ = |a: &str, b: &str| {
             let inst = Instance::build(&[mk("a", a), mk("b", b)], DfsConfig::default());
             assert_eq!(inst.differentiable(0, 1, 0), inst.differentiable(1, 0, 0));
-            let (fa, fb) = (mk("a", a), mk("b", b));
-            assert_eq!(
-                stats_differ(&fa.stats[0], &fb.stats[0], 10.0),
-                inst.differentiable(0, 1, 0),
-                "{a:?} vs {b:?}: wrapper and matrix disagree"
-            );
             inst.differentiable(0, 1, 0)
         };
         assert!(differ("Nan", "1984"));
@@ -866,18 +848,6 @@ mod tests {
         // Against itself the union collapses and nothing differs.
         let inst = Instance::build(&[a.clone(), a], DfsConfig::default());
         assert!(!inst.differentiable(0, 1, 0));
-    }
-
-    #[test]
-    fn stats_differ_is_exposed_and_symmetric() {
-        let a = gps1();
-        let b = gps3();
-        let compact = ty("review", "pros:compact");
-        let sa = a.get(&compact).unwrap();
-        let sb = b.get(&compact).unwrap();
-        assert!(stats_differ(sa, sb, 10.0));
-        assert_eq!(stats_differ(sa, sb, 10.0), stats_differ(sb, sa, 10.0));
-        assert!(!stats_differ(sa, sa, 10.0));
     }
 
     #[test]

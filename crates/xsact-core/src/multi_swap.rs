@@ -112,7 +112,7 @@ fn dfs_value(inst: &Instance, i: usize, dfs: &Dfs, weights: &[u32], potentials: 
 /// Reusable buffers of the knapsack-over-prefixes DP — one per search run,
 /// refilled per best-response call.
 #[derive(Debug, Default)]
-pub struct ResponseScratch {
+struct ResponseScratch {
     /// dp[c] = best combined value using exactly c features over the
     /// entities processed so far; `None` marks unreachable budgets.
     dp: Vec<Option<u64>>,
@@ -129,12 +129,7 @@ pub struct ResponseScratch {
 
 /// The optimal valid DFS for result `i` given fixed per-type values — the
 /// knapsack-over-prefixes DP. Returns the DFS and its combined value.
-pub fn optimal_response(
-    inst: &Instance,
-    i: usize,
-    weights: &[u32],
-    potentials: &[u32],
-) -> (Dfs, u64) {
+fn optimal_response(inst: &Instance, i: usize, weights: &[u32], potentials: &[u32]) -> (Dfs, u64) {
     let mut scratch = ResponseScratch::default();
     let value = optimal_response_into(inst, i, weights, potentials, &mut scratch);
     (Dfs::from_prefixes(inst, i, &scratch.prefixes), value)
@@ -304,8 +299,8 @@ mod tests {
         let set = snippet_set(&inst);
         for i in 0..2 {
             let weights = all_type_weights(&inst, &set, i);
-            let pots = crate::dod::type_potentials(&inst, i);
-            let (_, dp_value) = optimal_response(&inst, i, &weights, &pots);
+            let pots = inst.potentials(i);
+            let (_, dp_value) = optimal_response(&inst, i, &weights, pots);
             // Brute force over prefix pairs.
             let lens: Vec<usize> = inst.ranked_lists(i).map(<[_]>::len).collect();
             let mut best = 0u64;
@@ -315,7 +310,7 @@ mod tests {
                         continue;
                     }
                     let d = Dfs::from_prefixes(&inst, i, &[p0, p1]);
-                    best = best.max(dfs_value(&inst, i, &d, &weights, &pots));
+                    best = best.max(dfs_value(&inst, i, &d, &weights, pots));
                 }
             }
             assert_eq!(dp_value, best, "result {i}");

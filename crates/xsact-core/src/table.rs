@@ -82,7 +82,8 @@ pub fn render_table(inst: &Instance, set: &DfsSet) -> String {
 
 /// The row order of the comparison table: selected types grouped by entity,
 /// each group sorted by best significance across results (then attribute).
-pub fn table_rows(inst: &Instance, set: &DfsSet) -> Vec<TypeId> {
+#[cfg(test)]
+fn table_rows(inst: &Instance, set: &DfsSet) -> Vec<TypeId> {
     ranked_rows(inst, set).into_iter().map(|(t, _)| t).collect()
 }
 
@@ -174,7 +175,7 @@ mod oracle {
     use std::borrow::Cow;
     use xsact_entity::label::{display_label, entity_short_name};
 
-    pub fn render_table(inst: &Instance, set: &DfsSet) -> String {
+    pub(super) fn render_table(inst: &Instance, set: &DfsSet) -> String {
         let rows = table_rows(inst, set);
         let header: Vec<Cow<'_, str>> =
             std::iter::once("feature").chain(inst.labels()).map(Cow::Borrowed).collect();
@@ -208,7 +209,7 @@ mod oracle {
         render_grid(&header, &body)
     }
 
-    pub fn table_rows(inst: &Instance, set: &DfsSet) -> Vec<TypeId> {
+    pub(super) fn table_rows(inst: &Instance, set: &DfsSet) -> Vec<TypeId> {
         let mut selected: Vec<bool> = vec![false; inst.type_count()];
         for i in 0..set.len() {
             for t in set.dfs(i).selected_types(inst, i) {

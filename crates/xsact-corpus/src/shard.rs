@@ -43,11 +43,6 @@ impl ShardPlan {
         ShardPlan { shards: shards.max(1) }
     }
 
-    /// The configured shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
     /// The shard holding document `doc` (round-robin).
     pub fn shard_of(&self, doc: DocId) -> usize {
         doc.index() % self.shards
@@ -55,7 +50,7 @@ impl ShardPlan {
 
     /// Partitions `0..doc_count` into per-shard document-index lists.
     ///
-    /// Always returns exactly `shard_count()` lists (trailing ones may be
+    /// Always returns exactly as many lists as the plan has shards (trailing ones may be
     /// empty when there are fewer documents than shards); within a shard,
     /// documents keep ascending order.
     pub fn partition(&self, doc_count: usize) -> Vec<Vec<usize>> {
@@ -74,7 +69,6 @@ mod tests {
     #[test]
     fn zero_shards_clamp_to_one() {
         let plan = ShardPlan::new(0);
-        assert_eq!(plan.shard_count(), 1);
         assert_eq!(plan.partition(3), vec![vec![0, 1, 2]]);
     }
 

@@ -47,7 +47,7 @@ pub const GPS1_NAME: &str = "TomTom Go 630 Portable GPS";
 pub const GPS3_NAME: &str = "TomTom Go 730 GPS (Tri-lingual) BOX";
 
 /// `(pros, best_uses, categories)` flag counts of GPS 1 over 11 reviews.
-pub const GPS1_FLAGS: ProductFlags = ProductFlags {
+const GPS1_FLAGS: ProductFlags = ProductFlags {
     reviews: 11,
     pros: &[("easy_to_read", 10), ("compact", 8), ("easy_to_setup", 2), ("large_screen", 1)],
     best_uses: &[("auto", 6)],
@@ -55,7 +55,7 @@ pub const GPS1_FLAGS: ProductFlags = ProductFlags {
 };
 
 /// Flag counts of GPS 3 over 68 reviews.
-pub const GPS3_FLAGS: ProductFlags = ProductFlags {
+const GPS3_FLAGS: ProductFlags = ProductFlags {
     reviews: 68,
     pros: &[
         ("acquires_satellites_quickly", 44),
@@ -70,15 +70,15 @@ pub const GPS3_FLAGS: ProductFlags = ProductFlags {
 /// Per-product review flag specification: each flag `(name, count)` is set
 /// to `yes` in the first `count` of the product's reviews.
 #[derive(Debug, Clone, Copy)]
-pub struct ProductFlags {
+struct ProductFlags {
     /// Number of reviews of the product.
-    pub reviews: usize,
+    reviews: usize,
     /// `pros/<flag>` counts.
-    pub pros: &'static [(&'static str, u32)],
+    pros: &'static [(&'static str, u32)],
     /// `uses/best_use/<flag>` counts.
-    pub best_uses: &'static [(&'static str, u32)],
+    best_uses: &'static [(&'static str, u32)],
     /// `uses/category/<flag>` counts.
-    pub categories: &'static [(&'static str, u32)],
+    categories: &'static [(&'static str, u32)],
 }
 
 /// Builds the Figure 1 document: the two TomTom GPS results with their exact

@@ -13,7 +13,7 @@ use rand::{RngExt, SeedableRng};
 use xsact_xml::Document;
 
 /// Companies with their hiring focus (preferred skills).
-pub const COMPANIES: &[(&str, &[&str])] = &[
+const COMPANIES: &[(&str, &[&str])] = &[
     ("Acme Analytics", &["sql", "python", "statistics"]),
     ("ByteForge", &["rust", "distributed_systems", "linux"]),
     ("CloudNine", &["kubernetes", "go", "networking"]),
@@ -23,7 +23,7 @@ pub const COMPANIES: &[(&str, &[&str])] = &[
 ];
 
 /// The full skill pool.
-pub const SKILLS: &[&str] = &[
+const SKILLS: &[&str] = &[
     "sql",
     "python",
     "statistics",
@@ -43,15 +43,15 @@ pub const SKILLS: &[&str] = &[
 ];
 
 /// Benefit flags.
-pub const BENEFITS: &[&str] =
+const BENEFITS: &[&str] =
     &["remote_work", "equity", "bonus", "training_budget", "gym", "relocation"];
 
 /// Job titles by seniority index.
-pub const TITLES: &[&str] =
+const TITLES: &[&str] =
     &["software_engineer", "data_engineer", "site_reliability_engineer", "ml_engineer"];
 
 /// Office locations.
-pub const LOCATIONS: &[&str] = &["berlin", "london", "new_york", "tokyo", "remote"];
+const LOCATIONS: &[&str] = &["berlin", "london", "new_york", "tokyo", "remote"];
 
 /// Configuration of the job-postings generator.
 #[derive(Debug, Clone, Copy)]
@@ -70,7 +70,7 @@ impl Default for JobsGenConfig {
     }
 }
 
-/// Deterministic job-board generator over all [`COMPANIES`].
+/// Deterministic job-board generator over all the companies of its table.
 #[derive(Debug, Clone)]
 pub struct JobsGen {
     config: JobsGenConfig,

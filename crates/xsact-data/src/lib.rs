@@ -4,8 +4,8 @@
 //! from buzzillions.com, Outdoor Retailer from REI.com) and evaluates on a
 //! movie dataset extracted from IMDB. None of those crawls is available, so
 //! this crate provides deterministic, seeded synthetic generators with the
-//! same schema shapes (see DESIGN.md §2 "Substitutions"), plus a hand-built
-//! fixture reproducing the paper's Figure 1 worked example *exactly*:
+//! same schema shapes, plus a hand-built fixture reproducing the paper's
+//! Figure 1 worked example *exactly*:
 //!
 //! * [`fixtures`] — the two TomTom GPS results of Figure 1 with their
 //!   printed statistics (11 and 68 reviews, `pro: easy to read: 10`, …).

@@ -32,7 +32,6 @@
 //! same parent again is the repetition (between two siblings only their
 //! own descendants are visited, and those lie on longer paths).
 
-use std::collections::HashMap;
 use xsact_xml::{Document, NodeId, Sym};
 
 /// The inferred role of a node (more precisely, of its tag path).
@@ -51,7 +50,7 @@ pub enum NodeClass {
 pub struct PathId(u32);
 
 impl PathId {
-    /// The dense index of this path (`0..summary.path_count()`).
+    /// The dense index of this path, below the summary's path count.
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -82,8 +81,6 @@ pub struct StructureSummary {
     paths: Vec<PathData>,
     /// Per node arena index, the node's path id ([`NO_PATH`] for text runs).
     node_paths: Vec<u32>,
-    /// Display string → path id, for the string-typed compatibility API.
-    by_display: HashMap<String, PathId>,
 }
 
 /// `node_paths` entry of a text run, and during inference the stamp of a
@@ -134,9 +131,7 @@ impl StructureSummary {
             };
             node_paths[node.index()] = path as u32;
         }
-        let by_display =
-            paths.iter().enumerate().map(|(i, p)| (p.display.clone(), PathId(i as u32))).collect();
-        StructureSummary { paths, node_paths, by_display }
+        StructureSummary { paths, node_paths }
     }
 
     /// The path id of an element node, or `None` for text runs (and nodes
@@ -169,7 +164,7 @@ impl StructureSummary {
     }
 
     /// Classifies a path by its id.
-    pub fn class_of_id(&self, path: PathId) -> NodeClass {
+    fn class_of_id(&self, path: PathId) -> NodeClass {
         let info = &self.paths[path.index()];
         if info.repeats && info.internal {
             NodeClass::Entity
@@ -178,31 +173,6 @@ impl StructureSummary {
         } else {
             NodeClass::Connection
         }
-    }
-
-    /// Classifies a raw `a/b/c` tag path.
-    pub fn class_of_path(&self, path: &str) -> NodeClass {
-        match self.by_display.get(path) {
-            Some(&pid) => self.class_of_id(pid),
-            None => NodeClass::Connection,
-        }
-    }
-
-    /// Whether the tag path is known to repeat under a single parent.
-    pub fn repeats(&self, path: &str) -> bool {
-        self.by_display.get(path).is_some_and(|&pid| self.paths[pid.index()].repeats)
-    }
-
-    /// Number of distinct tag paths observed.
-    pub fn path_count(&self) -> usize {
-        self.paths.len()
-    }
-
-    /// Iterates `(path, class)` pairs, useful for debugging and the CLI's
-    /// schema view. Order is unspecified.
-    pub fn classes(&self) -> impl Iterator<Item = (&str, NodeClass)> + '_ {
-        (0..self.paths.len())
-            .map(move |i| (self.paths[i].display.as_str(), self.class_of_id(PathId(i as u32))))
     }
 }
 
@@ -249,8 +219,18 @@ mod tests {
         .unwrap()
     }
 
+    /// The id of a raw `a/b/c` tag path.
+    fn path_named(summary: &StructureSummary, path: &str) -> Option<PathId> {
+        summary.paths.iter().position(|p| p.display == path).map(|i| PathId(i as u32))
+    }
+
+    /// An unseen path connects nothing it could be an entity or attribute of.
     fn class(summary: &StructureSummary, path: &str) -> NodeClass {
-        summary.class_of_path(path)
+        path_named(summary, path).map_or(NodeClass::Connection, |pid| summary.class_of_id(pid))
+    }
+
+    fn repeats(summary: &StructureSummary, path: &str) -> bool {
+        path_named(summary, path).is_some_and(|pid| summary.paths[pid.index()].repeats)
     }
 
     #[test]
@@ -320,7 +300,7 @@ mod tests {
         .unwrap();
         let s = StructureSummary::infer(&doc);
         assert_eq!(class(&s, "movies/movie/keyword"), NodeClass::Attribute);
-        assert!(s.repeats("movies/movie/keyword"));
+        assert!(repeats(&s, "movies/movie/keyword"));
     }
 
     #[test]
@@ -359,9 +339,11 @@ mod tests {
     fn summary_statistics() {
         let doc = review_doc();
         let s = StructureSummary::infer(&doc);
-        assert!(s.path_count() >= 9);
-        let entities: Vec<&str> =
-            s.classes().filter(|(_, c)| *c == NodeClass::Entity).map(|(p, _)| p).collect();
+        assert!(s.paths.len() >= 9);
+        let entities: Vec<&str> = (0..s.paths.len())
+            .filter(|&i| s.class_of_id(PathId(i as u32)) == NodeClass::Entity)
+            .map(|i| s.paths[i].display.as_str())
+            .collect();
         assert!(entities.contains(&"shop/product"));
         assert!(entities.contains(&"shop/product/reviews/review"));
     }
@@ -402,7 +384,7 @@ mod tests {
         use xsact_xml::{Document, Sym};
 
         #[derive(Default)]
-        pub struct PathInfo {
+        pub(super) struct PathInfo {
             pub display: String,
             pub repeats: bool,
             pub internal_instances: usize,
@@ -485,7 +467,7 @@ mod tests {
     /// two are matched through each node and through the display strings.
     fn assert_infers_like_the_oracle(doc: &Document, what: &str) {
         let (new, old) = (StructureSummary::infer(doc), oracle::Summary::infer(doc));
-        assert_eq!(new.path_count(), old.paths.len(), "{what}: path count");
+        assert_eq!(new.paths.len(), old.paths.len(), "{what}: path count");
         for node in doc.all_nodes() {
             let (path, old_path) = (new.path_id_of(node), old.node_paths[node.index()]);
             assert_eq!(path.is_some(), old_path.is_some(), "{what}: {node:?}");
@@ -495,7 +477,7 @@ mod tests {
             assert_eq!(new.class_of_id(path), old.class_of(old_path), "{what}: {display}");
         }
         for info in &old.paths {
-            assert_eq!(new.repeats(&info.display), info.repeats, "{what}: {}", info.display);
+            assert_eq!(repeats(&new, &info.display), info.repeats, "{what}: {}", info.display);
         }
     }
 

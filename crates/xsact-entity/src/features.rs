@@ -120,20 +120,8 @@ impl FeatureStat {
         &self.values[0]
     }
 
-    /// Occurrence ratio of one specific value; 0.0 if the value was never
-    /// seen.
-    pub fn value_ratio(&self, value: &str) -> f64 {
-        if self.entity_instances == 0 {
-            return 0.0;
-        }
-        self.values
-            .iter()
-            .find(|vc| vc.value == value)
-            .map_or(0.0, |vc| f64::from(vc.count) / f64::from(self.entity_instances))
-    }
-
     /// A Figure 1-style statistics line: `pros:compact: yes: 8`.
-    pub fn stat_line(&self) -> String {
+    fn stat_line(&self) -> String {
         let top = self.dominant();
         format!("{}: {}: {}", self.ty.attribute, top.value, top.count)
     }
@@ -347,7 +335,7 @@ impl ResultFeatures {
 
     /// Groups the stats by entity, preserving significance order within each
     /// entity. Entities appear in lexicographic path order.
-    pub fn by_entity(&self) -> Vec<(&str, Vec<&FeatureStat>)> {
+    fn by_entity(&self) -> Vec<(&str, Vec<&FeatureStat>)> {
         let mut out: Vec<(&str, Vec<&FeatureStat>)> = Vec::new();
         for stat in &self.stats {
             match out.last_mut() {
@@ -731,15 +719,6 @@ mod tests {
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].0, PRODUCT);
         assert_eq!(groups[1].0, REVIEW);
-    }
-
-    #[test]
-    fn value_ratio_handles_missing_values() {
-        let d = doc();
-        let rf = extract(&d, first_product(&d));
-        let compact = rf.get(&FeatureType::new(REVIEW, "pros:compact")).unwrap();
-        assert!((compact.value_ratio("yes") - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(compact.value_ratio("no"), 0.0);
     }
 
     #[test]

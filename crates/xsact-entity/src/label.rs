@@ -7,11 +7,6 @@
 
 use crate::features::FeatureType;
 
-/// Replaces underscores with spaces: `easy_to_read` → `easy to read`.
-pub fn prettify(tag: &str) -> String {
-    tag.replace('_', " ")
-}
-
 /// The short, paper-style label of a feature type, e.g.
 /// `(shop/product/reviews/review, pros:compact)` → `"pros: compact"`, and
 /// `(shop/product, name)` → `"name"`.
@@ -53,13 +48,6 @@ pub fn push_entity_short_name(out: &mut String, entity_path: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn prettify_replaces_underscores() {
-        assert_eq!(prettify("easy_to_read"), "easy to read");
-        assert_eq!(prettify("plain"), "plain");
-        assert_eq!(prettify(""), "");
-    }
 
     #[test]
     fn display_label_joins_attribute_segments() {

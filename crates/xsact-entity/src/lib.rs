@@ -23,4 +23,4 @@ pub use classify::{NodeClass, PathId, StructureSummary};
 pub use features::{
     extract_features, FeatureStat, FeatureType, PreparedStat, ResultFeatures, ValueCount,
 };
-pub use label::{display_label, prettify};
+pub use label::display_label;

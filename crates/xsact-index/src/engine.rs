@@ -319,7 +319,7 @@ impl SearchEngine {
 
     /// The nearest ancestor-or-self of `node` classified as an entity
     /// (falling back to the document root).
-    pub fn master_entity(&self, node: NodeId) -> NodeId {
+    fn master_entity(&self, node: NodeId) -> NodeId {
         let mut cur = node;
         loop {
             if self.doc.is_element(cur)

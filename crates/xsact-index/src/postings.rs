@@ -249,7 +249,7 @@ impl InvertedIndex {
     }
 
     /// The symbol of an (already normalised) term, if it occurs.
-    pub fn term_sym(&self, term: &str) -> Option<Sym> {
+    fn term_sym(&self, term: &str) -> Option<Sym> {
         self.terms.lookup(term)
     }
 
@@ -263,7 +263,7 @@ impl InvertedIndex {
     }
 
     /// The posting list behind a term symbol.
-    pub fn postings_of(&self, sym: Sym) -> PostingsRef<'_> {
+    fn postings_of(&self, sym: Sym) -> PostingsRef<'_> {
         let (first_frame, len) = self.spans[sym.index()];
         PostingsRef { store: &self.store, first_frame, len }
     }

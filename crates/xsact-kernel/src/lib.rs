@@ -162,16 +162,16 @@ mod x86 {
 
     // ------------------------------------------------------------- AVX2 arm
 
-    pub fn and2_count_avx2(a: &[u64], b: &[u64]) -> u32 {
+    pub(super) fn and2_count_avx2(a: &[u64], b: &[u64]) -> u32 {
         // Safety: selected only after `is_x86_feature_detected!("avx2")`.
         unsafe { and2_count_avx2_impl(a, b) }
     }
 
-    pub fn and3_count_avx2(a: &[u64], b: &[u64], c: &[u64]) -> u32 {
+    pub(super) fn and3_count_avx2(a: &[u64], b: &[u64], c: &[u64]) -> u32 {
         unsafe { and3_count_avx2_impl(a, b, c) }
     }
 
-    pub fn count_in_range_u32_avx2(vals: &[u32], lo: u32, hi: u32) -> u32 {
+    pub(super) fn count_in_range_u32_avx2(vals: &[u32], lo: u32, hi: u32) -> u32 {
         unsafe { count_in_range_u32_avx2_impl(vals, lo, hi) }
     }
 
@@ -264,15 +264,15 @@ mod x86 {
 
     // ------------------------------------------------------------- SSE2 arm
 
-    pub fn and2_count_sse2(a: &[u64], b: &[u64]) -> u32 {
+    pub(super) fn and2_count_sse2(a: &[u64], b: &[u64]) -> u32 {
         unsafe { and2_count_sse2_impl(a, b) }
     }
 
-    pub fn and3_count_sse2(a: &[u64], b: &[u64], c: &[u64]) -> u32 {
+    pub(super) fn and3_count_sse2(a: &[u64], b: &[u64], c: &[u64]) -> u32 {
         unsafe { and3_count_sse2_impl(a, b, c) }
     }
 
-    pub fn count_in_range_u32_sse2(vals: &[u32], lo: u32, hi: u32) -> u32 {
+    pub(super) fn count_in_range_u32_sse2(vals: &[u32], lo: u32, hi: u32) -> u32 {
         unsafe { count_in_range_u32_sse2_impl(vals, lo, hi) }
     }
 

@@ -160,11 +160,6 @@ impl HistogramSnapshot {
         self.quantile(0.50)
     }
 
-    /// 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
     /// 99th percentile.
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
@@ -250,8 +245,9 @@ mod tests {
             h.record(v);
         }
         let s = h.snapshot();
-        assert!(s.p50() <= s.p90(), "{} > {}", s.p50(), s.p90());
-        assert!(s.p90() <= s.p99(), "{} > {}", s.p90(), s.p99());
+        let p90 = s.quantile(0.90);
+        assert!(s.p50() <= p90, "{} > {p90}", s.p50());
+        assert!(p90 <= s.p99(), "{p90} > {}", s.p99());
         assert!(s.p99() <= s.max, "{} > {}", s.p99(), s.max);
         assert_eq!(s.count, values.len() as u64);
         assert_eq!(s.max, u64::MAX);

@@ -6,7 +6,7 @@
 //! * [`Histogram`] — a log-bucketed (√2-spaced) fixed-size latency
 //!   histogram with wait-free relaxed-atomic recording and
 //!   `p50`/`p90`/`p99`/`max` reconstruction ([`hist`]).
-//! * [`MetricsRegistry`] — named counters, gauges, and histograms with a
+//! * [`MetricsRegistry`] — named counters and histograms with a
 //!   stable Prometheus-style text exposition ([`registry`]), servable
 //!   over plain HTTP by [`http::serve_metrics`].
 //! * [`TraceSink`] / [`QueryTrace`] — per-query stage spans with
@@ -29,5 +29,5 @@ pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot, HIST_BUCKETS};
 pub use http::{serve_metrics, MetricsServer};
-pub use registry::{Counter, Gauge, MetricsRegistry};
+pub use registry::{Counter, MetricsRegistry};
 pub use trace::{format_nanos, QueryTrace, Span, TraceSink, TraceSpan};

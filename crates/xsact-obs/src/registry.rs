@@ -4,7 +4,7 @@
 //! handles are `Arc`s over the atomic metric itself, so the hot recording
 //! path never touches the registry again. [`MetricsRegistry::expose`]
 //! renders every metric in name order as Prometheus-style text — counters
-//! and gauges as one sample line, histograms as a `summary` (quantile
+//! as one sample line, histograms as a `summary` (quantile
 //! lines plus `_sum`/`_count`/`_max`) so the exposition stays a fixed
 //! handful of lines per metric instead of one line per bucket.
 //!
@@ -15,7 +15,7 @@
 use crate::hist::Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// A monotonically increasing counter.
@@ -39,37 +39,14 @@ impl Counter {
     }
 }
 
-/// A value that can go up and down.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// One registered metric.
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
-/// A registry of named counters, gauges, and histograms; see the module
-/// docs.
+/// A registry of named counters and histograms; see the module docs.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     metrics: RwLock<BTreeMap<String, Metric>>,
@@ -89,15 +66,6 @@ impl MetricsRegistry {
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         match self.get_or_insert(name, || Metric::Counter(Arc::new(Counter::default()))) {
             Metric::Counter(c) => c,
-            other => panic!("metric {name:?} already registered as {}", kind(&other)),
-        }
-    }
-
-    /// The gauge named `name`, registering it on first use (same
-    /// kind-clash panic as [`counter`](Self::counter)).
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        match self.get_or_insert(name, || Metric::Gauge(Arc::new(Gauge::default()))) {
-            Metric::Gauge(g) => g,
             other => panic!("metric {name:?} already registered as {}", kind(&other)),
         }
     }
@@ -130,9 +98,6 @@ impl MetricsRegistry {
                 Metric::Counter(c) => {
                     let _ = writeln!(out, "# TYPE {name} counter\n{name} {}", c.get());
                 }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(out, "# TYPE {name} gauge\n{name} {}", g.get());
-                }
                 Metric::Histogram(h) => {
                     let s = h.snapshot();
                     let _ = writeln!(out, "# TYPE {name} summary");
@@ -152,7 +117,6 @@ impl MetricsRegistry {
 fn kind(metric: &Metric) -> &'static str {
     match metric {
         Metric::Counter(_) => "counter",
-        Metric::Gauge(_) => "gauge",
         Metric::Histogram(_) => "histogram",
     }
 }
@@ -167,8 +131,6 @@ mod tests {
         r.counter("xsact_requests").add(2);
         r.counter("xsact_requests").inc();
         assert_eq!(r.counter("xsact_requests").get(), 3);
-        r.gauge("xsact_depth").set(-4);
-        assert_eq!(r.gauge("xsact_depth").get(), -4);
         r.histogram("xsact_lat_ns").record(10);
         assert_eq!(r.histogram("xsact_lat_ns").count(), 1);
     }
@@ -178,7 +140,7 @@ mod tests {
     fn kind_clash_panics() {
         let r = MetricsRegistry::new();
         r.counter("xsact_thing");
-        r.gauge("xsact_thing");
+        r.histogram("xsact_thing");
     }
 
     #[test]
@@ -186,12 +148,9 @@ mod tests {
         let r = MetricsRegistry::new();
         r.histogram("xsact_lat_ns").record(1000);
         r.counter("xsact_a").inc();
-        r.gauge("xsact_b").set(7);
         let text = r.expose();
         let expected = "# TYPE xsact_a counter\n\
                         xsact_a 1\n\
-                        # TYPE xsact_b gauge\n\
-                        xsact_b 7\n\
                         # TYPE xsact_lat_ns summary\n\
                         xsact_lat_ns{quantile=\"0.5\"} 725\n\
                         xsact_lat_ns{quantile=\"0.9\"} 725\n\

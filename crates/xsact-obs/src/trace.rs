@@ -38,7 +38,7 @@ pub struct QueryTrace {
 impl QueryTrace {
     /// Sum of all span times (stages are sequential on the engine path;
     /// for fan-outs this is total busy time, not wall time).
-    pub fn total_nanos(&self) -> u64 {
+    fn total_nanos(&self) -> u64 {
         self.spans.iter().map(|s| s.nanos).sum()
     }
 

@@ -135,7 +135,7 @@ impl LineBuffer {
     /// Default cap on one line's length (a line-protocol request is tens
     /// of bytes; a client that streams megabytes without a newline is
     /// attacking the buffer, not querying).
-    pub const DEFAULT_MAX_LINE: usize = 64 * 1024;
+    const DEFAULT_MAX_LINE: usize = 64 * 1024;
 
     /// A fresh buffer with the default line cap.
     pub fn new() -> LineBuffer {
@@ -143,7 +143,7 @@ impl LineBuffer {
     }
 
     /// A fresh buffer capping lines at `max_line` bytes.
-    pub fn with_max_line(max_line: usize) -> LineBuffer {
+    fn with_max_line(max_line: usize) -> LineBuffer {
         LineBuffer { buf: Vec::new(), scanned: 0, max_line }
     }
 

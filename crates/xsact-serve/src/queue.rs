@@ -67,11 +67,6 @@ impl<T> SubmissionQueue<T> {
         self.state.lock().expect("queue lock poisoned").items.len()
     }
 
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue lock poisoned").closed
-    }
-
     /// Admits `item`, or rejects it without blocking. A rejected item is
     /// dropped — the caller learns synchronously and still owns the means
     /// to retry (rebuilding a submission is cheap; blocking a caller under

@@ -268,7 +268,7 @@ impl ServeSnapshot {
     /// Queries answered without an execution of their own: members that
     /// rode along in a coalesced batch, plus result-page cache hits
     /// (which ride along on a *previous* execution).
-    pub fn coalesced_queries(&self) -> u64 {
+    fn coalesced_queries(&self) -> u64 {
         self.queries_served.saturating_sub(self.batches)
     }
 }

@@ -74,8 +74,8 @@ impl NodeId {
     /// Reconstructs a handle from an arena index previously obtained via
     /// [`NodeId::index`] — e.g. when unpacking a compressed posting frame
     /// whose entries were validated against the document when it was built.
-    /// Performs no bounds check; for untrusted indices use the checked
-    /// [`Document::node_handle`] instead.
+    /// Performs no bounds check; compare an untrusted index against
+    /// [`Document::len`] first.
     pub fn from_index(index: u32) -> NodeId {
         NodeId(index)
     }
@@ -158,13 +158,6 @@ pub struct SubstrateStats {
     pub node_table_bytes: usize,
 }
 
-impl SubstrateStats {
-    /// Total heap bytes of the interned substrate.
-    pub fn interned_total(&self) -> usize {
-        self.interner_bytes + self.text_bytes + self.node_table_bytes
-    }
-}
-
 impl Document {
     /// Creates a document whose root element has tag `root_tag`.
     pub fn new(root_tag: impl AsRef<str>) -> Self {
@@ -242,12 +235,6 @@ impl Document {
     /// `all_nodes().filter(|n| is_element(n)).count()`.
     pub fn element_count(&self) -> usize {
         self.element_count
-    }
-
-    /// Reconstructs a [`NodeId`] from its arena index, e.g. when loading a
-    /// persisted index. Returns `None` when out of range.
-    pub fn node_handle(&self, index: usize) -> Option<NodeId> {
-        (index < self.len()).then(|| NodeId(narrow(index)))
     }
 
     /// Whether the document holds only the root element.
@@ -937,9 +924,5 @@ mod tests {
         assert_eq!(stats.distinct_symbols, 5); // shop, product, id, name, rating
         assert!(stats.node_table_bytes >= doc.len() * 16 + 200 * std::mem::size_of::<AttrRecord>());
         assert!(stats.text_bytes >= 200 * ("Item 0".len() + "4.2".len() + 1));
-        assert_eq!(
-            stats.interned_total(),
-            stats.interner_bytes + stats.text_bytes + stats.node_table_bytes
-        );
     }
 }

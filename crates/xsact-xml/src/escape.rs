@@ -50,7 +50,7 @@ fn escape_with(s: &str, needs: impl Fn(char) -> bool) -> Cow<'_, str> {
 ///
 /// `offset` is the byte position of the `&` in the original input; it is only
 /// used to build the error value.
-pub fn resolve_entity(entity: &str, offset: usize) -> XmlResult<char> {
+fn resolve_entity(entity: &str, offset: usize) -> XmlResult<char> {
     match entity {
         "amp" => return Ok('&'),
         "lt" => return Ok('<'),

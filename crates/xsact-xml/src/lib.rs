@@ -16,10 +16,10 @@
 //! * entity [`escape`]/unescape helpers,
 //! * a [`writer`] that serialises a document back to text.
 //!
-//! The crate is dependency-free by design (see `DESIGN.md` §2): the node
-//! model is tailored to keyword search (element + text nodes, attributes
-//! folded into child elements at parse time is *not* done — attributes are
-//! preserved, the search layer decides how to treat them).
+//! The crate has no dependencies, so it builds offline and the node model
+//! can be tailored to keyword search: element and text nodes only, and
+//! attributes are preserved as attributes — the search layer decides how
+//! to treat them.
 //!
 //! # Example
 //!
@@ -40,7 +40,6 @@ pub mod error;
 pub mod escape;
 pub mod interner;
 pub mod parse;
-pub mod path;
 #[cfg(test)]
 mod samples;
 pub mod tokenizer;

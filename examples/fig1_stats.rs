@@ -6,10 +6,9 @@
 //! significance order. The integration test `tests/paper_example.rs`
 //! asserts these numbers equal the paper's.
 //!
-//! Usage: `cargo run -p xsact-bench --bin fig1_stats`
+//! Usage: `cargo run --release --example fig1_stats`
 
 use xsact::prelude::*;
-use xsact_bench::{emit_json, record};
 use xsact_data::fixtures;
 
 fn main() -> Result<(), XsactError> {
@@ -17,7 +16,6 @@ fn main() -> Result<(), XsactError> {
     let pipeline = wb.query(fixtures::PAPER_QUERY)?;
     let results = pipeline.results();
     println!("query {{TomTom, GPS}} on the Figure 1 dataset: {} results\n", results.len());
-    record("fig1/paper_query", "results", results.len() as f64);
 
     for (i, rf) in pipeline.features()?.iter().enumerate() {
         println!("Result {} — {}", i + 1, rf.label);
@@ -37,6 +35,5 @@ fn main() -> Result<(), XsactError> {
             println!("{}", xsact_xml::writer::write_subtree(doc, first));
         }
     }
-    emit_json("fig1_stats");
     Ok(())
 }

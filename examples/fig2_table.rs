@@ -7,15 +7,19 @@
 //! * XSACT multi-swap DFSs: DoD = 5 ("three more feature types become
 //!   comparable").
 //!
-//! Usage: `cargo run -p xsact-bench --bin fig2_table`
+//! Exits non-zero unless snippet / single-swap / multi-swap DoD come out
+//! as 2 / 5 / 5.
+//!
+//! Usage: `cargo run --release --example fig2_table`
 
+use std::process::ExitCode;
 use xsact::prelude::*;
-use xsact_bench::{emit_json, record};
 use xsact_data::fixtures;
 
-fn main() -> Result<(), XsactError> {
+fn main() -> Result<ExitCode, XsactError> {
     let wb = Workbench::from_document(fixtures::figure1_document());
     let pipeline = wb.query(fixtures::PAPER_QUERY)?;
+    let mut reproduced = true;
 
     let snippet =
         pipeline.clone().size_bound(fixtures::SNIPPET_BOUND).compare(Algorithm::Snippet)?;
@@ -24,7 +28,7 @@ fn main() -> Result<(), XsactError> {
         fixtures::SNIPPET_BOUND,
         snippet.dod()
     );
-    record("fig2/snippet", "dod", f64::from(snippet.dod()));
+    reproduced &= snippet.dod() == 2;
     println!("{}", snippet.table());
 
     let table = pipeline.clone().size_bound(fixtures::TABLE_BOUND);
@@ -36,7 +40,7 @@ fn main() -> Result<(), XsactError> {
             fixtures::TABLE_BOUND,
             outcome.dod()
         );
-        record(&format!("fig2/{}", algorithm.name()), "dod", f64::from(outcome.dod()));
+        reproduced &= outcome.dod() == 5;
         if algorithm == Algorithm::MultiSwap {
             println!("{}", outcome.table());
         }
@@ -54,6 +58,9 @@ fn main() -> Result<(), XsactError> {
         }
         Err(other) => return Err(other),
     }
-    emit_json("fig2_table");
-    Ok(())
+    if !reproduced {
+        eprintln!("error: snippet / single-swap / multi-swap DoD are not the paper's 2 / 5 / 5");
+        return Ok(ExitCode::FAILURE);
+    }
+    Ok(ExitCode::SUCCESS)
 }

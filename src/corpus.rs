@@ -86,15 +86,6 @@ impl Corpus {
         Corpus { docs: Vec::new(), shards: available_cores(), faults: FaultPlan::disarmed() }
     }
 
-    /// Builds a corpus from `(name, document)` pairs; ids follow iteration
-    /// order. The per-document index builds run on every core.
-    pub fn from_documents(docs: impl IntoIterator<Item = (String, Document)>) -> Corpus {
-        let docs: Vec<_> = docs.into_iter().collect();
-        Corpus::from_workbenches(build_in_order(docs, available_cores(), |(name, doc)| {
-            (name, Workbench::from_document(doc))
-        }))
-    }
-
     /// Parses and ingests `(name, xml)` pairs. Fails with
     /// [`XsactError::Xml`] on the first malformed document.
     pub fn from_xml_strings<'a>(
@@ -200,15 +191,8 @@ impl Corpus {
         self.shards = shards.max(1);
     }
 
-    /// Arms fault-injection sites on the persistence paths (builder
-    /// form); chaos tests only.
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultPlan) -> Corpus {
-        self.set_faults(faults);
-        self
-    }
-
-    /// Arms fault-injection sites in place.
+    /// Arms fault-injection sites on the persistence paths in place; chaos
+    /// tests only.
     pub fn set_faults(&mut self, faults: FaultPlan) {
         self.faults = faults;
     }

@@ -1,8 +1,8 @@
 //! # XSACT — a comparison tool for structured search results
 //!
 //! Reproduction of *XSACT: A Comparison Tool for Structured Search Results*
-//! (Liu et al., VLDB 2010) and its companion full paper *Structured Search
-//! Result Differentiation* (PVLDB 2009).
+//! (VLDB 2010 demonstration, DBLP `journals/pvldb/LiuNSBMWC10`) and its
+//! companion full paper *Structured Search Result Differentiation*.
 //!
 //! The documented entry point is the [`Workbench`]: one session object per
 //! document that owns the search engine, caches per-result features across
@@ -89,6 +89,11 @@ pub use xsact_xml as xml;
 
 pub use xsact_core::Algorithm;
 pub use xsact_index::ExecutorStats;
+
+/// `README.md`'s `rust` blocks, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
 
 /// The most common imports in one place.
 pub mod prelude {

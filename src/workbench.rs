@@ -1061,6 +1061,8 @@ mod tests {
         let a = wb.query(fixtures::PAPER_QUERY).unwrap().results();
         let b = restored.query(fixtures::PAPER_QUERY).unwrap().results();
         assert_eq!(a, b);
+        assert!(wb.index_stats().terms > 0);
+        assert_eq!(restored.index_stats().terms, wb.index_stats().terms);
         // A mismatched document is rejected as a typed I/O error.
         let other =
             xsact_xml::parse_document("<shop><product><name>x</name></product></shop>").unwrap();

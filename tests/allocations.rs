@@ -126,7 +126,7 @@ fn parsing_allocates_a_fixed_number_of_arrays_and_at_most_forty_bytes_a_node() {
     // Exact fit: 16 bytes of table per node, the text itself (~3 bytes per
     // node here) and the interner.
     let stats = doc.substrate_stats();
-    let per_node = stats.interned_total() / stats.nodes;
+    let per_node = (stats.interner_bytes + stats.text_bytes + stats.node_table_bytes) / stats.nodes;
     assert!(per_node <= 40, "{per_node} bytes per node: {stats:?}");
     assert_eq!(stats.node_table_bytes, 16 * doc.len(), "{stats:?}");
 }

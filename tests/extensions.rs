@@ -1,12 +1,10 @@
 //! Integration tests for the extension features (the paper's "future work"
-//! and companion techniques): result ranking, ELCA semantics,
-//! interestingness-aware selection and simulated annealing.
+//! and companion techniques): result ranking, ELCA semantics and simulated
+//! annealing.
 
 use xsact::prelude::*;
-use xsact_core::{
-    anneal_from, dod_total, interesting_set, snippet_set, total_interestingness, Algorithm,
-    AnnealingConfig, DfsConfig, Instance,
-};
+use xsact_core::annealing::{anneal, anneal_from, AnnealingConfig};
+use xsact_core::{dod_total, multi_swap, snippet_set, Algorithm, DfsConfig, Instance};
 use xsact_data::movies::{MovieGenConfig, MoviesGen};
 use xsact_index::ResultSemantics;
 
@@ -68,17 +66,6 @@ fn qm_instance(engine: &SearchEngine, bound: usize) -> Instance {
 }
 
 #[test]
-fn interesting_set_is_valid_on_real_data() {
-    let engine = movie_engine();
-    let inst = qm_instance(&engine, 5);
-    for lambda in [0.0, 1.0, 5.0] {
-        let set = interesting_set(&inst, lambda);
-        assert!(set.all_valid(&inst), "lambda {lambda}");
-        let _ = total_interestingness(&inst, &set);
-    }
-}
-
-#[test]
 fn annealing_never_hurts_and_respects_validity() {
     let engine = movie_engine();
     let inst = qm_instance(&engine, 4);
@@ -95,9 +82,9 @@ fn annealing_never_hurts_and_respects_validity() {
 fn annealing_tracks_multi_swap_quality() {
     let engine = movie_engine();
     let inst = qm_instance(&engine, 5);
-    let (multi, _) = xsact_core::multi_swap(&inst);
+    let (multi, _) = multi_swap(&inst);
     let (_, annealed_dod) =
-        xsact_core::anneal(&inst, &AnnealingConfig { iterations: 2_000, ..Default::default() });
+        anneal(&inst, &AnnealingConfig { iterations: 2_000, ..Default::default() });
     // anneal() starts from multi-swap, so it can only match or improve.
     assert!(annealed_dod >= dod_total(&inst, &multi));
 }

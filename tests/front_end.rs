@@ -11,7 +11,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 use xsact::prelude::*;
 use xsact::serve::{serve_tcp, TcpServeHandle, END_MARKER};
-use xsact_serve::LineBuffer;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -86,7 +85,8 @@ fn a_line_past_the_cap_is_refused_and_only_that_connection_closes() {
     let _serial = serial();
     let handle = start();
     let mut flood = connect(&handle);
-    flood.write_all(&vec![b'x'; LineBuffer::DEFAULT_MAX_LINE + 1]).unwrap();
+    // One byte past the protocol's 64 KiB line cap.
+    flood.write_all(&vec![b'x'; 64 * 1024 + 1]).unwrap();
     let reply = read_to_eof(&mut flood);
     assert!(reply.starts_with("ERR BAD_REQUEST "), "{reply:?}");
     assert!(reply.ends_with(&format!("\n{END_MARKER}\n")), "{reply:?}");

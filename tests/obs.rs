@@ -41,7 +41,7 @@ fn tracing_never_changes_workbench_bytes() {
     for stage in ["parse", "plan", "slca-stream"] {
         assert!(labels.contains(&stage), "missing {stage:?} span in {labels:?}");
     }
-    assert!(trace.total_nanos() > 0, "spans carry monotonic timings");
+    assert!(trace.spans.iter().any(|s| s.nanos > 0), "spans carry monotonic timings");
 }
 
 #[test]

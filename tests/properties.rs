@@ -533,7 +533,7 @@ impl TreeOracle {
         let mut children = vec![Vec::new(); doc.len()];
         let mut paths = vec![vec![0]; doc.len()];
         // A node is appended after its parent, so ids visit parents first.
-        for n in (1..doc.len()).map(|i| doc.node_handle(i).unwrap()) {
+        for n in doc.all_nodes().skip(1) {
             let parent = doc.parent(n).expect("only node 0 is the root").index();
             let mut path = paths[parent].clone();
             path.push(children[parent].len() as u32);
@@ -1267,11 +1267,6 @@ fn assert_instance_matches_oracle(inst: &Instance, features: &[ResultFeatures], 
                 sig_ratio: c.sig_ratio,
             });
             assert_eq!(cell, result.cells[t], "{what}: cell({i}, {t})");
-            assert_eq!(
-                inst.has_type(i, t),
-                result.cells[t].is_some(),
-                "{what}: has_type({i}, {t})"
-            );
             assert_eq!(inst.rank_of(i, t), result.rank_of[t], "{what}: rank_of({i}, {t})");
         }
         for j in 0..n {
@@ -1439,7 +1434,9 @@ fn instance_build_matches_the_string_keyed_oracle_on_random_sets() {
         }
         if shape == RawShape::Disjoint {
             let shared_types = (0..inst.type_count())
-                .filter(|&t| (0..inst.result_count()).filter(|&i| inst.has_type(i, t)).count() > 1)
+                .filter(|&t| {
+                    (0..inst.result_count()).filter(|&i| inst.cell(i, t).is_some()).count() > 1
+                })
                 .count();
             assert_eq!(shared_types, 0, "seed {seed}: disjoint results share a type");
             assert_eq!(xsact_core::dod_upper_bound(&inst), 0, "seed {seed}");
@@ -1478,7 +1475,7 @@ fn instance_build_matches_the_oracle_on_cross_document_sets() {
         cross_document_types += (0..inst.type_count())
             .filter(|&t| {
                 let docs: BTreeSet<usize> = (0..features.len())
-                    .filter(|&i| inst.has_type(i, t))
+                    .filter(|&i| inst.cell(i, t).is_some())
                     .map(|i| origin[i])
                     .collect();
                 docs.len() == 2
@@ -1717,7 +1714,7 @@ fn oracle_weights(inst: &Instance, masks: &[Vec<bool>], i: usize) -> Vec<u32> {
             continue;
         }
         for (t, w) in weights.iter_mut().enumerate() {
-            if mask[t] && inst.has_type(i, t) && inst.differentiable(i, j, t) {
+            if mask[t] && inst.cell(i, t).is_some() && inst.differentiable(i, j, t) {
                 *w += 1;
             }
         }
@@ -1793,27 +1790,15 @@ fn annealing_is_valid_and_monotone() {
         let anneal_seed = rng.random_range(0..32u64);
         let start = xsact_core::snippet_set(&inst);
         let start_dod = dod_total(&inst, &start);
-        let cfg = xsact_core::AnnealingConfig {
+        let cfg = xsact_core::annealing::AnnealingConfig {
             seed: anneal_seed,
             iterations: 300,
             ..Default::default()
         };
-        let (set, dod) = xsact_core::anneal_from(&inst, start, &cfg);
+        let (set, dod) = xsact_core::annealing::anneal_from(&inst, start, &cfg);
         assert!(set.all_valid(&inst), "seed {seed}");
         assert!(dod >= start_dod, "seed {seed}");
         assert_eq!(dod, dod_total(&inst, &set), "seed {seed}");
-    }
-}
-
-#[test]
-fn interesting_set_is_always_valid() {
-    for seed in 0..96u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let inst = random_instance(&mut rng);
-        for lambda in [0.0f64, 0.5, 2.0, 10.0] {
-            let set = xsact_core::interesting_set(&inst, lambda);
-            assert!(set.all_valid(&inst), "seed {seed} lambda {lambda}");
-        }
     }
 }
 
