@@ -373,7 +373,6 @@ pub fn run_serve(args: &ServeArgs) -> Result<String, XsactError> {
         postings_scanned: stats.postings_scanned,
         gallop_probes: stats.gallop_probes,
         candidates_pruned: stats.candidates_pruned,
-        postings_shared: stats.postings_shared,
     };
     Ok(format!("shutdown complete\n{stats}\n{}", explain_line(executor)))
 }

@@ -16,7 +16,7 @@
 //!
 //! Moves are ranked by `(ΔDoD, Δpotential)` lexicographically and accepted
 //! while strictly positive. The potential tie-breaker (see
-//! [`crate::dod::type_potentials`]) lets two DFSs converge on a shared
+//! [`crate::Instance::potentials`]) lets two DFSs converge on a shared
 //! differentiable type that neither has selected yet — a pure-DoD search
 //! would see a 0 gain on both sides and stall. Each accepted move strictly
 //! increases the bounded pair `(total DoD, Σ selected potentials)`, so the

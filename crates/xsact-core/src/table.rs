@@ -300,7 +300,7 @@ mod tests {
     #[test]
     fn renders_like_the_oracle_on_the_movie_pool() {
         use xsact_data::{vocab, MoviesGen};
-        use xsact_index::{Query, ResultSemantics, SearchEngine};
+        use xsact_index::{Query, SearchEngine};
         let engine = SearchEngine::build(MoviesGen::default_gen().generate());
         let config = DfsConfig { size_bound: 8, threshold_pct: 10.0 };
         let mut pool = 0;
@@ -308,8 +308,7 @@ mod tests {
             .iter()
             .flat_map(|g| vocab::KEYWORDS.iter().map(move |k| format!("{g} {k}")));
         for text in queries {
-            let (top, _) =
-                engine.search_top_k(&Query::parse(&text), 16, ResultSemantics::Slca, None, None);
+            let (top, _) = engine.search_top_k(&Query::parse(&text), 16, None);
             if pool == 64 || top.len() < 2 {
                 continue;
             }

@@ -11,15 +11,15 @@
 //! There are two ways to run a query. [`SearchEngine::search_all`] returns
 //! every result in document order under either LCA semantics
 //! ([`SearchEngine::search`] is its SLCA shorthand).
-//! [`SearchEngine::search_top_k`] returns the best `k` by relevance,
-//! streamed through a bounded heap and left unlabelled until
+//! [`SearchEngine::search_top_k`] returns the best `k` SLCA results by
+//! relevance, streamed through a bounded heap and left unlabelled until
 //! [`SearchEngine::result_for`] — the path every ranked, `take(k)` and
 //! corpus caller runs. Both report the executor's work as
 //! [`ExecutorStats`] and take an optional trace sink.
 //! [`SearchEngine::search_ranked`] sorts the full result list and exists
 //! as the oracle the property suite compares the streaming path against.
 
-use crate::plan::{ExecutorStats, PlanFragments, QueryPlan};
+use crate::plan::{ExecutorStats, QueryPlan};
 use crate::postings::InvertedIndex;
 use crate::query::Query;
 use crate::rank::{rank_results, ScoredResult, Scorer, TopK};
@@ -243,16 +243,11 @@ impl SearchEngine {
     /// [`RankedRoot`]s — a display label costs a subtree walk, and a caller
     /// that merges this document's top-k with other documents' pays
     /// [`result_for`](Self::result_for) only for what survives its merge.
-    /// The roots equal the ranked full search truncated to `k` for every
-    /// `k` (the ranking order is total; `tests/properties.rs` pins it),
-    /// with `usize::MAX` producing the complete ranking.
-    ///
-    /// With a `fragments` table, planning goes through it: terms already
-    /// resolved by an earlier query of the same batch are served from the
-    /// table, and the reused entry count lands in
-    /// [`ExecutorStats::postings_shared`]. Roots, ranking order and the
-    /// other counters are identical to independent planning
-    /// (`tests/properties.rs` pins it over random batches).
+    /// The roots equal the ranked full SLCA search truncated to `k` for
+    /// every `k` (the ranking order is total; `tests/properties.rs` pins
+    /// it), with `usize::MAX` producing the complete ranking. Ranking is
+    /// defined over SLCA results only; ELCA runs through
+    /// [`search_all`](Self::search_all).
     ///
     /// With a `trace`, the stages record `plan` → `slca-stream` → `rank`
     /// spans with the executor counters attached as span notes; with
@@ -261,25 +256,15 @@ impl SearchEngine {
     ///
     /// [`search_ranked`](Self::search_ranked) stays as the sort-everything
     /// correctness oracle.
-    pub fn search_top_k<'e>(
-        &'e self,
+    pub fn search_top_k(
+        &self,
         query: &Query,
         k: usize,
-        semantics: ResultSemantics,
-        fragments: Option<&mut PlanFragments<'e>>,
         trace: Option<&TraceSink>,
     ) -> (Vec<RankedRoot>, ExecutorStats) {
         let span = trace.map(|sink| sink.span("plan"));
         let mut stats = ExecutorStats::default();
-        let plan = match fragments {
-            None => QueryPlan::new(&self.index, query),
-            Some(fragments) => {
-                let shared_before = fragments.shared_entries();
-                let plan = QueryPlan::new_shared(&self.index, query, fragments);
-                stats.postings_shared = fragments.shared_entries() - shared_before;
-                plan
-            }
-        };
+        let plan = QueryPlan::new(&self.index, query);
         if let Some(mut span) = span {
             note_plan(&mut span, &plan);
             span.finish();
@@ -291,7 +276,7 @@ impl SearchEngine {
         let span = trace.map(|sink| sink.span("slca-stream"));
         let mut heap: TopK<RankedRoot> = TopK::new(k);
         let mut streamed = 0usize;
-        self.for_each_promoted(&plan, semantics, &mut stats, |root, slca| {
+        self.for_each_promoted(&plan, ResultSemantics::Slca, &mut stats, |root, slca| {
             let score = scorer.score(root);
             heap.push(score.score, root, RankedRoot { score, slca });
             streamed += 1;
@@ -392,7 +377,7 @@ mod tests {
         q: &Query,
         k: usize,
     ) -> (Vec<(SearchResult, ScoredResult)>, ExecutorStats) {
-        let (roots, stats) = engine.search_top_k(q, k, ResultSemantics::Slca, None, None);
+        let (roots, stats) = engine.search_top_k(q, k, None);
         (roots.into_iter().map(|r| (engine.result_for(&r), r.score)).collect(), stats)
     }
 
@@ -532,7 +517,7 @@ mod tests {
         let (results, stats) = engine.search_all(&q, ResultSemantics::Slca, None);
         assert!(results.is_empty());
         assert!(stats.is_zero(), "{stats:?}");
-        let (top, top_stats) = engine.search_top_k(&q, 4, ResultSemantics::Slca, None, None);
+        let (top, top_stats) = engine.search_top_k(&q, 4, None);
         assert!(top.is_empty());
         assert!(top_stats.is_zero(), "{top_stats:?}");
     }
@@ -544,9 +529,6 @@ mod tests {
         let (results, stats) = engine.search_all(&q, ResultSemantics::Elca, None);
         assert!(results.is_empty());
         assert!(stats.is_zero(), "no full scan may run: {stats:?}");
-        let (top, top_stats) = engine.search_top_k(&q, 4, ResultSemantics::Elca, None, None);
-        assert!(top.is_empty());
-        assert!(top_stats.is_zero(), "{top_stats:?}");
     }
 
     #[test]

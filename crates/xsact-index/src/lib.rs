@@ -35,7 +35,7 @@ pub mod slca;
 pub use engine::{RankedRoot, ResultSemantics, SearchEngine, SearchResult};
 pub use lexer::tokenize;
 pub use persist::{document_fingerprint, load_index, save_index};
-pub use plan::{ExecutorStats, PlanFragments, QueryPlan, SlcaStream};
+pub use plan::{ExecutorStats, QueryPlan, SlcaStream};
 pub use postings::{IndexStats, InvertedIndex, PostingsIter, PostingsRef};
 pub use query::Query;
 pub use rank::{rank_results, rank_top_k, ScoredResult, Scorer};

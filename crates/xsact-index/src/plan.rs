@@ -10,7 +10,9 @@
 //!   the probe loop, so every other list is only ever searched, never
 //!   walked), and **short-circuits to a provably-empty plan** when any term
 //!   has zero postings — conjunctive semantics cannot match, so no SLCA
-//!   work runs at all.
+//!   work runs at all. Resolving a term is one interner probe and a span
+//!   read (nothing is decoded), so every query plans on its own; nothing
+//!   is memoised across the queries of a batch.
 //! * [`SlcaStream`] executes the plan lazily: an iterator over SLCA roots
 //!   in document order, powered by an **anchored-gallop** variant of the
 //!   Indexed Lookup Eager algorithm. For each driver posting the closest
@@ -79,12 +81,6 @@ pub struct ExecutorStats {
     /// entity promotions, and scored results evicted by the bounded
     /// top-k heap.
     pub candidates_pruned: u64,
-    /// Posting entries served from a shared [`PlanFragments`] table
-    /// instead of being resolved against the index again — the proof that
-    /// batch-level plan sharing reused work. Always zero on the
-    /// independent ([`QueryPlan::new`]) path; sharing never changes any
-    /// other counter (the lists are the same lists).
-    pub postings_shared: u64,
 }
 
 impl ExecutorStats {
@@ -103,7 +99,6 @@ impl Add for ExecutorStats {
             postings_scanned: self.postings_scanned + rhs.postings_scanned,
             gallop_probes: self.gallop_probes + rhs.gallop_probes,
             candidates_pruned: self.candidates_pruned + rhs.candidates_pruned,
-            postings_shared: self.postings_shared + rhs.postings_shared,
         }
     }
 }
@@ -123,72 +118,7 @@ impl fmt::Display for ExecutorStats {
             f,
             "{} postings scanned, {} gallop probes, {} candidates pruned",
             self.postings_scanned, self.gallop_probes, self.candidates_pruned
-        )?;
-        if self.postings_shared > 0 {
-            write!(f, ", {} postings shared", self.postings_shared)?;
-        }
-        Ok(())
-    }
-}
-
-/// A per-batch plan-fragment table: term → resolved posting list, shared
-/// by every query of one batch against **one** index.
-///
-/// Queries in a batch that share terms resolve each shared term once; the
-/// second and later resolutions are served from this table, and their
-/// entry counts accumulate into [`shared_entries`](Self::shared_entries)
-/// (surfaced per query as [`ExecutorStats::postings_shared`]). Sharing is
-/// pure memoisation of [`InvertedIndex::postings`] — the returned
-/// [`PostingsRef`] is the same list the independent path would resolve,
-/// so plans built through a table are byte-identical to independent
-/// plans: same lists, same rarest-first order (the sort is stable and the
-/// keys are identical), same probes.
-///
-/// A table is only meaningful for a single index; building plans for two
-/// different indexes through one table is a logic error (debug-asserted).
-#[derive(Debug, Default)]
-pub struct PlanFragments<'a> {
-    /// Linear memo — batch queries hold a handful of terms, so a scan
-    /// beats hashing.
-    entries: Vec<(String, PostingsRef<'a>)>,
-    shared_entries: u64,
-    /// Identity of the index the fragments were resolved against.
-    index: Option<*const InvertedIndex>,
-}
-
-impl<'a> PlanFragments<'a> {
-    /// An empty table for one batch over one index.
-    pub fn new() -> PlanFragments<'a> {
-        PlanFragments::default()
-    }
-
-    /// Posting entries served from the table instead of a fresh index
-    /// resolution, accumulated over every plan built through it.
-    pub fn shared_entries(&self) -> u64 {
-        self.shared_entries
-    }
-
-    /// Distinct terms resolved so far.
-    pub fn terms(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Resolves `term`, serving repeats from the memo. Empty lists are
-    /// memoised too: a hopeless term short-circuits every query that
-    /// carries it, and the table remembers that verdict.
-    fn resolve(&mut self, index: &'a InvertedIndex, term: &str) -> PostingsRef<'a> {
-        debug_assert!(
-            std::ptr::eq(*self.index.get_or_insert(index as *const InvertedIndex), index),
-            "a PlanFragments table must not span indexes"
-        );
-        if let Some((_, postings)) = self.entries.iter().find(|(t, _)| t == term) {
-            let postings = *postings;
-            self.shared_entries += postings.len() as u64;
-            return postings;
-        }
-        let postings = index.postings(term);
-        self.entries.push((term.to_owned(), postings));
-        postings
+        )
     }
 }
 
@@ -212,29 +142,9 @@ impl<'a> QueryPlan<'a> {
     /// resulting stream runs directly on the packed frames — no posting
     /// list is decoded up front.
     pub fn new(index: &'a InvertedIndex, query: &Query) -> QueryPlan<'a> {
-        QueryPlan::resolved(query, |term| index.postings(term))
-    }
-
-    /// [`new`](Self::new), but with every term resolution routed through a
-    /// per-batch [`PlanFragments`] table so queries sharing terms resolve
-    /// each shared list once. The resulting plan is byte-identical to the
-    /// independent path — same lists in the same stable rarest-first
-    /// order, same short-circuit point — only the resolution work is
-    /// shared (and counted via [`PlanFragments::shared_entries`]).
-    pub fn new_shared(
-        index: &'a InvertedIndex,
-        query: &Query,
-        fragments: &mut PlanFragments<'a>,
-    ) -> QueryPlan<'a> {
-        QueryPlan::resolved(query, |term| fragments.resolve(index, term))
-    }
-
-    /// The one planning routine: resolve each term in query order, stop at
-    /// the first empty list, order the rest rarest-first.
-    fn resolved(query: &Query, mut resolve: impl FnMut(&str) -> PostingsRef<'a>) -> QueryPlan<'a> {
         let mut lists = Vec::with_capacity(query.len());
         for term in query.iter() {
-            let postings = resolve(term);
+            let postings = index.postings(term);
             if postings.is_empty() {
                 // Conjunctive semantics: one hopeless term sinks the whole
                 // query before any SLCA work happens.

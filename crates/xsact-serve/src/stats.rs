@@ -41,7 +41,6 @@ pub struct ServeCounters {
     postings_scanned: Arc<Counter>,
     gallop_probes: Arc<Counter>,
     candidates_pruned: Arc<Counter>,
-    postings_shared: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     cache_evictions: Arc<Counter>,
@@ -74,7 +73,6 @@ impl ServeCounters {
             postings_scanned: registry.counter("xsact_postings_scanned"),
             gallop_probes: registry.counter("xsact_gallop_probes"),
             candidates_pruned: registry.counter("xsact_candidates_pruned"),
-            postings_shared: registry.counter("xsact_postings_shared"),
             cache_hits: registry.counter("xsact_cache_hits"),
             cache_misses: registry.counter("xsact_cache_misses"),
             cache_evictions: registry.counter("xsact_cache_evictions"),
@@ -100,16 +98,14 @@ impl ServeCounters {
     }
 
     /// Records one executed batch: `size` queries answered by one
-    /// execution that did the given executor work (`shared` = posting
-    /// entries served from the batch's plan-fragment table).
-    pub fn record_batch(&self, size: usize, postings: u64, probes: u64, pruned: u64, shared: u64) {
+    /// execution that did the given executor work.
+    pub fn record_batch(&self, size: usize, postings: u64, probes: u64, pruned: u64) {
         self.queries_served.add(size as u64);
         self.batches.inc();
         self.batch_size.record(size as u64);
         self.postings_scanned.add(postings);
         self.gallop_probes.add(probes);
         self.candidates_pruned.add(pruned);
-        self.postings_shared.add(shared);
     }
 
     /// Records one query answered straight from the result-page cache: it
@@ -205,7 +201,6 @@ impl ServeCounters {
             postings_scanned: self.postings_scanned.get(),
             gallop_probes: self.gallop_probes.get(),
             candidates_pruned: self.candidates_pruned.get(),
-            postings_shared: self.postings_shared.get(),
             cache_hits: self.cache_hits.get(),
             cache_misses: self.cache_misses.get(),
             cache_evictions: self.cache_evictions.get(),
@@ -244,9 +239,6 @@ pub struct ServeSnapshot {
     pub gallop_probes: u64,
     /// Candidates pruned, summed over every batch execution.
     pub candidates_pruned: u64,
-    /// Posting entries served from per-batch plan-fragment tables instead
-    /// of fresh index resolutions, summed over every batch execution.
-    pub postings_shared: u64,
     /// Queries answered straight from the result-page cache (each also
     /// counts in `queries_served`).
     pub cache_hits: u64,
@@ -291,7 +283,6 @@ impl fmt::Display for ServeSnapshot {
         writeln!(f, "postings_scanned {}", self.postings_scanned)?;
         writeln!(f, "gallop_probes {}", self.gallop_probes)?;
         writeln!(f, "candidates_pruned {}", self.candidates_pruned)?;
-        writeln!(f, "postings_shared {}", self.postings_shared)?;
         writeln!(f, "cache_hits {}", self.cache_hits)?;
         writeln!(f, "cache_misses {}", self.cache_misses)?;
         writeln!(f, "cache_evictions {}", self.cache_evictions)?;
@@ -308,8 +299,8 @@ mod tests {
     #[test]
     fn batches_accumulate_into_every_counter() {
         let c = ServeCounters::default();
-        c.record_batch(1, 10, 2, 1, 0);
-        c.record_batch(3, 30, 6, 3, 4);
+        c.record_batch(1, 10, 2, 1);
+        c.record_batch(3, 30, 6, 3);
         let s = c.snapshot();
         assert_eq!(s.queries_served, 4);
         assert_eq!(s.batches, 2);
@@ -324,8 +315,8 @@ mod tests {
         // The old fixed 1..8+ histogram lumped everything above 8 into one
         // bucket; the log-bucketed histogram keeps resolution.
         let c = ServeCounters::default();
-        c.record_batch(64, 0, 0, 0, 0);
-        c.record_batch(1024, 0, 0, 0, 0);
+        c.record_batch(64, 0, 0, 0);
+        c.record_batch(1024, 0, 0, 0);
         let s = c.snapshot();
         assert_eq!(s.batch_size.max, 1024);
         assert_eq!(s.batch_size.p50(), 64);
@@ -334,7 +325,7 @@ mod tests {
     #[test]
     fn cache_hits_count_as_served_and_keep_histogram_counts() {
         let c = ServeCounters::default();
-        c.record_batch(1, 10, 2, 1, 0);
+        c.record_batch(1, 10, 2, 1);
         c.record_cache_miss();
         c.record_cache_hit();
         c.record_cache_hit();
@@ -352,17 +343,6 @@ mod tests {
         assert!(text.contains("cache_evictions 3"), "{text}");
         let exposition = c.exposition();
         assert!(exposition.contains("xsact_cache_hits 2"), "{exposition}");
-    }
-
-    #[test]
-    fn postings_shared_accumulates_per_batch() {
-        let c = ServeCounters::default();
-        c.record_batch(2, 10, 2, 1, 5);
-        c.record_batch(1, 4, 1, 0, 2);
-        let s = c.snapshot();
-        assert_eq!(s.postings_shared, 7);
-        assert!(s.to_string().contains("postings_shared 7"));
-        assert!(c.exposition().contains("xsact_postings_shared 7"));
     }
 
     #[test]
@@ -415,7 +395,7 @@ mod tests {
     #[test]
     fn display_is_line_oriented_and_stable() {
         let c = ServeCounters::default();
-        c.record_batch(2, 7, 1, 0, 0);
+        c.record_batch(2, 7, 1, 0);
         let text = c.snapshot().to_string();
         assert!(text.contains("queries_served 2"), "{text}");
         assert!(text.contains("batch_size_hist count:1 p50:2 p99:2 max:2"), "{text}");
@@ -428,7 +408,7 @@ mod tests {
     #[test]
     fn exposition_contains_the_serving_metrics() {
         let c = ServeCounters::default();
-        c.record_batch(1, 5, 1, 0, 0);
+        c.record_batch(1, 5, 1, 0);
         c.record_e2e(Duration::from_micros(10));
         let text = c.exposition();
         for name in [
@@ -450,7 +430,7 @@ mod tests {
             for _ in 0..8 {
                 scope.spawn(|| {
                     for _ in 0..100 {
-                        c.record_batch(2, 1, 1, 1, 1);
+                        c.record_batch(2, 1, 1, 1);
                         c.record_overload_rejection();
                         c.record_e2e(Duration::from_nanos(500));
                     }

@@ -32,7 +32,8 @@
 //! invisible, and a line longer than 64 KiB or not UTF-8 is answered
 //! `ERR BAD_REQUEST` and the connection closed. A connection's socket and
 //! bookkeeping are released when its thread exits; shutdown ends the
-//! blocking reads of the ones still alive.
+//! blocking reads of the ones still alive. At most 1024 connections are
+//! live at once; one more is answered `ERR OVERLOADED` and closed.
 //!
 //! ## Failure modes are typed
 //!
@@ -354,9 +355,7 @@ fn dispatch_loop(inner: &ServerInner) {
             let busy = Instant::now();
             // The exact partition the scoped fan-out uses — a pure
             // function of (shards, documents), recomputed per broadcast
-            // because it is trivially cheap next to a search. The whole
-            // round executes in one broadcast so queries sharing terms
-            // resolve each (doc, term) posting list once per shard.
+            // because it is trivially cheap next to a search.
             let parts = ShardPlan::new(shards).partition(corpus.len());
             let result = corpus.execute_shard_batch(batch, &parts[shard]);
             shard_busy[shard].record_duration(busy.elapsed());
@@ -380,9 +379,9 @@ fn dispatch_loop(inner: &ServerInner) {
             continue; // every member expired; nothing to run
         }
         // One broadcast executes the whole round: each shard worker runs
-        // every group's query over its document slice through one shared
-        // plan-fragment table, so queries sharing terms resolve each
-        // posting list once per (doc, term).
+        // every group's query over its document slice, one after another,
+        // so a round costs one wake-up per worker however many groups it
+        // holds.
         let round_batch: Vec<(Query, usize)> =
             live_groups.iter().map(|group| (group[0].query.clone(), group[0].k)).collect();
         let execute_start = Instant::now();
@@ -441,7 +440,6 @@ fn dispatch_loop(inner: &ServerInner) {
                 stats.postings_scanned,
                 stats.gallop_probes,
                 stats.candidates_pruned,
-                stats.postings_shared,
             );
             let batch_size = answered.len();
             // Only delivered answers are cached — a `ShardFailed`, a
@@ -735,12 +733,29 @@ impl TcpServeHandle {
     }
 }
 
+/// Most connections [`serve_tcp`] serves at once — each holds a thread.
+const MAX_CONNECTIONS: usize = 1024;
+
 /// Binds `addr` (e.g. `127.0.0.1:4141`, port 0 for an ephemeral port) and
 /// serves `server` over the line protocol: one thread per connection, one
 /// [`ServeSession`] per connection, request lines framed by
 /// [`LineBuffer`] (at most 64 KiB each), every response terminated by a
 /// lone `.` line. Returns once the listener is bound and accepting.
+///
+/// At most 1024 connections are live at once: one more is answered
+/// `ERR OVERLOADED too many connections`, counted in `rejected_overload`,
+/// and closed.
 pub fn serve_tcp(server: CorpusServer, addr: &str) -> XsactResult<TcpServeHandle> {
+    serve_tcp_impl(server, addr, MAX_CONNECTIONS)
+}
+
+/// `max_conns` is a parameter (not configuration) so the tests can pin the
+/// cap at a size they can reach.
+fn serve_tcp_impl(
+    server: CorpusServer,
+    addr: &str,
+    max_conns: usize,
+) -> XsactResult<TcpServeHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(TcpShared {
@@ -760,7 +775,15 @@ pub fn serve_tcp(server: CorpusServer, addr: &str) -> XsactResult<TcpServeHandle
                     if shared.stop.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(stream) = stream else { continue };
+                    let Ok(mut stream) = stream else { continue };
+                    if conns.len() >= max_conns {
+                        drop(conns);
+                        shared.server.inner.counters.record_overload_rejection();
+                        let refusal = err_line("OVERLOADED", "too many connections");
+                        let _ = stream.write_all(format!("{refusal}\n{END_MARKER}\n").as_bytes());
+                        let _ = stream.shutdown(Shutdown::Both);
+                        continue;
+                    }
                     let stream = Arc::new(stream);
                     conns.insert(id, Arc::clone(&stream));
                     drop(conns);
@@ -996,6 +1019,32 @@ mod tests {
         assert!(metrics.contains("xsact_queries_served 3"), "{metrics}");
         assert!(metrics.contains("xsact_e2e_ns_count 3"), "{metrics}");
         assert!(metrics.contains("# TYPE xsact_shard_0_busy_ns summary"), "{metrics}");
+    }
+
+    #[test]
+    fn a_connection_over_the_cap_is_refused_until_one_closes() {
+        let server = CorpusServer::start(test_corpus(1), ServeConfig::default());
+        let handle = serve_tcp_impl(server, "127.0.0.1:0", 2).unwrap();
+        let connect = || TcpStream::connect(handle.addr()).unwrap();
+        // Everything the server says after `request`, up to its close.
+        let last_words = |mut stream: TcpStream, request: &str| {
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            stream.write_all(request.as_bytes()).unwrap();
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply).unwrap();
+            reply
+        };
+        // Accepted in connect order: the first two take both places.
+        let (first, _second) = (connect(), connect());
+        let refused = last_words(connect(), "");
+        assert_eq!(refused, format!("ERR OVERLOADED too many connections\n{END_MARKER}\n"));
+        // A connection leaves the count before its socket closes, so once
+        // its client reads EOF there is room again.
+        let bye = format!("OK bye\n{END_MARKER}\n");
+        assert_eq!(last_words(first, "QUIT\n"), bye);
+        assert_eq!(last_words(connect(), "QUIT\n"), bye, "a new connection is served");
+        handle.shutdown();
+        assert_eq!(handle.wait().rejected_overload, 1);
     }
 
     #[test]

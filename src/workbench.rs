@@ -64,26 +64,6 @@ impl CacheStats {
     }
 }
 
-/// Number of independent lock shards in the feature cache. Lock contention
-/// is per-shard, so concurrent queries over disjoint results rarely touch
-/// the same lock; a small power of two keeps the modulo cheap.
-const CACHE_SHARDS: usize = 8;
-
-/// One lock shard of the feature cache: a map under its own `RwLock` plus
-/// its share of the hit/miss counters. Counters are atomics (not guarded by
-/// the lock) so a hit only ever takes the shard's *read* lock.
-///
-/// The map is keyed by the result root alone; under a root sit the features
-/// extracted for it, one per label it was asked for (nearly always one),
-/// each carrying its label itself. A lookup therefore borrows the label it
-/// is given and owns nothing until it misses.
-#[derive(Debug, Default)]
-struct CacheShard {
-    map: RwLock<HashMap<NodeId, Vec<Arc<ResultFeatures>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
 fn labelled<'a>(
     entries: &'a [Arc<ResultFeatures>],
     label: &str,
@@ -91,30 +71,28 @@ fn labelled<'a>(
     entries.iter().find(|rf| rf.label == label)
 }
 
-/// The sharded, thread-safe feature cache. An entry is the extractor's
+/// The thread-safe feature cache: one map under one `RwLock`, plus hit/miss
+/// counters kept as atomics (not guarded by the lock) so a hit only ever
+/// takes the *read* lock. Every document has its own workbench and shard
+/// workers never touch this cache, so one lock is all the traffic needs.
+///
+/// The map is keyed by the result root alone; under a root sit the features
+/// extracted for it, one per label it was asked for (nearly always one),
+/// each carrying its label itself. A lookup therefore borrows the label it
+/// is given and owns nothing until it misses. An entry is the extractor's
 /// output behind an `Arc`: a lookup hands out the pointer, never a copy, and
 /// whoever holds it keeps the features alive past a `clear`. Every lookup
 /// increments exactly one of `hits`/`misses` with an atomic add, so the
-/// aggregated counters never lose updates under concurrency and
-/// `stats().lookups()` always equals the number of `get_or_extract` calls.
-#[derive(Debug)]
+/// counters never lose updates under concurrency and `stats().lookups()`
+/// always equals the number of `get_or_extract` calls.
+#[derive(Debug, Default)]
 struct FeatureCache {
-    shards: [CacheShard; CACHE_SHARDS],
+    map: RwLock<HashMap<NodeId, Vec<Arc<ResultFeatures>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl FeatureCache {
-    fn new() -> Self {
-        FeatureCache { shards: std::array::from_fn(|_| CacheShard::default()) }
-    }
-
-    /// The shard of a result root. Roots of one result list are often a
-    /// fixed stride apart, so the id is multiplied out before its top bits
-    /// pick the shard.
-    fn shard_of(&self, root: NodeId) -> &CacheShard {
-        let spread = (root.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.shards[(spread >> 32) as usize % CACHE_SHARDS]
-    }
-
     /// The features of `root` under `label`: the cached ones, or those
     /// `extract` makes of the label (and labels with it). The label is only
     /// borrowed until the lookup has missed.
@@ -124,22 +102,21 @@ impl FeatureCache {
         label: L,
         extract: impl FnOnce(L) -> ResultFeatures,
     ) -> Arc<ResultFeatures> {
-        let shard = self.shard_of(root);
-        let map = shard.map.read().expect("cache lock poisoned");
+        let map = self.map.read().expect("cache lock poisoned");
         let cached = map.get(&root).and_then(|entries| labelled(entries, label.as_ref()));
         if let Some(cached) = cached {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(cached);
         }
         drop(map);
-        shard.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.fetch_add(1, Ordering::Relaxed);
         // Extract outside the lock: extraction walks the whole result
         // subtree, and holding the write lock across it would serialise
         // every concurrent miss. Two racing misses may both extract; the
         // result is identical (extraction is deterministic), and both get
         // whichever allocation reached the map first.
         let extracted = Arc::new(extract(label));
-        let mut map = shard.map.write().expect("cache lock poisoned");
+        let mut map = self.map.write().expect("cache lock poisoned");
         let entries = map.entry(root).or_default();
         if let Some(first) = labelled(entries, &extracted.label) {
             return Arc::clone(first);
@@ -149,27 +126,20 @@ impl FeatureCache {
     }
 
     fn stats(&self) -> CacheStats {
-        self.shards.iter().fold(CacheStats::default(), |acc, s| CacheStats {
-            hits: acc.hits + s.hits.load(Ordering::Relaxed),
-            misses: acc.misses + s.misses.load(Ordering::Relaxed),
-        })
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
     }
 
     fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.map.read().expect("cache lock poisoned").values().map(Vec::len).sum::<usize>()
-            })
-            .sum()
+        self.map.read().expect("cache lock poisoned").values().map(Vec::len).sum()
     }
 
     fn clear(&self) {
-        for shard in &self.shards {
-            shard.map.write().expect("cache lock poisoned").clear();
-            shard.hits.store(0, Ordering::Relaxed);
-            shard.misses.store(0, Ordering::Relaxed);
-        }
+        self.map.write().expect("cache lock poisoned").clear();
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -184,7 +154,6 @@ struct ExecCounters {
     postings_scanned: AtomicU64,
     gallop_probes: AtomicU64,
     candidates_pruned: AtomicU64,
-    postings_shared: AtomicU64,
 }
 
 impl ExecCounters {
@@ -193,7 +162,6 @@ impl ExecCounters {
         self.postings_scanned.fetch_add(stats.postings_scanned, Ordering::Relaxed);
         self.gallop_probes.fetch_add(stats.gallop_probes, Ordering::Relaxed);
         self.candidates_pruned.fetch_add(stats.candidates_pruned, Ordering::Relaxed);
-        self.postings_shared.fetch_add(stats.postings_shared, Ordering::Relaxed);
     }
 
     fn totals(&self) -> ExecutorStats {
@@ -201,7 +169,6 @@ impl ExecCounters {
             postings_scanned: self.postings_scanned.load(Ordering::Relaxed),
             gallop_probes: self.gallop_probes.load(Ordering::Relaxed),
             candidates_pruned: self.candidates_pruned.load(Ordering::Relaxed),
-            postings_shared: self.postings_shared.load(Ordering::Relaxed),
         }
     }
 }
@@ -213,10 +180,10 @@ impl ExecCounters {
 /// [`Workbench::query`]. The underlying layer crates remain independently
 /// usable; the workbench only orchestrates them and adds caching.
 ///
-/// A workbench is `Sync`: the feature cache is sharded behind `RwLock`s
-/// with atomic hit/miss counters, so any number of threads may query the
-/// same workbench concurrently (the corpus engine fans out over shards of
-/// workbenches this way).
+/// A workbench is `Sync`: the feature cache sits behind one `RwLock` with
+/// atomic hit/miss counters, and the executor counters are atomics, so any
+/// number of threads may query the same workbench concurrently (the corpus
+/// engine fans out over shards of workbenches this way).
 #[derive(Debug)]
 pub struct Workbench {
     engine: SearchEngine,
@@ -238,7 +205,7 @@ impl Workbench {
     /// Wraps an already-built engine (e.g. one restored from a persisted
     /// index).
     pub fn from_engine(engine: SearchEngine) -> Workbench {
-        Workbench { engine, features: FeatureCache::new(), exec: ExecCounters::default() }
+        Workbench { engine, features: FeatureCache::default(), exec: ExecCounters::default() }
     }
 
     /// Builds a workbench from a document plus a previously
@@ -318,56 +285,31 @@ impl Workbench {
     /// to `k`. Executor counters are recorded into
     /// [`executor_stats`](Self::executor_stats).
     pub fn search_top_k(&self, query: &Query, k: usize) -> Vec<(SearchResult, ScoredResult)> {
-        self.top_k(query, k, None).0
+        self.label(self.top_k_roots(query, k, None).0)
     }
 
-    /// [`search_top_k`](Self::search_top_k) plus this run's own counters
-    /// (the workbench totals are updated either way) and an optional
-    /// per-stage trace — what the pipeline terminals run. Tracing only
-    /// observes the run — the returned hits are byte-identical with the
-    /// sink present or absent (pinned by `tests/obs.rs`), and with `None`
-    /// no timestamps are taken.
-    fn top_k(
+    /// The streaming top-k as unlabelled [`RankedRoot`]s plus this run's
+    /// counters, recorded into the workbench totals — the one executor
+    /// call under the pipeline's labelled top-k and the corpus engine's
+    /// shard workers, which merge many documents' top-k and label only
+    /// what survives ([`SearchEngine::result_for`]). Tracing only observes
+    /// the run — the roots are byte-identical with the sink present or
+    /// absent (pinned by `tests/obs.rs`), and with `None` no timestamps
+    /// are taken.
+    pub(crate) fn top_k_roots(
         &self,
         query: &Query,
         k: usize,
         trace: Option<&TraceSink>,
-    ) -> (Vec<(SearchResult, ScoredResult)>, ExecutorStats) {
-        let (roots, stats) = self.engine.search_top_k(query, k, ResultSemantics::Slca, None, trace);
-        self.exec.record(stats);
-        let hits = roots.into_iter().map(|r| (self.engine.result_for(&r), r.score)).collect();
-        (hits, stats)
+    ) -> (Vec<RankedRoot>, ExecutorStats) {
+        let top = self.engine.search_top_k(query, k, trace);
+        self.exec.record(top.1);
+        top
     }
 
-    /// The top `k` of every query of a batch as unlabelled
-    /// [`RankedRoot`]s, plus each run's counters — what the corpus
-    /// engine's shard workers run: they merge many documents' top-k and
-    /// label only what survives ([`SearchEngine::result_for`]). The batch
-    /// plans through one plan-fragment table, so queries sharing terms
-    /// resolve each shared posting list once
-    /// (`ExecutorStats::postings_shared` counts the reuse); roots and the
-    /// other counters are byte-identical to running each query alone —
-    /// the table only memoises index resolutions. Each query's stats are
-    /// recorded into the workbench totals.
-    pub(crate) fn top_k_roots_batch(
-        &self,
-        queries: &[(Query, usize)],
-    ) -> Vec<(Vec<RankedRoot>, ExecutorStats)> {
-        let mut fragments = xsact_index::PlanFragments::new();
-        queries
-            .iter()
-            .map(|(query, k)| {
-                let top = self.engine.search_top_k(
-                    query,
-                    *k,
-                    ResultSemantics::Slca,
-                    Some(&mut fragments),
-                    None,
-                );
-                self.exec.record(top.1);
-                top
-            })
-            .collect()
+    /// Gives ranked roots their display labels.
+    fn label(&self, roots: Vec<RankedRoot>) -> Vec<(SearchResult, ScoredResult)> {
+        roots.into_iter().map(|r| (self.engine.result_for(&r), r.score)).collect()
     }
 
     /// The underlying search engine, for callers that need layer-level
@@ -534,8 +476,9 @@ impl<'a> QueryPipeline<'a> {
     /// Orders results by TF-IDF relevance instead of document order.
     ///
     /// Ranking is defined over SLCA results only (the engine's
-    /// `search_ranked`), so this overrides a previously chosen
-    /// [`semantics`](Self::semantics).
+    /// `search_top_k` takes no semantics), so this overrides a previously
+    /// chosen [`semantics`](Self::semantics); ELCA results come in
+    /// document order only.
     #[must_use]
     pub fn ranked(mut self, ranked: bool) -> Self {
         self.ranked = ranked;
@@ -629,9 +572,9 @@ impl<'a> QueryPipeline<'a> {
     /// The streaming top-k of this pipeline's query, counted into the
     /// pipeline's executor stats.
     fn top_k(&self, k: usize) -> Vec<(SearchResult, ScoredResult)> {
-        let (hits, stats) = self.wb.top_k(&self.query, k, self.trace);
+        let (roots, stats) = self.wb.top_k_roots(&self.query, k, self.trace);
         self.note_stats(stats);
-        hits
+        self.wb.label(roots)
     }
 
     /// Runs the search and returns results with their relevance scores,
@@ -745,18 +688,12 @@ impl<'a> QueryPipeline<'a> {
         if let Some(inst) = self.instance_memo.get() {
             return Ok(inst);
         }
-        validate_config(&self.config)?;
         // The cache's own allocations, looked up by the labels the search
         // memo holds: the instance reads them in place.
-        let features: Vec<Arc<ResultFeatures>> =
-            self.map_compared(|r| self.wb.shared_features(r.root, r.label.as_str()))?;
-        if features.len() < 2 {
-            return Err(XsactError::NotEnoughResults {
-                query: self.query_text(),
-                found: features.len(),
-            });
-        }
-        Ok(self.instance_memo.get_or_init(|| Arc::new(Instance::build(&features, self.config))))
+        let inst = build_instance(self.config, &self.query, || {
+            self.map_compared(|r| self.wb.shared_features(r.root, r.label.as_str()))
+        })?;
+        Ok(self.instance_memo.get_or_init(|| inst))
     }
 
     /// Generates Differentiation Feature Sets for the selected results with
@@ -767,12 +704,41 @@ impl<'a> QueryPipeline<'a> {
     /// differentiability matrix, and every outcome points at that one
     /// instance.
     pub fn compare(&self, algorithm: Algorithm) -> XsactResult<ComparisonOutcome> {
-        let instance = self.instance()?;
-        match algorithm {
-            Algorithm::Exhaustive { limit } => Comparison::run_exhaustive_on(instance, limit)
-                .ok_or(XsactError::ExhaustiveLimitExceeded { limit }),
-            _ => Ok(Comparison::run_on(instance, algorithm)),
-        }
+        run_comparison(self.instance()?, algorithm)
+    }
+}
+
+/// The first half of the one comparison terminal behind
+/// [`QueryPipeline::instance`] and [`crate::CorpusQuery::compare`]:
+/// [`validate_config`], then the selected features (whose own errors —
+/// `NoResults`, `InvalidSelection` — come next), then at least two of
+/// them, then the instance.
+pub(crate) fn build_instance(
+    config: DfsConfig,
+    query: &Query,
+    features: impl FnOnce() -> XsactResult<Vec<Arc<ResultFeatures>>>,
+) -> XsactResult<Arc<Instance>> {
+    validate_config(&config)?;
+    let features = features()?;
+    if features.len() < 2 {
+        return Err(XsactError::NotEnoughResults {
+            query: query.to_string(),
+            found: features.len(),
+        });
+    }
+    Ok(Arc::new(Instance::build(&features, config)))
+}
+
+/// The second half: run `algorithm` on the instance, an exhaustive run over
+/// its limit being the typed [`XsactError::ExhaustiveLimitExceeded`].
+pub(crate) fn run_comparison(
+    instance: &Arc<Instance>,
+    algorithm: Algorithm,
+) -> XsactResult<ComparisonOutcome> {
+    match algorithm {
+        Algorithm::Exhaustive { limit } => Comparison::run_exhaustive_on(instance, limit)
+            .ok_or(XsactError::ExhaustiveLimitExceeded { limit }),
+        _ => Ok(Comparison::run_on(instance, algorithm)),
     }
 }
 

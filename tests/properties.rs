@@ -41,8 +41,8 @@ use xsact_entity::{
     extract_features, FeatureStat, FeatureType, NodeClass, ResultFeatures, StructureSummary,
 };
 use xsact_index::{
-    rank_results, rank_top_k, slca_full_scan, ExecutorStats, InvertedIndex, PlanFragments, Query,
-    QueryPlan, ResultSemantics, ScoredResult, SearchEngine, SearchResult,
+    rank_results, rank_top_k, slca_full_scan, InvertedIndex, Query, QueryPlan, ScoredResult,
+    SearchEngine, SearchResult,
 };
 use xsact_xml::{parse_document, writer, Document, NodeId, Sym};
 
@@ -311,128 +311,44 @@ fn gallop_stream_matches_the_full_scan_oracle() {
 }
 
 /// The streaming top-k, labelled — the shape the `search_ranked` oracle
-/// returns — with this run's counters. `fragments` plans it through a
-/// batch's shared table.
-fn labelled_top_k<'e>(
-    engine: &'e SearchEngine,
+/// returns.
+fn labelled_top_k(
+    engine: &SearchEngine,
     query: &Query,
     k: usize,
-    semantics: ResultSemantics,
-    fragments: Option<&mut PlanFragments<'e>>,
-) -> (Vec<(SearchResult, ScoredResult)>, ExecutorStats) {
-    let (roots, stats) = engine.search_top_k(query, k, semantics, fragments, None);
-    (roots.into_iter().map(|r| (engine.result_for(&r), r.score)).collect(), stats)
+) -> Vec<(SearchResult, ScoredResult)> {
+    let (roots, _) = engine.search_top_k(query, k, None);
+    roots.into_iter().map(|r| (engine.result_for(&r), r.score)).collect()
 }
 
 #[test]
-fn search_top_k_matches_the_ranked_oracle_for_both_semantics() {
+fn search_top_k_matches_the_ranked_oracle() {
     for seed in 0..64u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let doc = random_document(&mut rng);
         let engine = SearchEngine::build(doc);
         let query = random_query(&mut rng);
-        for semantics in [ResultSemantics::Slca, ResultSemantics::Elca] {
-            // Oracle: the unbounded search (full-scan ELCA / batch SLCA),
-            // ranked by the sort-everything path.
-            let results = engine.search_all(&query, semantics, None).0;
-            let roots: Vec<NodeId> = results.iter().map(|r| r.root).collect();
-            let scored = rank_results(engine.document(), engine.index(), &query, &roots);
-            let (full, _) = labelled_top_k(&engine, &query, usize::MAX, semantics, None);
-            assert_eq!(
-                full.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>(),
-                scored,
-                "seed {seed} {semantics:?}: unbounded executor vs full sort"
-            );
-            // Labelling by `result_for` gives every survivor the result
-            // the document-order search found for its root.
-            for (result, _) in &full {
-                assert!(results.contains(result), "seed {seed} {semantics:?}: {result:?}");
-            }
-            assert_eq!(full.len(), results.len(), "seed {seed} {semantics:?}");
-            // Every truncation equals the full run's prefix.
-            for k in 0..=full.len() + 1 {
-                let (bounded, _) = labelled_top_k(&engine, &query, k, semantics, None);
-                assert_eq!(bounded, full[..k.min(full.len())], "seed {seed} {semantics:?} k = {k}");
-            }
+        // Oracle: the unbounded document-order search, ranked by the
+        // sort-everything path.
+        let results = engine.search(&query);
+        let roots: Vec<NodeId> = results.iter().map(|r| r.root).collect();
+        let scored = rank_results(engine.document(), engine.index(), &query, &roots);
+        let full = labelled_top_k(&engine, &query, usize::MAX);
+        assert_eq!(
+            full.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>(),
+            scored,
+            "seed {seed}: unbounded executor vs full sort"
+        );
+        // Labelling by `result_for` gives every survivor the result the
+        // document-order search found for its root.
+        for (result, _) in &full {
+            assert!(results.contains(result), "seed {seed}: {result:?}");
         }
-    }
-}
-
-/// Batch-level plan sharing is invisible in the results: running a batch
-/// of random queries through one shared [`PlanFragments`] table produces
-/// rankings and legacy executor counters identical to independent
-/// execution, for both semantics — only `postings_shared` may differ
-/// (and must whenever the batch repeats a term).
-#[test]
-fn shared_plan_fragments_match_independent_execution() {
-    for seed in 0..64u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let doc = random_document(&mut rng);
-        let engine = SearchEngine::build(doc);
-        let queries: Vec<Query> =
-            (0..rng.random_range(2..=6usize)).map(|_| random_query(&mut rng)).collect();
-        for semantics in [ResultSemantics::Slca, ResultSemantics::Elca] {
-            let mut fragments = PlanFragments::new();
-            let mut repeated_terms = false;
-            let mut seen: Vec<String> = Vec::new();
-            for (q, query) in queries.iter().enumerate() {
-                // Predict whether this query shares: planning resolves
-                // terms in order and short-circuits after the first empty
-                // list, so only terms up to (and including) that one enter
-                // the fragment table.
-                for term in query.iter() {
-                    let empty = engine.index().postings(term).is_empty();
-                    if seen.iter().any(|s| s == term) {
-                        // `shared_entries` counts posting *entries*
-                        // resolved from the table, so only a repeat of a
-                        // non-empty list registers.
-                        repeated_terms |= !empty;
-                    } else {
-                        seen.push(term.to_owned());
-                    }
-                    if empty {
-                        break;
-                    }
-                }
-                let k = rng.random_range(0..=5usize);
-                let (independent, independent_stats) =
-                    labelled_top_k(&engine, query, k, semantics, None);
-                let (shared, shared_stats) =
-                    labelled_top_k(&engine, query, k, semantics, Some(&mut fragments));
-                assert_eq!(
-                    shared, independent,
-                    "seed {seed} {semantics:?} query {q}: sharing changed the ranking"
-                );
-                assert_eq!(
-                    (
-                        shared_stats.postings_scanned,
-                        shared_stats.gallop_probes,
-                        shared_stats.candidates_pruned,
-                    ),
-                    (
-                        independent_stats.postings_scanned,
-                        independent_stats.gallop_probes,
-                        independent_stats.candidates_pruned,
-                    ),
-                    "seed {seed} {semantics:?} query {q}: sharing changed the work counters"
-                );
-                assert_eq!(
-                    independent_stats.postings_shared, 0,
-                    "independent execution never reports sharing"
-                );
-            }
-            if repeated_terms {
-                assert!(
-                    fragments.shared_entries() > 0,
-                    "seed {seed} {semantics:?}: a repeated term must be resolved via the table"
-                );
-            } else {
-                assert_eq!(
-                    fragments.shared_entries(),
-                    0,
-                    "seed {seed} {semantics:?}: no repeats, nothing shared"
-                );
-            }
+        assert_eq!(full.len(), results.len(), "seed {seed}");
+        // Every truncation equals the full run's prefix.
+        for k in 0..=full.len() + 1 {
+            let bounded = labelled_top_k(&engine, &query, k);
+            assert_eq!(bounded, full[..k.min(full.len())], "seed {seed} k = {k}");
         }
     }
 }
