@@ -84,9 +84,11 @@ const VERSION: u32 = 4;
 /// Bytes of one frame-table entry: `first` u32, `bit_off` u32, `width` u8.
 const FRAME_ENTRY: usize = 9;
 
-/// FNV-style structural fingerprint of a document: node count, tags,
-/// attributes and text contents in document order (the workspace-shared
-/// [`FnvHasher`], so the constants cannot drift from the interner's).
+/// FNV-style structural fingerprint of a document: node count, then in
+/// document order each element's tag, extent (`subtree_end − id`, LEB128:
+/// what tells `<a><b/><c/></a>` from `<a><b><c/></b></a>`) and attributes
+/// and each text node's content (the workspace-shared [`FnvHasher`], so
+/// the constants cannot drift from the interner's).
 pub fn document_fingerprint(doc: &Document) -> u64 {
     let mut hasher = FnvHasher::new();
     let mut eat = |bytes: &[u8]| hasher.write(bytes);
@@ -95,6 +97,12 @@ pub fn document_fingerprint(doc: &Document) -> u64 {
         if doc.is_element(node) {
             eat(b"<");
             eat(doc.tag(node).as_bytes());
+            let mut extent = doc.subtree_end(node) - node.index() as u32;
+            while extent >= 0x80 {
+                eat(&[extent as u8 | 0x80]);
+                extent >>= 7;
+            }
+            eat(&[extent as u8]);
             for (k, v) in doc.attrs(node) {
                 eat(b"@");
                 eat(k.as_bytes());
@@ -713,5 +721,9 @@ mod tests {
         assert_ne!(a, b);
         // Same content → same fingerprint.
         assert_eq!(a, document_fingerprint(&doc()));
+        // Same tags in the same preorder, different nesting.
+        let siblings = parse_document("<a><b/><c/></a>").unwrap();
+        let nested = parse_document("<a><b><c/></b></a>").unwrap();
+        assert_ne!(document_fingerprint(&siblings), document_fingerprint(&nested));
     }
 }

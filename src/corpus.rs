@@ -16,10 +16,13 @@
 //!   document id, then node id (document order) — so the merged ranking is
 //!   byte-identical for any shard count.
 //!
-//! The top of the merged ranking can be compared *across documents*: the
+//! The top of the merged ranking — or the hits ticked by position with
+//! [`CorpusQuery::select`] — can be compared *across documents*: the
 //! corpus pulls each hit's features from its owning workbench (cached,
 //! thread-safe) and builds one comparison table whose columns may come
-//! from different documents.
+//! from different documents. A [`CorpusQuery`] keeps only the fan-out and
+//! merge; the selection rule, error order and memos are shared with
+//! [`crate::QueryPipeline`] (`src/selection.rs`).
 //!
 //! ```
 //! use xsact::corpus::Corpus;
@@ -35,7 +38,8 @@
 //! ```
 
 use crate::error::{XsactError, XsactResult};
-use crate::workbench::{build_instance, run_comparison, Workbench};
+use crate::selection::{Selection, Source};
+use crate::workbench::Workbench;
 use std::cmp::Ordering;
 use std::convert::Infallible;
 use std::fs;
@@ -43,7 +47,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{self, AtomicU64};
 use std::sync::Arc;
-use xsact_core::{Algorithm, ComparisonOutcome, DfsConfig};
+use xsact_core::{Algorithm, ComparisonOutcome};
 use xsact_corpus::{fan_out, k_way_merge};
 use xsact_data::movies::{MovieGenConfig, MoviesGen};
 use xsact_entity::ResultFeatures;
@@ -256,7 +260,7 @@ impl Corpus {
     /// [`XsactError::EmptyQuery`] / [`XsactError::EmptyCorpus`] before any
     /// thread is spawned.
     pub fn query(&self, text: &str) -> XsactResult<CorpusQuery<'_>> {
-        self.build_query(text, None)
+        CorpusQuery::new(self, text, None)
     }
 
     /// [`query`](Self::query) with a stage trace attached from the start:
@@ -269,35 +273,7 @@ impl Corpus {
         text: &str,
         sink: &'a TraceSink,
     ) -> XsactResult<CorpusQuery<'a>> {
-        self.build_query(text, Some(sink))
-    }
-
-    fn build_query<'a>(
-        &'a self,
-        text: &str,
-        trace: Option<&'a TraceSink>,
-    ) -> XsactResult<CorpusQuery<'a>> {
-        if self.docs.is_empty() {
-            return Err(XsactError::EmptyCorpus);
-        }
-        let span = trace.map(|sink| sink.span("parse"));
-        let query = Query::parse(text);
-        if let Some(mut span) = span {
-            span.note("terms", query.terms().len() as u64);
-            span.finish();
-        }
-        if query.is_empty() {
-            return Err(XsactError::EmptyQuery);
-        }
-        Ok(CorpusQuery {
-            corpus: self,
-            query,
-            top: DEFAULT_TOP,
-            config: DfsConfig::default(),
-            trace,
-            ranking_memo: std::cell::OnceCell::new(),
-            topk_memo: std::cell::OnceCell::new(),
-        })
+        CorpusQuery::new(self, text, Some(sink))
     }
 
     /// Executor counters aggregated over every document workbench — the
@@ -583,100 +559,30 @@ impl CorpusOutcome {
 /// compare.
 #[derive(Debug, Clone)]
 pub struct CorpusQuery<'a> {
+    sel: Selection<FanOut<'a>>,
+}
+
+/// Where a corpus query's lists come from: the fan-out over the corpus's
+/// shards and the merge of what they return.
+#[derive(Debug, Clone, Copy)]
+struct FanOut<'a> {
     corpus: &'a Corpus,
-    query: Query,
-    top: usize,
-    config: DfsConfig,
-    /// The *full* merged ranking, computed once per query value —
-    /// `ranking()` followed by `compare()` (the CLI's exact shape) must
-    /// not fan the search out across the corpus twice. No builder method
-    /// changes what the search returns (`top`/`size_bound`/`threshold`
-    /// only shape the comparison), so the memo survives them.
-    ranking_memo: std::cell::OnceCell<CorpusRanking>,
-    /// The *bounded* merged top-k, produced by pushing `top` down into
-    /// each shard's streaming executor: every shard computes only its
-    /// local top-k and the global merge touches `shards × k` candidates.
-    /// Used by the comparison terminals when the full ranking was never
-    /// requested; reset by [`top`](CorpusQuery::top).
-    topk_memo: std::cell::OnceCell<CorpusRanking>,
     /// Where stage spans go when the caller asked for a trace
-    /// ([`Corpus::query_traced`]); `None` takes no timestamps. Purely
-    /// observational, so it never resets a memo.
+    /// ([`Corpus::query_traced`]); `None` takes no timestamps.
     trace: Option<&'a TraceSink>,
 }
 
-impl<'a> CorpusQuery<'a> {
-    /// How many merged results enter the comparison (default
-    /// [`DEFAULT_TOP`]). This bound is **pushed down** into the shard
-    /// workers: a comparison-only query computes `top` results per
-    /// document and merges `shards × top` candidates, never the full
-    /// corpus-wide ranking.
-    #[must_use]
-    pub fn top(mut self, k: usize) -> Self {
-        self.top = k;
-        self.topk_memo = std::cell::OnceCell::new();
-        self
-    }
+impl Source for FanOut<'_> {
+    type Hit = CorpusHit;
+    type List = CorpusRanking;
 
-    /// Sets the comparison-table size bound `L` (features per DFS).
-    #[must_use]
-    pub fn size_bound(mut self, bound: usize) -> Self {
-        self.config.size_bound = bound;
-        self
-    }
-
-    /// Sets the differentiability threshold `x` in percent.
-    #[must_use]
-    pub fn threshold(mut self, pct: f64) -> Self {
-        self.config.threshold_pct = pct;
-        self
-    }
-
-    /// The query text, as parsed.
-    pub fn query_text(&self) -> String {
-        self.query.to_string()
-    }
-
-    /// Executes the fan-out and returns the merged global ranking
-    /// (memoized — repeated terminals reuse the first run's result; clone
-    /// the return value for an owned copy).
-    ///
-    /// Per shard count `N`, the corpus spawns min(N, documents) workers;
-    /// each runs the ranked search over its round-robin slice of the
-    /// documents and merges its own per-document lists, then the shard
-    /// lists k-way merge into the global ranking. The output is
-    /// byte-identical for every `N`.
-    pub fn ranking(&self) -> &CorpusRanking {
-        self.ranked()
-    }
-
-    fn ranked(&self) -> &CorpusRanking {
-        self.ranking_memo.get_or_init(|| self.fan_out_ranked(usize::MAX))
-    }
-
-    /// The bounded fan-out: each shard computes only its local top-k, and
-    /// the global merge sees `shards × k` candidates. Because the merge
-    /// order is total and per-document lists are exact truncations of
-    /// their full rankings, the result equals the full ranking's first
-    /// `k` entries byte for byte (pinned by `tests/corpus.rs`).
-    fn ranked_top_k(&self) -> &CorpusRanking {
-        // Probe at least one result so "matched nothing" (a typed
-        // `NoResults`) stays distinguishable from `top(0)`.
-        self.topk_memo.get_or_init(|| self.fan_out_ranked(self.top.max(1)))
-    }
-
-    /// The one fan-out/merge pipeline behind both memo paths, so the full
-    /// and bounded rankings cannot drift apart: spawn
-    /// min(shards, documents) workers, rank each worker's round-robin
-    /// document slice through the streaming executor bounded by `k`
-    /// (`usize::MAX` = unbounded), merge per shard, then merge the shard
-    /// lists — every merge truncated to `k`.
-    fn fan_out_ranked(&self, k: usize) -> CorpusRanking {
-        // The worker closure captures only `Sync` state (the corpus, the
-        // parsed query, and the mutex-guarded trace sink) — not `self`,
-        // whose memo cells are single-thread.
-        let (corpus, trace) = (self.corpus, self.trace);
-        let batch = [(self.query.clone(), k)];
+    /// The one fan-out/merge behind both memos: spawn min(shards,
+    /// documents) workers, rank each worker's round-robin document slice
+    /// through the streaming executor bounded by `k`, merge per shard, then
+    /// merge the shard lists — every merge truncated to `k`.
+    fn top(&self, query: &Query, k: usize) -> CorpusRanking {
+        let FanOut { corpus, trace } = *self;
+        let batch = [(query.clone(), k)];
         let shards = corpus.effective_shards();
         // effective_shards() ≤ document count, so round-robin
         // partitioning never produces an empty shard.
@@ -706,59 +612,89 @@ impl<'a> CorpusQuery<'a> {
         ranking
     }
 
-    /// The features of the top-k hits, pulled from each hit's owning
-    /// workbench (cached), as owned copies. In a multi-document corpus every
-    /// label is qualified with its document name, so equally-named results
-    /// from different documents stay distinguishable table columns.
-    pub fn features(&self) -> XsactResult<Vec<ResultFeatures>> {
-        let shared = self.features_of(&self.top_hits()?);
-        Ok(shared.iter().map(|rf| ResultFeatures::clone(rf)).collect())
-    }
-
-    /// The hits' features as their workbenches' caches hold them. A cache
-    /// is asked by borrowed label — the hit's own, or its qualified form
-    /// composed in one reused buffer.
-    fn features_of(&self, hits: &[CorpusHit]) -> Vec<Arc<ResultFeatures>> {
-        let qualify = self.corpus.len() > 1;
-        let mut qualified = String::new();
-        hits.iter()
-            .map(|h| {
-                let label = if qualify {
-                    qualified.clear();
-                    qualified.extend([h.result.label.as_str(), " (", &h.doc_name, ")"]);
-                    qualified.as_str()
-                } else {
-                    h.result.label.as_str()
-                };
-                self.corpus.docs[h.doc.index()].wb.shared_features(h.result.root, label)
-            })
-            .collect()
-    }
-
-    fn top_hits(&self) -> XsactResult<Vec<CorpusHit>> {
-        // Reuse the full ranking when it is already memoized (the CLI
-        // renders it before comparing) instead of fanning out a second,
-        // bounded search; otherwise run only the bounded top-k fan-out.
-        let ranking = match self.ranking_memo.get() {
-            Some(full) => full,
-            None => self.ranked_top_k(),
-        };
-        if ranking.hits.is_empty() {
-            return Err(XsactError::NoResults { query: self.query_text() });
+    /// In a multi-document corpus the label is qualified with the document
+    /// name, so equally-named results stay distinguishable table columns.
+    fn features(&self, hit: &CorpusHit, label: &mut String) -> Arc<ResultFeatures> {
+        label.clear();
+        label.push_str(&hit.result.label);
+        if self.corpus.len() > 1 {
+            label.extend([" (", &hit.doc_name, ")"]);
         }
-        let k = self.top.min(ranking.hits.len());
-        Ok(ranking.hits[..k].to_vec())
+        self.corpus.docs[hit.doc.index()].wb.shared_features(hit.result.root, label.as_str())
+    }
+}
+
+impl AsRef<[CorpusHit]> for CorpusRanking {
+    fn as_ref(&self) -> &[CorpusHit] {
+        &self.hits
+    }
+}
+
+impl<'a> CorpusQuery<'a> {
+    /// Fails with [`XsactError::EmptyCorpus`] before the query is parsed.
+    fn new(corpus: &'a Corpus, text: &str, trace: Option<&'a TraceSink>) -> XsactResult<Self> {
+        if corpus.is_empty() {
+            return Err(XsactError::EmptyCorpus);
+        }
+        let mut sel = Selection::parse(FanOut { corpus, trace }, text, trace)?;
+        sel.set_take(DEFAULT_TOP);
+        Ok(CorpusQuery { sel })
     }
 
-    /// Fans out, merges, and compares the global top-k — which may span
-    /// several documents — into one comparison table.
+    /// How many merged results enter the comparison (default
+    /// [`DEFAULT_TOP`]), pushed down into every shard's executor.
+    #[must_use]
+    pub fn top(mut self, k: usize) -> Self {
+        self.sel.set_take(k);
+        self
+    }
+
+    /// Compares exactly the given 1-based positions of the full merged
+    /// [`ranking`](Self::ranking). Takes precedence over
+    /// [`top`](Self::top); an out-of-range position surfaces as
+    /// [`XsactError::InvalidSelection`] at execution time.
+    #[must_use]
+    pub fn select(mut self, positions: impl IntoIterator<Item = usize>) -> Self {
+        self.sel.set_select(positions.into_iter().collect());
+        self
+    }
+
+    /// Sets the comparison-table size bound `L` (features per DFS).
+    #[must_use]
+    pub fn size_bound(mut self, bound: usize) -> Self {
+        self.sel.config_mut().size_bound = bound;
+        self
+    }
+
+    /// Sets the differentiability threshold `x` in percent.
+    #[must_use]
+    pub fn threshold(mut self, pct: f64) -> Self {
+        self.sel.config_mut().threshold_pct = pct;
+        self
+    }
+
+    /// The query text, as parsed.
+    pub fn query_text(&self) -> String {
+        self.sel.query().to_string()
+    }
+
+    /// The merged global ranking, fanned out once; byte-identical for
+    /// every shard count.
+    pub fn ranking(&self) -> &CorpusRanking {
+        self.sel.full()
+    }
+
+    /// The features of the selected hits, pulled from each hit's owning
+    /// workbench (cached), as owned copies.
+    pub fn features(&self) -> XsactResult<Vec<ResultFeatures>> {
+        self.sel.features()
+    }
+
+    /// Compares the selected hits — which may span several documents —
+    /// in one comparison table.
     pub fn compare(&self, algorithm: Algorithm) -> XsactResult<CorpusOutcome> {
-        let mut hits = Vec::new();
-        let instance = build_instance(self.config, &self.query, || {
-            hits = self.top_hits()?;
-            Ok(self.features_of(&hits))
-        })?;
-        Ok(CorpusOutcome { comparison: run_comparison(&instance, algorithm)?, hits })
+        let comparison = self.sel.compare(algorithm)?;
+        Ok(CorpusOutcome { hits: self.sel.map_selected(CorpusHit::clone)?, comparison })
     }
 }
 

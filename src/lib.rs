@@ -72,6 +72,7 @@
 
 pub mod corpus;
 pub mod error;
+mod selection;
 pub mod serve;
 pub mod workbench;
 

@@ -19,6 +19,10 @@
 //!   [`XsactError`] failures instead of `String`s and
 //!   `unwrap()`s.
 //!
+//! The pipeline keeps only SLCA/ELCA semantics, the document-order
+//! listing and its executor counters; the selection rule, error order and
+//! memos are shared with [`crate::CorpusQuery`] (`src/selection.rs`).
+//!
 //! ```
 //! use xsact::prelude::*;
 //!
@@ -34,12 +38,13 @@
 //! ```
 
 use crate::error::{XsactError, XsactResult};
-use std::cell::{Cell, OnceCell};
+use crate::selection::{Selection, Source};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use xsact_core::{Algorithm, Comparison, ComparisonOutcome, DfsConfig, Instance};
+use xsact_core::{Algorithm, ComparisonOutcome, DfsConfig, Instance};
 use xsact_entity::ResultFeatures;
 use xsact_index::slca::MAX_KEYWORDS;
 use xsact_index::{
@@ -229,55 +234,18 @@ impl Workbench {
     /// [`XsactError::TooManyTerms`] when it contains more than 64 distinct
     /// ones.
     pub fn query(&self, text: &str) -> XsactResult<QueryPipeline<'_>> {
-        self.build_pipeline(text, None)
+        QueryPipeline::new(self, text, None)
     }
 
-    /// [`query`](Self::query) with a stage trace attached from the start,
-    /// so the `parse` span is captured too (a pipeline obtained from
-    /// [`query`](Self::query) can still opt in later via
-    /// [`QueryPipeline::traced`], minus the parse span).
+    /// [`query`](Self::query) with a stage trace attached, so every stage
+    /// the pipeline's searches run — the `parse` span included — lands in
+    /// `sink`.
     pub fn query_traced<'a>(
         &'a self,
         text: &str,
         sink: &'a TraceSink,
     ) -> XsactResult<QueryPipeline<'a>> {
-        self.build_pipeline(text, Some(sink))
-    }
-
-    fn build_pipeline<'a>(
-        &'a self,
-        text: &str,
-        trace: Option<&'a TraceSink>,
-    ) -> XsactResult<QueryPipeline<'a>> {
-        let span = trace.map(|sink| sink.span("parse"));
-        let query = Query::parse(text);
-        if let Some(mut span) = span {
-            span.note("terms", query.terms().len() as u64);
-            span.finish();
-        }
-        if query.is_empty() {
-            return Err(XsactError::EmptyQuery);
-        }
-        // The pipeline may run ELCA, whose full scan keeps one bit per term
-        // in a `u64` and asserts the terms fit: that is a precondition of a
-        // layer function, and query text must not be able to break it.
-        if query.len() > MAX_KEYWORDS {
-            return Err(XsactError::TooManyTerms { terms: query.len(), max: MAX_KEYWORDS });
-        }
-        Ok(QueryPipeline {
-            wb: self,
-            query,
-            semantics: ResultSemantics::default(),
-            ranked: false,
-            take: None,
-            select: Vec::new(),
-            config: DfsConfig::default(),
-            trace,
-            search_memo: OnceCell::new(),
-            topk_memo: OnceCell::new(),
-            instance_memo: OnceCell::new(),
-            exec_stats: Cell::new(None),
-        })
+        QueryPipeline::new(self, text, Some(sink))
     }
 
     /// Runs the streaming top-k executor directly: the best `k` results
@@ -285,7 +253,8 @@ impl Workbench {
     /// to `k`. Executor counters are recorded into
     /// [`executor_stats`](Self::executor_stats).
     pub fn search_top_k(&self, query: &Query, k: usize) -> Vec<(SearchResult, ScoredResult)> {
-        self.label(self.top_k_roots(query, k, None).0)
+        let roots = self.top_k_roots(query, k, None).0;
+        roots.into_iter().map(|r| (self.engine.result_for(&r), r.score)).collect()
     }
 
     /// The streaming top-k as unlabelled [`RankedRoot`]s plus this run's
@@ -305,11 +274,6 @@ impl Workbench {
         let top = self.engine.search_top_k(query, k, trace);
         self.exec.record(top.1);
         top
-    }
-
-    /// Gives ranked roots their display labels.
-    fn label(&self, roots: Vec<RankedRoot>) -> Vec<(SearchResult, ScoredResult)> {
-        roots.into_iter().map(|r| (self.engine.result_for(&r), r.score)).collect()
     }
 
     /// The underlying search engine, for callers that need layer-level
@@ -374,13 +338,12 @@ impl Workbench {
         self.engine.result_xml(result)
     }
 
-    /// Hit/miss counters of the feature cache, aggregated over all lock
-    /// shards. Under concurrency the two counters are read one shard at a
-    /// time, so a snapshot taken *while* other threads are querying may mix
-    /// counter values from slightly different instants — but every lookup
-    /// is counted exactly once, so once the other threads are done (or at
-    /// any quiescent point) `lookups()` equals the precise number of
-    /// feature lookups since the last [`clear_cache`](Self::clear_cache).
+    /// Hit/miss counters of the feature cache: two atomics beside its one
+    /// `RwLock`, read without the lock and one after the other, so a
+    /// snapshot taken while other threads query may mix two instants. Every
+    /// lookup is counted exactly once, so at any quiescent point `lookups()`
+    /// is the number of feature lookups since the last
+    /// [`clear_cache`](Self::clear_cache).
     pub fn cache_stats(&self) -> CacheStats {
         self.features.stats()
     }
@@ -425,51 +388,82 @@ impl Workbench {
 /// [`compare`](Self::compare)) execute it.
 #[derive(Debug, Clone)]
 pub struct QueryPipeline<'a> {
+    sel: Selection<Searches<'a>>,
+}
+
+/// A result, with its score when the list is a ranking.
+type Hit = (SearchResult, Option<ScoredResult>);
+
+/// Where a pipeline's lists come from: SLCA or ELCA over the workbench's
+/// document, in document order or ranked.
+#[derive(Debug, Clone)]
+struct Searches<'a> {
     wb: &'a Workbench,
-    query: Query,
     semantics: ResultSemantics,
     ranked: bool,
-    take: Option<usize>,
-    select: Vec<usize>,
-    config: DfsConfig,
-    /// Where stage spans go, when the caller asked for a trace
-    /// ([`traced`](Self::traced)); `None` means no timestamps are taken.
-    /// Purely observational — never consulted for memo resets because it
-    /// cannot change what any terminal returns.
     trace: Option<&'a TraceSink>,
-    /// The search result list, computed once per pipeline configuration —
-    /// the terminals (`results` → `selection` → `features` → `compare`)
-    /// chain into each other, and without the memo each level would re-run
-    /// the same SLCA search. Builder methods that change what the search
-    /// returns reset it.
-    search_memo: OnceCell<Vec<SearchResult>>,
-    /// The *bounded* ranked prefix (streaming top-k executor), memoized
-    /// per `take(k)` configuration. In ranked mode a `take(k)` selection
-    /// is served from here — only `k` results are scored, labelled and
-    /// kept — unless the full list was already materialised, in which
-    /// case truncating it is free. Reset by every builder method that
-    /// changes the search or the bound.
-    topk_memo: OnceCell<Vec<(SearchResult, ScoredResult)>>,
-    /// The preprocessed comparison instance (interning + differentiability
-    /// bit matrix) over the selected result features, built once per
-    /// pipeline configuration so comparing the same result set with
-    /// several algorithms pays preprocessing once — and shared by pointer
-    /// with every outcome computed on it. Reset by every builder method
-    /// that changes the selection or the DFS config.
-    instance_memo: OnceCell<Arc<Instance>>,
-    /// Executor counters summed over the searches this pipeline has run
-    /// (`None` until a terminal executes one).
-    exec_stats: Cell<Option<ExecutorStats>>,
+    /// Summed over this pipeline's searches; `None` before the first.
+    stats: Cell<Option<ExecutorStats>>,
+}
+
+impl Source for Searches<'_> {
+    type Hit = Hit;
+    type List = Vec<Hit>;
+
+    fn ranks(&self) -> bool {
+        self.ranked
+    }
+
+    fn full(&self, query: &Query) -> Vec<Hit> {
+        if self.ranked {
+            return self.top(query, usize::MAX);
+        }
+        let (results, stats) = self.wb.engine.search_all(query, self.semantics, self.trace);
+        self.wb.exec.record(stats);
+        self.stats.set(Some(self.stats.get().unwrap_or_default() + stats));
+        results.into_iter().map(|r| (r, None)).collect()
+    }
+
+    fn top(&self, query: &Query, k: usize) -> Vec<Hit> {
+        let (roots, stats) = self.wb.top_k_roots(query, k, self.trace);
+        self.stats.set(Some(self.stats.get().unwrap_or_default() + stats));
+        roots.into_iter().map(|r| (self.wb.engine.result_for(&r), Some(r.score))).collect()
+    }
+
+    fn features(&self, (result, _): &Hit, _: &mut String) -> Arc<ResultFeatures> {
+        self.wb.shared_features(result.root, result.label.as_str())
+    }
+}
+
+/// The hits of a ranking with their scores.
+fn scored(hits: &[Hit]) -> Vec<(SearchResult, ScoredResult)> {
+    hits.iter().map(|(r, s)| (r.clone(), s.clone().expect("a ranking scores every hit"))).collect()
 }
 
 impl<'a> QueryPipeline<'a> {
+    fn new(wb: &'a Workbench, text: &str, trace: Option<&'a TraceSink>) -> XsactResult<Self> {
+        let searches = Searches {
+            wb,
+            semantics: ResultSemantics::default(),
+            ranked: false,
+            trace,
+            stats: Cell::new(None),
+        };
+        let sel = Selection::parse(searches, text, trace)?;
+        // The pipeline may run ELCA, whose full scan keeps one bit per term
+        // in a `u64` and asserts the terms fit: that is a precondition of a
+        // layer function, and query text must not be able to break it.
+        let terms = sel.query().len();
+        if terms > MAX_KEYWORDS {
+            return Err(XsactError::TooManyTerms { terms, max: MAX_KEYWORDS });
+        }
+        Ok(QueryPipeline { sel })
+    }
+
     /// Chooses the LCA semantics (SLCA by default).
     #[must_use]
     pub fn semantics(mut self, semantics: ResultSemantics) -> Self {
-        self.semantics = semantics;
-        self.search_memo = OnceCell::new();
-        self.topk_memo = OnceCell::new();
-        self.instance_memo = OnceCell::new();
+        self.sel.source_mut().semantics = semantics;
         self
     }
 
@@ -481,26 +475,15 @@ impl<'a> QueryPipeline<'a> {
     /// document order only.
     #[must_use]
     pub fn ranked(mut self, ranked: bool) -> Self {
-        self.ranked = ranked;
-        self.search_memo = OnceCell::new();
-        self.topk_memo = OnceCell::new();
-        self.instance_memo = OnceCell::new();
+        self.sel.source_mut().ranked = ranked;
         self
     }
 
-    /// Compares only the first `n` results (after ranking, if enabled).
-    ///
-    /// In [`ranked`](Self::ranked) mode the bound is **pushed down into
-    /// the executor**: a `take(k)` selection runs the streaming top-k
-    /// search — only `k` results are scored and materialised — instead of
-    /// ranking the full result list and truncating it. The outcome is
-    /// identical either way (the ranking order is total; pinned by
-    /// `tests/properties.rs`).
+    /// Compares only the first `n` results (after ranking, if enabled; in
+    /// [`ranked`](Self::ranked) mode the executor scores only `n`).
     #[must_use]
     pub fn take(mut self, n: usize) -> Self {
-        self.take = Some(n);
-        self.topk_memo = OnceCell::new();
-        self.instance_memo = OnceCell::new();
+        self.sel.set_take(n);
         self
     }
 
@@ -510,41 +493,27 @@ impl<'a> QueryPipeline<'a> {
     /// [`XsactError::InvalidSelection`] at execution time.
     #[must_use]
     pub fn select(mut self, positions: impl IntoIterator<Item = usize>) -> Self {
-        self.select = positions.into_iter().collect();
-        self.topk_memo = OnceCell::new();
-        self.instance_memo = OnceCell::new();
+        self.sel.set_select(positions.into_iter().collect());
         self
     }
 
     /// Sets the comparison-table size bound `L` (features per DFS).
     #[must_use]
     pub fn size_bound(mut self, bound: usize) -> Self {
-        self.config.size_bound = bound;
-        self.instance_memo = OnceCell::new();
+        self.sel.config_mut().size_bound = bound;
         self
     }
 
     /// Sets the differentiability threshold `x` in percent.
     #[must_use]
     pub fn threshold(mut self, pct: f64) -> Self {
-        self.config.threshold_pct = pct;
-        self.instance_memo = OnceCell::new();
-        self
-    }
-
-    /// Records per-stage spans (`parse` → `plan` → `slca-stream` → `rank`)
-    /// into `sink` when the pipeline's searches execute. Tracing is purely
-    /// observational: results are byte-identical with or without it, and
-    /// stages already served from a memo record no spans (nothing ran).
-    #[must_use]
-    pub fn traced(mut self, sink: &'a TraceSink) -> Self {
-        self.trace = Some(sink);
+        self.sel.config_mut().threshold_pct = pct;
         self
     }
 
     /// The query text, as parsed.
     pub fn query_text(&self) -> String {
-        self.query.to_string()
+        self.sel.query().to_string()
     }
 
     /// Runs the search and returns all results in pipeline order (document
@@ -552,108 +521,39 @@ impl<'a> QueryPipeline<'a> {
     /// empty list is a valid outcome here; the comparison terminals turn it
     /// into [`XsactError::NoResults`].
     pub fn results(&self) -> Vec<SearchResult> {
-        self.raw_results().to_vec()
+        self.sel.full().iter().map(|(r, _)| r.clone()).collect()
     }
 
-    fn raw_results(&self) -> &[SearchResult] {
-        self.search_memo.get_or_init(|| {
-            if self.ranked {
-                self.top_k(usize::MAX).into_iter().map(|(r, _)| r).collect()
-            } else {
-                let (results, stats) =
-                    self.wb.engine.search_all(&self.query, self.semantics, self.trace);
-                self.wb.exec.record(stats);
-                self.note_stats(stats);
-                results
-            }
-        })
-    }
-
-    /// The streaming top-k of this pipeline's query, counted into the
-    /// pipeline's executor stats.
-    fn top_k(&self, k: usize) -> Vec<(SearchResult, ScoredResult)> {
-        let (roots, stats) = self.wb.top_k_roots(&self.query, k, self.trace);
-        self.note_stats(stats);
-        self.wb.label(roots)
-    }
-
-    /// Runs the search and returns results with their relevance scores,
-    /// best first. When the pipeline is in [`ranked`](Self::ranked) mode
-    /// this also seeds the search memo, so a following terminal
-    /// (`selection`/`features`/`compare`) does not search again.
-    ///
-    /// This is always the *full* ranking; with a [`take(k)`](Self::take)
-    /// bound set, each call re-runs the unbounded search (the top-k memo
-    /// holds only `k` entries and cannot serve it) — prefer
-    /// [`top_results`](Self::top_results) on a bounded pipeline.
+    /// The *full* ranking with relevance scores, best first, whatever the
+    /// [`ranked`](Self::ranked) flag says. An unranked pipeline with a
+    /// [`take(k)`](Self::take) bound re-runs the unbounded search on each
+    /// call — prefer [`top_results`](Self::top_results) there.
     pub fn ranked_results(&self) -> Vec<(SearchResult, ScoredResult)> {
-        let ranked = if self.take.is_none() {
-            // Without a bound the top-k memo holds (or will hold) the full
-            // ranking — share it, so pairing this with
-            // [`top_results`](Self::top_results) searches once, not twice.
-            self.bounded_hits().to_vec()
-        } else {
-            self.top_k(usize::MAX)
-        };
-        if self.ranked {
-            let _ = self.search_memo.set(ranked.iter().map(|(r, _)| r.clone()).collect());
+        match (self.sel.source().ranked, self.sel.take()) {
+            (true, _) => scored(self.sel.full()),
+            (false, None) => scored(self.sel.top()),
+            (false, Some(_)) => scored(&self.sel.source().top(self.sel.query(), usize::MAX)),
         }
-        ranked
     }
 
-    /// The ranked top of the result list with scores, served by the
-    /// **bounded** streaming executor: with [`take(k)`](Self::take) set,
-    /// only `k` results are scored, labelled and kept — the full ranking
-    /// is never materialised. Without a bound this equals
-    /// [`ranked_results`](Self::ranked_results). Always ranks (like
-    /// `ranked_results`), whatever the pipeline's
-    /// [`ranked`](Self::ranked) flag says.
+    /// The best [`take(k)`](Self::take) of the ranking with scores, from
+    /// the bounded executor (all of [`ranked_results`](Self::ranked_results)
+    /// without a bound), whatever the [`ranked`](Self::ranked) flag says.
     pub fn top_results(&self) -> Vec<(SearchResult, ScoredResult)> {
-        self.bounded_hits().to_vec()
-    }
-
-    fn bounded_hits(&self) -> &[(SearchResult, ScoredResult)] {
-        self.topk_memo.get_or_init(|| self.top_k(self.take.unwrap_or(usize::MAX)))
-    }
-
-    fn note_stats(&self, stats: ExecutorStats) {
-        self.exec_stats.set(Some(self.exec_stats.get().unwrap_or_default() + stats));
+        scored(self.sel.top())
     }
 
     /// Executor counters summed over the searches this pipeline has run
     /// so far (`None` before the first terminal). The CLI's `--explain`
     /// flag prints this.
     pub fn executor_stats(&self) -> Option<ExecutorStats> {
-        self.exec_stats.get()
+        self.sel.source().stats.get()
     }
 
     /// The results that enter the comparison after applying
     /// [`select`](Self::select) / [`take`](Self::take).
     pub fn selection(&self) -> XsactResult<Vec<SearchResult>> {
-        self.map_selection(SearchResult::clone)
-    }
-
-    /// `f` of every selected result, in selection order. The results are
-    /// lent where the memos hold them; nothing is copied unless `f` does.
-    fn map_selection<T>(&self, mut f: impl FnMut(&SearchResult) -> T) -> XsactResult<Vec<T>> {
-        if self.select.is_empty() {
-            if let (Some(_), true, None) = (self.take, self.ranked, self.search_memo.get()) {
-                // Ranked take(k) with no full list materialised yet: push
-                // the bound down into the streaming executor instead of
-                // ranking everything and truncating.
-                return Ok(self.bounded_hits().iter().map(|(r, _)| f(r)).collect());
-            }
-        }
-        let results = self.raw_results();
-        if !self.select.is_empty() {
-            // Every position is checked before `f` sees any result.
-            if let Some(&index) = self.select.iter().find(|&&i| i == 0 || i > results.len()) {
-                return Err(XsactError::InvalidSelection { index, available: results.len() });
-            }
-            return Ok(self.select.iter().map(|&i| f(&results[i - 1])).collect());
-        }
-        let cap = self.take.unwrap_or(results.len());
-        Ok(results.iter().take(cap).map(f).collect())
+        self.sel.map_selected(|(r, _)| r.clone())
     }
 
     /// Extracts (or recalls from the workbench cache) the features of the
@@ -661,84 +561,21 @@ impl<'a> QueryPipeline<'a> {
     /// [`XsactError::NoResults`] when the query matched nothing, and with
     /// [`XsactError::InvalidConfig`] for a `take(0)` selection.
     pub fn features(&self) -> XsactResult<Vec<ResultFeatures>> {
-        self.map_compared(|r| self.wb.features_for(r))
-    }
-
-    /// [`map_selection`](Self::map_selection) as the comparison terminals
-    /// take it: never empty.
-    fn map_compared<T>(&self, f: impl FnMut(&SearchResult) -> T) -> XsactResult<Vec<T>> {
-        if self.select.is_empty() && self.take == Some(0) {
-            return Err(XsactError::InvalidConfig(
-                "take(0) selects no results; a comparison needs at least two".into(),
-            ));
-        }
-        let mapped = self.map_selection(f)?;
-        if mapped.is_empty() {
-            return Err(XsactError::NoResults { query: self.query_text() });
-        }
-        Ok(mapped)
+        self.sel.features()
     }
 
     /// The preprocessed comparison instance over the selected results —
-    /// interning plus the differentiability bit matrix — built once per
-    /// pipeline configuration, straight from the cached features, and
-    /// shared by every [`compare`](Self::compare) call, so comparing the
-    /// same result set with several algorithms pays preprocessing once.
+    /// interning plus the differentiability bit matrix — that every
+    /// [`compare`](Self::compare) call runs on.
     pub fn instance(&self) -> XsactResult<&Arc<Instance>> {
-        if let Some(inst) = self.instance_memo.get() {
-            return Ok(inst);
-        }
-        // The cache's own allocations, looked up by the labels the search
-        // memo holds: the instance reads them in place.
-        let inst = build_instance(self.config, &self.query, || {
-            self.map_compared(|r| self.wb.shared_features(r.root, r.label.as_str()))
-        })?;
-        Ok(self.instance_memo.get_or_init(|| inst))
+        self.sel.instance()
     }
 
     /// Generates Differentiation Feature Sets for the selected results with
     /// the chosen algorithm and returns the full [`ComparisonOutcome`]
-    /// (DoD, table, per-result selections, timings). The preprocessed
-    /// instance is memoized per pipeline (see [`instance`](Self::instance)),
-    /// so only the first `compare` on a pipeline pays interning and the
-    /// differentiability matrix, and every outcome points at that one
-    /// instance.
+    /// (DoD, table, per-result selections, timings).
     pub fn compare(&self, algorithm: Algorithm) -> XsactResult<ComparisonOutcome> {
-        run_comparison(self.instance()?, algorithm)
-    }
-}
-
-/// The first half of the one comparison terminal behind
-/// [`QueryPipeline::instance`] and [`crate::CorpusQuery::compare`]:
-/// [`validate_config`], then the selected features (whose own errors —
-/// `NoResults`, `InvalidSelection` — come next), then at least two of
-/// them, then the instance.
-pub(crate) fn build_instance(
-    config: DfsConfig,
-    query: &Query,
-    features: impl FnOnce() -> XsactResult<Vec<Arc<ResultFeatures>>>,
-) -> XsactResult<Arc<Instance>> {
-    validate_config(&config)?;
-    let features = features()?;
-    if features.len() < 2 {
-        return Err(XsactError::NotEnoughResults {
-            query: query.to_string(),
-            found: features.len(),
-        });
-    }
-    Ok(Arc::new(Instance::build(&features, config)))
-}
-
-/// The second half: run `algorithm` on the instance, an exhaustive run over
-/// its limit being the typed [`XsactError::ExhaustiveLimitExceeded`].
-pub(crate) fn run_comparison(
-    instance: &Arc<Instance>,
-    algorithm: Algorithm,
-) -> XsactResult<ComparisonOutcome> {
-    match algorithm {
-        Algorithm::Exhaustive { limit } => Comparison::run_exhaustive_on(instance, limit)
-            .ok_or(XsactError::ExhaustiveLimitExceeded { limit }),
-        _ => Ok(Comparison::run_on(instance, algorithm)),
+        self.sel.compare(algorithm)
     }
 }
 

@@ -272,6 +272,98 @@ fn corpus_errors_are_typed() {
     assert!(matches!(Corpus::from_dir(&missing), Err(XsactError::Io(_))));
 }
 
+/// A document is a corpus of one: over the same document, a one-document
+/// corpus and a ranked workbench query select the same results and give
+/// byte-identical tables — bounded by `top(k)` / `take(k)` or ticked by
+/// position with `select` — under every algorithm and shard count.
+#[test]
+fn a_document_is_a_corpus_of_one() {
+    use xsact::data::{MovieGenConfig, MoviesGen};
+    let doc =
+        MoviesGen::new(MovieGenConfig { movies: 80, seed: 3, ..Default::default() }).generate();
+    let wb = Workbench::from_document(doc.clone());
+    let mut corpus = Corpus::new();
+    corpus.add_document("movies", doc);
+    let table = |r: Result<ComparisonOutcome, XsactError>| r.unwrap().table();
+    let mut compared = 0;
+    for shards in [1, 2, 8] {
+        corpus.set_shards(shards);
+        for text in ["drama family", "comedy", "action hero", "love"] {
+            let found = wb.query(text).unwrap().ranked(true).results().len();
+            assert!(found > 8, "{text}: the fixture must have plenty of results");
+            let picks: [Vec<usize>; 3] = [vec![2, 1], vec![1, 3, 5], vec![found, 4, 7]];
+            for k in [2, 4, 7] {
+                let corpus_query = corpus.query(text).unwrap().top(k);
+                let doc_query = wb.query(text).unwrap().ranked(true).take(k);
+                for algorithm in Algorithm::ALL {
+                    let of_corpus = corpus_query.compare(algorithm).map(|o| o.comparison);
+                    let of_doc = doc_query.compare(algorithm);
+                    assert_eq!(table(of_corpus), table(of_doc), "{text} k={k} {shards} shards");
+                    compared += 1;
+                }
+                for positions in &picks {
+                    let of_corpus = corpus_query.clone().select(positions.iter().copied());
+                    let of_doc = doc_query.clone().select(positions.iter().copied());
+                    for algorithm in Algorithm::ALL {
+                        assert_eq!(
+                            table(of_corpus.compare(algorithm).map(|o| o.comparison)),
+                            table(of_doc.compare(algorithm)),
+                            "{text} select {positions:?} {shards} shards"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(compared, 3 * 4 * 3 * Algorithm::ALL.len());
+}
+
+/// `CorpusQuery::select` ticks positions of the full merged ranking, takes
+/// precedence over `top`, and rejects position 0 or one past the end as the
+/// pipeline does. Comparing one query under every algorithm builds one
+/// instance: every outcome shares it, and no feature lookup runs twice.
+#[test]
+fn corpus_select_ticks_ranking_positions_and_compares_on_one_instance() {
+    let corpus = Corpus::synthetic_movies(4, 40, 7).with_shards(2);
+    let ranking = corpus.query("drama family").unwrap().ranking().clone();
+    let n = ranking.hits.len();
+    assert!(n > 4);
+    let outcome = corpus
+        .query("drama family")
+        .unwrap()
+        .top(1)
+        .select([n, 1, 3])
+        .compare(Algorithm::MultiSwap)
+        .unwrap();
+    let picked = [&ranking.hits[n - 1], &ranking.hits[0], &ranking.hits[2]];
+    assert_eq!(outcome.hits.iter().collect::<Vec<_>>(), picked);
+    for index in [0, n + 1] {
+        let query = corpus.query("drama family").unwrap().select([1, index]);
+        let err = query.compare(Algorithm::MultiSwap).unwrap_err();
+        assert!(
+            matches!(err, XsactError::InvalidSelection { index: i, available } if i == index && available == n),
+            "{err}"
+        );
+    }
+
+    let lookups = || -> u64 {
+        (0..corpus.len()).map(|i| corpus.workbench(DocId(i as u32)).cache_stats().lookups()).sum()
+    };
+    let query = corpus.query("drama family").unwrap().top(4);
+    let first = query.compare(Algorithm::ALL[0]).unwrap();
+    let after_first = lookups();
+    for algorithm in Algorithm::ALL {
+        let outcome = query.compare(algorithm).unwrap();
+        assert!(
+            std::sync::Arc::ptr_eq(&outcome.comparison.instance, &first.comparison.instance),
+            "{} rebuilt the instance",
+            algorithm.name()
+        );
+        assert_eq!(outcome.hits, first.hits);
+    }
+    assert_eq!(lookups(), after_first, "a memoised instance asks no cache");
+}
+
 #[test]
 fn workbenches_inside_the_corpus_stay_layer_accessible() {
     // The ROADMAP's API decision: orchestration lives in the facade, the

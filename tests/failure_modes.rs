@@ -148,9 +148,9 @@ fn zero_size_bound_yields_empty_dfss() {
 }
 
 /// The layer function above tolerates `L = 0`; the facade does not: a
-/// bound that admits only empty DFSs, and a `take(0)` that selects nothing,
-/// are configuration mistakes, not comparisons that "succeed" with DoD 0 or
-/// queries that "matched no results".
+/// bound that admits only empty DFSs, and a `take(0)` / `top(0)` that
+/// selects nothing, are configuration mistakes, not comparisons that
+/// "succeed" with DoD 0 or queries that "matched no results".
 #[test]
 fn zero_caps_are_invalid_config_through_facade_and_corpus() {
     let invalid = |err: XsactError, needle: &str| {
@@ -184,6 +184,8 @@ fn zero_caps_are_invalid_config_through_facade_and_corpus() {
         query.clone().threshold(f64::NAN).compare(Algorithm::Snippet).unwrap_err(),
         "threshold",
     );
+    // The corpus shares the pipeline's selection, and with it the rule.
+    invalid(query.clone().top(0).compare(Algorithm::MultiSwap).unwrap_err(), "top(0)");
     assert!(query.size_bound(1).compare(Algorithm::MultiSwap).is_ok());
     // Facade, corpus and CLI share the one check.
     let zero = DfsConfig { size_bound: 0, ..DfsConfig::default() };
