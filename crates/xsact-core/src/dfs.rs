@@ -242,6 +242,17 @@ impl DfsSet {
         self.rebuild_mask(inst, i);
     }
 
+    /// Replaces the DFS of result `i` in place by the one with one prefix
+    /// length per entity, clamped like [`Dfs::from_prefixes`] — the
+    /// allocation-free form of [`replace`](Self::replace).
+    pub(crate) fn set_prefixes(&mut self, inst: &Instance, i: usize, prefixes: &[usize]) {
+        debug_assert_eq!(prefixes.len(), inst.entities.len());
+        for (e, (slot, &p)) in self.dfss[i].prefix.iter_mut().zip(prefixes).enumerate() {
+            *slot = p.min(inst.ranked(i, e).len());
+        }
+        self.rebuild_mask(inst, i);
+    }
+
     fn rebuild_mask(&mut self, inst: &Instance, i: usize) {
         let row = &mut self.masks[i * self.words..][..self.words];
         row.fill(0);
@@ -442,6 +453,11 @@ mod tests {
         set.replace(&inst, 0, Dfs::from_prefixes(&inst, 0, &[1, 3]));
         assert!(set.masks_consistent(&inst));
         assert_eq!(crate::bits::and2_count(set.mask(0), set.mask(0)), set.dfs(0).size() as u32);
+
+        // In place, clamped like `from_prefixes`.
+        set.set_prefixes(&inst, 0, &[0, 9]);
+        assert_eq!(set.dfs(0), &Dfs::from_prefixes(&inst, 0, &[0, 9]));
+        assert!(set.masks_consistent(&inst));
 
         // Result 1's mask never moved.
         assert!(set.mask(1).iter().all(|&w| w == 0));

@@ -10,12 +10,15 @@
 //! stores the differentiability matrix as flat `u64` rows, the [`DfsSet`]
 //! maintains per-result selection bitmasks, and a pairwise DoD is literally
 //! `popcount(sel_i ∧ sel_j ∧ diff_ij)` — 64 feature types per CPU word.
-//! The `_into` variants take caller-provided scratch buffers so the swap
-//! loops run allocation-free per move.
+//!
+//! [`all_type_weights_into`] recomputes one result's weights from scratch;
+//! the greedy construction and the optimality checks read that. The two
+//! local searches instead keep every result's weights in a `Weights`
+//! table that each accepted move updates by the types it changed.
 
 use crate::bits;
 use crate::dfs::DfsSet;
-use crate::model::{Instance, TypeId};
+use crate::model::{EntityIdx, Instance, TypeId};
 
 /// Pairwise degree of differentiation of results `i` and `j` under the
 /// set's current selections: `popcount(sel_i ∧ sel_j ∧ diff_ij)`.
@@ -54,13 +57,11 @@ pub fn type_weight(inst: &Instance, set: &DfsSet, i: usize, t: TypeId) -> u32 {
 pub fn all_type_weights_into(inst: &Instance, set: &DfsSet, i: usize, weights: &mut Vec<u32>) {
     weights.clear();
     weights.resize(inst.type_count(), 0);
-    for j in 0..set.len() {
-        if j == i {
-            continue;
-        }
-        // `diff_ij` is zero wherever result `i` lacks the type, so the
-        // has-type guard of the scalar formulation is implied by the AND.
-        bits::for_each_and2(set.mask(j), inst.diff_row(i, j), |t| weights[t] += 1);
+    // `diff_ij` is zero wherever result `i` lacks the type (and `diff_ii` is
+    // zero), so the has-type and `j ≠ i` guards of the scalar formulation
+    // are implied by the AND.
+    for (j, diff) in inst.diff_rows(i).enumerate() {
+        bits::for_each_and2(set.mask(j), diff, |t| weights[t] += 1);
     }
 }
 
@@ -69,6 +70,154 @@ pub fn all_type_weights(inst: &Instance, set: &DfsSet, i: usize) -> Vec<u32> {
     let mut weights = Vec::new();
     all_type_weights_into(inst, set, i, &mut weights);
     weights
+}
+
+/// Every result's per-type weights, maintained across the moves of a local
+/// search rather than recomputed per evaluation.
+///
+/// `row(i)` equals [`all_type_weights`]`(inst, set, i)` for the set the
+/// search is at. A move of DFS `j` changes the types in its selection
+/// delta `Δ`, and row `i ≠ j` changes by ±1 exactly on `Δ ∧ diff_ij`; row
+/// `j` itself depends only on the other DFSs and does not change. So each
+/// accepted move costs `O(n · |Δ|)` instead of a fresh `O(n² · m/64)` pass.
+///
+/// A row that a move changed is marked **dirty**. A local search's response
+/// for result `i` is a deterministic function of `row(i)`, `i`'s own DFS
+/// and its potentials; once computed and acted on, it cannot change until
+/// some other DFS's move dirties the row. The searches skip clean rows,
+/// which is exact: the skipped visit would find no move.
+///
+/// The table belongs to the search, not to [`DfsSet`], so the algorithms
+/// that never read weights this way pay nothing for it.
+#[derive(Debug)]
+pub(crate) struct Weights {
+    /// Types per row.
+    types: usize,
+    /// Flat `n × m`: `rows[i*m + t]` is the weight of type `t` for result
+    /// `i`.
+    rows: Vec<u32>,
+    /// Per result, whether its row changed since its response was last
+    /// computed.
+    dirty: Vec<bool>,
+    /// A DFS's mask before a replacement (allocated by the first one: the
+    /// single-swap search never replaces).
+    before: Vec<u64>,
+}
+
+impl Weights {
+    /// The rows of `set`, every result dirty.
+    pub(crate) fn new(inst: &Instance, set: &DfsSet) -> Self {
+        let (n, m) = (inst.result_count(), inst.type_count());
+        let mut weights =
+            Weights { types: m, rows: vec![0; n * m], dirty: vec![true; n], before: Vec::new() };
+        weights.reset(inst, set);
+        weights
+    }
+
+    /// Recomputes every row for `set` in the same buffers, every result
+    /// dirty: another start of a search.
+    pub(crate) fn reset(&mut self, inst: &Instance, set: &DfsSet) {
+        self.rows.fill(0);
+        // DFS by DFS: each adds its mask ∧ diff to every row.
+        for j in 0..set.len() {
+            for ((row, _), diff) in self.rows_against(inst, j) {
+                bits::for_each_and2(set.mask(j), diff, |t| row[t] += 1);
+            }
+        }
+        self.mark_all_dirty();
+    }
+
+    /// Marks every result dirty, keeping the rows: a search with another
+    /// move repertoire takes over the set these rows describe.
+    pub(crate) fn mark_all_dirty(&mut self) {
+        self.dirty.fill(true);
+    }
+
+    /// A copy of the rows, for [`restore`](Self::restore).
+    pub(crate) fn snapshot(&self) -> Vec<u32> {
+        self.rows.clone()
+    }
+
+    /// Goes back to the rows of a [`snapshot`](Self::snapshot), every
+    /// result dirty: another start from the set the snapshot described.
+    pub(crate) fn restore(&mut self, snapshot: &[u32]) {
+        self.rows.copy_from_slice(snapshot);
+        self.mark_all_dirty();
+    }
+
+    /// Result `i`'s weights, one per type.
+    pub(crate) fn row(&self, i: usize) -> &[u32] {
+        &self.rows[i * self.types..][..self.types]
+    }
+
+    /// Whether result `i`'s row changed since it was last taken, clearing
+    /// the mark.
+    pub(crate) fn take_dirty(&mut self, i: usize) -> bool {
+        std::mem::replace(&mut self.dirty[i], false)
+    }
+
+    /// [`DfsSet::grow`] on DFS `j`, with the rows following.
+    pub(crate) fn grow(&mut self, inst: &Instance, set: &mut DfsSet, j: usize, e: EntityIdx) {
+        let t = set.dfs(j).next_type(inst, j, e).expect("a move grows an entity with a next type");
+        set.grow(inst, j, e);
+        self.toggle(inst, j, t, true);
+    }
+
+    /// [`DfsSet::shrink`] on DFS `j`, with the rows following.
+    pub(crate) fn shrink(&mut self, inst: &Instance, set: &mut DfsSet, j: usize, e: EntityIdx) {
+        let t = set.dfs(j).last_type(inst, j, e).expect("a move shrinks a non-empty prefix");
+        set.shrink(inst, j, e);
+        self.toggle(inst, j, t, false);
+    }
+
+    /// Row `i` of every result against `j`, with its dirty mark — `diff_ji`
+    /// is `diff_ij`, and `diff_jj` is zero, so row `j` never changes.
+    fn rows_against<'a>(
+        &'a mut self,
+        inst: &'a Instance,
+        j: usize,
+    ) -> impl Iterator<Item = ((&'a mut [u32], &'a mut bool), &'a [u64])> {
+        self.rows.chunks_exact_mut(self.types.max(1)).zip(&mut self.dirty).zip(inst.diff_rows(j))
+    }
+
+    fn toggle(&mut self, inst: &Instance, j: usize, t: TypeId, selected: bool) {
+        for ((row, dirty), diff) in self.rows_against(inst, j) {
+            if bits::test_bit(diff, t) {
+                row[t] = if selected { row[t] + 1 } else { row[t] - 1 };
+                *dirty = true;
+            }
+        }
+    }
+
+    /// [`DfsSet::set_prefixes`] on DFS `j`, with the rows following.
+    pub(crate) fn replace(
+        &mut self,
+        inst: &Instance,
+        set: &mut DfsSet,
+        j: usize,
+        prefixes: &[usize],
+    ) {
+        let mut before = std::mem::take(&mut self.before);
+        before.clear();
+        before.extend_from_slice(set.mask(j));
+        set.set_prefixes(inst, j, prefixes);
+        for ((row, dirty), diff) in self.rows_against(inst, j) {
+            *dirty |= bits::for_each_change(&before, set.mask(j), diff, |t, selected| {
+                row[t] = if selected { row[t] + 1 } else { row[t] - 1 };
+            });
+        }
+        self.before = before;
+    }
+
+    /// Debug builds check every row against a fresh recompute — the
+    /// searches call this after each accepted move.
+    pub(crate) fn debug_assert_follows(&self, inst: &Instance, set: &DfsSet) {
+        if cfg!(debug_assertions) {
+            for i in 0..set.len() {
+                assert_eq!(self.row(i), all_type_weights(inst, set, i), "weight row {i} drifted");
+            }
+        }
+    }
 }
 
 /// Marginal DoD change from toggling a single type `t` in result `i`'s

@@ -6,36 +6,44 @@
 //! than the swap algorithms (no convergence loop) but with no optimality
 //! guarantee — the ablation harness quantifies the gap.
 
-use crate::dfs::{Dfs, DfsSet};
+use crate::dfs::DfsSet;
 use crate::dod::all_type_weights_into;
 use crate::model::Instance;
 use crate::snippet::snippet_set;
 
 /// Builds DFSs greedily: snippet initialisation, then one greedy rebuild per
 /// result (in order), each seeing the already-rebuilt DFSs of its
-/// predecessors. One weight buffer serves the whole pass.
+/// predecessors.
 pub fn greedy_set(inst: &Instance) -> DfsSet {
-    let mut set = snippet_set(inst);
+    greedy_from(inst, snippet_set(inst))
+}
+
+/// The greedy rebuild of an already computed snippet set — how multi-swap
+/// derives its greedy start from the snippets it also starts from. Each
+/// result's weights are computed when its turn comes, after its
+/// predecessors' rebuilds; one weight buffer and one prefix buffer serve
+/// the whole pass.
+pub(crate) fn greedy_from(inst: &Instance, mut set: DfsSet) -> DfsSet {
     let mut weights: Vec<u32> = Vec::new();
+    let mut prefixes = vec![0; inst.entities.len()];
     for i in 0..set.len() {
         all_type_weights_into(inst, &set, i, &mut weights);
-        let dfs = greedy_dfs_weighted(inst, i, &weights);
-        set.replace(inst, i, dfs);
+        greedy_prefixes(inst, i, &weights, &mut prefixes);
+        set.set_prefixes(inst, i, &prefixes);
     }
     debug_assert!(set.all_valid(inst));
     set
 }
 
-/// The greedy construction over precomputed weights (potentials come from
-/// the instance).
-fn greedy_dfs_weighted(inst: &Instance, i: usize, weights: &[u32]) -> Dfs {
+/// The greedy construction of result `i`'s DFS over fixed weights
+/// (potentials come from the instance), as one prefix length per entity.
+fn greedy_prefixes(inst: &Instance, i: usize, weights: &[u32], prefixes: &mut [usize]) {
     let potentials = inst.potentials(i);
-    let bound = inst.config.size_bound;
-    let mut dfs = Dfs::empty(inst.entities.len());
-    while dfs.size() < bound {
+    prefixes.fill(0);
+    for _ in 0..inst.config.size_bound {
         let mut best: Option<((u32, u32, f64), usize)> = None;
-        for e in 0..inst.entities.len() {
-            let Some(t) = dfs.next_type(inst, i, e) else { continue };
+        for (e, &p) in prefixes.iter().enumerate() {
+            let Some(&t) = inst.ranked(i, e).get(p) else { continue };
             let sig = inst.sig_ratio(i, t);
             let key = (weights[t], potentials[t], sig);
             let better = match &best {
@@ -50,13 +58,10 @@ fn greedy_dfs_weighted(inst: &Instance, i: usize, weights: &[u32]) -> Dfs {
             }
         }
         match best {
-            Some((_, e)) => {
-                dfs.grow(inst, i, e);
-            }
+            Some((_, e)) => prefixes[e] += 1,
             None => break,
         }
     }
-    dfs
 }
 
 #[cfg(test)]
@@ -118,5 +123,43 @@ mod tests {
     fn greedy_is_deterministic() {
         let inst = inst(2);
         assert_eq!(greedy_set(&inst), greedy_set(&inst));
+    }
+
+    /// Greedy looks one type ahead per entity, so a differentiable type
+    /// behind an identical one is out of its sight. B has only entity `e`:
+    /// `p` (identical everywhere) then `r` (differentiable). A also has `a`
+    /// and `b` of entity `f`, which B lacks. At L = 2 greedy rebuilds A on
+    /// weights where `p` and `a` tie at (0, 0) and significance picks `a`,
+    /// then `b`; A never selects `r`. Multi-swap's DP sees `{p, r}` whole.
+    #[test]
+    fn greedy_is_strictly_below_multi_swap_behind_an_identical_type() {
+        let mk = |label: &str, r: u32, with_f: bool| {
+            let mut triplets = vec![
+                (FeatureType::new("e", "p"), "yes".to_string(), 6),
+                (FeatureType::new("e", "r"), "yes".to_string(), r),
+            ];
+            if with_f {
+                triplets.push((FeatureType::new("f", "a"), "yes".to_string(), 9));
+                triplets.push((FeatureType::new("f", "b"), "yes".to_string(), 8));
+            }
+            ResultFeatures::from_raw(
+                label,
+                [("e".to_string(), 10), ("f".to_string(), 10)],
+                triplets,
+            )
+        };
+        let inst = Instance::build(
+            &[mk("A", 1, true), mk("B", 4, false)],
+            DfsConfig { size_bound: 2, threshold_pct: 10.0 },
+        );
+        let dod = |set: &DfsSet| dod_total(&inst, set);
+        let greedy = greedy_set(&inst);
+        assert_eq!(greedy.dfs(0).prefixes(), [0, 2], "A keeps {{a, b}}");
+        assert_eq!(dod(&greedy), 0);
+        assert_eq!(dod(&snippet_set(&inst)), 0);
+        let (multi, _) = crate::multi_swap::multi_swap(&inst);
+        assert_eq!(multi.dfs(0).prefixes(), [2, 0], "A takes {{p, r}}");
+        assert_eq!(dod(&multi), 1);
+        assert_eq!(crate::exhaustive::exhaustive(&inst, 1_000).map(|(_, d)| d), Some(1));
     }
 }

@@ -13,8 +13,8 @@
 //!   `u64` bit arena with `⌈m/64⌉` words per `(i, j)` row, so the DoD
 //!   kernels in [`crate::dod`] are AND + popcount loops,
 //! * per result and type, the *potential* (how many other results are
-//!   differentiable on the type), precomputed once since it never depends
-//!   on what the DFSs select,
+//!   differentiable on the type), counted as the matrix is filled since it
+//!   never depends on what the DFSs select,
 //! * per result and type, the display cell for the comparison table.
 //!
 //! # How it is built
@@ -30,17 +30,29 @@
 //!    run. A hash only routes the probe — a slot matches when the type
 //!    **strings** are equal — so the interned universe is the one a
 //!    string-keyed set would produce, whatever the hash function.
-//! 2. *Cells.* One flat `n × m` array of fixed-size cells holds, per
-//!    (result, type), what the matrix fill compares (numeric value, value
-//!    hash, ratios, a slice of one shared value arena) and what the table
-//!    shows; a result's ranked lists are runs of one flat array. Labels and
-//!    dominant values are copied into one text arena — the instance borrows
-//!    nothing, and allocates per array, not per result or per stat.
-//! 3. *Matrix.* The `O(n² · m)` fill walks two contiguous cell rows per
-//!    pair. Single-valued stats — nearly all of them — are decided from the
-//!    cells alone: both numeric → magnitude test; value hashes differ → two
-//!    one-sided values; hashes equal → confirm on the strings, compare the
-//!    ratios. Multi-valued stats merge-walk their prepared value lists.
+//! 2. *Cells.* One flat type-major `m × n` array of fixed-size cells holds,
+//!    per (type, result), what the matrix fill compares (numeric value,
+//!    value fingerprint, ratios, a slice of one shared value arena that
+//!    carries each value's ratio) and what the table shows; a result's
+//!    ranked lists are runs of one flat array. Labels and dominant values
+//!    are copied into one text arena — the instance borrows nothing, and
+//!    allocates per array, not per result or per stat.
+//! 3. *Matrix.* The `O(n² · m)` fill walks one contiguous column of cells
+//!    per type and compares every pair of results that have the type; each
+//!    differentiable pair sets its two bits and counts towards both
+//!    potentials there, so no second pass sums the matrix. Single-valued
+//!    stats — nearly all of them — are decided from the cells alone: both
+//!    numeric → magnitude test; value hashes differ → two one-sided values;
+//!    hashes equal → confirm on the strings, compare the ratios.
+//!    Multi-valued stats compare **fingerprints** first: a cell's
+//!    fingerprint is a function of its ordered value hashes (of one value,
+//!    that value's hash), so unequal fingerprints prove unequal value sets,
+//!    i.e. a value on one side only — which differentiates whenever every
+//!    ratio of both cells is positive (and the threshold finite). Equal
+//!    fingerprints prove nothing (hashes collide), so those pairs, and any
+//!    pair with a zero ratio, merge-walk their prepared value lists and the
+//!    strings decide. Like the type probe's hash, a fingerprint only routes:
+//!    the matrix is the same whatever the hash function.
 //!
 //! The feature statistics are only read, through [`Borrow`]: a slice of
 //! owned [`ResultFeatures`] and a slice of the `Arc`s a feature cache hands
@@ -118,19 +130,20 @@ impl Span {
     }
 }
 
-/// One (result, type) slot of the flat `n × m` cell array: what the matrix
-/// fill compares and what the table shows, in one fixed-size record so a
-/// pair of results is two contiguous rows.
-#[derive(Debug, Clone, Copy, Default)]
+/// One (type, result) slot of the flat `m × n` cell array: what the matrix
+/// fill compares and what the table shows, in one fixed-size record so the
+/// results of one type are one contiguous column.
+#[derive(Debug, Clone, Copy)]
 struct Cell {
     /// Number of distinct values of the stat; 0 marks a type the result
     /// lacks.
     value_count: u32,
-    /// Content hash of the stat's first prepared value — *the* value when
-    /// `value_count == 1`, the only case that reads it.
+    /// The stat's fingerprint: a function of its prepared value hashes in
+    /// order — for one value, that value's content hash.
     hash: u32,
-    /// The single finite numeric value, when there is one.
-    numeric: Option<f64>,
+    /// The single finite numeric value; NaN when there is none (a numeric
+    /// parse is finite only, so NaN is free to mean "not a number").
+    numeric: f64,
     /// Instance count of the owning entity.
     instances: u32,
     /// Occurrence count of the dominant value.
@@ -145,13 +158,35 @@ struct Cell {
     values_start: u32,
     /// Position of the type in its entity's ranked list for this result.
     rank: u32,
+    /// Whether every value's ratio is positive (a value of count 0, or an
+    /// entity without instances, has ratio 0).
+    positive: bool,
+}
+
+impl Default for Cell {
+    fn default() -> Self {
+        Cell {
+            value_count: 0,
+            hash: 0,
+            numeric: f64::NAN,
+            instances: 0,
+            count: 0,
+            ratio: 0.0,
+            sig_ratio: 0.0,
+            value: Span::default(),
+            values_start: 0,
+            rank: 0,
+            positive: false,
+        }
+    }
 }
 
 /// One value of one stat in the build's shared value arena; a stat's values
 /// are adjacent and ascend by `(hash, value)`.
 struct ValueRef<'a> {
     hash: u32,
-    count: u32,
+    /// `count / instances`, computed once here so no comparison divides.
+    ratio: f64,
     value: &'a str,
 }
 
@@ -175,13 +210,17 @@ impl Cell {
         let values_start = arena.len();
         arena.extend(stat.values().map(|(hash, vc)| ValueRef {
             hash,
-            count: vc.count,
+            ratio: per_instance(vc.count, *instances),
             value: vc.value.as_str(),
         }));
+        let stat_values = &arena[values_start..];
+        let hash = stat_values[1..].iter().fold(stat_values[0].hash, |fingerprint, v| {
+            (fingerprint.rotate_left(5) ^ v.hash).wrapping_mul(0x9e37_79b9)
+        });
         Cell {
             value_count: values.len() as u32,
-            hash: arena[values_start].hash,
-            numeric: stat.numeric(),
+            hash,
+            numeric: stat.numeric().unwrap_or(f64::NAN),
             instances: *instances,
             count: dominant.count,
             ratio: per_instance(dominant.count, *instances),
@@ -189,6 +228,7 @@ impl Cell {
             value: Span::push(text, &dominant.value),
             values_start: values_start as u32,
             rank: 0,
+            positive: stat_values.iter().all(|v| v.ratio > 0.0),
         }
     }
 
@@ -248,7 +288,8 @@ pub struct Instance {
     text: String,
     /// Per result, its label in `text`.
     labels: Vec<Span>,
-    /// Flat `n × m`: the cell of result `i` and type `t` is `cells[i*m + t]`.
+    /// Flat type-major `m × n`: the cell of type `t` and result `i` is
+    /// `cells[t*n + i]`.
     cells: Vec<Cell>,
     /// Every result's types, grouped by entity, each group in significance
     /// order; result `i`'s entity `e` is the run
@@ -339,7 +380,8 @@ impl Instance {
         let mut labels: Vec<Span> = Vec::with_capacity(n);
         let mut cells = vec![Cell::default(); n * m];
         let mut ranked: Vec<TypeId> = vec![0; stat_count];
-        let mut arena: Vec<ValueRef<'_>> = Vec::with_capacity(2 * stat_count);
+        let value_count = results.iter().flat_map(|rf| &rf.borrow().stats).map(|s| s.values.len());
+        let mut arena: Vec<ValueRef<'_>> = Vec::with_capacity(value_count.sum());
         let mut next: Vec<u32> = Vec::with_capacity(stride);
         let mut types_of_stats = stat_types.iter().map(|&t| t as TypeId);
         for (i, rf) in results.iter().map(Borrow::borrow).enumerate() {
@@ -353,40 +395,28 @@ impl Instance {
                 cell.rank = next[e] - runs[e];
                 ranked[next[e] as usize] = t;
                 next[e] += 1;
-                debug_assert_eq!(cells[i * m + t].value_count, 0, "a result lists a type once");
-                cells[i * m + t] = cell;
+                debug_assert_eq!(cells[t * n + i].value_count, 0, "a result lists a type once");
+                cells[t * n + i] = cell;
             }
         }
 
-        // Differentiability matrix: per pair, two contiguous cell rows.
+        // Differentiability matrix and potentials: per type, one contiguous
+        // column of cells; a differentiable pair sets both of its bits and
+        // counts once towards each side's potential.
         let words = bits::words_for(m);
         let mut diff = vec![0u64; n * n * words];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let row = (i * n + j) * words;
-                let pair = cells[i * m..][..m].iter().zip(&cells[j * m..][..m]);
-                for (t, (a, b)) in pair.enumerate() {
-                    if a.value_count != 0
-                        && b.value_count != 0
-                        && cells_differ(a, b, &text, &arena, config.threshold_pct)
-                    {
-                        bits::set_bit(&mut diff[row..][..words], t);
+        let mut pot = vec![0u32; n * m];
+        let share = config.threshold_pct / 100.0;
+        for (t, column) in cells.chunks_exact(n).enumerate() {
+            for (i, a) in column.iter().enumerate().filter(|(_, a)| a.value_count != 0) {
+                for (j, b) in column.iter().enumerate().skip(i + 1) {
+                    if b.value_count != 0 && cells_differ(a, b, &text, &arena, share) {
+                        bits::set_bit(&mut diff[(i * n + j) * words..][..words], t);
+                        bits::set_bit(&mut diff[(j * n + i) * words..][..words], t);
+                        pot[i * m + t] += 1;
+                        pot[j * m + t] += 1;
                     }
                 }
-                diff.copy_within(row..row + words, (j * n + i) * words);
-            }
-        }
-
-        // Potentials: per (result, type), the number of other results
-        // differentiable on the type — a column sum over the bit rows.
-        let mut pot = vec![0u32; n * m];
-        for i in 0..n {
-            let row = &mut pot[i * m..][..m];
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                bits::for_each_bit(&diff[(i * n + j) * words..][..words], |t| row[t] += 1);
             }
         }
 
@@ -442,7 +472,7 @@ impl Instance {
     /// The display cell of type `t` in result `i`; `None` when the result
     /// lacks the type.
     pub fn cell(&self, i: usize, t: TypeId) -> Option<CellStat<'_>> {
-        let cell = &self.cells[i * self.types.len() + t];
+        let cell = &self.cells[t * self.labels.len() + i];
         (cell.value_count != 0).then(|| CellStat {
             value: cell.value.of(&self.text),
             ratio: cell.ratio,
@@ -457,13 +487,13 @@ impl Instance {
     /// what the greedy constructions rank candidates by, read without
     /// assembling the cell. 0 when the result lacks the type.
     pub fn sig_ratio(&self, i: usize, t: TypeId) -> f64 {
-        self.cells[i * self.types.len() + t].sig_ratio
+        self.cells[t * self.labels.len() + i].sig_ratio
     }
 
     /// The `(entity, rank)` position of type `t` within result `i`; `None`
     /// when the result lacks the type.
     pub fn rank_of(&self, i: usize, t: TypeId) -> Option<(EntityIdx, usize)> {
-        let cell = &self.cells[i * self.types.len() + t];
+        let cell = &self.cells[t * self.labels.len() + i];
         (cell.value_count != 0).then(|| (self.entity_of[t], cell.rank as usize))
     }
 
@@ -477,6 +507,16 @@ impl Instance {
     /// bit `t` set iff the pair is differentiable in type `t`.
     pub fn diff_row(&self, i: usize, j: usize) -> &[u64] {
         &self.diff[(i * self.labels.len() + j) * self.words..][..self.words]
+    }
+
+    /// Result `i`'s differentiability rows against every result in order,
+    /// read off one contiguous run of the matrix: the `j`-th is
+    /// [`diff_row`](Self::diff_row)`(i, j)` and the `i`-th is all zeroes.
+    /// The matrix is symmetric, so this is also every result's row against
+    /// `i`. An instance without types has no bits and yields no rows.
+    pub(crate) fn diff_rows(&self, i: usize) -> std::slice::ChunksExact<'_, u64> {
+        let run = self.labels.len() * self.words;
+        self.diff[i * run..][..run].chunks_exact(self.words.max(1))
     }
 
     /// Whether results `i` and `j` are differentiable in type `t`
@@ -522,28 +562,33 @@ impl Instance {
 /// rating gap must *not* differentiate under the 10% threshold. Text that
 /// merely parses as a float — `Nan`, `inf`, `1e400` — is not a magnitude and
 /// stays categorical.
-fn cells_differ(
-    a: &Cell,
-    b: &Cell,
-    text: &str,
-    arena: &[ValueRef<'_>],
-    threshold_pct: f64,
-) -> bool {
-    if let (Some(na), Some(nb)) = (a.numeric, b.numeric) {
-        return (na - nb).abs() > (threshold_pct / 100.0) * na.abs().min(nb.abs());
+fn cells_differ(a: &Cell, b: &Cell, text: &str, arena: &[ValueRef<'_>], share: f64) -> bool {
+    let (na, nb) = (a.numeric, b.numeric);
+    if !na.is_nan() && !nb.is_nan() {
+        return (na - nb).abs() > share * na.abs().min(nb.abs());
     }
     if a.value_count == 1 && b.value_count == 1 {
         // One value each: the same one (hash, then bytes), or two
         // one-sided ones.
         return if a.hash == b.hash && a.value.bytes(text) == b.value.bytes(text) {
-            ratios_differ(a.ratio, b.ratio, threshold_pct)
+            ratios_differ(a.ratio, b.ratio, share)
         } else {
-            ratios_differ(a.ratio, 0.0, threshold_pct) || ratios_differ(0.0, b.ratio, threshold_pct)
+            ratios_differ(a.ratio, 0.0, share) || ratios_differ(0.0, b.ratio, share)
         };
     }
-    // Merge-walk the two value lists, both ascending by (hash, value):
-    // every value of the union is tested once.
-    let (va, vb) = (a.values(arena), b.values(arena));
+    // Unequal fingerprints: the value sets differ, so some value is on one
+    // side only, and a positive ratio against 0 exceeds any finite
+    // threshold's share of 0.
+    if a.hash != b.hash && a.positive && b.positive && share.is_finite() {
+        return true;
+    }
+    values_differ(a.values(arena), b.values(arena), share)
+}
+
+/// Merge-walks two value lists, both ascending by `(hash, value)`: every
+/// value of the union is tested once.
+#[inline(never)]
+fn values_differ(va: &[ValueRef<'_>], vb: &[ValueRef<'_>], share: f64) -> bool {
     let (mut i, mut j) = (0, 0);
     while i < va.len() || j < vb.len() {
         let side = match (va.get(i), vb.get(j)) {
@@ -553,23 +598,24 @@ fn cells_differ(
         };
         let (mut pa, mut pb) = (0.0, 0.0);
         if side != Ordering::Greater {
-            pa = per_instance(va[i].count, a.instances);
+            pa = va[i].ratio;
             i += 1;
         }
         if side != Ordering::Less {
-            pb = per_instance(vb[j].count, b.instances);
+            pb = vb[j].ratio;
             j += 1;
         }
-        if ratios_differ(pa, pb, threshold_pct) {
+        if ratios_differ(pa, pb, share) {
             return true;
         }
     }
     false
 }
 
-/// Threshold comparison of two occurrence ratios.
-fn ratios_differ(pa: f64, pb: f64, threshold_pct: f64) -> bool {
-    (pa - pb).abs() > (threshold_pct / 100.0) * pa.min(pb)
+/// Threshold comparison of two occurrence ratios; `share` is the threshold
+/// as a fraction (`x / 100`).
+fn ratios_differ(pa: f64, pb: f64, share: f64) -> bool {
+    (pa - pb).abs() > share * pa.min(pb)
 }
 
 #[cfg(test)]
@@ -615,7 +661,7 @@ mod tests {
 
     #[test]
     fn a_cell_is_one_cache_line() {
-        // The matrix fill reads two rows of these per result pair.
+        // The matrix fill reads one column of these per type.
         assert_eq!(std::mem::size_of::<Cell>(), 64);
     }
 
@@ -860,14 +906,14 @@ mod tests {
 
     #[test]
     fn ratios_differ_edge_cases() {
-        assert!(!ratios_differ(0.5, 0.5, 10.0));
-        assert!(ratios_differ(0.5, 0.0, 10.0));
-        assert!(ratios_differ(0.0, 0.001, 10.0));
-        assert!(!ratios_differ(0.0, 0.0, 10.0));
+        assert!(!ratios_differ(0.5, 0.5, 0.1));
+        assert!(ratios_differ(0.5, 0.0, 0.1));
+        assert!(ratios_differ(0.0, 0.001, 0.1));
+        assert!(!ratios_differ(0.0, 0.0, 0.1));
         // Exactly at the threshold: NOT differentiable (strict inequality).
         // 0.75 − 0.5 = 0.25 = 50% of 0.5; all values exact in binary.
-        assert!(!ratios_differ(0.75, 0.5, 50.0));
-        assert!(ratios_differ(0.765625, 0.5, 50.0));
+        assert!(!ratios_differ(0.75, 0.5, 0.5));
+        assert!(ratios_differ(0.765625, 0.5, 0.5));
     }
 
     #[test]

@@ -17,9 +17,24 @@
 //! accepted only when this key strictly improves, and each acceptance
 //! strictly increases the bounded triple `(total DoD, Σ potentials,
 //! Σ sizes)` — termination is guaranteed.
+//!
+//! The weights come from the search's maintained rows
+//! (`dod::Weights`): an accepted replacement updates each other
+//! result's row by the types it changed, so no round recomputes a weight
+//! vector.
+//!
+//! **Skipping clean results.** The DP is a deterministic function of the
+//! result's weight row and potentials, and the acceptance test adds only
+//! the result's own DFS. After result `i`'s DP ran, its DFS *is* the DP's
+//! answer (replaced) or beats it (kept), and only `i`'s own visit changes
+//! it. So while no other DFS's move has touched `i`'s row, a new DP would
+//! return the same answer and the visit would move nothing. The search
+//! skips exactly those visits, so `rounds` and `moves` are those of
+//! running the DP for every result every round; [`SwapStats::responses`]
+//! counts the DPs run.
 
 use crate::dfs::{Dfs, DfsSet};
-use crate::dod::{all_type_weights, all_type_weights_into};
+use crate::dod::{all_type_weights, Weights};
 use crate::model::Instance;
 use crate::single_swap::SwapStats;
 use crate::snippet::snippet_set;
@@ -44,46 +59,73 @@ use crate::snippet::snippet_set;
 /// (swapping it in always trades away realised weight) — so the restarts
 /// earn real quality, not just robustness. The returned counters are those
 /// of the winning run.
+///
+/// The snippets are computed once, for the greedy start and for the two
+/// starts that begin at them, and so are their weight rows; the third start
+/// is polished on the rows the single-swap run leaves behind. One weight
+/// table and one set of DP buffers serve all three runs.
 pub fn multi_swap(inst: &Instance) -> (DfsSet, SwapStats) {
+    let snippets = snippet_set(inst);
+    let greedy = crate::greedy::greedy_from(inst, snippets.clone());
+    let mut weights = Weights::new(inst, &greedy);
+    let mut scratch = ResponseScratch::new(inst);
     let mut best: Option<(DfsSet, SwapStats, u32)> = None;
-    let starts: [DfsSet; 3] = [
-        crate::greedy::greedy_set(inst),
-        snippet_set(inst),
-        crate::single_swap::single_swap(inst).0,
-    ];
-    for mut set in starts {
-        let stats = multi_swap_from(inst, &mut set);
+    let mut polish = |mut set: DfsSet, weights: &mut Weights| {
+        let stats = search(inst, &mut set, weights, &mut scratch);
         let dod = crate::dod::dod_total(inst, &set);
         if best.as_ref().is_none_or(|(_, _, b)| dod > *b) {
             best = Some((set, stats, dod));
         }
-    }
+    };
+
+    polish(greedy, &mut weights);
+
+    weights.reset(inst, &snippets);
+    let at_snippets = weights.snapshot();
+    polish(snippets.clone(), &mut weights);
+
+    let mut single = snippets;
+    weights.restore(&at_snippets);
+    crate::single_swap::search(inst, &mut single, &mut weights);
+    weights.mark_all_dirty();
+    polish(single, &mut weights);
+
     let (set, stats, _) = best.expect("three starts evaluated");
     (set, stats)
 }
 
 /// Runs the multi-swap algorithm from a caller-provided initial solution.
 /// `set` is updated in place.
-///
-/// All per-move state (the weight vector, the DP tables, the reconstructed
-/// prefix vector) lives in scratch buffers reused across results and
-/// rounds, so a best-response evaluation allocates nothing; a `Dfs` is
-/// materialised only when a replacement is actually accepted.
 pub fn multi_swap_from(inst: &Instance, set: &mut DfsSet) -> SwapStats {
+    search(inst, set, &mut Weights::new(inst, set), &mut ResponseScratch::new(inst))
+}
+
+/// The search over `set`'s maintained weight rows. The rows, the DP tables
+/// and the reconstructed prefix vector are buffers sized before the run, so
+/// a best response allocates nothing, and an accepted replacement rewrites
+/// the DFS in place.
+fn search(
+    inst: &Instance,
+    set: &mut DfsSet,
+    weights: &mut Weights,
+    scratch: &mut ResponseScratch,
+) -> SwapStats {
     let mut stats = SwapStats::default();
-    let mut weights: Vec<u32> = Vec::new();
-    let mut scratch = ResponseScratch::default();
     loop {
         stats.rounds += 1;
         let mut improved = false;
         for i in 0..set.len() {
-            all_type_weights_into(inst, set, i, &mut weights);
-            let potentials = inst.potentials(i);
-            let best_value = optimal_response_into(inst, i, &weights, potentials, &mut scratch);
-            let current_value = dfs_value(inst, i, set.dfs(i), &weights, potentials);
+            if !weights.take_dirty(i) {
+                continue;
+            }
+            stats.responses += 1;
+            let (row, potentials) = (weights.row(i), inst.potentials(i));
+            let best_value = scratch.respond(inst, i, row, potentials);
+            let current_value = dfs_value(inst, i, set.dfs(i), row, potentials);
             let best_size: usize = scratch.prefixes.iter().sum();
             if (best_value, best_size) > (current_value, set.dfs(i).size()) {
-                set.replace(inst, i, Dfs::from_prefixes(inst, i, &scratch.prefixes));
+                weights.replace(inst, set, i, &scratch.prefixes);
+                weights.debug_assert_follows(inst, set);
                 stats.moves += 1;
                 improved = true;
             }
@@ -109,101 +151,102 @@ fn dfs_value(inst: &Instance, i: usize, dfs: &Dfs, weights: &[u32], potentials: 
     value
 }
 
-/// Reusable buffers of the knapsack-over-prefixes DP — one per search run,
-/// refilled per best-response call.
-#[derive(Debug, Default)]
+/// The buffers of the knapsack-over-prefixes DP, sized once per run for
+/// every result of the instance and refilled per best response.
+#[derive(Debug)]
 struct ResponseScratch {
-    /// dp[c] = best combined value using exactly c features over the
-    /// entities processed so far; `None` marks unreachable budgets.
-    dp: Vec<Option<u64>>,
-    /// Double buffer for `dp`.
-    next: Vec<Option<u64>>,
-    /// Flat `entity_count × (cap + 1)`: chosen prefix length of entity `e`
-    /// in the best solution of budget `c` after processing entity `e`.
-    choice: Vec<usize>,
+    /// `dp[c]` = the best combined value using exactly `c` features over the
+    /// entities processed so far. Every prefix length of an entity is
+    /// valid, so the reachable budgets are always `0..=reach` — the DP reads
+    /// no other slot and needs no mark for an unreachable one.
+    dp: Vec<u64>,
+    /// Flat `entity_count × (cap + 1)`: the prefix length of entity `e` in
+    /// the best solution of budget `c` after processing entity `e`.
+    /// (`u32`: a prefix is at most a result's type count, which the
+    /// instance stores in `u32`; a byte would wrap past 255 types.)
+    choice: Vec<u32>,
     /// Prefix sums of one entity's type values in significance order.
     cum: Vec<u64>,
-    /// The reconstructed optimal prefix vector — the call's result.
+    /// The reconstructed optimal prefix vector — a response's answer.
     prefixes: Vec<usize>,
 }
 
-/// The optimal valid DFS for result `i` given fixed per-type values — the
-/// knapsack-over-prefixes DP. Returns the DFS and its combined value.
-fn optimal_response(inst: &Instance, i: usize, weights: &[u32], potentials: &[u32]) -> (Dfs, u64) {
-    let mut scratch = ResponseScratch::default();
-    let value = optimal_response_into(inst, i, weights, potentials, &mut scratch);
-    (Dfs::from_prefixes(inst, i, &scratch.prefixes), value)
-}
-
-/// [`optimal_response`] into caller-provided scratch: returns the optimal
-/// combined value and leaves the optimal prefix vector in
-/// `scratch.prefixes`, allocating nothing after the buffers warm up.
-fn optimal_response_into(
-    inst: &Instance,
-    i: usize,
-    weights: &[u32],
-    potentials: &[u32],
-    scratch: &mut ResponseScratch,
-) -> u64 {
-    let entity_count = inst.entities.len();
-    let cap = inst.config.size_bound.min(inst.type_count_of(i));
-
-    let ResponseScratch { dp, next, choice, cum, prefixes } = scratch;
-    dp.clear();
-    dp.resize(cap + 1, None);
-    dp[0] = Some(0);
-    choice.clear();
-    choice.resize(entity_count * (cap + 1), 0);
-
-    for (e, list) in inst.ranked_lists(i).enumerate() {
-        // Prefix sums of the entity's type values in significance order.
-        cum.clear();
-        cum.push(0u64);
-        for &t in list {
-            cum.push(cum.last().unwrap() + combined(weights[t], potentials[t]));
+impl ResponseScratch {
+    fn new(inst: &Instance) -> Self {
+        let most = (0..inst.result_count()).map(|i| inst.type_count_of(i)).max().unwrap_or(0);
+        let cap = inst.config.size_bound.min(most);
+        ResponseScratch {
+            dp: vec![0; cap + 1],
+            choice: vec![0; inst.entities.len() * (cap + 1)],
+            cum: Vec::with_capacity(cap + 1),
+            prefixes: vec![0; inst.entities.len()],
         }
-        next.clear();
-        next.resize(cap + 1, None);
-        let chosen = &mut choice[e * (cap + 1)..][..cap + 1];
-        for (c_prev, &slot) in dp.iter().enumerate() {
-            let Some(base) = slot else { continue };
-            let max_len = list.len().min(cap - c_prev);
-            for (len, &gain) in cum.iter().enumerate().take(max_len + 1) {
-                let c = c_prev + len;
-                let cand = base + gain;
-                if next[c].is_none_or(|v| cand > v) {
-                    next[c] = Some(cand);
-                    chosen[c] = len;
-                }
-            }
-        }
-        std::mem::swap(dp, next);
     }
 
-    // Pick the best (value, size) — larger budgets win ties, so the DFS
-    // fills up to the bound when extra features cost nothing.
-    let mut best_c = 0;
-    let mut best_value = 0u64;
-    for (c, v) in dp.iter().enumerate() {
-        if let Some(v) = *v {
-            if (v, c) >= (best_value, best_c) {
-                best_value = v;
+    /// The optimal valid DFS for result `i` given fixed per-type values:
+    /// returns its combined value and leaves its prefix vector in
+    /// `self.prefixes`.
+    fn respond(&mut self, inst: &Instance, i: usize, weights: &[u32], potentials: &[u32]) -> u64 {
+        let cap = inst.config.size_bound.min(inst.type_count_of(i));
+        let ResponseScratch { dp, choice, cum, prefixes } = self;
+        dp[0] = 0;
+        let mut reach = 0;
+
+        for (e, list) in inst.ranked_lists(i).enumerate() {
+            if list.is_empty() {
+                continue; // prefix 0, nothing changes
+            }
+            // Prefix sums of the entity's type values in significance order;
+            // a prefix longer than the budget is never taken.
+            let top = list.len().min(cap);
+            cum.clear();
+            cum.push(0);
+            let mut sum = 0;
+            for &t in &list[..top] {
+                sum += combined(weights[t], potentials[t]);
+                cum.push(sum);
+            }
+            // In place, budgets descending: `dp[c - len]` is still the
+            // previous entity's for every `len ≥ 1`. Lengths descending with
+            // a strict `>` keep the longest prefix among ties, and the
+            // lengths from a reachable budget are `c - before ..= min(top, c)`.
+            let chosen = &mut choice[e * (cap + 1)..][..=cap];
+            let before = reach;
+            reach = (before + top).min(cap);
+            for c in (0..=reach).rev() {
+                let (lo, hi) = (c.saturating_sub(before), top.min(c));
+                let (mut best, mut pick) = (dp[c - hi] + cum[hi], hi);
+                for len in (lo..hi).rev() {
+                    if dp[c - len] + cum[len] > best {
+                        best = dp[c - len] + cum[len];
+                        pick = len;
+                    }
+                }
+                dp[c] = best;
+                chosen[c] = pick as u32;
+            }
+        }
+
+        // Pick the best (value, size) — larger budgets win ties, so the DFS
+        // fills up to the bound when extra features cost nothing.
+        let (mut best_c, mut best) = (0, dp[0]);
+        for (c, &v) in dp.iter().enumerate().take(reach + 1) {
+            if (v, c) >= (best, best_c) {
+                best = v;
                 best_c = c;
             }
         }
-    }
 
-    // Reconstruct prefix lengths entity by entity, backwards.
-    prefixes.clear();
-    prefixes.resize(entity_count, 0);
-    let mut c = best_c;
-    for e in (0..entity_count).rev() {
-        let len = choice[e * (cap + 1) + c];
-        prefixes[e] = len;
-        c -= len;
+        // Reconstruct prefix lengths entity by entity, backwards.
+        let mut c = best_c;
+        for (e, prefix) in prefixes.iter_mut().enumerate().rev() {
+            *prefix =
+                if inst.ranked(i, e).is_empty() { 0 } else { choice[e * (cap + 1) + c] as usize };
+            c -= *prefix;
+        }
+        debug_assert_eq!(c, 0);
+        best
     }
-    debug_assert_eq!(c, 0);
-    best_value
 }
 
 /// Verifies multi-swap optimality in the paper's sense: for every result,
@@ -212,9 +255,10 @@ fn optimal_response_into(
 /// no role in the check.
 pub fn is_multi_swap_optimal(inst: &Instance, set: &DfsSet) -> bool {
     let zero = vec![0u32; inst.type_count()];
+    let mut scratch = ResponseScratch::new(inst);
     for i in 0..set.len() {
         let weights = all_type_weights(inst, set, i);
-        let (_, best) = optimal_response(inst, i, &weights, &zero);
+        let best = scratch.respond(inst, i, &weights, &zero);
         let current = dfs_value(inst, i, set.dfs(i), &weights, &zero);
         if best > current {
             return false;
@@ -294,26 +338,32 @@ mod tests {
     #[test]
     fn optimal_response_is_a_true_best_response() {
         // Cross-check the DP against brute-force enumeration of all valid
-        // prefix vectors.
-        let inst = two_entity_instance(3);
-        let set = snippet_set(&inst);
-        for i in 0..2 {
-            let weights = all_type_weights(&inst, &set, i);
-            let pots = inst.potentials(i);
-            let (_, dp_value) = optimal_response(&inst, i, &weights, pots);
-            // Brute force over prefix pairs.
-            let lens: Vec<usize> = inst.ranked_lists(i).map(<[_]>::len).collect();
-            let mut best = 0u64;
-            for p0 in 0..=lens[0] {
-                for p1 in 0..=lens[1] {
-                    if p0 + p1 > inst.config.size_bound {
-                        continue;
+        // prefix vectors, with and without the potential tie-breaker: the
+        // value is the best, the prefixes reach it, and among the best the
+        // largest size wins.
+        for bound in 0..=6 {
+            let inst = two_entity_instance(bound);
+            let mut scratch = ResponseScratch::new(&inst);
+            let zero = vec![0u32; inst.type_count()];
+            let set = snippet_set(&inst);
+            for i in 0..2 {
+                let weights = all_type_weights(&inst, &set, i);
+                for pots in [inst.potentials(i), &zero] {
+                    let dp_value = scratch.respond(&inst, i, &weights, pots);
+                    let answer = Dfs::from_prefixes(&inst, i, &scratch.prefixes);
+                    assert_eq!(answer.prefixes(), scratch.prefixes, "bound {bound}: in range");
+                    assert_eq!(dfs_value(&inst, i, &answer, &weights, pots), dp_value);
+                    let lens: Vec<usize> = inst.ranked_lists(i).map(<[_]>::len).collect();
+                    let mut best = (0u64, 0usize);
+                    for p0 in 0..=lens[0] {
+                        for p1 in (0..=lens[1]).filter(|p1| p0 + p1 <= bound) {
+                            let d = Dfs::from_prefixes(&inst, i, &[p0, p1]);
+                            best = best.max((dfs_value(&inst, i, &d, &weights, pots), p0 + p1));
+                        }
                     }
-                    let d = Dfs::from_prefixes(&inst, i, &[p0, p1]);
-                    best = best.max(dfs_value(&inst, i, &d, &weights, pots));
+                    assert_eq!((dp_value, answer.size()), best, "bound {bound}, result {i}");
                 }
             }
-            assert_eq!(dp_value, best, "result {i}");
         }
     }
 
@@ -344,10 +394,67 @@ mod tests {
 
     #[test]
     fn stats_count_rounds_and_moves() {
-        let inst = two_entity_instance(4);
-        let (_, stats) = multi_swap(&inst);
-        assert!(stats.rounds >= 1);
-        // The final round never moves.
-        assert!(stats.moves <= (stats.rounds - 1).max(1) * 2 + 2);
+        // Per bound, `(rounds, moves, responses)` of the winning run and of
+        // a polish of the snippets: a change of evaluation order moves them.
+        let want = [
+            (0, (1, 0, 2), (1, 0, 2)),
+            (1, (1, 0, 2), (2, 1, 3)),
+            (2, (1, 0, 2), (2, 1, 3)),
+            (3, (2, 1, 2), (2, 1, 2)),
+            (4, (1, 0, 2), (2, 1, 2)),
+            (5, (1, 0, 2), (1, 0, 2)),
+        ];
+        let counters = |s: SwapStats| (s.rounds, s.moves, s.responses);
+        for (bound, winner, from_snippets) in want {
+            let inst = two_entity_instance(bound);
+            assert_eq!(counters(multi_swap(&inst).1), winner, "bound {bound}");
+            let stats = multi_swap_from(&inst, &mut snippet_set(&inst));
+            assert_eq!(counters(stats), from_snippets, "bound {bound}");
+        }
+    }
+
+    /// Single-swap stuck at the snippets, the DP escaping. Entity `e` has
+    /// `p` and `q`, identical everywhere, then `r`, differentiable on every
+    /// pair. B and C have only `e` and select `p, q, r`; A ranks its own
+    /// `f` types `a, b, c` above them and selects those. At L = 3 the only
+    /// single moves for A trade `c` for `p`: no DoD and no potential on
+    /// either side, so single-swap stops where it started. A's DP takes the
+    /// whole chain `p, q, r` at once, worth `r` against B and C.
+    #[test]
+    fn dp_escapes_where_single_swap_is_stuck() {
+        let mk = |label: &str, r: u32, with_f: bool| {
+            let mut triplets = vec![
+                (FeatureType::new("e", "p"), "yes".to_string(), 6),
+                (FeatureType::new("e", "q"), "yes".to_string(), 5),
+                (FeatureType::new("e", "r"), "yes".to_string(), r),
+            ];
+            if with_f {
+                for (attr, count) in [("a", 9), ("b", 8), ("c", 7)] {
+                    triplets.push((FeatureType::new("f", attr), "yes".to_string(), count));
+                }
+            }
+            ResultFeatures::from_raw(
+                label,
+                [("e".to_string(), 10), ("f".to_string(), 10)],
+                triplets,
+            )
+        };
+        let inst = Instance::build(
+            &[mk("A", 1, true), mk("B", 2, false), mk("C", 4, false)],
+            DfsConfig { size_bound: 3, threshold_pct: 10.0 },
+        );
+        let snippets = snippet_set(&inst);
+        assert_eq!(snippets.dfs(0).prefixes(), [0, 3], "A starts at {{a, b, c}}");
+        assert_eq!(dod_total(&inst, &snippets), 1, "r between B and C");
+        assert!(crate::single_swap::is_single_swap_optimal(&inst, &snippets));
+        let (single, stats) = single_swap(&inst);
+        assert_eq!(single, snippets, "single-swap is stuck at the snippets");
+        assert_eq!((stats.rounds, stats.moves, stats.responses), (1, 0, 3));
+
+        assert!(!is_multi_swap_optimal(&inst, &snippets));
+        let (multi, _) = multi_swap(&inst);
+        assert_eq!(multi.dfs(0).prefixes(), [3, 0], "A takes {{p, q, r}}");
+        assert_eq!(dod_total(&inst, &multi), 3);
+        assert_eq!(crate::exhaustive::exhaustive(&inst, 10_000).map(|(_, d)| d), Some(3));
     }
 }

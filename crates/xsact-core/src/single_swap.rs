@@ -11,8 +11,9 @@
 //!   `e₂`'s prefix ("changing one feature").
 //!
 //! Because the total DoD decomposes into per-type weights when only one DFS
-//! moves (see [`crate::dod`]), the gain of each move is evaluated in `O(1)`
-//! after an `O(n·m)` weight pass.
+//! moves (see [`crate::dod`]), the gain of each move is an `O(1)` read of
+//! the search's maintained weight rows (`dod::Weights`), which
+//! every accepted move updates by the one type it adds or removes.
 //!
 //! Moves are ranked by `(ΔDoD, Δpotential)` lexicographically and accepted
 //! while strictly positive. The potential tie-breaker (see
@@ -21,10 +22,19 @@
 //! would see a 0 gain on both sides and stall. Each accepted move strictly
 //! increases the bounded pair `(total DoD, Σ selected potentials)`, so the
 //! search terminates.
+//!
+//! **Skipping clean results.** A visit to result `i` scans its moves until
+//! none helps; what it finds depends only on `i`'s weight row, its own DFS
+//! and its potentials. After a visit, `i`'s DFS changes only at its next
+//! visit, so if no other DFS's move has touched `i`'s row since, the next
+//! visit would find no move at all. The search skips exactly those visits:
+//! no move is lost and no round ends differently, so `rounds` and `moves`
+//! are those of visiting every result every round.
+//! [`SwapStats::responses`] counts the visits made.
 
 use crate::dfs::DfsSet;
-use crate::dod::{all_type_weights, all_type_weights_into};
-use crate::model::Instance;
+use crate::dod::{all_type_weights, Weights};
+use crate::model::{EntityIdx, Instance};
 use crate::snippet::snippet_set;
 
 /// Counters describing a local-search run.
@@ -36,6 +46,11 @@ pub struct SwapStats {
     /// Accepted improving moves (single-swap) or DFS replacements
     /// (multi-swap).
     pub moves: u32,
+    /// Best responses computed: the visits that scanned a result's moves
+    /// (single-swap) or ran its DP (multi-swap). A search that visited
+    /// every result every round would compute `rounds × n`; the searches
+    /// skip the results no move has touched since their last response.
+    pub responses: u32,
 }
 
 /// Runs the single-swap algorithm exactly as the paper describes it:
@@ -52,66 +67,36 @@ pub fn single_swap(inst: &Instance) -> (DfsSet, SwapStats) {
 /// (used by tests and ablations). Returns run counters; `set` is updated in
 /// place.
 pub fn single_swap_from(inst: &Instance, set: &mut DfsSet) -> SwapStats {
-    let bound = inst.config.size_bound;
-    let entity_count = inst.entities.len();
-    let mut stats = SwapStats::default();
-    // One scratch weight buffer for the whole run — refilled per result,
-    // never reallocated.
-    let mut weights: Vec<u32> = Vec::new();
+    search(inst, set, &mut Weights::new(inst, set))
+}
 
+/// The search over `set`'s maintained weight rows; on return `weights`
+/// holds the fixpoint's rows, which multi-swap polishes on.
+pub(crate) fn search(inst: &Instance, set: &mut DfsSet, weights: &mut Weights) -> SwapStats {
+    let mut stats = SwapStats::default();
+    // Per entity, the `(weight, potential)` key of the type a grow would
+    // add and of the type a shrink would remove — one lookup per entity per
+    // scan, not one per pair.
+    let entity_count = inst.entities.len();
+    let mut ends: Vec<(Option<Key>, Option<Key>)> = vec![(None, None); entity_count];
     loop {
         stats.rounds += 1;
         let mut improved = false;
         for i in 0..set.len() {
-            // Weights depend only on the *other* DFSs, so they stay valid
-            // while we repeatedly improve result i. Potentials are static
-            // and precomputed by the instance.
-            all_type_weights_into(inst, set, i, &mut weights);
-            let potentials = inst.potentials(i);
-            loop {
-                let mut best_key = (0i64, 0i64);
-                let mut best_move: Option<(Option<usize>, usize)> = None; // (shrink e1, grow e2)
-                for e2 in 0..entity_count {
-                    let Some(added) = set.dfs(i).next_type(inst, i, e2) else {
-                        continue;
-                    };
-                    let gain = (i64::from(weights[added]), i64::from(potentials[added]));
-                    if set.dfs(i).size() < bound && gain > best_key {
-                        best_key = gain;
-                        best_move = Some((None, e2));
-                    }
-                    for e1 in 0..entity_count {
-                        if e1 == e2 {
-                            continue;
-                        }
-                        let Some(removed) = set.dfs(i).last_type(inst, i, e1) else {
-                            continue;
-                        };
-                        let key = (
-                            gain.0 - i64::from(weights[removed]),
-                            gain.1 - i64::from(potentials[removed]),
-                        );
-                        if key > best_key {
-                            best_key = key;
-                            best_move = Some((Some(e1), e2));
-                        }
-                    }
+            if !weights.take_dirty(i) {
+                continue;
+            }
+            stats.responses += 1;
+            // Moves of result i leave its own row unchanged: it depends
+            // only on the *other* DFSs.
+            while let Some((shrink, grow)) = best_move(inst, set, i, weights.row(i), &mut ends) {
+                if let Some(e1) = shrink {
+                    weights.shrink(inst, set, i, e1);
                 }
-                match best_move {
-                    // Accept (ΔDoD, Δpot) > (0, 0): either the DoD improves,
-                    // or it is unchanged and the potential improves.
-                    Some((shrink, grow)) if best_key > (0, 0) => {
-                        if let Some(e1) = shrink {
-                            let ok = set.shrink(inst, i, e1);
-                            debug_assert!(ok);
-                        }
-                        let ok = set.grow(inst, i, grow);
-                        debug_assert!(ok);
-                        stats.moves += 1;
-                        improved = true;
-                    }
-                    _ => break,
-                }
+                weights.grow(inst, set, i, grow);
+                weights.debug_assert_follows(inst, set);
+                stats.moves += 1;
+                improved = true;
             }
         }
         if !improved {
@@ -120,6 +105,47 @@ pub fn single_swap_from(inst: &Instance, set: &mut DfsSet) -> SwapStats {
     }
     debug_assert!(set.all_valid(inst));
     stats
+}
+
+/// A type's `(weight, potential)` for one result.
+type Key = (i64, i64);
+
+/// The best grow or swap move of result `i` as `(shrink e₁, grow e₂)`, if
+/// its `(ΔDoD, Δpotential)` is above `(0, 0)`: either the DoD improves, or
+/// it is unchanged and the potential improves. Ties go to the first move in
+/// `(e₂, grow before swaps, e₁)` order.
+fn best_move(
+    inst: &Instance,
+    set: &DfsSet,
+    i: usize,
+    weights: &[u32],
+    ends: &mut [(Option<Key>, Option<Key>)],
+) -> Option<(Option<EntityIdx>, EntityIdx)> {
+    let dfs = set.dfs(i);
+    let potentials = inst.potentials(i);
+    let key = |t: usize| (i64::from(weights[t]), i64::from(potentials[t]));
+    for (e, end) in ends.iter_mut().enumerate() {
+        *end = (dfs.next_type(inst, i, e).map(key), dfs.last_type(inst, i, e).map(key));
+    }
+    let can_grow = dfs.size() < inst.config.size_bound;
+    let mut best_key = (0, 0);
+    let mut best = None;
+    for (e2, &(added, _)) in ends.iter().enumerate() {
+        let Some(gain) = added else { continue };
+        if can_grow && gain > best_key {
+            best_key = gain;
+            best = Some((None, e2));
+        }
+        for (e1, &(_, removed)) in ends.iter().enumerate() {
+            let Some(loss) = removed.filter(|_| e1 != e2) else { continue };
+            let key = (gain.0 - loss.0, gain.1 - loss.1);
+            if key > best_key {
+                best_key = key;
+                best = Some((Some(e1), e2));
+            }
+        }
+    }
+    best
 }
 
 /// Verifies single-swap optimality in the paper's sense: no grow or swap
@@ -202,7 +228,9 @@ mod tests {
         let mut from_snippets = snippet_set(&inst);
         let stats = single_swap_from(&inst, &mut from_snippets);
         assert_eq!(dod_total(&inst, &from_snippets), 1);
-        assert!(stats.moves >= 2);
+        // A moves in round 1, which dirties B; B follows; round 2 revisits
+        // only A, whom B's move dirtied, and finds nothing.
+        assert_eq!((stats.rounds, stats.moves, stats.responses), (2, 2, 3));
     }
 
     #[test]

@@ -6,44 +6,51 @@
 //! A `—` cell means the feature type is *not in that result's DFS*: per the
 //! paper, absence is "unknown", like a NULL value, and never differentiates.
 //!
-//! [`render_table`] makes two passes over the grid and materialises no cell:
-//! the first measures every column (and counts the bytes, so the output is
-//! allocated once, at its final size), the second writes the box straight
-//! into that one `String`. Row labels and `value (pct%)` cells — the only
-//! text that is not a slice of the instance — are composed in one reusable
-//! scratch buffer.
+//! [`render_table`] makes two passes over the grid. The first composes
+//! every body cell once — row labels, values and `value (pct%)` cells, the
+//! percentage written digit by digit without the float formatter — back to
+//! back into one arena, noting where each ends and how wide it is; that
+//! gives the column widths and the byte count, so the output is allocated
+//! once, at its final size. The second copies the cells out of the arena
+//! into the box.
 
 use crate::bits;
 use crate::dfs::DfsSet;
 use crate::model::{Instance, TypeId};
-use std::fmt::Write;
 use xsact_entity::label::{push_display_label, push_entity_short_name};
-use xsact_entity::FeatureType;
 
 /// Renders the comparison table of a DFS set over its instance.
 pub fn render_table(inst: &Instance, set: &DfsSet) -> String {
     const HEADER: &str = "feature";
     let rows = ranked_rows(inst, set);
     let n = inst.result_count();
-    let mut scratch = String::new();
 
-    // Pass 1: column widths in characters, and how many bytes the cells
-    // take beyond one per character.
+    // Pass 1: the body cells into one arena, each with its end and width in
+    // characters; the column widths; and how many bytes the table takes
+    // beyond one per character.
+    let mut arena = String::with_capacity(rows.len() * (n + 1) * 16);
+    let mut cells: Vec<(usize, usize)> = Vec::with_capacity(rows.len() * (n + 1));
     let mut widths: Vec<usize> = vec![0; n + 1];
     let mut wide_bytes = 0;
     let mut measure = |column: usize, cell: &str| {
         let width = display_width(cell);
         widths[column] = widths[column].max(width);
         wide_bytes += cell.len() - width;
+        width
     };
     measure(0, HEADER);
     for (i, label) in inst.labels().enumerate() {
         measure(i + 1, label);
     }
     for &(t, _) in &rows {
-        measure(0, row_label(&inst.types[t], &mut scratch));
-        for i in 0..n {
-            measure(i + 1, cell_text(inst, set, i, t, &mut scratch));
+        for column in 0..=n {
+            let start = arena.len();
+            match column {
+                0 => push_row_label(&mut arena, inst, t),
+                _ => push_cell(&mut arena, inst, set, column - 1, t),
+            }
+            let width = measure(column, &arena[start..]);
+            cells.push((arena.len(), width));
         }
     }
 
@@ -57,24 +64,24 @@ pub fn render_table(inst: &Instance, set: &DfsSet) -> String {
         }
         out.push_str("+\n");
     };
-    let put = |out: &mut String, column: usize, cell: &str| {
+    let put = |out: &mut String, column: usize, cell: &str, width: usize| {
         out.push_str("| ");
         out.push_str(cell);
-        fill(out, SPACES, widths[column] - display_width(cell) + 1);
+        fill(out, SPACES, widths[column] - width + 1);
+        if column == n {
+            out.push_str("|\n");
+        }
     };
     rule(&mut out);
-    put(&mut out, 0, HEADER);
+    put(&mut out, 0, HEADER, display_width(HEADER));
     for (i, label) in inst.labels().enumerate() {
-        put(&mut out, i + 1, label);
+        put(&mut out, i + 1, label, display_width(label));
     }
-    out.push_str("|\n");
     rule(&mut out);
-    for &(t, _) in &rows {
-        put(&mut out, 0, row_label(&inst.types[t], &mut scratch));
-        for i in 0..n {
-            put(&mut out, i + 1, cell_text(inst, set, i, t, &mut scratch));
-        }
-        out.push_str("|\n");
+    let mut start = 0;
+    for (k, &(end, width)) in cells.iter().enumerate() {
+        put(&mut out, k % (n + 1), &arena[start..end], width);
+        start = end;
     }
     rule(&mut out);
     out
@@ -101,7 +108,8 @@ fn ranked_rows(inst: &Instance, set: &DfsSet) -> Vec<(TypeId, f64)> {
     // comparison of the sort.
     let best_sig =
         |t: TypeId| (0..inst.result_count()).map(|i| inst.sig_ratio(i, t)).fold(0.0, f64::max);
-    let mut rows: Vec<(TypeId, f64)> = Vec::new();
+    let mut rows: Vec<(TypeId, f64)> =
+        Vec::with_capacity(bits::and2_count(&selected, &selected) as usize);
     bits::for_each_bit(&selected, |t| rows.push((t, best_sig(t))));
     rows.sort_by(|&(a, sig_a), &(b, sig_b)| {
         inst.entity_of[a]
@@ -112,39 +120,47 @@ fn ranked_rows(inst: &Instance, set: &DfsSet) -> Vec<(TypeId, f64)> {
     rows
 }
 
-/// What the cell of result `i` and type `t` shows: `—` outside the result's
-/// DFS, else the dominant value — bare for a single-instance entity, with
-/// its occurrence percentage (composed in `scratch`) otherwise.
-fn cell_text<'a>(
-    inst: &'a Instance,
-    set: &DfsSet,
-    i: usize,
-    t: TypeId,
-    scratch: &'a mut String,
-) -> &'a str {
+/// Appends what the cell of result `i` and type `t` shows: `—` outside the
+/// result's DFS, else the dominant value — bare for a single-instance
+/// entity, with its occurrence percentage otherwise.
+fn push_cell(out: &mut String, inst: &Instance, set: &DfsSet, i: usize, t: TypeId) {
     if !bits::test_bit(set.mask(i), t) {
-        return "—";
+        out.push('—');
+        return;
     }
     let cell = inst.cell(i, t).expect("selected type has a cell");
-    if cell.instances <= 1 {
-        return cell.value;
+    out.push_str(cell.value);
+    if cell.instances > 1 {
+        // `{:.0}` of the percentage: rounding to an integer with ties to
+        // even is what it does (pinned below), and a count over an instance
+        // count times 100 fits a `u64` many times over.
+        out.push_str(" (");
+        push_digits(out, (cell.ratio * 100.0).round_ties_even() as u64);
+        out.push_str("%)");
     }
-    // `{:.0}` of the percentage, without the float formatter: rounding to
-    // an integer with ties to even is what it does (pinned below), and a
-    // count over an instance count times 100 fits a `u64` many times over.
-    let percent = (cell.ratio * 100.0).round_ties_even() as u64;
-    scratch.clear();
-    write!(scratch, "{} ({percent}%)", cell.value).expect("writing to a String");
-    scratch
 }
 
-/// The row label `<entity> · <attribute path>`, composed in `scratch`.
-fn row_label<'a>(ty: &FeatureType, scratch: &'a mut String) -> &'a str {
-    scratch.clear();
-    push_entity_short_name(scratch, &ty.entity);
-    scratch.push_str(" · ");
-    push_display_label(scratch, ty);
-    scratch
+/// Appends the decimal digits of `value`.
+fn push_digits(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends the row label `<entity> · <attribute path>` of type `t`.
+fn push_row_label(out: &mut String, inst: &Instance, t: TypeId) {
+    let ty = &inst.types[t];
+    push_entity_short_name(out, &ty.entity);
+    out.push_str(" · ");
+    push_display_label(out, ty);
 }
 
 const DASHES: &str = "----------------------------------------------------------------";
@@ -289,12 +305,18 @@ mod tests {
         for instances in 2..=300u32 {
             for count in 0..=2 * instances {
                 let pct = f64::from(count) / f64::from(instances) * 100.0;
-                let fast = (pct.round_ties_even() as u64).to_string();
+                let mut fast = String::new();
+                push_digits(&mut fast, pct.round_ties_even() as u64);
                 assert_eq!(fast, format!("{pct:.0}"), "{count} of {instances}");
             }
         }
         // Halves round to the even neighbour on both paths.
         assert_eq!(format!("{:.0} {:.0} {:.0}", 0.5, 1.5, 2.5), "0 2 2");
+        for value in [0, 7, 10, 99, 100, 1_000_000, u64::MAX] {
+            let mut digits = String::new();
+            push_digits(&mut digits, value);
+            assert_eq!(digits, value.to_string());
+        }
     }
 
     #[test]

@@ -28,14 +28,19 @@
 //! * every algorithm produces valid, size-bounded DFS sets;
 //! * the local searches never fall below their snippet starting point and
 //!   reach their respective optimality criteria;
+//! * the local searches on maintained weight rows, skipping clean results,
+//!   equal the recompute searches they replaced (kept here as
+//!   `oracle_single_swap` / `oracle_multi_swap`) set for set, round for
+//!   round and move for move — on random and real instances;
 //! * multi-swap matches the exhaustive optimum on tiny instances.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
 use xsact_core::{
-    dod_total, is_multi_swap_optimal, is_single_swap_optimal, render_table, run_algorithm,
-    Algorithm, Comparison, DfsConfig, Instance,
+    dod_total, greedy_set, is_multi_swap_optimal, is_single_swap_optimal, multi_swap,
+    multi_swap_from, render_table, run_algorithm, single_swap, single_swap_from, snippet_set,
+    Algorithm, Comparison, Dfs, DfsConfig, DfsSet, Instance, SwapStats,
 };
 use xsact_entity::{
     extract_features, FeatureStat, FeatureType, NodeClass, ResultFeatures, StructureSummary,
@@ -1267,6 +1272,11 @@ fn raw_feature_set(rng: &mut StdRng, shape: RawShape) -> Vec<RawResult> {
         RawShape::Wide => rng.random_range(2..5usize),
         _ => rng.random_range(2..7usize),
     };
+    raw_results(rng, shape, result_count)
+}
+
+/// `result_count` raw results drawn in `shape`.
+fn raw_results(rng: &mut StdRng, shape: RawShape, result_count: usize) -> Vec<RawResult> {
     let wide_attrs: Vec<String> = (0..30).map(|a| format!("a{a}")).collect();
     (0..result_count)
         .map(|r| {
@@ -1403,7 +1413,7 @@ fn instance_build_matches_the_oracle_on_cross_document_sets() {
 
 #[test]
 fn instance_build_matches_the_oracle_on_the_paper_pools() {
-    use xsact_data::{fixtures, vocab, MoviesGen};
+    use xsact_data::fixtures;
     // Figure 1 / Figure 2: snippets differentiate 2 feature types, XSACT 5.
     let wb = xsact::Workbench::from_document(fixtures::figure1_document());
     let pipeline = wb.query(fixtures::PAPER_QUERY).unwrap();
@@ -1419,10 +1429,24 @@ fn instance_build_matches_the_oracle_on_the_paper_pools() {
         assert_eq!(dod_total(&inst, &set), dod, "{}", algorithm.name());
     }
 
-    // The Figure-4 shape: genre + keyword over the movie dataset, the top
-    // 16 of each of the first 64 queries that have something to compare.
+    for_each_pool_query(|query, pipeline| {
+        let features = pipeline.features().unwrap();
+        let inst = Instance::build(&features, POOL_CONFIG);
+        assert_instance_matches_oracle(&inst, &features, query);
+        // What the facade builds from the cache's `Arc`s is that instance.
+        assert_instance_matches_oracle(pipeline.instance().unwrap(), &features, query);
+    });
+}
+
+/// The configuration of the paper pool's comparisons.
+const POOL_CONFIG: DfsConfig = DfsConfig { size_bound: 8, threshold_pct: 10.0 };
+
+/// The paper pool, the Figure-4 shape: genre + keyword over the movie
+/// dataset, the top 16 of each of the first 64 queries that have something
+/// to compare, each handed to `f` with its pipeline.
+fn for_each_pool_query(mut f: impl FnMut(&str, &xsact::QueryPipeline<'_>)) {
+    use xsact_data::{vocab, MoviesGen};
     let wb = xsact::Workbench::from_document(MoviesGen::default_gen().generate());
-    let config = DfsConfig { size_bound: 8, threshold_pct: 10.0 };
     let mut pool = 0;
     let queries =
         vocab::GENRES.iter().flat_map(|g| vocab::KEYWORDS.iter().map(move |k| format!("{g} {k}")));
@@ -1432,11 +1456,7 @@ fn instance_build_matches_the_oracle_on_the_paper_pools() {
             continue;
         }
         pool += 1;
-        let features = pipeline.features().unwrap();
-        let inst = Instance::build(&features, config);
-        assert_instance_matches_oracle(&inst, &features, &query);
-        // What the facade builds from the cache's `Arc`s is that instance.
-        assert_instance_matches_oracle(pipeline.instance().unwrap(), &features, &query);
+        f(&query, &pipeline);
     }
     assert_eq!(pool, 64);
 }
@@ -1491,30 +1511,18 @@ fn hashes_only_route_instances_and_tables_never_depend_on_them() {
 
 // ----------------------------------------------------------- DFS algorithms
 
-const ENTITIES: [&str; 3] = ["e0", "e1", "e2"];
 const ATTRS: [&str; 5] = ["p", "q", "r", "s", "t"];
 
-/// A random result: per (entity, attr), an occurrence count in 0..=10
-/// (0 = type absent). All entities have 10 instances.
-fn make_features(label: String, rng: &mut StdRng) -> ResultFeatures {
-    let mut triplets = Vec::new();
-    for i in 0..ENTITIES.len() * ATTRS.len() {
-        let c = rng.random_range(0..=10u32);
-        if c == 0 {
-            continue;
-        }
-        let e = ENTITIES[i / ATTRS.len()];
-        let a = ATTRS[i % ATTRS.len()];
-        triplets.push((FeatureType::new(e, a), "yes".to_string(), c));
-    }
-    ResultFeatures::from_raw(label, ENTITIES.iter().map(|e| (e.to_string(), 10u32)), triplets)
-}
-
+/// A random instance at the sizes a served comparison runs: 2–16 results
+/// (the comparison workloads take 16), over the six-entity vocabulary of
+/// the raw sets or its wide form (two-word bit rows), with multi-valued
+/// stats and zero-instance entities among them.
 fn random_instance(rng: &mut StdRng) -> Instance {
-    let result_count = rng.random_range(2..4usize);
+    let shape = if rng.random_bool(0.5) { RawShape::Mixed } else { RawShape::Wide };
+    let result_count = rng.random_range(2..17usize);
     let features: Vec<ResultFeatures> =
-        (0..result_count).map(|i| make_features(format!("r{i}"), rng)).collect();
-    let bound = rng.random_range(1..8usize);
+        raw_results(rng, shape, result_count).iter().map(|raw| raw.build(None)).collect();
+    let bound = rng.random_range(1..10usize);
     let threshold = [5.0f64, 10.0, 25.0][rng.random_range(0..3usize)];
     Instance::build(&features, DfsConfig { size_bound: bound, threshold_pct: threshold })
 }
@@ -1749,4 +1757,238 @@ fn multi_swap_is_optimal_on_tiny_instances() {
         assert_eq!(multi.dod(), opt.dod(), "seed {seed} bound {bound}");
         assert_eq!(opt.algorithm, Algorithm::Exhaustive { limit: 10_000 }, "seed {seed}");
     }
+}
+
+// ------------------------------------ local searches vs the recompute oracle
+//
+// The local searches keep every result's weights in one table that each
+// accepted move updates, skip the results no move has touched since their
+// last response, and run the DP in place over shifted values; multi-swap
+// computes its snippet start once. The oracle below is the search as first
+// written — a fresh weight pass per result per round, an `Option<u64>` DP
+// into fresh tables, every start computed from scratch — and the two must
+// agree on sets, DoD and `(rounds, moves)`.
+
+/// `(rounds, moves)` of an oracle run.
+type OracleStats = (u32, u32);
+
+fn oracle_single_swap_from(inst: &Instance, set: &mut DfsSet) -> OracleStats {
+    let (bound, entity_count) = (inst.config.size_bound, inst.entities.len());
+    let (mut rounds, mut moves) = (0, 0);
+    let mut weights = Vec::new();
+    loop {
+        rounds += 1;
+        let mut improved = false;
+        for i in 0..set.len() {
+            xsact_core::all_type_weights_into(inst, set, i, &mut weights);
+            let potentials = inst.potentials(i);
+            loop {
+                // Only a move above (0, 0) replaces `best_move`.
+                let mut best_key = (0i64, 0i64);
+                let mut best_move = None;
+                for e2 in 0..entity_count {
+                    let Some(added) = set.dfs(i).next_type(inst, i, e2) else { continue };
+                    let gain = (i64::from(weights[added]), i64::from(potentials[added]));
+                    if set.dfs(i).size() < bound && gain > best_key {
+                        best_key = gain;
+                        best_move = Some((None, e2));
+                    }
+                    for e1 in (0..entity_count).filter(|&e1| e1 != e2) {
+                        let Some(removed) = set.dfs(i).last_type(inst, i, e1) else { continue };
+                        let key = (
+                            gain.0 - i64::from(weights[removed]),
+                            gain.1 - i64::from(potentials[removed]),
+                        );
+                        if key > best_key {
+                            best_key = key;
+                            best_move = Some((Some(e1), e2));
+                        }
+                    }
+                }
+                let Some((shrink, grow)) = best_move else { break };
+                if let Some(e1) = shrink {
+                    assert!(set.shrink(inst, i, e1));
+                }
+                assert!(set.grow(inst, i, grow));
+                moves += 1;
+                improved = true;
+            }
+        }
+        if !improved {
+            return (rounds, moves);
+        }
+    }
+}
+
+fn oracle_combined(weight: u32, potential: u32) -> u64 {
+    (u64::from(weight) << 32) | u64::from(potential)
+}
+
+/// The knapsack over prefix lengths in `Option` tables: the best combined
+/// value of a valid DFS of result `i`, and its prefix vector (the longest
+/// prefix of an entity, then the largest size, among ties).
+fn oracle_response(
+    inst: &Instance,
+    i: usize,
+    weights: &[u32],
+    potentials: &[u32],
+) -> (u64, Vec<usize>) {
+    let cap = inst.config.size_bound.min(inst.type_count_of(i));
+    let mut dp: Vec<Option<u64>> = vec![None; cap + 1];
+    dp[0] = Some(0);
+    let mut choice = vec![vec![0usize; cap + 1]; inst.entities.len()];
+    for (e, list) in inst.ranked_lists(i).enumerate() {
+        let mut cum = vec![0u64];
+        for &t in list {
+            cum.push(cum.last().unwrap() + oracle_combined(weights[t], potentials[t]));
+        }
+        let mut next: Vec<Option<u64>> = vec![None; cap + 1];
+        for (c_prev, &slot) in dp.iter().enumerate() {
+            let Some(base) = slot else { continue };
+            for (len, &gain) in cum.iter().enumerate().take(list.len().min(cap - c_prev) + 1) {
+                let c = c_prev + len;
+                if next[c].is_none_or(|v| base + gain > v) {
+                    next[c] = Some(base + gain);
+                    choice[e][c] = len;
+                }
+            }
+        }
+        dp = next;
+    }
+    let (mut best_c, mut best_value) = (0, 0);
+    for (c, v) in dp.iter().enumerate() {
+        if let Some(v) = *v {
+            if (v, c) >= (best_value, best_c) {
+                (best_value, best_c) = (v, c);
+            }
+        }
+    }
+    let mut prefixes = vec![0; inst.entities.len()];
+    let mut c = best_c;
+    for e in (0..prefixes.len()).rev() {
+        prefixes[e] = choice[e][c];
+        c -= prefixes[e];
+    }
+    (best_value, prefixes)
+}
+
+fn oracle_multi_swap_from(inst: &Instance, set: &mut DfsSet) -> OracleStats {
+    let (mut rounds, mut moves) = (0, 0);
+    let mut weights = Vec::new();
+    loop {
+        rounds += 1;
+        let mut improved = false;
+        for i in 0..set.len() {
+            xsact_core::all_type_weights_into(inst, set, i, &mut weights);
+            let potentials = inst.potentials(i);
+            let (best_value, prefixes) = oracle_response(inst, i, &weights, potentials);
+            let mut current = 0;
+            set.dfs(i).for_each_selected(inst, i, |t| {
+                current += oracle_combined(weights[t], potentials[t]);
+            });
+            if (best_value, prefixes.iter().sum::<usize>()) > (current, set.dfs(i).size()) {
+                set.replace(inst, i, Dfs::from_prefixes(inst, i, &prefixes));
+                moves += 1;
+                improved = true;
+            }
+        }
+        if !improved {
+            return (rounds, moves);
+        }
+    }
+}
+
+fn oracle_single_swap(inst: &Instance) -> (DfsSet, OracleStats) {
+    let mut set = snippet_set(inst);
+    let stats = oracle_single_swap_from(inst, &mut set);
+    (set, stats)
+}
+
+fn oracle_multi_swap(inst: &Instance) -> (DfsSet, OracleStats) {
+    let mut best: Option<(DfsSet, OracleStats, u32)> = None;
+    for mut set in [greedy_set(inst), snippet_set(inst), oracle_single_swap(inst).0] {
+        let stats = oracle_multi_swap_from(inst, &mut set);
+        let dod = dod_total(inst, &set);
+        if best.as_ref().is_none_or(|(_, _, b)| dod > *b) {
+            best = Some((set, stats, dod));
+        }
+    }
+    let (set, stats, _) = best.unwrap();
+    (set, stats)
+}
+
+/// A search's run equals the oracle's: the same DFSs and `(rounds,
+/// moves)`, and never more responses than the oracle's `rounds × n`.
+/// Returns `(responses, rounds × n)`.
+fn assert_same_run(
+    inst: &Instance,
+    what: &str,
+    (set, stats): (DfsSet, SwapStats),
+    (want, (rounds, moves)): (DfsSet, OracleStats),
+) -> (u32, u32) {
+    let visits = rounds * inst.result_count() as u32;
+    assert_eq!(set, want, "{what}: DFSs");
+    assert_eq!((stats.rounds, stats.moves), (rounds, moves), "{what}: rounds, moves");
+    assert!(stats.responses <= visits, "{what}: responses");
+    (stats.responses, visits)
+}
+
+/// Both local searches against the oracle on one instance, run as the
+/// algorithms and from the greedy and empty starts. Returns the
+/// algorithms' `(responses, rounds × n)`, single-swap first.
+fn assert_searches_match_the_oracle(inst: &Instance, what: &str) -> [(u32, u32); 2] {
+    for start in [greedy_set(inst), DfsSet::empty(inst)] {
+        let (mut set, mut want) = (start.clone(), start.clone());
+        let stats = (single_swap_from(inst, &mut set), oracle_single_swap_from(inst, &mut want));
+        assert_same_run(
+            inst,
+            &format!("{what}: single_swap_from"),
+            (set, stats.0),
+            (want, stats.1),
+        );
+        let (mut set, mut want) = (start.clone(), start);
+        let stats = (multi_swap_from(inst, &mut set), oracle_multi_swap_from(inst, &mut want));
+        assert_same_run(inst, &format!("{what}: multi_swap_from"), (set, stats.0), (want, stats.1));
+    }
+    [
+        assert_same_run(
+            inst,
+            &format!("{what}: single-swap"),
+            single_swap(inst),
+            oracle_single_swap(inst),
+        ),
+        assert_same_run(
+            inst,
+            &format!("{what}: multi-swap"),
+            multi_swap(inst),
+            oracle_multi_swap(inst),
+        ),
+    ]
+}
+
+#[test]
+fn local_searches_match_the_recompute_oracle_on_random_instances() {
+    for seed in 0..64u64 {
+        let inst = random_instance(&mut StdRng::seed_from_u64(seed));
+        assert_searches_match_the_oracle(&inst, &format!("seed {seed}"));
+    }
+}
+
+/// On the paper pool the searches equal the oracle, and the responses they
+/// compute are a pure function of the pool: the sums are pinned, and the
+/// skip shows as fewer responses than the oracle's `rounds × n`.
+#[test]
+fn local_searches_match_the_recompute_oracle_on_the_paper_pool() {
+    let mut sums = [(0, 0); 2];
+    for_each_pool_query(|query, pipeline| {
+        let inst = Instance::build(&pipeline.features().unwrap(), POOL_CONFIG);
+        let counts = assert_searches_match_the_oracle(&inst, query);
+        for (sum, (responses, visits)) in sums.iter_mut().zip(counts) {
+            *sum = (sum.0 + responses, sum.1 + visits);
+        }
+    });
+    for (name, (responses, visits)) in ["single-swap", "multi-swap"].into_iter().zip(sums) {
+        assert!(responses < visits, "{name}: {responses} responses of {visits} visits");
+    }
+    assert_eq!(sums, [(3348, 3821), (1195, 1255)]);
 }
