@@ -7,8 +7,9 @@
 # (ii) The layer crates: every such `pub` name declared under crates/*/src
 #      must occur as a word in some *other* file of a product surface (src/,
 #      crates/, examples/, bench/src) or be listed in ci/surface.allow — one
-#      `name  reason` line per oracle that only tests/ reaches. The vendored
-#      `rand` shim is excepted: it mirrors an external API.
+#      `name  reason` line per oracle that only tests/ reaches. A `pub use`
+#      statement does not count: re-exporting a name reaches nothing. The
+#      vendored `rand` shim is excepted: it mirrors an external API.
 #
 # `bash ci/surface.sh --bless` rewrites the golden from the tree.
 set -euo pipefail
@@ -52,15 +53,30 @@ fi
 mapfile -t files < <(find src crates examples bench/src -name '*.rs' | sort)
 allowed=$(awk '!/^[[:space:]]*(#|$)/ {print $1}' ci/surface.allow)
 
+# The product files with every `pub use` statement (to its `;`) blanked,
+# under the same relative paths.
+uses=$(mktemp -d)
+trap 'rm -rf "$uses"' EXIT
+printf '%s\n' "${files[@]}" | xargs dirname | sort -u | (cd "$uses" && xargs mkdir -p)
+awk -v out="$uses" '
+    FNR == 1 { if (dest) close(dest); dest = out "/" FILENAME; skip = 0 }
+    !skip && /^[[:space:]]*pub use / { skip = 1 }
+    { print (skip ? "" : $0) > dest }
+    skip && /;/ { skip = 0 }' "${files[@]}"
+
 while read -r file kind name; do
     grep -qxF -- "$name" <<<"$allowed" && continue
     # A type in the signature of a `pub fn` of its own file is reached with
-    # that function: callers hold the value without naming its type.
+    # that function, and a name in the type of a `pub` field of its own file
+    # with that field: callers hold the value without naming its type.
     if [[ $kind != fn && $kind != const && $kind != static ]] &&
         grep -qwE -- "pub ((const|unsafe) )*fn .*$name" "$file"; then
         continue
     fi
-    if ! grep -lw -- "$name" "${files[@]}" | grep -vxF -- "$file" >/dev/null; then
+    if grep -qwE -- "^[[:space:]]*pub [a-z_][a-z0-9_]*: .*$name" "$file"; then
+        continue
+    fi
+    if ! (cd "$uses" && grep -lw -- "$name" "${files[@]}") | grep -vxF -- "$file" >/dev/null; then
         echo "surface: pub $kind \`$name\` ($file) is named by no other file under src/ crates/ examples/ bench/src and is not in ci/surface.allow" >&2
         status=1
     fi

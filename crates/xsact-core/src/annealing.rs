@@ -14,7 +14,7 @@
 //! dependencies and runs reproducible from the seed.
 
 use crate::dfs::DfsSet;
-use crate::dod::dod_total;
+use crate::dod::{dod_total, Weights};
 use crate::model::Instance;
 use crate::multi_swap::multi_swap;
 
@@ -80,13 +80,12 @@ pub fn anneal(inst: &Instance, config: &AnnealingConfig) -> (DfsSet, u32) {
 
 /// Annealing from a caller-provided starting set.
 ///
-/// The DoD is maintained **incrementally**: toggling one type in one DFS
-/// only affects the pairs involving that result, so a proposal is evaluated
-/// in `O(n)` via [`crate::dod::toggle_delta`] on the set's own selection
-/// bitmasks (kept in sync by `DfsSet::grow`/`shrink`) — not by re-summing
-/// all pairs (`O(n² · m)`). The equivalence of the two evaluations is
-/// asserted in tests and (in debug builds) at the end of the run, together
-/// with mask/prefix consistency.
+/// The DoD is maintained **incrementally**: a proposal toggles at most two
+/// types of one DFS, and its ΔDoD is `row(i)[added] − row(i)[removed]` read
+/// off the run's maintained weight rows (`dod::Weights`), which every
+/// accepted move updates — not a re-sum over all pairs (`O(n² · m)`). Debug
+/// builds check the rows, the masks and the running DoD against fresh
+/// recomputes at the end of the run.
 pub fn anneal_from(inst: &Instance, start: DfsSet, config: &AnnealingConfig) -> (DfsSet, u32) {
     let n = inst.result_count();
     let entity_count = inst.entities.len();
@@ -102,57 +101,52 @@ pub fn anneal_from(inst: &Instance, start: DfsSet, config: &AnnealingConfig) -> 
     if entity_count == 0 || bound == 0 {
         return (best, best_dod);
     }
+    let mut weights = Weights::new(inst, &current);
 
     for _ in 0..config.iterations {
         temperature *= config.cooling;
         let i = rng.below(n);
-        // Propose: 0 = grow, 1 = shrink, 2 = transfer. Work out the toggled
-        // types first so the DoD delta is an O(n) computation.
+        // Propose: 0 = grow, 1 = shrink, 2 = transfer, as the entity whose
+        // prefix shrinks and the one whose prefix grows.
         let kind = rng.below(3);
         let dfs = current.dfs(i);
-        let (added, removed): (Option<usize>, Option<usize>) = match kind {
+        let (shrink, grow) = match kind {
             0 => {
                 if dfs.size() >= bound {
                     continue;
                 }
-                (dfs.next_type(inst, i, rng.below(entity_count)), None)
+                (None, Some(rng.below(entity_count)))
             }
-            1 => (None, dfs.last_type(inst, i, rng.below(entity_count))),
+            1 => (Some(rng.below(entity_count)), None),
             _ => {
                 let from = rng.below(entity_count);
                 let to = rng.below(entity_count);
                 if from == to {
                     continue;
                 }
-                let removed = dfs.last_type(inst, i, from);
-                let added = dfs.next_type(inst, i, to);
-                if removed.is_none() || added.is_none() {
-                    continue;
-                }
-                (added, removed)
+                (Some(from), Some(to))
             }
         };
-        if added.is_none() && removed.is_none() {
+        // A move needs a type at each end it touches.
+        let (Some(removed), Some(added)) = (
+            shrink.map_or(Some(None), |e| dfs.last_type(inst, i, e).map(Some)),
+            grow.map_or(Some(None), |e| dfs.next_type(inst, i, e).map(Some)),
+        ) else {
             continue;
-        }
-        let delta = added.map_or(0, |t| crate::dod::toggle_delta(inst, &current, i, t)) as i64
-            - removed.map_or(0, |t| crate::dod::toggle_delta(inst, &current, i, t)) as i64;
+        };
+        let row = weights.row(i);
+        let delta =
+            added.map_or(0, |t| i64::from(row[t])) - removed.map_or(0, |t| i64::from(row[t]));
         let accept = delta >= 0
             || (temperature > f64::EPSILON && rng.unit() < (delta as f64 / temperature).exp());
         if !accept {
             continue;
         }
-        // Apply the move; DfsSet::shrink/grow keep the selection bitmasks
-        // in lock-step with the prefix vectors.
-        if let Some(t) = removed {
-            let (e, _) = inst.rank_of(i, t).expect("removed type is ranked");
-            let ok = current.shrink(inst, i, e);
-            debug_assert!(ok);
+        if let Some(e) = shrink {
+            weights.shrink(inst, &mut current, i, e);
         }
-        if let Some(t) = added {
-            let (e, _) = inst.rank_of(i, t).expect("added type is ranked");
-            let ok = current.grow(inst, i, e);
-            debug_assert!(ok);
+        if let Some(e) = grow {
+            weights.grow(inst, &mut current, i, e);
         }
         current_dod = (i64::from(current_dod) + delta) as u32;
         if current_dod > best_dod {
@@ -162,6 +156,7 @@ pub fn anneal_from(inst: &Instance, start: DfsSet, config: &AnnealingConfig) -> 
     }
     debug_assert!(best.all_valid(inst));
     debug_assert!(current.masks_consistent(inst), "selection bitmask drifted from prefixes");
+    weights.debug_assert_follows(inst, &current);
     debug_assert_eq!(current_dod, dod_total(inst, &current), "incremental DoD drifted");
     debug_assert_eq!(best_dod, dod_total(inst, &best));
     (best, best_dod)

@@ -79,31 +79,6 @@ pub fn for_each_and2(a: &[u64], b: &[u64], mut f: impl FnMut(usize)) {
     }
 }
 
-/// Calls `f(t, set)` for every bit `t` of `(before ⊕ after) ∧ mask`, in
-/// ascending bit order — `set` iff the bit is set in `after` — and returns
-/// whether there was any.
-#[inline]
-pub(crate) fn for_each_change(
-    before: &[u64],
-    after: &[u64],
-    mask: &[u64],
-    mut f: impl FnMut(usize, bool),
-) -> bool {
-    debug_assert_eq!(before.len(), after.len());
-    debug_assert_eq!(before.len(), mask.len());
-    let mut any = false;
-    for (w, ((&was, &now), &m)) in before.iter().zip(after).zip(mask).enumerate() {
-        let mut bits = (was ^ now) & m;
-        any |= bits != 0;
-        while bits != 0 {
-            let bit = bits.trailing_zeros() as usize;
-            f(w * 64 + bit, (now >> bit) & 1 != 0);
-            bits &= bits - 1;
-        }
-    }
-    any
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,32 +147,5 @@ mod tests {
         for_each_and2(&a, &b, |t| seen.push(t));
         let expected: Vec<usize> = (0..m).filter(|t| t % 7 == 0).collect();
         assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn for_each_change_visits_the_masked_difference() {
-        let m = 200;
-        let (mut before, mut after, mut mask) =
-            (vec![0u64; words_for(m)], vec![0u64; words_for(m)], vec![0u64; words_for(m)]);
-        for t in 0..m {
-            if t % 2 == 0 {
-                set_bit(&mut before, t);
-            }
-            if t % 3 == 0 {
-                set_bit(&mut after, t);
-            }
-            if t % 5 != 0 {
-                set_bit(&mut mask, t);
-            }
-        }
-        let mut seen = Vec::new();
-        assert!(for_each_change(&before, &after, &mask, |t, set| seen.push((t, set))));
-        let expected: Vec<(usize, bool)> = (0..m)
-            .filter(|t| (t % 2 == 0) != (t % 3 == 0) && t % 5 != 0)
-            .map(|t| (t, t % 3 == 0))
-            .collect();
-        assert_eq!(seen, expected);
-        assert!(!for_each_change(&before, &before, &mask, |_, _| unreachable!()));
-        assert!(!for_each_change(&before, &after, &vec![0; words_for(m)], |_, _| unreachable!()));
     }
 }

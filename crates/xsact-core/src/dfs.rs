@@ -32,13 +32,11 @@ impl Dfs {
     }
 
     /// Builds a DFS from explicit prefix lengths, clamping each to the
-    /// number of types the result actually has for that entity.
+    /// number of types the result actually has for that entity: one entry
+    /// per entity of the instance, a missing entry 0, an extra one ignored.
     pub fn from_prefixes(inst: &Instance, result: usize, prefixes: &[usize]) -> Self {
-        let entities = inst.entities.len();
-        let prefix = prefixes
-            .iter()
-            .enumerate()
-            .map(|(e, &p)| p.min(if e < entities { inst.ranked(result, e).len() } else { 0 }))
+        let prefix = (0..inst.entities.len())
+            .map(|e| prefixes.get(e).map_or(0, |&p| p.min(inst.ranked(result, e).len())))
             .collect();
         Dfs { prefix }
     }
@@ -242,17 +240,6 @@ impl DfsSet {
         self.rebuild_mask(inst, i);
     }
 
-    /// Replaces the DFS of result `i` in place by the one with one prefix
-    /// length per entity, clamped like [`Dfs::from_prefixes`] — the
-    /// allocation-free form of [`replace`](Self::replace).
-    pub(crate) fn set_prefixes(&mut self, inst: &Instance, i: usize, prefixes: &[usize]) {
-        debug_assert_eq!(prefixes.len(), inst.entities.len());
-        for (e, (slot, &p)) in self.dfss[i].prefix.iter_mut().zip(prefixes).enumerate() {
-            *slot = p.min(inst.ranked(i, e).len());
-        }
-        self.rebuild_mask(inst, i);
-    }
-
     fn rebuild_mask(&mut self, inst: &Instance, i: usize) {
         let row = &mut self.masks[i * self.words..][..self.words];
         row.fill(0);
@@ -411,6 +398,29 @@ mod tests {
     }
 
     #[test]
+    fn from_prefixes_takes_one_entry_per_entity() {
+        let inst = inst();
+        for prefixes in [&[1][..], &[1, 2, 7, 9]] {
+            let dfss: Vec<Dfs> =
+                (0..inst.result_count()).map(|i| Dfs::from_prefixes(&inst, i, prefixes)).collect();
+            assert_eq!(dfss[0].prefixes().len(), inst.entities.len(), "{prefixes:?}");
+            let set = DfsSet::from_dfss(&inst, dfss);
+            assert!(set.all_valid(&inst), "{prefixes:?}");
+            let mut single = set.clone();
+            crate::single_swap::single_swap_from(&inst, &mut single);
+            assert!(crate::single_swap::is_single_swap_optimal(&inst, &single), "{prefixes:?}");
+            let mut multi = set.clone();
+            crate::multi_swap::multi_swap_from(&inst, &mut multi);
+            assert!(crate::multi_swap::is_multi_swap_optimal(&inst, &multi), "{prefixes:?}");
+            let config =
+                crate::annealing::AnnealingConfig { iterations: 200, ..Default::default() };
+            let (annealed, dod) = crate::annealing::anneal_from(&inst, set, &config);
+            assert!(annealed.all_valid(&inst), "{prefixes:?}");
+            assert_eq!(dod, crate::dod::dod_total(&inst, &annealed), "{prefixes:?}");
+        }
+    }
+
+    #[test]
     fn dfs_set_validity() {
         let inst = inst();
         let mut set = DfsSet::empty(&inst);
@@ -453,11 +463,6 @@ mod tests {
         set.replace(&inst, 0, Dfs::from_prefixes(&inst, 0, &[1, 3]));
         assert!(set.masks_consistent(&inst));
         assert_eq!(crate::bits::and2_count(set.mask(0), set.mask(0)), set.dfs(0).size() as u32);
-
-        // In place, clamped like `from_prefixes`.
-        set.set_prefixes(&inst, 0, &[0, 9]);
-        assert_eq!(set.dfs(0), &Dfs::from_prefixes(&inst, 0, &[0, 9]));
-        assert!(set.masks_consistent(&inst));
 
         // Result 1's mask never moved.
         assert!(set.mask(1).iter().all(|&w| w == 0));

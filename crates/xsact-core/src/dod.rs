@@ -2,19 +2,20 @@
 //!
 //! `DoD(D1, …, Dn) = Σ_{i<j} DoD(Di, Dj)`, where the pairwise DoD is the
 //! number of feature types selected in *both* DFSs on which the two results
-//! are differentiable. The crucial decomposition the multi-swap DP exploits:
+//! are differentiable. The crucial decomposition every algorithm exploits:
 //! with all other DFSs fixed, the contribution of result `i`'s DFS is a sum
-//! of independent per-type weights ([`type_weight`]).
+//! of independent per-type weights — row `i` of `Weights`.
 //!
 //! Every quantity here is a **word-parallel bitset kernel**: the instance
 //! stores the differentiability matrix as flat `u64` rows, the [`DfsSet`]
 //! maintains per-result selection bitmasks, and a pairwise DoD is literally
 //! `popcount(sel_i ∧ sel_j ∧ diff_ij)` — 64 feature types per CPU word.
 //!
-//! [`all_type_weights_into`] recomputes one result's weights from scratch;
-//! the greedy construction and the optimality checks read that. The two
-//! local searches instead keep every result's weights in a `Weights`
-//! table that each accepted move updates by the types it changed.
+//! `Weights` is the one source of weights: greedy rebuilds, the two local
+//! searches, annealing and both optimality checkers read its rows, and every
+//! move they make updates the rows by the types it changed.
+//! [`all_type_weights`] is the from-scratch recompute the rows are checked
+//! against.
 
 use crate::bits;
 use crate::dfs::DfsSet;
@@ -39,56 +40,37 @@ pub fn dod_total(inst: &Instance, set: &DfsSet) -> u32 {
     total
 }
 
-/// The marginal DoD contribution of selecting type `t` in result `i`'s DFS,
-/// with every other DFS fixed: the number of other results whose DFS also
-/// selects `t` and is differentiable from `i` on it.
-pub fn type_weight(inst: &Instance, set: &DfsSet, i: usize, t: TypeId) -> u32 {
-    (0..set.len())
-        .filter(|&j| {
-            j != i && bits::test_bit(set.mask(j), t) && bits::test_bit(inst.diff_row(i, j), t)
-        })
-        .count() as u32
-}
-
-/// Per-type weights for all of result `i`'s types at once (types the result
-/// lacks get weight 0), written into a caller-provided scratch buffer —
-/// the allocation-free primitive behind the swap loops. `O(n · m/64)` word
-/// operations plus one increment per realised (pair, type).
-pub fn all_type_weights_into(inst: &Instance, set: &DfsSet, i: usize, weights: &mut Vec<u32>) {
-    weights.clear();
-    weights.resize(inst.type_count(), 0);
+/// Result `i`'s per-type weights recomputed from scratch: weight `t` is the
+/// number of other results whose DFS selects `t` and is differentiable from
+/// `i` on it (types the result lacks get 0). The recompute oracle the
+/// maintained `Weights` rows are checked against.
+pub fn all_type_weights(inst: &Instance, set: &DfsSet, i: usize) -> Vec<u32> {
+    let mut weights = vec![0; inst.type_count()];
     // `diff_ij` is zero wherever result `i` lacks the type (and `diff_ii` is
-    // zero), so the has-type and `j ≠ i` guards of the scalar formulation
-    // are implied by the AND.
+    // zero), so the has-type and `j ≠ i` guards are implied by the AND.
     for (j, diff) in inst.diff_rows(i).enumerate() {
         bits::for_each_and2(set.mask(j), diff, |t| weights[t] += 1);
     }
-}
-
-/// Allocating convenience form of [`all_type_weights_into`].
-pub fn all_type_weights(inst: &Instance, set: &DfsSet, i: usize) -> Vec<u32> {
-    let mut weights = Vec::new();
-    all_type_weights_into(inst, set, i, &mut weights);
     weights
 }
 
-/// Every result's per-type weights, maintained across the moves of a local
-/// search rather than recomputed per evaluation.
+/// Every result's per-type weights, maintained across the moves of an
+/// algorithm rather than recomputed per evaluation.
 ///
 /// `row(i)` equals [`all_type_weights`]`(inst, set, i)` for the set the
-/// search is at. A move of DFS `j` changes the types in its selection
-/// delta `Δ`, and row `i ≠ j` changes by ±1 exactly on `Δ ∧ diff_ij`; row
-/// `j` itself depends only on the other DFSs and does not change. So each
-/// accepted move costs `O(n · |Δ|)` instead of a fresh `O(n² · m/64)` pass.
+/// algorithm is at; `row(i)[t]` is the exact DoD change of adding type `t`
+/// to DFS `i` (or, negated, of removing it). A move of DFS `j` changes the
+/// types in its selection delta `Δ`, and row `i ≠ j` changes by ±1 exactly
+/// on `Δ ∧ diff_ij`; row `j` itself depends only on the other DFSs and does
+/// not change. So each move costs `O(n · |Δ|)` instead of a fresh
+/// `O(n² · m/64)` pass.
 ///
-/// A row that a move changed is marked **dirty**. A local search's response
-/// for result `i` is a deterministic function of `row(i)`, `i`'s own DFS
-/// and its potentials; once computed and acted on, it cannot change until
-/// some other DFS's move dirties the row. The searches skip clean rows,
-/// which is exact: the skipped visit would find no move.
+/// A row that a move changed is marked **dirty**; the local searches' round
+/// driver skips clean rows (see [`mod@crate::single_swap`]).
 ///
-/// The table belongs to the search, not to [`DfsSet`], so the algorithms
-/// that never read weights this way pay nothing for it.
+/// The table belongs to the algorithm, not to [`DfsSet`], so the
+/// algorithms that never read weights (snippet, exhaustive) pay nothing for
+/// it.
 #[derive(Debug)]
 pub(crate) struct Weights {
     /// Types per row.
@@ -99,36 +81,23 @@ pub(crate) struct Weights {
     /// Per result, whether its row changed since its response was last
     /// computed.
     dirty: Vec<bool>,
-    /// A DFS's mask before a replacement (allocated by the first one: the
-    /// single-swap search never replaces).
-    before: Vec<u64>,
 }
 
 impl Weights {
-    /// The rows of `set`, every result dirty.
+    /// The rows of `set`.
     pub(crate) fn new(inst: &Instance, set: &DfsSet) -> Self {
         let (n, m) = (inst.result_count(), inst.type_count());
-        let mut weights =
-            Weights { types: m, rows: vec![0; n * m], dirty: vec![true; n], before: Vec::new() };
-        weights.reset(inst, set);
-        weights
-    }
-
-    /// Recomputes every row for `set` in the same buffers, every result
-    /// dirty: another start of a search.
-    pub(crate) fn reset(&mut self, inst: &Instance, set: &DfsSet) {
-        self.rows.fill(0);
+        let mut weights = Weights { types: m, rows: vec![0; n * m], dirty: vec![false; n] };
         // DFS by DFS: each adds its mask ∧ diff to every row.
         for j in 0..set.len() {
-            for ((row, _), diff) in self.rows_against(inst, j) {
+            for ((row, _), diff) in weights.rows_against(inst, j) {
                 bits::for_each_and2(set.mask(j), diff, |t| row[t] += 1);
             }
         }
-        self.mark_all_dirty();
+        weights
     }
 
-    /// Marks every result dirty, keeping the rows: a search with another
-    /// move repertoire takes over the set these rows describe.
+    /// Marks every result dirty, keeping the rows: a search starts.
     pub(crate) fn mark_all_dirty(&mut self) {
         self.dirty.fill(true);
     }
@@ -138,11 +107,10 @@ impl Weights {
         self.rows.clone()
     }
 
-    /// Goes back to the rows of a [`snapshot`](Self::snapshot), every
-    /// result dirty: another start from the set the snapshot described.
+    /// Goes back to the rows of a [`snapshot`](Self::snapshot): another
+    /// start from the set the snapshot described.
     pub(crate) fn restore(&mut self, snapshot: &[u32]) {
         self.rows.copy_from_slice(snapshot);
-        self.mark_all_dirty();
     }
 
     /// Result `i`'s weights, one per type.
@@ -189,7 +157,9 @@ impl Weights {
         }
     }
 
-    /// [`DfsSet::set_prefixes`] on DFS `j`, with the rows following.
+    /// Replaces DFS `j` by the one with the given prefix length per entity
+    /// (each within the entity's ranked list), a shrink or grow at a time,
+    /// with the rows following.
     pub(crate) fn replace(
         &mut self,
         inst: &Instance,
@@ -197,20 +167,18 @@ impl Weights {
         j: usize,
         prefixes: &[usize],
     ) {
-        let mut before = std::mem::take(&mut self.before);
-        before.clear();
-        before.extend_from_slice(set.mask(j));
-        set.set_prefixes(inst, j, prefixes);
-        for ((row, dirty), diff) in self.rows_against(inst, j) {
-            *dirty |= bits::for_each_change(&before, set.mask(j), diff, |t, selected| {
-                row[t] = if selected { row[t] + 1 } else { row[t] - 1 };
-            });
+        for (e, &p) in prefixes.iter().enumerate() {
+            while set.dfs(j).prefix(e) > p {
+                self.shrink(inst, set, j, e);
+            }
+            while set.dfs(j).prefix(e) < p {
+                self.grow(inst, set, j, e);
+            }
         }
-        self.before = before;
     }
 
     /// Debug builds check every row against a fresh recompute — the
-    /// searches call this after each accepted move.
+    /// searches call this after each response that moved.
     pub(crate) fn debug_assert_follows(&self, inst: &Instance, set: &DfsSet) {
         if cfg!(debug_assertions) {
             for i in 0..set.len() {
@@ -218,20 +186,6 @@ impl Weights {
             }
         }
     }
-}
-
-/// Marginal DoD change from toggling a single type `t` in result `i`'s
-/// DFS: the number of *other* results that select `t` and are
-/// differentiable from `i` on it, read off the set's incremental selection
-/// masks.
-///
-/// This is the `O(n)` primitive behind incremental DoD maintenance: adding
-/// `t` to `Di` raises the total by exactly this amount, removing it lowers
-/// it by the same — no other pair is affected. It *is* the marginal weight
-/// of the type, so this delegates to [`type_weight`]; the separate name
-/// keeps the annealing call sites self-describing.
-pub fn toggle_delta(inst: &Instance, set: &DfsSet, i: usize, t: TypeId) -> u32 {
-    type_weight(inst, set, i, t)
 }
 
 /// An upper bound on the total DoD: every differentiable (pair, type) counts
@@ -325,69 +279,45 @@ mod tests {
     }
 
     #[test]
-    fn type_weight_counts_other_results() {
+    fn weight_rows_count_other_results() {
         let inst = inst();
         let set = full_set(&inst);
+        let weights = Weights::new(&inst, &set);
         let a = inst.types.iter().position(|t| t.attribute == "a").unwrap();
         let b = inst.types.iter().position(|t| t.attribute == "b").unwrap();
         let c = inst.types.iter().position(|t| t.attribute == "c").unwrap();
-        assert_eq!(type_weight(&inst, &set, 0, a), 2);
-        assert_eq!(type_weight(&inst, &set, 0, b), 0);
-        assert_eq!(type_weight(&inst, &set, 0, c), 1);
+        assert_eq!(weights.row(0)[a], 2);
+        assert_eq!(weights.row(0)[b], 0);
+        assert_eq!(weights.row(0)[c], 1);
         // r2 lacks c entirely.
-        assert_eq!(type_weight(&inst, &set, 2, c), 0);
+        assert_eq!(weights.row(2)[c], 0);
+        weights.debug_assert_follows(&inst, &set);
     }
 
     #[test]
-    fn all_type_weights_matches_pointwise() {
-        let inst = inst();
-        let set = full_set(&inst);
-        let mut scratch = Vec::new();
-        for i in 0..inst.result_count() {
-            let bulk = all_type_weights(&inst, &set, i);
-            all_type_weights_into(&inst, &set, i, &mut scratch);
-            assert_eq!(bulk, scratch, "into/alloc forms agree for result {i}");
-            for (t, &w) in bulk.iter().enumerate() {
-                assert_eq!(w, type_weight(&inst, &set, i, t), "result {i} type {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_buffer_is_reset_between_calls() {
-        let inst = inst();
-        let full = full_set(&inst);
-        let empty = DfsSet::empty(&inst);
-        let mut scratch = vec![99u32; 17]; // stale garbage of the wrong size
-        all_type_weights_into(&inst, &full, 0, &mut scratch);
-        let first = scratch.clone();
-        all_type_weights_into(&inst, &empty, 0, &mut scratch);
-        assert!(scratch.iter().all(|&w| w == 0), "stale weights leaked");
-        all_type_weights_into(&inst, &full, 0, &mut scratch);
-        assert_eq!(scratch, first);
-    }
-
-    #[test]
-    fn toggle_delta_matches_total_difference() {
+    fn a_row_entry_is_the_dod_change_of_a_move() {
         let inst = inst();
         let mut set = full_set(&inst);
-        // Restrict r1 to one type so toggling r0's types changes pair DoD.
+        // Restrict r1 to one type so moving r0's types changes pair DoD.
         set.replace(&inst, 1, Dfs::from_prefixes(&inst, 1, &[1]));
-        // Toggling each of r0's selected types off must change the total by
-        // exactly toggle_delta.
-        let before = dod_total(&inst, &set);
-        for (e, list) in inst.ranked_lists(0).enumerate() {
-            if list.is_empty() {
-                continue;
+        let mut weights = Weights::new(&inst, &set);
+        for i in 0..inst.result_count() {
+            while let Some(t) = set.dfs(i).last_type(&inst, i, 0) {
+                let (before, weight) = (dod_total(&inst, &set), weights.row(i)[t]);
+                weights.shrink(&inst, &mut set, i, 0);
+                assert_eq!(before - dod_total(&inst, &set), weight, "result {i} type {t}");
+                weights.debug_assert_follows(&inst, &set);
             }
-            let t = *list.last().expect("non-empty");
-            let delta = toggle_delta(&inst, &set, 0, t);
-            let mut modified = set.clone();
-            let mut dfs = Dfs::from_prefixes(&inst, 0, set.dfs(0).prefixes());
-            dfs.shrink(e);
-            modified.replace(&inst, 0, dfs);
-            assert_eq!(before - dod_total(&inst, &modified), delta, "type {t}");
+            while let Some(t) = set.dfs(i).next_type(&inst, i, 0) {
+                let (before, weight) = (dod_total(&inst, &set), weights.row(i)[t]);
+                weights.grow(&inst, &mut set, i, 0);
+                assert_eq!(dod_total(&inst, &set) - before, weight, "result {i} type {t}");
+                weights.debug_assert_follows(&inst, &set);
+            }
         }
+        weights.replace(&inst, &mut set, 1, &[1]);
+        weights.debug_assert_follows(&inst, &set);
+        assert_eq!(dod_total(&inst, &set), 3);
     }
 
     #[test]

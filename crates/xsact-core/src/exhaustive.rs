@@ -49,7 +49,7 @@ fn enumerate_rec(
 /// with the budget capped by the result's own type count
 /// ([`Instance::type_count_of`]). `None` on `u64`
 /// overflow (the instance is certainly too large for brute force).
-pub fn count_valid_dfss(inst: &Instance, result: usize) -> Option<u64> {
+fn count_valid_dfss(inst: &Instance, result: usize) -> Option<u64> {
     let cap = inst.config.size_bound.min(inst.type_count_of(result));
     // ways[c] = number of prefix vectors of total size exactly c over the
     // entities processed so far.

@@ -7,7 +7,7 @@
 //! guarantee — the ablation harness quantifies the gap.
 
 use crate::dfs::DfsSet;
-use crate::dod::all_type_weights_into;
+use crate::dod::Weights;
 use crate::model::Instance;
 use crate::snippet::snippet_set;
 
@@ -15,24 +15,25 @@ use crate::snippet::snippet_set;
 /// result (in order), each seeing the already-rebuilt DFSs of its
 /// predecessors.
 pub fn greedy_set(inst: &Instance) -> DfsSet {
-    greedy_from(inst, snippet_set(inst))
+    let mut set = snippet_set(inst);
+    let mut weights = Weights::new(inst, &set);
+    rebuild(inst, &mut set, &mut weights);
+    set
 }
 
-/// The greedy rebuild of an already computed snippet set — how multi-swap
-/// derives its greedy start from the snippets it also starts from. Each
-/// result's weights are computed when its turn comes, after its
-/// predecessors' rebuilds; one weight buffer and one prefix buffer serve
-/// the whole pass.
-pub(crate) fn greedy_from(inst: &Instance, mut set: DfsSet) -> DfsSet {
-    let mut weights: Vec<u32> = Vec::new();
+/// The greedy rebuild of `set` in place, on its maintained weight rows —
+/// how multi-swap derives its greedy start from the snippets and snippet
+/// rows it also starts from. Each result reads its row when its turn comes,
+/// after its predecessors' rebuilds moved it; on return `weights` holds the
+/// rebuilt set's rows.
+pub(crate) fn rebuild(inst: &Instance, set: &mut DfsSet, weights: &mut Weights) {
     let mut prefixes = vec![0; inst.entities.len()];
     for i in 0..set.len() {
-        all_type_weights_into(inst, &set, i, &mut weights);
-        greedy_prefixes(inst, i, &weights, &mut prefixes);
-        set.set_prefixes(inst, i, &prefixes);
+        greedy_prefixes(inst, i, weights.row(i), &mut prefixes);
+        weights.replace(inst, set, i, &prefixes);
     }
+    weights.debug_assert_follows(inst, set);
     debug_assert!(set.all_valid(inst));
-    set
 }
 
 /// The greedy construction of result `i`'s DFS over fixed weights

@@ -16,6 +16,14 @@
 //! | [`mod@multi_swap`] | per-result knapsack DP over prefixes | multi-swap optimal |
 //! | [`mod@exhaustive`] | full enumeration | global optimum (small inputs) |
 //!
+//! Every algorithm but the snippet baseline and the oracle reads the DoD
+//! objective through one table, `dod::Weights`: per result, the DoD each
+//! type would add to its DFS. Greedy, the two local searches and annealing
+//! keep it current move by move, and the optimality checkers
+//! ([`is_single_swap_optimal`], [`is_multi_swap_optimal`]) are the
+//! searches' own best responses over it. Single-swap and multi-swap share
+//! one round driver and differ only in their best response.
+//!
 //! Entry point: [`Comparison`].
 
 #![forbid(unsafe_code)]
@@ -35,14 +43,11 @@ pub mod table;
 
 pub use comparison::{run_algorithm, Algorithm, Comparison, ComparisonOutcome, RunStats};
 pub use dfs::{Dfs, DfsSet};
-pub use dod::{
-    all_type_weights, all_type_weights_into, dod_pair, dod_total, dod_upper_bound, toggle_delta,
-    type_weight,
-};
-pub use exhaustive::{count_valid_dfss, exhaustive};
+pub use dod::{all_type_weights, dod_pair, dod_total, dod_upper_bound};
+pub use exhaustive::exhaustive;
 pub use greedy::greedy_set;
 pub use model::{CellStat, DfsConfig, Instance};
 pub use multi_swap::{is_multi_swap_optimal, multi_swap, multi_swap_from};
 pub use single_swap::{is_single_swap_optimal, single_swap, single_swap_from, SwapStats};
-pub use snippet::{snippet_dfs, snippet_set};
+pub use snippet::snippet_set;
 pub use table::render_table;

@@ -18,25 +18,20 @@
 //! strictly increases the bounded triple `(total DoD, Σ potentials,
 //! Σ sizes)` — termination is guaranteed.
 //!
-//! The weights come from the search's maintained rows
-//! (`dod::Weights`): an accepted replacement updates each other
-//! result's row by the types it changed, so no round recomputes a weight
-//! vector.
-//!
-//! **Skipping clean results.** The DP is a deterministic function of the
-//! result's weight row and potentials, and the acceptance test adds only
-//! the result's own DFS. After result `i`'s DP ran, its DFS *is* the DP's
-//! answer (replaced) or beats it (kept), and only `i`'s own visit changes
-//! it. So while no other DFS's move has touched `i`'s row, a new DP would
-//! return the same answer and the visit would move nothing. The search
-//! skips exactly those visits, so `rounds` and `moves` are those of
-//! running the DP for every result every round; [`SwapStats::responses`]
-//! counts the DPs run.
+//! The weights come from the search's maintained rows (`dod::Weights`): an
+//! accepted replacement updates each other result's row by the types it
+//! changed, so no round recomputes a weight vector. The rounds are
+//! single-swap's driver (see [`mod@crate::single_swap`]): the DP is a
+//! deterministic function of the result's weight row and potentials, and
+//! the acceptance test adds only the result's own DFS, so a result whose
+//! row no other move touched since its last DP is skipped;
+//! [`SwapStats::responses`] counts the DPs run. [`is_multi_swap_optimal`]
+//! is the same DP with the potentials zeroed.
 
 use crate::dfs::{Dfs, DfsSet};
-use crate::dod::{all_type_weights, Weights};
+use crate::dod::Weights;
 use crate::model::Instance;
-use crate::single_swap::SwapStats;
+use crate::single_swap::{rounds, SwapStats};
 use crate::snippet::snippet_set;
 
 /// Runs the multi-swap algorithm as a multi-start local search and returns
@@ -60,14 +55,15 @@ use crate::snippet::snippet_set;
 /// earn real quality, not just robustness. The returned counters are those
 /// of the winning run.
 ///
-/// The snippets are computed once, for the greedy start and for the two
-/// starts that begin at them, and so are their weight rows; the third start
-/// is polished on the rows the single-swap run leaves behind. One weight
-/// table and one set of DP buffers serve all three runs.
+/// The snippets and their weight rows are computed once. Greedy rebuilds
+/// the snippets on those rows and is polished on the rows its rebuild
+/// leaves; the other two starts go back to the snippets' rows, and the
+/// third is polished on the rows the single-swap run leaves behind. One
+/// weight table and one set of DP buffers serve all three runs.
 pub fn multi_swap(inst: &Instance) -> (DfsSet, SwapStats) {
     let snippets = snippet_set(inst);
-    let greedy = crate::greedy::greedy_from(inst, snippets.clone());
-    let mut weights = Weights::new(inst, &greedy);
+    let mut weights = Weights::new(inst, &snippets);
+    let at_snippets = weights.snapshot();
     let mut scratch = ResponseScratch::new(inst);
     let mut best: Option<(DfsSet, SwapStats, u32)> = None;
     let mut polish = |mut set: DfsSet, weights: &mut Weights| {
@@ -78,16 +74,16 @@ pub fn multi_swap(inst: &Instance) -> (DfsSet, SwapStats) {
         }
     };
 
+    let mut greedy = snippets.clone();
+    crate::greedy::rebuild(inst, &mut greedy, &mut weights);
     polish(greedy, &mut weights);
 
-    weights.reset(inst, &snippets);
-    let at_snippets = weights.snapshot();
+    weights.restore(&at_snippets);
     polish(snippets.clone(), &mut weights);
 
     let mut single = snippets;
     weights.restore(&at_snippets);
     crate::single_swap::search(inst, &mut single, &mut weights);
-    weights.mark_all_dirty();
     polish(single, &mut weights);
 
     let (set, stats, _) = best.expect("three starts evaluated");
@@ -110,32 +106,17 @@ fn search(
     weights: &mut Weights,
     scratch: &mut ResponseScratch,
 ) -> SwapStats {
-    let mut stats = SwapStats::default();
-    loop {
-        stats.rounds += 1;
-        let mut improved = false;
-        for i in 0..set.len() {
-            if !weights.take_dirty(i) {
-                continue;
-            }
-            stats.responses += 1;
-            let (row, potentials) = (weights.row(i), inst.potentials(i));
-            let best_value = scratch.respond(inst, i, row, potentials);
-            let current_value = dfs_value(inst, i, set.dfs(i), row, potentials);
-            let best_size: usize = scratch.prefixes.iter().sum();
-            if (best_value, best_size) > (current_value, set.dfs(i).size()) {
-                weights.replace(inst, set, i, &scratch.prefixes);
-                weights.debug_assert_follows(inst, set);
-                stats.moves += 1;
-                improved = true;
-            }
+    rounds(inst, set, weights, |set, weights, i| {
+        let (row, potentials) = (weights.row(i), inst.potentials(i));
+        let best_value = scratch.respond(inst, i, row, potentials);
+        let current_value = dfs_value(inst, i, set.dfs(i), row, potentials);
+        let best_size: usize = scratch.prefixes.iter().sum();
+        let improves = (best_value, best_size) > (current_value, set.dfs(i).size());
+        if improves {
+            weights.replace(inst, set, i, &scratch.prefixes);
         }
-        if !improved {
-            break;
-        }
-    }
-    debug_assert!(set.all_valid(inst));
-    stats
+        u32::from(improves)
+    })
 }
 
 /// Combined per-type value: weight in the high 32 bits, potential in the
@@ -251,20 +232,16 @@ impl ResponseScratch {
 
 /// Verifies multi-swap optimality in the paper's sense: for every result,
 /// no valid replacement DFS (any number of feature changes) has a higher DoD
-/// contribution. Uses a weights-only DP, so the potential tie-breaker plays
-/// no role in the check.
+/// contribution — the search's own DP with the potential tie-breaker zeroed
+/// finds nothing better than the DFS the result has.
 pub fn is_multi_swap_optimal(inst: &Instance, set: &DfsSet) -> bool {
-    let zero = vec![0u32; inst.type_count()];
+    let weights = Weights::new(inst, set);
+    let zero = vec![0; inst.type_count()];
     let mut scratch = ResponseScratch::new(inst);
-    for i in 0..set.len() {
-        let weights = all_type_weights(inst, set, i);
-        let best = scratch.respond(inst, i, &weights, &zero);
-        let current = dfs_value(inst, i, set.dfs(i), &weights, &zero);
-        if best > current {
-            return false;
-        }
-    }
-    true
+    (0..set.len()).all(|i| {
+        let row = weights.row(i);
+        scratch.respond(inst, i, row, &zero) <= dfs_value(inst, i, set.dfs(i), row, &zero)
+    })
 }
 
 #[cfg(test)]
@@ -345,20 +322,20 @@ mod tests {
             let inst = two_entity_instance(bound);
             let mut scratch = ResponseScratch::new(&inst);
             let zero = vec![0u32; inst.type_count()];
-            let set = snippet_set(&inst);
+            let rows = Weights::new(&inst, &snippet_set(&inst));
             for i in 0..2 {
-                let weights = all_type_weights(&inst, &set, i);
+                let weights = rows.row(i);
                 for pots in [inst.potentials(i), &zero] {
-                    let dp_value = scratch.respond(&inst, i, &weights, pots);
+                    let dp_value = scratch.respond(&inst, i, weights, pots);
                     let answer = Dfs::from_prefixes(&inst, i, &scratch.prefixes);
                     assert_eq!(answer.prefixes(), scratch.prefixes, "bound {bound}: in range");
-                    assert_eq!(dfs_value(&inst, i, &answer, &weights, pots), dp_value);
+                    assert_eq!(dfs_value(&inst, i, &answer, weights, pots), dp_value);
                     let lens: Vec<usize> = inst.ranked_lists(i).map(<[_]>::len).collect();
                     let mut best = (0u64, 0usize);
                     for p0 in 0..=lens[0] {
                         for p1 in (0..=lens[1]).filter(|p1| p0 + p1 <= bound) {
                             let d = Dfs::from_prefixes(&inst, i, &[p0, p1]);
-                            best = best.max((dfs_value(&inst, i, &d, &weights, pots), p0 + p1));
+                            best = best.max((dfs_value(&inst, i, &d, weights, pots), p0 + p1));
                         }
                     }
                     assert_eq!((dp_value, answer.size()), best, "bound {bound}, result {i}");

@@ -21,19 +21,21 @@
 //! differentiable type that neither has selected yet — a pure-DoD search
 //! would see a 0 gain on both sides and stall. Each accepted move strictly
 //! increases the bounded pair `(total DoD, Σ selected potentials)`, so the
-//! search terminates.
+//! search terminates. [`is_single_swap_optimal`] is the same best move with
+//! the potentials zeroed.
 //!
-//! **Skipping clean results.** A visit to result `i` scans its moves until
-//! none helps; what it finds depends only on `i`'s weight row, its own DFS
-//! and its potentials. After a visit, `i`'s DFS changes only at its next
-//! visit, so if no other DFS's move has touched `i`'s row since, the next
-//! visit would find no move at all. The search skips exactly those visits:
-//! no move is lost and no round ends differently, so `rounds` and `moves`
-//! are those of visiting every result every round.
-//! [`SwapStats::responses`] counts the visits made.
+//! **One round driver.** Single-swap and multi-swap differ only in the best
+//! response a visit to result `i` computes and acts on; both run it in the
+//! round-robin loop of this module's `rounds`. A response depends only on
+//! `i`'s weight row, its own DFS and its potentials, and after a visit `i`'s
+//! DFS changes only at its next visit. So if no other DFS's move has
+//! touched `i`'s row since, the next visit would move nothing, and the
+//! driver skips exactly those visits: no move is lost and no round ends
+//! differently, so `rounds` and `moves` are those of visiting every result
+//! every round. [`SwapStats::responses`] counts the visits made.
 
 use crate::dfs::DfsSet;
-use crate::dod::{all_type_weights, Weights};
+use crate::dod::Weights;
 use crate::model::{EntityIdx, Instance};
 use crate::snippet::snippet_set;
 
@@ -51,6 +53,42 @@ pub struct SwapStats {
     /// every result every round would compute `rounds × n`; the searches
     /// skip the results no move has touched since their last response.
     pub responses: u32,
+}
+
+/// The round loop of both local searches over `set`'s weight rows: every
+/// result starts dirty, and each round visits the dirty ones in order until
+/// a round makes no move. `respond(set, weights, i)` computes result `i`'s
+/// best response, makes its moves through `weights`, and returns how many
+/// it made.
+pub(crate) fn rounds(
+    inst: &Instance,
+    set: &mut DfsSet,
+    weights: &mut Weights,
+    mut respond: impl FnMut(&mut DfsSet, &mut Weights, usize) -> u32,
+) -> SwapStats {
+    let mut stats = SwapStats::default();
+    weights.mark_all_dirty();
+    loop {
+        stats.rounds += 1;
+        let mut improved = false;
+        for i in 0..set.len() {
+            if !weights.take_dirty(i) {
+                continue;
+            }
+            stats.responses += 1;
+            let moves = respond(set, weights, i);
+            if moves > 0 {
+                weights.debug_assert_follows(inst, set);
+                stats.moves += moves;
+                improved = true;
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    debug_assert!(set.all_valid(inst));
+    stats
 }
 
 /// Runs the single-swap algorithm exactly as the paper describes it:
@@ -73,38 +111,26 @@ pub fn single_swap_from(inst: &Instance, set: &mut DfsSet) -> SwapStats {
 /// The search over `set`'s maintained weight rows; on return `weights`
 /// holds the fixpoint's rows, which multi-swap polishes on.
 pub(crate) fn search(inst: &Instance, set: &mut DfsSet, weights: &mut Weights) -> SwapStats {
-    let mut stats = SwapStats::default();
     // Per entity, the `(weight, potential)` key of the type a grow would
     // add and of the type a shrink would remove — one lookup per entity per
     // scan, not one per pair.
-    let entity_count = inst.entities.len();
-    let mut ends: Vec<(Option<Key>, Option<Key>)> = vec![(None, None); entity_count];
-    loop {
-        stats.rounds += 1;
-        let mut improved = false;
-        for i in 0..set.len() {
-            if !weights.take_dirty(i) {
-                continue;
+    let mut ends = vec![(None, None); inst.entities.len()];
+    rounds(inst, set, weights, |set, weights, i| {
+        // Moves of result i leave its own row unchanged: it depends only on
+        // the *other* DFSs.
+        let mut moves = 0;
+        let potentials = inst.potentials(i);
+        while let Some((shrink, grow)) =
+            best_move(inst, set, i, weights.row(i), potentials, &mut ends)
+        {
+            if let Some(e1) = shrink {
+                weights.shrink(inst, set, i, e1);
             }
-            stats.responses += 1;
-            // Moves of result i leave its own row unchanged: it depends
-            // only on the *other* DFSs.
-            while let Some((shrink, grow)) = best_move(inst, set, i, weights.row(i), &mut ends) {
-                if let Some(e1) = shrink {
-                    weights.shrink(inst, set, i, e1);
-                }
-                weights.grow(inst, set, i, grow);
-                weights.debug_assert_follows(inst, set);
-                stats.moves += 1;
-                improved = true;
-            }
+            weights.grow(inst, set, i, grow);
+            moves += 1;
         }
-        if !improved {
-            break;
-        }
-    }
-    debug_assert!(set.all_valid(inst));
-    stats
+        moves
+    })
 }
 
 /// A type's `(weight, potential)` for one result.
@@ -119,10 +145,10 @@ fn best_move(
     set: &DfsSet,
     i: usize,
     weights: &[u32],
+    potentials: &[u32],
     ends: &mut [(Option<Key>, Option<Key>)],
 ) -> Option<(Option<EntityIdx>, EntityIdx)> {
     let dfs = set.dfs(i);
-    let potentials = inst.potentials(i);
     let key = |t: usize| (i64::from(weights[t]), i64::from(potentials[t]));
     for (e, end) in ends.iter_mut().enumerate() {
         *end = (dfs.next_type(inst, i, e).map(key), dfs.last_type(inst, i, e).map(key));
@@ -149,30 +175,13 @@ fn best_move(
 }
 
 /// Verifies single-swap optimality in the paper's sense: no grow or swap
-/// move on any result increases the total DoD. (The potential tie-breaker is
-/// an implementation refinement on top of this criterion.)
+/// move on any result increases the total DoD — the search's own best move
+/// with the potential tie-breaker zeroed finds nothing.
 pub fn is_single_swap_optimal(inst: &Instance, set: &DfsSet) -> bool {
-    let bound = inst.config.size_bound;
-    for i in 0..set.len() {
-        let weights = all_type_weights(inst, set, i);
-        for e2 in 0..inst.entities.len() {
-            let Some(added) = set.dfs(i).next_type(inst, i, e2) else { continue };
-            let gain = i64::from(weights[added]);
-            if set.dfs(i).size() < bound && gain > 0 {
-                return false;
-            }
-            for e1 in 0..inst.entities.len() {
-                if e1 == e2 {
-                    continue;
-                }
-                let Some(removed) = set.dfs(i).last_type(inst, i, e1) else { continue };
-                if gain - i64::from(weights[removed]) > 0 {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    let weights = Weights::new(inst, set);
+    let zero = vec![0; inst.type_count()];
+    let mut ends = vec![(None, None); inst.entities.len()];
+    (0..set.len()).all(|i| best_move(inst, set, i, weights.row(i), &zero, &mut ends).is_none())
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use crate::model::Instance;
 
 /// The snippet DFS of one result: up to `bound` features chosen greedily by
 /// significance ratio across entities, respecting per-entity prefix order.
-pub fn snippet_dfs(inst: &Instance, result: usize, bound: usize) -> Dfs {
+fn snippet_dfs(inst: &Instance, result: usize, bound: usize) -> Dfs {
     let mut dfs = Dfs::empty(inst.entities.len());
     while dfs.size() < bound {
         // The candidate of each entity is its next unselected ranked type;

@@ -38,5 +38,5 @@ pub use persist::{document_fingerprint, load_index, save_index};
 pub use plan::{ExecutorStats, QueryPlan, SlcaStream};
 pub use postings::{IndexStats, InvertedIndex, PostingsIter, PostingsRef};
 pub use query::Query;
-pub use rank::{rank_results, rank_top_k, ScoredResult, Scorer};
+pub use rank::{rank_results, ScoredResult, Scorer, TopK};
 pub use slca::{elca_full_scan, slca_full_scan};

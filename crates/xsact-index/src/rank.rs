@@ -14,9 +14,10 @@
 //!   snippet proximity.
 //!
 //! Two consumers exist: [`rank_results`] sorts every candidate (the
-//! correctness reference and the full-listing path), and [`rank_top_k`]
-//! keeps only the best `k` in a bounded heap while preserving the exact
-//! total order — the ranking half of the streaming top-k executor.
+//! correctness reference and the full-listing path), and [`TopK`] keeps
+//! only the best `k` in a bounded heap while preserving the exact total
+//! order — the ranking half of the streaming top-k executor
+//! (`SearchEngine::search_top_k` feeds it the [`Scorer`]'s scores).
 //!
 //! # Scoring on id intervals
 //!
@@ -76,31 +77,6 @@ pub fn rank_results(
     scored
 }
 
-/// Scores the streamed result roots and keeps only the best `k`, in
-/// exactly the order [`rank_results`] would produce — `rank_top_k(roots,
-/// k)` equals `rank_results(roots)` truncated to `k` for every input
-/// (pinned by `tests/properties.rs`, tied scores included), because the
-/// ranking order is total.
-///
-/// Memory is `O(k)` and time `O(n log k)` for the heap instead of the full
-/// sort's `O(n log n)`; combined with a streaming SLCA source this is the
-/// bounded executor behind `take(k)` and the corpus top-k.
-pub fn rank_top_k(
-    doc: &Document,
-    index: &InvertedIndex,
-    query: &Query,
-    roots: impl IntoIterator<Item = NodeId>,
-    k: usize,
-) -> Vec<ScoredResult> {
-    let mut scorer = Scorer::new(doc, index, query);
-    let mut heap = TopK::new(k);
-    for root in roots {
-        let scored = scorer.score(root);
-        heap.push(scored.score, root, scored);
-    }
-    heap.finish().0
-}
-
 /// The per-query scoring context: posting lists resolved once, inverse
 /// document frequencies precomputed once. [`Scorer::score`] then counts
 /// in-subtree postings by **range counting** — a result subtree is the id
@@ -152,22 +128,25 @@ impl<'a> Scorer<'a> {
 /// descending, then node id ascending). The internal binary heap keeps the
 /// *worst* kept entry on top, so a stream of `n` candidates costs
 /// `O(n log k)` and `O(k)` memory; [`TopK::finish`] returns the survivors
-/// best-first plus the eviction count (candidates scored but pruned).
+/// best-first plus the eviction count (candidates scored but pruned). The
+/// survivors are exactly [`rank_results`]' order truncated to `k`, for
+/// any input order, because the ranking order is total.
 #[derive(Debug)]
-pub(crate) struct TopK<T> {
+pub struct TopK<T> {
     k: usize,
     heap: BinaryHeap<TopKEntry<T>>,
     evicted: u64,
 }
 
 impl<T> TopK<T> {
-    pub(crate) fn new(k: usize) -> TopK<T> {
+    /// An empty collector that keeps at most `k` candidates.
+    pub fn new(k: usize) -> TopK<T> {
         TopK { k, heap: BinaryHeap::with_capacity(k.min(1024).saturating_add(1)), evicted: 0 }
     }
 
     /// Offers one candidate; the payload survives only if the candidate
     /// ranks among the best `k` seen so far.
-    pub(crate) fn push(&mut self, score: f64, root: NodeId, payload: T) {
+    pub fn push(&mut self, score: f64, root: NodeId, payload: T) {
         if self.k == 0 {
             self.evicted += 1;
             return;
@@ -187,7 +166,7 @@ impl<T> TopK<T> {
     }
 
     /// The kept payloads best-first, and how many candidates were evicted.
-    pub(crate) fn finish(self) -> (Vec<T>, u64) {
+    pub fn finish(self) -> (Vec<T>, u64) {
         let ordered = self.heap.into_sorted_vec();
         (ordered.into_iter().map(|e| e.payload).collect(), self.evicted)
     }
@@ -307,8 +286,26 @@ mod tests {
         assert_eq!(ranked[1].root, roots[1]);
     }
 
+    /// The best `k` of `roots` through the bounded collector, as the
+    /// executor ranks them.
+    fn top_k(
+        doc: &Document,
+        idx: &InvertedIndex,
+        q: &Query,
+        roots: impl IntoIterator<Item = NodeId>,
+        k: usize,
+    ) -> Vec<ScoredResult> {
+        let mut scorer = Scorer::new(doc, idx, q);
+        let mut heap = TopK::new(k);
+        for root in roots {
+            let scored = scorer.score(root);
+            heap.push(scored.score, root, scored);
+        }
+        heap.finish().0
+    }
+
     #[test]
-    fn rank_top_k_equals_the_truncated_full_sort() {
+    fn top_k_equals_the_truncated_full_sort() {
         // Mixed scores *and* a deliberately tied pair (identical siblings),
         // so the heap's tie-break is exercised at every k.
         let (doc, idx) = setup(
@@ -321,17 +318,17 @@ mod tests {
         let full = rank_results(&doc, &idx, &q, &roots);
         assert!(full.windows(2).any(|w| w[0].score == w[1].score), "fixture must contain a tie");
         for k in 0..=roots.len() + 2 {
-            let top = rank_top_k(&doc, &idx, &q, roots.iter().copied(), k);
+            let top = top_k(&doc, &idx, &q, roots.iter().copied(), k);
             assert_eq!(top, full[..k.min(full.len())], "k = {k}");
         }
     }
 
     #[test]
-    fn rank_top_k_handles_empty_inputs() {
+    fn top_k_handles_empty_inputs() {
         let (doc, idx) = setup("<r><a><t>gps</t></a></r>");
-        assert!(rank_top_k(&doc, &idx, &Query::parse("gps"), [], 4).is_empty());
+        assert!(top_k(&doc, &idx, &Query::parse("gps"), [], 4).is_empty());
         let roots: Vec<NodeId> = doc.children(doc.root()).collect();
-        assert!(rank_top_k(&doc, &idx, &Query::parse("gps"), roots, 0).is_empty());
+        assert!(top_k(&doc, &idx, &Query::parse("gps"), roots, 0).is_empty());
     }
 
     #[test]

@@ -32,6 +32,10 @@
 //!   equal the recompute searches they replaced (kept here as
 //!   `oracle_single_swap` / `oracle_multi_swap`) set for set, round for
 //!   round and move for move — on random and real instances;
+//! * greedy on maintained rows and the optimality checkers as the
+//!   searches' own best responses equal the recompute bodies they replaced
+//!   (`oracle_greedy`, `oracle_is_*_optimal`), and annealing reproduces its
+//!   pinned runs;
 //! * multi-swap matches the exhaustive optimum on tiny instances.
 
 use rand::rngs::StdRng;
@@ -46,8 +50,8 @@ use xsact_entity::{
     extract_features, FeatureStat, FeatureType, NodeClass, ResultFeatures, StructureSummary,
 };
 use xsact_index::{
-    rank_results, rank_top_k, slca_full_scan, InvertedIndex, Query, QueryPlan, ScoredResult,
-    SearchEngine, SearchResult,
+    rank_results, slca_full_scan, InvertedIndex, Query, QueryPlan, ScoredResult, Scorer,
+    SearchEngine, SearchResult, TopK,
 };
 use xsact_xml::{parse_document, writer, Document, NodeId, Sym};
 
@@ -358,28 +362,26 @@ fn search_top_k_matches_the_ranked_oracle() {
     }
 }
 
-#[test]
-fn rank_top_k_equals_the_truncated_full_sort_on_random_documents() {
-    for seed in 0..64u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let doc = random_document(&mut rng);
-        let idx = InvertedIndex::build(&doc);
-        let query = random_query(&mut rng);
-        // Every element is a candidate root — the tiny tag alphabet makes
-        // structurally identical subtrees (and therefore bitwise-tied
-        // scores) common, which is exactly what the heap's tie-break must
-        // survive.
-        let roots: Vec<NodeId> = doc.all_nodes().filter(|&n| doc.is_element(n)).collect();
-        let full = rank_results(&doc, &idx, &query, &roots);
-        for k in 0..=full.len() {
-            let top = rank_top_k(&doc, &idx, &query, roots.iter().copied(), k);
-            assert_eq!(top, full[..k], "seed {seed} k = {k}");
-        }
+/// The best `k` of `roots` in the order given, through the executor's
+/// bounded collector.
+fn top_k(
+    doc: &Document,
+    idx: &InvertedIndex,
+    query: &Query,
+    roots: impl IntoIterator<Item = NodeId>,
+    k: usize,
+) -> Vec<ScoredResult> {
+    let mut scorer = Scorer::new(doc, idx, query);
+    let mut heap = TopK::new(k);
+    for root in roots {
+        let scored = scorer.score(root);
+        heap.push(scored.score, root, scored);
     }
+    heap.finish().0
 }
 
 #[test]
-fn rank_top_k_breaks_deliberate_ties_like_the_full_sort() {
+fn top_k_breaks_deliberate_ties_like_the_full_sort() {
     // Sixteen structurally identical siblings: sixteen bitwise-equal
     // scores, so every prefix is decided purely by the document-order
     // tie-break.
@@ -393,7 +395,7 @@ fn rank_top_k_breaks_deliberate_ties_like_the_full_sort() {
     for k in 0..=full.len() {
         // Feed the roots in reverse to prove input order cannot leak
         // through the bounded heap either.
-        let top = rank_top_k(&doc, &idx, &query, roots.iter().rev().copied(), k);
+        let top = top_k(&doc, &idx, &query, roots.iter().rev().copied(), k);
         assert_eq!(top, full[..k], "k = {k}");
     }
 }
@@ -1692,15 +1694,6 @@ fn bitset_kernel_matches_scalar_oracle_under_random_mutation() {
                     expected,
                     "seed {seed} step {step}: weights of result {i}"
                 );
-                // toggle_delta is the same quantity read pointwise (the
-                // differentiability bit implies the has-type guard).
-                for (t, &w) in expected.iter().enumerate() {
-                    assert_eq!(
-                        xsact_core::toggle_delta(&inst, &set, i, t),
-                        w,
-                        "seed {seed} step {step}: toggle_delta({i}, {t})"
-                    );
-                }
             }
         }
     }
@@ -1775,12 +1768,11 @@ type OracleStats = (u32, u32);
 fn oracle_single_swap_from(inst: &Instance, set: &mut DfsSet) -> OracleStats {
     let (bound, entity_count) = (inst.config.size_bound, inst.entities.len());
     let (mut rounds, mut moves) = (0, 0);
-    let mut weights = Vec::new();
     loop {
         rounds += 1;
         let mut improved = false;
         for i in 0..set.len() {
-            xsact_core::all_type_weights_into(inst, set, i, &mut weights);
+            let weights = xsact_core::all_type_weights(inst, set, i);
             let potentials = inst.potentials(i);
             loop {
                 // Only a move above (0, 0) replaces `best_move`.
@@ -1874,12 +1866,11 @@ fn oracle_response(
 
 fn oracle_multi_swap_from(inst: &Instance, set: &mut DfsSet) -> OracleStats {
     let (mut rounds, mut moves) = (0, 0);
-    let mut weights = Vec::new();
     loop {
         rounds += 1;
         let mut improved = false;
         for i in 0..set.len() {
-            xsact_core::all_type_weights_into(inst, set, i, &mut weights);
+            let weights = xsact_core::all_type_weights(inst, set, i);
             let potentials = inst.potentials(i);
             let (best_value, prefixes) = oracle_response(inst, i, &weights, potentials);
             let mut current = 0;
@@ -1991,4 +1982,174 @@ fn local_searches_match_the_recompute_oracle_on_the_paper_pool() {
         assert!(responses < visits, "{name}: {responses} responses of {visits} visits");
     }
     assert_eq!(sums, [(3348, 3821), (1195, 1255)]);
+}
+
+// ------------------------- greedy and the checkers vs their recompute bodies
+//
+// Greedy rebuilds each result on the maintained weight rows, and the
+// optimality checkers are the searches' own best responses with the
+// potentials zeroed. The oracles below are the bodies they replaced: a fresh
+// weight vector per result (greedy's from the scalar `oracle_weights`), the
+// single-swap checker's explicit move scan and the `Option` DP.
+
+fn oracle_greedy(inst: &Instance) -> DfsSet {
+    let mut set = snippet_set(inst);
+    for i in 0..set.len() {
+        let weights = oracle_weights(inst, &oracle_masks(inst, &set), i);
+        let potentials = inst.potentials(i);
+        let mut prefixes = vec![0; inst.entities.len()];
+        for _ in 0..inst.config.size_bound {
+            // A strictly higher (weight, potential), or an equal one and a
+            // strictly higher significance ratio, replaces the best.
+            let mut best: Option<((u32, u32, f64), usize)> = None;
+            for (e, &p) in prefixes.iter().enumerate() {
+                let Some(&t) = inst.ranked(i, e).get(p) else { continue };
+                let key = (weights[t], potentials[t], inst.sig_ratio(i, t));
+                if best.is_none_or(|(b, _)| {
+                    (key.0, key.1) > (b.0, b.1) || ((key.0, key.1) == (b.0, b.1) && key.2 > b.2)
+                }) {
+                    best = Some((key, e));
+                }
+            }
+            let Some((_, e)) = best else { break };
+            prefixes[e] += 1;
+        }
+        set.replace(inst, i, Dfs::from_prefixes(inst, i, &prefixes));
+    }
+    set
+}
+
+fn oracle_is_single_swap_optimal(inst: &Instance, set: &DfsSet) -> bool {
+    let (bound, entity_count) = (inst.config.size_bound, inst.entities.len());
+    for i in 0..set.len() {
+        let weights = xsact_core::all_type_weights(inst, set, i);
+        for e2 in 0..entity_count {
+            let Some(added) = set.dfs(i).next_type(inst, i, e2) else { continue };
+            let gain = i64::from(weights[added]);
+            if set.dfs(i).size() < bound && gain > 0 {
+                return false;
+            }
+            for e1 in (0..entity_count).filter(|&e1| e1 != e2) {
+                let Some(removed) = set.dfs(i).last_type(inst, i, e1) else { continue };
+                if gain - i64::from(weights[removed]) > 0 {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
+fn oracle_is_multi_swap_optimal(inst: &Instance, set: &DfsSet) -> bool {
+    let zero = vec![0u32; inst.type_count()];
+    (0..set.len()).all(|i| {
+        let weights = xsact_core::all_type_weights(inst, set, i);
+        let (best, _) = oracle_response(inst, i, &weights, &zero);
+        let mut current = 0;
+        set.dfs(i).for_each_selected(inst, i, |t| current += oracle_combined(weights[t], 0));
+        best <= current
+    })
+}
+
+/// A valid set that no algorithm produced: each result grows random
+/// entities towards a random size within the bound.
+fn random_set(inst: &Instance, rng: &mut StdRng) -> DfsSet {
+    let mut set = DfsSet::empty(inst);
+    for i in 0..set.len() {
+        let size = rng.random_range(0..=inst.config.size_bound);
+        for _ in 0..2 * size {
+            if set.dfs(i).size() < size {
+                set.grow(inst, i, rng.random_range(0..inst.entities.len()));
+            }
+        }
+    }
+    set
+}
+
+/// Both checkers equal their oracles on the algorithms' sets, the empty set
+/// and random sets; `tally[checker][optimal]` counts the answers.
+fn assert_checkers_match_their_oracles(
+    inst: &Instance,
+    what: &str,
+    rng: &mut StdRng,
+    tally: &mut [[u32; 2]; 2],
+) {
+    let mut sets = vec![
+        snippet_set(inst),
+        greedy_set(inst),
+        single_swap(inst).0,
+        multi_swap(inst).0,
+        DfsSet::empty(inst),
+    ];
+    sets.extend((0..4).map(|_| random_set(inst, rng)));
+    for (k, set) in sets.iter().enumerate() {
+        let single = is_single_swap_optimal(inst, set);
+        assert_eq!(single, oracle_is_single_swap_optimal(inst, set), "{what}: set {k}: single");
+        let multi = is_multi_swap_optimal(inst, set);
+        assert_eq!(multi, oracle_is_multi_swap_optimal(inst, set), "{what}: set {k}: multi");
+        tally[0][usize::from(single)] += 1;
+        tally[1][usize::from(multi)] += 1;
+    }
+}
+
+#[test]
+fn greedy_and_the_checkers_match_their_oracles_on_random_instances() {
+    let mut tally = [[0; 2]; 2];
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let inst = random_instance(&mut rng);
+        assert_eq!(greedy_set(&inst), oracle_greedy(&inst), "seed {seed}: greedy");
+        assert_checkers_match_their_oracles(&inst, &format!("seed {seed}"), &mut rng, &mut tally);
+    }
+    assert!(tally.iter().flatten().all(|&n| n > 0), "both answers of both checkers: {tally:?}");
+}
+
+#[test]
+fn greedy_and_the_checkers_match_their_oracles_on_the_paper_pool() {
+    let mut tally = [[0; 2]; 2];
+    let mut rng = StdRng::seed_from_u64(0);
+    for_each_pool_query(|query, pipeline| {
+        let inst = Instance::build(&pipeline.features().unwrap(), POOL_CONFIG);
+        assert_eq!(greedy_set(&inst), oracle_greedy(&inst), "{query}: greedy");
+        assert_checkers_match_their_oracles(&inst, query, &mut rng, &mut tally);
+    });
+    assert!(tally.iter().flatten().all(|&n| n > 0), "both answers of both checkers: {tally:?}");
+}
+
+/// Annealing on maintained weight rows reproduces the runs of the body that
+/// read every proposal's weights pointwise off the selection masks:
+/// `(seed, DoD, prefix vectors)` of `anneal_from` at the snippet start and
+/// 2 000 iterations, one digit per entity and a space between results.
+#[test]
+fn annealing_reproduces_its_pinned_runs() {
+    const PINS: [(u64, u32, &str); 16] = [
+        (0, 203, "403010 003140 204020 004040 103040 003230 013040 104030 005120 010070 203030 005030"),
+        (1, 3, "020000 200000 010100 100000 100001 200000 010010"),
+        (2, 46, "305100 205200 402003 502002 203400 010503 510002 106200 304101 420003"),
+        (3, 3, "111104 100205"),
+        (4, 71, "110420 000513 310041 332100 600300 401120 101430 300050 601100 120033 301410 230310 211050 130230"),
+        (5, 3, "011300 010301"),
+        (6, 8, "111020 040110 020310 111210 100410"),
+        (7, 163, "003400 000340 003310 001330 000230 000052 000430 300301 000430 000250 000250 001420 102220"),
+        (8, 11, "020000 000101 020000 000002 010100 000002 010100 020000 000001 200000 000100 000002 000200"),
+        (9, 8, "033001 030210 130030 200050 013010"),
+        (10, 27, "020020 030010 030010 030010 020020 010021"),
+        (11, 2, "024000 015020"),
+        (12, 4, "100000 000011 000020 010000 000020 100000 110000 010010 000010 010100 020000 010100"),
+        (13, 95, "202003 105001 007000 004200 023200 024001 004102 004300 105001"),
+        (14, 1, "011000 001100 101000"),
+        (15, 17, "010003 000013 000004 010003 000103"),
+    ];
+    for (seed, dod, prefixes) in PINS {
+        let inst = random_instance(&mut StdRng::seed_from_u64(seed));
+        let cfg = xsact_core::annealing::AnnealingConfig {
+            seed,
+            iterations: 2_000,
+            ..Default::default()
+        };
+        let (set, got) = xsact_core::annealing::anneal_from(&inst, snippet_set(&inst), &cfg);
+        let digits: Vec<String> =
+            set.iter().map(|d| d.prefixes().iter().map(usize::to_string).collect()).collect();
+        assert_eq!((got, digits.join(" ")), (dod, prefixes.to_string()), "seed {seed}");
+    }
 }
