@@ -147,7 +147,7 @@ fn run_single(
     if args.stats {
         for r in &selected {
             let rf = wb.features_for(r);
-            out.push_str(&format!("\nstatistics of {}:\n", rf.label));
+            out.push_str(&format!("\nstatistics of {}:\n", rf.label()));
             for line in rf.stat_panel(6) {
                 out.push_str(&format!("  {line}\n"));
             }

@@ -66,7 +66,7 @@
 use crate::bits;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
-use xsact_entity::{FeatureStat, FeatureType, PreparedStat, ResultFeatures};
+use xsact_entity::{FeatureType, ResultFeatures, Stat};
 
 /// Index of a feature type in [`Instance::types`].
 pub type TypeId = usize;
@@ -190,8 +190,8 @@ struct ValueRef<'a> {
     value: &'a str,
 }
 
-/// `count / instances`, 0 for an entity without instances (mirrors
-/// `FeatureStat::value_ratio`).
+/// `count / instances`, 0 for an entity without instances (as
+/// `Stat::ratio` has it for the whole type).
 #[inline]
 fn per_instance(count: u32, instances: u32) -> f64 {
     if instances == 0 {
@@ -202,30 +202,30 @@ fn per_instance(count: u32, instances: u32) -> f64 {
 }
 
 impl Cell {
-    /// The cell of a prepared stat (rank still unset): its dominant value
-    /// goes to `text`, its values to `arena`.
-    fn of<'a>(stat: &PreparedStat<'a>, text: &mut String, arena: &mut Vec<ValueRef<'a>>) -> Cell {
-        let FeatureStat { values, occurrences, entity_instances: instances, .. } = stat.stat;
-        let dominant = stat.stat.dominant();
+    /// The cell of a stat (rank still unset): its dominant value goes to
+    /// `text`, its values to `arena`.
+    fn of<'a>(stat: Stat<'a>, text: &mut String, arena: &mut Vec<ValueRef<'a>>) -> Cell {
+        let instances = stat.entity_instances();
+        let (dominant, count) = stat.dominant();
         let values_start = arena.len();
-        arena.extend(stat.values().map(|(hash, vc)| ValueRef {
+        arena.extend(stat.hashed_values().map(|(hash, value, count)| ValueRef {
             hash,
-            ratio: per_instance(vc.count, *instances),
-            value: vc.value.as_str(),
+            ratio: per_instance(count, instances),
+            value,
         }));
         let stat_values = &arena[values_start..];
         let hash = stat_values[1..].iter().fold(stat_values[0].hash, |fingerprint, v| {
             (fingerprint.rotate_left(5) ^ v.hash).wrapping_mul(0x9e37_79b9)
         });
         Cell {
-            value_count: values.len() as u32,
+            value_count: stat_values.len() as u32,
             hash,
             numeric: stat.numeric().unwrap_or(f64::NAN),
-            instances: *instances,
-            count: dominant.count,
-            ratio: per_instance(dominant.count, *instances),
-            sig_ratio: per_instance(*occurrences, *instances),
-            value: Span::push(text, &dominant.value),
+            instances,
+            count,
+            ratio: per_instance(count, instances),
+            sig_ratio: per_instance(stat.occurrences(), instances),
+            value: Span::push(text, dominant),
             values_start: values_start as u32,
             rank: 0,
             positive: stat_values.iter().all(|v| v.ratio > 0.0),
@@ -243,8 +243,9 @@ struct TypeInterner<'a> {
     /// Index into `found` plus one; 0 is an empty slot. At least twice as
     /// many slots as stats, so a probe always ends.
     slots: Vec<u32>,
-    /// The distinct types in first-seen order, with their hashes.
-    found: Vec<(u64, &'a FeatureType)>,
+    /// The distinct `(entity, attribute)` types in first-seen order, with
+    /// their hashes.
+    found: Vec<(u64, (&'a str, &'a str))>,
 }
 
 impl<'a> TypeInterner<'a> {
@@ -254,7 +255,7 @@ impl<'a> TypeInterner<'a> {
 
     /// The first-seen index of `ty`. The hash picks where to look; only
     /// string equality makes a match.
-    fn intern(&mut self, hash: u64, ty: &'a FeatureType) -> u32 {
+    fn intern(&mut self, hash: u64, ty: (&'a str, &'a str)) -> u32 {
         let mask = self.slots.len() - 1;
         let mut at = hash as usize & mask;
         loop {
@@ -322,20 +323,21 @@ impl Instance {
     pub fn build<R: Borrow<ResultFeatures>>(results: &[R], config: DfsConfig) -> Self {
         assert!(!results.is_empty(), "cannot compare zero results");
         let n = results.len();
-        let stat_count: usize = results.iter().map(|rf| rf.borrow().stats.len()).sum();
+        let stat_count: usize = results.iter().map(|rf| rf.borrow().type_count()).sum();
 
         // Distinct types, one probe per stat; `stat_types[k]` is the k-th
         // stat's type — in first-seen numbering until the types are sorted.
         let mut interner = TypeInterner::for_stats(stat_count);
         let mut stat_types: Vec<u32> = Vec::with_capacity(stat_count);
         for rf in results.iter().map(Borrow::borrow) {
-            stat_types
-                .extend(rf.prepared().map(|stat| interner.intern(stat.ty_hash(), &stat.stat.ty)));
+            stat_types.extend(
+                rf.stats().map(|s| interner.intern(s.ty_hash(), (s.entity(), s.attribute()))),
+            );
         }
 
         // Sorted by (entity, attribute): the position is the `TypeId`, and
         // the entities are the distinct heads of that one sorted run.
-        let mut sorted: Vec<(&FeatureType, usize)> =
+        let mut sorted: Vec<((&str, &str), usize)> =
             interner.found.iter().enumerate().map(|(seen, &(_, ty))| (ty, seen)).collect();
         sorted.sort_unstable();
         let m = sorted.len();
@@ -343,13 +345,13 @@ impl Instance {
         let mut types: Vec<FeatureType> = Vec::with_capacity(m);
         let mut entities: Vec<String> = Vec::new();
         let mut entity_of: Vec<EntityIdx> = Vec::with_capacity(m);
-        for (t, &(ty, seen)) in sorted.iter().enumerate() {
+        for (t, &((entity, attribute), seen)) in sorted.iter().enumerate() {
             type_of[seen] = t as u32;
-            if entities.last() != Some(&ty.entity) {
-                entities.push(ty.entity.clone());
+            if entities.last().map(String::as_str) != Some(entity) {
+                entities.push(entity.to_owned());
             }
             entity_of.push(entities.len() - 1);
-            types.push(ty.clone());
+            types.push(FeatureType::new(entity, attribute));
         }
         for ty in &mut stat_types {
             *ty = type_of[*ty as usize];
@@ -361,7 +363,7 @@ impl Instance {
         let mut ranked_off = vec![0u32; n * stride];
         let mut types_of_stats = stat_types.iter().map(|&t| t as TypeId);
         for (i, rf) in results.iter().enumerate() {
-            for t in types_of_stats.by_ref().take(rf.borrow().stats.len()) {
+            for t in types_of_stats.by_ref().take(rf.borrow().type_count()) {
                 ranked_off[i * stride + entity_of[t] + 1] += 1;
             }
         }
@@ -373,25 +375,26 @@ impl Instance {
             *off = end;
         }
 
-        // Cells and ranked lists. `rf.stats` is in significance order per
+        // Cells and ranked lists. `rf.stats()` is in significance order per
         // entity, so filling each entity's run front to back ranks it.
-        let label_bytes: usize = results.iter().map(|rf| rf.borrow().label.len()).sum();
+        let label_bytes: usize = results.iter().map(|rf| rf.borrow().label().len()).sum();
         let mut text = String::with_capacity(label_bytes + 12 * stat_count);
         let mut labels: Vec<Span> = Vec::with_capacity(n);
         let mut cells = vec![Cell::default(); n * m];
         let mut ranked: Vec<TypeId> = vec![0; stat_count];
-        let value_count = results.iter().flat_map(|rf| &rf.borrow().stats).map(|s| s.values.len());
+        let value_count =
+            results.iter().flat_map(|rf| rf.borrow().stats()).map(|s| s.values().len());
         let mut arena: Vec<ValueRef<'_>> = Vec::with_capacity(value_count.sum());
         let mut next: Vec<u32> = Vec::with_capacity(stride);
         let mut types_of_stats = stat_types.iter().map(|&t| t as TypeId);
         for (i, rf) in results.iter().map(Borrow::borrow).enumerate() {
-            labels.push(Span::push(&mut text, &rf.label));
+            labels.push(Span::push(&mut text, rf.label()));
             let runs = &ranked_off[i * stride..][..stride];
             next.clear();
             next.extend_from_slice(runs);
-            for (stat, t) in rf.prepared().zip(types_of_stats.by_ref()) {
+            for (stat, t) in rf.stats().zip(types_of_stats.by_ref()) {
                 let e = entity_of[t];
-                let mut cell = Cell::of(&stat, &mut text, &mut arena);
+                let mut cell = Cell::of(stat, &mut text, &mut arena);
                 cell.rank = next[e] - runs[e];
                 ranked[next[e] as usize] = t;
                 next[e] += 1;

@@ -20,7 +20,5 @@ pub mod features;
 pub mod label;
 
 pub use classify::{NodeClass, PathId, StructureSummary};
-pub use features::{
-    extract_features, FeatureStat, FeatureType, PreparedStat, ResultFeatures, ValueCount,
-};
+pub use features::{extract_features, FeatureType, ResultFeatures, Stat};
 pub use label::display_label;

@@ -432,7 +432,7 @@ mod tests {
         let engine = shop_engine();
         let results = engine.search(&Query::parse("TomTom GPS"));
         let rf = engine.extract_features(&results[0]);
-        assert_eq!(rf.label, "TomTom Go 630");
+        assert_eq!(rf.label(), "TomTom Go 630");
         assert!(rf.type_count() >= 2);
         assert_eq!(rf.instances_of("shop/product/reviews/review"), 2);
     }

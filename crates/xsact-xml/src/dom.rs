@@ -302,6 +302,14 @@ impl Document {
         self.attr_records(id).len()
     }
 
+    /// Number of attributes on the nodes of the subtree of `id`: the run of
+    /// the table owned by the id interval `[id, subtree_end(id))`.
+    pub fn subtree_attr_count(&self, id: NodeId) -> usize {
+        let end = self.end[id.index()];
+        self.attrs.partition_point(|a| a.owner < end)
+            - self.attrs.partition_point(|a| a.owner < id.0)
+    }
+
     /// Looks up an attribute value by name.
     pub fn attr(&self, id: NodeId, name: &str) -> Option<&str> {
         // A name that was never interned cannot be an attribute of any node.
@@ -728,6 +736,13 @@ mod tests {
         assert_eq!(doc.attr_count(name), 0);
         assert_eq!(doc.attr_count(root), 0);
         assert_eq!(doc.attr(product, "note"), Some("a & b"));
+        // A subtree counts the attributes of every node in it.
+        let other = doc.add_element_with_attrs(root, "product", vec![("id".into(), "2".into())]);
+        doc.add_element_with_attrs(other, "name", vec![("lang".into(), "de".into())]);
+        assert_eq!(doc.subtree_attr_count(root), 5);
+        assert_eq!(doc.subtree_attr_count(product), 3);
+        assert_eq!(doc.subtree_attr_count(other), 2);
+        assert_eq!(doc.subtree_attr_count(name), 0);
     }
 
     #[test]

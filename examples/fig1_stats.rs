@@ -18,7 +18,7 @@ fn main() -> Result<(), XsactError> {
     println!("query {{TomTom, GPS}} on the Figure 1 dataset: {} results\n", results.len());
 
     for (i, rf) in pipeline.features()?.iter().enumerate() {
-        println!("Result {} — {}", i + 1, rf.label);
+        println!("Result {} — {}", i + 1, rf.label());
         println!("  statistics (cf. Figure 1 right-hand panels):");
         for line in rf.stat_panel(8) {
             println!("    {line}");

@@ -72,9 +72,9 @@ fn main() -> Result<(), XsactError> {
     // The hiring-focus summary the table reveals.
     println!("dominant required skill per company:");
     for rf in &features {
-        if let Some(stat) = rf.stats.iter().find(|s| s.ty.attribute == "requirements:skill") {
-            let top = stat.dominant();
-            println!("  {:<16} {} ({} openings mention it)", rf.label, top.value, top.count);
+        if let Some(stat) = rf.stats().find(|s| s.attribute() == "requirements:skill") {
+            let (skill, count) = stat.dominant();
+            println!("  {:<16} {skill} ({count} openings mention it)", rf.label());
         }
     }
     Ok(())

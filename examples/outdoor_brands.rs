@@ -72,14 +72,9 @@ fn main() -> Result<(), XsactError> {
     // surfaces.
     println!("brand focuses (dominant product subcategory):");
     for rf in &features {
-        let focus = rf
-            .stats
-            .iter()
-            .filter(|s| s.ty.attribute == "subcategory")
-            .map(|s| s.dominant())
-            .next();
-        if let Some(vc) = focus {
-            println!("  {:<12} {} ({} products)", rf.label, vc.value, vc.count);
+        let focus = rf.stats().find(|s| s.attribute() == "subcategory").map(|s| s.dominant());
+        if let Some((value, count)) = focus {
+            println!("  {:<12} {value} ({count} products)", rf.label());
         }
     }
     Ok(())

@@ -28,7 +28,7 @@ fn main() -> Result<(), XsactError> {
     // 3. Extract the feature statistics of each result (the Figure 1
     //    statistics panels). These fill the workbench's feature cache.
     for rf in pipeline.features()? {
-        println!("\nstatistics of {}:", rf.label);
+        println!("\nstatistics of {}:", rf.label());
         for line in rf.stat_panel(5) {
             println!("  {line}");
         }

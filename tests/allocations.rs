@@ -2,9 +2,10 @@
 //! global allocator (per thread, so the tests of this binary can run side
 //! by side).
 //!
-//! Timings say whether the warm path got faster; these say why it stays
-//! that way: the prepared form costs two allocations per cached result, a
-//! feature-cache hit costs none. The same counter pins what a warm boot
+//! Timings say whether the comparison path got faster; these say why it
+//! stays that way: extracting a result's features allocates a fixed number
+//! of blocks whatever it holds, a copy of them a few more, a feature-cache
+//! hit none. The same counter pins what a warm boot
 //! pays per document: a parse is a fixed number of arrays however many
 //! nodes it reads, sixteen bytes of them per node plus the node's own
 //! text, and loading its index allocates for the dictionary and nothing
@@ -12,10 +13,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::HashMap;
 use xsact::prelude::*;
 use xsact_data::fixtures;
-use xsact_entity::{FeatureType, ResultFeatures};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -50,9 +49,51 @@ fn counted<T>(work: impl FnOnce() -> T) -> (T, u64) {
     (value, ALLOCATIONS.with(Cell::get) - before)
 }
 
+/// One result per item: `item i` has `stats[i]` feature types, each leaf
+/// with a padded value to rewrite, and every item an attribute.
+fn items_document(stats: &[usize]) -> Document {
+    let mut doc = Document::new("shop");
+    for (i, &n) in stats.iter().enumerate() {
+        let item = doc.add_element(doc.root(), "item");
+        doc.set_attr(item, "sku", format!("S{i}"));
+        for k in 0..n {
+            let leaf = doc.add_element(item, format!("feature_{k}"));
+            doc.add_text(leaf, format!(" value\n {k} "));
+        }
+    }
+    doc
+}
+
+/// Extracts every item of `doc`, with what each extraction allocated.
+fn extract_items(doc: &Document) -> Vec<(ResultFeatures, u64)> {
+    let summary = StructureSummary::infer(doc);
+    doc.children(doc.root())
+        .map(|item| counted(|| extract_features(doc, &summary, item, "item")))
+        .collect()
+}
+
 #[test]
-fn the_prepared_form_adds_two_allocations_to_a_clone() {
-    // 16 stats over two entities, a third of them multi-valued.
+fn an_extraction_allocates_the_same_for_4_and_40_stats() {
+    let extracted = extract_items(&items_document(&[4, 40]));
+    let [(small, small_blocks), (large, large_blocks)] = extracted.as_slice() else {
+        panic!("two items")
+    };
+    // Each leaf a type, plus the `@sku` attribute.
+    assert_eq!((small.type_count(), large.type_count()), (5, 41));
+    // Two scratch lists, the rewrite buffer and the result's five arrays,
+    // however many stats, values and rewrites there are.
+    assert_eq!(small_blocks, large_blocks);
+    assert!(*large_blocks <= 8, "{large_blocks} blocks");
+}
+
+#[test]
+fn a_clone_allocates_a_constant() {
+    for (features, _) in extract_items(&items_document(&[4, 40])) {
+        let (copy, blocks) = counted(|| features.clone());
+        assert_eq!(copy, features);
+        assert!(blocks <= 6, "{blocks} blocks for {} stats", features.type_count());
+    }
+    // `from_raw` builds the same layout.
     let entities = [("shop/product".to_string(), 1u32), ("shop/product/review".to_string(), 11)];
     let mut triplets = Vec::new();
     for k in 0..16 {
@@ -61,18 +102,24 @@ fn the_prepared_form_adds_two_allocations_to_a_clone() {
             triplets.push((ty.clone(), format!("value {v}"), 1 + v as u32));
         }
     }
-    let features = ResultFeatures::from_raw("a 16-stat result", entities.clone(), triplets);
-    assert_eq!(features.stats.len(), 16);
-
-    // What a clone of the public content costs, piece by piece — all a
-    // clone cost before the features carried their prepared form.
-    let (_label, label) = counted(|| features.label.clone());
-    let (_stats, stats) = counted(|| features.stats.clone());
-    let instances: HashMap<String, u32> = entities.into_iter().collect();
-    let (_instances, instance_map) = counted(|| instances.clone());
-    let (copy, whole) = counted(|| features.clone());
+    let features = ResultFeatures::from_raw("a 16-stat result", entities, triplets);
+    let (copy, blocks) = counted(|| features.clone());
     assert_eq!(copy, features);
-    assert_eq!(whole, label + stats + instance_map + 2, "two vectors, not one per stat");
+    assert!(blocks <= 6, "{blocks} blocks");
+}
+
+#[test]
+fn extracting_any_default_movie_root_allocates_at_most_16_blocks() {
+    use xsact::data::MoviesGen;
+    let doc = MoviesGen::default_gen().generate();
+    let summary = StructureSummary::infer(&doc);
+    let movies: Vec<_> = doc.children(doc.root()).collect();
+    assert_eq!(movies.len(), 400);
+    for movie in movies {
+        let (features, blocks) = counted(|| extract_features(&doc, &summary, movie, "movie"));
+        assert!(features.type_count() > 4);
+        assert!(blocks <= 16, "{blocks} blocks for movie {movie:?}");
+    }
 }
 
 #[test]

@@ -513,5 +513,5 @@ fn unicode_content_flows_through_the_pipeline() {
     let results = engine.search(&Query::parse("caf\u{e9} gps"));
     assert_eq!(results.len(), 1);
     let rf = engine.extract_features(&results[0]);
-    assert!(rf.label.contains("Caf\u{e9}"));
+    assert!(rf.label().contains("Caf\u{e9}"));
 }

@@ -68,9 +68,8 @@ fn outdoor_brand_comparison_scenario() {
     // reveals each brand's focus.
     for rf in &features {
         assert!(rf
-            .stats
-            .iter()
-            .any(|s| s.ty.attribute == "subcategory" && s.ty.entity.ends_with("product")));
+            .stats()
+            .any(|s| s.attribute() == "subcategory" && s.entity().ends_with("product")));
     }
 
     let outcome = Comparison::new(&features).size_bound(6).run(Algorithm::MultiSwap);
@@ -122,11 +121,10 @@ fn movie_results_have_nested_actor_entity() {
     let rf = engine.extract_features(&results[0]);
     // Actor is a nested entity: its name/billing belong to the actor, not
     // to the movie.
-    assert!(rf.stats.iter().any(|s| s.ty.entity.ends_with("actor")));
+    assert!(rf.stats().any(|s| s.entity().ends_with("actor")));
     assert!(!rf
-        .stats
-        .iter()
-        .any(|s| s.ty.entity.ends_with("movie") && s.ty.attribute.contains("billing")));
+        .stats()
+        .any(|s| s.entity().ends_with("movie") && s.attribute().contains("billing")));
 }
 
 #[test]

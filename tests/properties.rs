@@ -47,7 +47,7 @@ use xsact_core::{
     Algorithm, Comparison, Dfs, DfsConfig, DfsSet, Instance, SwapStats,
 };
 use xsact_entity::{
-    extract_features, FeatureStat, FeatureType, NodeClass, ResultFeatures, StructureSummary,
+    extract_features, FeatureType, NodeClass, ResultFeatures, Stat, StructureSummary,
 };
 use xsact_index::{
     rank_results, slca_full_scan, InvertedIndex, Query, QueryPlan, ScoredResult, Scorer,
@@ -959,8 +959,8 @@ fn assert_extractor_matches_oracle(doc: &Document, what: &str) {
         let got = extract_features(doc, &summary, root, "r");
         let want = oracle_features(doc, &summary, root, "r");
         assert_eq!(got, want, "{what}, root {}", doc.dewey(root));
-        for stat in &got.stats {
-            assert_eq!(got.instances_of(&stat.ty.entity), stat.entity_instances, "{what}");
+        for stat in got.stats() {
+            assert_eq!(got.instances_of(stat.entity()), stat.entity_instances(), "{what}");
         }
     }
 }
@@ -1020,11 +1020,13 @@ fn paths_that_render_alike_are_one_feature_type() {
     let item = doc.child_by_tag(doc.root(), "item").unwrap();
     let rf = extract_features(&doc, &summary, item, "i");
     let of_item = rf.get(&FeatureType::new("shop/item", "k:v")).expect("one merged type");
-    assert_eq!((of_item.occurrences, of_item.values.len()), (2, 2));
+    assert_eq!((of_item.occurrences(), of_item.values().len()), (2, 2));
     let of_group = rf.get(&FeatureType::new("shop/item/group", "k:v")).expect("one merged type");
-    assert_eq!((of_group.occurrences, of_group.dominant().count), (4, 2));
+    assert_eq!((of_group.occurrences(), of_group.dominant().1), (4, 2));
     for stat in [of_item, of_group] {
-        assert_eq!(rf.stats.iter().filter(|s| s.ty == stat.ty).count(), 1, "{:?}", stat.ty);
+        let same_type =
+            |s: &Stat<'_>| (s.entity(), s.attribute()) == (stat.entity(), stat.attribute());
+        assert_eq!(rf.stats().filter(same_type).count(), 1, "{stat:?}");
     }
 }
 
@@ -1068,9 +1070,9 @@ struct OracleInstance {
 /// The single value as a number — finite only: `nan`, `inf` and `1e400`
 /// parse as floats but are text (the one rule the oracle does not take
 /// from the old build, which let them through).
-fn oracle_numeric(stat: &FeatureStat) -> Option<f64> {
-    match stat.values.as_slice() {
-        [only] => only.value.trim().parse::<f64>().ok().filter(|v| v.is_finite()),
+fn oracle_numeric(stat: Stat<'_>) -> Option<f64> {
+    match stat.values().collect::<Vec<_>>().as_slice() {
+        [(only, _)] => only.trim().parse::<f64>().ok().filter(|v| v.is_finite()),
         _ => None,
     }
 }
@@ -1089,17 +1091,15 @@ fn oracle_ratios_differ(pa: f64, pb: f64, threshold_pct: f64) -> bool {
 
 /// The differentiability test as the paper states it: the numeric rule,
 /// else some value of the union whose occurrence ratios differ.
-fn oracle_stats_differ(a: &FeatureStat, b: &FeatureStat, threshold_pct: f64) -> bool {
+fn oracle_stats_differ(a: Stat<'_>, b: Stat<'_>, threshold_pct: f64) -> bool {
     if let (Some(na), Some(nb)) = (oracle_numeric(a), oracle_numeric(b)) {
         return (na - nb).abs() > (threshold_pct / 100.0) * na.abs().min(nb.abs());
     }
-    let union: BTreeSet<&str> =
-        a.values.iter().chain(&b.values).map(|vc| vc.value.as_str()).collect();
-    let ratio_in = |stat: &FeatureStat, value: &str| {
-        stat.values
-            .iter()
-            .find(|vc| vc.value == value)
-            .map_or(0.0, |vc| oracle_ratio(vc.count, stat.entity_instances))
+    let union: BTreeSet<&str> = a.values().chain(b.values()).map(|(value, _)| value).collect();
+    let ratio_in = |stat: Stat<'_>, value: &str| {
+        stat.values()
+            .find(|&(v, _)| v == value)
+            .map_or(0.0, |(_, count)| oracle_ratio(count, stat.entity_instances()))
     };
     union.into_iter().any(|v| oracle_ratios_differ(ratio_in(a, v), ratio_in(b, v), threshold_pct))
 }
@@ -1107,40 +1107,42 @@ fn oracle_stats_differ(a: &FeatureStat, b: &FeatureStat, threshold_pct: f64) -> 
 /// The string-keyed instance build.
 fn oracle_instance(results: &[ResultFeatures], config: DfsConfig) -> OracleInstance {
     let mut entity_set: BTreeSet<&str> = BTreeSet::new();
-    let mut type_set: BTreeSet<&FeatureType> = BTreeSet::new();
-    for stat in results.iter().flat_map(|rf| &rf.stats) {
-        entity_set.insert(stat.ty.entity.as_str());
-        type_set.insert(&stat.ty);
+    let mut type_set: BTreeSet<FeatureType> = BTreeSet::new();
+    for stat in results.iter().flat_map(|rf| rf.stats()) {
+        entity_set.insert(stat.entity());
+        type_set.insert(FeatureType::new(stat.entity(), stat.attribute()));
     }
     let entities: Vec<String> = entity_set.into_iter().map(str::to_owned).collect();
-    let types: Vec<FeatureType> = type_set.into_iter().cloned().collect();
+    let types: Vec<FeatureType> = type_set.into_iter().collect();
     let entity_idx = |path: &str| entities.binary_search_by(|e| e.as_str().cmp(path)).unwrap();
     let entity_of: Vec<usize> = types.iter().map(|t| entity_idx(&t.entity)).collect();
 
-    let mut stats_by_type: Vec<Vec<Option<&FeatureStat>>> = Vec::new();
+    let mut stats_by_type: Vec<Vec<Option<Stat<'_>>>> = Vec::new();
     let mut oracle_results = Vec::new();
     for rf in results {
         let mut ranked: Vec<Vec<usize>> = vec![Vec::new(); entities.len()];
         let mut cells: Vec<Option<OracleCell>> = vec![None; types.len()];
         let mut rank_of: Vec<Option<(usize, usize)>> = vec![None; types.len()];
-        let mut by_type: Vec<Option<&FeatureStat>> = vec![None; types.len()];
-        for stat in &rf.stats {
-            let t = types.binary_search(&stat.ty).unwrap();
-            let e = entity_idx(&stat.ty.entity);
+        let mut by_type: Vec<Option<Stat<'_>>> = vec![None; types.len()];
+        for stat in rf.stats() {
+            let t =
+                types.binary_search(&FeatureType::new(stat.entity(), stat.attribute())).unwrap();
+            let e = entity_idx(stat.entity());
             rank_of[t] = Some((e, ranked[e].len()));
             ranked[e].push(t);
             by_type[t] = Some(stat);
-            let dominant = stat.dominant();
+            let (value, count) = stat.dominant();
             cells[t] = Some(OracleCell {
-                value: dominant.value.clone(),
-                ratio: oracle_ratio(dominant.count, stat.entity_instances),
-                count: dominant.count,
-                instances: stat.entity_instances,
-                sig_ratio: oracle_ratio(stat.occurrences, stat.entity_instances),
+                value: value.to_owned(),
+                ratio: oracle_ratio(count, stat.entity_instances()),
+                count,
+                instances: stat.entity_instances(),
+                sig_ratio: oracle_ratio(stat.occurrences(), stat.entity_instances()),
             });
         }
         stats_by_type.push(by_type);
-        oracle_results.push(OracleResult { label: rf.label.clone(), ranked, cells, rank_of });
+        let label = rf.label().to_owned();
+        oracle_results.push(OracleResult { label, ranked, cells, rank_of });
     }
 
     let n = results.len();
@@ -1350,14 +1352,13 @@ fn instance_build_matches_the_string_keyed_oracle_on_random_sets() {
 
         // The generator must keep producing the shapes this test is for.
         wide += usize::from(inst.words_per_row() > 1);
-        for stat in features.iter().flat_map(|rf| &rf.stats) {
-            multi_valued += usize::from(
-                stat.values.len() > 1 && stat.values.windows(2).any(|w| w[0].count == w[1].count),
-            );
-            zero_instance += usize::from(stat.entity_instances == 0);
+        for stat in features.iter().flat_map(|rf| rf.stats()) {
+            let values: Vec<(&str, u32)> = stat.values().collect();
+            multi_valued +=
+                usize::from(values.len() > 1 && values.windows(2).any(|w| w[0].1 == w[1].1));
+            zero_instance += usize::from(stat.entity_instances() == 0);
             non_finite += usize::from(
-                stat.values.len() == 1
-                    && stat.values[0].value.parse::<f64>().is_ok_and(|v| !v.is_finite()),
+                values.len() == 1 && values[0].0.parse::<f64>().is_ok_and(|v| !v.is_finite()),
             );
         }
         if shape == RawShape::Disjoint {
@@ -1520,13 +1521,64 @@ const ATTRS: [&str; 5] = ["p", "q", "r", "s", "t"];
 /// the raw sets or its wide form (two-word bit rows), with multi-valued
 /// stats and zero-instance entities among them.
 fn random_instance(rng: &mut StdRng) -> Instance {
+    let (raw, config) = random_raw_instance(rng);
+    let features: Vec<ResultFeatures> = raw.iter().map(|raw| raw.build(None)).collect();
+    Instance::build(&features, config)
+}
+
+/// What [`random_instance`] builds its instance from.
+fn random_raw_instance(rng: &mut StdRng) -> (Vec<RawResult>, DfsConfig) {
     let shape = if rng.random_bool(0.5) { RawShape::Mixed } else { RawShape::Wide };
     let result_count = rng.random_range(2..17usize);
-    let features: Vec<ResultFeatures> =
-        raw_results(rng, shape, result_count).iter().map(|raw| raw.build(None)).collect();
+    let raw = raw_results(rng, shape, result_count);
     let bound = rng.random_range(1..10usize);
     let threshold = [5.0f64, 10.0, 25.0][rng.random_range(0..3usize)];
-    Instance::build(&features, DfsConfig { size_bound: bound, threshold_pct: threshold })
+    (raw, DfsConfig { size_bound: bound, threshold_pct: threshold })
+}
+
+/// Fisher–Yates.
+fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.random_range(0..=i));
+    }
+}
+
+/// Features are compared by content, never by where their strings went:
+/// the triplets of a result in another order make `==` features, and those
+/// build the same instance and render the same tables.
+#[test]
+fn feature_equality_and_what_it_builds_are_independent_of_input_order() {
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (raw, config) = random_raw_instance(&mut rng);
+        let features: Vec<ResultFeatures> = raw.iter().map(|r| r.build(None)).collect();
+        let shuffled: Vec<ResultFeatures> = raw
+            .iter()
+            .map(|r| {
+                let mut r = r.clone();
+                shuffle(&mut r.triplets, &mut rng);
+                shuffle(&mut r.entity_instances, &mut rng);
+                r.build(None)
+            })
+            .collect();
+        assert_eq!(shuffled, features, "seed {seed}");
+        let (inst, again) =
+            (Instance::build(&features, config), Instance::build(&shuffled, config));
+        assert_instance_matches_oracle(&again, &features, &format!("seed {seed} shuffled"));
+        assert_eq!(again.bitmatrix_bytes(), inst.bitmatrix_bytes());
+        for algorithm in Algorithm::ALL {
+            let (set, _) = run_algorithm(&inst, algorithm);
+            let (again_set, _) = run_algorithm(&again, algorithm);
+            assert_eq!(again_set, set, "seed {seed}: {} DFSs", algorithm.name());
+            let table = render_table(&inst, &set);
+            assert_eq!(
+                render_table(&again, &again_set),
+                table,
+                "seed {seed}: {}",
+                algorithm.name()
+            );
+        }
+    }
 }
 
 #[test]
