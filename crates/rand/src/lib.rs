@@ -14,6 +14,8 @@
 //! derived from it. The stream is NOT compatible with the real `rand`
 //! crate's `StdRng` — only the API shape is.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 pub mod rngs;

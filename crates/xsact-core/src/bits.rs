@@ -3,9 +3,9 @@
 //! The differentiability matrix and the per-result selection masks are both
 //! sets over the instance's type universe (`m` types), stored as flat `u64`
 //! arenas with `⌈m/64⌉` words per row. Every DoD quantity then reduces to
-//! AND + popcount over two or three word slices — one CPU word processes 64
-//! feature types at a time, and the kernels below are the only place the
-//! bit layout is spelled out.
+//! AND + popcount over two or three word slices (`xsact_kernel::and2_count`
+//! and `and3_count`) — one CPU word processes 64 feature types at a time,
+//! and the helpers below are the only place the bit layout is spelled out.
 
 /// Number of `u64` words needed for a bitset over `bits` positions.
 #[inline]
@@ -29,27 +29,6 @@ pub fn set_bit(row: &mut [u64], t: usize) {
 #[inline]
 pub fn clear_bit(row: &mut [u64], t: usize) {
     row[t / 64] &= !(1u64 << (t % 64));
-}
-
-/// `popcount(a ∧ b)` — the word-parallel pair kernel.
-///
-/// Dispatches to the widest SIMD lane the CPU supports (see `xsact-kernel`);
-/// the byte-identical scalar oracle lives in `xsact_kernel::scalar`.
-#[inline]
-pub fn and2_count(a: &[u64], b: &[u64]) -> u32 {
-    debug_assert_eq!(a.len(), b.len());
-    xsact_kernel::and2_count(a, b)
-}
-
-/// `popcount(a ∧ b ∧ c)` — the DoD pair kernel (`sel_i ∧ sel_j ∧ diff_ij`).
-///
-/// Dispatches to the widest SIMD lane the CPU supports (see `xsact-kernel`);
-/// the byte-identical scalar oracle lives in `xsact_kernel::scalar`.
-#[inline]
-pub fn and3_count(a: &[u64], b: &[u64], c: &[u64]) -> u32 {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), c.len());
-    xsact_kernel::and3_count(a, b, c)
 }
 
 /// Calls `f(t)` for every set bit of a row, in ascending bit order.
@@ -126,8 +105,8 @@ mod tests {
         }
         let s2 = (0..m).filter(|t| t % 2 == 0 && t % 3 == 0).count() as u32;
         let s3 = (0..m).filter(|t| t % 2 == 0 && t % 3 == 0 && t % 5 == 0).count() as u32;
-        assert_eq!(and2_count(&a, &b), s2);
-        assert_eq!(and3_count(&a, &b, &c), s3);
+        assert_eq!(xsact_kernel::and2_count(&a, &b), s2);
+        assert_eq!(xsact_kernel::and3_count(&a, &b, &c), s3);
     }
 
     #[test]

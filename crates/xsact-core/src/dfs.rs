@@ -462,7 +462,7 @@ mod tests {
 
         set.replace(&inst, 0, Dfs::from_prefixes(&inst, 0, &[1, 3]));
         assert!(set.masks_consistent(&inst));
-        assert_eq!(crate::bits::and2_count(set.mask(0), set.mask(0)), set.dfs(0).size() as u32);
+        assert_eq!(xsact_kernel::and2_count(set.mask(0), set.mask(0)), set.dfs(0).size() as u32);
 
         // Result 1's mask never moved.
         assert!(set.mask(1).iter().all(|&w| w == 0));

@@ -25,7 +25,7 @@ use crate::model::{EntityIdx, Instance, TypeId};
 /// set's current selections: `popcount(sel_i ∧ sel_j ∧ diff_ij)`.
 pub fn dod_pair(inst: &Instance, set: &DfsSet, i: usize, j: usize) -> u32 {
     debug_assert!(i != j);
-    bits::and3_count(set.mask(i), set.mask(j), inst.diff_row(i, j))
+    xsact_kernel::and3_count(set.mask(i), set.mask(j), inst.diff_row(i, j))
 }
 
 /// Total DoD of a DFS set: the paper's objective function.
@@ -197,7 +197,7 @@ pub fn dod_upper_bound(inst: &Instance) -> u32 {
     for i in 0..n {
         for j in (i + 1)..n {
             let row = inst.diff_row(i, j);
-            total += bits::and2_count(row, row);
+            total += xsact_kernel::and2_count(row, row);
         }
     }
     total

@@ -109,7 +109,7 @@ fn ranked_rows(inst: &Instance, set: &DfsSet) -> Vec<(TypeId, f64)> {
     let best_sig =
         |t: TypeId| (0..inst.result_count()).map(|i| inst.sig_ratio(i, t)).fold(0.0, f64::max);
     let mut rows: Vec<(TypeId, f64)> =
-        Vec::with_capacity(bits::and2_count(&selected, &selected) as usize);
+        Vec::with_capacity(xsact_kernel::and2_count(&selected, &selected) as usize);
     bits::for_each_bit(&selected, |t| rows.push((t, best_sig(t))));
     rows.sort_by(|&(a, sig_a), &(b, sig_b)| {
         inst.entity_of[a]

@@ -601,10 +601,10 @@ impl ExactSizeIterator for PostingsIter<'_> {}
 /// The frames an interval touches are found by bisecting the skip headers;
 /// frames strictly inside the interval are counted from the headers alone,
 /// and only the (at most two) boundary frames are unpacked and counted by
-/// the SIMD range kernel. The last unpacked frame stays cached, so a run of
-/// roots whose subtrees fall into one frame — every run in document order —
-/// unpacks it once. Intervals may come in any order; the cache only ever
-/// saves work.
+/// `xsact_kernel::count_in_range_u32`. The last unpacked frame stays
+/// cached, so a run of roots whose subtrees fall into one frame — every run
+/// in document order — unpacks it once. Intervals may come in any order;
+/// the cache only ever saves work.
 #[derive(Debug)]
 pub(crate) struct RangeCounter<'a> {
     list: PostingsRef<'a>,

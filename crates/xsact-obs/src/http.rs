@@ -5,13 +5,25 @@
 //! No keep-alive, no TLS, no routing beyond `/metrics` — anything else is
 //! a 404. Shutdown follows the same pattern as the TCP query front end:
 //! set a stop flag, then self-connect to wake the blocking `accept`.
+//!
+//! Scrapes are served one at a time, so each connection gets a read and a
+//! write timeout and a cap on the request bytes read: a client that stays
+//! silent, or never ends its line, holds the endpoint (and a shutdown
+//! waiting on it) for one timeout, not forever.
 
 use crate::registry::MetricsRegistry;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// How long one scrape connection may wait on its client, per read or write.
+const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Most request bytes (request line plus headers) read from one connection.
+const MAX_REQUEST_BYTES: u64 = 8 * 1024;
 
 /// A running metrics endpoint; dropping it shuts the listener down.
 #[derive(Debug)]
@@ -50,6 +62,16 @@ impl Drop for MetricsServer {
 /// at `GET /metrics`, one short-lived connection at a time — metrics
 /// scrapes are rare and tiny, so a second thread would buy nothing.
 pub fn serve_metrics(registry: Arc<MetricsRegistry>, addr: &str) -> io::Result<MetricsServer> {
+    serve_metrics_impl(registry, addr, SCRAPE_TIMEOUT)
+}
+
+/// `timeout` is a parameter (not configuration) so the tests can wait out
+/// an idle client quickly.
+fn serve_metrics_impl(
+    registry: Arc<MetricsRegistry>,
+    addr: &str,
+    timeout: Duration,
+) -> io::Result<MetricsServer> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -61,7 +83,7 @@ pub fn serve_metrics(registry: Arc<MetricsRegistry>, addr: &str) -> io::Result<M
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                let _ = handle_scrape(&registry, stream);
+                let _ = handle_scrape(&registry, stream, timeout);
             }
         })?
     };
@@ -69,8 +91,14 @@ pub fn serve_metrics(registry: Arc<MetricsRegistry>, addr: &str) -> io::Result<M
 }
 
 /// Reads one request, writes one response, closes.
-fn handle_scrape(registry: &MetricsRegistry, stream: TcpStream) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+fn handle_scrape(
+    registry: &MetricsRegistry,
+    stream: TcpStream,
+    timeout: Duration,
+) -> io::Result<()> {
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    let mut reader = BufReader::new(stream.try_clone()?.take(MAX_REQUEST_BYTES));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     // Drain the headers so well-behaved clients are not cut off mid-send.
@@ -102,7 +130,6 @@ fn handle_scrape(registry: &MetricsRegistry, stream: TcpStream) -> io::Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read as _;
 
     fn scrape(addr: SocketAddr, request: &str) -> String {
         let mut conn = TcpStream::connect(addr).expect("connect to metrics endpoint");
@@ -123,6 +150,27 @@ mod tests {
         let missing = scrape(server.addr(), "GET /other HTTP/1.0\r\n\r\n");
         assert!(missing.starts_with("HTTP/1.0 404"), "{missing}");
         server.shutdown();
+    }
+
+    #[test]
+    fn an_idle_client_blocks_neither_scrapes_nor_shutdown() {
+        let registry = Arc::new(MetricsRegistry::new());
+        registry.counter("xsact_up").inc();
+        let mut server =
+            serve_metrics_impl(registry, "127.0.0.1:0", Duration::from_millis(100)).expect("bind");
+        let addr = server.addr();
+        let (done, finished) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || {
+            // Connected and silent, ahead of the scrape and of the shutdown.
+            let _idle = TcpStream::connect(addr).expect("idle connect");
+            let ok = scrape(addr, "GET /metrics HTTP/1.0\r\n\r\n");
+            let _idle_again = TcpStream::connect(addr).expect("idle connect");
+            server.shutdown();
+            done.send(ok).expect("test thread waits");
+        });
+        let ok = finished.recv_timeout(Duration::from_secs(20)).expect("scrape and shutdown hung");
+        assert!(ok.contains("xsact_up 1"), "{ok}");
+        client.join().expect("client thread panicked");
     }
 
     #[test]
