@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xsact::prelude::*;
-use xsact::serve::{serve_tcp, FaultPlan, END_MARKER};
+use xsact::serve::{serve_tcp, FaultPlan, END_MARKER, MAX_TOP};
 use xsact_data::{
     fixtures, JobsGen, JobsGenConfig, MovieGenConfig, MoviesGen, OutdoorGen, OutdoorGenConfig,
     ReviewsGen, ReviewsGenConfig,
@@ -314,6 +314,12 @@ fn build_corpus(
 /// immediately so scripts can tell the server is up; the returned string
 /// is the post-shutdown counter summary.
 pub fn run_serve(args: &ServeArgs) -> Result<String, XsactError> {
+    if args.top > MAX_TOP {
+        return Err(XsactError::InvalidConfig(format!(
+            "--top {} exceeds the protocol's limit of {MAX_TOP}",
+            args.top
+        )));
+    }
     let corpus = Arc::new(build_corpus(
         (args.dir.as_deref(), args.index_dir.as_deref()),
         (args.docs, args.movies, args.seed),
@@ -327,7 +333,6 @@ pub fn run_serve(args: &ServeArgs) -> Result<String, XsactError> {
     }
     let config = ServeConfig {
         queue_capacity: args.queue,
-        max_batch: args.max_batch,
         default_top: args.top,
         budget: args.budget,
         slow_query: args.slow_query_ms.map(Duration::from_millis),
@@ -335,7 +340,6 @@ pub fn run_serve(args: &ServeArgs) -> Result<String, XsactError> {
         cache_entries: args.cache_entries,
         cache_bytes: args.cache_bytes,
         faults,
-        ..ServeConfig::default()
     };
     let server = CorpusServer::start(Arc::clone(&corpus), config);
     let registry = server.metrics_registry();
@@ -346,12 +350,11 @@ pub fn run_serve(args: &ServeArgs) -> Result<String, XsactError> {
         None => None,
     };
     println!(
-        "xsact-serve: {} documents, {} shards (effective {}), queue {}, max batch {}, top {}{}",
+        "xsact-serve: {} documents, {} shards (effective {}), queue {}, top {}{}",
         corpus.len(),
         corpus.shards(),
         corpus.effective_shards(),
         args.queue,
-        args.max_batch,
         args.top,
         match args.budget {
             Some(b) => format!(", budget {b}"),
@@ -777,6 +780,18 @@ mod tests {
             assert!(matches!(err, XsactError::InvalidConfig(_)), "{err}");
             assert!(err.to_string().contains("size bound must be at least 1"), "{err}");
         }
+    }
+
+    #[test]
+    fn serve_refuses_a_top_past_the_protocol_limit_before_booting() {
+        let argv = ["serve", "--top", "1001", "--addr", "127.0.0.1:0"];
+        let args::Command::Serve(s) = args::parse(argv.iter().map(|s| s.to_string())).unwrap()
+        else {
+            panic!("expected serve mode");
+        };
+        let err = run_serve(&s).unwrap_err();
+        assert!(matches!(err, XsactError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("--top 1001 exceeds the protocol's limit of 1000"));
     }
 
     #[test]

@@ -320,7 +320,6 @@ command! {
         addr: String = "127.0.0.1:4141".to_owned(), "--addr" "<host:port>",
             "listen address (port 0 = ephemeral, printed)";
         queue: usize = 64, "--queue" "<n>", "submission-queue capacity; 0 rejects all";
-        max_batch: usize = 16, "--max-batch" "<n>", "largest batch one dispatch round forms";
         top: usize = 4, "--top" "<k>", "default per-session top-k (TOP verb resets)";
         budget: Option<u64> = None, "--budget" "<n>",
             "per-session budget in posting entries scanned\n\
@@ -673,7 +672,7 @@ mod tests {
     fn serve_subcommand_defaults() {
         let s = parse_serve_ok(&["serve"]);
         assert_eq!(s.addr, "127.0.0.1:4141");
-        assert_eq!((s.queue, s.max_batch, s.top), (64, 16, 4));
+        assert_eq!((s.queue, s.top), (64, 4));
         assert_eq!(s.budget, None);
         assert_eq!((s.docs, s.movies, s.shards), (8, 120, 0));
         assert_eq!((s.cache_entries, s.cache_bytes), (1024, 4 << 20));
@@ -704,8 +703,6 @@ mod tests {
             "127.0.0.1:0",
             "--queue",
             "8",
-            "--max-batch",
-            "4",
             "--top",
             "3",
             "--budget",
@@ -717,7 +714,7 @@ mod tests {
         assert_eq!(s.shards, 2);
         assert_eq!(s.index_dir.as_deref(), Some("cache"));
         assert_eq!(s.addr, "127.0.0.1:0");
-        assert_eq!((s.queue, s.max_batch, s.top), (8, 4, 3));
+        assert_eq!((s.queue, s.top), (8, 3));
         assert_eq!(s.budget, Some(100));
         assert_eq!(s.deadline_ms, Some(750));
     }

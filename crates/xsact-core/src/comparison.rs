@@ -27,7 +27,7 @@ pub enum Algorithm {
     MultiSwap,
     /// The exhaustive oracle: full enumeration of the DFS combination
     /// space, bounded by `limit` combinations. Exponential — only feasible
-    /// on small instances; [`Comparison::run_exhaustive`] reports the
+    /// on small instances; [`Comparison::run_exhaustive_on`] reports the
     /// blow-up as `None`, and the `Workbench` facade as a typed error.
     Exhaustive {
         /// Maximum number of DFS combinations to enumerate before giving
@@ -124,8 +124,8 @@ impl Comparison {
     /// Generates DFSs with the chosen algorithm.
     ///
     /// For [`Algorithm::Exhaustive`] this panics when the combination count
-    /// exceeds the variant's limit; use [`Comparison::run_exhaustive`] (or
-    /// the `Workbench` facade, which returns a typed error) when the
+    /// exceeds the variant's limit; use [`Comparison::run_exhaustive_on`]
+    /// (or the `Workbench` facade, which returns a typed error) when the
     /// instance size is not known in advance.
     pub fn run(&self, algorithm: Algorithm) -> ComparisonOutcome {
         Self::run_on(&Arc::new(self.instance()), algorithm)
@@ -158,14 +158,9 @@ impl Comparison {
         }
     }
 
-    /// Exhaustive optimum, if the instance is small enough that at most
-    /// `limit` DFS combinations must be enumerated. `None` otherwise. The
-    /// outcome is labelled [`Algorithm::Exhaustive`].
-    pub fn run_exhaustive(&self, limit: u64) -> Option<ComparisonOutcome> {
-        Self::run_exhaustive_on(&Arc::new(self.instance()), limit)
-    }
-
-    /// [`Comparison::run_exhaustive`] over an already-built instance.
+    /// Exhaustive optimum over an already-built instance, if it is small
+    /// enough that at most `limit` DFS combinations must be enumerated.
+    /// `None` otherwise. The outcome is labelled [`Algorithm::Exhaustive`].
     pub fn run_exhaustive_on(instance: &Arc<Instance>, limit: u64) -> Option<ComparisonOutcome> {
         let start = Instant::now();
         let (set, dod) = exhaustive(instance, limit)?;
@@ -185,7 +180,7 @@ impl Comparison {
 ///
 /// Panics if an [`Algorithm::Exhaustive`] run exceeds its combination
 /// limit — callers that cannot bound the instance should go through
-/// [`Comparison::run_exhaustive`] instead.
+/// [`Comparison::run_exhaustive_on`] instead.
 pub fn run_algorithm(inst: &Instance, algorithm: Algorithm) -> (DfsSet, SwapStats) {
     match algorithm {
         Algorithm::Snippet => (snippet_set(inst), SwapStats::default()),
@@ -299,14 +294,14 @@ mod tests {
     fn exhaustive_matches_multi_swap_on_small_instance() {
         let c = Comparison::new(&results()).size_bound(3);
         let multi = c.run(Algorithm::MultiSwap);
-        let opt = c.run_exhaustive(100_000).unwrap();
+        let opt = c.run(Algorithm::Exhaustive { limit: 100_000 });
         assert_eq!(opt.dod(), multi.dod());
     }
 
     #[test]
     fn exhaustive_outcome_is_labelled_exhaustive() {
         let c = Comparison::new(&results()).size_bound(3);
-        let opt = c.run_exhaustive(100_000).unwrap();
+        let opt = Comparison::run_exhaustive_on(&Arc::new(c.instance()), 100_000).unwrap();
         assert_eq!(opt.algorithm, Algorithm::Exhaustive { limit: 100_000 });
         assert_eq!(opt.algorithm.name(), "exhaustive");
         // `run` accepts the variant and produces the same label and DoD.
@@ -318,7 +313,7 @@ mod tests {
     #[test]
     fn exhaustive_over_limit_is_none() {
         let c = Comparison::new(&results()).size_bound(3);
-        assert!(c.run_exhaustive(1).is_none());
+        assert!(Comparison::run_exhaustive_on(&Arc::new(c.instance()), 1).is_none());
     }
 
     #[test]

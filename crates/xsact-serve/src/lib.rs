@@ -56,6 +56,6 @@ pub mod stats;
 pub use batch::coalesce;
 pub use cache::{Inserted, PageCache};
 pub use fault::FaultPlan;
-pub use protocol::{err_line, LineBuffer, Request, END_MARKER};
+pub use protocol::{err_line, LineBuffer, Request, END_MARKER, MAX_TOP};
 pub use queue::{Rejected, SubmissionQueue};
 pub use stats::{ServeCounters, ServeSnapshot};

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! QUERY drama family      run the query under the session's top-k
-//! TOP 3                   set the session's top-k
+//! TOP 3                   set the session's top-k (at most MAX_TOP)
 //! STATS                   server counters
 //! METRICS                 Prometheus-style metrics exposition
 //! QUIT                    close this connection
@@ -38,6 +38,12 @@
 
 /// The line ending every response: a lone `.`.
 pub const END_MARKER: &str = ".";
+
+/// The largest top-k a session may ask for: `TOP` above it is a
+/// `BAD_REQUEST`, and a server configured above it refuses to start. Every
+/// served query ranks to depth `k` in every document, so an unbounded `k`
+/// would let one request line size the server's work and memory.
+pub const MAX_TOP: usize = 1000;
 
 /// One parsed request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,6 +92,9 @@ impl Request {
                 let k = rest
                     .parse::<usize>()
                     .map_err(|_| format!("TOP needs a non-negative integer, got {rest:?}"))?;
+                if k > MAX_TOP {
+                    return Err(format!("TOP takes at most {MAX_TOP}, got {k}"));
+                }
                 Ok(Some(Request::Top { k }))
             }
             "STATS" => Request::bare(verb, rest, Request::Stats),
@@ -252,6 +261,15 @@ mod tests {
         assert!(Request::parse("EXPLODE").unwrap_err().contains("unknown verb"));
         // Verbs are case-sensitive — lowercase is a different (unknown) verb.
         assert!(Request::parse("query x").unwrap_err().contains("unknown verb"));
+    }
+
+    #[test]
+    fn top_is_bounded_by_max_top() {
+        assert_eq!(Request::parse("TOP 0").unwrap(), Some(Request::Top { k: 0 }));
+        assert_eq!(Request::parse("TOP 1000").unwrap(), Some(Request::Top { k: MAX_TOP }));
+        assert_eq!(Request::parse("TOP 1001").unwrap_err(), "TOP takes at most 1000, got 1001");
+        // Past usize the number no longer parses: the integer error still wins.
+        assert!(Request::parse("TOP 99999999999999999999999").unwrap_err().contains("integer"));
     }
 
     #[test]

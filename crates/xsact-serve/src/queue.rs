@@ -101,12 +101,11 @@ impl<T> SubmissionQueue<T> {
         }
     }
 
-    /// Takes every submission currently waiting, up to `max`, without
-    /// blocking — the batcher's "who else is already in line?" question.
-    pub fn drain_pending(&self, max: usize) -> Vec<T> {
-        let mut state = self.state.lock().expect("queue lock poisoned");
-        let n = state.items.len().min(max);
-        state.items.drain(..n).collect()
+    /// Takes every submission currently waiting (at most the capacity)
+    /// without blocking — the dispatcher's "who else is already in line?"
+    /// question.
+    pub fn drain_pending(&self) -> Vec<T> {
+        self.state.lock().expect("queue lock poisoned").items.drain(..).collect()
     }
 
     /// Closes the queue: future pushes fail with [`Rejected::Closed`],
@@ -181,14 +180,16 @@ mod tests {
     }
 
     #[test]
-    fn drain_pending_takes_at_most_max_without_blocking() {
+    fn drain_pending_takes_everything_waiting_without_blocking() {
         let q = SubmissionQueue::new(8);
-        assert!(q.drain_pending(4).is_empty(), "empty drain must not block");
+        assert!(q.drain_pending().is_empty(), "empty drain must not block");
         for i in 0..5 {
             q.push(i).unwrap();
         }
-        assert_eq!(q.drain_pending(3), vec![0, 1, 2]);
-        assert_eq!(q.drain_pending(usize::MAX), vec![3, 4]);
+        assert_eq!(q.drain_pending(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(q.depth(), 0);
+        q.push(5).unwrap();
+        assert_eq!(q.drain_pending(), vec![5], "the queue admits again once drained");
     }
 
     #[test]

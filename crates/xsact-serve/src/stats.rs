@@ -220,7 +220,7 @@ pub struct ServeSnapshot {
     /// Batch executions (one per distinct key per dispatch round).
     pub batches: u64,
     /// Batch-size distribution (one observation per batch; log-bucketed,
-    /// so arbitrarily large `--max-batch` values stay resolvable).
+    /// so a batch as large as the queue capacity stays resolvable).
     pub batch_size: HistogramSnapshot,
     /// Submissions rejected by admission control (queue full or closed).
     pub rejected_overload: u64,

@@ -289,43 +289,35 @@ impl Corpus {
     }
 
     /// One shard's unit of work — the only one, run by the scoped-thread
-    /// fan-out ([`CorpusQuery::ranking`], a batch of one) and by the
-    /// serving runtime's persistent shard pool (`crate::serve`, a whole
-    /// dispatch round): rank each document of the shard's round-robin
-    /// slice through the streaming executor, each query bounded by its own
-    /// `k`, then per query merge the per-document lists under the
-    /// ranking's total order, truncate to `k`, and label what is left.
-    /// Because both execution paths run *this* function over *the same*
-    /// [`ShardPlan`] partition, pooling can never change result bytes.
+    /// fan-out ([`CorpusQuery::ranking`], once per query) and by the
+    /// serving runtime's persistent shard pool (`crate::serve`, once per
+    /// coalesced key): rank each document of the shard's round-robin slice
+    /// through the streaming executor bounded by `k`, merge the
+    /// per-document lists under the ranking's total order, truncate to `k`,
+    /// and label what is left. Because both execution paths run *this*
+    /// function over *the same* [`ShardPlan`] partition, pooling can never
+    /// change result bytes.
     ///
-    /// A batch is a plain loop over its queries — each member runs exactly
-    /// as it would alone — kept so the pool still needs one broadcast per
-    /// dispatch round.
-    ///
-    /// Returns, per query, the shard's merged list plus the executor work
-    /// it cost, summed over the shard's documents (also recorded into each
-    /// owning workbench's cumulative counters).
-    pub(crate) fn execute_shard_batch(
+    /// Returns the shard's merged list plus the executor work it cost,
+    /// summed over the shard's documents (also recorded into each owning
+    /// workbench's cumulative counters).
+    pub(crate) fn execute_shard(
         &self,
-        queries: &[(Query, usize)],
+        query: &Query,
+        k: usize,
         doc_indexes: &[usize],
-    ) -> Vec<(Vec<CorpusHit>, ExecutorStats)> {
-        queries
+    ) -> (Vec<CorpusHit>, ExecutorStats) {
+        let mut stats = ExecutorStats::default();
+        let per_doc: Vec<Vec<ShardCandidate<'_>>> = doc_indexes
             .iter()
-            .map(|(query, k)| {
-                let mut stats = ExecutorStats::default();
-                let per_doc: Vec<Vec<ShardCandidate<'_>>> = doc_indexes
-                    .iter()
-                    .map(|&d| {
-                        let doc = &self.docs[d];
-                        let (roots, doc_stats) = doc.wb.top_k_roots(query, *k, None);
-                        stats += doc_stats;
-                        roots.into_iter().map(|ranked| ShardCandidate { doc, ranked }).collect()
-                    })
-                    .collect();
-                (merge_shard_candidates(per_doc, *k), stats)
+            .map(|&d| {
+                let doc = &self.docs[d];
+                let (roots, doc_stats) = doc.wb.top_k_roots(query, k, None);
+                stats += doc_stats;
+                roots.into_iter().map(|ranked| ShardCandidate { doc, ranked }).collect()
             })
-            .collect()
+            .collect();
+        (merge_shard_candidates(per_doc, k), stats)
     }
 }
 
@@ -582,17 +574,13 @@ impl Source for FanOut<'_> {
     /// merge the shard lists — every merge truncated to `k`.
     fn top(&self, query: &Query, k: usize) -> CorpusRanking {
         let FanOut { corpus, trace } = *self;
-        let batch = [(query.clone(), k)];
         let shards = corpus.effective_shards();
         // effective_shards() ≤ document count, so round-robin
         // partitioning never produces an empty shard.
         let parts = ShardPlan::new(shards).partition(corpus.docs.len());
         let shard_lists = fan_out(parts, |shard, doc_indexes| {
             let span = trace.map(|sink| sink.span(format!("shard {shard}")));
-            let (hits, stats) = corpus
-                .execute_shard_batch(&batch, &doc_indexes)
-                .pop()
-                .expect("one answer per query of the batch");
+            let (hits, stats) = corpus.execute_shard(query, k, &doc_indexes);
             if let Some(mut span) = span {
                 span.note("docs", doc_indexes.len() as u64);
                 span.note("postings_scanned", stats.postings_scanned);
@@ -883,41 +871,6 @@ mod tests {
         assert_eq!(corpus.shards(), 64);
         assert_eq!(corpus.effective_shards(), 3);
         assert_eq!(small_corpus().with_shards(0).effective_shards(), 1);
-    }
-
-    /// A batch answers each member as it runs alone — the same hits and
-    /// the same executor counters — over 64 seeded random batches
-    /// (overlapping and repeated terms, `k` from 0, a term no document
-    /// holds) and random document slices.
-    #[test]
-    fn a_batch_answers_each_member_as_it_runs_alone() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        use xsact_data::vocab::{GENRES, KEYWORDS};
-        let corpus = Corpus::synthetic_movies(6, 30, 3);
-        let terms: Vec<&str> = GENRES.iter().chain(KEYWORDS).copied().chain(["zeppelin"]).collect();
-        let mut answered = 0;
-        for seed in 0..64u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let batch: Vec<(Query, usize)> = (0..rng.random_range(1..=6usize))
-                .map(|_| {
-                    let words: Vec<&str> = (0..rng.random_range(1..=3usize))
-                        .map(|_| terms[rng.random_range(0..terms.len())])
-                        .collect();
-                    (Query::from_terms(words), rng.random_range(0..=6usize))
-                })
-                .collect();
-            let slice: Vec<usize> = (0..corpus.len()).filter(|_| rng.random_bool(0.5)).collect();
-            let together = corpus.execute_shard_batch(&batch, &slice);
-            assert_eq!(together.len(), batch.len(), "seed {seed}");
-            for ((query, k), answer) in batch.iter().zip(&together) {
-                let alone = corpus.execute_shard_batch(&[(query.clone(), *k)], &slice);
-                assert_eq!(alone.len(), 1);
-                assert_eq!(answer, &alone[0], "seed {seed}: {query} k={k} slice {slice:?}");
-                answered += usize::from(!answer.0.is_empty());
-            }
-        }
-        assert!(answered > 64, "too few members matched anything: {answered}");
     }
 
     /// Scratch directory removed on drop.

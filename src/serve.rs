@@ -6,23 +6,23 @@
 //! startup it builds one persistent [`xsact_corpus::ShardPool`] — a worker
 //! per effective shard but the last — and a dispatcher thread feeds the
 //! pool from a bounded [`xsact_serve::SubmissionQueue`], computing the last
-//! shard itself while the workers compute theirs. Concurrent submissions that ask the
-//! same question (same canonical query text, same top-k) **coalesce** into
-//! one batch: the pool executes once and every waiter receives the same
-//! shared [`CorpusRanking`].
+//! shard itself while the workers compute theirs. Each dispatch round takes
+//! everything pending; submissions that ask the same question (same
+//! canonical query text, same top-k) **coalesce** under one key, and each
+//! key is one pool broadcast: the pool executes once and every waiter
+//! receives the same shared [`CorpusRanking`].
 //!
-//! ## The invariant: batching and pooling never change bytes
+//! ## The invariant: coalescing and pooling never change bytes
 //!
-//! There is one shard unit of work, `Corpus::execute_shard_batch`: the
-//! pool's workers run it over a dispatch round, the scoped-thread fan-out
-//! behind [`crate::CorpusQuery`] runs it over a batch of one, both over
-//! the *same* [`xsact_corpus::ShardPlan`] partition, and both merge with
-//! the same comparator. A response from the server is therefore
-//! byte-identical to sequential one-query-at-a-time execution, at any
-//! shard count and under any interleaving of concurrent clients (pinned by
-//! `tests/serve.rs`). `k` still travels down: each batch member executes
-//! bounded by its key's top-k, so a served query does exactly the work of
-//! its sequential twin.
+//! There is one shard unit of work, `Corpus::execute_shard`: the pool's
+//! workers run it once per coalesced key, the scoped-thread fan-out behind
+//! [`crate::CorpusQuery`] once per query, both over the *same*
+//! [`xsact_corpus::ShardPlan`] partition, and both merge with the same
+//! comparator. A response from the server is therefore byte-identical to
+//! sequential one-query-at-a-time execution, at any shard count and under
+//! any interleaving of concurrent clients (pinned by `tests/serve.rs`).
+//! `k` travels down: each key executes bounded by its top-k, so a served
+//! query does exactly the work of its sequential twin.
 //!
 //! ## One front end
 //!
@@ -43,14 +43,15 @@
 //! * Session spent its executor-work budget →
 //!   [`XsactError::BudgetExceeded`] — rejected before reaching the queue.
 //! * Deadline elapsed (queue wait + execute) →
-//!   [`XsactError::DeadlineExceeded`] — checked at dispatch (the query
-//!   never executed) and again after batch execute; retry with a fresh
-//!   deadline.
-//! * Shard worker panicked mid-batch → [`XsactError::ShardFailed`] for
-//!   exactly the members of the affected batch. The supervisor respawns
-//!   the worker before the error is delivered, so a retry — and every
-//!   *other* request, concurrent or subsequent — is byte-identical to a
-//!   fault-free run (pinned by `tests/chaos.rs`).
+//!   [`XsactError::DeadlineExceeded`] — checked right before the key's
+//!   broadcast (the query never executed) and again after it; retry with a
+//!   fresh deadline.
+//! * Shard worker panicked mid-broadcast → [`XsactError::ShardFailed`] for
+//!   exactly the members of that key; other keys of the same round still
+//!   run. The supervisor respawns the worker before the error is
+//!   delivered, so a retry — and every *other* request, concurrent or
+//!   subsequent — is byte-identical to a fault-free run (pinned by
+//!   `tests/chaos.rs`).
 //!
 //! Shutdown is a drain: admitted submissions are still answered, new ones
 //! are turned away. Recovery paths are exercised deterministically via
@@ -88,7 +89,7 @@ use xsact_serve::{
     coalesce, err_line, Inserted, LineBuffer, PageCache, Rejected, Request, SubmissionQueue,
 };
 
-pub use xsact_serve::{FaultPlan, ServeCounters, ServeSnapshot, END_MARKER};
+pub use xsact_serve::{FaultPlan, ServeCounters, ServeSnapshot, END_MARKER, MAX_TOP};
 
 /// Configuration of a [`CorpusServer`].
 #[derive(Debug, Clone)]
@@ -96,11 +97,9 @@ pub struct ServeConfig {
     /// Bound of the submission queue; submissions beyond it are rejected
     /// with [`XsactError::Overloaded`]. Zero is valid and rejects every
     /// submission (a deterministic "always overloaded" server, used by the
-    /// CI smoke test).
+    /// CI smoke test). A dispatch round takes everything pending, so this
+    /// also bounds a round.
     pub queue_capacity: usize,
-    /// Most submissions one dispatch round will pull from the queue (and
-    /// therefore the largest possible batch). Clamped to at least 1.
-    pub max_batch: usize,
     /// Top-k a fresh session starts with (changeable per session via
     /// [`ServeSession::set_top`] / the `TOP` verb).
     pub default_top: usize,
@@ -116,16 +115,11 @@ pub struct ServeConfig {
     /// byte-identical either way.
     pub slow_query: Option<Duration>,
     /// Per-query deadline covering queue wait plus execute; `None` =
-    /// unlimited. Checked at dispatch (an expired query is answered
-    /// [`XsactError::DeadlineExceeded`] without executing) and again after
-    /// batch execute (a late answer is discarded — the caller already
-    /// stopped caring).
+    /// unlimited. Checked right before the query's broadcast (an expired
+    /// query is answered [`XsactError::DeadlineExceeded`] without
+    /// executing) and again after it (a late answer is discarded — the
+    /// caller already stopped caring).
     pub deadline: Option<Duration>,
-    /// Read/write timeout applied to every TCP connection, so a stalled
-    /// or slow-dripping client (slowloris) releases its thread instead of
-    /// occupying it forever; `None` disables. A timed-out connection is
-    /// closed; its session dies with it.
-    pub io_timeout: Option<Duration>,
     /// Entry bound of the result-page cache keyed on `(canonical query,
     /// k)`; 0 disables caching entirely. A hit skips the submission queue
     /// *and* the shard pool and returns the stored answer byte-identical
@@ -146,12 +140,10 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             queue_capacity: 64,
-            max_batch: 16,
             default_top: DEFAULT_TOP,
             budget: None,
             slow_query: None,
             deadline: None,
-            io_timeout: Some(Duration::from_secs(30)),
             cache_entries: 1024,
             cache_bytes: 4 << 20,
             faults: FaultPlan::disarmed(),
@@ -229,7 +221,6 @@ impl CorpusServer {
     /// per [`Corpus::effective_shards`], pinned for the server's
     /// lifetime).
     pub fn start(corpus: Arc<Corpus>, config: ServeConfig) -> CorpusServer {
-        let config = ServeConfig { max_batch: config.max_batch.max(1), ..config };
         let cache = (config.cache_entries > 0)
             .then(|| Mutex::new(PageCache::new(config.cache_entries, config.cache_bytes)));
         let inner = Arc::new(ServerInner {
@@ -325,12 +316,8 @@ impl Drop for CorpusServer {
     }
 }
 
-/// One shard's answer for a dispatch round: per coalesced group (in round
-/// order), that shard's top-k hits and the executor stats of the search.
-type ShardRoundResults = Vec<(Vec<CorpusHit>, ExecutorStats)>;
-
 /// The dispatcher: pop one submission (blocking), sweep in whoever else is
-/// already in line, coalesce by `(canonical query, k)`, execute each group
+/// already in line, coalesce by `(canonical query, k)`, execute each key
 /// once on the shard pool, fan each shared answer out. Exits when the
 /// queue is closed *and* drained.
 fn dispatch_loop(inner: &ServerInner) {
@@ -342,10 +329,10 @@ fn dispatch_loop(inner: &ServerInner) {
     let shard_busy: Vec<Arc<Histogram>> = (0..shards)
         .map(|shard| inner.counters.registry().histogram(&format!("xsact_shard_{shard}_busy_ns")))
         .collect();
-    let mut pool: ShardPool<Vec<(Query, usize)>, ShardRoundResults> = ShardPool::new(shards, {
+    let mut pool = ShardPool::new(shards, {
         let corpus = Arc::clone(&inner.corpus);
         let faults = inner.config.faults.clone();
-        move |shard, batch: &Vec<(Query, usize)>| {
+        move |shard, (query, k): &(Query, usize)| {
             if let Some(millis) = faults.should_fire("slow_execute", shard) {
                 std::thread::sleep(Duration::from_millis(millis));
             }
@@ -357,7 +344,7 @@ fn dispatch_loop(inner: &ServerInner) {
             // function of (shards, documents), recomputed per broadcast
             // because it is trivially cheap next to a search.
             let parts = ShardPlan::new(shards).partition(corpus.len());
-            let result = corpus.execute_shard_batch(batch, &parts[shard]);
+            let result = corpus.execute_shard(query, *k, &parts[shard]);
             shard_busy[shard].record_duration(busy.elapsed());
             result
         }
@@ -365,71 +352,54 @@ fn dispatch_loop(inner: &ServerInner) {
     while let Some(first) = inner.queue.pop() {
         let round_start = Instant::now();
         let mut round = vec![first];
-        round.extend(inner.queue.drain_pending(inner.config.max_batch - 1));
+        round.extend(inner.queue.drain_pending());
         for submission in &mut round {
             submission.queued = submission.submitted.elapsed();
         }
         let groups = coalesce(round, |s| (s.canonical.clone(), s.k));
         inner.counters.record_batch_form(round_start.elapsed());
-        // Dispatch-time deadline check: a member whose budget already
-        // elapsed never executes — its answer could only arrive late.
-        let live_groups: Vec<Vec<Submission>> =
-            groups.into_iter().filter_map(|group| reject_expired(inner, group)).collect();
-        if live_groups.is_empty() {
-            continue; // every member expired; nothing to run
-        }
-        // One broadcast executes the whole round: each shard worker runs
-        // every group's query over its document slice, one after another,
-        // so a round costs one wake-up per worker however many groups it
-        // holds.
-        let round_batch: Vec<(Query, usize)> =
-            live_groups.iter().map(|group| (group[0].query.clone(), group[0].k)).collect();
-        let execute_start = Instant::now();
-        let restarts_before = pool.restarts();
-        let shard_results = pool.broadcast(round_batch);
-        let execute = execute_start.elapsed();
-        let panicked = shard_results.iter().find_map(|r| r.as_ref().err().cloned());
-        if let Some(panic) = panicked {
-            // The round is lost, but *only* this round: the supervisor
-            // already respawned every failed worker inside broadcast, so
-            // the next round runs on a healthy pool.
-            let members: usize = live_groups.iter().map(Vec::len).sum();
-            inner.counters.record_shard_failure(members, pool.restarts() - restarts_before);
-            for member in live_groups.into_iter().flatten() {
-                let _ = member.reply.send(Err(XsactError::ShardFailed {
-                    shard: panic.shard,
-                    detail: panic.detail.clone(),
-                }));
-            }
-            continue;
-        }
-        // Per-shard result streams, consumed group by group in shard
-        // order — exactly the order the per-group broadcast produced.
-        let mut per_shard: Vec<std::vec::IntoIter<(Vec<CorpusHit>, ExecutorStats)>> = shard_results
-            .into_iter()
-            .map(|result| result.expect("panic outcomes handled above").into_iter())
-            .collect();
-        for group in live_groups {
+        for group in groups {
+            // Dispatch-time deadline check, right before this key's
+            // broadcast: a member whose budget already elapsed never
+            // executes — its answer could only arrive late.
+            let Some(group) = reject_expired(inner, group) else { continue };
             let k = group[0].k;
+            let execute_start = Instant::now();
+            let restarts_before = pool.restarts();
+            // One broadcast per key: every shard runs this key's query over
+            // its document slice, and the first panicked shard (in shard
+            // order) fails this key's members only.
+            let outcome: Result<Vec<_>, _> =
+                pool.broadcast((group[0].query.clone(), k)).into_iter().collect();
+            let execute = execute_start.elapsed();
+            let per_shard = match outcome {
+                Ok(per_shard) => per_shard,
+                Err(panic) => {
+                    // The supervisor already respawned every failed worker
+                    // inside broadcast, so the next key runs on a healthy
+                    // pool.
+                    inner
+                        .counters
+                        .record_shard_failure(group.len(), pool.restarts() - restarts_before);
+                    for member in group {
+                        let _ = member.reply.send(Err(XsactError::ShardFailed {
+                            shard: panic.shard,
+                            detail: panic.detail.clone(),
+                        }));
+                    }
+                    continue;
+                }
+            };
             let canonical = group[0].canonical.clone();
             // The most conservative generation across members: if *any*
             // member looked up before an invalidation, do not cache.
             let cache_gen = group.iter().map(|m| m.cache_gen).min().unwrap_or(0);
-            let mut stats = ExecutorStats::default();
-            let mut lists = Vec::with_capacity(per_shard.len());
-            for shard_stream in &mut per_shard {
-                let (hits, shard_stats) =
-                    shard_stream.next().expect("one result per group per shard");
-                stats += shard_stats;
-                lists.push(hits);
-            }
+            let stats = per_shard.iter().fold(ExecutorStats::default(), |sum, (_, s)| sum + *s);
+            let lists = per_shard.into_iter().map(|(hits, _)| hits).collect();
             let ranking = Arc::new(merge_shard_lists(lists, k, shards));
             // Post-execute deadline check: an answer that arrived after
             // the member's deadline is discarded, not delivered late.
-            let answered = match reject_expired(inner, group) {
-                Some(answered) => answered,
-                None => continue,
-            };
+            let Some(answered) = reject_expired(inner, group) else { continue };
             // Latency histograms record once per *answered* member — the
             // exposition contract pins each count to queries_served, and
             // rejected members are counted in their rejection counters
@@ -736,6 +706,12 @@ impl TcpServeHandle {
 /// Most connections [`serve_tcp`] serves at once — each holds a thread.
 const MAX_CONNECTIONS: usize = 1024;
 
+/// Read/write timeout of every TCP connection, so a stalled or
+/// slow-dripping client (slowloris) releases its thread instead of
+/// occupying it forever. A timed-out connection is closed; its session
+/// dies with it.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Binds `addr` (e.g. `127.0.0.1:4141`, port 0 for an ephemeral port) and
 /// serves `server` over the line protocol: one thread per connection, one
 /// [`ServeSession`] per connection, request lines framed by
@@ -805,13 +781,13 @@ fn serve_tcp_impl(
 
 /// One connection's request loop. Exits on `QUIT`, `SHUTDOWN`, EOF, a
 /// broken stream, an I/O timeout (a slowloris client that stops mid-line
-/// loses its thread after [`ServeConfig::io_timeout`], not never), or a
-/// line the framer refuses (longer than the cap, or not UTF-8), which is
-/// answered `ERR BAD_REQUEST` first.
+/// loses its thread after [`IO_TIMEOUT`], not never), or a line the framer
+/// refuses (longer than the cap, or not UTF-8), which is answered
+/// `ERR BAD_REQUEST` first.
 fn serve_connection(shared: &TcpShared, mut stream: &TcpStream) {
     let config = &shared.server.inner.config;
-    let _ = stream.set_read_timeout(config.io_timeout);
-    let _ = stream.set_write_timeout(config.io_timeout);
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let mut session = shared.server.session();
     let mut lines = LineBuffer::new();
     let mut chunk = [0u8; 4096];

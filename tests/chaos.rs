@@ -89,6 +89,51 @@ fn shard_panic_on_third_batch_recovers_byte_identical() {
     }
 }
 
+/// A shard panic fails only the key whose broadcast panicked. Query A
+/// stalls shard 0 for 400 ms; meanwhile two other sessions submit distinct
+/// keys B and C, which therefore share the next dispatch round. Shard 1's
+/// second call (the round's first key) panics: that key's member gets
+/// `ShardFailed`, the other key runs on the respawned pool and is
+/// byte-identical to sequential execution.
+#[test]
+fn a_shard_panic_fails_only_the_key_whose_broadcast_panicked() {
+    let corpus = chaos_corpus(2);
+    let server = CorpusServer::start(
+        Arc::clone(&corpus),
+        ServeConfig {
+            faults: FaultPlan::parse("slow_execute:0@1x400,shard_panic:1@2").unwrap(),
+            ..ServeConfig::default()
+        },
+    );
+    let sequential = |text: &str| corpus.query(text).unwrap().ranking().render(4);
+    let (a, b, c) = ("drama family", "comedy wedding", "action hero");
+    let [first, second, third] = std::thread::scope(|scope| {
+        let query = |text: &'static str| {
+            let server = &server;
+            scope.spawn(move || server.session().query(text).map(|answer| answer.ranking.render(4)))
+        };
+        let first = query(a);
+        // The pause only puts A first in the queue; the 400 ms stall on
+        // shard 0 then keeps B and C queued together behind it. Whatever
+        // the timing, exactly one of B and C meets the panic here — but
+        // only a shared round makes both fail at a per-round broadcast.
+        std::thread::sleep(Duration::from_millis(100));
+        [first, query(b), query(c)].map(|handle| handle.join().unwrap())
+    });
+    assert_eq!(first.unwrap(), sequential(a), "the stalled query is answered");
+    let (failed, answered): (Vec<_>, Vec<_>) =
+        [(b, second), (c, third)].into_iter().partition(|(_, outcome)| outcome.is_err());
+    assert_eq!((failed.len(), answered.len()), (1, 1), "{failed:?} {answered:?}");
+    let err = failed[0].1.as_ref().unwrap_err();
+    assert!(matches!(err, XsactError::ShardFailed { shard: 1, .. }), "{err}");
+    let (text, outcome) = &answered[0];
+    assert_eq!(outcome.as_ref().unwrap(), &sequential(text), "{text:?} ran on the respawned pool");
+    let stats = server.stats();
+    assert_eq!(stats.shard_failed, 1, "only the panicked key's member failed");
+    assert_eq!(stats.shard_restarts, 1);
+    assert_eq!(stats.queries_served, 2);
+}
+
 // ------------------------------------------------------ deadlines under load
 
 /// `slow_execute` stalls a worker past the deadline: the answer is

@@ -118,7 +118,7 @@ fn xsact_table_reaches_dod_5() {
     }
 
     // Exhaustive confirms 5 is optimal at this bound.
-    let opt = comparison.run_exhaustive(5_000_000).expect("small instance");
+    let opt = comparison.run(Algorithm::Exhaustive { limit: 5_000_000 });
     assert_eq!(opt.dod(), 5);
 }
 

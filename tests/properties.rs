@@ -1730,7 +1730,7 @@ fn multi_swap_is_optimal_on_tiny_instances() {
         let bound = rng.random_range(0..4usize);
         let comparison = Comparison::new(&features).size_bound(bound);
         let multi = comparison.run(Algorithm::MultiSwap);
-        let opt = comparison.run_exhaustive(10_000).expect("tiny instance");
+        let opt = comparison.run(Algorithm::Exhaustive { limit: 10_000 });
         // With 2 results and a single entity, per-result best response is
         // globally optimal: prove multi-swap matches the oracle.
         assert_eq!(multi.dod(), opt.dod(), "seed {seed} bound {bound}");

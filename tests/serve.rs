@@ -218,6 +218,8 @@ fn tcp_line_protocol_end_to_end() {
     assert!(empty[0].starts_with("ERR EMPTY_QUERY "), "{empty:?}");
     let top_bad = roundtrip(&mut writer, &mut responses, "TOP many");
     assert!(top_bad[0].starts_with("ERR BAD_REQUEST "), "{top_bad:?}");
+    let top_huge = roundtrip(&mut writer, &mut responses, "TOP 1001");
+    assert_eq!(top_huge, vec!["ERR BAD_REQUEST TOP takes at most 1000, got 1001"]);
 
     // SHUTDOWN answers, then the whole front end winds down.
     let bye = roundtrip(&mut writer, &mut responses, "SHUTDOWN");
