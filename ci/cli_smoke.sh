@@ -30,6 +30,16 @@ for shop in "east gps" "west gps navigation"; do
     printf '<shop><product><name>%s unit</name><kind>%s</kind></product></shop>' \
         "$name" "$kind" >"$DIR/xml/$name.xml"
 done
+# A second corpus whose names and text take every lexer path: uppercase
+# and multi-term tag and attribute names (an attribute named like a tag),
+# and text mixing ASCII with non-ASCII letters and digits.
+mkdir -p "$DIR/mixed"
+cat >"$DIR/mixed/alpine.xml" <<'EOF'
+<Product_Line Region="Nord-Süd"><Product easyToRead="YES" Product_Line="GPS-630"><Name>TomTom Go 630 GPS</Name><Größe>12 cm² Maß</Größe><Note>ÉTÉ Straße İstanbul easy_to_read GPS</Note></Product><Product easyToRead="no"><Name>Garmin eTrex²</Name><Note>Plain ASCII gps unit, rugged.</Note></Product></Product_Line>
+EOF
+cat >"$DIR/mixed/coastal.xml" <<'EOF'
+<Product_Line Region="West"><Product Product_Line="NAV" easyToRead="Yes"><Name>Garmin Drive 52</Name><Note>Crème brûlée GPS x² · naïve café</Note></Product><Review_Set><Review Stars="4">Easy to read, GPS fix in 30 s</Review></Review_Set></Product_Line>
+EOF
 
 normalize() {
     sed -E -e 's/^(DoD = .*), [0-9.]+[^ ]*s$/\1, <t>/' \
@@ -85,6 +95,10 @@ cases() {
     # Cold (builds and saves the indexes), then warm (loads them).
     run_case corpus --dir "$DIR/xml" --query gps --top 2 --index-dir "$DIR/index"
     run_case corpus --dir "$DIR/xml" --query gps --top 2 --index-dir "$DIR/index"
+    # Cold over the mixed corpus, then the bytes of every index it wrote:
+    # a change to the lexer or the build that moves one `.xidx` byte shows.
+    run_case corpus --dir "$DIR/mixed" --query "product line" --top 2 --index-dir "$DIR/mixed-index"
+    (cd "$DIR/mixed-index" && cksum -- *.xidx)
 }
 
 if [[ "${1:-}" == "--bless" ]]; then
