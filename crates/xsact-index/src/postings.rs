@@ -7,6 +7,15 @@
 //! * a **text** run contributes its terms to the *parent element* — so match
 //!   nodes are always elements, which is what LCA semantics expect.
 //!
+//! A document repeats a few hundred tag and attribute names across tens of
+//! thousands of elements, and has already interned them as [`Sym`]s. The
+//! build keeps a **name memo** indexed by those symbols: the first time a
+//! name occurs its terms are lexed and interned, and their term symbols go
+//! into one flat arena; every later element carrying the name replays that
+//! range through the same per-node dedup. Interning happens at the first
+//! occurrence either way, so the term order — and with it the frame
+//! layout and the saved `.xidx` bytes — is the order of the walk.
+//!
 //! Storage is compressed: terms are normalised straight into a term
 //! [`Interner`] (one heap copy per distinct term) and every posting list is
 //! split into 128-entry (`FRAME`) **delta-bit-packed frames** living in one
@@ -128,6 +137,70 @@ impl PackedBuilder {
     }
 }
 
+/// The state of one [`InvertedIndex::build`] walk.
+struct Builder {
+    /// Distinct normalised terms, in first-seen order.
+    terms: Interner,
+    /// Per term symbol, the raw posting list.
+    lists: Vec<Vec<NodeId>>,
+    /// Terms already recorded for the node under construction — nodes
+    /// carry few distinct terms, so a linear scan beats hashing.
+    node_terms: Vec<Sym>,
+    scratch: String,
+    /// The name memo: per document name symbol, its range of `name_terms`
+    /// once the name has been lexed.
+    names: Vec<Option<(u32, u32)>>,
+    /// The term symbols of every lexed name, back to back.
+    name_terms: Vec<Sym>,
+}
+
+impl Builder {
+    /// Lexes `text`, interning each term, and hands each term's symbol to
+    /// `f`.
+    fn lex(&mut self, text: &str, mut f: impl FnMut(&mut Builder, Sym)) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        for_each_term(text, &mut scratch, |term| {
+            let sym = self.terms.intern(term);
+            if sym.index() == self.lists.len() {
+                self.lists.push(Vec::new());
+            }
+            f(self, sym);
+        });
+        self.scratch = scratch;
+    }
+
+    /// Records that `node` matches the term `sym`, once per node.
+    fn post(&mut self, sym: Sym, node: NodeId) {
+        if !self.node_terms.contains(&sym) {
+            self.node_terms.push(sym);
+            self.lists[sym.index()].push(node);
+        }
+    }
+
+    fn add_text(&mut self, text: &str, node: NodeId) {
+        self.lex(text, |b, sym| b.post(sym, node));
+    }
+
+    /// Posts the terms of the tag or attribute name `name` to `node`. A
+    /// name is lexed the first time it occurs; later occurrences replay
+    /// its terms from the memo.
+    fn add_name(&mut self, doc: &Document, name: Sym, node: NodeId) {
+        let (start, end) = match self.names[name.index()] {
+            Some(range) => range,
+            None => {
+                let start = self.name_terms.len() as u32;
+                self.lex(doc.interner().resolve(name), |b, sym| b.name_terms.push(sym));
+                let range = (start, self.name_terms.len() as u32);
+                self.names[name.index()] = Some(range);
+                range
+            }
+        };
+        for i in start as usize..end as usize {
+            self.post(self.name_terms[i], node);
+        }
+    }
+}
+
 /// An inverted index over one [`Document`].
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
@@ -146,60 +219,34 @@ pub struct InvertedIndex {
 impl InvertedIndex {
     /// Builds the index in a single pass over the document.
     pub fn build(doc: &Document) -> Self {
-        let mut terms = Interner::new();
-        // Per term symbol, the raw posting list (sorted and deduplicated
-        // once, below).
-        let mut lists: Vec<Vec<NodeId>> = Vec::new();
-        let mut scratch = String::new();
-        // Terms already recorded for the node under construction — nodes
-        // carry few distinct terms, so a linear scan beats hashing.
-        let mut node_terms: Vec<Sym> = Vec::new();
-        let add_text = |lists: &mut Vec<Vec<NodeId>>,
-                        terms: &mut Interner,
-                        node_terms: &mut Vec<Sym>,
-                        scratch: &mut String,
-                        text: &str,
-                        node: NodeId| {
-            for_each_term(text, scratch, |term| {
-                let sym = terms.intern(term);
-                if sym.index() == lists.len() {
-                    lists.push(Vec::new());
-                }
-                if !node_terms.contains(&sym) {
-                    node_terms.push(sym);
-                    lists[sym.index()].push(node);
-                }
-            });
+        let mut b = Builder {
+            terms: Interner::new(),
+            lists: Vec::new(),
+            node_terms: Vec::new(),
+            scratch: String::new(),
+            names: vec![None; doc.interner().len()],
+            name_terms: Vec::new(),
         };
         for node in doc.all_nodes() {
-            if doc.is_element(node) {
-                node_terms.clear();
-                add_text(
-                    &mut lists,
-                    &mut terms,
-                    &mut node_terms,
-                    &mut scratch,
-                    doc.tag(node),
-                    node,
-                );
-                for (name, value) in doc.attrs(node) {
-                    add_text(&mut lists, &mut terms, &mut node_terms, &mut scratch, name, node);
-                    add_text(&mut lists, &mut terms, &mut node_terms, &mut scratch, value, node);
+            // Dedup per element, and per text run: the parent may
+            // legitimately appear once per child text run, and the final
+            // document-order dedup collapses those.
+            b.node_terms.clear();
+            if let Some(tag) = doc.tag_sym(node) {
+                b.add_name(doc, tag, node);
+                for (name, value) in doc.attrs_syms(node) {
+                    b.add_name(doc, name, node);
+                    b.add_text(value, node);
                 }
-            } else if let Some(t) = doc.text(node) {
-                if let Some(parent) = doc.parent(node) {
-                    // Dedup within this text run only — the parent may
-                    // legitimately appear once per child text run, and the
-                    // final document-order dedup collapses those.
-                    node_terms.clear();
-                    add_text(&mut lists, &mut terms, &mut node_terms, &mut scratch, t, parent);
-                }
+            } else if let (Some(text), Some(parent)) = (doc.text(node), doc.parent(node)) {
+                b.add_text(text, parent);
             }
         }
         // Document order is id order. The walk does not produce it — a text
         // run posts to its parent, behind the elements between the two — and
         // an element may match a term through its tag and several text
         // children: sort and deduplicate.
+        let Builder { terms, mut lists, .. } = b;
         for list in &mut lists {
             list.sort_unstable();
             list.dedup();

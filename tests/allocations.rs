@@ -9,7 +9,8 @@
 //! pays per document: a parse is a fixed number of arrays however many
 //! nodes it reads, sixteen bytes of them per node plus the node's own
 //! text, and loading its index allocates for the dictionary and nothing
-//! per posting list.
+//! per posting list. A cold boot's index build allocates per term, not
+//! per element.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -197,4 +198,23 @@ fn loading_an_index_allocates_for_the_dictionary_and_nothing_per_list() {
     // Growth steps of the read buffer and of the term interner, and one
     // block per adopted array: far below one per term.
     assert!(blocks <= 64 && blocks < terms / 4, "{blocks} blocks for {terms} terms");
+}
+
+/// A cold boot builds one index per document. The build lexes text without
+/// a `String` per term and each distinct tag or attribute name once, so
+/// what it allocates follows the terms — a posting list and its growth
+/// steps per term, the interners' and the packed frames' arrays — and not
+/// the elements. On this document (553 terms, 19 094 elements) that was
+/// 1 512 blocks, 2.7 per term, before the build memoised name terms, and
+/// 1 516 after. A change that allocates per element or per name occurrence
+/// fails here.
+#[test]
+fn building_an_index_allocates_per_term_not_per_element() {
+    use xsact::index::InvertedIndex;
+    let doc = xsact::xml::parse_document(&movies_xml()).unwrap();
+    let elements = doc.all_nodes().filter(|&n| doc.is_element(n)).count() as u64;
+    let (index, blocks) = counted(|| InvertedIndex::build(&doc));
+    let terms = index.term_count() as u64;
+    assert!(elements > 30 * terms, "{elements} elements for {terms} terms");
+    assert!(blocks <= 4 * terms, "{blocks} blocks for {terms} terms");
 }

@@ -185,14 +185,32 @@ fn every_slca_is_an_elca() {
     }
 }
 
+/// The seed's tokenizer, char by char and independent of the lexer under
+/// test: lowercased alphanumeric runs, each term once, in first-seen order.
+fn oracle_terms(text: &str) -> Vec<String> {
+    let mut terms: Vec<String> = Vec::new();
+    let mut current = String::new();
+    for c in text.chars().chain([' ']) {
+        if c.is_alphanumeric() {
+            current.extend(c.to_lowercase());
+        } else if !current.is_empty() {
+            let term = std::mem::take(&mut current);
+            if !terms.contains(&term) {
+                terms.push(term);
+            }
+        }
+    }
+    terms
+}
+
 /// A string-keyed inverted index built exactly the way the seed did it —
 /// `HashMap<String, Vec<NodeId>>`, owned `String` terms, per-node
-/// `tokenize_unique` — used as the oracle for the interned index.
+/// [`oracle_terms`] — used as the oracle for the interned index.
 fn string_keyed_oracle(doc: &Document) -> std::collections::HashMap<String, Vec<NodeId>> {
     use std::collections::HashMap;
     let mut postings: HashMap<String, Vec<NodeId>> = HashMap::new();
     let add_terms = |postings: &mut HashMap<String, Vec<NodeId>>, text: &str, node: NodeId| {
-        for term in xsact_index::lexer::tokenize_unique(text) {
+        for term in oracle_terms(text) {
             postings.entry(term).or_default().push(node);
         }
     };
@@ -219,22 +237,80 @@ fn string_keyed_oracle(doc: &Document) -> std::collections::HashMap<String, Vec<
     postings
 }
 
+/// Tag and attribute names of [`mixed_document`]: mixed case, several
+/// terms per name, non-ASCII letters, and one pool for tags and attributes,
+/// so attribute names repeat tag names.
+const MIXED_NAMES: [&str; 7] =
+    ["Product_Line", "easyToRead", "item", "Größe_Maß", "REVIEW-set", "x²", "b"];
+/// Words of [`mixed_document`]'s text: ASCII beside `É`, `ß`, `İ` and `²`.
+const MIXED_WORDS: [&str; 10] =
+    ["TomTom", "gps", "GPS", "ÉTÉ", "été", "Straße", "İstanbul", "x²", "easy_to_read", "Item"];
+const MIXED_SEPARATORS: [&str; 5] = [" ", "-", ", ", " · ", ""];
+
+fn mixed_text(rng: &mut StdRng) -> String {
+    let mut text = String::new();
+    for _ in 0..rng.random_range(0..=5usize) {
+        text.push_str(pick(rng, &MIXED_SEPARATORS));
+        text.push_str(pick(rng, &MIXED_WORDS));
+    }
+    text
+}
+
+/// Gives the element `el`, the node appended last, up to two attributes
+/// and then, above depth 0, a few text runs and child elements.
+fn fill_mixed_element(doc: &mut Document, rng: &mut StdRng, el: NodeId, depth: usize) {
+    let mut named: Vec<&str> = Vec::new();
+    for _ in 0..rng.random_range(0..=2usize) {
+        let name = pick(rng, &MIXED_NAMES);
+        if !named.contains(&name) {
+            named.push(name);
+            doc.set_attr(el, name, mixed_text(rng));
+        }
+    }
+    if depth == 0 {
+        return;
+    }
+    for _ in 0..rng.random_range(0..4usize) {
+        if rng.random_bool(0.4) {
+            doc.add_text(el, mixed_text(rng));
+        } else {
+            let child = doc.add_element(el, pick(rng, &MIXED_NAMES));
+            fill_mixed_element(doc, rng, child, depth - 1);
+        }
+    }
+}
+
+/// A random tree over [`MIXED_NAMES`] and [`MIXED_WORDS`]: what the index
+/// build's name memo and the lexer's two loops both touch.
+fn mixed_document(rng: &mut StdRng) -> Document {
+    let mut doc = Document::new(pick(rng, &MIXED_NAMES));
+    let root = doc.root();
+    fill_mixed_element(&mut doc, rng, root, 4);
+    doc
+}
+
 #[test]
 fn interned_index_matches_string_keyed_oracle() {
-    for seed in 0..64u64 {
-        let doc = random_document(&mut StdRng::seed_from_u64(seed));
-        let idx = InvertedIndex::build(&doc);
-        let oracle = string_keyed_oracle(&doc);
-        assert_eq!(idx.term_count(), oracle.len(), "seed {seed}: term universes differ");
-        for (term, list) in &oracle {
-            assert_eq!(idx.postings(term), list.as_slice(), "seed {seed} term {term:?}");
-            assert!(idx.contains(term), "seed {seed} term {term:?}");
+    type Generator = fn(&mut StdRng) -> Document;
+    for (generator, generate) in
+        [("plain", random_document as Generator), ("mixed", mixed_document)]
+    {
+        for seed in 0..64u64 {
+            let what = format!("{generator} seed {seed}");
+            let doc = generate(&mut StdRng::seed_from_u64(seed));
+            let idx = InvertedIndex::build(&doc);
+            let oracle = string_keyed_oracle(&doc);
+            assert_eq!(idx.term_count(), oracle.len(), "{what}: term universes differ");
+            for (term, list) in &oracle {
+                assert_eq!(idx.postings(term), list.as_slice(), "{what} term {term:?}");
+                assert!(idx.contains(term), "{what} term {term:?}");
+            }
+            // Dictionary iteration covers exactly the oracle's terms, sorted.
+            let dict: Vec<&str> = idx.terms().collect();
+            let mut expected: Vec<&str> = oracle.keys().map(String::as_str).collect();
+            expected.sort_unstable();
+            assert_eq!(dict, expected, "{what}");
         }
-        // Dictionary iteration covers exactly the oracle's terms, sorted.
-        let dict: Vec<&str> = idx.terms().collect();
-        let mut expected: Vec<&str> = oracle.keys().map(String::as_str).collect();
-        expected.sort_unstable();
-        assert_eq!(dict, expected, "seed {seed}");
     }
 }
 
