@@ -95,10 +95,20 @@ cases() {
     # Cold (builds and saves the indexes), then warm (loads them).
     run_case corpus --dir "$DIR/xml" --query gps --top 2 --index-dir "$DIR/index"
     run_case corpus --dir "$DIR/xml" --query gps --top 2 --index-dir "$DIR/index"
-    # Cold over the mixed corpus, then the bytes of every index it wrote:
-    # a change to the lexer or the build that moves one `.xidx` byte shows.
-    run_case corpus --dir "$DIR/mixed" --query "product line" --top 2 --index-dir "$DIR/mixed-index"
+    # Cold over the mixed corpus, then the bytes of every image it wrote:
+    # a change to the parser, the lexer or the build that moves one
+    # `.xidx` byte shows.
+    mixed=(corpus --dir "$DIR/mixed" --query "product line" --top 2 --index-dir "$DIR/mixed-index")
+    run_case "${mixed[@]}" | tee "$DIR/mixed-cold.out"
     (cd "$DIR/mixed-index" && cksum -- *.xidx)
+    # Warm over the same index dir: every document decodes from its image.
+    # It must print no warning and the cold run's bytes, so it is diffed
+    # against that run here rather than printed into the golden again.
+    run_case "${mixed[@]}" >"$DIR/mixed-warm.out"
+    if ! diff -u <(normalize <"$DIR/mixed-cold.out") <(normalize <"$DIR/mixed-warm.out") >&2; then
+        echo "FAIL: the warm boot over the mixed corpus differs from its cold boot" >&2
+        return 1
+    fi
 }
 
 if [[ "${1:-}" == "--bless" ]]; then

@@ -60,8 +60,8 @@ fn run_single(
     let mut out = String::new();
     let doc = load_dataset(args);
     let wb = match &args.load_index {
-        // A persisted index skips the indexing scan; the fingerprint check
-        // inside rejects an index saved for a different dataset/seed.
+        // A persisted image skips the indexing scan; the loader rejects an
+        // image whose document is not this dataset/seed's.
         Some(path) => {
             let mut file = std::fs::File::open(path)?;
             let wb = Workbench::from_persisted_index(doc, &mut file)?;
@@ -442,11 +442,11 @@ fn read_response(
 }
 
 /// Backoff before overload-retry `attempt`: a doubling 25 ms base plus a
-/// 0..16 ms jitter hashed (FNV-1a) from the request text and the attempt
-/// number — concurrent clients de-synchronise without an RNG, and reruns
-/// are bit-reproducible.
+/// 0..16 ms jitter hashed ([`WordHasher`](xsact::xml::WordHasher)) from
+/// the request text and the attempt number — concurrent clients
+/// de-synchronise without an RNG, and reruns are bit-reproducible.
 fn overload_backoff(request: &str, attempt: u32) -> Duration {
-    let mut hasher = xsact::xml::FnvHasher::new();
+    let mut hasher = xsact::xml::WordHasher::new();
     hasher.write(request.as_bytes());
     hasher.write(&attempt.to_le_bytes());
     let jitter_ms = hasher.finish() % 16;
@@ -710,7 +710,7 @@ mod tests {
         let tmp = TempDir::new("mismatch");
         let path = tmp.path("figure1.xidx");
         run(&args_for("figure1", &["--save-index", &path])).expect("save run");
-        // The jobs dataset has a different fingerprint → typed I/O error.
+        // The image holds the figure1 document, not jobs → typed I/O error.
         let err = run(&args_for("jobs", &["--load-index", &path])).unwrap_err();
         assert!(matches!(err, XsactError::Io(_)));
     }

@@ -267,7 +267,7 @@ command! {
             "serialise the inverted index after the run";
         load_index: Option<String> = None, "--load-index" "<path>",
             "restore the index instead of rebuilding it\n\
-             (fingerprint-checked against the dataset)";
+             (checked against the dataset's document)";
     }
 }
 

@@ -98,7 +98,7 @@ impl SearchEngine {
 
     /// Assembles an engine from a document and a pre-built (e.g. loaded)
     /// index. The caller is responsible for index/document consistency —
-    /// [`crate::persist::load_index`] enforces it via the fingerprint.
+    /// [`crate::persist::load_image`] decodes both from one file.
     pub fn from_parts(doc: Document, index: InvertedIndex) -> Self {
         let summary = StructureSummary::infer(&doc);
         SearchEngine { doc, summary, index }

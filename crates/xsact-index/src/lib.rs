@@ -19,7 +19,9 @@
 //! * a [`SearchEngine`] that turns SLCAs into *results* by promoting each
 //!   match to its master entity, as XSeek's return-node inference does —
 //!   including the bounded [`SearchEngine::search_top_k`] executor behind
-//!   every `take(k)`-style caller.
+//!   every `take(k)`-style caller,
+//! * [`persist`] — the `.xidx` image: a parsed document and its index in
+//!   one validated file, keyed by a digest of the XML it came from.
 
 #![forbid(unsafe_code)]
 
@@ -34,7 +36,7 @@ pub mod slca;
 
 pub use engine::{RankedRoot, ResultSemantics, SearchEngine, SearchResult};
 pub use lexer::tokenize;
-pub use persist::{document_fingerprint, load_index, save_index};
+pub use persist::{load_image, save_image};
 pub use plan::{ExecutorStats, QueryPlan, SlcaStream};
 pub use postings::{IndexStats, InvertedIndex, PostingsIter, PostingsRef};
 pub use query::Query;

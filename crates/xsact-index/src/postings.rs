@@ -280,8 +280,13 @@ impl InvertedIndex {
     /// The persistence loader validates terms (sorted, unique) and frames
     /// before calling this, so the arrays are moved in as-is — which is what
     /// keeps save → load → save byte-stable.
-    pub(crate) fn from_packed_parts(dict: &[(&str, u32)], store: PackedStore) -> Self {
-        let mut terms = Interner::new();
+    /// `term_bytes` is the dictionary's total term length.
+    pub(crate) fn from_packed_parts(
+        dict: &[(&str, u32)],
+        term_bytes: usize,
+        store: PackedStore,
+    ) -> Self {
+        let mut terms = Interner::with_capacity(dict.len(), term_bytes);
         let mut spans = Vec::with_capacity(dict.len());
         let mut sorted = Vec::with_capacity(dict.len());
         let mut next_frame = 0u32;

@@ -49,12 +49,54 @@
 //! documented programmer error.
 //!
 //! Documents can be built programmatically (dataset generators do this) or by
-//! the parser in [`crate::parse`].
+//! the parser in [`crate::parse`], which also records a digest of the
+//! source text ([`Document::source_digest`]); every `add_*` builder and
+//! [`Document::set_attr`] clears it, so a document that carries one is
+//! exactly the parse of that text.
+//!
+//! # The image
+//!
+//! [`Document::write_image`] writes the document as the arrays it is, less
+//! what they imply — `parent` and the element count are derived on load —
+//! so a warm boot decodes a document instead of parsing its XML. All
+//! integers are `u32` LE:
+//!
+//! ```text
+//! names    count, then per symbol in symbol order: len, UTF-8 bytes
+//! nodes    n, then end[n], kind[n], mark[n]     12 bytes per node
+//! attrs    count, then per record: owner, name, start, len
+//! text     len, then the arena's UTF-8 bytes
+//! ```
+//!
+//! [`Document::read_image`] measures every section against the bytes
+//! present before it allocates, sizes each array exactly, and derives
+//! `parent` and the element count in the one stack pass that checks the
+//! shape, so a document it returns is one the builders could have built:
+//!
+//! * node 0 is an element whose extent is the whole array (a single
+//!   root); every other extent satisfies `end[i] > i` and lies inside its
+//!   parent's, and elements nest at most [`MAX_DEPTH`] deep;
+//! * a text run (`kind` [`u32::MAX`]) has no children, and every element's
+//!   kind is a symbol of the name table, whose names are distinct;
+//! * marks start at 0, never decrease, stay inside the arena and fall on
+//!   char boundaries of it (the arena is UTF-8);
+//! * attribute records are sorted by owner, owned by elements, and name
+//!   known symbols; an element's records tile its window of the arena —
+//!   from its mark to the next node's — back to back, as `set_attr` writes
+//!   them.
+//!
+//! Anything else is a typed [`io::ErrorKind::InvalidData`] (a section
+//! shorter than it declares is [`io::ErrorKind::UnexpectedEof`]), and a
+//! document read back writes the same image bytes. Documents built
+//! programmatically deeper than [`MAX_DEPTH`] write an image no reader
+//! accepts.
 
 use crate::dewey::DeweyId;
 use crate::error::XmlResult;
-use crate::interner::{Interner, Sym};
+use crate::interner::{Interner, Sym, WordHasher};
+use crate::parse::MAX_DEPTH;
 use std::fmt;
+use std::io::{self, Write};
 use std::ops::Range;
 
 /// Handle to a node inside a [`Document`]'s arena.
@@ -110,7 +152,7 @@ fn too_large() -> ! {
 
 /// One attribute of one element: `name="value"`, the value a span of the
 /// text arena.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct AttrRecord {
     /// The element's node id; the table is sorted by it.
     owner: u32,
@@ -139,7 +181,29 @@ pub struct Document {
     /// scorer needs it per query, and recounting 10⁴ nodes per search was
     /// a measurable constant cost.
     element_count: usize,
+    /// The digest of the XML text this document is the parse of; `None`
+    /// once a builder changed it, and for a document built in code.
+    source_digest: Option<u64>,
 }
+
+/// Two documents are equal when they hold the same tree: the same names in
+/// the same symbol order, the same node arrays, attribute table and text.
+/// Where a document came from — its
+/// [`source_digest`](Document::source_digest) — is not part of it.
+impl PartialEq for Document {
+    fn eq(&self, other: &Document) -> bool {
+        self.symbols.iter().eq(other.symbols.iter())
+            && self.parent == other.parent
+            && self.end == other.end
+            && self.kind == other.kind
+            && self.mark == other.mark
+            && self.text == other.text
+            && self.attrs == other.attrs
+            && self.element_count == other.element_count
+    }
+}
+
+impl Eq for Document {}
 
 /// Heap-size breakdown of a document's interned substrate. Produced by
 /// [`Document::substrate_stats`].
@@ -180,6 +244,7 @@ impl Document {
             text: String::with_capacity((input_len / 2).min(4096)),
             attrs: Vec::new(),
             element_count: 0,
+            source_digest: None,
         };
         let tag = doc.symbols.intern(root_tag);
         doc.push(NONE, tag.raw());
@@ -212,6 +277,19 @@ impl Document {
         self.mark.shrink_to_fit();
         self.text.shrink_to_fit();
         self.attrs.shrink_to_fit();
+    }
+
+    /// The parser's last step: this document is the parse of `source`.
+    pub(crate) fn record_source(&mut self, source: &[u8]) {
+        self.source_digest = Some(WordHasher::hash(source));
+    }
+
+    /// The [`WordHasher`] digest of the XML text this document was parsed
+    /// from — `None` for a document built in code, and for a parsed one
+    /// that a builder (`add_*`, [`set_attr`](Self::set_attr)) changed since.
+    /// A persisted image keyed by it is valid for exactly that text.
+    pub fn source_digest(&self) -> Option<u64> {
+        self.source_digest
     }
 
     /// The root element.
@@ -443,6 +521,7 @@ impl Document {
             "attributes are set in document order: node {} is no longer the node appended last",
             id.0
         );
+        self.source_digest = None;
         let name = self.symbols.intern(name.as_ref());
         let start = self.text.len();
         self.text.push_str(value.as_ref());
@@ -495,6 +574,7 @@ impl Document {
              subtree was started after it) and cannot take another child",
             parent.0
         );
+        self.source_digest = None;
         let id = self.push(parent.0, kind);
         // The new id is the largest so far, so it extends every ancestor's
         // extent. O(depth), and the ancestors of the node being appended are
@@ -606,6 +686,268 @@ impl Document {
             node_table_bytes: per_node * size_of::<u32>()
                 + self.attrs.capacity() * size_of::<AttrRecord>(),
         }
+    }
+}
+
+/// Image I/O: see the module docs for the layout and what the reader
+/// checks.
+impl Document {
+    /// Writes the document's image to `w`: a few small writes and one
+    /// per kilobyte of the arrays, so a buffered writer bounds what a save
+    /// holds, whatever the document's size.
+    pub fn write_image(&self, w: &mut impl Write) -> io::Result<()> {
+        // Every count and length below is under `u32::MAX`: the builders
+        // and the interner narrow them on the way in.
+        let count = |n: usize| (n as u32).to_le_bytes();
+        w.write_all(&count(self.symbols.len()))?;
+        for (_, name) in self.symbols.iter() {
+            w.write_all(&count(name.len()))?;
+            w.write_all(name.as_bytes())?;
+        }
+        w.write_all(&count(self.len()))?;
+        for array in [&self.end, &self.kind, &self.mark] {
+            write_u32s(w, array)?;
+        }
+        w.write_all(&count(self.attrs.len()))?;
+        for a in &self.attrs {
+            write_u32s(w, &[a.owner, a.name.raw(), a.start, a.len])?;
+        }
+        w.write_all(&count(self.text.len()))?;
+        w.write_all(self.text.as_bytes())
+    }
+
+    /// Moves `r` past a document image, checking only that every section
+    /// it declares is present: what the reader of a larger file runs over
+    /// all of it before allocating for any part.
+    pub fn skip_image(r: &mut ImageReader<'_>) -> io::Result<()> {
+        ImageSizes::measure(r).map(drop)
+    }
+
+    /// Reads an image [`write_image`](Self::write_image) wrote from the
+    /// front of `r`, leaving `r` behind it. `source_digest` is what the
+    /// caller's header recorded for it.
+    pub fn read_image(r: &mut ImageReader<'_>, source_digest: Option<u64>) -> io::Result<Document> {
+        // Measure before allocating: a short image fails here having
+        // allocated nothing, and every capacity below is exact.
+        let ImageSizes { names, name_bytes, nodes: n, attrs: attr_count, text: text_len } =
+            ImageSizes::measure(&mut r.clone())?;
+        if n == 0 || n == NONE as usize {
+            return Err(bad_image("the node count is 0 or past the id space"));
+        }
+
+        let mut symbols = Interner::with_capacity(names, name_bytes);
+        r.u32()?;
+        for i in 0..names {
+            let len = r.u32()? as usize;
+            let name =
+                std::str::from_utf8(r.take(len)?).map_err(|_| bad_image("a name is not UTF-8"))?;
+            if symbols.intern(name).index() != i {
+                return Err(bad_image("the name table repeats a name"));
+            }
+        }
+        r.u32()?;
+        let end = r.u32s(n)?;
+        let kind = r.u32s(n)?;
+        let mark = r.u32s(n)?;
+        r.u32()?;
+        let attrs: Vec<AttrRecord> = r
+            .take(16 * attr_count)?
+            .chunks_exact(16)
+            .map(|record| {
+                let field = |i: usize| u32_at(&record[4 * i..]);
+                AttrRecord {
+                    owner: field(0),
+                    name: Sym::from_raw(field(1)),
+                    start: field(2),
+                    len: field(3),
+                }
+            })
+            .collect();
+        r.u32()?;
+        let text = std::str::from_utf8(r.take(text_len)?)
+            .map_err(|_| bad_image("the text arena is not UTF-8"))?;
+
+        // One stack pass over the nodes checks the shape and derives what
+        // the image leaves out.
+        let names = names as u32;
+        let text_end = text.len() as u32;
+        let mut parent = Vec::with_capacity(n);
+        let mut open: Vec<u32> = Vec::new();
+        let mut element_count = 0;
+        let mut next_attr = 0;
+        for i in 0..n {
+            let id = i as u32;
+            let (extent, k, at) = (end[i], kind[i], mark[i]);
+            while open.last().is_some_and(|&top| end[top as usize] <= id) {
+                open.pop();
+            }
+            // Only the root has no open element around it: its extent is
+            // the whole array.
+            let up = open.last().copied().unwrap_or(NONE);
+            let inside = if i == 0 { extent as usize == n } else { extent <= end[up as usize] };
+            if extent <= id || !inside {
+                return Err(bad_image("a subtree extent is not nested in its parent's"));
+            }
+            let window_end = mark.get(i + 1).copied().unwrap_or(text_end);
+            if (i == 0 && at != 0) || at > window_end || !text.is_char_boundary(at as usize) {
+                return Err(bad_image("marks are not monotone char boundaries of the arena"));
+            }
+            if k == NONE {
+                if i == 0 || extent != id + 1 {
+                    return Err(bad_image("a text run is the root or has children"));
+                }
+            } else {
+                if k >= names {
+                    return Err(bad_image("an element's kind is not a known name"));
+                }
+                element_count += 1;
+                open.push(id);
+                if open.len() > MAX_DEPTH {
+                    return Err(bad_image("elements nest deeper than MAX_DEPTH"));
+                }
+                // The element's records tile its window of the arena.
+                let mut cursor = at;
+                while let Some(a) = attrs.get(next_attr).filter(|a| a.owner == id) {
+                    let value_end = a.start.checked_add(a.len).filter(|&e| e <= window_end);
+                    let Some(value_end) = value_end.filter(|_| a.start == cursor) else {
+                        return Err(bad_image(
+                            "attribute values do not tile their element's window",
+                        ));
+                    };
+                    if a.name.raw() >= names || !text.is_char_boundary(value_end as usize) {
+                        return Err(bad_image("an attribute has an unknown name or a split char"));
+                    }
+                    cursor = value_end;
+                    next_attr += 1;
+                }
+                if cursor != window_end {
+                    return Err(bad_image("attribute values do not tile their element's window"));
+                }
+            }
+            if attrs.get(next_attr).is_some_and(|a| a.owner <= id) {
+                return Err(bad_image("attribute records are out of order or on a text run"));
+            }
+            parent.push(up);
+        }
+        if next_attr != attrs.len() {
+            return Err(bad_image("an attribute record is owned by no node"));
+        }
+        Ok(Document {
+            symbols,
+            parent,
+            end,
+            kind,
+            mark,
+            text: text.to_owned(),
+            attrs,
+            element_count,
+            source_digest,
+        })
+    }
+}
+
+/// The counts and lengths an image declares, each checked against the
+/// bytes present.
+struct ImageSizes {
+    names: usize,
+    name_bytes: usize,
+    nodes: usize,
+    attrs: usize,
+    text: usize,
+}
+
+impl ImageSizes {
+    /// Walks the name lengths and the declared section sizes, leaving `r`
+    /// behind the image.
+    fn measure(r: &mut ImageReader<'_>) -> io::Result<ImageSizes> {
+        let names = r.u32()? as usize;
+        let mut name_bytes = 0;
+        for _ in 0..names {
+            let len = r.u32()? as usize;
+            r.take(len)?;
+            name_bytes += len;
+        }
+        let nodes = r.u32()? as usize;
+        r.take(12usize.saturating_mul(nodes))?;
+        let attrs = r.u32()? as usize;
+        r.take(16usize.saturating_mul(attrs))?;
+        let text = r.u32()? as usize;
+        r.take(text)?;
+        Ok(ImageSizes { names, name_bytes, nodes, attrs, text })
+    }
+}
+
+fn bad_image(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("corrupt document image: {msg}"))
+}
+
+/// Writes `values` as `u32` LE, a kilobyte at a time.
+fn write_u32s(w: &mut impl Write, values: &[u32]) -> io::Result<()> {
+    let mut bytes = [0; 1024];
+    for chunk in values.chunks(bytes.len() / 4) {
+        for (out, value) in bytes.chunks_exact_mut(4).zip(chunk) {
+            out.copy_from_slice(&value.to_le_bytes());
+        }
+        w.write_all(&bytes[..4 * chunk.len()])?;
+    }
+    Ok(())
+}
+
+fn u32_at(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[..4].try_into().expect("four bytes"))
+}
+
+/// Bounds-checked reader over a persisted image: running past the end is
+/// the typed [`io::ErrorKind::UnexpectedEof`] a short `read_exact` gives.
+/// `Copy`, so a reader can skim ahead and measure without moving the
+/// original.
+#[derive(Debug, Clone, Copy)]
+pub struct ImageReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> ImageReader<'a> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> ImageReader<'a> {
+        ImageReader { rest: bytes }
+    }
+
+    /// The bytes not read yet.
+    pub fn rest(&self) -> &'a [u8] {
+        self.rest
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+        if n > self.rest.len() {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "image is shorter than its header declares",
+            ));
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    /// The next `N` bytes, as an array.
+    pub fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    /// The next `u32` LE.
+    pub fn u32(&mut self) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// The next `u64` LE.
+    pub fn u64(&mut self) -> io::Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// The next `n` `u32` LE values, in a vector of exactly that size.
+    fn u32s(&mut self, n: usize) -> io::Result<Vec<u32>> {
+        Ok(self.take(4usize.saturating_mul(n))?.chunks_exact(4).map(u32_at).collect())
     }
 }
 
@@ -923,6 +1265,181 @@ mod tests {
                 assert_eq!(doc.dewey(a).is_ancestor_of(&doc.dewey(b)), inside);
             }
         }
+    }
+
+    fn image(doc: &Document) -> Vec<u8> {
+        let mut out = Vec::new();
+        doc.write_image(&mut out).expect("a Vec takes every write");
+        out
+    }
+
+    fn read(bytes: &[u8]) -> io::Result<Document> {
+        let mut r = ImageReader::new(bytes);
+        let doc = Document::read_image(&mut r, None)?;
+        assert!(r.rest().is_empty(), "the reader stops at the image's end");
+        Ok(doc)
+    }
+
+    #[test]
+    fn an_image_reads_back_as_the_same_document() {
+        let (doc, ..) = sample();
+        let bytes = image(&doc);
+        // Names, then 12 bytes per node, 16 per attribute, and the text.
+        let names: usize = doc.interner().iter().map(|(_, name)| 4 + name.len()).sum();
+        assert_eq!(bytes.len(), 4 + names + 4 + 12 * doc.len() + 4 + 16 + 4 + doc.text.len());
+        let mut r = ImageReader::new(&bytes);
+        Document::skip_image(&mut r).unwrap();
+        assert!(r.rest().is_empty());
+        let back = read(&bytes).unwrap();
+        assert_eq!(back, doc);
+        assert_eq!(image(&back), bytes);
+        for n in doc.all_nodes() {
+            assert_eq!((back.parent(n), back.text(n)), (doc.parent(n), doc.text(n)));
+        }
+        assert_eq!(back.element_count(), doc.element_count());
+        assert_eq!(back.source_digest(), None);
+        let mut r = ImageReader::new(&bytes);
+        assert_eq!(Document::read_image(&mut r, Some(7)).unwrap().source_digest(), Some(7));
+    }
+
+    /// The digest says "this document is exactly the parse of that text":
+    /// the parser records it, and every builder that changes the document
+    /// clears it. Equality compares the tree, not the provenance.
+    #[test]
+    fn the_parser_records_a_digest_and_every_builder_clears_it() {
+        let xml = "<a><b x=\"1\"/></a>";
+        let parsed = crate::parse_document(xml).unwrap();
+        assert_eq!(parsed.source_digest(), Some(WordHasher::hash(xml.as_bytes())));
+        let builders: [fn(&mut Document); 5] = [
+            |d| {
+                d.add_element(d.root(), "c");
+            },
+            |d| {
+                d.add_text(d.root(), "t");
+            },
+            |d| {
+                d.add_leaf(d.root(), "c", "t");
+            },
+            |d| {
+                d.add_element_with_attrs(d.root(), "c", vec![]);
+            },
+            |d| d.set_attr(NodeId(1), "y", "2"),
+        ];
+        for (i, build) in builders.iter().enumerate() {
+            let mut doc = parsed.clone();
+            build(&mut doc);
+            assert_eq!(doc.source_digest(), None, "builder {i}");
+        }
+        let mut built = Document::new("a");
+        built.add_element_with_attrs(built.root(), "b", vec![("x".into(), "1".into())]);
+        assert_eq!(built.source_digest(), None);
+        assert_eq!(built, parsed);
+    }
+
+    /// Each shape no builder makes is refused with a typed error naming
+    /// it: the reader's checks, one corruption each, on the sample
+    /// document (`shop`, `product id="1"`, `name`, "TomTom", `rating`,
+    /// "4.2", "text").
+    #[test]
+    fn the_image_reader_refuses_each_shape_the_builders_cannot_make() {
+        let (doc, ..) = sample();
+        let bytes = image(&doc);
+        let n = doc.len();
+        let names: usize = doc.interner().iter().map(|(_, name)| 4 + name.len()).sum();
+        let end = 4 + names + 4;
+        let (kind, mark) = (end + 4 * n, end + 8 * n);
+        let attrs = mark + 4 * n + 4;
+        let text = attrs + 16 + 4;
+        let field = |pos: usize, value: u32| {
+            let mut bytes = bytes.clone();
+            bytes[pos..pos + 4].copy_from_slice(&value.to_le_bytes());
+            bytes
+        };
+        let cases = [
+            (field(end, 6), "not nested"),
+            (field(end + 4 * 2, 7), "not nested"),
+            (field(end + 4 * 3, 3), "not nested"),
+            (field(kind, NONE), "the root"),
+            (field(kind + 4 * 2, NONE), "has children"),
+            (field(kind + 4 * 2, 99), "kind is not a known name"),
+            (field(mark, 1), "marks"),
+            (field(mark + 4 * 3, 0), "marks"),
+            (field(mark + 4 * 6, 99), "marks"),
+            (field(attrs, 9), "tile"),
+            (field(attrs + 4, 99), "unknown name"),
+            (field(attrs + 8, 1), "tile"),
+            (field(attrs + 12, 0), "tile"),
+            (field(attrs + 12, u32::MAX), "tile"),
+        ];
+        for (bytes, want) in cases {
+            let err = read(&bytes).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{want}: {err}");
+            assert!(err.to_string().contains(want), "{want}: {err}");
+        }
+        // No nodes at all: no root.
+        let mut rootless = bytes[..end - 4].to_vec();
+        rootless.extend_from_slice(&[0; 12]);
+        assert!(read(&rootless).unwrap_err().to_string().contains("node count"));
+        // Empty values leave every window empty, so only order and
+        // ownership can be wrong: `<r a=""><b c=""/>t</r>`.
+        let mut empty = Document::new("r");
+        empty.set_attr(empty.root(), "a", "");
+        let b = empty.add_element(empty.root(), "b");
+        empty.set_attr(b, "c", "");
+        empty.add_text(empty.root(), "t");
+        let empty_bytes = image(&empty);
+        let records = empty_bytes.len() - 4 - 1 - 32; // two records, the text
+        let owners = |first: u32, second: u32| {
+            let mut bytes = empty_bytes.clone();
+            bytes[records..records + 4].copy_from_slice(&first.to_le_bytes());
+            bytes[records + 16..records + 20].copy_from_slice(&second.to_le_bytes());
+            read(&bytes).map_err(|e| e.to_string())
+        };
+        assert_eq!(owners(0, 1).unwrap(), empty);
+        assert!(owners(1, 0).unwrap_err().contains("out of order"));
+        assert!(owners(0, 2).unwrap_err().contains("on a text run"));
+        assert!(owners(0, 9).unwrap_err().contains("owned by no node"));
+        // Two names spelled alike: `<ab><cd/></ab>` with "cd" → "ab".
+        let mut pair = Document::new("ab");
+        pair.add_element(pair.root(), "cd");
+        let mut twice = image(&pair);
+        twice[14..16].copy_from_slice(b"ab");
+        assert!(read(&twice).unwrap_err().to_string().contains("repeats a name"));
+        // Text that is not UTF-8, and a mark inside a character.
+        let mut bad_text = bytes.clone();
+        bad_text[text] = 0xFF;
+        assert!(read(&bad_text).unwrap_err().to_string().contains("UTF-8"));
+        let mut wide = Document::new("r");
+        wide.add_text(wide.root(), "été");
+        wide.add_text(wide.root(), "x");
+        let wide_bytes = image(&wide);
+        let wide_end = wide_bytes.len() - 4 - "étéx".len();
+        let mut split = wide_bytes.clone();
+        let text_mark = wide_end - 4 - 4; // behind the attribute count: "x"'s mark
+        split[text_mark..text_mark + 4].copy_from_slice(&1u32.to_le_bytes());
+        assert!(read(&split).unwrap_err().to_string().contains("char boundaries"));
+        assert_eq!(read(&wide_bytes).unwrap(), wide);
+        // Every proper prefix is short, never a panic.
+        for cut in 0..bytes.len() {
+            let err = read(&bytes[..cut]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "prefix {cut}");
+        }
+    }
+
+    #[test]
+    fn elements_nest_at_most_max_depth_deep_in_an_image() {
+        let nested = |levels: usize| {
+            let mut doc = Document::new("d");
+            let mut node = doc.root();
+            for _ in 1..levels {
+                node = doc.add_element(node, "d");
+            }
+            doc.add_text(node, "leaf");
+            doc
+        };
+        assert!(read(&image(&nested(MAX_DEPTH))).is_ok());
+        let err = read(&image(&nested(MAX_DEPTH + 1))).unwrap_err();
+        assert!(err.to_string().contains("deeper than MAX_DEPTH"), "{err}");
     }
 
     #[test]

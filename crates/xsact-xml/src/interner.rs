@@ -73,62 +73,104 @@ pub struct Interner {
     table: Vec<u32>,
 }
 
-/// The workspace's shared FNV-style incremental hasher, used by the index
-/// fingerprint and checksum in `xsact-index`.
+/// The workspace's one hash: eight bytes per multiply. It is the
+/// interner's probe hash, and — fed incrementally — the digest a parsed
+/// document records of its source ([`Document::source_digest`]), the
+/// `.xidx` trailer in `xsact-index` and the CLI's retry jitter.
 ///
-/// The multiplier differs from the canonical 64-bit FNV prime
-/// (`0x100_0000_01b3`) by one digit — it is kept for compatibility with
-/// the fingerprints the persistence layer has always produced, and every
-/// hash is only ever compared against hashes produced by this same type,
-/// so self-consistency is all that matters.
-#[derive(Debug, Clone, Copy)]
-pub struct FnvHasher(u64);
+/// The state steps once per 8-byte little-endian word,
+/// `h = (h.rotl(5) ^ word) · K`, with `K` odd, so a step is a bijection of
+/// the state for a fixed word and of the word for a fixed state: two
+/// inputs of one length that differ in a single word always hash apart.
+/// [`finish`](Self::finish) steps once more over the last 0..=7 bytes and
+/// once over the total length. Feeding the same bytes in any split gives
+/// the same hash. It is not a cryptographic hash and nothing relies on it
+/// being one: it detects torn writes and edited sources, and routes.
+///
+/// [`Document::source_digest`]: crate::Document::source_digest
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WordHasher {
+    h: u64,
+    /// The bytes of the word not yet complete, in its low `len % 8` bytes.
+    tail: u64,
+    /// Bytes written so far.
+    len: u64,
+}
 
-impl FnvHasher {
-    /// A fresh hasher at the FNV-1a offset basis.
-    pub fn new() -> FnvHasher {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
+impl WordHasher {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    /// A fresh hasher.
+    pub fn new() -> WordHasher {
+        WordHasher::default()
+    }
+
+    /// The hash of `bytes`, in one call.
+    pub fn hash(bytes: &[u8]) -> u64 {
+        let mut hasher = WordHasher::new();
+        hasher.write(bytes);
+        hasher.finish()
+    }
+
+    #[inline]
+    fn step(&mut self, word: u64) {
+        self.h = (self.h.rotate_left(5) ^ word).wrapping_mul(Self::K);
     }
 
     /// Feeds bytes into the hash.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        let pending = (self.len % 8) as usize;
+        self.len += bytes.len() as u64;
+        if pending > 0 {
+            let take = (8 - pending).min(bytes.len());
+            for (i, &b) in bytes[..take].iter().enumerate() {
+                self.tail |= u64::from(b) << (8 * (pending + i));
+            }
+            bytes = &bytes[take..];
+            if pending + take < 8 {
+                return;
+            }
+            let word = std::mem::take(&mut self.tail);
+            self.step(word);
+        }
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.step(u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes")));
+        }
+        for (i, &b) in words.remainder().iter().enumerate() {
+            self.tail |= u64::from(b) << (8 * i);
         }
     }
 
-    /// The accumulated hash value.
-    pub fn finish(self) -> u64 {
-        self.0
+    /// The hash of everything written so far.
+    pub fn finish(mut self) -> u64 {
+        let (tail, len) = (self.tail, self.len);
+        self.step(tail);
+        self.step(len);
+        self.h
     }
 }
 
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher::new()
-    }
-}
-
-/// The probe hash: eight bytes per multiply instead of [`FnvHasher`]'s one
-/// — interning a tag name is on the parser's path once per element. Only
-/// ever compared with itself, inside one table.
+/// The probe hash — interning a tag name is on the parser's path once per
+/// element. Only ever compared with itself, inside one table.
 fn hash(s: &str) -> u64 {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut words = s.as_bytes().chunks_exact(8);
-    let mut h = s.len() as u64;
-    for word in &mut words {
-        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes"));
-        h = (h.rotate_left(5) ^ word).wrapping_mul(K);
-    }
-    let tail = words.remainder().iter().fold(0, |tail, &b| tail << 8 | u64::from(b));
-    (h.rotate_left(5) ^ tail).wrapping_mul(K)
+    WordHasher::hash(s.as_bytes())
 }
 
 impl Interner {
     /// An empty interner.
     pub fn new() -> Interner {
         Interner::default()
+    }
+
+    /// An empty interner sized for `names` distinct strings of `bytes`
+    /// bytes in all: interning them allocates nothing more.
+    pub fn with_capacity(names: usize, bytes: usize) -> Interner {
+        Interner {
+            arena: String::with_capacity(bytes),
+            spans: Vec::with_capacity(names),
+            table: vec![0; (2 * names).next_power_of_two().max(16)],
+        }
     }
 
     /// Interns `s`, returning the existing symbol when the string was seen
@@ -291,6 +333,39 @@ mod tests {
         assert_eq!(i.resolve(u), "été");
         assert_eq!(i.intern(""), e);
         assert!(!i.is_empty());
+    }
+
+    #[test]
+    fn word_hash_ignores_how_the_bytes_are_split() {
+        let bytes: Vec<u8> = (0..200u32).map(|i| (i * 37 % 251) as u8).collect();
+        let whole = WordHasher::hash(&bytes);
+        for cut in [0, 1, 7, 8, 9, 63, 199, 200] {
+            for step in [1, 3, 8, 13] {
+                let mut hasher = WordHasher::new();
+                hasher.write(&bytes[..cut]);
+                for chunk in bytes[cut..].chunks(step) {
+                    hasher.write(chunk);
+                }
+                assert_eq!(hasher.finish(), whole, "cut {cut}, step {step}");
+            }
+        }
+        // Zero bytes are not lost, in the last word or in whole words.
+        assert_ne!(WordHasher::hash(b"ab"), WordHasher::hash(b"\0ab"));
+        assert_ne!(WordHasher::hash(b""), WordHasher::hash(b"\0"));
+        assert_ne!(WordHasher::hash(&[0; 8]), WordHasher::hash(&[0; 16]));
+        assert_ne!(WordHasher::hash(b"x"), WordHasher::hash(b"\0\0\0\0\0\0\0\0x"));
+    }
+
+    #[test]
+    fn a_presized_interner_does_not_grow() {
+        let names = ["alpha", "beta", "gamma", "delta"];
+        let mut i = Interner::with_capacity(names.len(), names.iter().map(|n| n.len()).sum());
+        let before = i.heap_bytes();
+        for n in names {
+            i.intern(n);
+        }
+        assert_eq!(i.heap_bytes(), before);
+        assert_eq!(i.lookup("gamma"), Some(Sym(2)));
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! * an [`Interner`] of 4-byte [`Sym`] handles — tag and attribute names
 //!   are interned per document,
 //! * entity [`escape`]/unescape helpers,
-//! * a [`writer`] that serialises a document back to text.
+//! * a [`writer`] that serialises a document back to text, and a binary
+//!   image ([`Document::write_image`], [`Document::read_image`]) that
+//!   `xsact-index` persists so a warm boot decodes instead of parsing —
+//!   keyed by the [`WordHasher`] digest the parser records of its input.
 //!
 //! The crate has no dependencies, so it builds offline and the node model
 //! can be tailored to keyword search: element and text nodes only, and
@@ -46,9 +49,9 @@ pub mod tokenizer;
 pub mod writer;
 
 pub use dewey::DeweyId;
-pub use dom::{Document, NodeId, SubstrateStats};
+pub use dom::{Document, ImageReader, NodeId, SubstrateStats};
 pub use error::{XmlError, XmlResult};
-pub use interner::{FnvHasher, Interner, Sym};
+pub use interner::{Interner, Sym, WordHasher};
 pub use parse::parse_document;
 pub use tokenizer::{Token, Tokenizer};
 pub use writer::{write_document, WriteOptions};

@@ -113,6 +113,7 @@ pub fn parse_document(input: &str) -> XmlResult<Document> {
         return Err(outside_root(&mut scanner, event));
     }
     doc.shrink_to_fit();
+    doc.record_source(input.as_bytes());
     Ok(doc)
 }
 

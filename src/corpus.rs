@@ -43,7 +43,7 @@ use crate::workbench::Workbench;
 use std::cmp::Ordering;
 use std::convert::Infallible;
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{self, AtomicU64};
 use std::sync::Arc;
@@ -109,29 +109,37 @@ impl Corpus {
     /// files is always the first in filename order. Fails with
     /// [`XsactError::EmptyCorpus`] when the directory holds no XML files.
     pub fn from_dir(dir: impl AsRef<Path>) -> XsactResult<Corpus> {
-        Corpus::from_dir_impl(dir.as_ref(), None, available_cores())
+        Corpus::from_dir_impl(dir.as_ref(), None, available_cores(), &to_stderr)
     }
 
-    /// Like [`from_dir`](Self::from_dir), but skips the per-document
-    /// indexing scan whenever `index_dir` holds a previously saved index
-    /// for the document (`<stem>.xidx`, fingerprint-checked), and saves
-    /// any index it did have to build — so each shard's cold start is paid
-    /// once, not on every process launch.
+    /// Like [`from_dir`](Self::from_dir), but boots each document from its
+    /// `.xidx` image in `index_dir` (`<stem>.xidx`) whenever the image was
+    /// saved from exactly the XML file's current bytes — decoding the
+    /// document and its index instead of parsing and indexing — and saves
+    /// the image of any document it did have to parse, so each shard's
+    /// cold start is paid once, not on every process launch.
     ///
-    /// A stale or corrupt index file is never trusted: the fingerprint
-    /// check makes the load fail, and the corpus rebuilds and overwrites
-    /// it after one warning on stderr.
+    /// An image is keyed by a digest of its XML source: a stale (edited
+    /// source), corrupt or old-version file is never trusted. The corpus
+    /// parses, rebuilds and overwrites it after one warning on stderr
+    /// naming the reason.
     pub fn from_dir_cached(
         dir: impl AsRef<Path>,
         index_dir: impl AsRef<Path>,
     ) -> XsactResult<Corpus> {
         fs::create_dir_all(index_dir.as_ref())?;
-        Corpus::from_dir_impl(dir.as_ref(), Some(index_dir.as_ref()), available_cores())
+        Corpus::from_dir_impl(dir.as_ref(), Some(index_dir.as_ref()), available_cores(), &to_stderr)
     }
 
     /// `workers` is a parameter (not configuration) so the tests can pin
-    /// that the ingest width never changes ids, names or rankings.
-    fn from_dir_impl(dir: &Path, index_dir: Option<&Path>, workers: usize) -> XsactResult<Corpus> {
+    /// that the ingest width never changes ids, names or rankings; `warn`
+    /// so they can count the warnings a boot gives.
+    fn from_dir_impl(
+        dir: &Path,
+        index_dir: Option<&Path>,
+        workers: usize,
+        warn: &(dyn Fn(String) + Sync),
+    ) -> XsactResult<Corpus> {
         let mut paths: Vec<_> = fs::read_dir(dir)?
             .collect::<Result<Vec<_>, _>>()?
             .into_iter()
@@ -142,7 +150,7 @@ impl Corpus {
         if paths.is_empty() {
             return Err(XsactError::EmptyCorpus);
         }
-        let ingested = ingest_in_order(paths, workers, |path| ingest_file(&path, index_dir))?;
+        let ingested = ingest_in_order(paths, workers, |path| ingest_file(&path, index_dir, warn))?;
         Ok(Corpus::from_workbenches(ingested))
     }
 
@@ -386,55 +394,84 @@ fn build_in_order<T: Send, R: Send>(
         .unwrap_or_else(|never| match never {})
 }
 
-/// One document's boot: read → parse → load the cached index or build it
-/// → save what was built. Returns the document's name and workbench.
-fn ingest_file(path: &Path, index_dir: Option<&Path>) -> XsactResult<(String, Workbench)> {
+/// Where a boot's warnings go outside the tests.
+fn to_stderr(warning: String) {
+    eprintln!("{warning}");
+}
+
+/// One document's boot: the document and index decoded from the `.xidx`
+/// image saved from exactly this XML, or else read → parse → build → save
+/// the image. Returns the document's name and workbench.
+fn ingest_file(
+    path: &Path,
+    index_dir: Option<&Path>,
+    warn: &(dyn Fn(String) + Sync),
+) -> XsactResult<(String, Workbench)> {
     let name = path
         .file_stem()
         .map_or_else(|| path.display().to_string(), |s| s.to_string_lossy().into_owned());
-    // The parser copies what it keeps into the document's arena, so the
-    // source text is dropped here — before the index is loaded or built and
-    // the structure summary inferred, not beside them.
-    let doc = {
-        let source = fs::read_to_string(path)?;
-        xsact_xml::parse_document(&source)?
-    };
-    let Some(index_dir) = index_dir else {
-        return Ok((name, Workbench::from_document(doc)));
-    };
-    let index_path = index_dir.join(format!("{name}.xidx"));
-    let loaded =
-        fs::File::open(&index_path).and_then(|mut file| xsact_index::load_index(&doc, &mut file));
-    match loaded {
-        // The document moves into the engine; it was only borrowed by the
-        // loader, so the rebuild arm below still owns it.
-        Ok(index) => {
-            return Ok((name, Workbench::from_engine(SearchEngine::from_parts(doc, index))))
-        }
-        // No cache file yet (cold start) — build and write it quietly.
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+    if let Some(index_dir) = index_dir {
+        let index_path = index_dir.join(format!("{name}.xidx"));
         // Degrade loudly but gracefully: one warning per unusable file
-        // saying *why* (unreadable, stale fingerprint, checksum mismatch,
-        // old version), then rebuild from the XML and resave so the next
-        // launch loads cleanly.
-        Err(e) => eprintln!(
-            "xsact: index cache {} unusable ({}); rebuilding from XML",
-            index_path.display(),
-            XsactError::from(e)
-        ),
+        // saying *why* (unreadable, edited XML, checksum mismatch, old
+        // version, corrupt section), then parse and resave so the next
+        // launch loads cleanly. No file yet (cold start) is no warning.
+        let unusable = |e: io::Error| {
+            warn(format!(
+                "xsact: index cache {} unusable ({}); rebuilding from XML",
+                index_path.display(),
+                XsactError::from(e)
+            ))
+        };
+        match fs::File::open(&index_path) {
+            // The XML is read only to be digested, never parsed.
+            Ok(mut image) => match xsact_index::load_image(&mut image, Some(digest_file(path)?)) {
+                Ok((doc, index)) => {
+                    return Ok((name, Workbench::from_engine(SearchEngine::from_parts(doc, index))))
+                }
+                Err(e) => unusable(e),
+            },
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => unusable(e),
+        }
+        let wb = Workbench::from_document(parse_file(path)?);
+        // Best-effort cache write: the corpus is already built in memory, so
+        // an unwritable index_dir (read-only, disk full) must not fail
+        // ingestion — the next load just rebuilds again.
+        let _ = save_index_atomic(&wb, &index_path);
+        return Ok((name, wb));
     }
-    let wb = Workbench::from_document(doc);
-    // Best-effort cache write: the corpus is already built in memory, so
-    // an unwritable index_dir (read-only, disk full) must not fail
-    // ingestion — the next load just rebuilds again.
-    let _ = save_index_atomic(&wb, &index_path);
-    Ok((name, wb))
+    Ok((name, Workbench::from_document(parse_file(path)?)))
+}
+
+/// Parses an XML file. The parser copies what it keeps into the document's
+/// arena, so the source text is dropped on return — before the index is
+/// built and the structure summary inferred, not beside them.
+fn parse_file(path: &Path) -> XsactResult<Document> {
+    Ok(xsact_xml::parse_document(&fs::read_to_string(path)?)?)
+}
+
+/// The digest [`xsact_xml::parse_document`] records of a file's bytes,
+/// streamed through one 64 KiB buffer so no copy of the source is held
+/// while its image is decoded.
+fn digest_file(path: &Path) -> io::Result<u64> {
+    let mut file = fs::File::open(path)?;
+    let mut hasher = xsact_xml::WordHasher::new();
+    let mut buf = vec![0; 64 << 10];
+    loop {
+        match file.read(&mut buf) {
+            Ok(0) => return Ok(hasher.finish()),
+            Ok(n) => hasher.write(&buf[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 /// Crash-safe index save: the bytes go to a temp file next to `path`, are
 /// fsynced, and only then atomically renamed over `path`. A crash (or
 /// `kill -9`) at any point leaves either the previous file or no file
-/// under the final name — never a torn one — and the `.xidx` checksum
+/// under the final name — never a torn one — and the image's checksum
 /// trailer catches anything the filesystem still manages to mangle. The
 /// temp file is removed on failure; its name carries the process id and a
 /// per-process counter, so concurrent saves of one path (two servers
@@ -941,13 +978,15 @@ mod tests {
         let want = observable(&oracle);
 
         for workers in [1, 2, 8] {
-            let plain = Corpus::from_dir_impl(&xml_dir, None, workers).unwrap().with_shards(2);
+            let plain =
+                Corpus::from_dir_impl(&xml_dir, None, workers, &to_stderr).unwrap().with_shards(2);
             assert_eq!(observable(&plain), want, "{workers} workers, no cache");
             let cache = tmp.0.join(format!("index-{workers}"));
             fs::create_dir_all(&cache).unwrap();
             for pass in ["cold", "warm"] {
-                let cached =
-                    Corpus::from_dir_impl(&xml_dir, Some(&cache), workers).unwrap().with_shards(2);
+                let cached = Corpus::from_dir_impl(&xml_dir, Some(&cache), workers, &to_stderr)
+                    .unwrap()
+                    .with_shards(2);
                 assert_eq!(observable(&cached), want, "{workers} workers, {pass} cache");
             }
             assert_eq!(fs::read_dir(&cache).unwrap().count(), named.len(), "one .xidx per doc");
@@ -959,6 +998,97 @@ mod tests {
                 observable(&Corpus::synthetic_movies_impl(9, 25, 11, 1).with_shards(2)),
                 "synthetic fleet on {workers} workers"
             );
+        }
+    }
+
+    /// A boot of `dir` on one worker with the index cache `cache`, and the
+    /// warnings it gave.
+    fn boot_cached(dir: &Path, cache: &Path) -> (Corpus, Vec<String>) {
+        let warnings = std::sync::Mutex::new(Vec::new());
+        let corpus =
+            Corpus::from_dir_impl(dir, Some(cache), 1, &|w| warnings.lock().unwrap().push(w))
+                .unwrap();
+        (corpus, warnings.into_inner().unwrap())
+    }
+
+    /// What a fresh parse of `xml` answers, against what `corpus` (one
+    /// document) answers: the document itself and three rankings.
+    fn assert_answers_like_a_fresh_parse(corpus: &Corpus, xml: &str, what: &str) {
+        let fresh = Corpus::from_xml_strings([("shop", xml)]).unwrap();
+        let doc = corpus.workbench(DocId(0)).document();
+        assert!(doc == fresh.workbench(DocId(0)).document(), "{what}: document");
+        for text in ["gps", "zeppelin", "product unit"] {
+            let render = |c: &Corpus| c.query(text).map(|q| q.ranking().render(10)).ok();
+            assert_eq!(render(corpus), render(&fresh), "{what}: {text}");
+        }
+    }
+
+    /// An image keyed by a digest could outlive the text it was parsed
+    /// from if a builder changed the document after the parse. Every
+    /// builder clears the digest, so a mutated document's image does not
+    /// warm-load in place of its XML: the boot warns once, answers like a
+    /// fresh parse (no "zeppelin" anywhere), and resaves an image the next
+    /// boot loads without a word.
+    #[test]
+    fn a_mutated_document_never_warm_loads_against_its_source() {
+        let xml = "<shop><product><name>gps unit</name><kind>GPS</kind></product><tag/></shop>";
+        for what in ["add_leaf", "set_attr"] {
+            let tmp = TempDir::new(&format!("mutated-{what}"));
+            let (dir, cache) = (tmp.0.join("xml"), tmp.0.join("index"));
+            fs::create_dir_all(&dir).unwrap();
+            fs::create_dir_all(&cache).unwrap();
+            fs::write(dir.join("shop.xml"), xml).unwrap();
+            let mut doc = xsact_xml::parse_document(xml).unwrap();
+            assert!(doc.source_digest().is_some());
+            if what == "add_leaf" {
+                doc.add_leaf(doc.root(), "name", "zeppelin");
+            } else {
+                let last = xsact_xml::NodeId::from_index(doc.len() as u32 - 1);
+                doc.set_attr(last, "note", "zeppelin");
+            }
+            assert_eq!(doc.source_digest(), None, "{what} keeps the digest");
+            save_index_atomic(&Workbench::from_document(doc), &cache.join("shop.xidx")).unwrap();
+
+            let (corpus, warnings) = boot_cached(&dir, &cache);
+            assert_eq!(warnings.len(), 1, "{what}: {warnings:?}");
+            assert!(warnings[0].contains("source digest mismatch"), "{what}: {warnings:?}");
+            assert_answers_like_a_fresh_parse(&corpus, xml, what);
+            let (again, warnings) = boot_cached(&dir, &cache);
+            assert_eq!(warnings, Vec::<String>::new(), "{what}: the resaved image loads");
+            assert_answers_like_a_fresh_parse(&again, xml, what);
+        }
+    }
+
+    /// An XML file edited after its image was saved — a changed value, or
+    /// only an appended comment the parse drops — rebuilds with exactly
+    /// one warning and answers like a fresh parse of the new text.
+    #[test]
+    fn an_edited_source_rebuilds_with_one_warning() {
+        let xml = "<shop><product><name>gps unit</name><kind>GPS</kind></product></shop>";
+        for (what, edited) in [
+            ("changed value", xml.replace("gps unit", "zeppelin unit")),
+            ("appended comment", format!("{xml}<!-- reviewed -->")),
+        ] {
+            let tmp = TempDir::new(&format!("edited-{}", what.replace(' ', "-")));
+            let (dir, cache) = (tmp.0.join("xml"), tmp.0.join("index"));
+            fs::create_dir_all(&dir).unwrap();
+            fs::create_dir_all(&cache).unwrap();
+            fs::write(dir.join("shop.xml"), xml).unwrap();
+            let (_, warnings) = boot_cached(&dir, &cache);
+            assert_eq!(warnings, Vec::<String>::new(), "{what}: a cold boot is quiet");
+            assert!(cache.join("shop.xidx").exists(), "{what}: the cold boot saved its image");
+            let (warm, warnings) = boot_cached(&dir, &cache);
+            assert_eq!(warnings, Vec::<String>::new(), "{what}: a warm boot is quiet");
+            assert_answers_like_a_fresh_parse(&warm, xml, what);
+
+            fs::write(dir.join("shop.xml"), &edited).unwrap();
+            let (rebuilt, warnings) = boot_cached(&dir, &cache);
+            assert_eq!(warnings.len(), 1, "{what}: {warnings:?}");
+            assert!(warnings[0].contains("source digest mismatch"), "{what}: {warnings:?}");
+            assert_answers_like_a_fresh_parse(&rebuilt, &edited, what);
+            let (warm, warnings) = boot_cached(&dir, &cache);
+            assert_eq!(warnings, Vec::<String>::new(), "{what}: the resaved image loads");
+            assert_answers_like_a_fresh_parse(&warm, &edited, what);
         }
     }
 
@@ -980,7 +1110,7 @@ mod tests {
         fs::write(tmp.0.join("d.xml"), "<unclosed>").unwrap();
         for workers in [1, 2, 8] {
             for round in 0..5 {
-                let err = Corpus::from_dir_impl(&tmp.0, None, workers).unwrap_err();
+                let err = Corpus::from_dir_impl(&tmp.0, None, workers, &to_stderr).unwrap_err();
                 assert!(
                     matches!(
                         &err,

@@ -63,8 +63,9 @@ pub enum XsactError {
         /// The configured combination limit.
         limit: u64,
     },
-    /// Index persistence (save/load) failed — I/O proper, or a fingerprint
-    /// mismatch between the index and the document.
+    /// Index persistence (save/load) failed — I/O proper, or a `.xidx`
+    /// image that is corrupt, of an old version, saved from other XML, or
+    /// holding another document than the caller's.
     Io(std::io::Error),
     /// The serving runtime turned the submission away at the door: its
     /// bounded queue was full (or the server was shutting down). The

@@ -41,7 +41,7 @@ use crate::error::{XsactError, XsactResult};
 use crate::selection::{Selection, Source};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use xsact_core::{Algorithm, ComparisonOutcome, DfsConfig, Instance};
@@ -213,19 +213,27 @@ impl Workbench {
         Workbench { engine, features: FeatureCache::default(), exec: ExecCounters::default() }
     }
 
-    /// Builds a workbench from a document plus a previously
-    /// [saved](Workbench::save_index) index, skipping the indexing scan.
-    /// Fails with [`XsactError::Io`] if the bytes are corrupt or were
-    /// written for a different document (fingerprint mismatch).
+    /// Builds a workbench from a document plus the `.xidx` image
+    /// [saved](Workbench::save_index) for it, skipping the indexing scan.
+    /// Fails with [`XsactError::Io`] if the bytes are corrupt or hold a
+    /// different document than `doc` (compared field by field; where
+    /// either came from does not count).
     pub fn from_persisted_index(doc: Document, r: &mut impl Read) -> XsactResult<Workbench> {
-        let index = xsact_index::load_index(&doc, r)?;
+        let (image, index) = xsact_index::load_image(r, None)?;
+        if image != doc {
+            return Err(XsactError::Io(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "the index image holds a different document — rebuild the index",
+            )));
+        }
         Ok(Workbench::from_engine(SearchEngine::from_parts(doc, index)))
     }
 
-    /// Serialises the inverted index (with the document fingerprint) so a
-    /// later session can skip the indexing scan.
+    /// Serialises the document and its inverted index as one `.xidx`
+    /// image (keyed by the document's source digest, if it has one), so a
+    /// later session skips the parse and the indexing scan.
     pub fn save_index(&self, w: &mut impl Write) -> XsactResult<()> {
-        xsact_index::save_index(self.engine.document(), self.engine.index(), w)?;
+        xsact_index::save_image(self.engine.document(), self.engine.index(), w)?;
         Ok(())
     }
 

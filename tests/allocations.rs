@@ -5,12 +5,12 @@
 //! Timings say whether the comparison path got faster; these say why it
 //! stays that way: extracting a result's features allocates a fixed number
 //! of blocks whatever it holds, a copy of them a few more, a feature-cache
-//! hit none. The same counter pins what a warm boot
-//! pays per document: a parse is a fixed number of arrays however many
-//! nodes it reads, sixteen bytes of them per node plus the node's own
-//! text, and loading its index allocates for the dictionary and nothing
-//! per posting list. A cold boot's index build allocates per term, not
-//! per element.
+//! hit none. The same counter pins what a boot pays per document: a
+//! parse is a fixed number of arrays however many nodes it reads, sixteen
+//! bytes of them per node plus the node's own text; loading a document's
+//! image is a fixed number of exactly sized arrays, and nothing per
+//! posting list. A cold boot's index build allocates per term, not per
+//! element.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -179,25 +179,48 @@ fn parsing_allocates_a_fixed_number_of_arrays_and_at_most_forty_bytes_a_node() {
     assert_eq!(stats.node_table_bytes, 16 * doc.len(), "{stats:?}");
 }
 
-/// A warm boot loads one `.xidx` per document. The loader allocates the
-/// file's buffer, the term dictionary and the frame arrays it adopts;
-/// validating the posting lists streams them and allocates nothing, so
-/// the count does not grow with the lists (it used to be one `Vec` per
-/// term).
+/// A warm boot loads one `.xidx` image per document. The index half of the
+/// loader allocates the term dictionary and the frame arrays it adopts;
+/// validating the posting lists streams them and allocates nothing, so the
+/// count does not grow with the lists (it used to be one `Vec` per term).
 #[test]
 fn loading_an_index_allocates_for_the_dictionary_and_nothing_per_list() {
-    use xsact::index::{load_index, save_index, InvertedIndex};
+    use xsact::index::{load_image, save_image, InvertedIndex};
     let doc = xsact::xml::parse_document(&movies_xml()).unwrap();
     let index = InvertedIndex::build(&doc);
     let mut bytes = Vec::new();
-    save_index(&doc, &index, &mut bytes).unwrap();
-    let (loaded, blocks) = counted(|| load_index(&doc, &mut bytes.as_slice()).unwrap());
+    save_image(&doc, &index, &mut bytes).unwrap();
+    let ((_, loaded), blocks) = counted(|| load_image(&mut bytes.as_slice(), None).unwrap());
     let terms = loaded.term_count() as u64;
     assert!(terms > 300, "{terms} terms");
     assert_eq!(loaded.stats(), index.stats());
-    // Growth steps of the read buffer and of the term interner, and one
-    // block per adopted array: far below one per term.
+    // The read buffer, the document's arrays, and one block per adopted
+    // index array: far below one per term.
     assert!(blocks <= 64 && blocks < terms / 4, "{blocks} blocks for {terms} terms");
+}
+
+/// A warm boot decodes the document instead of parsing it: one block per
+/// array, each sized exactly from the image (`end`, `kind`, `mark`, the
+/// derived `parent`, attributes, text, the three of the name interner),
+/// the nesting stack's growth steps, the read buffer and the index's
+/// arrays — so the count is a constant that grows with neither the nodes
+/// nor the names and terms. On this document (24 names, 553 terms,
+/// 34 398 nodes) it is 21 blocks. The pin allows 24, and never more than
+/// names + terms: a per-name or per-term allocation fails it long before a
+/// per-node one.
+#[test]
+fn a_warm_load_allocates_per_name_and_term_not_per_node() {
+    use xsact::index::{load_image, save_image, InvertedIndex};
+    let doc = xsact::xml::parse_document(&movies_xml()).unwrap();
+    let mut bytes = Vec::new();
+    save_image(&doc, &InvertedIndex::build(&doc), &mut bytes).unwrap();
+    let ((loaded, index), blocks) = counted(|| load_image(&mut bytes.as_slice(), None).unwrap());
+    assert_eq!(loaded, doc);
+    let names = loaded.interner().len() as u64;
+    let terms = index.term_count() as u64;
+    assert!(loaded.len() as u64 > 50 * (names + terms), "{} nodes", loaded.len());
+    assert!(blocks <= 24, "{blocks} blocks for {names} names and {terms} terms");
+    assert!(blocks <= names + terms);
 }
 
 /// A cold boot builds one index per document. The build lexes text without

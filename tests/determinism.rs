@@ -64,16 +64,31 @@ fn full_pipeline_is_deterministic() {
     assert_eq!(table_a, table_b);
 }
 
+/// The `.xidx` image is a pure function of the document: saved twice it is
+/// the same bytes, and a write → reparse of the document saves the same
+/// document section and index — only the header's source digest (none for
+/// a generated document) and the trailer over it differ — while two parses
+/// of the same text save identical files.
 #[test]
-fn index_fingerprint_is_stable_across_rebuilds() {
+fn image_bytes_are_stable_across_saves_and_reparses() {
     let doc = MoviesGen::new(MovieGenConfig { movies: 30, ..Default::default() }).generate();
-    let f1 = xsact_index::document_fingerprint(&doc);
-    let f2 = xsact_index::document_fingerprint(&doc);
-    assert_eq!(f1, f2);
-    // Round-trip through XML keeps the fingerprint (structure unchanged).
+    let save = |doc: &xsact_xml::Document| {
+        let mut bytes = Vec::new();
+        let index = xsact_index::InvertedIndex::build(doc);
+        xsact_index::save_image(doc, &index, &mut bytes).unwrap();
+        bytes
+    };
+    let generated = save(&doc);
+    assert_eq!(generated, save(&doc));
     let xml = xsact_xml::writer::write_document(&doc, &xsact_xml::WriteOptions::compact());
     let reparsed = xsact_xml::parse_document(&xml).unwrap();
-    assert_eq!(f1, xsact_index::document_fingerprint(&reparsed));
+    assert_eq!(reparsed, doc);
+    let parsed = save(&reparsed);
+    assert_eq!(generated[8..16], [0; 8], "a generated document has no source");
+    assert_ne!(parsed[8..16], [0; 8], "a parsed one is keyed by its source");
+    let sections = |bytes: &[u8]| bytes[16..bytes.len() - 8].to_vec();
+    assert_eq!(sections(&parsed), sections(&generated));
+    assert_eq!(parsed, save(&xsact_xml::parse_document(&xml).unwrap()));
 }
 
 #[test]
@@ -81,10 +96,11 @@ fn saved_index_round_trips_through_bytes() {
     let doc = MoviesGen::new(MovieGenConfig { movies: 30, ..Default::default() }).generate();
     let index = xsact_index::InvertedIndex::build(&doc);
     let mut bytes = Vec::new();
-    xsact_index::save_index(&doc, &index, &mut bytes).unwrap();
-    let loaded = xsact_index::load_index(&doc, &mut bytes.as_slice()).unwrap();
-    let engine_a = SearchEngine::from_parts(doc.clone(), index);
-    let engine_b = SearchEngine::from_parts(doc, loaded);
+    xsact_index::save_image(&doc, &index, &mut bytes).unwrap();
+    let (loaded_doc, loaded) = xsact_index::load_image(&mut bytes.as_slice(), None).unwrap();
+    assert_eq!(loaded_doc, doc);
+    let engine_a = SearchEngine::from_parts(doc, index);
+    let engine_b = SearchEngine::from_parts(loaded_doc, loaded);
     for q in ["drama family", "war soldier", "the"] {
         assert_eq!(
             engine_a.search(&Query::parse(q)),

@@ -483,9 +483,9 @@ fn v1_index_files_always_rejected() {
         let mut v1 = Vec::new();
         v1.extend_from_slice(b"XIDX");
         v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&xsact_index::document_fingerprint(&doc).to_le_bytes());
+        v1.extend_from_slice(&(doc.len() as u64).to_le_bytes());
         v1.extend_from_slice(&0u32.to_le_bytes());
-        let err = xsact_index::load_index(&doc, &mut v1.as_slice()).unwrap_err();
+        let err = xsact_index::load_image(&mut v1.as_slice(), None).unwrap_err();
         assert!(
             err.to_string().contains("unsupported index version 1"),
             "seed {seed}: unexpected error {err}"
@@ -499,8 +499,10 @@ fn index_persistence_round_trips() {
         let doc = random_document(&mut StdRng::seed_from_u64(seed));
         let idx = InvertedIndex::build(&doc);
         let mut bytes = Vec::new();
-        xsact_index::save_index(&doc, &idx, &mut bytes).expect("in-memory write");
-        let loaded = xsact_index::load_index(&doc, &mut bytes.as_slice()).expect("load");
+        xsact_index::save_image(&doc, &idx, &mut bytes).expect("in-memory write");
+        let (loaded_doc, loaded) =
+            xsact_index::load_image(&mut bytes.as_slice(), None).expect("load");
+        assert_eq!(loaded_doc, doc, "seed {seed}");
         assert_eq!(loaded.term_count(), idx.term_count(), "seed {seed}");
         for term in ["a", "b", "item", "group", "root"] {
             assert_eq!(loaded.postings(term), idx.postings(term), "seed {seed} term {term}");
