@@ -6,8 +6,13 @@
 //! engine-free half of the fix: a [`PageCache`] keyed on
 //! `(canonical query, k)`, bounded by an entry count *and* an approximate
 //! byte budget, with least-recently-used eviction. The facade stores its
-//! `QueryAnswer`s in it and checks it before a query ever reaches the
-//! submission queue, so a hit skips the queue **and** the shard pool.
+//! `QueryAnswer`s in it, each with the wire reply the dispatcher rendered
+//! at the miss, and checks it before a query ever reaches the submission
+//! queue: a hit skips the queue **and** the shard pool, and returns the
+//! bytes rendered at the miss without rendering again.
+//!
+//! A lookup is a linear scan over up to `max_entries` keys. At 256 keys
+//! that is about 200 ns, roughly 1 % of a served hit, so it stays a scan.
 //!
 //! ## Caching never changes bytes
 //!
@@ -56,8 +61,8 @@ pub enum Inserted {
 }
 
 /// A bounded LRU result-page cache; see the module docs. Not internally
-/// synchronised — the facade wraps it in a `Mutex` (lookups and inserts
-/// are a handful of integer compares next to a search).
+/// synchronised — the facade wraps it in a `Mutex` (a lookup or an insert
+/// is one linear scan over the keys, short next to a search).
 #[derive(Debug)]
 pub struct PageCache<V> {
     entries: Vec<Entry<V>>,

@@ -42,6 +42,7 @@ use crate::selection::{Selection, Source};
 use crate::workbench::Workbench;
 use std::cmp::Ordering;
 use std::convert::Infallible;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
@@ -548,15 +549,22 @@ impl CorpusRanking {
     /// Renders the top `limit` entries, one line per hit — the corpus
     /// analogue of the demo's result page.
     pub fn render(&self, limit: usize) -> String {
-        let mut out = String::new();
-        for (i, hit) in self.hits.iter().take(limit).enumerate() {
-            out.push_str(&format!(
-                "  [{:>2}] {}  @{}  (score {:.3})\n",
+        let shown = &self.hits[..self.hits.len().min(limit)];
+        // The fixed text of a line is 19 bytes; 32 also covers the rank
+        // and the score, so the one buffer rarely grows.
+        let mut out = String::with_capacity(
+            shown.iter().map(|hit| 32 + hit.result.label.len() + hit.doc_name.len()).sum(),
+        );
+        for (i, hit) in shown.iter().enumerate() {
+            // Writing into a `String` cannot fail.
+            let _ = writeln!(
+                out,
+                "  [{:>2}] {}  @{}  (score {:.3})",
                 i + 1,
                 hit.result.label,
                 hit.doc_name,
                 hit.score.score
-            ));
+            );
         }
         out
     }

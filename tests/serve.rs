@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use xsact::data::movies::qm_queries;
@@ -399,6 +399,41 @@ fn cache_hits_skip_the_shard_pool() {
     );
 }
 
+/// A page is rendered once per executed key, never per reply: a miss
+/// carries the full wire reply for its top-k, the next identical query is
+/// a cache hit returning that very allocation, and with the cache off
+/// every answer still carries the right bytes.
+#[test]
+fn reply_bytes_are_rendered_once_per_key() {
+    for shards in [1usize, 2, 8] {
+        let corpus = fleet(shards);
+        for cache_entries in [1024usize, 0] {
+            let server = CorpusServer::start(
+                Arc::clone(&corpus),
+                ServeConfig { cache_entries, ..ServeConfig::default() },
+            );
+            let mut session = server.session();
+            for k in [1usize, 4, 10] {
+                session.set_top(k);
+                let miss = session.query("drama family").unwrap();
+                let shown = miss.ranking.hits.len().min(k);
+                let want = format!("OK {shown}\n{}.\n", miss.ranking.render(k));
+                assert_eq!(*miss.reply, *want.as_bytes(), "shards {shards}, k {k}");
+                let hits_before = server.stats().cache_hits;
+                let again = session.query("drama family").unwrap();
+                assert_eq!(*again.reply, *want.as_bytes(), "shards {shards}, k {k}");
+                if cache_entries > 0 {
+                    assert_eq!(server.stats().cache_hits, hits_before + 1, "the replay hit");
+                    assert!(
+                        Arc::ptr_eq(&miss.reply, &again.reply),
+                        "a hit returns the miss's bytes (shards {shards}, k {k})"
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------ line framing
 
 /// How a client fragments its writes is invisible to the protocol: 16
@@ -452,4 +487,73 @@ fn fragmented_requests_are_framed_like_whole_lines() {
     handle.shutdown();
     let stats = handle.wait();
     assert_eq!(stats.queries_served, (CONNS * 2) as u64);
+}
+
+/// Reads one raw response, end-marker line included.
+fn read_reply(reader: &mut impl BufRead) -> Vec<u8> {
+    let mut reply = Vec::new();
+    loop {
+        let start = reply.len();
+        let read = reader.read_until(b'\n', &mut reply).expect("response read");
+        assert!(read > 0, "connection ended mid-response: {:?}", String::from_utf8_lossy(&reply));
+        if reply[start..] == *format!("{END_MARKER}\n").as_bytes() {
+            return reply;
+        }
+    }
+}
+
+/// Pipelining: lines that arrive in one write are answered in order, each
+/// with the bytes it gets when sent one round trip at a time (a miss, its
+/// hit, a verb, a miss at the new top-k, a protocol error, a typed error).
+#[test]
+fn pipelined_requests_are_answered_in_order_like_round_trips() {
+    const LINES: [&str; 6] = [
+        "QUERY drama family",
+        "QUERY drama family",
+        "TOP 2",
+        "QUERY drama family",
+        "BOGUS verb",
+        "QUERY ???",
+    ];
+    // One fresh server per run, so both see the same cache misses and hits.
+    let run = |pipelined: bool| {
+        let server = CorpusServer::start(fleet(2), ServeConfig::default());
+        let handle = serve_tcp(server, "127.0.0.1:0").expect("binds");
+        let stream = TcpStream::connect(handle.addr()).expect("connects");
+        // A server that waited for more input before answering a buffered
+        // line would stall here: fail instead of hanging.
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+        let mut writer = stream.try_clone().expect("clones");
+        let mut reader = BufReader::new(stream);
+        let replies: Vec<Vec<u8>> = if pipelined {
+            let batch: String = LINES.iter().map(|line| format!("{line}\n")).collect();
+            writer.write_all(batch.as_bytes()).unwrap();
+            LINES.iter().map(|_| read_reply(&mut reader)).collect()
+        } else {
+            LINES
+                .iter()
+                .map(|line| {
+                    writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+                    read_reply(&mut reader)
+                })
+                .collect()
+        };
+        writer.write_all(b"QUIT\n").unwrap();
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap();
+        assert_eq!(rest, format!("OK bye\n{END_MARKER}\n").as_bytes(), "nothing else was sent");
+        handle.shutdown();
+        let stats = handle.wait();
+        assert_eq!((stats.cache_misses, stats.cache_hits), (2, 1), "pipelined: {pipelined}");
+        replies
+    };
+    let pipelined = run(true);
+    let round_trips = run(false);
+    let text: Vec<_> = pipelined.iter().map(|r| String::from_utf8_lossy(r)).collect();
+    assert!(text[0].starts_with("OK 4\n") && text[0] == text[1], "{text:?}");
+    assert_eq!(text[2], format!("OK top=2\n{END_MARKER}\n"));
+    assert!(text[3].starts_with("OK 2\n"), "{text:?}");
+    assert!(text[4].starts_with("ERR BAD_REQUEST "), "{text:?}");
+    assert!(text[5].starts_with("ERR EMPTY_QUERY "), "{text:?}");
+    assert_eq!(pipelined, round_trips);
 }
