@@ -24,7 +24,7 @@ use crate::postings::InvertedIndex;
 use crate::query::Query;
 use crate::rank::{rank_results, ScoredResult, Scorer, TopK};
 use crate::slca::elca_full_scan;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use xsact_entity::{extract_features, NodeClass, ResultFeatures, StructureSummary};
 use xsact_obs::TraceSink;
 use xsact_xml::{writer, Document, NodeId};
@@ -176,6 +176,12 @@ impl SearchEngine {
     /// [`search_all`](Self::search_all) and
     /// [`search_top_k`](Self::search_top_k), so promotion, duplicate
     /// accounting and the per-semantics dispatch cannot drift apart.
+    ///
+    /// Duplicates are found on the ancestor chain: both streams yield nodes
+    /// in increasing id order, so a promoted root whose subtree ends at or
+    /// before the current node can never contain a later one, and only the
+    /// roots that still contain the current node — a short id-sorted chain
+    /// of its ancestors — can repeat.
     fn for_each_promoted(
         &self,
         plan: &QueryPlan<'_>,
@@ -183,13 +189,18 @@ impl SearchEngine {
         stats: &mut ExecutorStats,
         mut f: impl FnMut(NodeId, NodeId),
     ) {
-        let mut seen: HashSet<NodeId> = HashSet::new();
-        let mut promote = |slca: NodeId, stats: &mut ExecutorStats| {
-            let root = self.master_entity(slca);
-            if seen.insert(root) {
-                f(root, slca);
-            } else {
-                stats.candidates_pruned += 1;
+        let mut chain: Vec<NodeId> = Vec::new();
+        let mut promote = |node: NodeId, stats: &mut ExecutorStats| {
+            while chain.last().is_some_and(|&r| self.doc.subtree_end(r) <= node.index() as u32) {
+                chain.pop();
+            }
+            let root = self.master_entity(node);
+            match chain.binary_search(&root) {
+                Ok(_) => stats.candidates_pruned += 1,
+                Err(at) => {
+                    chain.insert(at, root);
+                    f(root, node);
+                }
             }
         };
         match semantics {

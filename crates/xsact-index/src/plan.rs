@@ -19,7 +19,10 @@
 //!   neighbours in the other lists are located by exponential search from
 //!   a per-list cursor left behind by the previous probe; because the
 //!   driver is walked in document order the cursors mostly advance, so a
-//!   probe costs `O(log gap)` instead of `O(log |list|)`.
+//!   probe costs `O(log gap)` instead of `O(log |list|)`. A candidate only
+//!   climbs as each list is intersected, so once it is the pending
+//!   candidate or contains it, it **settles**: it is dropped before the
+//!   remaining lists are galloped.
 //! * [`ExecutorStats`] counts what the executor actually did (postings
 //!   scanned, gallop probes, candidates pruned), so "why was this query
 //!   fast/slow" is observable from the facade (`--explain` in the CLI).
@@ -30,8 +33,8 @@
 //! interval `[c, end(c))` ([`Document::subtree_end`]) and everything the
 //! stream's loop asks — walk the driver, gallop each other list to the
 //! candidate's insertion point, replace the candidate by its deepest LCA
-//! with the two neighbours found there, then settle it against the one
-//! pending candidate — is a comparison of two integers:
+//! with the two neighbours found there, and settle it against the one
+//! pending candidate after each list — is a comparison of two integers:
 //!
 //! - a gallop probe orders a list entry against the candidate by id;
 //! - the deepest LCA with the neighbours `a < x ≤ b` is found by climbing
@@ -49,10 +52,15 @@
 //! by the stream's loop and by `gallop_insertion_by`. The gallop's probe
 //! sequence is a pure function of `(list length, cursor anchor, insertion
 //! point)`, and one `ListCursor::below(i)` evaluation is one probe whether
-//! it is answered from a skip header or an unpacked frame — so the counters
-//! depend on the lists and the query, never on how a frame happens to be
-//! packed or cached. The serve goldens and `ci/executor_counters.golden`
-//! pin them in aggregate.
+//! it is answered from a skip header or an unpacked frame. Settling is
+//! decided by the candidate and the pending candidate alone — both node
+//! ids fixed by the lists — so which lists a settled candidate skips, and
+//! therefore every later anchor, is too. The counters depend on the lists
+//! and the query, never on how a frame happens to be packed or cached.
+//! Every driver posting is either emitted once or pruned once, settled
+//! candidates included, so `postings_scanned` equals the SLCAs emitted
+//! plus the stream's `candidates_pruned`. The serve goldens and
+//! `ci/executor_counters.golden` pin the counters in aggregate.
 //!
 //! The full-scan implementations in [`crate::slca`] are the correctness
 //! reference; `tests/properties.rs` pins the stream to them over random
@@ -74,12 +82,14 @@ pub struct ExecutorStats {
     pub postings_scanned: u64,
     /// Comparisons spent locating neighbours in the non-driver
     /// lists (exponential bracket probes + the binary search inside the
-    /// bracket).
+    /// bracket). A candidate that settles skips the lists after the one it
+    /// settled on, so they pay no probe for it.
     pub gallop_probes: u64,
     /// Candidates discarded on the way to the final result: SLCA
-    /// candidates collapsed by the ancestor/duplicate pass, duplicate
-    /// entity promotions, and scored results evicted by the bounded
-    /// top-k heap.
+    /// candidates that settled (they are or contain the pending candidate)
+    /// or were replaced by a descendant, duplicate entity promotions found
+    /// on the ancestor chain, and scored results evicted by the bounded
+    /// top-k heap. Each is counted once.
     pub candidates_pruned: u64,
 }
 
@@ -272,6 +282,11 @@ fn contains(doc: &Document, a: NodeId, b: NodeId) -> bool {
     a < b && (b.index() as u32) < doc.subtree_end(a)
 }
 
+/// Whether `a` is `b` or an ancestor of it.
+fn holds(doc: &Document, a: NodeId, b: NodeId) -> bool {
+    a <= b && (b.index() as u32) < doc.subtree_end(a)
+}
+
 /// Lazy SLCA execution: yields each SLCA root exactly once, in document
 /// order, computing candidates one driver posting at a time.
 ///
@@ -280,7 +295,9 @@ fn contains(doc: &Document, a: NodeId, b: NodeId) -> bool {
 /// *before* its predecessor if it is an ancestor of it, so one pending
 /// candidate of lookahead suffices to reproduce the sort + dedup +
 /// ancestor-prune of the batch algorithm (`tests/properties.rs` pins the
-/// equivalence).
+/// equivalence). The same lookahead settles a candidate early: it only
+/// climbs, so one that is or contains the pending candidate is lost
+/// before its remaining lists are galloped.
 #[derive(Debug)]
 pub struct SlcaStream<'a> {
     doc: &'a Document,
@@ -309,7 +326,7 @@ impl Iterator for SlcaStream<'_> {
     fn next(&mut self) -> Option<NodeId> {
         let doc = self.doc;
         let driver = self.driver.as_mut()?;
-        loop {
+        'postings: loop {
             if self.next_driver >= driver.list.len() {
                 return self.pending.take();
             }
@@ -318,19 +335,25 @@ impl Iterator for SlcaStream<'_> {
             self.stats.postings_scanned += 1;
             for cursor in &mut self.others {
                 x = anchored_deepest_lca(doc, x, cursor, &mut self.stats.gallop_probes);
+                // Settle: a candidate only climbs, so once it is the
+                // pending one or contains it, it can never be a smallest
+                // LCA — drop it without galloping the remaining lists.
+                if self.pending.is_some_and(|p| holds(doc, x, p)) {
+                    self.stats.candidates_pruned += 1;
+                    continue 'postings;
+                }
             }
+            // A candidate that is or contains the pending one was settled
+            // above; one straight off the driver cannot be — it sorts after
+            // every earlier posting, so after the pending candidate.
             match self.pending {
                 None => self.pending = Some(x),
-                // Same candidate again: drop the duplicate.
-                Some(p) if p == x => self.stats.candidates_pruned += 1,
                 // The pending candidate contains the new one: it cannot be
                 // a *smallest* LCA, replace it.
                 Some(p) if contains(doc, p, x) => {
                     self.stats.candidates_pruned += 1;
                     self.pending = Some(x);
                 }
-                // The new candidate contains the pending one: drop it.
-                Some(p) if contains(doc, x, p) => self.stats.candidates_pruned += 1,
                 // Unrelated: the pending candidate is final (nothing later
                 // can sort before it without being its ancestor).
                 Some(p) => {
@@ -367,8 +390,9 @@ fn anchored_deepest_lca(
 /// search from `anchor` instead of bisecting the whole range. Cursors
 /// advance monotonically for the outermost probe of each driver posting;
 /// intersected prefixes can briefly step backwards (an ancestor sorts
-/// before its descendants), which the backward gallop covers at the same
-/// logarithmic cost.
+/// before its descendants), and a list a settled candidate skipped keeps
+/// an older anchor; the bidirectional gallop is correct from any anchor
+/// and covers both at the same logarithmic cost.
 ///
 /// `below` must be monotone (true-prefix). It is invoked exactly once per
 /// probe, and the bracket bisection replicates `slice::partition_point`'s

@@ -38,7 +38,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use xsact_core::{
     dod_total, greedy_set, is_multi_swap_optimal, is_single_swap_optimal, multi_swap,
     multi_swap_from, render_table, run_algorithm, single_swap, single_swap_from, snippet_set,
@@ -48,8 +48,8 @@ use xsact_entity::{
     extract_features, FeatureType, NodeClass, ResultFeatures, Stat, StructureSummary,
 };
 use xsact_index::{
-    rank_results, slca_full_scan, InvertedIndex, Query, QueryPlan, ScoredResult, Scorer,
-    SearchEngine, SearchResult, TopK,
+    elca_full_scan, rank_results, slca_full_scan, ExecutorStats, InvertedIndex, Query, QueryPlan,
+    ResultSemantics, ScoredResult, Scorer, SearchEngine, SearchResult, TopK,
 };
 use xsact_xml::{parse_document, writer, Document, NodeId, Sym};
 
@@ -168,7 +168,7 @@ fn every_slca_is_an_elca() {
             terms.iter().take(term_count).map(|t| idx.postings(t).to_vec()).collect();
         let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
         let slca = slca_full_scan(&doc, &lists);
-        let elca = xsact_index::elca_full_scan(&doc, &lists);
+        let elca = elca_full_scan(&doc, &lists);
         for n in &slca {
             assert!(elca.contains(n), "seed {seed}: SLCA {n:?} missing from ELCA set");
         }
@@ -389,8 +389,20 @@ fn gallop_stream_matches_the_full_scan_oracle() {
                 plan.driver_len() as u64,
                 "seed {seed}: the driver list is walked exactly once"
             );
+            assert_conserved(stream.stats(), streamed.len(), &format!("seed {seed}, {query}"));
         }
     }
+}
+
+/// The stream's conservation law: every driver posting becomes one
+/// candidate, and every candidate is emitted once or pruned once — a
+/// settled candidate included.
+fn assert_conserved(stats: ExecutorStats, emitted: usize, what: &str) {
+    assert_eq!(
+        stats.postings_scanned,
+        emitted as u64 + stats.candidates_pruned,
+        "{what}: postings scanned = SLCAs emitted + candidates pruned"
+    );
 }
 
 /// The streaming top-k, labelled — the shape the `search_ranked` oracle
@@ -761,6 +773,7 @@ fn assert_streams_agree(doc: &Document, idx: &InvertedIndex, query: &Query, what
     let streamed: Vec<NodeId> = stream.by_ref().collect();
     assert_eq!(streamed, oracle, "{what}, query {query}: planned stream vs full scan");
     assert_eq!(stream.stats().postings_scanned, plan.driver_len() as u64, "{what}, query {query}");
+    assert_conserved(stream.stats(), streamed.len(), &format!("{what}, query {query}"));
 }
 
 #[test]
@@ -778,6 +791,77 @@ fn interval_stream_matches_the_full_scan_on_multi_frame_catalogs() {
         let small = random_document(&mut rng);
         let small_idx = InvertedIndex::build(&small);
         assert_streams_agree(&small, &small_idx, &random_query(&mut rng), &format!("seed {seed}"));
+    }
+}
+
+/// Promotion computed independently of the engine: each match climbs to
+/// its nearest entity ancestor-or-self by [`StructureSummary::class_of`]
+/// (the root always classifies as one), and a `HashSet` keeps the first
+/// match of each root. Sorted by root, as `search_all` returns results.
+fn oracle_promotions(doc: &Document, matches: &[NodeId]) -> Vec<(NodeId, NodeId)> {
+    let summary = StructureSummary::infer(doc);
+    let mut seen = HashSet::new();
+    let mut promoted = Vec::new();
+    for &m in matches {
+        let mut root = m;
+        while summary.class_of(doc, root) != NodeClass::Entity {
+            root = doc.parent(root).expect("the root is an entity");
+        }
+        if seen.insert(root) {
+            promoted.push((root, m));
+        }
+    }
+    promoted.sort_by_key(|&(root, _)| root);
+    promoted
+}
+
+/// `search_all`'s promoted `(root, match)` pairs and pruned count equal
+/// the oracle's over the full-scan match sets, under both semantics.
+fn assert_promotions_match_the_oracle(engine: &SearchEngine, query: &Query, what: &str) {
+    let doc = engine.document();
+    let decoded: Vec<Vec<NodeId>> =
+        query.iter().map(|t| engine.index().postings(t).to_vec()).collect();
+    let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
+    let slcas = slca_full_scan(doc, &lists);
+    let elcas = elca_full_scan(doc, &lists);
+    let slca_oracle = oracle_promotions(doc, &slcas);
+    let elca_oracle = oracle_promotions(doc, &elcas);
+    let pairs = |semantics| {
+        let (results, stats) = engine.search_all(query, semantics, None);
+        (results.into_iter().map(|r| (r.root, r.slca)).collect::<Vec<_>>(), stats)
+    };
+    let (slca_pairs, slca_stats) = pairs(ResultSemantics::Slca);
+    assert_eq!(slca_pairs, slca_oracle, "{what}, query {query}: SLCA promotions");
+    // Stream prunes are postings scanned minus SLCAs; promotion prunes are
+    // SLCAs minus distinct roots.
+    assert_eq!(
+        slca_stats.candidates_pruned,
+        slca_stats.postings_scanned - slca_oracle.len() as u64,
+        "{what}, query {query}: SLCA pruned"
+    );
+    let (elca_pairs, elca_stats) = pairs(ResultSemantics::Elca);
+    assert_eq!(elca_pairs, elca_oracle, "{what}, query {query}: ELCA promotions");
+    assert_eq!(
+        elca_stats.candidates_pruned,
+        (elcas.len() - elca_oracle.len()) as u64,
+        "{what}, query {query}: ELCA duplicate promotions"
+    );
+}
+
+#[test]
+fn promotion_matches_an_independent_hash_set_oracle() {
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Nested `item` entities: a later match can promote to an entity
+        // that encloses an earlier, already promoted one.
+        let catalog = SearchEngine::build(catalog_document(&mut rng));
+        for _ in 0..2 {
+            let query = catalog_query(&mut rng);
+            assert_promotions_match_the_oracle(&catalog, &query, &format!("seed {seed}"));
+        }
+        let small = SearchEngine::build(random_document(&mut rng));
+        let query = random_query(&mut rng);
+        assert_promotions_match_the_oracle(&small, &query, &format!("seed {seed}, random"));
     }
 }
 
