@@ -77,7 +77,6 @@ cases() {
     run_case --dataset movies --ranked --top 0
     run_case --dataset movies --ranked --top 0 --query zeppelin
     run_case --dataset movies --top 2
-    run_case --dataset movies --semantics elca
     run_case --dataset reviews --select 1,2
     run_case --dataset outdoor
     run_case --dataset jobs --bound 6

@@ -80,11 +80,8 @@ fn run_single(
         Some(sink) => wb.query_traced(&args.query, sink),
         None => wb.query(&args.query),
     }?;
-    let mut pipeline = pipeline
-        .semantics(args.semantics)
-        .ranked(args.ranked)
-        .size_bound(args.bound)
-        .threshold(args.threshold);
+    let mut pipeline =
+        pipeline.ranked(args.ranked).size_bound(args.bound).threshold(args.threshold);
     pipeline = if args.select.is_empty() {
         // The demo defaults to the first four checkboxes; --top overrides.
         pipeline.take(args.top.unwrap_or(4))
@@ -641,13 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn elca_semantics_runs() {
-        let a = args_for("figure1", &["--semantics", "elca"]);
-        let out = run(&a).expect("runs");
-        assert!(out.contains("results"));
-    }
-
-    #[test]
     fn jobs_demo_runs() {
         let a = args_for("jobs", &["--bound", "6"]);
         let out = run(&a).expect("runs");
@@ -677,10 +667,10 @@ mod tests {
     }
 
     #[test]
-    fn too_many_terms_is_a_typed_error_under_elca() {
+    fn a_65_term_query_runs() {
         let query = (0..65).map(|i| format!("t{i}")).collect::<Vec<_>>().join(" ");
-        let a = args_for("figure1", &["--query", &query, "--semantics", "elca"]);
-        assert!(matches!(run(&a), Err(XsactError::TooManyTerms { terms: 65, max: 64 })));
+        let out = run(&args_for("figure1", &["--query", &query])).expect("runs");
+        assert!(out.contains("0 results"));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use std::fmt;
 use xsact_core::Algorithm;
-use xsact_index::ResultSemantics;
 
 /// Which dataset to load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,20 +151,6 @@ impl FlagValue for Algorithm {
     }
 }
 
-impl FlagValue for ResultSemantics {
-    fn parse(_: &str, text: &str) -> Result<Self, ArgError> {
-        match text {
-            "slca" => Ok(ResultSemantics::Slca),
-            "elca" => Ok(ResultSemantics::Elca),
-            other => Err(ArgError(format!("unknown semantics {other:?}; use slca | elca"))),
-        }
-    }
-
-    fn show(&self) -> Option<String> {
-        Some(format!("{self:?}").to_lowercase())
-    }
-}
-
 /// One row of a subcommand's flag table, as the parser and `--help` read it.
 struct Flag<T> {
     /// The flag as typed, e.g. `--bound`.
@@ -248,8 +233,6 @@ command! {
         select: Vec<usize> = Vec::new(), "--select" "<list>",
             "1-based result numbers to compare, e.g. 1,3 (default: the first 4)";
         seed: u64 = 42, "--seed" "<n>", "generator seed of the synthetic datasets";
-        semantics: ResultSemantics = ResultSemantics::Slca, "--semantics" "<s>",
-            "slca | elca result semantics";
         ranked: bool = false, "--ranked" "", "order results by relevance (TF-IDF)";
         top: Option<usize> = None, "--top" "<k>",
             "compare the first k results instead of 4; with\n\
@@ -556,11 +539,9 @@ mod tests {
     }
 
     #[test]
-    fn semantics_and_ranked_flags() {
-        let a = parse_ok(&["--semantics", "elca", "--ranked"]);
-        assert_eq!(a.semantics, ResultSemantics::Elca);
-        assert!(a.ranked);
-        assert_eq!(parse_ok(&[]).semantics, ResultSemantics::Slca);
+    fn ranked_flag() {
+        assert!(parse_ok(&["--ranked"]).ranked);
+        assert!(!parse_ok(&[]).ranked);
     }
 
     #[test]
@@ -594,7 +575,7 @@ mod tests {
         assert!(err(&["--algorithm", "dp"]).0.contains("unknown algorithm"));
         assert!(err(&["--select", "0"]).0.contains("1-based"));
         assert!(err(&["--select", "1,a"]).0.contains("bad result number"));
-        assert!(err(&["--semantics", "xlca"]).0.contains("unknown semantics"));
+        assert!(err(&["--semantics", "elca"]).0.contains("unknown flag \"--semantics\""));
         assert!(err(&["--frobnicate"]).0.contains("unknown flag \"--frobnicate\""));
     }
 

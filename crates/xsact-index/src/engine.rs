@@ -9,12 +9,11 @@
 //! be a brand selling men's jackets").
 //!
 //! There are two ways to run a query. [`SearchEngine::search_all`] returns
-//! every result in document order under either LCA semantics
-//! ([`SearchEngine::search`] is its SLCA shorthand).
-//! [`SearchEngine::search_top_k`] returns the best `k` SLCA results by
-//! relevance, streamed through a bounded heap and left unlabelled until
-//! [`SearchEngine::result_for`] — the path every ranked, `take(k)` and
-//! corpus caller runs. Both report the executor's work as
+//! every result in document order ([`SearchEngine::search`] is its
+//! untraced shorthand). [`SearchEngine::search_top_k`] returns the best
+//! `k` results by relevance, streamed through a bounded heap and left
+//! unlabelled until [`SearchEngine::result_for`] — the path every ranked,
+//! `take(k)` and corpus caller runs. Both report the executor's work as
 //! [`ExecutorStats`] and take an optional trace sink.
 //! [`SearchEngine::search_ranked`] sorts the full result list and exists
 //! as the oracle the property suite compares the streaming path against.
@@ -23,21 +22,19 @@ use crate::plan::{ExecutorStats, QueryPlan};
 use crate::postings::InvertedIndex;
 use crate::query::Query;
 use crate::rank::{rank_results, ScoredResult, Scorer, TopK};
-use crate::slca::elca_full_scan;
 use std::collections::HashMap;
 use xsact_entity::{extract_features, NodeClass, ResultFeatures, StructureSummary};
 use xsact_obs::TraceSink;
 use xsact_xml::{writer, Document, NodeId};
 
-/// Which lowest-common-ancestor semantics defines a keyword match.
+/// Which lowest-common-ancestor semantics defines a keyword match. SLCA is
+/// the only one: every search runs it. The type stays because the
+/// benchmark's pinned library surface names `ResultSemantics::Slca`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResultSemantics {
-    /// Smallest LCA — XSeek's (and therefore XSACT's) default.
+    /// Smallest LCA — XSeek's (and therefore XSACT's) semantics.
     #[default]
     Slca,
-    /// Exclusive LCA — a looser semantics that may additionally return
-    /// ancestors with their own exclusive keyword witnesses.
-    Elca,
 }
 
 /// One search result: an entity subtree of the document.
@@ -125,14 +122,13 @@ impl SearchEngine {
     /// query, or a query containing a term absent from the document,
     /// returns no results.
     pub fn search(&self, query: &Query) -> Vec<SearchResult> {
-        self.search_all(query, ResultSemantics::Slca, None).0
+        self.search_all(query, None).0
     }
 
-    /// The document-order search: every result of a conjunctive keyword
-    /// query under the chosen LCA semantics, plus what the executor did to
-    /// find them. A query the planner proves empty (no terms, or a term
-    /// with zero postings) returns zeroed counters — no SLCA work ran at
-    /// all.
+    /// The document-order search: every SLCA result of a conjunctive
+    /// keyword query, plus what the executor did to find them. A query the
+    /// planner proves empty (no terms, or a term with zero postings)
+    /// returns zeroed counters — no SLCA work ran at all.
     ///
     /// With a `trace`, the stages record `plan` → `slca-stream` → `sort`
     /// spans; with `None` no timestamps are taken at all. Tracing never
@@ -140,7 +136,6 @@ impl SearchEngine {
     pub fn search_all(
         &self,
         query: &Query,
-        semantics: ResultSemantics,
         trace: Option<&TraceSink>,
     ) -> (Vec<SearchResult>, ExecutorStats) {
         let mut stats = ExecutorStats::default();
@@ -155,7 +150,7 @@ impl SearchEngine {
         }
         let span = trace.map(|sink| sink.span("slca-stream"));
         let mut results = Vec::new();
-        self.for_each_promoted(&plan, semantics, &mut stats, |root, slca| {
+        self.for_each_promoted(&plan, &mut stats, |root, slca| {
             results.push(SearchResult { root, slca, label: self.label_for(root) });
         });
         if let Some(mut span) = span {
@@ -170,14 +165,14 @@ impl SearchEngine {
         (results, stats)
     }
 
-    /// Runs the planned match stream under `semantics` and hands every
-    /// *distinct* master-entity promotion to `f` as a `(root, slca)` pair,
-    /// in match (document) order — the shared front half of
+    /// Runs the planned SLCA stream and hands every *distinct*
+    /// master-entity promotion to `f` as a `(root, slca)` pair, in match
+    /// (document) order — the shared front half of
     /// [`search_all`](Self::search_all) and
-    /// [`search_top_k`](Self::search_top_k), so promotion, duplicate
-    /// accounting and the per-semantics dispatch cannot drift apart.
+    /// [`search_top_k`](Self::search_top_k), so promotion and duplicate
+    /// accounting cannot drift apart.
     ///
-    /// Duplicates are found on the ancestor chain: both streams yield nodes
+    /// Duplicates are found on the ancestor chain: the stream yields nodes
     /// in increasing id order, so a promoted root whose subtree ends at or
     /// before the current node can never contain a later one, and only the
     /// roots that still contain the current node — a short id-sorted chain
@@ -185,44 +180,25 @@ impl SearchEngine {
     fn for_each_promoted(
         &self,
         plan: &QueryPlan<'_>,
-        semantics: ResultSemantics,
         stats: &mut ExecutorStats,
         mut f: impl FnMut(NodeId, NodeId),
     ) {
         let mut chain: Vec<NodeId> = Vec::new();
-        let mut promote = |node: NodeId, stats: &mut ExecutorStats| {
-            while chain.last().is_some_and(|&r| self.doc.subtree_end(r) <= node.index() as u32) {
+        let mut stream = plan.stream(&self.doc);
+        for slca in stream.by_ref() {
+            while chain.last().is_some_and(|&r| self.doc.subtree_end(r) <= slca.index() as u32) {
                 chain.pop();
             }
-            let root = self.master_entity(node);
+            let root = self.master_entity(slca);
             match chain.binary_search(&root) {
                 Ok(_) => stats.candidates_pruned += 1,
                 Err(at) => {
                     chain.insert(at, root);
-                    f(root, node);
-                }
-            }
-        };
-        match semantics {
-            ResultSemantics::Slca => {
-                let mut stream = plan.stream(&self.doc);
-                for slca in stream.by_ref() {
-                    promote(slca, stats);
-                }
-                *stats += stream.stats();
-            }
-            ResultSemantics::Elca => {
-                // The full scan reads every posting of every list — it
-                // needs the whole lists in memory, so decode the packed
-                // frames up front (the streaming SLCA path never does).
-                stats.postings_scanned += plan.total_postings() as u64;
-                let decoded = plan.decoded_lists();
-                let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
-                for m in elca_full_scan(&self.doc, &lists) {
-                    promote(m, stats);
+                    f(root, slca);
                 }
             }
         }
+        *stats += stream.stats();
     }
 
     /// Runs a query and orders the results by relevance (best first) using
@@ -256,9 +232,7 @@ impl SearchEngine {
     /// [`result_for`](Self::result_for) only for what survives its merge.
     /// The roots equal the ranked full SLCA search truncated to `k` for
     /// every `k` (the ranking order is total; `tests/properties.rs` pins
-    /// it), with `usize::MAX` producing the complete ranking. Ranking is
-    /// defined over SLCA results only; ELCA runs through
-    /// [`search_all`](Self::search_all).
+    /// it), with `usize::MAX` producing the complete ranking.
     ///
     /// With a `trace`, the stages record `plan` → `slca-stream` → `rank`
     /// spans with the executor counters attached as span notes; with
@@ -287,7 +261,7 @@ impl SearchEngine {
         let span = trace.map(|sink| sink.span("slca-stream"));
         let mut heap: TopK<RankedRoot> = TopK::new(k);
         let mut streamed = 0usize;
-        self.for_each_promoted(&plan, ResultSemantics::Slca, &mut stats, |root, slca| {
+        self.for_each_promoted(&plan, &mut stats, |root, slca| {
             let score = scorer.score(root);
             heap.push(score.score, root, RankedRoot { score, slca });
             streamed += 1;
@@ -487,45 +461,12 @@ mod tests {
     }
 
     #[test]
-    fn elca_semantics_is_a_superset_of_slca() {
-        let engine = shop_engine();
-        for text in ["TomTom GPS", "compact", "camera"] {
-            let q = Query::parse(text);
-            let slca = engine.search_all(&q, ResultSemantics::Slca, None).0;
-            let elca = engine.search_all(&q, ResultSemantics::Elca, None).0;
-            for r in &slca {
-                assert!(
-                    elca.iter().any(|e| e.root == r.root),
-                    "{text}: SLCA result missing under ELCA"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn elca_can_return_more_results() {
-        // Root holds exclusive witnesses of both terms (two products match
-        // `compact` via different subtrees + spare ones at shop level is not
-        // the case here, so craft one).
-        let doc = parse_document(
-            "<shop><product><name>A compact thing</name></product>\
-             <product><name>B compact thing</name></product></shop>",
-        )
-        .unwrap();
-        let engine = SearchEngine::build(doc);
-        let q = Query::parse("compact thing");
-        let slca = engine.search_all(&q, ResultSemantics::Slca, None).0;
-        let elca = engine.search_all(&q, ResultSemantics::Elca, None).0;
-        assert!(elca.len() >= slca.len());
-    }
-
-    #[test]
     fn zero_postings_term_short_circuits_slca_search() {
         // Satellite: a hopeless term must be caught by the planner, before
         // any SLCA work — observable as all-zero executor counters.
         let engine = shop_engine();
         let q = Query::parse("tomtom zeppelin");
-        let (results, stats) = engine.search_all(&q, ResultSemantics::Slca, None);
+        let (results, stats) = engine.search_all(&q, None);
         assert!(results.is_empty());
         assert!(stats.is_zero(), "{stats:?}");
         let (top, top_stats) = engine.search_top_k(&q, 4, None);
@@ -534,19 +475,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_postings_term_short_circuits_elca_search() {
-        let engine = shop_engine();
-        let q = Query::parse("tomtom zeppelin");
-        let (results, stats) = engine.search_all(&q, ResultSemantics::Elca, None);
-        assert!(results.is_empty());
-        assert!(stats.is_zero(), "no full scan may run: {stats:?}");
-    }
-
-    #[test]
     fn matching_searches_report_executor_work() {
         let engine = shop_engine();
         let q = Query::parse("TomTom GPS");
-        let (results, stats) = engine.search_all(&q, ResultSemantics::Slca, None);
+        let (results, stats) = engine.search_all(&q, None);
         assert_eq!(results.len(), 2);
         assert!(stats.postings_scanned > 0);
         assert!(stats.gallop_probes > 0);

@@ -11,7 +11,6 @@
 //!   integer comparison),
 //! * [`slca`] — Smallest Lowest Common Ancestor computation, the standard
 //!   XML keyword-search semantics, as a full-scan reference implementation,
-//!   plus ELCA as an alternative semantics,
 //! * [`plan`] — the streaming executor: a rarest-first [`QueryPlan`] with
 //!   zero-postings short-circuit, the anchored-gallop [`SlcaStream`] (the
 //!   Indexed Lookup Eager SLCA algorithm of Xu & Papakonstantinou), and
@@ -41,4 +40,4 @@ pub use plan::{ExecutorStats, QueryPlan, SlcaStream};
 pub use postings::{IndexStats, InvertedIndex, PostingsIter, PostingsRef};
 pub use query::Query;
 pub use rank::{rank_results, ScoredResult, Scorer, TopK};
-pub use slca::{elca_full_scan, slca_full_scan};
+pub use slca::slca_full_scan;

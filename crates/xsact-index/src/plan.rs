@@ -62,8 +62,8 @@
 //! plus the stream's `candidates_pruned`. The serve goldens and
 //! `ci/executor_counters.golden` pin the counters in aggregate.
 //!
-//! The full-scan implementations in [`crate::slca`] are the correctness
-//! reference; `tests/properties.rs` pins the stream to them over random
+//! The full-scan implementation in [`crate::slca`] is the correctness
+//! reference; `tests/properties.rs` pins the stream to it over random
 //! documents and queries.
 
 use crate::postings::{FrameCache, InvertedIndex, PostingsRef, FRAME};
@@ -78,7 +78,7 @@ use xsact_xml::{Document, NodeId};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
     /// Posting entries consumed: driver-list entries walked by the SLCA
-    /// stream, plus every entry of every list for full-scan (ELCA) runs.
+    /// stream.
     pub postings_scanned: u64,
     /// Comparisons spent locating neighbours in the non-driver
     /// lists (exponential bracket probes + the binary search inside the
@@ -174,12 +174,6 @@ impl<'a> QueryPlan<'a> {
     /// Number of planned posting lists (0 for an empty plan).
     pub fn num_lists(&self) -> usize {
         self.lists.len()
-    }
-
-    /// The planned lists decoded to flat vectors, rarest first — the form
-    /// the full-scan (ELCA) algorithms consume.
-    pub fn decoded_lists(&self) -> Vec<Vec<NodeId>> {
-        self.lists.iter().map(PostingsRef::to_vec).collect()
     }
 
     /// Length of the driving (shortest) posting list — the number of SLCA
@@ -505,8 +499,8 @@ mod tests {
         let (_, idx) = doc_and_index("<r><a>k1 k2</a><b>k2</b><c>k2</c></r>");
         let plan = QueryPlan::new(&idx, &Query::parse("k2 k1"));
         assert!(!plan.is_empty());
-        let lens: Vec<usize> = plan.decoded_lists().iter().map(Vec::len).collect();
-        assert_eq!(lens, [1, 3]);
+        // Two lists of 1 and 3 postings: the rarer one drives.
+        assert_eq!(plan.num_lists(), 2);
         assert_eq!(plan.driver_len(), 1);
         assert_eq!(plan.total_postings(), 4);
     }

@@ -36,7 +36,7 @@
 //! strictly, every frame is a delta frame, and the query planner and the
 //! scorer compare and count plain integers. The flat `Vec<NodeId>`
 //! representation survives only as [`PostingsRef::to_vec`] — what the
-//! full-scan algorithms and the property suite consume.
+//! full-scan oracle and the property suite consume.
 
 use crate::lexer::for_each_term;
 use xsact_xml::{Document, Interner, NodeId, Sym};
@@ -473,7 +473,7 @@ impl<'a> PostingsRef<'a> {
     }
 
     /// Decodes the whole list into a flat vector — what the full-scan
-    /// algorithms consume.
+    /// oracle consumes.
     pub fn to_vec(&self) -> Vec<NodeId> {
         self.iter().collect()
     }

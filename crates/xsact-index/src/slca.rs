@@ -4,26 +4,21 @@
 //! subtree contains at least one node from every list. The standard result
 //! semantics — used by XSeek and therefore by XSACT — is the **Smallest LCA
 //! (SLCA)**: LCA matches none of whose proper descendants are also LCA
-//! matches. The **Exclusive LCA (ELCA)** is a looser alternative also
-//! implemented here: a node that still contains every keyword after removing
-//! the subtrees of its keyword-complete descendants.
+//! matches.
 //!
-//! This module holds the full-scan algorithms: [`slca_full_scan`] and
-//! [`elca_full_scan`], one bottom-up pass propagating keyword bitmasks over
-//! the whole document. Simple, obviously correct, `O(|doc| · k/64)`. The
-//! search engine answers ELCA queries with the latter; SLCA queries run on
-//! the streaming executor in [`crate::plan`] — the Indexed Lookup Eager
+//! This module holds the full-scan reference, [`slca_full_scan`]: one
+//! bottom-up pass propagating keyword bitmasks over the whole document.
+//! Simple, obviously correct, `O(|doc| · k/64)`. Queries run on the
+//! streaming executor in [`crate::plan`] — the Indexed Lookup Eager
 //! algorithm of Xu & Papakonstantinou (SIGMOD 2005), `O(|S₁| · Σ log gapᵢ ·
-//! d)` — and [`slca_full_scan`] is the reference its tests and the property
+//! d)` — and [`slca_full_scan`] is the oracle its tests and the property
 //! suite compare it against.
 
 use xsact_xml::{Document, NodeId};
 
-/// Maximum number of keyword lists supported by the bitmask algorithms
-/// ([`slca_full_scan`], [`elca_full_scan`]): one bit per list in a `u64`.
-/// The facade rejects longer queries with a typed error before they can
-/// reach this layer.
-pub const MAX_KEYWORDS: usize = 64;
+/// Maximum number of keyword lists the full-scan oracle supports: one bit
+/// per list in a `u64`. The streaming executor has no such cap.
+const MAX_KEYWORDS: usize = 64;
 
 fn full_mask(k: usize) -> u64 {
     assert!(k <= MAX_KEYWORDS, "at most {MAX_KEYWORDS} keywords supported");
@@ -34,16 +29,15 @@ fn full_mask(k: usize) -> u64 {
     }
 }
 
-/// Computes per-node `(direct, subtree)` keyword masks.
-fn keyword_masks(doc: &Document, lists: &[&[NodeId]]) -> (Vec<u64>, Vec<u64>) {
-    let mut direct = vec![0u64; doc.len()];
+/// Computes each node's subtree keyword mask.
+fn keyword_masks(doc: &Document, lists: &[&[NodeId]]) -> Vec<u64> {
+    let mut subtree = vec![0u64; doc.len()];
     for (bit, list) in lists.iter().enumerate() {
         for &node in *list {
-            direct[node.index()] |= 1 << bit;
+            subtree[node.index()] |= 1 << bit;
         }
     }
     let order: Vec<NodeId> = doc.all_nodes().collect();
-    let mut subtree = direct.clone();
     // Children follow their parent in preorder, so a reverse sweep sees every
     // node after all of its descendants.
     for &node in order.iter().rev() {
@@ -51,7 +45,7 @@ fn keyword_masks(doc: &Document, lists: &[&[NodeId]]) -> (Vec<u64>, Vec<u64>) {
             subtree[parent.index()] |= subtree[node.index()];
         }
     }
-    (direct, subtree)
+    subtree
 }
 
 /// Full-scan SLCA: returns, in document order, every node whose subtree
@@ -60,43 +54,16 @@ fn keyword_masks(doc: &Document, lists: &[&[NodeId]]) -> (Vec<u64>, Vec<u64>) {
 /// Empty input or any empty posting list yields no results (AND semantics).
 ///
 /// # Panics
-/// Panics if `lists` holds more than [`MAX_KEYWORDS`] lists.
+/// Panics if `lists` holds more than 64 lists (one bit each in a `u64`).
 pub fn slca_full_scan(doc: &Document, lists: &[&[NodeId]]) -> Vec<NodeId> {
     if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
         return Vec::new();
     }
     let full = full_mask(lists.len());
-    let (_, subtree) = keyword_masks(doc, lists);
+    let subtree = keyword_masks(doc, lists);
     doc.all_nodes()
         .filter(|&n| {
             subtree[n.index()] == full && doc.children(n).all(|c| subtree[c.index()] != full)
-        })
-        .collect()
-}
-
-/// Full-scan ELCA: nodes that contain every keyword *exclusively* — counting
-/// only witnesses not inside an already keyword-complete child subtree.
-///
-/// Every SLCA is an ELCA; the converse does not hold.
-///
-/// # Panics
-/// Panics if `lists` holds more than [`MAX_KEYWORDS`] lists.
-pub fn elca_full_scan(doc: &Document, lists: &[&[NodeId]]) -> Vec<NodeId> {
-    if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
-        return Vec::new();
-    }
-    let full = full_mask(lists.len());
-    let (direct, subtree) = keyword_masks(doc, lists);
-    doc.all_nodes()
-        .filter(|&n| {
-            let mut exclusive = direct[n.index()];
-            for c in doc.children(n) {
-                let m = subtree[c.index()];
-                if m != full {
-                    exclusive |= m;
-                }
-            }
-            exclusive == full
         })
         .collect()
 }
@@ -156,7 +123,6 @@ mod tests {
     fn empty_query_gives_no_results() {
         let doc = parse_document("<r><a>k</a></r>").unwrap();
         assert!(slca_full_scan(&doc, &[]).is_empty());
-        assert!(elca_full_scan(&doc, &[]).is_empty());
     }
 
     #[test]
@@ -192,48 +158,6 @@ mod tests {
         let (full, ile) = run_both(xml, &["k1", "k2", "k3"]);
         assert_eq!(full, ile);
         assert_eq!(full, ["0.0", "0.1.0"]);
-    }
-
-    #[test]
-    fn elca_includes_root_with_exclusive_witnesses() {
-        // <sec> is keyword-complete; root still owns a spare k1 and k2.
-        let xml = "<r><sec><a>k1</a><b>k2</b></sec><x>k1</x><y>k2</y></r>";
-        let doc = parse_document(xml).unwrap();
-        let idx = InvertedIndex::build(&doc);
-        let (k1, k2) = (idx.postings("k1").to_vec(), idx.postings("k2").to_vec());
-        let lists: Vec<&[NodeId]> = vec![&k1, &k2];
-        let slca: Vec<String> =
-            slca_full_scan(&doc, &lists).iter().map(|&n| doc.dewey(n).to_string()).collect();
-        let elca: Vec<String> =
-            elca_full_scan(&doc, &lists).iter().map(|&n| doc.dewey(n).to_string()).collect();
-        assert_eq!(slca, ["0.0"]);
-        assert_eq!(elca, ["0", "0.0"]);
-    }
-
-    #[test]
-    fn elca_excludes_root_without_exclusive_witnesses() {
-        let xml = "<r><sec><a>k1</a><b>k2</b></sec><x>k1</x></r>";
-        let doc = parse_document(xml).unwrap();
-        let idx = InvertedIndex::build(&doc);
-        let (k1, k2) = (idx.postings("k1").to_vec(), idx.postings("k2").to_vec());
-        let lists: Vec<&[NodeId]> = vec![&k1, &k2];
-        let elca: Vec<String> =
-            elca_full_scan(&doc, &lists).iter().map(|&n| doc.dewey(n).to_string()).collect();
-        assert_eq!(elca, ["0.0"]);
-    }
-
-    #[test]
-    fn every_slca_is_an_elca() {
-        let xml = "<r><s><a>k1</a><b>k2</b></s><s><a>k1 k2</a></s><x>k1</x><y>k2</y></r>";
-        let doc = parse_document(xml).unwrap();
-        let idx = InvertedIndex::build(&doc);
-        let (k1, k2) = (idx.postings("k1").to_vec(), idx.postings("k2").to_vec());
-        let lists: Vec<&[NodeId]> = vec![&k1, &k2];
-        let slca = slca_full_scan(&doc, &lists);
-        let elca = elca_full_scan(&doc, &lists);
-        for n in slca {
-            assert!(elca.contains(&n));
-        }
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //! //    is a typed `XsactError`.
 //! let outcome = wb
 //!     .query("TomTom GPS")?
-//!     .semantics(ResultSemantics::Slca)
 //!     .take(4)
 //!     .size_bound(7)
 //!     .threshold(10.0)
@@ -51,7 +50,7 @@
 //!
 //! * [`xml`] — XML substrate: parser, preorder-id DOM, writer.
 //! * [`index`] — keyword search engine (XSeek-style): inverted index,
-//!   SLCA/ELCA, result construction, ranking, persistence.
+//!   SLCA, result construction, ranking, persistence.
 //! * [`entity`] — result processor: entity identification and feature
 //!   extraction.
 //! * [`core`] — the paper's contribution: Differentiation Feature Sets,

@@ -2,8 +2,8 @@
 //!
 //! [`QueryPipeline`](crate::QueryPipeline) and
 //! [`CorpusQuery`](crate::CorpusQuery) differ only in where their result
-//! lists come from — their [`Source`]: SLCA or ELCA over one document, or
-//! the sharded fan-out and merge. Everything after that is [`Selection`]:
+//! lists come from — their [`Source`]: SLCA over one document, or the
+//! sharded fan-out and merge. Everything after that is [`Selection`]:
 //!
 //! * **The rule.** Explicit 1-based positions index the full list and take
 //!   precedence over the bound `k`; otherwise the first `k` enter (all

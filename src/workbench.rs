@@ -19,9 +19,9 @@
 //!   [`XsactError`] failures instead of `String`s and
 //!   `unwrap()`s.
 //!
-//! The pipeline keeps only SLCA/ELCA semantics, the document-order
-//! listing and its executor counters; the selection rule, error order and
-//! memos are shared with [`crate::CorpusQuery`] (`src/selection.rs`).
+//! The pipeline keeps only the document-order listing and its executor
+//! counters; the selection rule, error order and memos are shared with
+//! [`crate::CorpusQuery`] (`src/selection.rs`).
 //!
 //! ```
 //! use xsact::prelude::*;
@@ -46,7 +46,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use xsact_core::{Algorithm, ComparisonOutcome, DfsConfig, Instance};
 use xsact_entity::ResultFeatures;
-use xsact_index::slca::MAX_KEYWORDS;
 use xsact_index::{
     ExecutorStats, Query, RankedRoot, ResultSemantics, ScoredResult, SearchEngine, SearchResult,
 };
@@ -238,9 +237,7 @@ impl Workbench {
     }
 
     /// Starts a query pipeline. Fails with [`XsactError::EmptyQuery`] when
-    /// `text` contains no indexable terms, and with
-    /// [`XsactError::TooManyTerms`] when it contains more than 64 distinct
-    /// ones.
+    /// `text` contains no indexable terms; any number of terms runs.
     pub fn query(&self, text: &str) -> XsactResult<QueryPipeline<'_>> {
         QueryPipeline::new(self, text, None)
     }
@@ -387,13 +384,12 @@ impl Workbench {
 
 /// A fluent, configured query over a [`Workbench`].
 ///
-/// Builder methods refine *what* is searched ([`semantics`](Self::semantics),
-/// [`ranked`](Self::ranked)), *which* results enter the comparison
-/// ([`take`](Self::take), [`select`](Self::select)) and *how* DFSs are
-/// generated ([`size_bound`](Self::size_bound),
-/// [`threshold`](Self::threshold)); terminal methods
-/// ([`results`](Self::results), [`features`](Self::features),
-/// [`compare`](Self::compare)) execute it.
+/// Builder methods refine *what* is searched ([`ranked`](Self::ranked)),
+/// *which* results enter the comparison ([`take`](Self::take),
+/// [`select`](Self::select)) and *how* DFSs are generated
+/// ([`size_bound`](Self::size_bound), [`threshold`](Self::threshold));
+/// terminal methods ([`results`](Self::results),
+/// [`features`](Self::features), [`compare`](Self::compare)) execute it.
 #[derive(Debug, Clone)]
 pub struct QueryPipeline<'a> {
     sel: Selection<Searches<'a>>,
@@ -402,12 +398,11 @@ pub struct QueryPipeline<'a> {
 /// A result, with its score when the list is a ranking.
 type Hit = (SearchResult, Option<ScoredResult>);
 
-/// Where a pipeline's lists come from: SLCA or ELCA over the workbench's
-/// document, in document order or ranked.
+/// Where a pipeline's lists come from: SLCA over the workbench's document,
+/// in document order or ranked.
 #[derive(Debug, Clone)]
 struct Searches<'a> {
     wb: &'a Workbench,
-    semantics: ResultSemantics,
     ranked: bool,
     trace: Option<&'a TraceSink>,
     /// Summed over this pipeline's searches; `None` before the first.
@@ -426,7 +421,7 @@ impl Source for Searches<'_> {
         if self.ranked {
             return self.top(query, usize::MAX);
         }
-        let (results, stats) = self.wb.engine.search_all(query, self.semantics, self.trace);
+        let (results, stats) = self.wb.engine.search_all(query, self.trace);
         self.wb.exec.record(stats);
         self.stats.set(Some(self.stats.get().unwrap_or_default() + stats));
         results.into_iter().map(|r| (r, None)).collect()
@@ -450,37 +445,19 @@ fn scored(hits: &[Hit]) -> Vec<(SearchResult, ScoredResult)> {
 
 impl<'a> QueryPipeline<'a> {
     fn new(wb: &'a Workbench, text: &str, trace: Option<&'a TraceSink>) -> XsactResult<Self> {
-        let searches = Searches {
-            wb,
-            semantics: ResultSemantics::default(),
-            ranked: false,
-            trace,
-            stats: Cell::new(None),
-        };
+        let searches = Searches { wb, ranked: false, trace, stats: Cell::new(None) };
         let sel = Selection::parse(searches, text, trace)?;
-        // The pipeline may run ELCA, whose full scan keeps one bit per term
-        // in a `u64` and asserts the terms fit: that is a precondition of a
-        // layer function, and query text must not be able to break it.
-        let terms = sel.query().len();
-        if terms > MAX_KEYWORDS {
-            return Err(XsactError::TooManyTerms { terms, max: MAX_KEYWORDS });
-        }
         Ok(QueryPipeline { sel })
     }
 
-    /// Chooses the LCA semantics (SLCA by default).
+    /// Returns the pipeline unchanged: SLCA is the only semantics. It stays
+    /// because the benchmark's pinned library surface names it.
     #[must_use]
-    pub fn semantics(mut self, semantics: ResultSemantics) -> Self {
-        self.sel.source_mut().semantics = semantics;
+    pub fn semantics(self, _: ResultSemantics) -> Self {
         self
     }
 
     /// Orders results by TF-IDF relevance instead of document order.
-    ///
-    /// Ranking is defined over SLCA results only (the engine's
-    /// `search_top_k` takes no semantics), so this overrides a previously
-    /// chosen [`semantics`](Self::semantics); ELCA results come in
-    /// document order only.
     #[must_use]
     pub fn ranked(mut self, ranked: bool) -> Self {
         self.sel.source_mut().ranked = ranked;

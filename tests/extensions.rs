@@ -1,12 +1,10 @@
 //! Integration tests for the extension features (the paper's "future work"
-//! and companion techniques): result ranking, ELCA semantics and simulated
-//! annealing.
+//! and companion techniques): result ranking and simulated annealing.
 
 use xsact::prelude::*;
 use xsact_core::annealing::{anneal, anneal_from, AnnealingConfig};
-use xsact_core::{dod_total, multi_swap, snippet_set, Algorithm, DfsConfig, Instance};
+use xsact_core::{dod_total, multi_swap, snippet_set, DfsConfig, Instance};
 use xsact_data::movies::{MovieGenConfig, MoviesGen};
-use xsact_index::ResultSemantics;
 
 fn movie_engine() -> SearchEngine {
     let doc = MoviesGen::new(MovieGenConfig { movies: 120, ..Default::default() }).generate();
@@ -29,32 +27,6 @@ fn ranked_search_is_a_permutation_of_plain_search() {
     for pair in ranked.windows(2) {
         assert!(pair[0].1.score >= pair[1].1.score);
     }
-}
-
-#[test]
-fn elca_results_contain_all_slca_results() {
-    let engine = movie_engine();
-    for text in ["drama family", "war soldier", "comedy wedding"] {
-        let q = Query::parse(text);
-        let slca = engine.search_all(&q, ResultSemantics::Slca, None).0;
-        let elca = engine.search_all(&q, ResultSemantics::Elca, None).0;
-        assert!(elca.len() >= slca.len(), "{text}");
-        for r in &slca {
-            assert!(elca.iter().any(|e| e.root == r.root), "{text}");
-        }
-    }
-}
-
-#[test]
-fn elca_comparison_pipeline_works() {
-    let engine = movie_engine();
-    let q = Query::parse("drama family");
-    let results = engine.search_all(&q, ResultSemantics::Elca, None).0;
-    assert!(results.len() >= 2);
-    let features: Vec<ResultFeatures> =
-        results.iter().take(4).map(|r| engine.extract_features(r)).collect();
-    let outcome = Comparison::new(&features).size_bound(6).run(Algorithm::MultiSwap);
-    assert!(outcome.set.all_valid(&outcome.instance));
 }
 
 fn qm_instance(engine: &SearchEngine, bound: usize) -> Instance {

@@ -51,49 +51,38 @@ fn zero_postings_term_surfaces_no_results_under_slca() {
     // zero postings before any SLCA work; the facade still reports the
     // typed NoResults, and the executor counters prove nothing ran.
     let wb = figure1_like_workbench();
-    let err = wb
-        .query("tomtom zeppelin")
-        .unwrap()
-        .semantics(ResultSemantics::Slca)
-        .features()
-        .unwrap_err();
+    let err = wb.query("tomtom zeppelin").unwrap().features().unwrap_err();
     assert!(matches!(err, XsactError::NoResults { .. }), "{err}");
     assert_eq!(wb.executor_stats(), ExecutorStats::default(), "short-circuit must cost nothing");
 }
 
 #[test]
-fn zero_postings_term_surfaces_no_results_under_elca() {
-    let wb = figure1_like_workbench();
-    let err = wb
-        .query("tomtom zeppelin")
-        .unwrap()
-        .semantics(ResultSemantics::Elca)
-        .features()
-        .unwrap_err();
-    assert!(matches!(err, XsactError::NoResults { .. }), "{err}");
-    assert_eq!(wb.executor_stats(), ExecutorStats::default(), "no ELCA full scan may run");
-}
-
-#[test]
-fn a_query_of_65_distinct_terms_is_a_typed_error_and_64_run_under_elca() {
-    // ELCA's full scan keeps one bit per term in a `u64` and asserts the
-    // terms fit. Query text must not be able to reach that assert: every
-    // term below occurs in the document, so no short circuit hides it.
-    let terms: Vec<String> = (0..65).map(|i| format!("t{i}")).collect();
+fn a_query_of_200_distinct_terms_is_an_answer() {
+    // No layer caps the number of terms: every one below occurs in both
+    // products, so the query matches two results and no short circuit
+    // hides the executor. The pipeline, the corpus and the server agree.
+    let terms: Vec<String> = (0..200).map(|i| format!("t{i}")).collect();
+    let text = terms.join(" ");
     let xml = format!(
-        "<shop><product><name>{all}</name></product><product><name>{all}</name></product></shop>",
-        all = terms.join(" ")
+        "<shop><product><name>{text}</name></product><product><name>{text}</name></product></shop>"
     );
     let wb = Workbench::from_xml(&xml).unwrap();
-    let at_the_cap = wb.query(&terms[..64].join(" ")).unwrap();
-    for semantics in [ResultSemantics::Slca, ResultSemantics::Elca] {
-        assert_eq!(at_the_cap.clone().semantics(semantics).results().len(), 2, "{semantics:?}");
-    }
-    let err = wb.query(&terms.join(" ")).unwrap_err();
-    assert!(matches!(err, XsactError::TooManyTerms { terms: 65, max: 64 }), "{err}");
-    assert_eq!(err.to_string(), "the query has 65 distinct terms; at most 64 are supported");
-    // Repeats do not count: the cap is on distinct terms.
-    assert!(wb.query(&format!("{0} {0}", terms[..64].join(" "))).is_ok());
+    assert_eq!(wb.query(&text).unwrap().results().len(), 2);
+
+    let mut corpus = Corpus::new();
+    corpus.add_xml("shop", &xml).unwrap();
+    let corpus = Arc::new(corpus);
+    let ranking = corpus.query(&text).unwrap().ranking().clone();
+    let hits: Vec<_> =
+        ranking.hits.iter().map(|hit| (hit.result.clone(), hit.score.clone())).collect();
+    assert_eq!(wb.query(&text).unwrap().ranked(true).top_results(), hits);
+
+    let server = CorpusServer::start(Arc::clone(&corpus), ServeConfig::default());
+    let mut session = server.session();
+    let answer = session.query(&text).unwrap();
+    assert_eq!(answer.ranking.render(session.top()), ranking.render(session.top()));
+    server.shutdown();
+    server.join();
 }
 
 fn figure1_like_workbench() -> Workbench {

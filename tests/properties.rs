@@ -48,8 +48,8 @@ use xsact_entity::{
     extract_features, FeatureType, NodeClass, ResultFeatures, Stat, StructureSummary,
 };
 use xsact_index::{
-    elca_full_scan, rank_results, slca_full_scan, ExecutorStats, InvertedIndex, Query, QueryPlan,
-    ResultSemantics, ScoredResult, Scorer, SearchEngine, SearchResult, TopK,
+    rank_results, slca_full_scan, ExecutorStats, InvertedIndex, Query, QueryPlan, ScoredResult,
+    Scorer, SearchEngine, SearchResult, TopK,
 };
 use xsact_xml::{parse_document, writer, Document, NodeId, Sym};
 
@@ -151,37 +151,6 @@ fn slca_implementations_agree() {
         let query = Query::from_terms(&terms[..term_count]);
         let eager: Vec<NodeId> = QueryPlan::new(&idx, &query).stream(&doc).collect();
         assert_eq!(full, eager, "seed {seed}, {term_count} terms");
-    }
-}
-
-#[test]
-fn every_slca_is_an_elca() {
-    for seed in 0..64u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let doc = random_document(&mut rng);
-        let idx = InvertedIndex::build(&doc);
-        let terms = ["a", "item", "b", "group"];
-        // Inclusive of terms.len(), so 4-keyword queries (and the last
-        // declared term) are actually exercised.
-        let term_count = rng.random_range(1..=terms.len());
-        let decoded: Vec<Vec<NodeId>> =
-            terms.iter().take(term_count).map(|t| idx.postings(t).to_vec()).collect();
-        let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
-        let slca = slca_full_scan(&doc, &lists);
-        let elca = elca_full_scan(&doc, &lists);
-        for n in &slca {
-            assert!(elca.contains(n), "seed {seed}: SLCA {n:?} missing from ELCA set");
-        }
-        // ELCA nodes are never proper descendants of an SLCA node (the
-        // smallest witnesses sit at or below every exclusive one).
-        for e in &elca {
-            for s in &slca {
-                assert!(
-                    !doc.dewey(*s).is_ancestor_of(&doc.dewey(*e)) || e == s || !slca.contains(e),
-                    "seed {seed}: ELCA below an SLCA"
-                );
-            }
-        }
     }
 }
 
@@ -352,9 +321,9 @@ fn slca_over_interned_postings_matches_oracle_lists() {
 // ------------------------------------------------ streaming top-k executor
 //
 // The gallop executor (QueryPlan + SlcaStream + the bounded top-k heap)
-// must be observably identical to the batch oracles: slca_full_scan /
-// elca_full_scan for the match set, and rank_results' full sort truncated
-// at k for the ranking — for every k, tied scores included.
+// must be observably identical to the batch oracles: slca_full_scan for
+// the match set, and rank_results' full sort truncated at k for the
+// ranking — for every k, tied scores included.
 
 /// A random query over the generator's tag universe: 1–4 terms, sometimes
 /// including `missing`, which never occurs in any generated document (so
@@ -816,35 +785,22 @@ fn oracle_promotions(doc: &Document, matches: &[NodeId]) -> Vec<(NodeId, NodeId)
 }
 
 /// `search_all`'s promoted `(root, match)` pairs and pruned count equal
-/// the oracle's over the full-scan match sets, under both semantics.
+/// the oracle's over the full-scan SLCA match set.
 fn assert_promotions_match_the_oracle(engine: &SearchEngine, query: &Query, what: &str) {
     let doc = engine.document();
     let decoded: Vec<Vec<NodeId>> =
         query.iter().map(|t| engine.index().postings(t).to_vec()).collect();
     let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
-    let slcas = slca_full_scan(doc, &lists);
-    let elcas = elca_full_scan(doc, &lists);
-    let slca_oracle = oracle_promotions(doc, &slcas);
-    let elca_oracle = oracle_promotions(doc, &elcas);
-    let pairs = |semantics| {
-        let (results, stats) = engine.search_all(query, semantics, None);
-        (results.into_iter().map(|r| (r.root, r.slca)).collect::<Vec<_>>(), stats)
-    };
-    let (slca_pairs, slca_stats) = pairs(ResultSemantics::Slca);
-    assert_eq!(slca_pairs, slca_oracle, "{what}, query {query}: SLCA promotions");
+    let oracle = oracle_promotions(doc, &slca_full_scan(doc, &lists));
+    let (results, stats) = engine.search_all(query, None);
+    let pairs: Vec<_> = results.into_iter().map(|r| (r.root, r.slca)).collect();
+    assert_eq!(pairs, oracle, "{what}, query {query}: SLCA promotions");
     // Stream prunes are postings scanned minus SLCAs; promotion prunes are
     // SLCAs minus distinct roots.
     assert_eq!(
-        slca_stats.candidates_pruned,
-        slca_stats.postings_scanned - slca_oracle.len() as u64,
+        stats.candidates_pruned,
+        stats.postings_scanned - oracle.len() as u64,
         "{what}, query {query}: SLCA pruned"
-    );
-    let (elca_pairs, elca_stats) = pairs(ResultSemantics::Elca);
-    assert_eq!(elca_pairs, elca_oracle, "{what}, query {query}: ELCA promotions");
-    assert_eq!(
-        elca_stats.candidates_pruned,
-        (elcas.len() - elca_oracle.len()) as u64,
-        "{what}, query {query}: ELCA duplicate promotions"
     );
 }
 
