@@ -1,6 +1,6 @@
 //! The demo application: dataset loading, search, selection, comparison —
 //! the terminal analogue of the paper's Figure 5 result page, wired through
-//! the [`Workbench`] pipeline with typed errors.
+//! a [`Workbench`] query with typed errors.
 
 use crate::args::{Args, ClientArgs, CorpusArgs, Dataset, ServeArgs};
 use std::io::{BufRead, BufReader, Write};
@@ -92,33 +92,31 @@ fn run_single(
 
     // Result list with snippet-ish labels (Figure 5's result page).
     // --select picks positions in the full list, so it disables the
-    // bounded listing (and with it --top, mirroring the pipeline's
+    // bounded listing (and with it --top, mirroring the builder's
     // select-over-take precedence).
     let bounded = args.ranked && args.top.is_some() && args.select.is_empty();
-    let results = if args.ranked {
-        let ranked = if bounded {
-            // Bounded mode: the streaming executor materialises only the
-            // best k results — the full ranking never exists.
-            pipeline.top_results()
-        } else {
-            pipeline.ranked_results()
-        };
-        let top = if bounded { "top " } else { "" };
-        out.push_str(&format!("query {query}: {top}{} results (ranked)\n", ranked.len()));
-        for (i, (r, score)) in ranked.iter().enumerate() {
-            out.push_str(&format!("  [{:>2}] {}  (score {:.3})\n", i + 1, r.label, score.score));
-        }
-        ranked.into_iter().map(|(r, _)| r).collect::<Vec<_>>()
+    let best;
+    let listed: &[CorpusHit] = if bounded {
+        // Bounded mode: the streaming executor materialises only the
+        // best k results — the full ranking never exists.
+        best = pipeline.selection()?;
+        &best
     } else {
-        let results = pipeline.results();
-        out.push_str(&format!("query {query}: {} results\n", results.len()));
-        for (i, r) in results.iter().enumerate() {
-            out.push_str(&format!("  [{:>2}] {}\n", i + 1, r.label));
-        }
-        results
+        &pipeline.ranking().hits
     };
-    if results.is_empty() {
-        let stats = pipeline.executor_stats().unwrap_or_default();
+    let top = if bounded { "top " } else { "" };
+    let ranked = if args.ranked { " (ranked)" } else { "" };
+    out.push_str(&format!("query {query}: {top}{} results{ranked}\n", listed.len()));
+    for (i, hit) in listed.iter().enumerate() {
+        out.push_str(&format!("  [{:>2}] {}", i + 1, hit.result.label));
+        if let Some(score) = &hit.score {
+            out.push_str(&format!("  (score {:.3})", score.score));
+        }
+        out.push('\n');
+    }
+    // A CLI run builds its own workbench, so its counters are this query's.
+    let stats = wb.executor_stats();
+    if listed.is_empty() {
         // `--top 0` told the bounded executor to keep nothing, which is
         // not the same as the query matching nothing — a matching query
         // always scans at least one posting, so zeroed counters mean the
@@ -142,8 +140,8 @@ fn run_single(
     ));
 
     if args.stats {
-        for r in &selected {
-            let rf = wb.features_for(r);
+        for hit in &selected {
+            let rf = wb.features_for(&hit.result);
             out.push_str(&format!("\nstatistics of {}:\n", rf.label()));
             for line in rf.stat_panel(6) {
                 out.push_str(&format!("  {line}\n"));
@@ -152,15 +150,15 @@ fn run_single(
         out.push('\n');
     }
     if args.show_xml {
-        for r in &selected {
-            out.push_str(&format!("\n{}\n", wb.result_xml(r)));
+        for hit in &selected {
+            out.push_str(&format!("\n{}\n", wb.result_xml(&hit.result)));
         }
         out.push('\n');
     }
 
     if selected.len() < 2 {
         out.push_str("(need at least two selected results for a comparison table)\n");
-        return Ok((out, pipeline.executor_stats().unwrap_or_default()));
+        return Ok((out, wb.executor_stats()));
     }
 
     let outcome: ComparisonOutcome = pipeline.compare(args.algorithm)?;
@@ -173,7 +171,7 @@ fn run_single(
         outcome.stats.moves,
         outcome.stats.elapsed
     ));
-    Ok((out, pipeline.executor_stats().unwrap_or_default()))
+    Ok((out, wb.executor_stats()))
 }
 
 /// Renders [`ExecutorStats`] as the one-line `--explain` report (single
@@ -228,7 +226,7 @@ fn run_corpus_inner(
         Some(sink) => corpus.query_traced(&args.query, sink),
         None => corpus.query(&args.query),
     }?
-    .top(args.top)
+    .take(args.top)
     .size_bound(args.bound)
     .threshold(args.threshold);
     let query_start = Instant::now();
@@ -261,19 +259,20 @@ fn run_corpus_inner(
     }
 
     let outcome = query.compare(args.algorithm)?;
+    let compared = query.selection()?;
     out.push_str(&format!(
         "\ncomparing the top {} (L = {}, x = {}%, {}):\n",
-        outcome.hits.len(),
+        compared.len(),
         args.bound,
         args.threshold,
         args.algorithm.name()
     ));
     out.push_str(&outcome.table());
-    let spanned: std::collections::HashSet<_> = outcome.hits.iter().map(|h| h.doc).collect();
+    let spanned: std::collections::HashSet<_> = compared.iter().map(|h| h.doc).collect();
     out.push_str(&format!(
         "DoD = {} over {} results from {} document{}\n",
         outcome.dod(),
-        outcome.hits.len(),
+        compared.len(),
         spanned.len(),
         if spanned.len() == 1 { "" } else { "s" }
     ));

@@ -21,11 +21,15 @@ use std::cmp::Ordering;
 /// the scan for a heap without changing the contract.
 ///
 /// Each input list must already be sorted by `cmp` (debug-asserted); the
-/// per-shard search produces exactly that.
-pub fn k_way_merge<T>(lists: Vec<Vec<T>>, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
+/// per-shard search produces exactly that. One list is already merged and
+/// comes back as it is — a one-document query's case.
+pub fn k_way_merge<T>(mut lists: Vec<Vec<T>>, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
     debug_assert!(lists
         .iter()
         .all(|l| l.windows(2).all(|w| cmp(&w[0], &w[1]) != Ordering::Greater)));
+    if lists.len() == 1 {
+        return lists.pop().expect("len checked");
+    }
     let total: usize = lists.iter().map(Vec::len).sum();
     let mut iters: Vec<std::vec::IntoIter<T>> = lists.into_iter().map(Vec::into_iter).collect();
     let mut heads: Vec<Option<T>> = iters.iter_mut().map(Iterator::next).collect();

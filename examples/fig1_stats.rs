@@ -14,7 +14,7 @@ use xsact_data::fixtures;
 fn main() -> Result<(), XsactError> {
     let wb = Workbench::from_document(fixtures::figure1_document());
     let pipeline = wb.query(fixtures::PAPER_QUERY)?;
-    let results = pipeline.results();
+    let results = &pipeline.ranking().hits;
     println!("query {{TomTom, GPS}} on the Figure 1 dataset: {} results\n", results.len());
 
     for (i, rf) in pipeline.features()?.iter().enumerate() {
@@ -29,7 +29,7 @@ fn main() -> Result<(), XsactError> {
     // The fragment view: the first review subtree of result 1, as the
     // figure's tree diagram shows.
     let doc = wb.document();
-    if let Some(reviews) = doc.child_by_tag(results[0].root, "reviews") {
+    if let Some(reviews) = doc.child_by_tag(results[0].result.root, "reviews") {
         if let Some(first) = doc.child_elements(reviews).next() {
             println!("first review fragment of result 1 (cf. the tree in Figure 1):");
             println!("{}", xsact_xml::writer::write_subtree(doc, first));

@@ -20,14 +20,14 @@ fn main() -> Result<(), XsactError> {
 
     // A candidate looks for senior engineer roles…
     let pipeline = wb.query("senior engineer")?;
-    let results = pipeline.results();
+    let results = &pipeline.ranking().hits;
     println!("query {}: {} matching openings", pipeline.query_text(), results.len());
 
     // …and compares the companies behind them.
     let doc = wb.document();
     let mut companies: Vec<NodeId> = Vec::new();
-    for r in &results {
-        let mut cur = r.root;
+    for hit in results {
+        let mut cur = hit.result.root;
         while doc.tag(cur) != "company" {
             match doc.parent(cur) {
                 Some(p) => cur = p,

@@ -24,7 +24,7 @@ fn main() -> Result<(), XsactError> {
 
     for (label, query_text) in qm_queries() {
         let pipeline = wb.query(&query_text)?.size_bound(10);
-        println!("{label} {}: {} results", pipeline.query_text(), pipeline.results().len());
+        println!("{label} {}: {} results", pipeline.query_text(), pipeline.ranking().hits.len());
         let single = match pipeline.compare(Algorithm::SingleSwap) {
             Ok(outcome) => outcome,
             Err(XsactError::NoResults { .. } | XsactError::NotEnoughResults { .. }) => continue,

@@ -21,15 +21,16 @@ fn main() -> Result<(), XsactError> {
     let wb = Workbench::from_document(doc);
 
     // Product-level matches for {men, jackets} …
-    let results = wb.query("men jackets")?.results();
+    let query = wb.query("men jackets")?;
+    let results = &query.ranking().hits;
     println!("query {{men, jackets}}: {} matching products", results.len());
 
     // … lifted to the brand level, as the paper's XSeek configuration
     // returns brands.
     let doc = wb.document();
     let mut brands: Vec<NodeId> = Vec::new();
-    for r in &results {
-        let mut cur = r.root;
+    for hit in results {
+        let mut cur = hit.result.root;
         while doc.tag(cur) != "brand" {
             match doc.parent(cur) {
                 Some(p) => cur = p,

@@ -19,10 +19,10 @@ fn main() -> Result<(), XsactError> {
 
     // 2. Run the paper's query {TomTom, GPS}.
     let pipeline = wb.query(fixtures::PAPER_QUERY)?;
-    let results = pipeline.results();
+    let results = &pipeline.ranking().hits;
     println!("query {} returned {} results:", pipeline.query_text(), results.len());
-    for (i, r) in results.iter().enumerate() {
-        println!("  [{}] {}", i + 1, r.label);
+    for (i, hit) in results.iter().enumerate() {
+        println!("  [{}] {}", i + 1, hit.result.label);
     }
 
     // 3. Extract the feature statistics of each result (the Figure 1

@@ -24,7 +24,7 @@ fn main() -> Result<(), XsactError> {
     for query_text in ["TomTom GPS", "Garmin GPS", "Nokia phone"] {
         // A shopper ticks the first few checkboxes and hits "comparison".
         let pipeline = wb.query(query_text)?.take(3).size_bound(8);
-        let results = pipeline.results();
+        let results = &pipeline.ranking().hits;
         println!("\n=== query {}: {} results", pipeline.query_text(), results.len());
 
         for algorithm in [Algorithm::Snippet, Algorithm::SingleSwap, Algorithm::MultiSwap] {

@@ -20,9 +20,10 @@
 //! [`CorpusQuery::select`] — can be compared *across documents*: the
 //! corpus pulls each hit's features from its owning workbench (cached,
 //! thread-safe) and builds one comparison table whose columns may come
-//! from different documents. A [`CorpusQuery`] keeps only the fan-out and
-//! merge; the selection rule, error order and memos are shared with
-//! [`crate::QueryPipeline`] (`src/selection.rs`).
+//! from different documents. [`CorpusQuery`] is the one query builder; a
+//! [`Workbench`] query is the same builder over one document
+//! (`src/selection.rs`). This module holds what it runs: the shard unit of
+//! work and the merges, which the serving runtime runs too.
 //!
 //! ```
 //! use xsact::corpus::Corpus;
@@ -30,15 +31,16 @@
 //!
 //! # fn main() -> Result<(), xsact::XsactError> {
 //! let corpus = Corpus::synthetic_movies(4, 60, 42).with_shards(2);
-//! let outcome = corpus.query("drama family")?.top(4).compare(Algorithm::MultiSwap)?;
-//! assert!(outcome.hits.iter().any(|h| h.doc != outcome.hits[0].doc), "spans documents");
+//! let query = corpus.query("drama family")?.take(4);
+//! let outcome = query.compare(Algorithm::MultiSwap)?;
+//! let hits = query.selection()?;
+//! assert!(hits.iter().any(|h| h.doc != hits[0].doc), "spans documents");
 //! println!("{}", outcome.table());
 //! # Ok(())
 //! # }
 //! ```
 
 use crate::error::{XsactError, XsactResult};
-use crate::selection::{Selection, Source};
 use crate::workbench::Workbench;
 use std::cmp::Ordering;
 use std::convert::Infallible;
@@ -48,35 +50,26 @@ use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{self, AtomicU64};
 use std::sync::Arc;
-use xsact_core::{Algorithm, ComparisonOutcome};
 use xsact_corpus::{fan_out, k_way_merge};
 use xsact_data::movies::{MovieGenConfig, MoviesGen};
-use xsact_entity::ResultFeatures;
 use xsact_index::{ExecutorStats, Query, RankedRoot, ScoredResult, SearchEngine, SearchResult};
 use xsact_obs::TraceSink;
 use xsact_serve::FaultPlan;
-use xsact_xml::Document;
+use xsact_xml::{Document, NodeId};
 
+pub use crate::selection::CorpusQuery;
 pub use xsact_corpus::{DocId, ShardPlan};
 
 /// The demo compares the first four ticked results; corpus queries default
 /// to the same top-k.
 pub const DEFAULT_TOP: usize = 4;
 
-/// One ingested document: its stable id, display name, and workbench.
-/// The name is an `Arc<str>` because every hit of every query carries it —
-/// tagging a hit must not allocate in the fan-out hot path.
-#[derive(Debug)]
-struct CorpusDoc {
-    id: DocId,
-    name: Arc<str>,
-    wb: Workbench,
-}
-
 /// A sharded pool of per-document workbenches; see the module docs.
 #[derive(Debug)]
 pub struct Corpus {
-    docs: Vec<CorpusDoc>,
+    /// One workbench per document, indexed by [`DocId`] and named by its
+    /// `name`.
+    pub(crate) docs: Vec<Workbench>,
     shards: usize,
     /// Armed fault-injection sites for the persistence paths (chaos
     /// testing only); disarmed by default, which costs one branch.
@@ -225,10 +218,10 @@ impl Corpus {
         Ok(self.push(name.into(), Workbench::from_xml(xml)?))
     }
 
-    fn push(&mut self, name: String, wb: Workbench) -> DocId {
-        let id = DocId(self.docs.len() as u32);
-        self.docs.push(CorpusDoc { id, name: name.into(), wb });
-        id
+    fn push(&mut self, name: String, mut wb: Workbench) -> DocId {
+        wb.name = name.into();
+        self.docs.push(wb);
+        DocId(self.docs.len() as u32 - 1)
     }
 
     /// Number of ingested documents.
@@ -248,7 +241,7 @@ impl Corpus {
 
     /// The workbench serving a document, for layer-level access.
     pub fn workbench(&self, id: DocId) -> &Workbench {
-        &self.docs[id.index()].wb
+        &self.docs[id.index()]
     }
 
     /// Saves every document's inverted index into `dir` as
@@ -258,18 +251,18 @@ impl Corpus {
     /// the previous file (or none), never a torn one.
     pub fn save_indexes(&self, dir: impl AsRef<Path>) -> XsactResult<()> {
         fs::create_dir_all(dir.as_ref())?;
-        for doc in &self.docs {
-            let path = dir.as_ref().join(format!("{}.xidx", doc.name));
-            save_index_atomic_faulted(&doc.wb, &path, &self.faults)?;
+        for wb in &self.docs {
+            let path = dir.as_ref().join(format!("{}.xidx", wb.name));
+            save_index_atomic_faulted(wb, &path, &self.faults)?;
         }
         Ok(())
     }
 
-    /// Starts a corpus-wide query. Fails with
-    /// [`XsactError::EmptyQuery`] / [`XsactError::EmptyCorpus`] before any
-    /// thread is spawned.
+    /// Starts a corpus-wide query, ranked and bounded to [`DEFAULT_TOP`]
+    /// until told otherwise. Fails with [`XsactError::EmptyCorpus`] /
+    /// [`XsactError::EmptyQuery`] before any thread is spawned.
     pub fn query(&self, text: &str) -> XsactResult<CorpusQuery<'_>> {
-        CorpusQuery::new(self, text, None)
+        self.query_impl(text, None)
     }
 
     /// [`query`](Self::query) with a stage trace attached from the start:
@@ -282,51 +275,31 @@ impl Corpus {
         text: &str,
         sink: &'a TraceSink,
     ) -> XsactResult<CorpusQuery<'a>> {
-        CorpusQuery::new(self, text, Some(sink))
+        self.query_impl(text, Some(sink))
+    }
+
+    fn query_impl<'a>(
+        &'a self,
+        text: &str,
+        trace: Option<&'a TraceSink>,
+    ) -> XsactResult<CorpusQuery<'a>> {
+        if self.is_empty() {
+            return Err(XsactError::EmptyCorpus);
+        }
+        let query = CorpusQuery::new(&self.docs, self.effective_shards(), text, trace)?;
+        Ok(query.ranked(true).take(DEFAULT_TOP))
     }
 
     /// Executor counters aggregated over every document workbench — the
     /// corpus-wide view of [`Workbench::executor_stats`].
     pub fn executor_stats(&self) -> ExecutorStats {
-        self.docs.iter().fold(ExecutorStats::default(), |acc, doc| acc + doc.wb.executor_stats())
+        self.docs.iter().fold(ExecutorStats::default(), |acc, wb| acc + wb.executor_stats())
     }
 
     /// The number of shards a query will actually use: empty shards are
     /// not spawned, so this is `min(shards, len)`.
     pub fn effective_shards(&self) -> usize {
         self.shards.min(self.docs.len()).max(1)
-    }
-
-    /// One shard's unit of work — the only one, run by the scoped-thread
-    /// fan-out ([`CorpusQuery::ranking`], once per query) and by the
-    /// serving runtime's persistent shard pool (`crate::serve`, once per
-    /// coalesced key): rank each document of the shard's round-robin slice
-    /// through the streaming executor bounded by `k`, merge the
-    /// per-document lists under the ranking's total order, truncate to `k`,
-    /// and label what is left. Because both execution paths run *this*
-    /// function over *the same* [`ShardPlan`] partition, pooling can never
-    /// change result bytes.
-    ///
-    /// Returns the shard's merged list plus the executor work it cost,
-    /// summed over the shard's documents (also recorded into each owning
-    /// workbench's cumulative counters).
-    pub(crate) fn execute_shard(
-        &self,
-        query: &Query,
-        k: usize,
-        doc_indexes: &[usize],
-    ) -> (Vec<CorpusHit>, ExecutorStats) {
-        let mut stats = ExecutorStats::default();
-        let per_doc: Vec<Vec<ShardCandidate<'_>>> = doc_indexes
-            .iter()
-            .map(|&d| {
-                let doc = &self.docs[d];
-                let (roots, doc_stats) = doc.wb.top_k_roots(query, k, None);
-                stats += doc_stats;
-                roots.into_iter().map(|ranked| ShardCandidate { doc, ranked }).collect()
-            })
-            .collect();
-        (merge_shard_candidates(per_doc, k), stats)
     }
 }
 
@@ -510,36 +483,43 @@ fn save_index_atomic_faulted(wb: &Workbench, path: &Path, faults: &FaultPlan) ->
     result
 }
 
-/// One entry of a merged corpus ranking: a search result plus the document
-/// it came from and its relevance score.
+/// One entry of a query's list: a search result plus the document it came
+/// from and, in a ranked list, its relevance score.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorpusHit {
-    /// Owning document.
+    /// Owning document: its id among the queried documents (`DocId(0)`
+    /// for a workbench's own query).
     pub doc: DocId,
     /// The owning document's display name (shared, not per-hit allocated).
     pub doc_name: Arc<str>,
     /// The result subtree inside that document. Its root is the last key
     /// of the merge's total order.
     pub result: SearchResult,
-    /// Relevance score and its components.
-    pub score: ScoredResult,
+    /// Relevance score and its components; `None` in a document-order
+    /// list, which scores nothing.
+    pub score: Option<ScoredResult>,
 }
 
 impl CorpusHit {
     /// The merge's total order: score descending, then document id, then
-    /// the root's node id. Depends only on the hit itself — never on shard
-    /// count or thread timing — which is what makes corpus rankings
-    /// deterministic. `pub(crate)` so the serving runtime's global merge
-    /// uses the *same* comparator as the scoped fan-out.
+    /// the root's node id; unscored hits tie on the score, so a
+    /// document-order list is `(DocId, NodeId)` order. Depends only on the
+    /// hit itself — never on shard count or thread timing — which is what
+    /// makes every list deterministic. `pub(crate)` so the serving
+    /// runtime's global merge uses the *same* comparator as a query.
     pub(crate) fn ranking_order(&self, other: &CorpusHit) -> Ordering {
-        ranking_order(&self.score, self.doc, &other.score, other.doc)
+        let score = |hit: &CorpusHit| hit.score.as_ref().map_or(0.0, |s| s.score);
+        ranking_order(
+            (score(self), self.doc, self.result.root),
+            (score(other), other.doc, other.result.root),
+        )
     }
 }
 
-/// The merged, deterministic result of one corpus query.
+/// The merged, deterministic list of one query.
 #[derive(Debug, Clone)]
 pub struct CorpusRanking {
-    /// Globally ranked hits, best first.
+    /// The hits in the query's order: best first when ranked.
     pub hits: Vec<CorpusHit>,
     /// How many shard workers produced it.
     pub shards: usize,
@@ -557,181 +537,75 @@ impl CorpusRanking {
         );
         for (i, hit) in shown.iter().enumerate() {
             // Writing into a `String` cannot fail.
-            let _ = writeln!(
-                out,
-                "  [{:>2}] {}  @{}  (score {:.3})",
-                i + 1,
-                hit.result.label,
-                hit.doc_name,
-                hit.score.score
-            );
+            let _ = write!(out, "  [{:>2}] {}  @{}", i + 1, hit.result.label, hit.doc_name);
+            if let Some(score) = &hit.score {
+                let _ = write!(out, "  (score {:.3})", score.score);
+            }
+            out.push('\n');
         }
         out
     }
 }
 
-/// The outcome of a cross-document comparison: which hits were compared,
-/// and the comparison table they produced.
-#[derive(Debug, Clone)]
-pub struct CorpusOutcome {
-    /// The compared hits, in ranking order (= table column order).
-    pub hits: Vec<CorpusHit>,
-    /// The underlying comparison result.
-    pub comparison: ComparisonOutcome,
+/// One shard's ranked unit of work — the only one, run by a ranked
+/// query's fan-out ([`CorpusQuery`], once per query) and by the serving
+/// runtime's persistent shard pool (`crate::serve`, once per coalesced
+/// key): rank each document of the shard's round-robin slice of `docs`
+/// through the streaming executor bounded by `k`, merge the per-document
+/// lists under the ranking's total order, truncate to `k`, and label what
+/// is left. Because both execution paths run *this* function over *the
+/// same* [`ShardPlan`] partition, pooling can never change result bytes.
+///
+/// Returns the shard's merged list plus the executor work it cost, summed
+/// over the shard's documents (also recorded into each owning workbench's
+/// cumulative counters). `trace` receives each document's search stages.
+pub(crate) fn execute_shard(
+    docs: &[Workbench],
+    query: &Query,
+    k: usize,
+    doc_indexes: &[usize],
+    trace: Option<&TraceSink>,
+) -> (Vec<CorpusHit>, ExecutorStats) {
+    let mut stats = ExecutorStats::default();
+    let per_doc: Vec<Vec<ShardCandidate<'_>>> = doc_indexes
+        .iter()
+        .map(|&d| {
+            let (wb, doc) = (&docs[d], DocId(d as u32));
+            let (roots, doc_stats) = wb.top_k_roots(query, k, trace);
+            stats += doc_stats;
+            roots.into_iter().map(|ranked| ShardCandidate { wb, doc, ranked }).collect()
+        })
+        .collect();
+    (merge_shard_candidates(per_doc, k), stats)
 }
 
-impl CorpusOutcome {
-    /// Total degree of differentiation.
-    pub fn dod(&self) -> u32 {
-        self.comparison.dod()
+/// The document-order counterpart of [`execute_shard`]: each document of
+/// the slice lists every SLCA result, unscored, in document order, and
+/// the lists are concatenated in id order — which is the merge's total
+/// order when nothing is scored.
+pub(crate) fn list_shard(
+    docs: &[Workbench],
+    query: &Query,
+    doc_indexes: &[usize],
+    trace: Option<&TraceSink>,
+) -> (Vec<CorpusHit>, ExecutorStats) {
+    let mut stats = ExecutorStats::default();
+    let mut hits = Vec::new();
+    for &d in doc_indexes {
+        let wb = &docs[d];
+        let (results, doc_stats) = wb.all_results(query, trace);
+        stats += doc_stats;
+        hits.extend(results.into_iter().map(|result| CorpusHit {
+            doc: DocId(d as u32),
+            doc_name: wb.name.clone(),
+            result,
+            score: None,
+        }));
     }
-
-    /// The cross-document comparison table.
-    pub fn table(&self) -> String {
-        self.comparison.table()
-    }
+    (hits, stats)
 }
 
-/// A configured query over a [`Corpus`]: fan out, merge, optionally
-/// compare.
-#[derive(Debug, Clone)]
-pub struct CorpusQuery<'a> {
-    sel: Selection<FanOut<'a>>,
-}
-
-/// Where a corpus query's lists come from: the fan-out over the corpus's
-/// shards and the merge of what they return.
-#[derive(Debug, Clone, Copy)]
-struct FanOut<'a> {
-    corpus: &'a Corpus,
-    /// Where stage spans go when the caller asked for a trace
-    /// ([`Corpus::query_traced`]); `None` takes no timestamps.
-    trace: Option<&'a TraceSink>,
-}
-
-impl Source for FanOut<'_> {
-    type Hit = CorpusHit;
-    type List = CorpusRanking;
-
-    /// The one fan-out/merge behind both memos: spawn min(shards,
-    /// documents) workers, rank each worker's round-robin document slice
-    /// through the streaming executor bounded by `k`, merge per shard, then
-    /// merge the shard lists — every merge truncated to `k`.
-    fn top(&self, query: &Query, k: usize) -> CorpusRanking {
-        let FanOut { corpus, trace } = *self;
-        let shards = corpus.effective_shards();
-        // effective_shards() ≤ document count, so round-robin
-        // partitioning never produces an empty shard.
-        let parts = ShardPlan::new(shards).partition(corpus.docs.len());
-        let shard_lists = fan_out(parts, |shard, doc_indexes| {
-            let span = trace.map(|sink| sink.span(format!("shard {shard}")));
-            let (hits, stats) = corpus.execute_shard(query, k, &doc_indexes);
-            if let Some(mut span) = span {
-                span.note("docs", doc_indexes.len() as u64);
-                span.note("postings_scanned", stats.postings_scanned);
-                span.note("hits", hits.len() as u64);
-                span.finish();
-            }
-            hits
-        });
-        let span = trace.map(|sink| sink.span("merge"));
-        let candidates: usize = shard_lists.iter().map(Vec::len).sum();
-        let ranking = merge_shard_lists(shard_lists, k, shards);
-        if let Some(mut span) = span {
-            span.note("candidates", candidates as u64);
-            span.note("kept", ranking.hits.len() as u64);
-            span.finish();
-        }
-        ranking
-    }
-
-    /// In a multi-document corpus the label is qualified with the document
-    /// name, so equally-named results stay distinguishable table columns.
-    fn features(&self, hit: &CorpusHit, label: &mut String) -> Arc<ResultFeatures> {
-        label.clear();
-        label.push_str(&hit.result.label);
-        if self.corpus.len() > 1 {
-            label.extend([" (", &hit.doc_name, ")"]);
-        }
-        self.corpus.docs[hit.doc.index()].wb.shared_features(hit.result.root, label.as_str())
-    }
-}
-
-impl AsRef<[CorpusHit]> for CorpusRanking {
-    fn as_ref(&self) -> &[CorpusHit] {
-        &self.hits
-    }
-}
-
-impl<'a> CorpusQuery<'a> {
-    /// Fails with [`XsactError::EmptyCorpus`] before the query is parsed.
-    fn new(corpus: &'a Corpus, text: &str, trace: Option<&'a TraceSink>) -> XsactResult<Self> {
-        if corpus.is_empty() {
-            return Err(XsactError::EmptyCorpus);
-        }
-        let mut sel = Selection::parse(FanOut { corpus, trace }, text, trace)?;
-        sel.set_take(DEFAULT_TOP);
-        Ok(CorpusQuery { sel })
-    }
-
-    /// How many merged results enter the comparison (default
-    /// [`DEFAULT_TOP`]), pushed down into every shard's executor.
-    #[must_use]
-    pub fn top(mut self, k: usize) -> Self {
-        self.sel.set_take(k);
-        self
-    }
-
-    /// Compares exactly the given 1-based positions of the full merged
-    /// [`ranking`](Self::ranking). Takes precedence over
-    /// [`top`](Self::top); an out-of-range position surfaces as
-    /// [`XsactError::InvalidSelection`] at execution time.
-    #[must_use]
-    pub fn select(mut self, positions: impl IntoIterator<Item = usize>) -> Self {
-        self.sel.set_select(positions.into_iter().collect());
-        self
-    }
-
-    /// Sets the comparison-table size bound `L` (features per DFS).
-    #[must_use]
-    pub fn size_bound(mut self, bound: usize) -> Self {
-        self.sel.config_mut().size_bound = bound;
-        self
-    }
-
-    /// Sets the differentiability threshold `x` in percent.
-    #[must_use]
-    pub fn threshold(mut self, pct: f64) -> Self {
-        self.sel.config_mut().threshold_pct = pct;
-        self
-    }
-
-    /// The query text, as parsed.
-    pub fn query_text(&self) -> String {
-        self.sel.query().to_string()
-    }
-
-    /// The merged global ranking, fanned out once; byte-identical for
-    /// every shard count.
-    pub fn ranking(&self) -> &CorpusRanking {
-        self.sel.full()
-    }
-
-    /// The features of the selected hits, pulled from each hit's owning
-    /// workbench (cached), as owned copies.
-    pub fn features(&self) -> XsactResult<Vec<ResultFeatures>> {
-        self.sel.features()
-    }
-
-    /// Compares the selected hits — which may span several documents —
-    /// in one comparison table.
-    pub fn compare(&self, algorithm: Algorithm) -> XsactResult<CorpusOutcome> {
-        let comparison = self.sel.compare(algorithm)?;
-        Ok(CorpusOutcome { hits: self.sel.map_selected(CorpusHit::clone)?, comparison })
-    }
-}
-
-/// The global half of the merge pipeline, shared by the scoped fan-out and
+/// The global half of the merge pipeline, shared by a query's fan-out and
 /// the serving runtime: k-way merge the per-shard lists under the
 /// ranking's total order and truncate to `k`.
 pub(crate) fn merge_shard_lists(
@@ -749,31 +623,34 @@ pub(crate) fn merge_shard_lists(
 /// candidates are dropped by the merge; only a survivor becomes a
 /// [`CorpusHit`] and is given its display label.
 struct ShardCandidate<'a> {
-    doc: &'a CorpusDoc,
+    wb: &'a Workbench,
+    doc: DocId,
     ranked: RankedRoot,
 }
 
 impl ShardCandidate<'_> {
     /// [`CorpusHit::ranking_order`] before labelling.
     fn ranking_order(&self, other: &ShardCandidate<'_>) -> Ordering {
-        ranking_order(&self.ranked.score, self.doc.id, &other.ranked.score, other.doc.id)
+        let key = |c: &ShardCandidate<'_>| (c.ranked.score.score, c.doc, c.ranked.score.root);
+        ranking_order(key(self), key(other))
     }
 
     fn into_hit(self) -> CorpusHit {
-        let ShardCandidate { doc, ranked } = self;
+        let ShardCandidate { wb, doc, ranked } = self;
         CorpusHit {
-            doc: doc.id,
-            doc_name: doc.name.clone(),
-            result: doc.wb.engine().result_for(&ranked),
-            score: ranked.score,
+            doc,
+            doc_name: wb.name.clone(),
+            result: wb.engine().result_for(&ranked),
+            score: Some(ranked.score),
         }
     }
 }
 
-/// The merge's total order on its keys: score descending, then document
-/// id, then the root's node id — document order within a document.
-fn ranking_order(a: &ScoredResult, a_doc: DocId, b: &ScoredResult, b_doc: DocId) -> Ordering {
-    b.score.total_cmp(&a.score).then_with(|| a_doc.cmp(&b_doc)).then_with(|| a.root.cmp(&b.root))
+/// The merge's total order on its keys `(score, document id, root)`:
+/// score descending, then document id, then the root's node id — document
+/// order within a document.
+fn ranking_order(a: (f64, DocId, NodeId), b: (f64, DocId, NodeId)) -> Ordering {
+    b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)).then_with(|| a.2.cmp(&b.2))
 }
 
 /// The shard-local half of the merge pipeline: k-way merge the
@@ -788,6 +665,7 @@ fn merge_shard_candidates(per_doc: Vec<Vec<ShardCandidate<'_>>>, k: usize) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xsact_core::Algorithm;
 
     fn shop(tag: &str, products: &[(&str, &str)]) -> String {
         let mut xml = format!("<{tag}>");
@@ -874,10 +752,12 @@ mod tests {
     #[test]
     fn comparison_spans_documents_with_qualified_labels() {
         let corpus = small_corpus();
-        let outcome = corpus.query("gps").unwrap().top(2).compare(Algorithm::MultiSwap).unwrap();
-        let labels = outcome.comparison.labels().join(" | ");
+        let query = corpus.query("gps").unwrap().take(2);
+        let outcome = query.compare(Algorithm::MultiSwap).unwrap();
+        let labels = outcome.labels().join(" | ");
         assert!(labels.contains("(store-a)") && labels.contains("(store-b)"), "{labels}");
-        assert!(outcome.hits[0].doc != outcome.hits[1].doc);
+        let hits = query.selection().unwrap();
+        assert!(hits[0].doc != hits[1].doc);
         assert!(outcome.table().contains("store-a"));
     }
 

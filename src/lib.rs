@@ -75,10 +75,10 @@ mod selection;
 pub mod serve;
 pub mod workbench;
 
-pub use corpus::{save_index_atomic, Corpus, CorpusHit, CorpusOutcome, CorpusQuery, CorpusRanking};
+pub use corpus::{save_index_atomic, Corpus, CorpusHit, CorpusQuery, CorpusRanking};
 pub use error::{XsactError, XsactResult};
 pub use serve::{CorpusServer, QueryAnswer, ServeConfig, ServeSession};
-pub use workbench::{validate_config, CacheStats, QueryPipeline, Workbench};
+pub use workbench::{validate_config, CacheStats, Workbench};
 
 pub use xsact_core as core;
 pub use xsact_data as data;
@@ -97,10 +97,10 @@ struct ReadmeDoctests;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use crate::corpus::{Corpus, CorpusHit, CorpusOutcome, CorpusQuery, CorpusRanking, DocId};
+    pub use crate::corpus::{Corpus, CorpusHit, CorpusQuery, CorpusRanking, DocId};
     pub use crate::error::{XsactError, XsactResult};
     pub use crate::serve::{CorpusServer, QueryAnswer, ServeConfig, ServeSession};
-    pub use crate::workbench::{CacheStats, QueryPipeline, Workbench};
+    pub use crate::workbench::{CacheStats, Workbench};
     pub use xsact_core::{Algorithm, Comparison, ComparisonOutcome, DfsConfig};
     pub use xsact_entity::{extract_features, FeatureType, ResultFeatures, StructureSummary};
     pub use xsact_index::{ExecutorStats, Query, ResultSemantics, SearchEngine, SearchResult};

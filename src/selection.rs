@@ -1,75 +1,81 @@
-//! The one selection behind both query builders.
+//! The one query builder, [`CorpusQuery`]: what
+//! [`Corpus::query`](crate::Corpus::query) and
+//! [`Workbench::query`](crate::Workbench::query) both return. A workbench
+//! is a corpus of one: its query runs over the borrowed one-document slice
+//! `std::slice::from_ref(wb)`, on the calling thread.
 //!
-//! [`QueryPipeline`](crate::QueryPipeline) and
-//! [`CorpusQuery`](crate::CorpusQuery) differ only in where their result
-//! lists come from — their [`Source`]: SLCA over one document, or the
-//! sharded fan-out and merge. Everything after that is [`Selection`]:
-//!
+//! * **The lists.** A query fans out over `min(shards, documents)`
+//!   round-robin slices of its documents ([`xsact_corpus::ShardPlan`]) and
+//!   k-way merges what they return under one total order: score
+//!   descending, then document id, then node id. Ranked, each document
+//!   runs the streaming top-k executor bounded by `k`; in document order
+//!   nothing is scored, so the order is `(DocId, NodeId)`: each document's
+//!   SLCA results, concatenated in id order. One slice runs inline, so a
+//!   workbench query spawns no thread.
 //! * **The rule.** Explicit 1-based positions index the full list and take
 //!   precedence over the bound `k`; otherwise the first `k` enter (all
 //!   without a bound). A comparison fails in one order: `InvalidConfig` (a
 //!   bad DFS parameter, or a bound of 0), `NoResults`, `InvalidSelection`,
 //!   `NotEnoughResults`.
-//! * **Three memos**, so the chained terminals (`results` → `selection` →
+//! * **Three memos**, so the chained terminals (`ranking` → `selection` →
 //!   `features` → `compare`) never repeat a search or a build: the full
-//!   list; the bounded top-k, for which a ranking source scores only `k`
-//!   results unless the full list is already there and its head serves
-//!   (the ranking order is total, so both are the same bytes — pinned by
-//!   `tests/properties.rs` and `tests/corpus.rs`); and the comparison
-//!   instance, built once from the cached features and shared by pointer
-//!   with every outcome, so several algorithms pay preprocessing once.
+//!   list; the bounded top-k, for which a ranked query scores only `k`
+//!   results per document unless the full list is already there and its
+//!   head serves (the ranking order is total, so both are the same bytes —
+//!   pinned by `tests/properties.rs` and `tests/corpus.rs`); and the
+//!   comparison instance, built once from the cached features and shared
+//!   by pointer with every outcome, so several algorithms pay
+//!   preprocessing once.
 //! * **Resets** happen only in the setters, each resetting exactly the
 //!   memos its value feeds. Tracing resets nothing.
 
+use crate::corpus::{execute_shard, list_shard, merge_shard_lists, CorpusHit, CorpusRanking};
 use crate::error::{XsactError, XsactResult};
-use crate::workbench::validate_config;
+use crate::workbench::{validate_config, Workbench};
 use std::cell::OnceCell;
-use std::fmt::Debug;
 use std::sync::Arc;
 use xsact_core::{Algorithm, Comparison, ComparisonOutcome, DfsConfig, Instance};
+use xsact_corpus::{fan_out, ShardPlan};
 use xsact_entity::ResultFeatures;
-use xsact_index::Query;
+use xsact_index::{Query, ResultSemantics};
 use xsact_obs::TraceSink;
 
-/// Where a builder's result lists come from.
-pub(crate) trait Source {
-    type Hit;
-    type List: AsRef<[Self::Hit]> + Clone + Debug;
-
-    /// Whether the full list is the ranking, so its head is the top-k.
-    fn ranks(&self) -> bool {
-        true
-    }
-
-    fn full(&self, query: &Query) -> Self::List {
-        self.top(query, usize::MAX)
-    }
-
-    /// The best `k` of the ranking, from the streaming executor.
-    fn top(&self, query: &Query, k: usize) -> Self::List;
-
-    /// The features of `hit` as its workbench's cache holds them; `label`
-    /// is scratch space for a label the hit does not carry itself.
-    fn features(&self, hit: &Self::Hit, label: &mut String) -> Arc<ResultFeatures>;
-}
-
-/// A parsed query, which of its results are compared and how; see the module docs.
+/// A query over one or more documents: builder methods refine *how* it
+/// lists ([`ranked`](Self::ranked)), *which* results enter the comparison
+/// ([`take`](Self::take), [`select`](Self::select)) and *how* DFSs are
+/// generated ([`size_bound`](Self::size_bound),
+/// [`threshold`](Self::threshold)); terminals
+/// ([`ranking`](Self::ranking), [`selection`](Self::selection),
+/// [`features`](Self::features), [`compare`](Self::compare)) run it. See
+/// the module docs for the rule and the memos.
 #[derive(Debug, Clone)]
-pub(crate) struct Selection<S: Source> {
-    source: S,
+pub struct CorpusQuery<'a> {
+    docs: &'a [Workbench],
+    shards: usize,
+    ranked: bool,
+    /// Where stage spans go when the caller asked for a trace; `None`
+    /// takes no timestamps.
+    trace: Option<&'a TraceSink>,
     query: Query,
     take: Option<usize>,
     select: Vec<usize>,
     config: DfsConfig,
-    full: OnceCell<S::List>,
-    top: OnceCell<S::List>,
+    full: OnceCell<CorpusRanking>,
+    top: OnceCell<CorpusRanking>,
     instance: OnceCell<Arc<Instance>>,
 }
 
-impl<S: Source> Selection<S> {
-    /// Parses `text`, recording the `parse` span into `trace`. Fails with
+impl<'a> CorpusQuery<'a> {
+    /// A document-order query without a bound over `docs` on `shards`
+    /// slices (at most one per document), parsing `text` and recording
+    /// the `parse` span into `trace`. Fails with
     /// [`XsactError::EmptyQuery`] when no indexable term is left.
-    pub(crate) fn parse(source: S, text: &str, trace: Option<&TraceSink>) -> XsactResult<Self> {
+    pub(crate) fn new(
+        docs: &'a [Workbench],
+        shards: usize,
+        text: &str,
+        trace: Option<&'a TraceSink>,
+    ) -> XsactResult<Self> {
         let span = trace.map(|sink| sink.span("parse"));
         let query = Query::parse(text);
         if let Some(mut span) = span {
@@ -79,8 +85,11 @@ impl<S: Source> Selection<S> {
         if query.is_empty() {
             return Err(XsactError::EmptyQuery);
         }
-        Ok(Selection {
-            source,
+        Ok(CorpusQuery {
+            docs,
+            shards,
+            ranked: false,
+            trace,
             query,
             take: None,
             select: Vec::new(),
@@ -91,81 +100,154 @@ impl<S: Source> Selection<S> {
         })
     }
 
-    pub(crate) fn source(&self) -> &S {
-        &self.source
+    /// Returns the query unchanged: SLCA is the only semantics. It stays
+    /// because the benchmark's pinned library surface names it.
+    #[must_use]
+    pub fn semantics(self, _: ResultSemantics) -> Self {
+        self
     }
 
-    pub(crate) fn query(&self) -> &Query {
-        &self.query
-    }
-
-    pub(crate) fn take(&self) -> Option<usize> {
-        self.take
-    }
-
-    /// The source, to change what it returns: every memo goes.
-    pub(crate) fn source_mut(&mut self) -> &mut S {
+    /// Lists by TF-IDF relevance, best first, instead of in document
+    /// order — the default of [`Corpus::query`](crate::Corpus::query).
+    #[must_use]
+    pub fn ranked(mut self, ranked: bool) -> Self {
+        self.ranked = ranked;
         self.full.take();
         self.top.take();
         self.instance.take();
-        &mut self.source
+        self
     }
 
-    pub(crate) fn set_take(&mut self, take: usize) {
-        self.take = Some(take);
+    /// Compares only the first `k` results of the listing; ranked, every
+    /// document's executor keeps only `k`. A corpus query defaults to
+    /// [`DEFAULT_TOP`](crate::corpus::DEFAULT_TOP), a workbench query to
+    /// no bound.
+    #[must_use]
+    pub fn take(mut self, k: usize) -> Self {
+        self.take = Some(k);
         self.top.take();
         self.instance.take();
+        self
     }
 
-    pub(crate) fn set_select(&mut self, positions: Vec<usize>) {
-        self.select = positions;
+    /// Compares exactly the given 1-based positions of the full
+    /// [`ranking`](Self::ranking) — the ticked checkboxes of the demo's
+    /// result page. Takes precedence over [`take`](Self::take); an
+    /// out-of-range position surfaces as [`XsactError::InvalidSelection`]
+    /// at execution time.
+    #[must_use]
+    pub fn select(mut self, positions: impl IntoIterator<Item = usize>) -> Self {
+        self.select = positions.into_iter().collect();
         self.instance.take();
+        self
     }
 
-    /// The DFS parameters, to change them: the instance goes.
-    pub(crate) fn config_mut(&mut self) -> &mut DfsConfig {
+    /// Sets the comparison-table size bound `L` (features per DFS).
+    #[must_use]
+    pub fn size_bound(mut self, bound: usize) -> Self {
+        self.config.size_bound = bound;
         self.instance.take();
-        &mut self.config
+        self
     }
 
-    pub(crate) fn full(&self) -> &S::List {
-        self.full.get_or_init(|| self.source.full(&self.query))
+    /// Sets the differentiability threshold `x` in percent.
+    #[must_use]
+    pub fn threshold(mut self, pct: f64) -> Self {
+        self.config.threshold_pct = pct;
+        self.instance.take();
+        self
     }
 
-    /// The best `take` of the ranking: the head of the full list when that
-    /// is the ranking and is there or wanted whole, the bounded memo else.
-    pub(crate) fn top(&self) -> &[S::Hit] {
-        if self.source.ranks() && (self.take.is_none() || self.full.get().is_some()) {
-            return head(self.full().as_ref(), self.take);
+    /// The query text, as parsed.
+    pub fn query_text(&self) -> String {
+        self.query.to_string()
+    }
+
+    /// Every result in the query's order, fanned out once; byte-identical
+    /// for every shard count. An empty list is a valid outcome here; the
+    /// comparison terminals turn it into [`XsactError::NoResults`].
+    pub fn ranking(&self) -> &CorpusRanking {
+        self.full.get_or_init(|| self.run(usize::MAX))
+    }
+
+    /// The hits that enter the comparison, in selection order (= table
+    /// column order): the ticked positions, or else the first
+    /// [`take`](Self::take) of the listing — ranked and not yet listed in
+    /// full, from the bounded executor.
+    pub fn selection(&self) -> XsactResult<Vec<CorpusHit>> {
+        self.map_selected(CorpusHit::clone)
+    }
+
+    /// The features of the selected hits, pulled from each hit's owning
+    /// workbench (cached), as owned copies. Fails with
+    /// [`XsactError::NoResults`] when the query matched nothing, and with
+    /// [`XsactError::InvalidConfig`] for a `take(0)` selection.
+    pub fn features(&self) -> XsactResult<Vec<ResultFeatures>> {
+        let mut label = String::new();
+        self.compared(|hit| ResultFeatures::clone(&self.shared_features(hit, &mut label)))
+    }
+
+    /// The preprocessed comparison instance over the selected hits —
+    /// interning plus the differentiability bit matrix — that every
+    /// [`compare`](Self::compare) call runs on.
+    pub fn instance(&self) -> XsactResult<&Arc<Instance>> {
+        if let Some(instance) = self.instance.get() {
+            return Ok(instance);
+        }
+        validate_config(&self.config)?;
+        let mut label = String::new();
+        let features = self.compared(|hit| self.shared_features(hit, &mut label))?;
+        if features.len() < 2 {
+            let found = features.len();
+            return Err(XsactError::NotEnoughResults { query: self.query.to_string(), found });
+        }
+        Ok(self.instance.get_or_init(|| Arc::new(Instance::build(&features, self.config))))
+    }
+
+    /// Compares the selected hits — which may span several documents — in
+    /// one table with `algorithm`, on the memoised instance. An exhaustive
+    /// run over its limit is the typed
+    /// [`XsactError::ExhaustiveLimitExceeded`].
+    pub fn compare(&self, algorithm: Algorithm) -> XsactResult<ComparisonOutcome> {
+        let instance = self.instance()?;
+        match algorithm {
+            Algorithm::Exhaustive { limit } => Comparison::run_exhaustive_on(instance, limit)
+                .ok_or(XsactError::ExhaustiveLimitExceeded { limit }),
+            _ => Ok(Comparison::run_on(instance, algorithm)),
+        }
+    }
+
+    /// The first `take` of the listing: the head of the full list when
+    /// that is there, wanted whole or in document order, the bounded memo
+    /// else.
+    fn top(&self) -> &[CorpusHit] {
+        if !self.ranked || self.take.is_none() || self.full.get().is_some() {
+            let full = &self.ranking().hits;
+            return &full[..self.take.map_or(full.len(), |k| k.min(full.len()))];
         }
         let k = self.take.unwrap_or(usize::MAX);
-        self.top.get_or_init(|| self.source.top(&self.query, k)).as_ref()
+        &self.top.get_or_init(|| self.run(k)).hits
     }
 
     /// `f` of every selected hit, in selection order, lent from the memos.
-    pub(crate) fn map_selected<T>(&self, mut f: impl FnMut(&S::Hit) -> T) -> XsactResult<Vec<T>> {
+    fn map_selected<T>(&self, f: impl FnMut(&CorpusHit) -> T) -> XsactResult<Vec<T>> {
         if self.select.is_empty() {
-            let hits = if self.source.ranks() {
-                self.top()
-            } else {
-                head(self.full().as_ref(), self.take)
-            };
-            return Ok(hits.iter().map(f).collect());
+            return Ok(self.top().iter().map(f).collect());
         }
-        let full = self.full().as_ref();
+        let full = &self.ranking().hits;
         // Every position is checked before `f` sees any hit.
         if let Some(&index) = self.select.iter().find(|&&i| i == 0 || i > full.len()) {
             return Err(XsactError::InvalidSelection { index, available: full.len() });
         }
-        Ok(self.select.iter().map(|&i| f(&full[i - 1])).collect())
+        Ok(self.select.iter().map(|&i| &full[i - 1]).map(f).collect())
     }
 
     /// [`map_selected`](Self::map_selected) as the comparison terminals
     /// take it: never empty, and failing in the module docs' order.
-    fn compared<T>(&self, f: impl FnMut(&S::Hit) -> T) -> XsactResult<Vec<T>> {
+    fn compared<T>(&self, f: impl FnMut(&CorpusHit) -> T) -> XsactResult<Vec<T>> {
         if self.select.is_empty() && self.take == Some(0) {
             return Err(XsactError::InvalidConfig(
-                "take(0) / top(0) selects no results; a comparison needs at least two".into(),
+                "take(0) selects no results; a comparison needs at least two".into(),
             ));
         }
         match self.map_selected(f) {
@@ -176,38 +258,54 @@ impl<S: Source> Selection<S> {
         }
     }
 
-    pub(crate) fn features(&self) -> XsactResult<Vec<ResultFeatures>> {
-        let mut label = String::new();
-        self.compared(|hit| ResultFeatures::clone(&self.source.features(hit, &mut label)))
+    /// The features of `hit` as its workbench's cache holds them. Over
+    /// several documents the label is qualified with the document name, so
+    /// equally-named results stay distinguishable table columns; `label`
+    /// is the scratch space for that.
+    fn shared_features(&self, hit: &CorpusHit, label: &mut String) -> Arc<ResultFeatures> {
+        let (wb, result) = (&self.docs[hit.doc.index()], &hit.result);
+        if self.docs.len() == 1 {
+            return wb.shared_features(result.root, result.label.as_str());
+        }
+        label.clear();
+        label.extend([result.label.as_str(), " (", &hit.doc_name, ")"]);
+        wb.shared_features(result.root, label.as_str())
     }
 
-    pub(crate) fn instance(&self) -> XsactResult<&Arc<Instance>> {
-        if let Some(instance) = self.instance.get() {
-            return Ok(instance);
+    /// The one fan-out/merge behind both list memos: the first `k` hits in
+    /// the query's order. Over several documents the trace records one
+    /// `shard N` span per slice and the `merge`; over one, that document's
+    /// own search stages (parallel slices would interleave them).
+    fn run(&self, k: usize) -> CorpusRanking {
+        let several = self.docs.len() > 1;
+        let (slice_trace, doc_trace) =
+            if several { (self.trace, None) } else { (None, self.trace) };
+        // The workers share only what they read: the memos are not `Sync`.
+        let (docs, query, ranked) = (self.docs, &self.query, self.ranked);
+        let parts = ShardPlan::new(self.shards).partition(docs.len());
+        let shard_lists = fan_out(parts, |shard, doc_indexes| {
+            let span = slice_trace.map(|sink| sink.span(format!("shard {shard}")));
+            let (hits, stats) = if ranked {
+                execute_shard(docs, query, k, &doc_indexes, doc_trace)
+            } else {
+                list_shard(docs, query, &doc_indexes, doc_trace)
+            };
+            if let Some(mut span) = span {
+                span.note("docs", doc_indexes.len() as u64);
+                span.note("postings_scanned", stats.postings_scanned);
+                span.note("hits", hits.len() as u64);
+                span.finish();
+            }
+            hits
+        });
+        let span = slice_trace.map(|sink| sink.span("merge"));
+        let candidates: usize = shard_lists.iter().map(Vec::len).sum();
+        let ranking = merge_shard_lists(shard_lists, k, self.shards);
+        if let Some(mut span) = span {
+            span.note("candidates", candidates as u64);
+            span.note("kept", ranking.hits.len() as u64);
+            span.finish();
         }
-        validate_config(&self.config)?;
-        let mut label = String::new();
-        let features = self.compared(|hit| self.source.features(hit, &mut label))?;
-        if features.len() < 2 {
-            let found = features.len();
-            return Err(XsactError::NotEnoughResults { query: self.query.to_string(), found });
-        }
-        Ok(self.instance.get_or_init(|| Arc::new(Instance::build(&features, self.config))))
+        ranking
     }
-
-    /// Runs `algorithm` on the memoised instance; an exhaustive run over its
-    /// limit is the typed [`XsactError::ExhaustiveLimitExceeded`].
-    pub(crate) fn compare(&self, algorithm: Algorithm) -> XsactResult<ComparisonOutcome> {
-        let instance = self.instance()?;
-        match algorithm {
-            Algorithm::Exhaustive { limit } => Comparison::run_exhaustive_on(instance, limit)
-                .ok_or(XsactError::ExhaustiveLimitExceeded { limit }),
-            _ => Ok(Comparison::run_on(instance, algorithm)),
-        }
-    }
-}
-
-/// The first `take` entries of `list` (all of them without a bound).
-fn head<H>(list: &[H], take: Option<usize>) -> &[H] {
-    &list[..take.map_or(list.len(), |k| k.min(list.len()))]
 }

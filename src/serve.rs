@@ -23,15 +23,16 @@
 //!
 //! ## The invariant: coalescing and pooling never change bytes
 //!
-//! There is one shard unit of work, `Corpus::execute_shard`: the pool's
-//! workers run it once per coalesced key, the scoped-thread fan-out behind
-//! [`crate::CorpusQuery`] once per query, both over the *same*
-//! [`xsact_corpus::ShardPlan`] partition, and both merge with the same
-//! comparator. A response from the server is therefore byte-identical to
-//! sequential one-query-at-a-time execution, at any shard count and under
-//! any interleaving of concurrent clients (pinned by `tests/serve.rs`).
-//! `k` travels down: each key executes bounded by its top-k, so a served
-//! query does exactly the work of its sequential twin.
+//! There is one ranked shard unit of work, `corpus::execute_shard`: the
+//! pool's workers run it once per coalesced key, the scoped-thread
+//! fan-out behind a ranked [`crate::CorpusQuery`] once per query, both
+//! over the *same* [`xsact_corpus::ShardPlan`] partition, and both merge
+//! with the same comparator. A response from the server is therefore
+//! byte-identical to sequential one-query-at-a-time execution, at any
+//! shard count and under any interleaving of concurrent clients (pinned
+//! by `tests/serve.rs`). `k` travels down: each key executes bounded by
+//! its top-k, so a served query does exactly the work of its sequential
+//! twin.
 //!
 //! ## One front end
 //!
@@ -82,7 +83,9 @@
 //! # }
 //! ```
 
-use crate::corpus::{merge_shard_lists, Corpus, CorpusHit, CorpusRanking, DEFAULT_TOP};
+use crate::corpus::{
+    execute_shard, merge_shard_lists, Corpus, CorpusHit, CorpusRanking, DEFAULT_TOP,
+};
 use crate::error::{XsactError, XsactResult};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -359,7 +362,7 @@ fn dispatch_loop(inner: &ServerInner) {
             // function of (shards, documents), recomputed per broadcast
             // because it is trivially cheap next to a search.
             let parts = ShardPlan::new(shards).partition(corpus.len());
-            let result = corpus.execute_shard(query, *k, &parts[shard]);
+            let result = execute_shard(&corpus.docs, query, *k, &parts[shard], None);
             shard_busy[shard].record_duration(busy.elapsed());
             result
         }

@@ -15,13 +15,10 @@
 //!   per-query cost after the index is built); what it holds is already
 //!   *prepared* for comparison (`xsact_entity::features`), and a hit hands
 //!   out the cached pointer without allocating,
-//! * it exposes the fluent [`QueryPipeline`] with typed
-//!   [`XsactError`] failures instead of `String`s and
-//!   `unwrap()`s.
-//!
-//! The pipeline keeps only the document-order listing and its executor
-//! counters; the selection rule, error order and memos are shared with
-//! [`crate::CorpusQuery`] (`src/selection.rs`).
+//! * it starts queries: [`Workbench::query`] returns the one fluent
+//!   builder, [`CorpusQuery`], over this document alone — a corpus of one
+//!   (`src/selection.rs`) — with typed [`XsactError`] failures instead of
+//!   `String`s and `unwrap()`s.
 //!
 //! ```
 //! use xsact::prelude::*;
@@ -38,17 +35,14 @@
 //! ```
 
 use crate::error::{XsactError, XsactResult};
-use crate::selection::{Selection, Source};
-use std::cell::Cell;
+use crate::selection::CorpusQuery;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use xsact_core::{Algorithm, ComparisonOutcome, DfsConfig, Instance};
+use xsact_core::DfsConfig;
 use xsact_entity::ResultFeatures;
-use xsact_index::{
-    ExecutorStats, Query, RankedRoot, ResultSemantics, ScoredResult, SearchEngine, SearchResult,
-};
+use xsact_index::{ExecutorStats, Query, RankedRoot, ScoredResult, SearchEngine, SearchResult};
 use xsact_obs::TraceSink;
 use xsact_xml::{parse_document, Document, NodeId};
 
@@ -148,10 +142,10 @@ impl FeatureCache {
 }
 
 /// Cumulative executor counters of one workbench: every search executed
-/// through the facade (pipeline terminals, bounded top-k runs, corpus
-/// fan-out workers) adds its [`ExecutorStats`] here with relaxed atomics,
-/// so the aggregate is exact at any quiescent point and cheap to record
-/// under concurrency.
+/// through the facade (its own queries, [`Workbench::search_top_k`], its
+/// corpus's queries and served pages) adds its [`ExecutorStats`] here
+/// with relaxed atomics, so the aggregate is exact at any quiescent point
+/// and cheap to record under concurrency.
 #[derive(Debug, Default)]
 struct ExecCounters {
     searches: AtomicU64,
@@ -190,6 +184,10 @@ impl ExecCounters {
 /// engine fans out over shards of workbenches this way).
 #[derive(Debug)]
 pub struct Workbench {
+    /// The display name its corpus gave it (empty outside a corpus). An
+    /// `Arc<str>`, because every hit of every query carries it: tagging a
+    /// hit must not allocate.
+    pub(crate) name: Arc<str>,
     engine: SearchEngine,
     features: FeatureCache,
     exec: ExecCounters,
@@ -209,7 +207,12 @@ impl Workbench {
     /// Wraps an already-built engine (e.g. one restored from a persisted
     /// index).
     pub fn from_engine(engine: SearchEngine) -> Workbench {
-        Workbench { engine, features: FeatureCache::default(), exec: ExecCounters::default() }
+        Workbench {
+            name: Arc::from(""),
+            engine,
+            features: FeatureCache::default(),
+            exec: ExecCounters::default(),
+        }
     }
 
     /// Builds a workbench from a document plus the `.xidx` image
@@ -236,21 +239,23 @@ impl Workbench {
         Ok(())
     }
 
-    /// Starts a query pipeline. Fails with [`XsactError::EmptyQuery`] when
-    /// `text` contains no indexable terms; any number of terms runs.
-    pub fn query(&self, text: &str) -> XsactResult<QueryPipeline<'_>> {
-        QueryPipeline::new(self, text, None)
+    /// Starts a query over this document alone — a corpus of one, listing
+    /// in document order with no bound until told otherwise. Fails with
+    /// [`XsactError::EmptyQuery`] when `text` contains no indexable terms;
+    /// any number of terms runs.
+    pub fn query(&self, text: &str) -> XsactResult<CorpusQuery<'_>> {
+        CorpusQuery::new(std::slice::from_ref(self), 1, text, None)
     }
 
     /// [`query`](Self::query) with a stage trace attached, so every stage
-    /// the pipeline's searches run — the `parse` span included — lands in
+    /// the query's searches run — the `parse` span included — lands in
     /// `sink`.
     pub fn query_traced<'a>(
         &'a self,
         text: &str,
         sink: &'a TraceSink,
-    ) -> XsactResult<QueryPipeline<'a>> {
-        QueryPipeline::new(self, text, Some(sink))
+    ) -> XsactResult<CorpusQuery<'a>> {
+        CorpusQuery::new(std::slice::from_ref(self), 1, text, Some(sink))
     }
 
     /// Runs the streaming top-k executor directly: the best `k` results
@@ -264,12 +269,12 @@ impl Workbench {
 
     /// The streaming top-k as unlabelled [`RankedRoot`]s plus this run's
     /// counters, recorded into the workbench totals — the one executor
-    /// call under the pipeline's labelled top-k and the corpus engine's
-    /// shard workers, which merge many documents' top-k and label only
-    /// what survives ([`SearchEngine::result_for`]). Tracing only observes
-    /// the run — the roots are byte-identical with the sink present or
-    /// absent (pinned by `tests/obs.rs`), and with `None` no timestamps
-    /// are taken.
+    /// call under [`search_top_k`](Self::search_top_k) and every ranked
+    /// query's shard work, which merges many documents' top-k and labels
+    /// only what survives ([`SearchEngine::result_for`]). Tracing only
+    /// observes the run — the roots are byte-identical with the sink
+    /// present or absent (pinned by `tests/obs.rs`), and with `None` no
+    /// timestamps are taken.
     pub(crate) fn top_k_roots(
         &self,
         query: &Query,
@@ -279,6 +284,19 @@ impl Workbench {
         let top = self.engine.search_top_k(query, k, trace);
         self.exec.record(top.1);
         top
+    }
+
+    /// Every SLCA result in document order plus this run's counters,
+    /// recorded into the workbench totals — what a document-order query
+    /// lists of this document.
+    pub(crate) fn all_results(
+        &self,
+        query: &Query,
+        trace: Option<&TraceSink>,
+    ) -> (Vec<SearchResult>, ExecutorStats) {
+        let all = self.engine.search_all(query, trace);
+        self.exec.record(all.1);
+        all
     }
 
     /// The underlying search engine, for callers that need layer-level
@@ -354,8 +372,8 @@ impl Workbench {
     }
 
     /// Cumulative executor counters of every search this workbench has
-    /// run through the facade (pipeline terminals, bounded `take(k)`
-    /// runs, corpus fan-out), aggregated with the same exactly-once
+    /// run through the facade (its own queries and those of its corpus),
+    /// aggregated with the same exactly-once
     /// guarantee as [`cache_stats`](Self::cache_stats). Counters survive
     /// [`clear_cache`](Self::clear_cache) — they describe executor work,
     /// not cache contents.
@@ -382,190 +400,8 @@ impl Workbench {
     }
 }
 
-/// A fluent, configured query over a [`Workbench`].
-///
-/// Builder methods refine *what* is searched ([`ranked`](Self::ranked)),
-/// *which* results enter the comparison ([`take`](Self::take),
-/// [`select`](Self::select)) and *how* DFSs are generated
-/// ([`size_bound`](Self::size_bound), [`threshold`](Self::threshold));
-/// terminal methods ([`results`](Self::results),
-/// [`features`](Self::features), [`compare`](Self::compare)) execute it.
-#[derive(Debug, Clone)]
-pub struct QueryPipeline<'a> {
-    sel: Selection<Searches<'a>>,
-}
-
-/// A result, with its score when the list is a ranking.
-type Hit = (SearchResult, Option<ScoredResult>);
-
-/// Where a pipeline's lists come from: SLCA over the workbench's document,
-/// in document order or ranked.
-#[derive(Debug, Clone)]
-struct Searches<'a> {
-    wb: &'a Workbench,
-    ranked: bool,
-    trace: Option<&'a TraceSink>,
-    /// Summed over this pipeline's searches; `None` before the first.
-    stats: Cell<Option<ExecutorStats>>,
-}
-
-impl Source for Searches<'_> {
-    type Hit = Hit;
-    type List = Vec<Hit>;
-
-    fn ranks(&self) -> bool {
-        self.ranked
-    }
-
-    fn full(&self, query: &Query) -> Vec<Hit> {
-        if self.ranked {
-            return self.top(query, usize::MAX);
-        }
-        let (results, stats) = self.wb.engine.search_all(query, self.trace);
-        self.wb.exec.record(stats);
-        self.stats.set(Some(self.stats.get().unwrap_or_default() + stats));
-        results.into_iter().map(|r| (r, None)).collect()
-    }
-
-    fn top(&self, query: &Query, k: usize) -> Vec<Hit> {
-        let (roots, stats) = self.wb.top_k_roots(query, k, self.trace);
-        self.stats.set(Some(self.stats.get().unwrap_or_default() + stats));
-        roots.into_iter().map(|r| (self.wb.engine.result_for(&r), Some(r.score))).collect()
-    }
-
-    fn features(&self, (result, _): &Hit, _: &mut String) -> Arc<ResultFeatures> {
-        self.wb.shared_features(result.root, result.label.as_str())
-    }
-}
-
-/// The hits of a ranking with their scores.
-fn scored(hits: &[Hit]) -> Vec<(SearchResult, ScoredResult)> {
-    hits.iter().map(|(r, s)| (r.clone(), s.clone().expect("a ranking scores every hit"))).collect()
-}
-
-impl<'a> QueryPipeline<'a> {
-    fn new(wb: &'a Workbench, text: &str, trace: Option<&'a TraceSink>) -> XsactResult<Self> {
-        let searches = Searches { wb, ranked: false, trace, stats: Cell::new(None) };
-        let sel = Selection::parse(searches, text, trace)?;
-        Ok(QueryPipeline { sel })
-    }
-
-    /// Returns the pipeline unchanged: SLCA is the only semantics. It stays
-    /// because the benchmark's pinned library surface names it.
-    #[must_use]
-    pub fn semantics(self, _: ResultSemantics) -> Self {
-        self
-    }
-
-    /// Orders results by TF-IDF relevance instead of document order.
-    #[must_use]
-    pub fn ranked(mut self, ranked: bool) -> Self {
-        self.sel.source_mut().ranked = ranked;
-        self
-    }
-
-    /// Compares only the first `n` results (after ranking, if enabled; in
-    /// [`ranked`](Self::ranked) mode the executor scores only `n`).
-    #[must_use]
-    pub fn take(mut self, n: usize) -> Self {
-        self.sel.set_take(n);
-        self
-    }
-
-    /// Compares exactly the given 1-based result positions — the ticked
-    /// checkboxes of the demo's result page. Takes precedence over
-    /// [`take`](Self::take); an out-of-range position surfaces as
-    /// [`XsactError::InvalidSelection`] at execution time.
-    #[must_use]
-    pub fn select(mut self, positions: impl IntoIterator<Item = usize>) -> Self {
-        self.sel.set_select(positions.into_iter().collect());
-        self
-    }
-
-    /// Sets the comparison-table size bound `L` (features per DFS).
-    #[must_use]
-    pub fn size_bound(mut self, bound: usize) -> Self {
-        self.sel.config_mut().size_bound = bound;
-        self
-    }
-
-    /// Sets the differentiability threshold `x` in percent.
-    #[must_use]
-    pub fn threshold(mut self, pct: f64) -> Self {
-        self.sel.config_mut().threshold_pct = pct;
-        self
-    }
-
-    /// The query text, as parsed.
-    pub fn query_text(&self) -> String {
-        self.sel.query().to_string()
-    }
-
-    /// Runs the search and returns all results in pipeline order (document
-    /// order, or best-first when [`ranked`](Self::ranked) is enabled). An
-    /// empty list is a valid outcome here; the comparison terminals turn it
-    /// into [`XsactError::NoResults`].
-    pub fn results(&self) -> Vec<SearchResult> {
-        self.sel.full().iter().map(|(r, _)| r.clone()).collect()
-    }
-
-    /// The *full* ranking with relevance scores, best first, whatever the
-    /// [`ranked`](Self::ranked) flag says. An unranked pipeline with a
-    /// [`take(k)`](Self::take) bound re-runs the unbounded search on each
-    /// call — prefer [`top_results`](Self::top_results) there.
-    pub fn ranked_results(&self) -> Vec<(SearchResult, ScoredResult)> {
-        match (self.sel.source().ranked, self.sel.take()) {
-            (true, _) => scored(self.sel.full()),
-            (false, None) => scored(self.sel.top()),
-            (false, Some(_)) => scored(&self.sel.source().top(self.sel.query(), usize::MAX)),
-        }
-    }
-
-    /// The best [`take(k)`](Self::take) of the ranking with scores, from
-    /// the bounded executor (all of [`ranked_results`](Self::ranked_results)
-    /// without a bound), whatever the [`ranked`](Self::ranked) flag says.
-    pub fn top_results(&self) -> Vec<(SearchResult, ScoredResult)> {
-        scored(self.sel.top())
-    }
-
-    /// Executor counters summed over the searches this pipeline has run
-    /// so far (`None` before the first terminal). The CLI's `--explain`
-    /// flag prints this.
-    pub fn executor_stats(&self) -> Option<ExecutorStats> {
-        self.sel.source().stats.get()
-    }
-
-    /// The results that enter the comparison after applying
-    /// [`select`](Self::select) / [`take`](Self::take).
-    pub fn selection(&self) -> XsactResult<Vec<SearchResult>> {
-        self.sel.map_selected(|(r, _)| r.clone())
-    }
-
-    /// Extracts (or recalls from the workbench cache) the features of the
-    /// selected results, as owned copies. Fails with
-    /// [`XsactError::NoResults`] when the query matched nothing, and with
-    /// [`XsactError::InvalidConfig`] for a `take(0)` selection.
-    pub fn features(&self) -> XsactResult<Vec<ResultFeatures>> {
-        self.sel.features()
-    }
-
-    /// The preprocessed comparison instance over the selected results —
-    /// interning plus the differentiability bit matrix — that every
-    /// [`compare`](Self::compare) call runs on.
-    pub fn instance(&self) -> XsactResult<&Arc<Instance>> {
-        self.sel.instance()
-    }
-
-    /// Generates Differentiation Feature Sets for the selected results with
-    /// the chosen algorithm and returns the full [`ComparisonOutcome`]
-    /// (DoD, table, per-result selections, timings).
-    pub fn compare(&self, algorithm: Algorithm) -> XsactResult<ComparisonOutcome> {
-        self.sel.compare(algorithm)
-    }
-}
-
-/// Checks the DFS parameters of a comparison — the one validation behind
-/// [`QueryPipeline::compare`] and [`crate::CorpusQuery::compare`]: the
+/// Checks the DFS parameters of a comparison — the validation behind
+/// [`CorpusQuery::compare`], which the CLI also runs before ingesting: the
 /// threshold `x` must be a finite, non-negative percentage, and the size
 /// bound `L` at least 1 (a bound of 0 admits only empty DFSs, so every
 /// algorithm would "succeed" with a header-only table).
@@ -587,7 +423,13 @@ pub fn validate_config(config: &DfsConfig) -> XsactResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xsact_core::Algorithm;
     use xsact_data::fixtures;
+
+    /// The results of `text` over `wb`, in document order.
+    fn results(wb: &Workbench, text: &str) -> Vec<SearchResult> {
+        wb.query(text).unwrap().ranking().hits.iter().map(|hit| hit.result.clone()).collect()
+    }
 
     fn wb() -> Workbench {
         Workbench::from_document(fixtures::figure1_document())
@@ -606,7 +448,7 @@ mod tests {
     #[test]
     fn concurrent_lookups_lose_no_counter_updates() {
         let wb = wb();
-        let results = wb.query(fixtures::PAPER_QUERY).unwrap().results();
+        let results = results(&wb, fixtures::PAPER_QUERY);
         assert_eq!(results.len(), 2);
         const THREADS: u64 = 8;
         const ROUNDS: u64 = 50;
@@ -727,7 +569,7 @@ mod tests {
     #[test]
     fn a_hit_hands_out_the_cached_allocation() {
         let wb = wb();
-        let results = wb.query(fixtures::PAPER_QUERY).unwrap().results();
+        let results = results(&wb, fixtures::PAPER_QUERY);
         let cached = |wb: &Workbench| -> Vec<Arc<ResultFeatures>> {
             results.iter().map(|r| wb.shared_features(r.root, r.label.clone())).collect()
         };
@@ -757,7 +599,7 @@ mod tests {
         // The same root under two labels is two cache entries — alternating
         // labels must not thrash, and cached_results() tracks misses.
         let wb = wb();
-        let root = wb.query(fixtures::PAPER_QUERY).unwrap().results()[0].root;
+        let root = results(&wb, fixtures::PAPER_QUERY)[0].root;
         let a1 = wb.subtree_features(root, "A");
         let b = wb.subtree_features(root, "B");
         let a2 = wb.subtree_features(root, "A");
@@ -828,12 +670,13 @@ mod tests {
         )
         .unwrap();
         let pipeline = wb.query("gps").unwrap();
-        let plain_first = pipeline.results()[0].label.clone();
+        let first = |q: &CorpusQuery<'_>| q.ranking().hits[0].result.label.clone();
+        let plain_first = first(&pipeline);
         assert_eq!(plain_first, "Alpha"); // document order
-        let ranked_first = pipeline.clone().ranked(true).results()[0].label.clone();
+        let ranked_first = first(&pipeline.clone().ranked(true));
         assert_eq!(ranked_first, "Beta", "memo not reset by ranked()");
         // The original pipeline still serves its memoized plain list.
-        assert_eq!(pipeline.results()[0].label, plain_first);
+        assert_eq!(first(&pipeline), plain_first);
     }
 
     #[test]
@@ -844,8 +687,8 @@ mod tests {
         let restored =
             Workbench::from_persisted_index(fixtures::figure1_document(), &mut bytes.as_slice())
                 .unwrap();
-        let a = wb.query(fixtures::PAPER_QUERY).unwrap().results();
-        let b = restored.query(fixtures::PAPER_QUERY).unwrap().results();
+        let a = results(&wb, fixtures::PAPER_QUERY);
+        let b = results(&restored, fixtures::PAPER_QUERY);
         assert_eq!(a, b);
         assert!(wb.index_stats().terms > 0);
         assert_eq!(restored.index_stats().terms, wb.index_stats().terms);

@@ -126,7 +126,8 @@ fn extracting_any_default_movie_root_allocates_at_most_16_blocks() {
 #[test]
 fn a_feature_cache_hit_allocates_nothing_of_its_own() {
     let wb = Workbench::from_document(fixtures::figure1_document());
-    let results = wb.query(fixtures::PAPER_QUERY).unwrap().results();
+    let query = wb.query(fixtures::PAPER_QUERY).unwrap();
+    let results: Vec<_> = query.ranking().hits.iter().map(|hit| hit.result.clone()).collect();
     let first = wb.features_for(&results[0]); // the miss
     let (_copy, copying) = counted(|| first.clone());
     // The public lookup returns an owned copy: on a hit, that copy is the

@@ -30,7 +30,7 @@ fn shard_counts_1_2_8_yield_byte_identical_rankings_and_tables() {
     for shards in [1usize, 2, 8] {
         corpus.set_shards(shards);
         assert_eq!(corpus.effective_shards(), shards);
-        let query = corpus.query("drama family").unwrap().top(4).size_bound(6);
+        let query = corpus.query("drama family").unwrap().take(4).size_bound(6);
         let ranking = query.ranking().render(usize::MAX);
         let table = query.compare(Algorithm::MultiSwap).unwrap().table();
         match &baseline {
@@ -47,26 +47,28 @@ fn shard_counts_1_2_8_yield_byte_identical_rankings_and_tables() {
 
 #[test]
 fn bounded_compare_path_matches_ranking_then_compare() {
-    // The compare-only path pushes `top` down into each shard (local
+    // The compare-only path pushes `take` down into each shard (local
     // top-k, merge of shards × k candidates); it must produce exactly the
     // table the full-ranking path produces, at every shard count.
     let mut corpus = Corpus::synthetic_movies(5, 50, 11);
     for shards in [1usize, 2, 8] {
         corpus.set_shards(shards);
         // Full path: render the ranking first, then compare (reuses memo).
-        let with_ranking = corpus.query("drama family").unwrap().top(4).size_bound(6);
+        let with_ranking = corpus.query("drama family").unwrap().take(4).size_bound(6);
         let full_render = with_ranking.ranking().render(4);
         let full = with_ranking.compare(Algorithm::MultiSwap).unwrap();
         // Bounded path: compare without ever asking for the ranking.
-        let bounded_query = corpus.query("drama family").unwrap().top(4).size_bound(6);
+        let bounded_query = corpus.query("drama family").unwrap().take(4).size_bound(6);
         let bounded = bounded_query.compare(Algorithm::MultiSwap).unwrap();
         assert_eq!(bounded.table(), full.table(), "{shards} shards");
         assert_eq!(bounded.dod(), full.dod(), "{shards} shards");
-        let hits =
-            |o: &CorpusOutcome| o.hits.iter().map(|h| (h.doc, h.result.root)).collect::<Vec<_>>();
-        assert_eq!(hits(&bounded), hits(&full), "{shards} shards");
+        let hits = |q: &CorpusQuery<'_>| {
+            q.selection().unwrap().iter().map(|h| (h.doc, h.result.root)).collect::<Vec<_>>()
+        };
+        assert_eq!(hits(&bounded_query), hits(&with_ranking), "{shards} shards");
         // And the bounded hits are exactly the full ranking's head.
-        let bounded_render = CorpusRanking { hits: bounded.hits.clone(), shards }.render(4);
+        let bounded_hits = bounded_query.selection().unwrap();
+        let bounded_render = CorpusRanking { hits: bounded_hits, shards }.render(4);
         assert_eq!(bounded_render, full_render, "{shards} shards");
     }
 }
@@ -80,14 +82,14 @@ fn compare_after_ranking_reuses_the_fan_out() {
     let searches = |c: &Corpus| -> u64 {
         (0..c.len()).map(|i| c.workbench(DocId(i as u32)).searches_executed()).sum()
     };
-    let query = corpus.query("drama family").unwrap().top(4);
+    let query = corpus.query("drama family").unwrap().take(4);
     assert!(!query.ranking().hits.is_empty());
     let after_ranking = searches(&corpus);
     assert_eq!(after_ranking, corpus.len() as u64, "one search per document");
     query.compare(Algorithm::MultiSwap).unwrap();
     assert_eq!(searches(&corpus), after_ranking, "compare() must not search again");
     // A compare-only query fans out exactly once too (bounded).
-    corpus.query("drama family").unwrap().top(4).compare(Algorithm::MultiSwap).unwrap();
+    corpus.query("drama family").unwrap().take(4).compare(Algorithm::MultiSwap).unwrap();
     assert_eq!(searches(&corpus), after_ranking + corpus.len() as u64);
     // Executor counters aggregate corpus-wide.
     assert!(corpus.executor_stats().postings_scanned > 0);
@@ -101,14 +103,15 @@ fn merged_ranking_spans_documents_and_is_score_ordered() {
     assert_eq!(ranking.hits.len(), 6, "one hit per store");
     let docs: std::collections::HashSet<_> = ranking.hits.iter().map(|h| h.doc).collect();
     assert_eq!(docs.len(), 6);
+    let score = |h: &CorpusHit| h.score.as_ref().expect("a ranked hit is scored").score;
     for pair in ranking.hits.windows(2) {
-        assert!(pair[0].score.score >= pair[1].score.score, "merged ranking must be best-first");
+        assert!(score(&pair[0]) >= score(&pair[1]), "merged ranking must be best-first");
     }
     // Equal scores (structurally identical stores) tie-break on DocId.
     let tied: Vec<_> = ranking
         .hits
         .iter()
-        .filter(|h| h.score.score == ranking.hits[0].score.score)
+        .filter(|h| score(h) == score(&ranking.hits[0]))
         .map(|h| h.doc)
         .collect();
     let mut sorted = tied.clone();
@@ -121,18 +124,14 @@ fn cross_document_comparison_reproduces_figure1_shape() {
     // Figure 1's two GPS units, but living in *different* documents: the
     // corpus comparison must still line their features up in one table.
     let corpus = gps_corpus();
-    let outcome = corpus
-        .query("TomTom GPS")
-        .unwrap()
-        .top(4)
-        .size_bound(6)
-        .compare(Algorithm::MultiSwap)
-        .unwrap();
-    assert_eq!(outcome.hits.len(), 4);
-    let docs: std::collections::HashSet<_> = outcome.hits.iter().map(|h| h.doc).collect();
+    let query = corpus.query("TomTom GPS").unwrap().take(4).size_bound(6);
+    let outcome = query.compare(Algorithm::MultiSwap).unwrap();
+    let hits = query.selection().unwrap();
+    assert_eq!(hits.len(), 4);
+    let docs: std::collections::HashSet<_> = hits.iter().map(|h| h.doc).collect();
     assert_eq!(docs.len(), 4, "top-4 drawn from four different documents");
     let table = outcome.table();
-    for hit in &outcome.hits {
+    for hit in &hits {
         assert!(
             table.contains(hit.doc_name.as_ref()),
             "column for {} missing:\n{table}",
@@ -147,7 +146,7 @@ fn concurrent_corpus_queries_are_consistent_and_lose_no_counter_updates() {
     const THREADS: usize = 8;
     const ROUNDS: usize = 5;
     let baseline =
-        corpus.query("drama family").unwrap().top(4).compare(Algorithm::MultiSwap).unwrap();
+        corpus.query("drama family").unwrap().take(4).compare(Algorithm::MultiSwap).unwrap();
     let base_lookups: u64 =
         (0..corpus.len()).map(|i| corpus.workbench(DocId(i as u32)).cache_stats().lookups()).sum();
     std::thread::scope(|scope| {
@@ -157,7 +156,7 @@ fn concurrent_corpus_queries_are_consistent_and_lose_no_counter_updates() {
                     let outcome = corpus
                         .query("drama family")
                         .unwrap()
-                        .top(4)
+                        .take(4)
                         .compare(Algorithm::MultiSwap)
                         .unwrap();
                     assert_eq!(outcome.table(), baseline.table());
@@ -261,7 +260,7 @@ fn corpus_errors_are_typed() {
         Err(XsactError::NoResults { .. })
     ));
     assert!(matches!(
-        corpus.query("Canon").unwrap().top(1).compare(Algorithm::MultiSwap),
+        corpus.query("Canon").unwrap().take(1).compare(Algorithm::MultiSwap),
         Err(XsactError::NotEnoughResults { .. })
     ));
     assert!(matches!(
@@ -274,8 +273,8 @@ fn corpus_errors_are_typed() {
 
 /// A document is a corpus of one: over the same document, a one-document
 /// corpus and a ranked workbench query select the same results and give
-/// byte-identical tables — bounded by `top(k)` / `take(k)` or ticked by
-/// position with `select` — under every algorithm and shard count.
+/// byte-identical tables — bounded by `take(k)` or ticked by position with
+/// `select` — under every algorithm and shard count.
 #[test]
 fn a_document_is_a_corpus_of_one() {
     use xsact::data::{MovieGenConfig, MoviesGen};
@@ -289,14 +288,14 @@ fn a_document_is_a_corpus_of_one() {
     for shards in [1, 2, 8] {
         corpus.set_shards(shards);
         for text in ["drama family", "comedy", "action hero", "love"] {
-            let found = wb.query(text).unwrap().ranked(true).results().len();
+            let found = wb.query(text).unwrap().ranked(true).ranking().hits.len();
             assert!(found > 8, "{text}: the fixture must have plenty of results");
             let picks: [Vec<usize>; 3] = [vec![2, 1], vec![1, 3, 5], vec![found, 4, 7]];
             for k in [2, 4, 7] {
-                let corpus_query = corpus.query(text).unwrap().top(k);
+                let corpus_query = corpus.query(text).unwrap().take(k);
                 let doc_query = wb.query(text).unwrap().ranked(true).take(k);
                 for algorithm in Algorithm::ALL {
-                    let of_corpus = corpus_query.compare(algorithm).map(|o| o.comparison);
+                    let of_corpus = corpus_query.compare(algorithm);
                     let of_doc = doc_query.compare(algorithm);
                     assert_eq!(table(of_corpus), table(of_doc), "{text} k={k} {shards} shards");
                     compared += 1;
@@ -306,7 +305,7 @@ fn a_document_is_a_corpus_of_one() {
                     let of_doc = doc_query.clone().select(positions.iter().copied());
                     for algorithm in Algorithm::ALL {
                         assert_eq!(
-                            table(of_corpus.compare(algorithm).map(|o| o.comparison)),
+                            table(of_corpus.compare(algorithm)),
                             table(of_doc.compare(algorithm)),
                             "{text} select {positions:?} {shards} shards"
                         );
@@ -319,24 +318,19 @@ fn a_document_is_a_corpus_of_one() {
 }
 
 /// `CorpusQuery::select` ticks positions of the full merged ranking, takes
-/// precedence over `top`, and rejects position 0 or one past the end as the
-/// pipeline does. Comparing one query under every algorithm builds one
-/// instance: every outcome shares it, and no feature lookup runs twice.
+/// precedence over `take`, and rejects position 0 or one past the end.
+/// Comparing one query under every algorithm builds one instance: every
+/// outcome shares it, and no feature lookup runs twice.
 #[test]
 fn corpus_select_ticks_ranking_positions_and_compares_on_one_instance() {
     let corpus = Corpus::synthetic_movies(4, 40, 7).with_shards(2);
     let ranking = corpus.query("drama family").unwrap().ranking().clone();
     let n = ranking.hits.len();
     assert!(n > 4);
-    let outcome = corpus
-        .query("drama family")
-        .unwrap()
-        .top(1)
-        .select([n, 1, 3])
-        .compare(Algorithm::MultiSwap)
-        .unwrap();
+    let ticked = corpus.query("drama family").unwrap().take(1).select([n, 1, 3]);
+    ticked.compare(Algorithm::MultiSwap).unwrap();
     let picked = [&ranking.hits[n - 1], &ranking.hits[0], &ranking.hits[2]];
-    assert_eq!(outcome.hits.iter().collect::<Vec<_>>(), picked);
+    assert_eq!(ticked.selection().unwrap().iter().collect::<Vec<_>>(), picked);
     for index in [0, n + 1] {
         let query = corpus.query("drama family").unwrap().select([1, index]);
         let err = query.compare(Algorithm::MultiSwap).unwrap_err();
@@ -349,17 +343,17 @@ fn corpus_select_ticks_ranking_positions_and_compares_on_one_instance() {
     let lookups = || -> u64 {
         (0..corpus.len()).map(|i| corpus.workbench(DocId(i as u32)).cache_stats().lookups()).sum()
     };
-    let query = corpus.query("drama family").unwrap().top(4);
+    let query = corpus.query("drama family").unwrap().take(4);
     let first = query.compare(Algorithm::ALL[0]).unwrap();
     let after_first = lookups();
     for algorithm in Algorithm::ALL {
         let outcome = query.compare(algorithm).unwrap();
         assert!(
-            std::sync::Arc::ptr_eq(&outcome.comparison.instance, &first.comparison.instance),
+            std::sync::Arc::ptr_eq(&outcome.instance, &first.instance),
             "{} rebuilt the instance",
             algorithm.name()
         );
-        assert_eq!(outcome.hits, first.hits);
+        assert_eq!(outcome.labels(), first.labels());
     }
     assert_eq!(lookups(), after_first, "a memoised instance asks no cache");
 }
@@ -372,7 +366,38 @@ fn workbenches_inside_the_corpus_stay_layer_accessible() {
     let corpus = gps_corpus();
     let wb = corpus.workbench(DocId(2));
     assert!(wb.engine().index().stats().terms > 0);
-    let results = wb.query("TomTom").unwrap().results();
-    assert_eq!(results.len(), 1);
-    assert!(wb.result_xml(&results[0]).starts_with("<product>"));
+    let query = wb.query("TomTom").unwrap();
+    let hits = &query.ranking().hits;
+    assert_eq!(hits.len(), 1);
+    assert!(wb.result_xml(&hits[0].result).starts_with("<product>"));
+}
+
+/// A document-order corpus query lists `(DocId, NodeId)` order: at every
+/// shard count it is each document's own document-order list, concatenated
+/// in id order — and a ticked position means the same hit in both.
+#[test]
+fn a_document_order_corpus_list_concatenates_its_documents_lists() {
+    let mut corpus = Corpus::synthetic_movies(5, 30, 9);
+    let key = |hit: &CorpusHit| (hit.doc_name.to_string(), hit.result.clone(), hit.score.clone());
+    for text in ["drama family", "drama", "comedy"] {
+        let mut concatenated = Vec::new();
+        for i in 0..corpus.len() {
+            let query = corpus.workbench(DocId(i as u32)).query(text).unwrap().ranked(false);
+            concatenated.extend(query.ranking().hits.iter().map(key));
+        }
+        assert!(concatenated.len() > 8, "{text}: the fixture must have plenty of results");
+        let n = concatenated.len();
+        for shards in [1, 2, 8] {
+            corpus.set_shards(shards);
+            let query = corpus.query(text).unwrap().ranked(false);
+            let hits = &query.ranking().hits;
+            assert_eq!(hits.iter().map(key).collect::<Vec<_>>(), concatenated, "{shards} shards");
+            let ids: Vec<DocId> = hits.iter().map(|hit| hit.doc).collect();
+            assert!(ids.windows(2).all(|w| w[0] <= w[1]), "{text}: {shards} shards: {ids:?}");
+            let positions = [n, 1, n / 2];
+            let ticked = query.clone().select(positions).selection().unwrap();
+            let want: Vec<_> = positions.iter().map(|&p| concatenated[p - 1].clone()).collect();
+            assert_eq!(ticked.iter().map(key).collect::<Vec<_>>(), want, "{shards} shards");
+        }
+    }
 }

@@ -67,15 +67,17 @@ fn a_query_of_200_distinct_terms_is_an_answer() {
         "<shop><product><name>{text}</name></product><product><name>{text}</name></product></shop>"
     );
     let wb = Workbench::from_xml(&xml).unwrap();
-    assert_eq!(wb.query(&text).unwrap().results().len(), 2);
+    assert_eq!(wb.query(&text).unwrap().ranking().hits.len(), 2);
 
     let mut corpus = Corpus::new();
     corpus.add_xml("shop", &xml).unwrap();
     let corpus = Arc::new(corpus);
     let ranking = corpus.query(&text).unwrap().ranking().clone();
-    let hits: Vec<_> =
-        ranking.hits.iter().map(|hit| (hit.result.clone(), hit.score.clone())).collect();
-    assert_eq!(wb.query(&text).unwrap().ranked(true).top_results(), hits);
+    let scored = |hits: &[CorpusHit]| -> Vec<_> {
+        hits.iter().map(|hit| (hit.result.clone(), hit.score.clone())).collect()
+    };
+    let of_wb = wb.query(&text).unwrap().ranked(true).ranking().hits.clone();
+    assert_eq!(scored(&of_wb), scored(&ranking.hits));
 
     let server = CorpusServer::start(Arc::clone(&corpus), ServeConfig::default());
     let mut session = server.session();
@@ -137,8 +139,8 @@ fn zero_size_bound_yields_empty_dfss() {
 }
 
 /// The layer function above tolerates `L = 0`; the facade does not: a
-/// bound that admits only empty DFSs, and a `take(0)` / `top(0)` that
-/// selects nothing, are configuration mistakes, not comparisons that
+/// bound that admits only empty DFSs, and a `take(0)` that selects
+/// nothing, are configuration mistakes, not comparisons that
 /// "succeed" with DoD 0 or queries that "matched no results".
 #[test]
 fn zero_caps_are_invalid_config_through_facade_and_corpus() {
@@ -153,7 +155,7 @@ fn zero_caps_are_invalid_config_through_facade_and_corpus() {
     }
     invalid(wb.query("gps").unwrap().size_bound(0).instance().unwrap_err(), "size bound");
     // The query matches two products; saying it matched nothing is false.
-    assert_eq!(wb.query("gps").unwrap().results().len(), 2);
+    assert_eq!(wb.query("gps").unwrap().ranking().hits.len(), 2);
     for ranked in [false, true] {
         let zero = wb.query("gps").unwrap().ranked(ranked).take(0);
         invalid(zero.features().unwrap_err(), "take(0)");
@@ -173,8 +175,8 @@ fn zero_caps_are_invalid_config_through_facade_and_corpus() {
         query.clone().threshold(f64::NAN).compare(Algorithm::Snippet).unwrap_err(),
         "threshold",
     );
-    // The corpus shares the pipeline's selection, and with it the rule.
-    invalid(query.clone().top(0).compare(Algorithm::MultiSwap).unwrap_err(), "top(0)");
+    // A corpus query is the same builder, and follows the same rule.
+    invalid(query.clone().take(0).compare(Algorithm::MultiSwap).unwrap_err(), "take(0)");
     assert!(query.size_bound(1).compare(Algorithm::MultiSwap).is_ok());
     // Facade, corpus and CLI share the one check.
     let zero = DfsConfig { size_bound: 0, ..DfsConfig::default() };

@@ -48,24 +48,14 @@ fn tracing_never_changes_workbench_bytes() {
 fn tracing_never_changes_ranked_top_k_bytes() {
     let wb = Workbench::from_document(xsact::data::fixtures::figure1_document());
     let sink = TraceSink::new();
-    let traced: Vec<String> = wb
-        .query_traced("TomTom GPS", &sink)
-        .unwrap()
-        .ranked(true)
-        .take(2)
-        .top_results()
-        .into_iter()
-        .map(|(r, score)| format!("{} {:.6}", r.label, score.score))
-        .collect();
-    let plain: Vec<String> = wb
-        .query("TomTom GPS")
-        .unwrap()
-        .ranked(true)
-        .take(2)
-        .top_results()
-        .into_iter()
-        .map(|(r, score)| format!("{} {:.6}", r.label, score.score))
-        .collect();
+    let listing = |query: CorpusQuery<'_>| -> Vec<String> {
+        let hits = query.ranked(true).take(2).selection().unwrap();
+        hits.iter()
+            .map(|hit| format!("{} {:.6}", hit.result.label, hit.score.as_ref().unwrap().score))
+            .collect()
+    };
+    let traced = listing(wb.query_traced("TomTom GPS", &sink).unwrap());
+    let plain = listing(wb.query("TomTom GPS").unwrap());
     assert_eq!(traced, plain, "tracing must never change the ranked listing");
     let labels: Vec<String> = sink.take().spans.into_iter().map(|s| s.label).collect();
     assert!(labels.iter().any(|l| l == "rank"), "bounded path records a rank span: {labels:?}");
@@ -77,12 +67,12 @@ fn tracing_never_changes_corpus_bytes_at_any_shard_count() {
     for shards in [1usize, 2, 8] {
         corpus.set_shards(shards);
         let sink = TraceSink::new();
-        let traced_query = corpus.query_traced("drama family", &sink).unwrap().top(4);
+        let traced_query = corpus.query_traced("drama family", &sink).unwrap().take(4);
         let traced = (
             traced_query.ranking().render(usize::MAX),
             traced_query.compare(Algorithm::MultiSwap).unwrap().table(),
         );
-        let plain_query = corpus.query("drama family").unwrap().top(4);
+        let plain_query = corpus.query("drama family").unwrap().take(4);
         let plain = (
             plain_query.ranking().render(usize::MAX),
             plain_query.compare(Algorithm::MultiSwap).unwrap().table(),

@@ -122,8 +122,8 @@ fn save_and_load_make_a_constant_number_of_io_calls() {
     let restored = Workbench::from_persisted_index(movies_document(), &mut source).unwrap();
     assert!(source.calls <= 32, "{} reads for {} bytes", source.calls, sink.inner.len());
     assert_eq!(
-        restored.query("drama family").unwrap().results(),
-        wb.query("drama family").unwrap().results()
+        restored.query("drama family").unwrap().ranking().hits,
+        wb.query("drama family").unwrap().ranking().hits
     );
 }
 

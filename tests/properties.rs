@@ -1498,8 +1498,8 @@ const POOL_CONFIG: DfsConfig = DfsConfig { size_bound: 8, threshold_pct: 10.0 };
 
 /// The paper pool, the Figure-4 shape: genre + keyword over the movie
 /// dataset, the top 16 of each of the first 64 queries that have something
-/// to compare, each handed to `f` with its pipeline.
-fn for_each_pool_query(mut f: impl FnMut(&str, &xsact::QueryPipeline<'_>)) {
+/// to compare, each handed to `f` with its query.
+fn for_each_pool_query(mut f: impl FnMut(&str, &xsact::CorpusQuery<'_>)) {
     use xsact_data::{vocab, MoviesGen};
     let wb = xsact::Workbench::from_document(MoviesGen::default_gen().generate());
     let mut pool = 0;

@@ -1,7 +1,8 @@
-//! Integration tests of the `Workbench` pipeline facade: the documented
-//! entry point must drive the paper's full flow (search → entity promotion
-//! → feature extraction → DFS generation) with typed errors, and its
-//! feature cache must make repeated queries free of re-extraction.
+//! Integration tests of the `Workbench` facade: the documented entry point
+//! must drive the paper's full flow (search → entity promotion → feature
+//! extraction → DFS generation) with typed errors, and its feature cache
+//! must make repeated queries free of re-extraction. The memo and counter
+//! tests run over both constructors of the one query builder.
 
 use std::sync::Arc;
 use xsact::prelude::*;
@@ -10,6 +11,48 @@ use xsact_data::movies::{MovieGenConfig, MoviesGen};
 
 fn figure1_workbench() -> Workbench {
     Workbench::from_document(fixtures::figure1_document())
+}
+
+/// One document behind either constructor of the query builder: its
+/// workbench's own query, or the query of the corpus holding only it.
+struct Subject {
+    corpus: Corpus,
+    via_corpus: bool,
+}
+
+impl Subject {
+    /// Both constructors over `doc`.
+    fn both(doc: &Document) -> [Subject; 2] {
+        [false, true].map(|via_corpus| {
+            let mut corpus = Corpus::new();
+            corpus.add_document("doc", doc.clone());
+            Subject { corpus, via_corpus }
+        })
+    }
+
+    fn name(&self) -> &'static str {
+        if self.via_corpus {
+            "corpus"
+        } else {
+            "workbench"
+        }
+    }
+
+    /// A query with the constructor's defaults: callers set the order and
+    /// the bound they test, so only the constructor differs.
+    fn query(&self, text: &str) -> CorpusQuery<'_> {
+        if self.via_corpus { self.corpus.query(text) } else { self.wb().query(text) }.unwrap()
+    }
+
+    /// The workbench whose counters the queries move.
+    fn wb(&self) -> &Workbench {
+        self.corpus.workbench(DocId(0))
+    }
+}
+
+/// The labels of `hits`, in order.
+fn labels(hits: &[CorpusHit]) -> Vec<&str> {
+    hits.iter().map(|hit| hit.result.label.as_str()).collect()
 }
 
 #[test]
@@ -137,89 +180,102 @@ fn unmatched_query_surfaces_no_results() {
 #[test]
 fn selection_and_semantics_flow_through() {
     let wb = figure1_workbench();
-    // SLCA is the only semantics; choosing it leaves the pipeline as it was.
-    let slca = wb.query(fixtures::PAPER_QUERY).unwrap().semantics(ResultSemantics::Slca).results();
-    assert_eq!(slca, wb.query(fixtures::PAPER_QUERY).unwrap().results());
+    // SLCA is the only semantics; choosing it leaves the query as it was.
+    let slca = wb.query(fixtures::PAPER_QUERY).unwrap().semantics(ResultSemantics::Slca);
+    assert_eq!(slca.ranking().hits, wb.query(fixtures::PAPER_QUERY).unwrap().ranking().hits);
 
     let selected = wb.query(fixtures::PAPER_QUERY).unwrap().select([2, 1]).selection().unwrap();
-    assert_eq!(selected.len(), 2);
-    assert_eq!(selected[0].label, fixtures::GPS3_NAME);
-    assert_eq!(selected[1].label, fixtures::GPS1_NAME);
+    assert_eq!(labels(&selected), [fixtures::GPS3_NAME, fixtures::GPS1_NAME]);
 }
 
 #[test]
 fn ranked_pipeline_orders_best_first() {
     let wb = figure1_workbench();
-    let ranked = wb.query(fixtures::PAPER_QUERY).unwrap().ranked(true).ranked_results();
+    let query = wb.query(fixtures::PAPER_QUERY).unwrap().ranked(true);
+    let ranked = &query.ranking().hits;
     assert!(!ranked.is_empty());
-    for pair in ranked.windows(2) {
-        assert!(pair[0].1.score >= pair[1].1.score);
-    }
-    // The ranked flag changes result order, not membership.
-    let plain = wb.query(fixtures::PAPER_QUERY).unwrap().results();
-    assert_eq!(ranked.len(), plain.len());
+    let scores: Vec<f64> = ranked.iter().map(|hit| hit.score.as_ref().unwrap().score).collect();
+    assert!(scores.windows(2).all(|pair| pair[0] >= pair[1]), "{scores:?}");
+    // The ranked flag changes result order, not membership; a document-order
+    // list scores nothing.
+    let plain = wb.query(fixtures::PAPER_QUERY).unwrap();
+    assert_eq!(plain.ranking().hits.len(), ranked.len());
+    assert!(plain.ranking().hits.iter().all(|hit| hit.score.is_none()));
 }
 
 #[test]
 fn ranked_take_pushes_k_down_and_equals_the_truncated_full_sort() {
     let doc = MoviesGen::new(MovieGenConfig { movies: 80, ..Default::default() }).generate();
-    let wb = Workbench::from_document(doc);
-    let full = wb.query("drama family").unwrap().ranked(true).results();
-    assert!(full.len() > 8, "the fixture must have plenty of results");
-    for k in [0, 1, 3, 7, full.len(), full.len() + 5] {
-        let searches_before = wb.searches_executed();
-        let pipeline = wb.query("drama family").unwrap().ranked(true).take(k);
-        let selection = pipeline.selection().unwrap();
-        assert_eq!(selection, full[..k.min(full.len())], "k = {k}");
-        // The bound went down into the executor: exactly one (bounded)
-        // search ran, and the pipeline observed its counters.
-        assert_eq!(wb.searches_executed(), searches_before + 1, "k = {k}");
-        let stats = pipeline.executor_stats().expect("a search ran");
-        if k < full.len() {
-            assert!(stats.candidates_pruned > 0, "k = {k}: the heap must have evicted");
+    for subject in Subject::both(&doc) {
+        let (name, wb) = (subject.name(), subject.wb());
+        let full = subject.query("drama family").ranked(true).ranking().hits.clone();
+        assert!(full.len() > 8, "the fixture must have plenty of results");
+        for k in [0, 1, 3, 7, full.len(), full.len() + 5] {
+            let (searches_before, stats_before) = (wb.searches_executed(), wb.executor_stats());
+            let query = subject.query("drama family").ranked(true).take(k);
+            let selection = query.selection().unwrap();
+            assert_eq!(selection, full[..k.min(full.len())], "{name}: k = {k}");
+            // The bound went down into the executor: exactly one (bounded)
+            // search ran.
+            assert_eq!(wb.searches_executed(), searches_before + 1, "{name}: k = {k}");
+            let pruned = wb.executor_stats().candidates_pruned - stats_before.candidates_pruned;
+            if k < full.len() {
+                assert!(pruned > 0, "{name}: k = {k}: the heap must have evicted");
+            }
         }
     }
 }
 
 #[test]
-fn top_results_equal_the_ranked_results_prefix() {
+fn a_bounded_selection_is_the_head_of_the_ranking_and_shares_its_search() {
     let doc = MoviesGen::new(MovieGenConfig { movies: 60, ..Default::default() }).generate();
-    let wb = Workbench::from_document(doc);
-    let unbounded = wb.query("drama family").unwrap().ranked_results();
-    let top = wb.query("drama family").unwrap().take(5).top_results();
-    assert_eq!(top, unbounded[..5.min(unbounded.len())]);
-    // Without a bound, top_results is the whole ranking.
-    let all = wb.query("drama family").unwrap().top_results();
-    assert_eq!(all, unbounded);
-    // And an unbounded pipeline shares one memoized search between
-    // top_results() and ranked_results().
-    let before = wb.searches_executed();
-    let pipeline = wb.query("drama family").unwrap();
-    assert_eq!(pipeline.top_results(), pipeline.ranked_results());
-    assert_eq!(wb.searches_executed(), before + 1, "memo must be shared");
+    for subject in Subject::both(&doc) {
+        let (name, wb) = (subject.name(), subject.wb());
+        for ranked in [true, false] {
+            let full = subject.query("drama family").ranked(ranked).ranking().hits.clone();
+            assert!(full.len() > 5, "{name}: the fixture must have plenty of results");
+            let top = subject.query("drama family").ranked(ranked).take(5).selection().unwrap();
+            assert_eq!(top, full[..5], "{name}, ranked {ranked}");
+            if !subject.via_corpus {
+                // Without a bound, the selection is the whole list.
+                let all = subject.query("drama family").ranked(ranked).selection().unwrap();
+                assert_eq!(all, full, "{name}, ranked {ranked}");
+            }
+            // Once the full list is there, the bounded selection is its
+            // head: one search serves both memos.
+            let before = wb.searches_executed();
+            let query = subject.query("drama family").ranked(ranked).take(5);
+            assert_eq!(query.ranking().hits, full, "{name}, ranked {ranked}");
+            assert_eq!(query.selection().unwrap(), top, "{name}, ranked {ranked}");
+            query.compare(Algorithm::MultiSwap).unwrap();
+            assert_eq!(wb.searches_executed(), before + 1, "{name}, ranked {ranked}: one memo");
+        }
+    }
 }
 
 #[test]
 fn executor_stats_accumulate_across_queries() {
-    let wb = figure1_workbench();
-    assert_eq!(wb.executor_stats(), ExecutorStats::default());
-    assert_eq!(wb.searches_executed(), 0);
-    let _ = wb.query(fixtures::PAPER_QUERY).unwrap().results();
-    let after_one = wb.executor_stats();
-    assert!(after_one.postings_scanned > 0);
-    assert_eq!(wb.searches_executed(), 1);
-    let _ = wb.query(fixtures::PAPER_QUERY).unwrap().ranked(true).results();
-    let after_two = wb.executor_stats();
-    assert!(after_two.postings_scanned > after_one.postings_scanned);
-    assert_eq!(wb.searches_executed(), 2);
-    // A zero-postings term short-circuits in the planner: the search is
-    // counted, the counters do not move.
-    let _ = wb.query("tomtom zeppelin").unwrap().results();
-    assert_eq!(wb.executor_stats(), after_two);
-    assert_eq!(wb.searches_executed(), 3);
-    // clear_cache resets the feature cache, not the executor history.
-    wb.clear_cache();
-    assert_eq!(wb.executor_stats(), after_two);
+    for subject in Subject::both(&fixtures::figure1_document()) {
+        let (name, wb) = (subject.name(), subject.wb());
+        assert_eq!(wb.executor_stats(), ExecutorStats::default());
+        assert_eq!(wb.searches_executed(), 0);
+        let _ = subject.query(fixtures::PAPER_QUERY).ranked(false).ranking();
+        let after_one = wb.executor_stats();
+        assert!(after_one.postings_scanned > 0, "{name}");
+        assert_eq!(wb.searches_executed(), 1, "{name}");
+        let _ = subject.query(fixtures::PAPER_QUERY).ranked(true).ranking();
+        let after_two = wb.executor_stats();
+        assert!(after_two.postings_scanned > after_one.postings_scanned, "{name}");
+        assert_eq!(wb.searches_executed(), 2, "{name}");
+        // A zero-postings term short-circuits in the planner: the search is
+        // counted, the counters do not move.
+        let _ = subject.query("tomtom zeppelin").ranking();
+        assert_eq!(wb.executor_stats(), after_two, "{name}");
+        assert_eq!(wb.searches_executed(), 3, "{name}");
+        // clear_cache resets the feature cache, not the executor history.
+        wb.clear_cache();
+        assert_eq!(wb.executor_stats(), after_two, "{name}");
+    }
 }
 
 #[test]
