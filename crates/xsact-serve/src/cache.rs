@@ -19,12 +19,7 @@
 //! The cache stores the *answer the executor produced* and returns it
 //! verbatim; the serving invariant ("a cached answer is byte-identical to
 //! a fresh one") holds because the corpus is immutable and the executor
-//! is deterministic. The generation counter is the forward-compatibility
-//! hook for the day that stops being true: [`PageCache::invalidate_all`]
-//! bumps the generation and flash-clears the map, and an insert carrying
-//! a stale generation — a lookup-miss that executed across an
-//! invalidation — is **rejected**, never stored. The `cache_poison`
-//! fault-injection site drives exactly that race in the chaos suite.
+//! is deterministic, so nothing ever has to be invalidated.
 //!
 //! ## What is never cached
 //!
@@ -50,10 +45,6 @@ struct Entry<V> {
 pub enum Inserted {
     /// Stored; `evicted` entries were dropped to make room.
     Stored { evicted: u64 },
-    /// Rejected: the insert's generation is not the cache's current one
-    /// (an invalidation happened between lookup and insert). Nothing was
-    /// stored — the anti-poison guard.
-    StaleGeneration,
     /// Rejected: one entry alone exceeds the byte budget (caching it
     /// would immediately evict everything for a page unlikely to repay
     /// the space).
@@ -71,7 +62,6 @@ pub struct PageCache<V> {
     max_bytes: usize,
     bytes: usize,
     tick: Tick,
-    generation: u64,
 }
 
 impl<V: Clone> PageCache<V> {
@@ -81,14 +71,7 @@ impl<V: Clone> PageCache<V> {
     /// "no cache" by the caller.
     pub fn new(max_entries: usize, max_bytes: usize) -> PageCache<V> {
         assert!(max_entries > 0, "a zero-entry cache is spelled None");
-        PageCache { entries: Vec::new(), max_entries, max_bytes, bytes: 0, tick: 0, generation: 0 }
-    }
-
-    /// The current generation; captured at lookup time and passed back to
-    /// [`insert`](Self::insert) so an answer computed across an
-    /// invalidation is rejected.
-    pub fn generation(&self) -> u64 {
-        self.generation
+        PageCache { entries: Vec::new(), max_entries, max_bytes, bytes: 0, tick: 0 }
     }
 
     /// Cached pages.
@@ -115,22 +98,11 @@ impl<V: Clone> PageCache<V> {
         Some(entry.value.clone())
     }
 
-    /// Inserts `(query, k) → value` if `generation` is still current,
-    /// evicting least-recently-used pages until both bounds hold. An
-    /// existing entry under the same key is replaced (its recency
-    /// refreshed) — the value cannot differ while the corpus is
-    /// immutable, and replacing is the correct behaviour when it can.
-    pub fn insert(
-        &mut self,
-        generation: u64,
-        query: &str,
-        k: usize,
-        value: V,
-        bytes: usize,
-    ) -> Inserted {
-        if generation != self.generation {
-            return Inserted::StaleGeneration;
-        }
+    /// Inserts `(query, k) → value`, evicting least-recently-used pages
+    /// until both bounds hold. An existing entry under the same key is
+    /// replaced (its recency refreshed); the value cannot differ, since
+    /// the corpus is immutable.
+    pub fn insert(&mut self, query: &str, k: usize, value: V, bytes: usize) -> Inserted {
         if self.max_bytes > 0 && bytes > self.max_bytes {
             return Inserted::TooLarge;
         }
@@ -146,15 +118,6 @@ impl<V: Clone> PageCache<V> {
         self.entries.push(Entry { query: query.to_owned(), k, value, bytes, touched: self.tick });
         self.bytes += bytes;
         Inserted::Stored { evicted: self.evict_to_bounds() }
-    }
-
-    /// Flash-clears the cache and bumps the generation, so in-flight
-    /// inserts that looked up before the clear are rejected. The hook the
-    /// future mutable corpus calls on every write.
-    pub fn invalidate_all(&mut self) {
-        self.entries.clear();
-        self.bytes = 0;
-        self.generation += 1;
     }
 
     /// Evicts least-recently-used entries until both bounds hold;
@@ -186,12 +149,8 @@ mod tests {
     #[test]
     fn lookup_hits_what_insert_stored() {
         let mut cache: PageCache<&'static str> = PageCache::new(4, 0);
-        let generation = cache.generation();
         assert_eq!(cache.lookup("drama family", 4), None);
-        assert_eq!(
-            cache.insert(generation, "drama family", 4, "page", 100),
-            Inserted::Stored { evicted: 0 }
-        );
+        assert_eq!(cache.insert("drama family", 4, "page", 100), Inserted::Stored { evicted: 0 });
         assert_eq!(cache.lookup("drama family", 4), Some("page"));
         assert_eq!(cache.lookup("drama family", 2), None, "k is part of the key");
         assert_eq!(cache.lookup("drama", 4), None);
@@ -201,12 +160,11 @@ mod tests {
     #[test]
     fn entry_bound_evicts_least_recently_used() {
         let mut cache: PageCache<u32> = PageCache::new(2, 0);
-        let generation = cache.generation();
-        cache.insert(generation, "a", 1, 10, 1);
-        cache.insert(generation, "b", 1, 20, 1);
+        cache.insert("a", 1, 10, 1);
+        cache.insert("b", 1, 20, 1);
         // Touch "a" so "b" is the LRU when "c" arrives.
         assert_eq!(cache.lookup("a", 1), Some(10));
-        assert_eq!(cache.insert(generation, "c", 1, 30, 1), Inserted::Stored { evicted: 1 });
+        assert_eq!(cache.insert("c", 1, 30, 1), Inserted::Stored { evicted: 1 });
         assert_eq!(cache.lookup("b", 1), None, "LRU entry evicted");
         assert_eq!(cache.lookup("a", 1), Some(10));
         assert_eq!(cache.lookup("c", 1), Some(30));
@@ -215,41 +173,20 @@ mod tests {
     #[test]
     fn byte_bound_evicts_and_oversized_pages_are_rejected() {
         let mut cache: PageCache<u32> = PageCache::new(100, 1000);
-        let generation = cache.generation();
-        cache.insert(generation, "a", 1, 1, 600);
-        cache.insert(generation, "b", 1, 2, 300);
-        assert_eq!(cache.insert(generation, "c", 1, 3, 500), Inserted::Stored { evicted: 1 });
+        cache.insert("a", 1, 1, 600);
+        cache.insert("b", 1, 2, 300);
+        assert_eq!(cache.insert("c", 1, 3, 500), Inserted::Stored { evicted: 1 });
         assert!(cache.bytes() <= 1000, "{}", cache.bytes());
         assert_eq!(cache.lookup("a", 1), None, "oldest entry paid for the bytes");
-        assert_eq!(cache.insert(generation, "huge", 1, 4, 2000), Inserted::TooLarge);
+        assert_eq!(cache.insert("huge", 1, 4, 2000), Inserted::TooLarge);
         assert_eq!(cache.lookup("huge", 1), None);
-    }
-
-    #[test]
-    fn stale_generation_inserts_are_rejected() {
-        let mut cache: PageCache<u32> = PageCache::new(4, 0);
-        let before = cache.generation();
-        cache.insert(before, "a", 1, 10, 1);
-        cache.invalidate_all();
-        assert_eq!(cache.lookup("a", 1), None, "invalidation flash-clears");
-        assert_eq!(
-            cache.insert(before, "a", 1, 10, 1),
-            Inserted::StaleGeneration,
-            "an insert from before the invalidation must never land"
-        );
-        assert!(cache.is_empty());
-        let current = cache.generation();
-        assert_eq!(current, before + 1);
-        assert_eq!(cache.insert(current, "a", 1, 11, 1), Inserted::Stored { evicted: 0 });
-        assert_eq!(cache.lookup("a", 1), Some(11));
     }
 
     #[test]
     fn reinsert_replaces_and_reaccounts_bytes() {
         let mut cache: PageCache<u32> = PageCache::new(4, 0);
-        let generation = cache.generation();
-        cache.insert(generation, "a", 1, 10, 100);
-        cache.insert(generation, "a", 1, 10, 40);
+        cache.insert("a", 1, 10, 100);
+        cache.insert("a", 1, 10, 40);
         assert_eq!((cache.len(), cache.bytes()), (1, 40));
     }
 }

@@ -15,26 +15,24 @@
 //! |--------------------|--------------|------------------|--------------------------------|
 //! | `shard_panic`      | shard index  | —                | worker panics mid-execute      |
 //! | `slow_execute`     | shard index  | sleep millis     | worker stalls before executing |
-//! | `io_error_on_save` | —            | —                | index save returns an IO error |
 //! | `drop_connection`  | —            | —                | TCP connection closed mid-talk |
-//! | `cache_poison`     | —            | —                | result-page cache insert races |
-//! |                    |              |                  | an invalidation (stale-        |
-//! |                    |              |                  | generation guard must reject)  |
 //!
+//! These are the only sites: [`FaultPlan::parse`] refuses any other name,
+//! so a misspelt site is an error rather than a plan that never fires.
 //! The *call sites* live where the behaviour belongs (the dispatch
-//! closure, the persistence helpers, the connection loop); this module
-//! only decides *whether* a given hit fires.
+//! closure, the connection loop); this module only decides *whether* a
+//! given hit fires.
 //!
 //! ## Spec grammar
 //!
 //! A plan is a comma-separated list of entries, each
-//! `site[:scope]@nth[x<value>]`, plus an optional `seed=<n>` entry:
+//! `site[:scope]@nth[x<value>]`:
 //!
 //! ```text
 //! shard_panic@2               any scope; fires on the 2nd hit overall
 //! shard_panic:1@3             scope 1 only; fires on its 3rd hit
 //! slow_execute@1x250          1st hit sleeps 250 ms (default 50)
-//! shard_panic:1@3,seed=7      seeded plan (tests derive interleavings)
+//! shard_panic:1@3,slow_execute:0@1   two entries
 //! ```
 //!
 //! Each entry fires **exactly once** (its nth matching hit); hit counters
@@ -59,6 +57,9 @@ use std::sync::Arc;
 /// Default sleep for `slow_execute` when the entry carries no `x<value>`.
 const DEFAULT_SLOW_MS: u64 = 50;
 
+/// The sites the serving runtime consults; see the module docs.
+const SITES: [&str; 3] = ["shard_panic", "slow_execute", "drop_connection"];
+
 /// One armed entry: a site name, an optional scope filter, the 1-based
 /// hit at which it fires, and a site-specific value.
 #[derive(Debug)]
@@ -73,17 +74,11 @@ struct Site {
     hits: AtomicU64,
 }
 
-#[derive(Debug)]
-struct Plan {
-    sites: Vec<Site>,
-    seed: u64,
-}
-
 /// A set of armed injection sites; see the module docs. `Clone` is an
-/// `Arc` bump, so the dispatcher, the connection threads, and the
-/// persistence layer all consult the *same* hit counters.
+/// `Arc` bump, so the dispatcher and the connection threads all consult
+/// the *same* hit counters.
 #[derive(Debug, Clone, Default)]
-pub struct FaultPlan(Option<Arc<Plan>>);
+pub struct FaultPlan(Option<Arc<[Site]>>);
 
 impl FaultPlan {
     /// The plan that never fires — the production default. Checking it
@@ -93,15 +88,11 @@ impl FaultPlan {
     }
 
     /// Parses the spec grammar (see the module docs). An empty or
-    /// whitespace-only spec is the disarmed plan.
+    /// whitespace-only spec is the disarmed plan; an entry naming a site
+    /// outside the site table is an error.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut sites = Vec::new();
-        let mut seed = 0u64;
         for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
-            if let Some(s) = entry.strip_prefix("seed=") {
-                seed = s.parse().map_err(|_| format!("bad seed in fault entry {entry:?}"))?;
-                continue;
-            }
             let (head, nth_val) = entry
                 .split_once('@')
                 .ok_or_else(|| format!("fault entry {entry:?} is missing '@nth'"))?;
@@ -115,6 +106,12 @@ impl FaultPlan {
             };
             if name.is_empty() {
                 return Err(format!("fault entry {entry:?} has an empty site name"));
+            }
+            if !SITES.contains(&name) {
+                return Err(format!(
+                    "fault entry {entry:?} names an unknown site (known: {})",
+                    SITES.join(", ")
+                ));
             }
             let (nth, value) = match nth_val.split_once('x') {
                 Some((nth, value)) => (
@@ -136,7 +133,7 @@ impl FaultPlan {
         if sites.is_empty() {
             return Ok(FaultPlan::disarmed());
         }
-        Ok(FaultPlan(Some(Arc::new(Plan { sites, seed }))))
+        Ok(FaultPlan(Some(sites.into())))
     }
 
     /// Reads and parses the `XSACT_FAULTS` environment variable (unset or
@@ -153,36 +150,28 @@ impl FaultPlan {
         self.0.is_some()
     }
 
-    /// The plan's seed (`seed=<n>` entry; 0 when absent). Tests use it to
-    /// derive deterministic interleavings around the injected faults.
-    pub fn seed(&self) -> u64 {
-        self.0.as_ref().map_or(0, |p| p.seed)
-    }
-
     /// Registers one hit of `site` under `scope` and reports whether an
     /// armed entry fires on it (returning the entry's value, e.g. the
     /// sleep millis of `slow_execute`). Disarmed plans return `None`
     /// after a single branch — this is the whole hot-path cost.
     #[inline]
     pub fn should_fire(&self, site: &str, scope: usize) -> Option<u64> {
-        let plan = self.0.as_ref()?; // disarmed: one branch, nothing else
-        plan.fire(site, scope)
+        let sites = self.0.as_ref()?; // disarmed: one branch, nothing else
+        fire(sites, site, scope)
     }
 }
 
-impl Plan {
-    fn fire(&self, site: &str, scope: usize) -> Option<u64> {
-        for entry in &self.sites {
-            if entry.name != site || entry.scope.is_some_and(|s| s != scope) {
-                continue;
-            }
-            let hit = entry.hits.fetch_add(1, Ordering::Relaxed) + 1;
-            if hit == entry.nth {
-                return Some(entry.value);
-            }
+fn fire(sites: &[Site], site: &str, scope: usize) -> Option<u64> {
+    for entry in sites {
+        if entry.name != site || entry.scope.is_some_and(|s| s != scope) {
+            continue;
         }
-        None
+        let hit = entry.hits.fetch_add(1, Ordering::Relaxed) + 1;
+        if hit == entry.nth {
+            return Some(entry.value);
+        }
     }
+    None
 }
 
 fn default_value(site: &str) -> u64 {
@@ -237,9 +226,8 @@ mod tests {
     }
 
     #[test]
-    fn multiple_entries_and_seed() {
-        let plan = FaultPlan::parse("shard_panic:1@1, drop_connection@2, seed=9").unwrap();
-        assert_eq!(plan.seed(), 9);
+    fn multiple_entries() {
+        let plan = FaultPlan::parse("shard_panic:1@1, drop_connection@2").unwrap();
         assert_eq!(plan.should_fire("drop_connection", 0), None);
         assert_eq!(plan.should_fire("shard_panic", 1), Some(0));
         assert_eq!(plan.should_fire("drop_connection", 0), Some(0));
@@ -281,7 +269,8 @@ mod tests {
             ("shard_panic:x@1", "bad scope"),
             (":1@1", "empty site name"),
             ("slow_execute@1xfast", "bad value"),
-            ("seed=many", "bad seed"),
+            ("shard_pnaic@1", "unknown site (known: shard_panic, slow_execute, drop_connection)"),
+            ("seed=42", "missing '@nth'"),
         ] {
             let err = FaultPlan::parse(spec).unwrap_err();
             assert!(err.contains(needle), "{spec:?} → {err:?}");

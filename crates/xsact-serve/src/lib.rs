@@ -26,18 +26,18 @@
 //!   aggregated over every batch — all scrapeable as one Prometheus-style
 //!   exposition.
 //! * [`PageCache`] — the bounded LRU result-page cache (entry and byte
-//!   bounds, generation-based invalidation) the facade checks before a
-//!   query ever reaches the queue. Caching never changes bytes; a
-//!   generation mismatch rejects the insert (the anti-poison guard).
+//!   bounds) the facade checks before a query ever reaches the queue.
+//!   Caching never changes bytes: the corpus is immutable and the
+//!   executor deterministic, so nothing is ever invalidated.
 //! * [`protocol`] — the newline-delimited request/response framing the
 //!   TCP front end speaks (`QUERY …`, `TOP k`, `STATS`, `METRICS`,
 //!   `QUIT`, `SHUTDOWN`; every response ends with a lone `.` line), and
 //!   [`LineBuffer`], the incremental framer that turns whatever chunks
 //!   the kernel delivers into request lines under a 64 KiB line cap.
 //! * [`fault`] — deterministic fault injection: a [`FaultPlan`] arms
-//!   named sites (`shard_panic`, `slow_execute`, `io_error_on_save`,
-//!   `drop_connection`) that fire on exact hit counts, so the chaos suite
-//!   can pin recovery byte-identical to a fault-free run. Disarmed (the
+//!   named sites (`shard_panic`, `slow_execute`, `drop_connection`; any
+//!   other name is refused) that fire on exact hit counts, so the chaos
+//!   suite can pin recovery byte-identical to a fault-free run. Disarmed (the
 //!   production default) a site check is a single branch.
 //!
 //! The `xsact` facade's `serve` module composes these with the corpus and

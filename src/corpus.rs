@@ -54,7 +54,6 @@ use xsact_corpus::{fan_out, k_way_merge};
 use xsact_data::movies::{MovieGenConfig, MoviesGen};
 use xsact_index::{ExecutorStats, Query, RankedRoot, ScoredResult, SearchEngine, SearchResult};
 use xsact_obs::TraceSink;
-use xsact_serve::FaultPlan;
 use xsact_xml::{Document, NodeId};
 
 pub use crate::selection::CorpusQuery;
@@ -71,9 +70,6 @@ pub struct Corpus {
     /// `name`.
     pub(crate) docs: Vec<Workbench>,
     shards: usize,
-    /// Armed fault-injection sites for the persistence paths (chaos
-    /// testing only); disarmed by default, which costs one branch.
-    faults: FaultPlan,
 }
 
 impl Corpus {
@@ -81,7 +77,7 @@ impl Corpus {
     /// available parallelism). Add documents with
     /// [`add_document`](Self::add_document) / [`add_xml`](Self::add_xml).
     pub fn new() -> Corpus {
-        Corpus { docs: Vec::new(), shards: available_cores(), faults: FaultPlan::disarmed() }
+        Corpus { docs: Vec::new(), shards: available_cores() }
     }
 
     /// Parses and ingests `(name, xml)` pairs. Fails with
@@ -197,12 +193,6 @@ impl Corpus {
         self.shards = shards.max(1);
     }
 
-    /// Arms fault-injection sites on the persistence paths in place; chaos
-    /// tests only.
-    pub fn set_faults(&mut self, faults: FaultPlan) {
-        self.faults = faults;
-    }
-
     /// The configured shard count.
     pub fn shards(&self) -> usize {
         self.shards
@@ -242,20 +232,6 @@ impl Corpus {
     /// The workbench serving a document, for layer-level access.
     pub fn workbench(&self, id: DocId) -> &Workbench {
         &self.docs[id.index()]
-    }
-
-    /// Saves every document's inverted index into `dir` as
-    /// `<name>.xidx`, for later cold-start skipping via
-    /// [`from_dir_cached`](Self::from_dir_cached). Each file is written
-    /// crash-safely (see [`save_index_atomic`]): a crash mid-save leaves
-    /// the previous file (or none), never a torn one.
-    pub fn save_indexes(&self, dir: impl AsRef<Path>) -> XsactResult<()> {
-        fs::create_dir_all(dir.as_ref())?;
-        for wb in &self.docs {
-            let path = dir.as_ref().join(format!("{}.xidx", wb.name));
-            save_index_atomic_faulted(wb, &path, &self.faults)?;
-        }
-        Ok(())
     }
 
     /// Starts a corpus-wide query, ranked and bounded to [`DEFAULT_TOP`]
@@ -451,13 +427,6 @@ fn digest_file(path: &Path) -> io::Result<u64> {
 /// per-process counter, so concurrent saves of one path (two servers
 /// booting on one `--index-dir`) never write into each other's file.
 pub fn save_index_atomic(wb: &Workbench, path: &Path) -> XsactResult<()> {
-    save_index_atomic_faulted(wb, path, &FaultPlan::disarmed())
-}
-
-/// [`save_index_atomic`] with an `io_error_on_save` injection site, for
-/// the chaos suite to prove a failed save never leaves a temp file or a
-/// loadable-but-wrong index behind.
-fn save_index_atomic_faulted(wb: &Workbench, path: &Path, faults: &FaultPlan) -> XsactResult<()> {
     static SAVES: AtomicU64 = AtomicU64::new(0);
     let tmp = {
         let nth = SAVES.fetch_add(1, atomic::Ordering::Relaxed);
@@ -468,9 +437,6 @@ fn save_index_atomic_faulted(wb: &Workbench, path: &Path, faults: &FaultPlan) ->
     let result = (|| -> XsactResult<()> {
         let mut file = fs::File::create(&tmp)?;
         wb.save_index(&mut file)?;
-        if faults.should_fire("io_error_on_save", 0).is_some() {
-            return Err(XsactError::Io(io::Error::other("injected io_error_on_save fault")));
-        }
         // fsync before the rename: an atomic rename of unsynced bytes can
         // still surface an empty file after a power loss.
         file.sync_all()?;
@@ -521,8 +487,6 @@ impl CorpusHit {
 pub struct CorpusRanking {
     /// The hits in the query's order: best first when ranked.
     pub hits: Vec<CorpusHit>,
-    /// How many shard workers produced it.
-    pub shards: usize,
 }
 
 impl CorpusRanking {
@@ -608,14 +572,10 @@ pub(crate) fn list_shard(
 /// The global half of the merge pipeline, shared by a query's fan-out and
 /// the serving runtime: k-way merge the per-shard lists under the
 /// ranking's total order and truncate to `k`.
-pub(crate) fn merge_shard_lists(
-    shard_lists: Vec<Vec<CorpusHit>>,
-    k: usize,
-    shards: usize,
-) -> CorpusRanking {
+pub(crate) fn merge_shard_lists(shard_lists: Vec<Vec<CorpusHit>>, k: usize) -> CorpusRanking {
     let mut hits = k_way_merge(shard_lists, CorpusHit::ranking_order);
     hits.truncate(k);
-    CorpusRanking { hits, shards }
+    CorpusRanking { hits }
 }
 
 /// One ranked root on its way through a shard's merge. A shard ranks every

@@ -300,7 +300,7 @@ impl<'a> CorpusQuery<'a> {
         });
         let span = slice_trace.map(|sink| sink.span("merge"));
         let candidates: usize = shard_lists.iter().map(Vec::len).sum();
-        let ranking = merge_shard_lists(shard_lists, k, self.shards);
+        let ranking = merge_shard_lists(shard_lists, k);
         if let Some(mut span) = span {
             span.note("candidates", candidates as u64);
             span.note("kept", ranking.hits.len() as u64);

@@ -205,11 +205,6 @@ struct Submission {
     /// Queue wait, measured by the dispatcher when its round sweeps this
     /// submission up (zero until then).
     queued: Duration,
-    /// Cache generation observed at the lookup-miss that queued this
-    /// submission; the dispatcher's insert is rejected if an
-    /// `invalidate_all` bumped the generation in between (the anti-poison
-    /// guard).
-    cache_gen: u64,
 }
 
 /// State shared by the server handle, its sessions, and the dispatcher.
@@ -290,25 +285,6 @@ impl CorpusServer {
     /// values.
     pub fn metrics_registry(&self) -> Arc<MetricsRegistry> {
         Arc::clone(self.inner.counters.registry())
-    }
-
-    /// Flash-clears the result-page cache and bumps its generation, so an
-    /// insert racing this call (a lookup-miss that executed across it) is
-    /// rejected. The hook a future mutable corpus calls on every write;
-    /// a no-op when caching is disabled.
-    pub fn invalidate_cache(&self) {
-        if let Some(cache) = &self.inner.cache {
-            cache.lock().expect("cache lock poisoned").invalidate_all();
-        }
-    }
-
-    /// The result-page cache's current generation (0 when caching is
-    /// disabled) — observable so tests can pin the invalidation protocol.
-    pub fn cache_generation(&self) -> u64 {
-        self.inner
-            .cache
-            .as_ref()
-            .map_or(0, |cache| cache.lock().expect("cache lock poisoned").generation())
     }
 
     /// Begins shutdown: the queue closes (new submissions rejected),
@@ -409,12 +385,9 @@ fn dispatch_loop(inner: &ServerInner) {
                 }
             };
             let canonical = group[0].canonical.clone();
-            // The most conservative generation across members: if *any*
-            // member looked up before an invalidation, do not cache.
-            let cache_gen = group.iter().map(|m| m.cache_gen).min().unwrap_or(0);
             let stats = per_shard.iter().fold(ExecutorStats::default(), |sum, (_, s)| sum + *s);
             let lists = per_shard.into_iter().map(|(hits, _)| hits).collect();
-            let ranking = Arc::new(merge_shard_lists(lists, k, shards));
+            let ranking = Arc::new(merge_shard_lists(lists, k));
             // Post-execute deadline check: an answer that arrived after
             // the member's deadline is discarded, not delivered late.
             let Some(answered) = reject_expired(inner, group) else { continue };
@@ -446,26 +419,11 @@ fn dispatch_loop(inner: &ServerInner) {
                     queue_wait: Duration::ZERO,
                     execute,
                 };
-                let generation = match inner.config.faults.should_fire("cache_poison", 0) {
-                    // Chaos site: pretend this insert raced an
-                    // `invalidate_all` — the generation guard must reject
-                    // it (pinned by `tests/chaos.rs`).
-                    Some(_) => cache_gen.wrapping_sub(1),
-                    None => cache_gen,
-                };
                 let bytes = answer_bytes(&canonical, &answer);
                 let mut cache = cache.lock().expect("cache lock poisoned");
-                match cache.insert(generation, &canonical, k, answer, bytes) {
-                    Inserted::Stored { evicted } if evicted > 0 => {
-                        inner.counters.record_cache_evictions(evicted);
-                    }
-                    Inserted::Stored { .. } | Inserted::TooLarge => {}
-                    Inserted::StaleGeneration => {
-                        debug_assert!(
-                            generation != cache.generation(),
-                            "a current-generation insert must never be rejected"
-                        );
-                    }
+                let inserted = cache.insert(&canonical, k, answer, bytes);
+                if let Inserted::Stored { evicted: evicted @ 1.. } = inserted {
+                    inner.counters.record_cache_evictions(evicted);
                 }
             }
             for member in answered {
@@ -580,7 +538,6 @@ impl ServeSession {
         }
         let canonical = query.to_string();
         let answer = 'answer: {
-            let mut cache_gen = 0;
             if let Some(cache) = &self.inner.cache {
                 let mut cache = cache.lock().expect("cache lock poisoned");
                 if let Some(answer) = cache.lookup(&canonical, self.top) {
@@ -598,7 +555,6 @@ impl ServeSession {
                         ..answer
                     };
                 }
-                cache_gen = cache.generation();
                 self.inner.counters.record_cache_miss();
             }
             let (reply, answer_rx) = mpsc::channel();
@@ -609,7 +565,6 @@ impl ServeSession {
                 reply,
                 submitted: start,
                 queued: Duration::ZERO,
-                cache_gen,
             };
             if let Err(rejection) = self.inner.queue.push(submission) {
                 self.inner.counters.record_overload_rejection();

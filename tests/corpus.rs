@@ -68,7 +68,7 @@ fn bounded_compare_path_matches_ranking_then_compare() {
         assert_eq!(hits(&bounded_query), hits(&with_ranking), "{shards} shards");
         // And the bounded hits are exactly the full ranking's head.
         let bounded_hits = bounded_query.selection().unwrap();
-        let bounded_render = CorpusRanking { hits: bounded_hits, shards }.render(4);
+        let bounded_render = CorpusRanking { hits: bounded_hits }.render(4);
         assert_eq!(bounded_render, full_render, "{shards} shards");
     }
 }

@@ -444,6 +444,25 @@ fn deadline_and_shard_failure_are_typed_through_the_facade() {
     assert_eq!((stats.shard_failed, stats.shard_restarts), (1, 1));
 }
 
+/// A fault spec naming a site the runtime never consults (a typo, or a
+/// site that no longer exists) is refused with the known sites named,
+/// never armed as a plan that silently does nothing. `xsact serve` maps
+/// the refusal to `InvalidConfig` and exits non-zero.
+#[test]
+fn unknown_fault_sites_are_refused() {
+    use xsact::serve::FaultPlan;
+    for spec in ["shard_pnaic@1", "cache_poison@1", "io_error_on_save@1"] {
+        let err = FaultPlan::parse(spec).map_err(XsactError::InvalidConfig).unwrap_err();
+        assert!(matches!(err, XsactError::InvalidConfig(_)), "{spec}: {err}");
+        let message = err.to_string();
+        assert!(message.contains("unknown site"), "{spec}: {message}");
+        assert!(
+            message.contains("shard_panic, slow_execute, drop_connection"),
+            "{spec}: {message}"
+        );
+    }
+}
+
 /// Satellite, other half: the same failure modes surface over the TCP
 /// line protocol as stable `ERR <CODE>` lines, and the connection (and
 /// server) stay usable afterwards.

@@ -358,26 +358,6 @@ fn cache_matrix_never_changes_bytes() {
     }
 }
 
-/// The invalidation protocol: `invalidate_cache` flash-clears, bumps the
-/// generation, and the next identical query misses — with identical bytes.
-#[test]
-fn invalidate_all_clears_and_bumps_generation() {
-    let server = CorpusServer::start(fleet(2), ServeConfig::default());
-    let mut session = server.session();
-    let fresh = session.query("drama family").unwrap().ranking.render(4);
-    let cached = session.query("drama family").unwrap().ranking.render(4);
-    assert_eq!(fresh, cached);
-    assert_eq!(server.stats().cache_hits, 1, "the replay hit");
-    let generation = server.cache_generation();
-    server.invalidate_cache();
-    assert_eq!(server.cache_generation(), generation + 1);
-    let refilled = session.query("drama family").unwrap().ranking.render(4);
-    assert_eq!(refilled, fresh, "re-execution after invalidation is byte-identical");
-    let stats = server.stats();
-    assert_eq!(stats.cache_hits, 1, "the post-invalidation query was a miss");
-    assert_eq!(stats.cache_misses, 2);
-}
-
 /// A cache hit must skip the shard pool entirely: executor work does not
 /// grow, yet the query is served and charged to the session budget.
 #[test]
