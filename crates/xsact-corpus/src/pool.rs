@@ -11,8 +11,8 @@
 //!   and broadcasts each request to all of them; the last shard runs on
 //!   the broadcasting thread itself. Right for a serving runtime, where
 //!   paying thread spawn/teardown per query would dominate
-//!   sub-millisecond searches; the server broadcasts once per coalesced
-//!   query, so each extra shard costs one channel send and one wake-up.
+//!   sub-millisecond searches; the server broadcasts once per executed
+//!   miss, so each extra shard costs one channel send and one wake-up.
 //!
 //! Both produce outputs in shard order regardless of completion order, so
 //! swapping one for the other can never change result bytes.

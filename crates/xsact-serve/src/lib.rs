@@ -4,9 +4,8 @@
 //! `CorpusQuery` spins up scoped threads, runs, and tears them down. A
 //! *service* has concurrent callers, and those need machinery the engine
 //! deliberately does not know about: a bounded submission queue with
-//! admission control, batching of queries that share terms, per-session
-//! budgets, and counters that describe the server rather than a single
-//! query.
+//! admission control, per-session budgets, a result-page cache, and
+//! counters that describe the server rather than a single query.
 //!
 //! This crate holds that machinery's *mechanics*, free of any XSACT
 //! engine type (its only dependency is the observability layer
@@ -17,14 +16,11 @@
 //!   instead of blocking (admission control is backpressure made visible
 //!   to the caller), and whose `close` drains: queued work is still
 //!   handed out after a close, new work is turned away.
-//! * [`coalesce`] — groups pending submissions by key so one execution
-//!   can serve every concurrent caller that asked the same question.
 //! * [`ServeCounters`] — server-level metrics backed by an `xsact-obs`
-//!   registry: queries served, batches formed, batch-size and latency
-//!   histograms (queue wait, batch formation, execute, reply write,
-//!   end-to-end), typed rejection counts, and the executor work
-//!   aggregated over every batch — all scrapeable as one Prometheus-style
-//!   exposition.
+//!   registry: queries served, executions, batch-size and latency
+//!   histograms (queue wait, execute, reply write, end-to-end), typed
+//!   rejection counts, and the executor work aggregated over every
+//!   execution — all scrapeable as one Prometheus-style exposition.
 //! * [`PageCache`] — the bounded LRU result-page cache (entry and byte
 //!   bounds) the facade checks before a query ever reaches the queue.
 //!   Caching never changes bytes: the corpus is immutable and the
@@ -46,14 +42,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod cache;
 pub mod fault;
 pub mod protocol;
 pub mod queue;
 pub mod stats;
 
-pub use batch::coalesce;
 pub use cache::{Inserted, PageCache};
 pub use fault::FaultPlan;
 pub use protocol::{err_line, LineBuffer, Request, END_MARKER, MAX_TOP};

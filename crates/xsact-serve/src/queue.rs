@@ -101,13 +101,6 @@ impl<T> SubmissionQueue<T> {
         }
     }
 
-    /// Takes every submission currently waiting (at most the capacity)
-    /// without blocking — the dispatcher's "who else is already in line?"
-    /// question.
-    pub fn drain_pending(&self) -> Vec<T> {
-        self.state.lock().expect("queue lock poisoned").items.drain(..).collect()
-    }
-
     /// Closes the queue: future pushes fail with [`Rejected::Closed`],
     /// waiting poppers are woken, queued submissions keep draining.
     /// Idempotent.
@@ -177,19 +170,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();
         assert_eq!(popper.join().unwrap(), None);
-    }
-
-    #[test]
-    fn drain_pending_takes_everything_waiting_without_blocking() {
-        let q = SubmissionQueue::new(8);
-        assert!(q.drain_pending().is_empty(), "empty drain must not block");
-        for i in 0..5 {
-            q.push(i).unwrap();
-        }
-        assert_eq!(q.drain_pending(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(q.depth(), 0);
-        q.push(5).unwrap();
-        assert_eq!(q.drain_pending(), vec![5], "the queue admits again once drained");
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! guarantee the workbench cache counters give).
 //!
 //! Latency histograms record nanoseconds. Per the serving contract,
-//! `queue_wait`, `execute`, and `e2e` are recorded **once per query**
-//! (every member of a coalesced batch observed that latency), so each
-//! histogram's count equals `queries_served` at any quiescent point —
-//! the CI smoke test pins it.
+//! `queue_wait`, `execute`, and `e2e` are recorded **once per answered
+//! query** (a cache hit records zero queue wait and zero execute), so
+//! each histogram's count equals `queries_served` at any quiescent point
+//! — the CI smoke test pins it.
 
 use std::fmt;
 use std::sync::Arc;
@@ -35,7 +35,7 @@ pub struct ServeCounters {
     rejected_deadline: Arc<Counter>,
     shard_failed: Arc<Counter>,
     shard_restarts: Arc<Counter>,
-    // Executor work aggregated over every batch execution. Kept as plain
+    // Executor work aggregated over every execution. Kept as plain
     // counters (not the engine's `ExecutorStats` type) so this crate stays
     // free of engine types; the facade does the typing.
     postings_scanned: Arc<Counter>,
@@ -45,7 +45,6 @@ pub struct ServeCounters {
     cache_misses: Arc<Counter>,
     cache_evictions: Arc<Counter>,
     queue_wait_ns: Arc<Histogram>,
-    batch_form_ns: Arc<Histogram>,
     execute_ns: Arc<Histogram>,
     reply_write_ns: Arc<Histogram>,
     e2e_ns: Arc<Histogram>,
@@ -77,7 +76,6 @@ impl ServeCounters {
             cache_misses: registry.counter("xsact_cache_misses"),
             cache_evictions: registry.counter("xsact_cache_evictions"),
             queue_wait_ns: registry.histogram("xsact_queue_wait_ns"),
-            batch_form_ns: registry.histogram("xsact_batch_form_ns"),
             execute_ns: registry.histogram("xsact_execute_ns"),
             reply_write_ns: registry.histogram("xsact_reply_write_ns"),
             e2e_ns: registry.histogram("xsact_e2e_ns"),
@@ -97,12 +95,13 @@ impl ServeCounters {
         self.registry.expose()
     }
 
-    /// Records one executed batch: `size` queries answered by one
-    /// execution that did the given executor work.
-    pub fn record_batch(&self, size: usize, postings: u64, probes: u64, pruned: u64) {
-        self.queries_served.add(size as u64);
+    /// Records one query answered by its own execution, which did the
+    /// given executor work. The batch-size histogram observes 1: its name
+    /// and the `batches_formed` line are part of the wire contract.
+    pub fn record_batch(&self, postings: u64, probes: u64, pruned: u64) {
+        self.queries_served.inc();
         self.batches.inc();
-        self.batch_size.record(size as u64);
+        self.batch_size.record(1);
         self.postings_scanned.add(postings);
         self.gallop_probes.add(probes);
         self.candidates_pruned.add(pruned);
@@ -111,8 +110,8 @@ impl ServeCounters {
     /// Records one query answered straight from the result-page cache: it
     /// counts as served, and its queue-wait and execute observations are
     /// zero (the hit skipped both stages) so every latency histogram's
-    /// count still equals `queries_served`. No batch is formed, so the
-    /// `coalesced_queries` arithmetic is untouched.
+    /// count still equals `queries_served`. Nothing executes, so the hit
+    /// counts in `coalesced_queries`, not in `batches_formed`.
     pub fn record_cache_hit(&self) {
         self.cache_hits.inc();
         self.queries_served.inc();
@@ -142,38 +141,30 @@ impl ServeCounters {
     }
 
     /// Records one query whose deadline elapsed before an answer could be
-    /// produced (checked at dispatch and again after batch execute).
+    /// produced (checked at dispatch and again after execute).
     pub fn record_deadline_rejection(&self) {
         self.rejected_deadline.inc();
     }
 
-    /// Records one batch lost to a shard-worker panic: `members` queries
-    /// answered with the typed shard failure, and `restarts` workers
-    /// respawned by the pool's supervisor.
-    pub fn record_shard_failure(&self, members: usize, restarts: u64) {
-        self.shard_failed.add(members as u64);
+    /// Records one query lost to a shard-worker panic: it was answered
+    /// with the typed shard failure, and `restarts` workers were respawned
+    /// by the pool's supervisor.
+    pub fn record_shard_failure(&self, restarts: u64) {
+        self.shard_failed.inc();
         self.shard_restarts.add(restarts);
     }
 
-    /// Records how long one submission sat in the queue before its
-    /// dispatch round swept it up (once per query).
+    /// Records how long one submission sat in the queue before the
+    /// dispatcher popped it (once per query).
     pub fn record_queue_wait(&self, wait: Duration) {
         self.queue_wait_ns.record_duration(wait);
     }
 
-    /// Records how long one dispatch round took to sweep and coalesce its
-    /// submissions (once per round).
-    pub fn record_batch_form(&self, took: Duration) {
-        self.batch_form_ns.record_duration(took);
-    }
-
-    /// Records one batch's shard-pool execution latency, once per member
-    /// — every query in the batch observed it, and keeping the count
-    /// equal to `queries_served` is part of the exposition contract.
-    pub fn record_execute(&self, took: Duration, members: usize) {
-        for _ in 0..members {
-            self.execute_ns.record_duration(took);
-        }
+    /// Records one execution's shard-pool latency (once per answered
+    /// miss; keeping the count equal to `queries_served` is part of the
+    /// exposition contract).
+    pub fn record_execute(&self, took: Duration) {
+        self.execute_ns.record_duration(took);
     }
 
     /// Records the time one response spent in the socket write.
@@ -215,12 +206,12 @@ impl ServeCounters {
 /// protocol response and the CLI's shutdown summary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeSnapshot {
-    /// Queries answered (every member of every batch counts).
+    /// Queries answered, by an execution or by a cache hit.
     pub queries_served: u64,
-    /// Batch executions (one per distinct key per dispatch round).
+    /// Executions: one shard-pool broadcast per answered cache miss (the
+    /// `batches_formed` line).
     pub batches: u64,
-    /// Batch-size distribution (one observation per batch; log-bucketed,
-    /// so a batch as large as the queue capacity stays resolvable).
+    /// One observation of 1 per execution (the `batch_size_hist` line).
     pub batch_size: HistogramSnapshot,
     /// Submissions rejected by admission control (queue full or closed).
     pub rejected_overload: u64,
@@ -228,19 +219,19 @@ pub struct ServeSnapshot {
     pub rejected_budget: u64,
     /// Queries whose deadline elapsed before an answer could be produced.
     pub rejected_deadline: u64,
-    /// Queries answered with a typed shard failure (their batch's worker
-    /// panicked).
+    /// Queries answered with a typed shard failure (a worker panicked
+    /// during their broadcast).
     pub shard_failed: u64,
     /// Shard workers respawned by the pool supervisor after a panic.
     pub shard_restarts: u64,
-    /// Posting entries scanned, summed over every batch execution.
+    /// Posting entries scanned, summed over every execution.
     pub postings_scanned: u64,
-    /// Gallop probes, summed over every batch execution.
+    /// Gallop probes, summed over every execution.
     pub gallop_probes: u64,
-    /// Candidates pruned, summed over every batch execution.
+    /// Candidates pruned, summed over every execution.
     pub candidates_pruned: u64,
     /// Queries answered straight from the result-page cache (each also
-    /// counts in `queries_served`).
+    /// counts in `queries_served`; the `coalesced_queries` line).
     pub cache_hits: u64,
     /// Cache lookups that missed and went on to the submission queue.
     pub cache_misses: u64,
@@ -256,15 +247,6 @@ pub struct ServeSnapshot {
     pub e2e_ns: HistogramSnapshot,
 }
 
-impl ServeSnapshot {
-    /// Queries answered without an execution of their own: members that
-    /// rode along in a coalesced batch, plus result-page cache hits
-    /// (which ride along on a *previous* execution).
-    fn coalesced_queries(&self) -> u64 {
-        self.queries_served.saturating_sub(self.batches)
-    }
-}
-
 impl fmt::Display for ServeSnapshot {
     /// The `STATS` verb's body: one `name value` pair per line, stable
     /// names so scripted clients can parse it. Histogram values render as
@@ -274,7 +256,8 @@ impl fmt::Display for ServeSnapshot {
         writeln!(f, "queries_served {}", self.queries_served)?;
         writeln!(f, "batches_formed {}", self.batches)?;
         writeln!(f, "batch_size_hist {}", self.batch_size.summary_line(1))?;
-        writeln!(f, "coalesced_queries {}", self.coalesced_queries())?;
+        // Queries answered without an execution of their own.
+        writeln!(f, "coalesced_queries {}", self.cache_hits)?;
         writeln!(f, "rejected_overload {}", self.rejected_overload)?;
         writeln!(f, "rejected_budget {}", self.rejected_budget)?;
         writeln!(f, "rejected_deadline {}", self.rejected_deadline)?;
@@ -299,45 +282,33 @@ mod tests {
     #[test]
     fn batches_accumulate_into_every_counter() {
         let c = ServeCounters::default();
-        c.record_batch(1, 10, 2, 1);
-        c.record_batch(3, 30, 6, 3);
+        c.record_batch(10, 2, 1);
+        c.record_batch(30, 6, 3);
         let s = c.snapshot();
-        assert_eq!(s.queries_served, 4);
+        assert_eq!(s.queries_served, 2);
         assert_eq!(s.batches, 2);
         assert_eq!(s.batch_size.count, 2);
-        assert_eq!(s.batch_size.max, 3);
-        assert_eq!(s.coalesced_queries(), 2);
+        assert_eq!(s.batch_size.max, 1);
+        assert!(s.to_string().contains("coalesced_queries 0"), "{s}");
         assert_eq!((s.postings_scanned, s.gallop_probes, s.candidates_pruned), (40, 8, 4));
-    }
-
-    #[test]
-    fn large_batches_stay_resolvable() {
-        // The old fixed 1..8+ histogram lumped everything above 8 into one
-        // bucket; the log-bucketed histogram keeps resolution.
-        let c = ServeCounters::default();
-        c.record_batch(64, 0, 0, 0);
-        c.record_batch(1024, 0, 0, 0);
-        let s = c.snapshot();
-        assert_eq!(s.batch_size.max, 1024);
-        assert_eq!(s.batch_size.p50(), 64);
     }
 
     #[test]
     fn cache_hits_count_as_served_and_keep_histogram_counts() {
         let c = ServeCounters::default();
-        c.record_batch(1, 10, 2, 1);
+        c.record_batch(10, 2, 1);
         c.record_cache_miss();
         c.record_cache_hit();
         c.record_cache_hit();
         c.record_cache_evictions(3);
         let s = c.snapshot();
         assert_eq!(s.queries_served, 3, "hits count as served");
-        assert_eq!(s.batches, 1, "a hit forms no batch");
+        assert_eq!(s.batches, 1, "a hit executes nothing");
         assert_eq!((s.cache_hits, s.cache_misses, s.cache_evictions), (2, 1, 3));
-        assert_eq!(s.queue_wait_ns.count, s.queries_served - 1, "batch path records its own");
+        assert_eq!(s.queue_wait_ns.count, s.queries_served - 1, "executions record their own");
         assert_eq!(s.execute_ns.count, 2, "hits record zero-duration execute observations");
-        assert_eq!(s.coalesced_queries(), 2);
         let text = s.to_string();
+        assert!(text.contains("coalesced_queries 2"), "{text}");
         assert!(text.contains("cache_hits 2"), "{text}");
         assert!(text.contains("cache_misses 1"), "{text}");
         assert!(text.contains("cache_evictions 3"), "{text}");
@@ -360,16 +331,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_failures_count_members_and_restarts() {
+    fn shard_failures_count_queries_and_restarts() {
         let c = ServeCounters::default();
-        c.record_shard_failure(3, 1);
-        c.record_shard_failure(1, 2);
+        c.record_shard_failure(1);
+        c.record_shard_failure(2);
         let s = c.snapshot();
-        assert_eq!(s.shard_failed, 4, "every member of a failed batch counts");
+        assert_eq!(s.shard_failed, 2, "every failed query counts");
         assert_eq!(s.shard_restarts, 3);
-        assert_eq!(s.queries_served, 0, "a failed batch serves nobody");
+        assert_eq!(s.queries_served, 0, "a failed execution serves nobody");
         let text = s.to_string();
-        assert!(text.contains("shard_failed 4"), "{text}");
+        assert!(text.contains("shard_failed 2"), "{text}");
         assert!(text.contains("shard_restarts 3"), "{text}");
         assert!(text.contains("rejected_deadline 0"), "{text}");
         let exposition = c.exposition();
@@ -381,13 +352,12 @@ mod tests {
     fn latency_recorders_feed_their_histograms() {
         let c = ServeCounters::default();
         c.record_queue_wait(Duration::from_micros(5));
-        c.record_execute(Duration::from_micros(40), 3);
+        c.record_execute(Duration::from_micros(40));
         c.record_e2e(Duration::from_micros(50));
-        c.record_batch_form(Duration::from_nanos(300));
         c.record_reply_write(Duration::from_nanos(900));
         let s = c.snapshot();
         assert_eq!(s.queue_wait_ns.count, 1);
-        assert_eq!(s.execute_ns.count, 3, "execute records once per member");
+        assert_eq!(s.execute_ns.count, 1);
         assert_eq!(s.e2e_ns.count, 1);
         assert!(s.e2e_ns.max >= 50_000);
     }
@@ -395,10 +365,10 @@ mod tests {
     #[test]
     fn display_is_line_oriented_and_stable() {
         let c = ServeCounters::default();
-        c.record_batch(2, 7, 1, 0);
+        c.record_batch(7, 1, 0);
         let text = c.snapshot().to_string();
-        assert!(text.contains("queries_served 2"), "{text}");
-        assert!(text.contains("batch_size_hist count:1 p50:2 p99:2 max:2"), "{text}");
+        assert!(text.contains("queries_served 1"), "{text}");
+        assert!(text.contains("batch_size_hist count:1 p50:1 p99:1 max:1"), "{text}");
         assert!(text.contains("postings_scanned 7"), "{text}");
         assert!(text.contains("queue_wait_us -"), "{text}");
         assert!(text.contains("e2e_us -"), "{text}");
@@ -408,7 +378,7 @@ mod tests {
     #[test]
     fn exposition_contains_the_serving_metrics() {
         let c = ServeCounters::default();
-        c.record_batch(1, 5, 1, 0);
+        c.record_batch(5, 1, 0);
         c.record_e2e(Duration::from_micros(10));
         let text = c.exposition();
         for name in [
@@ -430,7 +400,7 @@ mod tests {
             for _ in 0..8 {
                 scope.spawn(|| {
                     for _ in 0..100 {
-                        c.record_batch(2, 1, 1, 1);
+                        c.record_batch(1, 1, 1);
                         c.record_overload_rejection();
                         c.record_e2e(Duration::from_nanos(500));
                     }
@@ -438,7 +408,7 @@ mod tests {
             }
         });
         let s = c.snapshot();
-        assert_eq!(s.queries_served, 1600);
+        assert_eq!(s.queries_served, 800);
         assert_eq!(s.batches, 800);
         assert_eq!(s.rejected_overload, 800);
         assert_eq!(s.e2e_ns.count, 800);

@@ -513,8 +513,8 @@ impl CorpusRanking {
 
 /// One shard's ranked unit of work — the only one, run by a ranked
 /// query's fan-out ([`CorpusQuery`], once per query) and by the serving
-/// runtime's persistent shard pool (`crate::serve`, once per coalesced
-/// key): rank each document of the shard's round-robin slice of `docs`
+/// runtime's persistent shard pool (`crate::serve`, once per executed
+/// miss): rank each document of the shard's round-robin slice of `docs`
 /// through the streaming executor bounded by `k`, merge the per-document
 /// lists under the ranking's total order, truncate to `k`, and label what
 /// is left. Because both execution paths run *this* function over *the

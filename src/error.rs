@@ -76,7 +76,7 @@ pub enum XsactError {
     },
     /// The query's deadline (queue wait + execute) elapsed before an
     /// answer could be produced. Checked at dispatch (the query never
-    /// executed) and again after batch execute (the answer arrived too
+    /// executed) and again after execute (the answer arrived too
     /// late to matter); either way the caller should treat the result as
     /// unknown and retry with a fresh deadline.
     DeadlineExceeded {
@@ -85,10 +85,10 @@ pub enum XsactError {
         /// The configured deadline in milliseconds.
         deadline_ms: u64,
     },
-    /// A shard worker panicked while executing the batch this query rode
-    /// in. The worker has been respawned from a fresh state factory, so a
-    /// retry runs on a healthy pool and is byte-identical to a fault-free
-    /// run; no other batch was affected.
+    /// A shard worker panicked while executing this query. The worker has
+    /// been respawned from a fresh state factory, so a retry runs on a
+    /// healthy pool and is byte-identical to a fault-free run; no other
+    /// query was affected.
     ShardFailed {
         /// The shard whose worker panicked.
         shard: usize,

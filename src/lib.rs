@@ -62,10 +62,11 @@
 //! mechanics crate `xsact-corpus` (shard planning, scoped-thread fan-out,
 //! k-way merge) and the [`corpus`] facade module that composes it with
 //! workbenches. The serving runtime repeats the pattern: the mechanics
-//! crate `xsact-serve` (bounded submission queue, batch coalescing,
+//! crate `xsact-serve` (bounded submission queue, result-page cache,
 //! server counters, line protocol) composes with a persistent shard pool
-//! in the [`serve`] facade module — a long-lived [`CorpusServer`] whose
-//! batching and pooling never change result bytes.
+//! in the [`serve`] facade module — a long-lived [`CorpusServer`] that
+//! broadcasts to its pool once per executed miss and whose pooling and
+//! caching never change result bytes.
 
 #![forbid(unsafe_code)]
 

@@ -1,36 +1,35 @@
-//! The serving runtime: a long-lived corpus server with query batching,
-//! admission control, session budgets, and a TCP line-protocol front end.
+//! The serving runtime: a long-lived corpus server with a persistent shard
+//! pool, admission control, session budgets, a result-page cache, and a
+//! TCP line-protocol front end.
 //!
 //! A [`crate::CorpusQuery`] executes one query at a time, paying
 //! scoped-thread spawn and teardown per query. [`CorpusServer`] amortises that: at
 //! startup it builds one persistent [`xsact_corpus::ShardPool`] — a worker
 //! per effective shard but the last — and a dispatcher thread feeds the
 //! pool from a bounded [`xsact_serve::SubmissionQueue`], computing the last
-//! shard itself while the workers compute theirs. Each dispatch round takes
-//! everything pending; submissions that ask the same question (same
-//! canonical query text, same top-k) **coalesce** under one key, and each
-//! key is one pool broadcast: the pool executes once and every waiter
-//! receives the same shared [`CorpusRanking`].
+//! shard itself while the workers compute theirs. Every submission that
+//! reaches the queue is a result-page cache miss, and each one is one pool
+//! broadcast. The page cache is the one place a repeated query (same
+//! canonical query text, same top-k) is answered without executing.
 //!
-//! ## A page is rendered once per executed key
+//! ## A page is rendered once per executed miss
 //!
-//! Right after the merge the dispatcher renders the key's whole wire reply
+//! Right after the merge the dispatcher renders the miss's whole wire reply
 //! (`OK <shown>`, the ranked listing, the end marker) into one shared
-//! [`QueryAnswer::reply`]. Every coalesced member, and every later
-//! result-page cache hit on the key, carries those same bytes, so a hit
-//! clones two `Arc`s and the TCP front end answers it with one write; no
-//! reply path renders again.
+//! [`QueryAnswer::reply`]. Every later result-page cache hit on the key
+//! carries those same bytes, so a hit clones two `Arc`s and the TCP front
+//! end answers it with one write; no reply path renders again.
 //!
-//! ## The invariant: coalescing and pooling never change bytes
+//! ## The invariant: pooling and caching never change bytes
 //!
 //! There is one ranked shard unit of work, `corpus::execute_shard`: the
-//! pool's workers run it once per coalesced key, the scoped-thread
+//! pool's workers run it once per executed miss, the scoped-thread
 //! fan-out behind a ranked [`crate::CorpusQuery`] once per query, both
 //! over the *same* [`xsact_corpus::ShardPlan`] partition, and both merge
 //! with the same comparator. A response from the server is therefore
 //! byte-identical to sequential one-query-at-a-time execution, at any
 //! shard count and under any interleaving of concurrent clients (pinned
-//! by `tests/serve.rs`). `k` travels down: each key executes bounded by
+//! by `tests/serve.rs`). `k` travels down: each miss executes bounded by
 //! its top-k, so a served query does exactly the work of its sequential
 //! twin.
 //!
@@ -53,15 +52,14 @@
 //! * Session spent its executor-work budget →
 //!   [`XsactError::BudgetExceeded`] — rejected before reaching the queue.
 //! * Deadline elapsed (queue wait + execute) →
-//!   [`XsactError::DeadlineExceeded`] — checked right before the key's
+//!   [`XsactError::DeadlineExceeded`] — checked right before the query's
 //!   broadcast (the query never executed) and again after it; retry with a
 //!   fresh deadline.
 //! * Shard worker panicked mid-broadcast → [`XsactError::ShardFailed`] for
-//!   exactly the members of that key; other keys of the same round still
-//!   run. The supervisor respawns the worker before the error is
-//!   delivered, so a retry — and every *other* request, concurrent or
-//!   subsequent — is byte-identical to a fault-free run (pinned by
-//!   `tests/chaos.rs`).
+//!   exactly the query whose broadcast it was. The supervisor respawns the
+//!   worker before the error is delivered, so a retry — and every *other*
+//!   request, concurrent or subsequent — is byte-identical to a fault-free
+//!   run (pinned by `tests/chaos.rs`).
 //!
 //! Shutdown is a drain: admitted submissions are still answered, new ones
 //! are turned away. Recovery paths are exercised deterministically via
@@ -97,9 +95,7 @@ use std::time::{Duration, Instant};
 use xsact_corpus::{ShardPlan, ShardPool};
 use xsact_index::{ExecutorStats, Query};
 use xsact_obs::{format_nanos, Histogram, MetricsRegistry};
-use xsact_serve::{
-    coalesce, err_line, Inserted, LineBuffer, PageCache, Rejected, Request, SubmissionQueue,
-};
+use xsact_serve::{err_line, Inserted, LineBuffer, PageCache, Rejected, Request, SubmissionQueue};
 
 pub use xsact_serve::{FaultPlan, ServeCounters, ServeSnapshot, END_MARKER, MAX_TOP};
 
@@ -109,8 +105,7 @@ pub struct ServeConfig {
     /// Bound of the submission queue; submissions beyond it are rejected
     /// with [`XsactError::Overloaded`]. Zero is valid and rejects every
     /// submission (a deterministic "always overloaded" server, used by the
-    /// CI smoke test). A dispatch round takes everything pending, so this
-    /// also bounds a round.
+    /// CI smoke test).
     pub queue_capacity: usize,
     /// Top-k a fresh session starts with (changeable per session via
     /// [`ServeSession::set_top`] / the `TOP` verb).
@@ -164,47 +159,40 @@ impl Default for ServeConfig {
 }
 
 /// What a served query returns: the shared ranking, its rendered wire
-/// reply, and the cost of the batch that produced it.
+/// reply, and the cost of the execution that produced it.
 #[derive(Debug, Clone)]
 pub struct QueryAnswer {
-    /// The merged ranking — shared (`Arc`) among every member of the
-    /// batch, byte-identical to sequential execution.
+    /// The merged ranking — shared (`Arc`) with every cache hit on the
+    /// key, byte-identical to sequential execution.
     pub ranking: Arc<CorpusRanking>,
     /// The protocol reply for this page at the key's top-k, end marker
     /// included: `OK <shown>\n`, the ranking's listing, `.\n`. Rendered
-    /// once by the dispatcher and shared by every member of the batch and
-    /// every cache hit on the key.
+    /// once by the dispatcher and shared by every cache hit on the key.
     pub reply: Arc<[u8]>,
-    /// Executor work of the whole batch (each member is charged the full
-    /// batch cost against its session budget — riding along is not free,
-    /// it is shared).
+    /// Executor work of the execution (a cache hit is charged the same
+    /// cost against its session budget).
     pub stats: ExecutorStats,
-    /// How many queries the batch answered (1 = no coalescing happened).
-    pub batch_size: usize,
-    /// How long this query sat in the submission queue before its dispatch
-    /// round swept it up.
+    /// How long this query sat in the submission queue before the
+    /// dispatcher popped it (zero on a cache hit).
     pub queue_wait: Duration,
-    /// How long the shard pool took to execute the batch that answered
-    /// this query.
+    /// How long the shard pool took to execute this query (zero on a
+    /// cache hit).
     pub execute: Duration,
 }
 
-/// One queued query: what to run, the key it coalesces under, and where
-/// the answer goes.
+/// One queued query: what to run, its cache key, and where the answer
+/// goes.
 struct Submission {
-    /// Canonical text of the parsed query — the batch key's first half
-    /// (two spellings of the same term multiset coalesce).
+    /// Canonical text of the parsed query — the cache key's first half
+    /// (two spellings of the same term multiset share a page).
     canonical: String,
     query: Query,
     k: usize,
-    /// Typed outcome: the shared answer, or the failure that kept this
-    /// member from getting one (deadline, shard panic).
+    /// Typed outcome: the answer, or the failure that kept this query
+    /// from getting one (deadline, shard panic).
     reply: mpsc::Sender<XsactResult<QueryAnswer>>,
     /// When the session pushed this submission (queue-wait starts here).
     submitted: Instant,
-    /// Queue wait, measured by the dispatcher when its round sweeps this
-    /// submission up (zero until then).
-    queued: Duration,
 }
 
 /// State shared by the server handle, its sessions, and the dispatcher.
@@ -310,10 +298,9 @@ impl Drop for CorpusServer {
     }
 }
 
-/// The dispatcher: pop one submission (blocking), sweep in whoever else is
-/// already in line, coalesce by `(canonical query, k)`, execute each key
-/// once on the shard pool, fan each shared answer out. Exits when the
-/// queue is closed *and* drained.
+/// The dispatcher: pop one submission (blocking), execute it on the shard
+/// pool, render its reply, cache it, answer it. Exits when the queue is
+/// closed *and* drained.
 fn dispatch_loop(inner: &ServerInner) {
     let shards = inner.corpus.effective_shards();
     // Per-shard busy-time histograms, registered alongside the serving
@@ -343,103 +330,68 @@ fn dispatch_loop(inner: &ServerInner) {
             result
         }
     });
-    while let Some(first) = inner.queue.pop() {
-        let round_start = Instant::now();
-        let mut round = vec![first];
-        round.extend(inner.queue.drain_pending());
-        for submission in &mut round {
-            submission.queued = submission.submitted.elapsed();
-        }
-        let groups = coalesce(round, |s| (s.canonical.clone(), s.k));
-        inner.counters.record_batch_form(round_start.elapsed());
-        for group in groups {
-            // Dispatch-time deadline check, right before this key's
-            // broadcast: a member whose budget already elapsed never
-            // executes — its answer could only arrive late.
-            let Some(group) = reject_expired(inner, group) else { continue };
-            let k = group[0].k;
-            let execute_start = Instant::now();
-            let restarts_before = pool.restarts();
-            // One broadcast per key: every shard runs this key's query over
-            // its document slice, and the first panicked shard (in shard
-            // order) fails this key's members only.
-            let outcome: Result<Vec<_>, _> =
-                pool.broadcast((group[0].query.clone(), k)).into_iter().collect();
-            let execute = execute_start.elapsed();
-            let per_shard = match outcome {
-                Ok(per_shard) => per_shard,
-                Err(panic) => {
-                    // The supervisor already respawned every failed worker
-                    // inside broadcast, so the next key runs on a healthy
-                    // pool.
-                    inner
-                        .counters
-                        .record_shard_failure(group.len(), pool.restarts() - restarts_before);
-                    for member in group {
-                        let _ = member.reply.send(Err(XsactError::ShardFailed {
-                            shard: panic.shard,
-                            detail: panic.detail.clone(),
-                        }));
-                    }
-                    continue;
-                }
-            };
-            let canonical = group[0].canonical.clone();
-            let stats = per_shard.iter().fold(ExecutorStats::default(), |sum, (_, s)| sum + *s);
-            let lists = per_shard.into_iter().map(|(hits, _)| hits).collect();
-            let ranking = Arc::new(merge_shard_lists(lists, k));
-            // Post-execute deadline check: an answer that arrived after
-            // the member's deadline is discarded, not delivered late.
-            let Some(answered) = reject_expired(inner, group) else { continue };
-            // The key's one render of its whole wire reply: every member
-            // and every later cache hit shares these bytes.
-            let shown = ranking.hits.len().min(k);
-            let reply = framed(format!("OK {shown}\n{}", ranking.render(k)));
-            // Latency histograms record once per *answered* member — the
-            // exposition contract pins each count to queries_served, and
-            // rejected members are counted in their rejection counters
-            // instead.
-            inner.counters.record_execute(execute, answered.len());
-            inner.counters.record_batch(
-                answered.len(),
-                stats.postings_scanned,
-                stats.gallop_probes,
-                stats.candidates_pruned,
-            );
-            let batch_size = answered.len();
-            // Only delivered answers are cached — a `ShardFailed`, a
-            // deadline rejection, or any other error can never be
-            // replayed from the cache.
-            if let Some(cache) = &inner.cache {
-                let answer = QueryAnswer {
-                    ranking: Arc::clone(&ranking),
-                    reply: Arc::clone(&reply),
-                    stats,
-                    batch_size,
-                    queue_wait: Duration::ZERO,
-                    execute,
-                };
-                let bytes = answer_bytes(&canonical, &answer);
-                let mut cache = cache.lock().expect("cache lock poisoned");
-                let inserted = cache.insert(&canonical, k, answer, bytes);
-                if let Inserted::Stored { evicted: evicted @ 1.. } = inserted {
-                    inner.counters.record_cache_evictions(evicted);
-                }
-            }
-            for member in answered {
-                inner.counters.record_queue_wait(member.queued);
-                // A waiter that gave up (dropped its receiver) is fine —
-                // the batch ran for the others.
-                let _ = member.reply.send(Ok(QueryAnswer {
-                    ranking: Arc::clone(&ranking),
-                    reply: Arc::clone(&reply),
-                    stats,
-                    batch_size,
-                    queue_wait: member.queued,
-                    execute,
+    while let Some(submission) = inner.queue.pop() {
+        let queue_wait = submission.submitted.elapsed();
+        // Dispatch-time deadline check, right before the broadcast: a query
+        // whose budget already elapsed never executes — its answer could
+        // only arrive late.
+        let Some(submission) = reject_expired(inner, submission) else { continue };
+        let k = submission.k;
+        let execute_start = Instant::now();
+        let restarts_before = pool.restarts();
+        // One broadcast: every shard runs the query over its document
+        // slice, and the first panicked shard (in shard order) fails it.
+        let outcome: Result<Vec<_>, _> =
+            pool.broadcast((submission.query.clone(), k)).into_iter().collect();
+        let execute = execute_start.elapsed();
+        let per_shard = match outcome {
+            Ok(per_shard) => per_shard,
+            Err(panic) => {
+                // The supervisor already respawned every failed worker
+                // inside broadcast, so the next query runs on a healthy
+                // pool.
+                inner.counters.record_shard_failure(pool.restarts() - restarts_before);
+                let _ = submission.reply.send(Err(XsactError::ShardFailed {
+                    shard: panic.shard,
+                    detail: panic.detail,
                 }));
+                continue;
+            }
+        };
+        let stats = per_shard.iter().fold(ExecutorStats::default(), |sum, (_, s)| sum + *s);
+        let lists = per_shard.into_iter().map(|(hits, _)| hits).collect();
+        let ranking = Arc::new(merge_shard_lists(lists, k));
+        // Post-execute deadline check: an answer that arrived after the
+        // deadline is discarded, not delivered late.
+        let Some(submission) = reject_expired(inner, submission) else { continue };
+        // The miss's one render of its whole wire reply: every later cache
+        // hit shares these bytes.
+        let shown = ranking.hits.len().min(k);
+        let reply = framed(format!("OK {shown}\n{}", ranking.render(k)));
+        // Latency histograms record answered queries only — the exposition
+        // contract pins each count to queries_served, and a rejected query
+        // is counted in its rejection counter instead.
+        inner.counters.record_queue_wait(queue_wait);
+        inner.counters.record_execute(execute);
+        inner.counters.record_batch(
+            stats.postings_scanned,
+            stats.gallop_probes,
+            stats.candidates_pruned,
+        );
+        let answer = QueryAnswer { ranking, reply, stats, queue_wait, execute };
+        // Only delivered answers are cached — a `ShardFailed`, a deadline
+        // rejection, or any other error can never be replayed from the
+        // cache.
+        if let Some(cache) = &inner.cache {
+            let bytes = answer_bytes(&submission.canonical, &answer);
+            let mut cache = cache.lock().expect("cache lock poisoned");
+            let inserted = cache.insert(&submission.canonical, k, answer.clone(), bytes);
+            if let Inserted::Stored { evicted: evicted @ 1.. } = inserted {
+                inner.counters.record_cache_evictions(evicted);
             }
         }
+        // A waiter that gave up (dropped its receiver) is fine.
+        let _ = submission.reply.send(Ok(answer));
     }
 }
 
@@ -457,30 +409,21 @@ fn answer_bytes(key: &str, answer: &QueryAnswer) -> usize {
     key.len() + std::mem::size_of::<QueryAnswer>() + hits + answer.reply.len()
 }
 
-/// Splits expired members out of `group`, answering each with a typed
-/// [`XsactError::DeadlineExceeded`]; returns the still-live members, or
-/// `None` when nobody survived. With no configured deadline this is a
-/// single branch.
-fn reject_expired(inner: &ServerInner, group: Vec<Submission>) -> Option<Vec<Submission>> {
-    let Some(deadline) = inner.config.deadline else { return Some(group) };
-    let mut live = Vec::with_capacity(group.len());
-    for member in group {
-        let elapsed = member.submitted.elapsed();
-        if elapsed >= deadline {
-            inner.counters.record_deadline_rejection();
-            let _ = member.reply.send(Err(XsactError::DeadlineExceeded {
-                elapsed_ms: elapsed.as_millis().try_into().unwrap_or(u64::MAX),
-                deadline_ms: deadline.as_millis().try_into().unwrap_or(u64::MAX),
-            }));
-        } else {
-            live.push(member);
-        }
+/// Answers `submission` with a typed [`XsactError::DeadlineExceeded`]
+/// and returns `None` if its deadline has elapsed; otherwise hands it
+/// back. With no configured deadline this is a single branch.
+fn reject_expired(inner: &ServerInner, submission: Submission) -> Option<Submission> {
+    let Some(deadline) = inner.config.deadline else { return Some(submission) };
+    let elapsed = submission.submitted.elapsed();
+    if elapsed < deadline {
+        return Some(submission);
     }
-    if live.is_empty() {
-        None
-    } else {
-        Some(live)
-    }
+    inner.counters.record_deadline_rejection();
+    let _ = submission.reply.send(Err(XsactError::DeadlineExceeded {
+        elapsed_ms: elapsed.as_millis().try_into().unwrap_or(u64::MAX),
+        deadline_ms: deadline.as_millis().try_into().unwrap_or(u64::MAX),
+    }));
+    None
 }
 
 /// One caller's view of a [`CorpusServer`]: a top-k setting and a budget
@@ -513,7 +456,7 @@ impl ServeSession {
         self.inner.config.budget
     }
 
-    /// Submits one query and blocks for the (possibly batched) answer.
+    /// Submits one query and blocks for its answer.
     ///
     /// Typed failure modes, in checking order: [`XsactError::EmptyQuery`]
     /// (no indexable terms), [`XsactError::BudgetExceeded`] (the session's
@@ -558,14 +501,7 @@ impl ServeSession {
                 self.inner.counters.record_cache_miss();
             }
             let (reply, answer_rx) = mpsc::channel();
-            let submission = Submission {
-                canonical,
-                query,
-                k: self.top,
-                reply,
-                submitted: start,
-                queued: Duration::ZERO,
-            };
+            let submission = Submission { canonical, query, k: self.top, reply, submitted: start };
             if let Err(rejection) = self.inner.queue.push(submission) {
                 self.inner.counters.record_overload_rejection();
                 return Err(match rejection {
@@ -590,13 +526,11 @@ impl ServeSession {
         if let Some(threshold) = self.inner.config.slow_query {
             if e2e >= threshold {
                 eprintln!(
-                    "xsact-serve: slow query {text:?} k={}: e2e={} queue_wait={} execute={} \
-                     batch={} ({})",
+                    "xsact-serve: slow query {text:?} k={}: e2e={} queue_wait={} execute={} ({})",
                     self.top,
                     format_nanos(e2e.as_nanos().try_into().unwrap_or(u64::MAX)),
                     format_nanos(answer.queue_wait.as_nanos().try_into().unwrap_or(u64::MAX)),
                     format_nanos(answer.execute.as_nanos().try_into().unwrap_or(u64::MAX)),
-                    answer.batch_size,
                     answer.stats,
                 );
             }
@@ -607,7 +541,7 @@ impl ServeSession {
 
 /// The protocol error code of a facade error (`ERR <code> <message>`).
 /// Codes are stable identifiers; messages may evolve.
-pub fn error_code(error: &XsactError) -> &'static str {
+fn error_code(error: &XsactError) -> &'static str {
     match error {
         XsactError::Overloaded { .. } => "OVERLOADED",
         XsactError::BudgetExceeded { .. } => "BUDGET_EXCEEDED",

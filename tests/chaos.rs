@@ -89,12 +89,12 @@ fn shard_panic_on_third_batch_recovers_byte_identical() {
     }
 }
 
-/// A shard panic fails only the key whose broadcast panicked. Query A
+/// A shard panic fails only the query whose broadcast panicked. Query A
 /// stalls shard 0 for 400 ms; meanwhile two other sessions submit distinct
-/// keys B and C, which therefore share the next dispatch round. Shard 1's
-/// second call (the round's first key) panics: that key's member gets
-/// `ShardFailed`, the other key runs on the respawned pool and is
-/// byte-identical to sequential execution.
+/// queries B and C, which therefore wait in the queue behind it. Shard 1's
+/// second call (the broadcast of whichever of B and C is popped first)
+/// panics: that query gets `ShardFailed`, the other runs on the respawned
+/// pool and is byte-identical to sequential execution.
 #[test]
 fn a_shard_panic_fails_only_the_key_whose_broadcast_panicked() {
     let corpus = chaos_corpus(2);
@@ -114,9 +114,9 @@ fn a_shard_panic_fails_only_the_key_whose_broadcast_panicked() {
         };
         let first = query(a);
         // The pause only puts A first in the queue; the 400 ms stall on
-        // shard 0 then keeps B and C queued together behind it. Whatever
-        // the timing, exactly one of B and C meets the panic here — but
-        // only a shared round makes both fail at a per-round broadcast.
+        // shard 0 then keeps B and C queued behind it. Whatever the
+        // timing, exactly one of B and C meets the panic: each is its own
+        // broadcast, so a panic reaches no query but the one it hit.
         std::thread::sleep(Duration::from_millis(100));
         [first, query(b), query(c)].map(|handle| handle.join().unwrap())
     });

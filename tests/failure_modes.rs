@@ -401,12 +401,13 @@ fn overload_and_budget_surface_through_the_line_protocol() {
 
 /// Satellite: the robustness PR's two new failure modes are typed through
 /// the facade — [`XsactError::DeadlineExceeded`] and
-/// [`XsactError::ShardFailed`] carry their context, map to stable error
-/// codes, and never poison the server.
+/// [`XsactError::ShardFailed`] carry their context and never poison the
+/// server. (Their stable wire codes are pinned through the line protocol
+/// by `deadline_and_shard_failure_surface_through_the_line_protocol`.)
 #[test]
 fn deadline_and_shard_failure_are_typed_through_the_facade() {
     use std::time::Duration;
-    use xsact::serve::{error_code, FaultPlan};
+    use xsact::serve::FaultPlan;
 
     // A zero deadline deterministically expires every query at dispatch.
     let expired = CorpusServer::start(
@@ -415,7 +416,6 @@ fn deadline_and_shard_failure_are_typed_through_the_facade() {
     );
     match expired.session().query("drama").unwrap_err() {
         e @ XsactError::DeadlineExceeded { deadline_ms: 0, .. } => {
-            assert_eq!(error_code(&e), "DEADLINE_EXCEEDED");
             assert!(e.to_string().contains("deadline exceeded"), "{e}");
         }
         other => panic!("expected DeadlineExceeded, got {other}"),
@@ -434,7 +434,6 @@ fn deadline_and_shard_failure_are_typed_through_the_facade() {
     let mut session = faulty.session();
     match session.query("drama").unwrap_err() {
         e @ XsactError::ShardFailed { .. } => {
-            assert_eq!(error_code(&e), "SHARD_FAILED");
             assert!(e.to_string().contains("retry"), "{e}");
         }
         other => panic!("expected ShardFailed, got {other}"),

@@ -161,8 +161,8 @@ fn concurrent_sessions_conserve_registry_totals_exactly() {
     assert_eq!(stats.execute_ns.count, total, "one execute observation per query");
     assert_eq!(stats.e2e_ns.count, total, "one e2e observation per query");
     assert_eq!(stats.batch_size.count, stats.batches, "one batch-size observation per batch");
-    // Every served query was answered exactly one way: by riding a batch
-    // (a cache miss) or straight from the result-page cache.
+    // Every served query was answered exactly one way: by its own
+    // execution (a cache miss) or straight from the result-page cache.
     assert_eq!(
         stats.batch_size.sum + stats.cache_hits,
         total,

@@ -1,6 +1,7 @@
-//! Integration tests of the serving runtime: the batching-determinism
-//! invariant (pooling and batching never change bytes), drain-on-shutdown,
-//! and the TCP line protocol end to end on a loopback socket.
+//! Integration tests of the serving runtime: the determinism invariant
+//! (pooling and caching never change bytes), one execution per served
+//! miss, drain-on-shutdown, and the TCP line protocol end to end on a
+//! loopback socket.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -21,12 +22,12 @@ fn qm_mix() -> Vec<String> {
     qm_queries().into_iter().map(|(_, text)| text).collect()
 }
 
-// ----------------------------------------------------- batching determinism
+// ------------------------------------------------ execution determinism
 
 /// The tentpole invariant, pinned: N concurrent client threads submitting a
 /// shuffled mix of QM1–QM8 receive responses byte-identical to sequential
 /// one-query-at-a-time execution — at 1, 2, and 8 shards, under whatever
-/// batching the dispatcher happens to form.
+/// interleaving the dispatcher happens to see.
 #[test]
 fn concurrent_batched_responses_match_sequential_bytes() {
     const CLIENTS: u64 = 6;
@@ -80,35 +81,63 @@ fn concurrent_batched_responses_match_sequential_bytes() {
     }
 }
 
-/// Hammering one query from many threads must coalesce *correctly* whatever
-/// batches form: every caller gets the same bytes and the counters balance.
+/// A served miss is one execution. Eight sessions each send ten queries —
+/// one text all of them share, interleaved with QM texts — at 1, 2 and 8
+/// shards, with the page cache on and off. Every answer is the sequential
+/// render, and the counters balance exactly: each cache miss (each query,
+/// with the cache off) is one execution that answers one query, and every
+/// other query is a cache hit.
 #[test]
-fn same_query_storm_coalesces_without_changing_bytes() {
-    let corpus = fleet(2);
-    let expected = corpus.query("drama family").unwrap().ranking().render(4);
-    let server = CorpusServer::start(Arc::clone(&corpus), ServeConfig::default());
-    std::thread::scope(|scope| {
-        for _ in 0..8 {
-            let server = &server;
-            let expected = &expected;
-            scope.spawn(move || {
-                let mut session = server.session();
-                for _ in 0..10 {
-                    let answer = session.query("drama family").unwrap();
-                    assert_eq!(&answer.ranking.render(4), expected);
-                    assert!(answer.batch_size >= 1);
+fn each_served_miss_is_one_execution() {
+    const SESSIONS: usize = 8;
+    const PER_SESSION: usize = 10;
+    let k = 4; // ServeConfig::default().default_top
+    let shared = "drama family";
+    let mix = qm_mix();
+    let script = |session: usize| -> Vec<&str> {
+        (0..PER_SESSION)
+            .map(|i| if i % 2 == 0 { shared } else { &mix[(session + i / 2) % mix.len()] })
+            .collect()
+    };
+    for shards in [1usize, 2, 8] {
+        let corpus = fleet(shards);
+        let sequential = |text: &str| corpus.query(text).unwrap().ranking().render(k);
+        for cache_entries in [0usize, 1024] {
+            let server = CorpusServer::start(
+                Arc::clone(&corpus),
+                ServeConfig { cache_entries, ..ServeConfig::default() },
+            );
+            std::thread::scope(|scope| {
+                for session in 0..SESSIONS {
+                    let (server, script, sequential) = (&server, &script, &sequential);
+                    scope.spawn(move || {
+                        let mut client = server.session();
+                        for text in script(session) {
+                            let answer = client.query(text).unwrap();
+                            assert_eq!(
+                                answer.ranking.render(k),
+                                sequential(text),
+                                "shards {shards}, cache {cache_entries}, query {text:?}"
+                            );
+                        }
+                    });
                 }
             });
+            let stats = server.stats();
+            let context = format!("shards {shards}, cache {cache_entries}: {stats:?}");
+            assert_eq!(stats.queries_served, (SESSIONS * PER_SESSION) as u64, "{context}");
+            assert_eq!(
+                (stats.shard_failed, stats.rejected_overload, stats.rejected_deadline),
+                (0, 0, 0),
+                "{context}"
+            );
+            let executions =
+                if cache_entries > 0 { stats.cache_misses } else { stats.queries_served };
+            assert_eq!(stats.batches, executions, "one execution per miss: {context}");
+            assert_eq!(stats.batch_size.max, 1, "{context}");
+            assert_eq!(stats.batch_size.sum + stats.cache_hits, stats.queries_served, "{context}");
         }
-    });
-    let stats = server.stats();
-    assert_eq!(stats.queries_served, 80);
-    assert!(stats.batches <= 80);
-    assert_eq!(stats.batch_size.count, stats.batches, "one batch-size observation per batch");
-    assert_eq!(
-        stats.e2e_ns.count, stats.queries_served,
-        "one end-to-end latency observation per query"
-    );
+    }
 }
 
 // --------------------------------------------------------- shutdown drains
@@ -270,7 +299,7 @@ fn tcp_handle_shutdown_stops_an_idle_server() {
 /// byte-identical to a fresh one, at every shard count, whether the cache
 /// is off, tiny (evicting constantly), or large — under concurrent
 /// shuffled clients replaying the mix, so hits, misses, evictions, and
-/// coalescing all interleave.
+/// concurrent misses on one key all interleave.
 #[test]
 fn cache_matrix_never_changes_bytes() {
     const CLIENTS: u64 = 4;
