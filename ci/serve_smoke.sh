@@ -210,12 +210,12 @@ fi
 echo "cache on/off outputs byte-identical"
 
 echo "== zero-cost guards: disarmed faults stay one branch =="
-grep -q 'self.0.as_ref()?' crates/xsact-serve/src/fault.rs || {
+grep -q 'self.0.as_ref()?' src/fault.rs || {
     echo "FAIL: FaultPlan::should_fire lost its disarmed early-return" >&2
     exit 1
 }
 FAULT_READERS=$(grep -rl --include='*.rs' 'env::var("XSACT_FAULTS")' src crates)
-if [[ "$FAULT_READERS" != "crates/xsact-serve/src/fault.rs" ]]; then
+if [[ "$FAULT_READERS" != "src/fault.rs" ]]; then
     echo "FAIL: XSACT_FAULTS must be read only by FaultPlan::from_env; found:" >&2
     echo "$FAULT_READERS" >&2
     exit 1

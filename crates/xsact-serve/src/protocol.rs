@@ -161,11 +161,6 @@ impl LineBuffer {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes buffered but not yet returned as lines.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Pops the next complete line, `\n` and one trailing `\r` stripped.
     ///
     /// Errors when the line is not UTF-8 or exceeds the cap — both are
@@ -292,7 +287,7 @@ mod tests {
         assert_eq!(lb.next_line().unwrap().as_deref(), Some(""), "blank lines frame as empty");
         assert_eq!(lb.next_line().unwrap().as_deref(), Some("QUIT"));
         assert_eq!(lb.next_line().unwrap(), None);
-        assert_eq!(lb.pending(), 0);
+        assert_eq!(lb.buf.len(), 0);
     }
 
     #[test]

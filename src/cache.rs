@@ -2,14 +2,14 @@
 //!
 //! Serving workloads repeat themselves — the same canonical query at the
 //! same top-k, over and over — and re-executing a deterministic search
-//! against an immutable corpus buys nothing. This module provides the
-//! engine-free half of the fix: a [`PageCache`] keyed on
-//! `(canonical query, k)`, bounded by an entry count *and* an approximate
-//! byte budget, with least-recently-used eviction. The facade stores its
-//! `QueryAnswer`s in it, each with the wire reply the dispatcher rendered
-//! at the miss, and checks it before a query ever reaches the submission
-//! queue: a hit skips the queue **and** the shard pool, and returns the
-//! bytes rendered at the miss without rendering again.
+//! against an immutable corpus buys nothing. This module holds a
+//! [`PageCache`] keyed on `(canonical query, k)`, bounded by an entry
+//! count *and* an approximate byte budget, with least-recently-used
+//! eviction. The server stores its `QueryAnswer`s in it, each with the
+//! wire reply the dispatcher rendered at the miss, and checks it before a
+//! query ever reaches the submission queue: a hit skips the queue **and**
+//! the shard pool, and returns the bytes rendered at the miss without
+//! rendering again.
 //!
 //! A lookup is a linear scan over up to `max_entries` keys. At 256 keys
 //! that is about 200 ns, roughly 1 % of a served hit, so it stays a scan.
@@ -23,7 +23,7 @@
 //!
 //! ## What is never cached
 //!
-//! Only successful answers are inserted (the facade inserts on the Ok
+//! Only successful answers are inserted (the server inserts on the Ok
 //! path after the shard merge), so a `ShardFailed`, a deadline rejection,
 //! or any other error can never be replayed from the cache.
 
@@ -42,7 +42,7 @@ struct Entry<V> {
 
 /// Outcome of [`PageCache::insert`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Inserted {
+pub(crate) enum Inserted {
     /// Stored; `evicted` entries were dropped to make room.
     Stored { evicted: u64 },
     /// Rejected: one entry alone exceeds the byte budget (caching it
@@ -52,10 +52,10 @@ pub enum Inserted {
 }
 
 /// A bounded LRU result-page cache; see the module docs. Not internally
-/// synchronised — the facade wraps it in a `Mutex` (a lookup or an insert
+/// synchronised — the server wraps it in a `Mutex` (a lookup or an insert
 /// is one linear scan over the keys, short next to a search).
 #[derive(Debug)]
-pub struct PageCache<V> {
+pub(crate) struct PageCache<V> {
     entries: Vec<Entry<V>>,
     max_entries: usize,
     /// Approximate byte budget over the stored values; 0 = unbounded.
@@ -69,28 +69,13 @@ impl<V: Clone> PageCache<V> {
     /// `max_bytes` bytes; `max_bytes` 0 disables the byte bound.
     /// `max_entries` must be nonzero — a zero-entry cache is spelled
     /// "no cache" by the caller.
-    pub fn new(max_entries: usize, max_bytes: usize) -> PageCache<V> {
+    pub(crate) fn new(max_entries: usize, max_bytes: usize) -> PageCache<V> {
         assert!(max_entries > 0, "a zero-entry cache is spelled None");
         PageCache { entries: Vec::new(), max_entries, max_bytes, bytes: 0, tick: 0 }
     }
 
-    /// Cached pages.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Approximate bytes held.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
     /// Looks up `(query, k)`, refreshing its recency on a hit.
-    pub fn lookup(&mut self, query: &str, k: usize) -> Option<V> {
+    pub(crate) fn lookup(&mut self, query: &str, k: usize) -> Option<V> {
         self.tick += 1;
         let tick = self.tick;
         let entry = self.entries.iter_mut().find(|e| e.k == k && e.query == query)?;
@@ -102,7 +87,7 @@ impl<V: Clone> PageCache<V> {
     /// until both bounds hold. An existing entry under the same key is
     /// replaced (its recency refreshed); the value cannot differ, since
     /// the corpus is immutable.
-    pub fn insert(&mut self, query: &str, k: usize, value: V, bytes: usize) -> Inserted {
+    pub(crate) fn insert(&mut self, query: &str, k: usize, value: V, bytes: usize) -> Inserted {
         if self.max_bytes > 0 && bytes > self.max_bytes {
             return Inserted::TooLarge;
         }
@@ -154,7 +139,7 @@ mod tests {
         assert_eq!(cache.lookup("drama family", 4), Some("page"));
         assert_eq!(cache.lookup("drama family", 2), None, "k is part of the key");
         assert_eq!(cache.lookup("drama", 4), None);
-        assert_eq!((cache.len(), cache.bytes()), (1, 100));
+        assert_eq!((cache.entries.len(), cache.bytes), (1, 100));
     }
 
     #[test]
@@ -176,7 +161,7 @@ mod tests {
         cache.insert("a", 1, 1, 600);
         cache.insert("b", 1, 2, 300);
         assert_eq!(cache.insert("c", 1, 3, 500), Inserted::Stored { evicted: 1 });
-        assert!(cache.bytes() <= 1000, "{}", cache.bytes());
+        assert!(cache.bytes <= 1000, "{}", cache.bytes);
         assert_eq!(cache.lookup("a", 1), None, "oldest entry paid for the bytes");
         assert_eq!(cache.insert("huge", 1, 4, 2000), Inserted::TooLarge);
         assert_eq!(cache.lookup("huge", 1), None);
@@ -187,6 +172,6 @@ mod tests {
         let mut cache: PageCache<u32> = PageCache::new(4, 0);
         cache.insert("a", 1, 10, 100);
         cache.insert("a", 1, 10, 40);
-        assert_eq!((cache.len(), cache.bytes()), (1, 40));
+        assert_eq!((cache.entries.len(), cache.bytes), (1, 40));
     }
 }

@@ -7,11 +7,10 @@
 //! **k-way merging** the per-shard ranked lists into one deterministic
 //! global ranking tagged with document ids:
 //!
-//! * documents are assigned to shards round-robin
-//!   ([`xsact_corpus::ShardPlan`]) — a pure function of document count and
-//!   shard count;
-//! * each shard worker (a std scoped thread, see [`xsact_corpus::fan_out`])
-//!   runs the ranked search over its documents;
+//! * documents are assigned to shards round-robin (`ShardPlan`,
+//!   `src/shard.rs`) — a pure function of document count and shard count;
+//! * each shard worker (a std scoped thread, see `fan_out` in
+//!   `src/pool.rs`) runs the ranked search over its documents;
 //! * per-shard lists merge under a *total* order — score descending, then
 //!   document id, then node id (document order) — so the merged ranking is
 //!   byte-identical for any shard count.
@@ -41,6 +40,9 @@
 //! ```
 
 use crate::error::{XsactError, XsactResult};
+use crate::merge::k_way_merge;
+use crate::pool::fan_out;
+use crate::shard::ShardPlan;
 use crate::workbench::Workbench;
 use std::cmp::Ordering;
 use std::convert::Infallible;
@@ -50,14 +52,13 @@ use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{self, AtomicU64};
 use std::sync::Arc;
-use xsact_corpus::{fan_out, k_way_merge};
 use xsact_data::movies::{MovieGenConfig, MoviesGen};
 use xsact_index::{ExecutorStats, Query, RankedRoot, ScoredResult, SearchEngine, SearchResult};
 use xsact_obs::TraceSink;
 use xsact_xml::{Document, NodeId};
 
 pub use crate::selection::CorpusQuery;
-pub use xsact_corpus::{DocId, ShardPlan};
+pub use crate::shard::DocId;
 
 /// The demo compares the first four ticked results; corpus queries default
 /// to the same top-k.

@@ -58,22 +58,30 @@
 //!   multi-swap algorithms (plus the [`Algorithm::Exhaustive`] oracle).
 //! * [`data`] — dataset generators and the paper's worked example.
 //!
-//! The sharded corpus engine adds one more pair: the dependency-free
-//! mechanics crate `xsact-corpus` (shard planning, scoped-thread fan-out,
-//! k-way merge) and the [`corpus`] facade module that composes it with
-//! workbenches. The serving runtime repeats the pattern: the mechanics
-//! crate `xsact-serve` (bounded submission queue, result-page cache,
-//! server counters, line protocol) composes with a persistent shard pool
-//! in the [`serve`] facade module — a long-lived [`CorpusServer`] that
+//! Orchestration lives here, in the facade. The [`corpus`] module runs a
+//! query over many workbenches on private modules for the shard plan,
+//! the scoped-thread fan-out and persistent shard pool, and the k-way
+//! merge. The [`serve`] module builds on them with private modules for
+//! the bounded submission queue, the result-page cache, the server
+//! counters and the fault plan: a long-lived [`CorpusServer`] that
 //! broadcasts to its pool once per executed miss and whose pooling and
-//! caching never change result bytes.
+//! caching never change result bytes. Its wire format, the line
+//! protocol, is a crate of its own (`xsact-serve`) that clients share
+//! with the server.
 
 #![forbid(unsafe_code)]
 
+mod cache;
 pub mod corpus;
 pub mod error;
+mod fault;
+mod merge;
+mod pool;
+mod queue;
 mod selection;
 pub mod serve;
+mod shard;
+mod stats;
 pub mod workbench;
 
 pub use corpus::{save_index_atomic, Corpus, CorpusHit, CorpusQuery, CorpusRanking};

@@ -23,7 +23,7 @@ use std::cmp::Ordering;
 /// Each input list must already be sorted by `cmp` (debug-asserted); the
 /// per-shard search produces exactly that. One list is already merged and
 /// comes back as it is — a one-document query's case.
-pub fn k_way_merge<T>(mut lists: Vec<Vec<T>>, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
+pub(crate) fn k_way_merge<T>(mut lists: Vec<Vec<T>>, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
     debug_assert!(lists
         .iter()
         .all(|l| l.windows(2).all(|w| cmp(&w[0], &w[1]) != Ordering::Greater)));

@@ -28,7 +28,7 @@
 /// Panics in `work` propagate to the caller (the scope re-raises them), so
 /// a poisoned shard can never silently drop its slice of the corpus from
 /// the merged ranking.
-pub fn fan_out<T, R, F>(inputs: Vec<T>, work: F) -> Vec<R>
+pub(crate) fn fan_out<T, R, F>(inputs: Vec<T>, work: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -67,11 +67,11 @@ type Job<Req, Resp> = (Arc<Req>, mpsc::Sender<(usize, Result<Resp, ShardPanic>)>
 /// [`ShardPool::broadcast`] returns for the affected shard instead of
 /// re-raising on the calling thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPanic {
+pub(crate) struct ShardPanic {
     /// The shard whose worker panicked.
-    pub shard: usize,
+    pub(crate) shard: usize,
     /// The panic payload's message (when it was a string).
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 /// Renders a panic payload's message, the way the default hook does.
@@ -128,7 +128,7 @@ struct Worker<Req, Resp> {
 /// next request is a fresh call of the same closure like any other
 /// shard's. Either way the recovery is counted ([`ShardPool::restarts`])
 /// for the serving metrics.
-pub struct ShardPool<Req, Resp> {
+pub(crate) struct ShardPool<Req, Resp> {
     /// Workers of shards `0..shards - 1`; shard `shards - 1` is the
     /// caller's.
     workers: Vec<Worker<Req, Resp>>,
@@ -150,7 +150,7 @@ where
     /// A pool of `shards` shards (at least one): a worker for each but the
     /// last, every shard running `work(shard_index, &request)` for every
     /// broadcast request.
-    pub fn new<F>(shards: usize, work: F) -> ShardPool<Req, Resp>
+    pub(crate) fn new<F>(shards: usize, work: F) -> ShardPool<Req, Resp>
     where
         F: Fn(usize, &Req) -> Resp + Send + Sync + 'static,
     {
@@ -160,14 +160,9 @@ where
         ShardPool { workers, work, restarts: 0 }
     }
 
-    /// Number of shards: the pinned workers plus the caller's.
-    pub fn shards(&self) -> usize {
-        self.workers.len() + 1
-    }
-
     /// How many shards have been recovered after a panic over the pool's
     /// lifetime (a worker respawned, or the caller's shard caught).
-    pub fn restarts(&self) -> u64 {
+    pub(crate) fn restarts(&self) -> u64 {
         self.restarts
     }
 
@@ -176,7 +171,7 @@ where
     /// `Ok(response)`, or a typed [`ShardPanic`] for any shard that
     /// panicked. Panicked workers are respawned before this returns, so the
     /// next broadcast runs on a full pool.
-    pub fn broadcast(&mut self, req: Req) -> Vec<Result<Resp, ShardPanic>> {
+    pub(crate) fn broadcast(&mut self, req: Req) -> Vec<Result<Resp, ShardPanic>> {
         let req = Arc::new(req);
         let (reply_tx, reply_rx) = mpsc::channel::<(usize, Result<Resp, ShardPanic>)>();
         for worker in &self.workers {
@@ -335,7 +330,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(30 - 10 * (shard as u64 % 4)));
             (shard, *req * 2)
         });
-        assert_eq!(pool.shards(), 4);
+        assert_eq!(pool.workers.len(), 3, "a worker per shard but the caller's");
         let out = all_ok(pool.broadcast(21));
         assert_eq!(out, vec![(0, 42), (1, 42), (2, 42), (3, 42)]);
     }

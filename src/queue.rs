@@ -19,7 +19,7 @@ use std::sync::{Condvar, Mutex};
 
 /// Why a submission was turned away at the door.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rejected {
+pub(crate) enum Rejected {
     /// The queue is at capacity: `depth` submissions are already waiting.
     Full {
         /// Queue depth at rejection time (= the configured capacity).
@@ -39,7 +39,7 @@ struct QueueState<T> {
 
 /// A bounded multi-producer queue with non-blocking, typed admission and
 /// drain-on-close semantics. See the module docs.
-pub struct SubmissionQueue<T> {
+pub(crate) struct SubmissionQueue<T> {
     state: Mutex<QueueState<T>>,
     ready: Condvar,
     capacity: usize,
@@ -49,7 +49,7 @@ impl<T> SubmissionQueue<T> {
     /// A queue admitting at most `capacity` waiting submissions. Zero is a
     /// valid capacity: every push is rejected — useful as a deterministic
     /// "always overloaded" server in tests.
-    pub fn new(capacity: usize) -> SubmissionQueue<T> {
+    pub(crate) fn new(capacity: usize) -> SubmissionQueue<T> {
         SubmissionQueue {
             state: Mutex::new(QueueState { items: VecDeque::new(), closed: false }),
             ready: Condvar::new(),
@@ -58,12 +58,12 @@ impl<T> SubmissionQueue<T> {
     }
 
     /// The configured capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Submissions currently waiting.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.state.lock().expect("queue lock poisoned").items.len()
     }
 
@@ -71,7 +71,7 @@ impl<T> SubmissionQueue<T> {
     /// dropped — the caller learns synchronously and still owns the means
     /// to retry (rebuilding a submission is cheap; blocking a caller under
     /// overload is not).
-    pub fn push(&self, item: T) -> Result<(), Rejected> {
+    pub(crate) fn push(&self, item: T) -> Result<(), Rejected> {
         let mut state = self.state.lock().expect("queue lock poisoned");
         if state.closed {
             return Err(Rejected::Closed);
@@ -88,7 +88,7 @@ impl<T> SubmissionQueue<T> {
     /// Blocks until a submission is available and returns it; returns
     /// `None` only when the queue is closed **and** drained — every
     /// admitted submission is handed out exactly once before the end.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut state = self.state.lock().expect("queue lock poisoned");
         loop {
             if let Some(item) = state.items.pop_front() {
@@ -104,7 +104,7 @@ impl<T> SubmissionQueue<T> {
     /// Closes the queue: future pushes fail with [`Rejected::Closed`],
     /// waiting poppers are woken, queued submissions keep draining.
     /// Idempotent.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().expect("queue lock poisoned").closed = true;
         self.ready.notify_all();
     }

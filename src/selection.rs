@@ -5,7 +5,7 @@
 //! `std::slice::from_ref(wb)`, on the calling thread.
 //!
 //! * **The lists.** A query fans out over `min(shards, documents)`
-//!   round-robin slices of its documents ([`xsact_corpus::ShardPlan`]) and
+//!   round-robin slices of its documents ([`ShardPlan`]) and
 //!   k-way merges what they return under one total order: score
 //!   descending, then document id, then node id. Ranked, each document
 //!   runs the streaming top-k executor bounded by `k`; in document order
@@ -31,11 +31,12 @@
 
 use crate::corpus::{execute_shard, list_shard, merge_shard_lists, CorpusHit, CorpusRanking};
 use crate::error::{XsactError, XsactResult};
+use crate::pool::fan_out;
+use crate::shard::ShardPlan;
 use crate::workbench::{validate_config, Workbench};
 use std::cell::OnceCell;
 use std::sync::Arc;
 use xsact_core::{Algorithm, Comparison, ComparisonOutcome, DfsConfig, Instance};
-use xsact_corpus::{fan_out, ShardPlan};
 use xsact_entity::ResultFeatures;
 use xsact_index::{Query, ResultSemantics};
 use xsact_obs::TraceSink;

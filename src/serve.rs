@@ -4,9 +4,9 @@
 //!
 //! A [`crate::CorpusQuery`] executes one query at a time, paying
 //! scoped-thread spawn and teardown per query. [`CorpusServer`] amortises that: at
-//! startup it builds one persistent [`xsact_corpus::ShardPool`] — a worker
+//! startup it builds one persistent `ShardPool` (`src/pool.rs`) — a worker
 //! per effective shard but the last — and a dispatcher thread feeds the
-//! pool from a bounded [`xsact_serve::SubmissionQueue`], computing the last
+//! pool from a bounded `SubmissionQueue` (`src/queue.rs`), computing the last
 //! shard itself while the workers compute theirs. Every submission that
 //! reaches the queue is a result-page cache miss, and each one is one pool
 //! broadcast. The page cache is the one place a repeated query (same
@@ -25,7 +25,7 @@
 //! There is one ranked shard unit of work, `corpus::execute_shard`: the
 //! pool's workers run it once per executed miss, the scoped-thread
 //! fan-out behind a ranked [`crate::CorpusQuery`] once per query, both
-//! over the *same* [`xsact_corpus::ShardPlan`] partition, and both merge
+//! over the *same* `ShardPlan` partition, and both merge
 //! with the same comparator. A response from the server is therefore
 //! byte-identical to sequential one-query-at-a-time execution, at any
 //! shard count and under any interleaving of concurrent clients (pinned
@@ -81,10 +81,15 @@
 //! # }
 //! ```
 
+use crate::cache::{Inserted, PageCache};
 use crate::corpus::{
     execute_shard, merge_shard_lists, Corpus, CorpusHit, CorpusRanking, DEFAULT_TOP,
 };
 use crate::error::{XsactError, XsactResult};
+use crate::pool::ShardPool;
+use crate::queue::{Rejected, SubmissionQueue};
+use crate::shard::ShardPlan;
+use crate::stats::ServeCounters;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -92,12 +97,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use xsact_corpus::{ShardPlan, ShardPool};
 use xsact_index::{ExecutorStats, Query};
 use xsact_obs::{format_nanos, Histogram, MetricsRegistry};
-use xsact_serve::{err_line, Inserted, LineBuffer, PageCache, Rejected, Request, SubmissionQueue};
+use xsact_serve::{err_line, LineBuffer, Request};
 
-pub use xsact_serve::{FaultPlan, ServeCounters, ServeSnapshot, END_MARKER, MAX_TOP};
+pub use crate::fault::FaultPlan;
+pub use crate::stats::ServeSnapshot;
+pub use xsact_serve::{END_MARKER, MAX_TOP};
 
 /// Configuration of a [`CorpusServer`].
 #[derive(Debug, Clone)]
@@ -227,7 +233,7 @@ impl CorpusServer {
         let inner = Arc::new(ServerInner {
             corpus,
             queue: SubmissionQueue::new(config.queue_capacity),
-            counters: ServeCounters::default(),
+            counters: ServeCounters::new(),
             config,
             cache,
         });

@@ -33,18 +33,18 @@ impl fmt::Display for DocId {
 
 /// A deterministic document → shard assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPlan {
+pub(crate) struct ShardPlan {
     shards: usize,
 }
 
 impl ShardPlan {
     /// A plan with `shards` shards; zero is clamped to one.
-    pub fn new(shards: usize) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         ShardPlan { shards: shards.max(1) }
     }
 
     /// The shard holding document `doc` (round-robin).
-    pub fn shard_of(&self, doc: DocId) -> usize {
+    pub(crate) fn shard_of(&self, doc: DocId) -> usize {
         doc.index() % self.shards
     }
 
@@ -53,7 +53,7 @@ impl ShardPlan {
     /// Always returns exactly as many lists as the plan has shards (trailing ones may be
     /// empty when there are fewer documents than shards); within a shard,
     /// documents keep ascending order.
-    pub fn partition(&self, doc_count: usize) -> Vec<Vec<usize>> {
+    pub(crate) fn partition(&self, doc_count: usize) -> Vec<Vec<usize>> {
         let mut shards = vec![Vec::with_capacity(doc_count.div_ceil(self.shards)); self.shards];
         for doc in 0..doc_count {
             shards[doc % self.shards].push(doc);

@@ -2,7 +2,7 @@
 //! observability, as opposed to the per-query `ExecutorStats` the engine
 //! already reports.
 //!
-//! Every metric lives in an `xsact-obs` [`MetricsRegistry`], so the whole
+//! Every metric lives in a [`MetricsRegistry`], so the whole
 //! set has a machine-readable exposition (the `METRICS` verb and the
 //! `/metrics` HTTP endpoint) for free; the typed [`ServeCounters`] struct
 //! keeps `Arc` handles to the hot metrics so the dispatcher, the
@@ -25,7 +25,7 @@ use xsact_obs::{Counter, Histogram, HistogramSnapshot, MetricsRegistry};
 
 /// Typed handles over the serving metrics registry; see the module docs.
 #[derive(Debug)]
-pub struct ServeCounters {
+pub(crate) struct ServeCounters {
     registry: Arc<MetricsRegistry>,
     queries_served: Arc<Counter>,
     batches: Arc<Counter>,
@@ -35,9 +35,7 @@ pub struct ServeCounters {
     rejected_deadline: Arc<Counter>,
     shard_failed: Arc<Counter>,
     shard_restarts: Arc<Counter>,
-    // Executor work aggregated over every execution. Kept as plain
-    // counters (not the engine's `ExecutorStats` type) so this crate stays
-    // free of engine types; the facade does the typing.
+    // Executor work aggregated over every execution.
     postings_scanned: Arc<Counter>,
     gallop_probes: Arc<Counter>,
     candidates_pruned: Arc<Counter>,
@@ -50,15 +48,9 @@ pub struct ServeCounters {
     e2e_ns: Arc<Histogram>,
 }
 
-impl Default for ServeCounters {
-    fn default() -> Self {
-        ServeCounters::new()
-    }
-}
-
 impl ServeCounters {
     /// A fresh counter set backed by its own registry.
-    pub fn new() -> ServeCounters {
+    pub(crate) fn new() -> ServeCounters {
         let registry = Arc::new(MetricsRegistry::new());
         ServeCounters {
             queries_served: registry.counter("xsact_queries_served"),
@@ -84,21 +76,21 @@ impl ServeCounters {
     }
 
     /// The backing registry — the place to register *additional* metrics
-    /// that should ride along in the same exposition (the facade adds
+    /// that should ride along in the same exposition (the server adds
     /// per-shard busy-time histograms here).
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
+    pub(crate) fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
     }
 
     /// The full Prometheus-style exposition (the `METRICS` verb's body).
-    pub fn exposition(&self) -> String {
+    pub(crate) fn exposition(&self) -> String {
         self.registry.expose()
     }
 
     /// Records one query answered by its own execution, which did the
     /// given executor work. The batch-size histogram observes 1: its name
     /// and the `batches_formed` line are part of the wire contract.
-    pub fn record_batch(&self, postings: u64, probes: u64, pruned: u64) {
+    pub(crate) fn record_batch(&self, postings: u64, probes: u64, pruned: u64) {
         self.queries_served.inc();
         self.batches.inc();
         self.batch_size.record(1);
@@ -112,7 +104,7 @@ impl ServeCounters {
     /// zero (the hit skipped both stages) so every latency histogram's
     /// count still equals `queries_served`. Nothing executes, so the hit
     /// counts in `coalesced_queries`, not in `batches_formed`.
-    pub fn record_cache_hit(&self) {
+    pub(crate) fn record_cache_hit(&self) {
         self.cache_hits.inc();
         self.queries_served.inc();
         self.queue_wait_ns.record(0);
@@ -121,65 +113,65 @@ impl ServeCounters {
 
     /// Records one cache lookup that missed (the query went on to the
     /// submission queue).
-    pub fn record_cache_miss(&self) {
+    pub(crate) fn record_cache_miss(&self) {
         self.cache_misses.inc();
     }
 
     /// Records entries evicted by a cache insert that ran over a bound.
-    pub fn record_cache_evictions(&self, evicted: u64) {
+    pub(crate) fn record_cache_evictions(&self, evicted: u64) {
         self.cache_evictions.add(evicted);
     }
 
     /// Records one submission turned away by admission control.
-    pub fn record_overload_rejection(&self) {
+    pub(crate) fn record_overload_rejection(&self) {
         self.rejected_overload.inc();
     }
 
     /// Records one query turned away by a session budget.
-    pub fn record_budget_rejection(&self) {
+    pub(crate) fn record_budget_rejection(&self) {
         self.rejected_budget.inc();
     }
 
     /// Records one query whose deadline elapsed before an answer could be
     /// produced (checked at dispatch and again after execute).
-    pub fn record_deadline_rejection(&self) {
+    pub(crate) fn record_deadline_rejection(&self) {
         self.rejected_deadline.inc();
     }
 
     /// Records one query lost to a shard-worker panic: it was answered
     /// with the typed shard failure, and `restarts` workers were respawned
     /// by the pool's supervisor.
-    pub fn record_shard_failure(&self, restarts: u64) {
+    pub(crate) fn record_shard_failure(&self, restarts: u64) {
         self.shard_failed.inc();
         self.shard_restarts.add(restarts);
     }
 
     /// Records how long one submission sat in the queue before the
     /// dispatcher popped it (once per query).
-    pub fn record_queue_wait(&self, wait: Duration) {
+    pub(crate) fn record_queue_wait(&self, wait: Duration) {
         self.queue_wait_ns.record_duration(wait);
     }
 
     /// Records one execution's shard-pool latency (once per answered
     /// miss; keeping the count equal to `queries_served` is part of the
     /// exposition contract).
-    pub fn record_execute(&self, took: Duration) {
+    pub(crate) fn record_execute(&self, took: Duration) {
         self.execute_ns.record_duration(took);
     }
 
     /// Records the time one response spent in the socket write.
-    pub fn record_reply_write(&self, took: Duration) {
+    pub(crate) fn record_reply_write(&self, took: Duration) {
         self.reply_write_ns.record_duration(took);
     }
 
     /// Records one query's end-to-end latency, submission to answer in
     /// hand (once per query).
-    pub fn record_e2e(&self, took: Duration) {
+    pub(crate) fn record_e2e(&self, took: Duration) {
         self.e2e_ns.record_duration(took);
     }
 
     /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> ServeSnapshot {
+    pub(crate) fn snapshot(&self) -> ServeSnapshot {
         ServeSnapshot {
             queries_served: self.queries_served.get(),
             batches: self.batches.get(),
@@ -202,7 +194,7 @@ impl ServeCounters {
     }
 }
 
-/// A point-in-time copy of [`ServeCounters`], renderable as the `STATS`
+/// A point-in-time copy of the server's counters, renderable as the `STATS`
 /// protocol response and the CLI's shutdown summary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeSnapshot {
@@ -281,7 +273,7 @@ mod tests {
 
     #[test]
     fn batches_accumulate_into_every_counter() {
-        let c = ServeCounters::default();
+        let c = ServeCounters::new();
         c.record_batch(10, 2, 1);
         c.record_batch(30, 6, 3);
         let s = c.snapshot();
@@ -295,7 +287,7 @@ mod tests {
 
     #[test]
     fn cache_hits_count_as_served_and_keep_histogram_counts() {
-        let c = ServeCounters::default();
+        let c = ServeCounters::new();
         c.record_batch(10, 2, 1);
         c.record_cache_miss();
         c.record_cache_hit();
@@ -318,7 +310,7 @@ mod tests {
 
     #[test]
     fn rejections_are_counted_separately() {
-        let c = ServeCounters::default();
+        let c = ServeCounters::new();
         c.record_overload_rejection();
         c.record_overload_rejection();
         c.record_budget_rejection();
@@ -332,7 +324,7 @@ mod tests {
 
     #[test]
     fn shard_failures_count_queries_and_restarts() {
-        let c = ServeCounters::default();
+        let c = ServeCounters::new();
         c.record_shard_failure(1);
         c.record_shard_failure(2);
         let s = c.snapshot();
@@ -350,7 +342,7 @@ mod tests {
 
     #[test]
     fn latency_recorders_feed_their_histograms() {
-        let c = ServeCounters::default();
+        let c = ServeCounters::new();
         c.record_queue_wait(Duration::from_micros(5));
         c.record_execute(Duration::from_micros(40));
         c.record_e2e(Duration::from_micros(50));
@@ -364,7 +356,7 @@ mod tests {
 
     #[test]
     fn display_is_line_oriented_and_stable() {
-        let c = ServeCounters::default();
+        let c = ServeCounters::new();
         c.record_batch(7, 1, 0);
         let text = c.snapshot().to_string();
         assert!(text.contains("queries_served 1"), "{text}");
@@ -377,7 +369,7 @@ mod tests {
 
     #[test]
     fn exposition_contains_the_serving_metrics() {
-        let c = ServeCounters::default();
+        let c = ServeCounters::new();
         c.record_batch(5, 1, 0);
         c.record_e2e(Duration::from_micros(10));
         let text = c.exposition();
@@ -395,7 +387,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_loses_nothing() {
-        let c = ServeCounters::default();
+        let c = ServeCounters::new();
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {

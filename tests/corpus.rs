@@ -183,8 +183,7 @@ struct TempDir(std::path::PathBuf);
 
 impl TempDir {
     fn new(tag: &str) -> TempDir {
-        let path =
-            std::env::temp_dir().join(format!("xsact-corpus-test-{tag}-{}", std::process::id()));
+        let path = std::env::temp_dir().join(format!("xsact-dir-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&path);
         std::fs::create_dir_all(&path).expect("create temp dir");
         TempDir(path)

@@ -293,6 +293,40 @@ fn v4_files_get_the_typed_version_error() {
     }
 }
 
+/// The checksum law: one flipped bit anywhere past the version — in the
+/// digest, the document, the index or the trailer itself — is refused by
+/// the trailer compare, before any section is decoded, and reaches the
+/// facade as the typed `Io` error naming the mismatch. Without the
+/// compare, a flip in the digest loads as a valid file.
+#[test]
+fn a_flipped_bit_in_any_section_fails_the_checksum() {
+    let bytes = saved(figure1_document());
+    let at = offsets(&bytes);
+    let trailer = bytes.len() - 8;
+    for (section, span) in [
+        ("header", 8..at.names),
+        ("document", at.names..at.index),
+        ("index", at.index..trailer),
+        ("trailer", trailer..bytes.len()),
+    ] {
+        for (bit, pos) in
+            [span.start, (span.start + span.end) / 2, span.end - 1].into_iter().enumerate()
+        {
+            let mut damaged = bytes.clone();
+            damaged[pos] ^= 1 << (3 * bit);
+            match Workbench::from_persisted_index(figure1_document(), &mut damaged.as_slice()) {
+                Err(XsactError::Io(err)) => {
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{section}, byte {pos}");
+                    let text = err.to_string();
+                    assert!(text.contains("checksum mismatch"), "{section}, byte {pos}: {text}");
+                }
+                Err(other) => panic!("{section}, byte {pos}: not the typed Io error: {other}"),
+                Ok(_) => panic!("{section}, byte {pos}: the damaged image loaded"),
+            }
+        }
+    }
+}
+
 /// The mixed-case, non-ASCII shape the CLI smoke corpus uses, with
 /// attributes on the root and on leaves, and empty values.
 const MIXED: &str = "<Product_Line Region=\"Nord-Süd\" x=\"\"><Product easyToRead=\"YES\" \
