@@ -141,7 +141,7 @@ fn run_single(
 
     if args.stats {
         for hit in &selected {
-            let rf = wb.features_for(&hit.result);
+            let rf = wb.subtree_features(hit.result.root, &hit.result.label);
             out.push_str(&format!("\nstatistics of {}:\n", rf.label()));
             for line in rf.stat_panel(6) {
                 out.push_str(&format!("  {line}\n"));

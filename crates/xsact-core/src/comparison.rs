@@ -1,17 +1,18 @@
-//! The public façade: configure a comparison, run an algorithm, inspect the
-//! outcome.
+//! The one comparison call: [`compare`] runs an algorithm over a prebuilt
+//! [`Instance`] and returns the outcome to inspect.
 
 use crate::dfs::DfsSet;
 use crate::dod::{dod_total, dod_upper_bound};
 use crate::exhaustive::exhaustive;
 use crate::greedy::greedy_set;
-use crate::model::{DfsConfig, Instance};
+use crate::model::Instance;
 use crate::single_swap::SwapStats;
 use crate::snippet::snippet_set;
 use crate::table::render_table;
+use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xsact_entity::{FeatureType, ResultFeatures};
+use xsact_entity::FeatureType;
 
 /// DFS generation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,8 +28,8 @@ pub enum Algorithm {
     MultiSwap,
     /// The exhaustive oracle: full enumeration of the DFS combination
     /// space, bounded by `limit` combinations. Exponential — only feasible
-    /// on small instances; [`Comparison::run_exhaustive_on`] reports the
-    /// blow-up as `None`, and the `Workbench` facade as a typed error.
+    /// on small instances; [`compare`] reports the blow-up as the typed
+    /// [`ExhaustiveLimitExceeded`].
     Exhaustive {
         /// Maximum number of DFS combinations to enumerate before giving
         /// up.
@@ -67,10 +68,33 @@ pub struct RunStats {
     pub elapsed: Duration,
 }
 
-/// A configured comparison over a set of results.
+/// An [`Algorithm::Exhaustive`] run would have enumerated more DFS
+/// combinations than its limit allows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExhaustiveLimitExceeded {
+    /// The configured combination limit.
+    pub limit: u64,
+}
+
+impl fmt::Display for ExhaustiveLimitExceeded {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "exhaustive search would enumerate more than {} DFS combinations", self.limit)
+    }
+}
+
+impl std::error::Error for ExhaustiveLimitExceeded {}
+
+/// Generates DFSs with `algorithm` over a prebuilt instance — the one
+/// entry point. Preprocessing (interning + the differentiability bit
+/// matrix) is paid once in [`Instance::build`], so comparing the same
+/// results with several algorithms (or repeatedly) shares that one
+/// instance, and every outcome holds it by reference. An
+/// [`Algorithm::Exhaustive`] run over its limit is the typed
+/// [`ExhaustiveLimitExceeded`], never a panic.
 ///
 /// ```
-/// use xsact_core::{Algorithm, Comparison};
+/// use std::sync::Arc;
+/// use xsact_core::{compare, Algorithm, DfsConfig, Instance};
 /// use xsact_entity::{FeatureType, ResultFeatures};
 ///
 /// let a = ResultFeatures::from_raw(
@@ -83,104 +107,41 @@ pub struct RunStats {
 ///     [("e".to_string(), 10)],
 ///     [(FeatureType::new("e", "x"), "yes".to_string(), 2)],
 /// );
-/// let outcome = Comparison::new(&[a, b]).size_bound(3).run(Algorithm::MultiSwap);
+/// let config = DfsConfig { size_bound: 3, ..DfsConfig::default() };
+/// let instance = Arc::new(Instance::build(&[a, b], config));
+/// let outcome = compare(&instance, Algorithm::MultiSwap).unwrap();
 /// assert_eq!(outcome.dod(), 1);
 /// println!("{}", outcome.table());
 /// ```
-#[derive(Debug, Clone)]
-pub struct Comparison {
-    results: Vec<ResultFeatures>,
-    config: DfsConfig,
-}
-
-impl Comparison {
-    /// Starts a comparison over the given results with default
-    /// configuration (`L = 10`, `x = 10%`).
-    pub fn new(results: &[ResultFeatures]) -> Self {
-        Comparison { results: results.to_vec(), config: DfsConfig::default() }
-    }
-
-    /// Sets the comparison-table size bound `L` (features per DFS).
-    #[must_use]
-    pub fn size_bound(mut self, bound: usize) -> Self {
-        self.config.size_bound = bound;
-        self
-    }
-
-    /// Sets the differentiability threshold `x` in percent.
-    #[must_use]
-    pub fn threshold(mut self, pct: f64) -> Self {
-        self.config.threshold_pct = pct;
-        self
-    }
-
-    /// Builds the preprocessed instance (interning + differentiability
-    /// matrix). `run` does this internally; exposed for benchmarks that
-    /// time the algorithms in isolation.
-    pub fn instance(&self) -> Instance {
-        Instance::build(&self.results, self.config)
-    }
-
-    /// Generates DFSs with the chosen algorithm.
-    ///
-    /// For [`Algorithm::Exhaustive`] this panics when the combination count
-    /// exceeds the variant's limit; use [`Comparison::run_exhaustive_on`]
-    /// (or the `Workbench` facade, which returns a typed error) when the
-    /// instance size is not known in advance.
-    pub fn run(&self, algorithm: Algorithm) -> ComparisonOutcome {
-        Self::run_on(&Arc::new(self.instance()), algorithm)
-    }
-
-    /// Runs an algorithm over an already-built instance — the entry point
-    /// for callers that compare the *same* result set with several
-    /// algorithms (or repeatedly): preprocessing (interning + the
-    /// differentiability bit matrix) is paid once, and every outcome shares
-    /// that one instance by reference.
-    ///
-    /// Panics like [`Comparison::run`] when an [`Algorithm::Exhaustive`]
-    /// run exceeds its combination limit; use
-    /// [`Comparison::run_exhaustive_on`] for the fallible form.
-    pub fn run_on(instance: &Arc<Instance>, algorithm: Algorithm) -> ComparisonOutcome {
-        if let Algorithm::Exhaustive { limit } = algorithm {
-            return Self::run_exhaustive_on(instance, limit)
-                .expect("exhaustive enumeration exceeds its combination limit");
+pub fn compare(
+    instance: &Arc<Instance>,
+    algorithm: Algorithm,
+) -> Result<ComparisonOutcome, ExhaustiveLimitExceeded> {
+    let start = Instant::now();
+    let (set, swap_stats) = match algorithm {
+        Algorithm::Exhaustive { limit } => {
+            let (set, _) = exhaustive(instance, limit).ok_or(ExhaustiveLimitExceeded { limit })?;
+            (set, SwapStats::default())
         }
-        let start = Instant::now();
-        let (set, swap_stats) = run_algorithm(instance, algorithm);
-        let elapsed = start.elapsed();
-        let dod = dod_total(instance, &set);
-        ComparisonOutcome {
-            instance: Arc::clone(instance),
-            set,
-            dod,
-            algorithm,
-            stats: RunStats { rounds: swap_stats.rounds, moves: swap_stats.moves, elapsed },
-        }
-    }
-
-    /// Exhaustive optimum over an already-built instance, if it is small
-    /// enough that at most `limit` DFS combinations must be enumerated.
-    /// `None` otherwise. The outcome is labelled [`Algorithm::Exhaustive`].
-    pub fn run_exhaustive_on(instance: &Arc<Instance>, limit: u64) -> Option<ComparisonOutcome> {
-        let start = Instant::now();
-        let (set, dod) = exhaustive(instance, limit)?;
-        let elapsed = start.elapsed();
-        Some(ComparisonOutcome {
-            instance: Arc::clone(instance),
-            set,
-            dod,
-            algorithm: Algorithm::Exhaustive { limit },
-            stats: RunStats { rounds: 0, moves: 0, elapsed },
-        })
-    }
+        _ => run_algorithm(instance, algorithm),
+    };
+    let elapsed = start.elapsed();
+    let dod = dod_total(instance, &set);
+    Ok(ComparisonOutcome {
+        instance: Arc::clone(instance),
+        set,
+        dod,
+        algorithm,
+        stats: RunStats { rounds: swap_stats.rounds, moves: swap_stats.moves, elapsed },
+    })
 }
 
 /// Runs `algorithm` on a prebuilt instance. The bench harness calls this
 /// directly to exclude preprocessing from timings.
 ///
 /// Panics if an [`Algorithm::Exhaustive`] run exceeds its combination
-/// limit — callers that cannot bound the instance should go through
-/// [`Comparison::run_exhaustive_on`] instead.
+/// limit — callers that cannot bound the instance go through [`compare`]
+/// instead.
 pub fn run_algorithm(inst: &Instance, algorithm: Algorithm) -> (DfsSet, SwapStats) {
     match algorithm {
         Algorithm::Snippet => (snippet_set(inst), SwapStats::default()),
@@ -254,8 +215,10 @@ impl ComparisonOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::DfsConfig;
+    use xsact_entity::ResultFeatures;
 
-    fn results() -> Vec<ResultFeatures> {
+    fn instance(size_bound: usize) -> Arc<Instance> {
         let mk = |label: &str, x: u32, y: u32| {
             ResultFeatures::from_raw(
                 label,
@@ -267,23 +230,16 @@ mod tests {
                 ],
             )
         };
-        vec![mk("A", 8, 1), mk("B", 3, 6)]
-    }
-
-    #[test]
-    fn builder_configures_bound_and_threshold() {
-        let c = Comparison::new(&results()).size_bound(2).threshold(25.0);
-        let inst = c.instance();
-        assert_eq!(inst.config.size_bound, 2);
-        assert!((inst.config.threshold_pct - 25.0).abs() < 1e-12);
+        let config = DfsConfig { size_bound, ..DfsConfig::default() };
+        Arc::new(Instance::build(&[mk("A", 8, 1), mk("B", 3, 6)], config))
     }
 
     #[test]
     fn algorithms_are_ordered_by_quality_here() {
-        let c = Comparison::new(&results()).size_bound(3);
-        let snippet = c.run(Algorithm::Snippet);
-        let single = c.run(Algorithm::SingleSwap);
-        let multi = c.run(Algorithm::MultiSwap);
+        let inst = instance(3);
+        let snippet = compare(&inst, Algorithm::Snippet).unwrap();
+        let single = compare(&inst, Algorithm::SingleSwap).unwrap();
+        let multi = compare(&inst, Algorithm::MultiSwap).unwrap();
         assert!(single.dod() >= snippet.dod());
         assert!(multi.dod() >= single.dod());
         assert_eq!(multi.dod(), 2); // x and y both differentiable
@@ -292,34 +248,24 @@ mod tests {
 
     #[test]
     fn exhaustive_matches_multi_swap_on_small_instance() {
-        let c = Comparison::new(&results()).size_bound(3);
-        let multi = c.run(Algorithm::MultiSwap);
-        let opt = c.run(Algorithm::Exhaustive { limit: 100_000 });
+        let inst = instance(3);
+        let multi = compare(&inst, Algorithm::MultiSwap).unwrap();
+        let opt = compare(&inst, Algorithm::Exhaustive { limit: 100_000 }).unwrap();
         assert_eq!(opt.dod(), multi.dod());
-    }
-
-    #[test]
-    fn exhaustive_outcome_is_labelled_exhaustive() {
-        let c = Comparison::new(&results()).size_bound(3);
-        let opt = Comparison::run_exhaustive_on(&Arc::new(c.instance()), 100_000).unwrap();
         assert_eq!(opt.algorithm, Algorithm::Exhaustive { limit: 100_000 });
         assert_eq!(opt.algorithm.name(), "exhaustive");
-        // `run` accepts the variant and produces the same label and DoD.
-        let via_run = c.run(Algorithm::Exhaustive { limit: 100_000 });
-        assert_eq!(via_run.algorithm, opt.algorithm);
-        assert_eq!(via_run.dod(), opt.dod());
     }
 
     #[test]
-    fn exhaustive_over_limit_is_none() {
-        let c = Comparison::new(&results()).size_bound(3);
-        assert!(Comparison::run_exhaustive_on(&Arc::new(c.instance()), 1).is_none());
+    fn exhaustive_over_limit_is_a_typed_error() {
+        let err = compare(&instance(3), Algorithm::Exhaustive { limit: 1 }).unwrap_err();
+        assert_eq!(err, ExhaustiveLimitExceeded { limit: 1 });
+        assert!(err.to_string().contains("more than 1 DFS combinations"));
     }
 
     #[test]
     fn outcome_exposes_selections() {
-        let c = Comparison::new(&results()).size_bound(3);
-        let out = c.run(Algorithm::MultiSwap);
+        let out = compare(&instance(3), Algorithm::MultiSwap).unwrap();
         assert_eq!(out.labels(), ["A", "B"]);
         assert_eq!(out.dfs_size(0), 3);
         let attrs: Vec<&str> = out.selected_types(0).iter().map(|t| t.attribute.as_str()).collect();
@@ -329,8 +275,7 @@ mod tests {
 
     #[test]
     fn run_reports_timing() {
-        let c = Comparison::new(&results());
-        let out = c.run(Algorithm::MultiSwap);
+        let out = compare(&instance(10), Algorithm::MultiSwap).unwrap();
         // Some wall-clock time passed (may round to zero on coarse clocks,
         // so only check it is well-formed).
         assert!(out.stats.elapsed >= Duration::ZERO);

@@ -24,7 +24,7 @@
 //! searches' own best responses over it. Single-swap and multi-swap share
 //! one round driver and differ only in their best response.
 //!
-//! Entry point: [`Comparison`].
+//! Entry point: [`compare`], over an [`Instance`] built once per result set.
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +41,9 @@ pub mod single_swap;
 pub mod snippet;
 pub mod table;
 
-pub use comparison::{run_algorithm, Algorithm, Comparison, ComparisonOutcome, RunStats};
+pub use comparison::{
+    compare, run_algorithm, Algorithm, ComparisonOutcome, ExhaustiveLimitExceeded, RunStats,
+};
 pub use dfs::{Dfs, DfsSet};
 pub use dod::{all_type_weights, dod_pair, dod_total, dod_upper_bound};
 pub use exhaustive::exhaustive;

@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --example job_hunting`
 
+use std::sync::Arc;
+use xsact::core::{compare, Instance};
 use xsact::prelude::*;
 use xsact_data::{JobsGen, JobsGenConfig};
 use xsact_xml::NodeId;
@@ -56,8 +58,10 @@ fn main() -> Result<(), XsactError> {
         return Ok(());
     }
 
+    let instance =
+        Arc::new(Instance::build(&features, DfsConfig { size_bound: 7, ..DfsConfig::default() }));
     for algorithm in [Algorithm::Snippet, Algorithm::MultiSwap] {
-        let outcome = Comparison::new(&features).size_bound(7).run(algorithm);
+        let outcome = compare(&instance, algorithm)?;
         println!(
             "{:<11} DoD = {} (upper bound {})",
             algorithm.name(),

@@ -6,6 +6,8 @@
 //!
 //! Run with: `cargo run --example outdoor_brands`
 
+use std::sync::Arc;
+use xsact::core::{compare, Instance};
 use xsact::prelude::*;
 use xsact_data::{OutdoorGen, OutdoorGenConfig};
 use xsact_xml::NodeId;
@@ -61,7 +63,8 @@ fn main() -> Result<(), XsactError> {
         return Ok(());
     }
 
-    let outcome = Comparison::new(&features).size_bound(6).run(Algorithm::MultiSwap);
+    let config = DfsConfig { size_bound: 6, ..DfsConfig::default() };
+    let outcome = compare(&Arc::new(Instance::build(&features, config)), Algorithm::MultiSwap)?;
     println!(
         "brand comparison table (DoD = {} of ≤ {}):",
         outcome.dod(),

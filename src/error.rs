@@ -164,6 +164,12 @@ impl From<XmlError> for XsactError {
     }
 }
 
+impl From<xsact_core::ExhaustiveLimitExceeded> for XsactError {
+    fn from(e: xsact_core::ExhaustiveLimitExceeded) -> Self {
+        XsactError::ExhaustiveLimitExceeded { limit: e.limit }
+    }
+}
+
 impl From<std::io::Error> for XsactError {
     fn from(e: std::io::Error) -> Self {
         XsactError::Io(e)

@@ -110,7 +110,7 @@ pub mod prelude {
     pub use crate::error::{XsactError, XsactResult};
     pub use crate::serve::{CorpusServer, QueryAnswer, ServeConfig, ServeSession};
     pub use crate::workbench::{CacheStats, Workbench};
-    pub use xsact_core::{Algorithm, Comparison, ComparisonOutcome, DfsConfig};
+    pub use xsact_core::{Algorithm, ComparisonOutcome, DfsConfig};
     pub use xsact_entity::{extract_features, FeatureType, ResultFeatures, StructureSummary};
     pub use xsact_index::{ExecutorStats, Query, ResultSemantics, SearchEngine, SearchResult};
     pub use xsact_obs::{MetricsRegistry, QueryTrace, TraceSink};

@@ -36,7 +36,7 @@ use crate::shard::ShardPlan;
 use crate::workbench::{validate_config, Workbench};
 use std::cell::OnceCell;
 use std::sync::Arc;
-use xsact_core::{Algorithm, Comparison, ComparisonOutcome, DfsConfig, Instance};
+use xsact_core::{Algorithm, ComparisonOutcome, DfsConfig, Instance};
 use xsact_entity::ResultFeatures;
 use xsact_index::{Query, ResultSemantics};
 use xsact_obs::TraceSink;
@@ -210,12 +210,7 @@ impl<'a> CorpusQuery<'a> {
     /// run over its limit is the typed
     /// [`XsactError::ExhaustiveLimitExceeded`].
     pub fn compare(&self, algorithm: Algorithm) -> XsactResult<ComparisonOutcome> {
-        let instance = self.instance()?;
-        match algorithm {
-            Algorithm::Exhaustive { limit } => Comparison::run_exhaustive_on(instance, limit)
-                .ok_or(XsactError::ExhaustiveLimitExceeded { limit }),
-            _ => Ok(Comparison::run_on(instance, algorithm)),
-        }
+        Ok(xsact_core::compare(self.instance()?, algorithm)?)
     }
 
     /// The first `take` of the listing: the head of the full list when

@@ -323,17 +323,14 @@ impl Workbench {
         self.engine.index().stats()
     }
 
-    /// The features of one search result, served from the per-root cache.
-    pub fn features_for(&self, result: &SearchResult) -> ResultFeatures {
-        ResultFeatures::clone(&self.shared_features(result.root, result.label.as_str()))
-    }
-
-    /// The features of an arbitrary subtree under `label`, served from the
-    /// cache. This is the entry point for scenarios that re-root results
-    /// above the engine's master entity (e.g. comparing *brands* while the
-    /// engine returns *products*).
-    pub fn subtree_features(&self, root: NodeId, label: impl Into<String>) -> ResultFeatures {
-        ResultFeatures::clone(&self.shared_features(root, label.into()))
+    /// The features of the subtree at `root` under `label` — a search
+    /// result's (`result.root`, `&result.label`) or an arbitrary subtree's,
+    /// for scenarios that re-root results above the engine's master entity
+    /// (e.g. comparing *brands* while the engine returns *products*) —
+    /// served from the per-root cache as an owned copy. The label is only
+    /// lent: a hit allocates nothing but the copy.
+    pub fn subtree_features(&self, root: NodeId, label: impl AsRef<str>) -> ResultFeatures {
+        ResultFeatures::clone(&self.shared_features(root, label.as_ref()))
     }
 
     /// [`subtree_features`](Self::subtree_features) without the copy: the
@@ -457,7 +454,7 @@ mod tests {
                 scope.spawn(|| {
                     for _ in 0..ROUNDS {
                         for r in &results {
-                            wb.features_for(r);
+                            wb.subtree_features(r.root, &r.label);
                         }
                     }
                 });
@@ -587,7 +584,7 @@ mod tests {
             assert_eq!(Arc::strong_count(a), 3);
         }
         // The public accessors still return owned copies.
-        assert_eq!(wb.features_for(&results[0]), *after_first[0]);
+        assert_eq!(wb.subtree_features(results[0].root, &results[0].label), *after_first[0]);
         // A clear drops the cache's reference, not the one a caller holds.
         wb.clear_cache();
         assert_eq!(Arc::strong_count(&after_first[0]), 2);

@@ -128,11 +128,11 @@ fn a_feature_cache_hit_allocates_nothing_of_its_own() {
     let wb = Workbench::from_document(fixtures::figure1_document());
     let query = wb.query(fixtures::PAPER_QUERY).unwrap();
     let results: Vec<_> = query.ranking().hits.iter().map(|hit| hit.result.clone()).collect();
-    let first = wb.features_for(&results[0]); // the miss
+    let first = wb.subtree_features(results[0].root, &results[0].label); // the miss
     let (_copy, copying) = counted(|| first.clone());
     // The public lookup returns an owned copy: on a hit, that copy is the
     // only thing allocated — no key, no label, no cloned search result.
-    let (again, lookup) = counted(|| wb.features_for(&results[0]));
+    let (again, lookup) = counted(|| wb.subtree_features(results[0].root, &results[0].label));
     assert_eq!(again, first);
     assert_eq!(lookup, copying);
     assert_eq!(wb.cache_stats(), CacheStats { hits: 1, misses: 1 });

@@ -2,8 +2,9 @@
 //! datasets, identical search results and identical comparison outcomes —
 //! the property that makes every number in EXPERIMENTS.md reproducible.
 
+use std::sync::Arc;
 use xsact::prelude::*;
-use xsact_core::Algorithm;
+use xsact_core::{compare, Algorithm, Instance};
 use xsact_data::movies::{MovieGenConfig, MoviesGen};
 use xsact_data::{
     JobsGen, JobsGenConfig, OutdoorGen, OutdoorGenConfig, ReviewsGen, ReviewsGenConfig,
@@ -55,7 +56,9 @@ fn full_pipeline_is_deterministic() {
         let results = engine.search(&Query::parse("drama family"));
         let features: Vec<ResultFeatures> =
             results.iter().take(5).map(|r| engine.extract_features(r)).collect();
-        let outcome = Comparison::new(&features).size_bound(5).run(Algorithm::MultiSwap);
+        let config = DfsConfig { size_bound: 5, ..DfsConfig::default() };
+        let instance = Arc::new(Instance::build(&features, config));
+        let outcome = compare(&instance, Algorithm::MultiSwap).unwrap();
         (outcome.dod(), outcome.table())
     };
     let (dod_a, table_a) = run();

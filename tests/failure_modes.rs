@@ -6,7 +6,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use xsact::prelude::*;
 use xsact::serve::{serve_tcp, END_MARKER};
-use xsact_core::{Algorithm, DfsConfig, Instance};
+use xsact_core::{compare, Algorithm, DfsConfig, ExhaustiveLimitExceeded, Instance};
 use xsact_entity::{FeatureType, ResultFeatures};
 use xsact_xml::XmlError;
 
@@ -97,6 +97,11 @@ fn figure1_like_workbench() -> Workbench {
 
 // ------------------------------------------------------- degenerate configs
 
+/// The instance over raw features at bound `L` and the default threshold.
+fn instance(results: &[ResultFeatures], size_bound: usize) -> Arc<Instance> {
+    Arc::new(Instance::build(results, DfsConfig { size_bound, ..DfsConfig::default() }))
+}
+
 fn one_result() -> Vec<ResultFeatures> {
     vec![ResultFeatures::from_raw(
         "only",
@@ -107,8 +112,9 @@ fn one_result() -> Vec<ResultFeatures> {
 
 #[test]
 fn single_result_comparison_is_degenerate_but_sound() {
+    let inst = instance(&one_result(), 3);
     for algo in Algorithm::ALL {
-        let outcome = Comparison::new(&one_result()).size_bound(3).run(algo);
+        let outcome = compare(&inst, algo).unwrap();
         assert_eq!(outcome.dod(), 0, "{}", algo.name());
         // The table still renders the result's own features.
         if algo != Algorithm::Snippet {
@@ -129,8 +135,9 @@ fn zero_size_bound_yields_empty_dfss() {
         [("e".to_string(), 5)],
         [(FeatureType::new("e", "x"), "yes".to_string(), 1)],
     );
+    let inst = instance(&[a, b], 0);
     for algo in Algorithm::ALL {
-        let outcome = Comparison::new(&[a.clone(), b.clone()]).size_bound(0).run(algo);
+        let outcome = compare(&inst, algo).unwrap();
         assert_eq!(outcome.dod(), 0);
         for i in 0..2 {
             assert_eq!(outcome.dfs_size(i), 0);
@@ -196,8 +203,9 @@ fn results_with_disjoint_types_cannot_differentiate() {
         [("e".to_string(), 5)],
         [(FeatureType::new("e", "only_in_b"), "yes".to_string(), 4)],
     );
+    let inst = instance(&[a, b], 5);
     for algo in Algorithm::ALL {
-        let outcome = Comparison::new(&[a.clone(), b.clone()]).size_bound(5).run(algo);
+        let outcome = compare(&inst, algo).unwrap();
         // Absence is unknown (the paper's NULL analogy): DoD must be 0.
         assert_eq!(outcome.dod(), 0, "{}", algo.name());
     }
@@ -212,8 +220,7 @@ fn results_with_no_features_at_all() {
             Vec::<(FeatureType, String, u32)>::new(),
         )
     };
-    let outcome =
-        Comparison::new(&[empty("a"), empty("b")]).size_bound(5).run(Algorithm::MultiSwap);
+    let outcome = compare(&instance(&[empty("a"), empty("b")], 5), Algorithm::MultiSwap).unwrap();
     assert_eq!(outcome.dod(), 0);
     assert_eq!(outcome.dfs_size(0), 0);
 }
@@ -230,10 +237,41 @@ fn identical_results_have_zero_dod_under_every_algorithm() {
             ],
         )
     };
+    let inst = instance(&[mk(), mk(), mk()], 4);
     for algo in Algorithm::ALL {
-        let outcome = Comparison::new(&[mk(), mk(), mk()]).size_bound(4).run(algo);
+        let outcome = compare(&inst, algo).unwrap();
         assert_eq!(outcome.dod(), 0, "{}", algo.name());
     }
+}
+
+/// The exhaustive oracle enumerates at most `limit` DFS combinations: at
+/// exactly the instance's count it answers with the optimum, and one fewer
+/// is the typed error, not a panic.
+#[test]
+fn the_exhaustive_limit_admits_exactly_the_combination_count() {
+    let mk = |label: &str, x: u32, y: u32, z: u32| {
+        ResultFeatures::from_raw(
+            label,
+            [("e".to_string(), 10), ("f".to_string(), 10)],
+            [
+                (FeatureType::new("e", "x"), "yes".to_string(), x),
+                (FeatureType::new("e", "y"), "yes".to_string(), y),
+                (FeatureType::new("f", "z"), "yes".to_string(), z),
+            ],
+        )
+    };
+    // At L = 2 a DFS is a prefix pair `(a ≤ 2 of e, b ≤ 1 of f, a + b ≤ 2)`:
+    // five per result, 25 combinations.
+    let inst = instance(&[mk("a", 9, 8, 7), mk("b", 1, 8, 2)], 2);
+    let opt = compare(&inst, Algorithm::Exhaustive { limit: 25 }).unwrap();
+    assert_eq!(opt.dod(), 1);
+    for algo in Algorithm::ALL {
+        assert!(compare(&inst, algo).unwrap().dod() <= opt.dod(), "{}", algo.name());
+    }
+    let err = compare(&inst, Algorithm::Exhaustive { limit: 24 }).unwrap_err();
+    assert_eq!(err, ExhaustiveLimitExceeded { limit: 24 });
+    let err = XsactError::from(err);
+    assert!(matches!(err, XsactError::ExhaustiveLimitExceeded { limit: 24 }), "{err}");
 }
 
 #[test]
@@ -248,7 +286,7 @@ fn huge_size_bound_is_clamped_to_available_types() {
         [("e".to_string(), 5)],
         [(FeatureType::new("e", "x"), "yes".to_string(), 1)],
     );
-    let outcome = Comparison::new(&[a, b]).size_bound(1_000_000).run(Algorithm::MultiSwap);
+    let outcome = compare(&instance(&[a, b], 1_000_000), Algorithm::MultiSwap).unwrap();
     assert_eq!(outcome.dfs_size(0), 1);
     assert_eq!(outcome.dod(), 1);
 }
@@ -266,14 +304,14 @@ fn extreme_thresholds() {
         [(FeatureType::new("e", "x"), "yes".to_string(), 5)],
     );
     // x = 0: any gap differentiates.
-    let loose = Comparison::new(&[a.clone(), b.clone()])
-        .threshold(0.0)
-        .size_bound(2)
-        .run(Algorithm::MultiSwap);
+    let at = |threshold_pct: f64| {
+        let inst = Instance::build(&[&a, &b], DfsConfig { size_bound: 2, threshold_pct });
+        compare(&Arc::new(inst), Algorithm::MultiSwap).unwrap()
+    };
+    let loose = at(0.0);
     assert_eq!(loose.dod(), 1);
     // x = 10_000: a 90% vs 50% gap (0.4) needs to exceed 100 × 0.5 → never.
-    let strict =
-        Comparison::new(&[a, b]).threshold(10_000.0).size_bound(2).run(Algorithm::MultiSwap);
+    let strict = at(10_000.0);
     assert_eq!(strict.dod(), 0);
 }
 

@@ -9,8 +9,9 @@
 //! * the XSACT comparison table makes three more feature types comparable →
 //!   **DoD = 5**.
 
+use std::sync::Arc;
 use xsact::prelude::*;
-use xsact_core::Algorithm;
+use xsact_core::{compare, Algorithm, Instance};
 use xsact_data::fixtures;
 use xsact_entity::FeatureType;
 
@@ -22,6 +23,15 @@ fn paper_results() -> Vec<ResultFeatures> {
     let results = engine.search(&Query::parse(fixtures::PAPER_QUERY));
     results.iter().map(|r| engine.extract_features(r)).collect()
 }
+
+/// The instance over the paper's two results at bound `L` and threshold
+/// `x` percent.
+fn paper_instance(size_bound: usize, threshold_pct: f64) -> Arc<Instance> {
+    Arc::new(Instance::build(&paper_results(), DfsConfig { size_bound, threshold_pct }))
+}
+
+/// The paper's differentiability threshold x, in percent.
+const X: f64 = 10.0;
 
 #[test]
 fn query_returns_exactly_the_two_tomtom_products() {
@@ -68,9 +78,7 @@ fn figure1_stat_panel_lines() {
 
 #[test]
 fn snippets_match_figure1_and_have_dod_2() {
-    let features = paper_results();
-    let outcome =
-        Comparison::new(&features).size_bound(fixtures::SNIPPET_BOUND).run(Algorithm::Snippet);
+    let outcome = compare(&paper_instance(fixtures::SNIPPET_BOUND, X), Algorithm::Snippet).unwrap();
 
     // Figure 1 snippet of GPS 1: name, rating, easy to read, compact,
     // best use auto, category casual.
@@ -99,11 +107,10 @@ fn snippets_match_figure1_and_have_dod_2() {
 
 #[test]
 fn xsact_table_reaches_dod_5() {
-    let features = paper_results();
-    let comparison = Comparison::new(&features).size_bound(fixtures::TABLE_BOUND);
+    let inst = paper_instance(fixtures::TABLE_BOUND, X);
 
     // "for the DFSs generated by our system … their DoD is 5"
-    let multi = comparison.run(Algorithm::MultiSwap);
+    let multi = compare(&inst, Algorithm::MultiSwap).unwrap();
     assert_eq!(multi.dod(), 5);
 
     // The five differentiable shared types of Figure 2.
@@ -118,25 +125,22 @@ fn xsact_table_reaches_dod_5() {
     }
 
     // Exhaustive confirms 5 is optimal at this bound.
-    let opt = comparison.run(Algorithm::Exhaustive { limit: 5_000_000 });
+    let opt = compare(&inst, Algorithm::Exhaustive { limit: 5_000_000 }).unwrap();
     assert_eq!(opt.dod(), 5);
 }
 
 #[test]
 fn single_swap_also_strong_on_the_example() {
-    let features = paper_results();
-    let comparison = Comparison::new(&features).size_bound(fixtures::TABLE_BOUND);
-    let single = comparison.run(Algorithm::SingleSwap);
-    let multi = comparison.run(Algorithm::MultiSwap);
+    let inst = paper_instance(fixtures::TABLE_BOUND, X);
+    let single = compare(&inst, Algorithm::SingleSwap).unwrap();
+    let multi = compare(&inst, Algorithm::MultiSwap).unwrap();
     assert!(single.dod() >= 4);
     assert!(multi.dod() >= single.dod());
 }
 
 #[test]
 fn rendered_table_shows_figure2_cells() {
-    let features = paper_results();
-    let outcome =
-        Comparison::new(&features).size_bound(fixtures::TABLE_BOUND).run(Algorithm::MultiSwap);
+    let outcome = compare(&paper_instance(fixtures::TABLE_BOUND, X), Algorithm::MultiSwap).unwrap();
     let table = outcome.table();
     // Both product names head their columns.
     assert!(table.contains(fixtures::GPS1_NAME));
@@ -152,13 +156,12 @@ fn rendered_table_shows_figure2_cells() {
 
 #[test]
 fn threshold_ablation_changes_dod() {
-    let features = paper_results();
     // At x = 10% rating does not differentiate; at x = 1% it does
     // (4.2 vs 4.1 is a 2.4% gap). Bound 8 leaves room for rating next to
     // the five types of Figure 2 (at the Figure 2 bound of 7, rating would
     // merely displace another differentiable type).
-    let strict = Comparison::new(&features).size_bound(8).threshold(1.0).run(Algorithm::MultiSwap);
-    let default = Comparison::new(&features).size_bound(8).run(Algorithm::MultiSwap);
+    let strict = compare(&paper_instance(8, 1.0), Algorithm::MultiSwap).unwrap();
+    let default = compare(&paper_instance(8, X), Algorithm::MultiSwap).unwrap();
     assert_eq!(default.dod(), 5);
     assert_eq!(strict.dod(), 6);
 }

@@ -1,10 +1,17 @@
 //! Full-pipeline integration tests over all three synthetic datasets:
 //! generate → index → search → extract → compare (paper Figure 3).
 
+use std::sync::Arc;
 use xsact::prelude::*;
-use xsact_core::Algorithm;
+use xsact_core::{compare, Algorithm, Instance};
 use xsact_data::movies::{qm_queries, MovieGenConfig, MoviesGen};
 use xsact_data::{OutdoorGen, OutdoorGenConfig, ReviewsGen, ReviewsGenConfig};
+
+/// The instance over extracted features at bound `L` and the default
+/// threshold.
+fn instance(features: &[ResultFeatures], size_bound: usize) -> Arc<Instance> {
+    Arc::new(Instance::build(features, DfsConfig { size_bound, ..DfsConfig::default() }))
+}
 
 #[test]
 fn product_reviews_pipeline() {
@@ -25,7 +32,7 @@ fn product_reviews_pipeline() {
         assert!(rf.type_count() >= 4, "products carry name/brand/price/rating + flags");
     }
     if features.len() >= 2 {
-        let outcome = Comparison::new(&features).size_bound(8).run(Algorithm::MultiSwap);
+        let outcome = compare(&instance(&features, 8), Algorithm::MultiSwap).unwrap();
         assert!(outcome.set.all_valid(&outcome.instance));
         assert!(outcome.dod() <= outcome.dod_upper_bound());
         let table = outcome.table();
@@ -72,7 +79,7 @@ fn outdoor_brand_comparison_scenario() {
             .any(|s| s.attribute() == "subcategory" && s.entity().ends_with("product")));
     }
 
-    let outcome = Comparison::new(&features).size_bound(6).run(Algorithm::MultiSwap);
+    let outcome = compare(&instance(&features, 6), Algorithm::MultiSwap).unwrap();
     // Focus bias guarantees differentiable subcategory/category histograms.
     assert!(outcome.dod() > 0, "brand focuses must differentiate");
 }
@@ -97,9 +104,9 @@ fn movie_queries_pipeline() {
         if features.len() < 2 {
             continue;
         }
-        let comparison = Comparison::new(&features).size_bound(10);
-        let single = comparison.run(Algorithm::SingleSwap);
-        let multi = comparison.run(Algorithm::MultiSwap);
+        let inst = instance(&features, 10);
+        let single = compare(&inst, Algorithm::SingleSwap).unwrap();
+        let multi = compare(&inst, Algorithm::MultiSwap).unwrap();
         assert!(
             multi.dod() >= single.dod(),
             "{label}: multi {} < single {}",

@@ -39,10 +39,11 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 use xsact_core::{
-    dod_total, greedy_set, is_multi_swap_optimal, is_single_swap_optimal, multi_swap,
+    compare, dod_total, greedy_set, is_multi_swap_optimal, is_single_swap_optimal, multi_swap,
     multi_swap_from, render_table, run_algorithm, single_swap, single_swap_from, snippet_set,
-    Algorithm, Comparison, Dfs, DfsConfig, DfsSet, Instance, SwapStats,
+    Algorithm, Dfs, DfsConfig, DfsSet, Instance, SwapStats,
 };
 use xsact_entity::{
     extract_features, FeatureType, NodeClass, ResultFeatures, Stat, StructureSummary,
@@ -1397,8 +1398,7 @@ fn instance_build_matches_the_string_keyed_oracle_on_random_sets() {
         let inst = Instance::build(&features, random_config(&mut rng));
         assert_instance_matches_oracle(&inst, &features, &format!("seed {seed} {shape:?}"));
         // Shared by pointer or owned, the features build one instance.
-        let shared: Vec<std::sync::Arc<ResultFeatures>> =
-            features.iter().cloned().map(std::sync::Arc::new).collect();
+        let shared: Vec<Arc<ResultFeatures>> = features.iter().cloned().map(Arc::new).collect();
         let from_shared = Instance::build(&shared, inst.config);
         assert_instance_matches_oracle(&from_shared, &features, &format!("seed {seed} shared"));
 
@@ -1490,6 +1490,26 @@ fn instance_build_matches_the_oracle_on_the_paper_pools() {
         assert_instance_matches_oracle(&inst, &features, query);
         // What the facade builds from the cache's `Arc`s is that instance.
         assert_instance_matches_oracle(pipeline.instance().unwrap(), &features, query);
+    });
+}
+
+/// The bench's `compare_*` workloads time a comparison stage by stage: the
+/// features, a second `Instance::build`, `run_algorithm`, `dod_total` and
+/// `render_table`. On the paper pool that staged replay must produce what
+/// `CorpusQuery::compare` does — the same DFSs, DoD and table bytes — or
+/// the bench times something the product does not run.
+#[test]
+fn the_benchs_staged_replay_equals_the_product_comparison_on_the_paper_pool() {
+    for_each_pool_query(|query, pipeline| {
+        let inst = Instance::build(&pipeline.features().unwrap(), POOL_CONFIG);
+        for algorithm in Algorithm::ALL {
+            let what = format!("{query}: {}", algorithm.name());
+            let outcome = pipeline.compare(algorithm).unwrap();
+            let (set, _) = run_algorithm(&inst, algorithm);
+            assert_eq!(outcome.set, set, "{what}: DFSs");
+            assert_eq!(outcome.dod(), dod_total(&inst, &set), "{what}: DoD");
+            assert_eq!(outcome.table(), render_table(&inst, &set), "{what}: table");
+        }
     });
 }
 
@@ -1846,9 +1866,10 @@ fn multi_swap_is_optimal_on_tiny_instances() {
         let mut rng = StdRng::seed_from_u64(seed);
         let features = tiny_features(&mut rng);
         let bound = rng.random_range(0..4usize);
-        let comparison = Comparison::new(&features).size_bound(bound);
-        let multi = comparison.run(Algorithm::MultiSwap);
-        let opt = comparison.run(Algorithm::Exhaustive { limit: 10_000 });
+        let config = DfsConfig { size_bound: bound, ..DfsConfig::default() };
+        let inst = Arc::new(Instance::build(&features, config));
+        let multi = compare(&inst, Algorithm::MultiSwap).unwrap();
+        let opt = compare(&inst, Algorithm::Exhaustive { limit: 10_000 }).unwrap();
         // With 2 results and a single entity, per-result best response is
         // globally optimal: prove multi-swap matches the oracle.
         assert_eq!(multi.dod(), opt.dod(), "seed {seed} bound {bound}");
