@@ -6,10 +6,10 @@
 //! [`PageCache`] keyed on `(canonical query, k)`, bounded by an entry
 //! count *and* an approximate byte budget, with least-recently-used
 //! eviction. The server stores its `QueryAnswer`s in it, each with the
-//! wire reply the dispatcher rendered at the miss, and checks it before a
-//! query ever reaches the submission queue: a hit skips the queue **and**
-//! the shard pool, and returns the bytes rendered at the miss without
-//! rendering again.
+//! wire reply its session rendered at the miss, and checks it before a
+//! query ever reaches admission: a hit skips admission **and** the shard
+//! pool, and returns the bytes rendered at the miss without rendering
+//! again.
 //!
 //! A lookup is a linear scan over up to `max_entries` keys. At 256 keys
 //! that is about 200 ns, roughly 1 % of a served hit, so it stays a scan.

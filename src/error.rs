@@ -57,26 +57,27 @@ pub enum XsactError {
     /// image that is corrupt, of an old version, saved from other XML, or
     /// holding another document than the caller's.
     Io(std::io::Error),
-    /// The serving runtime turned the submission away at the door: its
-    /// bounded queue was full (or the server was shutting down). The
-    /// caller should back off and retry; nothing was executed.
+    /// The serving runtime turned a cache miss away at admission: the
+    /// configured number of misses already waited for the shard pool (or
+    /// the server was shutting down). The caller should back off and
+    /// retry; nothing was executed.
     Overloaded {
-        /// Queue depth the submission collided with.
+        /// Misses waiting for the pool when this one was turned away.
         depth: usize,
-        /// The queue's configured capacity.
+        /// The configured `queue_capacity`.
         capacity: usize,
     },
     /// A serving session spent its executor-work budget; further queries
-    /// on the session are refused before reaching the queue.
+    /// on the session are refused before admission.
     BudgetExceeded {
         /// Posting entries the session's queries have scanned so far.
         spent: u64,
         /// The session's budget in posting entries.
         budget: u64,
     },
-    /// The query's deadline (queue wait + execute) elapsed before an
-    /// answer could be produced. Checked at dispatch (the query never
-    /// executed) and again after execute (the answer arrived too
+    /// The query's deadline (pool wait + execute) elapsed before an
+    /// answer could be produced. Checked once the query holds the shard
+    /// pool (it never executed) and again after execute (the answer arrived too
     /// late to matter); either way the caller should treat the result as
     /// unknown and retry with a fresh deadline.
     DeadlineExceeded {

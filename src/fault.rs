@@ -19,8 +19,8 @@
 //!
 //! These are the only sites: [`FaultPlan::parse`] refuses any other name,
 //! so a misspelt site is an error rather than a plan that never fires.
-//! The *call sites* live where the behaviour belongs (the dispatch
-//! closure, the connection loop); this module only decides *whether* a
+//! The *call sites* live where the behaviour belongs (the shard pool's
+//! work closure, the connection loop); this module only decides *whether* a
 //! given hit fires.
 //!
 //! ## Spec grammar
@@ -75,7 +75,7 @@ struct Site {
 }
 
 /// A set of armed injection sites; see the module docs. `Clone` is an
-/// `Arc` bump, so the dispatcher and the connection threads all consult
+/// `Arc` bump, so the shard closure and the connection threads all consult
 /// the *same* hit counters.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan(Option<Arc<[Site]>>);

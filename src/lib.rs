@@ -62,9 +62,9 @@
 //! query over many workbenches on private modules for the shard plan,
 //! the scoped-thread fan-out and persistent shard pool, and the k-way
 //! merge. The [`serve`] module builds on them with private modules for
-//! the bounded submission queue, the result-page cache, the server
-//! counters and the fault plan: a long-lived [`CorpusServer`] that
-//! broadcasts to its pool once per executed miss and whose pooling and
+//! the result-page cache, the server counters and the fault plan: a
+//! long-lived [`CorpusServer`] whose sessions each broadcast to its pool
+//! once per executed miss, on their own threads, and whose pooling and
 //! caching never change result bytes. Its wire format, the line
 //! protocol, is a crate of its own (`xsact-serve`) that clients share
 //! with the server.
@@ -77,7 +77,6 @@ pub mod error;
 mod fault;
 mod merge;
 mod pool;
-mod queue;
 mod selection;
 pub mod serve;
 mod shard;

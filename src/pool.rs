@@ -120,7 +120,7 @@ struct Worker<Req, Resp> {
 /// Workers run each request under `catch_unwind`. A panic becomes a typed
 /// [`ShardPanic`] response for the affected broadcast — it can never
 /// silently vanish from a merged ranking, and it never takes the calling
-/// thread (the dispatcher) down with it. The poisoned worker exits and the
+/// thread (the session executing the miss) down with it. The poisoned worker exits and the
 /// pool **respawns** it from the retained work closure (the state factory)
 /// before `broadcast` returns, so the next request runs on a fresh worker
 /// and produces bytes identical to a fault-free run. The caller's shard is

@@ -5,16 +5,16 @@
 //! A [`crate::CorpusQuery`] executes one query at a time, paying
 //! scoped-thread spawn and teardown per query. [`CorpusServer`] amortises that: at
 //! startup it builds one persistent `ShardPool` (`src/pool.rs`) — a worker
-//! per effective shard but the last — and a dispatcher thread feeds the
-//! pool from a bounded `SubmissionQueue` (`src/queue.rs`), computing the last
-//! shard itself while the workers compute theirs. Every submission that
-//! reaches the queue is a result-page cache miss, and each one is one pool
-//! broadcast. The page cache is the one place a repeated query (same
+//! per effective shard but the last — behind a lock. A result-page cache
+//! miss runs on its session's own thread: it takes the pool lock (misses
+//! execute one at a time, in whatever order the lock grants), broadcasts
+//! once, and computes the last shard itself while the workers compute
+//! theirs. The page cache is the one place a repeated query (same
 //! canonical query text, same top-k) is answered without executing.
 //!
 //! ## A page is rendered once per executed miss
 //!
-//! Right after the merge the dispatcher renders the miss's whole wire reply
+//! Right after the merge the miss's session renders its whole wire reply
 //! (`OK <shown>`, the ranked listing, the end marker) into one shared
 //! [`QueryAnswer::reply`]. Every later result-page cache hit on the key
 //! carries those same bytes, so a hit clones two `Arc`s and the TCP front
@@ -46,12 +46,12 @@
 //!
 //! ## Failure modes are typed
 //!
-//! * Queue full (or server shutting down) →
-//!   [`XsactError::Overloaded`] — nothing was executed; back off and
-//!   retry.
+//! * `queue_capacity` misses already waiting for the pool (or server
+//!   shutting down) → [`XsactError::Overloaded`] — nothing was executed;
+//!   back off and retry.
 //! * Session spent its executor-work budget →
-//!   [`XsactError::BudgetExceeded`] — rejected before reaching the queue.
-//! * Deadline elapsed (queue wait + execute) →
+//!   [`XsactError::BudgetExceeded`] — rejected before admission.
+//! * Deadline elapsed (pool wait + execute) →
 //!   [`XsactError::DeadlineExceeded`] — checked right before the query's
 //!   broadcast (the query never executed) and again after it; retry with a
 //!   fresh deadline.
@@ -61,10 +61,10 @@
 //!   request, concurrent or subsequent — is byte-identical to a fault-free
 //!   run (pinned by `tests/chaos.rs`).
 //!
-//! Shutdown is a drain: admitted submissions are still answered, new ones
-//! are turned away. Recovery paths are exercised deterministically via
-//! [`FaultPlan`] (`XSACT_FAULTS` in the CLI); a disarmed plan costs one
-//! branch per site.
+//! Shutdown closes admission: misses already admitted finish on their own
+//! threads, new ones are turned away. Recovery paths are exercised
+//! deterministically via [`FaultPlan`] (`XSACT_FAULTS` in the CLI); a
+//! disarmed plan costs one branch per site.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -87,14 +87,13 @@ use crate::corpus::{
 };
 use crate::error::{XsactError, XsactResult};
 use crate::pool::ShardPool;
-use crate::queue::{Rejected, SubmissionQueue};
 use crate::shard::ShardPlan;
 use crate::stats::ServeCounters;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xsact_index::{ExecutorStats, Query};
@@ -108,18 +107,19 @@ pub use xsact_serve::{END_MARKER, MAX_TOP};
 /// Configuration of a [`CorpusServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Bound of the submission queue; submissions beyond it are rejected
-    /// with [`XsactError::Overloaded`]. Zero is valid and rejects every
-    /// submission (a deterministic "always overloaded" server, used by the
-    /// CI smoke test).
+    /// Most cache misses that may wait for the shard pool while another
+    /// executes; a miss beyond it is rejected with
+    /// [`XsactError::Overloaded`]. Zero is valid and rejects every miss (a
+    /// deterministic "always overloaded" server, used by the CI smoke
+    /// test).
     pub queue_capacity: usize,
     /// Top-k a fresh session starts with (changeable per session via
     /// [`ServeSession::set_top`] / the `TOP` verb).
     pub default_top: usize,
     /// Per-session executor-work budget in posting entries scanned;
     /// `None` = unlimited. A session whose spend has reached the budget
-    /// gets [`XsactError::BudgetExceeded`] before its query is queued, so
-    /// budget `1` admits exactly one matching query — handy for
+    /// gets [`XsactError::BudgetExceeded`] before its query is admitted,
+    /// so budget `1` admits exactly one matching query — handy for
     /// deterministic tests.
     pub budget: Option<u64>,
     /// End-to-end latency threshold above which a served query is logged
@@ -127,17 +127,18 @@ pub struct ServeConfig {
     /// `None` disables the log. Purely observational — answers are
     /// byte-identical either way.
     pub slow_query: Option<Duration>,
-    /// Per-query deadline covering queue wait plus execute; `None` =
-    /// unlimited. Checked right before the query's broadcast (an expired
+    /// Per-query deadline covering the wait for the shard pool plus
+    /// execute, timed from the session's call; `None` = unlimited. Checked
+    /// under the pool lock right before the query's broadcast (an expired
     /// query is answered [`XsactError::DeadlineExceeded`] without
     /// executing) and again after it (a late answer is discarded — the
     /// caller already stopped caring).
     pub deadline: Option<Duration>,
     /// Entry bound of the result-page cache keyed on `(canonical query,
-    /// k)`; 0 disables caching entirely. A hit skips the submission queue
-    /// *and* the shard pool and returns the stored answer byte-identical
-    /// to fresh execution (the corpus is immutable and the executor
-    /// deterministic — pinned by `tests/serve.rs`).
+    /// k)`; 0 disables caching entirely. A hit skips admission *and* the
+    /// shard pool and returns the stored answer byte-identical to fresh
+    /// execution (the corpus is immutable and the executor deterministic —
+    /// pinned by `tests/serve.rs`).
     pub cache_entries: usize,
     /// Approximate byte bound of the result-page cache (0 = entry bound
     /// only). Least-recently-used pages are evicted to stay inside both
@@ -173,78 +174,100 @@ pub struct QueryAnswer {
     pub ranking: Arc<CorpusRanking>,
     /// The protocol reply for this page at the key's top-k, end marker
     /// included: `OK <shown>\n`, the ranking's listing, `.\n`. Rendered
-    /// once by the dispatcher and shared by every cache hit on the key.
+    /// once by the session that executed the miss and shared by every
+    /// cache hit on the key.
     pub reply: Arc<[u8]>,
     /// Executor work of the execution (a cache hit is charged the same
     /// cost against its session budget).
     pub stats: ExecutorStats,
-    /// How long this query sat in the submission queue before the
-    /// dispatcher popped it (zero on a cache hit).
+    /// How long this query waited, once admitted, for the shard pool's
+    /// lock (zero on a cache hit).
     pub queue_wait: Duration,
     /// How long the shard pool took to execute this query (zero on a
     /// cache hit).
     pub execute: Duration,
 }
 
-/// One queued query: what to run, its cache key, and where the answer
-/// goes.
-struct Submission {
-    /// Canonical text of the parsed query — the cache key's first half
-    /// (two spellings of the same term multiset share a page).
-    canonical: String,
-    query: Query,
-    k: usize,
-    /// Typed outcome: the answer, or the failure that kept this query
-    /// from getting one (deadline, shard panic).
-    reply: mpsc::Sender<XsactResult<QueryAnswer>>,
-    /// When the session pushed this submission (queue-wait starts here).
-    submitted: Instant,
+/// The pool's request (a query and its top-k) and one shard's answer.
+type Pool = ShardPool<(Query, usize), (Vec<CorpusHit>, ExecutorStats)>;
+
+/// Admission control: the misses admitted but not yet holding the pool
+/// lock, and whether shutdown has closed the door.
+#[derive(Default)]
+struct Gate {
+    waiting: usize,
+    closed: bool,
 }
 
-/// State shared by the server handle, its sessions, and the dispatcher.
+/// State shared by the server handle and its sessions.
 struct ServerInner {
     corpus: Arc<Corpus>,
-    queue: SubmissionQueue<Submission>,
+    /// Held for one broadcast at a time: misses execute one by one, each
+    /// on its own session's thread.
+    pool: Mutex<Pool>,
+    gate: Mutex<Gate>,
     counters: ServeCounters,
     config: ServeConfig,
     /// The result-page cache (`None` when `cache_entries` is 0). Sessions
-    /// check it before queueing; the dispatcher inserts successful
-    /// answers, reply bytes included, so a hit returns the bytes rendered
-    /// at the miss. A lookup is a linear scan over up to `cache_entries`
-    /// keys (about 200 ns at 256 keys, roughly 1 % of a hit).
+    /// check it before admission and insert their successful answers,
+    /// reply bytes included, so a hit returns the bytes rendered at the
+    /// miss. A lookup is a linear scan over up to `cache_entries` keys
+    /// (about 200 ns at 256 keys, roughly 1 % of a hit).
     cache: Option<Mutex<PageCache<QueryAnswer>>>,
 }
 
-/// A running corpus server; see the module docs. Dropping it shuts down
-/// gracefully: the queue closes, admitted work drains, the dispatcher and
-/// its shard pool join.
+/// A running corpus server; see the module docs. Dropping it shuts down:
+/// admission closes, and the shard pool's workers are joined once the
+/// last session lets go of it.
 pub struct CorpusServer {
     inner: Arc<ServerInner>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl CorpusServer {
-    /// Starts the dispatcher and its persistent shard pool (one worker
-    /// per [`Corpus::effective_shards`], pinned for the server's
-    /// lifetime).
+    /// Builds the persistent shard pool: one worker per
+    /// [`Corpus::effective_shards`] but the last, pinned for the server's
+    /// lifetime.
     pub fn start(corpus: Arc<Corpus>, config: ServeConfig) -> CorpusServer {
+        let counters = ServeCounters::new();
+        let shards = corpus.effective_shards();
+        // Per-shard busy-time histograms, registered alongside the serving
+        // metrics so one scrape shows pool balance. Recorded inside the
+        // shard closure, so they measure true shard busy time (search
+        // only, no pool wait or merge).
+        let shard_busy: Vec<Arc<Histogram>> = (0..shards)
+            .map(|shard| counters.registry().histogram(&format!("xsact_shard_{shard}_busy_ns")))
+            .collect();
+        let pool = ShardPool::new(shards, {
+            let corpus = Arc::clone(&corpus);
+            let faults = config.faults.clone();
+            move |shard, (query, k): &(Query, usize)| {
+                if let Some(millis) = faults.should_fire("slow_execute", shard) {
+                    std::thread::sleep(Duration::from_millis(millis));
+                }
+                if faults.should_fire("shard_panic", shard).is_some() {
+                    panic!("injected shard_panic fault (shard {shard})");
+                }
+                let busy = Instant::now();
+                // The exact partition the scoped fan-out uses — a pure
+                // function of (shards, documents), recomputed per broadcast
+                // because it is trivially cheap next to a search.
+                let parts = ShardPlan::new(shards).partition(corpus.len());
+                let result = execute_shard(&corpus.docs, query, *k, &parts[shard], None);
+                shard_busy[shard].record_duration(busy.elapsed());
+                result
+            }
+        });
         let cache = (config.cache_entries > 0)
             .then(|| Mutex::new(PageCache::new(config.cache_entries, config.cache_bytes)));
         let inner = Arc::new(ServerInner {
             corpus,
-            queue: SubmissionQueue::new(config.queue_capacity),
-            counters: ServeCounters::new(),
+            pool: Mutex::new(pool),
+            gate: Mutex::default(),
+            counters,
             config,
             cache,
         });
-        let dispatcher = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("xsact-dispatch".to_owned())
-                .spawn(move || dispatch_loop(&inner))
-                .expect("failed to spawn dispatcher")
-        };
-        CorpusServer { inner, dispatcher: Mutex::new(Some(dispatcher)) }
+        CorpusServer { inner }
     }
 
     /// Opens a session: its own top-k and its own budget meter, safe to
@@ -281,95 +304,69 @@ impl CorpusServer {
         Arc::clone(self.inner.counters.registry())
     }
 
-    /// Begins shutdown: the queue closes (new submissions rejected),
-    /// admitted submissions keep draining. Idempotent; does not block.
+    /// Begins shutdown: admission closes (new misses rejected), misses
+    /// already admitted finish on their own threads. Idempotent; does not
+    /// block, and never panics (`Drop` calls it): every update of the gate
+    /// leaves it valid, so a poisoned lock is still safe to close.
     pub fn shutdown(&self) {
-        self.inner.queue.close();
-    }
-
-    /// [`shutdown`](Self::shutdown), then blocks until the dispatcher has
-    /// drained the queue and the shard pool has joined.
-    pub fn join(&self) {
-        self.shutdown();
-        let handle = self.dispatcher.lock().expect("dispatcher lock poisoned").take();
-        if let Some(handle) = handle {
-            handle.join().expect("dispatcher panicked");
-        }
+        self.inner.gate.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
     }
 }
 
 impl Drop for CorpusServer {
     fn drop(&mut self) {
-        self.join();
+        self.shutdown();
     }
 }
 
-/// The dispatcher: pop one submission (blocking), execute it on the shard
-/// pool, render its reply, cache it, answer it. Exits when the queue is
-/// closed *and* drained.
-fn dispatch_loop(inner: &ServerInner) {
-    let shards = inner.corpus.effective_shards();
-    // Per-shard busy-time histograms, registered alongside the serving
-    // metrics so one scrape shows pool balance. Recorded inside the worker
-    // closure, so they measure true worker busy time (search only, no
-    // queue or merge).
-    let shard_busy: Vec<Arc<Histogram>> = (0..shards)
-        .map(|shard| inner.counters.registry().histogram(&format!("xsact_shard_{shard}_busy_ns")))
-        .collect();
-    let mut pool = ShardPool::new(shards, {
-        let corpus = Arc::clone(&inner.corpus);
-        let faults = inner.config.faults.clone();
-        move |shard, (query, k): &(Query, usize)| {
-            if let Some(millis) = faults.should_fire("slow_execute", shard) {
-                std::thread::sleep(Duration::from_millis(millis));
+impl ServerInner {
+    /// Executes one page-cache miss on the calling thread: admission, the
+    /// wait for the pool, one broadcast, the merge, the reply's one
+    /// render, and the cache insert. `submitted` is when the session's
+    /// call began (the deadline is timed from there).
+    fn execute_miss(
+        &self,
+        canonical: &str,
+        query: Query,
+        k: usize,
+        submitted: Instant,
+    ) -> XsactResult<QueryAnswer> {
+        {
+            let mut gate = self.gate.lock().expect("gate lock poisoned");
+            let capacity = self.config.queue_capacity;
+            if gate.closed || gate.waiting >= capacity {
+                self.counters.record_overload_rejection();
+                return Err(XsactError::Overloaded { depth: gate.waiting, capacity });
             }
-            if faults.should_fire("shard_panic", shard).is_some() {
-                panic!("injected shard_panic fault (shard {shard})");
-            }
-            let busy = Instant::now();
-            // The exact partition the scoped fan-out uses — a pure
-            // function of (shards, documents), recomputed per broadcast
-            // because it is trivially cheap next to a search.
-            let parts = ShardPlan::new(shards).partition(corpus.len());
-            let result = execute_shard(&corpus.docs, query, *k, &parts[shard], None);
-            shard_busy[shard].record_duration(busy.elapsed());
-            result
+            gate.waiting += 1;
         }
-    });
-    while let Some(submission) = inner.queue.pop() {
-        let queue_wait = submission.submitted.elapsed();
-        // Dispatch-time deadline check, right before the broadcast: a query
-        // whose budget already elapsed never executes — its answer could
-        // only arrive late.
-        let Some(submission) = reject_expired(inner, submission) else { continue };
-        let k = submission.k;
+        let admitted = Instant::now();
+        let mut pool = self.pool.lock().expect("pool lock poisoned");
+        self.gate.lock().expect("gate lock poisoned").waiting -= 1;
+        let queue_wait = admitted.elapsed();
+        // A query whose deadline already elapsed never executes — its
+        // answer could only arrive late.
+        self.check_deadline(submitted)?;
         let execute_start = Instant::now();
         let restarts_before = pool.restarts();
         // One broadcast: every shard runs the query over its document
         // slice, and the first panicked shard (in shard order) fails it.
-        let outcome: Result<Vec<_>, _> =
-            pool.broadcast((submission.query.clone(), k)).into_iter().collect();
+        let outcome: Result<Vec<_>, _> = pool.broadcast((query, k)).into_iter().collect();
         let execute = execute_start.elapsed();
-        let per_shard = match outcome {
-            Ok(per_shard) => per_shard,
-            Err(panic) => {
-                // The supervisor already respawned every failed worker
-                // inside broadcast, so the next query runs on a healthy
-                // pool.
-                inner.counters.record_shard_failure(pool.restarts() - restarts_before);
-                let _ = submission.reply.send(Err(XsactError::ShardFailed {
-                    shard: panic.shard,
-                    detail: panic.detail,
-                }));
-                continue;
-            }
-        };
+        let restarts = pool.restarts() - restarts_before;
+        drop(pool);
+        let per_shard = outcome.map_err(|panic| {
+            // The supervisor already respawned every failed worker inside
+            // broadcast, so the next miss runs on a healthy pool.
+            self.counters.record_shard_failure(restarts);
+            XsactError::ShardFailed { shard: panic.shard, detail: panic.detail }
+        })?;
         let stats = per_shard.iter().fold(ExecutorStats::default(), |sum, (_, s)| sum + *s);
         let lists = per_shard.into_iter().map(|(hits, _)| hits).collect();
         let ranking = Arc::new(merge_shard_lists(lists, k));
-        // Post-execute deadline check: an answer that arrived after the
-        // deadline is discarded, not delivered late.
-        let Some(submission) = reject_expired(inner, submission) else { continue };
+        // An answer that arrived after the deadline is discarded, not
+        // delivered late.
+        self.check_deadline(submitted)?;
         // The miss's one render of its whole wire reply: every later cache
         // hit shares these bytes.
         let shown = ranking.hits.len().min(k);
@@ -377,9 +374,9 @@ fn dispatch_loop(inner: &ServerInner) {
         // Latency histograms record answered queries only — the exposition
         // contract pins each count to queries_served, and a rejected query
         // is counted in its rejection counter instead.
-        inner.counters.record_queue_wait(queue_wait);
-        inner.counters.record_execute(execute);
-        inner.counters.record_batch(
+        self.counters.record_queue_wait(queue_wait);
+        self.counters.record_execute(execute);
+        self.counters.record_batch(
             stats.postings_scanned,
             stats.gallop_probes,
             stats.candidates_pruned,
@@ -388,16 +385,31 @@ fn dispatch_loop(inner: &ServerInner) {
         // Only delivered answers are cached — a `ShardFailed`, a deadline
         // rejection, or any other error can never be replayed from the
         // cache.
-        if let Some(cache) = &inner.cache {
-            let bytes = answer_bytes(&submission.canonical, &answer);
+        if let Some(cache) = &self.cache {
+            let bytes = answer_bytes(canonical, &answer);
             let mut cache = cache.lock().expect("cache lock poisoned");
-            let inserted = cache.insert(&submission.canonical, k, answer.clone(), bytes);
+            let inserted = cache.insert(canonical, k, answer.clone(), bytes);
             if let Inserted::Stored { evicted: evicted @ 1.. } = inserted {
-                inner.counters.record_cache_evictions(evicted);
+                self.counters.record_cache_evictions(evicted);
             }
         }
-        // A waiter that gave up (dropped its receiver) is fine.
-        let _ = submission.reply.send(Ok(answer));
+        Ok(answer)
+    }
+
+    /// A typed [`XsactError::DeadlineExceeded`] if the deadline of a query
+    /// submitted at `submitted` has elapsed. With no configured deadline
+    /// this is a single branch.
+    fn check_deadline(&self, submitted: Instant) -> XsactResult<()> {
+        let Some(deadline) = self.config.deadline else { return Ok(()) };
+        let elapsed = submitted.elapsed();
+        if elapsed < deadline {
+            return Ok(());
+        }
+        self.counters.record_deadline_rejection();
+        Err(XsactError::DeadlineExceeded {
+            elapsed_ms: elapsed.as_millis().try_into().unwrap_or(u64::MAX),
+            deadline_ms: deadline.as_millis().try_into().unwrap_or(u64::MAX),
+        })
     }
 }
 
@@ -413,23 +425,6 @@ fn answer_bytes(key: &str, answer: &QueryAnswer) -> usize {
         .map(|hit| std::mem::size_of::<CorpusHit>() + hit.result.label.len() + hit.doc_name.len())
         .sum();
     key.len() + std::mem::size_of::<QueryAnswer>() + hits + answer.reply.len()
-}
-
-/// Answers `submission` with a typed [`XsactError::DeadlineExceeded`]
-/// and returns `None` if its deadline has elapsed; otherwise hands it
-/// back. With no configured deadline this is a single branch.
-fn reject_expired(inner: &ServerInner, submission: Submission) -> Option<Submission> {
-    let Some(deadline) = inner.config.deadline else { return Some(submission) };
-    let elapsed = submission.submitted.elapsed();
-    if elapsed < deadline {
-        return Some(submission);
-    }
-    inner.counters.record_deadline_rejection();
-    let _ = submission.reply.send(Err(XsactError::DeadlineExceeded {
-        elapsed_ms: elapsed.as_millis().try_into().unwrap_or(u64::MAX),
-        deadline_ms: deadline.as_millis().try_into().unwrap_or(u64::MAX),
-    }));
-    None
 }
 
 /// One caller's view of a [`CorpusServer`]: a top-k setting and a budget
@@ -462,13 +457,14 @@ impl ServeSession {
         self.inner.config.budget
     }
 
-    /// Submits one query and blocks for its answer.
+    /// Answers one query: from the page cache, or by executing the miss on
+    /// this thread once the shard pool is free.
     ///
     /// Typed failure modes, in checking order: [`XsactError::EmptyQuery`]
     /// (no indexable terms), [`XsactError::BudgetExceeded`] (the session's
-    /// spend reached its budget; nothing queued),
-    /// [`XsactError::Overloaded`] (the queue was full or the server is
-    /// shutting down; nothing executed), and — from the dispatcher —
+    /// spend reached its budget; nothing admitted),
+    /// [`XsactError::Overloaded`] (`queue_capacity` misses already wait for
+    /// the pool, or the server is shutting down; nothing executed), then
     /// [`XsactError::DeadlineExceeded`] and [`XsactError::ShardFailed`]
     /// (both retryable; a failed shard is respawned before the error is
     /// delivered). A failure charges no budget and records no end-to-end
@@ -490,7 +486,7 @@ impl ServeSession {
             if let Some(cache) = &self.inner.cache {
                 let mut cache = cache.lock().expect("cache lock poisoned");
                 if let Some(answer) = cache.lookup(&canonical, self.top) {
-                    // A hit skips the queue and the shard pool entirely; the
+                    // A hit skips admission and the shard pool entirely; the
                     // bytes are identical because the cached answer *is* the
                     // executor's answer, reply bytes included (the lookup
                     // cloned two `Arc`s; nothing is rendered). The histogram
@@ -506,25 +502,7 @@ impl ServeSession {
                 }
                 self.inner.counters.record_cache_miss();
             }
-            let (reply, answer_rx) = mpsc::channel();
-            let submission = Submission { canonical, query, k: self.top, reply, submitted: start };
-            if let Err(rejection) = self.inner.queue.push(submission) {
-                self.inner.counters.record_overload_rejection();
-                return Err(match rejection {
-                    Rejected::Full { depth, capacity } => {
-                        XsactError::Overloaded { depth, capacity }
-                    }
-                    Rejected::Closed => XsactError::Overloaded {
-                        depth: self.inner.queue.depth(),
-                        capacity: self.inner.queue.capacity(),
-                    },
-                });
-            }
-            // An admitted submission is always answered
-            // (drain-on-shutdown); a recv error means the dispatcher
-            // died, which only a panic can cause — surface it as such
-            // rather than inventing an error code.
-            answer_rx.recv().expect("dispatcher died with admitted work queued")?
+            self.inner.execute_miss(&canonical, query, self.top, start)?
         };
         self.spent = self.spent.saturating_add(answer.stats.postings_scanned);
         let e2e = start.elapsed();
@@ -572,8 +550,7 @@ struct TcpShared {
 }
 
 impl TcpShared {
-    /// Starts TCP teardown exactly once: close the submission queue
-    /// (drain), wake the accept loop with a self-connect, and end every
+    /// Starts TCP teardown exactly once: close admission, wake the accept loop with a self-connect, and end every
     /// connection's read half so its thread can finish and exit. `stop` is
     /// set before the map is drained and the accept loop registers under
     /// the map's lock, so a connection is either drained here or never
@@ -610,16 +587,15 @@ impl TcpServeHandle {
     }
 
     /// Blocks until the server has stopped (via the `SHUTDOWN` verb or
-    /// [`shutdown`](Self::shutdown)): joins the accept loop, every
-    /// connection thread, and the dispatcher, then returns the final
-    /// counters.
+    /// [`shutdown`](Self::shutdown)): joins the accept loop and every
+    /// connection thread — each executes its own misses, so every admitted
+    /// query has been answered — then returns the final counters.
     pub fn wait(mut self) -> ServeSnapshot {
         if let Some(accept) = self.accept.take() {
             for conn in accept.join().expect("accept loop panicked") {
                 let _ = conn.join();
             }
         }
-        self.shared.server.join();
         self.shared.server.stats()
     }
 }
@@ -761,7 +737,7 @@ fn serve_connection(shared: &TcpShared, mut stream: &TcpStream) {
 }
 
 /// Builds one framed response and whether the connection should close
-/// afterwards. A served page is the dispatcher's reply as is.
+/// afterwards. A served page is the reply rendered at its miss, as is.
 fn respond(shared: &TcpShared, session: &mut ServeSession, request: Request) -> (Arc<[u8]>, bool) {
     match request {
         Request::Query { text } => match session.query(&text) {
@@ -971,7 +947,7 @@ mod tests {
         session.query("family").unwrap();
         let stats = server.stats();
         assert_eq!(stats.queries_served, 2);
-        assert!(stats.batches >= 1);
+        assert_eq!(stats.batches, 2, "one execution per distinct miss");
         assert!(stats.postings_scanned > 0);
     }
 }

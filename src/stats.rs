@@ -5,12 +5,12 @@
 //! Every metric lives in a [`MetricsRegistry`], so the whole
 //! set has a machine-readable exposition (the `METRICS` verb and the
 //! `/metrics` HTTP endpoint) for free; the typed [`ServeCounters`] struct
-//! keeps `Arc` handles to the hot metrics so the dispatcher, the
-//! admission path, and any number of connection threads record through
-//! one atomic op without ever touching the registry again. A snapshot
-//! reads one metric at a time, so a snapshot taken *while* traffic flows
-//! may mix instants — at any quiescent point it is exact (the same
-//! guarantee the workbench cache counters give).
+//! keeps `Arc` handles to the hot metrics so any number of sessions and
+//! connection threads record through one atomic op without ever touching
+//! the registry again. A snapshot reads one metric at a time, so a
+//! snapshot taken *while* traffic flows may mix instants — at any
+//! quiescent point it is exact (the same guarantee the workbench cache
+//! counters give).
 //!
 //! Latency histograms record nanoseconds. Per the serving contract,
 //! `queue_wait`, `execute`, and `e2e` are recorded **once per answered
@@ -111,8 +111,8 @@ impl ServeCounters {
         self.execute_ns.record(0);
     }
 
-    /// Records one cache lookup that missed (the query went on to the
-    /// submission queue).
+    /// Records one cache lookup that missed (the query went on to
+    /// admission and, if admitted, the shard pool).
     pub(crate) fn record_cache_miss(&self) {
         self.cache_misses.inc();
     }
@@ -122,7 +122,7 @@ impl ServeCounters {
         self.cache_evictions.add(evicted);
     }
 
-    /// Records one submission turned away by admission control.
+    /// Records one miss (or connection) turned away by admission control.
     pub(crate) fn record_overload_rejection(&self) {
         self.rejected_overload.inc();
     }
@@ -133,7 +133,8 @@ impl ServeCounters {
     }
 
     /// Records one query whose deadline elapsed before an answer could be
-    /// produced (checked at dispatch and again after execute).
+    /// produced (checked right before the broadcast and again after
+    /// execute).
     pub(crate) fn record_deadline_rejection(&self) {
         self.rejected_deadline.inc();
     }
@@ -146,8 +147,8 @@ impl ServeCounters {
         self.shard_restarts.add(restarts);
     }
 
-    /// Records how long one submission sat in the queue before the
-    /// dispatcher popped it (once per query).
+    /// Records how long one admitted miss waited for the shard pool's lock
+    /// (once per executed query).
     pub(crate) fn record_queue_wait(&self, wait: Duration) {
         self.queue_wait_ns.record_duration(wait);
     }
@@ -205,7 +206,8 @@ pub struct ServeSnapshot {
     pub batches: u64,
     /// One observation of 1 per execution (the `batch_size_hist` line).
     pub batch_size: HistogramSnapshot,
-    /// Submissions rejected by admission control (queue full or closed).
+    /// Misses rejected by admission control (capacity reached or server
+    /// shutting down), and connections over the cap.
     pub rejected_overload: u64,
     /// Queries rejected by a session budget.
     pub rejected_budget: u64,
@@ -225,7 +227,7 @@ pub struct ServeSnapshot {
     /// Queries answered straight from the result-page cache (each also
     /// counts in `queries_served`; the `coalesced_queries` line).
     pub cache_hits: u64,
-    /// Cache lookups that missed and went on to the submission queue.
+    /// Cache lookups that missed and went on to admission.
     pub cache_misses: u64,
     /// Result pages evicted to keep the cache inside its bounds.
     pub cache_evictions: u64,

@@ -91,8 +91,8 @@ fn shard_panic_on_third_batch_recovers_byte_identical() {
 
 /// A shard panic fails only the query whose broadcast panicked. Query A
 /// stalls shard 0 for 400 ms; meanwhile two other sessions submit distinct
-/// queries B and C, which therefore wait in the queue behind it. Shard 1's
-/// second call (the broadcast of whichever of B and C is popped first)
+/// queries B and C, which therefore wait for the pool behind it. Shard 1's
+/// second call (the broadcast of whichever of B and C takes the pool first)
 /// panics: that query gets `ShardFailed`, the other runs on the respawned
 /// pool and is byte-identical to sequential execution.
 #[test]
@@ -113,8 +113,8 @@ fn a_shard_panic_fails_only_the_key_whose_broadcast_panicked() {
             scope.spawn(move || server.session().query(text).map(|answer| answer.ranking.render(4)))
         };
         let first = query(a);
-        // The pause only puts A first in the queue; the 400 ms stall on
-        // shard 0 then keeps B and C queued behind it. Whatever the
+        // The pause only lets A take the pool first; the 400 ms stall on
+        // shard 0 then keeps B and C waiting behind it. Whatever the
         // timing, exactly one of B and C meets the panic: each is its own
         // broadcast, so a panic reaches no query but the one it hit.
         std::thread::sleep(Duration::from_millis(100));
@@ -131,6 +131,43 @@ fn a_shard_panic_fails_only_the_key_whose_broadcast_panicked() {
     let stats = server.stats();
     assert_eq!(stats.shard_failed, 1, "only the panicked key's member failed");
     assert_eq!(stats.shard_restarts, 1);
+    assert_eq!(stats.queries_served, 2);
+}
+
+/// Admission at a non-zero capacity: with `queue_capacity: 1` one miss may
+/// wait for the pool while another executes. Miss A stalls shard 0 for
+/// 400 ms; B arrives 100 ms later and waits; C arrives 100 ms after B and
+/// is turned away `Overloaded { depth: 1, capacity: 1 }` without executing.
+#[test]
+fn a_miss_beyond_the_admission_capacity_is_overloaded() {
+    let corpus = chaos_corpus(2);
+    let server = CorpusServer::start(
+        Arc::clone(&corpus),
+        ServeConfig {
+            queue_capacity: 1,
+            faults: FaultPlan::parse("slow_execute:0@1x400").unwrap(),
+            ..ServeConfig::default()
+        },
+    );
+    let sequential = |text: &str| corpus.query(text).unwrap().ranking().render(4);
+    let (a, b, c) = ("drama family", "comedy wedding", "action hero");
+    let [first, second, third] = std::thread::scope(|scope| {
+        let query = |text: &'static str| {
+            let server = &server;
+            scope.spawn(move || server.session().query(text).map(|answer| answer.ranking.render(4)))
+        };
+        let first = query(a);
+        std::thread::sleep(Duration::from_millis(100));
+        let second = query(b);
+        std::thread::sleep(Duration::from_millis(100));
+        [first, second, query(c)].map(|handle| handle.join().unwrap())
+    });
+    assert_eq!(first.unwrap(), sequential(a), "the executing miss is answered");
+    assert_eq!(second.unwrap(), sequential(b), "the waiting miss is answered");
+    let err = third.unwrap_err();
+    assert!(matches!(err, XsactError::Overloaded { depth: 1, capacity: 1 }), "{err}");
+    let stats = server.stats();
+    assert_eq!(stats.rejected_overload, 1);
     assert_eq!(stats.queries_served, 2);
 }
 

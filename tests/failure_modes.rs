@@ -84,7 +84,6 @@ fn a_query_of_200_distinct_terms_is_an_answer() {
     let answer = session.query(&text).unwrap();
     assert_eq!(answer.ranking.render(session.top()), ranking.render(session.top()));
     server.shutdown();
-    server.join();
 }
 
 fn figure1_like_workbench() -> Workbench {
@@ -447,7 +446,7 @@ fn deadline_and_shard_failure_are_typed_through_the_facade() {
     use std::time::Duration;
     use xsact::serve::FaultPlan;
 
-    // A zero deadline deterministically expires every query at dispatch.
+    // A zero deadline deterministically expires every query before its broadcast.
     let expired = CorpusServer::start(
         serve_corpus(),
         ServeConfig { deadline: Some(Duration::ZERO), ..ServeConfig::default() },

@@ -127,7 +127,6 @@ fn metrics_verb_and_http_endpoint_expose_the_same_live_registry() {
     assert!(scrape("/else").starts_with("HTTP/1.0 404 "), "unknown paths are 404");
 
     endpoint.shutdown();
-    server.join();
 }
 
 // ------------------------------------------------- conservation under load
@@ -153,7 +152,6 @@ fn concurrent_sessions_conserve_registry_totals_exactly() {
             });
         }
     });
-    server.join();
     let total = (CLIENTS * PER_CLIENT) as u64;
     let stats = server.stats();
     assert_eq!(stats.queries_served, total);

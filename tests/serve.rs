@@ -27,9 +27,9 @@ fn qm_mix() -> Vec<String> {
 /// The tentpole invariant, pinned: N concurrent client threads submitting a
 /// shuffled mix of QM1–QM8 receive responses byte-identical to sequential
 /// one-query-at-a-time execution — at 1, 2, and 8 shards, under whatever
-/// interleaving the dispatcher happens to see.
+/// interleaving the pool lock happens to grant.
 #[test]
-fn concurrent_batched_responses_match_sequential_bytes() {
+fn concurrent_responses_match_sequential_bytes() {
     const CLIENTS: u64 = 6;
     const PASSES: usize = 3;
     let k = 4; // ServeConfig::default().default_top
@@ -51,7 +51,7 @@ fn concurrent_batched_responses_match_sequential_bytes() {
                 scope.spawn(move || {
                     let mut session = server.session();
                     // Each client shuffles its own submission order, so the
-                    // dispatcher sees interleavings the oracle never ran.
+                    // pool runs interleavings the oracle never ran.
                     let mut rng = StdRng::seed_from_u64(client);
                     let mut order: Vec<usize> = (0..expected.len()).collect();
                     for i in (1..order.len()).rev() {
@@ -170,7 +170,6 @@ fn shutdown_drains_admitted_work_and_rejects_the_rest() {
         // Shut down mid-storm; admitted work must still be answered.
         server.shutdown();
     });
-    server.join();
     let stats = server.stats();
     assert_eq!(
         stats.queries_served + stats.rejected_overload,
@@ -373,7 +372,7 @@ fn cache_matrix_never_changes_bytes() {
                 );
             }
             if entries == 1024 {
-                // The dispatcher inserts before replying, so once a
+                // A miss inserts its page before it answers, so once a
                 // client has an answer the page is cached: only each
                 // client's first pass can miss a key.
                 assert!(
