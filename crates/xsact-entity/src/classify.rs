@@ -19,20 +19,22 @@
 //! behaves.
 //!
 //! Paths are interned: the summary builds a **trie of tag paths** — one
-//! [`PathId`] per distinct path, each holding the short list of its child
-//! paths (a document has tens of distinct tags, so finding a child is a
-//! scan of a few entries, not a hash probe) — and records each node's path
-//! id in a flat per-node table. Classifying a node is therefore two array
-//! lookups, and the `a/b/c` display string of a path is materialised once
-//! per *distinct* path instead of once per node.
+//! [`PathId`] per distinct path, its edges `(parent path, tag) → path` in
+//! one hash table — and records each node's path id in a flat per-node
+//! table. Classifying a node is therefore two array lookups, and the
+//! `a/b/c` display string of a path is materialised once per *distinct*
+//! path instead of once per node.
 //!
-//! Inference is one preorder pass that hashes nothing. "This tag repeats
-//! under one parent" is detected with a **stamp**: each path remembers the
-//! parent node it was last seen under, and meeting the same path under the
-//! same parent again is the repetition (between two siblings only their
-//! own descendants are visited, and those lie on longer paths).
+//! Inference is one preorder pass, one hash probe per element whatever the
+//! number of sibling paths. "This tag repeats under one parent" is detected
+//! with a **stamp**: each path remembers the parent node it was last seen
+//! under, and meeting the same path under the same parent again is the
+//! repetition (between two siblings only their own descendants are
+//! visited, and those lie on longer paths).
 
-use xsact_xml::{Document, NodeId, Sym};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use xsact_xml::{Document, NodeId};
 
 /// The inferred role of a node (more precisely, of its tag path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,14 +58,10 @@ impl PathId {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct PathData {
     /// The rendered `a/b/c` path — one `String` per distinct path.
     display: String,
-    /// The last tag of the path.
-    tag: Sym,
-    /// The paths one tag longer, in first-seen order.
-    children: Vec<PathId>,
     /// Did any parent hold two or more children with this tag?
     repeats: bool,
     /// Does any instance have an element child?
@@ -91,45 +89,38 @@ const NO_PATH: u32 = u32::MAX;
 impl StructureSummary {
     /// Infers the structural summary of `doc` in a single preorder pass.
     pub fn infer(doc: &Document) -> Self {
-        let mut paths: Vec<PathData> = Vec::new();
-        let mut node_paths = vec![NO_PATH; doc.len()];
+        let root = PathData { display: doc.tag(doc.root()).to_owned(), ..PathData::default() };
+        let mut paths = vec![root];
+        let mut node_paths = Vec::with_capacity(doc.len());
+        // The trie's edges, `(parent path) << 32 | tag` → path.
+        let mut edges: HashMap<u64, u32, BuildHasherDefault<EdgeHasher>> = HashMap::default();
         // Per path, the parent node it was last seen under.
-        let mut last_parent: Vec<u32> = Vec::new();
+        let mut last_parent = vec![NO_PATH];
         // Preorder guarantees a parent's path id exists before its children
         // are visited.
         for node in doc.all_nodes() {
-            let Some(tag) = doc.tag_sym(node) else { continue };
-            let tag_str = || doc.interner().resolve(tag);
-            let path = match doc.parent(node) {
-                None => {
-                    paths.push(PathData::new(tag_str().to_owned(), tag));
-                    last_parent.push(NO_PATH);
-                    0
-                }
-                Some(parent) => {
+            let path = match (doc.tag_sym(node), doc.parent(node)) {
+                (None, _) => NO_PATH,
+                (Some(_), None) => 0,
+                (Some(tag), Some(parent)) => {
                     let above = node_paths[parent.index()] as usize;
                     paths[above].internal = true;
-                    let known = paths[above].children.iter().find(|c| paths[c.index()].tag == tag);
-                    let path = match known {
-                        Some(child) => child.index(),
-                        None => {
-                            let display = format!("{}/{}", paths[above].display, tag_str());
-                            let child = paths.len();
-                            paths[above].children.push(PathId(child as u32));
-                            paths.push(PathData::new(display, tag));
-                            last_parent.push(NO_PATH);
-                            child
-                        }
-                    };
-                    let parent = parent.index() as u32;
+                    let key = (above as u64) << 32 | tag.index() as u64;
+                    let path = *edges.entry(key).or_insert_with(|| {
+                        let display = [&paths[above].display, "/", doc.tag(node)].concat();
+                        paths.push(PathData { display, ..PathData::default() });
+                        last_parent.push(NO_PATH);
+                        paths.len() as u32 - 1
+                    });
+                    let (path, parent) = (path as usize, parent.index() as u32);
                     if last_parent[path] == parent {
                         paths[path].repeats = true;
                     }
                     last_parent[path] = parent;
-                    path
+                    path as u32
                 }
             };
-            node_paths[node.index()] = path as u32;
+            node_paths.push(path);
         }
         StructureSummary { paths, node_paths }
     }
@@ -176,9 +167,23 @@ impl StructureSummary {
     }
 }
 
-impl PathData {
-    fn new(display: String, tag: Sym) -> PathData {
-        PathData { display, tag, children: Vec::new(), repeats: false, internal: false }
+/// The hash of an edge key: one multiply, its high half folded onto the low
+/// (path ids and tag symbols are small dense integers, which it spreads).
+#[derive(Default)]
+struct EdgeHasher(u64);
+
+impl Hasher for EdgeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = (self.0 ^ key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ h >> 32;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

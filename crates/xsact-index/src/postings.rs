@@ -73,18 +73,44 @@ impl PackedStore {
     }
 }
 
-/// Reads `width ≤ 32` bits at bit offset `bit_off` of `data`.
-#[inline]
-pub(crate) fn read_bits(data: &[u64], bit_off: u64, width: u32) -> u32 {
-    debug_assert!((1..=32).contains(&width));
-    let word = (bit_off / 64) as usize;
-    let shift = (bit_off % 64) as u32;
-    let mut v = data[word] >> shift;
-    if shift + width > 64 {
-        v |= data[word + 1] << (64 - shift);
+/// A frame's payload as its `width`-bit deltas, read through a rolling bit
+/// buffer: one word fetch per 64 bits. It fetches its first word at once,
+/// so build it only for a frame with a delta to read, and take count − 1.
+struct Deltas<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// Fetched bits not read yet, the next delta's lowest; `avail` of them.
+    acc: u64,
+    avail: u32,
+    width: u32,
+}
+
+impl<'a> Deltas<'a> {
+    /// The deltas of frame `g` of `store`, whose width is in `1..=32`.
+    fn new(store: &'a PackedStore, g: usize) -> Deltas<'a> {
+        let (off, width) = (store.frame_bit_off[g], u32::from(store.frame_width[g]));
+        let mut words = store.data[off as usize / 64..].iter();
+        let acc = words.next().map_or(0, |&word| word >> (off % 64));
+        Deltas { words, acc, avail: 64 - off % 64, width }
     }
-    let mask = if width == 32 { u64::from(u32::MAX) } else { (1u64 << width) - 1 };
-    (v & mask) as u32
+}
+
+impl Iterator for Deltas<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        let (w, mut d) = (self.width, self.acc);
+        if self.avail >= w {
+            self.acc >>= w;
+            self.avail -= w;
+        } else {
+            let next = *self.words.next()?;
+            d |= next << self.avail;
+            self.acc = next >> (w - self.avail);
+            self.avail += 64 - w;
+        }
+        Some((d & (u64::MAX >> (64 - w))) as u32)
+    }
 }
 
 /// Bits needed to store `x` (0 for `x == 0`).
@@ -428,34 +454,9 @@ impl<'a> PostingsRef<'a> {
                     *slot = first + i as u32;
                 }
             }
-            w if n > 1 => {
-                // Rolling bit buffer: one word fetch per 64 payload bits
-                // instead of a div/mod/shift recomputation per delta.
-                let w = u32::from(w);
-                let data = &self.store.data;
-                let off = u64::from(self.store.frame_bit_off[g]);
-                let mut word = (off / 64) as usize;
-                let shift = (off % 64) as u32;
-                let mut acc = data[word] >> shift;
-                let mut avail = 64 - shift;
-                word += 1;
-                let mask = if w == 32 { u64::from(u32::MAX) } else { (1u64 << w) - 1 };
+            _ if n > 1 => {
                 let mut prev = first;
-                for slot in &mut out[1..n] {
-                    let d = if avail >= w {
-                        let d = (acc & mask) as u32;
-                        acc >>= w;
-                        avail -= w;
-                        d
-                    } else {
-                        let next = data[word];
-                        word += 1;
-                        let d = ((acc | (next << avail)) & mask) as u32;
-                        let taken = w - avail;
-                        acc = next >> taken;
-                        avail = 64 - taken;
-                        d
-                    };
+                for (slot, d) in out[1..n].iter_mut().zip(Deltas::new(self.store, g)) {
                     prev = prev + d + 1;
                     *slot = prev;
                 }
@@ -499,24 +500,18 @@ impl<'a> PostingsRef<'a> {
     /// every id is a node of a document of `nodes` nodes, the ids increase
     /// strictly — across frame boundaries too — and no delta accumulates
     /// past `u32`. Inside a frame ids increase by construction (a delta
-    /// adds at least one), so each frame is streamed once for the sum of its
-    /// deltas and judged by its first and last id; nothing is allocated.
+    /// adds at least one), so each frame's [`Deltas`] are summed once and
+    /// the frame judged by its first and last id; nothing is allocated.
     pub(crate) fn validate(&self, nodes: usize) -> Result<(), ListFault> {
         let mut prev_last: Option<u32> = None;
         for f in 0..self.frame_count() {
             let gaps = self.count_in_frame(f) as u64 - 1;
             let g = self.first_frame as usize + f;
             let first = self.store.frame_first[g];
-            let span = match u32::from(self.store.frame_width[g]) {
-                0 => gaps,
-                w => {
-                    let off = u64::from(self.store.frame_bit_off[g]);
-                    (0..gaps)
-                        .map(|i| u64::from(read_bits(&self.store.data, off + i * u64::from(w), w)))
-                        .sum::<u64>()
-                        + gaps
-                }
-            };
+            let mut span = gaps;
+            if self.store.frame_width[g] > 0 && gaps > 0 {
+                span += Deltas::new(self.store, g).take(gaps as usize).map(u64::from).sum::<u64>();
+            }
             let last =
                 u32::try_from(u64::from(first) + span).map_err(|_| ListFault::DeltaOverflow)?;
             if first as usize >= nodes {
@@ -836,6 +831,160 @@ mod tests {
         let mut terms = Interner::new();
         terms.intern("t");
         InvertedIndex::pack(terms, vec![ids.iter().map(|&v| NodeId::from_index(v)).collect()])
+    }
+
+    /// Reads `width ≤ 32` bits at bit offset `bit_off` of `data`: the
+    /// per-entry read the validator made before it streamed a frame.
+    fn read_bits(data: &[u64], bit_off: u64, width: u32) -> u32 {
+        let word = (bit_off / 64) as usize;
+        let shift = (bit_off % 64) as u32;
+        let mut v = data[word] >> shift;
+        if shift + width > 64 {
+            v |= data[word + 1] << (64 - shift);
+        }
+        let mask = if width == 32 { u64::from(u32::MAX) } else { (1u64 << width) - 1 };
+        (v & mask) as u32
+    }
+
+    /// [`PostingsRef::validate`] as it was: one [`read_bits`] per delta.
+    /// The oracle of the streaming validator.
+    fn validate_oracle(list: &PostingsRef<'_>, nodes: usize) -> Result<(), ListFault> {
+        let mut previous: Option<u32> = None;
+        for f in 0..list.frame_count() {
+            let gaps = list.count_in_frame(f) as u64 - 1;
+            let g = list.first_frame as usize + f;
+            let first = list.store.frame_first[g];
+            let span = match u32::from(list.store.frame_width[g]) {
+                0 => gaps,
+                w => {
+                    let off = u64::from(list.store.frame_bit_off[g]);
+                    (0..gaps)
+                        .map(|i| u64::from(read_bits(&list.store.data, off + i * u64::from(w), w)))
+                        .sum::<u64>()
+                        + gaps
+                }
+            };
+            let last_id =
+                u32::try_from(u64::from(first) + span).map_err(|_| ListFault::DeltaOverflow)?;
+            if first as usize >= nodes {
+                return Err(ListFault::OutOfRange);
+            }
+            if previous.is_some_and(|previous| previous >= first) {
+                return Err(ListFault::OutOfOrder);
+            }
+            if last_id as usize >= nodes {
+                return Err(ListFault::OutOfRange);
+            }
+            previous = Some(last_id);
+        }
+        Ok(())
+    }
+
+    /// A frame as a loaded file may hold it: first id, entry count, width
+    /// and the deltas (the first `count - 1` are packed).
+    type Frame = (u32, usize, u32, Vec<u32>);
+
+    /// Packs frames of raw deltas payload behind payload, the arena cut at
+    /// the last payload word.
+    fn packed_frames(frames: &[Frame]) -> PackedStore {
+        let mut b = PackedBuilder::default();
+        for (first, count, width, deltas) in frames {
+            b.store.frame_first.push(*first);
+            b.store.frame_bit_off.push(b.bit_len as u32);
+            b.store.frame_width.push(*width as u8);
+            for &d in &deltas[..count - 1] {
+                b.push_bits(d, *width);
+            }
+        }
+        b.store
+    }
+
+    /// The streaming validator and the per-entry oracle give the same
+    /// verdict on random lists at every width — valid ones and ones that
+    /// overflow, leave the document or repeat an id across a frame
+    /// boundary — and at the edges a rolling buffer can get wrong.
+    #[test]
+    fn the_streaming_validator_judges_like_the_per_entry_reads() {
+        let mut state = 0x0bad_5eed_1234_5678u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Verdicts seen: valid, overflow, out of range, out of order.
+        let mut seen = [0usize; 4];
+        // The list is the frames from `first_frame` on; any before it
+        // belong to another list.
+        let mut judge = |frames: &[Frame], first_frame: usize, nodes: usize| {
+            let store = packed_frames(frames);
+            let len = frames[first_frame..].iter().map(|frame| frame.1).sum::<usize>() as u32;
+            let list = PostingsRef { store: &store, first_frame: first_frame as u32, len };
+            let verdict = list.validate(nodes);
+            assert_eq!(verdict, validate_oracle(&list, nodes), "{frames:?} over {nodes} nodes");
+            seen[match verdict {
+                Ok(()) => 0,
+                Err(ListFault::DeltaOverflow) => 1,
+                Err(ListFault::OutOfRange) => 2,
+                Err(ListFault::OutOfOrder) => 3,
+            }] += 1;
+        };
+        let full = |first: u32, width: u32, delta: u32| (first, FRAME, width, vec![delta; FRAME]);
+        for width in 1..=32u32 {
+            let top = u32::MAX >> (32 - width);
+            for _ in 0..48 {
+                // Up to three frames, all full but the last, with deltas
+                // below the width's ceiling and now and then at it.
+                let mut frames: Vec<_> = (0..1 + rng() % 3)
+                    .map(|_| {
+                        let deltas = (0..FRAME)
+                            .map(|_| if rng() % 8 == 0 { top } else { rng() as u32 & top })
+                            .collect::<Vec<_>>();
+                        ((rng() % 4096) as u32, FRAME, width, deltas)
+                    })
+                    .collect();
+                let last = frames.len() - 1;
+                frames[last].1 = 1 + (rng() % FRAME as u64) as usize;
+                // Mostly chain each frame behind the previous one, a few
+                // starting on its last id.
+                let mut next = 0u64;
+                for (first, count, _, deltas) in &mut frames {
+                    if next > 0 && rng() % 4 != 0 {
+                        let start = next - u64::from(rng() % 4 == 0);
+                        *first = u32::try_from(start).unwrap_or(u32::MAX);
+                    }
+                    let span: u64 = deltas[..*count - 1].iter().map(|&d| u64::from(d) + 1).sum();
+                    next = u64::from(*first) + span + 1;
+                }
+                // The last id as the node count, one above it, and others.
+                let last_id = next as usize - 1;
+                for nodes in [last_id, last_id + 1, last_id + 99, (rng() % 5000) as usize] {
+                    judge(&frames, 0, nodes);
+                }
+            }
+            // 64 deltas fill exactly `width` words: the payload ends on a
+            // word boundary and the stream must not fetch past it.
+            let words = (7, 65, width, vec![top; 65]);
+            judge(std::slice::from_ref(&words), 0, usize::MAX);
+            judge(&[(7, 65, width, vec![0; 65])], 0, 72);
+            // Single-entry frames at the end of the arena, one of them
+            // behind that whole-word payload, their ids equal to the node
+            // count or below it.
+            let tail = [full(0, width, 0), (FRAME as u32 + 5, 1, width, vec![top])];
+            judge(&tail, 0, FRAME + 5);
+            judge(&tail, 0, FRAME + 6);
+            judge(&[words, (9, 1, width, vec![top])], 1, 9);
+            judge(&[(9, 65, width, vec![0; 65]), (9, 1, width, vec![top])], 1, 10);
+            // A frame starting on the previous frame's last id.
+            judge(&[full(0, width, 0), (FRAME as u32 - 1, 1, width, vec![0])], 0, 4 * FRAME);
+        }
+        // Width-32 deltas that carry the ids past u32, and one that stops
+        // exactly on u32::MAX.
+        judge(&[(u32::MAX - 300, 3, 32, vec![u32::MAX; 3])], 0, usize::MAX);
+        judge(&[(1, FRAME, 32, vec![1 << 25; FRAME])], 0, usize::MAX);
+        judge(&[(0, 2, 32, vec![u32::MAX - 1])], 0, usize::MAX);
+        judge(&[(0, 2, 32, vec![u32::MAX])], 0, usize::MAX);
+        assert!(seen.iter().all(|&n| n > 10), "verdicts seen: {seen:?}");
     }
 
     /// Packs raw ids as a single-term index and returns the decoded list.

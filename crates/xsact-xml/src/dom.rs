@@ -69,9 +69,9 @@
 //! ```
 //!
 //! [`Document::read_image`] measures every section against the bytes
-//! present before it allocates, sizes each array exactly, and derives
-//! `parent` and the element count in the one stack pass that checks the
-//! shape, so a document it returns is one the builders could have built:
+//! present before it allocates, sizes each array exactly, checks the marks,
+//! and derives `parent` and the element count in one stack pass over the
+//! rest, so a document it returns is one the builders could have built:
 //!
 //! * node 0 is an element whose extent is the whole array (a single
 //!   root); every other extent satisfies `end[i] > i` and lies inside its
@@ -750,11 +750,11 @@ impl Document {
         let kind = r.u32s(n)?;
         let mark = r.u32s(n)?;
         r.u32()?;
-        let attrs: Vec<AttrRecord> = r
-            .take(16 * attr_count)?
-            .chunks_exact(16)
+        let (records, _) = r.take(16 * attr_count)?.as_chunks::<16>();
+        let attrs: Vec<AttrRecord> = records
+            .iter()
             .map(|record| {
-                let field = |i: usize| u32_at(&record[4 * i..]);
+                let field = |i: usize| u32::from_le_bytes(record.as_chunks().0[i]);
                 AttrRecord {
                     owner: field(0),
                     name: Sym::from_raw(field(1)),
@@ -767,30 +767,31 @@ impl Document {
         let text = std::str::from_utf8(r.take(text_len)?)
             .map_err(|_| bad_image("the text arena is not UTF-8"))?;
 
-        // One stack pass over the nodes checks the shape and derives what
-        // the image leaves out.
-        let names = names as u32;
+        // Marks first, in passes of their own: they start at 0, never
+        // decrease, stay inside the arena and fall on char boundaries.
         let text_end = text.len() as u32;
-        let mut parent = Vec::with_capacity(n);
-        let mut open: Vec<u32> = Vec::new();
+        let sorted = mark.windows(2).fold(mark[0] == 0, |ok, w| ok & (w[0] <= w[1]));
+        if !sorted || !mark.iter().all(|&at| text.is_char_boundary(at as usize)) {
+            return Err(bad_image("marks are not monotone char boundaries of the arena"));
+        }
+        // Then one stack pass checks the rest and derives what the image omits.
+        let names = names as u32;
+        let mut parent = vec![0; n];
+        // The open elements, `(id, extent)`, innermost at `depth - 1`, over
+        // the root's parent: the whole array, whose extent no id reaches.
+        let mut open = [(NONE, n as u32); MAX_DEPTH + 1];
+        let mut depth = 1;
         let mut element_count = 0;
         let mut next_attr = 0;
-        for i in 0..n {
+        for (i, ((up, &extent), &k)) in parent.iter_mut().zip(&end).zip(&kind).enumerate() {
             let id = i as u32;
-            let (extent, k, at) = (end[i], kind[i], mark[i]);
-            while open.last().is_some_and(|&top| end[top as usize] <= id) {
-                open.pop();
+            while open[depth - 1].1 <= id {
+                depth -= 1;
             }
-            // Only the root has no open element around it: its extent is
-            // the whole array.
-            let up = open.last().copied().unwrap_or(NONE);
-            let inside = if i == 0 { extent as usize == n } else { extent <= end[up as usize] };
-            if extent <= id || !inside {
+            let up_end;
+            (*up, up_end) = open[depth - 1];
+            if extent <= id || extent > up_end || (i == 0 && extent != up_end) {
                 return Err(bad_image("a subtree extent is not nested in its parent's"));
-            }
-            let window_end = mark.get(i + 1).copied().unwrap_or(text_end);
-            if (i == 0 && at != 0) || at > window_end || !text.is_char_boundary(at as usize) {
-                return Err(bad_image("marks are not monotone char boundaries of the arena"));
             }
             if k == NONE {
                 if i == 0 || extent != id + 1 {
@@ -801,12 +802,14 @@ impl Document {
                     return Err(bad_image("an element's kind is not a known name"));
                 }
                 element_count += 1;
-                open.push(id);
-                if open.len() > MAX_DEPTH {
+                if depth > MAX_DEPTH {
                     return Err(bad_image("elements nest deeper than MAX_DEPTH"));
                 }
+                open[depth] = (id, extent);
+                depth += 1;
                 // The element's records tile its window of the arena.
-                let mut cursor = at;
+                let window_end = mark.get(i + 1).copied().unwrap_or(text_end);
+                let mut cursor = mark[i];
                 while let Some(a) = attrs.get(next_attr).filter(|a| a.owner == id) {
                     let value_end = a.start.checked_add(a.len).filter(|&e| e <= window_end);
                     let Some(value_end) = value_end.filter(|_| a.start == cursor) else {
@@ -827,7 +830,6 @@ impl Document {
             if attrs.get(next_attr).is_some_and(|a| a.owner <= id) {
                 return Err(bad_image("attribute records are out of order or on a text run"));
             }
-            parent.push(up);
         }
         if next_attr != attrs.len() {
             return Err(bad_image("an attribute record is owned by no node"));
@@ -893,10 +895,6 @@ fn write_u32s(w: &mut impl Write, values: &[u32]) -> io::Result<()> {
     Ok(())
 }
 
-fn u32_at(bytes: &[u8]) -> u32 {
-    u32::from_le_bytes(bytes[..4].try_into().expect("four bytes"))
-}
-
 /// Bounds-checked reader over a persisted image: running past the end is
 /// the typed [`io::ErrorKind::UnexpectedEof`] a short `read_exact` gives.
 /// `Copy`, so a reader can skim ahead and measure without moving the
@@ -947,7 +945,8 @@ impl<'a> ImageReader<'a> {
 
     /// The next `n` `u32` LE values, in a vector of exactly that size.
     fn u32s(&mut self, n: usize) -> io::Result<Vec<u32>> {
-        Ok(self.take(4usize.saturating_mul(n))?.chunks_exact(4).map(u32_at).collect())
+        let (words, _) = self.take(4usize.saturating_mul(n))?.as_chunks();
+        Ok(words.iter().map(|&word| u32::from_le_bytes(word)).collect())
     }
 }
 

@@ -128,8 +128,8 @@ impl fmt::Display for XsactError {
             XsactError::Io(e) => write!(f, "index persistence failed: {e}"),
             XsactError::Overloaded { depth, capacity } => write!(
                 f,
-                "server overloaded: submission queue holds {depth} of {capacity} entries; \
-                 back off and retry"
+                "server overloaded: {depth} misses already wait for the shard pool \
+                 (capacity {capacity}); back off and retry"
             ),
             XsactError::BudgetExceeded { spent, budget } => write!(
                 f,

@@ -203,10 +203,10 @@ fn loading_an_index_allocates_for_the_dictionary_and_nothing_per_list() {
 /// A warm boot decodes the document instead of parsing it: one block per
 /// array, each sized exactly from the image (`end`, `kind`, `mark`, the
 /// derived `parent`, attributes, text, the three of the name interner),
-/// the nesting stack's growth steps, the read buffer and the index's
-/// arrays — so the count is a constant that grows with neither the nodes
+/// the read buffer and the index's arrays (the nesting stack is a fixed
+/// array) — so the count is a constant that grows with neither the nodes
 /// nor the names and terms. On this document (24 names, 553 terms,
-/// 34 398 nodes) it is 21 blocks. The pin allows 24, and never more than
+/// 34 398 nodes) it is 19 blocks. The pin allows 24, and never more than
 /// names + terms: a per-name or per-term allocation fails it long before a
 /// per-node one.
 #[test]
@@ -222,6 +222,24 @@ fn a_warm_load_allocates_per_name_and_term_not_per_node() {
     assert!(loaded.len() as u64 > 50 * (names + terms), "{} nodes", loaded.len());
     assert!(blocks <= 24, "{blocks} blocks for {names} names and {terms} terms");
     assert!(blocks <= names + terms);
+}
+
+/// Every boot, warm or cold, infers each document's structure summary. The
+/// inference keeps per-path state in flat arrays and finds a node's path
+/// with one probe of a table sized by the paths, so what it allocates is
+/// the per-node path table, one display string per distinct path and the
+/// growth steps of the edge table and the per-path arrays: on this
+/// document (24 paths, 34 398 nodes) 39 blocks. The pin allows two a path
+/// and 16 more; a block per node, per name occurrence or per sibling path
+/// fails it.
+#[test]
+fn inferring_the_summary_allocates_per_path_not_per_node() {
+    let doc = xsact::xml::parse_document(&movies_xml()).unwrap();
+    let (summary, blocks) = counted(|| StructureSummary::infer(&doc));
+    let paths = doc.all_nodes().filter_map(|n| summary.path_id_of(n)).map(|p| p.index()).max();
+    let paths = paths.map_or(0, |last| last as u64 + 1);
+    assert!(doc.len() as u64 > 500 * paths, "{} nodes for {paths} paths", doc.len());
+    assert!(blocks <= 2 * paths + 16, "{blocks} blocks for {paths} paths");
 }
 
 /// A cold boot builds one index per document. The build lexes text without
