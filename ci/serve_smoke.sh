@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Serve smoke lane: boot `xsact serve` on a loopback socket, drive it with
-# the scripted client, and golden-diff the responses. Five scenarios run
+# the scripted client, and golden-diff the responses. Six scenarios run
 # in sequence:
 #
 #   1. a normal server — scripted queries, diffed against serve_smoke.golden
@@ -13,13 +13,16 @@
 #   5. a --cache-entries 0 server vs the default — the same --repeat 3
 #      client script against both; outputs must be byte-identical (the
 #      cache never changes bytes, armed or disarmed)
+#   6. a --metrics-addr server — one scripted query, then a /metrics scrape
+#      over plain HTTP must equal the METRICS verb's body (values
+#      normalised as in phase 1)
 #
 # The script also greps the fault module for its disarmed early-return and
 # pins the XSACT_FAULTS read to that one module, so fault injection stays
 # one branch on the production hot path.
 #
 # The script builds nothing unless target/release/xsact is missing, so the
-# CI step can reuse the workspace build. Exit code 0 = all five passed.
+# CI step can reuse the workspace build. Exit code 0 = all six passed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,7 +84,7 @@ normalize() {
         -e 's/^\(\(queue_wait\|execute\|e2e\)_us count:[0-9]*\).*/\1 <quantiles>/'
 }
 
-echo "== serve smoke 1/5: scripted session vs golden =="
+echo "== serve smoke 1/6: scripted session vs golden =="
 start_server
 "$XSACT" client --addr "$ADDR" <<'EOF' >/tmp/serve_smoke.raw
 QUERY drama family
@@ -110,7 +113,7 @@ for metric in xsact_queue_wait_ns xsact_execute_ns xsact_e2e_ns; do
 done
 echo "golden diff clean; latency histogram counts match queries served"
 
-echo "== serve smoke 2/5: session budget rejects the second query =="
+echo "== serve smoke 2/6: session budget rejects the second query =="
 start_server --budget 1
 "$XSACT" client --addr "$ADDR" <<'EOF' >/tmp/serve_budget.out
 QUERY drama family
@@ -130,7 +133,7 @@ grep -q '^ERR BUDGET_EXCEEDED ' /tmp/serve_budget.out || {
 }
 echo "budget rejection surfaced"
 
-echo "== serve smoke 3/5: zero-capacity queue rejects as overloaded =="
+echo "== serve smoke 3/6: zero-capacity queue rejects as overloaded =="
 start_server --queue 0
 "$XSACT" client --addr "$ADDR" <<'EOF' >/tmp/serve_overload.out
 QUERY drama family
@@ -144,7 +147,7 @@ grep -q '^ERR OVERLOADED ' /tmp/serve_overload.out || {
 }
 echo "overload rejection surfaced"
 
-echo "== serve smoke 4/5: injected shard panic is typed and recovered =="
+echo "== serve smoke 4/6: injected shard panic is typed and recovered =="
 # shard_panic@2 fires during the first broadcast (both shards hit the
 # counter once); which shard wins the race varies, so shard numbers in
 # the ERR line are normalized before the diff. Everything after the
@@ -184,7 +187,7 @@ grep -q '^xsact_cache_misses 2$' /tmp/serve_chaos.raw || {
 }
 echo "shard panic surfaced as ERR SHARD_FAILED; recovery matched the golden"
 
-echo "== serve smoke 5/5: disarmed cache is byte-identical =="
+echo "== serve smoke 5/6: disarmed cache is byte-identical =="
 # The same --repeat 3 script against the default (cached) server and a
 # --cache-entries 0 server: repeats are hits on one and fresh executions
 # on the other, and the client-visible bytes must not differ.
@@ -209,6 +212,44 @@ if ! diff -u /tmp/serve_cached.out /tmp/serve_uncached.out; then
 fi
 echo "cache on/off outputs byte-identical"
 
+echo "== serve smoke 6/6: the /metrics endpoint serves the METRICS body =="
+start_server --metrics-addr 127.0.0.1:0
+METRICS_ADDR=$(sed -n 's|^metrics on http://\(.*\)/metrics$|\1|p' "$SERVER_LOG")
+[[ -n "$METRICS_ADDR" ]] || {
+    echo "FAIL: --metrics-addr printed no 'metrics on' line; log:" >&2
+    cat "$SERVER_LOG" >&2
+    exit 1
+}
+"$XSACT" client --addr "$ADDR" <<'EOF' >/tmp/serve_metrics_verb.raw
+QUERY drama family
+METRICS
+EOF
+# One HTTP/1.0 request over bash's /dev/tcp; the endpoint closes after
+# its one response, so the read ends at EOF.
+exec 3<>"/dev/tcp/${METRICS_ADDR%:*}/${METRICS_ADDR##*:}"
+printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3
+tr -d '\r' <&3 >/tmp/serve_metrics_http.raw
+exec 3<&-
+"$XSACT" client --addr "$ADDR" <<<SHUTDOWN >/dev/null
+finish_server >/dev/null
+head -n 1 /tmp/serve_metrics_http.raw | grep -qx 'HTTP/1.0 200 OK' || {
+    echo "FAIL: the /metrics scrape was not answered 200 OK" >&2
+    cat /tmp/serve_metrics_http.raw >&2
+    exit 1
+}
+sed '1,/^OK metrics$/d' /tmp/serve_metrics_verb.raw | normalize >/tmp/serve_metrics_verb.out
+sed '1,/^$/d' /tmp/serve_metrics_http.raw | normalize >/tmp/serve_metrics_http.out
+grep -q '^xsact_queries_served 1$' /tmp/serve_metrics_verb.out || {
+    echo "FAIL: the METRICS verb should count the one scripted query" >&2
+    cat /tmp/serve_metrics_verb.raw >&2
+    exit 1
+}
+if ! diff -u /tmp/serve_metrics_verb.out /tmp/serve_metrics_http.out; then
+    echo "FAIL: the /metrics scrape differs from the METRICS verb's body" >&2
+    exit 1
+fi
+echo "/metrics scrape equals the METRICS verb's body"
+
 echo "== zero-cost guards: disarmed faults stay one branch =="
 grep -q 'self.0.as_ref()?' src/fault.rs || {
     echo "FAIL: FaultPlan::should_fire lost its disarmed early-return" >&2
@@ -222,4 +263,4 @@ if [[ "$FAULT_READERS" != "src/fault.rs" ]]; then
 fi
 echo "guards held"
 
-echo "serve smoke: all five scenarios passed"
+echo "serve smoke: all six scenarios passed"

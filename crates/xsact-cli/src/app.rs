@@ -338,13 +338,12 @@ pub fn run_serve(args: &ServeArgs) -> Result<String, XsactError> {
         faults,
     };
     let server = CorpusServer::start(Arc::clone(&corpus), config);
-    let registry = server.metrics_registry();
-    let handle = serve_tcp(server, &args.addr)?;
     // The HTTP endpoint scrapes the same registry the METRICS verb reads.
     let metrics = match &args.metrics_addr {
-        Some(addr) => Some(xsact::obs::serve_metrics(registry, addr)?),
+        Some(addr) => Some(server.serve_metrics(addr)?),
         None => None,
     };
+    let handle = serve_tcp(server, &args.addr)?;
     println!(
         "xsact-serve: {} documents, {} shards (effective {}), queue {}, top {}{}",
         corpus.len(),

@@ -22,9 +22,9 @@ use crate::plan::{ExecutorStats, QueryPlan};
 use crate::postings::InvertedIndex;
 use crate::query::Query;
 use crate::rank::{rank_results, ScoredResult, Scorer, TopK};
+use crate::trace::{Span, TraceSink};
 use std::collections::HashMap;
 use xsact_entity::{extract_features, NodeClass, ResultFeatures, StructureSummary};
-use xsact_obs::TraceSink;
 use xsact_xml::{writer, Document, NodeId};
 
 /// Which lowest-common-ancestor semantics defines a keyword match. SLCA is
@@ -62,7 +62,7 @@ pub struct RankedRoot {
 }
 
 /// Annotates a `plan` span with the plan's shape.
-fn note_plan(span: &mut xsact_obs::Span<'_>, plan: &QueryPlan<'_>) {
+fn note_plan(span: &mut Span<'_>, plan: &QueryPlan<'_>) {
     span.note("lists", plan.num_lists() as u64);
     if !plan.is_empty() {
         span.note("driver_postings", plan.driver_len() as u64);
@@ -71,7 +71,7 @@ fn note_plan(span: &mut xsact_obs::Span<'_>, plan: &QueryPlan<'_>) {
 }
 
 /// Annotates a `slca-stream` span with the executor counters it produced.
-fn note_stream(span: &mut xsact_obs::Span<'_>, stats: ExecutorStats, streamed: usize) {
+fn note_stream(span: &mut Span<'_>, stats: ExecutorStats, streamed: usize) {
     span.note("postings_scanned", stats.postings_scanned);
     span.note("gallop_probes", stats.gallop_probes);
     span.note("streamed", streamed as u64);

@@ -20,7 +20,9 @@
 //!   including the bounded [`SearchEngine::search_top_k`] executor behind
 //!   every `take(k)`-style caller,
 //! * [`persist`] — the `.xidx` image: a parsed document and its index in
-//!   one validated file, keyed by a digest of the XML it came from.
+//!   one validated file, keyed by a digest of the XML it came from,
+//! * [`trace`] — per-query stage spans the engine records when a caller
+//!   passes it a [`trace::TraceSink`].
 
 #![forbid(unsafe_code)]
 
@@ -32,6 +34,7 @@ pub mod postings;
 pub mod query;
 pub mod rank;
 pub mod slca;
+pub mod trace;
 
 pub use engine::{RankedRoot, ResultSemantics, SearchEngine, SearchResult};
 pub use lexer::tokenize;

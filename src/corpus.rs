@@ -53,8 +53,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{self, AtomicU64};
 use std::sync::Arc;
 use xsact_data::movies::{MovieGenConfig, MoviesGen};
+use xsact_index::trace::TraceSink;
 use xsact_index::{ExecutorStats, Query, RankedRoot, ScoredResult, SearchEngine, SearchResult};
-use xsact_obs::TraceSink;
 use xsact_xml::{Document, NodeId};
 
 pub use crate::selection::CorpusQuery;

@@ -22,7 +22,7 @@ use std::time::Duration;
 /// Number of buckets: √2-spaced boundaries cover `1 ..= 2^31.5` (≈ 3 s in
 /// nanoseconds); the last bucket is open-ended and the maximum is tracked
 /// exactly alongside.
-pub const HIST_BUCKETS: usize = 64;
+pub(crate) const HIST_BUCKETS: usize = 64;
 
 /// Bucket index of `value`: bucket `i` covers `[2^(i/2), 2^((i+1)/2))`,
 /// clamped into the last bucket.
@@ -64,22 +64,16 @@ fn ceil_sqrt(n: u128) -> u64 {
 
 /// A lock-free log-bucketed histogram; see the module docs.
 #[derive(Debug)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     buckets: [AtomicU64; HIST_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Histogram {
+    pub(crate) fn new() -> Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
@@ -89,7 +83,7 @@ impl Histogram {
     }
 
     /// Records one observation (wait-free, relaxed).
-    pub fn record(&self, value: u64) {
+    pub(crate) fn record(&self, value: u64) {
         self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
@@ -97,18 +91,13 @@ impl Histogram {
     }
 
     /// Records a duration in nanoseconds (saturating past ~584 years).
-    pub fn record_duration(&self, d: Duration) {
+    pub(crate) fn record_duration(&self, d: Duration) {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// A point-in-time copy; quantiles are answered from the copy so one
     /// consistent view backs a whole `p50/p90/p99` line.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
             count: self.count.load(Ordering::Relaxed),
@@ -122,7 +111,7 @@ impl Histogram {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts (see [`HIST_BUCKETS`]).
-    pub buckets: [u64; HIST_BUCKETS],
+    pub(crate) buckets: [u64; HIST_BUCKETS],
     /// Total observations.
     pub count: u64,
     /// Sum of all recorded values (wraps only after 2^64 total).
@@ -140,7 +129,7 @@ impl Default for HistogramSnapshot {
 impl HistogramSnapshot {
     /// Nearest-rank quantile (`q` in `[0, 1]`), reported as the holding
     /// bucket's floor clamped to the exact maximum; `0` when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -156,24 +145,19 @@ impl HistogramSnapshot {
     }
 
     /// Median.
-    pub fn p50(&self) -> u64 {
+    pub(crate) fn p50(&self) -> u64 {
         self.quantile(0.50)
     }
 
     /// 99th percentile.
-    pub fn p99(&self) -> u64 {
+    pub(crate) fn p99(&self) -> u64 {
         self.quantile(0.99)
-    }
-
-    /// Mean of the recorded values (`0` when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// The `count p50 p99 max` one-liner used by human-facing summaries,
     /// with values scaled by `div` (e.g. `1_000` renders nanoseconds as
     /// microseconds).
-    pub fn summary_line(&self, div: u64) -> String {
+    pub(crate) fn summary_line(&self, div: u64) -> String {
         let div = div.max(1);
         if self.count == 0 {
             return "-".to_owned();
@@ -270,8 +254,20 @@ mod tests {
     #[test]
     fn empty_histogram_reports_zeroes() {
         let s = Histogram::new().snapshot();
-        assert_eq!((s.count, s.p50(), s.p99(), s.max, s.mean()), (0, 0, 0, 0, 0));
+        assert_eq!((s.count, s.sum, s.p50(), s.p99(), s.max), (0, 0, 0, 0, 0));
         assert_eq!(s.summary_line(1), "-");
+    }
+
+    #[test]
+    fn zero_observations_report_zero_quantiles() {
+        // Zero shares bucket 0 with one, whose floor is 1: only the clamp to
+        // the exact maximum keeps a cache hit's zero queue wait from
+        // reading as 1 ns.
+        let h = Histogram::new();
+        h.record(0);
+        h.record(0);
+        let s = h.snapshot();
+        assert_eq!((s.p50(), s.quantile(0.9), s.p99(), s.max), (0, 0, 0, 0));
     }
 
     #[test]

@@ -61,7 +61,10 @@ impl Drop for MetricsServer {
 /// Binds `addr` (port 0 for ephemeral) and serves `registry`'s exposition
 /// at `GET /metrics`, one short-lived connection at a time — metrics
 /// scrapes are rare and tiny, so a second thread would buy nothing.
-pub fn serve_metrics(registry: Arc<MetricsRegistry>, addr: &str) -> io::Result<MetricsServer> {
+pub(crate) fn serve_metrics(
+    registry: Arc<MetricsRegistry>,
+    addr: &str,
+) -> io::Result<MetricsServer> {
     serve_metrics_impl(registry, addr, SCRAPE_TIMEOUT)
 }
 

@@ -50,7 +50,8 @@
 //!
 //! * [`xml`] — XML substrate: parser, preorder-id DOM, writer.
 //! * [`index`] — keyword search engine (XSeek-style): inverted index,
-//!   SLCA, result construction, ranking, persistence.
+//!   SLCA, result construction, ranking, persistence, and the per-query
+//!   traces ([`index::trace`]) its stages record.
 //! * [`entity`] — result processor: entity identification and feature
 //!   extraction.
 //! * [`core`] — the paper's contribution: Differentiation Feature Sets,
@@ -62,7 +63,9 @@
 //! query over many workbenches on private modules for the shard plan,
 //! the scoped-thread fan-out and persistent shard pool, and the k-way
 //! merge. The [`serve`] module builds on them with private modules for
-//! the result-page cache, the server counters and the fault plan: a
+//! the result-page cache, the server counters with their histograms and
+//! metrics registry, the `/metrics` endpoint
+//! ([`CorpusServer::serve_metrics`]) and the fault plan: a
 //! long-lived [`CorpusServer`] whose sessions each broadcast to its pool
 //! once per executed miss, on their own threads, and whose pooling and
 //! caching never change result bytes. Its wire format, the line
@@ -75,8 +78,11 @@ mod cache;
 pub mod corpus;
 pub mod error;
 mod fault;
+mod hist;
+mod http;
 mod merge;
 mod pool;
+mod registry;
 mod selection;
 pub mod serve;
 mod shard;
@@ -92,7 +98,6 @@ pub use xsact_core as core;
 pub use xsact_data as data;
 pub use xsact_entity as entity;
 pub use xsact_index as index;
-pub use xsact_obs as obs;
 pub use xsact_xml as xml;
 
 pub use xsact_core::Algorithm;
@@ -111,7 +116,7 @@ pub mod prelude {
     pub use crate::workbench::{CacheStats, Workbench};
     pub use xsact_core::{Algorithm, ComparisonOutcome, DfsConfig};
     pub use xsact_entity::{extract_features, FeatureType, ResultFeatures, StructureSummary};
+    pub use xsact_index::trace::{QueryTrace, TraceSink};
     pub use xsact_index::{ExecutorStats, Query, ResultSemantics, SearchEngine, SearchResult};
-    pub use xsact_obs::{MetricsRegistry, QueryTrace, TraceSink};
     pub use xsact_xml::{parse_document, Document};
 }

@@ -20,21 +20,21 @@ use std::sync::{Arc, RwLock};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+pub(crate) struct Counter(AtomicU64);
 
 impl Counter {
     /// Adds one.
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.add(1);
     }
 
     /// Adds `n`.
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -48,13 +48,13 @@ enum Metric {
 
 /// A registry of named counters and histograms; see the module docs.
 #[derive(Debug, Default)]
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     metrics: RwLock<BTreeMap<String, Metric>>,
 }
 
 impl MetricsRegistry {
     /// An empty registry.
-    pub fn new() -> MetricsRegistry {
+    pub(crate) fn new() -> MetricsRegistry {
         MetricsRegistry::default()
     }
 
@@ -63,7 +63,7 @@ impl MetricsRegistry {
     /// # Panics
     /// If `name` is already registered as a different metric kind — a
     /// naming bug, not a runtime condition.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
+    pub(crate) fn counter(&self, name: &str) -> Arc<Counter> {
         match self.get_or_insert(name, || Metric::Counter(Arc::new(Counter::default()))) {
             Metric::Counter(c) => c,
             other => panic!("metric {name:?} already registered as {}", kind(&other)),
@@ -72,7 +72,7 @@ impl MetricsRegistry {
 
     /// The histogram named `name`, registering it on first use (same
     /// kind-clash panic as [`counter`](Self::counter)).
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+    pub(crate) fn histogram(&self, name: &str) -> Arc<Histogram> {
         match self.get_or_insert(name, || Metric::Histogram(Arc::new(Histogram::new()))) {
             Metric::Histogram(h) => h,
             other => panic!("metric {name:?} already registered as {}", kind(&other)),
@@ -90,7 +90,7 @@ impl MetricsRegistry {
     /// The full exposition: every metric in name order, each preceded by a
     /// `# TYPE` line. Ends with a newline. Stable modulo the values — the
     /// CI smoke test diffs the shape with values normalised.
-    pub fn expose(&self) -> String {
+    pub(crate) fn expose(&self) -> String {
         let metrics = self.metrics.read().expect("metrics lock poisoned");
         let mut out = String::new();
         for (name, metric) in metrics.iter() {
@@ -132,7 +132,7 @@ mod tests {
         r.counter("xsact_requests").inc();
         assert_eq!(r.counter("xsact_requests").get(), 3);
         r.histogram("xsact_lat_ns").record(10);
-        assert_eq!(r.histogram("xsact_lat_ns").count(), 1);
+        assert_eq!(r.histogram("xsact_lat_ns").snapshot().count, 1);
     }
 
     #[test]

@@ -38,8 +38,8 @@ use std::cell::OnceCell;
 use std::sync::Arc;
 use xsact_core::{Algorithm, ComparisonOutcome, DfsConfig, Instance};
 use xsact_entity::ResultFeatures;
+use xsact_index::trace::TraceSink;
 use xsact_index::{Query, ResultSemantics};
-use xsact_obs::TraceSink;
 
 /// A query over one or more documents: builder methods refine *how* it
 /// lists ([`ranked`](Self::ranked)), *which* results enter the comparison

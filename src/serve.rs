@@ -86,18 +86,20 @@ use crate::corpus::{
     execute_shard, merge_shard_lists, Corpus, CorpusHit, CorpusRanking, DEFAULT_TOP,
 };
 use crate::error::{XsactError, XsactResult};
+use crate::hist::Histogram;
+use crate::http::{self, MetricsServer};
 use crate::pool::ShardPool;
 use crate::shard::ShardPlan;
 use crate::stats::ServeCounters;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use xsact_index::trace::format_nanos;
 use xsact_index::{ExecutorStats, Query};
-use xsact_obs::{format_nanos, Histogram, MetricsRegistry};
 use xsact_serve::{err_line, LineBuffer, Request};
 
 pub use crate::fault::FaultPlan;
@@ -297,11 +299,13 @@ impl CorpusServer {
         self.inner.counters.exposition()
     }
 
-    /// The server's metrics registry — shareable with an
-    /// [`xsact_obs::serve_metrics`] HTTP endpoint so scrapes see live
-    /// values.
-    pub fn metrics_registry(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(self.inner.counters.registry())
+    /// Binds `addr` (port 0 for ephemeral) and serves [`metrics`] at
+    /// `GET /metrics` over plain HTTP, live, until the returned endpoint
+    /// is shut down or dropped.
+    ///
+    /// [`metrics`]: CorpusServer::metrics
+    pub fn serve_metrics(&self, addr: &str) -> io::Result<MetricsServer> {
+        http::serve_metrics(Arc::clone(self.inner.counters.registry()), addr)
     }
 
     /// Begins shutdown: admission closes (new misses rejected), misses
@@ -855,6 +859,21 @@ mod tests {
         assert_eq!(stats.rejected_deadline, 1);
         assert_eq!(stats.queries_served, 0, "an expired query never executes");
         assert_eq!(stats.queue_wait_ns.count, 0, "histograms record answered queries only");
+    }
+
+    #[test]
+    fn a_query_one_and_a_half_deadlines_old_is_rejected() {
+        let deadline = Duration::from_millis(100);
+        let server = CorpusServer::start(
+            test_corpus(1),
+            ServeConfig { deadline: Some(deadline), ..ServeConfig::default() },
+        );
+        let submitted = Instant::now()
+            .checked_sub(deadline * 3 / 2)
+            .expect("the monotonic clock reaches 150 ms back");
+        let err = server.inner.check_deadline(submitted).unwrap_err();
+        assert!(matches!(err, XsactError::DeadlineExceeded { deadline_ms: 100, .. }), "{err}");
+        assert_eq!(server.stats().rejected_deadline, 1);
     }
 
     #[test]

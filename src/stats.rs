@@ -18,10 +18,11 @@
 //! each histogram's count equals `queries_served` at any quiescent point
 //! — the CI smoke test pins it.
 
+use crate::hist::{Histogram, HistogramSnapshot};
+use crate::registry::{Counter, MetricsRegistry};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
-use xsact_obs::{Counter, Histogram, HistogramSnapshot, MetricsRegistry};
 
 /// Typed handles over the serving metrics registry; see the module docs.
 #[derive(Debug)]

@@ -42,8 +42,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use xsact_core::DfsConfig;
 use xsact_entity::ResultFeatures;
+use xsact_index::trace::TraceSink;
 use xsact_index::{ExecutorStats, Query, RankedRoot, ScoredResult, SearchEngine, SearchResult};
-use xsact_obs::TraceSink;
 use xsact_xml::{parse_document, Document, NodeId};
 
 /// Hit/miss counters of the workbench's feature cache.

@@ -8,7 +8,6 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use xsact::data::movies::qm_queries;
-use xsact::obs::serve_metrics;
 use xsact::prelude::*;
 use xsact::serve::{CorpusServer, ServeConfig};
 
@@ -94,8 +93,7 @@ fn tracing_never_changes_corpus_bytes_at_any_shard_count() {
 fn metrics_verb_and_http_endpoint_expose_the_same_live_registry() {
     let corpus = Arc::new(Corpus::synthetic_movies(4, 30, 42).with_shards(2));
     let server = CorpusServer::start(Arc::clone(&corpus), ServeConfig::default());
-    let mut endpoint =
-        serve_metrics(server.metrics_registry(), "127.0.0.1:0").expect("binds an ephemeral port");
+    let mut endpoint = server.serve_metrics("127.0.0.1:0").expect("binds an ephemeral port");
 
     let mut session = server.session();
     session.query("drama family").unwrap();
