@@ -168,7 +168,7 @@ if ! diff -u ci/serve_chaos.golden /tmp/serve_chaos.out; then
     exit 1
 fi
 grep -q '^xsact_shard_restarts 1$' /tmp/serve_chaos.raw || {
-    echo "FAIL: the panicked worker should be respawned exactly once" >&2
+    echo "FAIL: the panicked shard should be recovered exactly once" >&2
     grep '^xsact_shard' /tmp/serve_chaos.raw >&2 || true
     exit 1
 }

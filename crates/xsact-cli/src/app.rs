@@ -338,7 +338,7 @@ pub fn run_serve(args: &ServeArgs) -> Result<String, XsactError> {
         faults,
     };
     let server = CorpusServer::start(Arc::clone(&corpus), config);
-    // The HTTP endpoint scrapes the same registry the METRICS verb reads.
+    // The HTTP endpoint scrapes the same counters the METRICS verb reads.
     let metrics = match &args.metrics_addr {
         Some(addr) => Some(server.serve_metrics(addr)?),
         None => None,

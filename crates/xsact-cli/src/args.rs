@@ -302,7 +302,9 @@ command! {
             "per-document index cache for --dir corpora";
         addr: String = "127.0.0.1:4141".to_owned(), "--addr" "<host:port>",
             "listen address (port 0 = ephemeral, printed)";
-        queue: usize = 64, "--queue" "<n>", "submission-queue capacity; 0 rejects all";
+        queue: usize = 64, "--queue" "<n>",
+            "most cache misses that may wait for the shard pool;\n\
+             0 rejects all";
         top: usize = 4, "--top" "<k>", "default per-session top-k (TOP verb resets)";
         budget: Option<u64> = None, "--budget" "<n>",
             "per-session budget in posting entries scanned\n\

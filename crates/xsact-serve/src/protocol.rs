@@ -34,7 +34,7 @@
 //! `INTERNAL`), messages are the facade's human-readable `Display` text.
 //! `OVERLOADED`, `DEADLINE_EXCEEDED`, and `SHARD_FAILED` are retryable:
 //! nothing (durable) was executed on the caller's behalf, and a
-//! `SHARD_FAILED` worker is respawned before the error line is written.
+//! `SHARD_FAILED` shard keeps serving after the panic it caught.
 
 /// The line ending every response: a lone `.`.
 pub const END_MARKER: &str = ".";

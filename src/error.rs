@@ -86,12 +86,12 @@ pub enum XsactError {
         /// The configured deadline in milliseconds.
         deadline_ms: u64,
     },
-    /// A shard worker panicked while executing this query. The worker has
-    /// been respawned from a fresh state factory, so a retry runs on a
+    /// A shard panicked while executing this query. The shard caught the
+    /// panic and keeps serving, so a retry runs on a
     /// healthy pool and is byte-identical to a fault-free run; no other
     /// query was affected.
     ShardFailed {
-        /// The shard whose worker panicked.
+        /// The shard that panicked.
         shard: usize,
         /// The panic payload's message.
         detail: String,

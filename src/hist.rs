@@ -71,9 +71,9 @@ pub(crate) struct Histogram {
     max: AtomicU64,
 }
 
-impl Histogram {
+impl Default for Histogram {
     /// An empty histogram.
-    pub(crate) fn new() -> Histogram {
+    fn default() -> Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
@@ -81,7 +81,9 @@ impl Histogram {
             max: AtomicU64::new(0),
         }
     }
+}
 
+impl Histogram {
     /// Records one observation (wait-free, relaxed).
     pub(crate) fn record(&self, value: u64) {
         self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
@@ -206,7 +208,7 @@ mod tests {
         // Batch sizes are small integers; the ones that are alone in their
         // bucket must report exactly.
         for v in [1u64, 2, 3, 4, 6, 8, 12, 16] {
-            let h = Histogram::new();
+            let h = Histogram::default();
             h.record(v);
             assert_eq!(h.snapshot().p50(), v, "p50 of a single {v}");
         }
@@ -224,7 +226,7 @@ mod tests {
             values.extend([half - 1, half, half + 1]);
         }
         values.extend([u64::MAX - 1, u64::MAX]);
-        let h = Histogram::new();
+        let h = Histogram::default();
         for &v in &values {
             h.record(v);
         }
@@ -239,7 +241,7 @@ mod tests {
 
     #[test]
     fn quantile_is_within_one_bucket_of_truth() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for v in 1..=1000u64 {
             h.record(v);
         }
@@ -253,7 +255,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_reports_zeroes() {
-        let s = Histogram::new().snapshot();
+        let s = Histogram::default().snapshot();
         assert_eq!((s.count, s.sum, s.p50(), s.p99(), s.max), (0, 0, 0, 0, 0));
         assert_eq!(s.summary_line(1), "-");
     }
@@ -263,7 +265,7 @@ mod tests {
         // Zero shares bucket 0 with one, whose floor is 1: only the clamp to
         // the exact maximum keeps a cache hit's zero queue wait from
         // reading as 1 ns.
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.record(0);
         h.record(0);
         let s = h.snapshot();
@@ -272,7 +274,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_conserves_totals() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         std::thread::scope(|scope| {
             for t in 0..8u64 {
                 let h = &h;
@@ -291,7 +293,7 @@ mod tests {
 
     #[test]
     fn summary_line_scales() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.record(4_096);
         let s = h.snapshot();
         assert_eq!(s.summary_line(1_000), "count:1 p50:4 p99:4 max:4");

@@ -11,7 +11,7 @@
 //! silent, or never ends its line, holds the endpoint (and a shutdown
 //! waiting on it) for one timeout, not forever.
 
-use crate::registry::MetricsRegistry;
+use crate::stats::ServeCounters;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -58,20 +58,17 @@ impl Drop for MetricsServer {
     }
 }
 
-/// Binds `addr` (port 0 for ephemeral) and serves `registry`'s exposition
+/// Binds `addr` (port 0 for ephemeral) and serves `counters`' exposition
 /// at `GET /metrics`, one short-lived connection at a time — metrics
 /// scrapes are rare and tiny, so a second thread would buy nothing.
-pub(crate) fn serve_metrics(
-    registry: Arc<MetricsRegistry>,
-    addr: &str,
-) -> io::Result<MetricsServer> {
-    serve_metrics_impl(registry, addr, SCRAPE_TIMEOUT)
+pub(crate) fn serve_metrics(counters: Arc<ServeCounters>, addr: &str) -> io::Result<MetricsServer> {
+    serve_metrics_impl(counters, addr, SCRAPE_TIMEOUT)
 }
 
 /// `timeout` is a parameter (not configuration) so the tests can wait out
 /// an idle client quickly.
 fn serve_metrics_impl(
-    registry: Arc<MetricsRegistry>,
+    counters: Arc<ServeCounters>,
     addr: &str,
     timeout: Duration,
 ) -> io::Result<MetricsServer> {
@@ -86,7 +83,7 @@ fn serve_metrics_impl(
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                let _ = handle_scrape(&registry, stream, timeout);
+                let _ = handle_scrape(&counters, stream, timeout);
             }
         })?
     };
@@ -94,11 +91,7 @@ fn serve_metrics_impl(
 }
 
 /// Reads one request, writes one response, closes.
-fn handle_scrape(
-    registry: &MetricsRegistry,
-    stream: TcpStream,
-    timeout: Duration,
-) -> io::Result<()> {
+fn handle_scrape(counters: &ServeCounters, stream: TcpStream, timeout: Duration) -> io::Result<()> {
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     let mut reader = BufReader::new(stream.try_clone()?.take(MAX_REQUEST_BYTES));
@@ -113,7 +106,7 @@ fn handle_scrape(
     let mut parts = request_line.split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     let response = if method == "GET" && path == "/metrics" {
-        let body = registry.expose();
+        let body = counters.exposition();
         format!(
             "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
              Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -144,12 +137,13 @@ mod tests {
 
     #[test]
     fn serves_the_exposition_and_404s_elsewhere() {
-        let registry = Arc::new(MetricsRegistry::new());
-        registry.counter("xsact_up").inc();
-        let mut server = serve_metrics(Arc::clone(&registry), "127.0.0.1:0").expect("bind");
+        let counters = Arc::new(ServeCounters::new(1));
+        counters.record_cache_hit();
+        let mut server = serve_metrics(Arc::clone(&counters), "127.0.0.1:0").expect("bind");
         let ok = scrape(server.addr(), "GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n");
         assert!(ok.starts_with("HTTP/1.0 200 OK"), "{ok}");
-        assert!(ok.contains("xsact_up 1"), "{ok}");
+        assert!(ok.contains("\nxsact_cache_hits 1\n"), "{ok}");
+        assert!(ok.contains("\nxsact_shard_0_busy_ns_count 0\n"), "{ok}");
         let missing = scrape(server.addr(), "GET /other HTTP/1.0\r\n\r\n");
         assert!(missing.starts_with("HTTP/1.0 404"), "{missing}");
         server.shutdown();
@@ -157,10 +151,10 @@ mod tests {
 
     #[test]
     fn an_idle_client_blocks_neither_scrapes_nor_shutdown() {
-        let registry = Arc::new(MetricsRegistry::new());
-        registry.counter("xsact_up").inc();
+        let counters = Arc::new(ServeCounters::new(1));
+        counters.record_cache_hit();
         let mut server =
-            serve_metrics_impl(registry, "127.0.0.1:0", Duration::from_millis(100)).expect("bind");
+            serve_metrics_impl(counters, "127.0.0.1:0", Duration::from_millis(100)).expect("bind");
         let addr = server.addr();
         let (done, finished) = std::sync::mpsc::channel();
         let client = std::thread::spawn(move || {
@@ -172,14 +166,14 @@ mod tests {
             done.send(ok).expect("test thread waits");
         });
         let ok = finished.recv_timeout(Duration::from_secs(20)).expect("scrape and shutdown hung");
-        assert!(ok.contains("xsact_up 1"), "{ok}");
+        assert!(ok.contains("\nxsact_cache_hits 1\n"), "{ok}");
         client.join().expect("client thread panicked");
     }
 
     #[test]
     fn shutdown_is_idempotent_and_joins() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let mut server = serve_metrics(registry, "127.0.0.1:0").expect("bind");
+        let counters = Arc::new(ServeCounters::new(1));
+        let mut server = serve_metrics(counters, "127.0.0.1:0").expect("bind");
         server.shutdown();
         server.shutdown();
     }

@@ -63,8 +63,8 @@
 //! query over many workbenches on private modules for the shard plan,
 //! the scoped-thread fan-out and persistent shard pool, and the k-way
 //! merge. The [`serve`] module builds on them with private modules for
-//! the result-page cache, the server counters with their histograms and
-//! metrics registry, the `/metrics` endpoint
+//! the result-page cache, the server's fixed set of counters and
+//! histograms, the `/metrics` endpoint
 //! ([`CorpusServer::serve_metrics`]) and the fault plan: a
 //! long-lived [`CorpusServer`] whose sessions each broadcast to its pool
 //! once per executed miss, on their own threads, and whose pooling and
@@ -82,7 +82,6 @@ mod hist;
 mod http;
 mod merge;
 mod pool;
-mod registry;
 mod selection;
 pub mod serve;
 mod shard;

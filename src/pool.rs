@@ -63,30 +63,39 @@ use std::thread::JoinHandle;
 /// answers on. The shard index is implicit — each worker knows its own.
 type Job<Req, Resp> = (Arc<Req>, mpsc::Sender<(usize, Result<Resp, ShardPanic>)>);
 
-/// A typed record of a shard worker panicking mid-request — what
+/// A typed record of a shard panicking mid-request — what
 /// [`ShardPool::broadcast`] returns for the affected shard instead of
 /// re-raising on the calling thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ShardPanic {
-    /// The shard whose worker panicked.
+    /// The shard that panicked.
     pub(crate) shard: usize,
     /// The panic payload's message (when it was a string).
     pub(crate) detail: String,
 }
 
-/// Renders a panic payload's message, the way the default hook does.
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
+/// Runs one shard's request under `catch_unwind`: a panic becomes a typed
+/// [`ShardPanic`] carrying its message, rendered the way the default hook
+/// renders it.
+fn run_caught<Req, Resp>(
+    work: &ShardWork<Req, Resp>,
+    shard: usize,
+    req: &Req,
+) -> Result<Resp, ShardPanic> {
+    std::panic::catch_unwind(AssertUnwindSafe(|| work(shard, req))).map_err(|payload| {
+        let detail = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_owned()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_owned()
+        };
+        ShardPanic { shard, detail }
+    })
 }
 
-/// One supervised worker: its job channel plus the join handle the pool
-/// reaps when the worker dies or the pool drops.
+/// One worker: its job channel plus the join handle the pool reaps when it
+/// drops.
 struct Worker<Req, Resp> {
     sender: mpsc::Sender<Job<Req, Resp>>,
     handle: JoinHandle<()>,
@@ -115,31 +124,28 @@ struct Worker<Req, Resp> {
 /// computing, the one woken worker finds the other CPU idle every time.
 /// A single-shard pool spawns no thread and wakes nobody.
 ///
-/// ## Supervision
+/// ## Panics
 ///
-/// Workers run each request under `catch_unwind`. A panic becomes a typed
-/// [`ShardPanic`] response for the affected broadcast — it can never
-/// silently vanish from a merged ranking, and it never takes the calling
-/// thread (the session executing the miss) down with it. The poisoned worker exits and the
-/// pool **respawns** it from the retained work closure (the state factory)
-/// before `broadcast` returns, so the next request runs on a fresh worker
-/// and produces bytes identical to a fault-free run. The caller's shard is
-/// caught and typed the same way; it has no thread to replace, and its
-/// next request is a fresh call of the same closure like any other
-/// shard's. Either way the recovery is counted ([`ShardPool::restarts`])
-/// for the serving metrics.
+/// Every shard, the workers' and the caller's, runs each request under
+/// `catch_unwind`. A panic becomes a typed [`ShardPanic`] outcome for the
+/// affected broadcast — it can never silently vanish from a merged
+/// ranking, and it never takes the calling thread (the session executing
+/// the miss) down with it. The shard then keeps serving: its next request
+/// is a fresh call of the same closure over the same shared state, so it
+/// produces bytes identical to a fault-free run. A worker thread holds
+/// nothing but its channel, so there is nothing to rebuild. Each recovered
+/// shard is counted ([`ShardPool::restarts`]) for the serving metrics.
 pub(crate) struct ShardPool<Req, Resp> {
     /// Workers of shards `0..shards - 1`; shard `shards - 1` is the
     /// caller's.
     workers: Vec<Worker<Req, Resp>>,
-    /// The state factory: respawning shard `i` is spawning a fresh thread
-    /// over this same closure — all per-request state lives below it.
+    /// The shared per-shard work closure: every worker holds a clone, and
+    /// the caller's shard runs it here.
     work: ShardWork<Req, Resp>,
     restarts: u64,
 }
 
-/// The shared per-shard work closure; the pool retains it so a panicked
-/// worker can be respawned from the same state factory.
+/// The shared per-shard work closure.
 type ShardWork<Req, Resp> = Arc<dyn Fn(usize, &Req) -> Resp + Send + Sync>;
 
 impl<Req, Resp> ShardPool<Req, Resp>
@@ -161,7 +167,7 @@ where
     }
 
     /// How many shards have been recovered after a panic over the pool's
-    /// lifetime (a worker respawned, or the caller's shard caught).
+    /// lifetime: one per failed shard outcome.
     pub(crate) fn restarts(&self) -> u64 {
         self.restarts
     }
@@ -169,24 +175,21 @@ where
     /// Runs `req` on every shard — the workers', then the caller's on this
     /// thread — and returns one outcome per shard, in shard order:
     /// `Ok(response)`, or a typed [`ShardPanic`] for any shard that
-    /// panicked. Panicked workers are respawned before this returns, so the
-    /// next broadcast runs on a full pool.
+    /// panicked. A shard that panicked keeps serving, so the next broadcast
+    /// runs on a full pool.
     pub(crate) fn broadcast(&mut self, req: Req) -> Vec<Result<Resp, ShardPanic>> {
         let req = Arc::new(req);
         let (reply_tx, reply_rx) = mpsc::channel::<(usize, Result<Resp, ShardPanic>)>();
         for worker in &self.workers {
-            // A send can only fail if the worker died outside a request
-            // (exceptional); the missing reply is synthesised below.
+            // A send can only fail if the worker thread is gone (a panic
+            // outside `catch_unwind`); the missing reply is synthesised
+            // below.
             let _ = worker.sender.send((Arc::clone(&req), reply_tx.clone()));
         }
         drop(reply_tx);
         let own = self.workers.len();
         let mut slots: Vec<Option<Result<Resp, ShardPanic>>> = (0..=own).map(|_| None).collect();
-        slots[own] = Some(
-            std::panic::catch_unwind(AssertUnwindSafe(|| (self.work)(own, req.as_ref()))).map_err(
-                |payload| ShardPanic { shard: own, detail: panic_detail(payload.as_ref()) },
-            ),
-        );
+        slots[own] = Some(run_caught(&self.work, own, &req));
         while let Ok((shard, outcome)) = reply_rx.recv() {
             debug_assert!(slots[shard].is_none(), "duplicate response from shard {shard}");
             slots[shard] = Some(outcome);
@@ -196,31 +199,20 @@ where
             .enumerate()
             .map(|(shard, outcome)| {
                 let outcome = outcome.unwrap_or_else(|| {
-                    // The worker died without even sending its typed
-                    // failure — treat it exactly like a reported panic.
+                    // The worker thread ended without sending its typed
+                    // outcome — treat it exactly like a reported panic.
                     Err(ShardPanic { shard, detail: "worker died without replying".to_owned() })
                 });
                 if outcome.is_err() {
-                    self.respawn(shard);
+                    self.restarts += 1;
                 }
                 outcome
             })
             .collect()
     }
-
-    /// Reaps shard `shard`'s dead worker and spawns a replacement from the
-    /// state factory. The caller's shard has no worker to replace.
-    fn respawn(&mut self, shard: usize) {
-        if let Some(worker) = self.workers.get_mut(shard) {
-            let dead = std::mem::replace(worker, spawn_worker(shard, Arc::clone(&self.work)));
-            drop(dead.sender);
-            let _ = dead.handle.join(); // it panicked; the Err is expected
-        }
-        self.restarts += 1;
-    }
 }
 
-/// Spawns the supervised worker loop for one shard.
+/// Spawns the worker loop for one shard.
 fn spawn_worker<Req, Resp>(shard: usize, work: ShardWork<Req, Resp>) -> Worker<Req, Resp>
 where
     Req: Send + Sync + 'static,
@@ -234,21 +226,9 @@ where
             // pool itself is gone; the reply send then fails harmlessly
             // into a dropped receiver).
             while let Ok((req, reply)) = rx.recv() {
-                let outcome =
-                    std::panic::catch_unwind(AssertUnwindSafe(|| work(shard, req.as_ref())));
-                match outcome {
-                    Ok(resp) => {
-                        let _ = reply.send((shard, Ok(resp)));
-                    }
-                    Err(payload) => {
-                        // Report the typed failure, then exit: the pool
-                        // replaces this worker with a fresh one rather
-                        // than trusting a post-panic closure invocation.
-                        let detail = panic_detail(payload.as_ref());
-                        let _ = reply.send((shard, Err(ShardPanic { shard, detail })));
-                        std::panic::resume_unwind(payload);
-                    }
-                }
+                // A caught panic is reported and the loop goes on: the
+                // next request is a fresh call of the same closure.
+                let _ = reply.send((shard, run_caught(&work, shard, &req)));
             }
         })
         .expect("failed to spawn shard worker");
@@ -258,8 +238,7 @@ where
 impl<Req, Resp> Drop for ShardPool<Req, Resp> {
     fn drop(&mut self) {
         // Disconnect the job channels so every worker's `recv` ends, then
-        // join. A worker that already panicked was reported (and replaced)
-        // by `broadcast`; its join error here is ignored.
+        // join.
         for worker in self.workers.drain(..) {
             drop(worker.sender);
             let _ = worker.handle.join();
@@ -338,13 +317,19 @@ mod tests {
     #[test]
     fn pool_workers_persist_across_broadcasts() {
         use std::thread::ThreadId;
-        let mut pool: ShardPool<(), ThreadId> =
-            ShardPool::new(2, |_, ()| std::thread::current().id());
-        let first = all_ok(pool.broadcast(()));
-        let second = all_ok(pool.broadcast(()));
+        let mut pool: ShardPool<bool, ThreadId> = ShardPool::new(2, |_, panics: &bool| {
+            assert!(!*panics, "injected");
+            std::thread::current().id()
+        });
+        let first = all_ok(pool.broadcast(false));
+        let second = all_ok(pool.broadcast(false));
         assert_eq!(first, second, "each shard keeps its pinned thread");
         assert_ne!(first[0], first[1], "shards run on distinct threads");
         assert_eq!(pool.restarts(), 0);
+        // A worker that caught a panic keeps serving on the same thread.
+        assert!(pool.broadcast(true).iter().all(Result::is_err));
+        assert_eq!(all_ok(pool.broadcast(false)), first, "no thread was replaced");
+        assert_eq!(pool.restarts(), 2);
     }
 
     #[test]
@@ -409,11 +394,11 @@ mod tests {
         let mut oracle: ShardPool<u32, String> =
             ShardPool::new(2, |shard, req| format!("shard {shard} saw {req}"));
         assert!(pool.broadcast(1)[1].is_err(), "first broadcast trips the fault");
-        // Every broadcast after the respawn matches the fault-free pool.
+        // Every broadcast after the panic matches the fault-free pool.
         for req in [1u32, 2, 3] {
             assert_eq!(all_ok(pool.broadcast(req)), all_ok(oracle.broadcast(req)));
         }
-        assert_eq!(pool.restarts(), 1, "one panic, one respawn");
+        assert_eq!(pool.restarts(), 1, "one panic, one recovery");
     }
 
     #[test]

@@ -55,9 +55,9 @@
 //!   [`XsactError::DeadlineExceeded`] — checked right before the query's
 //!   broadcast (the query never executed) and again after it; retry with a
 //!   fresh deadline.
-//! * Shard worker panicked mid-broadcast → [`XsactError::ShardFailed`] for
-//!   exactly the query whose broadcast it was. The supervisor respawns the
-//!   worker before the error is delivered, so a retry — and every *other*
+//! * Shard panicked mid-broadcast → [`XsactError::ShardFailed`] for
+//!   exactly the query whose broadcast it was. The shard catches the
+//!   panic, reports it and keeps serving, so a retry — and every *other*
 //!   request, concurrent or subsequent — is byte-identical to a fault-free
 //!   run (pinned by `tests/chaos.rs`).
 //!
@@ -86,7 +86,6 @@ use crate::corpus::{
     execute_shard, merge_shard_lists, Corpus, CorpusHit, CorpusRanking, DEFAULT_TOP,
 };
 use crate::error::{XsactError, XsactResult};
-use crate::hist::Histogram;
 use crate::http::{self, MetricsServer};
 use crate::pool::ShardPool;
 use crate::shard::ShardPlan;
@@ -208,7 +207,8 @@ struct ServerInner {
     /// on its own session's thread.
     pool: Mutex<Pool>,
     gate: Mutex<Gate>,
-    counters: ServeCounters,
+    /// Shared with the pool's shard closure and the `/metrics` endpoint.
+    counters: Arc<ServeCounters>,
     config: ServeConfig,
     /// The result-page cache (`None` when `cache_entries` is 0). Sessions
     /// check it before admission and insert their successful answers,
@@ -230,17 +230,11 @@ impl CorpusServer {
     /// [`Corpus::effective_shards`] but the last, pinned for the server's
     /// lifetime.
     pub fn start(corpus: Arc<Corpus>, config: ServeConfig) -> CorpusServer {
-        let counters = ServeCounters::new();
         let shards = corpus.effective_shards();
-        // Per-shard busy-time histograms, registered alongside the serving
-        // metrics so one scrape shows pool balance. Recorded inside the
-        // shard closure, so they measure true shard busy time (search
-        // only, no pool wait or merge).
-        let shard_busy: Vec<Arc<Histogram>> = (0..shards)
-            .map(|shard| counters.registry().histogram(&format!("xsact_shard_{shard}_busy_ns")))
-            .collect();
+        let counters = Arc::new(ServeCounters::new(shards));
         let pool = ShardPool::new(shards, {
             let corpus = Arc::clone(&corpus);
+            let counters = Arc::clone(&counters);
             let faults = config.faults.clone();
             move |shard, (query, k): &(Query, usize)| {
                 if let Some(millis) = faults.should_fire("slow_execute", shard) {
@@ -255,7 +249,7 @@ impl CorpusServer {
                 // because it is trivially cheap next to a search.
                 let parts = ShardPlan::new(shards).partition(corpus.len());
                 let result = execute_shard(&corpus.docs, query, *k, &parts[shard], None);
-                shard_busy[shard].record_duration(busy.elapsed());
+                counters.record_shard_busy(shard, busy.elapsed());
                 result
             }
         });
@@ -305,7 +299,7 @@ impl CorpusServer {
     ///
     /// [`metrics`]: CorpusServer::metrics
     pub fn serve_metrics(&self, addr: &str) -> io::Result<MetricsServer> {
-        http::serve_metrics(Arc::clone(self.inner.counters.registry()), addr)
+        http::serve_metrics(Arc::clone(&self.inner.counters), addr)
     }
 
     /// Begins shutdown: admission closes (new misses rejected), misses
@@ -360,8 +354,8 @@ impl ServerInner {
         let restarts = pool.restarts() - restarts_before;
         drop(pool);
         let per_shard = outcome.map_err(|panic| {
-            // The supervisor already respawned every failed worker inside
-            // broadcast, so the next miss runs on a healthy pool.
+            // Every failed shard caught its panic and keeps serving, so the
+            // next miss runs on a healthy pool.
             self.counters.record_shard_failure(restarts);
             XsactError::ShardFailed { shard: panic.shard, detail: panic.detail }
         })?;
@@ -470,9 +464,8 @@ impl ServeSession {
     /// [`XsactError::Overloaded`] (`queue_capacity` misses already wait for
     /// the pool, or the server is shutting down; nothing executed), then
     /// [`XsactError::DeadlineExceeded`] and [`XsactError::ShardFailed`]
-    /// (both retryable; a failed shard is respawned before the error is
-    /// delivered). A failure charges no budget and records no end-to-end
-    /// sample.
+    /// (both retryable; a failed shard keeps serving the next request). A
+    /// failure charges no budget and records no end-to-end sample.
     pub fn query(&mut self, text: &str) -> XsactResult<QueryAnswer> {
         let start = Instant::now();
         let query = Query::parse(text);
@@ -890,7 +883,7 @@ mod tests {
         let err = session.query("drama family").unwrap_err();
         assert!(matches!(err, XsactError::ShardFailed { .. }), "{err}");
         assert!(err.to_string().contains("injected shard_panic fault"), "{err}");
-        // The same session retries on the respawned worker and the answer
+        // The same session retries on the recovered shard and the answer
         // is byte-identical to sequential execution.
         let answer = session.query("drama family").unwrap();
         let sequential = corpus.query("drama family").unwrap().ranking().render(session.top());
@@ -918,6 +911,59 @@ mod tests {
         assert!(metrics.contains("xsact_queries_served 3"), "{metrics}");
         assert!(metrics.contains("xsact_e2e_ns_count 3"), "{metrics}");
         assert!(metrics.contains("# TYPE xsact_shard_0_busy_ns summary"), "{metrics}");
+    }
+
+    /// `ci/serve_smoke.sh`'s normalisation: every sample of a metric whose
+    /// name holds `_ns` varies run to run and reads `<ns>`.
+    fn normalize_ns(exposition: &str) -> String {
+        exposition
+            .lines()
+            .map(|line| match line.rsplit_once(' ') {
+                Some((name, _)) if !line.starts_with('#') && name.contains("_ns") => {
+                    format!("{name} <ns>\n")
+                }
+                _ => format!("{line}\n"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn exposition_matches_the_serve_smoke_golden() {
+        // The smoke's fresh server (`serve --docs 6 --movies 40 --seed 42
+        // --shards 2`) and its two queries, through the library: every
+        // name, type line, order and count of the golden's METRICS body.
+        let corpus = Arc::new(Corpus::synthetic_movies(6, 40, 42).with_shards(2));
+        let server = CorpusServer::start(corpus, ServeConfig::default());
+        let mut session = server.session();
+        session.query("drama family").unwrap();
+        session.set_top(2);
+        session.query("drama family").unwrap();
+        let golden = include_str!("../ci/serve_smoke.golden");
+        let (_, body) = golden.split_once("OK metrics\n").expect("the golden scrapes METRICS");
+        let body = &body[..body.find("\nERR ").expect("an error line follows") + 1];
+        assert_eq!(normalize_ns(&server.metrics()), body);
+    }
+
+    #[test]
+    fn exposition_sorts_metric_names_as_strings() {
+        let corpus = Arc::new(Corpus::synthetic_movies(12, 3, 5).with_shards(12));
+        assert_eq!(corpus.effective_shards(), 12);
+        let metrics = CorpusServer::start(corpus, ServeConfig::default()).metrics();
+        let names: Vec<&str> = metrics
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE "))
+            .map(|typed| typed.split(' ').next().unwrap())
+            .collect();
+        assert_eq!(names.len(), 18 + 12, "the fixed set plus one busy histogram per shard");
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "sorted and unique: {names:?}");
+        let shard_lines: Vec<&str> =
+            names.iter().copied().filter(|n| n.starts_with("xsact_shard_")).collect();
+        let mut expected: Vec<String> = [0, 10, 11, 1, 2, 3, 4, 5, 6, 7, 8, 9]
+            .iter()
+            .map(|shard| format!("xsact_shard_{shard}_busy_ns"))
+            .collect();
+        expected.extend(["xsact_shard_failed".into(), "xsact_shard_restarts".into()]);
+        assert_eq!(shard_lines, expected);
     }
 
     #[test]

@@ -2,15 +2,16 @@
 //! observability, as opposed to the per-query `ExecutorStats` the engine
 //! already reports.
 //!
-//! Every metric lives in a [`MetricsRegistry`], so the whole
-//! set has a machine-readable exposition (the `METRICS` verb and the
-//! `/metrics` HTTP endpoint) for free; the typed [`ServeCounters`] struct
-//! keeps `Arc` handles to the hot metrics so any number of sessions and
-//! connection threads record through one atomic op without ever touching
-//! the registry again. A snapshot reads one metric at a time, so a
-//! snapshot taken *while* traffic flows may mix instants — at any
-//! quiescent point it is exact (the same guarantee the workbench cache
-//! counters give).
+//! The metric set is fixed once the shard count is known: [`ServeCounters`]
+//! holds every counter and histogram by value, plus one busy-time
+//! histogram per shard, and the server, its shard pool and the `/metrics`
+//! endpoint share it through one `Arc`. Any number of sessions and
+//! connection threads record through one atomic op each, with no lock and
+//! no lookup. [`ServeCounters::exposition`] renders the whole set (the
+//! `METRICS` verb and the `/metrics` HTTP endpoint) in name order. A
+//! snapshot reads one metric at a time, so a snapshot taken *while*
+//! traffic flows may mix instants — at any quiescent point it is exact
+//! (the same guarantee the workbench cache counters give).
 //!
 //! Latency histograms record nanoseconds. Per the serving contract,
 //! `queue_wait`, `execute`, and `e2e` are recorded **once per answered
@@ -19,73 +20,129 @@
 //! — the CI smoke test pins it.
 
 use crate::hist::{Histogram, HistogramSnapshot};
-use crate::registry::{Counter, MetricsRegistry};
-use std::fmt;
-use std::sync::Arc;
+use std::fmt::{self, Write as _};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Typed handles over the serving metrics registry; see the module docs.
-#[derive(Debug)]
+/// A monotonically increasing counter.
+#[derive(Debug, Default)]
+struct Counter(AtomicU64);
+
+impl Counter {
+    fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn inc(&self) {
+        self.add(1);
+    }
+
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// One line group of the exposition.
+enum Metric<'a> {
+    Counter(&'a Counter),
+    Summary(&'a Histogram),
+}
+
+/// The serving counters and histograms; see the module docs.
+#[derive(Debug, Default)]
 pub(crate) struct ServeCounters {
-    registry: Arc<MetricsRegistry>,
-    queries_served: Arc<Counter>,
-    batches: Arc<Counter>,
-    batch_size: Arc<Histogram>,
-    rejected_overload: Arc<Counter>,
-    rejected_budget: Arc<Counter>,
-    rejected_deadline: Arc<Counter>,
-    shard_failed: Arc<Counter>,
-    shard_restarts: Arc<Counter>,
+    queries_served: Counter,
+    batches: Counter,
+    batch_size: Histogram,
+    rejected_overload: Counter,
+    rejected_budget: Counter,
+    rejected_deadline: Counter,
+    shard_failed: Counter,
+    shard_restarts: Counter,
     // Executor work aggregated over every execution.
-    postings_scanned: Arc<Counter>,
-    gallop_probes: Arc<Counter>,
-    candidates_pruned: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    cache_evictions: Arc<Counter>,
-    queue_wait_ns: Arc<Histogram>,
-    execute_ns: Arc<Histogram>,
-    reply_write_ns: Arc<Histogram>,
-    e2e_ns: Arc<Histogram>,
+    postings_scanned: Counter,
+    gallop_probes: Counter,
+    candidates_pruned: Counter,
+    cache_hits: Counter,
+    cache_misses: Counter,
+    cache_evictions: Counter,
+    queue_wait_ns: Histogram,
+    execute_ns: Histogram,
+    reply_write_ns: Histogram,
+    e2e_ns: Histogram,
+    /// Per-shard busy time (search only, no pool wait or merge), indexed
+    /// by shard, so one scrape shows pool balance.
+    shard_busy_ns: Box<[Histogram]>,
 }
 
 impl ServeCounters {
-    /// A fresh counter set backed by its own registry.
-    pub(crate) fn new() -> ServeCounters {
-        let registry = Arc::new(MetricsRegistry::new());
+    /// A fresh counter set for a server of `shards` shards.
+    pub(crate) fn new(shards: usize) -> ServeCounters {
         ServeCounters {
-            queries_served: registry.counter("xsact_queries_served"),
-            batches: registry.counter("xsact_batches_formed"),
-            batch_size: registry.histogram("xsact_batch_size"),
-            rejected_overload: registry.counter("xsact_rejected_overload"),
-            rejected_budget: registry.counter("xsact_rejected_budget"),
-            rejected_deadline: registry.counter("xsact_rejected_deadline"),
-            shard_failed: registry.counter("xsact_shard_failed"),
-            shard_restarts: registry.counter("xsact_shard_restarts"),
-            postings_scanned: registry.counter("xsact_postings_scanned"),
-            gallop_probes: registry.counter("xsact_gallop_probes"),
-            candidates_pruned: registry.counter("xsact_candidates_pruned"),
-            cache_hits: registry.counter("xsact_cache_hits"),
-            cache_misses: registry.counter("xsact_cache_misses"),
-            cache_evictions: registry.counter("xsact_cache_evictions"),
-            queue_wait_ns: registry.histogram("xsact_queue_wait_ns"),
-            execute_ns: registry.histogram("xsact_execute_ns"),
-            reply_write_ns: registry.histogram("xsact_reply_write_ns"),
-            e2e_ns: registry.histogram("xsact_e2e_ns"),
-            registry,
+            shard_busy_ns: (0..shards).map(|_| Histogram::default()).collect(),
+            ..ServeCounters::default()
         }
     }
 
-    /// The backing registry — the place to register *additional* metrics
-    /// that should ride along in the same exposition (the server adds
-    /// per-shard busy-time histograms here).
-    pub(crate) fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
+    /// The full Prometheus-style exposition (the `METRICS` verb's body):
+    /// every metric in name order, each preceded by a `# TYPE` line —
+    /// counters as one sample line, histograms as a `summary` (quantile
+    /// lines plus `_sum`/`_count`/`_max`). Ends with a newline.
+    pub(crate) fn exposition(&self) -> String {
+        let mut metrics: Vec<(String, Metric<'_>)> =
+            [
+                ("xsact_queries_served", Metric::Counter(&self.queries_served)),
+                ("xsact_batches_formed", Metric::Counter(&self.batches)),
+                ("xsact_batch_size", Metric::Summary(&self.batch_size)),
+                ("xsact_rejected_overload", Metric::Counter(&self.rejected_overload)),
+                ("xsact_rejected_budget", Metric::Counter(&self.rejected_budget)),
+                ("xsact_rejected_deadline", Metric::Counter(&self.rejected_deadline)),
+                ("xsact_shard_failed", Metric::Counter(&self.shard_failed)),
+                ("xsact_shard_restarts", Metric::Counter(&self.shard_restarts)),
+                ("xsact_postings_scanned", Metric::Counter(&self.postings_scanned)),
+                ("xsact_gallop_probes", Metric::Counter(&self.gallop_probes)),
+                ("xsact_candidates_pruned", Metric::Counter(&self.candidates_pruned)),
+                ("xsact_cache_hits", Metric::Counter(&self.cache_hits)),
+                ("xsact_cache_misses", Metric::Counter(&self.cache_misses)),
+                ("xsact_cache_evictions", Metric::Counter(&self.cache_evictions)),
+                ("xsact_queue_wait_ns", Metric::Summary(&self.queue_wait_ns)),
+                ("xsact_execute_ns", Metric::Summary(&self.execute_ns)),
+                ("xsact_reply_write_ns", Metric::Summary(&self.reply_write_ns)),
+                ("xsact_e2e_ns", Metric::Summary(&self.e2e_ns)),
+            ]
+            .into_iter()
+            .map(|(name, metric)| (name.to_owned(), metric))
+            .chain(self.shard_busy_ns.iter().enumerate().map(|(shard, busy)| {
+                (format!("xsact_shard_{shard}_busy_ns"), Metric::Summary(busy))
+            }))
+            .collect();
+        // Sorted as strings, so `xsact_shard_10_busy_ns` comes before
+        // `xsact_shard_2_busy_ns` and every shard before `xsact_shard_failed`.
+        metrics.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        let mut out = String::new();
+        for (name, metric) in metrics {
+            match metric {
+                Metric::Counter(c) => {
+                    let _ = writeln!(out, "# TYPE {name} counter\n{name} {}", c.get());
+                }
+                Metric::Summary(h) => {
+                    let s = h.snapshot();
+                    let _ = writeln!(out, "# TYPE {name} summary");
+                    for (q, label) in [(0.50, "0.5"), (0.90, "0.9"), (0.99, "0.99")] {
+                        let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {}", s.quantile(q));
+                    }
+                    let _ = writeln!(out, "{name}_sum {}", s.sum);
+                    let _ = writeln!(out, "{name}_count {}", s.count);
+                    let _ = writeln!(out, "{name}_max {}", s.max);
+                }
+            }
+        }
+        out
     }
 
-    /// The full Prometheus-style exposition (the `METRICS` verb's body).
-    pub(crate) fn exposition(&self) -> String {
-        self.registry.expose()
+    /// Records one shard's busy time for one broadcast.
+    pub(crate) fn record_shard_busy(&self, shard: usize, took: Duration) {
+        self.shard_busy_ns[shard].record_duration(took);
     }
 
     /// Records one query answered by its own execution, which did the
@@ -140,9 +197,9 @@ impl ServeCounters {
         self.rejected_deadline.inc();
     }
 
-    /// Records one query lost to a shard-worker panic: it was answered
-    /// with the typed shard failure, and `restarts` workers were respawned
-    /// by the pool's supervisor.
+    /// Records one query lost to a shard panic: it was answered with the
+    /// typed shard failure, and `restarts` shards caught their panic and
+    /// went on serving.
     pub(crate) fn record_shard_failure(&self, restarts: u64) {
         self.shard_failed.inc();
         self.shard_restarts.add(restarts);
@@ -217,7 +274,8 @@ pub struct ServeSnapshot {
     /// Queries answered with a typed shard failure (a worker panicked
     /// during their broadcast).
     pub shard_failed: u64,
-    /// Shard workers respawned by the pool supervisor after a panic.
+    /// Shards recovered after a panic: one per failed shard outcome (the
+    /// shard caught its panic and went on serving).
     pub shard_restarts: u64,
     /// Posting entries scanned, summed over every execution.
     pub postings_scanned: u64,
@@ -276,7 +334,7 @@ mod tests {
 
     #[test]
     fn batches_accumulate_into_every_counter() {
-        let c = ServeCounters::new();
+        let c = ServeCounters::new(0);
         c.record_batch(10, 2, 1);
         c.record_batch(30, 6, 3);
         let s = c.snapshot();
@@ -290,7 +348,7 @@ mod tests {
 
     #[test]
     fn cache_hits_count_as_served_and_keep_histogram_counts() {
-        let c = ServeCounters::new();
+        let c = ServeCounters::new(0);
         c.record_batch(10, 2, 1);
         c.record_cache_miss();
         c.record_cache_hit();
@@ -313,7 +371,7 @@ mod tests {
 
     #[test]
     fn rejections_are_counted_separately() {
-        let c = ServeCounters::new();
+        let c = ServeCounters::new(0);
         c.record_overload_rejection();
         c.record_overload_rejection();
         c.record_budget_rejection();
@@ -327,7 +385,7 @@ mod tests {
 
     #[test]
     fn shard_failures_count_queries_and_restarts() {
-        let c = ServeCounters::new();
+        let c = ServeCounters::new(0);
         c.record_shard_failure(1);
         c.record_shard_failure(2);
         let s = c.snapshot();
@@ -345,21 +403,30 @@ mod tests {
 
     #[test]
     fn latency_recorders_feed_their_histograms() {
-        let c = ServeCounters::new();
+        let c = ServeCounters::new(2);
         c.record_queue_wait(Duration::from_micros(5));
         c.record_execute(Duration::from_micros(40));
         c.record_e2e(Duration::from_micros(50));
         c.record_reply_write(Duration::from_nanos(900));
+        c.record_shard_busy(1, Duration::from_nanos(700));
         let s = c.snapshot();
         assert_eq!(s.queue_wait_ns.count, 1);
         assert_eq!(s.execute_ns.count, 1);
         assert_eq!(s.e2e_ns.count, 1);
         assert!(s.e2e_ns.max >= 50_000);
+        let text = c.exposition();
+        for line in [
+            "xsact_reply_write_ns_max 900",
+            "xsact_shard_0_busy_ns_count 0",
+            "xsact_shard_1_busy_ns_max 700",
+        ] {
+            assert!(text.contains(&format!("\n{line}\n")), "missing {line:?} in:\n{text}");
+        }
     }
 
     #[test]
     fn display_is_line_oriented_and_stable() {
-        let c = ServeCounters::new();
+        let c = ServeCounters::new(0);
         c.record_batch(7, 1, 0);
         let text = c.snapshot().to_string();
         assert!(text.contains("queries_served 1"), "{text}");
@@ -372,7 +439,7 @@ mod tests {
 
     #[test]
     fn exposition_contains_the_serving_metrics() {
-        let c = ServeCounters::new();
+        let c = ServeCounters::new(0);
         c.record_batch(5, 1, 0);
         c.record_e2e(Duration::from_micros(10));
         let text = c.exposition();
@@ -390,7 +457,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_loses_nothing() {
-        let c = ServeCounters::new();
+        let c = ServeCounters::new(0);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {

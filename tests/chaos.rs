@@ -32,11 +32,11 @@ fn rendered(session: &mut ServeSession, text: &str) -> String {
     }
 }
 
-// ------------------------------------------------------- shard supervision
+// ---------------------------------------------------------- shard panics
 
 /// The acceptance pin: with a plan panicking shard 1 on its 3rd
 /// batch, the server returns a typed `ShardFailed` for exactly that
-/// batch, respawns the worker, and then serves QM1–QM8 byte-identical to
+/// batch, the shard keeps serving, and the server answers QM1–QM8 byte-identical to
 /// a fault-free run — at both ends of the shard-count range.
 #[test]
 fn shard_panic_on_third_batch_recovers_byte_identical() {
@@ -69,7 +69,7 @@ fn shard_panic_on_third_batch_recovers_byte_identical() {
         assert!(err.to_string().contains("injected shard_panic fault"), "{err}");
 
         // Recovery: the full Figure-4 workload is byte-identical to the
-        // fault-free oracle on the respawned pool.
+        // fault-free oracle on the recovered pool.
         for (label, query) in qm_queries() {
             assert_eq!(
                 rendered(&mut chaos_session, &query),
@@ -80,7 +80,7 @@ fn shard_panic_on_third_batch_recovers_byte_identical() {
 
         let stats = chaos.stats();
         assert_eq!(stats.shard_failed, 1, "exactly one batch failed (shards={shards})");
-        assert_eq!(stats.shard_restarts, 1, "exactly one respawn (shards={shards})");
+        assert_eq!(stats.shard_restarts, 1, "exactly one recovery (shards={shards})");
         assert_eq!(stats.queries_served, 10, "2 warm-ups + 8 QM answers (shards={shards})");
         assert_eq!(stats.execute_ns.count, stats.queries_served);
         let metrics = chaos.metrics();
@@ -93,7 +93,7 @@ fn shard_panic_on_third_batch_recovers_byte_identical() {
 /// stalls shard 0 for 400 ms; meanwhile two other sessions submit distinct
 /// queries B and C, which therefore wait for the pool behind it. Shard 1's
 /// second call (the broadcast of whichever of B and C takes the pool first)
-/// panics: that query gets `ShardFailed`, the other runs on the respawned
+/// panics: that query gets `ShardFailed`, the other runs on the recovered
 /// pool and is byte-identical to sequential execution.
 #[test]
 fn a_shard_panic_fails_only_the_key_whose_broadcast_panicked() {
@@ -127,7 +127,7 @@ fn a_shard_panic_fails_only_the_key_whose_broadcast_panicked() {
     let err = failed[0].1.as_ref().unwrap_err();
     assert!(matches!(err, XsactError::ShardFailed { shard: 1, .. }), "{err}");
     let (text, outcome) = &answered[0];
-    assert_eq!(outcome.as_ref().unwrap(), &sequential(text), "{text:?} ran on the respawned pool");
+    assert_eq!(outcome.as_ref().unwrap(), &sequential(text), "{text:?} ran on the recovered pool");
     let stats = server.stats();
     assert_eq!(stats.shard_failed, 1, "only the panicked key's member failed");
     assert_eq!(stats.shard_restarts, 1);
@@ -362,7 +362,7 @@ fn dropped_connection_is_isolated_to_one_client() {
 
 // ----------------------------------------------------- result-page cache
 
-/// A `ShardFailed` answer must never be cached: after the panic-and-respawn,
+/// A `ShardFailed` answer must never be cached: after the panic and recovery,
 /// the same query re-executes (a cache miss) and succeeds — an error can
 /// never be replayed out of the cache.
 #[test]
@@ -379,7 +379,7 @@ fn shard_failure_is_never_cached() {
     let err = session.query("drama family").unwrap_err();
     assert!(matches!(err, XsactError::ShardFailed { shard: 1, .. }), "{err}");
     // The retry misses (nothing was cached for the failed round) and is
-    // byte-identical to sequential execution on the respawned pool.
+    // byte-identical to sequential execution on the recovered pool.
     let answer = session.query("drama family").unwrap();
     let sequential = corpus.query("drama family").unwrap().ranking().render(session.top());
     assert_eq!(answer.ranking.render(session.top()), sequential);

@@ -460,7 +460,7 @@ fn deadline_and_shard_failure_are_typed_through_the_facade() {
     assert_eq!(expired.stats().rejected_deadline, 1);
 
     // An armed shard_panic fails exactly one batch, typed, and the
-    // respawned worker serves the retry.
+    // recovered shard serves the retry.
     let faulty = CorpusServer::start(
         serve_corpus(),
         ServeConfig {
@@ -475,7 +475,7 @@ fn deadline_and_shard_failure_are_typed_through_the_facade() {
         }
         other => panic!("expected ShardFailed, got {other}"),
     }
-    session.query("drama").expect("the respawned worker serves the retry");
+    session.query("drama").expect("the recovered shard serves the retry");
     let stats = faulty.stats();
     assert_eq!((stats.shard_failed, stats.shard_restarts), (1, 1));
 }

@@ -1,8 +1,8 @@
 //! Integration tests of the observability layer: tracing never changes
 //! ranked bytes (single-document pipeline and corpus fan-out at several
 //! shard counts), the serving metrics exposition over both the `METRICS`
-//! verb's registry and the plain-HTTP `/metrics` endpoint, and exact
-//! conservation of registry totals under concurrent sessions.
+//! verb and the plain-HTTP `/metrics` endpoint, and exact conservation of
+//! the server's counter totals under concurrent sessions.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -103,7 +103,7 @@ fn metrics_verb_and_http_endpoint_expose_the_same_live_registry() {
     let exposition = server.metrics();
     assert!(exposition.contains("xsact_queries_served 2"), "{exposition}");
 
-    // The HTTP side scrapes the same registry, so the same live values.
+    // The HTTP side scrapes the same counters, so the same live values.
     let scrape = |path: &str| {
         let mut stream = TcpStream::connect(endpoint.addr()).expect("connects");
         stream.write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes()).expect("request");
@@ -129,7 +129,7 @@ fn metrics_verb_and_http_endpoint_expose_the_same_live_registry() {
 
 // ------------------------------------------------- conservation under load
 
-/// Property: after every concurrent session joins, the registry's totals
+/// Property: after every concurrent session joins, the counters' totals
 /// are exactly conserved — nothing lost to races, nothing double-counted.
 #[test]
 fn concurrent_sessions_conserve_registry_totals_exactly() {

@@ -233,7 +233,7 @@ fn tcp_line_protocol_end_to_end() {
     assert!(stats.iter().any(|l| l.starts_with("batch_size_hist ")), "{stats:?}");
     assert!(stats.iter().any(|l| l.starts_with("e2e_us count:2 ")), "{stats:?}");
 
-    // METRICS exposes the same registry in Prometheus text format.
+    // METRICS exposes the same counters in Prometheus text format.
     let metrics = roundtrip(&mut writer, &mut responses, "METRICS");
     assert_eq!(metrics[0], "OK metrics");
     assert!(metrics.iter().any(|l| l == "xsact_queries_served 2"), "{metrics:?}");
