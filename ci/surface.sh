@@ -7,9 +7,10 @@
 # (ii) The layer crates: every such `pub` name declared under crates/*/src
 #      must occur as a word in some *other* file of a product surface (src/,
 #      crates/, examples/, bench/src) or be listed in ci/surface.allow — one
-#      `name  reason` line per oracle that only tests/ reaches. A `pub use`
-#      statement does not count: re-exporting a name reaches nothing. The
-#      vendored `rand` shim is excepted: it mirrors an external API.
+#      `name  reason` line per oracle that only tests/ reaches. Neither a
+#      `pub use` statement nor a comment line counts: re-exporting a name
+#      or naming it in a doc link or doctest reaches nothing. The vendored
+#      `rand` shim is excepted: it mirrors an external API.
 #
 # `bash ci/surface.sh --bless` rewrites the golden from the tree.
 set -euo pipefail
@@ -53,15 +54,16 @@ fi
 mapfile -t files < <(find src crates examples bench/src -name '*.rs' | sort)
 allowed=$(awk '!/^[[:space:]]*(#|$)/ {print $1}' ci/surface.allow)
 
-# The product files with every `pub use` statement (to its `;`) blanked,
-# under the same relative paths.
+# The product files with every `pub use` statement (to its `;`) and every
+# comment line (`//`, `///`, `//!`, doctests included) blanked, under the
+# same relative paths: a doc link or an example names, it does not reach.
 uses=$(mktemp -d)
 trap 'rm -rf "$uses"' EXIT
 printf '%s\n' "${files[@]}" | xargs dirname | sort -u | (cd "$uses" && xargs mkdir -p)
 awk -v out="$uses" '
     FNR == 1 { if (dest) close(dest); dest = out "/" FILENAME; skip = 0 }
     !skip && /^[[:space:]]*pub use / { skip = 1 }
-    { print (skip ? "" : $0) > dest }
+    { print ((skip || /^[[:space:]]*\/\//) ? "" : $0) > dest }
     skip && /;/ { skip = 0 }' "${files[@]}"
 
 while read -r file kind name; do

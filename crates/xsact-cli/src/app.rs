@@ -114,8 +114,7 @@ fn run_single(
         }
         out.push('\n');
     }
-    // A CLI run builds its own workbench, so its counters are this query's.
-    let stats = wb.executor_stats();
+    let stats = pipeline.executor_stats();
     if listed.is_empty() {
         // `--top 0` told the bounded executor to keep nothing, which is
         // not the same as the query matching nothing — a matching query
@@ -158,7 +157,7 @@ fn run_single(
 
     if selected.len() < 2 {
         out.push_str("(need at least two selected results for a comparison table)\n");
-        return Ok((out, wb.executor_stats()));
+        return Ok((out, pipeline.executor_stats()));
     }
 
     let outcome: ComparisonOutcome = pipeline.compare(args.algorithm)?;
@@ -171,7 +170,7 @@ fn run_single(
         outcome.stats.moves,
         outcome.stats.elapsed
     ));
-    Ok((out, wb.executor_stats()))
+    Ok((out, pipeline.executor_stats()))
 }
 
 /// Renders [`ExecutorStats`] as the one-line `--explain` report (single
@@ -244,18 +243,18 @@ fn run_corpus_inner(
     out.push_str(&ranking.render(args.top.max(8)));
     if ranking.hits.is_empty() {
         out.push_str("no results — nothing to compare\n");
-        return Ok((out, corpus.executor_stats()));
+        return Ok((out, query.executor_stats()));
     }
     if ranking.hits.len() < 2 {
         out.push_str("(need at least two results for a comparison table)\n");
-        return Ok((out, corpus.executor_stats()));
+        return Ok((out, query.executor_stats()));
     }
     if args.top < 2 {
         out.push_str(&format!(
             "(--top {} leaves fewer than the two results a comparison needs)\n",
             args.top
         ));
-        return Ok((out, corpus.executor_stats()));
+        return Ok((out, query.executor_stats()));
     }
 
     let outcome = query.compare(args.algorithm)?;
@@ -276,7 +275,7 @@ fn run_corpus_inner(
         spanned.len(),
         if spanned.len() == 1 { "" } else { "s" }
     ));
-    Ok((out, corpus.executor_stats()))
+    Ok((out, query.executor_stats()))
 }
 
 /// The corpus of corpus and serve mode, from the source flags they share:

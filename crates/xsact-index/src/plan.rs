@@ -73,8 +73,8 @@ use std::ops::{Add, AddAssign};
 use xsact_xml::{Document, NodeId};
 
 /// Counters of one executor run (or an aggregate of many — the type is a
-/// commutative monoid under [`Add`], and the facade's `Workbench`
-/// accumulates it across queries).
+/// commutative monoid under [`Add`], and a facade query sums those of the
+/// searches it ran).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
     /// Posting entries consumed: driver-list entries walked by the SLCA

@@ -297,12 +297,6 @@ impl Document {
         NodeId(0)
     }
 
-    /// The root element, as an `Option` for symmetry with lookups that can
-    /// fail. Always `Some` for a constructed document.
-    pub fn root_element(&self) -> Option<NodeId> {
-        Some(self.root())
-    }
-
     /// Total number of nodes (elements + text runs) in the document.
     pub fn len(&self) -> usize {
         self.parent.len()
@@ -993,7 +987,7 @@ impl Iterator for Children<'_> {
 }
 
 impl fmt::Display for Document {
-    /// Displays the document as compact XML (no pretty-printing).
+    /// Displays the document as compact XML.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let opts = crate::writer::WriteOptions::compact();
         f.write_str(&crate::writer::write_document(self, &opts))

@@ -77,10 +77,9 @@ pub enum XmlError {
         /// The cap.
         limit: usize,
     },
-    /// The input is longer than the parser accepts
-    /// ([`MAX_INPUT_LEN`](crate::parse::MAX_INPUT_LEN)): node ids and text
-    /// spans are 32-bit, and every node and every byte of text costs at
-    /// least one byte of input.
+    /// The input is longer than the parser accepts (`u32::MAX` bytes, the
+    /// `limit`): node ids and text spans are 32-bit, and every node and
+    /// every byte of text costs at least one byte of input.
     TooLarge {
         /// Length of the input in bytes.
         len: usize,

@@ -31,7 +31,7 @@
 //!
 //! let doc = parse_document("<products><product><name>TomTom</name></product></products>")
 //!     .expect("well-formed");
-//! let root = doc.root_element().expect("has a root");
+//! let root = doc.root();
 //! assert_eq!(doc.tag(root), "products");
 //! ```
 

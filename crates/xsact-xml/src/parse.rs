@@ -12,7 +12,8 @@
 //!
 //! Enforces well-formedness across tags: matching open/close pairs, exactly
 //! one root element, no character data outside the root — and caps element
-//! nesting at [`MAX_DEPTH`] and the input's length at [`MAX_INPUT_LEN`].
+//! nesting at [`MAX_DEPTH`] and the input's length at `u32::MAX` bytes
+//! (the limit [`XmlError::TooLarge`] carries).
 
 use crate::dom::{Document, NodeId};
 use crate::error::{XmlError, XmlResult};
@@ -29,7 +30,7 @@ pub const MAX_DEPTH: usize = 256;
 /// 32-bit, and every node and every byte of text or attribute value costs
 /// at least one byte of input, so this one bound keeps every id and offset
 /// of a parsed document in range.
-pub const MAX_INPUT_LEN: usize = u32::MAX as usize;
+pub(crate) const MAX_INPUT_LEN: usize = u32::MAX as usize;
 
 /// Bytes of input after which the document's arrays are sized for the rest
 /// of it, from the nodes and text those bytes produced.

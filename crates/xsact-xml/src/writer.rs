@@ -3,63 +3,40 @@
 use crate::dom::{Document, NodeId};
 use crate::escape::{escape_attr, escape_text};
 
-/// Controls the output format of [`write_document`].
-#[derive(Debug, Clone)]
-pub struct WriteOptions {
-    /// Indentation per nesting level; `None` writes everything on one line.
-    pub indent: Option<usize>,
-    /// Whether to emit an `<?xml version="1.0"?>` declaration.
-    pub declaration: bool,
-}
+/// The output format of [`write_document`]. There is one: compact, on a
+/// single line, without a declaration, which parses back to an equivalent
+/// document.
+#[derive(Debug, Clone, Default)]
+pub struct WriteOptions;
 
 impl WriteOptions {
     /// Single-line output, no declaration. Round-trips through the parser.
     pub fn compact() -> Self {
-        WriteOptions { indent: None, declaration: false }
-    }
-
-    /// Two-space indentation with an XML declaration.
-    pub fn pretty() -> Self {
-        WriteOptions { indent: Some(2), declaration: true }
+        WriteOptions
     }
 }
 
-impl Default for WriteOptions {
-    fn default() -> Self {
-        WriteOptions::compact()
-    }
-}
-
-/// Serialises the whole document.
-///
-/// With `WriteOptions::compact()` the output parses back to an equivalent
+/// Serialises the whole document. The output parses back to an equivalent
 /// document (same tree shape, tags, attributes and text).
-pub fn write_document(doc: &Document, opts: &WriteOptions) -> String {
+pub fn write_document(doc: &Document, _: &WriteOptions) -> String {
     let mut out = String::with_capacity(doc.len() * 16);
-    if opts.declaration {
-        // No explicit newline: `indent` adds one before the root element
-        // whenever pretty-printing is on.
-        out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
-    }
-    write_node(doc, doc.root(), opts, 0, &mut out);
+    write_node(doc, doc.root(), &mut out);
     out
 }
 
-/// Serialises the subtree rooted at `node` (compact form).
+/// Serialises the subtree rooted at `node`.
 pub fn write_subtree(doc: &Document, node: NodeId) -> String {
     let mut out = String::new();
-    write_node(doc, node, &WriteOptions::compact(), 0, &mut out);
+    write_node(doc, node, &mut out);
     out
 }
 
-fn write_node(doc: &Document, node: NodeId, opts: &WriteOptions, level: usize, out: &mut String) {
+fn write_node(doc: &Document, node: NodeId, out: &mut String) {
     if let Some(t) = doc.text(node) {
-        indent(opts, level, out);
         out.push_str(&escape_text(t));
         return;
     }
     let tag = doc.tag(node);
-    indent(opts, level, out);
     out.push('<');
     out.push_str(tag);
     for (name, value) in doc.attrs(node) {
@@ -69,35 +46,17 @@ fn write_node(doc: &Document, node: NodeId, opts: &WriteOptions, level: usize, o
         out.push_str(&escape_attr(value));
         out.push('"');
     }
-    let mut children = doc.children(node);
-    let Some(first) = children.next() else {
+    if doc.children(node).next().is_none() {
         out.push_str("/>");
         return;
-    };
+    }
     out.push('>');
-    // A single text child stays inline even in pretty mode, so leaf
-    // values read naturally: <name>TomTom</name>.
-    match doc.text(first) {
-        Some(text) if children.next().is_none() => out.push_str(&escape_text(text)),
-        _ => {
-            for child in doc.children(node) {
-                write_node(doc, child, opts, level + 1, out);
-            }
-            indent(opts, level, out);
-        }
+    for child in doc.children(node) {
+        write_node(doc, child, out);
     }
     out.push_str("</");
     out.push_str(tag);
     out.push('>');
-}
-
-fn indent(opts: &WriteOptions, level: usize, out: &mut String) {
-    if let Some(width) = opts.indent {
-        if !out.is_empty() {
-            out.push('\n');
-        }
-        out.extend(std::iter::repeat_n(' ', level * width));
-    }
 }
 
 #[cfg(test)]
@@ -133,21 +92,6 @@ mod tests {
         let reparsed = parse_document(&xml).unwrap();
         assert_eq!(write_document(&reparsed, &WriteOptions::compact()), xml);
         assert_eq!(reparsed.len(), doc.len());
-    }
-
-    #[test]
-    fn pretty_output_shape() {
-        let doc = sample();
-        let xml = write_document(&doc, &WriteOptions::pretty());
-        let lines: Vec<&str> = xml.lines().collect();
-        assert_eq!(lines[0], "<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
-        assert_eq!(lines[1], "<shop>");
-        assert_eq!(lines[2], "  <product id=\"1\">");
-        assert_eq!(lines[3], "    <name>TomTom Go 630</name>");
-        assert!(lines.last().unwrap().starts_with("</shop>"));
-        // Pretty output still parses back to the same structure.
-        let reparsed = parse_document(&xml).unwrap();
-        assert_eq!(reparsed.children_by_tag(reparsed.root(), "product").count(), 1);
     }
 
     #[test]

@@ -267,12 +267,6 @@ impl Corpus {
         Ok(query.ranked(true).take(DEFAULT_TOP))
     }
 
-    /// Executor counters aggregated over every document workbench — the
-    /// corpus-wide view of [`Workbench::executor_stats`].
-    pub fn executor_stats(&self) -> ExecutorStats {
-        self.docs.iter().fold(ExecutorStats::default(), |acc, wb| acc + wb.executor_stats())
-    }
-
     /// The number of shards a query will actually use: empty shards are
     /// not spawned, so this is `min(shards, len)`.
     pub fn effective_shards(&self) -> usize {
@@ -522,8 +516,8 @@ impl CorpusRanking {
 /// same* [`ShardPlan`] partition, pooling can never change result bytes.
 ///
 /// Returns the shard's merged list plus the executor work it cost, summed
-/// over the shard's documents (also recorded into each owning workbench's
-/// cumulative counters). `trace` receives each document's search stages.
+/// over the shard's documents. `trace` receives each document's search
+/// stages.
 pub(crate) fn execute_shard(
     docs: &[Workbench],
     query: &Query,
@@ -536,7 +530,7 @@ pub(crate) fn execute_shard(
         .iter()
         .map(|&d| {
             let (wb, doc) = (&docs[d], DocId(d as u32));
-            let (roots, doc_stats) = wb.top_k_roots(query, k, trace);
+            let (roots, doc_stats) = wb.engine().search_top_k(query, k, trace);
             stats += doc_stats;
             roots.into_iter().map(|ranked| ShardCandidate { wb, doc, ranked }).collect()
         })
@@ -558,7 +552,7 @@ pub(crate) fn list_shard(
     let mut hits = Vec::new();
     for &d in doc_indexes {
         let wb = &docs[d];
-        let (results, doc_stats) = wb.all_results(query, trace);
+        let (results, doc_stats) = wb.engine().search_all(query, trace);
         stats += doc_stats;
         hits.extend(results.into_iter().map(|result| CorpusHit {
             doc: DocId(d as u32),

@@ -142,8 +142,8 @@ impl fmt::Display for XsactError {
             ),
             XsactError::ShardFailed { shard, detail } => write!(
                 f,
-                "shard {shard} failed while executing this batch ({detail}); \
-                 the worker was restarted — retry"
+                "shard {shard} failed while executing this query ({detail}); \
+                 the shard recovered — retry"
             ),
         }
     }
@@ -206,7 +206,7 @@ mod tests {
         let e = XsactError::ShardFailed { shard: 1, detail: "injected fault".into() };
         assert!(e.to_string().contains("shard 1"));
         assert!(e.to_string().contains("injected fault"));
-        assert!(e.to_string().contains("restarted"));
+        assert!(e.to_string().contains("the shard recovered — retry"));
     }
 
     #[test]

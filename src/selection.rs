@@ -28,18 +28,22 @@
 //!   preprocessing once.
 //! * **Resets** happen only in the setters, each resetting exactly the
 //!   memos its value feeds. Tracing resets nothing.
+//! * **Its own work.** Every search comes back with the [`ExecutorStats`]
+//!   it cost; the query sums them over every run it makes and reports the
+//!   total as [`CorpusQuery::executor_stats`]. No setter resets it, and a
+//!   memo that answers adds nothing.
 
 use crate::corpus::{execute_shard, list_shard, merge_shard_lists, CorpusHit, CorpusRanking};
 use crate::error::{XsactError, XsactResult};
 use crate::pool::fan_out;
 use crate::shard::ShardPlan;
 use crate::workbench::{validate_config, Workbench};
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
 use xsact_core::{Algorithm, ComparisonOutcome, DfsConfig, Instance};
 use xsact_entity::ResultFeatures;
 use xsact_index::trace::TraceSink;
-use xsact_index::{Query, ResultSemantics};
+use xsact_index::{ExecutorStats, Query, ResultSemantics};
 
 /// A query over one or more documents: builder methods refine *how* it
 /// lists ([`ranked`](Self::ranked)), *which* results enter the comparison
@@ -64,6 +68,8 @@ pub struct CorpusQuery<'a> {
     full: OnceCell<CorpusRanking>,
     top: OnceCell<CorpusRanking>,
     instance: OnceCell<Arc<Instance>>,
+    /// The executor work of every run so far.
+    stats: Cell<ExecutorStats>,
 }
 
 impl<'a> CorpusQuery<'a> {
@@ -98,6 +104,7 @@ impl<'a> CorpusQuery<'a> {
             full: OnceCell::new(),
             top: OnceCell::new(),
             instance: OnceCell::new(),
+            stats: Cell::default(),
         })
     }
 
@@ -162,6 +169,14 @@ impl<'a> CorpusQuery<'a> {
     /// The query text, as parsed.
     pub fn query_text(&self) -> String {
         self.query.to_string()
+    }
+
+    /// What the executor did for this query so far, summed over every
+    /// document search its runs made — zero before the first terminal,
+    /// and zero after runs the planner proved empty. A memoised answer
+    /// costs nothing, so chained terminals report one run.
+    pub fn executor_stats(&self) -> ExecutorStats {
+        self.stats.get()
     }
 
     /// Every result in the query's order, fanned out once; byte-identical
@@ -269,9 +284,10 @@ impl<'a> CorpusQuery<'a> {
     }
 
     /// The one fan-out/merge behind both list memos: the first `k` hits in
-    /// the query's order. Over several documents the trace records one
-    /// `shard N` span per slice and the `merge`; over one, that document's
-    /// own search stages (parallel slices would interleave them).
+    /// the query's order, its executor work added to the query's. Over
+    /// several documents the trace records one `shard N` span per slice
+    /// and the `merge`; over one, that document's own search stages
+    /// (parallel slices would interleave them).
     fn run(&self, k: usize) -> CorpusRanking {
         let several = self.docs.len() > 1;
         let (slice_trace, doc_trace) =
@@ -279,7 +295,7 @@ impl<'a> CorpusQuery<'a> {
         // The workers share only what they read: the memos are not `Sync`.
         let (docs, query, ranked) = (self.docs, &self.query, self.ranked);
         let parts = ShardPlan::new(self.shards).partition(docs.len());
-        let shard_lists = fan_out(parts, |shard, doc_indexes| {
+        let per_shard = fan_out(parts, |shard, doc_indexes| {
             let span = slice_trace.map(|sink| sink.span(format!("shard {shard}")));
             let (hits, stats) = if ranked {
                 execute_shard(docs, query, k, &doc_indexes, doc_trace)
@@ -292,8 +308,11 @@ impl<'a> CorpusQuery<'a> {
                 span.note("hits", hits.len() as u64);
                 span.finish();
             }
-            hits
+            (hits, stats)
         });
+        let run = per_shard.iter().fold(ExecutorStats::default(), |sum, (_, s)| sum + *s);
+        self.stats.set(self.stats.get() + run);
+        let shard_lists: Vec<_> = per_shard.into_iter().map(|(hits, _)| hits).collect();
         let span = slice_trace.map(|sink| sink.span("merge"));
         let candidates: usize = shard_lists.iter().map(Vec::len).sum();
         let ranking = merge_shard_lists(shard_lists, k);

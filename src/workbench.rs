@@ -43,7 +43,7 @@ use std::sync::{Arc, RwLock};
 use xsact_core::DfsConfig;
 use xsact_entity::ResultFeatures;
 use xsact_index::trace::TraceSink;
-use xsact_index::{ExecutorStats, Query, RankedRoot, ScoredResult, SearchEngine, SearchResult};
+use xsact_index::{Query, ScoredResult, SearchEngine, SearchResult};
 use xsact_xml::{parse_document, Document, NodeId};
 
 /// Hit/miss counters of the workbench's feature cache.
@@ -141,36 +141,6 @@ impl FeatureCache {
     }
 }
 
-/// Cumulative executor counters of one workbench: every search executed
-/// through the facade (its own queries, [`Workbench::search_top_k`], its
-/// corpus's queries and served pages) adds its [`ExecutorStats`] here
-/// with relaxed atomics, so the aggregate is exact at any quiescent point
-/// and cheap to record under concurrency.
-#[derive(Debug, Default)]
-struct ExecCounters {
-    searches: AtomicU64,
-    postings_scanned: AtomicU64,
-    gallop_probes: AtomicU64,
-    candidates_pruned: AtomicU64,
-}
-
-impl ExecCounters {
-    fn record(&self, stats: ExecutorStats) {
-        self.searches.fetch_add(1, Ordering::Relaxed);
-        self.postings_scanned.fetch_add(stats.postings_scanned, Ordering::Relaxed);
-        self.gallop_probes.fetch_add(stats.gallop_probes, Ordering::Relaxed);
-        self.candidates_pruned.fetch_add(stats.candidates_pruned, Ordering::Relaxed);
-    }
-
-    fn totals(&self) -> ExecutorStats {
-        ExecutorStats {
-            postings_scanned: self.postings_scanned.load(Ordering::Relaxed),
-            gallop_probes: self.gallop_probes.load(Ordering::Relaxed),
-            candidates_pruned: self.candidates_pruned.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// A query-ready XSACT session over one document.
 ///
 /// Create one per document with [`Workbench::from_xml`] or
@@ -179,9 +149,10 @@ impl ExecCounters {
 /// usable; the workbench only orchestrates them and adds caching.
 ///
 /// A workbench is `Sync`: the feature cache sits behind one `RwLock` with
-/// atomic hit/miss counters, and the executor counters are atomics, so any
-/// number of threads may query the same workbench concurrently (the corpus
-/// engine fans out over shards of workbenches this way).
+/// atomic hit/miss counters, so any number of threads may query the same
+/// workbench concurrently (the corpus engine fans out over shards of
+/// workbenches this way). A search touches no shared counter: what it
+/// cost comes back with its results.
 #[derive(Debug)]
 pub struct Workbench {
     /// The display name its corpus gave it (empty outside a corpus). An
@@ -190,7 +161,6 @@ pub struct Workbench {
     pub(crate) name: Arc<str>,
     engine: SearchEngine,
     features: FeatureCache,
-    exec: ExecCounters,
 }
 
 impl Workbench {
@@ -207,12 +177,7 @@ impl Workbench {
     /// Wraps an already-built engine (e.g. one restored from a persisted
     /// index).
     pub fn from_engine(engine: SearchEngine) -> Workbench {
-        Workbench {
-            name: Arc::from(""),
-            engine,
-            features: FeatureCache::default(),
-            exec: ExecCounters::default(),
-        }
+        Workbench { name: Arc::from(""), engine, features: FeatureCache::default() }
     }
 
     /// Builds a workbench from a document plus the `.xidx` image
@@ -260,43 +225,10 @@ impl Workbench {
 
     /// Runs the streaming top-k executor directly: the best `k` results
     /// with scores, best-first, equal to the full ranked search truncated
-    /// to `k`. Executor counters are recorded into
-    /// [`executor_stats`](Self::executor_stats).
+    /// to `k`.
     pub fn search_top_k(&self, query: &Query, k: usize) -> Vec<(SearchResult, ScoredResult)> {
-        let roots = self.top_k_roots(query, k, None).0;
+        let roots = self.engine.search_top_k(query, k, None).0;
         roots.into_iter().map(|r| (self.engine.result_for(&r), r.score)).collect()
-    }
-
-    /// The streaming top-k as unlabelled [`RankedRoot`]s plus this run's
-    /// counters, recorded into the workbench totals — the one executor
-    /// call under [`search_top_k`](Self::search_top_k) and every ranked
-    /// query's shard work, which merges many documents' top-k and labels
-    /// only what survives ([`SearchEngine::result_for`]). Tracing only
-    /// observes the run — the roots are byte-identical with the sink
-    /// present or absent (pinned by `tests/obs.rs`), and with `None` no
-    /// timestamps are taken.
-    pub(crate) fn top_k_roots(
-        &self,
-        query: &Query,
-        k: usize,
-        trace: Option<&TraceSink>,
-    ) -> (Vec<RankedRoot>, ExecutorStats) {
-        let top = self.engine.search_top_k(query, k, trace);
-        self.exec.record(top.1);
-        top
-    }
-
-    /// Every SLCA result in document order plus this run's counters,
-    /// recorded into the workbench totals — what a document-order query
-    /// lists of this document.
-    pub(crate) fn all_results(
-        &self,
-        query: &Query,
-        trace: Option<&TraceSink>,
-    ) -> (Vec<SearchResult>, ExecutorStats) {
-        let all = self.engine.search_all(query, trace);
-        self.exec.record(all.1);
-        all
     }
 
     /// The underlying search engine, for callers that need layer-level
@@ -366,21 +298,6 @@ impl Workbench {
     /// [`clear_cache`](Self::clear_cache).
     pub fn cache_stats(&self) -> CacheStats {
         self.features.stats()
-    }
-
-    /// Cumulative executor counters of every search this workbench has
-    /// run through the facade (its own queries and those of its corpus),
-    /// aggregated with the same exactly-once
-    /// guarantee as [`cache_stats`](Self::cache_stats). Counters survive
-    /// [`clear_cache`](Self::clear_cache) — they describe executor work,
-    /// not cache contents.
-    pub fn executor_stats(&self) -> ExecutorStats {
-        self.exec.totals()
-    }
-
-    /// How many searches the executor counters aggregate over.
-    pub fn searches_executed(&self) -> u64 {
-        self.exec.searches.load(Ordering::Relaxed)
     }
 
     /// Number of results whose features are currently cached.

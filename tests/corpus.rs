@@ -75,24 +75,32 @@ fn bounded_compare_path_matches_ranking_then_compare() {
 
 #[test]
 fn compare_after_ranking_reuses_the_fan_out() {
-    // Satellite fix: requesting both the ranking and the table must run
-    // exactly one fan-out — compare() slices the memoized full ranking
-    // instead of launching a second, bounded search.
-    let corpus = Corpus::synthetic_movies(3, 40, 5).with_shards(2);
-    let searches = |c: &Corpus| -> u64 {
-        (0..c.len()).map(|i| c.workbench(DocId(i as u32)).searches_executed()).sum()
+    // Requesting both the ranking and the table must run exactly one
+    // fan-out — compare() slices the memoized full ranking instead of
+    // launching a second, bounded search. A query's executor work is the
+    // sum of the engine's own stats over the documents it searched, the
+    // same at every shard count.
+    let base = Corpus::synthetic_movies(9, 40, 5);
+    let per_doc = |k: usize| -> ExecutorStats {
+        let query = Query::parse("drama family");
+        (0..base.len())
+            .map(|i| base.workbench(DocId(i as u32)).engine().search_top_k(&query, k, None).1)
+            .fold(ExecutorStats::default(), |sum, stats| sum + stats)
     };
-    let query = corpus.query("drama family").unwrap().take(4);
-    assert!(!query.ranking().hits.is_empty());
-    let after_ranking = searches(&corpus);
-    assert_eq!(after_ranking, corpus.len() as u64, "one search per document");
-    query.compare(Algorithm::MultiSwap).unwrap();
-    assert_eq!(searches(&corpus), after_ranking, "compare() must not search again");
-    // A compare-only query fans out exactly once too (bounded).
-    corpus.query("drama family").unwrap().take(4).compare(Algorithm::MultiSwap).unwrap();
-    assert_eq!(searches(&corpus), after_ranking + corpus.len() as u64);
-    // Executor counters aggregate corpus-wide.
-    assert!(corpus.executor_stats().postings_scanned > 0);
+    let (full_run, bounded_run) = (per_doc(usize::MAX), per_doc(4));
+    assert!(full_run.postings_scanned > 0);
+    for shards in [1, 2, 8] {
+        let corpus = Corpus::synthetic_movies(9, 40, 5).with_shards(shards);
+        let query = corpus.query("drama family").unwrap().take(4);
+        assert!(!query.ranking().hits.is_empty());
+        assert_eq!(query.executor_stats(), full_run, "{shards} shards: one search per document");
+        query.compare(Algorithm::MultiSwap).unwrap();
+        assert_eq!(query.executor_stats(), full_run, "{shards} shards: compare() searched again");
+        // A compare-only query fans out exactly once too (bounded).
+        let compare_only = corpus.query("drama family").unwrap().take(4);
+        compare_only.compare(Algorithm::MultiSwap).unwrap();
+        assert_eq!(compare_only.executor_stats(), bounded_run, "{shards} shards");
+    }
 }
 
 #[test]

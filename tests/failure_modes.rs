@@ -51,9 +51,10 @@ fn zero_postings_term_surfaces_no_results_under_slca() {
     // zero postings before any SLCA work; the facade still reports the
     // typed NoResults, and the executor counters prove nothing ran.
     let wb = figure1_like_workbench();
-    let err = wb.query("tomtom zeppelin").unwrap().features().unwrap_err();
+    let query = wb.query("tomtom zeppelin").unwrap();
+    let err = query.features().unwrap_err();
     assert!(matches!(err, XsactError::NoResults { .. }), "{err}");
-    assert_eq!(wb.executor_stats(), ExecutorStats::default(), "short-circuit must cost nothing");
+    assert_eq!(query.executor_stats(), ExecutorStats::default(), "short-circuit must cost nothing");
 }
 
 #[test]

@@ -1,8 +1,10 @@
 //! Integration tests of the `Workbench` facade: the documented entry point
 //! must drive the paper's full flow (search → entity promotion → feature
 //! extraction → DFS generation) with typed errors, and its feature cache
-//! must make repeated queries free of re-extraction. The memo and counter
-//! tests run over both constructors of the one query builder.
+//! must make repeated queries free of re-extraction. The memo and
+//! executor-work tests run over both constructors of the one query builder,
+//! and pin a query's own [`ExecutorStats`] to the engine's stats of the
+//! searches it should have run.
 
 use std::sync::Arc;
 use xsact::prelude::*;
@@ -44,9 +46,21 @@ impl Subject {
         if self.via_corpus { self.corpus.query(text) } else { self.wb().query(text) }.unwrap()
     }
 
-    /// The workbench whose counters the queries move.
+    /// The workbench the queries search.
     fn wb(&self) -> &Workbench {
         self.corpus.workbench(DocId(0))
+    }
+}
+
+/// The executor work of one search of `text` over `wb`'s engine: the
+/// streaming top-`k` when ranked, the document-order list else (`k` is
+/// then ignored). What a query costs is pinned to sums of these.
+fn work(wb: &Workbench, text: &str, ranked: bool, k: usize) -> ExecutorStats {
+    let (engine, query) = (wb.engine(), Query::parse(text));
+    if ranked {
+        engine.search_top_k(&query, k, None).1
+    } else {
+        engine.search_all(&query, None).1
     }
 }
 
@@ -211,16 +225,15 @@ fn ranked_take_pushes_k_down_and_equals_the_truncated_full_sort() {
         let full = subject.query("drama family").ranked(true).ranking().hits.clone();
         assert!(full.len() > 8, "the fixture must have plenty of results");
         for k in [0, 1, 3, 7, full.len(), full.len() + 5] {
-            let (searches_before, stats_before) = (wb.searches_executed(), wb.executor_stats());
             let query = subject.query("drama family").ranked(true).take(k);
             let selection = query.selection().unwrap();
             assert_eq!(selection, full[..k.min(full.len())], "{name}: k = {k}");
-            // The bound went down into the executor: exactly one (bounded)
-            // search ran.
-            assert_eq!(wb.searches_executed(), searches_before + 1, "{name}: k = {k}");
-            let pruned = wb.executor_stats().candidates_pruned - stats_before.candidates_pruned;
+            // The bound went down into the executor: the query's work is
+            // exactly one bounded search.
+            let stats = query.executor_stats();
+            assert_eq!(stats, work(wb, "drama family", true, k), "{name}: k = {k}");
             if k < full.len() {
-                assert!(pruned > 0, "{name}: k = {k}: the heap must have evicted");
+                assert!(stats.candidates_pruned > 0, "{name}: k = {k}: the heap must have evicted");
             }
         }
     }
@@ -243,38 +256,41 @@ fn a_bounded_selection_is_the_head_of_the_ranking_and_shares_its_search() {
             }
             // Once the full list is there, the bounded selection is its
             // head: one search serves both memos.
-            let before = wb.searches_executed();
             let query = subject.query("drama family").ranked(ranked).take(5);
             assert_eq!(query.ranking().hits, full, "{name}, ranked {ranked}");
             assert_eq!(query.selection().unwrap(), top, "{name}, ranked {ranked}");
             query.compare(Algorithm::MultiSwap).unwrap();
-            assert_eq!(wb.searches_executed(), before + 1, "{name}, ranked {ranked}: one memo");
+            let one_run = work(wb, "drama family", ranked, usize::MAX);
+            assert_eq!(query.executor_stats(), one_run, "{name}, ranked {ranked}: one memo");
         }
     }
 }
 
 #[test]
-fn executor_stats_accumulate_across_queries() {
-    for subject in Subject::both(&fixtures::figure1_document()) {
+fn a_query_reports_the_work_of_its_own_runs() {
+    let doc = MoviesGen::new(MovieGenConfig { movies: 60, ..Default::default() }).generate();
+    for subject in Subject::both(&doc) {
         let (name, wb) = (subject.name(), subject.wb());
-        assert_eq!(wb.executor_stats(), ExecutorStats::default());
-        assert_eq!(wb.searches_executed(), 0);
-        let _ = subject.query(fixtures::PAPER_QUERY).ranked(false).ranking();
-        let after_one = wb.executor_stats();
-        assert!(after_one.postings_scanned > 0, "{name}");
-        assert_eq!(wb.searches_executed(), 1, "{name}");
-        let _ = subject.query(fixtures::PAPER_QUERY).ranked(true).ranking();
-        let after_two = wb.executor_stats();
-        assert!(after_two.postings_scanned > after_one.postings_scanned, "{name}");
-        assert_eq!(wb.searches_executed(), 2, "{name}");
-        // A zero-postings term short-circuits in the planner: the search is
-        // counted, the counters do not move.
-        let _ = subject.query("tomtom zeppelin").ranking();
-        assert_eq!(wb.executor_stats(), after_two, "{name}");
-        assert_eq!(wb.searches_executed(), 3, "{name}");
-        // clear_cache resets the feature cache, not the executor history.
-        wb.clear_cache();
-        assert_eq!(wb.executor_stats(), after_two, "{name}");
+        let query = subject.query("drama family").ranked(true).take(5);
+        assert_eq!(query.executor_stats(), ExecutorStats::default(), "{name}: nothing ran yet");
+        query.selection().unwrap();
+        let bounded = work(wb, "drama family", true, 5);
+        assert_eq!(query.executor_stats(), bounded, "{name}");
+        // The full list is a second run; the query reports both, and
+        // another query's searches are not its own.
+        let other = subject.query("drama family").ranked(true);
+        other.ranking();
+        query.ranking();
+        let both = bounded + work(wb, "drama family", true, usize::MAX);
+        assert_eq!(query.executor_stats(), both, "{name}");
+        // No setter resets the total: a new order runs again and adds.
+        let query = query.ranked(false);
+        query.ranking();
+        assert_eq!(query.executor_stats(), both + work(wb, "drama family", false, 0), "{name}");
+        // A zero-postings term short-circuits in the planner: nothing ran.
+        let hopeless = subject.query("tomtom zeppelin").ranked(true);
+        assert!(hopeless.ranking().hits.is_empty(), "{name}");
+        assert_eq!(hopeless.executor_stats(), ExecutorStats::default(), "{name}");
     }
 }
 
