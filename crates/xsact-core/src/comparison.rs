@@ -205,11 +205,6 @@ impl ComparisonOutcome {
             .map(|t| &self.instance.types[t])
             .collect()
     }
-
-    /// Size of result `i`'s DFS.
-    pub fn dfs_size(&self, i: usize) -> usize {
-        self.set.dfs(i).size()
-    }
 }
 
 #[cfg(test)]
@@ -267,7 +262,7 @@ mod tests {
     fn outcome_exposes_selections() {
         let out = compare(&instance(3), Algorithm::MultiSwap).unwrap();
         assert_eq!(out.labels(), ["A", "B"]);
-        assert_eq!(out.dfs_size(0), 3);
+        assert_eq!(out.set.dfs(0).size(), 3);
         let attrs: Vec<&str> = out.selected_types(0).iter().map(|t| t.attribute.as_str()).collect();
         assert_eq!(attrs, ["same", "x", "y"]);
         assert!(out.table().contains("A"));

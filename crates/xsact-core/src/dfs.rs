@@ -57,11 +57,6 @@ impl Dfs {
         self.prefix.iter().sum()
     }
 
-    /// Whether the DFS respects a size bound `L`.
-    pub fn within(&self, bound: usize) -> bool {
-        self.size() <= bound
-    }
-
     /// Grows entity `e`'s prefix by one. Returns `false` (and changes
     /// nothing) when the result has no further type for that entity.
     pub fn grow(&mut self, inst: &Instance, result: usize, e: EntityIdx) -> bool {
@@ -268,7 +263,7 @@ impl DfsSet {
         self.dfss
             .iter()
             .enumerate()
-            .all(|(i, d)| d.is_consistent(inst, i) && d.within(inst.config.size_bound))
+            .all(|(i, d)| d.is_consistent(inst, i) && d.size() <= inst.config.size_bound)
             && self.masks_consistent(inst)
     }
 
@@ -321,7 +316,6 @@ mod tests {
         let inst = inst();
         let d = Dfs::empty(inst.entities.len());
         assert_eq!(d.size(), 0);
-        assert!(d.within(0));
         assert!(d.selected_types(&inst, 0).is_empty());
         assert!(d.is_consistent(&inst, 0));
     }

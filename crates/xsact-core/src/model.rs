@@ -522,13 +522,6 @@ impl Instance {
         self.diff[i * run..][..run].chunks_exact(self.words.max(1))
     }
 
-    /// Whether results `i` and `j` are differentiable in type `t`
-    /// (`false` if either lacks the type — absence means *unknown*, the
-    /// paper's NULL-value analogy).
-    pub fn differentiable(&self, i: usize, j: usize, t: TypeId) -> bool {
-        bits::test_bit(self.diff_row(i, j), t)
-    }
-
     /// The precomputed potentials of result `i`, one per type: how many
     /// other results are differentiable from `i` on the type, whatever
     /// their DFSs currently select.
@@ -625,6 +618,13 @@ fn ratios_differ(pa: f64, pb: f64, share: f64) -> bool {
 mod tests {
     use super::*;
     use xsact_entity::ResultFeatures;
+
+    /// Whether results `i` and `j` are differentiable in type `t`
+    /// (`false` if either lacks the type — absence means *unknown*, the
+    /// paper's NULL-value analogy).
+    fn differentiable(inst: &Instance, i: usize, j: usize, t: TypeId) -> bool {
+        bits::test_bit(inst.diff_row(i, j), t)
+    }
 
     fn ty(e: &str, a: &str) -> FeatureType {
         FeatureType::new(e, a)
@@ -733,18 +733,18 @@ mod tests {
         let inst = instance();
         let t = |attr: &str| inst.types.iter().position(|x| x.attribute == attr).unwrap();
         // name: different values → differentiable.
-        assert!(inst.differentiable(0, 1, t("name")));
+        assert!(differentiable(&inst, 0, 1, t("name")));
         // compact: 8/11 = 72.7% vs 38/68 = 55.9%; gap 16.8% > 10% of 55.9%.
-        assert!(inst.differentiable(0, 1, t("pros:compact")));
+        assert!(differentiable(&inst, 0, 1, t("pros:compact")));
         // easy_to_read missing in GPS 3 → NOT differentiable (unknown).
-        assert!(!inst.differentiable(0, 1, t("pros:easy_to_read")));
-        assert!(!inst.differentiable(0, 1, t("pros:satellites")));
+        assert!(!differentiable(&inst, 0, 1, t("pros:easy_to_read")));
+        assert!(!differentiable(&inst, 0, 1, t("pros:satellites")));
         // large_screen: 1/11 = 9.1% vs 4/68 = 5.9%; gap 3.2% > 10% of 5.9%
         // (0.59%) → differentiable.
-        assert!(inst.differentiable(0, 1, t("pros:large_screen")));
+        assert!(differentiable(&inst, 0, 1, t("pros:large_screen")));
         // Symmetry.
         for t in 0..inst.type_count() {
-            assert_eq!(inst.differentiable(0, 1, t), inst.differentiable(1, 0, t));
+            assert_eq!(differentiable(&inst, 0, 1, t), differentiable(&inst, 1, 0, t));
         }
     }
 
@@ -753,9 +753,6 @@ mod tests {
         let inst = instance();
         assert_eq!(inst.words_per_row(), 1);
         assert_eq!(inst.bitmatrix_bytes(), 2 * 2 * 8);
-        for t in 0..inst.type_count() {
-            assert_eq!(crate::bits::test_bit(inst.diff_row(0, 1), t), inst.differentiable(0, 1, t));
-        }
         // The self row is all zeroes (never filled).
         assert!(inst.diff_row(0, 0).iter().all(|&w| w == 0));
     }
@@ -767,7 +764,7 @@ mod tests {
         for i in 0..n {
             for (t, &p) in inst.potentials(i).iter().enumerate() {
                 let expected =
-                    (0..n).filter(|&j| j != i && inst.differentiable(i, j, t)).count() as u32;
+                    (0..n).filter(|&j| j != i && differentiable(&inst, i, j, t)).count() as u32;
                 assert_eq!(p, expected, "result {i} type {t}");
             }
         }
@@ -790,10 +787,10 @@ mod tests {
             &[a.clone(), b.clone()],
             DfsConfig { size_bound: 5, threshold_pct: 10.0 },
         );
-        assert!(!inst.differentiable(0, 1, 0));
+        assert!(!differentiable(&inst, 0, 1, 0));
         // At x = 1 the same gap differentiates.
         let inst = Instance::build(&[a, b], DfsConfig { size_bound: 5, threshold_pct: 1.0 });
-        assert!(inst.differentiable(0, 1, 0));
+        assert!(differentiable(&inst, 0, 1, 0));
     }
 
     #[test]
@@ -808,16 +805,16 @@ mod tests {
         // 4.2 vs 4.1: 2.4% gap < 10% of 4.1 → NOT differentiable (the paper's
         // Figure 1 snippets).
         let inst = Instance::build(&[mk("a", "4.2"), mk("b", "4.1")], DfsConfig::default());
-        assert!(!inst.differentiable(0, 1, 0));
+        assert!(!differentiable(&inst, 0, 1, 0));
         // 4.2 vs 2.0: 110% gap → differentiable.
         let inst = Instance::build(&[mk("a", "4.2"), mk("b", "2.0")], DfsConfig::default());
-        assert!(inst.differentiable(0, 1, 0));
+        assert!(differentiable(&inst, 0, 1, 0));
         // Numeric vs non-numeric falls back to the categorical rule.
         let inst = Instance::build(&[mk("a", "4.2"), mk("b", "n/a")], DfsConfig::default());
-        assert!(inst.differentiable(0, 1, 0));
+        assert!(differentiable(&inst, 0, 1, 0));
         // Equal numbers never differentiate.
         let inst = Instance::build(&[mk("a", "4.2"), mk("b", "4.2")], DfsConfig::default());
-        assert!(!inst.differentiable(0, 1, 0));
+        assert!(!differentiable(&inst, 0, 1, 0));
     }
 
     #[test]
@@ -836,8 +833,8 @@ mod tests {
         };
         let differ = |a: &str, b: &str| {
             let inst = Instance::build(&[mk("a", a), mk("b", b)], DfsConfig::default());
-            assert_eq!(inst.differentiable(0, 1, 0), inst.differentiable(1, 0, 0));
-            inst.differentiable(0, 1, 0)
+            assert_eq!(differentiable(&inst, 0, 1, 0), differentiable(&inst, 1, 0, 0));
+            differentiable(&inst, 0, 1, 0)
         };
         assert!(differ("Nan", "1984"));
         assert!(differ("Infinity", "inf"));
@@ -866,7 +863,7 @@ mod tests {
             [(ty("e", "x"), "no".to_string(), 5)],
         );
         let inst = Instance::build(&[a, b], DfsConfig::default());
-        assert!(inst.differentiable(0, 1, 0));
+        assert!(differentiable(&inst, 0, 1, 0));
     }
 
     #[test]
@@ -893,17 +890,17 @@ mod tests {
         );
         // Identical on red/green; blue vs violet are one-sided → differ.
         let inst = Instance::build(&[a.clone(), b], DfsConfig::default());
-        assert!(inst.differentiable(0, 1, 0));
+        assert!(differentiable(&inst, 0, 1, 0));
         // Against itself the union collapses and nothing differs.
         let inst = Instance::build(&[a.clone(), a], DfsConfig::default());
-        assert!(!inst.differentiable(0, 1, 0));
+        assert!(!differentiable(&inst, 0, 1, 0));
     }
 
     #[test]
     fn identical_results_never_differentiate() {
         let inst = Instance::build(&[gps1(), gps1()], DfsConfig::default());
         for t in 0..inst.type_count() {
-            assert!(!inst.differentiable(0, 1, t));
+            assert!(!differentiable(&inst, 0, 1, t));
         }
     }
 

@@ -189,7 +189,7 @@ mod oracle {
     use crate::dfs::DfsSet;
     use crate::model::{Instance, TypeId};
     use std::borrow::Cow;
-    use xsact_entity::label::{display_label, entity_short_name};
+    use xsact_entity::label::{entity_short_name, push_display_label};
 
     pub(super) fn render_table(inst: &Instance, set: &DfsSet) -> String {
         let rows = table_rows(inst, set);
@@ -199,11 +199,9 @@ mod oracle {
         for &t in &rows {
             let mut row = Vec::with_capacity(inst.result_count() + 1);
             let ty = &inst.types[t];
-            row.push(Cow::Owned(format!(
-                "{} · {}",
-                entity_short_name(&ty.entity),
-                display_label(ty)
-            )));
+            let mut label = format!("{} · ", entity_short_name(&ty.entity));
+            push_display_label(&mut label, ty);
+            row.push(Cow::Owned(label));
             for i in 0..inst.result_count() {
                 if set.dfs(i).contains(inst, i, t) {
                     let cell = inst.cell(i, t).expect("selected type has a cell");

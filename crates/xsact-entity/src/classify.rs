@@ -193,7 +193,12 @@ impl Hasher for EdgeHasher {
 /// through the summary instead.
 #[cfg(test)]
 pub(crate) fn path_key(doc: &Document, node: NodeId) -> String {
-    doc.tag_path(node).join("/")
+    let mut path: Vec<&str> = std::iter::successors(Some(node), |&n| doc.parent(n))
+        .filter(|&n| doc.is_element(n))
+        .map(|n| doc.tag(n))
+        .collect();
+    path.reverse();
+    path.join("/")
 }
 
 #[cfg(test)]

@@ -410,12 +410,6 @@ impl ResultFeatures {
         self.stats.iter().map(move |rec| Stat { rf: self, rec })
     }
 
-    /// Number of instances of an entity path in this result.
-    pub fn instances_of(&self, entity: &str) -> u32 {
-        let found = self.entities.binary_search_by(|(path, _)| path.of(&self.text).cmp(entity));
-        found.map_or(0, |k| self.entities[k].1)
-    }
-
     /// Looks up the stat of a feature type.
     pub fn get(&self, ty: &FeatureType) -> Option<Stat<'_>> {
         self.stats().find(|s| s.entity() == ty.entity && s.attribute() == ty.attribute)
@@ -867,6 +861,12 @@ mod tests {
     use super::*;
     use xsact_xml::parse_document;
 
+    /// Number of instances of an entity path in `rf`, 0 for a path it
+    /// does not hold.
+    fn instances_of(rf: &ResultFeatures, entity: &str) -> u32 {
+        rf.entity_counts().find(|&(path, _)| path == entity).map_or(0, |(_, n)| n)
+    }
+
     /// Two products shaped like the paper's Figure 1 (scaled down).
     fn doc() -> Document {
         parse_document(
@@ -910,9 +910,9 @@ mod tests {
     fn entity_instances_counted() {
         let d = doc();
         let rf = extract(&d, first_product(&d));
-        assert_eq!(rf.instances_of(PRODUCT), 1);
-        assert_eq!(rf.instances_of(REVIEW), 3);
-        assert_eq!(rf.instances_of("never"), 0);
+        assert_eq!(instances_of(&rf, PRODUCT), 1);
+        assert_eq!(instances_of(&rf, REVIEW), 3);
+        assert_eq!(instances_of(&rf, "never"), 0);
     }
 
     #[test]
@@ -1175,7 +1175,7 @@ mod tests {
         // entity only a triplet names has no instances.
         let a = rf.get(&FeatureType::new("e", "a")).unwrap();
         assert_eq!((a.values().collect::<Vec<_>>(), a.entity_instances()), (vec![("yes", 3)], 5));
-        assert_eq!((rf.instances_of("e"), rf.instances_of("f")), (5, 0));
+        assert_eq!((instances_of(&rf, "e"), instances_of(&rf, "f")), (5, 0));
         assert_eq!(rf.get(&FeatureType::new("f", "a")).unwrap().ratio(), 0.0);
     }
 
@@ -1192,7 +1192,7 @@ mod tests {
         let rf = extract_features(&d, &summary, text, "t");
         assert_eq!(rf.type_count(), 0);
         // The instance is counted under the nearest element's path.
-        assert_eq!(rf.instances_of("r/item/name"), 1);
+        assert_eq!(instances_of(&rf, "r/item/name"), 1);
     }
 
     #[test]
@@ -1205,6 +1205,6 @@ mod tests {
         assert_eq!(rf.stats().len(), 0);
         assert!(rf.stat_panel(3).is_empty());
         // The instance itself is still counted.
-        assert_eq!(rf.instances_of("r/item"), 1);
+        assert_eq!(instances_of(&rf, "r/item"), 1);
     }
 }

@@ -7,20 +7,12 @@
 
 use crate::features::FeatureType;
 
-/// The short, paper-style label of a feature type, e.g.
+/// Appends the short, paper-style label of a feature type to `out`, e.g.
 /// `(shop/product/reviews/review, pros:compact)` → `"pros: compact"`, and
 /// `(shop/product, name)` → `"name"`.
 ///
 /// The entity path is dropped (the comparison table groups rows by entity
 /// already); attribute path segments are joined with `": "`.
-pub fn display_label(ty: &FeatureType) -> String {
-    let mut label = String::with_capacity(ty.attribute.len() + 2);
-    push_display_label(&mut label, ty);
-    label
-}
-
-/// Appends [`display_label`] to `out` — for callers that compose many labels
-/// in one buffer.
 pub fn push_display_label(out: &mut String, ty: &FeatureType) {
     for c in ty.attribute.chars() {
         match c {
@@ -51,6 +43,11 @@ mod tests {
 
     #[test]
     fn display_label_joins_attribute_segments() {
+        let display_label = |ty: &FeatureType| {
+            let mut label = String::new();
+            push_display_label(&mut label, ty);
+            label
+        };
         let ty = FeatureType {
             entity: "shop/product/reviews/review".into(),
             attribute: "pros:easy_to_read".into(),

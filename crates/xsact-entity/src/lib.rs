@@ -21,4 +21,3 @@ pub mod label;
 
 pub use classify::{NodeClass, PathId, StructureSummary};
 pub use features::{extract_features, FeatureType, ResultFeatures, Stat};
-pub use label::display_label;

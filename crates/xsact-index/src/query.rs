@@ -23,20 +23,6 @@ impl Query {
         Query { terms: tokenize_unique(text) }
     }
 
-    /// Builds a query from pre-tokenised terms (normalised on the way in).
-    pub fn from_terms<I, S>(terms: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let mut q = String::new();
-        for t in terms {
-            q.push_str(t.as_ref());
-            q.push(' ');
-        }
-        Query::parse(&q)
-    }
-
     /// The normalised terms in first-seen order.
     pub fn terms(&self) -> &[String] {
         &self.terms
@@ -79,8 +65,8 @@ mod tests {
     }
 
     #[test]
-    fn from_terms_matches_parse() {
-        assert_eq!(Query::from_terms(["TomTom", "GPS"]), Query::parse("tomtom gps"));
+    fn case_and_separators_do_not_change_a_query() {
+        assert_eq!(Query::parse("TomTom GPS "), Query::parse("tomtom gps"));
     }
 
     #[test]

@@ -82,7 +82,7 @@ mod tests {
         let decoded: Vec<Vec<NodeId>> = terms.iter().map(|t| idx.postings(t).to_vec()).collect();
         let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
         let a = slca_full_scan(&doc, &lists);
-        let b = QueryPlan::new(&idx, &Query::from_terms(terms)).stream(&doc).collect();
+        let b = QueryPlan::new(&idx, &Query::parse(&terms.join(" "))).stream(&doc).collect();
         let path = |v: Vec<NodeId>| -> Vec<String> {
             v.into_iter().map(|n| doc.dewey(n).to_string()).collect()
         };

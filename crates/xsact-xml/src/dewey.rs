@@ -38,16 +38,6 @@ impl DeweyId {
     pub fn components(&self) -> &[u32] {
         &self.components
     }
-
-    /// Whether `self` is a proper ancestor of `other`.
-    pub fn is_ancestor_of(&self, other: &DeweyId) -> bool {
-        self.components.len() < other.components.len() && self.is_ancestor_or_self_of(other)
-    }
-
-    /// Whether `self` is `other` or an ancestor of it.
-    pub fn is_ancestor_or_self_of(&self, other: &DeweyId) -> bool {
-        other.components.starts_with(&self.components)
-    }
 }
 
 impl PartialOrd for DeweyId {
@@ -93,15 +83,21 @@ mod tests {
 
     #[test]
     fn ancestor_relations() {
+        // An ancestor's path is a prefix of its descendants' paths.
+        let is_ancestor_or_self_of =
+            |a: &DeweyId, b: &DeweyId| b.components().starts_with(a.components());
+        let is_ancestor_of = |a: &DeweyId, b: &DeweyId| {
+            a.components().len() < b.components().len() && is_ancestor_or_self_of(a, b)
+        };
         let a = id(&[0, 1]);
         let b = id(&[0, 1, 3, 2]);
-        assert!(a.is_ancestor_of(&b));
-        assert!(!b.is_ancestor_of(&a));
-        assert!(!a.is_ancestor_of(&a));
-        assert!(a.is_ancestor_or_self_of(&a));
-        assert!(a.is_ancestor_or_self_of(&b));
+        assert!(is_ancestor_of(&a, &b));
+        assert!(!is_ancestor_of(&b, &a));
+        assert!(!is_ancestor_of(&a, &a));
+        assert!(is_ancestor_or_self_of(&a, &a));
+        assert!(is_ancestor_or_self_of(&a, &b));
         // Sibling subtrees are unrelated.
-        assert!(!id(&[0, 1]).is_ancestor_of(&id(&[0, 2, 0])));
+        assert!(!is_ancestor_of(&id(&[0, 1]), &id(&[0, 2, 0])));
     }
 
     #[test]

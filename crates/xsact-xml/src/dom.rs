@@ -462,21 +462,6 @@ impl Document {
         self.add_node(parent, tag.raw())
     }
 
-    /// Appends a child element carrying attributes. Panics if `parent` is
-    /// closed, see [`add_element`](Self::add_element).
-    pub fn add_element_with_attrs(
-        &mut self,
-        parent: NodeId,
-        tag: impl AsRef<str>,
-        attrs: Vec<(String, String)>,
-    ) -> NodeId {
-        let node = self.add_element(parent, tag);
-        for (name, value) in attrs {
-            self.set_attr(node, name, value);
-        }
-        node
-    }
-
     /// Appends a text child to `parent`, copying `text` into the document's
     /// arena. Panics if `parent` is closed, see
     /// [`add_element`](Self::add_element).
@@ -646,22 +631,6 @@ impl Document {
     /// Depth of the node (root = 1), found by climbing to the root.
     pub fn depth(&self, id: NodeId) -> usize {
         std::iter::successors(Some(id), |&n| self.parent(n)).count()
-    }
-
-    /// The path of tags from the root to `id`, e.g. `["products", "product",
-    /// "name"]`. Text nodes contribute nothing and return the path to their
-    /// parent element.
-    pub fn tag_path(&self, id: NodeId) -> Vec<&str> {
-        let mut path = Vec::new();
-        let mut cur = Some(id);
-        while let Some(n) = cur {
-            if self.is_element(n) {
-                path.push(self.tag(n));
-            }
-            cur = self.parent(n);
-        }
-        path.reverse();
-        path
     }
 
     /// Measures the heap footprint of the interned substrate, from the
@@ -1011,7 +980,8 @@ mod tests {
     fn sample() -> (Document, NodeId, NodeId, NodeId) {
         let mut doc = Document::new("shop");
         let root = doc.root();
-        let product = doc.add_element_with_attrs(root, "product", vec![("id".into(), "1".into())]);
+        let product = doc.add_element(root, "product");
+        doc.set_attr(product, "id", "1");
         let name = doc.add_leaf(product, "name", "TomTom");
         doc.add_leaf(product, "rating", "4.2");
         doc.add_text(root, "text");
@@ -1054,7 +1024,8 @@ mod tests {
     fn set_attr_appends() {
         let mut doc = Document::new("shop");
         let root = doc.root();
-        let product = doc.add_element_with_attrs(root, "product", vec![("id".into(), "1".into())]);
+        let product = doc.add_element(root, "product");
+        doc.set_attr(product, "id", "1");
         // Still the node appended last: it takes further attributes.
         doc.set_attr(product, "lang", "en");
         doc.set_attr(product, "note", String::from("a & b"));
@@ -1072,8 +1043,10 @@ mod tests {
         assert_eq!(doc.attr_count(root), 0);
         assert_eq!(doc.attr(product, "note"), Some("a & b"));
         // A subtree counts the attributes of every node in it.
-        let other = doc.add_element_with_attrs(root, "product", vec![("id".into(), "2".into())]);
-        doc.add_element_with_attrs(other, "name", vec![("lang".into(), "de".into())]);
+        let other = doc.add_element(root, "product");
+        doc.set_attr(other, "id", "2");
+        let other_name = doc.add_element(other, "name");
+        doc.set_attr(other_name, "lang", "de");
         assert_eq!(doc.subtree_attr_count(root), 5);
         assert_eq!(doc.subtree_attr_count(product), 3);
         assert_eq!(doc.subtree_attr_count(other), 2);
@@ -1209,10 +1182,20 @@ mod tests {
     #[test]
     fn tag_path_skips_text() {
         let (doc, _, product, name) = sample();
-        assert_eq!(doc.tag_path(name), ["shop", "product", "name"]);
+        // The tags from the root down: a text node contributes nothing, so
+        // its path is its parent element's.
+        let tag_path = |id: NodeId| {
+            let mut path: Vec<&str> = std::iter::successors(Some(id), |&n| doc.parent(n))
+                .filter(|&n| doc.is_element(n))
+                .map(|n| doc.tag(n))
+                .collect();
+            path.reverse();
+            path
+        };
+        assert_eq!(tag_path(name), ["shop", "product", "name"]);
         let text_node = doc.children(name).next().unwrap();
-        assert_eq!(doc.tag_path(text_node), ["shop", "product", "name"]);
-        assert_eq!(doc.tag_path(product), ["shop", "product"]);
+        assert_eq!(tag_path(text_node), ["shop", "product", "name"]);
+        assert_eq!(tag_path(product), ["shop", "product"]);
     }
 
     #[test]
@@ -1255,7 +1238,9 @@ mod tests {
             for b in doc.all_nodes() {
                 assert_eq!(doc.dewey(a).cmp(&doc.dewey(b)), a.cmp(&b));
                 let inside = a < b && (b.index() as u32) < doc.subtree_end(a);
-                assert_eq!(doc.dewey(a).is_ancestor_of(&doc.dewey(b)), inside);
+                let (da, db) = (doc.dewey(a), doc.dewey(b));
+                let below = db.components().strip_prefix(da.components());
+                assert_eq!(below.is_some_and(|rest| !rest.is_empty()), inside);
             }
         }
     }
@@ -1314,7 +1299,8 @@ mod tests {
                 d.add_leaf(d.root(), "c", "t");
             },
             |d| {
-                d.add_element_with_attrs(d.root(), "c", vec![]);
+                let c = d.add_element(d.root(), "c");
+                d.set_attr(c, "y", "2");
             },
             |d| d.set_attr(NodeId(1), "y", "2"),
         ];
@@ -1324,7 +1310,8 @@ mod tests {
             assert_eq!(doc.source_digest(), None, "builder {i}");
         }
         let mut built = Document::new("a");
-        built.add_element_with_attrs(built.root(), "b", vec![("x".into(), "1".into())]);
+        let b = built.add_element(built.root(), "b");
+        built.set_attr(b, "x", "1");
         assert_eq!(built.source_digest(), None);
         assert_eq!(built, parsed);
     }
@@ -1440,7 +1427,8 @@ mod tests {
         let mut doc = Document::new("shop");
         let root = doc.root();
         for i in 0..200 {
-            let p = doc.add_element_with_attrs(root, "product", vec![("id".into(), i.to_string())]);
+            let p = doc.add_element(root, "product");
+            doc.set_attr(p, "id", i.to_string());
             doc.add_leaf(p, "name", format!("Item {i}"));
             doc.add_leaf(p, "rating", "4.2");
         }

@@ -196,7 +196,10 @@ mod oracle {
                             if stack.len() >= MAX_DEPTH {
                                 return Err(XmlError::TooDeep { offset, limit: MAX_DEPTH });
                             }
-                            let node = d.add_element_with_attrs(parent, name, attrs);
+                            let node = d.add_element(parent, name);
+                            for (k, v) in attrs {
+                                d.set_attr(node, k, v);
+                            }
                             if !self_closing {
                                 stack.push(node);
                                 open_tags.push(name);

@@ -67,7 +67,8 @@ mod tests {
     fn sample() -> Document {
         let mut doc = Document::new("shop");
         let root = doc.root();
-        let p = doc.add_element_with_attrs(root, "product", vec![("id".into(), "1".into())]);
+        let p = doc.add_element(root, "product");
+        doc.set_attr(p, "id", "1");
         doc.add_leaf(p, "name", "TomTom Go 630");
         doc.add_leaf(p, "note", "fast & \"cheap\" <deal>");
         doc.add_element(root, "empty");

@@ -242,12 +242,6 @@ impl Workbench {
         self.engine.document()
     }
 
-    /// Heap-footprint statistics of the document's interned substrate
-    /// (symbol interner, node table, owned text).
-    pub fn substrate_stats(&self) -> xsact_xml::SubstrateStats {
-        self.engine.document().substrate_stats()
-    }
-
     /// Heap-footprint statistics of the inverted index: term count, total
     /// postings, and the delta-bit-packed resident bytes next to what the
     /// flat `u32` arena would cost.
@@ -477,7 +471,7 @@ mod tests {
         let rebound = pipeline.clone().size_bound(3);
         assert_eq!(rebound.instance().unwrap().config.size_bound, 3);
         let outcome = rebound.compare(Algorithm::MultiSwap).unwrap();
-        assert!(outcome.dfs_size(0) <= 3);
+        assert!(outcome.set.dfs(0).size() <= 3);
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn zero_size_bound_yields_empty_dfss() {
         let outcome = compare(&inst, algo).unwrap();
         assert_eq!(outcome.dod(), 0);
         for i in 0..2 {
-            assert_eq!(outcome.dfs_size(i), 0);
+            assert_eq!(outcome.set.dfs(i).size(), 0);
         }
     }
 }
@@ -222,7 +222,7 @@ fn results_with_no_features_at_all() {
     };
     let outcome = compare(&instance(&[empty("a"), empty("b")], 5), Algorithm::MultiSwap).unwrap();
     assert_eq!(outcome.dod(), 0);
-    assert_eq!(outcome.dfs_size(0), 0);
+    assert_eq!(outcome.set.dfs(0).size(), 0);
 }
 
 #[test]
@@ -287,7 +287,7 @@ fn huge_size_bound_is_clamped_to_available_types() {
         [(FeatureType::new("e", "x"), "yes".to_string(), 1)],
     );
     let outcome = compare(&instance(&[a, b], 1_000_000), Algorithm::MultiSwap).unwrap();
-    assert_eq!(outcome.dfs_size(0), 1);
+    assert_eq!(outcome.set.dfs(0).size(), 1);
     assert_eq!(outcome.dod(), 1);
 }
 
@@ -330,7 +330,7 @@ fn instance_with_zero_entity_instances_is_safe() {
     );
     let inst = Instance::build(&[a, b], DfsConfig::default());
     // Ratio 0 vs 0.2 → differentiable; must not panic or divide by zero.
-    assert!(inst.differentiable(0, 1, 0));
+    assert!(xsact_core::bits::test_bit(inst.diff_row(0, 1), 0));
 }
 
 // ------------------------------------------------- serving failure modes

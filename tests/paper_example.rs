@@ -46,8 +46,8 @@ fn query_returns_exactly_the_two_tomtom_products() {
 fn extracted_statistics_match_figure1() {
     let features = paper_results();
     let gps1 = &features[0];
-    assert_eq!(gps1.instances_of(REVIEW), 11);
     let stat = |attr: &str| gps1.get(&FeatureType::new(REVIEW, attr)).unwrap();
+    assert_eq!(stat("pros:easy_to_read").entity_instances(), 11);
     assert_eq!(stat("pros:easy_to_read").occurrences(), 10);
     assert_eq!(stat("pros:compact").occurrences(), 8);
     assert_eq!(stat("uses:best_use:auto").occurrences(), 6);
@@ -55,8 +55,8 @@ fn extracted_statistics_match_figure1() {
     assert_eq!(stat("pros:large_screen").occurrences(), 1);
 
     let gps3 = &features[1];
-    assert_eq!(gps3.instances_of(REVIEW), 68);
     let stat3 = |attr: &str| gps3.get(&FeatureType::new(REVIEW, attr)).unwrap();
+    assert_eq!(stat3("pros:acquires_satellites_quickly").entity_instances(), 68);
     assert_eq!(stat3("pros:acquires_satellites_quickly").occurrences(), 44);
     assert_eq!(stat3("pros:easy_to_setup").occurrences(), 40);
     assert_eq!(stat3("pros:compact").occurrences(), 38);

@@ -347,7 +347,7 @@ fn exercise(doc: &Document, index: InvertedIndex) {
         let _ = doc.attr(node, "easyToRead");
         let _: Vec<_> = doc.children(node).chain(doc.child_elements(node)).collect();
         let _ = (doc.child_by_tag(node, "Name"), doc.children_by_tag(node, "Note").count());
-        let _ = (doc.descendants(node).count(), doc.text_content(node), doc.tag_path(node));
+        let _ = (doc.descendants(node).count(), doc.text_content(node));
     }
     let _ = (doc.element_count(), doc.substrate_stats(), doc.to_string());
     let engine = SearchEngine::from_parts(doc.clone(), index);

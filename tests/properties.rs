@@ -41,9 +41,9 @@ use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use xsact_core::{
-    compare, dod_total, greedy_set, is_multi_swap_optimal, is_single_swap_optimal, multi_swap,
-    multi_swap_from, render_table, run_algorithm, single_swap, single_swap_from, snippet_set,
-    Algorithm, Dfs, DfsConfig, DfsSet, Instance, SwapStats,
+    bits, compare, dod_total, greedy_set, is_multi_swap_optimal, is_single_swap_optimal,
+    multi_swap, multi_swap_from, render_table, run_algorithm, single_swap, single_swap_from,
+    snippet_set, Algorithm, Dfs, DfsConfig, DfsSet, Instance, SwapStats,
 };
 use xsact_entity::{
     extract_features, FeatureType, NodeClass, ResultFeatures, Stat, StructureSummary,
@@ -137,7 +137,7 @@ fn slca_implementations_agree() {
             terms.iter().take(term_count).map(|t| idx.postings(t).to_vec()).collect();
         let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
         let full = slca_full_scan(&doc, &lists);
-        let query = Query::from_terms(&terms[..term_count]);
+        let query = Query::parse(&terms[..term_count].join(" "));
         let eager: Vec<NodeId> = QueryPlan::new(&idx, &query).stream(&doc).collect();
         assert_eq!(full, eager, "seed {seed}, {term_count} terms");
     }
@@ -293,7 +293,7 @@ fn slca_over_interned_postings_matches_oracle_lists() {
             .map(|t| oracle.get(*t).unwrap_or(&empty).as_slice())
             .collect();
         let over_oracle_lists = slca_full_scan(&doc, &string_keyed);
-        let query = Query::from_terms(&terms[..term_count]);
+        let query = Query::parse(&terms[..term_count].join(" "));
         assert_eq!(
             QueryPlan::new(&idx, &query).stream(&doc).collect::<Vec<_>>(),
             over_oracle_lists,
@@ -321,7 +321,7 @@ fn random_query(rng: &mut StdRng) -> Query {
     let universe = ["a", "item", "root", "b", "group", "missing"];
     let term_count = rng.random_range(1..=4usize);
     let start = rng.random_range(0..universe.len() - term_count + 1);
-    Query::from_terms(universe[start..start + term_count].iter())
+    Query::parse(&universe[start..start + term_count].join(" "))
 }
 
 #[test]
@@ -551,7 +551,8 @@ fn assert_substrate_matches_the_tree(doc: &Document, what: &str) {
         // checked above.
         for a in std::iter::successors(doc.parent(n), |&a| doc.parent(a)) {
             assert!(a < n && (i as u32) < doc.subtree_end(a), "{what}: {a:?} holds {n:?}");
-            assert!(deweys[a.index()].is_ancestor_of(&deweys[i]), "{what}: {}", deweys[i]);
+            let below = deweys[i].components().strip_prefix(deweys[a.index()].components());
+            assert!(below.is_some_and(|rest| !rest.is_empty()), "{what}: {}", deweys[i]);
         }
     }
 }
@@ -717,7 +718,8 @@ fn catalog_document(rng: &mut StdRng) -> Document {
 fn catalog_query(rng: &mut StdRng) -> Query {
     let n = rng.random_range(1..=4usize);
     let start = rng.random_range(0..KEYWORDS.len());
-    Query::from_terms((0..n).map(|i| KEYWORDS[(start + i) % KEYWORDS.len()]))
+    let terms: Vec<&str> = (0..n).map(|i| KEYWORDS[(start + i) % KEYWORDS.len()]).collect();
+    Query::parse(&terms.join(" "))
 }
 
 /// Runs `query` through the index's plan and through the full-scan oracle
@@ -874,6 +876,17 @@ fn oracle_instance_entity(doc: &Document, summary: &StructureSummary, node: Node
     unreachable!("every node lies below the root element")
 }
 
+/// The instances `root` holds: itself and every entity-class element below.
+fn oracle_instances<'d>(
+    doc: &'d Document,
+    summary: &'d StructureSummary,
+    root: NodeId,
+) -> impl Iterator<Item = NodeId> + 'd {
+    doc.descendants(root).filter(move |&node| {
+        node == root || (doc.is_element(node) && summary.class_of(doc, node) == NodeClass::Entity)
+    })
+}
+
 /// The two-pass extractor, as the library had it before the one-walk
 /// rewrite: same instance rule, same stop at nested entities, same
 /// normalisation, aggregation by rendered strings.
@@ -883,13 +896,7 @@ fn oracle_features(
     root: NodeId,
     label: &str,
 ) -> ResultFeatures {
-    let instances: Vec<NodeId> = doc
-        .descendants(root)
-        .filter(|&node| {
-            node == root
-                || (doc.is_element(node) && summary.class_of(doc, node) == NodeClass::Entity)
-        })
-        .collect();
+    let instances: Vec<NodeId> = oracle_instances(doc, summary, root).collect();
     let mut entity_instances: HashMap<String, u32> = HashMap::new();
     let mut triplets: Vec<(FeatureType, String, u32)> = Vec::new();
     for &instance in &instances {
@@ -966,7 +973,10 @@ fn add_feature_element(doc: &mut Document, rng: &mut StdRng, parent: NodeId, dep
             attrs.push((name.to_owned(), pick(rng, &FEATURE_VALUES).to_owned()));
         }
     }
-    let el = doc.add_element_with_attrs(parent, pick(rng, &FEATURE_TAGS), attrs);
+    let el = doc.add_element(parent, pick(rng, &FEATURE_TAGS));
+    for (name, value) in attrs {
+        doc.set_attr(el, name, value);
+    }
     if depth == 0 || rng.random_bool(0.45) {
         for _ in 0..[0, 1, 1, 1, 2, 3][rng.random_range(0..6usize)] {
             doc.add_text(el, pick(rng, &FEATURE_VALUES));
@@ -993,15 +1003,19 @@ fn feature_document(rng: &mut StdRng) -> Document {
 
 /// Extractor ≡ oracle on every node of `doc` as a result root — elements of
 /// every class and text runs alike: label, stats order, values order,
-/// counts and `instances_of`.
+/// counts, and each stat's instances of its entity.
 fn assert_extractor_matches_oracle(doc: &Document, what: &str) {
     let summary = StructureSummary::infer(doc);
     for root in doc.all_nodes() {
         let got = extract_features(doc, &summary, root, "r");
         let want = oracle_features(doc, &summary, root, "r");
         assert_eq!(got, want, "{what}, root {}", doc.dewey(root));
+        let entities: Vec<String> = oracle_instances(doc, &summary, root)
+            .map(|instance| oracle_instance_entity(doc, &summary, instance))
+            .collect();
         for stat in got.stats() {
-            assert_eq!(got.instances_of(stat.entity()), stat.entity_instances(), "{what}");
+            let instances = entities.iter().filter(|e| *e == stat.entity()).count() as u32;
+            assert_eq!(instances, stat.entity_instances(), "{what}");
         }
     }
 }
@@ -1738,7 +1752,7 @@ fn oracle_dod_total(inst: &Instance, masks: &[Vec<bool>]) -> u32 {
     for i in 0..n {
         for j in (i + 1)..n {
             total += (0..inst.type_count())
-                .filter(|&t| masks[i][t] && masks[j][t] && inst.differentiable(i, j, t))
+                .filter(|&t| masks[i][t] && masks[j][t] && bits::test_bit(inst.diff_row(i, j), t))
                 .count() as u32;
         }
     }
@@ -1752,7 +1766,7 @@ fn oracle_weights(inst: &Instance, masks: &[Vec<bool>], i: usize) -> Vec<u32> {
             continue;
         }
         for (t, w) in weights.iter_mut().enumerate() {
-            if mask[t] && inst.cell(i, t).is_some() && inst.differentiable(i, j, t) {
+            if mask[t] && inst.cell(i, t).is_some() && bits::test_bit(inst.diff_row(i, j), t) {
                 *w += 1;
             }
         }
