@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! magic      b"XIDX"          4 bytes
-//! version    u32 LE           currently 5
+//! version    u32 LE           currently 6
 //! source     u64 LE           digest of the XML the document was parsed
 //!                             from (Document::source_digest); 0 = none
 //! document   the document image (xsact_xml::dom, "The image"): names,
@@ -36,10 +36,12 @@
 //!   checksum u64 LE           WordHasher over every preceding byte
 //! ```
 //!
-//! Versions 1–4 held the index alone, keyed by a structural fingerprint of
-//! a document the caller had parsed; they are **rejected** with the typed
-//! "unsupported index version" error, and the caller rebuilds from the XML
-//! exactly as for a digest mismatch.
+//! Every other version is **rejected** with the typed "unsupported index
+//! version" error, and the caller rebuilds from the XML exactly as for a
+//! digest mismatch: versions 1–4 held the index alone, keyed by a
+//! structural fingerprint of a document the caller had parsed; version 5
+//! had this layout under the serial [`WordHasher`] chain, whose digests
+//! and trailers of inputs of 32 bytes or more differ from the lanes'.
 //!
 //! **The digest.** [`load_image`] with `Some(digest)` accepts a file only
 //! if its header holds that digest (and not 0): the facade passes the
@@ -79,36 +81,40 @@
 //! **Why the hash is not FNV.** Digest and trailer cover every byte of a
 //! ~0.4 MB source and a ~0.6 MB image per document on every warm boot.
 //! Byte-wise FNV-1a is one multiply per byte; [`WordHasher`] — the
-//! interner's probe hash, fed incrementally — is one per eight bytes:
-//! over eight 500-movie images (4.59 MB) FNV-1a took 7.75 ms and
-//! `WordHasher` 1.21 ms on a 2-CPU Xeon VM. Like FNV it detects rather
-//! than authenticates: any single-word difference always changes it.
+//! interner's probe hash, fed incrementally — is one per eight bytes, on
+//! four independent lanes: over eight 500-movie images (4.59 MB, best of
+//! 30 passes on a 2-CPU Xeon VM) FNV-1a took 7.47 ms, v5's serial word
+//! chain 1.16 ms and the lanes 0.37 ms. Like FNV it detects rather than
+//! authenticates: any single-word difference always changes it.
 //!
 //! **I/O follows the bytes, not the fields.** [`save_image`] streams the
-//! file through one 64 KiB buffer, hashing as it goes — a
-//! cold boot saves an image ten times the v4 index's size while the
-//! document and index are live, and one assembled buffer of it per ingest
-//! worker raised `cold_start`'s peak RSS 9 %. [`load_image`] drains the
-//! reader once (`read_to_end`) and decodes from the slice. Either way the
-//! number of `read`/`write` calls follows the file's length, not how many
-//! fields it holds. Term strings are borrowed from the buffer until the
-//! interner copies them.
+//! file through one 64 KiB buffer and hashes each flush — a cold boot
+//! saves an image ten times the v4 index's size while the document and
+//! index are live, and one assembled buffer of it per ingest worker raised
+//! `cold_start`'s peak RSS 9 %. [`load_image`] drains the reader once
+//! (`read_to_end`) into the caller's buffer and decodes from the slice; a
+//! boot's ingest worker passes one buffer to every image it loads, so only
+//! its first load pays for fresh pages. Either way the number of
+//! `read`/`write` calls follows the file's length, not how many fields it
+//! holds. Term strings are borrowed from the buffer until the interner
+//! copies them.
 
 use crate::postings::{InvertedIndex, ListFault, PackedStore, FRAME};
 use std::io::{self, BufWriter, Read, Write};
 use xsact_xml::{Document, ImageReader, WordHasher};
 
 const MAGIC: &[u8; 4] = b"XIDX";
-const VERSION: u32 = 5;
+const VERSION: u32 = 6;
 /// Bytes of one frame-table entry: `first` u32, `bit_off` u32, `width` u8.
 const FRAME_ENTRY: usize = 9;
 
 /// Serialises the document and its index to `w`, ending with the
 /// [`WordHasher`] trailer over every preceding byte. The bytes pass through
-/// one 64 KiB buffer, hashed on the way, so a save holds that much beside
-/// the document whatever its size.
+/// one 64 KiB buffer and are hashed as it flushes, so a save holds that
+/// much beside the document whatever its size, and the hasher sees a few
+/// large chunks rather than every 4-byte field.
 pub fn save_image(doc: &Document, index: &InvertedIndex, w: &mut impl Write) -> io::Result<()> {
-    let mut out = Sealed { w: BufWriter::with_capacity(SAVE_BUFFER, w), hasher: WordHasher::new() };
+    let mut out = BufWriter::with_capacity(SAVE_BUFFER, Sealed { w, hasher: WordHasher::new() });
     out.write_all(MAGIC)?;
     out.write_all(&VERSION.to_le_bytes())?;
     out.write_all(&doc.source_digest().unwrap_or(0).to_le_bytes())?;
@@ -140,7 +146,7 @@ pub fn save_image(doc: &Document, index: &InvertedIndex, w: &mut impl Write) -> 
     for &word in &store.data {
         out.write_all(&word.to_le_bytes())?;
     }
-    let Sealed { mut w, hasher } = out;
+    let Sealed { w, hasher } = out.into_inner().map_err(io::IntoInnerError::into_error)?;
     w.write_all(&hasher.finish().to_le_bytes())?;
     w.flush()
 }
@@ -149,10 +155,10 @@ pub fn save_image(doc: &Document, index: &InvertedIndex, w: &mut impl Write) -> 
 /// follows the file's length, not how many fields it holds.
 const SAVE_BUFFER: usize = 64 << 10;
 
-/// The writer [`save_image`] streams through: every byte that reaches the
-/// buffer also reaches the trailer's hasher.
+/// The writer under [`save_image`]'s buffer: every byte it passes on also
+/// reaches the trailer's hasher.
 struct Sealed<W: Write> {
-    w: BufWriter<W>,
+    w: W,
     hasher: WordHasher,
 }
 
@@ -168,13 +174,20 @@ impl<W: Write> Write for Sealed<W> {
     }
 }
 
-/// Reads `r` to its end once and decodes the document and index from that
-/// buffer, verifying magic, version, the source digest (when `source` is
-/// `Some`), the trailer, and every section (see the module docs).
-pub fn load_image(r: &mut impl Read, source: Option<u64>) -> io::Result<(Document, InvertedIndex)> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    decode_image(&bytes, source)
+/// Reads `r` to its end into `bytes` — cleared first, its capacity kept —
+/// and decodes the document and index from there, verifying magic,
+/// version, the source digest (when `source` is `Some`), the trailer, and
+/// every section (see the module docs). A caller that loads many images
+/// passes one buffer to all of them, so each load after the first reads
+/// into memory that is already there.
+pub fn load_image(
+    r: &mut impl Read,
+    source: Option<u64>,
+    bytes: &mut Vec<u8>,
+) -> io::Result<(Document, InvertedIndex)> {
+    bytes.clear();
+    r.read_to_end(bytes)?;
+    decode_image(bytes, source)
 }
 
 fn decode_image(bytes: &[u8], source: Option<u64>) -> io::Result<(Document, InvertedIndex)> {
@@ -366,7 +379,7 @@ mod tests {
     }
 
     fn load(buf: &[u8]) -> io::Result<(Document, InvertedIndex)> {
-        load_image(&mut &buf[..], None)
+        load_image(&mut &buf[..], None, &mut Vec::new())
     }
 
     /// Byte offset of the index body: the 16-byte header, then the
@@ -418,8 +431,8 @@ mod tests {
     }
 
     #[test]
-    fn declared_version_is_5() {
-        assert_eq!(u32::from_le_bytes(saved(&doc())[4..8].try_into().unwrap()), 5);
+    fn declared_version_is_6() {
+        assert_eq!(u32::from_le_bytes(saved(&doc())[4..8].try_into().unwrap()), 6);
     }
 
     #[test]
@@ -443,9 +456,9 @@ mod tests {
         let buf = saved(&d);
         let digest = WordHasher::hash(XML.as_bytes());
         assert_eq!(d.source_digest(), Some(digest));
-        assert!(load_image(&mut buf.as_slice(), Some(digest)).is_ok());
+        assert!(load_image(&mut buf.as_slice(), Some(digest), &mut Vec::new()).is_ok());
         let edited = WordHasher::hash(format!("{XML}<!-- note -->").as_bytes());
-        let err = load_image(&mut buf.as_slice(), Some(edited)).unwrap_err();
+        let err = load_image(&mut buf.as_slice(), Some(edited), &mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("source digest mismatch"), "{err}");
         // A document built in code records digest 0, which matches nothing.
@@ -453,7 +466,7 @@ mod tests {
         built.add_leaf(built.root(), "name", "x");
         let unkeyed = saved(&built);
         assert_eq!(unkeyed[8..16], [0; 8]);
-        assert!(load_image(&mut unkeyed.as_slice(), Some(0)).is_err());
+        assert!(load_image(&mut unkeyed.as_slice(), Some(0), &mut Vec::new()).is_err());
         assert_eq!(load(&unkeyed).unwrap().0.source_digest(), None);
     }
 

@@ -73,29 +73,41 @@ pub struct Interner {
     table: Vec<u32>,
 }
 
-/// The workspace's one hash: eight bytes per multiply. It is the
-/// interner's probe hash, and — fed incrementally — the digest a parsed
-/// document records of its source ([`Document::source_digest`]), the
-/// `.xidx` trailer in `xsact-index` and the CLI's retry jitter.
+/// The workspace's one hash: eight bytes per multiply, four multiplies in
+/// flight. It is the interner's probe hash, and — fed incrementally — the
+/// digest a parsed document records of its source
+/// ([`Document::source_digest`]), the `.xidx` trailer in `xsact-index` and
+/// the CLI's retry jitter.
 ///
-/// The state steps once per 8-byte little-endian word,
-/// `h = (h.rotl(5) ^ word) · K`, with `K` odd, so a step is a bijection of
-/// the state for a fixed word and of the word for a fixed state: two
-/// inputs of one length that differ in a single word always hash apart.
-/// [`finish`](Self::finish) steps once more over the last 0..=7 bytes and
-/// once over the total length. Feeding the same bytes in any split gives
-/// the same hash. It is not a cryptographic hash and nothing relies on it
-/// being one: it detects torn writes and edited sources, and routes.
+/// One step takes an 8-byte little-endian word, `h = (h.rotl(5) ^ word) · K`,
+/// with `K` odd, so a step is a bijection of the state for a fixed word and
+/// of the word for a fixed state. Every whole 32-byte block steps four
+/// independent lanes, one per word, so the four multiplies of a block do
+/// not wait on one another. [`finish`](Self::finish) folds the lanes into
+/// one serial chain — lane 0 to 3, only if the input held a whole block —
+/// then steps that chain over the last 0..=3 whole words, once over the
+/// last 0..=7 bytes and once over the total length. An input under 32
+/// bytes therefore never touches a lane and hashes exactly as the serial
+/// chain alone did (`.xidx` v5), and two inputs of one length that differ
+/// in a single word always hash apart. Feeding the same bytes in any split
+/// gives the same hash. It is not a cryptographic hash and nothing relies
+/// on it being one: it detects torn writes and edited sources, and routes.
 ///
 /// [`Document::source_digest`]: crate::Document::source_digest
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WordHasher {
-    h: u64,
-    /// The bytes of the word not yet complete, in its low `len % 8` bytes.
-    tail: u64,
+    lanes: [u64; 4],
+    /// The block not yet complete: its first `len % 32` bytes.
+    block: Block,
     /// Bytes written so far.
     len: u64,
 }
+
+/// One lane block: a word per lane.
+type Block = [[u8; 8]; 4];
+
+/// Bytes of one [`Block`].
+const BLOCK: usize = 32;
 
 impl WordHasher {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -105,50 +117,80 @@ impl WordHasher {
         WordHasher::default()
     }
 
-    /// The hash of `bytes`, in one call.
+    /// The hash of `bytes`, in one call. Reads the slice in place: the
+    /// interner probes with this once per element.
     pub fn hash(bytes: &[u8]) -> u64 {
-        let mut hasher = WordHasher::new();
-        hasher.write(bytes);
-        hasher.finish()
-    }
-
-    #[inline]
-    fn step(&mut self, word: u64) {
-        self.h = (self.h.rotate_left(5) ^ word).wrapping_mul(Self::K);
+        let mut lanes = [0; 4];
+        let (blocks, rest) = blocks(bytes);
+        step_lanes(&mut lanes, blocks);
+        serial_chain(&lanes, rest, bytes.len() as u64)
     }
 
     /// Feeds bytes into the hash.
     pub fn write(&mut self, mut bytes: &[u8]) {
-        let pending = (self.len % 8) as usize;
+        let pending = (self.len % BLOCK as u64) as usize;
         self.len += bytes.len() as u64;
         if pending > 0 {
-            let take = (8 - pending).min(bytes.len());
-            for (i, &b) in bytes[..take].iter().enumerate() {
-                self.tail |= u64::from(b) << (8 * (pending + i));
-            }
+            let take = (BLOCK - pending).min(bytes.len());
+            self.block.as_flattened_mut()[pending..pending + take].copy_from_slice(&bytes[..take]);
             bytes = &bytes[take..];
-            if pending + take < 8 {
+            if pending + take < BLOCK {
                 return;
             }
-            let word = std::mem::take(&mut self.tail);
-            self.step(word);
+            step_lanes(&mut self.lanes, std::slice::from_ref(&self.block));
         }
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.step(u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes")));
-        }
-        for (i, &b) in words.remainder().iter().enumerate() {
-            self.tail |= u64::from(b) << (8 * i);
-        }
+        let (blocks, rest) = blocks(bytes);
+        step_lanes(&mut self.lanes, blocks);
+        self.block.as_flattened_mut()[..rest.len()].copy_from_slice(rest);
     }
 
     /// The hash of everything written so far.
-    pub fn finish(mut self) -> u64 {
-        let (tail, len) = (self.tail, self.len);
-        self.step(tail);
-        self.step(len);
-        self.h
+    pub fn finish(self) -> u64 {
+        let pending = (self.len % BLOCK as u64) as usize;
+        serial_chain(&self.lanes, &self.block.as_flattened()[..pending], self.len)
     }
+}
+
+#[inline]
+fn step(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(WordHasher::K)
+}
+
+/// `bytes` as whole blocks and the 0..=31 bytes after them.
+fn blocks(bytes: &[u8]) -> (&[Block], &[u8]) {
+    let (words, _) = bytes.as_chunks::<8>();
+    let (blocks, _) = words.as_chunks::<4>();
+    (blocks, &bytes[blocks.len() * BLOCK..])
+}
+
+/// Steps each lane over its word of every block, the four chains held in
+/// registers across the loop.
+#[inline]
+fn step_lanes(lanes: &mut [u64; 4], blocks: &[Block]) {
+    let [mut a, mut b, mut c, mut d] = *lanes;
+    for &[w0, w1, w2, w3] in blocks {
+        a = step(a, u64::from_le_bytes(w0));
+        b = step(b, u64::from_le_bytes(w1));
+        c = step(c, u64::from_le_bytes(w2));
+        d = step(d, u64::from_le_bytes(w3));
+    }
+    *lanes = [a, b, c, d];
+}
+
+/// The serial chain of [`WordHasher::finish`]: the lanes (when `len` covers
+/// a whole block), then the 0..=31 bytes `rest` after the last block, then
+/// `len`.
+fn serial_chain(lanes: &[u64; 4], rest: &[u8], len: u64) -> u64 {
+    let mut h = 0;
+    if len >= BLOCK as u64 {
+        h = lanes.iter().fold(h, |h, &lane| step(h, lane));
+    }
+    let (words, tail) = rest.as_chunks::<8>();
+    for &word in words {
+        h = step(h, u64::from_le_bytes(word));
+    }
+    let last = tail.iter().enumerate().fold(0, |last, (i, &b)| last | u64::from(b) << (8 * i));
+    step(step(h, last), len)
 }
 
 /// The probe hash — interning a tag name is on the parser's path once per
@@ -335,6 +377,12 @@ mod tests {
         assert!(!i.is_empty());
     }
 
+    /// Inputs of every length up to 100 bytes: past three whole blocks, so
+    /// each lane, the fold and every tail shape are reached.
+    fn inputs() -> impl Iterator<Item = Vec<u8>> {
+        (0..=100u32).map(|len| (0..len).map(|i| (i * 37 % 251 + len) as u8).collect())
+    }
+
     #[test]
     fn word_hash_ignores_how_the_bytes_are_split() {
         let bytes: Vec<u8> = (0..200u32).map(|i| (i * 37 % 251) as u8).collect();
@@ -349,11 +397,62 @@ mod tests {
                 assert_eq!(hasher.finish(), whole, "cut {cut}, step {step}");
             }
         }
+        // Streamed in two writes, split anywhere, every input hashes as
+        // the one-shot call that reads it in place.
+        for bytes in inputs() {
+            let whole = WordHasher::hash(&bytes);
+            for cut in 0..=bytes.len() {
+                let mut hasher = WordHasher::new();
+                hasher.write(&bytes[..cut]);
+                hasher.write(&bytes[cut..]);
+                assert_eq!(hasher.finish(), whole, "{} bytes cut at {cut}", bytes.len());
+            }
+        }
         // Zero bytes are not lost, in the last word or in whole words.
         assert_ne!(WordHasher::hash(b"ab"), WordHasher::hash(b"\0ab"));
         assert_ne!(WordHasher::hash(b""), WordHasher::hash(b"\0"));
         assert_ne!(WordHasher::hash(&[0; 8]), WordHasher::hash(&[0; 16]));
         assert_ne!(WordHasher::hash(b"x"), WordHasher::hash(b"\0\0\0\0\0\0\0\0x"));
+    }
+
+    /// A step is a bijection of its word, so one changed word — in any
+    /// lane, in the words after the last block or in the last partial word
+    /// — always reaches the hash.
+    #[test]
+    fn changing_any_single_word_changes_the_hash() {
+        for bytes in inputs() {
+            let whole = WordHasher::hash(&bytes);
+            for start in (0..bytes.len()).step_by(8) {
+                let end = (start + 8).min(bytes.len());
+                for flip in [0x01, 0x80] {
+                    for at in [start, end - 1] {
+                        let mut changed = bytes.clone();
+                        changed[at] ^= flip;
+                        let what = format!("{} bytes, byte {at} ^ {flip:#x}", bytes.len());
+                        assert_ne!(WordHasher::hash(&changed), whole, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Under one block no lane is stepped or folded: these are the hashes
+    /// `.xidx` v5's serial chain gave, so the interner's probes and the
+    /// CLI's jitter are what they were.
+    #[test]
+    fn inputs_under_a_block_hash_as_the_serial_chain_did() {
+        let bytes: Vec<u8> = (0..31u32).map(|i| (i * 37 % 251) as u8).collect();
+        for (input, v5) in [
+            (&b""[..], 0),
+            (b"review", 0x906a_41f3_7567_0512),
+            (b"Product_Line", 0xcff1_48f6_6893_8c93),
+            (&bytes, 0x17f8_3c6f_d1a0_5b79),
+        ] {
+            assert_eq!(WordHasher::hash(input), v5, "{input:?}");
+            let mut hasher = WordHasher::new();
+            hasher.write(input);
+            assert_eq!(hasher.finish(), v5, "{input:?} streamed");
+        }
     }
 
     #[test]

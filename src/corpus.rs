@@ -9,8 +9,9 @@
 //!
 //! * documents are assigned to shards round-robin (`ShardPlan`,
 //!   `src/shard.rs`) — a pure function of document count and shard count;
-//! * each shard worker (a std scoped thread, see `fan_out` in
-//!   `src/pool.rs`) runs the ranked search over its documents;
+//! * each shard worker (a std scoped thread, or the calling thread for the
+//!   last shard, see `fan_out` in `src/pool.rs`) runs the ranked search
+//!   over its documents;
 //! * per-shard lists merge under a *total* order — score descending, then
 //!   document id, then node id (document order) — so the merged ranking is
 //!   byte-identical for any shard count.
@@ -141,7 +142,8 @@ impl Corpus {
         if paths.is_empty() {
             return Err(XsactError::EmptyCorpus);
         }
-        let ingested = ingest_in_order(paths, workers, |path| ingest_file(&path, index_dir, warn))?;
+        let ingested =
+            ingest_in_order(paths, workers, |path, buf| ingest_file(&path, index_dir, warn, buf))?;
         Ok(Corpus::from_workbenches(ingested))
     }
 
@@ -290,7 +292,12 @@ fn available_cores() -> usize {
 /// document ids, names and rankings never depend on the ingest width.
 /// Documents are independent at boot, so they spread over the same
 /// round-robin [`ShardPlan`] partition and scoped [`fan_out`] queries use;
-/// one worker runs on the calling thread and is the exact serial loop.
+/// the last worker runs on the calling thread, so `n` workers are `n`
+/// runnable threads and one worker is the exact serial loop.
+///
+/// Each worker owns one byte buffer and hands it to every `ingest` call it
+/// makes: an image read into it reuses the memory the worker's previous
+/// document already faulted in.
 ///
 /// A worker stops at its first failure. Since each worker walks its items
 /// in ascending order, the lowest-indexed failure overall is always
@@ -299,7 +306,7 @@ fn available_cores() -> usize {
 fn ingest_in_order<T: Send, R: Send, E: Send>(
     items: Vec<T>,
     workers: usize,
-    ingest: impl Fn(T) -> Result<R, E> + Sync,
+    ingest: impl Fn(T, &mut Vec<u8>) -> Result<R, E> + Sync,
 ) -> Result<Vec<R>, E> {
     let workers = workers.clamp(1, items.len().max(1));
     let mut parts: Vec<Vec<(usize, T)>> = (0..workers).map(|_| Vec::new()).collect();
@@ -309,8 +316,9 @@ fn ingest_in_order<T: Send, R: Send, E: Send>(
     }
     let mut done: Vec<(usize, Result<R, E>)> = fan_out(parts, |_, part| {
         let mut out = Vec::with_capacity(part.len());
+        let mut buf = Vec::new();
         for (i, item) in part {
-            let result = ingest(item);
+            let result = ingest(item, &mut buf);
             let failed = result.is_err();
             out.push((i, result));
             if failed {
@@ -329,13 +337,13 @@ fn ingest_in_order<T: Send, R: Send, E: Send>(
 }
 
 /// [`ingest_in_order`] for sources that cannot fail (documents already
-/// parsed or generated in place).
+/// parsed or generated in place) and read nothing.
 fn build_in_order<T: Send, R: Send>(
     items: Vec<T>,
     workers: usize,
     build: impl Fn(T) -> R + Sync,
 ) -> Vec<R> {
-    ingest_in_order(items, workers, |item| Ok::<_, Infallible>(build(item)))
+    ingest_in_order(items, workers, |item, _| Ok::<_, Infallible>(build(item)))
         .unwrap_or_else(|never| match never {})
 }
 
@@ -346,11 +354,14 @@ fn to_stderr(warning: String) {
 
 /// One document's boot: the document and index decoded from the `.xidx`
 /// image saved from exactly this XML, or else read → parse → build → save
-/// the image. Returns the document's name and workbench.
+/// the image. `buf` is the ingest worker's read buffer: the XML is digested
+/// and the image read through it. Returns the document's name and
+/// workbench.
 fn ingest_file(
     path: &Path,
     index_dir: Option<&Path>,
     warn: &(dyn Fn(String) + Sync),
+    buf: &mut Vec<u8>,
 ) -> XsactResult<(String, Workbench)> {
     let name = path
         .file_stem()
@@ -370,12 +381,16 @@ fn ingest_file(
         };
         match fs::File::open(&index_path) {
             // The XML is read only to be digested, never parsed.
-            Ok(mut image) => match xsact_index::load_image(&mut image, Some(digest_file(path)?)) {
-                Ok((doc, index)) => {
-                    return Ok((name, Workbench::from_engine(SearchEngine::from_parts(doc, index))))
+            Ok(mut image) => {
+                let digest = digest_file(path, buf)?;
+                match xsact_index::load_image(&mut image, Some(digest), buf) {
+                    Ok((doc, index)) => {
+                        let engine = SearchEngine::from_parts(doc, index);
+                        return Ok((name, Workbench::from_engine(engine)));
+                    }
+                    Err(e) => unusable(e),
                 }
-                Err(e) => unusable(e),
-            },
+            }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => unusable(e),
         }
@@ -397,14 +412,15 @@ fn parse_file(path: &Path) -> XsactResult<Document> {
 }
 
 /// The digest [`xsact_xml::parse_document`] records of a file's bytes,
-/// streamed through one 64 KiB buffer so no copy of the source is held
-/// while its image is decoded.
-fn digest_file(path: &Path) -> io::Result<u64> {
+/// streamed through the first 64 KiB of `buf`: the image load that follows
+/// reads over them, so no copy of the source is held while its image is
+/// decoded.
+fn digest_file(path: &Path, buf: &mut Vec<u8>) -> io::Result<u64> {
     let mut file = fs::File::open(path)?;
     let mut hasher = xsact_xml::WordHasher::new();
-    let mut buf = vec![0; 64 << 10];
+    buf.resize(64 << 10, 0);
     loop {
-        match file.read(&mut buf) {
+        match file.read(buf) {
             Ok(0) => return Ok(hasher.finish()),
             Ok(n) => hasher.write(&buf[..n]),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -966,14 +982,109 @@ mod tests {
         }
     }
 
+    /// Each worker hands one buffer to every item it ingests, in order:
+    /// what an item leaves in it, the worker's next item finds.
+    #[test]
+    fn each_ingest_worker_hands_one_buffer_to_all_its_items() {
+        for workers in [1, 2, 3] {
+            let seen: Result<Vec<usize>, Infallible> =
+                ingest_in_order((0..10).collect(), workers, |_, buf| {
+                    buf.push(0);
+                    Ok(buf.len())
+                });
+            assert_eq!(seen, Ok((0..10).map(|i| i / workers + 1).collect()), "{workers} workers");
+        }
+    }
+
+    /// A long image, a corrupt one, then a short one, all through one
+    /// buffer, load exactly as each does through a fresh buffer: no byte a
+    /// longer image left past the new length is ever read.
+    #[test]
+    fn one_buffer_loads_each_image_as_a_fresh_one_does() {
+        let image = |movies: usize| {
+            let cfg = MovieGenConfig { seed: 5, movies, ..Default::default() };
+            let mut bytes = Vec::new();
+            Workbench::from_document(MoviesGen::new(cfg).generate())
+                .save_index(&mut bytes)
+                .unwrap();
+            bytes
+        };
+        let long = image(40);
+        let mut corrupt = long[..long.len() * 3 / 4].to_vec();
+        corrupt.extend_from_slice(&long[long.len() - 8..]);
+        let short = image(2);
+        assert!(short.len() < corrupt.len() && corrupt.len() < long.len());
+        let outcome = |bytes: &[u8], buf: &mut Vec<u8>| match xsact_index::load_image(
+            &mut &bytes[..],
+            None,
+            buf,
+        ) {
+            Ok((doc, index)) => {
+                let mut resaved = Vec::new();
+                xsact_index::save_image(&doc, &index, &mut resaved).unwrap();
+                Ok(resaved)
+            }
+            Err(e) => Err(e.to_string()),
+        };
+        let mut buf = Vec::new();
+        for (what, bytes) in [("long", &long), ("corrupt", &corrupt), ("short", &short)] {
+            let fresh = outcome(bytes, &mut Vec::new());
+            assert_eq!(outcome(bytes, &mut buf), fresh, "{what}");
+            assert_eq!(fresh.is_ok(), what != "corrupt", "{what}: {fresh:?}");
+        }
+    }
+
+    /// An index directory of the previous format: every image is refused
+    /// with the typed version error — one warning per file, at any width —
+    /// and resaved, so the next boot loads warm without a word.
+    #[test]
+    fn a_v5_index_dir_warns_once_per_file_then_loads_warm() {
+        let tmp = TempDir::new("v5");
+        let (dir, cache) = (tmp.0.join("xml"), tmp.0.join("index"));
+        fs::create_dir_all(&dir).unwrap();
+        fs::create_dir_all(&cache).unwrap();
+        let fleet = Corpus::synthetic_movies_impl(3, 10, 21, 1);
+        for i in 0..fleet.len() {
+            let doc = fleet.workbench(DocId(i as u32)).document();
+            let xml = xsact_xml::writer::write_subtree(doc, doc.root());
+            fs::write(dir.join(format!("doc-{i}.xml")), xml).unwrap();
+        }
+        let boot = |workers| {
+            let warnings = std::sync::Mutex::new(Vec::new());
+            let corpus = Corpus::from_dir_impl(&dir, Some(&cache), workers, &|w| {
+                warnings.lock().unwrap().push(w)
+            })
+            .unwrap()
+            .with_shards(2);
+            (observable(&corpus), warnings.into_inner().unwrap())
+        };
+        let (want, warnings) = boot(2);
+        assert_eq!(warnings, Vec::<String>::new(), "a cold boot is quiet");
+        for entry in fs::read_dir(&cache).unwrap() {
+            let path = entry.unwrap().path();
+            let mut bytes = fs::read(&path).unwrap();
+            bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
+            fs::write(&path, bytes).unwrap();
+        }
+        let (rebuilt, warnings) = boot(2);
+        assert_eq!(rebuilt, want);
+        assert_eq!(warnings.len(), fleet.len(), "{warnings:?}");
+        for warning in &warnings {
+            assert!(warning.contains("unsupported index version 5"), "{warning}");
+        }
+        let (warm, warnings) = boot(2);
+        assert_eq!(warm, want);
+        assert_eq!(warnings, Vec::<String>::new(), "the resaved images load");
+    }
+
     #[test]
     fn ingest_in_order_keeps_item_order_and_stops_each_worker_at_its_failure() {
         for workers in [0, 1, 2, 3, 8, 64] {
             let all: Result<Vec<usize>, usize> =
-                ingest_in_order((0..10).collect(), workers, |i: usize| Ok(i * i));
+                ingest_in_order((0..10).collect(), workers, |i: usize, _| Ok(i * i));
             assert_eq!(all, Ok((0..10).map(|i| i * i).collect()), "{workers} workers");
             let failing: Result<Vec<usize>, usize> =
-                ingest_in_order((0..10).collect(), workers, |i: usize| {
+                ingest_in_order((0..10).collect(), workers, |i: usize, _| {
                     if i == 4 || i == 7 {
                         Err(i)
                     } else {
@@ -981,7 +1092,8 @@ mod tests {
                     }
                 });
             assert_eq!(failing, Err(4), "{workers} workers");
-            let empty: Result<Vec<usize>, usize> = ingest_in_order(Vec::new(), workers, Ok);
+            let empty: Result<Vec<usize>, usize> =
+                ingest_in_order(Vec::new(), workers, |i, _| Ok(i));
             assert_eq!(empty, Ok(Vec::new()));
         }
     }

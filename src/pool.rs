@@ -4,9 +4,10 @@
 //! are built on std threads only:
 //!
 //! * [`fan_out`] spawns **scoped** threads per query: one OS thread per
-//!   non-empty shard, borrowing the caller's data for the duration of the
-//!   query. Right for one-shot queries — the scope guarantees every
-//!   result is back before the merge starts.
+//!   non-empty shard but the last, which runs on the calling thread,
+//!   borrowing the caller's data for the duration of the query. Right for
+//!   one-shot queries and for boot — the scope guarantees every result is
+//!   back before the merge starts.
 //! * [`ShardPool`] keeps **long-lived** workers pinned to shard indexes
 //!   and broadcasts each request to all of them; the last shard runs on
 //!   the broadcasting thread itself. Right for a serving runtime, where
@@ -18,16 +19,20 @@
 //! swapping one for the other can never change result bytes.
 
 /// Runs `work` on every element of `inputs` concurrently — one scoped
-/// thread per element — and returns the outputs *in input order*,
-/// regardless of which thread finished first.
+/// thread per element but the last, which runs on the calling thread — and
+/// returns the outputs *in input order*, regardless of which thread
+/// finished first.
 ///
-/// Empty inputs produce no thread at all; a single input runs on the
-/// calling thread, so `shards = 1` has zero threading overhead and is the
-/// exact sequential baseline the scaling bench compares against.
+/// As in [`ShardPool::broadcast`], the caller computes instead of sleeping
+/// until the slowest thread is done, so `n` inputs are `n` runnable
+/// threads, not `n + 1`. Empty inputs produce no thread at all; a single
+/// input spawns none, so `shards = 1` has zero threading overhead and is
+/// the exact sequential baseline the scaling bench compares against.
 ///
-/// Panics in `work` propagate to the caller (the scope re-raises them), so
-/// a poisoned shard can never silently drop its slice of the corpus from
-/// the merged ranking.
+/// Panics in `work` propagate to the caller — a spawned thread's when it is
+/// joined, the caller's own after the scope has joined the rest — so a
+/// poisoned shard can never silently drop its slice of the corpus from the
+/// merged ranking.
 pub(crate) fn fan_out<T, R, F>(inputs: Vec<T>, work: F) -> Vec<R>
 where
     T: Send,
@@ -35,23 +40,30 @@ where
     F: Fn(usize, T) -> R + Sync,
 {
     let mut inputs = inputs;
-    match inputs.len() {
-        0 => Vec::new(),
-        1 => vec![work(0, inputs.pop().expect("len checked"))],
-        _ => std::thread::scope(|scope| {
-            let handles: Vec<_> = inputs
-                .into_iter()
-                .enumerate()
-                .map(|(i, input)| {
-                    scope.spawn({
-                        let work = &work;
-                        move || work(i, input)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
-        }),
+    let Some(own) = inputs.pop() else {
+        return Vec::new();
+    };
+    let last = inputs.len();
+    if last == 0 {
+        return vec![work(0, own)];
     }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = inputs
+            .into_iter()
+            .enumerate()
+            .map(|(i, input)| {
+                scope.spawn({
+                    let work = &work;
+                    move || work(i, input)
+                })
+            })
+            .collect();
+        let own = work(last, own);
+        let mut out: Vec<R> =
+            handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect();
+        out.push(own);
+        out
+    })
 }
 
 use std::panic::AssertUnwindSafe;
@@ -295,6 +307,46 @@ mod tests {
             fan_out(vec![1u32, 2], |_, x| if x == 2 { panic!("shard died") } else { x })
         });
         assert!(caught.is_err());
+    }
+
+    /// The last input is the caller's: `n` inputs spawn `n - 1` threads,
+    /// and the outputs still come back in input order.
+    #[test]
+    fn the_last_input_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for n in [2, 3, 5] {
+            let out = fan_out((0..n).collect(), |i, x: usize| (i, x, std::thread::current().id()));
+            assert_eq!(out.iter().map(|&(i, x, _)| (i, x)).collect::<Vec<_>>(), {
+                (0..n).map(|i| (i, i)).collect::<Vec<_>>()
+            });
+            assert_eq!(out[n - 1].2, caller, "{n} inputs: the last is the caller's");
+            let mut spawned: Vec<_> = out[..n - 1].iter().map(|&(_, _, id)| id).collect();
+            spawned.sort_by_key(|id| format!("{id:?}"));
+            spawned.dedup();
+            assert_eq!(spawned.len(), n - 1, "{n} inputs: a thread per other input");
+            assert!(!spawned.contains(&caller), "{n} inputs");
+        }
+    }
+
+    /// A panic in any input — a spawned thread's, or the caller's own while
+    /// the others still run — reaches the caller.
+    #[test]
+    fn a_panic_in_any_input_reaches_the_caller() {
+        for n in [2usize, 4] {
+            for dies in 0..n {
+                let done = AtomicUsize::new(0);
+                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    fan_out((0..n).collect(), |_, x: usize| {
+                        if x == dies {
+                            panic!("input {x} died");
+                        }
+                        done.fetch_add(1, Ordering::Relaxed);
+                    })
+                }));
+                assert!(caught.is_err(), "{n} inputs, input {dies} panicked");
+                assert_eq!(done.load(Ordering::Relaxed), n - 1, "the others were joined");
+            }
+        }
     }
 
     /// Unwraps every per-shard outcome of a fault-free broadcast.

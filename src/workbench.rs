@@ -186,7 +186,7 @@ impl Workbench {
     /// different document than `doc` (compared field by field; where
     /// either came from does not count).
     pub fn from_persisted_index(doc: Document, r: &mut impl Read) -> XsactResult<Workbench> {
-        let (image, index) = xsact_index::load_image(r, None)?;
+        let (image, index) = xsact_index::load_image(r, None, &mut Vec::new())?;
         if image != doc {
             return Err(XsactError::Io(io::Error::new(
                 io::ErrorKind::InvalidData,

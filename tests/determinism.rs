@@ -100,7 +100,8 @@ fn saved_index_round_trips_through_bytes() {
     let index = xsact_index::InvertedIndex::build(&doc);
     let mut bytes = Vec::new();
     xsact_index::save_image(&doc, &index, &mut bytes).unwrap();
-    let (loaded_doc, loaded) = xsact_index::load_image(&mut bytes.as_slice(), None).unwrap();
+    let (loaded_doc, loaded) =
+        xsact_index::load_image(&mut bytes.as_slice(), None, &mut Vec::new()).unwrap();
     assert_eq!(loaded_doc, doc);
     let engine_a = SearchEngine::from_parts(doc, index);
     let engine_b = SearchEngine::from_parts(loaded_doc, loaded);

@@ -127,15 +127,15 @@ fn save_and_load_make_a_constant_number_of_io_calls() {
     );
 }
 
-/// `.xidx` v5 bytes — the document image and its index — as this format's
+/// `.xidx` v6 bytes — the document image and its index — as this format's
 /// first writer wrote them (length, and the trailer: a [`WordHasher`] over
 /// every other byte) for two seeded fixtures: the format does not move
 /// unless a change means it to.
 #[test]
 fn saved_bytes_are_what_the_streaming_writer_wrote() {
     for (name, doc, len, trailer) in [
-        ("figure1", figure1_document(), 10_974, 0x115c_7be6_a399_beac_u64),
-        ("movies", movies_document(), 577_369, 0x6dc4_5910_5a34_cef9_u64),
+        ("figure1", figure1_document(), 10_974, 0x5ea2_91d3_5e03_beb2_u64),
+        ("movies", movies_document(), 577_369, 0xd4e1_0777_960d_0de8_u64),
     ] {
         let bytes = saved(doc);
         assert_eq!(bytes.len(), len, "{name}: file length");
@@ -151,7 +151,7 @@ fn saved_bytes_are_what_the_streaming_writer_wrote() {
 const FIXED_COST: usize = 256;
 
 fn assert_rejected_within(bytes: &[u8], what: &str) {
-    let (result, allocated) = allocated_by(|| load_image(&mut &bytes[..], None));
+    let (result, allocated) = allocated_by(|| load_image(&mut &bytes[..], None, &mut Vec::new()));
     let err = result.expect_err(what);
     assert!(
         matches!(err.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof),
@@ -272,12 +272,12 @@ fn counts_beyond_the_file_length_are_rejected_without_allocating_for_them() {
 /// the caller rebuilds from the XML.
 #[test]
 fn v4_files_get_the_typed_version_error() {
-    let v5 = saved(figure1_document());
-    let at = offsets(&v5);
+    let image = saved(figure1_document());
+    let at = offsets(&image);
     let mut v4 = b"XIDX".to_vec();
     v4.extend_from_slice(&4u32.to_le_bytes());
     v4.extend_from_slice(&0x1de2_13bd_5596_3121_u64.to_le_bytes());
-    v4.extend_from_slice(&v5[at.index..v5.len() - 8]);
+    v4.extend_from_slice(&image[at.index..image.len() - 8]);
     let fnv = v4
         .iter()
         .fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3));
@@ -286,11 +286,50 @@ fn v4_files_get_the_typed_version_error() {
         let mut old = v4.clone();
         old[4..8].copy_from_slice(&version.to_le_bytes());
         assert_rejected_within(&old, &format!("v{version}"));
-        let err = load_image(&mut old.as_slice(), None).unwrap_err();
+        let err = load_image(&mut old.as_slice(), None, &mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let want = format!("unsupported index version {version}");
         assert!(err.to_string().contains(&want), "v{version}: {err}");
     }
+}
+
+/// `.xidx` v5's hash: the serial chain alone, one step per word of the
+/// whole input, with no lanes.
+fn v5_hash(bytes: &[u8]) -> u64 {
+    let step = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let (words, tail) = bytes.as_chunks::<8>();
+    let h = words.iter().fold(0, |h, &word| step(h, u64::from_le_bytes(word)));
+    let last = tail.iter().rev().fold(0, |last, &b| last << 8 | u64::from(b));
+    step(step(h, last), bytes.len() as u64)
+}
+
+/// A v5 file — this layout under the serial hash, its digest and trailer
+/// the chain's — is the typed version error before its trailer is read:
+/// the caller rebuilds from the XML, once.
+#[test]
+fn v5_files_get_the_typed_version_error() {
+    // Under one 32-byte block the two hashes are one.
+    for short in [&b""[..], b"review", b"Product_Line easyToRead=\"YES\""] {
+        assert_eq!(v5_hash(short), WordHasher::hash(short), "{short:?}");
+    }
+    let xml = figure1_document().to_string();
+    let doc = parse_document(&xml).unwrap();
+    let image = saved(doc.clone());
+    assert_eq!(image[4..8], 6u32.to_le_bytes());
+    assert_eq!(image[8..16], WordHasher::hash(xml.as_bytes()).to_le_bytes());
+    let mut v5 = image[..image.len() - 8].to_vec();
+    v5[4..8].copy_from_slice(&5u32.to_le_bytes());
+    v5[8..16].copy_from_slice(&v5_hash(xml.as_bytes()).to_le_bytes());
+    let trailer = v5_hash(&v5);
+    v5.extend_from_slice(&trailer.to_le_bytes());
+    assert_ne!(v5[8..16], image[8..16], "the lanes moved the digest");
+    assert_rejected_within(&v5, "v5");
+    let err =
+        load_image(&mut v5.as_slice(), Some(v5_hash(xml.as_bytes())), &mut Vec::new()).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("unsupported index version 5 (expected 6)"), "{err}");
+    let err = Workbench::from_persisted_index(doc, &mut v5.as_slice()).unwrap_err();
+    assert!(matches!(err, XsactError::Io(_)), "{err}");
 }
 
 /// The checksum law: one flipped bit anywhere past the version — in the
@@ -377,7 +416,7 @@ fn resealed_damage_is_a_typed_error_or_a_whole_document() {
                 bytes[pos] = rng.random_range(0..=255u8);
             }
             let bytes = sealed(bytes);
-            match load_image(&mut bytes.as_slice(), None) {
+            match load_image(&mut bytes.as_slice(), None, &mut Vec::new()) {
                 Err(err) => {
                     assert!(
                         matches!(

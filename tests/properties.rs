@@ -455,7 +455,7 @@ fn v1_index_files_always_rejected() {
         v1.extend_from_slice(&1u32.to_le_bytes());
         v1.extend_from_slice(&(doc.len() as u64).to_le_bytes());
         v1.extend_from_slice(&0u32.to_le_bytes());
-        let err = xsact_index::load_image(&mut v1.as_slice(), None).unwrap_err();
+        let err = xsact_index::load_image(&mut v1.as_slice(), None, &mut Vec::new()).unwrap_err();
         assert!(
             err.to_string().contains("unsupported index version 1"),
             "seed {seed}: unexpected error {err}"
@@ -471,7 +471,7 @@ fn index_persistence_round_trips() {
         let mut bytes = Vec::new();
         xsact_index::save_image(&doc, &idx, &mut bytes).expect("in-memory write");
         let (loaded_doc, loaded) =
-            xsact_index::load_image(&mut bytes.as_slice(), None).expect("load");
+            xsact_index::load_image(&mut bytes.as_slice(), None, &mut Vec::new()).expect("load");
         assert_eq!(loaded_doc, doc, "seed {seed}");
         assert_eq!(loaded.term_count(), idx.term_count(), "seed {seed}");
         for term in ["a", "b", "item", "group", "root"] {
