@@ -188,16 +188,19 @@ impl Weights {
     }
 }
 
-/// An upper bound on the total DoD: every differentiable (pair, type) counts
-/// — reachable only if the size bound permits selecting all of them on both
-/// sides. Useful for sanity checks and ablation reporting.
+/// An upper bound on the total DoD: `Σ_pairs min(L, popcount(diff_ij))`.
+/// A pair's DoD counts the differentiable types both DFSs select, and a DFS
+/// selects at most L types, so no set of DFSs — whatever the algorithm —
+/// scores a pair above the smaller of the two. Useful for sanity checks
+/// and ablation reporting.
 pub fn dod_upper_bound(inst: &Instance) -> u32 {
     let n = inst.result_count();
+    let size_bound = u32::try_from(inst.config.size_bound).unwrap_or(u32::MAX);
     let mut total = 0;
     for i in 0..n {
         for j in (i + 1)..n {
             let row = inst.diff_row(i, j);
-            total += xsact_kernel::and2_count(row, row);
+            total += xsact_kernel::and2_count(row, row).min(size_bound);
         }
     }
     total
@@ -258,6 +261,17 @@ mod tests {
         // pairs: (0,1)=2, (0,2)=1, (1,2)=1.
         assert_eq!(dod_total(&inst, &set), 4);
         assert_eq!(dod_upper_bound(&inst), 4);
+    }
+
+    /// Each pair adds at most L: with L = 1 the pair (0,1), which
+    /// differs on two types, adds one.
+    #[test]
+    fn the_upper_bound_caps_every_pair_at_the_size_bound() {
+        let mut inst = inst();
+        inst.config.size_bound = 1;
+        assert_eq!(dod_upper_bound(&inst), 3);
+        inst.config.size_bound = 0;
+        assert_eq!(dod_upper_bound(&inst), 0);
     }
 
     #[test]

@@ -13,28 +13,20 @@
 //! * **Connection** — everything else: non-repeating internal nodes that
 //!   merely group related items. Example: `pros`, `reviews`, `uses`.
 //!
-//! Classification is computed once per document over *tag paths* (the chain
-//! of tags from the root), so every instance of `/shop/product/reviews/review`
-//! receives the same class — exactly how XSeek's summary-based inference
-//! behaves.
+//! Classification is per *tag path* (the chain of tags from the root), so
+//! every instance of `/shop/product/reviews/review` receives the same class
+//! — exactly how XSeek's summary-based inference behaves.
 //!
-//! Paths are interned: the summary builds a **trie of tag paths** — one
-//! [`PathId`] per distinct path, its edges `(parent path, tag) → path` in
-//! one hash table — and records each node's path id in a flat per-node
-//! table. Classifying a node is therefore two array lookups, and the
-//! `a/b/c` display string of a path is materialised once per *distinct*
-//! path instead of once per node.
-//!
-//! Inference is one preorder pass, one hash probe per element whatever the
-//! number of sibling paths. "This tag repeats under one parent" is detected
-//! with a **stamp**: each path remembers the parent node it was last seen
-//! under, and meeting the same path under the same parent again is the
-//! repetition (between two siblings only their own descendants are
-//! visited, and those lie on longer paths).
+//! The document already knows its paths: a node's kind *is* its path
+//! ([`Document::path_id`]), and each path of [`Document::paths`] carries
+//! the two facts the roles depend on — some parent holds two children on
+//! it, some node on it has an element child — settled as the document was
+//! built or decoded. So inference is a pass over the *paths*, not the
+//! nodes: one class and one `a/b/c` display string per distinct path, the
+//! strings in one arena. Classifying a node is then one array lookup by
+//! the path the document stores for it.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use xsact_xml::{Document, NodeId};
+use xsact_xml::{Document, NodeId, PathId};
 
 /// The inferred role of a node (more precisely, of its tag path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,158 +39,83 @@ pub enum NodeClass {
     Connection,
 }
 
-/// Dense handle of a distinct tag path inside one [`StructureSummary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PathId(u32);
-
-impl PathId {
-    /// The dense index of this path, below the summary's path count.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-#[derive(Debug, Clone, Default)]
+/// One path's class and where its display string lies in the arena.
+#[derive(Debug, Clone, Copy)]
 struct PathData {
-    /// The rendered `a/b/c` path — one `String` per distinct path.
-    display: String,
-    /// Did any parent hold two or more children with this tag?
-    repeats: bool,
-    /// Does any instance have an element child?
-    internal: bool,
+    class: NodeClass,
+    start: usize,
+    end: usize,
 }
 
-/// Per-document structural summary mapping interned tag paths to classes.
+/// Per-document structural summary mapping the document's tag paths to
+/// classes and display strings.
 ///
-/// Built once with [`StructureSummary::infer`]; classification of an
-/// individual node is then two O(1) array lookups (node → path id →
-/// class), with no string construction or hashing on the query path.
+/// Built once with [`StructureSummary::infer`], in time and space linear
+/// in the *distinct paths*; classifying an individual node is then one
+/// O(1) lookup (node's path id → class), with no string construction or
+/// hashing on the query path.
 #[derive(Debug, Clone)]
 pub struct StructureSummary {
-    /// One entry per distinct tag path; the root element's is the first.
+    /// One entry per path of the document, indexed by [`PathId`].
     paths: Vec<PathData>,
-    /// Per node arena index, the node's path id ([`NO_PATH`] for text runs).
-    node_paths: Vec<u32>,
+    /// Every path's `a/b/c` display string, back to back in id order.
+    text: String,
 }
 
-/// `node_paths` entry of a text run, and during inference the stamp of a
-/// path not seen yet. No path id and no node id reaches it: both are below
-/// the document's node count, which stops short of `u32::MAX`.
-const NO_PATH: u32 = u32::MAX;
-
 impl StructureSummary {
-    /// Infers the structural summary of `doc` in a single preorder pass.
+    /// Infers the structural summary of `doc` from its path table: two
+    /// blocks, whatever the document's size.
     pub fn infer(doc: &Document) -> Self {
-        let root = PathData { display: doc.tag(doc.root()).to_owned(), ..PathData::default() };
-        let mut paths = vec![root];
-        let mut node_paths = Vec::with_capacity(doc.len());
-        // The trie's edges, `(parent path) << 32 | tag` → path.
-        let mut edges: HashMap<u64, u32, BuildHasherDefault<EdgeHasher>> = HashMap::default();
-        // Per path, the parent node it was last seen under.
-        let mut last_parent = vec![NO_PATH];
-        // Preorder guarantees a parent's path id exists before its children
-        // are visited.
-        for node in doc.all_nodes() {
-            let path = match (doc.tag_sym(node), doc.parent(node)) {
-                (None, _) => NO_PATH,
-                (Some(_), None) => 0,
-                (Some(tag), Some(parent)) => {
-                    let above = node_paths[parent.index()] as usize;
-                    paths[above].internal = true;
-                    let key = (above as u64) << 32 | tag.index() as u64;
-                    let path = *edges.entry(key).or_insert_with(|| {
-                        let display = [&paths[above].display, "/", doc.tag(node)].concat();
-                        paths.push(PathData { display, ..PathData::default() });
-                        last_parent.push(NO_PATH);
-                        paths.len() as u32 - 1
-                    });
-                    let (path, parent) = (path as usize, parent.index() as u32);
-                    if last_parent[path] == parent {
-                        paths[path].repeats = true;
-                    }
-                    last_parent[path] = parent;
-                    path as u32
-                }
+        let tag_paths = doc.paths();
+        let tag = |i: usize| doc.interner().resolve(tag_paths[i].tag).as_bytes();
+        // A display is its parent's, a `/` and its tag, and a parent
+        // precedes its children: the spans first, then the arena.
+        let mut paths: Vec<PathData> = Vec::with_capacity(tag_paths.len());
+        let mut len = 0;
+        for (i, path) in tag_paths.iter().enumerate() {
+            let above =
+                path.parent.map_or(0, |p| paths[p.index()].end - paths[p.index()].start + 1);
+            // The root element is always an entity (it is the single
+            // instance of the top-level object the document describes),
+            // and path 0 is the root's alone.
+            let class = if i == 0 || path.repeats && path.internal {
+                NodeClass::Entity
+            } else if !path.internal {
+                NodeClass::Attribute
+            } else {
+                NodeClass::Connection
             };
-            node_paths.push(path);
+            let start = len;
+            len += above + tag(i).len();
+            paths.push(PathData { class, start, end: len });
         }
-        StructureSummary { paths, node_paths }
-    }
-
-    /// The path id of an element node, or `None` for text runs (and nodes
-    /// outside the summarised document).
-    pub fn path_id_of(&self, node: NodeId) -> Option<PathId> {
-        self.node_paths.get(node.index()).filter(|&&path| path != NO_PATH).map(|&path| PathId(path))
+        let mut text = Vec::with_capacity(len);
+        for (i, path) in tag_paths.iter().enumerate() {
+            if let Some(parent) = path.parent {
+                let PathData { start, end, .. } = paths[parent.index()];
+                text.extend_from_within(start..end);
+                text.push(b'/');
+            }
+            text.extend_from_slice(tag(i));
+        }
+        let text = String::from_utf8(text).expect("tags joined by '/' are UTF-8");
+        StructureSummary { paths, text }
     }
 
     /// The `a/b/c` display string of a path.
     pub fn path_display(&self, path: PathId) -> &str {
-        &self.paths[path.index()].display
+        let PathData { start, end, .. } = self.paths[path.index()];
+        &self.text[start..end]
     }
 
-    /// Classifies the tag path of `node` within `doc`.
-    ///
-    /// The root element is always an entity (it is the single instance of the
-    /// top-level object the document describes).
+    /// Classifies the tag path of `node` within `doc`: text runs take the
+    /// role of the value they carry, and the root element is an entity.
     pub fn class_of(&self, doc: &Document, node: NodeId) -> NodeClass {
-        if !doc.is_element(node) {
-            // Text runs take the role of the value they carry.
-            return NodeClass::Attribute;
-        }
-        if doc.parent(node).is_none() {
-            return NodeClass::Entity;
-        }
-        match self.path_id_of(node) {
-            Some(pid) => self.class_of_id(pid),
-            None => NodeClass::Connection,
+        match doc.path_id(node) {
+            Some(path) => self.paths.get(path.index()).map_or(NodeClass::Connection, |p| p.class),
+            None => NodeClass::Attribute,
         }
     }
-
-    /// Classifies a path by its id.
-    fn class_of_id(&self, path: PathId) -> NodeClass {
-        let info = &self.paths[path.index()];
-        if info.repeats && info.internal {
-            NodeClass::Entity
-        } else if !info.internal {
-            NodeClass::Attribute
-        } else {
-            NodeClass::Connection
-        }
-    }
-}
-
-/// The hash of an edge key: one multiply, its high half folded onto the low
-/// (path ids and tag symbols are small dense integers, which it spreads).
-#[derive(Default)]
-struct EdgeHasher(u64);
-
-impl Hasher for EdgeHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        let h = (self.0 ^ key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ h >> 32;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// The `a/b/c` tag-path key of an element node — the string the summary's
-/// interned [`PathId`]s stand for. The tests use it as an oracle for
-/// [`StructureSummary::path_display`]; production code resolves paths
-/// through the summary instead.
-#[cfg(test)]
-pub(crate) fn path_key(doc: &Document, node: NodeId) -> String {
-    let mut path: Vec<&str> = std::iter::successors(Some(node), |&n| doc.parent(n))
-        .filter(|&n| doc.is_element(n))
-        .map(|n| doc.tag(n))
-        .collect();
-    path.reverse();
-    path.join("/")
 }
 
 #[cfg(test)]
@@ -229,37 +146,51 @@ mod tests {
         .unwrap()
     }
 
-    /// The id of a raw `a/b/c` tag path.
-    fn path_named(summary: &StructureSummary, path: &str) -> Option<PathId> {
-        summary.paths.iter().position(|p| p.display == path).map(|i| PathId(i as u32))
+    /// The `a/b/c` tag-path key of an element node, by climbing its
+    /// ancestors: the string [`StructureSummary::path_display`] renders.
+    fn path_key(doc: &Document, node: NodeId) -> String {
+        let mut path: Vec<&str> = std::iter::successors(Some(node), |&n| doc.parent(n))
+            .filter(|&n| doc.is_element(n))
+            .map(|n| doc.tag(n))
+            .collect();
+        path.reverse();
+        path.join("/")
+    }
+
+    /// The first element on a raw `a/b/c` tag path.
+    fn node_on(doc: &Document, path: &str) -> Option<NodeId> {
+        doc.all_nodes().find(|&n| doc.is_element(n) && path_key(doc, n) == path)
     }
 
     /// An unseen path connects nothing it could be an entity or attribute of.
-    fn class(summary: &StructureSummary, path: &str) -> NodeClass {
-        path_named(summary, path).map_or(NodeClass::Connection, |pid| summary.class_of_id(pid))
+    fn class(doc: &Document, summary: &StructureSummary, path: &str) -> NodeClass {
+        node_on(doc, path).map_or(NodeClass::Connection, |n| summary.class_of(doc, n))
     }
 
-    fn repeats(summary: &StructureSummary, path: &str) -> bool {
-        path_named(summary, path).is_some_and(|pid| summary.paths[pid.index()].repeats)
+    fn repeats(doc: &Document, path: &str) -> bool {
+        node_on(doc, path).is_some_and(|n| doc.paths()[doc.path_id(n).unwrap().index()].repeats)
     }
 
     #[test]
     fn products_and_reviews_are_entities() {
         let doc = review_doc();
         let s = StructureSummary::infer(&doc);
-        assert_eq!(class(&s, "shop/product"), NodeClass::Entity);
-        assert_eq!(class(&s, "shop/product/reviews/review"), NodeClass::Entity);
+        assert_eq!(class(&doc, &s, "shop/product"), NodeClass::Entity);
+        assert_eq!(class(&doc, &s, "shop/product/reviews/review"), NodeClass::Entity);
     }
 
     #[test]
     fn leaves_are_attributes() {
         let doc = review_doc();
         let s = StructureSummary::infer(&doc);
-        assert_eq!(class(&s, "shop/product/name"), NodeClass::Attribute);
-        assert_eq!(class(&s, "shop/product/rating"), NodeClass::Attribute);
-        assert_eq!(class(&s, "shop/product/reviews/review/pros/compact"), NodeClass::Attribute);
+        assert_eq!(class(&doc, &s, "shop/product/name"), NodeClass::Attribute);
+        assert_eq!(class(&doc, &s, "shop/product/rating"), NodeClass::Attribute);
         assert_eq!(
-            class(&s, "shop/product/reviews/review/uses/best_use/auto"),
+            class(&doc, &s, "shop/product/reviews/review/pros/compact"),
+            NodeClass::Attribute
+        );
+        assert_eq!(
+            class(&doc, &s, "shop/product/reviews/review/uses/best_use/auto"),
             NodeClass::Attribute
         );
     }
@@ -268,10 +199,13 @@ mod tests {
     fn grouping_nodes_are_connections() {
         let doc = review_doc();
         let s = StructureSummary::infer(&doc);
-        assert_eq!(class(&s, "shop/product/reviews"), NodeClass::Connection);
-        assert_eq!(class(&s, "shop/product/reviews/review/pros"), NodeClass::Connection);
-        assert_eq!(class(&s, "shop/product/reviews/review/uses"), NodeClass::Connection);
-        assert_eq!(class(&s, "shop/product/reviews/review/uses/best_use"), NodeClass::Connection);
+        assert_eq!(class(&doc, &s, "shop/product/reviews"), NodeClass::Connection);
+        assert_eq!(class(&doc, &s, "shop/product/reviews/review/pros"), NodeClass::Connection);
+        assert_eq!(class(&doc, &s, "shop/product/reviews/review/uses"), NodeClass::Connection);
+        assert_eq!(
+            class(&doc, &s, "shop/product/reviews/review/uses/best_use"),
+            NodeClass::Connection
+        );
     }
 
     #[test]
@@ -297,7 +231,7 @@ mod tests {
     fn unknown_path_defaults_to_connection() {
         let doc = review_doc();
         let s = StructureSummary::infer(&doc);
-        assert_eq!(class(&s, "never/seen"), NodeClass::Connection);
+        assert_eq!(class(&doc, &s, "never/seen"), NodeClass::Connection);
     }
 
     #[test]
@@ -309,16 +243,16 @@ mod tests {
         )
         .unwrap();
         let s = StructureSummary::infer(&doc);
-        assert_eq!(class(&s, "movies/movie/keyword"), NodeClass::Attribute);
-        assert!(repeats(&s, "movies/movie/keyword"));
+        assert_eq!(class(&doc, &s, "movies/movie/keyword"), NodeClass::Attribute);
+        assert!(repeats(&doc, "movies/movie/keyword"));
     }
 
     #[test]
     fn single_instance_internal_node_is_connection() {
         let doc = parse_document("<a><meta><created>2009</created></meta></a>").unwrap();
         let s = StructureSummary::infer(&doc);
-        assert_eq!(class(&s, "a/meta"), NodeClass::Connection);
-        assert_eq!(class(&s, "a/meta/created"), NodeClass::Attribute);
+        assert_eq!(class(&doc, &s, "a/meta"), NodeClass::Connection);
+        assert_eq!(class(&doc, &s, "a/meta/created"), NodeClass::Attribute);
     }
 
     #[test]
@@ -331,8 +265,8 @@ mod tests {
         )
         .unwrap();
         let s = StructureSummary::infer(&doc);
-        assert_eq!(class(&s, "mall/shop/product"), NodeClass::Entity);
-        assert_eq!(class(&s, "mall/shop"), NodeClass::Entity);
+        assert_eq!(class(&doc, &s, "mall/shop/product"), NodeClass::Entity);
+        assert_eq!(class(&doc, &s, "mall/shop"), NodeClass::Entity);
     }
 
     #[test]
@@ -342,20 +276,20 @@ mod tests {
         let doc = parse_document("<r><item><extra>plain</extra><extra><d>x</d></extra></item></r>")
             .unwrap();
         let s = StructureSummary::infer(&doc);
-        assert_eq!(class(&s, "r/item/extra"), NodeClass::Entity);
+        assert_eq!(class(&doc, &s, "r/item/extra"), NodeClass::Entity);
     }
 
     #[test]
     fn summary_statistics() {
         let doc = review_doc();
         let s = StructureSummary::infer(&doc);
+        assert_eq!(s.paths.len(), doc.paths().len());
         assert!(s.paths.len() >= 9);
         let entities: Vec<&str> = (0..s.paths.len())
-            .filter(|&i| s.class_of_id(PathId(i as u32)) == NodeClass::Entity)
-            .map(|i| s.paths[i].display.as_str())
+            .filter(|&i| s.paths[i].class == NodeClass::Entity)
+            .map(|i| &s.text[s.paths[i].start..s.paths[i].end])
             .collect();
-        assert!(entities.contains(&"shop/product"));
-        assert!(entities.contains(&"shop/product/reviews/review"));
+        assert_eq!(entities, ["shop", "shop/product", "shop/product/reviews/review"]);
     }
 
     #[test]
@@ -363,14 +297,14 @@ mod tests {
         let doc = review_doc();
         let s = StructureSummary::infer(&doc);
         let products: Vec<NodeId> = doc.children_by_tag(doc.root(), "product").collect();
-        let a = s.path_id_of(products[0]).unwrap();
-        let b = s.path_id_of(products[1]).unwrap();
+        let a = doc.path_id(products[0]).unwrap();
+        let b = doc.path_id(products[1]).unwrap();
         assert_eq!(a, b);
         assert_eq!(s.path_display(a), "shop/product");
-        assert_eq!(s.class_of_id(a), NodeClass::Entity);
+        assert_eq!(s.class_of(&doc, products[1]), NodeClass::Entity);
         // Text runs have no path id.
         let name = doc.child_by_tag(products[0], "name").unwrap();
-        assert_eq!(s.path_id_of(doc.children(name).next().unwrap()), None);
+        assert_eq!(doc.path_id(doc.children(name).next().unwrap()), None);
     }
 
     #[test]
@@ -378,93 +312,80 @@ mod tests {
         let doc = review_doc();
         let s = StructureSummary::infer(&doc);
         for node in doc.all_nodes() {
-            if doc.is_element(node) {
-                let pid = s.path_id_of(node).unwrap();
-                assert_eq!(s.path_display(pid), path_key(&doc, node));
+            if let Some(path) = doc.path_id(node) {
+                assert_eq!(s.path_display(path), path_key(&doc, node));
             }
         }
     }
 
-    /// The inference this module ran before the stamp: a hash-keyed trie
-    /// `(parent path, tag) → path`, and per node a `HashMap` counting its
-    /// element children by tag. Kept as the oracle of [`StructureSummary`].
+    /// The inference this module ran before the document kept its paths:
+    /// a hash-keyed trie `(parent path, tag) → path` numbered first-seen in
+    /// preorder, a per-node path array, and — independent of the stamp the
+    /// document uses — per node a `HashMap` counting its element children
+    /// by tag. Kept as the oracle of the document's path table and of
+    /// [`StructureSummary`].
     mod oracle {
         use super::super::NodeClass;
         use std::collections::HashMap;
-        use xsact_xml::{Document, Sym};
+        use xsact_xml::{Document, NodeId, Sym};
 
         #[derive(Default)]
         pub(super) struct PathInfo {
             pub display: String,
             pub repeats: bool,
-            pub internal_instances: usize,
+            pub internal: bool,
         }
 
         pub struct Summary {
             pub paths: Vec<PathInfo>,
-            edges: HashMap<(u32, Sym), u32>,
             /// Per node, its path (`None` for text runs).
             pub node_paths: Vec<Option<u32>>,
         }
 
-        const NO_PARENT: u32 = u32::MAX;
-
         impl Summary {
             pub fn infer(doc: &Document) -> Summary {
-                let mut summary = Summary {
-                    paths: Vec::new(),
-                    edges: HashMap::new(),
-                    node_paths: vec![None; doc.len()],
-                };
-                let mut child_tag_counts: HashMap<Sym, u32> = HashMap::new();
+                let mut paths: Vec<PathInfo> = Vec::new();
+                let mut edges: HashMap<(Option<u32>, Sym), u32> = HashMap::new();
+                let mut node_paths = vec![None; doc.len()];
                 for node in doc.all_nodes() {
                     let Some(tag) = doc.tag_sym(node) else { continue };
-                    let parent_path = doc
-                        .parent(node)
-                        .and_then(|p| summary.node_paths[p.index()])
-                        .unwrap_or(NO_PARENT);
-                    let pid = summary.path_for(doc, parent_path, tag);
-                    summary.node_paths[node.index()] = Some(pid);
-
+                    let above = doc.parent(node).and_then(|p| node_paths[p.index()]);
+                    let path = *edges.entry((above, tag)).or_insert_with(|| {
+                        let name = doc.interner().resolve(tag);
+                        let display = match above {
+                            Some(above) => format!("{}/{name}", paths[above as usize].display),
+                            None => name.to_owned(),
+                        };
+                        paths.push(PathInfo { display, ..PathInfo::default() });
+                        paths.len() as u32 - 1
+                    });
+                    node_paths[node.index()] = Some(path);
+                }
+                let mut child_tag_counts: HashMap<Sym, u32> = HashMap::new();
+                for node in doc.all_nodes() {
+                    let Some(path) = node_paths[node.index()] else { continue };
                     child_tag_counts.clear();
                     for child in doc.child_elements(node) {
                         *child_tag_counts.entry(doc.tag_sym(child).unwrap()).or_insert(0) += 1;
                     }
-                    if !child_tag_counts.is_empty() {
-                        summary.paths[pid as usize].internal_instances += 1;
-                    }
-                    for (&tag, &count) in &child_tag_counts {
-                        if count >= 2 {
-                            let child_pid = summary.path_for(doc, pid, tag);
-                            summary.paths[child_pid as usize].repeats = true;
+                    paths[path as usize].internal |= !child_tag_counts.is_empty();
+                    for child in doc.child_elements(node) {
+                        if child_tag_counts[&doc.tag_sym(child).unwrap()] >= 2 {
+                            paths[node_paths[child.index()].unwrap() as usize].repeats = true;
                         }
                     }
                 }
-                summary
+                Summary { paths, node_paths }
             }
 
-            fn path_for(&mut self, doc: &Document, parent: u32, tag: Sym) -> u32 {
-                if let Some(&pid) = self.edges.get(&(parent, tag)) {
-                    return pid;
-                }
-                let tag_str = doc.interner().resolve(tag);
-                let display = if parent == NO_PARENT {
-                    tag_str.to_owned()
-                } else {
-                    format!("{}/{}", self.paths[parent as usize].display, tag_str)
+            pub fn class_of(&self, doc: &Document, node: NodeId) -> NodeClass {
+                let Some(path) = self.node_paths[node.index()] else {
+                    return NodeClass::Attribute;
                 };
-                let pid = self.paths.len() as u32;
-                self.paths.push(PathInfo { display, ..PathInfo::default() });
-                self.edges.insert((parent, tag), pid);
-                pid
-            }
-
-            pub fn class_of(&self, path: u32) -> NodeClass {
                 let info = &self.paths[path as usize];
-                let ever_internal = info.internal_instances > 0;
-                if info.repeats && ever_internal {
+                if doc.parent(node).is_none() || info.repeats && info.internal {
                     NodeClass::Entity
-                } else if !ever_internal {
+                } else if !info.internal {
                     NodeClass::Attribute
                 } else {
                     NodeClass::Connection
@@ -473,21 +394,24 @@ mod tests {
         }
     }
 
-    /// Path ids are numbered in another order than the oracle's, so the
-    /// two are matched through each node and through the display strings.
+    /// The document's path table and the summary over it equal the oracle:
+    /// every node's path id, the path's facts and display, and its class.
     fn assert_infers_like_the_oracle(doc: &Document, what: &str) {
         let (new, old) = (StructureSummary::infer(doc), oracle::Summary::infer(doc));
-        assert_eq!(new.paths.len(), old.paths.len(), "{what}: path count");
-        for node in doc.all_nodes() {
-            let (path, old_path) = (new.path_id_of(node), old.node_paths[node.index()]);
-            assert_eq!(path.is_some(), old_path.is_some(), "{what}: {node:?}");
-            let (Some(path), Some(old_path)) = (path, old_path) else { continue };
-            let display = new.path_display(path);
-            assert_eq!(display, old.paths[old_path as usize].display, "{what}: {node:?}");
-            assert_eq!(new.class_of_id(path), old.class_of(old_path), "{what}: {display}");
+        assert_eq!(doc.paths().len(), old.paths.len(), "{what}: path count");
+        for (path, info) in doc.paths().iter().zip(&old.paths) {
+            let facts = (path.repeats, path.internal);
+            assert_eq!(facts, (info.repeats, info.internal), "{what}: {}", info.display);
         }
-        for info in &old.paths {
-            assert_eq!(repeats(&new, &info.display), info.repeats, "{what}: {}", info.display);
+        for node in doc.all_nodes() {
+            let path = doc.path_id(node);
+            let old_path = old.node_paths[node.index()];
+            assert_eq!(path.map(|p| p.index() as u32), old_path, "{what}: {node:?}");
+            if let (Some(path), Some(old_path)) = (path, old_path) {
+                let display = new.path_display(path);
+                assert_eq!(display, old.paths[old_path as usize].display, "{what}: {node:?}");
+            }
+            assert_eq!(new.class_of(doc, node), old.class_of(doc, node), "{what}: {node:?}");
         }
     }
 

@@ -66,9 +66,9 @@
 //! (`tests/properties.rs`). The hashes take no part in equality, and
 //! neither does where in the arena a string went.
 
-use crate::classify::{NodeClass, PathId, StructureSummary};
+use crate::classify::{NodeClass, StructureSummary};
 use std::fmt;
-use xsact_xml::{Document, NodeId, Sym};
+use xsact_xml::{Document, NodeId, PathId, Sym};
 
 /// A feature type: the `(entity, attribute)` pair identifying one row of a
 /// comparison table.
@@ -670,7 +670,7 @@ pub fn extract_features(
         let is_instance = node == root
             || (doc.is_element(node) && summary.class_of(doc, node) == NodeClass::Entity);
         if is_instance {
-            let path = instance_path(doc, summary, node);
+            let path = instance_path(doc, node);
             instances.push(Entered { path, end: doc.subtree_end(node), outer: innermost });
             innermost = instances.len() - 1;
         }
@@ -680,8 +680,7 @@ pub fn extract_features(
         if !valued && doc.attr_count(node) == 0 {
             continue;
         }
-        let (Some(owner), Some(leaf)) = (instances[innermost].path, summary.path_id_of(node))
-        else {
+        let (Some(owner), Some(leaf)) = (instances[innermost].path, doc.path_id(node)) else {
             continue;
         };
         for (name, value) in doc.attrs_syms(node) {
@@ -771,18 +770,10 @@ pub fn extract_features(
     }
 }
 
-/// The interned path of an instance node: its own path for elements, the
-/// nearest ancestor element's path for text runs. `None` only for handles
-/// outside the summarised document.
-fn instance_path(doc: &Document, summary: &StructureSummary, node: NodeId) -> Option<PathId> {
-    let mut cur = Some(node);
-    while let Some(n) = cur {
-        if let Some(pid) = summary.path_id_of(n) {
-            return Some(pid);
-        }
-        cur = doc.parent(n);
-    }
-    None
+/// The interned path of an instance node: its own path for elements, its
+/// parent element's path for text runs (a text run's parent is an element).
+fn instance_path(doc: &Document, node: NodeId) -> Option<PathId> {
+    doc.path_id(node).or_else(|| doc.path_id(doc.parent(node)?))
 }
 
 /// The text runs directly below a leaf element.

@@ -19,5 +19,5 @@ pub mod classify;
 pub mod features;
 pub mod label;
 
-pub use classify::{NodeClass, PathId, StructureSummary};
+pub use classify::{NodeClass, StructureSummary};
 pub use features::{extract_features, FeatureType, ResultFeatures, Stat};

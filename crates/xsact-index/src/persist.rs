@@ -11,11 +11,12 @@
 //!
 //! ```text
 //! magic      b"XIDX"          4 bytes
-//! version    u32 LE           currently 6
+//! version    u32 LE           currently 7
 //! source     u64 LE           digest of the XML the document was parsed
 //!                             from (Document::source_digest); 0 = none
 //! document   the document image (xsact_xml::dom, "The image"): names,
-//!            end/kind/mark arrays, attribute records, text arena
+//!            tag paths, end/kind/mark arrays (kind = path id),
+//!            attribute records, text arena
 //! terms      u32 LE           number of dictionary entries
 //! total      u32 LE           total postings across all terms
 //! frames     u32 LE           number of posting frames
@@ -40,8 +41,10 @@
 //! version" error, and the caller rebuilds from the XML exactly as for a
 //! digest mismatch: versions 1–4 held the index alone, keyed by a
 //! structural fingerprint of a document the caller had parsed; version 5
-//! had this layout under the serial [`WordHasher`] chain, whose digests
-//! and trailers of inputs of 32 bytes or more differ from the lanes'.
+//! had the v6 layout under the serial [`WordHasher`] chain, whose digests
+//! and trailers of inputs of 32 bytes or more differ from the lanes';
+//! version 6 had no path table, and a tag symbol where `kind` now holds a
+//! path id.
 //!
 //! **The digest.** [`load_image`] with `Some(digest)` accepts a file only
 //! if its header holds that digest (and not 0): the facade passes the
@@ -63,7 +66,9 @@
 //! [`io::ErrorKind::UnexpectedEof`]), never a panic or a wrong answer:
 //!
 //! * the document: single root, nested extents, depth, leaf text runs,
-//!   known kinds, distinct names, monotone marks on char boundaries,
+//!   distinct names, a path table of distinct `(parent, tag)` pairs in
+//!   which every element's path extends its parent node's, monotone marks
+//!   on char boundaries,
 //!   sorted attribute records tiling their element's window, UTF-8
 //!   (see `xsact_xml::dom`);
 //! * the dictionary: UTF-8 terms, sorted and unique, whose counts sum to
@@ -104,7 +109,7 @@ use std::io::{self, BufWriter, Read, Write};
 use xsact_xml::{Document, ImageReader, WordHasher};
 
 const MAGIC: &[u8; 4] = b"XIDX";
-const VERSION: u32 = 6;
+const VERSION: u32 = 7;
 /// Bytes of one frame-table entry: `first` u32, `bit_off` u32, `width` u8.
 const FRAME_ENTRY: usize = 9;
 
@@ -431,8 +436,8 @@ mod tests {
     }
 
     #[test]
-    fn declared_version_is_6() {
-        assert_eq!(u32::from_le_bytes(saved(&doc())[4..8].try_into().unwrap()), 6);
+    fn declared_version_is_7() {
+        assert_eq!(u32::from_le_bytes(saved(&doc())[4..8].try_into().unwrap()), 7);
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //!
 //! A [`Document`] is four parallel `u32` arrays indexed by node id —
 //! `parent`, `end`, `kind`, `mark` — plus one text arena, one append-only
-//! attribute table and the [`Interner`] of tag and attribute names. Nodes
-//! are addressed by the copyable [`NodeId`] handle; no node owns a heap
-//! block:
+//! attribute table, the [`Interner`] of tag and attribute names and the
+//! table of its distinct tag paths ([`crate::paths`]). Nodes are addressed
+//! by the copyable [`NodeId`] handle; no node owns a heap block:
 //!
-//! * `kind[n]` is the tag's [`Sym`] for an element and a sentinel for a
-//!   text run (one heap copy per *distinct* name, 4 bytes per occurrence);
+//! * `kind[n]` is the element's tag path, a [`PathId`] into the path
+//!   table, and a sentinel for a text run. A path is `(parent path, tag)`,
+//!   so the tag is one lookup away (one heap copy per *distinct* name,
+//!   4 bytes per occurrence), and structural classification reads the
+//!   path and its facts without deriving anything per node;
 //! * `mark[n]` is the length of the text arena when `n` was appended. A
 //!   text run is appended right behind its node, and nothing else is until
 //!   the next node, so the text of `n` is the arena between `mark[n]` and
@@ -18,8 +21,9 @@
 //!   element finds its records by bisection (and a document without
 //!   attributes pays nothing).
 //!
-//! That is 16 bytes per node plus the text itself; the structural fields
-//! the SLCA executor and the scorer read (`parent`, `end`) are contiguous.
+//! That is 16 bytes per node plus the text itself, and a few hundred bytes
+//! of path table per document; the structural fields the SLCA executor
+//! and the scorer read (`parent`, `end`) are contiguous.
 //!
 //! **Node ids are preorder ranks, and that is the only tree order there
 //! is.** A document is built in document order — `add_*` appends a child
@@ -57,27 +61,36 @@
 //! # The image
 //!
 //! [`Document::write_image`] writes the document as the arrays it is, less
-//! what they imply — `parent` and the element count are derived on load —
-//! so a warm boot decodes a document instead of parsing its XML. All
-//! integers are `u32` LE:
+//! what they imply — `parent`, the element count and the paths' two facts
+//! are derived on load — so a warm boot decodes a document instead of
+//! parsing its XML. All integers are `u32` LE (`.xidx` v7 onwards; v6 had
+//! no `paths` section and a tag symbol in `kind`):
 //!
 //! ```text
 //! names    count, then per symbol in symbol order: len, UTF-8 bytes
-//! nodes    n, then end[n], kind[n], mark[n]     12 bytes per node
+//! paths    count, then per path in id order: parent, tag   8 bytes per path
+//! nodes    n, then end[n], kind[n], mark[n]                12 bytes per node
 //! attrs    count, then per record: owner, name, start, len
 //! text     len, then the arena's UTF-8 bytes
 //! ```
 //!
 //! [`Document::read_image`] measures every section against the bytes
 //! present before it allocates, sizes each array exactly, checks the marks,
-//! and derives `parent` and the element count in one stack pass over the
-//! rest, so a document it returns is one the builders could have built:
+//! derives each path's `internal` from the table (a path is internal when
+//! another extends it), and derives `parent`, the element count and each
+//! path's `repeats` in one stack pass over the rest, so a document it
+//! returns is one the builders could have built:
 //!
 //! * node 0 is an element whose extent is the whole array (a single
 //!   root); every other extent satisfies `end[i] > i` and lies inside its
 //!   parent's, and elements nest at most [`MAX_DEPTH`] deep;
-//! * a text run (`kind` [`u32::MAX`]) has no children, and every element's
-//!   kind is a symbol of the name table, whose names are distinct;
+//! * the path table is distinct `(parent, tag)` pairs of known names; path
+//!   0 has no parent (`u32::MAX`) and every other path's parent precedes
+//!   it;
+//! * a text run (`kind` [`u32::MAX`]) has no children; the root is on path
+//!   0, and every other element's kind is a path of the table whose parent
+//!   is its parent node's path; paths are first met in id order, and every
+//!   path is met;
 //! * marks start at 0, never decrease, stay inside the arena and fall on
 //!   char boundaries of it (the arena is UTF-8);
 //! * attribute records are sorted by owner, owned by elements, and name
@@ -95,6 +108,7 @@ use crate::dewey::DeweyId;
 use crate::error::XmlResult;
 use crate::interner::{Interner, Sym, WordHasher};
 use crate::parse::MAX_DEPTH;
+use crate::paths::{PathId, PathTable, TagPath};
 use std::fmt;
 use std::io::{self, Write};
 use std::ops::Range;
@@ -169,7 +183,7 @@ pub struct Document {
     parent: Vec<u32>,
     /// One past the largest id in the node's subtree.
     end: Vec<u32>,
-    /// The tag symbol of an element, [`NONE`] for a text run.
+    /// The tag path of an element, [`NONE`] for a text run.
     kind: Vec<u32>,
     /// Length of `text` when the node was appended.
     mark: Vec<u32>,
@@ -177,6 +191,8 @@ pub struct Document {
     text: String,
     /// Every attribute, in document order.
     attrs: Vec<AttrRecord>,
+    /// Every distinct tag path, first-seen in preorder.
+    paths: PathTable,
     /// Number of element nodes, maintained incrementally — the ranking
     /// scorer needs it per query, and recounting 10⁴ nodes per search was
     /// a measurable constant cost.
@@ -187,7 +203,8 @@ pub struct Document {
 }
 
 /// Two documents are equal when they hold the same tree: the same names in
-/// the same symbol order, the same node arrays, attribute table and text.
+/// the same symbol order, the same paths, node arrays, attribute table and
+/// text.
 /// Where a document came from — its
 /// [`source_digest`](Document::source_digest) — is not part of it.
 impl PartialEq for Document {
@@ -199,6 +216,7 @@ impl PartialEq for Document {
             && self.mark == other.mark
             && self.text == other.text
             && self.attrs == other.attrs
+            && self.paths.paths() == other.paths.paths()
             && self.element_count == other.element_count
     }
 }
@@ -220,6 +238,8 @@ pub struct SubstrateStats {
     /// Heap bytes of the node table itself (the four per-node arrays and
     /// the attribute table).
     pub node_table_bytes: usize,
+    /// Heap bytes of the path table (entries, stamps and probe table).
+    pub path_table_bytes: usize,
 }
 
 impl Document {
@@ -235,19 +255,21 @@ impl Document {
     /// [`reserve_like_sample`](Self::reserve_like_sample).
     pub(crate) fn for_input(root_tag: &str, input_len: usize) -> Self {
         let nodes = (input_len / 8).min(256) + 1;
+        let mut symbols = Interner::new();
+        let tag = symbols.intern(root_tag);
         let mut doc = Document {
-            symbols: Interner::new(),
+            symbols,
             parent: Vec::with_capacity(nodes),
             end: Vec::with_capacity(nodes),
             kind: Vec::with_capacity(nodes),
             mark: Vec::with_capacity(nodes),
             text: String::with_capacity((input_len / 2).min(4096)),
             attrs: Vec::new(),
+            paths: PathTable::new(tag),
             element_count: 0,
             source_digest: None,
         };
-        let tag = doc.symbols.intern(root_tag);
-        doc.push(NONE, tag.raw());
+        doc.push(NONE, 0);
         doc
     }
 
@@ -327,7 +349,20 @@ impl Document {
     /// The element tag's interned symbol, or `None` for a text node.
     pub fn tag_sym(&self, id: NodeId) -> Option<Sym> {
         let kind = self.kind[id.index()];
-        (kind != NONE).then(|| Sym::from_raw(kind))
+        (kind != NONE).then(|| self.paths.get(kind).tag)
+    }
+
+    /// The element's tag path, or `None` for a text node.
+    pub fn path_id(&self, id: NodeId) -> Option<PathId> {
+        let kind = self.kind[id.index()];
+        (kind != NONE).then_some(PathId::from_raw(kind))
+    }
+
+    /// Every distinct tag path of the document, indexed by [`PathId`]: the
+    /// root element's first, each after its parent path, in the order
+    /// preorder first meets them.
+    pub fn paths(&self) -> &[TagPath] {
+        self.paths.paths()
     }
 
     /// The text of a text node, or `None` for an element.
@@ -458,14 +493,16 @@ impl Document {
     /// Also panics, like every builder, when the document would reach
     /// `u32::MAX` nodes or bytes of text — ids and spans are 32-bit.
     pub fn add_element(&mut self, parent: NodeId, tag: impl AsRef<str>) -> NodeId {
-        let tag = self.symbols.intern(tag.as_ref());
-        self.add_node(parent, tag.raw())
+        self.assert_open(parent);
+        let path = self.child_path(parent, tag.as_ref());
+        self.add_node(parent, path)
     }
 
     /// Appends a text child to `parent`, copying `text` into the document's
     /// arena. Panics if `parent` is closed, see
     /// [`add_element`](Self::add_element).
     pub fn add_text(&mut self, parent: NodeId, text: impl AsRef<str>) -> NodeId {
+        self.assert_open(parent);
         let node = self.add_node(parent, NONE);
         self.text.push_str(text.as_ref());
         node
@@ -530,6 +567,13 @@ impl Document {
         self.attrs.push(AttrRecord { owner: id.0, name, start, len: end - start });
     }
 
+    /// The path of a new element with tag `tag` under the element
+    /// `parent`, the two facts its append settles recorded.
+    fn child_path(&mut self, parent: NodeId, tag: &str) -> u32 {
+        let tag = self.symbols.intern(tag);
+        self.paths.child(self.kind[parent.index()], tag, parent.0)
+    }
+
     /// Appends a node record; the caller settles the ancestors' extents.
     fn push(&mut self, parent: u32, kind: u32) -> NodeId {
         let id = narrow(self.len());
@@ -543,7 +587,8 @@ impl Document {
         NodeId(id)
     }
 
-    fn add_node(&mut self, parent: NodeId, kind: u32) -> NodeId {
+    /// Panics unless `parent` is an element that can take a child.
+    fn assert_open(&self, parent: NodeId) {
         // The new node lands directly behind the parent's current subtree
         // iff the parent is still on the rightmost path — what keeps ids
         // preorder ranks and every subtree one id interval.
@@ -553,6 +598,11 @@ impl Document {
              subtree was started after it) and cannot take another child",
             parent.0
         );
+        assert!(self.is_element(parent), "a text run takes no children");
+    }
+
+    /// Appends a node below the open element `parent`.
+    fn add_node(&mut self, parent: NodeId, kind: u32) -> NodeId {
         self.source_digest = None;
         let id = self.push(parent.0, kind);
         // The new id is the largest so far, so it extends every ancestor's
@@ -573,8 +623,8 @@ impl Document {
     /// out a document only once every element is closed — which replaces
     /// the ancestor walk per node by one write per element.
     pub(crate) fn open_element(&mut self, parent: NodeId, tag: &str) -> NodeId {
-        let tag = self.symbols.intern(tag);
-        self.push(parent.0, tag.raw())
+        let path = self.child_path(parent, tag);
+        self.push(parent.0, path)
     }
 
     /// Settles the extent of an element opened by
@@ -648,6 +698,7 @@ impl Document {
             text_bytes: self.text.capacity(),
             node_table_bytes: per_node * size_of::<u32>()
                 + self.attrs.capacity() * size_of::<AttrRecord>(),
+            path_table_bytes: self.paths.heap_bytes(),
         }
     }
 }
@@ -666,6 +717,11 @@ impl Document {
         for (_, name) in self.symbols.iter() {
             w.write_all(&count(name.len()))?;
             w.write_all(name.as_bytes())?;
+        }
+        w.write_all(&count(self.paths().len()))?;
+        for path in self.paths() {
+            let parent = path.parent.map_or(NONE, |p| p.index() as u32);
+            write_u32s(w, &[parent, path.tag.raw()])?;
         }
         w.write_all(&count(self.len()))?;
         for array in [&self.end, &self.kind, &self.mark] {
@@ -692,10 +748,20 @@ impl Document {
     pub fn read_image(r: &mut ImageReader<'_>, source_digest: Option<u64>) -> io::Result<Document> {
         // Measure before allocating: a short image fails here having
         // allocated nothing, and every capacity below is exact.
-        let ImageSizes { names, name_bytes, nodes: n, attrs: attr_count, text: text_len } =
-            ImageSizes::measure(&mut r.clone())?;
+        let ImageSizes {
+            names,
+            name_bytes,
+            paths: path_count,
+            nodes: n,
+            attrs: attr_count,
+            text: text_len,
+        } = ImageSizes::measure(&mut r.clone())?;
         if n == 0 || n == NONE as usize {
             return Err(bad_image("the node count is 0 or past the id space"));
+        }
+        // Every path is some element's, so they are no more than the nodes.
+        if path_count == 0 || path_count > n {
+            return Err(bad_image("the path count is 0 or past the node count"));
         }
 
         let mut symbols = Interner::with_capacity(names, name_bytes);
@@ -706,6 +772,23 @@ impl Document {
                 std::str::from_utf8(r.take(len)?).map_err(|_| bad_image("a name is not UTF-8"))?;
             if symbols.intern(name).index() != i {
                 return Err(bad_image("the name table repeats a name"));
+            }
+        }
+        let names = names as u32;
+        r.u32()?;
+        let mut paths = PathTable::with_capacity(path_count);
+        for id in 0..path_count {
+            let (parent, tag) = (r.u32()?, r.u32()?);
+            let parent = match parent {
+                NONE if id == 0 => None,
+                parent if (parent as usize) < id => Some(PathId::from_raw(parent)),
+                _ => return Err(bad_image("a path's parent does not precede it")),
+            };
+            if tag >= names {
+                return Err(bad_image("a path's tag is not a known name"));
+            }
+            if paths.add(parent, Sym::from_raw(tag)).is_none() {
+                return Err(bad_image("the path table repeats a path"));
             }
         }
         r.u32()?;
@@ -737,14 +820,16 @@ impl Document {
         if !sorted || !mark.iter().all(|&at| text.is_char_boundary(at as usize)) {
             return Err(bad_image("marks are not monotone char boundaries of the arena"));
         }
-        // Then one stack pass checks the rest and derives what the image omits.
-        let names = names as u32;
+        // Then one stack pass checks the rest and derives what the image
+        // omits: parents, the element count and which paths repeat.
         let mut parent = vec![0; n];
         // The open elements, `(id, extent)`, innermost at `depth - 1`, over
         // the root's parent: the whole array, whose extent no id reaches.
         let mut open = [(NONE, n as u32); MAX_DEPTH + 1];
         let mut depth = 1;
         let mut element_count = 0;
+        // The first path no node has been met on yet.
+        let mut next_path = 1;
         let mut next_attr = 0;
         for (i, ((up, &extent), &k)) in parent.iter_mut().zip(&end).zip(&kind).enumerate() {
             let id = i as u32;
@@ -761,8 +846,20 @@ impl Document {
                     return Err(bad_image("a text run is the root or has children"));
                 }
             } else {
-                if k >= names {
-                    return Err(bad_image("an element's kind is not a known name"));
+                if i > 0 {
+                    let Some(path) = paths.paths().get(k as usize) else {
+                        return Err(bad_image("an element's path is not in the path table"));
+                    };
+                    if path.parent != Some(PathId::from_raw(kind[*up as usize])) {
+                        return Err(bad_image("an element's path does not extend its parent's"));
+                    }
+                    if k > next_path {
+                        return Err(bad_image("paths are not numbered in first-seen order"));
+                    }
+                    next_path += u32::from(k == next_path);
+                    paths.note_child(k, *up);
+                } else if k != 0 {
+                    return Err(bad_image("the root is not on path 0"));
                 }
                 element_count += 1;
                 if depth > MAX_DEPTH {
@@ -797,6 +894,9 @@ impl Document {
         if next_attr != attrs.len() {
             return Err(bad_image("an attribute record is owned by no node"));
         }
+        if next_path as usize != path_count {
+            return Err(bad_image("a path is met by no node"));
+        }
         Ok(Document {
             symbols,
             parent,
@@ -805,6 +905,7 @@ impl Document {
             mark,
             text: text.to_owned(),
             attrs,
+            paths,
             element_count,
             source_digest,
         })
@@ -816,6 +917,7 @@ impl Document {
 struct ImageSizes {
     names: usize,
     name_bytes: usize,
+    paths: usize,
     nodes: usize,
     attrs: usize,
     text: usize,
@@ -832,13 +934,15 @@ impl ImageSizes {
             r.take(len)?;
             name_bytes += len;
         }
+        let paths = r.u32()? as usize;
+        r.take(8usize.saturating_mul(paths))?;
         let nodes = r.u32()? as usize;
         r.take(12usize.saturating_mul(nodes))?;
         let attrs = r.u32()? as usize;
         r.take(16usize.saturating_mul(attrs))?;
         let text = r.u32()? as usize;
         r.take(text)?;
-        Ok(ImageSizes { names, name_bytes, nodes, attrs, text })
+        Ok(ImageSizes { names, name_bytes, paths, nodes, attrs, text })
     }
 }
 
@@ -1262,9 +1366,14 @@ mod tests {
     fn an_image_reads_back_as_the_same_document() {
         let (doc, ..) = sample();
         let bytes = image(&doc);
-        // Names, then 12 bytes per node, 16 per attribute, and the text.
+        // Names, then 8 bytes per path, 12 per node, 16 per attribute, and
+        // the text.
         let names: usize = doc.interner().iter().map(|(_, name)| 4 + name.len()).sum();
-        assert_eq!(bytes.len(), 4 + names + 4 + 12 * doc.len() + 4 + 16 + 4 + doc.text.len());
+        let paths = 4 + 8 * doc.paths().len();
+        assert_eq!(
+            bytes.len(),
+            4 + names + paths + 4 + 12 * doc.len() + 4 + 16 + 4 + doc.text.len()
+        );
         let mut r = ImageReader::new(&bytes);
         Document::skip_image(&mut r).unwrap();
         assert!(r.rest().is_empty());
@@ -1326,7 +1435,8 @@ mod tests {
         let bytes = image(&doc);
         let n = doc.len();
         let names: usize = doc.interner().iter().map(|(_, name)| 4 + name.len()).sum();
-        let end = 4 + names + 4;
+        let paths = 4 + names + 4;
+        let end = paths + 8 * doc.paths().len() + 4;
         let (kind, mark) = (end + 4 * n, end + 8 * n);
         let attrs = mark + 4 * n + 4;
         let text = attrs + 16 + 4;
@@ -1341,7 +1451,14 @@ mod tests {
             (field(end + 4 * 3, 3), "not nested"),
             (field(kind, NONE), "the root"),
             (field(kind + 4 * 2, NONE), "has children"),
-            (field(kind + 4 * 2, 99), "kind is not a known name"),
+            (field(kind + 4 * 2, 99), "not in the path table"),
+            (field(kind, 1), "the root is not on path 0"),
+            (field(kind + 4 * 4, 1), "does not extend its parent's"),
+            (field(kind + 4 * 2, 3), "first-seen order"),
+            (field(paths, 0), "does not precede it"),
+            (field(paths + 8, NONE), "does not precede it"),
+            (field(paths + 8 + 4, 99), "tag is not a known name"),
+            (field(paths + 24 + 4, 3), "repeats a path"),
             (field(mark, 1), "marks"),
             (field(mark + 4 * 3, 0), "marks"),
             (field(mark + 4 * 6, 99), "marks"),
@@ -1356,6 +1473,11 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{want}: {err}");
             assert!(err.to_string().contains(want), "{want}: {err}");
         }
+        // A path no node is on: `shop/id` appended to the table.
+        let mut unmet = bytes.clone();
+        unmet[paths - 4..paths].copy_from_slice(&5u32.to_le_bytes());
+        unmet.splice(end - 4..end - 4, [0, 0, 0, 0, 2, 0, 0, 0]);
+        assert!(read(&unmet).unwrap_err().to_string().contains("met by no node"));
         // No nodes at all: no root.
         let mut rootless = bytes[..end - 4].to_vec();
         rootless.extend_from_slice(&[0; 12]);
@@ -1404,6 +1526,53 @@ mod tests {
             let err = read(&bytes[..cut]).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "prefix {cut}");
         }
+    }
+
+    /// Paths are numbered first-seen in preorder and carry their two
+    /// facts; a decoded document goes on numbering and stamping exactly as
+    /// the built one it was saved from.
+    #[test]
+    fn paths_are_numbered_first_seen_and_carry_their_facts() {
+        let (doc, _, product, name) = sample();
+        let facts = |doc: &Document| -> Vec<(Option<usize>, String, bool, bool)> {
+            doc.paths()
+                .iter()
+                .map(|p| {
+                    let tag = doc.interner().resolve(p.tag).to_owned();
+                    (p.parent.map(PathId::index), tag, p.repeats, p.internal)
+                })
+                .collect()
+        };
+        let s = |tag: &str| tag.to_owned();
+        assert_eq!(
+            facts(&doc),
+            [
+                (None, s("shop"), false, true),
+                (Some(0), s("product"), false, true),
+                (Some(1), s("name"), false, false),
+                (Some(1), s("rating"), false, false),
+            ]
+        );
+        assert_eq!(doc.path_id(product).map(PathId::index), Some(1));
+        assert_eq!(doc.path_id(name).map(PathId::index), Some(2));
+        assert_eq!(doc.path_id(doc.children(name).next().unwrap()), None);
+        let (mut built, mut back) = (doc.clone(), read(&image(&doc)).unwrap());
+        for d in [&mut built, &mut back] {
+            let p = d.add_element(d.root(), "product");
+            d.add_leaf(p, "price", "9");
+        }
+        assert_eq!(back, built);
+        let last = facts(&back);
+        assert_eq!(last[1], (Some(0), s("product"), true, true));
+        assert_eq!(last[4], (Some(1), s("price"), false, false));
+    }
+
+    #[test]
+    #[should_panic(expected = "a text run takes no children")]
+    fn a_text_run_takes_no_children() {
+        let mut doc = Document::new("r");
+        let t = doc.add_text(doc.root(), "x");
+        doc.add_element(t, "child");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   integer comparisons (what the SLCA executor in `xsact-index` runs on);
 //!   a [`DeweyId`] path is derived on demand,
 //! * an [`Interner`] of 4-byte [`Sym`] handles — tag and attribute names
-//!   are interned per document,
+//!   are interned per document — and a table of each document's distinct
+//!   tag paths ([`paths`]): an element's kind is its [`PathId`], and each
+//!   [`TagPath`] carries the facts entity inference reads,
 //! * entity [`escape`]/unescape helpers,
 //! * a [`writer`] that serialises a document back to text, and a binary
 //!   image ([`Document::write_image`], [`Document::read_image`]) that
@@ -43,6 +45,7 @@ pub mod error;
 pub mod escape;
 pub mod interner;
 pub mod parse;
+pub mod paths;
 #[cfg(test)]
 mod samples;
 pub mod tokenizer;
@@ -53,5 +56,6 @@ pub use dom::{Document, ImageReader, NodeId, SubstrateStats};
 pub use error::{XmlError, XmlResult};
 pub use interner::{Interner, Sym, WordHasher};
 pub use parse::parse_document;
+pub use paths::{PathId, TagPath};
 pub use tokenizer::{Token, Tokenizer};
 pub use writer::{write_document, WriteOptions};

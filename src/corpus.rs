@@ -1034,9 +1034,9 @@ mod tests {
         }
     }
 
-    /// An index directory of the previous format: every image is refused
-    /// with the typed version error — one warning per file, at any width —
-    /// and resaved, so the next boot loads warm without a word.
+    /// An index directory of an earlier format (v5, then v6): every image
+    /// is refused with the typed version error — one warning per file, at
+    /// any width — and resaved, so the next boot loads warm without a word.
     #[test]
     fn a_v5_index_dir_warns_once_per_file_then_loads_warm() {
         let tmp = TempDir::new("v5");
@@ -1060,21 +1060,24 @@ mod tests {
         };
         let (want, warnings) = boot(2);
         assert_eq!(warnings, Vec::<String>::new(), "a cold boot is quiet");
-        for entry in fs::read_dir(&cache).unwrap() {
-            let path = entry.unwrap().path();
-            let mut bytes = fs::read(&path).unwrap();
-            bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
-            fs::write(&path, bytes).unwrap();
+        for version in [5u32, 6] {
+            for entry in fs::read_dir(&cache).unwrap() {
+                let path = entry.unwrap().path();
+                let mut bytes = fs::read(&path).unwrap();
+                bytes[4..8].copy_from_slice(&version.to_le_bytes());
+                fs::write(&path, bytes).unwrap();
+            }
+            let (rebuilt, warnings) = boot(2);
+            assert_eq!(rebuilt, want);
+            assert_eq!(warnings.len(), fleet.len(), "{warnings:?}");
+            for warning in &warnings {
+                let want = format!("unsupported index version {version}");
+                assert!(warning.contains(&want), "{warning}");
+            }
+            let (warm, warnings) = boot(2);
+            assert_eq!(warm, want);
+            assert_eq!(warnings, Vec::<String>::new(), "the resaved images load");
         }
-        let (rebuilt, warnings) = boot(2);
-        assert_eq!(rebuilt, want);
-        assert_eq!(warnings.len(), fleet.len(), "{warnings:?}");
-        for warning in &warnings {
-            assert!(warning.contains("unsupported index version 5"), "{warning}");
-        }
-        let (warm, warnings) = boot(2);
-        assert_eq!(warm, want);
-        assert_eq!(warnings, Vec::<String>::new(), "the resaved images load");
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub struct FaultPlan(Option<Arc<[Site]>>);
 impl FaultPlan {
     /// The plan that never fires — the production default. Checking it
     /// costs one branch.
-    pub const fn disarmed() -> FaultPlan {
+    pub(crate) const fn disarmed() -> FaultPlan {
         FaultPlan(None)
     }
 
@@ -155,7 +155,7 @@ impl FaultPlan {
     /// sleep millis of `slow_execute`). Disarmed plans return `None`
     /// after a single branch — this is the whole hot-path cost.
     #[inline]
-    pub fn should_fire(&self, site: &str, scope: usize) -> Option<u64> {
+    pub(crate) fn should_fire(&self, site: &str, scope: usize) -> Option<u64> {
         let sites = self.0.as_ref()?; // disarmed: one branch, nothing else
         fire(sites, site, scope)
     }

@@ -176,7 +176,7 @@ impl Workbench {
 
     /// Wraps an already-built engine (e.g. one restored from a persisted
     /// index).
-    pub fn from_engine(engine: SearchEngine) -> Workbench {
+    pub(crate) fn from_engine(engine: SearchEngine) -> Workbench {
         Workbench { name: Arc::from(""), engine, features: FeatureCache::default() }
     }
 

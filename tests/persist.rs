@@ -15,7 +15,7 @@ use std::io::{self, Read, Write};
 use xsact::data::fixtures::figure1_document;
 use xsact::data::{MovieGenConfig, MoviesGen};
 use xsact::index::{load_image, save_image, InvertedIndex, Query, SearchEngine};
-use xsact::xml::{parse_document, Document, ImageReader, WordHasher, XmlError};
+use xsact::xml::{parse_document, Document, ImageReader, NodeId, WordHasher, XmlError};
 use xsact::{Workbench, XsactError};
 
 thread_local! {
@@ -127,15 +127,15 @@ fn save_and_load_make_a_constant_number_of_io_calls() {
     );
 }
 
-/// `.xidx` v6 bytes — the document image and its index — as this format's
+/// `.xidx` v7 bytes — the document image and its index — as this format's
 /// first writer wrote them (length, and the trailer: a [`WordHasher`] over
 /// every other byte) for two seeded fixtures: the format does not move
 /// unless a change means it to.
 #[test]
 fn saved_bytes_are_what_the_streaming_writer_wrote() {
     for (name, doc, len, trailer) in [
-        ("figure1", figure1_document(), 10_974, 0x5ea2_91d3_5e03_beb2_u64),
-        ("movies", movies_document(), 577_369, 0xd4e1_0777_960d_0de8_u64),
+        ("figure1", figure1_document(), 11_154, 0xcda4_0a98_9eb4_fc11_u64),
+        ("movies", movies_document(), 577_565, 0x411e_01bb_d44e_0f6b_u64),
     ] {
         let bytes = saved(doc);
         assert_eq!(bytes.len(), len, "{name}: file length");
@@ -173,9 +173,10 @@ fn sealed(mut bytes: Vec<u8>) -> Vec<u8> {
 }
 
 /// Offsets in a saved image: of each document-section count (names,
-/// nodes, attribute records, text length) and of the index body.
+/// paths, nodes, attribute records, text length) and of the index body.
 struct Offsets {
     names: usize,
+    paths: usize,
     nodes: usize,
     attrs: usize,
     text: usize,
@@ -189,14 +190,15 @@ fn offsets(bytes: &[u8]) -> Offsets {
     for _ in 0..u32_at(names) {
         pos += 4 + u32_at(pos);
     }
-    let nodes = pos;
+    let paths = pos;
+    let nodes = paths + 4 + 8 * u32_at(paths);
     let attrs = nodes + 4 + 12 * u32_at(nodes);
     let text = attrs + 4 + 16 * u32_at(attrs);
     let index = text + 4 + u32_at(text);
     let mut r = ImageReader::new(&bytes[16..]);
     Document::read_image(&mut r, None).unwrap();
     assert_eq!(bytes.len() - r.rest().len(), index, "the offsets walk the document section");
-    Offsets { names, nodes, attrs, text, index }
+    Offsets { names, paths, nodes, attrs, text, index }
 }
 
 /// A truncated file — any proper prefix — is a typed error reached
@@ -235,6 +237,7 @@ fn counts_beyond_the_file_length_are_rejected_without_allocating_for_them() {
     for (what, pos) in [
         ("names", at.names),
         ("name length", at.names + 4),
+        ("paths", at.paths),
         ("nodes", at.nodes),
         ("attribute records", at.attrs),
         ("text length", at.text),
@@ -315,7 +318,7 @@ fn v5_files_get_the_typed_version_error() {
     let xml = figure1_document().to_string();
     let doc = parse_document(&xml).unwrap();
     let image = saved(doc.clone());
-    assert_eq!(image[4..8], 6u32.to_le_bytes());
+    assert_eq!(image[4..8], 7u32.to_le_bytes());
     assert_eq!(image[8..16], WordHasher::hash(xml.as_bytes()).to_le_bytes());
     let mut v5 = image[..image.len() - 8].to_vec();
     v5[4..8].copy_from_slice(&5u32.to_le_bytes());
@@ -327,9 +330,83 @@ fn v5_files_get_the_typed_version_error() {
     let err =
         load_image(&mut v5.as_slice(), Some(v5_hash(xml.as_bytes())), &mut Vec::new()).unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("unsupported index version 5 (expected 6)"), "{err}");
+    assert!(err.to_string().contains("unsupported index version 5 (expected 7)"), "{err}");
     let err = Workbench::from_persisted_index(doc, &mut v5.as_slice()).unwrap_err();
     assert!(matches!(err, XsactError::Io(_)), "{err}");
+}
+
+/// A v6 file — no path table, a tag symbol in each element's `kind` — is
+/// the typed version error before anything is decoded: the caller
+/// rebuilds from the XML once, with one warning per file.
+#[test]
+fn v6_files_get_the_typed_version_error() {
+    let doc = figure1_document();
+    let image = saved(doc.clone());
+    let at = offsets(&image);
+    let u32_at = |pos: usize| u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap());
+    let tags: Vec<u32> =
+        (0..u32_at(at.paths) as usize).map(|p| u32_at(at.paths + 8 + 8 * p)).collect();
+    let mut v6 = image[..at.paths].to_vec();
+    v6[4..8].copy_from_slice(&6u32.to_le_bytes());
+    let n = doc.len();
+    v6.extend_from_slice(&image[at.nodes..at.nodes + 4 + 4 * n]);
+    for i in 0..n {
+        let kind = u32_at(at.nodes + 4 + 4 * n + 4 * i);
+        let tag = if kind == u32::MAX { kind } else { tags[kind as usize] };
+        v6.extend_from_slice(&tag.to_le_bytes());
+    }
+    v6.extend_from_slice(&image[at.nodes + 4 + 8 * n..image.len() - 8]);
+    let v6 = sealed(v6);
+    assert_eq!(v6.len(), image.len() - 4 - 8 * tags.len());
+    assert_rejected_within(&v6, "v6");
+    let err = load_image(&mut v6.as_slice(), None, &mut Vec::new()).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("unsupported index version 6 (expected 7)"), "{err}");
+}
+
+/// A v7 image whose path table or kinds no builder could have written is
+/// a typed `InvalidData` naming what is wrong, with the trailer resealed
+/// over the damage so the structural checks, not the checksum, refuse it.
+#[test]
+fn bad_path_tables_are_typed_errors() {
+    let doc = figure1_document();
+    let image = saved(doc.clone());
+    let at = offsets(&image);
+    let body = &image[..image.len() - 8];
+    let (n, paths) = (doc.len(), doc.paths().len());
+    let kind = |node: NodeId| at.nodes + 4 + 4 * n + 4 * node.index();
+    let path = |id: usize| at.paths + 4 + 8 * id;
+    let with = |edits: &[(usize, u32)]| {
+        let mut bytes = body.to_vec();
+        for &(pos, value) in edits {
+            bytes[pos..pos + 4].copy_from_slice(&value.to_le_bytes());
+        }
+        sealed(bytes)
+    };
+    // An element three levels down: its parent is not the root, so its
+    // parent node's path is neither path 0's parent (none) nor path 1's
+    // (path 0).
+    let deep =
+        doc.all_nodes().filter(|&node| doc.is_element(node) && doc.depth(node) > 2).last().unwrap();
+    let element = doc.all_nodes().find(|&node| node.index() > 0 && doc.is_element(node)).unwrap();
+    let u32_at = |pos: usize| u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap());
+    for (edits, want) in [
+        (vec![(kind(element), paths as u32)], "not in the path table"),
+        (vec![(kind(element), u32::MAX - 1)], "not in the path table"),
+        (vec![(kind(deep), 0)], "does not extend its parent's"),
+        (vec![(kind(deep), 1)], "does not extend its parent's"),
+        // Path 2 spelled like path 1.
+        (vec![(path(2), u32_at(path(1))), (path(2) + 4, u32_at(path(1) + 4))], "repeats a path"),
+        (vec![(kind(doc.root()), 1)], "the root is not on path 0"),
+        (vec![(path(1), 1)], "does not precede it"),
+        (vec![(path(0), 0)], "does not precede it"),
+        (vec![(path(1), u32::MAX)], "does not precede it"),
+    ] {
+        let bytes = with(&edits);
+        let err = load_image(&mut bytes.as_slice(), None, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{want}: {err}");
+        assert!(err.to_string().contains(want), "{want}: {err}");
+    }
 }
 
 /// The checksum law: one flipped bit anywhere past the version — in the

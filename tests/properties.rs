@@ -589,6 +589,119 @@ fn subtree_extents_equal_descendant_counts_on_parsed_and_generated_documents() {
     }
 }
 
+// ------------------------------------------------------------- tag paths
+//
+// A node's kind is its tag path: the document numbers its distinct paths
+// first-seen in preorder and settles each path's two facts as nodes are
+// appended or decoded, and the structure summary only names and classifies
+// the paths. The oracle below derives all of it per node from the tree,
+// string-keyed, the way the summary did before the document kept paths.
+
+/// Per node its `a/b/c` tag path (`None` for text runs), and per path
+/// whether some node holds two element children on it (`repeats`) and
+/// whether some node on it has an element child (`internal`).
+type OraclePaths = (Vec<Option<String>>, HashMap<String, (bool, bool)>);
+
+fn oracle_paths(doc: &Document) -> OraclePaths {
+    let mut keys: Vec<Option<String>> = vec![None; doc.len()];
+    let mut facts: HashMap<String, (bool, bool)> = HashMap::new();
+    for node in doc.all_nodes().filter(|&n| doc.is_element(n)) {
+        let key = match doc.parent(node) {
+            Some(parent) => format!("{}/{}", keys[parent.index()].as_ref().unwrap(), doc.tag(node)),
+            None => doc.tag(node).to_owned(),
+        };
+        facts.entry(key.clone()).or_default();
+        keys[node.index()] = Some(key);
+    }
+    for node in doc.all_nodes().filter(|&n| doc.is_element(n)) {
+        let children: Vec<NodeId> = doc.child_elements(node).collect();
+        facts.get_mut(keys[node.index()].as_ref().unwrap()).unwrap().1 |= !children.is_empty();
+        for &child in &children {
+            if children.iter().filter(|&&c| doc.tag(c) == doc.tag(child)).count() > 1 {
+                facts.get_mut(keys[child.index()].as_ref().unwrap()).unwrap().0 = true;
+            }
+        }
+    }
+    (keys, facts)
+}
+
+/// `doc`'s path ids, path displays, facts and classes equal the oracle's;
+/// with `reparse`, the parse of its XML gets the identical path table.
+/// Either way `save → load → save` is byte-stable and loads that table.
+fn assert_paths_match_the_oracle(doc: &Document, reparse: bool, what: &str) {
+    let summary = StructureSummary::infer(doc);
+    let (keys, facts) = oracle_paths(doc);
+    let mut first_seen: Vec<&str> = Vec::new();
+    for node in doc.all_nodes() {
+        let class = summary.class_of(doc, node);
+        let (Some(path), Some(key)) = (doc.path_id(node), keys[node.index()].as_deref()) else {
+            assert_eq!((doc.path_id(node), doc.is_element(node)), (None, false), "{what}");
+            assert_eq!(class, NodeClass::Attribute, "{what}: text run {node:?}");
+            continue;
+        };
+        if path.index() == first_seen.len() {
+            first_seen.push(key);
+        }
+        assert_eq!(first_seen.get(path.index()), Some(&key), "{what}: {key} numbered first-seen");
+        assert_eq!(summary.path_display(path), key, "{what}: {node:?}");
+        let (repeats, internal) = facts[key];
+        let tag_path = doc.paths()[path.index()];
+        assert_eq!((tag_path.repeats, tag_path.internal), (repeats, internal), "{what}: {key}");
+        let want = if node == doc.root() || repeats && internal {
+            NodeClass::Entity
+        } else if !internal {
+            NodeClass::Attribute
+        } else {
+            NodeClass::Connection
+        };
+        assert_eq!(class, want, "{what}: {key}");
+    }
+    assert_eq!(first_seen.len(), doc.paths().len(), "{what}: every path is some node's");
+
+    if reparse {
+        let parsed = parse_document(&writer::write_document(doc, &writer::WriteOptions::compact()))
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(parsed.paths(), doc.paths(), "{what}: parsed path table");
+        assert!(doc.all_nodes().all(|n| parsed.path_id(n) == doc.path_id(n)), "{what}: kinds");
+    }
+    let index = InvertedIndex::build(doc);
+    let mut bytes = Vec::new();
+    xsact_index::save_image(doc, &index, &mut bytes).unwrap();
+    let (loaded, loaded_index) =
+        xsact_index::load_image(&mut bytes.as_slice(), None, &mut Vec::new()).unwrap();
+    assert_eq!(loaded.paths(), doc.paths(), "{what}: loaded path table");
+    assert_eq!(loaded, *doc, "{what}");
+    let mut again = Vec::new();
+    xsact_index::save_image(&loaded, &loaded_index, &mut again).unwrap();
+    assert!(again == bytes, "{what}: save → load → save moved a byte");
+}
+
+#[test]
+fn a_nodes_kind_is_its_tag_path_on_random_and_generated_documents() {
+    for seed in 0..64u64 {
+        let doc = random_document(&mut StdRng::seed_from_u64(seed));
+        assert_paths_match_the_oracle(&doc, true, &format!("seed {seed}"));
+        // Mixed content, attributes, `k:v` names and several text runs.
+        let doc = feature_document(&mut StdRng::seed_from_u64(seed));
+        assert_paths_match_the_oracle(&doc, false, &format!("feature seed {seed}"));
+    }
+    use xsact::data::{
+        JobsGen, JobsGenConfig, MovieGenConfig, MoviesGen, OutdoorGen, OutdoorGenConfig,
+        ReviewsGen, ReviewsGenConfig,
+    };
+    assert_paths_match_the_oracle(&xsact::data::fixtures::figure1_document(), true, "figure1");
+    for seed in 0..4u64 {
+        let movies = MovieGenConfig { seed, movies: 40, ..Default::default() };
+        assert_paths_match_the_oracle(&MoviesGen::new(movies).generate(), true, "movies");
+        let reviews = ReviewsGen::new(ReviewsGenConfig { seed, ..Default::default() });
+        assert_paths_match_the_oracle(&reviews.generate(), true, "reviews");
+        let outdoor = OutdoorGen::new(OutdoorGenConfig { seed, ..Default::default() });
+        assert_paths_match_the_oracle(&outdoor.generate(), true, "outdoor");
+        let jobs = JobsGen::new(JobsGenConfig { seed, ..Default::default() });
+        assert_paths_match_the_oracle(&jobs.generate(), true, "jobs");
+    }
+}
+
 // -------------------------------------------- packed postings, id intervals
 //
 // Postings are delta-bit-packed 128-entry frames, the SLCA stream carries
@@ -868,7 +981,7 @@ fn render_segs(doc: &Document, segs: &[Seg]) -> String {
 fn oracle_instance_entity(doc: &Document, summary: &StructureSummary, node: NodeId) -> String {
     let mut cur = Some(node);
     while let Some(n) = cur {
-        if let Some(path) = summary.path_id_of(n) {
+        if let Some(path) = doc.path_id(n) {
             return summary.path_display(path).to_owned();
         }
         cur = doc.parent(n);
@@ -1697,6 +1810,55 @@ fn multi_swap_reaches_its_criterion() {
         // Multi-swap optimality subsumes single-swap optimality.
         assert!(is_single_swap_optimal(&inst, &set), "seed {seed}");
     }
+}
+
+/// `dod_upper_bound` is `Σ_pairs min(L, popcount(diff_ij))`, and it stays
+/// admissible: a DFS selects at most L types, so no algorithm's DoD — and
+/// no exhaustive optimum, where the odometer enumerates — is ever above it.
+/// Over 64 random instances, tiny ones the odometer always enumerates, and
+/// the paper pool.
+#[test]
+fn the_upper_bound_caps_each_pair_at_l_and_is_never_below_any_dod() {
+    let exhaustive = Algorithm::Exhaustive { limit: 20_000 };
+    let mut enumerated = 0;
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tiny = tiny_features(&mut rng);
+        let tiny = Instance::build(
+            &tiny,
+            DfsConfig { size_bound: rng.random_range(0..4usize), ..DfsConfig::default() },
+        );
+        for inst in [random_instance(&mut rng), tiny] {
+            let inst = Arc::new(inst);
+            let bound = xsact_core::dod_upper_bound(&inst);
+            let n = inst.result_count();
+            let mut want = 0;
+            for i in 0..n {
+                for j in i + 1..n {
+                    let row = inst.diff_row(i, j);
+                    let differ = (0..inst.type_count()).filter(|&t| bits::test_bit(row, t)).count();
+                    want += differ.min(inst.config.size_bound) as u32;
+                }
+            }
+            assert_eq!(bound, want, "seed {seed}");
+            for algorithm in Algorithm::ALL {
+                let dod = compare(&inst, algorithm).unwrap().dod();
+                assert!(dod <= bound, "seed {seed}: {} {dod} > {bound}", algorithm.name());
+            }
+            if let Ok(optimum) = compare(&inst, exhaustive) {
+                enumerated += 1;
+                assert!(optimum.dod() <= bound, "seed {seed}: optimum {} > {bound}", optimum.dod());
+            }
+        }
+    }
+    assert!(enumerated >= 64, "{enumerated} instances enumerated");
+    for_each_pool_query(|query, pipeline| {
+        for algorithm in Algorithm::ALL {
+            let outcome = pipeline.compare(algorithm).unwrap();
+            let (dod, bound) = (outcome.dod(), outcome.dod_upper_bound());
+            assert!(dod <= bound, "{query}: {} {dod} > {bound}", algorithm.name());
+        }
+    });
 }
 
 #[test]
