@@ -148,7 +148,7 @@ grep -q '^ERR OVERLOADED ' /tmp/serve_overload.out || {
 echo "overload rejection surfaced"
 
 echo "== serve smoke 4/6: injected shard panic is typed and recovered =="
-# shard_panic@2 fires during the first broadcast (both shards hit the
+# shard_panic@2 fires during the first executed miss (both shards hit the
 # counter once); which shard wins the race varies, so shard numbers in
 # the ERR line are normalized before the diff. Everything after the
 # failed batch must be byte-identical to the healthy phase-1 answers.

@@ -18,7 +18,10 @@
 #      crate's product code, and every `tests/*.rs` file its reason cites
 #      must name it as a word.
 #
-# `bash ci/surface.sh --bless` rewrites the golden from the tree.
+# `bash ci/surface.sh --bless` rewrites the golden from the tree;
+# `bash ci/surface.sh --product-code <dir>` checks nothing and writes the
+# product code it reads (below) under <dir>, for CI steps that grep
+# product code alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export LC_ALL=C
@@ -48,13 +51,6 @@ facade_api() {
 if [[ "${1:-}" == "--bless" ]]; then
     facade_api >ci/facade_api.golden
     exit 0
-fi
-
-status=0
-
-if ! facade_api | diff -u ci/facade_api.golden -; then
-    echo "surface: src/ signatures differ from ci/facade_api.golden (review, then bash ci/surface.sh --bless)" >&2
-    status=1
 fi
 
 mapfile -t files < <(find src crates examples bench/src -name '*.rs' | sort)
@@ -115,6 +111,18 @@ awk -v out="$code" '
     !skip && /^[[:space:]]*pub use / { skip = 1 }
     { print ((skip || /^[[:space:]]*\/\//) ? "" : $0) > dest }
     skip && /;/ { skip = 0 }' "${files[@]}"
+
+if [[ "${1:-}" == "--product-code" ]]; then
+    cp -R "$code/." "$2"
+    exit 0
+fi
+
+status=0
+
+if ! facade_api | diff -u ci/facade_api.golden -; then
+    echo "surface: src/ signatures differ from ci/facade_api.golden (review, then bash ci/surface.sh --bless)" >&2
+    status=1
+fi
 
 while read -r file kind name; do
     grep -qxF -- "$name" <<<"$allowed" && continue

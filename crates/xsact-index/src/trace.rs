@@ -9,10 +9,10 @@
 //! Timings come from [`Instant`], so they are monotonic; spans carry
 //! integer annotations (executor counters, shard sizes) rather than a
 //! payload type, so the facade's fan-out notes its own counters through
-//! the same sink. The sink is `Sync` (a mutex around the span list) so a
-//! corpus fan-out's shard workers can record concurrently; span order is
-//! therefore insertion order, which for the single-threaded engine path
-//! is pipeline order.
+//! the same sink ([`TraceSink::record`] takes a span a shard worker timed
+//! and returned). The sink is `Sync` (a mutex around the span list); span
+//! order is insertion order, which for the single-threaded engine path is
+//! pipeline order, and for a corpus query shard order.
 
 use std::fmt::Write as _;
 use std::sync::Mutex;

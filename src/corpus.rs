@@ -7,11 +7,14 @@
 //! **k-way merging** the per-shard ranked lists into one deterministic
 //! global ranking tagged with document ids:
 //!
-//! * documents are assigned to shards round-robin (`ShardPlan`,
-//!   `src/shard.rs`) — a pure function of document count and shard count;
-//! * each shard worker (a std scoped thread, or the calling thread for the
-//!   last shard, see `fan_out` in `src/pool.rs`) runs the ranked search
-//!   over its documents;
+//! * the corpus owns one shard pool (`src/pool.rs`), built before its
+//!   first document: the ingest, every query over several documents and
+//!   every served page-cache miss run on its workers, and the caller
+//!   computes the last shard itself;
+//! * the documents are an immutable `Arc<[Workbench]>`, so each shard's
+//!   job owns what it reads, and documents are assigned to shards
+//!   round-robin (`ShardPlan`, `src/shard.rs`) — a pure function of
+//!   document count and shard count;
 //! * per-shard lists merge under a *total* order — score descending, then
 //!   document id, then node id (document order) — so the merged ranking is
 //!   byte-identical for any shard count.
@@ -42,7 +45,7 @@
 
 use crate::error::{XsactError, XsactResult};
 use crate::merge::k_way_merge;
-use crate::pool::fan_out;
+use crate::pool::{or_raise, Job, ShardPanic, ShardPool};
 use crate::shard::ShardPlan;
 use crate::workbench::Workbench;
 use std::cmp::Ordering;
@@ -69,29 +72,24 @@ pub const DEFAULT_TOP: usize = 4;
 #[derive(Debug)]
 pub struct Corpus {
     /// One workbench per document, indexed by [`DocId`] and named by its
-    /// `name`.
-    pub(crate) docs: Vec<Workbench>,
+    /// `name`; never changed after the ingest.
+    pub(crate) docs: Arc<[Workbench]>,
     shards: usize,
+    /// The workers every fan-out over this corpus runs on.
+    pool: ShardPool,
 }
 
 impl Corpus {
-    /// An empty corpus with the default shard count (the machine's
-    /// available parallelism). Add documents with
-    /// [`add_document`](Self::add_document) / [`add_xml`](Self::add_xml).
-    pub fn new() -> Corpus {
-        Corpus { docs: Vec::new(), shards: available_cores() }
-    }
-
-    /// Parses and ingests `(name, xml)` pairs. Fails with
-    /// [`XsactError::Xml`] on the first malformed document.
+    /// Parses and ingests `(name, xml)` pairs, in order, on every core.
+    /// Fails with [`XsactError::Xml`] on the first malformed document.
     pub fn from_xml_strings<'a>(
         docs: impl IntoIterator<Item = (&'a str, &'a str)>,
     ) -> XsactResult<Corpus> {
-        let mut corpus = Corpus::new();
-        for (name, xml) in docs {
-            corpus.add_xml(name, xml)?;
-        }
-        Ok(corpus)
+        let docs: Vec<(String, String)> =
+            docs.into_iter().map(|(name, xml)| (name.to_owned(), xml.to_owned())).collect();
+        Corpus::ingest(docs, available_cores(), &to_stderr, |(name, xml), _, _| {
+            Ok((name, Workbench::from_xml(&xml)?))
+        })
     }
 
     /// Ingests every `*.xml` file of `dir` in **sorted filename order**
@@ -114,7 +112,7 @@ impl Corpus {
     /// An image is keyed by a digest of its XML source: a stale (edited
     /// source), corrupt or old-version file is never trusted. The corpus
     /// parses, rebuilds and overwrites it after one warning on stderr
-    /// naming the reason.
+    /// naming the reason; several warnings come in filename order.
     pub fn from_dir_cached(
         dir: impl AsRef<Path>,
         index_dir: impl AsRef<Path>,
@@ -124,13 +122,13 @@ impl Corpus {
     }
 
     /// `workers` is a parameter (not configuration) so the tests can pin
-    /// that the ingest width never changes ids, names or rankings; `warn`
-    /// so they can count the warnings a boot gives.
+    /// that the ingest width never changes ids, names, rankings or
+    /// warnings; `warn` so they can read the warnings a boot gives.
     fn from_dir_impl(
         dir: &Path,
         index_dir: Option<&Path>,
         workers: usize,
-        warn: &(dyn Fn(String) + Sync),
+        warn: &dyn Fn(String),
     ) -> XsactResult<Corpus> {
         let mut paths: Vec<_> = fs::read_dir(dir)?
             .collect::<Result<Vec<_>, _>>()?
@@ -142,9 +140,10 @@ impl Corpus {
         if paths.is_empty() {
             return Err(XsactError::EmptyCorpus);
         }
-        let ingested =
-            ingest_in_order(paths, workers, |path, buf| ingest_file(&path, index_dir, warn, buf))?;
-        Ok(Corpus::from_workbenches(ingested))
+        let index_dir = index_dir.map(Path::to_path_buf);
+        Corpus::ingest(paths, workers, warn, move |path, buf, warnings| {
+            ingest_file(&path, index_dir.as_deref(), buf, warnings)
+        })
     }
 
     /// A synthetic fleet of movie datasets — `docs` documents of
@@ -163,22 +162,40 @@ impl Corpus {
     ) -> Corpus {
         // Generation is per-document work too, so it happens inside the
         // workers, next to the index build.
-        Corpus::from_workbenches(build_in_order((0..docs).collect(), workers, |i| {
+        Corpus::ingest((0..docs).collect(), workers, &to_stderr, move |i, _, _| {
             let cfg = MovieGenConfig {
                 seed: seed + i as u64,
                 movies: movies_per_doc,
                 ..Default::default()
             };
-            (format!("movies-{i:02}"), Workbench::from_document(MoviesGen::new(cfg).generate()))
-        }))
+            let wb = Workbench::from_document(MoviesGen::new(cfg).generate());
+            Ok::<_, Infallible>((format!("movies-{i:02}"), wb))
+        })
+        .unwrap_or_else(|never| match never {})
     }
 
-    fn from_workbenches(built: Vec<(String, Workbench)>) -> Corpus {
-        let mut corpus = Corpus::new();
-        for (name, wb) in built {
-            corpus.push(name, wb);
-        }
-        corpus
+    /// The one constructor: a fresh pool runs `build` over `items` as
+    /// `workers` jobs (see [`ingest_in_order`]) and the corpus keeps it,
+    /// with the default shard count (the machine's available parallelism).
+    fn ingest<T: Send + 'static, E: Send + 'static>(
+        items: Vec<T>,
+        workers: usize,
+        warn: &dyn Fn(String),
+        build: impl Fn(T, &mut Vec<u8>, &mut Vec<String>) -> Result<(String, Workbench), E>
+            + Send
+            + Sync
+            + 'static,
+    ) -> Result<Corpus, E> {
+        let pool = ShardPool::new();
+        let built = ingest_in_order(&pool, items, workers, warn, build)?;
+        let docs = built
+            .into_iter()
+            .map(|(name, mut wb)| {
+                wb.name = name.into();
+                wb
+            })
+            .collect();
+        Ok(Corpus { docs, shards: available_cores(), pool })
     }
 
     /// Sets the shard count (builder form). Values are clamped to `1..`;
@@ -191,7 +208,8 @@ impl Corpus {
         self
     }
 
-    /// Sets the shard count in place.
+    /// Sets the shard count in place. The pool grows to it on the first
+    /// query that needs the workers.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
     }
@@ -199,22 +217,6 @@ impl Corpus {
     /// The configured shard count.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// Ingests a parsed document under `name`, returning its id.
-    pub fn add_document(&mut self, name: impl Into<String>, doc: Document) -> DocId {
-        self.push(name.into(), Workbench::from_document(doc))
-    }
-
-    /// Parses and ingests an XML string under `name`.
-    pub fn add_xml(&mut self, name: impl Into<String>, xml: &str) -> XsactResult<DocId> {
-        Ok(self.push(name.into(), Workbench::from_xml(xml)?))
-    }
-
-    fn push(&mut self, name: String, mut wb: Workbench) -> DocId {
-        wb.name = name.into();
-        self.docs.push(wb);
-        DocId(self.docs.len() as u32 - 1)
     }
 
     /// Number of ingested documents.
@@ -239,15 +241,15 @@ impl Corpus {
 
     /// Starts a corpus-wide query, ranked and bounded to [`DEFAULT_TOP`]
     /// until told otherwise. Fails with [`XsactError::EmptyCorpus`] /
-    /// [`XsactError::EmptyQuery`] before any thread is spawned.
+    /// [`XsactError::EmptyQuery`] before any shard runs.
     pub fn query(&self, text: &str) -> XsactResult<CorpusQuery<'_>> {
         self.query_impl(text, None)
     }
 
     /// [`query`](Self::query) with a stage trace attached from the start:
-    /// the `parse` span, one `shard N` span per worker (so skew across
-    /// shards is visible), and the global `merge` span all land in
-    /// `sink`. Tracing never changes the ranked bytes (pinned by
+    /// the `parse` span, one `shard N` span per shard in shard order (so
+    /// skew across shards is visible), and the global `merge` span all
+    /// land in `sink`. Tracing never changes the ranked bytes (pinned by
     /// `tests/obs.rs`).
     pub fn query_traced<'a>(
         &'a self,
@@ -265,20 +267,36 @@ impl Corpus {
         if self.is_empty() {
             return Err(XsactError::EmptyCorpus);
         }
-        let query = CorpusQuery::new(&self.docs, self.effective_shards(), text, trace)?;
+        let query = CorpusQuery::new(&self.docs, Some(self), text, trace)?;
         Ok(query.ranked(true).take(DEFAULT_TOP))
     }
 
     /// The number of shards a query will actually use: empty shards are
-    /// not spawned, so this is `min(shards, len)`.
+    /// not run, so this is `min(shards, len)`.
     pub fn effective_shards(&self) -> usize {
         self.shards.min(self.docs.len()).max(1)
     }
-}
 
-impl Default for Corpus {
-    fn default() -> Self {
-        Corpus::new()
+    /// Runs `work(shard, docs, slice)` for every shard of the round-robin
+    /// partition over [`effective_shards`](Self::effective_shards), each on
+    /// its pool worker and the last on this thread, and returns the
+    /// outcomes in shard order. A query re-raises a panicked shard; a
+    /// served miss answers it `ShardFailed`.
+    pub(crate) fn run_shards<R: Send + 'static>(
+        &self,
+        work: impl Fn(usize, &[Workbench], &[usize]) -> R + Send + Sync + 'static,
+    ) -> Vec<Result<R, ShardPanic>> {
+        let work = Arc::new(work);
+        let slices = ShardPlan::new(self.effective_shards()).partition(self.len());
+        let jobs = slices
+            .into_iter()
+            .enumerate()
+            .map(|(shard, slice)| {
+                let (docs, work) = (Arc::clone(&self.docs), Arc::clone(&work));
+                Box::new(move || work(shard, &docs, &slice)) as Job<R>
+            })
+            .collect();
+        self.pool.run(jobs)
     }
 }
 
@@ -287,65 +305,76 @@ fn available_cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Runs `ingest` over `items` on `min(workers, items)` threads and returns
-/// the outputs **in item order**, whatever order they finished in — so
-/// document ids, names and rankings never depend on the ingest width.
+/// Runs `ingest` over `items` as `min(workers, items)` jobs on `pool` and
+/// returns the outputs **in item order**, whatever order they finished in
+/// — so document ids, names and rankings never depend on the ingest width.
 /// Documents are independent at boot, so they spread over the same
-/// round-robin [`ShardPlan`] partition and scoped [`fan_out`] queries use;
-/// the last worker runs on the calling thread, so `n` workers are `n`
-/// runnable threads and one worker is the exact serial loop.
+/// round-robin [`ShardPlan`] partition queries use; the last job runs on
+/// the calling thread, so `n` workers are `n` runnable threads and one
+/// worker is the exact serial loop.
 ///
-/// Each worker owns one byte buffer and hands it to every `ingest` call it
-/// makes: an image read into it reuses the memory the worker's previous
-/// document already faulted in.
+/// Each job owns one byte buffer and hands it to every `ingest` call it
+/// makes: an image read into it reuses the memory the job's previous
+/// document already faulted in. Each item's warnings travel back with its
+/// result, and `warn` receives them here, in item order.
 ///
-/// A worker stops at its first failure. Since each worker walks its items
-/// in ascending order, the lowest-indexed failure overall is always
-/// reached, and it is the error returned — not whichever came first on the
-/// clock.
-fn ingest_in_order<T: Send, R: Send, E: Send>(
+/// A job stops at its first failure. Since each job walks its items in
+/// ascending order, the lowest-indexed failure overall is always reached,
+/// and it is the error returned — not whichever came first on the clock.
+fn ingest_in_order<T, R, E>(
+    pool: &ShardPool,
     items: Vec<T>,
     workers: usize,
-    ingest: impl Fn(T, &mut Vec<u8>) -> Result<R, E> + Sync,
-) -> Result<Vec<R>, E> {
+    warn: &dyn Fn(String),
+    ingest: impl Fn(T, &mut Vec<u8>, &mut Vec<String>) -> Result<R, E> + Send + Sync + 'static,
+) -> Result<Vec<R>, E>
+where
+    T: Send + 'static,
+    R: Send + 'static,
+    E: Send + 'static,
+{
     let workers = workers.clamp(1, items.len().max(1));
     let mut parts: Vec<Vec<(usize, T)>> = (0..workers).map(|_| Vec::new()).collect();
     let plan = ShardPlan::new(workers);
     for (i, item) in items.into_iter().enumerate() {
         parts[plan.shard_of(DocId(i as u32))].push((i, item));
     }
-    let mut done: Vec<(usize, Result<R, E>)> = fan_out(parts, |_, part| {
-        let mut out = Vec::with_capacity(part.len());
-        let mut buf = Vec::new();
-        for (i, item) in part {
-            let result = ingest(item, &mut buf);
-            let failed = result.is_err();
-            out.push((i, result));
-            if failed {
-                break;
-            }
-        }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    // In index order a failure precedes every item its worker skipped, so
-    // collecting stops at the error before it could meet a gap.
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, result)| result).collect()
+    let ingest = Arc::new(ingest);
+    let jobs: Vec<Job<Vec<Ingested<R, E>>>> = parts
+        .into_iter()
+        .map(|part| {
+            let ingest = Arc::clone(&ingest);
+            Box::new(move || {
+                let mut out = Vec::with_capacity(part.len());
+                let mut buf = Vec::new();
+                for (i, item) in part {
+                    let mut warnings = Vec::new();
+                    let result = ingest(item, &mut buf, &mut warnings);
+                    let failed = result.is_err();
+                    out.push((i, warnings, result));
+                    if failed {
+                        break;
+                    }
+                }
+                out
+            }) as Job<_>
+        })
+        .collect();
+    let mut done: Vec<_> = pool.run(jobs).into_iter().flat_map(or_raise).collect();
+    done.sort_unstable_by_key(|&(i, ..)| i);
+    // In index order a failure precedes every item its job skipped, so
+    // collecting stops at the error before it could meet a gap, and no
+    // later item's warning is given.
+    done.into_iter()
+        .map(|(_, warnings, result)| {
+            warnings.into_iter().for_each(warn);
+            result
+        })
+        .collect()
 }
 
-/// [`ingest_in_order`] for sources that cannot fail (documents already
-/// parsed or generated in place) and read nothing.
-fn build_in_order<T: Send, R: Send>(
-    items: Vec<T>,
-    workers: usize,
-    build: impl Fn(T) -> R + Sync,
-) -> Vec<R> {
-    ingest_in_order(items, workers, |item, _| Ok::<_, Infallible>(build(item)))
-        .unwrap_or_else(|never| match never {})
-}
+/// One item through an ingest job: its index, its warnings, its result.
+type Ingested<R, E> = (usize, Vec<String>, Result<R, E>);
 
 /// Where a boot's warnings go outside the tests.
 fn to_stderr(warning: String) {
@@ -354,14 +383,14 @@ fn to_stderr(warning: String) {
 
 /// One document's boot: the document and index decoded from the `.xidx`
 /// image saved from exactly this XML, or else read → parse → build → save
-/// the image. `buf` is the ingest worker's read buffer: the XML is digested
-/// and the image read through it. Returns the document's name and
-/// workbench.
+/// the image. `buf` is the ingest job's read buffer: the XML is digested
+/// and the image read through it; a warning goes to `warnings`. Returns the
+/// document's name and workbench.
 fn ingest_file(
     path: &Path,
     index_dir: Option<&Path>,
-    warn: &(dyn Fn(String) + Sync),
     buf: &mut Vec<u8>,
+    warnings: &mut Vec<String>,
 ) -> XsactResult<(String, Workbench)> {
     let name = path
         .file_stem()
@@ -372,8 +401,8 @@ fn ingest_file(
         // saying *why* (unreadable, edited XML, checksum mismatch, old
         // version, corrupt section), then parse and resave so the next
         // launch loads cleanly. No file yet (cold start) is no warning.
-        let unusable = |e: io::Error| {
-            warn(format!(
+        let mut unusable = |e: io::Error| {
+            warnings.push(format!(
                 "xsact: index cache {} unusable ({}); rebuilding from XML",
                 index_path.display(),
                 XsactError::from(e)
@@ -522,26 +551,43 @@ impl CorpusRanking {
     }
 }
 
-/// One shard's ranked unit of work — the only one, run by a ranked
-/// query's fan-out ([`CorpusQuery`], once per query) and by the serving
-/// runtime's persistent shard pool (`crate::serve`, once per executed
-/// miss): rank each document of the shard's round-robin slice of `docs`
-/// through the streaming executor bounded by `k`, merge the per-document
-/// lists under the ranking's total order, truncate to `k`, and label what
-/// is left. Because both execution paths run *this* function over *the
-/// same* [`ShardPlan`] partition, pooling can never change result bytes.
+/// One shard's unit of work — the only one, run on the corpus's pool by a
+/// query ([`CorpusQuery`], once per query) and by the serving runtime
+/// (`crate::serve`, once per executed miss). Ranked (`k` is `Some`), it
+/// ranks each document of the shard's round-robin slice of `docs` through
+/// the streaming executor bounded by `k`, merges the per-document lists
+/// under the ranking's total order, truncates to `k`, and labels what is
+/// left. In document order (`None`), each document lists every SLCA
+/// result, unscored, and the lists are concatenated in id order — the
+/// merge's total order when nothing is scored. Because both callers run
+/// *this* function over *the same* [`ShardPlan`] partition
+/// ([`Corpus::run_shards`]), serving can never change result bytes.
 ///
-/// Returns the shard's merged list plus the executor work it cost, summed
-/// over the shard's documents. `trace` receives each document's search
-/// stages.
+/// Returns the shard's list plus the executor work it cost, summed over
+/// the shard's documents. `trace` receives each document's search stages.
 pub(crate) fn execute_shard(
     docs: &[Workbench],
     query: &Query,
-    k: usize,
+    k: Option<usize>,
     doc_indexes: &[usize],
     trace: Option<&TraceSink>,
 ) -> (Vec<CorpusHit>, ExecutorStats) {
     let mut stats = ExecutorStats::default();
+    let Some(k) = k else {
+        let mut hits = Vec::new();
+        for &d in doc_indexes {
+            let (wb, doc) = (&docs[d], DocId(d as u32));
+            let (results, doc_stats) = wb.engine().search_all(query, trace);
+            stats += doc_stats;
+            hits.extend(results.into_iter().map(|result| CorpusHit {
+                doc,
+                doc_name: wb.name.clone(),
+                result,
+                score: None,
+            }));
+        }
+        return (hits, stats);
+    };
     let per_doc: Vec<Vec<ShardCandidate<'_>>> = doc_indexes
         .iter()
         .map(|&d| {
@@ -554,34 +600,8 @@ pub(crate) fn execute_shard(
     (merge_shard_candidates(per_doc, k), stats)
 }
 
-/// The document-order counterpart of [`execute_shard`]: each document of
-/// the slice lists every SLCA result, unscored, in document order, and
-/// the lists are concatenated in id order — which is the merge's total
-/// order when nothing is scored.
-pub(crate) fn list_shard(
-    docs: &[Workbench],
-    query: &Query,
-    doc_indexes: &[usize],
-    trace: Option<&TraceSink>,
-) -> (Vec<CorpusHit>, ExecutorStats) {
-    let mut stats = ExecutorStats::default();
-    let mut hits = Vec::new();
-    for &d in doc_indexes {
-        let wb = &docs[d];
-        let (results, doc_stats) = wb.engine().search_all(query, trace);
-        stats += doc_stats;
-        hits.extend(results.into_iter().map(|result| CorpusHit {
-            doc: DocId(d as u32),
-            doc_name: wb.name.clone(),
-            result,
-            score: None,
-        }));
-    }
-    (hits, stats)
-}
-
-/// The global half of the merge pipeline, shared by a query's fan-out and
-/// the serving runtime: k-way merge the per-shard lists under the
+/// The global half of the merge pipeline, shared by a query and the
+/// serving runtime: k-way merge the per-shard lists under the
 /// ranking's total order and truncate to `k`.
 pub(crate) fn merge_shard_lists(shard_lists: Vec<Vec<CorpusHit>>, k: usize) -> CorpusRanking {
     let mut hits = k_way_merge(shard_lists, CorpusHit::ranking_order);
@@ -688,7 +708,7 @@ mod tests {
 
     #[test]
     fn empty_corpus_and_empty_query_are_typed() {
-        let empty = Corpus::new();
+        let empty = Corpus::from_xml_strings([]).unwrap();
         assert!(matches!(empty.query("gps"), Err(XsactError::EmptyCorpus)));
         let corpus = small_corpus();
         assert!(matches!(corpus.query("???"), Err(XsactError::EmptyQuery)));
@@ -863,11 +883,10 @@ mod tests {
     /// A boot of `dir` on one worker with the index cache `cache`, and the
     /// warnings it gave.
     fn boot_cached(dir: &Path, cache: &Path) -> (Corpus, Vec<String>) {
-        let warnings = std::sync::Mutex::new(Vec::new());
+        let warnings = std::cell::RefCell::new(Vec::new());
         let corpus =
-            Corpus::from_dir_impl(dir, Some(cache), 1, &|w| warnings.lock().unwrap().push(w))
-                .unwrap();
-        (corpus, warnings.into_inner().unwrap())
+            Corpus::from_dir_impl(dir, Some(cache), 1, &|w| warnings.borrow_mut().push(w)).unwrap();
+        (corpus, warnings.into_inner())
     }
 
     /// What a fresh parse of `xml` answers, against what `corpus` (one
@@ -986,9 +1005,10 @@ mod tests {
     /// what an item leaves in it, the worker's next item finds.
     #[test]
     fn each_ingest_worker_hands_one_buffer_to_all_its_items() {
+        let pool = ShardPool::new();
         for workers in [1, 2, 3] {
             let seen: Result<Vec<usize>, Infallible> =
-                ingest_in_order((0..10).collect(), workers, |_, buf| {
+                ingest_in_order(&pool, (0..10).collect(), workers, &to_stderr, |_, buf, _| {
                     buf.push(0);
                     Ok(buf.len())
                 });
@@ -1050,13 +1070,13 @@ mod tests {
             fs::write(dir.join(format!("doc-{i}.xml")), xml).unwrap();
         }
         let boot = |workers| {
-            let warnings = std::sync::Mutex::new(Vec::new());
+            let warnings = std::cell::RefCell::new(Vec::new());
             let corpus = Corpus::from_dir_impl(&dir, Some(&cache), workers, &|w| {
-                warnings.lock().unwrap().push(w)
+                warnings.borrow_mut().push(w)
             })
             .unwrap()
             .with_shards(2);
-            (observable(&corpus), warnings.into_inner().unwrap())
+            (observable(&corpus), warnings.into_inner())
         };
         let (want, warnings) = boot(2);
         assert_eq!(warnings, Vec::<String>::new(), "a cold boot is quiet");
@@ -1082,22 +1102,66 @@ mod tests {
 
     #[test]
     fn ingest_in_order_keeps_item_order_and_stops_each_worker_at_its_failure() {
+        let pool = ShardPool::new();
         for workers in [0, 1, 2, 3, 8, 64] {
-            let all: Result<Vec<usize>, usize> =
-                ingest_in_order((0..10).collect(), workers, |i: usize, _| Ok(i * i));
+            let run = |items: Vec<usize>, fail: &'static [usize]| {
+                let warned = std::cell::RefCell::new(Vec::new());
+                let out: Result<Vec<usize>, usize> = ingest_in_order(
+                    &pool,
+                    items,
+                    workers,
+                    &|w| warned.borrow_mut().push(w),
+                    move |i, _, warnings| {
+                        warnings.push(format!("item {i}"));
+                        if fail.contains(&i) {
+                            Err(i)
+                        } else {
+                            Ok(i * i)
+                        }
+                    },
+                );
+                (out, warned.into_inner())
+            };
+            let warnings = |n: usize| (0..n).map(|i| format!("item {i}")).collect::<Vec<_>>();
+            let (all, warned) = run((0..10).collect(), &[]);
             assert_eq!(all, Ok((0..10).map(|i| i * i).collect()), "{workers} workers");
-            let failing: Result<Vec<usize>, usize> =
-                ingest_in_order((0..10).collect(), workers, |i: usize, _| {
-                    if i == 4 || i == 7 {
-                        Err(i)
-                    } else {
-                        Ok(i)
-                    }
-                });
+            assert_eq!(warned, warnings(10), "{workers} workers: warnings in item order");
+            let (failing, warned) = run((0..10).collect(), &[4, 7]);
             assert_eq!(failing, Err(4), "{workers} workers");
-            let empty: Result<Vec<usize>, usize> =
-                ingest_in_order(Vec::new(), workers, |i, _| Ok(i));
-            assert_eq!(empty, Ok(Vec::new()));
+            assert_eq!(warned, warnings(5), "{workers} workers: none after the failure");
+            assert_eq!(run(Vec::new(), &[]), (Ok(Vec::new()), Vec::new()));
+        }
+    }
+
+    /// Three stale images, ingested on 1, 2 and 8 workers: one warning per
+    /// image, in filename order at every width — also on two workers, where
+    /// the first job ingests the first and the third file.
+    #[test]
+    fn stale_image_warnings_come_in_filename_order_at_every_width() {
+        let tmp = TempDir::new("warn-order");
+        let (dir, cache) = (tmp.0.join("xml"), tmp.0.join("index"));
+        fs::create_dir_all(&dir).unwrap();
+        fs::create_dir_all(&cache).unwrap();
+        let names = ["a-shop", "b-shop", "c-shop"];
+        for name in names {
+            let xml = format!("<shop><product><name>{name}</name></product></shop>");
+            fs::write(dir.join(format!("{name}.xml")), xml).unwrap();
+            fs::write(cache.join(format!("{name}.xidx")), b"stale").unwrap();
+        }
+        for workers in [1, 2, 8] {
+            let warnings = std::cell::RefCell::new(Vec::new());
+            Corpus::from_dir_impl(&dir, Some(&cache), workers, &|w| {
+                warnings.borrow_mut().push(w);
+            })
+            .unwrap();
+            let warnings = warnings.into_inner();
+            assert_eq!(warnings.len(), 3, "{workers} workers: {warnings:?}");
+            for (warning, name) in warnings.iter().zip(names) {
+                assert!(warning.contains(&format!("{name}.xidx")), "{workers}: {warnings:?}");
+            }
+            for name in names {
+                fs::write(cache.join(format!("{name}.xidx")), b"stale").unwrap();
+            }
         }
     }
 }

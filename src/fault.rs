@@ -19,8 +19,8 @@
 //!
 //! These are the only sites: [`FaultPlan::parse`] refuses any other name,
 //! so a misspelt site is an error rather than a plan that never fires.
-//! The *call sites* live where the behaviour belongs (the shard pool's
-//! work closure, the connection loop); this module only decides *whether* a
+//! The *call sites* live where the behaviour belongs (a served miss's
+//! shard job, the connection loop); this module only decides *whether* a
 //! given hit fires.
 //!
 //! ## Spec grammar

@@ -61,14 +61,14 @@
 //!
 //! Orchestration lives here, in the facade. The [`corpus`] module runs a
 //! query over many workbenches on private modules for the shard plan,
-//! the scoped-thread fan-out and persistent shard pool, and the k-way
-//! merge. The [`serve`] module builds on them with private modules for
-//! the result-page cache, the server's fixed set of counters and
-//! histograms, the `/metrics` endpoint
-//! ([`CorpusServer::serve_metrics`]) and the fault plan: a
-//! long-lived [`CorpusServer`] whose sessions each broadcast to its pool
-//! once per executed miss, on their own threads, and whose pooling and
-//! caching never change result bytes. Its wire format, the line
+//! the shard pool each corpus owns (its one fan-out: ingest, queries and
+//! served misses all run on it), and the k-way merge. The [`serve`]
+//! module builds on them with private modules for the result-page cache,
+//! the server's fixed set of counters and histograms, the `/metrics`
+//! endpoint ([`CorpusServer::serve_metrics`]) and the fault plan: a
+//! long-lived [`CorpusServer`] whose sessions each run one job per shard
+//! on the corpus's pool per executed miss, on their own threads, and
+//! whose caching never changes result bytes. Its wire format, the line
 //! protocol, is a crate of its own (`xsact-serve`) that clients share
 //! with the server.
 

@@ -4,14 +4,16 @@
 //! is a corpus of one: its query runs over the borrowed one-document slice
 //! `std::slice::from_ref(wb)`, on the calling thread.
 //!
-//! * **The lists.** A query fans out over `min(shards, documents)`
-//!   round-robin slices of its documents ([`ShardPlan`]) and
-//!   k-way merges what they return under one total order: score
-//!   descending, then document id, then node id. Ranked, each document
-//!   runs the streaming top-k executor bounded by `k`; in document order
-//!   nothing is scored, so the order is `(DocId, NodeId)`: each document's
-//!   SLCA results, concatenated in id order. One slice runs inline, so a
-//!   workbench query spawns no thread.
+//! * **The lists.** A query over several documents runs one job per
+//!   round-robin slice of `min(shards, documents)` on the corpus's shard
+//!   pool ([`Corpus::run_shards`]) and k-way merges what they return
+//!   under one total order: score descending, then document id, then node
+//!   id. Ranked, each document runs the streaming top-k executor bounded
+//!   by `k`; in document order nothing is scored, so the order is
+//!   `(DocId, NodeId)`: each document's SLCA results, concatenated in id
+//!   order. One document is searched inline and never touches a pool, so a
+//!   workbench query wakes no thread. A shard that panics is re-raised on
+//!   the caller's thread, naming the shard.
 //! * **The rule.** Explicit 1-based positions index the full list and take
 //!   precedence over the bound `k`; otherwise the first `k` enter (all
 //!   without a bound). A comparison fails in one order: `InvalidConfig` (a
@@ -27,22 +29,24 @@
 //!   by pointer with every outcome, so several algorithms pay
 //!   preprocessing once.
 //! * **Resets** happen only in the setters, each resetting exactly the
-//!   memos its value feeds. Tracing resets nothing.
+//!   memos its value feeds. Tracing resets nothing: a shard times its
+//!   slice and returns the span with its hits, and the caller records the
+//!   spans in shard order, then the `merge`.
 //! * **Its own work.** Every search comes back with the [`ExecutorStats`]
 //!   it cost; the query sums them over every run it makes and reports the
 //!   total as [`CorpusQuery::executor_stats`]. No setter resets it, and a
 //!   memo that answers adds nothing.
 
-use crate::corpus::{execute_shard, list_shard, merge_shard_lists, CorpusHit, CorpusRanking};
+use crate::corpus::{execute_shard, merge_shard_lists, Corpus, CorpusHit, CorpusRanking};
 use crate::error::{XsactError, XsactResult};
-use crate::pool::fan_out;
-use crate::shard::ShardPlan;
+use crate::pool::or_raise;
 use crate::workbench::{validate_config, Workbench};
 use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
+use std::time::Instant;
 use xsact_core::{Algorithm, ComparisonOutcome, DfsConfig, Instance};
 use xsact_entity::ResultFeatures;
-use xsact_index::trace::TraceSink;
+use xsact_index::trace::{TraceSink, TraceSpan};
 use xsact_index::{ExecutorStats, Query, ResultSemantics};
 
 /// A query over one or more documents: builder methods refine *how* it
@@ -56,7 +60,9 @@ use xsact_index::{ExecutorStats, Query, ResultSemantics};
 #[derive(Debug, Clone)]
 pub struct CorpusQuery<'a> {
     docs: &'a [Workbench],
-    shards: usize,
+    /// The corpus whose pool runs a search over several documents; `None`
+    /// for a workbench's own query.
+    corpus: Option<&'a Corpus>,
     ranked: bool,
     /// Where stage spans go when the caller asked for a trace; `None`
     /// takes no timestamps.
@@ -73,13 +79,13 @@ pub struct CorpusQuery<'a> {
 }
 
 impl<'a> CorpusQuery<'a> {
-    /// A document-order query without a bound over `docs` on `shards`
-    /// slices (at most one per document), parsing `text` and recording
-    /// the `parse` span into `trace`. Fails with
-    /// [`XsactError::EmptyQuery`] when no indexable term is left.
+    /// A document-order query without a bound over `docs` (those of
+    /// `corpus`, when there is one), parsing `text` and recording the
+    /// `parse` span into `trace`. Fails with [`XsactError::EmptyQuery`]
+    /// when no indexable term is left.
     pub(crate) fn new(
         docs: &'a [Workbench],
-        shards: usize,
+        corpus: Option<&'a Corpus>,
         text: &str,
         trace: Option<&'a TraceSink>,
     ) -> XsactResult<Self> {
@@ -94,7 +100,7 @@ impl<'a> CorpusQuery<'a> {
         }
         Ok(CorpusQuery {
             docs,
-            shards,
+            corpus,
             ranked: false,
             trace,
             query,
@@ -283,37 +289,48 @@ impl<'a> CorpusQuery<'a> {
         wb.shared_features(result.root, label.as_str())
     }
 
-    /// The one fan-out/merge behind both list memos: the first `k` hits in
-    /// the query's order, its executor work added to the query's. Over
-    /// several documents the trace records one `shard N` span per slice
-    /// and the `merge`; over one, that document's own search stages
-    /// (parallel slices would interleave them).
+    /// The one search and merge behind both list memos: the first `k`
+    /// hits in the query's order, its executor work added to the query's.
+    /// Over several documents the trace records one `shard N` span per
+    /// slice, in shard order, and the `merge`; over one, that document's
+    /// own search stages.
     fn run(&self, k: usize) -> CorpusRanking {
-        let several = self.docs.len() > 1;
-        let (slice_trace, doc_trace) =
-            if several { (self.trace, None) } else { (None, self.trace) };
-        // The workers share only what they read: the memos are not `Sync`.
-        let (docs, query, ranked) = (self.docs, &self.query, self.ranked);
-        let parts = ShardPlan::new(self.shards).partition(docs.len());
-        let per_shard = fan_out(parts, |shard, doc_indexes| {
-            let span = slice_trace.map(|sink| sink.span(format!("shard {shard}")));
-            let (hits, stats) = if ranked {
-                execute_shard(docs, query, k, &doc_indexes, doc_trace)
-            } else {
-                list_shard(docs, query, &doc_indexes, doc_trace)
-            };
-            if let Some(mut span) = span {
-                span.note("docs", doc_indexes.len() as u64);
-                span.note("postings_scanned", stats.postings_scanned);
-                span.note("hits", hits.len() as u64);
-                span.finish();
+        let (bound, trace) = (self.ranked.then_some(k), self.trace);
+        let per_shard = match self.corpus {
+            Some(corpus) if self.docs.len() > 1 => {
+                let (query, traced) = (self.query.clone(), trace.is_some());
+                let outcomes = corpus.run_shards(move |shard, docs, slice| {
+                    let start = traced.then(Instant::now);
+                    let (hits, stats) = execute_shard(docs, &query, bound, slice, None);
+                    let span = start.map(|start| TraceSpan {
+                        label: format!("shard {shard}"),
+                        nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                        notes: vec![
+                            ("docs", slice.len() as u64),
+                            ("postings_scanned", stats.postings_scanned),
+                            ("hits", hits.len() as u64),
+                        ],
+                    });
+                    (hits, stats, span)
+                });
+                outcomes.into_iter().map(or_raise).collect()
             }
-            (hits, stats)
-        });
-        let run = per_shard.iter().fold(ExecutorStats::default(), |sum, (_, s)| sum + *s);
+            _ => {
+                let (hits, stats) = execute_shard(self.docs, &self.query, bound, &[0], trace);
+                vec![(hits, stats, None)]
+            }
+        };
+        let mut run = ExecutorStats::default();
+        let mut shard_lists = Vec::with_capacity(per_shard.len());
+        for (hits, stats, span) in per_shard {
+            run += stats;
+            if let (Some(sink), Some(span)) = (trace, span) {
+                sink.record(span.label, span.nanos, span.notes);
+            }
+            shard_lists.push(hits);
+        }
         self.stats.set(self.stats.get() + run);
-        let shard_lists: Vec<_> = per_shard.into_iter().map(|(hits, _)| hits).collect();
-        let span = slice_trace.map(|sink| sink.span("merge"));
+        let span = trace.filter(|_| self.docs.len() > 1).map(|sink| sink.span("merge"));
         let candidates: usize = shard_lists.iter().map(Vec::len).sum();
         let ranking = merge_shard_lists(shard_lists, k);
         if let Some(mut span) = span {

@@ -1,16 +1,15 @@
-//! The serving runtime: a long-lived corpus server with a persistent shard
-//! pool, admission control, session budgets, a result-page cache, and a
-//! TCP line-protocol front end.
+//! The serving runtime: a long-lived corpus server with admission control,
+//! session budgets, a result-page cache, and a TCP line-protocol front
+//! end.
 //!
-//! A [`crate::CorpusQuery`] executes one query at a time, paying
-//! scoped-thread spawn and teardown per query. [`CorpusServer`] amortises that: at
-//! startup it builds one persistent `ShardPool` (`src/pool.rs`) — a worker
-//! per effective shard but the last — behind a lock. A result-page cache
-//! miss runs on its session's own thread: it takes the pool lock (misses
-//! execute one at a time, in whatever order the lock grants), broadcasts
-//! once, and computes the last shard itself while the workers compute
-//! theirs. The page cache is the one place a repeated query (same
-//! canonical query text, same top-k) is answered without executing.
+//! A [`CorpusServer`] owns no thread of its own: the served corpus owns
+//! the shard workers (`src/pool.rs`), and a result-page cache miss runs on
+//! its session's own thread. The miss passes the admission gate, takes the
+//! execution lock (misses execute one at a time, in whatever order the
+//! lock grants), submits one job per shard to the corpus's pool, and
+//! computes the last shard itself while the workers compute theirs. The
+//! page cache is the one place a repeated query (same canonical query
+//! text, same top-k) is answered without executing.
 //!
 //! ## A page is rendered once per executed miss
 //!
@@ -20,13 +19,13 @@
 //! carries those same bytes, so a hit clones two `Arc`s and the TCP front
 //! end answers it with one write; no reply path renders again.
 //!
-//! ## The invariant: pooling and caching never change bytes
+//! ## The invariant: serving and caching never change bytes
 //!
-//! There is one ranked shard unit of work, `corpus::execute_shard`: the
-//! pool's workers run it once per executed miss, the scoped-thread
-//! fan-out behind a ranked [`crate::CorpusQuery`] once per query, both
-//! over the *same* `ShardPlan` partition, and both merge
-//! with the same comparator. A response from the server is therefore
+//! There is one shard unit of work, `corpus::execute_shard`, and one
+//! fan-out, `Corpus::run_shards`: an executed miss runs it once, a ranked
+//! [`crate::CorpusQuery`] once per query, both on the same pool over the
+//! *same* `ShardPlan` partition, and both merge with the same
+//! comparator. A response from the server is therefore
 //! byte-identical to sequential one-query-at-a-time execution, at any
 //! shard count and under any interleaving of concurrent clients (pinned
 //! by `tests/serve.rs`). `k` travels down: each miss executes bounded by
@@ -46,20 +45,20 @@
 //!
 //! ## Failure modes are typed
 //!
-//! * `queue_capacity` misses already waiting for the pool (or server
+//! * `queue_capacity` misses already waiting to execute (or server
 //!   shutting down) → [`XsactError::Overloaded`] — nothing was executed;
 //!   back off and retry.
 //! * Session spent its executor-work budget →
 //!   [`XsactError::BudgetExceeded`] — rejected before admission.
-//! * Deadline elapsed (pool wait + execute) →
+//! * Deadline elapsed (wait + execute) →
 //!   [`XsactError::DeadlineExceeded`] — checked right before the query's
-//!   broadcast (the query never executed) and again after it; retry with a
-//!   fresh deadline.
-//! * Shard panicked mid-broadcast → [`XsactError::ShardFailed`] for
-//!   exactly the query whose broadcast it was. The shard catches the
-//!   panic, reports it and keeps serving, so a retry — and every *other*
-//!   request, concurrent or subsequent — is byte-identical to a fault-free
-//!   run (pinned by `tests/chaos.rs`).
+//!   jobs are submitted (the query never executed) and again after they
+//!   return; retry with a fresh deadline.
+//! * Shard panicked mid-execution → [`XsactError::ShardFailed`] for
+//!   exactly the query whose job it was. The pool catches the panic and
+//!   its worker keeps serving, so a retry — and every *other* request,
+//!   concurrent or subsequent — is byte-identical to a fault-free run
+//!   (pinned by `tests/chaos.rs`).
 //!
 //! Shutdown closes admission: misses already admitted finish on their own
 //! threads, new ones are turned away. Recovery paths are exercised
@@ -87,8 +86,6 @@ use crate::corpus::{
 };
 use crate::error::{XsactError, XsactResult};
 use crate::http::{self, MetricsServer};
-use crate::pool::ShardPool;
-use crate::shard::ShardPlan;
 use crate::stats::ServeCounters;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -108,11 +105,10 @@ pub use xsact_serve::{END_MARKER, MAX_TOP};
 /// Configuration of a [`CorpusServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Most cache misses that may wait for the shard pool while another
-    /// executes; a miss beyond it is rejected with
-    /// [`XsactError::Overloaded`]. Zero is valid and rejects every miss (a
-    /// deterministic "always overloaded" server, used by the CI smoke
-    /// test).
+    /// Most cache misses that may wait to execute while another does; a
+    /// miss beyond it is rejected with [`XsactError::Overloaded`]. Zero is
+    /// valid and rejects every miss (a deterministic "always overloaded"
+    /// server, used by the CI smoke test).
     pub queue_capacity: usize,
     /// Top-k a fresh session starts with (changeable per session via
     /// [`ServeSession::set_top`] / the `TOP` verb).
@@ -128,16 +124,16 @@ pub struct ServeConfig {
     /// `None` disables the log. Purely observational — answers are
     /// byte-identical either way.
     pub slow_query: Option<Duration>,
-    /// Per-query deadline covering the wait for the shard pool plus
-    /// execute, timed from the session's call; `None` = unlimited. Checked
-    /// under the pool lock right before the query's broadcast (an expired
-    /// query is answered [`XsactError::DeadlineExceeded`] without
-    /// executing) and again after it (a late answer is discarded — the
-    /// caller already stopped caring).
+    /// Per-query deadline covering the wait to execute plus execute, timed
+    /// from the session's call; `None` = unlimited. Checked under the
+    /// execution lock right before the query's jobs are submitted (an
+    /// expired query is answered [`XsactError::DeadlineExceeded`] without
+    /// executing) and again after they return (a late answer is discarded
+    /// — the caller already stopped caring).
     pub deadline: Option<Duration>,
     /// Entry bound of the result-page cache keyed on `(canonical query,
-    /// k)`; 0 disables caching entirely. A hit skips admission *and* the
-    /// shard pool and returns the stored answer byte-identical to fresh
+    /// k)`; 0 disables caching entirely. A hit skips admission *and*
+    /// execution and returns the stored answer byte-identical to fresh
     /// execution (the corpus is immutable and the executor deterministic —
     /// pinned by `tests/serve.rs`).
     pub cache_entries: usize,
@@ -181,19 +177,16 @@ pub struct QueryAnswer {
     /// Executor work of the execution (a cache hit is charged the same
     /// cost against its session budget).
     pub stats: ExecutorStats,
-    /// How long this query waited, once admitted, for the shard pool's
-    /// lock (zero on a cache hit).
+    /// How long this query waited, once admitted, for the execution lock
+    /// (zero on a cache hit).
     pub queue_wait: Duration,
-    /// How long the shard pool took to execute this query (zero on a
-    /// cache hit).
+    /// How long the shards took to execute this query (zero on a cache
+    /// hit).
     pub execute: Duration,
 }
 
-/// The pool's request (a query and its top-k) and one shard's answer.
-type Pool = ShardPool<(Query, usize), (Vec<CorpusHit>, ExecutorStats)>;
-
-/// Admission control: the misses admitted but not yet holding the pool
-/// lock, and whether shutdown has closed the door.
+/// Admission control: the misses admitted but not yet holding the
+/// execution lock, and whether shutdown has closed the door.
 #[derive(Default)]
 struct Gate {
     waiting: usize,
@@ -203,11 +196,11 @@ struct Gate {
 /// State shared by the server handle and its sessions.
 struct ServerInner {
     corpus: Arc<Corpus>,
-    /// Held for one broadcast at a time: misses execute one by one, each
+    /// Held for one execution at a time: misses execute one by one, each
     /// on its own session's thread.
-    pool: Mutex<Pool>,
+    executing: Mutex<()>,
     gate: Mutex<Gate>,
-    /// Shared with the pool's shard closure and the `/metrics` endpoint.
+    /// Shared with the shard jobs and the `/metrics` endpoint.
     counters: Arc<ServeCounters>,
     config: ServeConfig,
     /// The result-page cache (`None` when `cache_entries` is 0). Sessions
@@ -219,45 +212,22 @@ struct ServerInner {
 }
 
 /// A running corpus server; see the module docs. Dropping it shuts down:
-/// admission closes, and the shard pool's workers are joined once the
-/// last session lets go of it.
+/// admission closes. The shard workers belong to the corpus and are joined
+/// when the last holder of it lets go.
 pub struct CorpusServer {
     inner: Arc<ServerInner>,
 }
 
 impl CorpusServer {
-    /// Builds the persistent shard pool: one worker per
-    /// [`Corpus::effective_shards`] but the last, pinned for the server's
-    /// lifetime.
+    /// Serves `corpus` on its own shard workers, with one busy histogram
+    /// per [`Corpus::effective_shards`]; starts no thread.
     pub fn start(corpus: Arc<Corpus>, config: ServeConfig) -> CorpusServer {
-        let shards = corpus.effective_shards();
-        let counters = Arc::new(ServeCounters::new(shards));
-        let pool = ShardPool::new(shards, {
-            let corpus = Arc::clone(&corpus);
-            let counters = Arc::clone(&counters);
-            let faults = config.faults.clone();
-            move |shard, (query, k): &(Query, usize)| {
-                if let Some(millis) = faults.should_fire("slow_execute", shard) {
-                    std::thread::sleep(Duration::from_millis(millis));
-                }
-                if faults.should_fire("shard_panic", shard).is_some() {
-                    panic!("injected shard_panic fault (shard {shard})");
-                }
-                let busy = Instant::now();
-                // The exact partition the scoped fan-out uses — a pure
-                // function of (shards, documents), recomputed per broadcast
-                // because it is trivially cheap next to a search.
-                let parts = ShardPlan::new(shards).partition(corpus.len());
-                let result = execute_shard(&corpus.docs, query, *k, &parts[shard], None);
-                counters.record_shard_busy(shard, busy.elapsed());
-                result
-            }
-        });
+        let counters = Arc::new(ServeCounters::new(corpus.effective_shards()));
         let cache = (config.cache_entries > 0)
             .then(|| Mutex::new(PageCache::new(config.cache_entries, config.cache_bytes)));
         let inner = Arc::new(ServerInner {
             corpus,
-            pool: Mutex::new(pool),
+            executing: Mutex::new(()),
             gate: Mutex::default(),
             counters,
             config,
@@ -319,8 +289,8 @@ impl Drop for CorpusServer {
 
 impl ServerInner {
     /// Executes one page-cache miss on the calling thread: admission, the
-    /// wait for the pool, one broadcast, the merge, the reply's one
-    /// render, and the cache insert. `submitted` is when the session's
+    /// wait for the execution lock, one job per shard, the merge, the
+    /// reply's one render, and the cache insert. `submitted` is when the session's
     /// call began (the deadline is timed from there).
     fn execute_miss(
         &self,
@@ -339,24 +309,36 @@ impl ServerInner {
             gate.waiting += 1;
         }
         let admitted = Instant::now();
-        let mut pool = self.pool.lock().expect("pool lock poisoned");
+        let executing = self.executing.lock().unwrap_or_else(PoisonError::into_inner);
         self.gate.lock().expect("gate lock poisoned").waiting -= 1;
         let queue_wait = admitted.elapsed();
         // A query whose deadline already elapsed never executes — its
         // answer could only arrive late.
         self.check_deadline(submitted)?;
         let execute_start = Instant::now();
-        let restarts_before = pool.restarts();
-        // One broadcast: every shard runs the query over its document
-        // slice, and the first panicked shard (in shard order) fails it.
-        let outcome: Result<Vec<_>, _> = pool.broadcast((query, k)).into_iter().collect();
+        // One job per shard runs the query over its document slice, with
+        // the shard's fault sites and busy time.
+        let (counters, faults) = (Arc::clone(&self.counters), self.config.faults.clone());
+        let outcomes = self.corpus.run_shards(move |shard, docs, slice| {
+            if let Some(millis) = faults.should_fire("slow_execute", shard) {
+                std::thread::sleep(Duration::from_millis(millis));
+            }
+            if faults.should_fire("shard_panic", shard).is_some() {
+                panic!("injected shard_panic fault (shard {shard})");
+            }
+            let busy = Instant::now();
+            let result = execute_shard(docs, &query, Some(k), slice, None);
+            counters.record_shard_busy(shard, busy.elapsed());
+            result
+        });
         let execute = execute_start.elapsed();
-        let restarts = pool.restarts() - restarts_before;
-        drop(pool);
-        let per_shard = outcome.map_err(|panic| {
-            // Every failed shard caught its panic and keeps serving, so the
-            // next miss runs on a healthy pool.
-            self.counters.record_shard_failure(restarts);
+        drop(executing);
+        let restarts = outcomes.iter().filter(|outcome| outcome.is_err()).count();
+        // The first panicked shard (in shard order) fails the query. Every
+        // failed shard's worker caught its panic and keeps serving, so the
+        // next miss runs on a healthy pool.
+        let per_shard = outcomes.into_iter().collect::<Result<Vec<_>, _>>().map_err(|panic| {
+            self.counters.record_shard_failure(restarts as u64);
             XsactError::ShardFailed { shard: panic.shard, detail: panic.detail }
         })?;
         let stats = per_shard.iter().fold(ExecutorStats::default(), |sum, (_, s)| sum + *s);
@@ -456,13 +438,13 @@ impl ServeSession {
     }
 
     /// Answers one query: from the page cache, or by executing the miss on
-    /// this thread once the shard pool is free.
+    /// this thread once no other miss executes.
     ///
     /// Typed failure modes, in checking order: [`XsactError::EmptyQuery`]
     /// (no indexable terms), [`XsactError::BudgetExceeded`] (the session's
     /// spend reached its budget; nothing admitted),
-    /// [`XsactError::Overloaded`] (`queue_capacity` misses already wait for
-    /// the pool, or the server is shutting down; nothing executed), then
+    /// [`XsactError::Overloaded`] (`queue_capacity` misses already wait to
+    /// execute, or the server is shutting down; nothing executed), then
     /// [`XsactError::DeadlineExceeded`] and [`XsactError::ShardFailed`]
     /// (both retryable; a failed shard keeps serving the next request). A
     /// failure charges no budget and records no end-to-end sample.
@@ -483,7 +465,7 @@ impl ServeSession {
             if let Some(cache) = &self.inner.cache {
                 let mut cache = cache.lock().expect("cache lock poisoned");
                 if let Some(answer) = cache.lookup(&canonical, self.top) {
-                    // A hit skips admission and the shard pool entirely; the
+                    // A hit skips admission and execution entirely; the
                     // bytes are identical because the cached answer *is* the
                     // executor's answer, reply bytes included (the lookup
                     // cloned two `Arc`s; nothing is rendered). The histogram

@@ -4,7 +4,7 @@
 //!
 //! The metric set is fixed once the shard count is known: [`ServeCounters`]
 //! holds every counter and histogram by value, plus one busy-time
-//! histogram per shard, and the server, its shard pool and the `/metrics`
+//! histogram per shard, and the server, its shard jobs and the `/metrics`
 //! endpoint share it through one `Arc`. Any number of sessions and
 //! connection threads record through one atomic op each, with no lock and
 //! no lookup. [`ServeCounters::exposition`] renders the whole set (the
@@ -140,7 +140,7 @@ impl ServeCounters {
         out
     }
 
-    /// Records one shard's busy time for one broadcast.
+    /// Records one shard's busy time for one executed miss.
     pub(crate) fn record_shard_busy(&self, shard: usize, took: Duration) {
         self.shard_busy_ns[shard].record_duration(took);
     }
@@ -170,7 +170,7 @@ impl ServeCounters {
     }
 
     /// Records one cache lookup that missed (the query went on to
-    /// admission and, if admitted, the shard pool).
+    /// admission and, if admitted, execution).
     pub(crate) fn record_cache_miss(&self) {
         self.cache_misses.inc();
     }
@@ -191,27 +191,26 @@ impl ServeCounters {
     }
 
     /// Records one query whose deadline elapsed before an answer could be
-    /// produced (checked right before the broadcast and again after
-    /// execute).
+    /// produced (checked right before execute and again after it).
     pub(crate) fn record_deadline_rejection(&self) {
         self.rejected_deadline.inc();
     }
 
     /// Records one query lost to a shard panic: it was answered with the
-    /// typed shard failure, and `restarts` shards caught their panic and
-    /// went on serving.
+    /// typed shard failure, and `restarts` shard outcomes failed (each
+    /// worker caught its panic and went on serving).
     pub(crate) fn record_shard_failure(&self, restarts: u64) {
         self.shard_failed.inc();
         self.shard_restarts.add(restarts);
     }
 
-    /// Records how long one admitted miss waited for the shard pool's lock
+    /// Records how long one admitted miss waited for the execution lock
     /// (once per executed query).
     pub(crate) fn record_queue_wait(&self, wait: Duration) {
         self.queue_wait_ns.record_duration(wait);
     }
 
-    /// Records one execution's shard-pool latency (once per answered
+    /// Records one execution's shard latency (once per answered
     /// miss; keeping the count equal to `queries_served` is part of the
     /// exposition contract).
     pub(crate) fn record_execute(&self, took: Duration) {
@@ -259,7 +258,7 @@ impl ServeCounters {
 pub struct ServeSnapshot {
     /// Queries answered, by an execution or by a cache hit.
     pub queries_served: u64,
-    /// Executions: one shard-pool broadcast per answered cache miss (the
+    /// Executions: one run of the shards per answered cache miss (the
     /// `batches_formed` line).
     pub batches: u64,
     /// One observation of 1 per execution (the `batch_size_hist` line).
@@ -271,8 +270,8 @@ pub struct ServeSnapshot {
     pub rejected_budget: u64,
     /// Queries whose deadline elapsed before an answer could be produced.
     pub rejected_deadline: u64,
-    /// Queries answered with a typed shard failure (a worker panicked
-    /// during their broadcast).
+    /// Queries answered with a typed shard failure (a shard's job
+    /// panicked).
     pub shard_failed: u64,
     /// Shards recovered after a panic: one per failed shard outcome (the
     /// shard caught its panic and went on serving).

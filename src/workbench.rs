@@ -209,7 +209,7 @@ impl Workbench {
     /// [`XsactError::EmptyQuery`] when `text` contains no indexable terms;
     /// any number of terms runs.
     pub fn query(&self, text: &str) -> XsactResult<CorpusQuery<'_>> {
-        CorpusQuery::new(std::slice::from_ref(self), 1, text, None)
+        CorpusQuery::new(std::slice::from_ref(self), None, text, None)
     }
 
     /// [`query`](Self::query) with a stage trace attached, so every stage
@@ -220,7 +220,7 @@ impl Workbench {
         text: &str,
         sink: &'a TraceSink,
     ) -> XsactResult<CorpusQuery<'a>> {
-        CorpusQuery::new(std::slice::from_ref(self), 1, text, Some(sink))
+        CorpusQuery::new(std::slice::from_ref(self), None, text, Some(sink))
     }
 
     /// Runs the streaming top-k executor directly: the best `k` results
@@ -346,7 +346,7 @@ mod tests {
     #[test]
     fn workbench_is_send_and_sync() {
         // The corpus engine shares one workbench per document across its
-        // fan-out threads; losing `Sync` here would break that at a
+        // shard workers; losing `Sync` here would break that at a
         // distance, so pin it down as a compile-time property.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Workbench>();

@@ -261,7 +261,8 @@ fn directory_ingestion_is_sorted_and_index_cache_round_trips() {
 fn corpus_errors_are_typed() {
     let corpus = gps_corpus();
     assert!(matches!(corpus.query(""), Err(XsactError::EmptyQuery)));
-    assert!(matches!(Corpus::new().query("gps"), Err(XsactError::EmptyCorpus)));
+    let empty = Corpus::from_xml_strings([]).unwrap();
+    assert!(matches!(empty.query("gps"), Err(XsactError::EmptyCorpus)));
     assert!(matches!(
         corpus.query("zeppelin").unwrap().compare(Algorithm::MultiSwap),
         Err(XsactError::NoResults { .. })
@@ -287,9 +288,9 @@ fn a_document_is_a_corpus_of_one() {
     use xsact::data::{MovieGenConfig, MoviesGen};
     let doc =
         MoviesGen::new(MovieGenConfig { movies: 80, seed: 3, ..Default::default() }).generate();
-    let wb = Workbench::from_document(doc.clone());
-    let mut corpus = Corpus::new();
-    corpus.add_document("movies", doc);
+    let wb = Workbench::from_document(doc);
+    // The fleet's one document is generated from the same configuration.
+    let mut corpus = Corpus::synthetic_movies(1, 80, 3);
     let table = |r: Result<ComparisonOutcome, XsactError>| r.unwrap().table();
     let mut compared = 0;
     for shards in [1, 2, 8] {

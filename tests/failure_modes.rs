@@ -70,9 +70,7 @@ fn a_query_of_200_distinct_terms_is_an_answer() {
     let wb = Workbench::from_xml(&xml).unwrap();
     assert_eq!(wb.query(&text).unwrap().ranking().hits.len(), 2);
 
-    let mut corpus = Corpus::new();
-    corpus.add_xml("shop", &xml).unwrap();
-    let corpus = Arc::new(corpus);
+    let corpus = Arc::new(Corpus::from_xml_strings([("shop", xml.as_str())]).unwrap());
     let ranking = corpus.query(&text).unwrap().ranking().clone();
     let scored = |hits: &[CorpusHit]| -> Vec<_> {
         hits.iter().map(|hit| (hit.result.clone(), hit.score.clone())).collect()

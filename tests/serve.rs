@@ -35,7 +35,7 @@ fn concurrent_responses_match_sequential_bytes() {
     let k = 4; // ServeConfig::default().default_top
     for shards in [1usize, 2, 8] {
         let corpus = fleet(shards);
-        // Sequential oracle: the scoped-thread engine, one query at a time.
+        // Sequential oracle: the in-process query, one query at a time.
         let expected: Vec<(String, String)> = qm_mix()
             .into_iter()
             .map(|text| {

@@ -26,8 +26,8 @@ impl Subject {
     /// Both constructors over `doc`.
     fn both(doc: &Document) -> [Subject; 2] {
         [false, true].map(|via_corpus| {
-            let mut corpus = Corpus::new();
-            corpus.add_document("doc", doc.clone());
+            let xml = xsact::xml::writer::write_subtree(doc, doc.root());
+            let corpus = Corpus::from_xml_strings([("doc", xml.as_str())]).unwrap();
             Subject { corpus, via_corpus }
         })
     }
