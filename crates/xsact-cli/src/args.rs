@@ -303,8 +303,8 @@ command! {
         addr: String = "127.0.0.1:4141".to_owned(), "--addr" "<host:port>",
             "listen address (port 0 = ephemeral, printed)";
         queue: usize = 64, "--queue" "<n>",
-            "most cache misses that may wait for the shard pool;\n\
-             0 rejects all";
+            "most cache misses that may wait for the execution\n\
+             lock while another executes; 0 rejects all";
         top: usize = 4, "--top" "<k>", "default per-session top-k (TOP verb resets)";
         budget: Option<u64> = None, "--budget" "<n>",
             "per-session budget in posting entries scanned\n\
@@ -320,7 +320,7 @@ command! {
              query past it gets ERR DEADLINE_EXCEEDED";
         cache_entries: usize = 1024, "--cache-entries" "<n>",
             "result-page cache entry bound; 0 disables the\n\
-             cache (hits skip queue and shard pool)";
+             cache (hits skip admission and execution)";
         cache_bytes: usize = 4 << 20, "--cache-bytes" "<n>",
             "result-page cache byte bound; 0 = entry bound only";
     }

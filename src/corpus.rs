@@ -25,8 +25,10 @@
 //! thread-safe) and builds one comparison table whose columns may come
 //! from different documents. [`CorpusQuery`] is the one query builder; a
 //! [`Workbench`] query is the same builder over one document
-//! (`src/selection.rs`). This module holds what it runs: the shard unit of
-//! work and the merges, which the serving runtime runs too.
+//! (`src/selection.rs`). This module holds what it runs: the one shard job
+//! (fault sites, busy clock, search) and the one global merge. A served
+//! page-cache miss runs them too, so serving is that query, not a copy
+//! of it.
 //!
 //! ```
 //! use xsact::corpus::Corpus;
@@ -44,6 +46,7 @@
 //! ```
 
 use crate::error::{XsactError, XsactResult};
+use crate::fault::FaultPlan;
 use crate::merge::k_way_merge;
 use crate::pool::{or_raise, Job, ShardPanic, ShardPool};
 use crate::shard::ShardPlan;
@@ -56,6 +59,7 @@ use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{self, AtomicU64};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use xsact_data::movies::{MovieGenConfig, MoviesGen};
 use xsact_index::trace::TraceSink;
 use xsact_index::{ExecutorStats, Query, RankedRoot, ScoredResult, SearchEngine, SearchResult};
@@ -277,23 +281,25 @@ impl Corpus {
         self.shards.min(self.docs.len()).max(1)
     }
 
-    /// Runs `work(shard, docs, slice)` for every shard of the round-robin
-    /// partition over [`effective_shards`](Self::effective_shards), each on
-    /// its pool worker and the last on this thread, and returns the
-    /// outcomes in shard order. A query re-raises a panicked shard; a
-    /// served miss answers it `ShardFailed`.
-    pub(crate) fn run_shards<R: Send + 'static>(
+    /// Runs [`search_shard`] for every shard of the round-robin partition
+    /// over [`effective_shards`](Self::effective_shards), each on its pool
+    /// worker and the last on this thread, and returns the outcomes in
+    /// shard order. A query re-raises a panicked shard; a served miss
+    /// answers it `ShardFailed`.
+    pub(crate) fn run_shards(
         &self,
-        work: impl Fn(usize, &[Workbench], &[usize]) -> R + Send + Sync + 'static,
-    ) -> Vec<Result<R, ShardPanic>> {
-        let work = Arc::new(work);
+        query: Query,
+        k: Option<usize>,
+        faults: &FaultPlan,
+    ) -> Vec<Result<ShardRun, ShardPanic>> {
+        let query = Arc::new(query);
         let slices = ShardPlan::new(self.effective_shards()).partition(self.len());
         let jobs = slices
             .into_iter()
             .enumerate()
-            .map(|(shard, slice)| {
-                let (docs, work) = (Arc::clone(&self.docs), Arc::clone(&work));
-                Box::new(move || work(shard, &docs, &slice)) as Job<R>
+            .map(|(shard, slice)| -> Job<ShardRun> {
+                let (docs, query, faults) = (self.docs.clone(), query.clone(), faults.clone());
+                Box::new(move || search_shard(&docs, &query, k, shard, &slice, &faults, None))
             })
             .collect();
         self.pool.run(jobs)
@@ -511,9 +517,8 @@ impl CorpusHit {
     /// the root's node id; unscored hits tie on the score, so a
     /// document-order list is `(DocId, NodeId)` order. Depends only on the
     /// hit itself — never on shard count or thread timing — which is what
-    /// makes every list deterministic. `pub(crate)` so the serving
-    /// runtime's global merge uses the *same* comparator as a query.
-    pub(crate) fn ranking_order(&self, other: &CorpusHit) -> Ordering {
+    /// makes every list deterministic.
+    fn ranking_order(&self, other: &CorpusHit) -> Ordering {
         let score = |hit: &CorpusHit| hit.score.as_ref().map_or(0.0, |s| s.score);
         ranking_order(
             (score(self), self.doc, self.result.root),
@@ -551,62 +556,103 @@ impl CorpusRanking {
     }
 }
 
-/// One shard's unit of work — the only one, run on the corpus's pool by a
-/// query ([`CorpusQuery`], once per query) and by the serving runtime
-/// (`crate::serve`, once per executed miss). Ranked (`k` is `Some`), it
-/// ranks each document of the shard's round-robin slice of `docs` through
-/// the streaming executor bounded by `k`, merges the per-document lists
-/// under the ranking's total order, truncates to `k`, and labels what is
-/// left. In document order (`None`), each document lists every SLCA
-/// result, unscored, and the lists are concatenated in id order — the
-/// merge's total order when nothing is scored. Because both callers run
-/// *this* function over *the same* [`ShardPlan`] partition
-/// ([`Corpus::run_shards`]), serving can never change result bytes.
+/// What one shard's search returns: its list, the executor work it cost
+/// (summed over its documents), how long it searched, and how many
+/// documents its slice held.
+pub(crate) struct ShardRun {
+    pub(crate) hits: Vec<CorpusHit>,
+    pub(crate) stats: ExecutorStats,
+    /// The search alone: an injected stall comes before the clock starts.
+    pub(crate) busy: Duration,
+    pub(crate) docs: usize,
+}
+
+/// The shard job — the only code that searches a shard, whoever asks: a
+/// served miss and a query over several documents run it on the corpus's
+/// pool ([`Corpus::run_shards`]), a one-document query inline
+/// ([`search_inline`]). It first consults the `slow_execute` and
+/// `shard_panic` sites of `faults`, then starts its clock.
 ///
-/// Returns the shard's list plus the executor work it cost, summed over
-/// the shard's documents. `trace` receives each document's search stages.
-pub(crate) fn execute_shard(
+/// Ranked (`k` is `Some`), it ranks each document of the shard's
+/// round-robin slice of `docs` through the streaming executor bounded by
+/// `k`, merges the per-document lists under the ranking's total order,
+/// truncates to `k`, and labels what is left. In document order (`None`),
+/// each document lists every SLCA result, unscored, and the lists are
+/// concatenated in id order — the merge's total order when nothing is
+/// scored. Since every list comes from *this* function over *the same*
+/// [`ShardPlan`] partition, serving can never change result bytes.
+/// `trace` receives each document's search stages.
+fn search_shard(
     docs: &[Workbench],
     query: &Query,
     k: Option<usize>,
-    doc_indexes: &[usize],
+    shard: usize,
+    slice: &[usize],
+    faults: &FaultPlan,
     trace: Option<&TraceSink>,
-) -> (Vec<CorpusHit>, ExecutorStats) {
+) -> ShardRun {
+    if let Some(millis) = faults.should_fire("slow_execute", shard) {
+        std::thread::sleep(Duration::from_millis(millis));
+    }
+    if faults.should_fire("shard_panic", shard).is_some() {
+        panic!("injected shard_panic fault (shard {shard})");
+    }
+    let start = Instant::now();
     let mut stats = ExecutorStats::default();
-    let Some(k) = k else {
-        let mut hits = Vec::new();
-        for &d in doc_indexes {
-            let (wb, doc) = (&docs[d], DocId(d as u32));
-            let (results, doc_stats) = wb.engine().search_all(query, trace);
-            stats += doc_stats;
-            hits.extend(results.into_iter().map(|result| CorpusHit {
-                doc,
-                doc_name: wb.name.clone(),
-                result,
-                score: None,
-            }));
+    let hits = match k {
+        None => {
+            let mut hits = Vec::new();
+            for &d in slice {
+                let (wb, doc) = (&docs[d], DocId(d as u32));
+                let (results, doc_stats) = wb.engine().search_all(query, trace);
+                stats += doc_stats;
+                let hit =
+                    |result| CorpusHit { doc, doc_name: wb.name.clone(), result, score: None };
+                hits.extend(results.into_iter().map(hit));
+            }
+            hits
         }
-        return (hits, stats);
+        Some(k) => {
+            let per_doc = slice
+                .iter()
+                .map(|&d| {
+                    let (wb, doc) = (&docs[d], DocId(d as u32));
+                    let (roots, doc_stats) = wb.engine().search_top_k(query, k, trace);
+                    stats += doc_stats;
+                    roots.into_iter().map(|ranked| ShardCandidate { wb, doc, ranked }).collect()
+                })
+                .collect();
+            // The shard-local merge: keep `k` of the per-document lists,
+            // and label only those.
+            let mut merged = k_way_merge(per_doc, ShardCandidate::ranking_order);
+            merged.truncate(k);
+            merged.into_iter().map(ShardCandidate::into_hit).collect()
+        }
     };
-    let per_doc: Vec<Vec<ShardCandidate<'_>>> = doc_indexes
-        .iter()
-        .map(|&d| {
-            let (wb, doc) = (&docs[d], DocId(d as u32));
-            let (roots, doc_stats) = wb.engine().search_top_k(query, k, trace);
-            stats += doc_stats;
-            roots.into_iter().map(|ranked| ShardCandidate { wb, doc, ranked }).collect()
-        })
-        .collect();
-    (merge_shard_candidates(per_doc, k), stats)
+    ShardRun { hits, stats, busy: start.elapsed(), docs: slice.len() }
 }
 
-/// The global half of the merge pipeline, shared by a query and the
-/// serving runtime: k-way merge the per-shard lists under the
-/// ranking's total order and truncate to `k`.
-pub(crate) fn merge_shard_lists(shard_lists: Vec<Vec<CorpusHit>>, k: usize) -> CorpusRanking {
-    let mut hits = k_way_merge(shard_lists, CorpusHit::ranking_order);
+/// A one-document query's only shard, on the calling thread: the shard
+/// job over `docs[0]` with no fault armed, its search stages traced into
+/// `trace`.
+pub(crate) fn search_inline(
+    docs: &[Workbench],
+    query: &Query,
+    k: Option<usize>,
+    trace: Option<&TraceSink>,
+) -> ShardRun {
+    search_shard(docs, query, k, 0, &[0], &FaultPlan::disarmed(), trace)
+}
+
+/// The global merge, shared by a query and a served miss: sums the runs'
+/// executor work, k-way merges their lists under the ranking's total
+/// order and truncates to `k`.
+pub(crate) fn merge_runs(runs: Vec<ShardRun>, k: usize) -> (CorpusRanking, ExecutorStats) {
+    let stats = runs.iter().map(|run| run.stats).fold(ExecutorStats::default(), |a, b| a + b);
+    let lists = runs.into_iter().map(|run| run.hits).collect();
+    let mut hits = k_way_merge(lists, CorpusHit::ranking_order);
     hits.truncate(k);
-    CorpusRanking { hits }
+    (CorpusRanking { hits }, stats)
 }
 
 /// One ranked root on its way through a shard's merge. A shard ranks every
@@ -642,15 +688,6 @@ impl ShardCandidate<'_> {
 /// order within a document.
 fn ranking_order(a: (f64, DocId, NodeId), b: (f64, DocId, NodeId)) -> Ordering {
     b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)).then_with(|| a.2.cmp(&b.2))
-}
-
-/// The shard-local half of the merge pipeline: k-way merge the
-/// per-document lists under the ranking's total order, keep `k`, and
-/// materialise only those.
-fn merge_shard_candidates(per_doc: Vec<Vec<ShardCandidate<'_>>>, k: usize) -> Vec<CorpusHit> {
-    let mut merged = k_way_merge(per_doc, ShardCandidate::ranking_order);
-    merged.truncate(k);
-    merged.into_iter().map(ShardCandidate::into_hit).collect()
 }
 
 #[cfg(test)]

@@ -58,11 +58,11 @@ pub enum XsactError {
     /// holding another document than the caller's.
     Io(std::io::Error),
     /// The serving runtime turned a cache miss away at admission: the
-    /// configured number of misses already waited for the shard pool (or
-    /// the server was shutting down). The caller should back off and
-    /// retry; nothing was executed.
+    /// configured number of misses already waited for the server's
+    /// execution lock (or the server was shutting down). The caller should
+    /// back off and retry; nothing was executed.
     Overloaded {
-        /// Misses waiting for the pool when this one was turned away.
+        /// Misses waiting to execute when this one was turned away.
         depth: usize,
         /// The configured `queue_capacity`.
         capacity: usize,
@@ -128,7 +128,7 @@ impl fmt::Display for XsactError {
             XsactError::Io(e) => write!(f, "index persistence failed: {e}"),
             XsactError::Overloaded { depth, capacity } => write!(
                 f,
-                "server overloaded: {depth} misses already wait for the shard pool \
+                "server overloaded: {depth} misses already wait to execute \
                  (capacity {capacity}); back off and retry"
             ),
             XsactError::BudgetExceeded { spent, budget } => write!(

@@ -19,9 +19,10 @@
 //!
 //! These are the only sites: [`FaultPlan::parse`] refuses any other name,
 //! so a misspelt site is an error rather than a plan that never fires.
-//! The *call sites* live where the behaviour belongs (a served miss's
-//! shard job, the connection loop); this module only decides *whether* a
-//! given hit fires.
+//! The *call sites* live where the behaviour belongs (the corpus's one
+//! shard job, which a served miss runs with the server's plan and an
+//! in-process query with the disarmed one; the connection loop); this
+//! module only decides *whether* a given hit fires.
 //!
 //! ## Spec grammar
 //!

@@ -1,9 +1,10 @@
 //! The shard pool: the one fan-out.
 //!
 //! A [`Corpus`](crate::Corpus) owns one [`ShardPool`], and every parallel
-//! step of the facade runs on it: the ingest (a job per ingest worker),
-//! every query over several documents (a job per shard, ranked or in
-//! document order) and every result-page cache miss of a served corpus.
+//! step of the facade runs on it: the ingest (a job per ingest worker) and
+//! the corpus's one shard job, once per shard (`Corpus::run_shards`), for
+//! every query over several documents and every result-page cache miss of
+//! a served corpus alike.
 //! The build environment is offline — no rayon, no tokio — so the pool is
 //! std threads and channels only:
 //!
@@ -19,9 +20,10 @@
 //!   threads.
 //! * **Outcomes come back in shard order**, whatever order they finish in,
 //!   so the pool can never change result bytes above the merge.
-//! * **A panic is an outcome.** Each job runs under `catch_unwind`; a
-//!   served miss turns a [`ShardPanic`] into the typed `ShardFailed`, and
-//!   an in-process run re-raises it on the caller's thread ([`or_raise`]).
+//! * **A panic is an outcome.** Each job runs under `catch_unwind`, and
+//!   what a [`ShardPanic`] means is the caller's policy: a served miss
+//!   answers it with the typed `ShardFailed`, and a query or the ingest
+//!   re-raises it on the caller's thread ([`or_raise`]).
 
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;

@@ -4,16 +4,18 @@
 //! is a corpus of one: its query runs over the borrowed one-document slice
 //! `std::slice::from_ref(wb)`, on the calling thread.
 //!
-//! * **The lists.** A query over several documents runs one job per
-//!   round-robin slice of `min(shards, documents)` on the corpus's shard
-//!   pool ([`Corpus::run_shards`]) and k-way merges what they return
-//!   under one total order: score descending, then document id, then node
-//!   id. Ranked, each document runs the streaming top-k executor bounded
-//!   by `k`; in document order nothing is scored, so the order is
-//!   `(DocId, NodeId)`: each document's SLCA results, concatenated in id
-//!   order. One document is searched inline and never touches a pool, so a
-//!   workbench query wakes no thread. A shard that panics is re-raised on
-//!   the caller's thread, naming the shard.
+//! * **The lists.** A query over several documents runs the corpus's one
+//!   shard job once per round-robin slice of `min(shards, documents)` on
+//!   its pool ([`Corpus::run_shards`], no fault armed) and k-way merges
+//!   the runs under one total order: score descending, then document id,
+//!   then node id. A served page-cache miss runs the same job and the same
+//!   merge, so it answers exactly a `take(k)` query. Ranked, each document
+//!   runs the streaming top-k executor bounded by `k`; in document order
+//!   nothing is scored, so the order is `(DocId, NodeId)`: each document's
+//!   SLCA results, concatenated in id order. One document runs the same
+//!   job inline and never touches a pool, so a workbench query wakes no
+//!   thread. A shard that panics is re-raised on the caller's thread,
+//!   naming the shard.
 //! * **The rule.** Explicit 1-based positions index the full list and take
 //!   precedence over the bound `k`; otherwise the first `k` enter (all
 //!   without a bound). A comparison fails in one order: `InvalidConfig` (a
@@ -29,24 +31,25 @@
 //!   by pointer with every outcome, so several algorithms pay
 //!   preprocessing once.
 //! * **Resets** happen only in the setters, each resetting exactly the
-//!   memos its value feeds. Tracing resets nothing: a shard times its
-//!   slice and returns the span with its hits, and the caller records the
-//!   spans in shard order, then the `merge`.
+//!   memos its value feeds. Tracing resets nothing: each shard's run
+//!   comes back with its busy time, document count, work and hits, and the
+//!   caller records one `shard N` span per run in shard order, then the
+//!   `merge`.
 //! * **Its own work.** Every search comes back with the [`ExecutorStats`]
 //!   it cost; the query sums them over every run it makes and reports the
 //!   total as [`CorpusQuery::executor_stats`]. No setter resets it, and a
 //!   memo that answers adds nothing.
 
-use crate::corpus::{execute_shard, merge_shard_lists, Corpus, CorpusHit, CorpusRanking};
+use crate::corpus::{merge_runs, search_inline, Corpus, CorpusHit, CorpusRanking, ShardRun};
 use crate::error::{XsactError, XsactResult};
+use crate::fault::FaultPlan;
 use crate::pool::or_raise;
 use crate::workbench::{validate_config, Workbench};
 use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
-use std::time::Instant;
 use xsact_core::{Algorithm, ComparisonOutcome, DfsConfig, Instance};
 use xsact_entity::ResultFeatures;
-use xsact_index::trace::{TraceSink, TraceSpan};
+use xsact_index::trace::TraceSink;
 use xsact_index::{ExecutorStats, Query, ResultSemantics};
 
 /// A query over one or more documents: builder methods refine *how* it
@@ -296,43 +299,31 @@ impl<'a> CorpusQuery<'a> {
     /// own search stages.
     fn run(&self, k: usize) -> CorpusRanking {
         let (bound, trace) = (self.ranked.then_some(k), self.trace);
-        let per_shard = match self.corpus {
+        let runs: Vec<ShardRun> = match self.corpus {
             Some(corpus) if self.docs.len() > 1 => {
-                let (query, traced) = (self.query.clone(), trace.is_some());
-                let outcomes = corpus.run_shards(move |shard, docs, slice| {
-                    let start = traced.then(Instant::now);
-                    let (hits, stats) = execute_shard(docs, &query, bound, slice, None);
-                    let span = start.map(|start| TraceSpan {
-                        label: format!("shard {shard}"),
-                        nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        notes: vec![
-                            ("docs", slice.len() as u64),
-                            ("postings_scanned", stats.postings_scanned),
-                            ("hits", hits.len() as u64),
-                        ],
-                    });
-                    (hits, stats, span)
-                });
+                let outcomes = corpus.run_shards(self.query.clone(), bound, &FaultPlan::disarmed());
                 outcomes.into_iter().map(or_raise).collect()
             }
-            _ => {
-                let (hits, stats) = execute_shard(self.docs, &self.query, bound, &[0], trace);
-                vec![(hits, stats, None)]
-            }
+            _ => vec![search_inline(self.docs, &self.query, bound, trace)],
         };
-        let mut run = ExecutorStats::default();
-        let mut shard_lists = Vec::with_capacity(per_shard.len());
-        for (hits, stats, span) in per_shard {
-            run += stats;
-            if let (Some(sink), Some(span)) = (trace, span) {
-                sink.record(span.label, span.nanos, span.notes);
+        let sharded = trace.filter(|_| self.docs.len() > 1);
+        if let Some(sink) = sharded {
+            for (shard, run) in runs.iter().enumerate() {
+                sink.record(
+                    format!("shard {shard}"),
+                    u64::try_from(run.busy.as_nanos()).unwrap_or(u64::MAX),
+                    vec![
+                        ("docs", run.docs as u64),
+                        ("postings_scanned", run.stats.postings_scanned),
+                        ("hits", run.hits.len() as u64),
+                    ],
+                );
             }
-            shard_lists.push(hits);
         }
-        self.stats.set(self.stats.get() + run);
-        let span = trace.filter(|_| self.docs.len() > 1).map(|sink| sink.span("merge"));
-        let candidates: usize = shard_lists.iter().map(Vec::len).sum();
-        let ranking = merge_shard_lists(shard_lists, k);
+        let span = sharded.map(|sink| sink.span("merge"));
+        let candidates: usize = runs.iter().map(|run| run.hits.len()).sum();
+        let (ranking, stats) = merge_runs(runs, k);
+        self.stats.set(self.stats.get() + stats);
         if let Some(mut span) = span {
             span.note("candidates", candidates as u64);
             span.note("kept", ranking.hits.len() as u64);

@@ -6,10 +6,11 @@
 //! the shard workers (`src/pool.rs`), and a result-page cache miss runs on
 //! its session's own thread. The miss passes the admission gate, takes the
 //! execution lock (misses execute one at a time, in whatever order the
-//! lock grants), submits one job per shard to the corpus's pool, and
-//! computes the last shard itself while the workers compute theirs. The
-//! page cache is the one place a repeated query (same canonical query
-//! text, same top-k) is answered without executing.
+//! lock grants) and asks the corpus to run its shards
+//! (`Corpus::run_shards`), computing the last one itself while the
+//! workers compute theirs. The page cache is the one place a repeated
+//! query (same canonical query text, same top-k) is answered without
+//! executing.
 //!
 //! ## A page is rendered once per executed miss
 //!
@@ -21,16 +22,17 @@
 //!
 //! ## The invariant: serving and caching never change bytes
 //!
-//! There is one shard unit of work, `corpus::execute_shard`, and one
-//! fan-out, `Corpus::run_shards`: an executed miss runs it once, a ranked
-//! [`crate::CorpusQuery`] once per query, both on the same pool over the
-//! *same* `ShardPlan` partition, and both merge with the same
-//! comparator. A response from the server is therefore
-//! byte-identical to sequential one-query-at-a-time execution, at any
-//! shard count and under any interleaving of concurrent clients (pinned
-//! by `tests/serve.rs`). `k` travels down: each miss executes bounded by
-//! its top-k, so a served query does exactly the work of its sequential
-//! twin.
+//! A served miss *is* the bounded query: it runs the corpus's one shard
+//! job over the same `ShardPlan` partition and the one global merge
+//! (`corpus::merge_runs`) that a [`crate::CorpusQuery`] bounded to the
+//! session's top-k runs. Only the fault plan differs, and an unfired site
+//! changes nothing. A response from the server is therefore the hits and
+//! the executor work of `corpus.query(text).take(k)`, at any shard count
+//! and under any interleaving of concurrent clients (pinned by
+//! `tests/serve.rs`). What stays here is policy: admission, the execution
+//! lock, the deadline checks, the render, the cache insert and the
+//! counters — including each shard's busy time, which the job measures
+//! from after its fault sites.
 //!
 //! ## One front end
 //!
@@ -81,9 +83,7 @@
 //! ```
 
 use crate::cache::{Inserted, PageCache};
-use crate::corpus::{
-    execute_shard, merge_shard_lists, Corpus, CorpusHit, CorpusRanking, DEFAULT_TOP,
-};
+use crate::corpus::{merge_runs, Corpus, CorpusHit, CorpusRanking, DEFAULT_TOP};
 use crate::error::{XsactError, XsactResult};
 use crate::http::{self, MetricsServer};
 use crate::stats::ServeCounters;
@@ -200,7 +200,7 @@ struct ServerInner {
     /// on its own session's thread.
     executing: Mutex<()>,
     gate: Mutex<Gate>,
-    /// Shared with the shard jobs and the `/metrics` endpoint.
+    /// Shared with the `/metrics` endpoint.
     counters: Arc<ServeCounters>,
     config: ServeConfig,
     /// The result-page cache (`None` when `cache_entries` is 0). Sessions
@@ -289,9 +289,9 @@ impl Drop for CorpusServer {
 
 impl ServerInner {
     /// Executes one page-cache miss on the calling thread: admission, the
-    /// wait for the execution lock, one job per shard, the merge, the
-    /// reply's one render, and the cache insert. `submitted` is when the session's
-    /// call began (the deadline is timed from there).
+    /// wait for the execution lock, the corpus's shard runs and their
+    /// merge, the reply's one render, and the cache insert. `submitted` is
+    /// when the session's call began (the deadline is timed from there).
     fn execute_miss(
         &self,
         canonical: &str,
@@ -316,34 +316,23 @@ impl ServerInner {
         // answer could only arrive late.
         self.check_deadline(submitted)?;
         let execute_start = Instant::now();
-        // One job per shard runs the query over its document slice, with
-        // the shard's fault sites and busy time.
-        let (counters, faults) = (Arc::clone(&self.counters), self.config.faults.clone());
-        let outcomes = self.corpus.run_shards(move |shard, docs, slice| {
-            if let Some(millis) = faults.should_fire("slow_execute", shard) {
-                std::thread::sleep(Duration::from_millis(millis));
-            }
-            if faults.should_fire("shard_panic", shard).is_some() {
-                panic!("injected shard_panic fault (shard {shard})");
-            }
-            let busy = Instant::now();
-            let result = execute_shard(docs, &query, Some(k), slice, None);
-            counters.record_shard_busy(shard, busy.elapsed());
-            result
-        });
+        let outcomes = self.corpus.run_shards(query, Some(k), &self.config.faults);
         let execute = execute_start.elapsed();
         drop(executing);
+        for (shard, outcome) in outcomes.iter().enumerate() {
+            if let Ok(run) = outcome {
+                self.counters.record_shard_busy(shard, run.busy);
+            }
+        }
         let restarts = outcomes.iter().filter(|outcome| outcome.is_err()).count();
         // The first panicked shard (in shard order) fails the query. Every
         // failed shard's worker caught its panic and keeps serving, so the
         // next miss runs on a healthy pool.
-        let per_shard = outcomes.into_iter().collect::<Result<Vec<_>, _>>().map_err(|panic| {
+        let runs = outcomes.into_iter().collect::<Result<Vec<_>, _>>().map_err(|panic| {
             self.counters.record_shard_failure(restarts as u64);
             XsactError::ShardFailed { shard: panic.shard, detail: panic.detail }
         })?;
-        let stats = per_shard.iter().fold(ExecutorStats::default(), |sum, (_, s)| sum + *s);
-        let lists = per_shard.into_iter().map(|(hits, _)| hits).collect();
-        let ranking = Arc::new(merge_shard_lists(lists, k));
+        let (ranking, stats) = merge_runs(runs, k);
         // An answer that arrived after the deadline is discarded, not
         // delivered late.
         self.check_deadline(submitted)?;
@@ -361,7 +350,7 @@ impl ServerInner {
             stats.gallop_probes,
             stats.candidates_pruned,
         );
-        let answer = QueryAnswer { ranking, reply, stats, queue_wait, execute };
+        let answer = QueryAnswer { ranking: Arc::new(ranking), reply, stats, queue_wait, execute };
         // Only delivered answers are cached — a `ShardFailed`, a deadline
         // rejection, or any other error can never be replayed from the
         // cache.

@@ -4,8 +4,8 @@
 //!
 //! The metric set is fixed once the shard count is known: [`ServeCounters`]
 //! holds every counter and histogram by value, plus one busy-time
-//! histogram per shard, and the server, its shard jobs and the `/metrics`
-//! endpoint share it through one `Arc`. Any number of sessions and
+//! histogram per shard, and the server and the `/metrics` endpoint share
+//! it through one `Arc`. Any number of sessions and
 //! connection threads record through one atomic op each, with no lock and
 //! no lookup. [`ServeCounters::exposition`] renders the whole set (the
 //! `METRICS` verb and the `/metrics` HTTP endpoint) in name order. A

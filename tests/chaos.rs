@@ -91,9 +91,9 @@ fn shard_panic_on_third_batch_recovers_byte_identical() {
 
 /// A shard panic fails only the query whose broadcast panicked. Query A
 /// stalls shard 0 for 400 ms; meanwhile two other sessions submit distinct
-/// queries B and C, which therefore wait for the pool behind it. Shard 1's
-/// second call (the broadcast of whichever of B and C takes the pool first)
-/// panics: that query gets `ShardFailed`, the other runs on the recovered
+/// queries B and C, which therefore wait for the execution lock behind it.
+/// Shard 1's second call (the run of whichever of B and C takes the lock
+/// first) panics: that query gets `ShardFailed`, the other runs on the recovered
 /// pool and is byte-identical to sequential execution.
 #[test]
 fn a_shard_panic_fails_only_the_key_whose_broadcast_panicked() {
@@ -135,9 +135,10 @@ fn a_shard_panic_fails_only_the_key_whose_broadcast_panicked() {
 }
 
 /// Admission at a non-zero capacity: with `queue_capacity: 1` one miss may
-/// wait for the pool while another executes. Miss A stalls shard 0 for
-/// 400 ms; B arrives 100 ms later and waits; C arrives 100 ms after B and
-/// is turned away `Overloaded { depth: 1, capacity: 1 }` without executing.
+/// wait for the execution lock while another executes. Miss A stalls
+/// shard 0 for 400 ms; B arrives 100 ms later and waits; C arrives 100 ms
+/// after B and is turned away `Overloaded { depth: 1, capacity: 1 }`
+/// without executing. The stall is not shard 0's busy time.
 #[test]
 fn a_miss_beyond_the_admission_capacity_is_overloaded() {
     let corpus = chaos_corpus(2);
@@ -169,6 +170,15 @@ fn a_miss_beyond_the_admission_capacity_is_overloaded() {
     let stats = server.stats();
     assert_eq!(stats.rejected_overload, 1);
     assert_eq!(stats.queries_served, 2);
+    // A shard's busy time is its search alone: the injected stall comes
+    // before the clock starts.
+    let metrics = server.metrics();
+    let busy_max: u64 = metrics
+        .lines()
+        .find_map(|line| line.strip_prefix("xsact_shard_0_busy_ns_max "))
+        .and_then(|value| value.parse().ok())
+        .unwrap_or_else(|| panic!("no shard 0 busy max in:\n{metrics}"));
+    assert!(busy_max < 400_000_000, "the 400 ms stall was timed as busy: {busy_max} ns");
 }
 
 // ------------------------------------------------------ deadlines under load

@@ -81,12 +81,15 @@ fn concurrent_responses_match_sequential_bytes() {
     }
 }
 
-/// A served miss is one execution. Eight sessions each send ten queries —
-/// one text all of them share, interleaved with QM texts — at 1, 2 and 8
-/// shards, with the page cache on and off. Every answer is the sequential
-/// render, and the counters balance exactly: each cache miss (each query,
-/// with the cache off) is one execution that answers one query, and every
-/// other query is a cache hit.
+/// A served miss is one execution: the bounded query's. At 1, 2 and 8
+/// shards, a miss at top-k 1, 4 and 10 answers the hits of
+/// `corpus.query(text).take(k).selection()` at that query's executor
+/// cost, which is the sum of its documents' bounded searches. Then eight sessions each send ten queries — one text all of them
+/// share, interleaved with QM texts — with the page cache on and off.
+/// Every answer is the sequential render, and the counters balance
+/// exactly: each cache miss (each query, with the cache off) is one
+/// execution that answers one query, and every other query is a cache
+/// hit.
 #[test]
 fn each_served_miss_is_one_execution() {
     const SESSIONS: usize = 8;
@@ -101,6 +104,25 @@ fn each_served_miss_is_one_execution() {
     };
     for shards in [1usize, 2, 8] {
         let corpus = fleet(shards);
+        let uncached = ServeConfig { cache_entries: 0, ..ServeConfig::default() };
+        let server = CorpusServer::start(Arc::clone(&corpus), uncached);
+        let mut session = server.session();
+        for top in [1, 4, 10] {
+            session.set_top(top);
+            for text in &mix {
+                let answer = session.query(text).unwrap();
+                let query = corpus.query(text).unwrap().take(top);
+                let context = format!("shards {shards}, top {top}, query {text:?}");
+                assert_eq!(answer.ranking.hits, query.selection().unwrap(), "{context}");
+                assert_eq!(answer.stats, query.executor_stats(), "{context}");
+                // Both cost exactly their documents' bounded searches.
+                let parsed = Query::parse(text);
+                let searched = (0..corpus.len() as u32)
+                    .map(|d| corpus.workbench(DocId(d)).engine().search_top_k(&parsed, top, None).1)
+                    .fold(ExecutorStats::default(), |sum, stats| sum + stats);
+                assert_eq!(answer.stats, searched, "{context}");
+            }
+        }
         let sequential = |text: &str| corpus.query(text).unwrap().ranking().render(k);
         for cache_entries in [0usize, 1024] {
             let server = CorpusServer::start(

@@ -146,7 +146,7 @@ fn outcomes_share_one_instance_and_outlive_the_cache() {
     let table = multi.table();
     wb.clear_cache();
     drop(pipeline);
-    assert_eq!(wb.cached_results(), 0);
+    assert_eq!(wb.cache_stats().lookups(), 0);
     assert_eq!(multi.table(), table);
     assert_eq!(multi.dod(), 5);
     assert_eq!(multi.labels().len(), 2);
@@ -158,16 +158,22 @@ fn cache_scales_across_a_query_session() {
     let doc = MoviesGen::new(MovieGenConfig { movies: 120, ..Default::default() }).generate();
     let wb = Workbench::from_document(doc);
     let queries = ["drama family", "drama", "family", "war soldier"];
-    for q in queries {
-        if let Ok(pipeline) = wb.query(q) {
-            let _ = pipeline.take(6).features();
+    let session = |wb: &Workbench| {
+        for q in queries {
+            if let Ok(pipeline) = wb.query(q) {
+                let _ = pipeline.take(6).features();
+            }
         }
-    }
+    };
+    session(&wb);
     let stats = wb.cache_stats();
     // Overlapping queries (drama ⊃ drama family, …) must have produced hits
-    // and the cache never extracts the same root twice.
+    // and the cache never extracts the same root twice: the same session
+    // again adds only hits.
     assert!(stats.hits > 0, "no cache reuse across overlapping queries");
-    assert_eq!(wb.cached_results() as u64, stats.misses);
+    session(&wb);
+    let again = wb.cache_stats();
+    assert_eq!((again.misses, again.hits), (stats.misses, stats.hits + stats.lookups()));
 }
 
 #[test]
