@@ -1,22 +1,38 @@
 #!/usr/bin/env bash
 # The public surface, gated.
 #
-# (i)  The facade: the sorted `pub fn|struct|enum|trait|const|type|static`
-#      signatures of src/*.rs must equal ci/facade_api.golden, so "public
-#      facade unchanged" is a reviewed diff of that file.
-# (ii) The layer crates: every such `pub` name declared in the product code
-#      of crates/*/src must occur as a word in the product code of some
-#      *other* file of a product surface (src/, crates/, examples/,
-#      bench/src) or be listed in ci/surface.allow — one `name  reason` line
-#      per oracle, or builder of an input, that only tests reach. Product
-#      code is a file with every `#[cfg(test)]` item, every `pub use`
-#      statement and every comment line blanked: test code, a re-export, a
-#      doc link or a doctest reaches nothing, and a `pub` item of test code
-#      is no surface. The vendored `rand` shim is excepted: it mirrors an
-#      external API.
-# (iii) The allowlist: each name must still be declared `pub` in a layer
-#      crate's product code, and every `tests/*.rs` file its reason cites
-#      must name it as a word.
+# (i)  The facade's shape: the sorted `pub fn|struct|enum|trait|const|type|
+#      static` signatures of src/*.rs must equal ci/facade_api.golden, so
+#      "public facade unchanged" is a reviewed diff of that file.
+# (ii) Reach: every such `pub` item declared in the product code of a layer
+#      crate (crates/*/src) or of the facade (src/) must be reached by the
+#      product code of another file of a product surface (src/, crates/,
+#      examples/, bench/src), or be listed in ci/surface.allow.
+#      - A `pub fn` of an `impl T` block is reached by a call: `.name(`,
+#        `.name::<` or `T::name`. A local, a field or a free function of
+#        the same name reaches nothing.
+#      - Any other item (a free fn, a type, a const, a static) is reached by
+#        its name as a word. A type in the signature of a `pub fn` of its
+#        own file is reached with that function, and a name in the type of
+#        a `pub` field of its own file with that field: callers hold the
+#        value without naming its type.
+#      - A facade item is reached only from outside src/: the CLI, the
+#        examples and bench/src. A method src/ alone calls is `pub(crate)`.
+#      Product code is a file with every `#[cfg(test)]` item, every `pub
+#      use` statement and every comment line blanked: test code, a
+#      re-export, a doc link or a doctest reaches nothing, and a `pub` item
+#      of test code is no surface. The vendored `rand` shim is excepted: it
+#      mirrors an external API.
+#      The limit of the call rule: it reads text, not types. A method whose
+#      name std also uses (`get`, `contains`, `to_vec`, `parse`, ...) is
+#      reached by any such call on any type. Those were settled by hand,
+#      by deleting each on a copy and building the workspace, its examples
+#      and bench/; a new one has to be too.
+# (iii) The allowlist: one `name  reason` line (`T::name  reason` for a
+#      method) per reference or builder of an input that only tests reach.
+#      Each must still be declared `pub` in the product code of a layer
+#      crate or the facade, and every `tests/*.rs` file its reason cites
+#      must name it (call it, for a method).
 #
 # `bash ci/surface.sh --bless` rewrites the golden from the tree;
 # `bash ci/surface.sh --product-code <dir>` checks nothing and writes the
@@ -54,20 +70,29 @@ if [[ "${1:-}" == "--bless" ]]; then
 fi
 
 mapfile -t files < <(find src crates examples bench/src -name '*.rs' | sort)
+mapfile -t outside < <(printf '%s\n' "${files[@]}" | grep -v '^src/')
 allowed=$(awk '!/^[[:space:]]*(#|$)/ {print $1}' ci/surface.allow)
 
 # The product code of each file, under the same relative path in $code:
 # every `#[cfg(test)]` item (from the attribute to the `}` that closes its
 # first `{`, or to its `;`, braces in strings, chars and comments not
 # counted), every `pub use` statement (to its `;`) and every comment line
-# (`//`, `///`, `//!`, doctests included) blanked.
-code=$(mktemp -d)
-trap 'rm -rf "$code"' EXIT
+# (`//`, `///`, `//!`, doctests included) blanked. Each `pub` declaration
+# of product code goes to $decls as `file kind name owner`, where the
+# owner of a `pub fn` directly inside an inherent `impl T` block is `T`
+# and that of any other item `-`.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+code=$tmp/code decls=$tmp/decls
+mkdir "$code"
 printf '%s\n' "${files[@]}" | xargs dirname | sort -u | (cd "$code" && xargs mkdir -p)
-awk -v out="$code" '
-    # Scans `line` for the end of the test item: updates the string, raw
-    # string, block comment and brace state; returns 1 once the item ends.
-    function item_ends(line,    n, i, c, d, p, j) {
+awk -v out="$code" -v decls="$decls" -v decl="$DECL" '
+    # Lexes `line`: `{` and `}` outside strings, raw strings, chars and
+    # comments move `depth`; the `{` after an impl header pushes its owner
+    # and the `}` that closes it pops it. A test item ends (`ended`) at the
+    # `}` that brings `depth` back to where it began, or at a `;` before
+    # its first `{`.
+    function scan(line,    n, i, c, d, p, j) {
         n = length(line)
         for (i = 1; i <= n; i++) {
             c = substr(line, i, 1); d = substr(line, i + 1, 1)
@@ -78,7 +103,7 @@ awk -v out="$code" '
             } else if (raw != "") {
                 if (c == "\"" && substr(line, i + 1, length(raw) - 1) == substr(raw, 2)) { i += length(raw) - 1; raw = "" }
             } else if (c == "/" && d == "/") {
-                return 0
+                return
             } else if (c == "/" && d == "*") {
                 blk = 1; i++
             } else if (c == "\"") {
@@ -97,19 +122,47 @@ awk -v out="$code" '
                 }
             } else if (c == "{") {
                 depth++; opened = 1
+                if (pending != "") { impls++; at[impls] = depth; owner[impls] = pending; pending = "" }
             } else if (c == "}") {
-                if (--depth == 0 && opened) return 1
-            } else if (c == ";" && !opened) {
-                return 1
+                if (impls && at[impls] == depth) impls--
+                if (--depth == base && opened && test) ended = 1
+            } else if (c == ";" && !opened && test) {
+                ended = 1
             }
         }
-        return 0
     }
-    FNR == 1 { if (dest) close(dest); dest = out "/" FILENAME; skip = 0; test = 0 }
-    !test && /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1; depth = 0; opened = 0; str = 0; raw = ""; blk = 0 }
-    test { if (item_ends($0)) test = 0; print "" > dest; next }
+    # The type an impl header is for, or "-" for a trait impl.
+    function impl_owner(line,    h, i, level) {
+        h = line
+        sub(/^[[:space:]]*(unsafe[[:space:]]+)?impl/, "", h)
+        if (substr(h, 1, 1) == "<") {
+            for (i = 1; i <= length(h); i++) {
+                if (substr(h, i, 1) == "<") level++
+                else if (substr(h, i, 1) == ">" && --level == 0) break
+            }
+            h = substr(h, i + 1)
+        }
+        if (h ~ /[[:space:]]for[[:space:]]/ || !match(h, /[A-Za-z_][A-Za-z0-9_:]*/)) return "-"
+        h = substr(h, RSTART, RLENGTH)
+        sub(/.*::/, "", h)
+        return h
+    }
+    FNR == 1 {
+        if (dest) close(dest)
+        dest = out "/" FILENAME; skip = 0; test = 0; depth = 0; impls = 0; pending = ""; blk = 0; str = 0; raw = ""
+    }
+    /^[[:space:]]*(unsafe[[:space:]]+)?impl[[:space:]<]/ { pending = impl_owner($0) }
+    !test && /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1; base = depth; opened = 0; ended = 0 }
+    test { scan($0); if (ended) test = 0; print "" > dest; next }
     !skip && /^[[:space:]]*pub use / { skip = 1 }
-    { print ((skip || /^[[:space:]]*\/\//) ? "" : $0) > dest }
+    !skip && $0 ~ decl {
+        item = $0
+        sub(/^[[:space:]]*pub /, "", item)
+        split(item, word, /[^A-Za-z0-9_]+/)
+        for (k = 1; word[k] ~ /^(const|unsafe)$/ && word[k + 1] ~ /^(const|unsafe|fn)$/; k++) {}
+        print FILENAME, word[k], word[k + 1], (word[k] == "fn" && impls && at[impls] == depth ? owner[impls] : "-") > decls
+    }
+    { print ((skip || /^[[:space:]]*\/\//) ? "" : $0) > dest; scan($0) }
     skip && /;/ { skip = 0 }' "${files[@]}"
 
 if [[ "${1:-}" == "--product-code" ]]; then
@@ -124,36 +177,70 @@ if ! facade_api | diff -u ci/facade_api.golden -; then
     status=1
 fi
 
-while read -r file kind name; do
+# The files other than $1, among those the rest of the arguments name, whose
+# product code matches the extended regex $2.
+callers() {
+    local file=$1 pattern=$2
+    shift 2
+    (cd "$code" && grep -lE -- "$pattern" "$@") | grep -vxF -- "$file"
+}
+
+# The facade's `pub fn` signatures, impl headers dropped.
+signatures=$(facade_api | sed -E 's/^[^ ]+ (impl[^:]*: )?//' | grep -E '^pub ((const|unsafe) )*fn ' || true)
+
+while read -r file kind name owner; do
+    if [[ $file == src/* ]]; then
+        scope=("${outside[@]}") where="no product file outside src/ (the CLI, examples/, bench/src)"
+    else
+        scope=("${files[@]}") where="no other file under src/ crates/ examples/ bench/src"
+    fi
+    if [[ $owner != - ]]; then
+        grep -qxF -- "$owner::$name" <<<"$allowed" && continue
+        if ! callers "$file" "\\.$name(\\(|::<)|(^|[^A-Za-z0-9_])$owner::$name([^A-Za-z0-9_]|\$)" "${scope[@]}" >/dev/null; then
+            echo "surface: pub fn \`$owner::$name\` ($file) is called (\`.$name(\` or \`$owner::$name\`) by $where and is not in ci/surface.allow" >&2
+            status=1
+        fi
+        continue
+    fi
     grep -qxF -- "$name" <<<"$allowed" && continue
-    # A type in the signature of a `pub fn` of its own file is reached with
-    # that function, and a name in the type of a `pub` field of its own file
-    # with that field: callers hold the value without naming its type.
-    if [[ $kind != fn && $kind != const && $kind != static ]] &&
+    if [[ $file == src/* ]]; then
+        # A facade type is reached through the signature of any facade
+        # `pub fn` or the type of any facade `pub` field.
+        if [[ $kind != fn && $kind != const && $kind != static ]] &&
+            { grep -qw -- "$name" <<<"$signatures" ||
+                (cd "$code" && grep -qwE -- "^[[:space:]]*pub [a-z_][a-z0-9_]*: .*$name" src/*.rs); }; then
+            continue
+        fi
+    elif [[ $kind != fn && $kind != const && $kind != static ]] &&
         grep -qwE -- "pub ((const|unsafe) )*fn .*$name" "$code/$file"; then
         continue
-    fi
-    if grep -qwE -- "^[[:space:]]*pub [a-z_][a-z0-9_]*: .*$name" "$code/$file"; then
+    elif grep -qwE -- "^[[:space:]]*pub [a-z_][a-z0-9_]*: .*$name" "$code/$file"; then
         continue
     fi
-    if ! (cd "$code" && grep -lw -- "$name" "${files[@]}") | grep -vxF -- "$file" >/dev/null; then
-        echo "surface: pub $kind \`$name\` ($file) is named by no other file under src/ crates/ examples/ bench/src and is not in ci/surface.allow" >&2
+    if ! callers "$file" "(^|[^A-Za-z0-9_])$name([^A-Za-z0-9_]|\$)" "${scope[@]}" >/dev/null; then
+        echo "surface: pub $kind \`$name\` ($file) is named by $where and is not in ci/surface.allow" >&2
         status=1
     fi
-done < <(cd "$code" && printf '%s\n' "${files[@]}" | grep -E '^crates/[^/]+/src/' | grep -v '^crates/rand/' |
-    xargs grep -HE "$DECL" |
-    sed -nE 's/^([^:]+):[[:space:]]*pub ((const|unsafe) )*([a-z]+) ([A-Za-z_][A-Za-z0-9_]*).*/\1 \4 \5/p' |
-    sort -u)
+done < <(grep -E '^(src|crates/[^/]+/src)/' "$decls" | grep -v '^crates/rand/' | sort -u)
 
-# An allowlist entry must name something a layer crate's product code still
-# declares, and every test file its reason cites must name it.
+# An allowlist entry must name something the product code of a layer crate
+# or the facade still declares, and every test file its reason cites must
+# name it: call it, for a method.
 while read -r name reason; do
-    if ! grep -rqwE -- "pub ((const|unsafe) )*[a-z]+ $name" "$code/crates" --include='*.rs'; then
-        echo "surface: ci/surface.allow lists \`$name\`, which no layer crate declares pub" >&2
+    if [[ $name == *::* ]]; then
+        owner=${name%::*} method=${name#*::}
+        declared=$(awk -v o="$owner" -v m="$method" '$3 == m && $4 == o' "$decls")
+        pattern="\\.$method(\\(|::<)|(^|[^A-Za-z0-9_])$owner::$method([^A-Za-z0-9_]|\$)"
+    else
+        declared=$(awk -v n="$name" '$3 == n && $4 == "-"' "$decls")
+        pattern="(^|[^A-Za-z0-9_])$name([^A-Za-z0-9_]|\$)"
+    fi
+    if ! grep -E '^(src|crates/[^/]+/src)/' <<<"$declared" | grep -qv '^crates/rand/'; then
+        echo "surface: ci/surface.allow lists \`$name\`, which neither a layer crate nor the facade declares pub" >&2
         status=1
     fi
     for test in $(grep -oE 'tests/[A-Za-z0-9_/]+\.rs' <<<"$reason" || true); do
-        if ! grep -qw -- "$name" "$test" 2>/dev/null; then
+        if ! grep -qE -- "$pattern" "$test" 2>/dev/null; then
             echo "surface: ci/surface.allow cites $test for \`$name\`, which that file does not name" >&2
             status=1
         fi

@@ -136,8 +136,8 @@ pub fn compare(
     })
 }
 
-/// Runs `algorithm` on a prebuilt instance. The bench harness calls this
-/// directly to exclude preprocessing from timings.
+/// Runs `algorithm` on a prebuilt instance. Outside tests its callers are
+/// [`compare`] and the bench harness, which times the DFS stage alone.
 ///
 /// Panics if an [`Algorithm::Exhaustive`] run exceeds its combination
 /// limit — callers that cannot bound the instance go through [`compare`]

@@ -46,11 +46,6 @@ impl Dfs {
         self.prefix[e]
     }
 
-    /// All prefix lengths.
-    pub fn prefixes(&self) -> &[usize] {
-        &self.prefix
-    }
-
     /// Number of selected features (= selected types: a DFS holds one
     /// feature per type, the type's dominant value).
     pub fn size(&self) -> usize {
@@ -89,14 +84,6 @@ impl Dfs {
             None
         } else {
             Some(inst.ranked(result, e)[self.prefix[e] - 1])
-        }
-    }
-
-    /// Whether a type is selected.
-    pub fn contains(&self, inst: &Instance, result: usize, t: TypeId) -> bool {
-        match inst.rank_of(result, t) {
-            Some((e, pos)) => pos < self.prefix[e],
-            None => false,
         }
     }
 
@@ -168,16 +155,6 @@ impl PartialEq for DfsSet {
 impl Eq for DfsSet {}
 
 impl DfsSet {
-    /// One empty DFS per result.
-    pub fn empty(inst: &Instance) -> Self {
-        let words = inst.words_per_row();
-        DfsSet {
-            dfss: vec![Dfs::empty(inst.entities.len()); inst.result_count()],
-            masks: vec![0; inst.result_count() * words],
-            words,
-        }
-    }
-
     /// Wraps pre-built DFSs.
     ///
     /// # Panics
@@ -275,6 +252,30 @@ impl DfsSet {
             self.dfss[i].for_each_selected(inst, i, |t| bits::set_bit(&mut fresh, t));
             fresh == self.mask(i)
         })
+    }
+}
+
+#[cfg(test)]
+impl Dfs {
+    /// All prefix lengths.
+    pub(crate) fn prefixes(&self) -> &[usize] {
+        &self.prefix
+    }
+
+    /// Whether a type is selected.
+    pub(crate) fn contains(&self, inst: &Instance, result: usize, t: TypeId) -> bool {
+        match inst.rank_of(result, t) {
+            Some((e, pos)) => pos < self.prefix[e],
+            None => false,
+        }
+    }
+}
+
+#[cfg(test)]
+impl DfsSet {
+    /// One empty DFS per result.
+    pub(crate) fn empty(inst: &Instance) -> Self {
+        DfsSet::from_dfss(inst, vec![Dfs::empty(inst.entities.len()); inst.result_count()])
     }
 }
 

@@ -190,8 +190,7 @@ struct ValueRef<'a> {
     value: &'a str,
 }
 
-/// `count / instances`, 0 for an entity without instances (as
-/// `Stat::ratio` has it for the whole type).
+/// `count / instances`, 0 for an entity without instances.
 #[inline]
 fn per_instance(count: u32, instances: u32) -> f64 {
     if instances == 0 {

@@ -320,6 +320,7 @@ mod tests {
     #[test]
     fn renders_like_the_oracle_on_the_movie_pool() {
         use xsact_data::{vocab, MoviesGen};
+        use xsact_entity::extract_features;
         use xsact_index::{Query, SearchEngine};
         let engine = SearchEngine::build(MoviesGen::default_gen().generate());
         let config = DfsConfig { size_bound: 8, threshold_pct: 10.0 };
@@ -333,8 +334,13 @@ mod tests {
                 continue;
             }
             pool += 1;
-            let features: Vec<ResultFeatures> =
-                top.iter().map(|root| engine.extract_features(&engine.result_for(root))).collect();
+            let features: Vec<ResultFeatures> = top
+                .iter()
+                .map(|root| {
+                    let r = engine.result_for(root);
+                    extract_features(engine.document(), engine.summary(), r.root, &r.label)
+                })
+                .collect();
             let inst = Instance::build(&features, config);
             for algorithm in Algorithm::ALL {
                 let (set, _) = run_algorithm(&inst, algorithm);

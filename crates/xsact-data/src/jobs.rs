@@ -82,11 +82,6 @@ impl JobsGen {
         JobsGen { config }
     }
 
-    /// Generator with default configuration.
-    pub fn default_gen() -> Self {
-        JobsGen::new(JobsGenConfig::default())
-    }
-
     /// Generates the dataset.
     pub fn generate(&self) -> Document {
         let cfg = &self.config;

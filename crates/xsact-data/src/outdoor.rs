@@ -48,11 +48,6 @@ impl OutdoorGen {
         OutdoorGen { config }
     }
 
-    /// Generator with default configuration.
-    pub fn default_gen() -> Self {
-        OutdoorGen::new(OutdoorGenConfig::default())
-    }
-
     /// Generates the dataset.
     pub fn generate(&self) -> Document {
         let cfg = &self.config;

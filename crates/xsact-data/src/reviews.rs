@@ -45,11 +45,6 @@ impl ReviewsGen {
         ReviewsGen { config }
     }
 
-    /// Generator with default configuration.
-    pub fn default_gen() -> Self {
-        ReviewsGen::new(ReviewsGenConfig::default())
-    }
-
     /// Generates the dataset.
     pub fn generate(&self) -> Document {
         let cfg = &self.config;

@@ -221,18 +221,6 @@ impl<'a> Stat<'a> {
         self.rec.entity_instances
     }
 
-    /// Occurrence ratio of the whole type: `occurrences / entity_instances`.
-    ///
-    /// The paper's "Pro:Compact occurs 8/11 = 73%". Can exceed 1.0 for
-    /// multi-valued types (several occurrences per instance).
-    pub fn ratio(self) -> f64 {
-        if self.rec.entity_instances == 0 {
-            0.0
-        } else {
-            f64::from(self.rec.occurrences) / f64::from(self.rec.entity_instances)
-        }
-    }
-
     /// Content hash of the stat's feature type: equal types hash equally,
     /// equal hashes must be confirmed on the strings.
     pub fn ty_hash(self) -> u64 {
@@ -914,7 +902,6 @@ mod tests {
         assert_eq!(name.dominant().0, "TomTom Go 630");
         assert_eq!(name.occurrences(), 1);
         assert_eq!(name.entity_instances(), 1);
-        assert!((name.ratio() - 1.0).abs() < 1e-12);
         let rating = rf.get(&FeatureType::new(PRODUCT, "rating")).unwrap();
         assert_eq!(rating.dominant().0, "4.2");
     }
@@ -926,7 +913,6 @@ mod tests {
         let compact = rf.get(&FeatureType::new(REVIEW, "pros:compact")).unwrap();
         assert_eq!(compact.occurrences(), 2);
         assert_eq!(compact.entity_instances(), 3);
-        assert!((compact.ratio() - 2.0 / 3.0).abs() < 1e-12);
         let easy = rf.get(&FeatureType::new(REVIEW, "pros:easy_to_read")).unwrap();
         assert_eq!(easy.occurrences(), 3);
         let auto = rf.get(&FeatureType::new(REVIEW, "uses:best_use:auto")).unwrap();
@@ -980,7 +966,7 @@ mod tests {
         assert_eq!(kw.occurrences(), 3);
         assert_eq!(kw.values().collect::<Vec<_>>(), [("war", 2), ("epic", 1)]);
         assert_eq!(kw.dominant(), ("war", 2));
-        assert!(kw.ratio() > 1.0);
+        assert!(kw.occurrences() > kw.entity_instances(), "several keywords per movie");
     }
 
     #[test]
@@ -1167,7 +1153,7 @@ mod tests {
         let a = rf.get(&FeatureType::new("e", "a")).unwrap();
         assert_eq!((a.values().collect::<Vec<_>>(), a.entity_instances()), (vec![("yes", 3)], 5));
         assert_eq!((instances_of(&rf, "e"), instances_of(&rf, "f")), (5, 0));
-        assert_eq!(rf.get(&FeatureType::new("f", "a")).unwrap().ratio(), 0.0);
+        assert_eq!(rf.get(&FeatureType::new("f", "a")).unwrap().entity_instances(), 0);
     }
 
     #[test]

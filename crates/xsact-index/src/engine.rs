@@ -9,8 +9,7 @@
 //! be a brand selling men's jackets").
 //!
 //! There are two ways to run a query. [`SearchEngine::search_all`] returns
-//! every result in document order ([`SearchEngine::search`] is its
-//! untraced shorthand). [`SearchEngine::search_top_k`] returns the best
+//! every result in document order. [`SearchEngine::search_top_k`] returns the best
 //! `k` results by relevance, streamed through a bounded heap and left
 //! unlabelled until [`SearchEngine::result_for`] — the path every ranked,
 //! `take(k)` and corpus caller runs. Both report the executor's work as
@@ -24,7 +23,7 @@ use crate::query::Query;
 use crate::rank::{rank_results, ScoredResult, Scorer, TopK};
 use crate::trace::{Span, TraceSink};
 use std::collections::HashMap;
-use xsact_entity::{extract_features, NodeClass, ResultFeatures, StructureSummary};
+use xsact_entity::{NodeClass, StructureSummary};
 use xsact_xml::{writer, Document, NodeId};
 
 /// Which lowest-common-ancestor semantics defines a keyword match. SLCA is
@@ -116,19 +115,11 @@ impl SearchEngine {
         &self.index
     }
 
-    /// Runs a conjunctive keyword query with SLCA semantics.
-    ///
-    /// Results are distinct entity subtrees in document order. An empty
-    /// query, or a query containing a term absent from the document,
-    /// returns no results.
-    pub fn search(&self, query: &Query) -> Vec<SearchResult> {
-        self.search_all(query, None).0
-    }
-
     /// The document-order search: every SLCA result of a conjunctive
-    /// keyword query, plus what the executor did to find them. A query the
-    /// planner proves empty (no terms, or a term with zero postings)
-    /// returns zeroed counters — no SLCA work ran at all.
+    /// keyword query — distinct entity subtrees in document order — plus
+    /// what the executor did to find them. A query the planner proves empty
+    /// (no terms, or a term with zero postings) returns no results and
+    /// zeroed counters — no SLCA work ran at all.
     ///
     /// With a `trace`, the stages record `plan` → `slca-stream` → `sort`
     /// spans; with `None` no timestamps are taken at all. Tracing never
@@ -205,7 +196,7 @@ impl SearchEngine {
     /// the TF-IDF/specificity scorer in [`crate::rank`] — the "result
     /// ranking" companion technique the paper's summary names.
     pub fn search_ranked(&self, query: &Query) -> Vec<(SearchResult, ScoredResult)> {
-        let results = self.search(query);
+        let (results, _) = self.search_all(query, None);
         let roots: Vec<NodeId> = results.iter().map(|r| r.root).collect();
         let scored = rank_results(&self.doc, &self.index, query, &roots);
         // Roots are distinct (search deduplicates promotions), so one map
@@ -304,12 +295,6 @@ impl SearchEngine {
         }
     }
 
-    /// Extracts the aggregated feature statistics of a result — the input of
-    /// the DFS algorithms in `xsact-core`.
-    pub fn extract_features(&self, result: &SearchResult) -> ResultFeatures {
-        extract_features(&self.doc, &self.summary, result.root, result.label.as_str())
-    }
-
     /// Serialises the result subtree as XML (the "click the name to see the
     /// entire result" interaction of the demo).
     pub fn result_xml(&self, result: &SearchResult) -> String {
@@ -335,6 +320,7 @@ impl SearchEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xsact_entity::extract_features;
     use xsact_xml::parse_document;
 
     fn shop_engine() -> SearchEngine {
@@ -355,6 +341,11 @@ mod tests {
         SearchEngine::build(doc)
     }
 
+    /// The document-order results of `text`.
+    fn search(engine: &SearchEngine, text: &str) -> Vec<SearchResult> {
+        engine.search_all(&Query::parse(text), None).0
+    }
+
     /// The streaming top-k under SLCA, labelled — the shape the
     /// [`SearchEngine::search_ranked`] oracle returns.
     fn top_k(
@@ -369,7 +360,7 @@ mod tests {
     #[test]
     fn paper_query_returns_both_tomtom_products() {
         let engine = shop_engine();
-        let results = engine.search(&Query::parse("TomTom GPS"));
+        let results = search(&engine, "TomTom GPS");
         let labels: Vec<&str> = results.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(labels, ["TomTom Go 630", "TomTom Go 730"]);
     }
@@ -377,12 +368,13 @@ mod tests {
     #[test]
     fn results_promoted_to_entity_roots() {
         let engine = shop_engine();
-        let results = engine.search(&Query::parse("TomTom GPS"));
+        let results = search(&engine, "TomTom GPS");
         for r in &results {
             assert_eq!(engine.document().tag(r.root), "product");
             // The SLCA sits inside the promoted subtree.
             let d = engine.document();
-            assert!(d.dewey(r.slca).components().starts_with(d.dewey(r.root).components()));
+            let (slca, root) = (d.dewey(r.slca).to_string(), d.dewey(r.root).to_string());
+            assert!(slca == root || slca.starts_with(&format!("{root}.")), "{slca} in {root}");
         }
     }
 
@@ -391,7 +383,7 @@ mod tests {
         // Both `compact` and the review match inside the same product → one
         // result per product.
         let engine = shop_engine();
-        let results = engine.search(&Query::parse("compact review"));
+        let results = search(&engine, "compact review");
         let mut roots: Vec<NodeId> = results.iter().map(|r| r.root).collect();
         roots.dedup();
         assert_eq!(roots.len(), results.len());
@@ -400,14 +392,14 @@ mod tests {
     #[test]
     fn unknown_term_yields_nothing() {
         let engine = shop_engine();
-        assert!(engine.search(&Query::parse("TomTom zeppelin")).is_empty());
-        assert!(engine.search(&Query::parse("")).is_empty());
+        assert!(search(&engine, "TomTom zeppelin").is_empty());
+        assert!(search(&engine, "").is_empty());
     }
 
     #[test]
     fn single_term_query() {
         let engine = shop_engine();
-        let results = engine.search(&Query::parse("camera"));
+        let results = search(&engine, "camera");
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].label, "Canon Ixus");
     }
@@ -415,8 +407,13 @@ mod tests {
     #[test]
     fn extract_features_uses_result_label() {
         let engine = shop_engine();
-        let results = engine.search(&Query::parse("TomTom GPS"));
-        let rf = engine.extract_features(&results[0]);
+        let results = search(&engine, "TomTom GPS");
+        let rf = extract_features(
+            engine.document(),
+            engine.summary(),
+            results[0].root,
+            &results[0].label,
+        );
         assert_eq!(rf.label(), "TomTom Go 630");
         assert!(rf.type_count() >= 2);
         let review = rf.stats().find(|s| s.entity() == "shop/product/reviews/review").unwrap();
@@ -426,7 +423,7 @@ mod tests {
     #[test]
     fn result_xml_is_well_formed_subtree() {
         let engine = shop_engine();
-        let results = engine.search(&Query::parse("Canon"));
+        let results = search(&engine, "Canon");
         let xml = engine.result_xml(&results[0]);
         assert!(xml.starts_with("<product>"));
         assert!(parse_document(&xml).is_ok());
@@ -439,7 +436,7 @@ mod tests {
         )
         .unwrap();
         let engine = SearchEngine::build(doc);
-        let results = engine.search(&Query::parse("k"));
+        let results = search(&engine, "k");
         assert_eq!(results.len(), 2);
         // First item: no name/title child, no name attr → tag + dewey.
         assert!(results[0].label.starts_with("item ["));
@@ -450,7 +447,7 @@ mod tests {
     #[test]
     fn results_in_document_order() {
         let engine = shop_engine();
-        let results = engine.search(&Query::parse("compact"));
+        let results = search(&engine, "compact");
         assert!(results.windows(2).all(|pair| pair[0].root < pair[1].root));
     }
 
@@ -523,7 +520,7 @@ mod tests {
             assert!(pair[0].1.score >= pair[1].1.score);
         }
         // Every ranked entry corresponds to a search result.
-        let plain = engine.search(&Query::parse("compact"));
+        let plain = search(&engine, "compact");
         assert_eq!(ranked.len(), plain.len());
     }
 }

@@ -510,7 +510,8 @@ mod tests {
         let xml = "<r><sec><x>k1</x><y>k2</y></sec><sec><x>k1</x><y>k2</y></sec></r>";
         let (doc, idx) = doc_and_index(xml);
         let q = Query::parse("k1 k2");
-        let decoded: Vec<Vec<NodeId>> = q.iter().map(|t| idx.postings(t).to_vec()).collect();
+        let decoded: Vec<Vec<NodeId>> =
+            q.iter().map(|t| idx.postings(t).iter().collect::<Vec<_>>()).collect();
         let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
         let oracle = slca_full_scan(&doc, &lists);
         let plan = QueryPlan::new(&idx, &q);
@@ -542,7 +543,7 @@ mod tests {
     fn gallop_insertion_equals_partition_point_for_any_anchor() {
         let xml = "<r><s><a>k</a><a>k</a></s><s><a>k</a></s><s><a>k</a><a>k</a><a>k</a></s></r>";
         let (doc, idx) = doc_and_index(xml);
-        let list = idx.postings("a").to_vec();
+        let list = idx.postings("a").iter().collect::<Vec<_>>();
         assert!(list.len() >= 6);
         for x in doc.all_nodes() {
             let expected = list.partition_point(|&n| n < x);
@@ -649,7 +650,7 @@ mod tests {
         let xml = format!("<r>{}</r>", "<s><a>k</a><b/><a>k</a></s><a>k</a>".repeat(100));
         let (doc, idx) = doc_and_index(&xml);
         let packed = idx.postings("a");
-        let flat = packed.to_vec();
+        let flat: Vec<NodeId> = packed.iter().collect();
         assert_eq!(packed.frame_count(), 3);
         for x in doc.all_nodes() {
             for anchor in [0, 1, 127, 128, 129, 200, flat.len() - 1, flat.len(), flat.len() + 2] {

@@ -34,9 +34,9 @@
 //! Posting lists are sorted in document order and deduplicated. Node ids
 //! are preorder ranks, so document order is id order: every list increases
 //! strictly, every frame is a delta frame, and the query planner and the
-//! scorer compare and count plain integers. The flat `Vec<NodeId>`
-//! representation survives only as [`PostingsRef::to_vec`] — what the
-//! full-scan oracle and the property suite consume.
+//! scorer compare and count plain integers. A flat `Vec<NodeId>` is only
+//! what a test collects from [`PostingsRef::iter`] for the full-scan
+//! oracle.
 
 use crate::lexer::for_each_term;
 use xsact_xml::{Document, Interner, NodeId, Sym};
@@ -346,24 +346,9 @@ impl InvertedIndex {
         PostingsRef { store: &self.store, first_frame, len }
     }
 
-    /// Whether the term occurs anywhere in the document.
-    pub fn contains(&self, term: &str) -> bool {
-        self.term_sym(term).is_some()
-    }
-
-    /// Number of distinct terms.
-    pub fn term_count(&self) -> usize {
-        self.spans.len()
-    }
-
     /// The shared frame store (persistence serialises its arrays).
     pub(crate) fn store(&self) -> &PackedStore {
         &self.store
-    }
-
-    /// Iterates the indexed terms in lexicographic (dictionary) order.
-    pub fn terms(&self) -> impl Iterator<Item = &str> {
-        self.sorted.iter().map(|&sym| self.terms.resolve(sym))
     }
 
     /// Iterates `(term, postings)` in dictionary order — what the
@@ -471,22 +456,6 @@ impl<'a> PostingsRef<'a> {
     /// Iterates the list in document order, decoding one frame at a time.
     pub fn iter(&self) -> PostingsIter<'a> {
         PostingsIter { list: *self, pos: 0, cache: FrameCache::new() }
-    }
-
-    /// Decodes the whole list into a flat vector — what the full-scan
-    /// oracle consumes.
-    pub fn to_vec(&self) -> Vec<NodeId> {
-        self.iter().collect()
-    }
-
-    /// The `i`-th posting. Decodes the containing frame — O(`FRAME`);
-    /// prefer [`iter`](Self::iter) or a cached-frame cursor in loops.
-    pub fn get(&self, i: usize) -> NodeId {
-        assert!(i < self.len(), "posting index {i} out of range (len {})", self.len());
-        let mut buf = [0u32; FRAME];
-        let n = self.decode_frame_into(i / FRAME, &mut buf);
-        debug_assert!(i % FRAME < n);
-        NodeId::from_index(buf[i % FRAME])
     }
 
     /// A subtree range counter over this list, for repeated
@@ -730,7 +699,7 @@ mod tests {
         // Every element tagged `product` matches the term.
         assert_eq!(idx.postings("product").len(), 2);
         assert_eq!(idx.postings("shop").len(), 1);
-        assert_eq!(idx.postings("shop").get(0), d.root());
+        assert_eq!(idx.postings("shop").iter().next(), Some(d.root()));
     }
 
     #[test]
@@ -739,7 +708,7 @@ mod tests {
         let idx = InvertedIndex::build(&d);
         let tomtom = idx.postings("tomtom");
         assert_eq!(tomtom.len(), 1);
-        assert_eq!(d.tag(tomtom.get(0)), "name");
+        assert_eq!(d.tag(tomtom.iter().next().unwrap()), "name");
     }
 
     #[test]
@@ -750,8 +719,8 @@ mod tests {
         // product 2's note.
         let gps = idx.postings("gps");
         assert_eq!(gps.len(), 2);
-        assert_eq!(d.tag(gps.get(0)), "product");
-        assert_eq!(d.tag(gps.get(1)), "note");
+        let tags: Vec<&str> = gps.iter().map(|n| d.tag(n)).collect();
+        assert_eq!(tags, ["product", "note"]);
         assert_eq!(idx.postings("category").len(), 1);
     }
 
@@ -760,7 +729,7 @@ mod tests {
         let d = doc();
         let idx = InvertedIndex::build(&d);
         for term in ["product", "gps", "name"] {
-            let list = idx.postings(term).to_vec();
+            let list = idx.postings(term).iter().collect::<Vec<_>>();
             for pair in list.windows(2) {
                 assert!(pair[0] < pair[1], "term {term} out of order");
                 assert!(d.dewey(pair[0]) < d.dewey(pair[1]), "term {term}: id order ≠ path order");
@@ -780,9 +749,8 @@ mod tests {
     fn missing_term_is_empty() {
         let idx = InvertedIndex::build(&doc());
         assert!(idx.postings("zzz").is_empty());
-        assert_eq!(idx.postings("zzz").to_vec(), Vec::new());
-        assert!(!idx.contains("zzz"));
-        assert!(idx.contains("tomtom"));
+        assert_eq!(idx.postings("zzz").iter().next(), None);
+        assert!(!idx.postings("tomtom").is_empty());
         assert_eq!(idx.term_sym("zzz"), None);
     }
 
@@ -797,7 +765,7 @@ mod tests {
     fn stats_reflect_contents() {
         let idx = InvertedIndex::build(&doc());
         let s = idx.stats();
-        assert_eq!(s.terms, idx.term_count());
+        assert_eq!(s.terms, idx.dictionary().count());
         assert!(s.total_postings >= s.terms);
         assert!(s.longest_list >= 2); // "product" has two entries
         assert_eq!(s.flat_postings_bytes, s.total_postings * 4);
@@ -808,11 +776,11 @@ mod tests {
     #[test]
     fn terms_iterate_in_dictionary_order() {
         let idx = InvertedIndex::build(&doc());
-        let terms: Vec<&str> = idx.terms().collect();
+        let terms: Vec<&str> = idx.dictionary().map(|(term, _)| term).collect();
         let mut sorted = terms.clone();
         sorted.sort_unstable();
         assert_eq!(terms, sorted);
-        assert_eq!(terms.len(), idx.term_count());
+        assert_eq!(terms.len(), idx.stats().terms);
         // The dictionary pairs terms with their posting lists.
         for (term, list) in idx.dictionary() {
             assert_eq!(list, idx.postings(term));
@@ -992,11 +960,6 @@ mod tests {
         let idx = single_list(ids);
         let list = idx.postings("t");
         assert_eq!(list.len(), ids.len());
-        // Exercise get() alongside iter().
-        if !ids.is_empty() {
-            assert_eq!(list.get(0).index() as u32, ids[0]);
-            assert_eq!(list.get(ids.len() - 1).index() as u32, ids[ids.len() - 1]);
-        }
         let nodes = ids.last().map_or(0, |&last| last as usize + 1);
         assert_eq!(list.validate(nodes), Ok(()));
         if nodes > 0 {

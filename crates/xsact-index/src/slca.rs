@@ -79,7 +79,8 @@ mod tests {
     fn run_both(xml: &str, terms: &[&str]) -> (Vec<String>, Vec<String>) {
         let doc = parse_document(xml).unwrap();
         let idx = InvertedIndex::build(&doc);
-        let decoded: Vec<Vec<NodeId>> = terms.iter().map(|t| idx.postings(t).to_vec()).collect();
+        let decoded: Vec<Vec<NodeId>> =
+            terms.iter().map(|t| idx.postings(t).iter().collect::<Vec<_>>()).collect();
         let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
         let a = slca_full_scan(&doc, &lists);
         let b = QueryPlan::new(&idx, &Query::parse(&terms.join(" "))).stream(&doc).collect();
@@ -166,7 +167,10 @@ mod tests {
             "<r><s><a>k1</a><b>k2</b></s><s><a>k1</a><b>k2</b></s><s><a>k1</a><b>k2</b></s></r>";
         let doc = parse_document(xml).unwrap();
         let idx = InvertedIndex::build(&doc);
-        let (k1, k2) = (idx.postings("k1").to_vec(), idx.postings("k2").to_vec());
+        let (k1, k2) = (
+            idx.postings("k1").iter().collect::<Vec<_>>(),
+            idx.postings("k2").iter().collect::<Vec<_>>(),
+        );
         let lists: Vec<&[NodeId]> = vec![&k1, &k2];
         let out = slca_full_scan(&doc, &lists);
         assert_eq!(out.len(), 3);

@@ -33,11 +33,6 @@ impl DeweyId {
         debug_assert!(!components.is_empty());
         DeweyId { components }
     }
-
-    /// The raw components, outermost first.
-    pub fn components(&self) -> &[u32] {
-        &self.components
-    }
 }
 
 impl PartialOrd for DeweyId {
@@ -85,9 +80,9 @@ mod tests {
     fn ancestor_relations() {
         // An ancestor's path is a prefix of its descendants' paths.
         let is_ancestor_or_self_of =
-            |a: &DeweyId, b: &DeweyId| b.components().starts_with(a.components());
+            |a: &DeweyId, b: &DeweyId| b.components.starts_with(&a.components);
         let is_ancestor_of = |a: &DeweyId, b: &DeweyId| {
-            a.components().len() < b.components().len() && is_ancestor_or_self_of(a, b)
+            a.components.len() < b.components.len() && is_ancestor_or_self_of(a, b)
         };
         let a = id(&[0, 1]);
         let b = id(&[0, 1, 3, 2]);

@@ -678,11 +678,6 @@ impl Document {
         self.is_element(id) && self.child_elements(id).next().is_none()
     }
 
-    /// Depth of the node (root = 1), found by climbing to the root.
-    pub fn depth(&self, id: NodeId) -> usize {
-        std::iter::successors(Some(id), |&n| self.parent(n)).count()
-    }
-
     /// Measures the heap footprint of the interned substrate, from the
     /// capacities of its arrays.
     pub fn substrate_stats(&self) -> SubstrateStats {
@@ -1303,14 +1298,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_matches_dewey() {
-        let (doc, root, product, name) = sample();
-        assert_eq!(doc.depth(root), 1);
-        assert_eq!(doc.depth(product), 2);
-        assert_eq!(doc.depth(name), 3);
-    }
-
-    #[test]
     fn tags_share_one_symbol() {
         let mut doc = Document::new("r");
         let root = doc.root();
@@ -1335,16 +1322,15 @@ mod tests {
     #[test]
     fn derived_dewey_order_and_ancestry_agree_with_the_ids() {
         let (doc, root, product, name) = sample();
-        assert_eq!(doc.dewey(root).components(), &[0]);
-        assert_eq!(doc.dewey(product).components(), &[0, 0]);
-        assert_eq!(doc.dewey(name).components(), &[0, 0, 0]);
+        assert_eq!(doc.dewey(root).to_string(), "0");
+        assert_eq!(doc.dewey(product).to_string(), "0.0");
+        assert_eq!(doc.dewey(name).to_string(), "0.0.0");
         for a in doc.all_nodes() {
             for b in doc.all_nodes() {
                 assert_eq!(doc.dewey(a).cmp(&doc.dewey(b)), a.cmp(&b));
                 let inside = a < b && (b.index() as u32) < doc.subtree_end(a);
-                let (da, db) = (doc.dewey(a), doc.dewey(b));
-                let below = db.components().strip_prefix(da.components());
-                assert_eq!(below.is_some_and(|rest| !rest.is_empty()), inside);
+                let below = doc.dewey(b).to_string().starts_with(&format!("{}.", doc.dewey(a)));
+                assert_eq!(below, inside);
             }
         }
     }

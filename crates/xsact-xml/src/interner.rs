@@ -33,13 +33,6 @@ impl Sym {
         self.0 as usize
     }
 
-    /// Reconstructs a symbol from its dense index, e.g. when loading a
-    /// persisted symbol table. The caller must ensure the index came from
-    /// the same interner.
-    pub fn from_index(index: usize) -> Sym {
-        Sym(index as u32)
-    }
-
     /// The symbol as the `u32` a document's node table stores.
     pub(crate) fn raw(self) -> u32 {
         self.0
@@ -353,7 +346,7 @@ mod tests {
         let mut i = Interner::new();
         let syms: Vec<Sym> = ["a", "b", "c", "b", "a"].iter().map(|s| i.intern(s)).collect();
         assert_eq!(syms.iter().map(|s| s.index()).collect::<Vec<_>>(), [0, 1, 2, 1, 0]);
-        assert_eq!(Sym::from_index(2), syms[2]);
+        assert_eq!(syms[2], Sym(2));
     }
 
     #[test]

@@ -339,7 +339,7 @@ mod tests {
         // The deepest node is the text.
         let deepest = doc.all_nodes().last().unwrap();
         assert_eq!(doc.text(deepest), Some("x"));
-        assert_eq!(doc.depth(deepest), depth + 1);
+        assert_eq!(doc.dewey(deepest).to_string().split('.').count(), depth + 1);
     }
 
     /// `levels` nested `<d>` elements around one text run.
@@ -351,7 +351,8 @@ mod tests {
     fn nesting_is_capped_with_a_typed_error_at_the_offending_tag() {
         let doc = parse_document(&nested(MAX_DEPTH)).unwrap();
         assert_eq!(doc.len(), MAX_DEPTH + 1);
-        assert_eq!(doc.depth(doc.all_nodes().last().unwrap()), MAX_DEPTH + 1);
+        let deepest = doc.dewey(doc.all_nodes().last().unwrap());
+        assert_eq!(deepest.to_string().split('.').count(), MAX_DEPTH + 1);
         // The 257th open tag starts right after 256 three-byte ones; a
         // self-closing element at that level is as deep.
         let too_deep = XmlError::TooDeep { offset: 3 * MAX_DEPTH, limit: MAX_DEPTH };

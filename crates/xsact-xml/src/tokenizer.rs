@@ -435,11 +435,6 @@ impl<'a> Tokenizer<'a> {
         Tokenizer { scanner: Scanner::new(input) }
     }
 
-    /// Current byte offset into the input.
-    pub fn offset(&self) -> usize {
-        self.scanner.pos
-    }
-
     fn next_token(&mut self) -> XmlResult<Option<Token<'a>>> {
         let Some(event) = self.scanner.next()? else { return Ok(None) };
         Ok(Some(match event {

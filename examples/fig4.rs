@@ -24,7 +24,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xsact::core::{dod_total, run_algorithm, Instance};
+use xsact::core::{compare, ComparisonOutcome, Instance};
 use xsact::data::movies::{qm_queries, MovieGenConfig, MoviesGen};
 use xsact::prelude::*;
 
@@ -70,7 +70,7 @@ fn main() -> ExitCode {
     let mut header = vec!["query".to_string(), "text".to_string(), "n".to_string()];
     header.extend(algorithms.iter().map(|a| a.name().to_string()));
     // One row per query: label, text, n, then `cell` per algorithm.
-    let print_panel = |widths: &[usize], cell: &dyn Fn(&Instance, Algorithm) -> String| {
+    let print_panel = |widths: &[usize], cell: &dyn Fn(&Arc<Instance>, Algorithm) -> String| {
         print_row(&header, widths);
         for (label, text, instance) in &prepared {
             let mut row = vec![
@@ -115,18 +115,22 @@ fn main() -> ExitCode {
     }
 }
 
-fn dod_of(inst: &Instance, algo: Algorithm) -> u32 {
-    let (set, _) = run_algorithm(inst, algo);
-    dod_total(inst, &set)
+/// One comparison; `Algorithm::ALL` holds no exhaustive run, the only one
+/// with a limit to exceed.
+fn run(inst: &Arc<Instance>, algo: Algorithm) -> ComparisonOutcome {
+    compare(inst, algo).expect("only an exhaustive run has a limit")
+}
+
+fn dod_of(inst: &Arc<Instance>, algo: Algorithm) -> u32 {
+    run(inst, algo).dod()
 }
 
 /// Median wall-clock time of one algorithm on one instance (5 samples).
-fn time_algorithm(inst: &Instance, algo: Algorithm) -> Duration {
+fn time_algorithm(inst: &Arc<Instance>, algo: Algorithm) -> Duration {
     let mut samples: Vec<Duration> = (0..5)
         .map(|_| {
             let t = Instant::now();
-            let (set, _) = run_algorithm(inst, algo);
-            std::hint::black_box(&set);
+            std::hint::black_box(run(inst, algo));
             t.elapsed()
         })
         .collect();

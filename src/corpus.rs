@@ -233,11 +233,6 @@ impl Corpus {
         self.docs.is_empty()
     }
 
-    /// The display name of a document.
-    pub fn doc_name(&self, id: DocId) -> &str {
-        &self.docs[id.index()].name
-    }
-
     /// The workbench serving a document, for layer-level access.
     pub fn workbench(&self, id: DocId) -> &Workbench {
         &self.docs[id.index()]
@@ -726,8 +721,8 @@ mod tests {
     fn ingestion_assigns_stable_ids_and_names() {
         let corpus = small_corpus();
         assert_eq!(corpus.len(), 3);
-        assert_eq!(corpus.doc_name(DocId(0)), "store-a");
-        assert_eq!(corpus.doc_name(DocId(2)), "store-c");
+        assert_eq!(&*corpus.docs[0].name, "store-a");
+        assert_eq!(&*corpus.docs[2].name, "store-c");
         assert!(!corpus.is_empty());
     }
 
@@ -854,7 +849,7 @@ mod tests {
                 let doc = corpus.workbench(id).document();
                 format!(
                     "{id} {} {}",
-                    corpus.doc_name(id),
+                    corpus.docs[id.index()].name,
                     xsact_xml::writer::write_subtree(doc, doc.root())
                 )
             })

@@ -6,10 +6,11 @@
 //! a 404. Shutdown follows the same pattern as the TCP query front end:
 //! set a stop flag, then self-connect to wake the blocking `accept`.
 //!
-//! Scrapes are served one at a time, so each connection gets a read and a
-//! write timeout and a cap on the request bytes read: a client that stays
-//! silent, or never ends its line, holds the endpoint (and a shutdown
-//! waiting on it) for one timeout, not forever.
+//! Scrapes are served one at a time, so each connection gets one deadline,
+//! a timeout from its accept, that every read and write waits within, and
+//! a cap on the request bytes read: a client that stays silent, trickles
+//! bytes, or never ends its line holds the endpoint (and a shutdown waiting
+//! on it) for one timeout, not forever.
 
 use crate::stats::ServeCounters;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -17,9 +18,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How long one scrape connection may wait on its client, per read or write.
+/// How long one scrape connection may take, from its accept to its last
+/// byte written.
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Most request bytes (request line plus headers) read from one connection.
@@ -83,18 +85,55 @@ fn serve_metrics_impl(
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                let _ = handle_scrape(&counters, stream, timeout);
+                let conn = Deadline { stream: &stream, accepted: Instant::now(), timeout };
+                let _ = handle_scrape(&counters, conn);
             }
         })?
     };
     Ok(MetricsServer { addr, stop, accept: Some(accept) })
 }
 
-/// Reads one request, writes one response, closes.
-fn handle_scrape(counters: &ServeCounters, stream: TcpStream, timeout: Duration) -> io::Result<()> {
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?.take(MAX_REQUEST_BYTES));
+/// A scrape connection under its one deadline: each read or write may wait
+/// only for what is left of `timeout` since `accepted`.
+#[derive(Clone, Copy)]
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    accepted: Instant,
+    timeout: Duration,
+}
+
+impl Deadline<'_> {
+    /// What is left of the deadline; `TimedOut` once it has passed.
+    fn left(&self) -> io::Result<Duration> {
+        let left = self.timeout.saturating_sub(self.accepted.elapsed());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        Ok(left)
+    }
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.left()?))?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Deadline<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.left()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// Reads one request, writes one response; the caller closes.
+fn handle_scrape(counters: &ServeCounters, conn: Deadline<'_>) -> io::Result<()> {
+    let mut reader = BufReader::new(conn.take(MAX_REQUEST_BYTES));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     // Drain the headers so well-behaved clients are not cut off mid-send.
@@ -102,7 +141,7 @@ fn handle_scrape(counters: &ServeCounters, stream: TcpStream, timeout: Duration)
     while reader.read_line(&mut header)? > 0 && header.trim_end() != "" {
         header.clear();
     }
-    let mut writer = stream;
+    let mut writer = conn;
     let mut parts = request_line.split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     let response = if method == "GET" && path == "/metrics" {
@@ -168,6 +207,42 @@ mod tests {
         let ok = finished.recv_timeout(Duration::from_secs(20)).expect("scrape and shutdown hung");
         assert!(ok.contains("\nxsact_cache_hits 1\n"), "{ok}");
         client.join().expect("client thread panicked");
+    }
+
+    #[test]
+    fn a_dripping_client_holds_the_endpoint_for_one_timeout() {
+        let counters = Arc::new(ServeCounters::new(1));
+        counters.record_cache_hit();
+        let mut server =
+            serve_metrics_impl(counters, "127.0.0.1:0", Duration::from_millis(100)).expect("bind");
+        let addr = server.addr();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (connected, on_connect) = std::sync::mpsc::channel();
+        let dripper = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut conn = TcpStream::connect(addr).expect("drip connect");
+                connected.send(()).expect("test thread waits");
+                // One byte every 50 ms: every read is answered within the
+                // timeout, and the line never ends.
+                while !stop.load(Ordering::SeqCst) && conn.write_all(b"x").is_ok() {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+            })
+        };
+        on_connect.recv().expect("dripper connected");
+        let (done, finished) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let ok = scrape(addr, "GET /metrics HTTP/1.0\r\n\r\n");
+            server.shutdown();
+            done.send(ok).expect("test thread waits");
+        });
+        let ok = finished.recv_timeout(Duration::from_secs(2));
+        stop.store(true, Ordering::SeqCst);
+        let ok = ok.expect("a dripping client held the scrape or the shutdown");
+        assert!(ok.contains("\nxsact_cache_hits 1\n"), "{ok}");
+        client.join().expect("client thread panicked");
+        dripper.join().expect("dripper panicked");
     }
 
     #[test]

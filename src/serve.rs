@@ -77,7 +77,7 @@
 //! let server = CorpusServer::start(corpus, ServeConfig::default());
 //! let mut session = server.session();
 //! let answer = session.query("drama family")?;
-//! println!("{}", answer.ranking.render(session.top()));
+//! print!("{}", String::from_utf8_lossy(&answer.reply));
 //! # Ok(())
 //! # }
 //! ```
@@ -110,8 +110,8 @@ pub struct ServeConfig {
     /// valid and rejects every miss (a deterministic "always overloaded"
     /// server, used by the CI smoke test).
     pub queue_capacity: usize,
-    /// Top-k a fresh session starts with (changeable per session via
-    /// [`ServeSession::set_top`] / the `TOP` verb).
+    /// Top-k a fresh session starts with (changeable per connection via
+    /// the `TOP` verb).
     pub default_top: usize,
     /// Per-session executor-work budget in posting entries scanned;
     /// `None` = unlimited. A session whose spend has reached the budget
@@ -244,11 +244,6 @@ impl CorpusServer {
             top: self.inner.config.default_top,
             spent: 0,
         }
-    }
-
-    /// The served corpus.
-    pub fn corpus(&self) -> &Corpus {
-        &self.inner.corpus
     }
 
     /// A point-in-time copy of the server-level counters (the `STATS`
@@ -406,24 +401,9 @@ pub struct ServeSession {
 }
 
 impl ServeSession {
-    /// The session's current top-k.
-    pub fn top(&self) -> usize {
-        self.top
-    }
-
     /// Sets the session's top-k for subsequent queries (the `TOP` verb).
-    pub fn set_top(&mut self, k: usize) {
+    pub(crate) fn set_top(&mut self, k: usize) {
         self.top = k;
-    }
-
-    /// Posting entries this session's queries have scanned so far.
-    pub fn spent(&self) -> u64 {
-        self.spent
-    }
-
-    /// The session's budget, if the server configured one.
-    pub fn budget(&self) -> Option<u64> {
-        self.inner.config.budget
     }
 
     /// Answers one query: from the page cache, or by executing the miss on
@@ -743,8 +723,8 @@ mod tests {
         let server = CorpusServer::start(Arc::clone(&corpus), ServeConfig::default());
         let mut session = server.session();
         let answer = session.query("drama family").unwrap();
-        let sequential = corpus.query("drama family").unwrap().ranking().render(session.top());
-        assert_eq!(answer.ranking.render(session.top()), sequential);
+        let sequential = corpus.query("drama family").unwrap().ranking().render(session.top);
+        assert_eq!(answer.ranking.render(session.top), sequential);
         assert!(!sequential.is_empty());
     }
 
@@ -756,7 +736,7 @@ mod tests {
         );
         let mut session = server.session();
         session.query("drama").unwrap();
-        assert!(session.spent() >= 1, "a matching query scans postings");
+        assert!(session.spent >= 1, "a matching query scans postings");
         let err = session.query("drama").unwrap_err();
         assert!(matches!(err, XsactError::BudgetExceeded { budget: 1, .. }), "{err}");
         // Budgets are per session, not per server.
@@ -857,8 +837,8 @@ mod tests {
         // The same session retries on the recovered shard and the answer
         // is byte-identical to sequential execution.
         let answer = session.query("drama family").unwrap();
-        let sequential = corpus.query("drama family").unwrap().ranking().render(session.top());
-        assert_eq!(answer.ranking.render(session.top()), sequential);
+        let sequential = corpus.query("drama family").unwrap().ranking().render(session.top);
+        assert_eq!(answer.ranking.render(session.top), sequential);
         let stats = server.stats();
         assert_eq!(stats.shard_failed, 1);
         assert_eq!(stats.shard_restarts, 1);

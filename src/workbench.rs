@@ -139,8 +139,7 @@ impl FeatureCache {
 
 /// A query-ready XSACT session over one document.
 ///
-/// Create one per document with [`Workbench::from_xml`] or
-/// [`Workbench::from_document`], then issue any number of queries through
+/// Create one per document with [`Workbench::from_document`], then issue any number of queries through
 /// [`Workbench::query`]. The underlying layer crates remain independently
 /// usable; the workbench only orchestrates them and adds caching.
 ///
@@ -161,7 +160,7 @@ pub struct Workbench {
 
 impl Workbench {
     /// Parses `xml` and builds the search engine over it.
-    pub fn from_xml(xml: &str) -> XsactResult<Workbench> {
+    pub(crate) fn from_xml(xml: &str) -> XsactResult<Workbench> {
         Ok(Workbench::from_document(parse_document(xml)?))
     }
 

@@ -203,7 +203,7 @@ fn loading_an_index_allocates_for_the_dictionary_and_nothing_per_list() {
     save_image(&doc, &index, &mut bytes).unwrap();
     let ((_, loaded), blocks) =
         counted(|| load_image(&mut bytes.as_slice(), None, &mut Vec::new()).unwrap());
-    let terms = loaded.term_count() as u64;
+    let terms = loaded.stats().terms as u64;
     assert!(terms > 300, "{terms} terms");
     assert_eq!(loaded.stats(), index.stats());
     // The read buffer, the document's arrays, and one block per adopted
@@ -232,7 +232,7 @@ fn a_warm_load_allocates_per_name_and_term_not_per_node() {
         counted(|| load_image(&mut bytes.as_slice(), None, &mut Vec::new()).unwrap());
     assert_eq!(loaded, doc);
     let names = loaded.interner().len() as u64;
-    let terms = index.term_count() as u64;
+    let terms = index.stats().terms as u64;
     assert!(loaded.len() as u64 > 50 * (names + terms), "{} nodes", loaded.len());
     assert!(blocks <= 24, "{blocks} blocks for {names} names and {terms} terms");
     assert!(blocks <= names + terms);
@@ -310,7 +310,7 @@ fn building_an_index_allocates_per_term_not_per_element() {
     let doc = xsact::xml::parse_document(&movies_xml()).unwrap();
     let elements = doc.all_nodes().filter(|&n| doc.is_element(n)).count() as u64;
     let (index, blocks) = counted(|| InvertedIndex::build(&doc));
-    let terms = index.term_count() as u64;
+    let terms = index.stats().terms as u64;
     assert!(elements > 30 * terms, "{elements} elements for {terms} terms");
     assert!(blocks <= 4 * terms, "{blocks} blocks for {terms} terms");
 }

@@ -12,6 +12,7 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
+use xsact::corpus::DEFAULT_TOP;
 use xsact::prelude::*;
 use xsact::serve::{serve_tcp, FaultPlan, END_MARKER};
 use xsact_data::movies::{qm_queries, MovieGenConfig, MoviesGen};
@@ -22,12 +23,12 @@ fn chaos_corpus(shards: usize) -> Arc<Corpus> {
     Arc::new(Corpus::synthetic_movies(8, 40, 42).with_shards(shards))
 }
 
-/// A query outcome normalised to bytes: the rendered ranking on success,
-/// the error's display form otherwise. Byte-identity between a chaos run
+/// A query outcome normalised to bytes: the wire reply on success, the
+/// error's display form otherwise. Byte-identity between a chaos run
 /// and a fault-free oracle is asserted on this form.
 fn rendered(session: &mut ServeSession, text: &str) -> String {
     match session.query(text) {
-        Ok(answer) => answer.ranking.render(session.top()),
+        Ok(answer) => String::from_utf8_lossy(&answer.reply).into_owned(),
         Err(err) => format!("ERR {err}"),
     }
 }
@@ -214,8 +215,8 @@ fn slow_shard_trips_the_deadline_after_execution() {
     // The site fired once; the retry comes back well under the deadline
     // and byte-identical to sequential execution.
     let answer = session.query("drama family").unwrap();
-    let sequential = corpus.query("drama family").unwrap().ranking().render(session.top());
-    assert_eq!(answer.ranking.render(session.top()), sequential);
+    let sequential = corpus.query("drama family").unwrap().ranking().render(DEFAULT_TOP);
+    assert_eq!(answer.ranking.render(DEFAULT_TOP), sequential);
     assert_eq!(server.stats().queries_served, 1);
 }
 
@@ -391,8 +392,8 @@ fn shard_failure_is_never_cached() {
     // The retry misses (nothing was cached for the failed round) and is
     // byte-identical to sequential execution on the recovered pool.
     let answer = session.query("drama family").unwrap();
-    let sequential = corpus.query("drama family").unwrap().ranking().render(session.top());
-    assert_eq!(answer.ranking.render(session.top()), sequential);
+    let sequential = corpus.query("drama family").unwrap().ranking().render(DEFAULT_TOP);
+    assert_eq!(answer.ranking.render(DEFAULT_TOP), sequential);
     let stats = server.stats();
     assert_eq!(stats.cache_hits, 0, "the failed round must not produce a hit");
     assert_eq!(stats.cache_misses, 2, "both submissions were fresh lookups");

@@ -11,6 +11,11 @@ use xsact_data::{
 };
 use xsact_xml::writer::write_subtree;
 
+/// The feature statistics of one search result.
+fn features_of(engine: &SearchEngine, result: &SearchResult) -> ResultFeatures {
+    extract_features(engine.document(), engine.summary(), result.root, &result.label)
+}
+
 #[test]
 fn all_generators_are_seed_deterministic() {
     let movies =
@@ -53,9 +58,9 @@ fn full_pipeline_is_deterministic() {
     let run = || {
         let doc = MoviesGen::new(MovieGenConfig { movies: 80, ..Default::default() }).generate();
         let engine = SearchEngine::build(doc);
-        let results = engine.search(&Query::parse("drama family"));
+        let results = engine.search_all(&Query::parse("drama family"), None).0;
         let features: Vec<ResultFeatures> =
-            results.iter().take(5).map(|r| engine.extract_features(r)).collect();
+            results.iter().take(5).map(|r| features_of(&engine, r)).collect();
         let config = DfsConfig { size_bound: 5, ..DfsConfig::default() };
         let instance = Arc::new(Instance::build(&features, config));
         let outcome = compare(&instance, Algorithm::MultiSwap).unwrap();
@@ -107,8 +112,8 @@ fn saved_index_round_trips_through_bytes() {
     let engine_b = SearchEngine::from_parts(loaded_doc, loaded);
     for q in ["drama family", "war soldier", "the"] {
         assert_eq!(
-            engine_a.search(&Query::parse(q)),
-            engine_b.search(&Query::parse(q)),
+            engine_a.search_all(&Query::parse(q), None).0,
+            engine_b.search_all(&Query::parse(q), None).0,
             "query {q}"
         );
     }

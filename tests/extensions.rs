@@ -6,6 +6,11 @@ use xsact_core::annealing::{anneal, anneal_from, AnnealingConfig};
 use xsact_core::{dod_total, multi_swap, snippet_set, DfsConfig, Instance};
 use xsact_data::movies::{MovieGenConfig, MoviesGen};
 
+/// The feature statistics of one search result.
+fn features_of(engine: &SearchEngine, result: &SearchResult) -> ResultFeatures {
+    extract_features(engine.document(), engine.summary(), result.root, &result.label)
+}
+
 fn movie_engine() -> SearchEngine {
     let doc = MoviesGen::new(MovieGenConfig { movies: 120, ..Default::default() }).generate();
     SearchEngine::build(doc)
@@ -14,8 +19,9 @@ fn movie_engine() -> SearchEngine {
 #[test]
 fn ranked_search_is_a_permutation_of_plain_search() {
     let engine = movie_engine();
+
     let q = Query::parse("drama family");
-    let plain = engine.search(&q);
+    let plain = engine.search_all(&q, None).0;
     let ranked = engine.search_ranked(&q);
     assert_eq!(plain.len(), ranked.len());
     let mut plain_roots: Vec<_> = plain.iter().map(|r| r.root).collect();
@@ -31,9 +37,9 @@ fn ranked_search_is_a_permutation_of_plain_search() {
 
 fn qm_instance(engine: &SearchEngine, bound: usize) -> Instance {
     let q = Query::parse("drama family");
-    let results = engine.search(&q);
+    let results = engine.search_all(&q, None).0;
     let features: Vec<ResultFeatures> =
-        results.iter().take(5).map(|r| engine.extract_features(r)).collect();
+        results.iter().take(5).map(|r| features_of(engine, r)).collect();
     Instance::build(&features, DfsConfig { size_bound: bound, threshold_pct: 10.0 })
 }
 

@@ -10,6 +10,11 @@ use xsact_core::{compare, Algorithm, DfsConfig, ExhaustiveLimitExceeded, Instanc
 use xsact_entity::{FeatureType, ResultFeatures};
 use xsact_xml::XmlError;
 
+/// The feature statistics of one search result.
+fn features_of(engine: &SearchEngine, result: &SearchResult) -> ResultFeatures {
+    extract_features(engine.document(), engine.summary(), result.root, &result.label)
+}
+
 // ------------------------------------------------------------ malformed XML
 
 #[test]
@@ -37,11 +42,11 @@ fn malformed_xml_reports_structured_errors() {
 fn engine_on_trivial_documents() {
     // A document that is only a root element.
     let engine = SearchEngine::build(parse_document("<empty/>").unwrap());
-    assert!(engine.search(&Query::parse("anything")).is_empty());
+    assert!(engine.search_all(&Query::parse("anything"), None).0.is_empty());
     // Query matching the root only.
-    let results = engine.search(&Query::parse("empty"));
+    let results = engine.search_all(&Query::parse("empty"), None).0;
     assert_eq!(results.len(), 1);
-    let rf = engine.extract_features(&results[0]);
+    let rf = features_of(&engine, &results[0]);
     assert_eq!(rf.type_count(), 0);
 }
 
@@ -67,7 +72,7 @@ fn a_query_of_200_distinct_terms_is_an_answer() {
     let xml = format!(
         "<shop><product><name>{text}</name></product><product><name>{text}</name></product></shop>"
     );
-    let wb = Workbench::from_xml(&xml).unwrap();
+    let wb = Workbench::from_document(parse_document(&xml).unwrap());
     assert_eq!(wb.query(&text).unwrap().ranking().hits.len(), 2);
 
     let corpus = Arc::new(Corpus::from_xml_strings([("shop", xml.as_str())]).unwrap());
@@ -81,16 +86,18 @@ fn a_query_of_200_distinct_terms_is_an_answer() {
     let server = CorpusServer::start(Arc::clone(&corpus), ServeConfig::default());
     let mut session = server.session();
     let answer = session.query(&text).unwrap();
-    assert_eq!(answer.ranking.render(session.top()), ranking.render(session.top()));
+    assert_eq!(answer.ranking.hits, ranking.hits);
     server.shutdown();
 }
 
 fn figure1_like_workbench() -> Workbench {
-    Workbench::from_xml(
-        "<shop><product><name>TomTom Go</name><kind>GPS</kind></product>\
-         <product><name>Garmin</name><kind>GPS</kind></product></shop>",
+    Workbench::from_document(
+        parse_document(
+            "<shop><product><name>TomTom Go</name><kind>GPS</kind></product>\
+             <product><name>Garmin</name><kind>GPS</kind></product></shop>",
+        )
+        .expect("well-formed fixture"),
     )
-    .expect("well-formed fixture")
 }
 
 // ------------------------------------------------------- degenerate configs
@@ -555,8 +562,8 @@ fn unicode_content_flows_through_the_pipeline() {
                <product><name>Plain GPS</name>\
                <reviews><review><pros><compact>yes</compact></pros></review></reviews></product></shop>";
     let engine = SearchEngine::build(parse_document(xml).unwrap());
-    let results = engine.search(&Query::parse("caf\u{e9} gps"));
+    let results = engine.search_all(&Query::parse("caf\u{e9} gps"), None).0;
     assert_eq!(results.len(), 1);
-    let rf = engine.extract_features(&results[0]);
+    let rf = features_of(&engine, &results[0]);
     assert!(rf.label().contains("Caf\u{e9}"));
 }

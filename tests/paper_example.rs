@@ -15,13 +15,18 @@ use xsact_core::{compare, Algorithm, Instance};
 use xsact_data::fixtures;
 use xsact_entity::FeatureType;
 
+/// The feature statistics of one search result.
+fn features_of(engine: &SearchEngine, result: &SearchResult) -> ResultFeatures {
+    extract_features(engine.document(), engine.summary(), result.root, &result.label)
+}
+
 const REVIEW: &str = "shop/product/reviews/review";
 
 fn paper_results() -> Vec<ResultFeatures> {
     let doc = fixtures::figure1_document();
     let engine = SearchEngine::build(doc);
-    let results = engine.search(&Query::parse(fixtures::PAPER_QUERY));
-    results.iter().map(|r| engine.extract_features(r)).collect()
+    let results = engine.search_all(&Query::parse(fixtures::PAPER_QUERY), None).0;
+    results.iter().map(|r| features_of(&engine, r)).collect()
 }
 
 /// The instance over the paper's two results at bound `L` and threshold
@@ -37,7 +42,7 @@ const X: f64 = 10.0;
 fn query_returns_exactly_the_two_tomtom_products() {
     let doc = fixtures::figure1_document();
     let engine = SearchEngine::build(doc);
-    let results = engine.search(&Query::parse(fixtures::PAPER_QUERY));
+    let results = engine.search_all(&Query::parse(fixtures::PAPER_QUERY), None).0;
     let labels: Vec<&str> = results.iter().map(|r| r.label.as_str()).collect();
     assert_eq!(labels, [fixtures::GPS1_NAME, fixtures::GPS3_NAME]);
 }

@@ -16,7 +16,7 @@ use xsact::data::fixtures::figure1_document;
 use xsact::data::{MovieGenConfig, MoviesGen};
 use xsact::index::{load_image, save_image, InvertedIndex, Query, SearchEngine};
 use xsact::xml::{parse_document, Document, ImageReader, NodeId, WordHasher, XmlError};
-use xsact::{Workbench, XsactError};
+use xsact::{Corpus, Workbench, XsactError};
 
 thread_local! {
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
@@ -386,8 +386,13 @@ fn bad_path_tables_are_typed_errors() {
     // An element three levels down: its parent is not the root, so its
     // parent node's path is neither path 0's parent (none) nor path 1's
     // (path 0).
-    let deep =
-        doc.all_nodes().filter(|&node| doc.is_element(node) && doc.depth(node) > 2).last().unwrap();
+    let deep = doc
+        .all_nodes()
+        .filter(|&node| {
+            doc.is_element(node) && doc.parent(node).and_then(|p| doc.parent(p)).is_some()
+        })
+        .last()
+        .unwrap();
     let element = doc.all_nodes().find(|&node| node.index() > 0 && doc.is_element(node)).unwrap();
     let u32_at = |pos: usize| u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap());
     for (edits, want) in [
@@ -456,7 +461,7 @@ const MIXED: &str = "<Product_Line Region=\"Nord-Süd\" x=\"\"><Product easyToRe
 fn exercise(doc: &Document, index: InvertedIndex) {
     for node in doc.all_nodes() {
         let _ = (doc.tag(node), doc.tag_sym(node), doc.text(node), doc.is_element(node));
-        let _ = (doc.parent(node), doc.subtree_end(node), doc.depth(node), doc.dewey(node));
+        let _ = (doc.parent(node), doc.subtree_end(node), doc.dewey(node));
         let _ = (doc.attr_count(node), doc.subtree_attr_count(node), doc.is_leaf_element(node));
         let _: Vec<_> = doc.attrs(node).collect();
         let _: Vec<_> = doc.attrs_syms(node).collect();
@@ -468,7 +473,7 @@ fn exercise(doc: &Document, index: InvertedIndex) {
     let _ = (doc.element_count(), doc.substrate_stats(), doc.to_string());
     let engine = SearchEngine::from_parts(doc.clone(), index);
     for query in ["gps", "product name", "straße ascii"] {
-        let _ = engine.search(&Query::parse(query));
+        let _ = engine.search_all(&Query::parse(query), None).0;
     }
 }
 
@@ -533,7 +538,7 @@ fn nesting_past_the_cap_is_refused_within_the_input_length() {
     assert!(allocated <= hostile.len(), "{allocated} bytes for {} of input", hostile.len());
     // Through the facade it is the typed `Xml` variant.
     assert!(matches!(
-        Workbench::from_xml(&hostile),
+        Corpus::from_xml_strings([("hostile", hostile.as_str())]),
         Err(XsactError::Xml(XmlError::TooDeep { .. }))
     ));
 

@@ -7,6 +7,11 @@ use xsact_core::{compare, Algorithm, Instance};
 use xsact_data::movies::{qm_queries, MovieGenConfig, MoviesGen};
 use xsact_data::{OutdoorGen, OutdoorGenConfig, ReviewsGen, ReviewsGenConfig};
 
+/// The feature statistics of one search result.
+fn features_of(engine: &SearchEngine, result: &SearchResult) -> ResultFeatures {
+    extract_features(engine.document(), engine.summary(), result.root, &result.label)
+}
+
 /// The instance over extracted features at bound `L` and the default
 /// threshold.
 fn instance(features: &[ResultFeatures], size_bound: usize) -> Arc<Instance> {
@@ -17,17 +22,17 @@ fn instance(features: &[ResultFeatures], size_bound: usize) -> Arc<Instance> {
 fn product_reviews_pipeline() {
     let doc =
         ReviewsGen::new(ReviewsGenConfig { seed: 7, products: 18, reviews: (5, 40) }).generate();
+
     let engine = SearchEngine::build(doc);
 
-    let results = engine.search(&Query::parse("TomTom GPS"));
+    let results = engine.search_all(&Query::parse("TomTom GPS"), None).0;
     assert!(!results.is_empty(), "seeded dataset always has TomTom GPS products");
     for r in &results {
         assert_eq!(engine.document().tag(r.root), "product");
         assert!(r.label.contains("TomTom"));
     }
 
-    let features: Vec<ResultFeatures> =
-        results.iter().map(|r| engine.extract_features(r)).collect();
+    let features: Vec<ResultFeatures> = results.iter().map(|r| features_of(&engine, r)).collect();
     for rf in &features {
         assert!(rf.type_count() >= 4, "products carry name/brand/price/rating + flags");
     }
@@ -46,7 +51,7 @@ fn outdoor_brand_comparison_scenario() {
     let doc = OutdoorGen::new(OutdoorGenConfig { seed: 3, products: (25, 50), focus_bias: 0.8 })
         .generate();
     let engine = SearchEngine::build(doc);
-    let results = engine.search(&Query::parse("men jackets"));
+    let results = engine.search_all(&Query::parse("men jackets"), None).0;
     assert!(!results.is_empty());
 
     // Promote product-level results to their enclosing brand.
@@ -91,7 +96,7 @@ fn movie_queries_pipeline() {
 
     let mut nonempty = 0;
     for (label, query) in qm_queries() {
-        let results = engine.search(&Query::parse(&query));
+        let results = engine.search_all(&Query::parse(&query), None).0;
         if results.is_empty() {
             continue;
         }
@@ -100,7 +105,7 @@ fn movie_queries_pipeline() {
             assert_eq!(engine.document().tag(r.root), "movie", "{label}");
         }
         let features: Vec<ResultFeatures> =
-            results.iter().map(|r| engine.extract_features(r)).collect();
+            results.iter().map(|r| features_of(&engine, r)).collect();
         if features.len() < 2 {
             continue;
         }
@@ -123,9 +128,9 @@ fn movie_queries_pipeline() {
 fn movie_results_have_nested_actor_entity() {
     let doc = MoviesGen::new(MovieGenConfig { movies: 40, ..Default::default() }).generate();
     let engine = SearchEngine::build(doc);
-    let results = engine.search(&Query::parse("drama family"));
+    let results = engine.search_all(&Query::parse("drama family"), None).0;
     assert!(!results.is_empty());
-    let rf = engine.extract_features(&results[0]);
+    let rf = features_of(&engine, &results[0]);
     // Actor is a nested entity: its name/billing belong to the actor, not
     // to the movie.
     assert!(rf.stats().any(|s| s.entity().ends_with("actor")));
@@ -139,7 +144,7 @@ fn slca_promotion_collapses_duplicate_matches() {
     // Terms matching several nodes inside the same movie yield one result.
     let doc = MoviesGen::new(MovieGenConfig { movies: 60, ..Default::default() }).generate();
     let engine = SearchEngine::build(doc);
-    let results = engine.search(&Query::parse("drama"));
+    let results = engine.search_all(&Query::parse("drama"), None).0;
     let mut roots: Vec<_> = results.iter().map(|r| r.root).collect();
     let before = roots.len();
     roots.dedup();

@@ -133,8 +133,11 @@ fn slca_implementations_agree() {
         // Inclusive of terms.len(), so 4-keyword queries (and the last
         // declared term) are actually exercised.
         let term_count = rng.random_range(1..=terms.len());
-        let decoded: Vec<Vec<NodeId>> =
-            terms.iter().take(term_count).map(|t| idx.postings(t).to_vec()).collect();
+        let decoded: Vec<Vec<NodeId>> = terms
+            .iter()
+            .take(term_count)
+            .map(|t| idx.postings(t).iter().collect::<Vec<_>>())
+            .collect();
         let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
         let full = slca_full_scan(&doc, &lists);
         let query = Query::parse(&terms[..term_count].join(" "));
@@ -258,13 +261,12 @@ fn interned_index_matches_string_keyed_oracle() {
             let doc = generate(&mut StdRng::seed_from_u64(seed));
             let idx = InvertedIndex::build(&doc);
             let oracle = string_keyed_oracle(&doc);
-            assert_eq!(idx.term_count(), oracle.len(), "{what}: term universes differ");
+            assert_eq!(idx.stats().terms, oracle.len(), "{what}: term universes differ");
             for (term, list) in &oracle {
                 assert_eq!(idx.postings(term), list.as_slice(), "{what} term {term:?}");
-                assert!(idx.contains(term), "{what} term {term:?}");
             }
             // Dictionary iteration covers exactly the oracle's terms, sorted.
-            let dict: Vec<&str> = idx.terms().collect();
+            let dict: Vec<&str> = idx.dictionary().map(|(term, _)| term).collect();
             let mut expected: Vec<&str> = oracle.keys().map(String::as_str).collect();
             expected.sort_unstable();
             assert_eq!(dict, expected, "{what}");
@@ -284,8 +286,11 @@ fn slca_over_interned_postings_matches_oracle_lists() {
         // declared term) are actually exercised.
         let term_count = rng.random_range(1..=terms.len());
         let empty: Vec<NodeId> = Vec::new();
-        let interned_decoded: Vec<Vec<NodeId>> =
-            terms.iter().take(term_count).map(|t| idx.postings(t).to_vec()).collect();
+        let interned_decoded: Vec<Vec<NodeId>> = terms
+            .iter()
+            .take(term_count)
+            .map(|t| idx.postings(t).iter().collect::<Vec<_>>())
+            .collect();
         let interned: Vec<&[NodeId]> = interned_decoded.iter().map(Vec::as_slice).collect();
         let string_keyed: Vec<&[NodeId]> = terms
             .iter()
@@ -331,7 +336,8 @@ fn gallop_stream_matches_the_full_scan_oracle() {
         let doc = random_document(&mut rng);
         let idx = InvertedIndex::build(&doc);
         let query = random_query(&mut rng);
-        let decoded: Vec<Vec<NodeId>> = query.iter().map(|t| idx.postings(t).to_vec()).collect();
+        let decoded: Vec<Vec<NodeId>> =
+            query.iter().map(|t| idx.postings(t).iter().collect::<Vec<_>>()).collect();
         let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
         let oracle = slca_full_scan(&doc, &lists);
         let plan = QueryPlan::new(&idx, &query);
@@ -383,7 +389,7 @@ fn search_top_k_matches_the_ranked_oracle() {
         let query = random_query(&mut rng);
         // Oracle: the unbounded document-order search, ranked by the
         // sort-everything path.
-        let results = engine.search(&query);
+        let results = engine.search_all(&query, None).0;
         let roots: Vec<NodeId> = results.iter().map(|r| r.root).collect();
         let scored = rank_results(engine.document(), engine.index(), &query, &roots);
         let full = labelled_top_k(&engine, &query, usize::MAX);
@@ -473,7 +479,7 @@ fn index_persistence_round_trips() {
         let (loaded_doc, loaded) =
             xsact_index::load_image(&mut bytes.as_slice(), None, &mut Vec::new()).expect("load");
         assert_eq!(loaded_doc, doc, "seed {seed}");
-        assert_eq!(loaded.term_count(), idx.term_count(), "seed {seed}");
+        assert_eq!(loaded.stats(), idx.stats(), "seed {seed}");
         for term in ["a", "b", "item", "group", "root"] {
             assert_eq!(loaded.postings(term), idx.postings(term), "seed {seed} term {term}");
         }
@@ -533,8 +539,8 @@ fn assert_substrate_matches_the_tree(doc: &Document, what: &str) {
     assert!(deweys.windows(2).all(|w| w[0] < w[1]), "{what}: Dewey order is id order");
     for &n in &all {
         let i = n.index();
-        assert_eq!(deweys[i].components(), tree.paths[i], "{what}: Dewey id of node {i}");
-        assert_eq!(doc.depth(n), tree.paths[i].len(), "{what}: depth of node {i}");
+        let path: Vec<String> = tree.paths[i].iter().map(u32::to_string).collect();
+        assert_eq!(deweys[i].to_string(), path.join("."), "{what}: Dewey id of node {i}");
         let children: Vec<NodeId> = doc.children(n).collect();
         assert_eq!(children, tree.children[i], "{what}: children of {}", deweys[i]);
         let subtree = tree.subtree(n);
@@ -551,8 +557,8 @@ fn assert_substrate_matches_the_tree(doc: &Document, what: &str) {
         // checked above.
         for a in std::iter::successors(doc.parent(n), |&a| doc.parent(a)) {
             assert!(a < n && (i as u32) < doc.subtree_end(a), "{what}: {a:?} holds {n:?}");
-            let below = deweys[i].components().strip_prefix(deweys[a.index()].components());
-            assert!(below.is_some_and(|rest| !rest.is_empty()), "{what}: {}", deweys[i]);
+            let below = deweys[i].to_string().starts_with(&format!("{}.", deweys[a.index()]));
+            assert!(below, "{what}: {}", deweys[i]);
         }
     }
 }
@@ -707,7 +713,7 @@ fn a_nodes_kind_is_its_tag_path_on_random_and_generated_documents() {
 // Postings are delta-bit-packed 128-entry frames, the SLCA stream carries
 // candidates as node ids, and the scorer counts a subtree's postings as an
 // id range on the frames. None of that may be observable: iteration equals
-// the flat decode, the stream equals the full-scan SLCA, and the scores
+// the flat lists of a string-keyed index, the stream equals the full-scan SLCA, and the scores
 // equal those of a scorer that walks the tree.
 
 #[test]
@@ -715,14 +721,12 @@ fn packed_postings_iteration_matches_flat_decode() {
     for seed in 0..64u64 {
         let doc = random_document(&mut StdRng::seed_from_u64(seed));
         let idx = InvertedIndex::build(&doc);
+        let oracle = string_keyed_oracle(&doc);
         for (term, p) in idx.dictionary() {
-            let flat = p.to_vec();
+            let flat = &oracle[term];
             assert_eq!(p.len(), flat.len(), "seed {seed} term {term:?}");
             let iterated: Vec<NodeId> = p.iter().collect();
-            assert_eq!(iterated, flat, "seed {seed} term {term:?}: iteration diverges");
-            for (i, &n) in flat.iter().enumerate() {
-                assert_eq!(p.get(i), n, "seed {seed} term {term:?} position {i}");
-            }
+            assert_eq!(&iterated, flat, "seed {seed} term {term:?}: iteration diverges");
         }
     }
 }
@@ -838,7 +842,8 @@ fn catalog_query(rng: &mut StdRng) -> Query {
 /// Runs `query` through the index's plan and through the full-scan oracle
 /// over the decoded lists, and checks that the streams agree.
 fn assert_streams_agree(doc: &Document, idx: &InvertedIndex, query: &Query, what: &str) {
-    let decoded: Vec<Vec<NodeId>> = query.iter().map(|t| idx.postings(t).to_vec()).collect();
+    let decoded: Vec<Vec<NodeId>> =
+        query.iter().map(|t| idx.postings(t).iter().collect::<Vec<_>>()).collect();
     let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
     let oracle = slca_full_scan(doc, &lists);
     let plan = QueryPlan::new(idx, query);
@@ -893,7 +898,7 @@ fn oracle_promotions(doc: &Document, matches: &[NodeId]) -> Vec<(NodeId, NodeId)
 fn assert_promotions_match_the_oracle(engine: &SearchEngine, query: &Query, what: &str) {
     let doc = engine.document();
     let decoded: Vec<Vec<NodeId>> =
-        query.iter().map(|t| engine.index().postings(t).to_vec()).collect();
+        query.iter().map(|t| engine.index().postings(t).iter().collect::<Vec<_>>()).collect();
     let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
     let oracle = oracle_promotions(doc, &slca_full_scan(doc, &lists));
     let (results, stats) = engine.search_all(query, None);
@@ -1160,9 +1165,9 @@ fn one_walk_extractor_matches_the_two_pass_oracle_on_every_dataset_node() {
     let datasets = [
         ("figure1", fixtures::figure1_document()),
         ("movies", MoviesGen::default_gen().generate()),
-        ("reviews", ReviewsGen::default_gen().generate()),
-        ("outdoor", OutdoorGen::default_gen().generate()),
-        ("jobs", JobsGen::default_gen().generate()),
+        ("reviews", ReviewsGen::new(Default::default()).generate()),
+        ("outdoor", OutdoorGen::new(Default::default()).generate()),
+        ("jobs", JobsGen::new(Default::default()).generate()),
     ];
     for (name, doc) in &datasets {
         assert_extractor_matches_oracle(doc, name);
@@ -1943,7 +1948,7 @@ fn bitset_kernel_matches_scalar_oracle_under_random_mutation() {
         let inst = random_instance(&mut rng);
         let n = inst.result_count();
         let entity_count = inst.entities.len();
-        let mut set = xsact_core::DfsSet::empty(&inst);
+        let mut set = empty_set(&inst);
         for step in 0..40 {
             let i = rng.random_range(0..n);
             let e = rng.random_range(0..entity_count);
@@ -2217,7 +2222,7 @@ fn assert_same_run(
 /// algorithms and from the greedy and empty starts. Returns the
 /// algorithms' `(responses, rounds × n)`, single-swap first.
 fn assert_searches_match_the_oracle(inst: &Instance, what: &str) -> [(u32, u32); 2] {
-    for start in [greedy_set(inst), DfsSet::empty(inst)] {
+    for start in [greedy_set(inst), empty_set(inst)] {
         let (mut set, mut want) = (start.clone(), start.clone());
         let stats = (single_swap_from(inst, &mut set), oracle_single_swap_from(inst, &mut want));
         assert_same_run(
@@ -2340,10 +2345,15 @@ fn oracle_is_multi_swap_optimal(inst: &Instance, set: &DfsSet) -> bool {
     })
 }
 
+/// One empty DFS per result.
+fn empty_set(inst: &Instance) -> DfsSet {
+    DfsSet::from_dfss(inst, vec![Dfs::empty(inst.entities.len()); inst.result_count()])
+}
+
 /// A valid set that no algorithm produced: each result grows random
 /// entities towards a random size within the bound.
 fn random_set(inst: &Instance, rng: &mut StdRng) -> DfsSet {
-    let mut set = DfsSet::empty(inst);
+    let mut set = empty_set(inst);
     for i in 0..set.len() {
         let size = rng.random_range(0..=inst.config.size_bound);
         for _ in 0..2 * size {
@@ -2368,7 +2378,7 @@ fn assert_checkers_match_their_oracles(
         greedy_set(inst),
         single_swap(inst).0,
         multi_swap(inst).0,
-        DfsSet::empty(inst),
+        empty_set(inst),
     ];
     sets.extend((0..4).map(|_| random_set(inst, rng)));
     for (k, set) in sets.iter().enumerate() {
@@ -2437,8 +2447,10 @@ fn annealing_reproduces_its_pinned_runs() {
             ..Default::default()
         };
         let (set, got) = xsact_core::annealing::anneal_from(&inst, snippet_set(&inst), &cfg);
-        let digits: Vec<String> =
-            set.iter().map(|d| d.prefixes().iter().map(usize::to_string).collect()).collect();
+        let digits: Vec<String> = set
+            .iter()
+            .map(|d| (0..inst.entities.len()).map(|e| d.prefix(e).to_string()).collect())
+            .collect();
         assert_eq!((got, digits.join(" ")), (dod, prefixes.to_string()), "seed {seed}");
     }
 }

@@ -104,11 +104,11 @@ fn each_served_miss_is_one_execution() {
     };
     for shards in [1usize, 2, 8] {
         let corpus = fleet(shards);
-        let uncached = ServeConfig { cache_entries: 0, ..ServeConfig::default() };
-        let server = CorpusServer::start(Arc::clone(&corpus), uncached);
-        let mut session = server.session();
         for top in [1, 4, 10] {
-            session.set_top(top);
+            let uncached =
+                ServeConfig { cache_entries: 0, default_top: top, ..ServeConfig::default() };
+            let server = CorpusServer::start(Arc::clone(&corpus), uncached);
+            let mut session = server.session();
             for text in &mix {
                 let answer = session.query(text).unwrap();
                 let query = corpus.query(text).unwrap().take(top);
@@ -412,21 +412,28 @@ fn cache_matrix_never_changes_bytes() {
 /// grow, yet the query is served and charged to the session budget.
 #[test]
 fn cache_hits_skip_the_shard_pool() {
-    let server = CorpusServer::start(fleet(2), ServeConfig::default());
+    let corpus = fleet(2);
+    let query = corpus.query("drama family").unwrap();
+    query.selection().unwrap();
+    let cost = query.executor_stats().postings_scanned;
+    // A budget one entry above the miss's cost admits the hit after it,
+    // and the hit's charge then exhausts it.
+    let config = ServeConfig { budget: Some(cost + 1), ..ServeConfig::default() };
+    let server = CorpusServer::start(corpus, config);
     let mut session = server.session();
     session.query("drama family").unwrap();
     let after_miss = server.stats();
-    let spent_after_miss = session.spent();
     session.query("drama family").unwrap();
     let after_hit = server.stats();
     assert_eq!(after_hit.postings_scanned, after_miss.postings_scanned, "a hit executes nothing");
     assert_eq!(after_hit.batches, after_miss.batches, "a hit forms no batch");
     assert_eq!(after_hit.queries_served, after_miss.queries_served + 1);
-    assert_eq!(
-        session.spent(),
-        spent_after_miss * 2,
-        "the cached answer still charges the session budget"
-    );
+    match session.query("drama family") {
+        Err(XsactError::BudgetExceeded { spent, .. }) => {
+            assert_eq!(spent, cost * 2, "the cached answer still charges the session budget")
+        }
+        other => panic!("expected BudgetExceeded, got {other:?}"),
+    }
 }
 
 /// A page is rendered once per executed key, never per reply: a miss
@@ -438,13 +445,12 @@ fn reply_bytes_are_rendered_once_per_key() {
     for shards in [1usize, 2, 8] {
         let corpus = fleet(shards);
         for cache_entries in [1024usize, 0] {
-            let server = CorpusServer::start(
-                Arc::clone(&corpus),
-                ServeConfig { cache_entries, ..ServeConfig::default() },
-            );
-            let mut session = server.session();
             for k in [1usize, 4, 10] {
-                session.set_top(k);
+                let server = CorpusServer::start(
+                    Arc::clone(&corpus),
+                    ServeConfig { cache_entries, default_top: k, ..ServeConfig::default() },
+                );
+                let mut session = server.session();
                 let miss = session.query("drama family").unwrap();
                 let shown = miss.ranking.hits.len().min(k);
                 let want = format!("OK {shown}\n{}.\n", miss.ranking.render(k));

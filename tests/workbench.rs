@@ -302,18 +302,20 @@ fn a_query_reports_the_work_of_its_own_runs() {
 
 #[test]
 fn workbench_from_xml_end_to_end() {
-    let wb = Workbench::from_xml(
-        "<shop>\
+    let wb = Workbench::from_document(
+        parse_document(
+            "<shop>\
            <product><name>Alpha GPS</name><kind>gps</kind>\
              <reviews><review><pros><compact>yes</compact></pros></review></reviews></product>\
            <product><name>Beta GPS</name><kind>gps</kind>\
              <reviews><review><pros><fast>yes</fast></pros></review></reviews></product>\
          </shop>",
-    )
-    .expect("well-formed XML");
+        )
+        .expect("well-formed XML"),
+    );
     let outcome = wb.query("gps").unwrap().size_bound(4).compare(Algorithm::MultiSwap).unwrap();
     assert_eq!(outcome.labels(), ["Alpha GPS", "Beta GPS"]);
     assert!(outcome.dod() > 0);
 
-    assert!(matches!(Workbench::from_xml("<broken"), Err(XsactError::Xml(_))));
+    assert!(matches!(Corpus::from_xml_strings([("broken", "<broken")]), Err(XsactError::Xml(_))));
 }
