@@ -109,8 +109,8 @@ fn run_single(
     out.push_str(&format!("query {query}: {top}{} results{ranked}\n", listed.len()));
     for (i, hit) in listed.iter().enumerate() {
         out.push_str(&format!("  [{:>2}] {}", i + 1, hit.result.label));
-        if let Some(score) = &hit.score {
-            out.push_str(&format!("  (score {:.3})", score.score));
+        if let Some(score) = hit.score {
+            out.push_str(&format!("  (score {score:.3})"));
         }
         out.push('\n');
     }

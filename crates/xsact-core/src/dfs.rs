@@ -261,14 +261,6 @@ impl Dfs {
     pub(crate) fn prefixes(&self) -> &[usize] {
         &self.prefix
     }
-
-    /// Whether a type is selected.
-    pub(crate) fn contains(&self, inst: &Instance, result: usize, t: TypeId) -> bool {
-        match inst.rank_of(result, t) {
-            Some((e, pos)) => pos < self.prefix[e],
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -355,18 +347,6 @@ mod tests {
         let mut visited = Vec::new();
         d.for_each_selected(&inst, 0, |t| visited.push(t));
         assert_eq!(visited, selected);
-    }
-
-    #[test]
-    fn contains_matches_mask() {
-        let inst = inst();
-        let r = inst.entities.iter().position(|e| e == "r").unwrap();
-        let mut d = Dfs::empty(inst.entities.len());
-        d.grow(&inst, 0, r);
-        let mask = d.selection_mask(&inst, 0);
-        for (t, &selected) in mask.iter().enumerate() {
-            assert_eq!(selected, d.contains(&inst, 0, t));
-        }
     }
 
     #[test]
@@ -488,6 +468,6 @@ mod tests {
         // Type `w` exists only in result 1.
         let w = inst.types.iter().position(|t| t.attribute == "w").unwrap();
         let d = Dfs::from_prefixes(&inst, 0, &[1, 3]);
-        assert!(!d.contains(&inst, 0, w));
+        assert!(!d.selection_mask(&inst, 0)[w]);
     }
 }

@@ -156,8 +156,6 @@ struct Cell {
     value: Span,
     /// Where the stat's `value_count` values start in the value arena.
     values_start: u32,
-    /// Position of the type in its entity's ranked list for this result.
-    rank: u32,
     /// Whether every value's ratio is positive (a value of count 0, or an
     /// entity without instances, has ratio 0).
     positive: bool,
@@ -175,7 +173,6 @@ impl Default for Cell {
             sig_ratio: 0.0,
             value: Span::default(),
             values_start: 0,
-            rank: 0,
             positive: false,
         }
     }
@@ -201,8 +198,8 @@ fn per_instance(count: u32, instances: u32) -> f64 {
 }
 
 impl Cell {
-    /// The cell of a stat (rank still unset): its dominant value goes to
-    /// `text`, its values to `arena`.
+    /// The cell of a stat: its dominant value goes to `text`, its values
+    /// to `arena`.
     fn of<'a>(stat: Stat<'a>, text: &mut String, arena: &mut Vec<ValueRef<'a>>) -> Cell {
         let instances = stat.entity_instances();
         let (dominant, count) = stat.dominant();
@@ -226,7 +223,6 @@ impl Cell {
             sig_ratio: per_instance(stat.occurrences(), instances),
             value: Span::push(text, dominant),
             values_start: values_start as u32,
-            rank: 0,
             positive: stat_values.iter().all(|v| v.ratio > 0.0),
         }
     }
@@ -388,17 +384,14 @@ impl Instance {
         let mut types_of_stats = stat_types.iter().map(|&t| t as TypeId);
         for (i, rf) in results.iter().map(Borrow::borrow).enumerate() {
             labels.push(Span::push(&mut text, rf.label()));
-            let runs = &ranked_off[i * stride..][..stride];
             next.clear();
-            next.extend_from_slice(runs);
+            next.extend_from_slice(&ranked_off[i * stride..][..stride]);
             for (stat, t) in rf.stats().zip(types_of_stats.by_ref()) {
                 let e = entity_of[t];
-                let mut cell = Cell::of(stat, &mut text, &mut arena);
-                cell.rank = next[e] - runs[e];
                 ranked[next[e] as usize] = t;
                 next[e] += 1;
                 debug_assert_eq!(cells[t * n + i].value_count, 0, "a result lists a type once");
-                cells[t * n + i] = cell;
+                cells[t * n + i] = Cell::of(stat, &mut text, &mut arena);
             }
         }
 
@@ -490,13 +483,6 @@ impl Instance {
     /// assembling the cell. 0 when the result lacks the type.
     pub fn sig_ratio(&self, i: usize, t: TypeId) -> f64 {
         self.cells[t * self.labels.len() + i].sig_ratio
-    }
-
-    /// The `(entity, rank)` position of type `t` within result `i`; `None`
-    /// when the result lacks the type.
-    pub fn rank_of(&self, i: usize, t: TypeId) -> Option<(EntityIdx, usize)> {
-        let cell = &self.cells[t * self.labels.len() + i];
-        (cell.value_count != 0).then(|| (self.entity_of[t], cell.rank as usize))
     }
 
     /// Words per bitset row over the type universe (`⌈m/64⌉`) — the row
@@ -661,10 +647,13 @@ mod tests {
         Instance::build(&[gps1(), gps3()], DfsConfig::default())
     }
 
+    #[cfg(target_pointer_width = "64")]
     #[test]
-    fn a_cell_is_one_cache_line() {
-        // The matrix fill reads one column of these per type.
-        assert_eq!(std::mem::size_of::<Cell>(), 64);
+    fn a_cell_is_fifty_six_bytes() {
+        // The matrix fill reads one column of these per type, front to
+        // back: a cell holds what that fill and the table read, nothing
+        // else.
+        assert_eq!(std::mem::size_of::<Cell>(), 56);
     }
 
     #[test]
@@ -690,18 +679,6 @@ mod tests {
             attrs,
             ["pros:easy_to_read", "pros:compact", "best_use:auto", "pros:large_screen"]
         );
-    }
-
-    #[test]
-    fn rank_of_inverts_ranked() {
-        let inst = instance();
-        for i in 0..inst.result_count() {
-            for (e, list) in inst.ranked_lists(i).enumerate() {
-                for (pos, &t) in list.iter().enumerate() {
-                    assert_eq!(inst.rank_of(i, t), Some((e, pos)));
-                }
-            }
-        }
     }
 
     #[test]

@@ -193,6 +193,8 @@ mod oracle {
 
     pub(super) fn render_table(inst: &Instance, set: &DfsSet) -> String {
         let rows = table_rows(inst, set);
+        let masks: Vec<Vec<bool>> =
+            (0..inst.result_count()).map(|i| set.dfs(i).selection_mask(inst, i)).collect();
         let header: Vec<Cow<'_, str>> =
             std::iter::once("feature").chain(inst.labels()).map(Cow::Borrowed).collect();
         let mut body: Vec<Vec<Cow<'_, str>>> = Vec::with_capacity(rows.len());
@@ -202,8 +204,8 @@ mod oracle {
             let mut label = format!("{} · ", entity_short_name(&ty.entity));
             push_display_label(&mut label, ty);
             row.push(Cow::Owned(label));
-            for i in 0..inst.result_count() {
-                if set.dfs(i).contains(inst, i, t) {
+            for (i, mask) in masks.iter().enumerate() {
+                if mask[t] {
                     let cell = inst.cell(i, t).expect("selected type has a cell");
                     if cell.instances > 1 {
                         row.push(Cow::Owned(format!(
@@ -336,8 +338,8 @@ mod tests {
             pool += 1;
             let features: Vec<ResultFeatures> = top
                 .iter()
-                .map(|root| {
-                    let r = engine.result_for(root);
+                .map(|scored| {
+                    let r = engine.result_for(scored.root);
                     extract_features(engine.document(), engine.summary(), r.root, &r.label)
                 })
                 .collect();

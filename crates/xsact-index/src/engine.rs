@@ -9,11 +9,14 @@
 //! be a brand selling men's jackets").
 //!
 //! There are two ways to run a query. [`SearchEngine::search_all`] returns
-//! every result in document order. [`SearchEngine::search_top_k`] returns the best
-//! `k` results by relevance, streamed through a bounded heap and left
-//! unlabelled until [`SearchEngine::result_for`] — the path every ranked,
-//! `take(k)` and corpus caller runs. Both report the executor's work as
-//! [`ExecutorStats`] and take an optional trace sink.
+//! every result in document order. [`SearchEngine::search_top_k`] returns
+//! the best `k` results by relevance as bare [`ScoredResult`]s — a root
+//! and a score, streamed through a bounded collector — and a caller labels
+//! the roots it keeps with [`SearchEngine::result_for`]: the path every
+//! ranked, `take(k)` and corpus caller runs. Both report the executor's
+//! work as [`ExecutorStats`] and take an optional trace sink. A result is
+//! the master entity a user ticks by name; the SLCA match it was promoted
+//! from is not kept.
 //! [`SearchEngine::search_ranked`] sorts the full result list and exists
 //! as the oracle the property suite compares the streaming path against.
 
@@ -22,7 +25,6 @@ use crate::postings::InvertedIndex;
 use crate::query::Query;
 use crate::rank::{rank_results, ScoredResult, Scorer, TopK};
 use crate::trace::{Span, TraceSink};
-use std::collections::HashMap;
 use xsact_entity::{NodeClass, StructureSummary};
 use xsact_xml::{writer, Document, NodeId};
 
@@ -41,23 +43,8 @@ pub enum ResultSemantics {
 pub struct SearchResult {
     /// Root of the result subtree (the master entity).
     pub root: NodeId,
-    /// The SLCA node the result was promoted from (a descendant-or-self of
-    /// `root`).
-    pub slca: NodeId,
     /// Display label, e.g. the product's name.
     pub label: String,
-}
-
-/// A ranked result that has not been given its display label yet: what the
-/// streaming top-k executor ([`SearchEngine::search_top_k`]) keeps per
-/// survivor. A caller that merges several documents' rankings keeps only
-/// some of them, and labels those alone via [`SearchEngine::result_for`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankedRoot {
-    /// The scored result root (`score.root` is the master entity).
-    pub score: ScoredResult,
-    /// The SLCA node the root was promoted from.
-    pub slca: NodeId,
 }
 
 /// Annotates a `plan` span with the plan's shape.
@@ -141,9 +128,7 @@ impl SearchEngine {
         }
         let span = trace.map(|sink| sink.span("slca-stream"));
         let mut results = Vec::new();
-        self.for_each_promoted(&plan, &mut stats, |root, slca| {
-            results.push(SearchResult { root, slca, label: self.label_for(root) });
-        });
+        self.for_each_promoted(&plan, &mut stats, |root| results.push(self.result_for(root)));
         if let Some(mut span) = span {
             note_stream(&mut span, stats, results.len());
             span.finish();
@@ -157,8 +142,8 @@ impl SearchEngine {
     }
 
     /// Runs the planned SLCA stream and hands every *distinct*
-    /// master-entity promotion to `f` as a `(root, slca)` pair, in match
-    /// (document) order — the shared front half of
+    /// master-entity promotion of its matches to `f`, in match (document)
+    /// order — the shared front half of
     /// [`search_all`](Self::search_all) and
     /// [`search_top_k`](Self::search_top_k), so promotion and duplicate
     /// accounting cannot drift apart.
@@ -172,7 +157,7 @@ impl SearchEngine {
         &self,
         plan: &QueryPlan<'_>,
         stats: &mut ExecutorStats,
-        mut f: impl FnMut(NodeId, NodeId),
+        mut f: impl FnMut(NodeId),
     ) {
         let mut chain: Vec<NodeId> = Vec::new();
         let mut stream = plan.stream(&self.doc);
@@ -185,7 +170,7 @@ impl SearchEngine {
                 Ok(_) => stats.candidates_pruned += 1,
                 Err(at) => {
                     chain.insert(at, root);
-                    f(root, slca);
+                    f(root);
                 }
             }
         }
@@ -199,27 +184,15 @@ impl SearchEngine {
         let (results, _) = self.search_all(query, None);
         let roots: Vec<NodeId> = results.iter().map(|r| r.root).collect();
         let scored = rank_results(&self.doc, &self.index, query, &roots);
-        // Roots are distinct (search deduplicates promotions), so one map
-        // pairs every scored entry with its result by moving it out —
-        // no per-entry rescan of the result list, no clones.
-        let mut by_root: HashMap<NodeId, SearchResult> =
-            results.into_iter().map(|r| (r.root, r)).collect();
-        scored
-            .into_iter()
-            .map(|s| {
-                let result =
-                    by_root.remove(&s.root).expect("scored roots come from the result list");
-                (result, s)
-            })
-            .collect()
+        scored.into_iter().map(|s| (self.result_for(s.root), s)).collect()
     }
 
     /// Runs the **streaming top-k executor**: plans the query (rarest-first
     /// term order, zero-postings short-circuit), streams SLCA roots through
     /// entity promotion and the TF-IDF scorer, and keeps only the best `k`
-    /// in a bounded heap. The survivors come back best-first as bare
-    /// [`RankedRoot`]s — a display label costs a subtree walk, and a caller
-    /// that merges this document's top-k with other documents' pays
+    /// in a bounded collector. The survivors come back best-first as bare
+    /// [`ScoredResult`]s — a display label costs a subtree walk, and a
+    /// caller that merges this document's top-k with other documents' pays
     /// [`result_for`](Self::result_for) only for what survives its merge.
     /// The roots equal the ranked full SLCA search truncated to `k` for
     /// every `k` (the ranking order is total; `tests/properties.rs` pins
@@ -237,7 +210,7 @@ impl SearchEngine {
         query: &Query,
         k: usize,
         trace: Option<&TraceSink>,
-    ) -> (Vec<RankedRoot>, ExecutorStats) {
+    ) -> (Vec<ScoredResult>, ExecutorStats) {
         let span = trace.map(|sink| sink.span("plan"));
         let mut stats = ExecutorStats::default();
         let plan = QueryPlan::new(&self.index, query);
@@ -250,11 +223,10 @@ impl SearchEngine {
         }
         let mut scorer = Scorer::new(&self.doc, &self.index, query);
         let span = trace.map(|sink| sink.span("slca-stream"));
-        let mut heap: TopK<RankedRoot> = TopK::new(k);
+        let mut top = TopK::new(k);
         let mut streamed = 0usize;
-        self.for_each_promoted(&plan, &mut stats, |root, slca| {
-            let score = scorer.score(root);
-            heap.push(score.score, root, RankedRoot { score, slca });
+        self.for_each_promoted(&plan, &mut stats, |root| {
+            top.push(scorer.score(root));
             streamed += 1;
         });
         if let Some(mut span) = span {
@@ -262,7 +234,7 @@ impl SearchEngine {
             span.finish();
         }
         let span = trace.map(|sink| sink.span("rank"));
-        let (roots, evicted) = heap.finish();
+        let (roots, evicted) = top.finish();
         stats.candidates_pruned += evicted;
         if let Some(mut span) = span {
             span.note("kept", roots.len() as u64);
@@ -272,10 +244,11 @@ impl SearchEngine {
         (roots, stats)
     }
 
-    /// The labelled [`SearchResult`] of a ranked root.
-    pub fn result_for(&self, ranked: &RankedRoot) -> SearchResult {
-        let root = ranked.score.root;
-        SearchResult { root, slca: ranked.slca, label: self.label_for(root) }
+    /// The labelled [`SearchResult`] of a result root: the text of its
+    /// first non-blank `name`, `title`, `label` or `id` child, else its
+    /// `name` attribute, else its tag and Dewey id.
+    pub fn result_for(&self, root: NodeId) -> SearchResult {
+        SearchResult { root, label: self.label_for(root) }
     }
 
     /// The nearest ancestor-or-self of `node` classified as an entity
@@ -354,7 +327,7 @@ mod tests {
         k: usize,
     ) -> (Vec<(SearchResult, ScoredResult)>, ExecutorStats) {
         let (roots, stats) = engine.search_top_k(q, k, None);
-        (roots.into_iter().map(|r| (engine.result_for(&r), r.score)).collect(), stats)
+        (roots.into_iter().map(|s| (engine.result_for(s.root), s)).collect(), stats)
     }
 
     #[test]
@@ -371,10 +344,6 @@ mod tests {
         let results = search(&engine, "TomTom GPS");
         for r in &results {
             assert_eq!(engine.document().tag(r.root), "product");
-            // The SLCA sits inside the promoted subtree.
-            let d = engine.document();
-            let (slca, root) = (d.dewey(r.slca).to_string(), d.dewey(r.root).to_string());
-            assert!(slca == root || slca.starts_with(&format!("{root}.")), "{slca} in {root}");
         }
     }
 
@@ -507,7 +476,7 @@ mod tests {
         assert_eq!(
             top1_stats.candidates_pruned,
             full_stats.candidates_pruned + (n - 1),
-            "all but one scored candidate evicted by the k = 1 heap"
+            "all but one scored candidate evicted by the k = 1 collector"
         );
     }
 

@@ -36,7 +36,7 @@ pub mod rank;
 pub mod slca;
 pub mod trace;
 
-pub use engine::{RankedRoot, ResultSemantics, SearchEngine, SearchResult};
+pub use engine::{ResultSemantics, SearchEngine, SearchResult};
 pub use lexer::tokenize;
 pub use persist::{load_image, save_image};
 pub use plan::{ExecutorStats, QueryPlan, SlcaStream};

@@ -10,14 +10,16 @@
 //! * **inverse document frequency** — rarer terms weigh more
 //!   (`ln(1 + N / df)` over element count `N` and posting length `df`);
 //! * **specificity** — smaller results that still contain every term are
-//!   preferred (`1 / ln(e + subtree_size)`), the structured analogue of
-//!   snippet proximity.
+//!   preferred (`1 / ln(e + size)` over the subtree's node count), the
+//!   structured analogue of snippet proximity.
 //!
-//! Two consumers exist: [`rank_results`] sorts every candidate (the
-//! correctness reference and the full-listing path), and [`TopK`] keeps
-//! only the best `k` in a bounded heap while preserving the exact total
-//! order — the ranking half of the streaming top-k executor
-//! (`SearchEngine::search_top_k` feeds it the [`Scorer`]'s scores).
+//! A scored result is its root and its score ([`ScoredResult`], 16
+//! bytes): the signals are folded into the score as it is computed, and
+//! nothing downstream reads them apart. Two consumers exist:
+//! [`rank_results`] sorts every candidate (the correctness reference), and
+//! [`TopK`] keeps only the best `k` in a bounded buffer under the same
+//! total order — the ranking half of the streaming top-k executor
+//! (`SearchEngine::search_top_k` feeds it the [`Scorer`]'s results).
 //!
 //! # Scoring on id intervals
 //!
@@ -26,7 +28,7 @@
 //! `[root, subtree_end(root))`. The [`Scorer`] therefore touches no tree at
 //! all:
 //!
-//! * `subtree_size` is `subtree_end(root) − root`, two integers the DOM
+//! * the subtree size is `subtree_end(root) − root`, two integers the DOM
 //!   already keeps — not a walk over the subtree;
 //! * each term's `tf` is the number of its postings inside that interval,
 //!   answered by a per-list `RangeCounter`: the frames the interval
@@ -41,20 +43,22 @@
 
 use crate::postings::{InvertedIndex, RangeCounter};
 use crate::query::Query;
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 use xsact_xml::{Document, NodeId};
 
-/// A scored result, produced by [`rank_results`].
-#[derive(Debug, Clone, PartialEq)]
+/// A scored result root, produced by [`rank_results`] and [`TopK`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredResult {
     /// Root of the result subtree.
     pub root: NodeId,
     /// Combined relevance score (higher is better).
     pub score: f64,
-    /// Occurrences of all query terms inside the subtree.
-    pub term_hits: u32,
-    /// Number of nodes in the subtree.
-    pub subtree_size: u32,
+}
+
+/// The ranking's total order, best first: score descending, then node id
+/// ascending (document order).
+fn best_first(a: &ScoredResult, b: &ScoredResult) -> Ordering {
+    b.score.total_cmp(&a.score).then_with(|| a.root.cmp(&b.root))
 }
 
 /// Scores result roots for a query and returns them best-first.
@@ -73,7 +77,7 @@ pub fn rank_results(
 ) -> Vec<ScoredResult> {
     let mut scorer = Scorer::new(doc, index, query);
     let mut scored: Vec<ScoredResult> = roots.iter().map(|&root| scorer.score(root)).collect();
-    scored.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.root.cmp(&b.root)));
+    scored.sort_by(best_first);
     scored
 }
 
@@ -108,105 +112,61 @@ impl<'a> Scorer<'a> {
     /// the score of a root does not depend on what was scored before.
     pub fn score(&mut self, root: NodeId) -> ScoredResult {
         let (lo, hi) = (root.index() as u32, self.doc.subtree_end(root));
-        let mut term_hits = 0u32;
         let mut score = 0.0;
         for (counter, idf) in &mut self.terms {
             let tf = counter.count(lo, hi);
-            term_hits += tf;
             if tf > 0 {
                 score += (1.0 + f64::from(tf)).ln() * *idf;
             }
         }
-        let subtree_size = hi - lo;
-        // Specificity: prefer compact results.
-        score /= (std::f64::consts::E + f64::from(subtree_size)).ln();
-        ScoredResult { root, score, term_hits, subtree_size }
+        // Specificity: prefer compact results (`hi − lo` nodes).
+        score /= (std::f64::consts::E + f64::from(hi - lo)).ln();
+        ScoredResult { root, score }
     }
 }
 
-/// A bounded top-k collector over the ranking's total order (score
-/// descending, then node id ascending). The internal binary heap keeps the
-/// *worst* kept entry on top, so a stream of `n` candidates costs
-/// `O(n log k)` and `O(k)` memory; [`TopK::finish`] returns the survivors
-/// best-first plus the eviction count (candidates scored but pruned). The
-/// survivors are exactly [`rank_results`]' order truncated to `k`, for
-/// any input order, because the ranking order is total.
+/// A bounded top-k collector over the ranking's total order. It keeps at
+/// most `2k` results: when the buffer fills, a selection keeps the best
+/// `k` and drops the rest, so a stream of `n` candidates costs `O(n)`
+/// comparisons amortised and `O(k)` memory. [`TopK::finish`] sorts the
+/// survivors best-first and counts the candidates scored but pruned. The
+/// survivors are exactly [`rank_results`]' order truncated to `k`, for any
+/// input order, because the ranking order is total.
 #[derive(Debug)]
-pub struct TopK<T> {
+pub struct TopK {
     k: usize,
-    heap: BinaryHeap<TopKEntry<T>>,
-    evicted: u64,
+    kept: Vec<ScoredResult>,
+    offered: u64,
 }
 
-impl<T> TopK<T> {
+impl TopK {
     /// An empty collector that keeps at most `k` candidates.
-    pub fn new(k: usize) -> TopK<T> {
-        TopK { k, heap: BinaryHeap::with_capacity(k.min(1024).saturating_add(1)), evicted: 0 }
+    pub fn new(k: usize) -> TopK {
+        TopK { k, kept: Vec::with_capacity(k.min(1024).saturating_mul(2)), offered: 0 }
     }
 
-    /// Offers one candidate; the payload survives only if the candidate
-    /// ranks among the best `k` seen so far.
-    pub fn push(&mut self, score: f64, root: NodeId, payload: T) {
+    /// Offers one candidate; it survives only if it ranks among the best
+    /// `k` offered.
+    pub fn push(&mut self, scored: ScoredResult) {
+        self.offered += 1;
         if self.k == 0 {
-            self.evicted += 1;
             return;
         }
-        let entry = TopKEntry { score, root, payload };
-        if self.heap.len() < self.k {
-            self.heap.push(entry);
-            return;
-        }
-        self.evicted += 1;
-        // `Ord` sorts worse entries greater, so the heap max is the worst
-        // kept entry; replace it only when the newcomer ranks better.
-        if entry < *self.heap.peek().expect("k > 0 and the heap is full") {
-            self.heap.pop();
-            self.heap.push(entry);
+        self.kept.push(scored);
+        if self.kept.len() == self.k.saturating_mul(2) {
+            self.kept.select_nth_unstable_by(self.k - 1, best_first);
+            self.kept.truncate(self.k);
         }
     }
 
-    /// The kept payloads best-first, and how many candidates were evicted.
-    pub fn finish(self) -> (Vec<T>, u64) {
-        let ordered = self.heap.into_sorted_vec();
-        (ordered.into_iter().map(|e| e.payload).collect(), self.evicted)
+    /// The kept candidates best-first, and how many were evicted.
+    pub fn finish(mut self) -> (Vec<ScoredResult>, u64) {
+        self.kept.sort_unstable_by(best_first);
+        self.kept.truncate(self.k);
+        let evicted = self.offered - self.kept.len() as u64;
+        (self.kept, evicted)
     }
 }
-
-struct TopKEntry<T> {
-    score: f64,
-    root: NodeId,
-    payload: T,
-}
-
-impl<T> std::fmt::Debug for TopKEntry<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TopKEntry({}, {:?})", self.score, self.root)
-    }
-}
-
-/// Worse-is-greater order: lower score sorts greater, ties broken by the
-/// *later* node sorting greater — the exact inverse of the ranking order,
-/// so a max-heap exposes the worst kept entry at its top and
-/// `into_sorted_vec` yields best-first.
-impl<T> Ord for TopKEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.score.total_cmp(&self.score).then_with(|| self.root.cmp(&other.root))
-    }
-}
-
-impl<T> PartialOrd for TopKEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> PartialEq for TopKEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl<T> Eq for TopKEntry<T> {}
 
 #[cfg(test)]
 mod tests {
@@ -228,8 +188,6 @@ mod tests {
         let ranked = rank_results(&doc, &idx, &q, &roots);
         assert_eq!(ranked.len(), 2);
         assert!(ranked[0].score > ranked[1].score);
-        assert_eq!(ranked[0].term_hits, 2);
-        assert_eq!(ranked[1].term_hits, 1);
         assert_eq!(ranked[0].root, roots[0]);
     }
 
@@ -242,7 +200,7 @@ mod tests {
         let roots: Vec<NodeId> = doc.children(doc.root()).collect();
         let ranked = rank_results(&doc, &idx, &Query::parse("gps"), &roots);
         assert_eq!(doc.tag(ranked[0].root), "small");
-        assert!(ranked[0].subtree_size < ranked[1].subtree_size);
+        assert!(ranked[0].score > ranked[1].score);
     }
 
     #[test]
@@ -296,18 +254,17 @@ mod tests {
         k: usize,
     ) -> Vec<ScoredResult> {
         let mut scorer = Scorer::new(doc, idx, q);
-        let mut heap = TopK::new(k);
+        let mut top = TopK::new(k);
         for root in roots {
-            let scored = scorer.score(root);
-            heap.push(scored.score, root, scored);
+            top.push(scorer.score(root));
         }
-        heap.finish().0
+        top.finish().0
     }
 
     #[test]
     fn top_k_equals_the_truncated_full_sort() {
         // Mixed scores *and* a deliberately tied pair (identical siblings),
-        // so the heap's tie-break is exercised at every k.
+        // so the collector's tie-break is exercised at every k.
         let (doc, idx) = setup(
             "<r><a><t>gps</t></a><b><t>gps</t></b>\
              <big><t>gps</t><x>pad</x><y>pad</y></big>\

@@ -62,7 +62,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xsact_data::movies::{MovieGenConfig, MoviesGen};
 use xsact_index::trace::TraceSink;
-use xsact_index::{ExecutorStats, Query, RankedRoot, ScoredResult, SearchEngine, SearchResult};
+use xsact_index::{ExecutorStats, Query, ScoredResult, SearchEngine, SearchResult};
 use xsact_xml::{Document, NodeId};
 
 pub use crate::selection::CorpusQuery;
@@ -502,9 +502,9 @@ pub struct CorpusHit {
     /// The result subtree inside that document. Its root is the last key
     /// of the merge's total order.
     pub result: SearchResult,
-    /// Relevance score and its components; `None` in a document-order
-    /// list, which scores nothing.
-    pub score: Option<ScoredResult>,
+    /// Relevance score; `None` in a document-order list, which scores
+    /// nothing.
+    pub score: Option<f64>,
 }
 
 impl CorpusHit {
@@ -514,11 +514,8 @@ impl CorpusHit {
     /// hit itself — never on shard count or thread timing — which is what
     /// makes every list deterministic.
     fn ranking_order(&self, other: &CorpusHit) -> Ordering {
-        let score = |hit: &CorpusHit| hit.score.as_ref().map_or(0.0, |s| s.score);
-        ranking_order(
-            (score(self), self.doc, self.result.root),
-            (score(other), other.doc, other.result.root),
-        )
+        let key = |hit: &CorpusHit| (hit.score.unwrap_or(0.0), hit.doc, hit.result.root);
+        ranking_order(key(self), key(other))
     }
 }
 
@@ -542,8 +539,8 @@ impl CorpusRanking {
         for (i, hit) in shown.iter().enumerate() {
             // Writing into a `String` cannot fail.
             let _ = write!(out, "  [{:>2}] {}  @{}", i + 1, hit.result.label, hit.doc_name);
-            if let Some(score) = &hit.score {
-                let _ = write!(out, "  (score {:.3})", score.score);
+            if let Some(score) = hit.score {
+                let _ = write!(out, "  (score {score:.3})");
             }
             out.push('\n');
         }
@@ -614,7 +611,7 @@ fn search_shard(
                     let (wb, doc) = (&docs[d], DocId(d as u32));
                     let (roots, doc_stats) = wb.engine().search_top_k(query, k, trace);
                     stats += doc_stats;
-                    roots.into_iter().map(|ranked| ShardCandidate { wb, doc, ranked }).collect()
+                    roots.into_iter().map(|scored| ShardCandidate { wb, doc, scored }).collect()
                 })
                 .collect();
             // The shard-local merge: keep `k` of the per-document lists,
@@ -650,30 +647,30 @@ pub(crate) fn merge_runs(runs: Vec<ShardRun>, k: usize) -> (CorpusRanking, Execu
     (CorpusRanking { hits }, stats)
 }
 
-/// One ranked root on its way through a shard's merge. A shard ranks every
+/// One scored root on its way through a shard's merge. A shard ranks every
 /// one of its documents to depth `k` and keeps `k` in total, so most
 /// candidates are dropped by the merge; only a survivor becomes a
 /// [`CorpusHit`] and is given its display label.
 struct ShardCandidate<'a> {
     wb: &'a Workbench,
     doc: DocId,
-    ranked: RankedRoot,
+    scored: ScoredResult,
 }
 
 impl ShardCandidate<'_> {
     /// [`CorpusHit::ranking_order`] before labelling.
     fn ranking_order(&self, other: &ShardCandidate<'_>) -> Ordering {
-        let key = |c: &ShardCandidate<'_>| (c.ranked.score.score, c.doc, c.ranked.score.root);
+        let key = |c: &ShardCandidate<'_>| (c.scored.score, c.doc, c.scored.root);
         ranking_order(key(self), key(other))
     }
 
     fn into_hit(self) -> CorpusHit {
-        let ShardCandidate { wb, doc, ranked } = self;
+        let ShardCandidate { wb, doc, scored } = self;
         CorpusHit {
             doc,
             doc_name: wb.name.clone(),
-            result: wb.engine().result_for(&ranked),
-            score: Some(ranked.score),
+            result: wb.engine().result_for(scored.root),
+            score: Some(scored.score),
         }
     }
 }

@@ -75,11 +75,12 @@ pub enum XsactError {
         /// The session's budget in posting entries.
         budget: u64,
     },
-    /// The query's deadline (pool wait + execute) elapsed before an
-    /// answer could be produced. Checked once the query holds the shard
-    /// pool (it never executed) and again after execute (the answer arrived too
-    /// late to matter); either way the caller should treat the result as
-    /// unknown and retry with a fresh deadline.
+    /// The query's deadline (the wait for the execution lock plus execute)
+    /// elapsed before an answer could be produced. Checked under the
+    /// execution lock before the query's shard jobs are submitted (it never
+    /// executed) and again after they return (the answer arrived too late
+    /// to matter); either way the caller should treat the result as unknown
+    /// and retry with a fresh deadline.
     DeadlineExceeded {
         /// Milliseconds that had elapsed when the deadline check fired.
         elapsed_ms: u64,

@@ -223,7 +223,7 @@ impl Workbench {
     /// to `k`.
     pub fn search_top_k(&self, query: &Query, k: usize) -> Vec<(SearchResult, ScoredResult)> {
         let roots = self.engine.search_top_k(query, k, None).0;
-        roots.into_iter().map(|r| (self.engine.result_for(&r), r.score)).collect()
+        roots.into_iter().map(|s| (self.engine.result_for(s.root), s)).collect()
     }
 
     /// The underlying search engine, for callers that need layer-level

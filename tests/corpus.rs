@@ -111,7 +111,7 @@ fn merged_ranking_spans_documents_and_is_score_ordered() {
     assert_eq!(ranking.hits.len(), 6, "one hit per store");
     let docs: std::collections::HashSet<_> = ranking.hits.iter().map(|h| h.doc).collect();
     assert_eq!(docs.len(), 6);
-    let score = |h: &CorpusHit| h.score.as_ref().expect("a ranked hit is scored").score;
+    let score = |h: &CorpusHit| h.score.expect("a ranked hit is scored");
     for pair in ranking.hits.windows(2) {
         assert!(score(&pair[0]) >= score(&pair[1]), "merged ranking must be best-first");
     }
@@ -389,7 +389,7 @@ fn workbenches_inside_the_corpus_stay_layer_accessible() {
 #[test]
 fn a_document_order_corpus_list_concatenates_its_documents_lists() {
     let mut corpus = Corpus::synthetic_movies(5, 30, 9);
-    let key = |hit: &CorpusHit| (hit.doc_name.to_string(), hit.result.clone(), hit.score.clone());
+    let key = |hit: &CorpusHit| (hit.doc_name.to_string(), hit.result.clone(), hit.score);
     for text in ["drama family", "drama", "comedy"] {
         let mut concatenated = Vec::new();
         for i in 0..corpus.len() {
@@ -411,4 +411,14 @@ fn a_document_order_corpus_list_concatenates_its_documents_lists() {
             assert_eq!(ticked.iter().map(key).collect::<Vec<_>>(), want, "{shards} shards");
         }
     }
+}
+
+/// A scored candidate is its root and its score, and a hit stores its root
+/// once (in its result) beside a bare score: the records every ranked
+/// query makes per candidate carry nothing the product does not read.
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn ranked_records_carry_a_root_and_a_score() {
+    assert_eq!(std::mem::size_of::<xsact_index::ScoredResult>(), 16);
+    assert_eq!(std::mem::size_of::<CorpusHit>(), 72);
 }

@@ -78,7 +78,7 @@ fn a_query_of_200_distinct_terms_is_an_answer() {
     let corpus = Arc::new(Corpus::from_xml_strings([("shop", xml.as_str())]).unwrap());
     let ranking = corpus.query(&text).unwrap().ranking().clone();
     let scored = |hits: &[CorpusHit]| -> Vec<_> {
-        hits.iter().map(|hit| (hit.result.clone(), hit.score.clone())).collect()
+        hits.iter().map(|hit| (hit.result.clone(), hit.score)).collect()
     };
     let of_wb = wb.query(&text).unwrap().ranked(true).ranking().hits.clone();
     assert_eq!(scored(&of_wb), scored(&ranking.hits));

@@ -49,9 +49,7 @@ fn tracing_never_changes_ranked_top_k_bytes() {
     let sink = TraceSink::new();
     let listing = |query: CorpusQuery<'_>| -> Vec<String> {
         let hits = query.ranked(true).take(2).selection().unwrap();
-        hits.iter()
-            .map(|hit| format!("{} {:.6}", hit.result.label, hit.score.as_ref().unwrap().score))
-            .collect()
+        hits.iter().map(|hit| format!("{} {:.6}", hit.result.label, hit.score.unwrap())).collect()
     };
     let traced = listing(wb.query_traced("TomTom GPS", &sink).unwrap());
     let plain = listing(wb.query("TomTom GPS").unwrap());

@@ -314,7 +314,7 @@ fn slca_over_interned_postings_matches_oracle_lists() {
 
 // ------------------------------------------------ streaming top-k executor
 //
-// The gallop executor (QueryPlan + SlcaStream + the bounded top-k heap)
+// The gallop executor (QueryPlan + SlcaStream + the bounded top-k collector)
 // must be observably identical to the batch oracles: slca_full_scan for
 // the match set, and rank_results' full sort truncated at k for the
 // ranking — for every k, tied scores included.
@@ -377,7 +377,7 @@ fn labelled_top_k(
     k: usize,
 ) -> Vec<(SearchResult, ScoredResult)> {
     let (roots, _) = engine.search_top_k(query, k, None);
-    roots.into_iter().map(|r| (engine.result_for(&r), r.score)).collect()
+    roots.into_iter().map(|s| (engine.result_for(s.root), s)).collect()
 }
 
 #[test]
@@ -394,7 +394,7 @@ fn search_top_k_matches_the_ranked_oracle() {
         let scored = rank_results(engine.document(), engine.index(), &query, &roots);
         let full = labelled_top_k(&engine, &query, usize::MAX);
         assert_eq!(
-            full.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>(),
+            full.iter().map(|&(_, s)| s).collect::<Vec<_>>(),
             scored,
             "seed {seed}: unbounded executor vs full sort"
         );
@@ -422,12 +422,11 @@ fn top_k(
     k: usize,
 ) -> Vec<ScoredResult> {
     let mut scorer = Scorer::new(doc, idx, query);
-    let mut heap = TopK::new(k);
+    let mut top = TopK::new(k);
     for root in roots {
-        let scored = scorer.score(root);
-        heap.push(scored.score, root, scored);
+        top.push(scorer.score(root));
     }
-    heap.finish().0
+    top.finish().0
 }
 
 #[test]
@@ -444,7 +443,7 @@ fn top_k_breaks_deliberate_ties_like_the_full_sort() {
     assert!(full.windows(2).all(|w| w[0].score == w[1].score), "fixture must tie every score");
     for k in 0..=full.len() {
         // Feed the roots in reverse to prove input order cannot leak
-        // through the bounded heap either.
+        // through the bounded collector either.
         let top = top_k(&doc, &idx, &query, roots.iter().rev().copied(), k);
         assert_eq!(top, full[..k], "k = {k}");
     }
@@ -760,17 +759,15 @@ fn reference_ranking(
         .iter()
         .map(|&root| {
             let subtree = tree.subtree(root);
-            let (mut term_hits, mut score) = (0u32, 0.0);
+            let mut score = 0.0;
             for (posted, idf) in &terms {
                 let tf = subtree.iter().filter(|n| posted[n.index()]).count() as u32;
-                term_hits += tf;
                 if tf > 0 {
                     score += (1.0 + f64::from(tf)).ln() * idf;
                 }
             }
-            let subtree_size = subtree.len() as u32;
-            score /= (std::f64::consts::E + f64::from(subtree_size)).ln();
-            ScoredResult { root, score, term_hits, subtree_size }
+            score /= (std::f64::consts::E + subtree.len() as f64).ln();
+            ScoredResult { root, score }
         })
         .collect();
     scored.sort_by(|a, b| {
@@ -874,9 +871,9 @@ fn interval_stream_matches_the_full_scan_on_multi_frame_catalogs() {
 
 /// Promotion computed independently of the engine: each match climbs to
 /// its nearest entity ancestor-or-self by [`StructureSummary::class_of`]
-/// (the root always classifies as one), and a `HashSet` keeps the first
-/// match of each root. Sorted by root, as `search_all` returns results.
-fn oracle_promotions(doc: &Document, matches: &[NodeId]) -> Vec<(NodeId, NodeId)> {
+/// (the root always classifies as one), and a `HashSet` keeps each root
+/// once. Sorted, as `search_all` returns results.
+fn oracle_promotions(doc: &Document, matches: &[NodeId]) -> Vec<NodeId> {
     let summary = StructureSummary::infer(doc);
     let mut seen = HashSet::new();
     let mut promoted = Vec::new();
@@ -886,15 +883,15 @@ fn oracle_promotions(doc: &Document, matches: &[NodeId]) -> Vec<(NodeId, NodeId)
             root = doc.parent(root).expect("the root is an entity");
         }
         if seen.insert(root) {
-            promoted.push((root, m));
+            promoted.push(root);
         }
     }
-    promoted.sort_by_key(|&(root, _)| root);
+    promoted.sort_unstable();
     promoted
 }
 
-/// `search_all`'s promoted `(root, match)` pairs and pruned count equal
-/// the oracle's over the full-scan SLCA match set.
+/// `search_all`'s promoted roots and pruned count equal the oracle's over
+/// the full-scan SLCA match set.
 fn assert_promotions_match_the_oracle(engine: &SearchEngine, query: &Query, what: &str) {
     let doc = engine.document();
     let decoded: Vec<Vec<NodeId>> =
@@ -902,8 +899,8 @@ fn assert_promotions_match_the_oracle(engine: &SearchEngine, query: &Query, what
     let lists: Vec<&[NodeId]> = decoded.iter().map(Vec::as_slice).collect();
     let oracle = oracle_promotions(doc, &slca_full_scan(doc, &lists));
     let (results, stats) = engine.search_all(query, None);
-    let pairs: Vec<_> = results.into_iter().map(|r| (r.root, r.slca)).collect();
-    assert_eq!(pairs, oracle, "{what}, query {query}: SLCA promotions");
+    let roots: Vec<NodeId> = results.into_iter().map(|r| r.root).collect();
+    assert_eq!(roots, oracle, "{what}, query {query}: SLCA promotions");
     // Stream prunes are postings scanned minus SLCAs; promotion prunes are
     // SLCAs minus distinct roots.
     assert_eq!(
@@ -1227,7 +1224,7 @@ struct OracleResult {
     label: String,
     ranked: Vec<Vec<usize>>,
     cells: Vec<Option<OracleCell>>,
-    rank_of: Vec<Option<(usize, usize)>>,
+    position: Vec<Option<(usize, usize)>>,
 }
 
 #[derive(Debug)]
@@ -1295,13 +1292,13 @@ fn oracle_instance(results: &[ResultFeatures], config: DfsConfig) -> OracleInsta
     for rf in results {
         let mut ranked: Vec<Vec<usize>> = vec![Vec::new(); entities.len()];
         let mut cells: Vec<Option<OracleCell>> = vec![None; types.len()];
-        let mut rank_of: Vec<Option<(usize, usize)>> = vec![None; types.len()];
+        let mut position: Vec<Option<(usize, usize)>> = vec![None; types.len()];
         let mut by_type: Vec<Option<Stat<'_>>> = vec![None; types.len()];
         for stat in rf.stats() {
             let t =
                 types.binary_search(&FeatureType::new(stat.entity(), stat.attribute())).unwrap();
             let e = entity_idx(stat.entity());
-            rank_of[t] = Some((e, ranked[e].len()));
+            position[t] = Some((e, ranked[e].len()));
             ranked[e].push(t);
             by_type[t] = Some(stat);
             let (value, count) = stat.dominant();
@@ -1315,7 +1312,7 @@ fn oracle_instance(results: &[ResultFeatures], config: DfsConfig) -> OracleInsta
         }
         stats_by_type.push(by_type);
         let label = rf.label().to_owned();
-        oracle_results.push(OracleResult { label, ranked, cells, rank_of });
+        oracle_results.push(OracleResult { label, ranked, cells, position });
     }
 
     let n = results.len();
@@ -1365,7 +1362,9 @@ fn assert_instance_matches_oracle(inst: &Instance, features: &[ResultFeatures], 
                 sig_ratio: c.sig_ratio,
             });
             assert_eq!(cell, result.cells[t], "{what}: cell({i}, {t})");
-            assert_eq!(inst.rank_of(i, t), result.rank_of[t], "{what}: rank_of({i}, {t})");
+            let e = inst.entity_of[t];
+            let position = inst.ranked(i, e).iter().position(|&u| u == t).map(|pos| (e, pos));
+            assert_eq!(position, result.position[t], "{what}: position of {t} in {i}");
         }
         for j in 0..n {
             let mut row = vec![0u64; words];

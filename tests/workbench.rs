@@ -214,7 +214,7 @@ fn ranked_pipeline_orders_best_first() {
     let query = wb.query(fixtures::PAPER_QUERY).unwrap().ranked(true);
     let ranked = &query.ranking().hits;
     assert!(!ranked.is_empty());
-    let scores: Vec<f64> = ranked.iter().map(|hit| hit.score.as_ref().unwrap().score).collect();
+    let scores: Vec<f64> = ranked.iter().map(|hit| hit.score.unwrap()).collect();
     assert!(scores.windows(2).all(|pair| pair[0] >= pair[1]), "{scores:?}");
     // The ranked flag changes result order, not membership; a document-order
     // list scores nothing.
